@@ -139,10 +139,6 @@ def query_conjunction_with_stats(index: ExternalIndex,
                                  conjunction: ConstraintConjunction,
                                  clear_cache: bool = True) -> QueryResult:
     """As :func:`query_conjunction`, with the I/O cost of the evaluation."""
-    store = index.store
-    if clear_cache:
-        store.clear_cache()
-    before = store.stats.snapshot()
-    points = query_conjunction(index, conjunction)
-    after = store.stats.snapshot()
-    return QueryResult(points=points, ios=after.delta(before))
+    with index.store.measured(clear_cache) as ios:
+        points = query_conjunction(index, conjunction)
+    return QueryResult(points=points, ios=ios)

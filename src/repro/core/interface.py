@@ -151,12 +151,9 @@ class ExternalIndex(abc.ABC):
         counts do not depend on the previous query (the default for
         benchmarks; set False to measure warm-cache behaviour).
         """
-        if clear_cache:
-            self._store.clear_cache()
-        before = self._store.stats.snapshot()
-        points = self.query(constraint)
-        after = self._store.stats.snapshot()
-        return QueryResult(points=points, ios=after.delta(before))
+        with self._store.measured(clear_cache) as ios:
+            points = self.query(constraint)
+        return QueryResult(points=points, ios=ios)
 
     def validate_against_scan(self, constraint: LinearConstraint,
                               points: Sequence[Point]) -> bool:

@@ -99,9 +99,6 @@ class KNNIndex:
     def nearest_with_stats(self, query: Sequence[float], k: int,
                            clear_cache: bool = True):
         """Run :meth:`nearest` and return ``(points, IOStats)``."""
-        if clear_cache:
-            self._store.clear_cache()
-        before = self._store.stats.snapshot()
-        points = self.nearest(query, k)
-        after = self._store.stats.snapshot()
-        return points, after.delta(before)
+        with self._store.measured(clear_cache) as ios:
+            points = self.nearest(query, k)
+        return points, ios

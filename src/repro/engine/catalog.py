@@ -50,6 +50,8 @@ from repro.core import (
     PartitionTreeIndex,
     ShallowPartitionTreeIndex,
 )
+from repro.core.conjunction import ConstraintConjunction, query_conjunction
+from repro.core.interface import Point
 from repro.engine.sharding import (
     RangeShardRouter,
     Shard,
@@ -61,6 +63,10 @@ from repro.engine.stats import SelectivityModel, make_model
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import make_backend
 from repro.io.store import BlockStore, IOStats
+
+
+#: What a dataset answers: one linear constraint, or an AND of several.
+Query = Union[LinearConstraint, ConstraintConjunction]
 
 
 @dataclass(frozen=True)
@@ -183,6 +189,24 @@ class Dataset:
         if self.stats is not None:
             return self.stats.estimate_output(constraint)
         return int(round(self.estimate_selectivity(constraint) * self.size))
+
+    def run_query(self, index_name: str, query: Query,
+                  clear_cache: bool = False) -> Tuple[List[Point], IOStats]:
+        """Run one constraint or conjunction on one of this dataset's indexes.
+
+        The engine's unit of execution — the executor's local transport
+        and the shard-worker process both answer a per-replica query
+        here, so the two cannot measure differently.  Returns the
+        reported points and the I/Os the store charged for them
+        (``clear_cache`` empties the buffer pool first: the cold cost).
+        """
+        index = self.indexes[index_name]
+        with self.store.measured(clear_cache) as ios:
+            if isinstance(query, ConstraintConjunction):
+                points = query_conjunction(index, query)
+            else:
+                points = index.query(query)
+        return points, ios
 
 
 class Catalog:

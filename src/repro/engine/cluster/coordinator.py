@@ -31,10 +31,10 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.conjunction import ConstraintConjunction
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, Query
 from repro.engine.cluster import protocol, worker
 from repro.engine.cluster.client import (
     WorkerClient,
@@ -43,7 +43,6 @@ from repro.engine.cluster.client import (
 )
 from repro.engine.cluster.writelog import WriteLog
 from repro.engine.sharding import Shard
-from repro.geometry.primitives import LinearConstraint
 from repro.io.store import IOStats
 
 
@@ -60,12 +59,15 @@ class WorkerHandle:
     """One live-or-dead worker process and its RPC client."""
 
     def __init__(self, dataset: str, shard_id: int, replica_id: int,
-                 replica_name: str, process, client: WorkerClient,
-                 port: int, pid: int):
+                 replica_name: str, indexes: FrozenSet[str], process,
+                 client: WorkerClient, port: int, pid: int):
         self.dataset = dataset
         self.shard_id = shard_id
         self.replica_id = replica_id
         self.replica_name = replica_name
+        #: Index names the worker's spawn spec carried — what it can
+        #: answer queries on.
+        self.indexes = indexes
         self.process = process
         self.client = client
         self.port = port
@@ -222,9 +224,11 @@ class Coordinator:
         hello = parent_end.recv()
         parent_end.close()
         client = WorkerClient(("127.0.0.1", int(hello["port"])))
-        handle = WorkerHandle(dataset_name, shard.shard_id, replica_id,
-                              replica.name, process, client,
-                              int(hello["port"]), int(hello["pid"]))
+        handle = WorkerHandle(
+            dataset_name, shard.shard_id, replica_id, replica.name,
+            frozenset(build["index_name"]
+                      for build in spec["suite_builds"]),
+            process, client, int(hello["port"]), int(hello["pid"]))
         if log_entries:
             # The spec's log snapshot was already applied during rebuild.
             handle.last_seq = max(seq for seq, __, __ in log_entries)
@@ -266,9 +270,7 @@ class Coordinator:
     # the query transport
     # ------------------------------------------------------------------
     def run_query(self, dataset_name: str, shard: Shard, replica_id: int,
-                  index_name: str,
-                  constraint: Optional[LinearConstraint] = None,
-                  conjunction: Optional[ConstraintConjunction] = None,
+                  index_name: str, query: Query,
                   clear_cache: bool = False,
                   trace_id: Optional[str] = None,
                   parent: Optional[str] = None
@@ -279,11 +281,11 @@ class Coordinator:
         Returns ``(points, ios, served_replica_id, span_payload)`` from
         the first worker that answers — preferring the replica the
         picker acquired — or ``None`` when no worker can serve it
-        (uncovered dataset, bypassed dataset, or every replica's worker
-        dead), telling the executor to run the shard in-process.  A
-        failed attempt charges no I/Os: only the serving worker's
-        counters are returned, so failover never loses or double-counts
-        a block transfer.
+        (uncovered dataset, bypassed dataset, every replica's worker
+        dead, or spawned before ``index_name`` was built), telling the
+        executor to run the shard in-process.  A failed attempt charges
+        no I/Os: only the serving worker's counters are returned, so
+        failover never loses or double-counts a block transfer.
         """
         with self._lock:
             if (self._stopped or dataset_name not in self._covered
@@ -294,18 +296,21 @@ class Coordinator:
             candidates = [self._workers.get((dataset_name, shard.shard_id,
                                              r)) for r in order]
         request: Dict[str, object] = {"op": "query", "index": index_name}
-        if conjunction is not None:
-            request["conjunction"] = protocol.conjunction_to_wire(
-                conjunction)
+        if isinstance(query, ConstraintConjunction):
+            request["conjunction"] = protocol.conjunction_to_wire(query)
         else:
-            request["constraint"] = protocol.constraint_to_wire(constraint)
+            request["constraint"] = protocol.constraint_to_wire(query)
         if clear_cache:
             request["clear_cache"] = True
         trace = protocol.trace_header(trace_id, parent)
         if trace is not None:
             request["trace"] = trace
         for handle in candidates:
-            if handle is None or not handle.alive:
+            # A worker rebuilt its replica from the suite recorded when
+            # it was spawned; an index built since exists only in the
+            # parent until the worker's next restart.
+            if (handle is None or not handle.alive
+                    or index_name not in handle.indexes):
                 continue
             try:
                 response = handle.client.call(request)

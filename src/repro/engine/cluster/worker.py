@@ -38,10 +38,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.conjunction import query_conjunction
 from repro.core.kernels import vectorized_enabled
 from repro.engine.catalog import Catalog
 from repro.engine.cluster import protocol
+from repro.engine.writes import apply_mutation
 
 
 def build_spec(dataset: str, shard_id: int, replica_id: int,
@@ -147,31 +147,19 @@ class ShardWorker:
 
     def _op_query(self, request: Dict[str, object]) -> Dict[str, object]:
         index_name = request["index"]
-        index = self.dataset.indexes.get(index_name)
-        if index is None:
+        if index_name not in self.dataset.indexes:
             return {"ok": False, "error": "unknown index %r on replica %r"
                                           % (index_name, self.dataset.name)}
         if "conjunction" in request:
-            conjunction = protocol.conjunction_from_wire(
-                request["conjunction"])
-            constraint = None
+            query = protocol.conjunction_from_wire(request["conjunction"])
         else:
-            constraint = protocol.constraint_from_wire(request["constraint"])
-            conjunction = None
-        store = self.dataset.store
+            query = protocol.constraint_from_wire(request["constraint"])
         started = time.perf_counter()
-        # Same discipline as the in-process executor: whole queries
-        # serialize on the store, so the buffer pool sees the same
-        # operation sequence in both modes and I/O parity holds.
-        with store.lock:
-            if request.get("clear_cache"):
-                store.clear_cache()
-            before = store.stats.snapshot()
-            if conjunction is not None:
-                points = query_conjunction(index, conjunction)
-            else:
-                points = index.query(constraint)
-            ios = store.stats.delta(before)
+        # The same call the in-process executor makes on its own copy of
+        # this replica, so the buffer pool sees the same operation
+        # sequence in both modes and I/O parity holds.
+        points, ios = self.dataset.run_query(
+            index_name, query, clear_cache=bool(request.get("clear_cache")))
         elapsed = time.perf_counter() - started
         trace = request.get("trace") or {}
         with self._lock:
@@ -225,19 +213,10 @@ class ShardWorker:
             if seq <= self._last_seq:
                 return False, 0, True
             self._last_seq = seq
-        index = Catalog.mutable_index_of(self.dataset)
-        store = self.dataset.store
-        with store.lock:
-            before = store.stats.snapshot()
-            if op == "insert":
-                index.insert(record)
-                applied = True
-            else:
-                applied = bool(index.delete(record))
-            delta = store.stats.delta(before)
+        applied, ios = apply_mutation(self.dataset, op, record)
         with self._lock:
             self._writes_applied += 1
-        return applied, delta.total + delta.cache_hits, False
+        return applied, ios, False
 
     def _op_warm(self, request: Dict[str, object]) -> Dict[str, object]:
         store = self.dataset.store

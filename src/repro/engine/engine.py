@@ -41,7 +41,7 @@ import asyncio
 
 from repro.core.conjunction import ConstraintConjunction
 from repro.engine.calibration import DEFAULT_MAX_AGE_S, CalibrationStore
-from repro.engine.catalog import BuildRecord, Catalog
+from repro.engine.catalog import BuildRecord, Catalog, Query
 from repro.engine.executor import (
     BatchExecutor,
     BatchResult,
@@ -477,8 +477,8 @@ class QueryEngine:
                           clear_cache: bool = False) -> ExecutedQuery:
         """Serve an AND of constraints (convex-polytope query)."""
         self._maybe_rebalance(dataset)
-        return self.executor.execute_conjunction(dataset, conjunction,
-                                                 clear_cache=clear_cache)
+        return self.executor.execute(dataset, conjunction,
+                                     clear_cache=clear_cache)
 
     def serve_batch(self, dataset: str,
                     constraints: Sequence[LinearConstraint],
@@ -662,11 +662,12 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def explain(self, dataset: str, constraint: LinearConstraint,
+    def explain(self, dataset: str, constraint: Query,
                 analyze: bool = False, clear_cache: bool = True):
         """The plan the engine would choose — optionally executed.
 
-        With ``analyze=False`` (the default) this is pure planning: the
+        ``constraint`` is a constraint or a conjunction.  With
+        ``analyze=False`` (the default) this is pure planning: the
         chosen plan (:data:`~repro.engine.planner.AnyPlan`) is returned
         without touching a store.  With ``analyze=True`` the query
         *executes* under a dedicated trace — even when engine-wide
@@ -674,10 +675,11 @@ class QueryEngine:
 
         * ``estimated_ios`` vs ``actual_ios`` (and store cache hits);
         * ``stages`` — per-stage wall-clock (planning, execution);
-        * ``per_shard`` — on sharded datasets, each shard's span
-          attributes: its replica, index, estimate, observed I/Os and
-          the calibration constant that priced it, so estimation error
-          is attributable to a specific shard;
+        * ``per_shard`` — each executed shard's span attributes (one
+          entry with ``shard_id=-1`` on an unsharded dataset): its
+          replica, index, estimate, observed I/Os and the calibration
+          constant that priced it, so estimation error is attributable
+          to a specific shard;
         * ``stats_delta`` — the :class:`EngineStats` delta this run
           produced (the summed per-shard I/Os reconcile with it);
         * ``trace`` — the full span tree, and ``trace_id`` to refetch it.
@@ -687,7 +689,7 @@ class QueryEngine:
         cost.
         """
         if not analyze:
-            return self.planner.plan(dataset, constraint)
+            return self.executor.core.plan(dataset, constraint)
         # A private always-on tracer keeps analyze working when the
         # engine was built with tracing=False (nothing lands in the
         # shared registry in that case — the report carries the tree).

@@ -3,13 +3,12 @@
 Two layers live here:
 
 * :class:`ExecutionCore` — the engine's shared data path.  Given a planned
-  query it runs the plan (plain or sharded fan-out with replica picking),
-  feeds every observed (predicted, actual) I/O pair back into the
-  planner's calibration, records metrics, and maintains the LRU **result
-  cache** (with the invalidation hooks dynamic indexes need).  Both the
-  synchronous :class:`BatchExecutor` and the asyncio
-  :class:`~repro.engine.serving.executor.AsyncExecutor` execute through
-  this one core, so the two serving paths cannot drift apart.
+  query it runs the plan, feeds every observed (predicted, actual) I/O
+  pair back into the planner's calibration, records metrics, and
+  maintains the LRU **result cache** (with the invalidation hooks dynamic
+  indexes need).  Both the synchronous :class:`BatchExecutor` and the
+  asyncio :class:`~repro.engine.serving.executor.AsyncExecutor` execute
+  through this one core, so the two serving paths cannot drift apart.
 * :class:`BatchExecutor` — the synchronous batch front-end.  Given a batch
   of constraints (or a whole multi-tenant workload), it plans each unique
   constraint, *groups* execution by chosen index so consecutive queries
@@ -18,13 +17,18 @@ Two layers live here:
   batch (**warm-cache serving**), and can run the per-dataset batches of a
   workload on a thread pool.
 
-Sharded datasets **fan out**: each relevant shard runs its own per-shard
-plan on the shared thread pool, on the shard's least-loaded *replica*
-(each replica owns its store), and the per-shard I/Os are attributed
-individually — to the planner's calibration (merged per query under one
-lock via :meth:`~repro.engine.planner.Planner.observe_many`), to the
-per-replica load counters in :class:`~repro.engine.metrics.EngineStats`,
-and summed into the query's cost.
+There is one execution path.  Every plan lowers to per-replica work
+items — a sharded plan to one per relevant shard, an unsharded plan to
+exactly one — and each item runs
+:meth:`~repro.engine.catalog.Dataset.run_query` on one replica's store,
+in a worker process when one is attached and can serve it, else here.
+Sharded items **fan out** on the shared thread pool, each on its shard's
+least-loaded *replica* (each replica owns its store).  The per-item I/Os
+are attributed individually — to the planner's calibration (merged per
+query under one lock via
+:meth:`~repro.engine.planner.Planner.observe_many`), to the per-replica
+load counters in :class:`~repro.engine.metrics.EngineStats`, and summed
+into the query's cost.
 """
 
 from __future__ import annotations
@@ -34,15 +38,17 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import repro.engine.tracing as tracing
-from repro.core.conjunction import ConstraintConjunction, query_conjunction
+from repro.core.conjunction import ConstraintConjunction
 from repro.core.interface import Point
 from repro.core.kernels import vectorized_enabled
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.metrics import EngineStats, ServedQueryRecord, q_error
 from repro.engine.planner import AnyPlan, Plan, Planner, ShardedPlan
+from repro.engine.sharding import Shard
 from repro.engine.tracing import Tracer
 from repro.engine.writes import MutationResult, WritePath
 from repro.geometry.primitives import LinearConstraint
@@ -62,6 +68,13 @@ def conjunction_key(conjunction: ConstraintConjunction) -> ConstraintKey:
     return ("conj",
             tuple(constraint_key(c) for c in conjunction.constraints),
             tuple((h.normal, h.offset) for h in conjunction.extra_halfspaces))
+
+
+def query_key(query: Query) -> ConstraintKey:
+    """Hashable identity of whichever query shape the engine serves."""
+    if isinstance(query, ConstraintConjunction):
+        return conjunction_key(query)
+    return constraint_key(query)
 
 
 @dataclass
@@ -151,6 +164,40 @@ class WorkloadResult:
         return sum(batch.result_cache_hits for batch in self.batches.values())
 
 
+class _WorkItem(NamedTuple):
+    """One replica's share of a plan: what every plan type lowers to."""
+
+    #: -1 for the unsharded dataset's single item (as in
+    #: :attr:`~repro.engine.writes.MutationResult.shard_id`).
+    shard_id: int
+    plan: Plan
+    #: None for the unsharded item: no replica picker, no worker process.
+    shard: Optional[Shard]
+    #: The copies that can serve it (the dataset itself when unsharded).
+    replicas: List[Dataset]
+
+
+@dataclass
+class ShardOutcome:
+    """What one work item produced, whichever transport ran it."""
+
+    item: _WorkItem
+    #: The replica that served it (a failover may differ from the pick).
+    replica_id: int
+    points: List[Point]
+    ios: IOStats
+    #: Wall-clock window of the item, stamped only under an active trace.
+    started_s: float = 0.0
+    ended_s: float = 0.0
+    #: The worker process's span payload, when one answered under a trace.
+    worker_span: Optional[Dict[str, object]] = None
+
+    @property
+    def replica(self) -> Dataset:
+        """The parent's copy of the serving replica (store config, model)."""
+        return self.item.replicas[self.replica_id]
+
+
 class ExecutionCore:
     """The shared plan-execution data path behind every executor.
 
@@ -166,17 +213,12 @@ class ExecutionCore:
     fanout_workers:
         Size of the shared thread pool used for per-shard fan-out; 0 runs
         shards sequentially on the calling thread.
-    replica_picker:
-        Strategy choosing which shard replica serves each per-shard query;
-        defaults to the least-loaded picker
-        (:class:`~repro.engine.serving.replicas.LeastLoadedReplicaPicker`).
     """
 
     def __init__(self, catalog: Catalog, planner: Planner,
                  stats: Optional[EngineStats] = None,
                  result_cache_entries: int = 256,
                  fanout_workers: int = 8,
-                 replica_picker: Optional[object] = None,
                  tracer: Optional[Tracer] = None):
         self.catalog = catalog
         self.planner = planner
@@ -196,11 +238,10 @@ class ExecutionCore:
         self._fanout_workers = fanout_workers
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        if replica_picker is None:
-            # Deferred import: the serving package imports this module.
-            from repro.engine.serving.replicas import LeastLoadedReplicaPicker
-            replica_picker = LeastLoadedReplicaPicker()
-        self.replica_picker = replica_picker
+        # Deferred import: the serving package imports this module.
+        from repro.engine.serving.replicas import LeastLoadedReplicaPicker
+        #: Strategy choosing which replica serves each per-shard item.
+        self.replica_picker = LeastLoadedReplicaPicker()
         #: The mutation twin of this core: routed inserts/deletes with
         #: replica write-fanout, sharing the same catalog and metrics
         #: sink (so sync and async writes cannot drift apart either).
@@ -334,44 +375,27 @@ class ExecutionCore:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def dispatch(self, dataset_name: str, constraint: LinearConstraint,
+    def plan(self, dataset_name: str, query: Query) -> AnyPlan:
+        """Plan a constraint or a conjunction with the matching planner."""
+        if isinstance(query, ConstraintConjunction):
+            return self.planner.plan_conjunction(dataset_name, query)
+        return self.planner.plan(dataset_name, query)
+
+    def dispatch(self, dataset_name: str, constraint: Query,
                  plan: AnyPlan, cache_key: Tuple[str, ConstraintKey],
                  clear_cache: bool, tenant: str = "") -> ExecutedQuery:
-        """Route a planned query down the plain or fan-out execution path."""
-        if isinstance(plan, ShardedPlan):
-            return self.run_sharded(dataset_name, constraint, plan,
-                                    cache_key, clear_cache=clear_cache,
-                                    tenant=tenant)
-        return self.run_planned(dataset_name, constraint, plan, cache_key,
-                                clear_cache=clear_cache, tenant=tenant)
+        """Execute a planned constraint (or conjunction) and account for it.
 
-    def run_sharded(self, dataset_name: str,
-                    constraint: Optional[LinearConstraint],
-                    plan: ShardedPlan,
-                    cache_key: Tuple[str, ConstraintKey],
-                    clear_cache: bool,
-                    conjunction: Optional[ConstraintConjunction] = None,
-                    tenant: str = "") -> ExecutedQuery:
-        """Fan a query out to the plan's relevant shards and merge.
-
-        Each shard runs its own per-shard plan against its least-loaded
-        replica's store; the per-shard I/Os are attributed to calibration
-        (merged per query under one planner lock), to the per-replica load
-        counters, and summed into the merged answer.  Shards run
-        concurrently on the shared pool when it exists (each replica owns
-        its store, so the only shared state — planner calibration and
-        metrics — is locked).
+        Either plan type lowers to per-replica work items; each item
+        runs on one replica's store — on the shared pool when there are
+        several, since every replica owns its store and the only shared
+        state (planner calibration, metrics) is locked — and comes back
+        as one :class:`ShardOutcome`.  Spans, feedback and the merged
+        answer are then derived from those records alone, so an
+        unsharded dataset is simply the one-item case.
         """
-        sharded = self.catalog.sharded(dataset_name)
-        if plan.generation != sharded.generation:
-            # A rebalance re-split the shards after this plan was made:
-            # its shard ids, boxes and per-shard indexes describe a
-            # layout that no longer exists, so executing it could miss
-            # points that moved shards.  Re-plan against the new layout.
-            plan = (self.planner.plan_conjunction(dataset_name, conjunction)
-                    if conjunction is not None
-                    else self.planner.plan(dataset_name, constraint))
-        shards_by_id = {shard.shard_id: shard for shard in sharded.shards}
+        plan, items, shards_queried, shards_pruned = self._lower(
+            dataset_name, constraint, plan)
         generation = self.result_generation(dataset_name)
         started = time.perf_counter()
         # The pool workers below do not inherit this thread's contextvars
@@ -379,268 +403,222 @@ class ExecutionCore:
         # span is captured here and each shard hangs its child on it
         # explicitly — Span.child is thread-safe under the trace's lock.
         fanout_span = tracing.current_span().child(
-            "executor.fanout", dataset=dataset_name,
-            shards=len(plan.shard_plans))
+            "executor.fanout", dataset=dataset_name, shards=len(items))
 
-        traced = fanout_span.enabled
+        def run(item: _WorkItem) -> ShardOutcome:
+            return self._run_item(dataset_name, constraint, item,
+                                  clear_cache, fanout_span)
 
-        def run_shard(item: Tuple[int, Plan]):
-            shard_id, shard_plan = item
-            shard = shards_by_id[shard_id]
-            # Tracing inside the worker is two clock reads and nothing
-            # else: building the span node and its attribute dict here
-            # would run Python bytecode under the GIL in every worker,
-            # stretching the fan-out's critical path (the bench's <5%
-            # overhead gate catches it) — so the tree is assembled on
-            # the calling thread after the pool joins, from values the
-            # worker returns anyway.
-            shard_started = time.perf_counter() if traced else 0.0
-            replica_id = self.replica_picker.acquire(
-                dataset_name, shard, shard_plan.estimated_ios)
-            served_replica = replica_id
-            worker_meta = None
-            try:
-                remote = None
-                if self.cluster is not None:
-                    # Process transport: offer the query to the shard's
-                    # worker fleet (preferring the picked replica,
-                    # failing over to its siblings).  A worker answer
-                    # carries the same points and I/O counters the local
-                    # path would have measured — the worker rebuilt the
-                    # replica deterministically — so everything below
-                    # the transport is mode-agnostic.  None means no
-                    # worker could serve it; the parent's own state is
-                    # always current, so the local path is the ultimate
-                    # failover target.
-                    remote = self.cluster.run_query(
-                        dataset_name, shard, replica_id,
-                        shard_plan.index_name, constraint=constraint,
-                        conjunction=conjunction, clear_cache=clear_cache,
-                        trace_id=fanout_span.trace_id if traced else None,
-                        parent=fanout_span.name if traced else None)
-                if remote is not None:
-                    points, ios, served_replica, worker_meta = remote
-                else:
-                    dataset = shard.replicas[replica_id]
-                    index = dataset.indexes[shard_plan.index_name]
-                    store = dataset.store
-                    # One store = one disk = one request at a time: the
-                    # lock keeps concurrent async requests that landed on
-                    # the same replica from racing the buffer pool and
-                    # smearing each other's I/O attribution.
-                    with store.lock:
-                        if clear_cache:
-                            store.clear_cache()
-                        before = store.stats.snapshot()
-                        if conjunction is not None:
-                            points = query_conjunction(index, conjunction)
-                        else:
-                            points = index.query(constraint)
-                        ios = store.stats.delta(before)
-            finally:
-                self.replica_picker.release(
-                    dataset_name, shard_id, replica_id,
-                    shard_plan.estimated_ios)
-            self.stats.record_replica_load(dataset_name, shard_id,
-                                           served_replica, ios.total)
-            shard_ended = time.perf_counter() if traced else 0.0
-            return (shard_id, shard_plan, points, ios, served_replica,
-                    shard_started, shard_ended, worker_meta)
-
-        pool = self._shared_pool()
-        if pool is not None and len(plan.shard_plans) > 1:
-            outcomes = list(pool.map(run_shard, plan.shard_plans))
+        pool = self._shared_pool() if len(items) > 1 else None
+        if pool is not None:
+            outcomes = list(pool.map(run, items))
         else:
-            outcomes = [run_shard(item) for item in plan.shard_plans]
+            outcomes = [run(item) for item in items]
 
-        if traced:
-            for (shard_id, shard_plan, shard_points, shard_ios,
-                 replica_id, shard_started, shard_ended,
-                 worker_meta) in outcomes:
-                store = shards_by_id[shard_id].replicas[replica_id].store
-                span = fanout_span.child(
-                    "executor.shard",
-                    shard_id=shard_id,
-                    replica_id=replica_id,
-                    index=shard_plan.index_name,
-                    # "ios" is what EngineStats charges the request for
-                    # this shard (reads+writes); cold-equivalent cost
-                    # (+cache_hits) is what calibration sees.
-                    ios=shard_ios.total,
-                    observed_cold_ios=shard_ios.total
-                    + shard_ios.cache_hits,
-                    model_ios=round(shard_plan.chosen.model_ios, 2),
-                    calibration=round(shard_plan.chosen.calibration, 4),
-                    estimated_ios=round(shard_plan.estimated_ios, 2),
-                    expected_output=round(shard_plan.expected_output, 2),
-                    reported=len(shard_points),
-                    q_error=round(q_error(shard_plan.expected_output,
-                                          len(shard_points)), 3),
-                    vectorized=vectorized_enabled(),
-                    **store.span_attributes(shard_ios))
-                span.started_s = shard_started
-                span.ended_s = shard_ended
-                if worker_meta is not None:
-                    # Graft the worker's span subtree under this shard
-                    # span.  Worker clocks are per-process (perf_counter
-                    # has no cross-process epoch), so the child anchors
-                    # at the parent span's start and keeps only the
-                    # worker-measured duration — explain(analyze=True)
-                    # still reconciles: child ⊆ parent holds because the
-                    # RPC round trip envelopes the worker's work.
-                    child = span.child(worker_meta.get("name",
-                                                       "worker.query"),
-                                       **worker_meta.get("attributes", {}))
-                    child.started_s = shard_started
-                    child.ended_s = shard_started + float(
-                        worker_meta.get("duration_s", 0.0))
-
-        points: List[Point] = []
-        ios = IOStats()
-        observations = []
-        for shard_id, shard_plan, shard_points, shard_ios, *___ in outcomes:
-            points.extend(shard_points)
-            ios.merge(shard_ios)
-            # Per-shard calibration feedback, keyed by the parent dataset
-            # (shards share one learned constant per index kind).  As in
-            # run_planned, buffer-pool hits count as the cold reads they
-            # would have been.
-            observations.append((shard_plan.index_name,
-                                 shard_plan.chosen.model_ios,
-                                 shard_ios.total + shard_ios.cache_hits))
-            if conjunction is None:
-                # Estimation feedback rides the calibration path: each
-                # shard plan's expected output against what its shard
-                # reported.  (Conjunction plans are costed with a single
-                # conjunct's output — an intentional upper bound, not an
-                # estimate — so they are excluded from q-error.)
-                self.stats.note_estimation(dataset_name,
-                                           shard_plan.expected_output,
-                                           len(shard_points))
-                # The same pair feeds the shard's own selectivity model
-                # (adaptive histograms re-aim their direction set from
-                # it; the base model ignores it).
-                model = shards_by_id[shard_id].planning_dataset().stats
-                if model is not None:
-                    model.note_estimation_feedback(
-                        constraint, shard_plan.expected_output,
-                        len(shard_points))
-        self.planner.observe_many(dataset_name, observations)
-        latency = time.perf_counter() - started
+        if fanout_span.enabled:
+            self._assemble_spans(fanout_span, outcomes)
+        self._feed_back(dataset_name, constraint, outcomes)
+        answer = self._merge(dataset_name, plan, shards_queried,
+                             shards_pruned, outcomes, started, tenant)
         if fanout_span.enabled:
             fanout_span.set_many({
-                "ios": ios.total,
-                "cache_hits": ios.cache_hits,
-                "reported": len(points),
-                "shards_pruned": plan.shards_pruned,
+                "ios": answer.ios.total,
+                "cache_hits": answer.ios.cache_hits,
+                "reported": answer.count,
+                "shards_pruned": shards_pruned,
             })
         fanout_span.finish()
-        answer = ExecutedQuery(dataset=dataset_name,
-                               index_name=plan.index_name,
-                               points=points, ios=ios, latency_s=latency,
-                               estimated_ios=plan.estimated_ios,
-                               shards_queried=plan.shards_queried,
-                               shards_pruned=plan.shards_pruned,
-                               tenant=tenant)
         self.record(answer)
         self._cache_put(dataset_name, cache_key,
-                        (plan.index_name, list(points)), generation)
+                        (plan.index_name, list(answer.points)), generation)
         return answer
 
-    def run_planned(self, dataset_name: str, constraint: LinearConstraint,
-                    plan: Plan, cache_key: Tuple[str, ConstraintKey],
-                    clear_cache: bool, tenant: str = "") -> ExecutedQuery:
-        """Execute a single-store plan, recording metrics and calibration."""
-        dataset = self.catalog.dataset(dataset_name)
-        index = dataset.indexes[plan.index_name]
-        store = dataset.store
-        generation = self.result_generation(dataset_name)
-        with tracing.span("executor.execute") as span:
-            started = time.perf_counter()
-            # Serialize whole queries on the store: concurrent async
-            # requests against one unsharded dataset would otherwise race
-            # the buffer pool and absorb each other's I/O counts.
-            with store.lock:
-                if clear_cache:
-                    store.clear_cache()
-                before = store.stats.snapshot()
-                points = index.query(constraint)
-                ios = store.stats.delta(before)
-            latency = time.perf_counter() - started
-            if span.enabled:
-                span.set_many(store.span_attributes(ios))
-                span.set_many({
-                    "dataset": dataset_name,
-                    "index": plan.index_name,
-                    "ios": ios.total,
-                    "vectorized": vectorized_enabled(),
-                })
-            return self.finish(dataset_name, plan, points, ios, latency,
-                               cache_key, tenant=tenant,
-                               generation=generation, span=span,
-                               constraint=constraint, model=dataset.stats)
+    def _lower(self, dataset_name: str, query: Query, plan: AnyPlan
+               ) -> Tuple[AnyPlan, List[_WorkItem], int, int]:
+        """Lower a plan to ``(plan, items, shards_queried, shards_pruned)``.
 
-    def finish(self, dataset_name: str, plan: Plan, points: List[Point],
-               ios: IOStats, latency: float,
-               cache_key: Tuple[str, ConstraintKey],
-               tenant: str = "",
-               generation: Optional[int] = None,
-               estimation: bool = True,
-               span: object = tracing.NULL_SPAN,
-               constraint: Optional[LinearConstraint] = None,
-               model: Optional[object] = None) -> ExecutedQuery:
-        """Feed back calibration, record metrics, cache and return.
-
-        ``generation`` must be the dataset's :meth:`result_generation`
-        snapshot taken *before* the query executed; when an invalidation
-        bumped it meanwhile the answer is returned but not cached.
-        Passing None (unknown provenance) skips caching outright.
-        ``estimation=False`` keeps the plan's expected output out of the
-        q-error metrics (conjunction plans, whose estimate is a
-        deliberate single-conjunct upper bound).  ``span`` is the open
-        execute span (if any): the calibration feedback pair becomes its
-        attributes so misestimates are attributable per request.
+        A :class:`Plan` is one item with no shard (so no replica picker,
+        no worker process, and a fan-out width of 0); a
+        :class:`ShardedPlan` is one item per relevant shard.  The plan
+        comes back because a stale sharded plan is replaced here.
         """
-        # Calibration models the *cold* cost of a structure (what the plan
-        # estimates predict), so count buffer-pool hits as the reads they
-        # would have been on a cold pool — otherwise whichever index runs
-        # later in a warm batch absorbs free reads and its factor collapses
-        # toward MIN_FACTOR, misrouting subsequent queries.
-        self.planner.observe(dataset_name, plan.index_name,
-                             plan.chosen.model_ios,
-                             ios.total + ios.cache_hits)
-        if estimation:
-            self.stats.note_estimation(dataset_name, plan.expected_output,
-                                       len(points))
-            if model is not None and constraint is not None:
-                # Adaptive selectivity models fold the same q-error pair
-                # back into their direction set (the base model's hook
-                # is a no-op).
-                model.note_estimation_feedback(constraint,
-                                               plan.expected_output,
-                                               len(points))
-        if getattr(span, "enabled", False):
-            span.set_many({
-                "model_ios": round(plan.chosen.model_ios, 2),
-                "calibration": round(plan.chosen.calibration, 4),
-                "estimated_ios": round(plan.estimated_ios, 2),
-                "observed_cold_ios": ios.total + ios.cache_hits,
-                "expected_output": round(plan.expected_output, 2),
-                "reported": len(points),
-                "q_error": round(q_error(plan.expected_output,
-                                         len(points)), 3)
-                if estimation else None,
-            })
-        answer = ExecutedQuery(dataset=dataset_name,
-                               index_name=plan.index_name,
-                               points=points, ios=ios, latency_s=latency,
-                               estimated_ios=plan.estimated_ios,
-                               tenant=tenant)
-        self.record(answer)
-        if generation is not None:
-            self._cache_put(dataset_name, cache_key,
-                            (plan.index_name, list(points)), generation)
-        return answer
+        if not isinstance(plan, ShardedPlan):
+            return plan, [_WorkItem(
+                -1, plan, None, [self.catalog.dataset(dataset_name)])], 0, 0
+        sharded = self.catalog.sharded(dataset_name)
+        if plan.generation != sharded.generation:
+            # A rebalance re-split the shards after this plan was made:
+            # its shard ids, boxes and per-shard indexes describe a
+            # layout that no longer exists, so executing it could miss
+            # points that moved shards.  Re-plan against the new layout.
+            plan = self.plan(dataset_name, query)
+        shards = {shard.shard_id: shard for shard in sharded.shards}
+        items = [_WorkItem(shard_id, shard_plan, shards[shard_id],
+                           shards[shard_id].replicas)
+                 for shard_id, shard_plan in plan.shard_plans]
+        return plan, items, plan.shards_queried, plan.shards_pruned
+
+    def _run_item(self, dataset_name: str, query: Query, item: _WorkItem,
+                  clear_cache: bool, fanout_span) -> ShardOutcome:
+        """Run one work item on the replica the picker chooses for it."""
+        # Tracing inside a pool worker is two clock reads and nothing
+        # else: building the span node and its attribute dict here would
+        # run Python bytecode under the GIL in every worker, stretching
+        # the fan-out's critical path (the bench's <5% overhead gate
+        # catches it) — so the tree is assembled on the calling thread
+        # after the pool joins, from values the outcome carries anyway.
+        traced = fanout_span.enabled
+        started = time.perf_counter() if traced else 0.0
+        if item.shard is None:
+            outcome = self._transport(dataset_name, query, item, 0,
+                                      clear_cache, fanout_span)
+        else:
+            estimate = item.plan.estimated_ios
+            replica_id = self.replica_picker.acquire(dataset_name,
+                                                     item.shard, estimate)
+            try:
+                outcome = self._transport(dataset_name, query, item,
+                                          replica_id, clear_cache,
+                                          fanout_span)
+            finally:
+                self.replica_picker.release(dataset_name, item.shard_id,
+                                            replica_id, estimate)
+            self.stats.record_replica_load(dataset_name, item.shard_id,
+                                           outcome.replica_id,
+                                           outcome.ios.total)
+        if traced:
+            outcome.started_s, outcome.ended_s = started, time.perf_counter()
+        return outcome
+
+    def _transport(self, dataset_name: str, query: Query, item: _WorkItem,
+                   replica_id: int, clear_cache: bool,
+                   fanout_span) -> ShardOutcome:
+        """The two-member transport: a worker process, else this one.
+
+        With a cluster attached a shard's item is offered to its worker
+        fleet first (preferring the picked replica, failing over to its
+        siblings).  A worker answer carries the same points and I/O
+        counters the local path would have measured — the worker
+        rebuilt the replica deterministically and runs the same
+        :meth:`~repro.engine.catalog.Dataset.run_query` — so everything
+        above this seam is mode-agnostic.  ``None`` means no worker can
+        serve the item; the parent's own state is always current, so the
+        local path is the ultimate failover target.
+        """
+        index_name = item.plan.index_name
+        if self.cluster is not None and item.shard is not None:
+            traced = fanout_span.enabled
+            remote = self.cluster.run_query(
+                dataset_name, item.shard, replica_id, index_name, query,
+                clear_cache=clear_cache,
+                trace_id=fanout_span.trace_id if traced else None,
+                parent=fanout_span.name if traced else None)
+            if remote is not None:
+                points, ios, replica_id, worker_span = remote
+                return ShardOutcome(item, replica_id, points, ios,
+                                    worker_span=worker_span)
+        points, ios = item.replicas[replica_id].run_query(
+            index_name, query, clear_cache=clear_cache)
+        return ShardOutcome(item, replica_id, points, ios)
+
+    @staticmethod
+    def _assemble_spans(fanout_span, outcomes: List[ShardOutcome]) -> None:
+        """Post-processor 1: one ``executor.shard`` span per outcome."""
+        for outcome in outcomes:
+            plan, ios = outcome.item.plan, outcome.ios
+            span = fanout_span.child(
+                "executor.shard",
+                shard_id=outcome.item.shard_id,
+                replica_id=outcome.replica_id,
+                index=plan.index_name,
+                # "ios" is what EngineStats charges the request for
+                # this shard (reads+writes); cold-equivalent cost
+                # (+cache_hits) is what calibration sees.
+                ios=ios.total,
+                observed_cold_ios=ios.total + ios.cache_hits,
+                model_ios=round(plan.chosen.model_ios, 2),
+                calibration=round(plan.chosen.calibration, 4),
+                estimated_ios=round(plan.estimated_ios, 2),
+                expected_output=round(plan.expected_output, 2),
+                reported=len(outcome.points),
+                q_error=round(q_error(plan.expected_output,
+                                      len(outcome.points)), 3),
+                vectorized=vectorized_enabled(),
+                **outcome.replica.store.span_attributes(ios))
+            span.started_s = outcome.started_s
+            span.ended_s = outcome.ended_s
+            if outcome.worker_span is not None:
+                # Graft the worker's span subtree under this shard
+                # span.  Worker clocks are per-process (perf_counter
+                # has no cross-process epoch), so the child anchors
+                # at the parent span's start and keeps only the
+                # worker-measured duration — explain(analyze=True)
+                # still reconciles: child ⊆ parent holds because the
+                # RPC round trip envelopes the worker's work.
+                meta = outcome.worker_span
+                child = span.child(meta.get("name", "worker.query"),
+                                   **meta.get("attributes", {}))
+                child.started_s = outcome.started_s
+                child.ended_s = outcome.started_s + float(
+                    meta.get("duration_s", 0.0))
+
+    def _feed_back(self, dataset_name: str, query: Query,
+                   outcomes: List[ShardOutcome]) -> None:
+        """Post-processor 2: calibration, q-error and model feedback.
+
+        Every executed per-replica plan contributes exactly one
+        calibration observation and (for single constraints) exactly one
+        estimation residual — the conformal window's validity rests on
+        that.  Conjunction plans are costed with a single conjunct's
+        output — an intentional upper bound, not an estimate — so they
+        stay out of the q-error metrics and the selectivity models.
+        """
+        estimation = not isinstance(query, ConstraintConjunction)
+        observations = []
+        for outcome in outcomes:
+            plan, reported = outcome.item.plan, len(outcome.points)
+            # Calibration models the *cold* cost of a structure (what the
+            # plan estimates predict), so buffer-pool hits count as the
+            # reads they would have been on a cold pool — otherwise
+            # whichever index runs later in a warm batch absorbs free
+            # reads and its factor collapses toward MIN_FACTOR.  Keyed by
+            # the parent dataset: shards share one learned constant per
+            # index kind.
+            observations.append((plan.index_name, plan.chosen.model_ios,
+                                 outcome.ios.total + outcome.ios.cache_hits))
+            if estimation:
+                self.stats.note_estimation(dataset_name,
+                                           plan.expected_output, reported)
+                # The same pair feeds the replica's selectivity model
+                # (one object shared by a shard's replicas): adaptive
+                # histograms re-aim their direction set from it; the
+                # base model ignores it.
+                model = outcome.replica.stats
+                if model is not None:
+                    model.note_estimation_feedback(
+                        query, plan.expected_output, reported)
+        self.planner.observe_many(dataset_name, observations)
+
+    @staticmethod
+    def _merge(dataset_name: str, plan: AnyPlan, shards_queried: int,
+               shards_pruned: int, outcomes: List[ShardOutcome],
+               started: float, tenant: str) -> ExecutedQuery:
+        """Post-processor 3: the outcomes' points in plan order, I/Os summed."""
+        # The first outcome's list becomes the answer (the records are
+        # done with it), so the one-item case copies nothing.
+        points: List[Point] = outcomes[0].points if outcomes else []
+        for outcome in outcomes[1:]:
+            points.extend(outcome.points)
+        ios = IOStats()
+        for outcome in outcomes:
+            ios.merge(outcome.ios)
+        return ExecutedQuery(
+            dataset=dataset_name, index_name=plan.index_name,
+            points=points, ios=ios,
+            latency_s=time.perf_counter() - started,
+            estimated_ios=plan.estimated_ios,
+            shards_queried=shards_queried, shards_pruned=shards_pruned,
+            tenant=tenant)
 
     def result_cache_get(
             self, key: Tuple[str, ConstraintKey],
@@ -709,10 +687,6 @@ class BatchExecutor:
         runs shards sequentially on the calling thread.  (The threaded
         :meth:`run_workload` path sizes its own pool from its
         ``max_workers`` argument, one thread per dataset by default.)
-    core:
-        An existing :class:`ExecutionCore` to execute through (the engine
-        facade shares one core between this executor and the async one);
-        a private core is created when omitted.
     """
 
     def __init__(self, catalog: Catalog, planner: Planner,
@@ -720,16 +694,14 @@ class BatchExecutor:
                  result_cache_entries: int = 256,
                  warm_cache_blocks: int = 64,
                  fanout_workers: int = 8,
-                 core: Optional[ExecutionCore] = None,
                  tracer: Optional[Tracer] = None):
-        self.core = core if core is not None else ExecutionCore(
+        #: The shared execution core (the async executor serves through
+        #: the same one, so sync and async traffic cannot drift apart).
+        self.core = ExecutionCore(
             catalog, planner, stats=stats,
             result_cache_entries=result_cache_entries,
             fanout_workers=fanout_workers, tracer=tracer)
-        # Always derive from the core: planning against one catalog while
-        # executing through another would silently serve wrong datasets.
-        self._catalog = self.core.catalog
-        self._planner = self.core.planner
+        self._planner = planner
         self.stats = self.core.stats
         self.warm_cache_blocks = warm_cache_blocks
 
@@ -751,63 +723,23 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # single queries
     # ------------------------------------------------------------------
-    def execute(self, dataset_name: str, constraint: LinearConstraint,
+    def execute(self, dataset_name: str, constraint: Query,
                 clear_cache: bool = False) -> ExecutedQuery:
-        """Plan and run one constraint, recording metrics and calibration.
+        """Plan and run one constraint — or one conjunction of them (a
+        convex-polytope query) — recording metrics and calibration.
 
         ``clear_cache`` requests a cold-cache measurement: it empties the
         buffer pool first *and* bypasses the result cache, so the reported
         I/Os are what the query costs from scratch.
         """
-        key = (dataset_name, constraint_key(constraint))
+        key = (dataset_name, query_key(constraint))
         if not clear_cache:
             cached = self.core.result_cache_get(key)
             if cached is not None:
                 return cached
-        plan = self._planner.plan(dataset_name, constraint)
+        plan = self.core.plan(dataset_name, constraint)
         return self.core.dispatch(dataset_name, constraint, plan, key,
                                   clear_cache=clear_cache)
-
-    def execute_conjunction(self, dataset_name: str,
-                            conjunction: ConstraintConjunction,
-                            clear_cache: bool = False) -> ExecutedQuery:
-        """Plan and run a conjunction (convex-polytope query).
-
-        As in :meth:`execute`, ``clear_cache`` requests a cold-cache
-        measurement and bypasses the result cache.
-        """
-        key = (dataset_name, conjunction_key(conjunction))
-        if not clear_cache:
-            cached = self.core.result_cache_get(key)
-            if cached is not None:
-                return cached
-        plan = self._planner.plan_conjunction(dataset_name, conjunction)
-        if isinstance(plan, ShardedPlan):
-            return self.core.run_sharded(dataset_name, None, plan, key,
-                                         clear_cache=clear_cache,
-                                         conjunction=conjunction)
-        dataset = self._catalog.dataset(dataset_name)
-        index = dataset.indexes[plan.index_name]
-        store = dataset.store
-        generation = self.core.result_generation(dataset_name)
-        with tracing.span("executor.execute", conjunction=True) as span:
-            started = time.perf_counter()
-            with store.lock:
-                if clear_cache:
-                    store.clear_cache()
-                before = store.stats.snapshot()
-                points = query_conjunction(index, conjunction)
-                ios = store.stats.delta(before)
-            latency = time.perf_counter() - started
-            if span.enabled:
-                span.set_many(store.span_attributes(ios))
-                span.set_many({"dataset": dataset_name,
-                               "index": plan.index_name,
-                               "ios": ios.total,
-                               "vectorized": vectorized_enabled()})
-            return self.core.finish(dataset_name, plan, points, ios,
-                                    latency, key, generation=generation,
-                                    estimation=False, span=span)
 
     # ------------------------------------------------------------------
     # batches and workloads

@@ -604,35 +604,50 @@ class AsyncExecutor:
             state.in_flight[future] = item
             state.keys.add(cache_key)
             return None
-        if decision.action == "queue":
-            not_before = now + max(decision.retry_after_s, _MIN_RETRY_S)
-            if not_before > item.deadline_at:
-                # The budget cannot clear before the deadline: expire now
-                # instead of parking a request that is already dead (one
-                # admission outcome per attempt — this is an expiry, not
-                # a deferral).
-                self._core.stats.note_admission("expired")
-                self._note_decision(span, item, "expired",
-                                    estimated_ios=round(plan.estimated_ios,
-                                                        2))
-                return self._finished(item, "expired", None, now)
-            self._core.stats.note_admission("queue")
-            self._note_decision(span, item, "queue",
-                                estimated_ios=round(plan.estimated_ios, 2),
-                                retry_after_s=round(decision.retry_after_s,
-                                                    4))
-            item.not_before = not_before
-            item.deferrals += 1
-            queue.push(item)
-            return None
-        self._core.stats.note_admission(decision.action)
-        self._note_decision(span, item, decision.action,
-                            estimated_ios=round(plan.estimated_ios, 2))
-        if decision.action == "reject":
+        if decision.action == "degrade":
+            self._core.stats.note_admission("degrade")
+            self._note_decision(span, item, "degrade",
+                                estimated_ios=round(plan.estimated_ios, 2))
+            with tracing.activate(span):
+                answer = self._degraded_answer(request)
+            return self._finished(item, "degraded", answer, now)
+        return self._park_or_shed(queue, item, decision,
+                                  plan.estimated_ios, now)
+
+    def _park_or_shed(self, queue: PriorityRequestQueue,
+                      item: QueuedRequest, decision, estimate: float,
+                      now: float) -> Optional[ServedRequest]:
+        """The not-admitted tail shared by reads and writes.
+
+        A "queue" verdict parks the request until its budget can clear
+        (returns None) — or expires it now when that is past its
+        deadline; anything else sheds it as rejected.
+        """
+        span = item.span if item.span is not None else tracing.NULL_SPAN
+        estimated_ios = round(estimate, 2)
+        if decision.action != "queue":
+            self._core.stats.note_admission("reject")
+            self._note_decision(span, item, "reject",
+                                estimated_ios=estimated_ios)
             return self._finished(item, "rejected", None, now)
-        with tracing.activate(span):
-            answer = self._degraded_answer(request)
-        return self._finished(item, "degraded", answer, now)
+        not_before = now + max(decision.retry_after_s, _MIN_RETRY_S)
+        if not_before > item.deadline_at:
+            # The budget cannot clear before the deadline: expire now
+            # instead of parking a request that is already dead (one
+            # admission outcome per attempt — this is an expiry, not a
+            # deferral).
+            self._core.stats.note_admission("expired")
+            self._note_decision(span, item, "expired",
+                                estimated_ios=estimated_ios)
+            return self._finished(item, "expired", None, now)
+        self._core.stats.note_admission("queue")
+        self._note_decision(span, item, "queue",
+                            estimated_ios=estimated_ios,
+                            retry_after_s=round(decision.retry_after_s, 4))
+        item.not_before = not_before
+        item.deferrals += 1
+        queue.push(item)
+        return None
 
     def _admit_mutation(self, loop, queue: PriorityRequestQueue,
                         state: _RunState, item: QueuedRequest,
@@ -665,28 +680,9 @@ class AsyncExecutor:
                 request.dataset, request.op, request.point)
             state.in_flight[future] = item
             return None
-        if decision.action == "queue":
-            not_before = now + max(decision.retry_after_s, _MIN_RETRY_S)
-            if not_before > item.deadline_at:
-                self._core.stats.note_admission("expired")
-                self._note_decision(span, item, "expired",
-                                    estimated_ios=round(estimate, 2))
-                return self._finished(item, "expired", None, now)
-            self._core.stats.note_admission("queue")
-            self._note_decision(span, item, "queue",
-                                estimated_ios=round(estimate, 2),
-                                retry_after_s=round(decision.retry_after_s,
-                                                    4))
-            item.not_before = not_before
-            item.deferrals += 1
-            queue.push(item)
-            return None
-        # "reject" (the degrade policy maps to it for writes: there is
-        # no approximate version of an insert).
-        self._core.stats.note_admission("reject")
-        self._note_decision(span, item, "reject",
-                            estimated_ios=round(estimate, 2))
-        return self._finished(item, "rejected", None, now)
+        # Over budget: parked, or shed (the degrade policy maps to reject
+        # for writes — there is no approximate version of an insert).
+        return self._park_or_shed(queue, item, decision, estimate, now)
 
     def _complete_mutation(self, item: QueuedRequest,
                            future: asyncio.Future

@@ -65,6 +65,31 @@ from repro.engine.sharding import Shard
 WRITE_IOS_PER_REPLICA = 2.0
 
 
+def apply_mutation(dataset: Dataset, op: str,
+                   record: Tuple[float, ...]) -> Tuple[bool, int]:
+    """Apply one insert/delete to one replica's mutation-capable index.
+
+    The write-side unit of account, shared by the fan-out below, its
+    rollback and the shard-worker process: the application runs under
+    the replica's store (:meth:`~repro.io.store.BlockStore.measured`, the
+    same window queries run in, so a concurrent read sees the replica
+    before or after the mutation, never mid-write).  Returns ``(applied,
+    ios)`` — ``applied`` is False only for a delete that found nothing;
+    ``ios`` counts buffer-pool hits as the transfers they stand for.
+    """
+    index = Catalog.mutable_index_of(dataset)
+    with dataset.store.measured() as delta:
+        if op == "insert":
+            index.insert(record)
+            applied = True
+        elif op == "delete":
+            applied = bool(index.delete(record))
+        else:
+            raise ValueError("unknown mutation op %r (expected 'insert' "
+                             "or 'delete')" % (op,))
+    return applied, delta.total + delta.cache_hits
+
+
 @dataclass(frozen=True)
 class MutationResult:
     """One applied engine-level mutation (what ``insert``/``delete`` return)."""
@@ -203,17 +228,12 @@ class WritePath:
                       started: float) -> MutationResult:
         dataset = self._catalog.dataset(dataset_name)
         record = self._as_record(point, dataset)
-        index = Catalog.mutable_index_of(dataset)
-        with dataset.store.lock:
-            before = dataset.store.stats.snapshot()
-            applied = self._apply(index, op, record)
-            delta = dataset.store.stats.delta(before)
+        applied, ios = apply_mutation(dataset, op, record)
         for listener in self._write_listeners:
             listener(dataset_name, -1, op, record, applied)
         return MutationResult(
             dataset=dataset_name, op=op, point=record, applied=applied,
-            shard_id=-1, replicas=1,
-            ios=delta.total + delta.cache_hits,
+            shard_id=-1, replicas=1, ios=ios,
             latency_s=time.perf_counter() - started, generation=0)
 
     def _mutate_sharded(self, dataset_name: str, point, op: str,
@@ -279,24 +299,18 @@ class WritePath:
         """
         order = shard.replicas[1:] + shard.replicas[:1]
         mutated_flags = [replica.mutated for replica in shard.replicas]
-        applied: List[Tuple[Dataset, object, bool]] = []
+        applied: List[Tuple[Dataset, bool]] = []
         total_ios = 0
         fanout_span = tracing.current_span().child(
             "write.fanout", shard_id=shard.shard_id,
             replicas=len(order))
         try:
             for child in order:
-                index = Catalog.mutable_index_of(child)
-                with child.store.lock:
-                    before = child.store.stats.snapshot()
-                    outcome = self._apply(index, op, record)
-                    delta = child.store.stats.delta(before)
-                total_ios += delta.total + delta.cache_hits
-                applied.append((child, index, outcome))
-                fanout_span.child(
-                    "write.replica", replica=child.name,
-                    ios=delta.total + delta.cache_hits,
-                    applied=outcome).finish()
+                outcome, ios = apply_mutation(child, op, record)
+                total_ios += ios
+                applied.append((child, outcome))
+                fanout_span.child("write.replica", replica=child.name,
+                                  ios=ios, applied=outcome).finish()
         except Exception as exc:
             rollback_span = fanout_span.child(
                 "write.rollback", replicas_applied=len(applied),
@@ -326,7 +340,7 @@ class WritePath:
         # primary's (it ran last).
         fanout_span.set("ios", total_ios)
         fanout_span.finish()
-        return applied[-1][2], total_ios
+        return applied[-1][1], total_ios
 
     def _rollback(self, applied, op: str, record: Tuple[float, ...],
                   cause: Exception) -> int:
@@ -337,15 +351,11 @@ class WritePath:
         """
         inverse = "delete" if op == "insert" else "insert"
         total_ios = 0
-        for child, index, outcome in reversed(applied):
+        for child, outcome in reversed(applied):
             if not outcome:
                 continue          # a no-op delete needs no inverse
             try:
-                with child.store.lock:
-                    before = child.store.stats.snapshot()
-                    self._apply(index, inverse, record)
-                    delta = child.store.stats.delta(before)
-                total_ios += delta.total + delta.cache_hits
+                total_ios += apply_mutation(child, inverse, record)[1]
             except Exception as rollback_exc:
                 raise RuntimeError(
                     "write-fanout rollback failed on replica %r (while "
@@ -353,17 +363,6 @@ class WritePath:
                     "have diverged from its siblings"
                     % (child.name, cause)) from rollback_exc
         return total_ios
-
-    @staticmethod
-    def _apply(index, op: str, record: Tuple[float, ...]) -> bool:
-        """One replica application; True unless a delete found nothing."""
-        if op == "insert":
-            index.insert(record)
-            return True
-        if op == "delete":
-            return bool(index.delete(record))
-        raise ValueError("unknown mutation op %r (expected 'insert' or "
-                         "'delete')" % (op,))
 
     @staticmethod
     def _as_record(point, entry) -> Tuple[float, ...]:

@@ -18,6 +18,7 @@ without changing any measured I/O count.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -160,8 +161,9 @@ class BlockStore:
         #: Serializes whole queries from multi-threaded executors.  One
         #: store models one disk, which serves one request at a time; the
         #: store's own operations are NOT internally locked, so any driver
-        #: running concurrent queries against a shared store must hold
-        #: this around each query (the engine's execution core does).
+        #: running concurrent operations against a shared store must run
+        #: each inside :meth:`measured` (the engine does), which holds
+        #: this.
         self.lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -293,6 +295,27 @@ class BlockStore:
         """Empty the buffer pool (e.g. between query batches)."""
         self._cache.clear()
 
+    @contextmanager
+    def measured(self, clear_cache: bool = False) -> Iterator[IOStats]:
+        """Hold the store for one operation and measure what it transfers.
+
+        The unit every I/O bound is accounted in: the ``with`` body runs
+        under :attr:`lock` (so no concurrent operation can race the buffer
+        pool or leak its transfers into this window), on an emptied pool
+        when ``clear_cache`` asks for the cold cost, and the yielded
+        :class:`IOStats` holds the operation's counter delta once the
+        block exits.
+        """
+        with self.lock:
+            if clear_cache:
+                self.clear_cache()
+            window = IOStats()
+            before = self.stats.snapshot()
+            try:
+                yield window
+            finally:
+                window.merge(self.stats.delta(before))
+
     @property
     def cache_blocks(self) -> int:
         """Current buffer-pool capacity in blocks (the model's ``M/B``)."""
@@ -335,7 +358,7 @@ class BlockStore:
         """One query's store-level trace-span attributes.
 
         ``delta`` is the :class:`IOStats` window the caller measured
-        around its query (``stats.delta(before)``); the store adds the
+        around its query (see :meth:`measured`); the store adds the
         static context — block size, backend, pool capacity — so a trace
         span can say not just *how many* transfers happened but against
         what configuration.

@@ -299,6 +299,36 @@ def test_all_workers_dead_falls_back_to_local_state(points2d):
         engine.close()
 
 
+def test_index_built_after_spawn_is_served_locally():
+    # Workers rebuild their replica from the suite recorded at spawn; an
+    # index the catalog builds afterwards exists only in the parent, so
+    # a plan routed to it "cannot be served" by a worker — the existing
+    # None -> local-fallback contract, not a WorkerError.
+    points = uniform_points(2000, seed=91)
+    selective = LinearConstraint(coeffs=(0.2,), offset=-0.9)
+    answers = {}
+    for mode in ("inprocess", "process"):
+        engine = QueryEngine(block_size=BLOCK_SIZE, seed=7, workers=mode)
+        try:
+            engine.register_sharded_dataset("pts", points, num_shards=2,
+                                            kinds=["full_scan"])
+            engine.query("pts", EVERYTHING, clear_cache=True)
+            engine.catalog.build_sharded_index("pts", "partition_tree")
+            answer = engine.query("pts", selective, clear_cache=True)
+            assert answer.index_name == "partition_tree"
+            if mode == "process":
+                # The spawn-time suite ran on the workers; the new
+                # index did not.
+                assert [engine.cluster.worker("pts", shard_id, 0).served
+                        for shard_id in range(2)] == [1, 1]
+            answers[mode] = answer
+        finally:
+            engine.close()
+    assert answers["process"].points == answers["inprocess"].points
+    assert answers["process"].ios == answers["inprocess"].ios
+    assert answers["process"].count > 0
+
+
 def test_worker_write_application_is_seq_idempotent(points2d):
     engine = make_engine(points2d, "process", num_shards=2)
     try:

@@ -211,6 +211,63 @@ def test_fanout_runs_without_thread_pool(points2d):
         points2d, constraint)
 
 
+@pytest.mark.parametrize("workers", ["inprocess", "process"])
+@pytest.mark.parametrize("clear_cache", [True, False])
+def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
+    # The equivalence the single execution path rests on: the same
+    # points behind no shards, one range shard or one hash shard answer
+    # with the same ordered points at the same I/O cost, and teach the
+    # planner, the q-error metrics and the conformal window the same
+    # things — one residual per executed constraint plan, none per
+    # conjunction.
+    constraints = [
+        constraint
+        for selectivity in (0.01, 0.1, 0.5)
+        for constraint in halfspace_queries_with_selectivity(
+            points2d, 6, selectivity, seed=int(selectivity * 1000))]
+    conjunctions = [ConstraintConjunction.of(first, second)
+                    for first, second in zip(constraints[6:12],
+                                             constraints[12:])]
+    engines = {}
+    for layout in ("unsharded", "range", "hash"):
+        engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, workers=workers)
+        if layout == "unsharded":
+            engine.register_dataset("d", points2d)
+        else:
+            engine.register_sharded_dataset("d", points2d, num_shards=1,
+                                            sharding=layout)
+        engines[layout] = engine
+    try:
+        for query in constraints + conjunctions:
+            answers = {
+                layout: engine.executor.execute("d", query,
+                                                clear_cache=clear_cache)
+                for layout, engine in engines.items()}
+            plain = answers["unsharded"]
+            assert plain.count > 0 and plain.shards_queried == 0
+            for layout in ("range", "hash"):
+                assert answers[layout].shards_queried == 1
+                assert answers[layout].points == plain.points
+                assert answers[layout].ios == plain.ios
+                assert answers[layout].index_name == plain.index_name
+        plain = engines["unsharded"]
+        factors = {key: (entry["factor"], entry["observations"])
+                   for key, entry in
+                   plain.planner.export_calibration().items()}
+        assert plain.stats.conformal.size("d") == len(constraints)
+        for layout in ("range", "hash"):
+            engine = engines[layout]
+            assert {key: (entry["factor"], entry["observations"])
+                    for key, entry in
+                    engine.planner.export_calibration().items()} == factors
+            assert engine.stats.estimation_errors \
+                == plain.stats.estimation_errors
+            assert engine.stats.conformal.size("d") == len(constraints)
+    finally:
+        for engine in engines.values():
+            engine.close()
+
+
 def test_pruned_run_costs_fewer_ios_than_all_shards(points2d):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_sharded_dataset("sh", points2d, num_shards=4,

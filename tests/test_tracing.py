@@ -28,7 +28,7 @@ import threading
 
 import pytest
 
-from repro import LinearConstraint, QueryEngine
+from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.engine import ServingRequest, TenantBudget
 from repro.engine import tracing
 from repro.engine.obs import MetricsRegistry, render_prometheus
@@ -201,22 +201,36 @@ def test_engine_query_produces_planner_executor_store_spans(traced_engine):
 
 
 def test_explain_analyze_per_shard_io_parity_on_k4(traced_engine):
-    marker = traced_engine.stats.snapshot()
-    report = traced_engine.explain("grid", EVERYTHING, analyze=True)
-    assert report["analyze"] is True
-    assert len(report["per_shard"]) == 4
-    per_shard = sum(entry["ios"] for entry in report["per_shard"])
-    # The acceptance criterion: per-shard span I/Os reconcile *exactly*
-    # with both the report's actuals and the EngineStats delta.
-    assert per_shard == report["actual_ios"]
-    assert per_shard == report["stats_delta"]["total_ios"]
-    assert report["stats_delta"] == \
-        traced_engine.stats.snapshot_delta(marker)
-    assert {stage["name"] for stage in report["stages"]} >= \
-        {"planner.plan", "executor.fanout"}
-    # The trace landed in the shared registry and is refetchable.
-    assert traced_engine.tracer.get(report["trace_id"]) is not None
-    json.dumps(report, allow_nan=False)
+    # One execution path, one span vocabulary: the unsharded dataset is
+    # the one-item case (shard_id -1), for constraints and conjunctions.
+    traced_engine.register_dataset("plain", uniform_points(1024, seed=47),
+                                   kinds=["partition_tree", "full_scan"])
+    wedge = ConstraintConjunction.of(
+        LinearConstraint(coeffs=(0.3,), offset=0.5),
+        LinearConstraint(coeffs=(-0.2,), offset=0.4))
+    for dataset, query, shard_ids, planner_stage in (
+            ("grid", EVERYTHING, [0, 1, 2, 3], "planner.plan"),
+            ("plain", EVERYTHING, [-1], "planner.plan"),
+            ("plain", wedge, [-1], "planner.plan_conjunction")):
+        marker = traced_engine.stats.snapshot()
+        report = traced_engine.explain(dataset, query, analyze=True)
+        assert report["analyze"] is True
+        assert [entry["shard_id"] for entry in report["per_shard"]] \
+            == shard_ids
+        assert report["shards_queried"] == (4 if dataset == "grid" else 0)
+        per_shard = sum(entry["ios"] for entry in report["per_shard"])
+        # The acceptance criterion: per-shard span I/Os reconcile
+        # *exactly* with both the report's actuals and the EngineStats
+        # delta.
+        assert per_shard == report["actual_ios"] > 0
+        assert per_shard == report["stats_delta"]["total_ios"]
+        assert report["stats_delta"] == \
+            traced_engine.stats.snapshot_delta(marker)
+        assert {stage["name"] for stage in report["stages"]} >= \
+            {planner_stage, "executor.fanout"}
+        # The trace landed in the shared registry and is refetchable.
+        assert traced_engine.tracer.get(report["trace_id"]) is not None
+        json.dumps(report, allow_nan=False)
 
 
 def test_explain_analyze_works_when_engine_tracing_is_off():
