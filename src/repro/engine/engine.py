@@ -172,10 +172,11 @@ class QueryEngine:
                                backend=backend, data_dir=data_dir,
                                stats_model=stats_model,
                                stats_params=stats_params)
-        self.stats = EngineStats(conformal=ConformalCalibrator(
-            coverage=conformal_coverage, window=conformal_window,
-            min_calibration=conformal_min_calibration))
-        self.stats.set_model_provider(self._live_models)
+        self.stats = EngineStats(
+            conformal=ConformalCalibrator(
+                coverage=conformal_coverage, window=conformal_window,
+                min_calibration=conformal_min_calibration),
+            model_provider=self._live_models)
         self.planner = Planner(self.catalog, ewma_alpha=ewma_alpha,
                                conformal=self.stats.conformal)
         self.tracer = Tracer(enabled=tracing, max_traces=trace_capacity,

@@ -647,7 +647,7 @@ class ExecutionCore:
                              from_result_cache=True, tenant=answer.tenant)
 
     def record(self, answer: ExecutedQuery) -> None:
-        """Append one served-query record to the metrics sink."""
+        """Count one served query in the metrics sink."""
         self.stats.record(ServedQueryRecord(
             dataset=answer.dataset,
             index_name=answer.index_name,
@@ -660,9 +660,6 @@ class ExecutionCore:
             shards_pruned=answer.shards_pruned,
             tenant=answer.tenant,
             degraded=answer.degraded,
-            sample_rate=answer.sample_rate,
-            estimated_count=answer.estimated_count,
-            count_interval=answer.count_interval,
             interval_source=answer.interval_source,
         ))
 

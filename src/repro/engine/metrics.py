@@ -1,69 +1,81 @@
-"""Serving metrics for the query engine.
+"""Serving metrics for the query engine: one registry, read two ways.
 
-:class:`EngineStats` accumulates one record per served query — which index
-the planner chose, the measured I/Os, the wall-clock latency, and whether
-the answer came from the result cache — and summarises them the way a
-serving dashboard would: latency percentiles, I/O totals, cache hit rates
-and the plan distribution.  The benchmarks read these summaries instead of
-re-deriving them from raw query results.
+:class:`EngineStats` is a write API (``record`` / ``note_*``) whose every
+call is only its registry writes, and a read API whose every number is a
+pure function of one ``registry.collect()``.  ``summary()`` (``GET
+/stats``) and the Prometheus text (``GET /metrics``) are two renderings
+of the same series, so they cannot disagree, and the state behind them
+is O(series), never O(requests).  Windows are counter subtraction
+(:meth:`EngineStats.snapshot` / :meth:`EngineStats.snapshot_delta`), so
+every integer field is exact; percentiles are interpolated inside the
+fixed bucket ladder (the same bucket as the order statistic of that
+rank, so at most a factor 2.5 from it on the latency ladder).
 
-The async serving path adds three more signal families:
+==========================  =======================  ==========================
+family (``engine_`` + ...)  labels                   ``summary()`` fields
+==========================  =======================  ==========================
+queries_total               dataset, index, tenant   num_queries,
+                                                     plan_distribution,
+                                                     tenants.*.queries
+ios_total                   (same)                   total_ios, mean_ios,
+                                                     tenants.*.total_ios
+records_reported_total      (same)                   total_reported
+store_cache_hits_total      (same)                   store_cache_hits,
+                                                     store_cache_hit_rate
+result_cache_hits_total     (same)                   result_cache_hits (also
+                                                     per tenant), its rate
+shards_queried_total        (same)                   shards_queried,
+                                                     shard_prune_rate
+shards_pruned_total         (same)                   shards_pruned,
+                                                     shard_prune_rate
+degraded_answers_total      (same), interval_source  tenants.*.degraded (and
+                                                     snapshot_delta's degraded)
+query_latency_seconds       dataset, index, tenant   latency_s,
+                                                     tenants.*.latency_s
+estimation_qerror           dataset                  estimation_qerror
+writes_total                dataset, op              writes.*.inserts, deletes,
+                                                     noop_deletes
+replica_writes_total        dataset                  writes.*.replica_writes
+write_ios_total             dataset                  writes.*.total_ios
+write_latency_seconds       dataset                  writes.*.latency_s
+http_requests_total         endpoint, status         http.*.requests, status
+http_latency_seconds        endpoint                 http.*.latency_s
+admission_decisions_total   decision                 admission
+queue_depth_max (gauge)                              max_queue_depth
+rebalances_total            dataset                  rebalances.count,
+                                                     by_dataset
+replica_ios_total           dataset, shard, replica  replica_load
+histogram_*, ensemble_*,    dataset, ...             gauges refreshed from the
+                                                     live models; stats and
+conformal_* (gauges)                                 conformal carry the same
+==========================  =======================  ==========================
 
-* **admission decisions** — how many requests each admission-control
-  outcome saw (admitted / queued / rejected / degraded / expired);
-* **queue depth** — sampled whenever the async scheduler wakes, so the
-  summary can report how deep the prioritized request queue ran;
-* **per-replica load** — I/Os attributed to each (dataset, shard, replica)
-  triple, which is how the replica picker's balancing shows up on a
-  dashboard.
-
-The write path adds one more:
-
-* **per-dataset write counters** — inserts, deletes, no-op deletes,
-  replica applications and write I/Os per dataset, with write latency
-  percentiles, fed by the engine's
-  :class:`~repro.engine.writes.WritePath` on every routed mutation.
-
-The network front-end adds one more:
-
-* **per-endpoint HTTP traffic** — request counts, status-code counters
-  and latency percentiles per route, fed by the server's app layer on
-  every handled request (malformed requests land under the ``"*"``
-  endpoint).
-
-The statistics subsystem adds two more:
-
-* **estimation q-error** — per dataset, the ``max(est/act, act/est)``
-  ratio of each executed plan's expected output against what it actually
-  reported, summarised as percentiles so operators can see when a
-  selectivity model is misestimating;
-* **rebalance events** — every shard re-split the
-  :class:`~repro.engine.sharding.RebalanceManager` performed, with
-  before/after shard sizes and the skew that triggered it;
-* **conformal calibration** — every (expected, actual) pair also feeds a
-  per-dataset :class:`~repro.engine.stats.conformal.ConformalCalibrator`
-  (the distribution-free intervals degraded answers serve), whose window
-  sizes and prequential coverage counters ride in ``summary()`` and as
-  gauges;
-* **model state** — live ensemble weights, per-member q-error, histogram
-  adaptation counts and per-direction q-error, pulled from the engine's
-  registered model provider into ``summary()["stats"]`` and gauges.
-
-The recorder is thread-safe: the batch executor's concurrent path records
-from worker threads.
+``to_table()`` groups the query families by ``index``; the only
+per-event structure kept is a fixed-size ring of the latest rebalance
+reports (``rebalances.events``).
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Union)
 
-from repro.engine.obs.registry import MetricsRegistry
+from repro.engine.obs.registry import (Counter, Gauge, Histogram,
+                                       HistogramView, MetricsRegistry,
+                                       histogram_quantile, merge_histograms,
+                                       view_to_json)
 from repro.engine.stats.conformal import ConformalCalibrator
 from repro.experiments.harness import format_table
+
+#: The labels of every query family, and their positions for group-bys.
+QUERY_LABELS = ("dataset", "index", "tenant")
+_INDEX, _TENANT = 1, 2
+
+#: Rebalance reports retained for ``summary()["rebalances"]["events"]``.
+REBALANCE_EVENTS_KEPT = 64
 
 
 def jsonable(value: object) -> object:
@@ -118,16 +130,9 @@ class ServedQueryRecord:
     tenant: str = ""
     #: True when admission control served a degraded (sample-only) answer.
     degraded: bool = False
-    #: Fraction of the dataset the answer was computed from (1.0 = exact;
-    #: degraded sample answers carry their sample's coverage).
-    sample_rate: float = 1.0
-    #: For degraded answers: the scaled full-dataset count estimate.
-    estimated_count: Optional[int] = None
-    #: For degraded answers: the count interval around the estimate.
-    count_interval: Optional[Tuple[int, int]] = None
-    #: How the interval was produced: "conformal" once the dataset's
-    #: calibration set is warm, "normal_fallback" during cold start,
-    #: None for exact answers.
+    #: How a degraded answer's count interval was produced ("conformal"
+    #: once the dataset's calibration set is warm, "normal_fallback"
+    #: during cold start); the degraded counter's label.
     interval_source: Optional[str] = None
 
 
@@ -154,35 +159,91 @@ def percentile(sorted_values: List[float], fraction: float) -> float:
     return sorted_values[rank]
 
 
+def _percentiles(histogram: HistogramView,
+                 fractions: Sequence[float]) -> Dict[str, float]:
+    """Bucket-interpolated percentiles keyed "p50", "p95", ..."""
+    return {"p%g" % (fraction * 100): histogram_quantile(histogram, fraction)
+            for fraction in fractions}
+
+
+def _ratio(part: float, whole: float) -> float:
+    return part / whole if whole else 0.0
+
+
+Metric = Union[Counter, Gauge, Histogram]
+_P50_95_99 = (0.5, 0.95, 0.99)
+_NO_SAMPLES = merge_histograms(())
+
+
+def _growth(now: HistogramView,
+            before: Optional[HistogramView]) -> HistogramView:
+    """A histogram series minus an earlier scrape of it, clamped at zero."""
+    if before is None:
+        return now
+    return dict(now, sum=now["sum"] - before["sum"], cumulative=[
+        max(0, count - earlier) for count, earlier
+        in zip(now["cumulative"], before["cumulative"])])
+
+
+class _View:
+    """One ``registry.collect()`` and the group-bys every report is made of.
+
+    A family is named by its metric handle, a label by its position.
+    """
+
+    def __init__(self, collected: Dict[str, dict]) -> None:
+        self.collected = collected
+
+    def series(self, metric: Metric) -> Dict[tuple, Any]:
+        """One family's series (amounts or histograms) by label values."""
+        return self.collected[metric.kind + "s"].get(metric.name, {})
+
+    def total(self, metric: Metric) -> int:
+        return sum(self.series(metric).values())
+
+    def by(self, metric: Metric, position: int) -> Dict[str, int]:
+        """A counter family summed per value of one label (zeros dropped)."""
+        out: Dict[str, int] = {}
+        for values, amount in self.series(metric).items():
+            if amount:
+                out[values[position]] = out.get(values[position], 0) + amount
+        return out
+
+    def merged(self, metric: Metric,
+               position: int) -> Dict[str, HistogramView]:
+        """A histogram family merged per value of one label."""
+        groups: Dict[str, List[HistogramView]] = {}
+        for values, part in self.series(metric).items():
+            groups.setdefault(values[position], []).append(part)
+        return {value: merge_histograms(parts)
+                for value, parts in groups.items()}
+
+    def since(self, marker: "_View") -> "_View":
+        """What every counter and bucket grew by since an earlier view.
+
+        Differences clamp at zero, so a ``reset()`` in between yields an
+        empty window instead of a negative one.
+        """
+        grown = dict(self.collected, counters={}, histograms={})
+        for family, series in self.collected["counters"].items():
+            before = marker.collected["counters"].get(family, {})
+            grown["counters"][family] = {
+                values: max(0, amount - before.get(values, 0))
+                for values, amount in series.items()}
+        for family, series in self.collected["histograms"].items():
+            before = marker.collected["histograms"].get(family, {})
+            grown["histograms"][family] = {
+                values: _growth(now, before.get(values))
+                for values, now in series.items()}
+        return _View(grown)
+
+
 @dataclass
 class EngineStats:
     """Aggregated serving statistics across every query the engine ran."""
 
-    records: List[ServedQueryRecord] = field(default_factory=list)
-    #: Admission-control outcome counts (admitted/queued/rejected/...).
-    admission_decisions: Dict[str, int] = field(default_factory=dict)
-    #: Deepest the async request queue has run (sampled per wake-up).
-    _max_queue_depth: int = 0
-    #: I/Os attributed per (dataset, shard_id, replica_id).
-    replica_load: Dict[Tuple[str, int, int], int] = field(default_factory=dict)
-    #: Per-dataset expected-output q-errors (one per executed plan /
-    #: shard plan), fed by the executor's calibration-feedback path.
-    estimation_errors: Dict[str, List[float]] = field(default_factory=dict)
-    #: Shard re-split events (RebalanceReport summaries, in order).
-    rebalance_events: List[Dict[str, object]] = field(default_factory=list)
-    #: Per-dataset write counters ({"inserts", "deletes", "noop_deletes",
-    #: "replica_writes", "total_ios"}) fed by the engine's write path.
-    write_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Per-dataset write latencies (seconds, one sample per mutation).
-    write_latencies: Dict[str, List[float]] = field(default_factory=dict)
-    #: Per-endpoint HTTP latencies (seconds), fed by the network
-    #: front-end's app layer ("*" = unroutable/malformed requests).
-    http_latencies: Dict[str, List[float]] = field(default_factory=dict)
-    #: Per-endpoint HTTP status-code counts (codes stringified for JSON).
-    http_statuses: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: The labeled metric families every ``note_*`` call mirrors into —
-    #: scraped as Prometheus text on ``GET /metrics`` and embedded as
-    #: JSON in ``summary()["metrics"]``.
+    #: The labeled metric families every ``record`` / ``note_*`` call
+    #: writes — the only state the reports below are computed from.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry,
                                       repr=False)
     #: Per-dataset conformal calibration over the same (expected, actual)
@@ -195,30 +256,40 @@ class EngineStats:
     #: the per-model gauges.
     model_provider: Optional[Callable[[], Dict[str, object]]] = field(
         default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    #: The latest shard re-split reports (RebalanceReport summaries, in
+    #: order); their count lives in the rebalance counter.
+    rebalance_events: Deque[Dict[str, object]] = field(
+        default_factory=lambda: deque(maxlen=REBALANCE_EVENTS_KEPT))
 
     def __post_init__(self) -> None:
         reg = self.registry
         self._m_queries = reg.counter(
-            "engine_queries_total", "Served queries", ("dataset", "index"))
+            "engine_queries_total", "Served queries", QUERY_LABELS)
         self._m_ios = reg.counter(
             "engine_ios_total", "Block transfers charged to served queries",
-            ("dataset",))
+            QUERY_LABELS)
         self._m_reported = reg.counter(
             "engine_records_reported_total",
-            "Records reported by served queries", ("dataset",))
+            "Records reported by served queries", QUERY_LABELS)
         self._m_store_hits = reg.counter(
             "engine_store_cache_hits_total",
-            "Buffer-pool hits attributed to served queries", ("dataset",))
+            "Buffer-pool hits attributed to served queries", QUERY_LABELS)
         self._m_result_hits = reg.counter(
             "engine_result_cache_hits_total",
-            "Queries answered from the result cache", ("dataset",))
+            "Queries answered from the result cache", QUERY_LABELS)
+        self._m_shards_queried = reg.counter(
+            "engine_shards_queried_total",
+            "Shard visits of fanned-out queries", QUERY_LABELS)
+        self._m_shards_pruned = reg.counter(
+            "engine_shards_pruned_total",
+            "Shard visits the planner's pruning avoided", QUERY_LABELS)
         self._m_degraded = reg.counter(
             "engine_degraded_answers_total",
-            "Degraded (sample-only) answers served", ("dataset",))
+            "Degraded (sample-only) answers served",
+            QUERY_LABELS + ("interval_source",))
         self._m_latency = reg.histogram(
             "engine_query_latency_seconds", "Served-query latency",
-            ("dataset",))
+            QUERY_LABELS)
         self._m_qerror = reg.histogram(
             "engine_estimation_qerror",
             "Expected-output q-error per executed plan", ("dataset",),
@@ -226,6 +297,9 @@ class EngineStats:
         self._m_writes = reg.counter(
             "engine_writes_total", "Engine-level mutations",
             ("dataset", "op"))
+        self._m_replica_writes = reg.counter(
+            "engine_replica_writes_total",
+            "Per-replica applications of mutations", ("dataset",))
         self._m_write_ios = reg.counter(
             "engine_write_ios_total",
             "Block transfers charged to mutations", ("dataset",))
@@ -282,25 +356,31 @@ class EngineStats:
             "Prequential empirical coverage per dataset (vs nominal)",
             ("dataset",))
 
+    # ------------------------------------------------------------------
+    # writes: each call is only its registry writes (thread-safe, no lock)
+    # ------------------------------------------------------------------
     def record(self, record: ServedQueryRecord) -> None:
-        """Append one served-query record (thread-safe)."""
-        with self._lock:
-            self.records.append(record)
-        self._m_queries.inc(dataset=record.dataset, index=record.index_name)
-        self._m_ios.inc(record.ios, dataset=record.dataset)
-        self._m_reported.inc(record.reported, dataset=record.dataset)
-        self._m_latency.observe(record.latency_s, dataset=record.dataset)
-        if record.store_cache_hits:
-            self._m_store_hits.inc(record.store_cache_hits,
-                                   dataset=record.dataset)
-        if record.result_cache_hit:
-            self._m_result_hits.inc(dataset=record.dataset)
+        """Count one served query."""
+        labels = {"dataset": record.dataset, "index": record.index_name,
+                  "tenant": record.tenant}
+        self._m_queries.inc(**labels)
+        self._m_latency.observe(record.latency_s, **labels)
+        for counter, amount in (
+                (self._m_ios, record.ios),
+                (self._m_reported, record.reported),
+                (self._m_store_hits, record.store_cache_hits),
+                (self._m_result_hits, int(record.result_cache_hit)),
+                (self._m_shards_queried, record.shards_queried),
+                (self._m_shards_pruned, record.shards_pruned)):
+            if amount:
+                counter.inc(amount, **labels)
         if record.degraded:
-            self._m_degraded.inc(dataset=record.dataset)
+            self._m_degraded.inc(
+                interval_source=record.interval_source or "", **labels)
 
     def note_estimation(self, dataset: str, expected: float,
                         actual: float) -> None:
-        """Record one plan's expected-vs-actual output q-error (thread-safe).
+        """Record one plan's expected-vs-actual output q-error.
 
         Fed by the executor alongside calibration feedback, so every
         executed (shard) plan contributes exactly one sample — the signal
@@ -309,69 +389,43 @@ class EngineStats:
         calibration window, which is where degraded answers get their
         distribution-free intervals once it is warm.
         """
-        error = q_error(expected, actual)
-        with self._lock:
-            self.estimation_errors.setdefault(dataset, []).append(error)
-        self._m_qerror.observe(error, dataset=dataset)
+        self._m_qerror.observe(q_error(expected, actual), dataset=dataset)
         self.conformal.observe(dataset, expected, actual)
 
     def note_write(self, dataset: str, op: str, applied: bool, ios: int,
                    latency_s: float, replicas: int) -> None:
-        """Record one engine-level mutation (thread-safe).
+        """Record one engine-level mutation.
 
         One call per *logical* mutation, however many replicas it fanned
         out to; ``replicas`` counts the per-replica applications and
         ``ios`` the block transfers they charged in total.  A delete of
         an absent point lands in ``noop_deletes`` instead of ``deletes``.
         """
-        with self._lock:
-            counters = self.write_counters.setdefault(dataset, {
-                "inserts": 0, "deletes": 0, "noop_deletes": 0,
-                "replica_writes": 0, "total_ios": 0})
-            if op == "insert":
-                counters["inserts"] += 1
-            elif applied:
-                counters["deletes"] += 1
-            else:
-                counters["noop_deletes"] += 1
-            counters["replica_writes"] += replicas
-            counters["total_ios"] += ios
-            self.write_latencies.setdefault(dataset, []).append(latency_s)
-        if op == "insert":
-            op_label = "insert"
-        else:
-            op_label = "delete" if applied else "noop_delete"
-        self._m_writes.inc(dataset=dataset, op=op_label)
+        if op != "insert":
+            op = "delete" if applied else "noop_delete"
+        self._m_writes.inc(dataset=dataset, op=op)
+        self._m_replica_writes.inc(replicas, dataset=dataset)
         self._m_write_ios.inc(ios, dataset=dataset)
         self._m_write_latency.observe(latency_s, dataset=dataset)
 
     def note_http(self, endpoint: str, status: int,
                   latency_s: float) -> None:
-        """Record one handled HTTP request (thread-safe).
+        """Record one handled HTTP request.
 
         ``endpoint`` is the route path (e.g. ``"/query"``); the server
         buckets unroutable or malformed requests under ``"*"`` so a
         scanner probing random paths cannot grow the table unboundedly.
         """
-        code = str(int(status))
-        with self._lock:
-            self.http_latencies.setdefault(endpoint, []).append(latency_s)
-            counts = self.http_statuses.setdefault(endpoint, {})
-            counts[code] = counts.get(code, 0) + 1
-        self._m_http.inc(endpoint=endpoint, status=code)
+        self._m_http.inc(endpoint=endpoint, status=int(status))
         self._m_http_latency.observe(latency_s, endpoint=endpoint)
 
     def note_rebalance(self, event: Dict[str, object]) -> None:
-        """Record one shard re-split event (thread-safe)."""
-        with self._lock:
-            self.rebalance_events.append(dict(event))
+        """Record one shard re-split event."""
+        self.rebalance_events.append(dict(event))
         self._m_rebalances.inc(dataset=str(event.get("dataset")))
 
     def note_admission(self, decision: str) -> None:
-        """Count one admission-control outcome (thread-safe)."""
-        with self._lock:
-            self.admission_decisions[decision] = \
-                self.admission_decisions.get(decision, 0) + 1
+        """Count one admission-control outcome."""
         self._m_admission.inc(decision=decision)
 
     def note_queue_depth(self, depth: int) -> None:
@@ -381,199 +435,128 @@ class EngineStats:
         to a thousand times a second under a throttled tenant, and only
         the peak is reported.
         """
-        with self._lock:
-            if depth > self._max_queue_depth:
-                self._max_queue_depth = depth
         self._m_queue_depth.max(depth)
 
     def record_replica_load(self, dataset: str, shard_id: int,
                             replica_id: int, ios: int) -> None:
-        """Attribute I/Os to one shard replica (thread-safe)."""
-        key = (dataset, shard_id, replica_id)
-        with self._lock:
-            self.replica_load[key] = self.replica_load.get(key, 0) + ios
+        """Attribute I/Os to one shard replica."""
         self._m_replica_ios.inc(ios, dataset=dataset, shard=shard_id,
                                 replica=replica_id)
 
     def reset(self) -> None:
-        """Drop every record (e.g. between benchmark phases)."""
-        with self._lock:
-            self.records.clear()
-            self.admission_decisions.clear()
-            self._max_queue_depth = 0
-            self.replica_load.clear()
-            self.estimation_errors.clear()
-            self.rebalance_events.clear()
-            self.write_counters.clear()
-            self.write_latencies.clear()
-            self.http_latencies.clear()
-            self.http_statuses.clear()
+        """Zero every series (e.g. between benchmark phases)."""
+        self.rebalance_events.clear()
         self.conformal.reset()
         self.registry.reset()
 
     # ------------------------------------------------------------------
-    # windows
+    # reads: each is a pure function of one registry.collect()
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, int]:
-        """An opaque window marker for :meth:`snapshot_delta` (thread-safe).
+    def snapshot(self) -> _View:
+        """An opaque window marker for :meth:`snapshot_delta`.
 
-        Cheap by design — it remembers *positions*, not copies — so
-        benchmarks and tests can bracket a phase with
-        ``marker = stats.snapshot(); ...; stats.snapshot_delta(marker)``
-        instead of re-creating engines to get a clean counter window.
+        A copy of the current counters and histogram buckets (O(series),
+        whatever the traffic so far), so benchmarks and tests can bracket
+        a phase with ``marker = stats.snapshot(); ...;
+        stats.snapshot_delta(marker)`` instead of re-creating engines to
+        get a clean counter window.  Every report below is computed
+        from one.
         """
-        with self._lock:
-            return {"num_records": len(self.records)}
+        return _View(self.registry.collect())
 
-    def snapshot_delta(self, marker: Dict[str, int]) -> Dict[str, object]:
+    def snapshot_delta(self, marker: _View) -> Dict[str, object]:
         """Aggregates over the queries served since ``marker``.
 
         Returns the windowed counterparts of the headline ``summary()``
         numbers (query count, I/O and cache totals, latency percentiles,
-        plan distribution), strictly JSON-serializable.  ``reset()``
+        plan distribution), strictly JSON-serializable.  The integer
+        fields are exact (counter subtraction); the percentiles are
+        interpolated from the window's bucket counts.  ``reset()``
         between the marker and the delta yields an empty window rather
         than an error.
         """
-        start = int(marker.get("num_records", 0))
-        with self._lock:
-            window = list(self.records[start:])
-        latencies = sorted(record.latency_s for record in window)
-        return jsonable({
-            "num_queries": len(window),
-            "total_ios": sum(record.ios for record in window),
-            "total_reported": sum(record.reported for record in window),
-            "store_cache_hits": sum(record.store_cache_hits
-                                    for record in window),
-            "result_cache_hits": sum(1 for record in window
-                                     if record.result_cache_hit),
-            "shards_queried": sum(record.shards_queried
-                                  for record in window),
-            "shards_pruned": sum(record.shards_pruned for record in window),
-            "degraded": sum(1 for record in window if record.degraded),
-            "latency_s": {
-                "p50": percentile(latencies, 0.5),
-                "p95": percentile(latencies, 0.95),
-                "p99": percentile(latencies, 0.99),
-            },
-            "plan_distribution": dict(Counter(record.index_name
-                                              for record in window)),
-        })
+        window = self.snapshot().since(marker)
+        return jsonable(dict(
+            self._totals(window), degraded=window.total(self._m_degraded),
+            latency_s=self._latency(window, _P50_95_99),
+            plan_distribution=window.by(self._m_queries, _INDEX)))
 
-    # ------------------------------------------------------------------
-    # aggregates
-    # ------------------------------------------------------------------
+    def _totals(self, view: _View) -> Dict[str, int]:
+        return {
+            "num_queries": view.total(self._m_queries),
+            "total_ios": view.total(self._m_ios),
+            "total_reported": view.total(self._m_reported),
+            "store_cache_hits": view.total(self._m_store_hits),
+            "result_cache_hits": view.total(self._m_result_hits),
+            "shards_queried": view.total(self._m_shards_queried),
+            "shards_pruned": view.total(self._m_shards_pruned),
+        }
+
+    def _latency(self, view: _View,
+                 fractions: Sequence[float]) -> Dict[str, float]:
+        return _percentiles(
+            merge_histograms(view.series(self._m_latency).values()),
+            fractions)
+
     @property
     def num_queries(self) -> int:
         """Number of served queries (result-cache hits included)."""
-        return len(self.records)
+        return self.snapshot().total(self._m_queries)
 
     @property
     def total_ios(self) -> int:
         """Total block transfers across every served query."""
-        return sum(record.ios for record in self.records)
-
-    @property
-    def total_reported(self) -> int:
-        """Total records reported across every served query."""
-        return sum(record.reported for record in self.records)
-
-    @property
-    def result_cache_hits(self) -> int:
-        """Queries answered from the engine's result cache (zero I/Os)."""
-        return sum(1 for record in self.records if record.result_cache_hit)
-
-    @property
-    def result_cache_hit_rate(self) -> float:
-        """Fraction of served queries answered from the result cache."""
-        return (self.result_cache_hits / self.num_queries
-                if self.num_queries else 0.0)
-
-    @property
-    def store_cache_hits(self) -> int:
-        """Buffer-pool hits attributed to served queries (free block reads)."""
-        return sum(record.store_cache_hits for record in self.records)
-
-    @property
-    def store_cache_hit_rate(self) -> float:
-        """Buffer-pool hits over buffer-pool lookups (hits + charged reads)."""
-        lookups = self.store_cache_hits + self.total_ios
-        return self.store_cache_hits / lookups if lookups else 0.0
+        return self.snapshot().total(self._m_ios)
 
     @property
     def shards_queried(self) -> int:
         """Total shard visits across every fanned-out query."""
-        return sum(record.shards_queried for record in self.records)
+        return self.snapshot().total(self._m_shards_queried)
 
     @property
     def shards_pruned(self) -> int:
         """Total shard visits the planner's pruning avoided."""
-        return sum(record.shards_pruned for record in self.records)
+        return self.snapshot().total(self._m_shards_pruned)
 
-    @property
-    def shard_prune_rate(self) -> float:
-        """Pruned over candidate shard visits (0.0 with no sharded traffic)."""
-        candidates = self.shards_queried + self.shards_pruned
-        return self.shards_pruned / candidates if candidates else 0.0
-
-    @property
-    def max_queue_depth(self) -> int:
-        """Deepest the async request queue ran (0 without async traffic)."""
-        return self._max_queue_depth
-
-    def plan_distribution(self) -> Dict[str, int]:
-        """How many queries each index served (the planner's routing mix)."""
-        return dict(Counter(record.index_name for record in self.records))
-
-    def latency_percentiles(self, fractions=(0.5, 0.9, 0.99)) -> Dict[str, float]:
-        """Latency percentiles in seconds, keyed "p50", "p90", ..."""
-        ordered = sorted(record.latency_s for record in self.records)
-        return {"p%g" % (fraction * 100): percentile(ordered, fraction)
-                for fraction in fractions}
+    def _grouped(self, view: _View, position: int,
+                 fractions: Sequence[float]) -> Dict[str, Dict[str, object]]:
+        """Query traffic per value of one query label (tenant or index)."""
+        ios = view.by(self._m_ios, position)
+        degraded = view.by(self._m_degraded, position)
+        hits = view.by(self._m_result_hits, position)
+        latency = view.merged(self._m_latency, position)
+        return {
+            value: {"queries": queries,
+                    "total_ios": ios.get(value, 0),
+                    "degraded": degraded.get(value, 0),
+                    "result_cache_hits": hits.get(value, 0),
+                    "latency_s": _percentiles(
+                        latency.get(value, _NO_SAMPLES), fractions)}
+            for value, queries
+            in sorted(view.by(self._m_queries, position).items())}
 
     def tenant_summary(self) -> Dict[str, Dict[str, object]]:
         """Per-tenant traffic summary (queries, I/Os, latency percentiles).
 
-        Only records carrying a tenant label (the async serving path)
+        Only series carrying a tenant label (the async serving path)
         participate; an empty dict means no tenant-attributed traffic.
-        Snapshots the record list under the lock, so a dashboard thread
-        can call this while workers are recording.
         """
-        with self._lock:
-            records = list(self.records)
-        by_tenant: Dict[str, List[ServedQueryRecord]] = {}
-        for record in records:
-            if record.tenant:
-                by_tenant.setdefault(record.tenant, []).append(record)
-        out: Dict[str, Dict[str, object]] = {}
-        for tenant in sorted(by_tenant):
-            group = by_tenant[tenant]
-            latencies = sorted(record.latency_s for record in group)
-            out[tenant] = {
-                "queries": len(group),
-                "total_ios": sum(record.ios for record in group),
-                "degraded": sum(1 for record in group if record.degraded),
-                "latency_s": {
-                    "p50": percentile(latencies, 0.5),
-                    "p95": percentile(latencies, 0.95),
-                    "p99": percentile(latencies, 0.99),
-                },
-            }
-        return out
+        return self._tenants(self.snapshot())
+
+    def _tenants(self, view: _View) -> Dict[str, Dict[str, object]]:
+        rows = self._grouped(view, _TENANT, _P50_95_99)
+        rows.pop("", None)
+        return rows
 
     def replica_load_summary(self) -> Dict[str, int]:
-        """Per-replica I/O totals keyed ``dataset/shard/replica`` (JSON-safe).
+        """Per-replica I/O totals keyed ``dataset/shard/replica``."""
+        return self._replica_load(self.snapshot())
 
-        Copies the load table under the lock: fan-out workers insert new
-        replica keys concurrently, and iterating a mutating dict raises.
-        """
-        with self._lock:
-            items = sorted(self.replica_load.items())
-        return {"%s/%d/%d" % key: ios for key, ios in items}
-
-    def admission_summary(self) -> Dict[str, int]:
-        """A stable copy of the admission-decision counters (lock-held)."""
-        with self._lock:
-            return dict(self.admission_decisions)
+    def _replica_load(self, view: _View) -> Dict[str, int]:
+        series = view.series(self._m_replica_ios)
+        ordered = sorted(series, key=lambda key: (key[0], int(key[1]),
+                                                  int(key[2])))
+        return {"/".join(key): series[key] for key in ordered}
 
     def estimation_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-dataset expected-output q-error percentiles.
@@ -582,20 +565,23 @@ class EngineStats:
         count, p50/p90/max and mean of the q-errors.  A p50 near 1.0
         means the selectivity model prices typical queries well; a heavy
         tail (p90/max) is the operator's cue to switch models (or that a
-        mutated shard needs rebalancing).  Snapshots under the lock.
+        mutated shard needs rebalancing).  Count, max and mean are exact;
+        p50/p90 are interpolated from the q-error buckets.
         """
-        with self._lock:
-            errors = {dataset: list(values)
-                      for dataset, values in self.estimation_errors.items()}
-        out: Dict[str, Dict[str, float]] = {}
-        for dataset in sorted(errors):
-            ordered = sorted(errors[dataset])
+        return self._estimation(self.snapshot())
+
+    def _estimation(self, view: _View) -> Dict[str, Dict[str, float]]:
+        out = {}
+        for dataset, errors in sorted(view.merged(self._m_qerror, 0).items()):
+            plans = errors["cumulative"][-1]
             out[dataset] = {
-                "plans": len(ordered),
-                "p50": percentile(ordered, 0.5),
-                "p90": percentile(ordered, 0.9),
-                "max": ordered[-1] if ordered else 0.0,
-                "mean": sum(ordered) / len(ordered) if ordered else 0.0,
+                "plans": plans,
+                # A q-error is >= 1 by definition, but the first bucket's
+                # interpolation starts at 0.
+                "p50": max(1.0, histogram_quantile(errors, 0.5)),
+                "p90": max(1.0, histogram_quantile(errors, 0.9)),
+                "max": errors["max"],
+                "mean": _ratio(errors["sum"], plans),
             }
         return out
 
@@ -604,24 +590,24 @@ class EngineStats:
 
         One entry per dataset that accepted at least one engine-level
         mutation: the counters from :meth:`note_write` plus p50/p95/p99
-        write latency in seconds.  Snapshots under the lock, so a
-        dashboard thread can call this while writers are recording.
+        write latency in seconds.
         """
-        with self._lock:
-            counters = {dataset: dict(values)
-                        for dataset, values in self.write_counters.items()}
-            latencies = {dataset: sorted(values)
-                         for dataset, values in self.write_latencies.items()}
+        return self._writes(self.snapshot())
+
+    def _writes(self, view: _View) -> Dict[str, Dict[str, object]]:
         out: Dict[str, Dict[str, object]] = {}
-        for dataset in sorted(counters):
-            ordered = latencies.get(dataset, [])
-            payload: Dict[str, object] = dict(counters[dataset])
-            payload["latency_s"] = {
-                "p50": percentile(ordered, 0.5),
-                "p95": percentile(ordered, 0.95),
-                "p99": percentile(ordered, 0.99),
-            }
-            out[dataset] = payload
+        for (dataset, op), amount in sorted(
+                view.series(self._m_writes).items()):
+            out.setdefault(dataset, {"inserts": 0, "deletes": 0,
+                                     "noop_deletes": 0})[op + "s"] = amount
+        replica_writes = view.by(self._m_replica_writes, 0)
+        ios = view.by(self._m_write_ios, 0)
+        latency = view.merged(self._m_write_latency, 0)
+        for dataset, payload in out.items():
+            payload["replica_writes"] = replica_writes.get(dataset, 0)
+            payload["total_ios"] = ios.get(dataset, 0)
+            payload["latency_s"] = _percentiles(
+                latency.get(dataset, _NO_SAMPLES), _P50_95_99)
         return out
 
     def http_summary(self) -> Dict[str, Dict[str, object]]:
@@ -629,60 +615,26 @@ class EngineStats:
 
         One entry per endpoint the network front-end served, with the
         request count, per-status-code counters and p50/p95/p99 handling
-        latency in seconds.  Empty without HTTP traffic.  Snapshots
-        under the lock, so ``/stats`` can serve it while connection
-        handlers are recording.
+        latency in seconds.  Empty without HTTP traffic.
         """
-        with self._lock:
-            latencies = {endpoint: sorted(values)
-                         for endpoint, values in self.http_latencies.items()}
-            statuses = {endpoint: dict(counts)
-                        for endpoint, counts in self.http_statuses.items()}
+        return self._http(self.snapshot())
+
+    def _http(self, view: _View) -> Dict[str, Dict[str, object]]:
         out: Dict[str, Dict[str, object]] = {}
-        for endpoint in sorted(latencies):
-            ordered = latencies[endpoint]
-            out[endpoint] = {
-                "requests": len(ordered),
-                "status": statuses.get(endpoint, {}),
-                "latency_s": {
-                    "p50": percentile(ordered, 0.5),
-                    "p95": percentile(ordered, 0.95),
-                    "p99": percentile(ordered, 0.99),
-                },
-            }
+        for (endpoint, status), amount in sorted(
+                view.series(self._m_http).items()):
+            entry = out.setdefault(endpoint, {"requests": 0, "status": {}})
+            entry["requests"] += amount
+            entry["status"][status] = amount
+        latency = view.merged(self._m_http_latency, 0)
+        for endpoint, entry in out.items():
+            entry["latency_s"] = _percentiles(
+                latency.get(endpoint, _NO_SAMPLES), _P50_95_99)
         return out
-
-    def rebalance_summary(self) -> Dict[str, object]:
-        """Shard re-split events: total count, per-dataset counts, events."""
-        with self._lock:
-            events = [dict(event) for event in self.rebalance_events]
-        return {
-            "count": len(events),
-            "by_dataset": dict(Counter(str(event.get("dataset"))
-                                       for event in events)),
-            "events": events,
-        }
-
-    def mean_ios(self) -> float:
-        """Average I/Os per served query."""
-        return self.total_ios / self.num_queries if self.num_queries else 0.0
 
     # ------------------------------------------------------------------
     # model state (ensemble weights, histogram adaptation, conformal)
     # ------------------------------------------------------------------
-    def set_model_provider(
-            self, provider: Optional[Callable[[], Dict[str, object]]]
-    ) -> None:
-        """Register the live ``{name: SelectivityModel}`` source.
-
-        The engine registers a provider that walks its catalog (datasets
-        and shard children) at call time, so :meth:`model_summary` and
-        the gauges always reflect the *current* models — shard stats get
-        rebuilt on upgrade/re-split, so holding model references here
-        would go stale.
-        """
-        self.model_provider = provider
-
     def model_summary(self) -> Dict[str, Dict[str, object]]:
         """Live per-model state: weights, adaptation, per-direction q-error.
 
@@ -760,58 +712,60 @@ class EngineStats:
     def summary(self) -> Dict[str, object]:
         """Everything a dashboard (or BENCH json) wants, as one dict.
 
-        The returned tree is strictly JSON-serializable — tuples, numpy
-        scalars and non-finite floats are normalized by
-        :func:`jsonable` — because ``/stats`` ships it over the wire
-        verbatim and ``json.dumps(summary, allow_nan=False)`` must not
-        raise.
+        Computed from a single registry scrape, so its parts reconcile
+        with each other and with ``summary()["metrics"]``.  The returned
+        tree is strictly JSON-serializable — tuples, numpy scalars and
+        non-finite floats are normalized by :func:`jsonable` — because
+        ``/stats`` ships it over the wire verbatim and
+        ``json.dumps(summary, allow_nan=False)`` must not raise.
         """
         models = self.refresh_model_metrics()
-        return jsonable({
-            "num_queries": self.num_queries,
-            "total_ios": self.total_ios,
-            "mean_ios": self.mean_ios(),
-            "total_reported": self.total_reported,
-            "result_cache_hits": self.result_cache_hits,
-            "result_cache_hit_rate": self.result_cache_hit_rate,
-            "store_cache_hits": self.store_cache_hits,
-            "store_cache_hit_rate": self.store_cache_hit_rate,
-            "shards_queried": self.shards_queried,
-            "shards_pruned": self.shards_pruned,
-            "shard_prune_rate": self.shard_prune_rate,
-            "latency_s": self.latency_percentiles(),
-            "plan_distribution": self.plan_distribution(),
-            "estimation_qerror": self.estimation_summary(),
+        view = self.snapshot()
+        summary: Dict[str, object] = self._totals(view)
+        queries, ios = summary["num_queries"], summary["total_ios"]
+        store_hits, pruned = (summary["store_cache_hits"],
+                              summary["shards_pruned"])
+        summary.update({
+            "mean_ios": _ratio(ios, queries),
+            "result_cache_hit_rate": _ratio(summary["result_cache_hits"],
+                                            queries),
+            "store_cache_hit_rate": _ratio(store_hits, store_hits + ios),
+            "shard_prune_rate": _ratio(
+                pruned, summary["shards_queried"] + pruned),
+            "latency_s": self._latency(view, (0.5, 0.9, 0.99)),
+            "plan_distribution": view.by(self._m_queries, _INDEX),
+            "estimation_qerror": self._estimation(view),
             "stats": models,
             "conformal": self.conformal.describe(),
-            "writes": self.write_summary(),
-            "rebalances": self.rebalance_summary(),
-            "admission": self.admission_summary(),
-            "max_queue_depth": self.max_queue_depth,
-            "replica_load": self.replica_load_summary(),
-            "tenants": self.tenant_summary(),
-            "http": self.http_summary(),
-            "metrics": self.registry.to_json(),
+            "writes": self._writes(view),
+            "rebalances": {"count": view.total(self._m_rebalances),
+                           "by_dataset": view.by(self._m_rebalances, 0),
+                           "events": list(self.rebalance_events)},
+            "admission": view.by(self._m_admission, 0),
+            "max_queue_depth": int(
+                view.series(self._m_queue_depth).get((), 0)),
+            "replica_load": self._replica_load(view),
+            "tenants": self._tenants(view),
+            "http": self._http(view),
+            "metrics": view_to_json(view.collected),
         })
+        return jsonable(summary)
 
     def to_table(self, title: Optional[str] = None) -> str:
         """Per-index serving table (queries, I/Os, latency percentiles)."""
-        by_index: Dict[str, List[ServedQueryRecord]] = {}
-        for record in self.records:
-            by_index.setdefault(record.index_name, []).append(record)
         header = ["index", "#q", "mean I/Os", "total I/Os", "p50 ms",
                   "p99 ms", "res-cache hits"]
         rows = []
-        for name in sorted(by_index):
-            group = by_index[name]
-            latencies = sorted(record.latency_s for record in group)
+        for name, group in self._grouped(self.snapshot(), _INDEX,
+                                         (0.5, 0.99)).items():
             rows.append([
                 name,
-                str(len(group)),
-                "%.1f" % (sum(r.ios for r in group) / len(group)),
-                str(sum(r.ios for r in group)),
-                "%.2f" % (percentile(latencies, 0.5) * 1e3),
-                "%.2f" % (percentile(latencies, 0.99) * 1e3),
-                str(sum(1 for r in group if r.result_cache_hit)),
+                str(group["queries"]),
+                "%.1f" % (group["total_ios"] / group["queries"]),
+                str(group["total_ios"]),
+                "%.2f" % (group["latency_s"]["p50"] * 1e3),
+                "%.2f" % (group["latency_s"]["p99"] * 1e3),
+                str(group["result_cache_hits"]),
             ])
-        return format_table(header, rows, title=title or "engine serving stats")
+        return format_table(header, rows,
+                            title=title or "engine serving stats")

@@ -10,7 +10,7 @@ line, histograms expanded to cumulative ``_bucket{le=...}`` series plus
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = ["render_prometheus"]
 
@@ -48,54 +48,29 @@ def _labels_text(names: Sequence[str], values: Sequence[str],
 def render_prometheus(registry) -> str:
     """The registry's merged state in Prometheus text format."""
     view = registry.collect()
-    metrics: Dict[str, Any] = view["metrics"]
-    by_family: Dict[str, list] = {name: [] for name in metrics}
-    for key in view["counters"]:
-        by_family.setdefault(key[0], []).append(("counter", key))
-    for key in view["gauges"]:
-        by_family.setdefault(key[0], []).append(("gauge", key))
-    for key in view["histograms"]:
-        by_family.setdefault(key[0], []).append(("histogram", key))
-
     lines = []
-    for name in sorted(by_family):
-        metric = metrics.get(name)
-        samples = sorted(by_family[name], key=lambda item: item[1])
-        if metric is not None:
-            if metric.help:
-                lines.append("# HELP %s %s"
-                             % (name, _escape_help(metric.help)))
-            lines.append("# TYPE %s %s" % (name, metric.kind))
-        label_names = metric.label_names if metric is not None else ()
-        for kind, key in samples:
-            values = key[1]
-            if kind == "counter":
-                lines.append("%s%s %s" % (
-                    name, _labels_text(label_names, values),
-                    _format_value(view["counters"][key])))
-            elif kind == "gauge":
-                lines.append("%s%s %s" % (
-                    name, _labels_text(label_names, values),
-                    _format_value(view["gauges"][key])))
-            else:
-                merged = view["histograms"][key]
-                running = 0
-                for bound, count in zip(merged["bounds"],
-                                        merged["buckets"]):
-                    running += count
-                    lines.append("%s_bucket%s %d" % (
-                        name,
-                        _labels_text(label_names, values,
-                                     (("le", _format_value(float(bound))),)),
-                        running))
+    for name, metric in sorted(view["metrics"].items()):
+        if metric.help:
+            lines.append("# HELP %s %s" % (name, _escape_help(metric.help)))
+        lines.append("# TYPE %s %s" % (name, metric.kind))
+        series = view[metric.kind + "s"].get(name, {})
+        for values in sorted(series):
+            labels = _labels_text(metric.label_names, values)
+            if metric.kind != "histogram":
+                lines.append("%s%s %s" % (name, labels,
+                                          _format_value(series[values])))
+                continue
+            merged = series[values]
+            bounds = [_format_value(float(bound))
+                      for bound in merged["bounds"]] + ["+Inf"]
+            for bound, count in zip(bounds, merged["cumulative"]):
                 lines.append("%s_bucket%s %d" % (
                     name,
-                    _labels_text(label_names, values, (("le", "+Inf"),)),
-                    merged["count"]))
-                lines.append("%s_sum%s %s" % (
-                    name, _labels_text(label_names, values),
-                    _format_value(merged["sum"])))
-                lines.append("%s_count%s %d" % (
-                    name, _labels_text(label_names, values),
-                    merged["count"]))
+                    _labels_text(metric.label_names, values,
+                                 (("le", bound),)),
+                    count))
+            lines.append("%s_sum%s %s" % (name, labels,
+                                          _format_value(merged["sum"])))
+            lines.append("%s_count%s %d" % (name, labels,
+                                            merged["cumulative"][-1]))
     return "\n".join(lines) + "\n"

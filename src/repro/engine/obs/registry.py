@@ -7,29 +7,41 @@ that shard — no lock taken.  The registry lock is acquired only when a
 thread inserts a *new* (metric, labels) key into its shard (a dict
 resize, which must not race a concurrent scrape iterating the dict) and
 during :meth:`MetricsRegistry.collect`, which merges every shard into
-one view.  Gauges are last-write-wins and rare, so they live in a single
-locked dict.
+one view and folds the shards of threads that have exited into a single
+retired accumulator, so the shard list is bounded by the live threads.
+Gauges are last-write-wins and rare, so they live in a single locked
+dict.
 
 A scrape may observe a shard value mid-window (a counter bumped after
 one shard merged and before the next) — that is the usual Prometheus
 contract: counters are monotonic per thread, so consecutive scrapes
-never go backwards.
+never go backwards.  A histogram's count is *derived* from its buckets
+at scrape time, so a scrape landing inside an ``observe`` still renders
+a valid cumulative histogram.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKETS"]
+           "DEFAULT_BUCKETS", "histogram_quantile", "merge_histograms",
+           "view_to_json"]
 
-#: Latency-oriented default buckets (seconds), +Inf implied.
+#: Latency buckets (seconds), +Inf implied: a 1-2-5 ladder from 10 us to
+#: 10 s.  Adjacent bounds are at most 2.5x apart, which is the error
+#: bound of every percentile interpolated from them.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
+    1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2,
+    0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 _Key = Tuple[str, Tuple[str, ...]]
+#: A scraped histogram series: ``bounds``, ``cumulative`` counts (one
+#: per bound plus +Inf, so the last entry is the count), ``sum``, ``max``.
+HistogramView = Dict[str, Any]
 
 
 def _label_values(label_names: Sequence[str],
@@ -61,11 +73,15 @@ class _Metric:
 
 
 class Counter(_Metric):
-    """A monotonically increasing value, sharded per thread."""
+    """A monotonically increasing value, sharded per thread.
+
+    Integer increments stay integers from shard to scrape, so counts
+    are exact however large they grow.
+    """
 
     kind = "counter"
 
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+    def inc(self, amount: float = 1, **labels: Any) -> None:
         if amount < 0:
             raise ValueError("counters only go up, got %r" % amount)
         shard = self._registry._shard()["counters"]
@@ -81,8 +97,9 @@ class Counter(_Metric):
 
     def value(self, **labels: Any) -> float:
         """The merged value across every thread (scrape-priced)."""
-        key = self._key(labels)
-        return self._registry.collect()["counters"].get(key, 0.0)
+        name, values = self._key(labels)
+        return self._registry.collect()["counters"].get(name, {}).get(
+            values, 0)
 
 
 class Gauge(_Metric):
@@ -112,36 +129,120 @@ class Gauge(_Metric):
 class Histogram(_Metric):
     """Cumulative-bucket histogram, sharded per thread like counters.
 
-    Per-thread state is a list ``[count_b0, ..., count_binf, sum, n]``
+    Per-thread state is a list ``[count_b0, ..., count_binf, sum, max]``
     mutated in place (item assignment never resizes, so scrapes may read
-    it concurrently).
+    it concurrently).  The buckets are the only count there is.
     """
 
     kind = "histogram"
 
     def __init__(self, registry: "MetricsRegistry", name: str, help_text: str,
                  label_names: Sequence[str],
-                 buckets: Optional[Sequence[float]] = None) -> None:
+                 buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         super().__init__(registry, name, help_text, label_names)
-        bounds = tuple(sorted(buckets if buckets is not None
-                              else DEFAULT_BUCKETS))
-        if not bounds:
+        self.buckets = tuple(sorted(buckets))
+        if not self.buckets:
             raise ValueError("a histogram needs at least one bucket bound")
-        self.buckets = bounds
 
     def observe(self, value: float, **labels: Any) -> None:
         shard = self._registry._shard()["histograms"]
         key = self._key(labels)
         state = shard.get(key)
         if state is None:
-            state = [0] * (len(self.buckets) + 1) + [0.0, 0]
+            state = [0] * (len(self.buckets) + 1) + [0.0, float("-inf")]
             with self._registry._lock:
                 shard[key] = state
-                self._registry._histogram_buckets[self.name] = self.buckets
-        index = bisect_left(self.buckets, value)
-        state[index] += 1
+        state[bisect_left(self.buckets, value)] += 1
         state[-2] += value
-        state[-1] += 1
+        if value > state[-1]:
+            state[-1] = value
+
+
+def merge_histograms(parts: Iterable[HistogramView]) -> HistogramView:
+    """Several series of one family as one: counts and sums add, maxima max."""
+    parts = list(parts)
+    if not parts:
+        return {"bounds": (), "cumulative": [0], "sum": 0.0, "max": 0.0}
+    return {"bounds": parts[0]["bounds"],
+            "cumulative": [sum(column) for column in
+                           zip(*(part["cumulative"] for part in parts))],
+            "sum": sum(part["sum"] for part in parts),
+            "max": max(part["max"] for part in parts)}
+
+
+def histogram_quantile(histogram: HistogramView, fraction: float) -> float:
+    """The ``fraction`` quantile, interpolated inside the bucket holding it.
+
+    Prometheus' ``histogram_quantile``: find the bucket the rank
+    ``fraction * count`` falls in and interpolate linearly between its
+    bounds (the first bucket starts at 0), so the answer lies in the same
+    bucket as the order statistic of that rank.  Mass in the +Inf bucket
+    reports the top finite bound; the result never exceeds the series'
+    running maximum; an empty histogram reports 0.0.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must lie in [0, 1], got %r" % fraction)
+    bounds, cumulative = histogram["bounds"], histogram["cumulative"]
+    if not cumulative[-1]:
+        return 0.0
+    rank = fraction * cumulative[-1]
+    # The first bucket reaching the rank, skipping leading empty ones.
+    index = max(bisect_left(cumulative, rank), bisect_right(cumulative, 0))
+    if index >= len(bounds):
+        return min(bounds[-1], histogram["max"])
+    lower = bounds[index - 1] if index else min(0.0, bounds[0])
+    below = cumulative[index - 1] if index else 0
+    share = (rank - below) / (cumulative[index] - below)
+    return min(lower + (bounds[index] - lower) * share, histogram["max"])
+
+
+def _fold(source: Dict[str, dict], into: Dict[str, dict]) -> None:
+    """Add one shard's counters and histogram states into another."""
+    counters = into["counters"]
+    for key, value in source["counters"].items():
+        counters[key] = counters.get(key, 0) + value
+    histograms = into["histograms"]
+    for key, state in source["histograms"].items():
+        merged = histograms.get(key)
+        if merged is None:
+            histograms[key] = list(state)
+            continue
+        for index in range(len(state) - 1):
+            merged[index] += state[index]
+        merged[-1] = max(merged[-1], state[-1])
+
+
+def _by_family(series: Dict[_Key, Any]) -> Dict[str, Dict[tuple, Any]]:
+    """``{(family, label values): item}`` nested by family."""
+    out: Dict[str, Dict[tuple, Any]] = {}
+    for (name, values), item in series.items():
+        out.setdefault(name, {})[values] = item
+    return out
+
+
+def view_to_json(view: Dict[str, Any]) -> Dict[str, Any]:
+    """One :meth:`MetricsRegistry.collect` as a strictly JSON-able dict."""
+    metrics = view["metrics"]
+
+    def flat(kind: str) -> Dict[str, Any]:
+        out = {}
+        for name in sorted(view[kind]):
+            names = metrics[name].label_names
+            for values in sorted(view[kind][name]):
+                inner = ",".join('%s="%s"' % pair
+                                 for pair in zip(names, values))
+                out["%s{%s}" % (name, inner) if names else name] = \
+                    view[kind][name][values]
+        return out
+
+    histograms = {
+        series: {"count": merged["cumulative"][-1], "sum": merged["sum"],
+                 "buckets": [{"le": bound, "count": count} for bound, count
+                             in zip(merged["bounds"] + ("+Inf",),
+                                    merged["cumulative"])]}
+        for series, merged in flat("histograms").items()}
+    return {"counters": flat("counters"), "gauges": flat("gauges"),
+            "histograms": histograms}
 
 
 class MetricsRegistry:
@@ -151,9 +252,11 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Metric] = {}
         self._gauges: Dict[_Key, float] = {}
-        self._histogram_buckets: Dict[str, Tuple[float, ...]] = {}
         self._local = threading.local()
-        self._shards: List[Dict[str, dict]] = []
+        #: One ``(owning thread, shard)`` per thread that is still alive.
+        self._shards: List[Tuple[threading.Thread, Dict[str, dict]]] = []
+        #: Everything threads that have since exited ever recorded.
+        self._retired: Dict[str, dict] = {"counters": {}, "histograms": {}}
 
     # -- family registration (idempotent by name) ----------------------
     def counter(self, name: str, help_text: str = "",
@@ -166,20 +269,11 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help_text: str = "",
                   labels: Sequence[str] = (),
-                  buckets: Optional[Sequence[float]] = None) -> Histogram:
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, Histogram):
-                    raise ValueError("metric %r already registered as %s"
-                                     % (name, existing.kind))
-                return existing
-            metric = Histogram(self, name, help_text, labels, buckets)
-            self._metrics[name] = metric
-            return metric
+                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+        return self._family(Histogram, name, help_text, labels, buckets)
 
     def _family(self, cls, name: str, help_text: str,
-                labels: Sequence[str]):
+                labels: Sequence[str], *extra: Any):
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -187,7 +281,7 @@ class MetricsRegistry:
                     raise ValueError("metric %r already registered as %s"
                                      % (name, existing.kind))
                 return existing
-            metric = cls(self, name, help_text, labels)
+            metric = cls(self, name, help_text, labels, *extra)
             self._metrics[name] = metric
             return metric
 
@@ -198,76 +292,50 @@ class MetricsRegistry:
             shard = {"counters": {}, "histograms": {}}
             self._local.shard = shard
             with self._lock:
-                self._shards.append(shard)
+                self._shards.append((threading.current_thread(), shard))
         return shard
 
     # -- scrape --------------------------------------------------------
     def collect(self) -> Dict[str, Any]:
-        """Merge every thread's shard into one consistent-enough view."""
+        """Merge every thread's shard into one consistent-enough view.
+
+        Counters, gauges and histograms come back nested
+        ``{family: {label values: item}}``; each histogram item is a
+        :data:`HistogramView` whose cumulative buckets are computed here,
+        once, for both renderers and :func:`histogram_quantile`.
+        """
+        merged: Dict[str, dict] = {"counters": {}, "histograms": {}}
         with self._lock:
-            shards = list(self._shards)
+            live = []
+            for thread, shard in self._shards:
+                if thread.is_alive():
+                    live.append((thread, shard))
+                else:
+                    _fold(shard, self._retired)
+            self._shards = live
+            for shard in [self._retired] + [shard for __, shard in live]:
+                _fold(shard, merged)
             gauges = dict(self._gauges)
             metrics = dict(self._metrics)
-            bucket_bounds = dict(self._histogram_buckets)
-            counters: Dict[_Key, float] = {}
-            histograms: Dict[_Key, Dict[str, Any]] = {}
-            for shard in shards:
-                for key, value in shard["counters"].items():
-                    counters[key] = counters.get(key, 0.0) + value
-                for key, state in shard["histograms"].items():
-                    merged = histograms.get(key)
-                    if merged is None:
-                        bounds = bucket_bounds[key[0]]
-                        merged = histograms[key] = {
-                            "bounds": bounds,
-                            "buckets": [0] * (len(bounds) + 1),
-                            "sum": 0.0,
-                            "count": 0,
-                        }
-                    for index in range(len(merged["buckets"])):
-                        merged["buckets"][index] += state[index]
-                    merged["sum"] += state[-2]
-                    merged["count"] += state[-1]
-        return {"metrics": metrics, "counters": counters,
-                "gauges": gauges, "histograms": histograms}
+        histograms = {
+            key: {"bounds": metrics[key[0]].buckets,
+                  "cumulative": list(accumulate(state[:-2])),
+                  "sum": state[-2], "max": state[-1]}
+            for key, state in merged["histograms"].items()}
+        return {"metrics": metrics,
+                "counters": _by_family(merged["counters"]),
+                "gauges": _by_family(gauges),
+                "histograms": _by_family(histograms)}
 
     def to_json(self) -> Dict[str, Any]:
         """The merged metrics as a strictly JSON-serializable dict."""
-        view = self.collect()
-        metrics = view["metrics"]
-
-        def label_string(key: _Key) -> str:
-            metric = metrics.get(key[0])
-            names = metric.label_names if metric is not None else ()
-            if not names:
-                return key[0]
-            inner = ",".join('%s="%s"' % (name, value)
-                             for name, value in zip(names, key[1]))
-            return "%s{%s}" % (key[0], inner)
-
-        counters = {label_string(key): value
-                    for key, value in sorted(view["counters"].items())}
-        gauges = {label_string(key): value
-                  for key, value in sorted(view["gauges"].items())}
-        histograms = {}
-        for key, merged in sorted(view["histograms"].items()):
-            cumulative, running = [], 0
-            for bound, count in zip(merged["bounds"], merged["buckets"]):
-                running += count
-                cumulative.append({"le": bound, "count": running})
-            cumulative.append({"le": "+Inf", "count": merged["count"]})
-            histograms[label_string(key)] = {
-                "count": merged["count"],
-                "sum": merged["sum"],
-                "buckets": cumulative,
-            }
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
+        return view_to_json(self.collect())
 
     def reset(self) -> None:
         """Zero every shard and gauge (families stay registered)."""
         with self._lock:
-            for shard in self._shards:
+            for shard in [self._retired] + [shard for __, shard
+                                            in self._shards]:
                 shard["counters"].clear()
                 shard["histograms"].clear()
             self._gauges.clear()

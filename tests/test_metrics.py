@@ -1,0 +1,246 @@
+"""EngineStats as a bounded view over the metrics registry.
+
+* memory does not grow with traffic, only with the number of series;
+* windows (``snapshot`` / ``snapshot_delta``) and every integer field
+  of ``summary()`` / ``tenant_summary()`` are exact under threads;
+* bucket-interpolated quantiles stay within one bucket of nearest-rank;
+* the registry folds dead threads' shards away and always renders a
+  cumulative (valid) histogram, even mid-``observe``.
+"""
+
+from __future__ import annotations
+
+import gc
+import random
+import sys
+import threading
+import tracemalloc
+from bisect import bisect_left
+
+import pytest
+
+from repro.engine import EngineStats, ServedQueryRecord
+from repro.engine.metrics import percentile
+from repro.engine.obs import MetricsRegistry, render_prometheus
+from repro.engine.obs.registry import (DEFAULT_BUCKETS, histogram_quantile,
+                                       merge_histograms)
+
+
+def series_count(stats):
+    metrics = stats.registry.to_json()
+    return sum(len(metrics[kind])
+               for kind in ("counters", "gauges", "histograms"))
+
+
+def drive(stats, step):
+    """One query + estimation + write + HTTP note, cycling a few labels."""
+    stats.record(ServedQueryRecord(
+        dataset="d%d" % (step % 2), index_name=("tree", "scan")[step % 2],
+        latency_s=1e-4 * (1 + step % 50), ios=step % 7, reported=step % 5,
+        result_cache_hit=step % 3 == 0, store_cache_hits=step % 2,
+        shards_queried=step % 4, shards_pruned=step % 3,
+        tenant=("", "a", "b")[step % 3], degraded=step % 11 == 0,
+        interval_source="conformal"))
+    stats.note_estimation("d%d" % (step % 2), 10 + step % 9, 12)
+    stats.note_write("d0", ("insert", "delete")[step % 2], step % 4 != 1,
+                     step % 3, 2e-4, 2)
+    stats.note_http("/query", (200, 429)[step % 5 == 0], 3e-4)
+
+
+def test_engine_stats_memory_is_bounded_by_series_not_requests():
+    stats = EngineStats()
+    for step in range(2000):       # every label combination and the
+        drive(stats, step)         # conformal windows exist now
+    series = series_count(stats)
+    tracemalloc.start()
+    try:
+        gc.collect()               # a full collection empties the
+        before = tracemalloc.get_traced_memory()[0]    # interpreter's
+        for step in range(20000):                      # free lists, which
+            drive(stats, step)                         # would otherwise
+        gc.collect()                                   # count as growth
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, "stats retained %d bytes" % grown
+    assert series_count(stats) == series
+    assert stats.num_queries == 22000
+
+
+INTEGER_FIELDS = ("num_queries", "total_ios", "total_reported",
+                  "store_cache_hits", "result_cache_hits", "shards_queried",
+                  "shards_pruned")
+
+
+def oracle(records):
+    """The integer aggregates of a list of records, summed by hand."""
+    plans = {}
+    for record in records:
+        plans[record.index_name] = plans.get(record.index_name, 0) + 1
+    return {
+        "num_queries": len(records),
+        "total_ios": sum(r.ios for r in records),
+        "total_reported": sum(r.reported for r in records),
+        "store_cache_hits": sum(r.store_cache_hits for r in records),
+        "result_cache_hits": sum(r.result_cache_hit for r in records),
+        "shards_queried": sum(r.shards_queried for r in records),
+        "shards_pruned": sum(r.shards_pruned for r in records),
+        "degraded": sum(r.degraded for r in records),
+        "plan_distribution": plans,
+    }
+
+
+def test_windows_and_summaries_are_exact_under_threads():
+    workers, per_phase = 6, 400
+    rng = random.Random(1998)
+
+    def make_record(worker):
+        return ServedQueryRecord(
+            dataset=rng.choice(("d0", "d1")),
+            index_name=rng.choice(("tree", "scan", "hybrid")),
+            latency_s=rng.lognormvariate(-7, 1), ios=rng.randrange(40),
+            reported=rng.randrange(100),
+            result_cache_hit=rng.random() < 0.2,
+            store_cache_hits=rng.randrange(3),
+            shards_queried=rng.randrange(5), shards_pruned=rng.randrange(3),
+            tenant=("", "t%d" % (worker % 3))[rng.random() < 0.7],
+            degraded=rng.random() < 0.1, interval_source="normal_fallback")
+
+    phases = [[[make_record(worker) for __ in range(per_phase)]
+               for worker in range(workers)] for __ in range(2)]
+    stats = EngineStats()
+    at_snapshot = threading.Barrier(workers + 1)
+
+    def work(worker):
+        for record in phases[0][worker]:
+            stats.record(record)
+        at_snapshot.wait(timeout=30)        # phase 1 recorded everywhere
+        at_snapshot.wait(timeout=30)        # marker taken
+        for record in phases[1][worker]:
+            stats.record(record)
+
+    threads = [threading.Thread(target=work, args=(worker,))
+               for worker in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        at_snapshot.wait(timeout=30)
+        marker = stats.snapshot()
+        at_snapshot.wait(timeout=30)
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+    window = [r for worker in phases[1] for r in worker]
+    everything = [r for worker in phases[0] for r in worker] + window
+    delta = stats.snapshot_delta(marker)
+    latency = delta.pop("latency_s")
+    assert delta == oracle(window)
+    assert all(type(delta[name]) is int for name in INTEGER_FIELDS)
+    assert 0.0 < latency["p50"] <= latency["p95"] <= latency["p99"]
+
+    summary = stats.summary()
+    expected = oracle(everything)
+    assert {name: summary[name] for name in INTEGER_FIELDS} \
+        == {name: expected[name] for name in INTEGER_FIELDS}
+    assert summary["plan_distribution"] == expected["plan_distribution"]
+    tenants = stats.tenant_summary()
+    assert set(tenants) == {"t0", "t1", "t2"}
+    for tenant, row in tenants.items():
+        mine = [r for r in everything if r.tenant == tenant]
+        assert (row["queries"], row["total_ios"], row["degraded"]) == (
+            len(mine), sum(r.ios for r in mine),
+            sum(r.degraded for r in mine))
+    assert summary["tenants"] == tenants
+
+    # reset() between the marker and the delta: the empty window.
+    stats.reset()
+    empty = stats.snapshot_delta(marker)
+    assert empty.pop("latency_s") == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
+    assert empty == oracle([])
+
+
+def scraped(samples, bounds):
+    registry = MetricsRegistry()
+    histogram = registry.histogram("h", buckets=bounds)
+    for sample in samples:
+        histogram.observe(sample)
+    return registry.collect()["histograms"]["h"][()]
+
+
+def test_interpolated_quantiles_track_nearest_rank_within_a_bucket():
+    rng = random.Random(7)
+    samples = sorted(rng.lognormvariate(-6, 1.5) for __ in range(5000))
+    view = scraped(samples, DEFAULT_BUCKETS)
+    assert view["cumulative"][-1] == len(samples)
+    assert view["max"] == samples[-1]
+    for fraction in (0.5, 0.95, 0.99):
+        exact = percentile(samples, fraction)
+        estimate = histogram_quantile(view, fraction)
+        assert abs(bisect_left(DEFAULT_BUCKETS, estimate)
+                   - bisect_left(DEFAULT_BUCKETS, exact)) <= 1
+        assert exact / 2.5 <= estimate <= exact * 2.5
+    grid = [histogram_quantile(view, step / 100) for step in range(101)]
+    assert grid == sorted(grid)
+    assert grid[-1] <= samples[-1]
+    # Mass beyond the ladder reports the top finite bound.
+    assert histogram_quantile(scraped([20.0, 30.0, 40.0], DEFAULT_BUCKETS),
+                              0.5) == DEFAULT_BUCKETS[-1]
+    assert histogram_quantile(merge_histograms(()), 0.5) == 0.0
+    with pytest.raises(ValueError):
+        histogram_quantile(view, 1.5)
+
+
+def test_registry_folds_dead_threads_shards_and_keeps_totals():
+    registry = MetricsRegistry()
+    hits = registry.counter("hits_total", "Hits", ("round",))
+    seconds = registry.histogram("seconds", "Seconds")
+
+    def work(round_id):
+        for __ in range(50):
+            hits.inc(round=round_id)
+            seconds.observe(0.003)
+
+    for round_id in range(5):
+        threads = [threading.Thread(target=work, args=(round_id,))
+                   for __ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        view = registry.collect()
+        # Every recording thread has exited: nothing left to re-walk.
+        assert len(registry._shards) == 0
+        assert view["counters"]["hits_total"] == {
+            (str(done),): 200 for done in range(round_id + 1)}
+        assert view["histograms"]["seconds"][()]["cumulative"][-1] \
+            == 200 * (round_id + 1)
+    hits.inc(round=0)               # a live thread still gets a shard
+    assert hits.value(round=0) == 201
+    assert len(registry._shards) == 1
+
+
+def test_histogram_stays_cumulative_when_scraped_mid_observe():
+    registry = MetricsRegistry()
+    histogram = registry.histogram("seconds", "Seconds",
+                                   buckets=(0.1, 1.0))
+    for value in (0.05, 0.5, 0.5):
+        histogram.observe(value)
+    # A scrape landing after observe() bumped the bucket and before it
+    # finished: the bucket is ahead of whatever else the state holds.
+    registry._shard()["histograms"][("seconds", ())][1] += 1
+    series = registry.to_json()["histograms"]["seconds"]
+    counts = [bucket["count"] for bucket in series["buckets"]]
+    assert counts == sorted(counts) == [1, 4, 4]
+    assert series["count"] == counts[-1]
+    lines = dict(line.rsplit(" ", 1) for line
+                 in render_prometheus(registry).splitlines()
+                 if line.startswith("seconds_"))
+    assert int(lines['seconds_bucket{le="1"}']) \
+        <= int(lines['seconds_bucket{le="+Inf"}']) \
+        == int(lines["seconds_count"]) == 4

@@ -538,12 +538,12 @@ def test_replicated_serving_attributes_load_to_both_replicas(points2d):
                 for i, c in enumerate(constraints)]
     result = engine.serve_async(requests, max_concurrency=4)
     assert result.outcomes() == {"served": len(requests)}
-    load = engine.stats.replica_load
+    load = engine.stats.replica_load_summary()
     for shard_id in (0, 1):
-        replicas_used = {replica for (name, shard, replica), ios
-                         in load.items()
-                         if name == "sh" and shard == shard_id and ios > 0}
-        assert replicas_used == {0, 1}, (
+        replicas_used = {key for key, ios in load.items()
+                         if key.startswith("sh/%d/" % shard_id) and ios > 0}
+        assert replicas_used == {"sh/%d/0" % shard_id,
+                                 "sh/%d/1" % shard_id}, (
             "shard %d load should spread over both replicas" % shard_id)
 
 
@@ -575,9 +575,9 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
     # picker's choices stay open after the mutation (no pinning).
     for __ in range(4):
         engine.query("sh", constraint, clear_cache=True)
-    load = engine.stats.replica_load
-    assert ("sh", last_shard.shard_id, 0) in load
-    assert ("sh", last_shard.shard_id, 1) in load
+    load = engine.stats.replica_load_summary()
+    assert "sh/%d/0" % last_shard.shard_id in load
+    assert "sh/%d/1" % last_shard.shard_id in load
 
 
 def test_direct_mutation_of_a_replicated_shard_raises(points2d):

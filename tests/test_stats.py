@@ -625,11 +625,9 @@ def test_degraded_answer_carries_sample_rate_and_interval():
         truth = len(brute_force_halfspace(points,
                                           item.request.constraint))
         assert low <= truth <= high
-    # The metrics records carry the rate and the estimate too.
-    records = [record for record in engine.stats.records if record.degraded]
-    assert records and all(r.sample_rate == pytest.approx(0.2)
-                           for r in records)
-    assert all(r.estimated_count is not None for r in records)
+    # Every degraded answer is counted against its tenant.
+    assert engine.stats.tenant_summary()["soft"]["degraded"] \
+        == len(degraded)
     engine.close()
 
 
@@ -949,10 +947,11 @@ def test_degraded_answer_prefers_conformal_with_normal_fallback():
         low, high = answer.count_interval
         assert low <= answer.estimated_count <= high
         assert low >= answer.count            # hits are real points
-    # The served records label the interval source too.
-    sources = {record.interval_source
-               for record in engine.stats.records if record.degraded}
-    assert sources == {"normal_fallback", "conformal"}
+    # The degraded counter labels the interval source too.
+    degraded = engine.stats.registry.collect()["counters"][
+        "engine_degraded_answers_total"]
+    assert {source: count for (*__, source), count in degraded.items()} \
+        == {"normal_fallback": len(cold), "conformal": len(warm)}
     engine.close()
 
 
