@@ -24,13 +24,13 @@ speedup with identical I/O traces on both sides.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
-from repro.io.block import BlockPayload, as_point_matrix
+from repro.io.block import BlockPayload
 from repro.io.disk_array import DiskArray
 
 _VECTORIZED = True
@@ -174,24 +174,3 @@ def collect_records(array: DiskArray,
             results.extend(payload.records())
     return results
 
-
-def filter_records(records: Sequence[Any], constraint: LinearConstraint,
-                   out: Optional[List[Any]] = None) -> List[Any]:
-    """Filter an in-memory record list through the batch kernel.
-
-    Used by call sites that already hold a Python list (candidate sets,
-    buffers read through other paths).  Falls back to the scalar loop
-    for non-columnar lists or when vectorization is off.
-    """
-    results = out if out is not None else []
-    if _VECTORIZED and len(records) > 1:
-        matrix = as_point_matrix(list(records))
-        if matrix is not None:
-            mask = constraint.below_many(matrix)
-            # Select the ORIGINAL objects so callers keep identity.
-            results.extend(records[int(i)] for i in np.nonzero(mask)[0])
-            return results
-    for record in records:
-        if constraint.below(record):
-            results.append(record)
-    return results

@@ -86,7 +86,6 @@ from repro.engine.serving import (
     TokenBucket,
 )
 from repro.engine.planner import (
-    AnyPlan,
     CandidateEstimate,
     Plan,
     Planner,
@@ -115,7 +114,6 @@ from repro.engine.writes import MutationResult, WritePath
 
 __all__ = [
     "AdmissionController",
-    "AnyPlan",
     "AsyncExecutor",
     "BatchExecutor",
     "BatchResult",

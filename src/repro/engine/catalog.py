@@ -7,10 +7,15 @@ it would on a real disk), knows how to bulk-build any combination of
 :class:`~repro.core.interface.ExternalIndex` implementations over a
 dataset, and records what each build cost (wall-clock, write I/Os, space).
 
-Datasets come in two shapes: a plain :class:`Dataset` (one store, one index
-suite) and a :class:`~repro.engine.sharding.ShardedDataset` (K per-shard
-stores, a router, one index suite per shard).  Each store's *backend* —
-in-memory dict or a real file — is chosen per catalog or per dataset; see
+Datasets come in one shape: every registered name is a
+:class:`~repro.engine.sharding.ShardedDataset` — a router over K shards,
+each shard a list of replica :class:`Dataset` children (one store, one
+index suite each).  ``register_dataset`` registers the one-shard,
+one-replica instance, whose sole replica keeps the dataset's own name and
+whose selectivity model is the dataset-level one; the plain-name lookups
+(:meth:`Catalog.dataset`, :meth:`Catalog.entry`, :meth:`Catalog.indexes`,
+...) are views of that replica.  Each store's *backend* — in-memory dict
+or a real file — is chosen per catalog or per dataset; see
 :mod:`repro.io.backend`.
 
 The catalog also attaches a pluggable *selectivity model* (see
@@ -53,11 +58,11 @@ from repro.core import (
 from repro.core.conjunction import ConstraintConjunction, query_conjunction
 from repro.core.interface import Point
 from repro.engine.sharding import (
+    HashShardRouter,
     RangeShardRouter,
     Shard,
     ShardedDataset,
     make_router,
-    selectivity_on_sample,
 )
 from repro.engine.stats import SelectivityModel, make_model
 from repro.geometry.primitives import LinearConstraint
@@ -143,20 +148,20 @@ class BuildRecord:
 
 @dataclass
 class Dataset:
-    """One registered point set: its store, indexes, sample and statistics."""
+    """One replica of one shard: its store, indexes, sample and statistics."""
 
     name: str
     points: np.ndarray
     store: BlockStore
     sample: np.ndarray
+    #: Pluggable selectivity model (shared by a shard's replicas).
+    stats: SelectivityModel
     indexes: Dict[str, ExternalIndex] = field(default_factory=dict)
     build_records: Dict[str, BuildRecord] = field(default_factory=dict)
     #: Set by the engine's mutation hooks when a dynamic index on this
     #: dataset accepts an insert/delete.  Statically-built sibling indexes
     #: are stale from that point on, so the planner stops routing to them.
     mutated: bool = False
-    #: Pluggable selectivity model (None = estimate on the sample).
-    stats: Optional[SelectivityModel] = None
 
     @property
     def dimension(self) -> int:
@@ -171,7 +176,7 @@ class Dataset:
     @property
     def live_size(self) -> int:
         """Current point count, observed mutations included."""
-        return self.stats.size if self.stats is not None else self.size
+        return self.stats.size
 
     def estimate_selectivity(self, constraint: LinearConstraint) -> float:
         """Fraction of points expected to satisfy ``constraint``.
@@ -180,15 +185,11 @@ class Dataset:
         directional histograms); pure arithmetic either way — estimation
         never touches the simulated disk.
         """
-        if self.stats is not None:
-            return self.stats.estimate_selectivity(constraint)
-        return selectivity_on_sample(self.sample, self.dimension, constraint)
+        return self.stats.estimate_selectivity(constraint)
 
     def estimate_output(self, constraint: LinearConstraint) -> int:
         """Expected number of reported points (the paper's T)."""
-        if self.stats is not None:
-            return self.stats.estimate_output(constraint)
-        return int(round(self.estimate_selectivity(constraint) * self.size))
+        return self.stats.estimate_output(constraint)
 
     def run_query(self, index_name: str, query: Query,
                   clear_cache: bool = False) -> Tuple[List[Point], IOStats]:
@@ -253,8 +254,7 @@ class Catalog:
         self._data_dir = data_dir
         self._stats_model = stats_model
         self._stats_params = dict(stats_params or {})
-        self._datasets: Dict[str, Dataset] = {}
-        self._sharded: Dict[str, ShardedDataset] = {}
+        self._datasets: Dict[str, ShardedDataset] = {}
 
     @property
     def seed(self) -> Optional[int]:
@@ -280,7 +280,7 @@ class Catalog:
     # datasets
     # ------------------------------------------------------------------
     def _check_name_free(self, name: str) -> None:
-        if name in self._datasets or name in self._sharded:
+        if name in self._datasets:
             raise ValueError("dataset %r is already registered" % name)
 
     def _as_points(self, points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -373,21 +373,31 @@ class Catalog:
                          ) -> Dataset:
         """Register a point set under ``name`` with its own shared store.
 
-        ``stats_model`` / ``stats_params`` override the catalog-wide
-        selectivity model for this dataset.
+        The one-shard, one-replica case of
+        :meth:`register_sharded_dataset`: a trivial router, the points'
+        bounding box, and a single replica — returned — that keeps the
+        dataset's own name (so its block file and metric labels carry no
+        ``#0`` suffix) and whose selectivity model is also the
+        dataset-level one.  ``stats_model`` / ``stats_params`` override
+        the catalog-wide selectivity model for this dataset.
         """
         self._check_name_free(name)
         array = self._as_points(points)
-        dataset = self._make_dataset(name, array, block_size, cache_blocks,
+        replica = self._make_dataset(name, array, block_size, cache_blocks,
                                      backend, stats_model, stats_params)
-        self._datasets[name] = dataset
-        return dataset
+        self._datasets[name] = ShardedDataset(
+            name=name, points=array, sample=replica.sample,
+            router=HashShardRouter(1), stats=replica.stats,
+            shards=[Shard(shard_id=0, replicas=[replica],
+                          lows=tuple(array.min(axis=0).tolist()),
+                          highs=tuple(array.max(axis=0).tolist()))])
+        return replica
 
     def adopt_replica(self, name: str, points: Sequence[Sequence[float]],
                       suite_builds: Sequence[Dict[str, object]],
                       dimension: Optional[int] = None,
                       materialized: bool = False) -> Dataset:
-        """Rebuild one shard replica in *this* catalog, bit-for-bit.
+        """Rebuild one shard replica with *this* catalog's settings.
 
         A shard-worker process calls this on its fresh mini-catalog to
         reconstruct the replica it serves: the build-time point chunk
@@ -395,14 +405,14 @@ class Catalog:
         the catalog seeds samples and randomized index builds from its
         own seed (which the worker copies from the parent), the stores
         and structures come out identical to the parent's replica — the
-        foundation of process-mode I/O parity.
+        foundation of process-mode I/O parity.  The replica is returned,
+        not registered: the worker serves it directly.
 
         ``materialized`` marks a lazily-materialized (zero-build-point)
         shard, replaying :meth:`materialize_shard`'s dimension defaulting
         for dynamic builds; ``dimension`` is then required to shape the
         empty array.
         """
-        self._check_name_free(name)
         array = np.asarray(points, dtype=float)
         if array.size == 0:
             array = array.reshape(0, int(dimension))
@@ -412,7 +422,6 @@ class Catalog:
         dataset = self._make_dataset(
             name, array, None, None, None,
             "uniform" if len(array) == 0 else None)
-        self._datasets[name] = dataset
         for build in suite_builds:
             params = dict(build["params"])
             if materialized and build["kind"] == "dynamic":
@@ -507,7 +516,7 @@ class Catalog:
             shards=self._make_shards(name, array, router, replicas, params),
             stats=self._make_stats(array, sample, stats_model, stats_params),
             register_params=params)
-        self._sharded[name] = sharded
+        self._datasets[name] = sharded
         return sharded
 
     def _remove_store_file(self, store: BlockStore) -> None:
@@ -740,44 +749,50 @@ class Catalog:
         shard.stats_provisional = False
         return True
 
-    def dataset(self, name: str) -> Dataset:
-        """Look up a plain registered dataset (KeyError with known names)."""
+    def sharded(self, name: str) -> ShardedDataset:
+        """Look up a registered dataset (KeyError with the known names)."""
         if name not in self._datasets:
-            if name in self._sharded:
-                raise KeyError("dataset %r is sharded; use sharded(%r)"
-                               % (name, name))
             raise KeyError("unknown dataset %r (registered: %s)"
                            % (name, self.datasets() or "none"))
         return self._datasets[name]
 
-    def sharded(self, name: str) -> ShardedDataset:
-        """Look up a sharded dataset (KeyError if unknown or unsharded)."""
-        if name not in self._sharded:
-            raise KeyError("unknown sharded dataset %r (sharded: %s)"
-                           % (name, sorted(self._sharded) or "none"))
-        return self._sharded[name]
+    def _sole_replica(self, name: str) -> Optional[Dataset]:
+        """The replica of a ``register_dataset`` name, else None.
+
+        Such a replica keeps its dataset's own name; every other
+        replica's name carries a ``#<shard>`` suffix.
+        """
+        primary = self.sharded(name).shards[0].dataset
+        if primary is not None and primary.name == name:
+            return primary
+        return None
+
+    def dataset(self, name: str) -> Dataset:
+        """The sole replica of a ``register_dataset`` name."""
+        replica = self._sole_replica(name)
+        if replica is None:
+            raise KeyError("dataset %r is sharded; use sharded(%r)"
+                           % (name, name))
+        return replica
 
     def is_sharded(self, name: str) -> bool:
-        """True if ``name`` is registered as a sharded dataset."""
-        return name in self._sharded
+        """True if ``name`` was registered by ``register_sharded_dataset``."""
+        return name in self._datasets and self._sole_replica(name) is None
 
     def entry(self, name: str) -> Union[Dataset, ShardedDataset]:
-        """Either shape of registered dataset, by name."""
-        if name in self._sharded:
-            return self._sharded[name]
-        return self.dataset(name)
+        """:meth:`dataset` for a ``register_dataset`` name, else
+        :meth:`sharded`."""
+        return self._sole_replica(name) or self.sharded(name)
 
     def datasets(self) -> List[str]:
-        """Names of every registered dataset (plain and sharded)."""
-        return sorted(set(self._datasets) | set(self._sharded))
+        """Names of every registered dataset."""
+        return sorted(self._datasets)
 
     def stores(self, name: str) -> List[BlockStore]:
-        """Every store backing a dataset: one, or one per shard replica."""
-        if name in self._sharded:
-            return [replica.store
-                    for shard in self._sharded[name].nonempty_shards()
-                    for replica in shard.replicas]
-        return [self.dataset(name).store]
+        """Every store backing a dataset: one per shard replica."""
+        return [replica.store
+                for shard in self.sharded(name).nonempty_shards()
+                for replica in shard.replicas]
 
     def close(self) -> None:
         """Close every store's backend (file handles, temp files)."""
@@ -827,7 +842,7 @@ class Catalog:
     def build_index(self, dataset_name: str, kind: str,
                     index_name: Optional[str] = None,
                     **params) -> BuildRecord:
-        """Bulk-build one index of the given kind over a plain dataset.
+        """Bulk-build one index over a ``register_dataset`` dataset.
 
         The index shares the dataset's store; the returned record captures
         the build's wall-clock time, write I/Os and space.  For sharded
@@ -836,8 +851,8 @@ class Catalog:
         if self.is_sharded(dataset_name):
             raise ValueError("dataset %r is sharded; use "
                              "build_sharded_index()" % dataset_name)
-        return self._build_index_on(self.dataset(dataset_name), kind,
-                                    index_name, **params)
+        return self.build_sharded_index(dataset_name, kind, index_name,
+                                        **params)[0]
 
     def build_sharded_index(self, dataset_name: str, kind: str,
                             index_name: Optional[str] = None,
@@ -868,18 +883,13 @@ class Catalog:
                     kinds: Optional[Sequence[str]] = None) -> List[BuildRecord]:
         """Build a set of kinds (default: :func:`default_suite`) over a dataset.
 
-        For a sharded dataset every kind is built on every non-empty shard
-        (the per-shard records are returned in shard order per kind).
+        Every kind is built on every replica of every non-empty shard
+        (the records are returned in shard order per kind).
         """
-        entry = self.entry(dataset_name)
         chosen = list(kinds) if kinds is not None else default_suite(
-            entry.dimension)
-        if self.is_sharded(dataset_name):
-            records: List[BuildRecord] = []
-            for kind in chosen:
-                records.extend(self.build_sharded_index(dataset_name, kind))
-            return records
-        return [self.build_index(dataset_name, kind) for kind in chosen]
+            self.sharded(dataset_name).dimension)
+        return [record for kind in chosen
+                for record in self.build_sharded_index(dataset_name, kind)]
 
     @staticmethod
     def _sharded_key(shard_id: int, replica_id: int, index_name: str) -> str:
@@ -888,30 +898,28 @@ class Catalog:
             return "%d/%s" % (shard_id, index_name)
         return "%d@r%d/%s" % (shard_id, replica_id, index_name)
 
-    def indexes(self, dataset_name: str) -> Dict[str, ExternalIndex]:
-        """Every index registered on a plain dataset, keyed by index name.
+    def _per_index(self, dataset_name: str,
+                   attribute: str) -> Dict[str, object]:
+        """One per-replica dict (``indexes`` / ``build_records``), flat.
 
-        For a sharded dataset the keys are ``<shard_id>/<index_name>``
-        (primary replica) and ``<shard_id>@r<replica>/<index_name>``.
+        Keyed by bare index name for a ``register_dataset`` name, else
+        ``<shard_id>/<index_name>`` (primary replica) and
+        ``<shard_id>@r<replica>/<index_name>``.
         """
-        if self.is_sharded(dataset_name):
-            return {
-                self._sharded_key(shard.shard_id, replica_id, index_name):
-                    index
-                for shard in self.sharded(dataset_name).nonempty_shards()
-                for replica_id, replica in enumerate(shard.replicas)
-                for index_name, index in replica.indexes.items()
-            }
-        return dict(self.dataset(dataset_name).indexes)
+        sole = self._sole_replica(dataset_name)
+        if sole is not None:
+            return dict(getattr(sole, attribute))
+        return {
+            self._sharded_key(shard.shard_id, replica_id, index_name): value
+            for shard in self.sharded(dataset_name).nonempty_shards()
+            for replica_id, replica in enumerate(shard.replicas)
+            for index_name, value in getattr(replica, attribute).items()
+        }
+
+    def indexes(self, dataset_name: str) -> Dict[str, ExternalIndex]:
+        """Every index registered on a dataset (keys: :meth:`_per_index`)."""
+        return self._per_index(dataset_name, "indexes")
 
     def build_records(self, dataset_name: str) -> Dict[str, BuildRecord]:
-        """Build statistics for every index on a dataset (sharded: per replica)."""
-        if self.is_sharded(dataset_name):
-            return {
-                self._sharded_key(shard.shard_id, replica_id, index_name):
-                    record
-                for shard in self.sharded(dataset_name).nonempty_shards()
-                for replica_id, replica in enumerate(shard.replicas)
-                for index_name, record in replica.build_records.items()
-            }
-        return dict(self.dataset(dataset_name).build_records)
+        """Build statistics for every index on a dataset, keyed alike."""
+        return self._per_index(dataset_name, "build_records")

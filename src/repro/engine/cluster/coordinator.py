@@ -328,7 +328,7 @@ class Coordinator:
     # ------------------------------------------------------------------
     def note_write(self, dataset_name: str, shard_id: int, op: str,
                    record: Tuple[float, ...], applied: bool) -> None:
-        """Log one committed sharded mutation and broadcast it to workers.
+        """Log one committed mutation and broadcast it to the shard's workers.
 
         Wired as the write path's post-commit listener, so it runs under
         the dataset's write barrier: log order is apply order.  The
@@ -340,8 +340,7 @@ class Coordinator:
         """
         del applied  # logged either way: a no-op delete replays as one
         with self._lock:
-            if (self._stopped or shard_id < 0
-                    or dataset_name not in self._covered
+            if (self._stopped or dataset_name not in self._covered
                     or dataset_name in self._bypassed):
                 return
             seq = self.log.append(dataset_name, shard_id, op, record)

@@ -220,11 +220,11 @@ class QueryEngine:
             self.cluster = Coordinator(
                 self.catalog, conformal=self.stats.conformal.config())
             self.executor.core.attach_cluster(self.cluster)
-            # Every committed sharded write lands in the coordinator's
-            # fan-out log (and is broadcast to live workers); lazy
-            # materialization spawns the new shard's workers before its
-            # first write broadcasts; a re-split rebuilds the fleet on
-            # the new layout.
+            # Every committed write to a covered dataset lands in the
+            # coordinator's fan-out log (and is broadcast to live
+            # workers); lazy materialization spawns the new shard's
+            # workers before its first write broadcasts; a re-split
+            # rebuilds the fleet on the new layout.
             self.executor.core.writes.add_write_listener(
                 self.cluster.note_write)
             self.executor.core.writes.add_materialize_listener(
@@ -296,9 +296,9 @@ class QueryEngine:
 
         A logical mutation (1) flushes the dataset's result-cache
         entries, (2) marks the mutated (shard replica) dataset so the
-        planner stops routing to its statically-built siblings, (3) on
-        sharded datasets marks the shard's bounding box stale so pruning
-        no longer trusts it, and (4) feeds the mutated *point* into the
+        planner stops routing to its statically-built siblings, (3)
+        marks the shard's bounding box stale so pruning no longer
+        trusts it, and (4) feeds the mutated *point* into the
         dataset's selectivity model (sample reservoir / histograms) and
         the rebalance manager's skew counters.
 
@@ -317,16 +317,12 @@ class QueryEngine:
         subscribed hooks (re-subscribing them would fire statistics
         twice per mutation).
         """
-        sharded = self.catalog.sharded(name) \
-            if self.catalog.is_sharded(name) else None
-        if sharded is not None:
-            targets = [
-                (replica, shard, replica_id == 0)
-                for shard in sharded.nonempty_shards()
-                if only_shard is None or shard.shard_id == only_shard
-                for replica_id, replica in enumerate(shard.replicas)]
-        else:
-            targets = [(self.catalog.dataset(name), None, True)]
+        sharded = self.catalog.sharded(name)
+        targets = [
+            (replica, shard, replica_id == 0)
+            for shard in sharded.nonempty_shards()
+            if only_shard in (None, shard.shard_id)
+            for replica_id, replica in enumerate(shard.replicas)]
         for dataset, shard, primary in targets:
             point_hook = self._make_point_hook(name, dataset, sharded,
                                                shard)
@@ -334,7 +330,7 @@ class QueryEngine:
                 subscribe = getattr(index, "add_mutation_listener", None)
                 if not callable(subscribe):
                     continue
-                if self.cluster is not None and shard is not None:
+                if self.cluster is not None:
                     # A mutation that did not come through the engine's
                     # write fan-out never reached the cluster's write
                     # log: the coordinator drops the dataset back to
@@ -343,23 +339,20 @@ class QueryEngine:
                     subscribe(lambda shard=shard:
                               self.cluster.note_index_mutation(name,
                                                                shard))
-                if shard is not None:
-                    # Veto direct writes to one replica of a replicated
-                    # shard *before* they land (the engine's fan-out
-                    # thread is exempt), so a rejected mutation leaves
-                    # the replica byte-identical to its siblings.
-                    presubscribe = getattr(index,
-                                           "add_pre_mutation_listener",
-                                           None)
-                    if callable(presubscribe):
-                        presubscribe(shard.check_direct_mutation)
+                # Veto direct writes to one replica of a replicated
+                # shard *before* they land (the engine's fan-out
+                # thread is exempt), so a rejected mutation leaves
+                # the replica byte-identical to its siblings.
+                presubscribe = getattr(index, "add_pre_mutation_listener",
+                                       None)
+                if callable(presubscribe):
+                    presubscribe(shard.check_direct_mutation)
                 subscribe(lambda dataset=dataset: setattr(
                     dataset, "mutated", True))
                 if not primary:
                     continue
                 self.executor.watch_index(name, index)
-                if shard is not None:
-                    subscribe(shard.mark_mutated)
+                subscribe(shard.mark_mutated)
                 observe = getattr(index, "add_point_listener", None)
                 if callable(observe):
                     observe(point_hook)
@@ -369,36 +362,34 @@ class QueryEngine:
 
         Evaluated at summary/scrape time rather than captured once:
         shard-child models are rebuilt on stats upgrades and re-splits,
-        so stored references would go stale.  Sharded datasets report
-        the dataset-level model plus each non-empty shard's planning
-        model under the shard child's name (e.g. ``logs#2``).
+        so stored references would go stale.  Reports the dataset-level
+        model plus each non-empty shard's planning model under the
+        shard child's name (e.g. ``logs#2``; a ``register_dataset``
+        child shares its dataset's name and model).
         """
         models: Dict[str, object] = {}
         for name in self.catalog.datasets():
-            if self.catalog.is_sharded(name):
-                sharded = self.catalog.sharded(name)
-                models[name] = sharded.stats
-                for shard in sharded.nonempty_shards():
-                    child = shard.planning_dataset()
-                    models[child.name] = child.stats
-            else:
-                models[name] = self.catalog.dataset(name).stats
+            sharded = self.catalog.sharded(name)
+            models[name] = sharded.stats
+            for shard in sharded.nonempty_shards():
+                child = shard.planning_dataset()
+                models[child.name] = child.stats
         return models
 
-    def _make_point_hook(self, name, dataset, sharded, shard=None):
+    def _make_point_hook(self, name, dataset, sharded, shard):
         """The per-point mutation callback keeping statistics current."""
         def hook(op: str, point) -> None:
-            for model in (dataset.stats,
-                          sharded.stats if sharded is not None else None):
-                if model is None:
-                    continue
+            models = [dataset.stats]
+            if sharded.stats is not dataset.stats:
+                # (a register_dataset model *is* its shard's: observe once)
+                models.append(sharded.stats)
+            for model in models:
                 if op == "insert":
                     model.observe_insert(point)
                 else:
                     model.observe_delete(point)
             self.rebalancer.note_mutation(name)
-            if (op == "insert" and shard is not None
-                    and shard.stats_provisional
+            if (op == "insert" and shard.stats_provisional
                     and self._stats_upgrade_min_points > 0):
                 # Satellite of lazy materialization: once the shard holds
                 # enough live points, promote it off the provisional
@@ -617,16 +608,13 @@ class QueryEngine:
         Runs each probe constraint through *every* candidate index with
         ``query_with_stats`` (cold cache) and feeds the observed I/Os into
         the planner, so routing starts from measured constants instead of
-        the bounds' implicit constant 1.  On a sharded dataset every
-        shard's indexes are probed (feeding the shared per-kind constant).
-        Returns the total I/Os spent probing (a serving deployment pays
-        this once at startup).
+        the bounds' implicit constant 1.  Every shard's indexes are
+        probed (feeding the shared per-kind constant).  Returns the
+        total I/Os spent probing (a serving deployment pays this once at
+        startup).
         """
-        if self.catalog.is_sharded(dataset):
-            children = [shard.dataset for shard in
-                        self.catalog.sharded(dataset).nonempty_shards()]
-        else:
-            children = [self.catalog.dataset(dataset)]
+        children = [shard.dataset for shard in
+                    self.catalog.sharded(dataset).nonempty_shards()]
         total = 0
         for constraint in constraints:
             for child in children:
@@ -669,15 +657,14 @@ class QueryEngine:
 
         ``constraint`` is a constraint or a conjunction.  With
         ``analyze=False`` (the default) this is pure planning: the
-        chosen plan (:data:`~repro.engine.planner.AnyPlan`) is returned
+        chosen :class:`~repro.engine.planner.ShardedPlan` is returned
         without touching a store.  With ``analyze=True`` the query
         *executes* under a dedicated trace — even when engine-wide
         tracing is off — and a report dict comes back:
 
         * ``estimated_ios`` vs ``actual_ios`` (and store cache hits);
         * ``stages`` — per-stage wall-clock (planning, execution);
-        * ``per_shard`` — each executed shard's span attributes (one
-          entry with ``shard_id=-1`` on an unsharded dataset): its
+        * ``per_shard`` — each executed shard's span attributes: its
           replica, index, estimate, observed I/Os and the calibration
           constant that priced it, so estimation error is attributable
           to a specific shard;

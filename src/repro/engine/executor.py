@@ -18,11 +18,11 @@ Two layers live here:
   workload on a thread pool.
 
 There is one execution path.  Every plan lowers to per-replica work
-items — a sharded plan to one per relevant shard, an unsharded plan to
-exactly one — and each item runs
+items — one per relevant shard, so exactly one for a ``register_dataset``
+dataset — and each item runs
 :meth:`~repro.engine.catalog.Dataset.run_query` on one replica's store,
 in a worker process when one is attached and can serve it, else here.
-Sharded items **fan out** on the shared thread pool, each on its shard's
+Several items **fan out** on the shared thread pool, each on its shard's
 least-loaded *replica* (each replica owns its store).  The per-item I/Os
 are attributed individually — to the planner's calibration (merged per
 query under one lock via
@@ -47,7 +47,7 @@ from repro.core.interface import Point
 from repro.core.kernels import vectorized_enabled
 from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.metrics import EngineStats, ServedQueryRecord, q_error
-from repro.engine.planner import AnyPlan, Plan, Planner, ShardedPlan
+from repro.engine.planner import Plan, Planner, ShardedPlan
 from repro.engine.sharding import Shard
 from repro.engine.tracing import Tracer
 from repro.engine.writes import MutationResult, WritePath
@@ -88,9 +88,10 @@ class ExecutedQuery:
     latency_s: float
     estimated_ios: float
     from_result_cache: bool = False
-    #: Fan-out width for sharded datasets (0 = unsharded dataset).
+    #: Fan-out width: shards the query ran on (0 = served without
+    #: touching one — a result-cache hit or a degraded sample answer).
     shards_queried: int = 0
-    #: Shards skipped by bounding-box pruning (sharded datasets only).
+    #: Shards skipped by bounding-box pruning.
     shards_pruned: int = 0
     #: Logical tenant the request belonged to ("" outside the async path).
     tenant: str = ""
@@ -165,16 +166,10 @@ class WorkloadResult:
 
 
 class _WorkItem(NamedTuple):
-    """One replica's share of a plan: what every plan type lowers to."""
+    """One shard's share of a plan: what a plan lowers to."""
 
-    #: -1 for the unsharded dataset's single item (as in
-    #: :attr:`~repro.engine.writes.MutationResult.shard_id`).
-    shard_id: int
     plan: Plan
-    #: None for the unsharded item: no replica picker, no worker process.
-    shard: Optional[Shard]
-    #: The copies that can serve it (the dataset itself when unsharded).
-    replicas: List[Dataset]
+    shard: Shard
 
 
 @dataclass
@@ -195,7 +190,7 @@ class ShardOutcome:
     @property
     def replica(self) -> Dataset:
         """The parent's copy of the serving replica (store config, model)."""
-        return self.item.replicas[self.replica_id]
+        return self.item.shard.replicas[self.replica_id]
 
 
 class ExecutionCore:
@@ -250,7 +245,7 @@ class ExecutionCore:
         self.writes = WritePath(catalog, stats=self.stats,
                                 invalidate=self.invalidate_dataset)
         #: Optional process transport (see :mod:`repro.engine.cluster`):
-        #: when attached, sharded fan-out offers each per-shard query to
+        #: when attached, the fan-out offers each per-shard query to
         #: the shard's worker process first and falls back to the local
         #: in-process path whenever no worker can serve it.
         self.cluster = None
@@ -375,27 +370,25 @@ class ExecutionCore:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def plan(self, dataset_name: str, query: Query) -> AnyPlan:
+    def plan(self, dataset_name: str, query: Query) -> ShardedPlan:
         """Plan a constraint or a conjunction with the matching planner."""
         if isinstance(query, ConstraintConjunction):
             return self.planner.plan_conjunction(dataset_name, query)
         return self.planner.plan(dataset_name, query)
 
     def dispatch(self, dataset_name: str, constraint: Query,
-                 plan: AnyPlan, cache_key: Tuple[str, ConstraintKey],
+                 plan: ShardedPlan, cache_key: Tuple[str, ConstraintKey],
                  clear_cache: bool, tenant: str = "") -> ExecutedQuery:
         """Execute a planned constraint (or conjunction) and account for it.
 
-        Either plan type lowers to per-replica work items; each item
-        runs on one replica's store — on the shared pool when there are
-        several, since every replica owns its store and the only shared
-        state (planner calibration, metrics) is locked — and comes back
-        as one :class:`ShardOutcome`.  Spans, feedback and the merged
-        answer are then derived from those records alone, so an
-        unsharded dataset is simply the one-item case.
+        The plan lowers to per-shard work items; each item runs on one
+        replica's store — on the shared pool when there are several,
+        since every replica owns its store and the only shared state
+        (planner calibration, metrics) is locked — and comes back as one
+        :class:`ShardOutcome`.  Spans, feedback and the merged answer
+        are then derived from those records alone.
         """
-        plan, items, shards_queried, shards_pruned = self._lower(
-            dataset_name, constraint, plan)
+        plan, items = self._lower(dataset_name, constraint, plan)
         generation = self.result_generation(dataset_name)
         started = time.perf_counter()
         # The pool workers below do not inherit this thread's contextvars
@@ -418,14 +411,13 @@ class ExecutionCore:
         if fanout_span.enabled:
             self._assemble_spans(fanout_span, outcomes)
         self._feed_back(dataset_name, constraint, outcomes)
-        answer = self._merge(dataset_name, plan, shards_queried,
-                             shards_pruned, outcomes, started, tenant)
+        answer = self._merge(dataset_name, plan, outcomes, started, tenant)
         if fanout_span.enabled:
             fanout_span.set_many({
                 "ios": answer.ios.total,
                 "cache_hits": answer.ios.cache_hits,
                 "reported": answer.count,
-                "shards_pruned": shards_pruned,
+                "shards_pruned": plan.shards_pruned,
             })
         fanout_span.finish()
         self.record(answer)
@@ -433,18 +425,12 @@ class ExecutionCore:
                         (plan.index_name, list(answer.points)), generation)
         return answer
 
-    def _lower(self, dataset_name: str, query: Query, plan: AnyPlan
-               ) -> Tuple[AnyPlan, List[_WorkItem], int, int]:
-        """Lower a plan to ``(plan, items, shards_queried, shards_pruned)``.
+    def _lower(self, dataset_name: str, query: Query, plan: ShardedPlan
+               ) -> Tuple[ShardedPlan, List[_WorkItem]]:
+        """Lower a plan to ``(plan, items)``, one item per relevant shard.
 
-        A :class:`Plan` is one item with no shard (so no replica picker,
-        no worker process, and a fan-out width of 0); a
-        :class:`ShardedPlan` is one item per relevant shard.  The plan
-        comes back because a stale sharded plan is replaced here.
+        The plan comes back because a stale one is replaced here.
         """
-        if not isinstance(plan, ShardedPlan):
-            return plan, [_WorkItem(
-                -1, plan, None, [self.catalog.dataset(dataset_name)])], 0, 0
         sharded = self.catalog.sharded(dataset_name)
         if plan.generation != sharded.generation:
             # A rebalance re-split the shards after this plan was made:
@@ -452,11 +438,9 @@ class ExecutionCore:
             # layout that no longer exists, so executing it could miss
             # points that moved shards.  Re-plan against the new layout.
             plan = self.plan(dataset_name, query)
-        shards = {shard.shard_id: shard for shard in sharded.shards}
-        items = [_WorkItem(shard_id, shard_plan, shards[shard_id],
-                           shards[shard_id].replicas)
-                 for shard_id, shard_plan in plan.shard_plans]
-        return plan, items, plan.shards_queried, plan.shards_pruned
+        # (the shard list is indexed by shard id, as the write path routes)
+        return plan, [_WorkItem(shard_plan, sharded.shards[shard_id])
+                      for shard_id, shard_plan in plan.shard_plans]
 
     def _run_item(self, dataset_name: str, query: Query, item: _WorkItem,
                   clear_cache: bool, fanout_span) -> ShardOutcome:
@@ -469,23 +453,17 @@ class ExecutionCore:
         # after the pool joins, from values the outcome carries anyway.
         traced = fanout_span.enabled
         started = time.perf_counter() if traced else 0.0
-        if item.shard is None:
-            outcome = self._transport(dataset_name, query, item, 0,
+        estimate = item.plan.estimated_ios
+        replica_id = self.replica_picker.acquire(dataset_name, item.shard,
+                                                 estimate)
+        try:
+            outcome = self._transport(dataset_name, query, item, replica_id,
                                       clear_cache, fanout_span)
-        else:
-            estimate = item.plan.estimated_ios
-            replica_id = self.replica_picker.acquire(dataset_name,
-                                                     item.shard, estimate)
-            try:
-                outcome = self._transport(dataset_name, query, item,
-                                          replica_id, clear_cache,
-                                          fanout_span)
-            finally:
-                self.replica_picker.release(dataset_name, item.shard_id,
-                                            replica_id, estimate)
-            self.stats.record_replica_load(dataset_name, item.shard_id,
-                                           outcome.replica_id,
-                                           outcome.ios.total)
+        finally:
+            self.replica_picker.release(dataset_name, item.shard.shard_id,
+                                        replica_id, estimate)
+        self.stats.record_replica_load(dataset_name, item.shard.shard_id,
+                                       outcome.replica_id, outcome.ios.total)
         if traced:
             outcome.started_s, outcome.ended_s = started, time.perf_counter()
         return outcome
@@ -506,7 +484,7 @@ class ExecutionCore:
         local path is the ultimate failover target.
         """
         index_name = item.plan.index_name
-        if self.cluster is not None and item.shard is not None:
+        if self.cluster is not None:
             traced = fanout_span.enabled
             remote = self.cluster.run_query(
                 dataset_name, item.shard, replica_id, index_name, query,
@@ -517,7 +495,7 @@ class ExecutionCore:
                 points, ios, replica_id, worker_span = remote
                 return ShardOutcome(item, replica_id, points, ios,
                                     worker_span=worker_span)
-        points, ios = item.replicas[replica_id].run_query(
+        points, ios = item.shard.replicas[replica_id].run_query(
             index_name, query, clear_cache=clear_cache)
         return ShardOutcome(item, replica_id, points, ios)
 
@@ -528,7 +506,7 @@ class ExecutionCore:
             plan, ios = outcome.item.plan, outcome.ios
             span = fanout_span.child(
                 "executor.shard",
-                shard_id=outcome.item.shard_id,
+                shard_id=outcome.item.shard.shard_id,
                 replica_id=outcome.replica_id,
                 index=plan.index_name,
                 # "ios" is what EngineStats charges the request for
@@ -593,16 +571,14 @@ class ExecutionCore:
                 # (one object shared by a shard's replicas): adaptive
                 # histograms re-aim their direction set from it; the
                 # base model ignores it.
-                model = outcome.replica.stats
-                if model is not None:
-                    model.note_estimation_feedback(
-                        query, plan.expected_output, reported)
+                outcome.replica.stats.note_estimation_feedback(
+                    query, plan.expected_output, reported)
         self.planner.observe_many(dataset_name, observations)
 
     @staticmethod
-    def _merge(dataset_name: str, plan: AnyPlan, shards_queried: int,
-               shards_pruned: int, outcomes: List[ShardOutcome],
-               started: float, tenant: str) -> ExecutedQuery:
+    def _merge(dataset_name: str, plan: ShardedPlan,
+               outcomes: List[ShardOutcome], started: float,
+               tenant: str) -> ExecutedQuery:
         """Post-processor 3: the outcomes' points in plan order, I/Os summed."""
         # The first outcome's list becomes the answer (the records are
         # done with it), so the one-item case copies nothing.
@@ -617,8 +593,8 @@ class ExecutionCore:
             points=points, ios=ios,
             latency_s=time.perf_counter() - started,
             estimated_ios=plan.estimated_ios,
-            shards_queried=shards_queried, shards_pruned=shards_pruned,
-            tenant=tenant)
+            shards_queried=plan.shards_queried,
+            shards_pruned=plan.shards_pruned, tenant=tenant)
 
     def result_cache_get(
             self, key: Tuple[str, ConstraintKey],
@@ -748,15 +724,15 @@ class BatchExecutor:
 
         Unique constraints are planned once, grouped by chosen index, and
         executed with a shared (optionally enlarged) buffer pool; repeats
-        are answered from the result cache.  Sharded datasets warm every
-        replica's pool and fan each constraint out to its relevant shards.
+        are answered from the result cache.  Every replica's pool is
+        warmed and each constraint fans out to its relevant shards.
         """
         started = time.perf_counter()
         answers: Dict[ConstraintKey, ExecutedQuery] = {}
         ordered_keys = [constraint_key(c) for c in constraints]
 
         # Plan each unique constraint and group execution by chosen index
-        # (for sharded datasets: by the plan's fan-out label).
+        # (the plan's fan-out label).
         unique: Dict[ConstraintKey, LinearConstraint] = {}
         for constraint, key in zip(constraints, ordered_keys):
             unique.setdefault(key, constraint)

@@ -122,7 +122,7 @@ class ServedQueryRecord:
     reported: int
     result_cache_hit: bool = False
     store_cache_hits: int = 0
-    #: Shards the query fanned out to (0 for unsharded datasets).
+    #: Shards the query fanned out to.
     shards_queried: int = 0
     #: Shards skipped by the planner's bounding-box pruning.
     shards_pruned: int = 0
@@ -585,15 +585,6 @@ class EngineStats:
             }
         return out
 
-    def write_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-dataset write counters plus latency percentiles.
-
-        One entry per dataset that accepted at least one engine-level
-        mutation: the counters from :meth:`note_write` plus p50/p95/p99
-        write latency in seconds.
-        """
-        return self._writes(self.snapshot())
-
     def _writes(self, view: _View) -> Dict[str, Dict[str, object]]:
         out: Dict[str, Dict[str, object]] = {}
         for (dataset, op), amount in sorted(
@@ -609,15 +600,6 @@ class EngineStats:
             payload["latency_s"] = _percentiles(
                 latency.get(dataset, _NO_SAMPLES), _P50_95_99)
         return out
-
-    def http_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-endpoint HTTP traffic: counts, status codes, latencies.
-
-        One entry per endpoint the network front-end served, with the
-        request count, per-status-code counters and p50/p95/p99 handling
-        latency in seconds.  Empty without HTTP traffic.
-        """
-        return self._http(self.snapshot())
 
     def _http(self, view: _View) -> Dict[str, Dict[str, object]]:
         out: Dict[str, Dict[str, object]] = {}

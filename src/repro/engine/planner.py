@@ -10,20 +10,21 @@ prediction has two factors:
   ``n^{1-1/d} + t`` for the partition tree, ``n`` for a scan) evaluated
   with the expected output size from the dataset's selectivity model
   (:mod:`repro.engine.stats` — a uniform sample by default, directional
-  histograms for skewed data; sharded datasets are priced with each
-  shard child's *own* model);
+  histograms for skewed data; each shard is priced with its child's
+  *own* model);
 * a *calibration* factor — an exponentially-weighted running ratio of
   observed I/Os (from ``query_with_stats`` history fed back by the
   executor) to predicted I/Os, per (dataset, index).  Asymptotic bounds
   drop constants; calibration learns them from traffic, so a structure
   whose real constant is large gradually loses ties it should lose.
 
-For a sharded dataset the planner prices a query as the *sum over relevant
-shards* of the per-shard paper bound: it asks the dataset which shards the
-constraint can touch (range shards outside the constraint's reach are
-pruned via their bounding boxes), plans each relevant shard independently
-over its own index suite, and returns a :class:`ShardedPlan` whose cost is
-the fan-out total.  Calibration is keyed by (dataset, index) *across*
+The planner prices a query as the *sum over relevant shards* of the
+per-shard paper bound: it asks the dataset which shards the constraint can
+touch (shards outside the constraint's reach are pruned via their bounding
+boxes), plans each relevant shard independently over its own index suite
+(one :class:`Plan` each), and returns a :class:`ShardedPlan` whose cost is
+the fan-out total — for a ``register_dataset`` dataset that is the paper's
+own case, one shard.  Calibration is keyed by (dataset, index) *across*
 shards — shards of one dataset are statistically alike, so they share and
 jointly sharpen one learned constant per structure.
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
@@ -71,7 +72,7 @@ class CandidateEstimate:
 
 @dataclass(frozen=True)
 class Plan:
-    """The planner's decision for one query."""
+    """The planner's decision for one query on one shard replica."""
 
     dataset: str
     index_name: str
@@ -114,7 +115,7 @@ class Plan:
 
 @dataclass(frozen=True)
 class ShardedPlan:
-    """The planner's decision for one query against a sharded dataset.
+    """The planner's decision for one query: what :meth:`Planner.plan` returns.
 
     ``shard_plans`` holds one (shard_id, :class:`Plan`) pair per relevant
     shard — shards whose bounding box cannot contain a satisfying point
@@ -161,7 +162,7 @@ class ShardedPlan:
         """Fan-out summary plus each relevant shard's plan."""
         band = "" if self.output_interval is None \
             else " in [%d, %d]" % self.output_interval
-        lines = ["sharded plan for dataset %r (expected T=%d%s): "
+        lines = ["plan for dataset %r (expected T=%d%s): "
                  "%d/%d shards relevant, %d pruned, %.1f predicted I/Os"
                  % (self.dataset, self.expected_output, band,
                     self.shards_queried,
@@ -170,10 +171,6 @@ class ShardedPlan:
             lines.append("  shard %d -> %s (%.1f predicted I/Os)"
                          % (shard_id, plan.index_name, plan.estimated_ios))
         return "\n".join(lines)
-
-
-#: What :meth:`Planner.plan` returns: a single-store plan or a fan-out plan.
-AnyPlan = Union[Plan, ShardedPlan]
 
 
 @dataclass
@@ -235,7 +232,7 @@ class Planner:
 
     def _plan_dataset(self, dataset: Dataset, calibration_name: str,
                       constraint: LinearConstraint) -> Plan:
-        """Plan over one concrete dataset (a plain one or a shard child)."""
+        """Plan over one shard's replica dataset."""
         if not dataset.indexes:
             raise ValueError("dataset %r has no indexes to plan over"
                              % dataset.name)
@@ -262,28 +259,19 @@ class Planner:
                     output_interval=interval)
 
     def plan(self, dataset_name: str,
-             constraint: LinearConstraint) -> AnyPlan:
-        """Choose the cheapest index (or per-shard indexes) for a constraint.
-
-        Plain datasets yield a :class:`Plan`; sharded datasets yield a
-        :class:`ShardedPlan` covering exactly the relevant shards.
-        """
+             constraint: LinearConstraint) -> ShardedPlan:
+        """Choose the cheapest index on each relevant shard for a constraint."""
         with tracing.span("planner.plan") as span:
-            if self._catalog.is_sharded(dataset_name):
-                sharded = self._catalog.sharded(dataset_name)
-                plan = self._plan_sharded(
-                    sharded, constraint, sharded.relevant_shards(constraint))
-            else:
-                plan = self._plan_dataset(
-                    self._catalog.dataset(dataset_name), dataset_name,
-                    constraint)
+            sharded = self._catalog.sharded(dataset_name)
+            plan = self._plan_shards(
+                sharded, constraint, sharded.relevant_shards(constraint))
             if span.enabled:
-                self._annotate_plan_span(span, dataset_name, plan)
+                self._annotate_plan_span(span, plan)
             return plan
 
-    def _plan_sharded(self, sharded: ShardedDataset,
-                      constraint: LinearConstraint,
-                      relevant: "list[Shard]") -> ShardedPlan:
+    def _plan_shards(self, sharded: ShardedDataset,
+                     constraint: LinearConstraint,
+                     relevant: "list[Shard]") -> ShardedPlan:
         # Plan against each shard's *routing* replica: before any mutation
         # that is replica 0, and after a mutation it is the replica holding
         # the fresh data (whose routable indexes exclude stale statics).
@@ -313,58 +301,42 @@ class Planner:
                            output_interval=interval)
 
     def plan_conjunction(self, dataset_name: str,
-                         conjunction: ConstraintConjunction) -> AnyPlan:
+                         conjunction: ConstraintConjunction) -> ShardedPlan:
         """Choose an index for a conjunction of constraints.
 
         Non-simplex indexes answer a conjunction by running its most
         selective conjunct and filtering (see :mod:`repro.core.conjunction`),
         so each candidate is costed with that conjunct's expected output;
         the executor then evaluates the conjunction through
-        :func:`~repro.core.conjunction.query_conjunction`.  On a sharded
-        dataset every conjunct participates in pruning (any one conjunct
-        missing a shard's box excludes the shard).
+        :func:`~repro.core.conjunction.query_conjunction`.  Every
+        conjunct participates in pruning (any one conjunct missing a
+        shard's box excludes the shard).
         """
         with tracing.span("planner.plan_conjunction",
                           conjuncts=len(conjunction.constraints)) as span:
-            if self._catalog.is_sharded(dataset_name):
-                sharded = self._catalog.sharded(dataset_name)
-                best = min(conjunction.constraints,
-                           key=lambda c: sharded.estimate_output(c))
-                plan = self._plan_sharded(
-                    sharded, best,
-                    sharded.relevant_shards_conjunction(conjunction))
-            else:
-                dataset = self._catalog.dataset(dataset_name)
-                best = min(
-                    conjunction.constraints,
-                    key=lambda constraint:
-                    dataset.estimate_output(constraint))
-                plan = self.plan(dataset_name, best)
+            sharded = self._catalog.sharded(dataset_name)
+            best = min(conjunction.constraints, key=sharded.estimate_output)
+            plan = self._plan_shards(
+                sharded, best,
+                sharded.relevant_shards_conjunction(conjunction))
             if span.enabled:
-                self._annotate_plan_span(span, dataset_name, plan)
+                self._annotate_plan_span(span, plan)
             return plan
 
-    def _annotate_plan_span(self, span, dataset_name: str,
-                            plan: AnyPlan) -> None:
+    @staticmethod
+    def _annotate_plan_span(span, plan: ShardedPlan) -> None:
         """Attach the chosen plan's estimates to an open planner span."""
         span.set_many({
-            "dataset": dataset_name,
+            "dataset": plan.dataset,
             "index": plan.index_name,
             "expected_output": round(float(plan.expected_output), 2),
             "estimated_ios": round(float(plan.estimated_ios), 2),
+            "shards_queried": plan.shards_queried,
+            "shards_pruned": plan.shards_pruned,
+            "generation": plan.generation,
         })
         if plan.output_interval is not None:
             span.set("output_interval", list(plan.output_interval))
-        if isinstance(plan, ShardedPlan):
-            span.set_many({
-                "shards_queried": len(plan.shard_plans),
-                "shards_pruned":
-                    plan.num_shards - len(plan.shard_plans),
-                "generation": plan.generation,
-            })
-        else:
-            span.set("calibration",
-                     round(plan.chosen.calibration, 4))
 
     # ------------------------------------------------------------------
     # calibration

@@ -191,7 +191,7 @@ class EngineApp:
     # ------------------------------------------------------------------
     def _validate_query(self, serving: ServingRequest) -> None:
         try:
-            entry = self._engine.catalog.entry(serving.dataset)
+            entry = self._engine.catalog.sharded(serving.dataset)
         except KeyError:
             raise HTTPError(404, "unknown_dataset",
                             "no dataset named %r (registered: %s)"
@@ -214,13 +214,9 @@ class EngineApp:
         # instead of a failed-outcome 500 out of the scheduler.
         catalog = self._engine.catalog
         try:
-            if catalog.is_sharded(serving.dataset):
-                for shard in catalog.sharded(serving.dataset) \
-                                    .nonempty_shards():
-                    for replica in shard.replicas:
-                        catalog.mutable_index_of(replica)
-            else:
-                catalog.mutable_index_of(catalog.dataset(serving.dataset))
+            for shard in catalog.sharded(serving.dataset).nonempty_shards():
+                for replica in shard.replicas:
+                    catalog.mutable_index_of(replica)
         except ValueError as exc:
             raise HTTPError(400, "not_writable", str(exc))
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -371,6 +372,11 @@ def parse_mutation_request(payload: Dict[str, object], tenant: str,
                         "'point' must be a list of >= 2 numbers")
     record = tuple(_require_number(c, "bad_point", "'point' entries")
                    for c in point)
+    if not all(math.isfinite(c) for c in record):
+        # Python's JSON parser accepts NaN/Infinity; the write path
+        # would refuse them later as a failed outcome — refuse here.
+        raise HTTPError(400, "bad_point",
+                        "'point' entries must be finite, got %r" % (point,))
     return ServingRequest(tenant=tenant, dataset=dataset, op=op,
                           point=record, priority=priority,
                           deadline_s=deadline_s)

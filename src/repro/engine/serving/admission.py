@@ -207,10 +207,6 @@ class AdmissionController:
             tenant: budget.make_bucket()
             for tenant, budget in self._budgets.items()}
 
-    def budget_for(self, tenant: str) -> Optional[TenantBudget]:
-        """The tenant's configured budget (None = unlimited)."""
-        return self._budgets.get(tenant)
-
     def decide(self, tenant: str, estimated_ios: float, now: float,
                write: bool = False) -> AdmissionDecision:
         """Admit, defer, drop or degrade one request costing ``estimated_ios``.

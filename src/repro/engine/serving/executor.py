@@ -809,7 +809,7 @@ class AsyncExecutor:
         """
         with tracing.span("serving.degraded_sample",
                           dataset=request.dataset) as sample_span:
-            entry = self._core.catalog.entry(request.dataset)
+            entry = self._core.catalog.sharded(request.dataset)
             hits = sample_hits(entry.sample, entry.dimension,
                                request.constraint)
             sample_size = int(len(entry.sample))

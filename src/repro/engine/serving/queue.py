@@ -42,7 +42,7 @@ class ServingRequest:
         Logical client the request belongs to (admission control budgets
         and per-tenant metrics key off this).
     dataset:
-        Registered dataset (plain or sharded) the request runs against.
+        Registered dataset the request runs against.
     constraint:
         The linear constraint to answer (``op="query"`` only).
     priority:

@@ -73,8 +73,7 @@ def selectivity_on_sample(sample: np.ndarray, dimension: int,
                           constraint: LinearConstraint) -> float:
     """Fraction of the sample satisfying ``constraint`` (zero I/Os).
 
-    Shared by plain and sharded datasets so their selectivity estimates
-    can never diverge.
+    The uniform selectivity models' estimator.
     """
     if len(sample) == 0:
         return 0.0
@@ -372,13 +371,13 @@ class Shard:
 class ShardedDataset:
     """A dataset partitioned across per-shard stores and index suites.
 
-    The global ``stats`` model estimates whole-dataset selectivity exactly
-    as :class:`~repro.engine.catalog.Dataset` does (falling back to the
-    uniform ``sample`` when no model is attached); each shard's child
-    dataset additionally keeps its own model so the planner can price
-    per-shard output sizes with shard-local statistics.  ``prune`` can be
-    flipped off to force fan-out to every shard (benchmarks use this to
-    measure what pruning saves).
+    Every registered name is one of these; ``register_dataset`` builds
+    the one-shard, one-replica instance.  The global ``stats`` model
+    estimates whole-dataset selectivity; each shard's child dataset
+    keeps its own model so the planner can price per-shard output sizes
+    with shard-local statistics (with one shard the two are one object).
+    ``prune`` can be flipped off to force fan-out to every shard
+    (benchmarks use this to measure what pruning saves).
 
     ``generation`` counts re-splits: the :class:`RebalanceManager` bumps
     it when it rebuilds the shard layout, and the executor re-plans any
@@ -389,10 +388,10 @@ class ShardedDataset:
     points: np.ndarray
     sample: np.ndarray
     router: ShardRouter
+    #: Pluggable selectivity model over the whole dataset.
+    stats: "SelectivityModel"
     shards: List[Shard] = field(default_factory=list)
     prune: bool = True
-    #: Pluggable selectivity model (None = estimate on the sample).
-    stats: Optional["SelectivityModel"] = None
     #: Index builds performed over every shard — ``{"kind", "index_name",
     #: "params"}`` records kept by the catalog so a re-split can rebuild
     #: the identical suite (same names, same parameters) on new shards.
@@ -426,7 +425,7 @@ class ShardedDataset:
     @property
     def live_size(self) -> int:
         """Current point count across shards, observed mutations included."""
-        return self.stats.size if self.stats is not None else self.size
+        return self.stats.size
 
     @property
     def num_shards(self) -> int:
@@ -439,15 +438,11 @@ class ShardedDataset:
 
     def estimate_selectivity(self, constraint: LinearConstraint) -> float:
         """Fraction of all points expected to satisfy ``constraint``."""
-        if self.stats is not None:
-            return self.stats.estimate_selectivity(constraint)
-        return selectivity_on_sample(self.sample, self.dimension, constraint)
+        return self.stats.estimate_selectivity(constraint)
 
     def estimate_output(self, constraint: LinearConstraint) -> int:
         """Expected number of reported points across shards (the paper's T)."""
-        if self.stats is not None:
-            return self.stats.estimate_output(constraint)
-        return int(round(self.estimate_selectivity(constraint) * self.size))
+        return self.stats.estimate_output(constraint)
 
     def shard_live_sizes(self) -> List[int]:
         """Current per-shard point counts, mutations included.
@@ -602,9 +597,7 @@ class RebalanceManager:
         sizes = sharded.shard_live_sizes()
         drift = 0.0
         for shard in sharded.nonempty_shards():
-            model = shard.planning_dataset().stats
-            if model is not None:
-                drift = max(drift, model.drift())
+            drift = max(drift, shard.planning_dataset().stats.drift())
         return {
             "imbalance": self._imbalance(sizes),
             "drift": drift,
@@ -613,12 +606,11 @@ class RebalanceManager:
 
     def should_rebalance(self, dataset_name: str) -> bool:
         """True when skew warrants a re-split (cheap; no I/Os)."""
-        if not self._catalog.is_sharded(dataset_name):
-            return False
-        sharded = self._catalog.sharded(dataset_name)
-        if sharded.router.scheme != "range":
-            return False
+        # Mutation count first: a name the catalog does not know has
+        # none, so serving entry points may probe it without a KeyError.
         if self.mutations(dataset_name) < self.min_mutations:
+            return False
+        if self._catalog.sharded(dataset_name).router.scheme != "range":
             return False
         signals = self.skew(dataset_name)
         return (signals["imbalance"] >= self.threshold

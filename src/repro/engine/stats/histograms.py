@@ -25,7 +25,7 @@ point set.  This module holds the two pieces
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,20 +97,6 @@ class EquiDepthHistogram:
         width = edges[bucket + 1] - edges[bucket]
         fraction = 1.0 if width <= 0 else (threshold - edges[bucket]) / width
         return below + float(self.counts[bucket]) * fraction
-
-    def cumulative_many(self, thresholds: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`cumulative` over an array of thresholds."""
-        thresholds = np.asarray(thresholds, dtype=float).ravel()
-        edges = self.edges
-        buckets = np.searchsorted(edges, thresholds, side="right") - 1
-        buckets = np.clip(buckets, 0, self.num_buckets - 1)
-        widths = edges[buckets + 1] - edges[buckets]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fractions = np.where(widths <= 0, 1.0,
-                                 (thresholds - edges[buckets]) / widths)
-        answers = self._prefix_counts()[buckets] + self.counts[buckets] * fractions
-        answers = np.where(thresholds < edges[0], 0.0, answers)
-        return np.where(thresholds >= edges[-1], self.total, answers)
 
     def selectivity(self, threshold: float) -> float:
         """Estimated fraction of values ``<= threshold``."""
@@ -253,9 +239,3 @@ def canonical_directions(points: np.ndarray, num_directions: int = 16,
             chosen.append(direction)
     return np.asarray(chosen)
 
-
-def describe_directions(directions: np.ndarray) -> Dict[str, object]:
-    """JSON-friendly summary of a direction set (benchmarks persist it)."""
-    directions = np.asarray(directions, dtype=float)
-    return {"num_directions": int(len(directions)),
-            "dimension": int(directions.shape[1]) if len(directions) else 0}

@@ -572,11 +572,6 @@ class EnsembleModel(SelectivityModel):
         return {name: float(weight)
                 for name, weight in zip(self.MEMBER_NAMES, normalised)}
 
-    @property
-    def feedback_count(self) -> int:
-        """How many served queries have updated the weights."""
-        return self._feedback
-
     def member_qerror(self) -> Dict[str, Optional[float]]:
         """Each member's geometric-mean q-error over its own estimates."""
         summary: Dict[str, Optional[float]] = {}

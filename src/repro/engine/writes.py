@@ -27,8 +27,8 @@ core: given ``insert(dataset, point)`` / ``delete(dataset, point)`` it
   and per-dataset write counts and latency percentiles land in
   :class:`~repro.engine.metrics.EngineStats`.
 
-Plain (unsharded) datasets take the same path minus routing: the
-mutation applies to the dataset's single mutation-capable index.  A
+A ``register_dataset`` dataset takes this same path: its trivial router
+sends every point to shard 0, whose fan-out is one replica wide.  A
 dataset whose suite was built statically (no ``"dynamic"`` kind) rejects
 writes with a clear error — the catalog resolves the target index via
 :meth:`~repro.engine.catalog.Catalog.mutable_index_of`.
@@ -38,7 +38,7 @@ same lock the executors hold around queries, so concurrent
 ``serve_async`` reads observe each replica either before or after a
 mutation — never mid-write.
 
-Writes to one sharded dataset serialize on its write barrier, even when
+Writes to one dataset serialize on its write barrier, even when
 they target disjoint shards — a deliberate correctness-first trade-off
 (a mutation is a handful of amortised I/Os, so the barrier is cheap
 next to the reads it protects).  Sharding the barrier — shared mode for
@@ -49,6 +49,7 @@ becomes the bottleneck.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -100,15 +101,15 @@ class MutationResult:
     point: Tuple[float, ...]
     #: False only for a delete of an absent point (a no-op).
     applied: bool
-    #: Shard the router chose (-1 for an unsharded dataset).
+    #: Shard the router chose.
     shard_id: int
-    #: Replicas the mutation was applied to (1 for unsharded datasets).
+    #: Replicas the mutation was applied to (0: a delete routed to an
+    #: empty shard).
     replicas: int
     #: Block transfers charged across every replica application.
     ios: int
     latency_s: float
-    #: The sharded dataset's re-split generation the write was routed
-    #: against (0 for unsharded datasets).
+    #: The dataset's re-split generation the write was routed against.
     generation: int
 
 
@@ -145,11 +146,10 @@ class WritePath:
         """Subscribe ``listener(dataset, shard_id, op, point, applied)``
         to every committed engine-level mutation.
 
-        Fired after the replica fan-out applied (sharded writes: still
-        under the dataset's write barrier, so listeners observe
-        mutations in apply order — the cluster coordinator's write log
-        depends on that).  Aborted fan-outs (rolled back) do not fire;
-        ``shard_id`` is -1 for unsharded datasets.
+        Fired after the replica fan-out applied, still under the
+        dataset's write barrier, so listeners observe mutations in apply
+        order — the cluster coordinator's write log depends on that.
+        Aborted fan-outs (rolled back) do not fire.
         """
         self._write_listeners.append(listener)
 
@@ -185,9 +185,6 @@ class WritePath:
         the fan-out; without one the dataset's replication factor is the
         (upper-bound) width.
         """
-        if not self._catalog.is_sharded(dataset_name):
-            self._catalog.dataset(dataset_name)   # raise on unknown names
-            return WRITE_IOS_PER_REPLICA
         sharded = self._catalog.sharded(dataset_name)
         if point is not None:
             record = tuple(float(c) for c in point)
@@ -203,12 +200,8 @@ class WritePath:
         started = time.perf_counter()
         with tracing.span("write.mutate", dataset=dataset_name,
                           op=op) as span:
-            if self._catalog.is_sharded(dataset_name):
-                result = self._mutate_sharded(dataset_name, point, op,
-                                              started)
-            else:
-                result = self._mutate_plain(dataset_name, point, op,
-                                            started)
+            result = self._route_and_fan_out(dataset_name, point, op,
+                                             started)
             if span.enabled:
                 span.set_many({
                     "applied": result.applied,
@@ -224,20 +217,8 @@ class WritePath:
                                    replicas=result.replicas)
         return result
 
-    def _mutate_plain(self, dataset_name: str, point, op: str,
-                      started: float) -> MutationResult:
-        dataset = self._catalog.dataset(dataset_name)
-        record = self._as_record(point, dataset)
-        applied, ios = apply_mutation(dataset, op, record)
-        for listener in self._write_listeners:
-            listener(dataset_name, -1, op, record, applied)
-        return MutationResult(
-            dataset=dataset_name, op=op, point=record, applied=applied,
-            shard_id=-1, replicas=1, ios=ios,
-            latency_s=time.perf_counter() - started, generation=0)
-
-    def _mutate_sharded(self, dataset_name: str, point, op: str,
-                        started: float) -> MutationResult:
+    def _route_and_fan_out(self, dataset_name: str, point, op: str,
+                           started: float) -> MutationResult:
         sharded = self._catalog.sharded(dataset_name)
         record = self._as_record(point, sharded)
         # The dataset's write barrier serializes this route+fanout against
@@ -366,9 +347,19 @@ class WritePath:
 
     @staticmethod
     def _as_record(point, entry) -> Tuple[float, ...]:
+        """The one write entry: a finite point of the dataset's dimension.
+
+        A ``nan`` hashes by identity, so the hash router would send an
+        insert and the matching delete to different shards (the point
+        becomes undeletable), and any non-finite coordinate poisons the
+        selectivity sample's arithmetic.
+        """
         record = tuple(float(c) for c in point)
         if len(record) != entry.dimension:
             raise ValueError(
                 "point dimension %d does not match dataset %r dimension %d"
                 % (len(record), entry.name, entry.dimension))
+        if not all(math.isfinite(c) for c in record):
+            raise ValueError("point coordinates must be finite, got %r"
+                             % (record,))
         return record

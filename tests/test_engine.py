@@ -81,7 +81,8 @@ def test_planner_picks_optimal_structure_for_selective_query(engine2d,
                                                    seed=7)[0]
     plan = engine2d.explain("uniform2d", selective)
     assert plan.index_name == "halfplane2d"
-    by_name = {est.index_name: est for est in plan.estimates}
+    by_name = {est.index_name: est
+               for est in plan.shard_plans[0][1].estimates}
     assert by_name["halfplane2d"].cost < by_name["full_scan"].cost
     assert by_name["halfplane2d"].cost < by_name["partition_tree"].cost
 
@@ -113,7 +114,7 @@ def test_planner_calibration_reroutes_after_observations(points2d):
     plan = planner.plan("d", selective)
     assert plan.index_name == "halfplane2d"
     # Pretend the optimal structure is consistently 100x its model cost.
-    model = plan.chosen.model_ios
+    model = plan.shard_plans[0][1].chosen.model_ios
     for __ in range(3):
         planner.observe("d", "halfplane2d", model, int(model * 100))
     assert planner.calibration_factor("d", "halfplane2d") > 1.0
@@ -234,10 +235,12 @@ def test_mutated_dataset_stops_routing_to_static_indexes(points2d):
                             kinds=["dynamic", "partition_tree", "full_scan"])
     constraint = halfspace_queries_with_selectivity(points2d, 1, 0.3,
                                                     seed=103)[0]
-    assert len(engine.explain("d", constraint).estimates) == 3
+    assert len(engine.explain("d", constraint)
+               .shard_plans[0][1].estimates) == 3
     engine.catalog.indexes("d")["dynamic"].insert((0.0, -2.0))
     plan = engine.explain("d", constraint)
-    assert [est.index_name for est in plan.estimates] == ["dynamic"]
+    assert [est.index_name for est in plan.shard_plans[0][1].estimates] \
+        == ["dynamic"]
     answer = engine.query("d", constraint)
     assert (0.0, -2.0) in {tuple(p) for p in answer.points}
 

@@ -251,9 +251,15 @@ def test_malformed_bodies_get_structured_4xx(served_engine):
         ({"dataset": "plain",
           "constraint": {"coeffs": [0.1, 0.2], "offset": 0.0}}, 400,
          "dimension_mismatch"),
+        # json.dumps/loads both pass NaN and Infinity through.
+        ({"dataset": "plain", "point": [float("nan"), 0.5]}, 400,
+         "bad_point"),
+        ({"dataset": "sharded", "point": [0.5, float("-inf")]}, 400,
+         "bad_point"),
     ]
     for payload, expected_status, expected_code in cases:
-        status, body = client.request("POST", "/query", payload)
+        path = "/insert" if "point" in payload else "/query"
+        status, body = client.request("POST", path, payload)
         assert status == expected_status, payload
         assert body["error"]["code"] == expected_code, payload
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -211,14 +213,38 @@ def test_fanout_runs_without_thread_pool(points2d):
         points2d, constraint)
 
 
+#: What the plain-dataset path (deleted in PR 14) measured for the
+#: inputs of ``test_unsharded_is_the_one_shard_case``, captured at the
+#: parent commit: per query ``(reads, buffer-pool hits)``, a CRC of the
+#: ordered answer, and the planner's final ``(factor, observations)`` —
+#: identical in both worker modes and for both ``clear_cache`` values.
+PLAIN_PATH_IOS = (
+    [(7, 1)] * 6
+    + [(25, 0), (36, 3), (27, 0), (25, 0), (24, 0), (25, 0)]
+    + [(64, 0)] * 6
+    + [(25, 0), (25, 0), (27, 0), (25, 0), (24, 0), (25, 0)])
+PLAIN_PATH_ANSWER_CRCS = [
+    1718288400, 459114149, 1412816064, 3357339010, 2516037071, 3357339010,
+    728571545, 4133594127, 2958121735, 800632094, 1821895261, 4065411313,
+    1141831757, 1141019565, 3722514581, 824364472, 572037296, 3064809956,
+    728571545, 4065411313, 2958121735, 800632094, 1821895261, 4065411313]
+PLAIN_PATH_FACTORS = {
+    "d/halfplane2d": (3.2855550075721576, 7),
+    "d/partition_tree": (1.6554109250487137, 11),
+    "d/full_scan": (1.0, 6),
+    "d/dynamic": (0.05, 1),
+}
+
+
 @pytest.mark.parametrize("workers", ["inprocess", "process"])
 @pytest.mark.parametrize("clear_cache", [True, False])
 def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
-    # The equivalence the single execution path rests on: the same
-    # points behind no shards, one range shard or one hash shard answer
-    # with the same ordered points at the same I/O cost, and teach the
+    # The equivalence the single dataset shape rests on: the same points
+    # registered plainly, as one range shard or as one hash shard answer
+    # with the same ordered points at the same I/O cost — the cost the
+    # deleted plain path charged — take writes alike, and teach the
     # planner, the q-error metrics and the conformal window the same
-    # things — one residual per executed constraint plan, none per
+    # things: one residual per executed constraint plan, none per
     # conjunction.
     constraints = [
         constraint
@@ -228,35 +254,72 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
     conjunctions = [ConstraintConjunction.of(first, second)
                     for first, second in zip(constraints[6:12],
                                              constraints[12:])]
+    kinds = ["halfplane2d", "partition_tree", "full_scan", "dynamic"]
+    new_point = (0.25, -3.0)
     engines = {}
     for layout in ("unsharded", "range", "hash"):
         engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, workers=workers)
         if layout == "unsharded":
-            engine.register_dataset("d", points2d)
+            engine.register_dataset("d", points2d, kinds=kinds)
         else:
             engine.register_sharded_dataset("d", points2d, num_shards=1,
-                                            sharding=layout)
+                                            sharding=layout, kinds=kinds)
         engines[layout] = engine
+
+    def on_every_layout(call):
+        results = {layout: call(engine)
+                   for layout, engine in engines.items()}
+        return results["unsharded"], results["range"], results["hash"]
+
     try:
-        for query in constraints + conjunctions:
-            answers = {
-                layout: engine.executor.execute("d", query,
-                                                clear_cache=clear_cache)
-                for layout, engine in engines.items()}
-            plain = answers["unsharded"]
-            assert plain.count > 0 and plain.shards_queried == 0
-            for layout in ("range", "hash"):
-                assert answers[layout].shards_queried == 1
-                assert answers[layout].points == plain.points
-                assert answers[layout].ios == plain.ios
-                assert answers[layout].index_name == plain.index_name
+        for position, query in enumerate(constraints + conjunctions):
+            plain, *sharded = on_every_layout(
+                lambda engine: engine.executor.execute(
+                    "d", query, clear_cache=clear_cache))
+            assert plain.count > 0
+            assert (plain.ios.reads, plain.ios.cache_hits) == \
+                PLAIN_PATH_IOS[position]
+            assert zlib.crc32(np.asarray(plain.points).tobytes()) == \
+                PLAIN_PATH_ANSWER_CRCS[position]
+            for answer in (plain, *sharded):
+                assert answer.shards_queried == 1
+                assert answer.points == plain.points
+                assert answer.ios == plain.ios
+                assert answer.index_name == plain.index_name
+
+        def mutation_fields(result):
+            return (result.applied, result.shard_id, result.replicas,
+                    result.ios, result.generation)
+
+        inserted = on_every_layout(
+            lambda engine: mutation_fields(engine.insert("d", new_point)))
+        assert set(inserted) == {(True, 0, 1, 1, 0)}
+        # After the insert only the dynamic index is routable: one
+        # per_shard entry, alike on every layout and as at the parent.
+        reports = on_every_layout(
+            lambda engine: engine.explain("d", constraints[0], analyze=True,
+                                          clear_cache=clear_cache))
+        for report in reports:
+            entry, = report["per_shard"]
+            del entry["duration_ms"]
+            assert entry == reports[0]["per_shard"][0]
+            assert (entry["shard_id"], entry["index"], entry["ios"],
+                    entry["model_ios"], entry["reported"]) == \
+                (0, "dynamic", 8, 161.0, 22)
+        deleted = on_every_layout(
+            lambda engine: mutation_fields(engine.delete("d", new_point)))
+        assert set(deleted) == {(True, 0, 1, 0, 0)}
+
         plain = engines["unsharded"]
         factors = {key: (entry["factor"], entry["observations"])
                    for key, entry in
                    plain.planner.export_calibration().items()}
-        assert plain.stats.conformal.size("d") == len(constraints)
+        assert factors == {key: (pytest.approx(factor, rel=1e-12), count)
+                           for key, (factor, count)
+                           in PLAIN_PATH_FACTORS.items()}
+        assert plain.stats.conformal.size("d") == len(constraints) + 1
         expected = plain.stats.estimation_summary()["d"]
-        assert expected["plans"] == len(constraints)
+        assert expected["plans"] == len(constraints) + 1
 
         def qerror_buckets(engine):
             return engine.stats.registry.to_json()["histograms"][
@@ -275,7 +338,7 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
             assert estimation.pop("mean") == pytest.approx(expected["mean"])
             assert estimation == {key: value for key, value
                                   in expected.items() if key != "mean"}
-            assert engine.stats.conformal.size("d") == len(constraints)
+            assert engine.stats.conformal.size("d") == len(constraints) + 1
     finally:
         for engine in engines.values():
             engine.close()

@@ -557,7 +557,7 @@ def test_rebalance_rejects_hash_and_unsharded_datasets():
     engine.register_dataset("plain", points)
     with pytest.raises(ValueError):
         engine.rebalance("hashed")
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):      # one hash shard: same refusal
         engine.rebalance("plain")
     assert not engine.rebalancer.should_rebalance("hashed")
     assert not engine.rebalancer.should_rebalance("plain")

@@ -201,8 +201,8 @@ def test_engine_query_produces_planner_executor_store_spans(traced_engine):
 
 
 def test_explain_analyze_per_shard_io_parity_on_k4(traced_engine):
-    # One execution path, one span vocabulary: the unsharded dataset is
-    # the one-item case (shard_id -1), for constraints and conjunctions.
+    # One execution path, one span vocabulary: the register_dataset
+    # dataset is the one-shard case, for constraints and conjunctions.
     traced_engine.register_dataset("plain", uniform_points(1024, seed=47),
                                    kinds=["partition_tree", "full_scan"])
     wedge = ConstraintConjunction.of(
@@ -210,14 +210,14 @@ def test_explain_analyze_per_shard_io_parity_on_k4(traced_engine):
         LinearConstraint(coeffs=(-0.2,), offset=0.4))
     for dataset, query, shard_ids, planner_stage in (
             ("grid", EVERYTHING, [0, 1, 2, 3], "planner.plan"),
-            ("plain", EVERYTHING, [-1], "planner.plan"),
-            ("plain", wedge, [-1], "planner.plan_conjunction")):
+            ("plain", EVERYTHING, [0], "planner.plan"),
+            ("plain", wedge, [0], "planner.plan_conjunction")):
         marker = traced_engine.stats.snapshot()
         report = traced_engine.explain(dataset, query, analyze=True)
         assert report["analyze"] is True
         assert [entry["shard_id"] for entry in report["per_shard"]] \
             == shard_ids
-        assert report["shards_queried"] == (4 if dataset == "grid" else 0)
+        assert report["shards_queried"] == len(shard_ids)
         per_shard = sum(entry["ios"] for entry in report["per_shard"])
         # The acceptance criterion: per-shard span I/Os reconcile
         # *exactly* with both the report's actuals and the EngineStats

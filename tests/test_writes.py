@@ -42,7 +42,7 @@ def test_plain_dataset_insert_and_delete(points2d):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
     engine.register_dataset("d", points2d, kinds=["dynamic", "full_scan"])
     inserted = engine.insert("d", (5.0, 5.0))
-    assert inserted.applied and inserted.shard_id == -1 \
+    assert inserted.applied and inserted.shard_id == 0 \
         and inserted.replicas == 1
     answer = engine.query("d", EVERYTHING)
     assert (5.0, 5.0) in {tuple(p) for p in answer.points}
@@ -51,6 +51,33 @@ def test_plain_dataset_insert_and_delete(points2d):
     assert deleted.applied
     assert engine.delete("d", (5.0, 5.0)).applied is False   # no-op
     assert engine.query("d", EVERYTHING).count == len(points2d)
+    engine.close()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_points_are_rejected_before_any_replica(points2d, bad):
+    # hash(nan) is identity-based: accepted, an insert and the identical
+    # delete would route to different hash shards (an undeletable point),
+    # and a non-finite coordinate poisons the selectivity sample.
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
+    engine.register_dataset("d", points2d, kinds=["dynamic", "full_scan"])
+    engine.register_sharded_dataset("sh", points2d, num_shards=4,
+                                    sharding="hash", replicas=2,
+                                    kinds=["dynamic", "full_scan"])
+    heard = []
+    engine.executor.core.writes.add_write_listener(
+        lambda *event: heard.append(event))
+    for name in ("d", "sh"):
+        for write in (engine.insert, engine.delete):
+            with pytest.raises(ValueError, match="finite"):
+                write(name, (bad, 0.5))
+        sharded = engine.catalog.sharded(name)
+        assert sharded.stats.size == len(points2d)
+        assert not any(shard.box_stale or replica.mutated
+                       for shard in sharded.shards
+                       for replica in shard.replicas)
+        assert engine.query(name, EVERYTHING).count == len(points2d)
+    assert heard == [] and engine.summary()["writes"] == {}
     engine.close()
 
 
