@@ -2,8 +2,8 @@
 
 Every benchmark prints a plain-text table of *measured I/Os* (the quantity
 the paper's Table 1 bounds) in addition to the wall-clock numbers collected
-by pytest-benchmark.  EXPERIMENTS.md summarises these tables next to the
-paper's claims.
+by pytest-benchmark, and persists it under ``benchmarks/results/`` (not
+committed).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ import os
 import pytest
 
 #: Directory where every experiment table is persisted as plain text, so the
-#: measured numbers survive pytest's output capturing and can be quoted in
-#: EXPERIMENTS.md.
+#: measured numbers survive pytest's output capturing.
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 

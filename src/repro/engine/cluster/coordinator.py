@@ -28,7 +28,9 @@ rather than serving answers from silently diverged workers.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import multiprocessing.util  # registers its exit handler before any of ours
 import threading
 import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -141,6 +143,12 @@ class Coordinator:
         self._bypassed: set = set()
         self._stopped = False
         self._monitor: Optional[threading.Thread] = None
+        # An owner that exits without stop() must not leave workers
+        # behind: multiprocessing's exit handler terminates the daemonic
+        # workers, and a monitor still running would fork replacements
+        # nobody reaps.  Exit handlers run last-registered-first, so this
+        # sets _stopped before anything is killed.
+        atexit.register(self.stop)
 
     # ------------------------------------------------------------------
     # placement
@@ -567,6 +575,7 @@ class Coordinator:
             if self._stopped:
                 return
             self._stopped = True
+            atexit.unregister(self.stop)
             handles = list(self._workers.values())
             self._workers.clear()
             self._covered.clear()

@@ -309,8 +309,16 @@ def sse_event(event: str, payload: object) -> bytes:
 # wire schema -> ServingRequest
 # ----------------------------------------------------------------------
 def _require_number(value: object, code: str, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise HTTPError(400, code, "%s must be a number, got %r"
+    """A finite float, or the caller's 400.
+
+    Python's JSON parser (and ``float()`` on a query-string value)
+    accepts NaN and +-Infinity; none of them is a coefficient, a
+    coordinate or a deadline — a NaN deadline would sit in the shared
+    priority heap comparing false against everything and never expire.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise HTTPError(400, code, "%s must be a finite number, got %r"
                         % (what, value))
     return float(value)
 
@@ -372,11 +380,6 @@ def parse_mutation_request(payload: Dict[str, object], tenant: str,
                         "'point' must be a list of >= 2 numbers")
     record = tuple(_require_number(c, "bad_point", "'point' entries")
                    for c in point)
-    if not all(math.isfinite(c) for c in record):
-        # Python's JSON parser accepts NaN/Infinity; the write path
-        # would refuse them later as a failed outcome — refuse here.
-        raise HTTPError(400, "bad_point",
-                        "'point' entries must be finite, got %r" % (point,))
     return ServingRequest(tenant=tenant, dataset=dataset, op=op,
                           point=record, priority=priority,
                           deadline_s=deadline_s)

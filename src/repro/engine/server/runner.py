@@ -37,9 +37,12 @@ class EngineServer:
     ----------
     engine:
         The engine to serve.  The server uses the engine's persistent
-        serving executor (``engine.serving_executor``), so embedded
-        ``serve_async`` calls and HTTP traffic share one scheduler and
-        one set of tenant budgets.
+        serving executor (``engine.serving_executor``): one scheduler
+        and one set of tenant budgets for all HTTP traffic.  An embedded
+        ``serve_async`` call runs its wave on an executor of its own —
+        same scheduler code, separate queue and budgets — and shares
+        only the :class:`~repro.engine.executor.ExecutionCore` (result
+        cache, calibration, metrics, stores) with the server.
     keys:
         The :class:`ApiKey` credentials to accept.
     host / port:
@@ -84,6 +87,7 @@ class EngineServer:
         self._conn_tasks: Set[asyncio.Task] = set()
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
+        self._fault: Optional[Exception] = None
         self._address: Optional[Tuple[str, int]] = None
 
     # ------------------------------------------------------------------
@@ -112,8 +116,7 @@ class EngineServer:
         self._started.clear()
         self._startup_error = None
         self._thread = threading.Thread(
-            target=lambda: asyncio.run(self._main()),
-            name="engine-http-server", daemon=True)
+            target=self._run_loop, name="engine-http-server", daemon=True)
         self._thread.start()
         self._started.wait()
         if self._startup_error is not None:
@@ -123,8 +126,18 @@ class EngineServer:
                 from self._startup_error
         return self
 
+    def _run_loop(self) -> None:
+        try:
+            asyncio.run(self._main())
+        except Exception as exc:  # kept for stop() to raise to its caller
+            self._fault = exc
+
     def stop(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown: drain in-flight requests, then return."""
+        """Graceful shutdown: drain in-flight requests, then return.
+
+        A fault that killed the scheduler while the server ran (its
+        requests were answered 500) re-raises here.
+        """
         if not self.running:
             return
         loop, stop_event = self._loop, self._stop_event
@@ -135,6 +148,9 @@ class EngineServer:
             raise RuntimeError("server did not shut down within %.1fs"
                                % timeout)
         self._thread = None
+        fault, self._fault = self._fault, None
+        if fault is not None:
+            raise RuntimeError("the server's scheduler failed") from fault
 
     def __enter__(self) -> "EngineServer":
         return self.start()

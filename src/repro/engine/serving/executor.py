@@ -30,18 +30,23 @@ Scheduling (queue pops, admission, settling) runs entirely on the event
 loop; only plan execution leaves it.  The clock is injectable so tests
 drive budgets deterministically.
 
-The executor serves in two modes sharing the same scheduler steps:
+There is one scheduler loop, the persistent one:
+:meth:`AsyncExecutor.start` spawns it on the running event loop, any
+number of concurrently-executing coroutines (the network front-end's
+connection handlers) :meth:`AsyncExecutor.submit` single requests and
+await their outcomes, all sharing one queue, one admission controller
+and one concurrency cap, and :meth:`AsyncExecutor.stop` drains it: queued
+and in-flight requests finish, new submissions are refused.
+:meth:`AsyncExecutor.serve` is a *wave* on that same loop — it starts the
+scheduler if nobody has, enqueues the whole request sequence under one
+submission timestamp, gathers the outcomes in request order and stops
+only a scheduler it started.  Every request, read or write, takes the
+one admit -> dispatch -> settle path (``_admit_one`` / ``_complete``).
 
-* :meth:`AsyncExecutor.serve` — the original *wave* mode: one call takes
-  a whole request sequence, runs it to completion and returns the
-  outcomes in request order;
-* the *long-lived* mode — :meth:`AsyncExecutor.start` spawns a
-  persistent scheduler task on the running event loop, after which any
-  number of concurrently-executing coroutines (the network front-end's
-  connection handlers) :meth:`AsyncExecutor.submit` single requests and
-  await their outcomes, all sharing one queue, one admission controller
-  and one concurrency cap.  :meth:`AsyncExecutor.stop` drains: queued
-  and in-flight requests finish, new submissions are refused.
+A fault that kills the loop (an admission controller that raises, an
+injected clock that never advances past a parked request) fails every
+pending submitter with that exception and re-raises from
+:meth:`AsyncExecutor.stop`; nobody is left awaiting a dead scheduler.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.engine.tracing as tracing
 from repro.engine.executor import ExecutedQuery, ExecutionCore, constraint_key
@@ -70,22 +75,6 @@ from repro.io.store import IOStats
 
 #: Floor on admission-deferral waits so a drained bucket cannot spin-loop.
 _MIN_RETRY_S = 1e-3
-
-
-@dataclass
-class _RunState:
-    """Mutable scheduling state of one :meth:`AsyncExecutor.serve` run."""
-
-    #: Worker futures currently executing, with their queue items.
-    in_flight: Dict[asyncio.Future, QueuedRequest] = field(
-        default_factory=dict)
-    #: The (dataset, constraint) keys currently executing (leaders).
-    keys: Set[Tuple] = field(default_factory=set)
-    #: Identical requests attached to an in-flight leader: later arrivals
-    #: wait for the leader's answer instead of re-executing (and without
-    #: re-charging their tenant's budget) — the async mirror of the batch
-    #: path's constraint dedup.
-    followers: Dict[Tuple, List[QueuedRequest]] = field(default_factory=dict)
 
 
 @dataclass
@@ -186,14 +175,8 @@ class AsyncExecutor:
         self._max_concurrency = max_concurrency
         self._warm_cache_blocks = warm_cache_blocks
         self._clock = clock
-        # Long-lived mode state (None until start() is awaited).
-        self._live_queue: Optional[PriorityRequestQueue] = None
-        self._live_state: Optional[_RunState] = None
-        self._live_task: Optional[asyncio.Task] = None
-        self._live_futures: Dict[int, asyncio.Future] = {}
-        self._live_seq = 0
-        self._wakeup: Optional[asyncio.Event] = None
-        self._draining = False
+        # The rest of the scheduler's state is created by start().
+        self._task: Optional[asyncio.Task] = None
 
     @property
     def admission(self) -> AdmissionController:
@@ -230,117 +213,87 @@ class AsyncExecutor:
         return self._warm_cache_blocks
 
     # ------------------------------------------------------------------
-    # serving
+    # serving: one persistent scheduler, fed waves or single requests
     # ------------------------------------------------------------------
     async def serve(self, requests: Sequence[ServingRequest],
                     warm_cache: bool = True) -> ServeResult:
-        """Serve a request stream; returns outcomes in request order.
+        """Serve a request wave; returns outcomes in request order.
 
-        The scheduler loop pops the best runnable request, applies its
-        tenant's admission policy, and dispatches admitted work to worker
-        threads — so an over-budget or low-priority tenant's requests wait
-        while everyone else's keep flowing.
+        The wave rides the persistent scheduler: it is started here when
+        nobody has (and then stopped again on the way out), every
+        request is enqueued under one submission timestamp before the
+        loop's first pop — so priority/deadline order holds over the
+        whole wave — and an over-budget or low-priority tenant's
+        requests wait while everyone else's keep flowing.  A scheduler
+        fault raises out of this call.
         """
         started = time.perf_counter()
         if not requests:
             return ServeResult(requests=[], wall_seconds=0.0)
-        queue = PriorityRequestQueue()
-        submitted = self._clock()
-        for seq, request in enumerate(requests):
-            item = QueuedRequest(request=request, seq=seq,
-                                 enqueued_at=submitted)
-            item.span, item.trace, item.owns_trace = \
-                self._open_request_span(request)
-            queue.push(item)
-        outcomes: List[Optional[ServedRequest]] = [None] * len(requests)
-        state = _RunState()
-        in_flight = state.in_flight
-        loop = asyncio.get_running_loop()
-
         warmed = sorted({request.dataset for request in requests}) \
             if warm_cache else []
         with self._core.warm_stores(warmed, self._warm_cache_blocks):
-            while queue or in_flight:
-                self._core.stats.note_queue_depth(len(queue))
-                while len(in_flight) < self._max_concurrency:
-                    now = self._clock()
-                    item = queue.pop_ready(now)
-                    if item is None:
-                        break
-                    outcome = self._admit_one(loop, queue, state, item, now)
-                    if outcome is not None:
-                        outcomes[item.seq] = outcome
-                if in_flight:
-                    timeout = None
-                    if len(in_flight) < self._max_concurrency:
-                        # A parked request may become runnable before any
-                        # in-flight query completes.
-                        timeout = queue.next_ready_delay(self._clock())
-                    done, __ = await asyncio.wait(
-                        set(in_flight), timeout=timeout,
-                        return_when=asyncio.FIRST_COMPLETED)
-                    for future in done:
-                        item = in_flight.pop(future)
-                        for seq, outcome in self._complete(state, item,
-                                                           future, queue):
-                            outcomes[seq] = outcome
-                elif queue:
-                    before_sleep = self._clock()
-                    delay = queue.next_ready_delay(before_sleep)
-                    if delay:
-                        await asyncio.sleep(delay)
-                        if self._clock() <= before_sleep:
-                            # An injected clock that does not advance with
-                            # the event loop would park this request (and
-                            # the scheduler) forever; fail loudly instead
-                            # of livelocking.
-                            raise RuntimeError(
-                                "AsyncExecutor clock did not advance "
-                                "across a %.3fs scheduler sleep; an "
-                                "injected clock must move forward for "
-                                "parked requests to become runnable"
-                                % delay)
-        return ServeResult(
-            requests=[outcome for outcome in outcomes if outcome is not None],
-            wall_seconds=time.perf_counter() - started)
+            owned = not self.running
+            await self.start()
+            try:
+                submitted = self._clock()
+                outcomes = await asyncio.gather(*[
+                    self._enqueue(request, submitted)
+                    for request in requests])
+            finally:
+                if owned:
+                    await self.stop()
+        return ServeResult(requests=outcomes,
+                           wall_seconds=time.perf_counter() - started)
 
-    # ------------------------------------------------------------------
-    # long-lived mode: a persistent scheduler fed one request at a time
-    # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        """True while the long-lived scheduler task is alive."""
-        return self._live_task is not None and not self._live_task.done()
+        """True while the scheduler task is alive."""
+        return self._task is not None and not self._task.done()
 
     async def start(self) -> None:
-        """Spawn the persistent scheduler on the running event loop.
+        """Spawn the scheduler on the running event loop.
 
-        Idempotent while running.  Unlike :meth:`serve`, the long-lived
-        scheduler owns no buffer-pool warming (a server warms stores for
-        its whole lifetime, not per wave) and never exits on an empty
-        queue — it sleeps until :meth:`submit` wakes it, until
+        Idempotent while running.  The scheduler owns no buffer-pool
+        warming (a server warms stores for its whole lifetime, a
+        :meth:`serve` wave for its own) and never exits on an empty
+        queue — it sleeps until a submission wakes it, until
         :meth:`stop` drains it.
         """
         if self.running:
             return
-        self._live_queue = PriorityRequestQueue()
-        self._live_state = _RunState()
-        self._live_futures = {}
-        self._live_seq = 0
+        self._queue = PriorityRequestQueue()
+        #: Worker futures currently executing, with their queue items.
+        self._in_flight: Dict[asyncio.Future, QueuedRequest] = {}
+        #: The (dataset, constraint) keys currently executing (leaders).
+        self._keys = set()
+        #: Identical requests attached to an in-flight leader: later
+        #: arrivals wait for the leader's answer instead of re-executing
+        #: (and without re-charging their tenant's budget) — the async
+        #: mirror of the batch path's constraint dedup.
+        self._followers: Dict[Tuple, List[QueuedRequest]] = {}
+        #: One future per request not yet handed back, keyed by seq.
+        self._waiters: Dict[int, asyncio.Future] = {}
+        self._seq = 0
         self._draining = False
         self._wakeup = asyncio.Event()
-        self._live_task = asyncio.get_running_loop().create_task(
-            self._run_live())
+        self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def submit(self, request: ServingRequest) -> ServedRequest:
-        """Enqueue one request on the persistent scheduler and await it.
+        """Enqueue one request on the scheduler and await its outcome.
 
         Any number of coroutines may submit concurrently; their requests
         share the priority queue, the admission controller's budgets,
         the follower dedup and the concurrency cap exactly as a
-        :meth:`serve` wave would.  Raises :class:`RuntimeError` when the
-        scheduler is not running or is draining.
+        :meth:`serve` wave does.  Raises :class:`RuntimeError` when the
+        scheduler is not running or is draining, and whatever killed the
+        scheduler when it dies with this request pending.
         """
+        return await self._enqueue(request, self._clock())
+
+    def _enqueue(self, request: ServingRequest,
+                 now: float) -> asyncio.Future:
+        """Queue one request submitted at ``now``; its outcome's future."""
         if not self.running:
             raise RuntimeError(
                 "the long-lived scheduler is not running; await start() "
@@ -348,47 +301,38 @@ class AsyncExecutor:
         if self._draining:
             raise RuntimeError(
                 "the executor is draining; new requests are refused")
-        seq = self._live_seq
-        self._live_seq += 1
-        future = asyncio.get_running_loop().create_future()
-        self._live_futures[seq] = future
-        item = QueuedRequest(request=request, seq=seq,
-                             enqueued_at=self._clock())
+        item = QueuedRequest(request=request, seq=self._seq, enqueued_at=now)
+        self._seq += 1
         item.span, item.trace, item.owns_trace = \
             self._open_request_span(request)
-        self._live_queue.push(item)
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters[item.seq] = waiter
+        self._queue.push(item)
         self._wakeup.set()
-        try:
-            return await future
-        finally:
-            self._live_futures.pop(seq, None)
+        return waiter
 
     async def stop(self, drain: bool = True) -> None:
-        """Shut the persistent scheduler down.
+        """Shut the scheduler down.
 
         With ``drain=True`` (the default) every queued and in-flight
         request finishes first — submitters awaiting :meth:`submit` all
         get their outcomes — and only new submissions are refused.  With
         ``drain=False`` the scheduler task is cancelled and still-pending
-        submitters receive a :class:`RuntimeError`.
+        submitters receive a :class:`RuntimeError`.  A fault that killed
+        the scheduler re-raises here.
         """
-        if self._live_task is None:
+        if self._task is None:
             return
         self._draining = True
-        if self._wakeup is not None:
-            self._wakeup.set()
+        self._wakeup.set()
         if not drain:
-            self._live_task.cancel()
+            self._task.cancel()
         try:
-            await self._live_task
+            await self._task
         except asyncio.CancelledError:
             pass
         finally:
-            for future in self._live_futures.values():
-                if not future.done():
-                    future.set_exception(RuntimeError(
-                        "the executor was stopped without draining"))
-            self._live_task = None
+            self._task = None
 
     def estimate(self, request: ServingRequest) -> ExecutedQuery:
         """The degraded sample answer, outside the scheduler.
@@ -400,54 +344,80 @@ class AsyncExecutor:
         """
         return self._degraded_answer(request, record=False)
 
-    async def _run_live(self) -> None:
-        """The persistent scheduler loop (long-lived twin of serve())."""
-        queue = self._live_queue
-        state = self._live_state
-        in_flight = state.in_flight
-        loop = asyncio.get_running_loop()
-        while True:
-            if queue:
-                self._core.stats.note_queue_depth(len(queue))
-            while len(in_flight) < self._max_concurrency:
-                now = self._clock()
-                item = queue.pop_ready(now)
-                if item is None:
-                    break
-                outcome = self._admit_one(loop, queue, state, item, now)
-                if outcome is not None:
-                    self._resolve_live(item.seq, outcome)
-            if self._draining and not queue and not in_flight:
-                return
-            # Clear before computing the timeout: a submit() that lands
-            # after the clear re-sets the event, and one that landed
-            # before is already visible in the queue (push precedes set),
-            # so next_ready_delay() returns 0 — no wake-up can be lost.
-            self._wakeup.clear()
-            timeout = None
-            if len(in_flight) < self._max_concurrency:
-                timeout = queue.next_ready_delay(self._clock())
-            waker = asyncio.ensure_future(self._wakeup.wait())
-            try:
-                done, __ = await asyncio.wait(
-                    set(in_flight) | {waker}, timeout=timeout,
-                    return_when=asyncio.FIRST_COMPLETED)
-            finally:
-                if not waker.done():
-                    waker.cancel()
-            for future in done:
-                if future is waker:
-                    continue
-                item = in_flight.pop(future)
-                for seq, outcome in self._complete(state, item, future,
-                                                   queue):
-                    self._resolve_live(seq, outcome)
+    async def _run(self) -> None:
+        """The scheduler loop: pop, admit, wait, settle — until drained.
 
-    def _resolve_live(self, seq: int, outcome: ServedRequest) -> None:
+        Whatever else ends it — a fault in a scheduler step, the clock
+        guard, ``stop(drain=False)``'s cancellation — fails every pending
+        submitter on the way out: nobody is left awaiting a dead loop.
+        """
+        queue = self._queue
+        in_flight = self._in_flight
+        waiters = self._waiters
+        loop = asyncio.get_running_loop()
+        try:
+            while True:
+                if queue:
+                    self._core.stats.note_queue_depth(len(queue))
+                while len(in_flight) < self._max_concurrency:
+                    now = self._clock()
+                    item = queue.pop_ready(now)
+                    if item is None:
+                        break
+                    outcome = self._admit_one(loop, item, now)
+                    if outcome is not None:
+                        self._resolve(item.seq, outcome)
+                if self._draining and not queue and not in_flight:
+                    return
+                # Clear before computing the timeout: a submission that
+                # lands after the clear re-sets the event, and one that
+                # landed before is already visible in the queue (push
+                # precedes set), so next_ready_delay() returns 0 — no
+                # wake-up can be lost.
+                self._wakeup.clear()
+                before_wait = self._clock()
+                timeout = None
+                if len(in_flight) < self._max_concurrency:
+                    # A parked request may become runnable before any
+                    # in-flight query completes.
+                    timeout = queue.next_ready_delay(before_wait)
+                waker = asyncio.ensure_future(self._wakeup.wait())
+                try:
+                    done, __ = await asyncio.wait(
+                        set(in_flight) | {waker}, timeout=timeout,
+                        return_when=asyncio.FIRST_COMPLETED)
+                finally:
+                    if not waker.done():
+                        waker.cancel()
+                if not done and timeout and self._clock() <= before_wait:
+                    # An injected clock that does not advance with the
+                    # event loop would park this request (and the
+                    # scheduler) forever; fail loudly instead of
+                    # livelocking.
+                    raise RuntimeError(
+                        "AsyncExecutor clock did not advance across a "
+                        "%.3fs scheduler sleep; an injected clock must "
+                        "move forward for parked requests to become "
+                        "runnable" % timeout)
+                for future in done:
+                    if future is waker:
+                        continue
+                    item = in_flight.pop(future)
+                    for seq, outcome in self._complete(item, future):
+                        self._resolve(seq, outcome)
+        except BaseException as exc:
+            error = exc if isinstance(exc, Exception) else RuntimeError(
+                "the executor was stopped without draining")
+            for waiter in waiters.values():
+                if not waiter.done():
+                    waiter.set_exception(error)
+            raise
+
+    def _resolve(self, seq: int, outcome: ServedRequest) -> None:
         """Hand one finished request back to its awaiting submitter."""
-        future = self._live_futures.get(seq)
-        if future is not None and not future.done():
-            future.set_result(outcome)
+        waiter = self._waiters.pop(seq)
+        if not waiter.done():  # a cancelled submitter stopped listening
+            waiter.set_result(outcome)
 
     # ------------------------------------------------------------------
     # tracing seams
@@ -458,8 +428,9 @@ class AsyncExecutor:
         The HTTP front-end opens a trace per connection-level request and
         activates its root before awaiting :meth:`submit`, so when a trace
         is already current the request span nests under it (the HTTP layer
-        finishes that trace).  Wave mode has no surrounding trace: each
-        request gets its own, which the scheduler finishes at completion.
+        finishes that trace).  With no surrounding trace (a :meth:`serve`
+        wave) each request gets its own, which the scheduler finishes at
+        completion.
         Returns ``(span, trace, owns_trace)``; everything degrades to the
         null singletons when tracing is off.
         """
@@ -495,7 +466,7 @@ class AsyncExecutor:
         log keys degraded-request retention off.
         """
         span = item.span
-        if span is not None and getattr(span, "enabled", False):
+        if span.enabled:
             span.set("outcome", outcome)
             if item.deferrals:
                 span.set("deferrals", item.deferrals)
@@ -505,7 +476,7 @@ class AsyncExecutor:
         if item.owns_trace and item.trace is not None:
             item.trace.finish()
 
-    def _note_decision(self, span, item: QueuedRequest, decision: str,
+    def _note_decision(self, item: QueuedRequest, decision: str,
                        **attrs) -> None:
         """Record one admission attempt as a child of the request span.
 
@@ -514,7 +485,8 @@ class AsyncExecutor:
         time, so a trace explains why a request was parked, shed or
         degraded instead of just showing the wait.
         """
-        if not getattr(span, "enabled", False):
+        span = item.span
+        if not span.enabled:
             return
         child = span.child("admission", decision=decision,
                            attempt=item.deferrals, **attrs)
@@ -524,111 +496,110 @@ class AsyncExecutor:
     # ------------------------------------------------------------------
     # scheduler steps (all on the event loop)
     # ------------------------------------------------------------------
-    def _admit_one(self, loop, queue: PriorityRequestQueue,
-                   state: _RunState, item: QueuedRequest,
+    def _admit_one(self, loop, item: QueuedRequest,
                    now: float) -> Optional[ServedRequest]:
         """Decide one popped request: dispatch, park, or finish it now.
 
         Returns a terminal :class:`ServedRequest` (cache hit, rejection,
-        degraded answer, expiry) or None when the request was dispatched
-        to a worker, attached to an identical in-flight request, or
-        parked back into the queue.
+        degraded answer, expiry, pricing failure) or None when the
+        request was dispatched to a worker, attached to an identical
+        in-flight request, or parked back into the queue.  Reads and
+        writes share the path; the result cache, follower dedup,
+        degraded answer and re-plan after a deferral are its read-only
+        branches — two identical writes are two writes, and there is no
+        approximate insert.
         """
         request = item.request
-        span = item.span if item.span is not None else tracing.NULL_SPAN
+        span = item.span
         if now > item.deadline_at:
             self._core.stats.note_admission("expired")
-            self._note_decision(span, item, "expired")
+            self._note_decision(item, "expired")
             return self._finished(item, "expired", None, now)
-        if request.is_mutation:
-            return self._admit_mutation(loop, queue, state, item, now)
+        cache_key = None
+        if not request.is_mutation:
+            cache_key = (request.dataset, constraint_key(request.constraint))
+            cached = self._core.result_cache_get(cache_key,
+                                                 tenant=request.tenant)
+            if cached is not None:
+                self._note_decision(item, "cache_hit")
+                return self._finished(item, "served", cached, now)
+            if cache_key in self._keys:
+                # An identical constraint is already executing: follow it
+                # and share its answer instead of paying the I/O (and the
+                # budget charge) again.
+                self._note_decision(item, "follow")
+                self._followers.setdefault(cache_key, []).append(item)
+                return None
 
-        cache_key = (request.dataset, constraint_key(request.constraint))
-        cached = self._core.result_cache_get(cache_key,
-                                             tenant=request.tenant)
-        if cached is not None:
-            self._note_decision(span, item, "cache_hit")
-            return self._finished(item, "served", cached, now)
-        if cache_key in state.keys:
-            # An identical constraint is already executing: follow it and
-            # share its answer instead of paying the I/O (and the budget
-            # charge) again.
-            self._note_decision(span, item, "follow")
-            state.followers.setdefault(cache_key, []).append(item)
-            return None
-
-        # Plan once per request and keep it on the queue item: admission
-        # deferrals would otherwise re-run the planner (sample scans over
-        # every relevant shard) on the event loop at every retry.  A
-        # planning failure (unknown dataset, wrong constraint dimension)
-        # fails this one request, never the whole wave.
-        if item.plan is None:
-            try:
-                with tracing.activate(span):
-                    item.plan = self._core.planner.plan(request.dataset,
-                                                        request.constraint)
-            except Exception as exc:
-                self._note_decision(span, item, "failed")
-                return self._failed(item, exc, now)
-        plan = item.plan
-        decision = self._admission.decide(request.tenant, plan.estimated_ios,
-                                          now)
+        # Price the request in estimated block I/Os: the write path's
+        # fan-out estimate, or the plan's.  A read is planned once and
+        # the plan kept on the queue item: admission deferrals would
+        # otherwise re-run the planner (sample scans over every relevant
+        # shard) on the event loop at every retry.  A pricing failure
+        # (unknown dataset, wrong dimension) fails this one request,
+        # never the scheduler.
+        try:
+            if request.is_mutation:
+                estimate = self._core.writes.estimate_ios(request.dataset,
+                                                          request.point)
+            else:
+                if item.plan is None:
+                    with tracing.activate(span):
+                        item.plan = self._core.planner.plan(
+                            request.dataset, request.constraint)
+                estimate = item.plan.estimated_ios
+        except Exception as exc:
+            self._note_decision(item, "failed")
+            return self._failed(item, exc, now)
+        decision = self._admission.decide(request.tenant, estimate, now,
+                                          write=request.is_mutation)
+        estimated_ios = round(estimate, 2)
         if decision.action == "admit":
             self._core.stats.note_admission("admit")
-            self._note_decision(span, item, "admit",
-                                estimated_ios=round(plan.estimated_ios, 2))
-            # The bucket was just debited *this* plan's estimate; settle
-            # must use the same figure or every deferral-admit cycle
-            # leaks the difference.
+            self._note_decision(item, "admit", estimated_ios=estimated_ios)
+            # The bucket was just debited *this* estimate; settle must
+            # use the same figure or every deferral-admit cycle leaks the
+            # difference.
             item.dispatched_at = now
-            item.admitted_estimate = plan.estimated_ios
-            if item.deferrals:
-                # The cached plan only fed admission estimates while the
-                # request was parked; the world may have moved since (a
-                # mutation re-pins replicas and disqualifies static
-                # indexes), so execute a freshly-made plan.  A failure
-                # here must refund the bucket debit and fail only this
-                # request.
-                try:
-                    with tracing.activate(span):
-                        plan = self._core.planner.plan(request.dataset,
-                                                       request.constraint)
-                except Exception as exc:
-                    self._admission.settle(request.tenant,
-                                           item.admitted_estimate, 0.0)
-                    return self._failed(item, exc, now)
-            future = loop.run_in_executor(
-                None, self._run_traced, span, self._core.dispatch,
-                request.dataset, request.constraint, plan, cache_key, False,
-                request.tenant)
-            state.in_flight[future] = item
-            state.keys.add(cache_key)
+            item.admitted_estimate = estimate
+            if request.is_mutation:
+                work = (self._core.run_write, request.dataset, request.op,
+                        request.point)
+            else:
+                plan = item.plan
+                if item.deferrals:
+                    # The cached plan only fed admission estimates while
+                    # the request was parked; the world may have moved
+                    # since (a mutation re-pins replicas and disqualifies
+                    # static indexes), so execute a freshly-made plan.  A
+                    # failure here must refund the bucket debit and fail
+                    # only this request.
+                    try:
+                        with tracing.activate(span):
+                            plan = self._core.planner.plan(
+                                request.dataset, request.constraint)
+                    except Exception as exc:
+                        self._admission.settle(request.tenant, estimate, 0.0)
+                        return self._failed(item, exc, now)
+                work = (self._core.dispatch, request.dataset,
+                        request.constraint, plan, cache_key, False,
+                        request.tenant)
+                self._keys.add(cache_key)
+            future = loop.run_in_executor(None, self._run_traced, span,
+                                          *work)
+            self._in_flight[future] = item
             return None
         if decision.action == "degrade":
+            # Reads only: admission turns an over-budget write under the
+            # degrade policy into a reject.
             self._core.stats.note_admission("degrade")
-            self._note_decision(span, item, "degrade",
-                                estimated_ios=round(plan.estimated_ios, 2))
+            self._note_decision(item, "degrade", estimated_ios=estimated_ios)
             with tracing.activate(span):
                 answer = self._degraded_answer(request)
             return self._finished(item, "degraded", answer, now)
-        return self._park_or_shed(queue, item, decision,
-                                  plan.estimated_ios, now)
-
-    def _park_or_shed(self, queue: PriorityRequestQueue,
-                      item: QueuedRequest, decision, estimate: float,
-                      now: float) -> Optional[ServedRequest]:
-        """The not-admitted tail shared by reads and writes.
-
-        A "queue" verdict parks the request until its budget can clear
-        (returns None) — or expires it now when that is past its
-        deadline; anything else sheds it as rejected.
-        """
-        span = item.span if item.span is not None else tracing.NULL_SPAN
-        estimated_ios = round(estimate, 2)
         if decision.action != "queue":
             self._core.stats.note_admission("reject")
-            self._note_decision(span, item, "reject",
-                                estimated_ios=estimated_ios)
+            self._note_decision(item, "reject", estimated_ios=estimated_ios)
             return self._finished(item, "rejected", None, now)
         not_before = now + max(decision.retry_after_s, _MIN_RETRY_S)
         if not_before > item.deadline_at:
@@ -637,116 +608,63 @@ class AsyncExecutor:
             # admission outcome per attempt — this is an expiry, not a
             # deferral).
             self._core.stats.note_admission("expired")
-            self._note_decision(span, item, "expired",
-                                estimated_ios=estimated_ios)
+            self._note_decision(item, "expired", estimated_ios=estimated_ios)
             return self._finished(item, "expired", None, now)
         self._core.stats.note_admission("queue")
-        self._note_decision(span, item, "queue",
+        self._note_decision(item, "queue",
                             estimated_ios=estimated_ios,
                             retry_after_s=round(decision.retry_after_s, 4))
         item.not_before = not_before
         item.deferrals += 1
-        queue.push(item)
+        self._queue.push(item)
         return None
 
-    def _admit_mutation(self, loop, queue: PriorityRequestQueue,
-                        state: _RunState, item: QueuedRequest,
-                        now: float) -> Optional[ServedRequest]:
-        """Decide one popped insert/delete request.
-
-        Mutations skip the result cache and the follower (dedup)
-        machinery — two identical writes are two writes — but pass the
-        same token-bucket admission as reads, priced by the write path's
-        fan-out estimate and settled against the observed I/Os.
-        """
-        request = item.request
-        span = item.span if item.span is not None else tracing.NULL_SPAN
-        try:
-            estimate = self._core.writes.estimate_ios(request.dataset,
-                                                      request.point)
-        except Exception as exc:
-            self._note_decision(span, item, "failed")
-            return self._failed(item, exc, now)
-        decision = self._admission.decide(request.tenant, estimate, now,
-                                          write=True)
-        if decision.action == "admit":
-            self._core.stats.note_admission("admit")
-            self._note_decision(span, item, "admit",
-                                estimated_ios=round(estimate, 2))
-            item.dispatched_at = now
-            item.admitted_estimate = estimate
-            future = loop.run_in_executor(
-                None, self._run_traced, span, self._core.run_write,
-                request.dataset, request.op, request.point)
-            state.in_flight[future] = item
-            return None
-        # Over budget: parked, or shed (the degrade policy maps to reject
-        # for writes — there is no approximate version of an insert).
-        return self._park_or_shed(queue, item, decision, estimate, now)
-
-    def _complete_mutation(self, item: QueuedRequest,
-                           future: asyncio.Future
-                           ) -> List[Tuple[int, ServedRequest]]:
-        """Settle one finished write future into its (seq, outcome) pair."""
-        now = self._clock()
-        try:
-            result: MutationResult = future.result()
-        except Exception as exc:
-            # The fan-out rolled back (or never started): settle against
-            # what the aborted attempt really spent — the write path
-            # annotates the exception with its apply+rollback I/Os, so a
-            # tenant retrying failing writes still pays for the block
-            # traffic they cause instead of looping for free.
-            observed = float(getattr(exc, "write_ios_observed", 0.0))
-            self._admission.settle(item.request.tenant,
-                                   item.admitted_estimate, observed)
-            return [(item.seq, self._failed(item, exc, now))]
-        self._admission.settle(item.request.tenant, item.admitted_estimate,
-                               float(result.ios))
-        self._finish_span(item, "served", ios=result.ios,
-                          applied=result.applied)
-        outcome = ServedRequest(
-            request=item.request, outcome="served", answer=None,
-            turnaround_s=now - item.enqueued_at,
-            queue_wait_s=item.dispatched_at - item.enqueued_at,
-            deferrals=item.deferrals, mutation=result)
-        return [(item.seq, outcome)]
-
-    def _complete(self, state: _RunState, item: QueuedRequest,
-                  future: asyncio.Future, queue: PriorityRequestQueue
+    def _complete(self, item: QueuedRequest, future: asyncio.Future
                   ) -> List[Tuple[int, ServedRequest]]:
-        """Settle one finished worker future (and its followers) into
-        (seq, outcome) pairs."""
-        if item.request.is_mutation:
-            return self._complete_mutation(item, future)
+        """Settle one finished worker future (and a read's followers)
+        into (seq, outcome) pairs."""
         now = self._clock()
-        cache_key = (item.request.dataset,
-                     constraint_key(item.request.constraint))
-        state.keys.discard(cache_key)
+        request = item.request
+        cache_key = None if request.is_mutation else \
+            (request.dataset, constraint_key(request.constraint))
+        self._keys.discard(cache_key)
         try:
-            answer: ExecutedQuery = future.result()
+            result = future.result()
         except Exception as exc:
-            # Refund the charge (nothing was observed), fail this request
-            # alone, and send its followers back through the queue to
-            # execute independently.
-            self._admission.settle(item.request.tenant,
-                                   item.admitted_estimate, 0.0)
-            for follower in state.followers.pop(cache_key, ()):
-                queue.push(follower)
+            # Settle against what the aborted attempt really spent: a
+            # failed read observed nothing (a full refund), while the
+            # write path annotates the exception with its apply+rollback
+            # I/Os, so a tenant retrying failing writes still pays for
+            # the block traffic they cause instead of looping for free.
+            # Fail this request alone, and send its followers back
+            # through the queue to execute independently.
+            observed = float(getattr(exc, "write_ios_observed", 0.0))
+            self._admission.settle(request.tenant, item.admitted_estimate,
+                                   observed)
+            for follower in self._followers.pop(cache_key, ()):
+                self._queue.push(follower)
             return [(item.seq, self._failed(item, exc, now))]
-        # Settle against what calibration treats as the cold cost, matching
-        # the estimate the bucket was charged with.
-        observed = answer.ios.total + answer.ios.cache_hits
-        self._admission.settle(item.request.tenant, item.admitted_estimate,
-                               observed)
-        self._finish_span(item, "served", ios=answer.ios.total,
-                          reported=answer.count)
-        results = [(item.seq, ServedRequest(
-            request=item.request, outcome="served", answer=answer,
+        served = ServedRequest(
+            request=request, outcome="served", answer=None,
             turnaround_s=now - item.enqueued_at,
             queue_wait_s=item.dispatched_at - item.enqueued_at,
-            deferrals=item.deferrals))]
-        for follower in state.followers.pop(cache_key, ()):
+            deferrals=item.deferrals)
+        if request.is_mutation:
+            served.mutation = result
+            observed = float(result.ios)
+            self._finish_span(item, "served", ios=result.ios,
+                              applied=result.applied)
+        else:
+            served.answer = result
+            # Settle against what calibration treats as the cold cost,
+            # matching the estimate the bucket was charged with.
+            observed = result.ios.total + result.ios.cache_hits
+            self._finish_span(item, "served", ios=result.ios.total,
+                              reported=result.count)
+        self._admission.settle(request.tenant, item.admitted_estimate,
+                               observed)
+        results = [(item.seq, served)]
+        for follower in self._followers.pop(cache_key, ()):
             if now > follower.deadline_at:
                 # The leader outlived this follower's deadline: the
                 # contract says expired requests are dropped, even though
@@ -756,7 +674,7 @@ class AsyncExecutor:
                                 self._finished(follower, "expired", None,
                                                now)))
                 continue
-            shared = self._core.as_cache_hit(answer)
+            shared = self._core.as_cache_hit(result)
             shared.tenant = follower.request.tenant
             self._core.record(shared)
             self._finish_span(follower, "served", follower=True)
@@ -780,8 +698,7 @@ class AsyncExecutor:
                 now: float) -> ServedRequest:
         """One request's planning/execution error, isolated to it."""
         message = "%s: %s" % (type(exc).__name__, exc)
-        if item.span is not None and getattr(item.span, "enabled", False):
-            item.span.set("error", message)
+        item.span.set("error", message)
         outcome = self._finished(item, "failed", None, now)
         outcome.error = message
         return outcome

@@ -23,9 +23,11 @@ runnable order once the clock passes it — the scheduler asks
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import repro.engine.tracing as tracing
 from repro.geometry.primitives import LinearConstraint
 
 #: The request kinds the async path serves.
@@ -70,6 +72,10 @@ class ServingRequest:
         if self.op not in REQUEST_OPS:
             raise ValueError("unknown request op %r (expected one of %s)"
                              % (self.op, ", ".join(REQUEST_OPS)))
+        if self.deadline_s is not None and math.isnan(self.deadline_s):
+            # A NaN deadline compares false against every other sort key
+            # in the shared heap and never expires.
+            raise ValueError("deadline_s must not be NaN")
         if self.op == "query":
             if self.constraint is None:
                 raise ValueError("a query request needs a constraint")
@@ -104,12 +110,13 @@ class QueuedRequest:
     #: The plan made at first admission attempt (reused across deferrals).
     plan: Optional[object] = None
     #: The request's span (a child of the HTTP trace, or the root of a
-    #: trace the scheduler opened itself).
-    span: Optional[object] = None
+    #: trace the scheduler opened itself; the no-op span when untraced).
+    span: object = tracing.NULL_SPAN
     #: The trace the span belongs to, when the scheduler must finish it.
     trace: Optional[object] = None
-    #: True when the scheduler opened the trace (wave mode) and must
-    #: finish it at completion; False when the HTTP layer owns it.
+    #: True when the scheduler opened the trace (no caller trace was
+    #: active) and must finish it at completion; False when the HTTP
+    #: layer owns it.
     owns_trace: bool = False
 
     @property

@@ -2,8 +2,8 @@
 
 The benchmarks under ``benchmarks/`` use these helpers to regenerate the
 evidence for every row of the paper's Table 1 and for the claims of
-Section 1.2; EXPERIMENTS.md records the measured outcomes next to the
-paper's asymptotic statements.
+Section 1.2, printing the measured outcomes next to the paper's
+asymptotic statements.
 """
 
 from repro.experiments.harness import (

@@ -451,3 +451,69 @@ def test_serving_and_http_paths_work_in_process_mode(points2d):
     finally:
         engine.close()
         reference.close()
+
+
+_ORPHAN_SCRIPT = '''
+import atexit
+import time
+
+# Exit work registered before multiprocessing's own handler runs after
+# it: the window in which a live monitor sees its workers terminated.
+atexit.register(time.sleep, 0.3)
+
+from repro import QueryEngine
+from repro.engine.cluster import Coordinator
+from repro.workloads import uniform_points
+
+engine = QueryEngine(block_size=32, seed=7, workers="inprocess")
+engine.register_sharded_dataset("pts", uniform_points(300, seed=3),
+                                num_shards=2, replicas=2,
+                                kinds=["full_scan"])
+fleet = Coordinator(engine.catalog, heartbeat_interval_s=0.02)
+fleet.start_dataset("pts")
+print(" ".join(str(worker["pid"])
+               for worker in fleet.describe()["workers"]["pts"]),
+      flush=True)
+'''
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="scans /proc for forked workers")
+def test_no_worker_outlives_an_owner_that_exits_without_stop(tmp_path):
+    # multiprocessing's exit handler terminates the daemonic workers; a
+    # monitor still running would see them dead and fork replacements
+    # nobody reaps.  Forked workers keep the script's command line, so
+    # the scan finds re-forked ones as well as the printed pids.
+    import subprocess
+    import sys
+    import repro
+    script = tmp_path / "fleet_that_never_stops.py"
+    script.write_text(_ORPHAN_SCRIPT)
+
+    def survivors():
+        found = []
+        for entry in os.listdir("/proc"):
+            if entry.isdigit():
+                try:
+                    with open("/proc/%s/cmdline" % entry, "rb") as handle:
+                        if str(script).encode() in handle.read():
+                            found.append(int(entry))
+                except OSError:
+                    pass  # exited while we looked
+        return found
+
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    output = tmp_path / "output.txt"
+    try:
+        # Output goes to a file: a pipe would be held open by any orphan.
+        with open(output, "w") as sink:
+            subprocess.run(
+                [sys.executable, str(script)], stdout=sink,
+                stderr=subprocess.STDOUT, timeout=60, check=True,
+                env=dict(os.environ, PYTHONPATH=source))
+        assert len(output.read_text().split()) == 4, output.read_text()
+        time.sleep(1.0)
+        assert survivors() == []
+    finally:
+        for pid in survivors():
+            os.kill(pid, signal.SIGKILL)

@@ -256,10 +256,31 @@ def test_malformed_bodies_get_structured_4xx(served_engine):
          "bad_point"),
         ({"dataset": "sharded", "point": [0.5, float("-inf")]}, 400,
          "bad_point"),
+        ({"dataset": "plain",
+          "constraint": {"coeffs": [float("nan")], "offset": 0.5}}, 400,
+         "bad_constraint"),
+        ({"dataset": "plain",
+          "constraint": {"coeffs": [0.1], "offset": float("inf")}}, 400,
+         "bad_constraint"),
+        ({"dataset": "plain", "deadline_s": float("nan"),
+          "constraint": {"coeffs": [0.1], "offset": 0.5}}, 400,
+         "bad_deadline"),
+        ({"dataset": "plain", "deadline_s": float("-inf"),
+          "point": [0.5, 0.5]}, 400, "bad_deadline"),
+        # The stream endpoint's query string: float() parses all three.
+        ("/query/stream?dataset=plain&coeffs=nan&offset=0.5", 400,
+         "bad_constraint"),
+        ("/query/stream?dataset=plain&coeffs=0.1&offset=inf", 400,
+         "bad_constraint"),
+        ("/query/stream?dataset=plain&coeffs=0.1&offset=0.5"
+         "&deadline_s=nan", 400, "bad_deadline"),
     ]
     for payload, expected_status, expected_code in cases:
-        path = "/insert" if "point" in payload else "/query"
-        status, body = client.request("POST", path, payload)
+        if isinstance(payload, str):
+            status, body = client.request("GET", payload)
+        else:
+            path = "/insert" if "point" in payload else "/query"
+            status, body = client.request("POST", path, payload)
         assert status == expected_status, payload
         assert body["error"]["code"] == expected_code, payload
 
@@ -440,6 +461,37 @@ def test_graceful_shutdown_drains_in_flight_requests():
         assert status == 200
         assert body["outcome"] == "served"
     engine.close()
+
+
+def test_scheduler_fault_is_a_500_not_a_silent_socket(monkeypatch):
+    points = uniform_points(256, seed=43)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=43)
+    engine.register_dataset("d", points, kinds=["dynamic"])
+    server = engine.serve_http([ApiKey(key="k", tenant="t")])
+
+    def explode(*args, **kwargs):
+        raise ZeroDivisionError("admission blew up")
+
+    monkeypatch.setattr(server.executor.admission, "decide", explode)
+    host, port = server.address
+    client = ServerClient(host, port, api_key="k", timeout=5.0)
+    try:
+        # The request pending on the scheduler when it dies...
+        status, body = client.query("d", [0.3], 0.1)
+        assert status == 500
+        assert body["error"]["code"] == "internal_error"
+        assert "admission blew up" in body["error"]["message"]
+        # ...and every later one: refused loudly, never left waiting.
+        status, body = client.query("d", [0.3], 0.2)
+        assert status == 500
+        assert "not running" in body["error"]["message"]
+        assert client.healthz()[0] == 200
+        with pytest.raises(RuntimeError, match="scheduler failed") as caught:
+            server.stop()
+        assert isinstance(caught.value.__cause__, ZeroDivisionError)
+    finally:
+        server.stop()
+        engine.close()
 
 
 def test_idle_keep_alive_connections_are_reaped():

@@ -314,7 +314,7 @@ def test_follower_whose_deadline_passed_during_leader_is_expired(points2d):
     from concurrent.futures import Future
     from repro.engine import ExecutionCore
     from repro.engine.executor import ExecutedQuery
-    from repro.engine.serving.executor import AsyncExecutor, _RunState
+    from repro.engine.serving.executor import AsyncExecutor
     from repro.io.store import IOStats
 
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
@@ -331,15 +331,16 @@ def test_follower_whose_deadline_passed_during_leader_is_expired(points2d):
                                     deadline_s=1.0), seq=2,
                            enqueued_at=0.0)
     key = ("d", (constraint.coeffs, constraint.offset))
-    state = _RunState()
-    state.followers[key] = [timely, doomed]
+    # The scheduler state start() would create, with the followers
+    # already attached to the in-flight leader.
+    executor._keys = {key}
+    executor._followers = {key: [timely, doomed]}
     future = Future()
     future.set_result(ExecutedQuery(dataset="d", index_name="halfplane2d",
                                     points=[(0.0, 0.0)], ios=IOStats(),
                                     latency_s=0.01, estimated_ios=3.0,
                                     tenant="a"))
-    outcomes = dict(executor._complete(state, leader, future,
-                                       PriorityRequestQueue()))
+    outcomes = dict(executor._complete(leader, future))
     assert outcomes[0].outcome == "served"
     assert outcomes[1].outcome == "served"           # deadline 200 > 100
     assert outcomes[1].answer.from_result_cache
@@ -469,6 +470,185 @@ def test_serve_async_priorities_run_urgent_tenant_first(points2d):
                             key=lambda item: item.queue_wait_s)
     first_tenants = [item.request.tenant for item in dispatch_order[:4]]
     assert first_tenants == ["urgent"] * 4
+
+
+# ----------------------------------------------------------------------
+# one scheduler: serve() is a wave on the loop submit() feeds
+# ----------------------------------------------------------------------
+def _mixed_workload(points2d):
+    """Reads and writes, two priorities, a duplicate, a deferral, a typo."""
+    constraints = halfspace_queries_with_selectivity(points2d, 4, 0.05,
+                                                     seed=83)
+    heavy = halfspace_queries_with_selectivity(points2d, 1, 0.5, seed=83)[0]
+    inserted = (0.25, -3.0)
+    sees_insert = LinearConstraint(coeffs=(0.0,), offset=-2.5)
+    return [
+        _request(constraints[0], tenant="background", priority=1),
+        ServingRequest(tenant="writer", dataset="d", op="insert",
+                       point=inserted),
+        _request(constraints[1], tenant="urgent"),
+        _request(constraints[1], tenant="other"),          # duplicate
+        _request(constraints[2], tenant="urgent", dataset="typo"),
+        _request(sees_insert, tenant="urgent"),
+        ServingRequest(tenant="writer", dataset="d", op="delete",
+                       point=inserted, priority=1),
+        _request(sees_insert, tenant="background", priority=1),
+        # The heavy read overdraws its tenant's one-token bucket; the
+        # next one parks until that is paid back.  They sort last, so the
+        # deferral reorders nothing.
+        _request(heavy, tenant="throttled", priority=1),
+        _request(constraints[3], tenant="throttled", priority=1),
+    ]
+
+
+def _served_through(points2d, mode):
+    """The mixed workload on a fresh engine; per-request facts + counts."""
+    import asyncio
+    from repro.engine.serving import AsyncExecutor
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d, kinds=["dynamic", "full_scan"])
+    requests = _mixed_workload(points2d)
+    budget = TenantBudget(ios_per_s=300.0, burst=1.0, policy="queue")
+    admission = AdmissionController({"throttled": budget})
+    # max_concurrency=1: one query at a time touches the buffer pool, so
+    # the I/O counters are a function of the dispatch order alone.
+    executor = AsyncExecutor(engine.executor.core, admission=admission,
+                             max_concurrency=1)
+
+    async def wave():
+        return (await executor.serve(requests, warm_cache=False)).requests
+
+    async def submissions():
+        await executor.start()
+        try:
+            return await asyncio.gather(*[executor.submit(request)
+                                          for request in requests])
+        finally:
+            await executor.stop()
+
+    try:
+        served = asyncio.run(wave() if mode == "wave" else submissions())
+        assert not executor.running
+        facts = [(item.outcome, item.deferrals > 0,
+                  item.answer.total_ios if item.answer is not None
+                  else item.mutation.ios if item.mutation is not None
+                  else None,
+                  sorted(map(tuple, item.answer.points))
+                  if item.answer is not None else None)
+                 for item in served]
+        counts = dict(engine.summary()["admission"])
+        counts.pop("queue")          # how often it re-parked is timing
+        return facts, counts
+    finally:
+        engine.close()
+
+
+def test_wave_and_submissions_are_the_same_scheduler(points2d):
+    wave_facts, wave_counts = _served_through(points2d, "wave")
+    live_facts, live_counts = _served_through(points2d, "submit")
+    assert wave_facts == live_facts
+    assert wave_counts == live_counts
+    outcomes = [outcome for outcome, __, __, __ in wave_facts]
+    assert outcomes == ["served"] * 4 + ["failed"] + ["served"] * 5
+    assert [deferred for __, deferred, __, __ in wave_facts] == \
+        [False] * 9 + [True]
+    assert (0.25, -3.0) in wave_facts[5][3]       # read after the insert
+    assert (0.25, -3.0) not in wave_facts[7][3]   # and after the delete
+
+
+def test_serve_on_a_running_scheduler_leaves_it_running(points2d):
+    import asyncio
+    from repro.engine.serving import AsyncExecutor
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d)
+    constraints = halfspace_queries_with_selectivity(points2d, 3, 0.05,
+                                                     seed=89)
+    executor = AsyncExecutor(engine.executor.core)
+
+    async def scenario():
+        await executor.start()
+        try:
+            result = await executor.serve([_request(c)
+                                           for c in constraints[:2]])
+            assert executor.running            # not the wave's to stop
+            later = await executor.submit(_request(constraints[2]))
+            return result, later
+        finally:
+            await executor.stop()
+
+    result, later = asyncio.run(scenario())
+    assert result.outcomes() == {"served": 2}
+    assert later.outcome == "served"
+    assert {tuple(p) for p in later.answer.points} == \
+        brute_force_halfspace(points2d, constraints[2])
+
+
+def test_stalled_clock_fails_submitters_instead_of_hanging(points2d):
+    # An injected clock that never advances cannot un-park anything: the
+    # wave raised, but submitters to the long-lived loop hung forever.
+    import asyncio
+    from repro.engine.serving import AsyncExecutor
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d)
+    requests = [_request(c) for c in halfspace_queries_with_selectivity(
+        points2d, 2, 0.05, seed=97)]
+    budget = TenantBudget(ios_per_s=1000.0, burst=20.0, policy="queue")
+
+    def stalled_executor():
+        admission = AdmissionController({"t": budget})
+        admission.decide("t", 20.0, 100.0)     # drained: both must park
+        return AsyncExecutor(engine.executor.core, admission=admission,
+                             clock=lambda: 100.0)
+
+    async def submissions(executor):
+        await executor.start()
+        errors = await asyncio.wait_for(asyncio.gather(
+            *[executor.submit(request) for request in requests],
+            return_exceptions=True), 3.0)
+        assert not executor.running
+        with pytest.raises(RuntimeError, match="clock did not advance"):
+            await executor.stop()
+        return errors
+
+    errors = asyncio.run(submissions(stalled_executor()))
+    assert len(errors) == 2
+    for error in errors:
+        assert isinstance(error, RuntimeError)
+        assert "clock did not advance" in str(error)
+    with pytest.raises(RuntimeError, match="clock did not advance"):
+        asyncio.run(stalled_executor().serve(requests))
+
+
+def test_scheduler_fault_reaches_every_submitter(points2d):
+    # Whatever kills the loop fails the requests pending on it, refuses
+    # later ones, and still surfaces at stop().
+    import asyncio
+    from repro.engine.serving import AsyncExecutor
+
+    class Exploding(AdmissionController):
+        def decide(self, *args, **kwargs):
+            raise ZeroDivisionError("admission blew up")
+
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d)
+    requests = [_request(c) for c in halfspace_queries_with_selectivity(
+        points2d, 2, 0.05, seed=101)]
+    executor = AsyncExecutor(engine.executor.core, admission=Exploding())
+
+    async def scenario():
+        await executor.start()
+        errors = await asyncio.wait_for(asyncio.gather(
+            *[executor.submit(request) for request in requests],
+            return_exceptions=True), 3.0)
+        assert not executor.running
+        with pytest.raises(RuntimeError, match="not running"):
+            await executor.submit(requests[0])
+        with pytest.raises(ZeroDivisionError):
+            await executor.stop()
+        return errors
+
+    errors = asyncio.run(scenario())
+    assert [type(error) for error in errors] == [ZeroDivisionError] * 2
 
 
 # ----------------------------------------------------------------------

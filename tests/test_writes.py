@@ -395,6 +395,11 @@ def test_mutation_requests_validate_their_shape(points2d):
     with pytest.raises(ValueError, match="unknown request op"):
         ServingRequest(tenant="t", dataset="d", op="upsert",
                        point=(0.0, 0.0))
+    # NaN would sit in the shared priority heap comparing false against
+    # every other deadline and never expire.
+    with pytest.raises(ValueError, match="deadline_s must not be NaN"):
+        ServingRequest(tenant="t", dataset="d", op="insert",
+                       point=(0.0, 0.0), deadline_s=float("nan"))
 
 
 def test_concurrent_writes_during_rebalances_are_never_lost(points2d):
