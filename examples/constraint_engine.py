@@ -117,10 +117,9 @@ def main() -> None:
     requests = mixed_tenant_workload(
         {"servers": servers, "stocks": stocks}, num_requests=60,
         hot_fraction=0.4, seed=17)
-    print("\nServing %d mixed requests (40%% hot repeats, threaded) ..."
+    print("\nServing %d mixed requests (40%% hot repeats) ..."
           % len(requests))
-    result = engine.serve_workload(requests, warm_cache=True,
-                                   use_threads=True)
+    result = engine.serve_workload(requests, warm_cache=True)
     for (tenant, constraint), answer in zip(requests, result.queries):
         assert {tuple(p) for p in answer.points} == {
             tuple(p) for p in

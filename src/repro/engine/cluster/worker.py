@@ -18,7 +18,7 @@ answer- and I/O-count-identical to in-process mode.
 
 Workers always build on the ``"memory"`` backend regardless of the
 parent's: block accounting is backend-independent (the backend-parity
-benchmark pins that), and two processes appending to one block file
+tests pin that), and two processes appending to one block file
 would corrupt it.
 
 The serve loop accepts connections on an ephemeral localhost port

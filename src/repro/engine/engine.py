@@ -482,13 +482,10 @@ class QueryEngine:
 
     def serve_workload(self,
                        requests: Sequence[Tuple[str, LinearConstraint]],
-                       warm_cache: bool = True, use_threads: bool = False,
-                       max_workers: Optional[int] = None) -> WorkloadResult:
+                       warm_cache: bool = True) -> WorkloadResult:
         """Serve a mixed-tenant workload of (dataset, constraint) pairs."""
         self._maybe_rebalance(*(name for name, __ in requests))
-        return self.executor.run_workload(requests, warm_cache=warm_cache,
-                                          use_threads=use_threads,
-                                          max_workers=max_workers)
+        return self.executor.run_workload(requests, warm_cache=warm_cache)
 
     def serve_async(self, requests: Sequence[ServingRequest],
                     budgets: Optional[Dict[str, TenantBudget]] = None,

@@ -13,9 +13,8 @@ Two layers live here:
   of constraints (or a whole multi-tenant workload), it plans each unique
   constraint, *groups* execution by chosen index so consecutive queries
   touch the same structure, serves exact duplicates from the result cache,
-  optionally enlarges the stores' buffer pools for the duration of the
-  batch (**warm-cache serving**), and can run the per-dataset batches of a
-  workload on a thread pool.
+  and optionally enlarges the stores' buffer pools for the duration of
+  the batch (**warm-cache serving**).
 
 There is one execution path.  Every plan lowers to per-replica work
 items — one per relevant shard, so exactly one for a ``register_dataset``
@@ -448,8 +447,8 @@ class ExecutionCore:
         # Tracing inside a pool worker is two clock reads and nothing
         # else: building the span node and its attribute dict here would
         # run Python bytecode under the GIL in every worker, stretching
-        # the fan-out's critical path (the bench's <5% overhead gate
-        # catches it) — so the tree is assembled on the calling thread
+        # the fan-out's critical path (``trace.overhead_share`` in the
+        # system benchmark) — so the tree is assembled on the calling thread
         # after the pool joins, from values the outcome carries anyway.
         traced = fanout_span.enabled
         started = time.perf_counter() if traced else 0.0
@@ -613,14 +612,21 @@ class ExecutionCore:
         self.record(answer)
         return answer
 
-    @staticmethod
-    def as_cache_hit(answer: ExecutedQuery) -> ExecutedQuery:
-        """A zero-cost copy of an answer (for repeats inside one batch)."""
-        return ExecutedQuery(dataset=answer.dataset,
-                             index_name=answer.index_name,
-                             points=list(answer.points), ios=IOStats(),
-                             latency_s=0.0, estimated_ios=0.0,
-                             from_result_cache=True, tenant=answer.tenant)
+    def share_answer(self, answer: ExecutedQuery,
+                     tenant: str) -> ExecutedQuery:
+        """Single-flight tail: a recorded zero-cost copy for ``tenant``.
+
+        A repeat inside one batch and a follower of an in-flight async
+        leader are the same event — an identical constraint answered
+        from work already paid for.
+        """
+        shared = ExecutedQuery(dataset=answer.dataset,
+                               index_name=answer.index_name,
+                               points=list(answer.points), ios=IOStats(),
+                               latency_s=0.0, estimated_ios=0.0,
+                               from_result_cache=True, tenant=tenant)
+        self.record(shared)
+        return shared
 
     def record(self, answer: ExecutedQuery) -> None:
         """Count one served query in the metrics sink."""
@@ -657,9 +663,7 @@ class BatchExecutor:
         original (small) pool is restored when the batch finishes.
     fanout_workers:
         Size of the core's shared thread pool for per-shard fan-out; 0
-        runs shards sequentially on the calling thread.  (The threaded
-        :meth:`run_workload` path sizes its own pool from its
-        ``max_workers`` argument, one thread per dataset by default.)
+        runs shards sequentially on the calling thread.
     """
 
     def __init__(self, catalog: Catalog, planner: Planner,
@@ -759,18 +763,16 @@ class BatchExecutor:
                         (dataset_name, key), clear_cache=False)
 
         executed = sum(len(group) for group in groups.values())
-        first_position: Dict[ConstraintKey, int] = {}
-        for position, key in enumerate(ordered_keys):
-            first_position.setdefault(key, position)
+        seen = set()
         in_order: List[ExecutedQuery] = []
         hits = 0
-        for position, key in enumerate(ordered_keys):
+        for key in ordered_keys:
             answer = answers[key]
-            if position != first_position[key]:
+            if key in seen:
                 # A repeat inside the batch: serve the points resolved for
                 # the first occurrence and charge nothing.
-                answer = self.core.as_cache_hit(answer)
-                self.core.record(answer)
+                answer = self.core.share_answer(answer, answer.tenant)
+            seen.add(key)
             if answer.from_result_cache:
                 hits += 1
             in_order.append(answer)
@@ -779,17 +781,14 @@ class BatchExecutor:
                            executed=executed, result_cache_hits=hits)
 
     def run_workload(self, requests: Sequence[Tuple[str, LinearConstraint]],
-                     warm_cache: bool = True, use_threads: bool = False,
-                     max_workers: Optional[int] = None) -> WorkloadResult:
+                     warm_cache: bool = True) -> WorkloadResult:
         """Serve a mixed-tenant workload of (dataset, constraint) requests.
 
         Requests are partitioned per dataset and each dataset's batch runs
-        as in :meth:`run_batch` — concurrently on a thread pool when
-        ``use_threads`` is set (safe: queries are read-only and each
-        dataset owns its store).  Within one dataset's batch execution is
-        serial in arrival order; the async serving path
-        (:meth:`repro.engine.engine.QueryEngine.serve_async`) is the one
-        that interleaves tenants inside a single dataset.
+        as in :meth:`run_batch`, serial in arrival order; the async
+        serving path (:meth:`repro.engine.engine.QueryEngine.serve_async`)
+        is the one that runs requests concurrently and interleaves
+        tenants inside a single dataset.
         """
         started = time.perf_counter()
         per_dataset: Dict[str, List[LinearConstraint]] = {}
@@ -798,20 +797,10 @@ class BatchExecutor:
             per_dataset.setdefault(dataset_name, []).append(constraint)
             positions.setdefault(dataset_name, []).append(position)
 
-        batches: Dict[str, BatchResult] = {}
-        if use_threads and len(per_dataset) > 1:
-            with ThreadPoolExecutor(
-                    max_workers=max_workers or len(per_dataset)) as pool:
-                futures = {
-                    dataset_name: pool.submit(self.run_batch, dataset_name,
-                                              constraints, warm_cache)
-                    for dataset_name, constraints in per_dataset.items()}
-                batches = {name: future.result()
-                           for name, future in futures.items()}
-        else:
-            for dataset_name, constraints in per_dataset.items():
-                batches[dataset_name] = self.run_batch(
-                    dataset_name, constraints, warm_cache=warm_cache)
+        batches = {
+            dataset_name: self.run_batch(dataset_name, constraints,
+                                         warm_cache=warm_cache)
+            for dataset_name, constraints in per_dataset.items()}
 
         ordered: List[Optional[ExecutedQuery]] = [None] * len(requests)
         for dataset_name, batch in batches.items():

@@ -9,7 +9,7 @@ thread).
 
 :meth:`ServerClient.query_stream` consumes the Server-Sent-Events
 endpoint and returns the parsed events *with arrival timestamps*, which
-is how the bench measures time-to-first-estimate vs time-to-final.
+is how a caller measures time-to-first-estimate vs time-to-final.
 """
 
 from __future__ import annotations

@@ -315,12 +315,19 @@ def _require_number(value: object, code: str, what: str) -> float:
     accepts NaN and +-Infinity; none of them is a coefficient, a
     coordinate or a deadline — a NaN deadline would sit in the shared
     priority heap comparing false against everything and never expire.
+    An integer literal beyond float range parses to an ``int`` that
+    ``float()`` refuses with ``OverflowError``: infinite, like ``1e400``.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not math.isfinite(number):
         raise HTTPError(400, code, "%s must be a finite number, got %r"
                         % (what, value))
-    return float(value)
+    return number
 
 
 def _common_fields(payload: Dict[str, object]

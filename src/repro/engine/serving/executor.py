@@ -674,9 +674,8 @@ class AsyncExecutor:
                                 self._finished(follower, "expired", None,
                                                now)))
                 continue
-            shared = self._core.as_cache_hit(result)
-            shared.tenant = follower.request.tenant
-            self._core.record(shared)
+            shared = self._core.share_answer(result,
+                                             follower.request.tenant)
             self._finish_span(follower, "served", follower=True)
             results.append((follower.seq, ServedRequest(
                 request=follower.request, outcome="served", answer=shared,

@@ -32,9 +32,9 @@ labelling the answer ``interval_source="normal_fallback"`` instead of
 
 The calibrator also tracks *prequential* empirical coverage: before a
 new pair is folded in, the interval the calibrator would have produced
-for it is checked against the actual count.  Those counters are what the
-bench's conformal-coverage experiment (and ``EngineStats.summary()``)
-report, and what the ±5-point acceptance gate measures.
+for it is checked against the actual count.  Those counters are what
+``EngineStats.summary()`` reports; the ±5-point coverage test in
+``tests/test_stats.py`` measures the served intervals themselves.
 """
 
 from __future__ import annotations
@@ -148,8 +148,8 @@ class ConformalCalibrator:
 
         Before the pair joins the window it is *scored against* the
         current calibration — would the interval have covered the actual
-        count? — which is the prequential empirical-coverage signal the
-        bench gate checks.  (Scoring first keeps the check honest: the
+        count? — which is the prequential empirical-coverage signal
+        :meth:`describe` reports.  (Scoring first keeps it honest: the
         pair never helps cover itself.)
         """
         with self._lock:
@@ -181,8 +181,8 @@ class ConformalCalibrator:
                  coverage: Optional[float] = None) -> Optional[float]:
         """The calibrated score quantile, or ``None`` while cold.
 
-        ``coverage`` overrides the calibrator's nominal level (the bench
-        sweeps it to check monotonicity); the finite-sample correction
+        ``coverage`` overrides the calibrator's nominal level (the tests
+        sweep it to check monotonicity); the finite-sample correction
         ``ceil((n+1)·coverage)`` is applied either way.
         """
         level = self._coverage if coverage is None else float(coverage)

@@ -52,8 +52,8 @@ class Span:
     and holds the trace itself through a weakref.  Every request would
     otherwise retire one cycle (parent <-> child, trace <-> root) per
     trace, and cyclic garbage on the request hot path turns into
-    full-heap gc pauses under load — the bench's overhead gate catches
-    exactly that.
+    full-heap gc pauses under load — the system benchmark's
+    ``trace.overhead_share`` shows exactly that.
     """
 
     __slots__ = ("name", "trace_id", "started_s", "ended_s",

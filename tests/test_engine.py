@@ -324,6 +324,49 @@ def test_warm_batch_beats_independent_cold_queries(points2d):
     assert batch.total_ios < cold_total
 
 
+def test_routed_serving_tracks_the_best_fixed_deployment():
+    """Two tenants, 80 mixed requests with hot repeats, four deployments.
+
+    Cost-based routing plus the warm batch path must not lose to *any*
+    single-index deployment serving the same trace cold (so not to the
+    worst one either), and must beat its own routing issued as
+    independent cold queries.  Block I/Os only: 526 routed against 2019
+    independent-cold and 2019 / 7808 / 10277 fixed at these seeds.
+    """
+    suites = {"flat2d": ["halfplane2d", "partition_tree", "full_scan"],
+              "solid3d": ["halfspace3d", "partition_tree", "full_scan"]}
+    tenants = {"flat2d": uniform_points(4096, seed=1998),
+               "solid3d": uniform_points(2048, dimension=3, seed=1999)}
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=1998)
+    for name, points in tenants.items():
+        engine.register_dataset(name, points, kinds=suites[name])
+    requests = mixed_tenant_workload(tenants, num_requests=80,
+                                     hot_fraction=0.35, seed=1998)
+
+    def served_cold(kind_for):
+        return sum(
+            engine.catalog.indexes(tenant)[kind_for(tenant, constraint)]
+            .query_with_stats(constraint, clear_cache=True).total_ios
+            for tenant, constraint in requests)
+
+    fixed = {kind: served_cold(lambda tenant, __, kind=kind: kind)
+             for kind in ("partition_tree", "full_scan")}
+    fixed["optimal"] = served_cold(lambda tenant, __: suites[tenant][0])
+    for name, points in tenants.items():
+        engine.calibrate(name, halfspace_queries_with_selectivity(
+            points, 3, 0.05, seed=2005))
+    independent_cold = served_cold(
+        lambda tenant, constraint:
+        engine.explain(tenant, constraint).index_name)
+
+    routed = engine.serve_workload(requests, warm_cache=True)
+    for (tenant, constraint), answer in zip(requests, routed.queries):
+        assert {tuple(p) for p in answer.points} == brute_force_halfspace(
+            tenants[tenant], constraint)
+    assert routed.total_ios <= min(fixed.values()), (routed.total_ios, fixed)
+    assert routed.total_ios < independent_cold
+
+
 def test_warm_batch_restores_buffer_pool(points2d):
     engine = QueryEngine(block_size=BLOCK_SIZE, cache_blocks=4,
                          warm_cache_blocks=128, seed=5)
@@ -345,7 +388,7 @@ def test_threaded_workload_matches_brute_force(points2d):
     tenants = {"flat": points2d, "deep": points3d}
     requests = mixed_tenant_workload(tenants, num_requests=24,
                                      hot_fraction=0.5, seed=37)
-    result = engine.serve_workload(requests, use_threads=True)
+    result = engine.serve_workload(requests)
     assert len(result.queries) == len(requests)
     for (tenant, constraint), answer in zip(requests, result.queries):
         assert answer.dataset == tenant

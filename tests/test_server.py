@@ -267,6 +267,19 @@ def test_malformed_bodies_get_structured_4xx(served_engine):
          "bad_deadline"),
         ({"dataset": "plain", "deadline_s": float("-inf"),
           "point": [0.5, 0.5]}, 400, "bad_deadline"),
+        # An integer literal beyond float range parses to an int that
+        # float() and math.isfinite() refuse with OverflowError.
+        ({"dataset": "plain",
+          "constraint": {"coeffs": [10 ** 400], "offset": 0.5}}, 400,
+         "bad_constraint"),
+        ({"dataset": "plain",
+          "constraint": {"coeffs": [0.1], "offset": -10 ** 400}}, 400,
+         "bad_constraint"),
+        ({"dataset": "sharded", "point": [0.5, 10 ** 400]}, 400,
+         "bad_point"),
+        ({"dataset": "plain", "deadline_s": 10 ** 400,
+          "constraint": {"coeffs": [0.1], "offset": 0.5}}, 400,
+         "bad_deadline"),
         # The stream endpoint's query string: float() parses all three.
         ("/query/stream?dataset=plain&coeffs=nan&offset=0.5", 400,
          "bad_constraint"),

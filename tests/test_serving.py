@@ -264,6 +264,9 @@ def test_serve_async_degrade_policy_serves_sample_subset(points2d):
 
 
 def test_serve_async_queue_policy_throttles_but_serves_all(points2d):
+    import asyncio
+    import itertools
+    from repro.engine.serving import AsyncExecutor
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_dataset("d", points2d)
     constraints = halfspace_queries_with_selectivity(points2d, 4, 0.1,
@@ -274,8 +277,15 @@ def test_serve_async_queue_policy_throttles_but_serves_all(points2d):
     # that back-to-back requests must wait.
     budget = TenantBudget(ios_per_s=20_000.0,
                           burst=plan.estimated_ios + 1.0, policy="queue")
-    result = engine.serve_async(requests, budgets={"throttled": budget},
-                                max_concurrency=2)
+    # The clock steps 0.1 ms (2 I/Os of refill) per reading, and the
+    # first two admissions are one reading apart: the second always
+    # finds the bucket short, however slow the host.
+    ticks = itertools.count()
+    executor = AsyncExecutor(
+        engine.executor.core,
+        admission=AdmissionController({"throttled": budget}),
+        max_concurrency=2, clock=lambda: next(ticks) * 1e-4)
+    result = asyncio.run(executor.serve(requests))
     assert result.outcomes() == {"served": len(requests)}
     assert sum(item.deferrals for item in result.requests) > 0
     assert engine.summary()["admission"].get("queue", 0) > 0

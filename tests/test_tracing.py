@@ -200,6 +200,24 @@ def test_engine_query_produces_planner_executor_store_spans(traced_engine):
         == answer.ios.total
 
 
+def test_tracing_observes_the_data_path_and_never_steers_it(traced_engine):
+    # Bare, under a disabled tracer's no-op trace, and fully traced: the
+    # same ordered points and the same value in every I/O counter.
+    constraints = [LinearConstraint(coeffs=(0.31,), offset=-0.5 + 0.2 * i)
+                   for i in range(5)]
+
+    def served(mode):
+        traced_engine.tracer.enabled = mode == "on"
+        answers = [traced_engine.query("grid", constraint, clear_cache=True)
+                   if mode == "bare"
+                   else served_request(traced_engine, constraint)[1]
+                   for constraint in constraints]
+        return [(answer.points, answer.ios) for answer in answers]
+
+    assert served("on") == served("off") == served("bare")
+    assert sum(ios.total for __, ios in served("on")) > 0
+
+
 def test_explain_analyze_per_shard_io_parity_on_k4(traced_engine):
     # One execution path, one span vocabulary: the register_dataset
     # dataset is the one-shard case, for constraints and conjunctions.
