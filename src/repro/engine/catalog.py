@@ -16,7 +16,10 @@ whose selectivity model is the dataset-level one; the plain-name lookups
 (:meth:`Catalog.dataset`, :meth:`Catalog.entry`, :meth:`Catalog.indexes`,
 ...) are views of that replica.  Each store's *backend* — in-memory dict
 or a real file — is chosen per catalog or per dataset; see
-:mod:`repro.io.backend`.
+:mod:`repro.io.backend`.  A dataset's replica settings are resolved once,
+at registration, into a :class:`ReplicaRecipe`, and every replica —
+registered, re-split, lazily materialised or rebuilt in a worker
+process — comes out of :func:`build_replicas`.
 
 The catalog also attaches a pluggable *selectivity model* (see
 :mod:`repro.engine.stats`) to every dataset — and to every shard child,
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -210,6 +213,140 @@ class Dataset:
         return points, ios
 
 
+@dataclass(frozen=True)
+class ReplicaRecipe:
+    """Everything but its points and index suite that determines a replica.
+
+    Resolved once per dataset, at registration, from the ``register_*``
+    overrides and the catalog-wide defaults, and kept on the
+    :class:`~repro.engine.sharding.ShardedDataset`: a re-split, a lazy
+    shard materialisation, a stats upgrade and a shard-worker process all
+    rebuild from this record, so "the same replica" has one definition.
+    ``stats_params`` already has the override rule applied — a
+    per-dataset ``stats_model`` does *not* inherit the catalog-wide
+    params, which belong to the catalog's model kind (histogram bucket
+    counts would crash a uniform model).
+    """
+
+    block_size: int
+    cache_blocks: int
+    backend: object
+    data_dir: Optional[str]
+    sample_size: int
+    seed: Optional[int]
+    stats_model: object
+    stats_params: Dict[str, object]
+    replicas: int
+
+
+def fit_stats(recipe: ReplicaRecipe,
+              array: np.ndarray) -> Tuple[np.ndarray, SelectivityModel]:
+    """The recipe's sample and selectivity model over ``array``.
+
+    Histogram and ensemble models need at least one build point, so a
+    zero-point array (a lazily materialised shard) gets the uniform
+    sample model whatever kind is configured; the shard is promoted by
+    :meth:`Catalog.upgrade_shard_stats` once it holds enough points.
+    """
+    if len(array) <= recipe.sample_size:
+        sample = array.copy()
+    else:
+        rng = np.random.default_rng(recipe.seed)
+        sample = array[rng.choice(len(array), size=recipe.sample_size,
+                                  replace=False)]
+    model, params = recipe.stats_model, recipe.stats_params
+    if len(array) == 0:
+        model, params = "uniform", {}
+    return sample, make_model(model, array, sample, seed=recipe.seed,
+                              **params)
+
+
+def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
+                 index_name: Optional[str],
+                 params: Dict[str, object]) -> BuildRecord:
+    """Bulk-build one index of the given kind over one replica."""
+    if kind not in INDEX_KINDS:
+        raise KeyError("unknown index kind %r (known: %s)"
+                       % (kind, sorted(INDEX_KINDS)))
+    index_kind = INDEX_KINDS[kind]
+    if not index_kind.supports(dataset.dimension):
+        raise ValueError("index kind %r does not support dimension %d"
+                         % (kind, dataset.dimension))
+    index_name = index_name or kind
+    if index_name in dataset.indexes:
+        raise ValueError("index %r already exists on dataset %r"
+                         % (index_name, dataset.name))
+    params = dict(params)
+    if seed is not None and kind in ("halfplane2d", "halfspace3d",
+                                     "hybrid3d"):
+        params.setdefault("seed", seed)
+    started = time.perf_counter()
+    index = index_kind.factory(dataset.points, store=dataset.store,
+                               **params)
+    elapsed = time.perf_counter() - started
+    record = BuildRecord(
+        dataset=dataset.name,
+        index_name=index_name,
+        kind=kind,
+        num_points=dataset.size,
+        space_blocks=index.space_blocks,
+        build_seconds=elapsed,
+        build_ios=index.build_ios,
+        params=params,
+    )
+    dataset.indexes[index_name] = index
+    dataset.build_records[index_name] = record
+    return record
+
+
+def build_replicas(names: Sequence[str], chunk: np.ndarray,
+                   recipe: ReplicaRecipe,
+                   suite_builds: Sequence[Dict[str, object]]
+                   ) -> List[Dataset]:
+    """One replica per name over the same ``chunk``: the one build site.
+
+    Each replica gets its own store (a ``<name>.blocks`` file under the
+    recipe's ``data_dir`` for file backends) and a replay of
+    ``suite_builds``; all of them share one sample and one selectivity
+    model — they hold identical data, and a mutation's point hooks fire
+    once per logical write.  Samples and the randomised builds are
+    seeded from the recipe, so the same arguments give the same stores
+    and structures in any process: registration, re-split, lazy
+    materialisation and the shard worker all call this, which is what
+    replica parity and process-mode I/O parity rest on.
+    """
+    sample, stats = fit_stats(recipe, chunk)
+    replicas: List[Dataset] = []
+    for name in names:
+        path = None
+        if recipe.backend in ("file", "mmap") and recipe.data_dir is not None:
+            path = os.path.join(recipe.data_dir,
+                                Catalog._block_file_name(name))
+        replica = Dataset(
+            name=name, points=chunk, sample=sample, stats=stats,
+            store=BlockStore(block_size=recipe.block_size,
+                             cache_blocks=recipe.cache_blocks,
+                             backend=make_backend(recipe.backend, path=path)))
+        for build in suite_builds:
+            params = dict(build["params"])
+            if len(chunk) == 0 and build["kind"] == "dynamic":
+                # A dynamic index built from zero points cannot infer the
+                # dimension from its build array.
+                params.setdefault("dimension", chunk.shape[1])
+            _build_index(replica, recipe.seed, build["kind"],
+                         build["index_name"], params)
+        replicas.append(replica)
+    return replicas
+
+
+def _boxed_shard(shard_id: int, replicas: List[Dataset]) -> Shard:
+    """A shard over freshly built replicas, boxed by their build points."""
+    points = replicas[0].points
+    return Shard(shard_id=shard_id, replicas=replicas,
+                 lows=tuple(points.min(axis=0).tolist()),
+                 highs=tuple(points.max(axis=0).tolist()))
+
+
 class Catalog:
     """Registry of datasets and the indexes built over them.
 
@@ -246,35 +383,14 @@ class Catalog:
                  data_dir: Optional[str] = None,
                  stats_model: object = "uniform",
                  stats_params: Optional[Dict[str, object]] = None):
-        self._block_size = block_size
-        self._cache_blocks = cache_blocks
-        self._sample_size = sample_size
-        self._seed = seed
-        self._backend = backend
-        self._data_dir = data_dir
-        self._stats_model = stats_model
-        self._stats_params = dict(stats_params or {})
+        #: Catalog-wide replica settings; each registration resolves its
+        #: overrides against these once (:meth:`_recipe`).
+        self._defaults = ReplicaRecipe(
+            block_size=block_size, cache_blocks=cache_blocks,
+            backend=backend, data_dir=data_dir, sample_size=sample_size,
+            seed=seed, stats_model=stats_model,
+            stats_params=dict(stats_params or {}), replicas=1)
         self._datasets: Dict[str, ShardedDataset] = {}
-
-    @property
-    def seed(self) -> Optional[int]:
-        """The catalog's sampling/build seed (workers replicate with it)."""
-        return self._seed
-
-    @property
-    def sample_size(self) -> int:
-        """The per-dataset selectivity-sample size."""
-        return self._sample_size
-
-    @property
-    def stats_model(self) -> object:
-        """The catalog-wide default selectivity-model kind (or factory)."""
-        return self._stats_model
-
-    @property
-    def stats_params(self) -> Dict[str, object]:
-        """The catalog-wide default selectivity-model parameters."""
-        return dict(self._stats_params)
 
     # ------------------------------------------------------------------
     # datasets
@@ -289,13 +405,6 @@ class Catalog:
             raise ValueError("points must have shape (N >= 1, d >= 2), got %r"
                              % (array.shape,))
         return array
-
-    def _sample_of(self, array: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self._seed)
-        if len(array) <= self._sample_size:
-            return array.copy()
-        chosen = rng.choice(len(array), size=self._sample_size, replace=False)
-        return array[chosen]
 
     @staticmethod
     def _block_file_name(name: str) -> str:
@@ -314,55 +423,24 @@ class Catalog:
             for ch in name)
         return "%s.blocks" % safe
 
-    def _make_store(self, name: str, block_size: Optional[int],
-                    cache_blocks: Optional[int],
-                    backend: object) -> BlockStore:
-        spec = self._backend if backend is None else backend
-        path = None
-        if spec in ("file", "mmap") and self._data_dir is not None:
-            path = os.path.join(self._data_dir, self._block_file_name(name))
-        return BlockStore(
-            block_size=block_size or self._block_size,
-            cache_blocks=(self._cache_blocks if cache_blocks is None
-                          else cache_blocks),
-            backend=make_backend(spec, path=path))
-
-    def _make_stats(self, array: np.ndarray, sample: np.ndarray,
-                    stats_model: object = None,
-                    stats_params: Optional[Dict[str, object]] = None
-                    ) -> SelectivityModel:
-        """Build the selectivity model for one (child) dataset.
-
-        A per-dataset ``stats_model`` override does *not* inherit the
-        catalog-wide ``stats_params``: those are specific to the
-        catalog's model kind (e.g. histogram bucket counts would crash a
-        uniform model), so an override starts from empty params unless
-        it brings its own.
-        """
+    def _recipe(self, block_size: Optional[int],
+                cache_blocks: Optional[int], backend: object,
+                stats_model: object,
+                stats_params: Optional[Dict[str, object]],
+                replicas: int) -> ReplicaRecipe:
+        """Resolve one registration's overrides against the defaults."""
+        defaults = self._defaults
         if stats_model is None:
-            spec = self._stats_model
-            params = self._stats_params if stats_params is None \
-                else stats_params
-        else:
-            spec = stats_model
-            params = stats_params or {}
-        return make_model(spec, array, sample, seed=self._seed, **params)
-
-    def _make_dataset(self, name: str, array: np.ndarray,
-                      block_size: Optional[int], cache_blocks: Optional[int],
-                      backend: object,
-                      stats_model: object = None,
-                      stats_params: Optional[Dict[str, object]] = None,
-                      stats: Optional[SelectivityModel] = None) -> Dataset:
-        """One (child) dataset; ``stats`` shares a pre-built model
-        instead of constructing a new one (shard replicas hold identical
-        data, so one model serves all of them)."""
-        store = self._make_store(name, block_size, cache_blocks, backend)
-        sample = self._sample_of(array)
-        return Dataset(name=name, points=array, store=store, sample=sample,
-                       stats=(stats if stats is not None else
-                              self._make_stats(array, sample, stats_model,
-                                               stats_params)))
+            stats_model = defaults.stats_model
+            if stats_params is None:
+                stats_params = defaults.stats_params
+        return replace(
+            defaults, block_size=block_size or defaults.block_size,
+            cache_blocks=(defaults.cache_blocks if cache_blocks is None
+                          else cache_blocks),
+            backend=defaults.backend if backend is None else backend,
+            stats_model=stats_model, stats_params=dict(stats_params or {}),
+            replicas=replicas)
 
     def register_dataset(self, name: str, points: Sequence[Sequence[float]],
                          block_size: Optional[int] = None,
@@ -383,93 +461,43 @@ class Catalog:
         """
         self._check_name_free(name)
         array = self._as_points(points)
-        replica = self._make_dataset(name, array, block_size, cache_blocks,
-                                     backend, stats_model, stats_params)
+        recipe = self._recipe(block_size, cache_blocks, backend,
+                              stats_model, stats_params, 1)
+        [replica] = build_replicas([name], array, recipe, [])
         self._datasets[name] = ShardedDataset(
             name=name, points=array, sample=replica.sample,
-            router=HashShardRouter(1), stats=replica.stats,
-            shards=[Shard(shard_id=0, replicas=[replica],
-                          lows=tuple(array.min(axis=0).tolist()),
-                          highs=tuple(array.max(axis=0).tolist()))])
+            router=HashShardRouter(1), stats=replica.stats, recipe=recipe,
+            shards=[_boxed_shard(0, [replica])])
         return replica
 
-    def adopt_replica(self, name: str, points: Sequence[Sequence[float]],
-                      suite_builds: Sequence[Dict[str, object]],
-                      dimension: Optional[int] = None,
-                      materialized: bool = False) -> Dataset:
-        """Rebuild one shard replica with *this* catalog's settings.
-
-        A shard-worker process calls this on its fresh mini-catalog to
-        reconstruct the replica it serves: the build-time point chunk
-        plus a replay of the parent's recorded ``suite_builds``.  Because
-        the catalog seeds samples and randomized index builds from its
-        own seed (which the worker copies from the parent), the stores
-        and structures come out identical to the parent's replica — the
-        foundation of process-mode I/O parity.  The replica is returned,
-        not registered: the worker serves it directly.
-
-        ``materialized`` marks a lazily-materialized (zero-build-point)
-        shard, replaying :meth:`materialize_shard`'s dimension defaulting
-        for dynamic builds; ``dimension`` is then required to shape the
-        empty array.
-        """
-        array = np.asarray(points, dtype=float)
-        if array.size == 0:
-            array = array.reshape(0, int(dimension))
-        # A zero-point (materialized) replica mirrors materialize_shard's
-        # provisional uniform model: histogram/ensemble models need at
-        # least one build point.
-        dataset = self._make_dataset(
-            name, array, None, None, None,
-            "uniform" if len(array) == 0 else None)
-        for build in suite_builds:
-            params = dict(build["params"])
-            if materialized and build["kind"] == "dynamic":
-                params.setdefault("dimension", array.shape[1])
-            self._build_index_on(dataset, build["kind"],
-                                 build["index_name"], **params)
-        return dataset
-
     @staticmethod
-    def _replica_name(name: str, shard_id: int, replica_id: int,
-                      generation: int = 0) -> str:
-        """Child-dataset name of one shard replica (replica 0 = primary).
+    def _replica_names(name: str, shard_id: int, count: int,
+                       generation: int) -> List[str]:
+        """Child-dataset names of one shard's replicas (first = primary).
 
         Re-split generations get a ``@g<G>`` infix so a rebuilt shard's
         block file can never collide with (and recover blocks from) the
         file its predecessor used.
         """
         base = name if generation == 0 else "%s@g%d" % (name, generation)
-        if replica_id == 0:
-            return "%s#%d" % (base, shard_id)
-        return "%s#%d@r%d" % (base, shard_id, replica_id)
+        return ["%s#%d" % (base, shard_id)] + [
+            "%s#%d@r%d" % (base, shard_id, replica_id)
+            for replica_id in range(1, count)]
 
     def _make_shards(self, name: str, array: np.ndarray, router,
-                     replicas: int, params: Dict[str, object],
-                     generation: int = 0) -> List[Shard]:
-        """Per-shard child datasets (with stores, samples and models)."""
+                     recipe: ReplicaRecipe, generation: int,
+                     suite_builds: Sequence[Dict[str, object]]
+                     ) -> List[Shard]:
+        """The router's layout of ``array``: one boxed shard per chunk."""
         shards: List[Shard] = []
         for shard_id, rows in enumerate(router.assign(array)):
             if len(rows) == 0:
                 shards.append(Shard(shard_id=shard_id))
                 continue
-            chunk = array[rows]
-            children: List[Dataset] = []
-            for replica_id in range(replicas):
-                children.append(self._make_dataset(
-                    self._replica_name(name, shard_id, replica_id,
-                                       generation),
-                    chunk, params.get("block_size"),
-                    params.get("cache_blocks"), params.get("backend"),
-                    params.get("stats_model"), params.get("stats_params"),
-                    # Replicas are identical copies: the primary's model
-                    # serves every replica (mutations pin to one replica,
-                    # whose point hooks keep the shared model current).
-                    stats=children[0].stats if children else None))
-            shards.append(Shard(
-                shard_id=shard_id, replicas=children,
-                lows=tuple(chunk.min(axis=0).tolist()),
-                highs=tuple(chunk.max(axis=0).tolist())))
+            names = self._replica_names(name, shard_id, recipe.replicas,
+                                        generation)
+            shards.append(_boxed_shard(shard_id, build_replicas(
+                names, array[rows], recipe, suite_builds)))
         return shards
 
     def register_sharded_dataset(self, name: str,
@@ -490,14 +518,15 @@ class Catalog:
         or ``"hash"``); each non-empty shard gets ``replicas`` child
         datasets — the primary named ``<name>#<shard>``, further replicas
         ``<name>#<shard>@r<replica>`` — each with its own store (and
-        backend) plus its own sample and selectivity model, and records
-        the bounding box of its points for pruning.  Replicas hold
-        identical copies of the shard's points, so the executor can
+        backend), sharing the shard's sample and selectivity model, and
+        records the bounding box of its points for pruning.  Replicas
+        hold identical copies of the shard's points, so the executor can
         overlap concurrent queries on the same shard by picking the
-        least-loaded replica.  The registration parameters are kept on
-        the returned :class:`~repro.engine.sharding.ShardedDataset` so a
-        later re-split (:meth:`resplit_sharded_dataset`) rebuilds shards
-        with identical settings.
+        least-loaded replica.  The resolved :class:`ReplicaRecipe` is
+        kept on the returned
+        :class:`~repro.engine.sharding.ShardedDataset`, so every later
+        rebuild (re-split, lazy materialisation, worker process) uses
+        identical settings.
         """
         self._check_name_free(name)
         if replicas < 1:
@@ -505,17 +534,13 @@ class Catalog:
         array = self._as_points(points)
         router = make_router(sharding, array, num_shards,
                              attribute=shard_attribute)
-        params: Dict[str, object] = {
-            "block_size": block_size, "cache_blocks": cache_blocks,
-            "backend": backend, "stats_model": stats_model,
-            "stats_params": stats_params, "replicas": replicas,
-        }
-        sample = self._sample_of(array)
+        recipe = self._recipe(block_size, cache_blocks, backend,
+                              stats_model, stats_params, replicas)
+        sample, stats = fit_stats(recipe, array)
         sharded = ShardedDataset(
             name=name, points=array, sample=sample, router=router,
-            shards=self._make_shards(name, array, router, replicas, params),
-            stats=self._make_stats(array, sample, stats_model, stats_params),
-            register_params=params)
+            stats=stats, recipe=recipe,
+            shards=self._make_shards(name, array, router, recipe, 0, []))
         self._datasets[name] = sharded
         return sharded
 
@@ -529,10 +554,11 @@ class Catalog:
         (caller-managed backends) are left alone.
         """
         path = getattr(store.backend, "path", None)
-        if not path or self._data_dir is None:
+        data_dir = self._defaults.data_dir
+        if not path or data_dir is None:
             return
         directory = os.path.dirname(os.path.abspath(path))
-        if directory != os.path.abspath(self._data_dir):
+        if directory != os.path.abspath(data_dir):
             return
         try:
             os.unlink(path)
@@ -617,29 +643,18 @@ class Catalog:
                 raise ValueError("cannot re-split %r: it holds no live "
                                  "points" % name)
             array = np.concatenate(chunks)
-            params = sharded.register_params
-            replicas = int(params.get("replicas") or 1)
             router = RangeShardRouter.from_points(
                 array, sharded.router.num_shards,
                 attribute=sharded.router.attribute)
             generation = sharded.generation + 1
-            old_stores = [replica.store
-                          for shard in sharded.nonempty_shards()
-                          for replica in shard.replicas]
-            sample = self._sample_of(array)
+            old_stores = self.stores(name)
+            shards = self._make_shards(name, array, router, sharded.recipe,
+                                       generation, sharded.suite_builds)
             sharded.points = array
-            sharded.sample = sample
-            sharded.stats = self._make_stats(array, sample,
-                                             params.get("stats_model"),
-                                             params.get("stats_params"))
+            sharded.sample, sharded.stats = fit_stats(sharded.recipe, array)
             sharded.router = router
-            sharded.shards = self._make_shards(name, array, router,
-                                               replicas, params, generation)
+            sharded.shards = shards
             sharded.generation = generation
-            for build in list(sharded.suite_builds):
-                self.build_sharded_index(name, build["kind"],
-                                         build["index_name"],
-                                         **dict(build["params"]))
         for store in old_stores:
             # Close under the store's lock: an in-flight fan-out that
             # still holds references to the retiring layout finishes its
@@ -661,9 +676,9 @@ class Catalog:
 
         A range shard that received no build points holds no replicas, so
         the first insert routed into it has nowhere to land.  This builds
-        the shard's child datasets from a zero-point array — one store,
-        sample and suite per replica, exactly as registration would have —
-        and attaches them to the existing :class:`Shard` object, so live
+        the shard's child datasets from a zero-point array — through
+        :func:`build_replicas`, exactly as registration would have — and
+        attaches them to the existing :class:`Shard` object, so live
         ingest over the write path works on a fresh shard instead of
         erroring.  No-op when the shard already has replicas.
 
@@ -685,30 +700,14 @@ class Catalog:
         shard = sharded.shards[shard_id]
         if not shard.is_empty:
             return shard
-        params = sharded.register_params
-        replicas = int(params.get("replicas") or 1)
-        empty = np.empty((0, sharded.dimension), dtype=float)
-        children: List[Dataset] = []
-        for replica_id in range(replicas):
-            children.append(self._make_dataset(
-                self._replica_name(name, shard_id, replica_id,
-                                   sharded.generation),
-                empty, params.get("block_size"), params.get("cache_blocks"),
-                params.get("backend"), "uniform", None,
-                stats=children[0].stats if children else None))
-        for build in sharded.suite_builds:
-            build_params = dict(build["params"])
-            if build["kind"] == "dynamic":
-                # A dynamic index built from zero points cannot infer the
-                # dimension from its build array.
-                build_params.setdefault("dimension", sharded.dimension)
-            for replica in children:
-                self._build_index_on(replica, build["kind"],
-                                     build["index_name"], **build_params)
-        # Attach only after every build succeeded, so a failed build
+        names = self._replica_names(name, shard_id, sharded.recipe.replicas,
+                                    sharded.generation)
+        # Attached only once every build succeeded, so a failed build
         # leaves the shard empty (and the write that triggered it fails)
         # instead of half-materialized.
-        shard.replicas = children
+        shard.replicas = build_replicas(
+            names, np.empty((0, sharded.dimension), dtype=float),
+            sharded.recipe, sharded.suite_builds)
         shard.lows = None
         shard.highs = None
         shard.box_stale = True
@@ -739,10 +738,7 @@ class Catalog:
         live = self.live_points_of(primary)
         if len(live) < max(1, int(min_points)):
             return False
-        params = sharded.register_params
-        sample = self._sample_of(live)
-        stats = self._make_stats(live, sample, params.get("stats_model"),
-                                 params.get("stats_params"))
+        sample, stats = fit_stats(sharded.recipe, live)
         for replica in shard.replicas:
             replica.sample = sample
             replica.stats = stats
@@ -803,42 +799,6 @@ class Catalog:
     # ------------------------------------------------------------------
     # index builds
     # ------------------------------------------------------------------
-    def _build_index_on(self, dataset: Dataset, kind: str,
-                        index_name: Optional[str] = None,
-                        **params) -> BuildRecord:
-        """Bulk-build one index of the given kind over a (child) dataset."""
-        if kind not in INDEX_KINDS:
-            raise KeyError("unknown index kind %r (known: %s)"
-                           % (kind, sorted(INDEX_KINDS)))
-        index_kind = INDEX_KINDS[kind]
-        if not index_kind.supports(dataset.dimension):
-            raise ValueError("index kind %r does not support dimension %d"
-                             % (kind, dataset.dimension))
-        index_name = index_name or kind
-        if index_name in dataset.indexes:
-            raise ValueError("index %r already exists on dataset %r"
-                             % (index_name, dataset.name))
-        if self._seed is not None and kind in ("halfplane2d", "halfspace3d",
-                                               "hybrid3d"):
-            params.setdefault("seed", self._seed)
-        started = time.perf_counter()
-        index = index_kind.factory(dataset.points, store=dataset.store,
-                                   **params)
-        elapsed = time.perf_counter() - started
-        record = BuildRecord(
-            dataset=dataset.name,
-            index_name=index_name,
-            kind=kind,
-            num_points=dataset.size,
-            space_blocks=index.space_blocks,
-            build_seconds=elapsed,
-            build_ios=index.build_ios,
-            params=dict(params),
-        )
-        dataset.indexes[index_name] = index
-        dataset.build_records[index_name] = record
-        return record
-
     def build_index(self, dataset_name: str, kind: str,
                     index_name: Optional[str] = None,
                     **params) -> BuildRecord:
@@ -865,8 +825,8 @@ class Catalog:
         over the new shards.
         """
         sharded = self.sharded(dataset_name)
-        records = [self._build_index_on(replica, kind, index_name,
-                                        **dict(params))
+        records = [_build_index(replica, sharded.recipe.seed, kind,
+                                index_name, params)
                    for shard in sharded.nonempty_shards()
                    for replica in shard.replicas]
         # Record only after the builds succeeded: a phantom entry for a

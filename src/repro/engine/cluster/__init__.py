@@ -30,7 +30,7 @@ from repro.engine.cluster.client import (
     WorkerUnavailable,
 )
 from repro.engine.cluster.coordinator import Coordinator, WorkerHandle
-from repro.engine.cluster.worker import ShardWorker, build_spec, worker_main
+from repro.engine.cluster.worker import ShardWorker, worker_main
 from repro.engine.cluster.writelog import LogEntry, WriteLog
 
 __all__ = [
@@ -42,6 +42,5 @@ __all__ = [
     "WorkerHandle",
     "WorkerUnavailable",
     "WriteLog",
-    "build_spec",
     "worker_main",
 ]

@@ -5,8 +5,8 @@ fleet of :mod:`~repro.engine.cluster.worker` processes — one process per
 non-empty shard replica of every covered sharded dataset.  It owns:
 
 * **placement** — :meth:`start_dataset` forks a worker per replica, each
-  rebuilding its replica deterministically from a
-  :func:`~repro.engine.cluster.worker.build_spec`;
+  rebuilding its replica deterministically from the dataset's
+  :class:`~repro.engine.catalog.ReplicaRecipe`;
 * **the write fan-out log** — the engine's write path reports every
   sharded mutation (still under the dataset's write barrier) to
   :meth:`note_write`, which appends it to the :class:`WriteLog` and
@@ -29,6 +29,7 @@ rather than serving answers from silently diverged workers.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import multiprocessing
 import multiprocessing.util  # registers its exit handler before any of ours
 import threading
@@ -67,8 +68,8 @@ class WorkerHandle:
         self.shard_id = shard_id
         self.replica_id = replica_id
         self.replica_name = replica_name
-        #: Index names the worker's spawn spec carried — what it can
-        #: answer queries on.
+        #: Index names the worker was spawned with — what it can answer
+        #: queries on.
         self.indexes = indexes
         self.process = process
         self.client = client
@@ -78,7 +79,7 @@ class WorkerHandle:
         self.restarts = 0
         self.served = 0
         #: Highest write-log ``seq`` the coordinator has delivered to
-        #: this worker (spec snapshot, catch-up replay and live
+        #: this worker (spawn snapshot, catch-up replay and live
         #: broadcast all advance it) — the worker's replay position as
         #: the coordinator knows it, without an RPC round-trip.
         self.last_seq = 0
@@ -106,7 +107,7 @@ class Coordinator:
     Parameters
     ----------
     catalog:
-        The engine's catalog (source of replica specs and suite builds).
+        The engine's catalog (source of replica recipes and suite builds).
     heartbeat_interval_s:
         Monitor-thread ping period; 0 disables the background monitor
         (tests then drive :meth:`check_workers` deterministically).
@@ -119,7 +120,7 @@ class Coordinator:
     conformal:
         The parent engine's conformal-calibrator configuration
         (:meth:`~repro.engine.stats.ConformalCalibrator.config`),
-        forwarded in every worker spec so worker processes replicate
+        forwarded to every worker so worker processes replicate
         the parent's estimation stack exactly.
     """
 
@@ -177,49 +178,32 @@ class Coordinator:
         for handle in handles:
             self._shutdown_handle(handle)
 
-    def _effective_stats(self, sharded) -> Tuple[object, Dict[str, object]]:
-        """The dataset's effective selectivity-model configuration.
-
-        Mirrors :meth:`Catalog._make_stats` resolution: a register-time
-        override wins (and does *not* inherit catalog-wide params, which
-        belong to the catalog's model kind); otherwise the catalog
-        defaults apply.  Workers rebuild their replica models from this,
-        so an ensemble-configured dataset comes out identical in process
-        mode.
-        """
-        params = sharded.register_params
-        if params.get("stats_model") is None:
-            stats_params = params.get("stats_params")
-            return (self._catalog.stats_model,
-                    dict(stats_params) if stats_params is not None
-                    else self._catalog.stats_params)
-        return params["stats_model"], dict(params.get("stats_params") or {})
-
     def _spawn(self, dataset_name: str, shard: Shard,
                replica_id: int) -> WorkerHandle:
         """Fork one worker for a replica and wait for its port handshake.
 
-        The spec snapshots the shard's write log; anything appended while
-        the child is rebuilding is caught up under the coordinator lock
-        right after registration (idempotent re-send of the full log, in
-        order), closing the spawn-window gap without holding the lock
-        across the fork.
+        The worker's arguments are the dataset's recipe — on the
+        ``"memory"`` backend, and with the replica's *live* pool size, so
+        a restart inside a warm-serving window still matches — plus the
+        replica's build points, the recorded suite and a snapshot of the
+        shard's write log; anything appended while the child is
+        rebuilding is caught up under the coordinator lock right after
+        registration (idempotent re-send of the full log, in order),
+        closing the spawn-window gap without holding the lock across the
+        fork.
         """
         sharded = self._catalog.sharded(dataset_name)
         replica = shard.replicas[replica_id]
-        stats_model, stats_params = self._effective_stats(sharded)
+        recipe = dataclasses.replace(
+            sharded.recipe, backend="memory",
+            cache_blocks=replica.store.cache_blocks)
+        suite_builds = list(sharded.suite_builds)
         log_entries = self.log.entries(dataset_name, shard.shard_id)
-        spec = worker.build_spec(
-            dataset_name, shard.shard_id, replica_id, replica.name,
-            replica.points, sharded.dimension,
-            replica.store.block_size, replica.store.cache_blocks,
-            self._catalog.sample_size, self._catalog.seed,
-            sharded.suite_builds, log_entries,
-            stats_model=stats_model, stats_params=stats_params,
-            conformal=self._conformal)
         parent_end, child_end = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
-            target=worker.worker_main, args=(spec, child_end),
+            target=worker.worker_main,
+            args=(child_end, replica.name, replica.points, recipe,
+                  suite_builds, log_entries, self._conformal),
             name="repro-worker-%s" % replica.name, daemon=True)
         process.start()
         child_end.close()
@@ -234,11 +218,10 @@ class Coordinator:
         client = WorkerClient(("127.0.0.1", int(hello["port"])))
         handle = WorkerHandle(
             dataset_name, shard.shard_id, replica_id, replica.name,
-            frozenset(build["index_name"]
-                      for build in spec["suite_builds"]),
+            frozenset(build["index_name"] for build in suite_builds),
             process, client, int(hello["port"]), int(hello["pid"]))
         if log_entries:
-            # The spec's log snapshot was already applied during rebuild.
+            # The log snapshot was already applied during rebuild.
             handle.last_seq = max(seq for seq, __, __ in log_entries)
         with self._lock:
             previous = self._workers.get(handle.key)
@@ -247,13 +230,12 @@ class Coordinator:
                 handle.restarts = previous.restarts + 1
             # Catch-up replay under the lock: writes that landed during
             # the rebuild are re-sent in order (the worker skips the ones
-            # its spec already carried), and no new broadcast can
+            # it was spawned with), and no new broadcast can
             # interleave until the replay finishes.
             for seq, op, point in self.log.entries(dataset_name,
                                                    shard.shard_id):
                 try:
-                    handle.client.call({"op": op, "point": list(point),
-                                        "seq": seq})
+                    handle.client.call(self._write_request(seq, op, point))
                     handle.last_seq = max(handle.last_seq, seq)
                 except WorkerUnavailable:
                     handle.alive = False
@@ -273,6 +255,11 @@ class Coordinator:
         if shard.is_empty or replica_id >= shard.num_replicas:
             return None
         return self._spawn(dataset_name, shard, replica_id)
+
+    def _serves(self, dataset_name: str) -> bool:
+        """Whether workers answer for the dataset (call under the lock)."""
+        return (not self._stopped and dataset_name in self._covered
+                and dataset_name not in self._bypassed)
 
     # ------------------------------------------------------------------
     # the query transport
@@ -296,8 +283,7 @@ class Coordinator:
         failover never loses or double-counts a block transfer.
         """
         with self._lock:
-            if (self._stopped or dataset_name not in self._covered
-                    or dataset_name in self._bypassed):
+            if not self._serves(dataset_name):
                 return None
             order = [replica_id] + [r for r in range(shard.num_replicas)
                                     if r != replica_id]
@@ -334,6 +320,12 @@ class Coordinator:
     # ------------------------------------------------------------------
     # the write fan-out
     # ------------------------------------------------------------------
+    @staticmethod
+    def _write_request(seq: int, op: str,
+                       point: Tuple[float, ...]) -> Dict[str, object]:
+        """The write RPC for one logged mutation (broadcast and replay)."""
+        return {"op": op, "point": [float(c) for c in point], "seq": seq}
+
     def note_write(self, dataset_name: str, shard_id: int, op: str,
                    record: Tuple[float, ...], applied: bool) -> None:
         """Log one committed mutation and broadcast it to the shard's workers.
@@ -348,12 +340,10 @@ class Coordinator:
         """
         del applied  # logged either way: a no-op delete replays as one
         with self._lock:
-            if (self._stopped or dataset_name not in self._covered
-                    or dataset_name in self._bypassed):
+            if not self._serves(dataset_name):
                 return
             seq = self.log.append(dataset_name, shard_id, op, record)
-            payload = {"op": op, "point": [float(c) for c in record],
-                       "seq": seq}
+            payload = self._write_request(seq, op, record)
             for handle in list(self._workers.values()):
                 if (handle.dataset != dataset_name
                         or handle.shard_id != shard_id
@@ -373,8 +363,7 @@ class Coordinator:
         logged write is broadcast.
         """
         with self._lock:
-            if (self._stopped or dataset_name not in self._covered
-                    or dataset_name in self._bypassed):
+            if not self._serves(dataset_name):
                 return
         shard = self._catalog.sharded(dataset_name).shards[shard_id]
         for replica_id in range(shard.num_replicas):
@@ -423,7 +412,7 @@ class Coordinator:
 
         Returns restore tokens for :meth:`restore_caches`; tokens name
         the worker by key (not by handle), so a worker restarted inside
-        the window — whose spec inherited the warmed parent size — is
+        the window — which inherited the warmed parent size — is
         still restored to its pre-warm pool.
         """
         tokens: List[Tuple] = []

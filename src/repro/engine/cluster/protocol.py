@@ -26,12 +26,13 @@ The RPC operations (``op`` field of every request):
 ``shutdown``    stop the serve loop and exit the process
 ========== ==========================================================
 
-The replica *spec* — including the dataset's selectivity-model kind and
-parameters and the parent's conformal-calibrator config — does not
-travel over this protocol: it rides the fork/pickle boundary at spawn
-time (:func:`repro.engine.cluster.worker.build_spec`); the ``stats``
-response echoes the resulting model name and conformal config back for
-introspection.
+What a worker rebuilds its replica from — the dataset's
+:class:`~repro.engine.catalog.ReplicaRecipe`, selectivity-model kind
+and parameters included, and the parent's conformal-calibrator config —
+does not travel over this protocol: it rides the fork at spawn time
+(:class:`repro.engine.cluster.worker.ShardWorker`'s arguments); the
+``stats`` response echoes the resulting model name and conformal config
+back for introspection.
 """
 
 from __future__ import annotations

@@ -1,20 +1,17 @@
 """The shard-worker process: one replica served over the RPC protocol.
 
 :func:`worker_main` is the process entrypoint the coordinator forks.  It
-rebuilds its replica *deterministically* from the spec — a fresh
-mini-:class:`~repro.engine.catalog.Catalog` with the parent's effective
-block size, buffer-pool size, sample size, seed and selectivity-model
-configuration (stats model kind/params plus the parent's conformal
-calibrator config, so an ensemble-configured dataset rebuilds identical
-models), the replica's
-build-time points, and a replay of the sharded dataset's recorded
-``suite_builds`` (index builds are seeded through the catalog, so the
-structures come out identical) — then replays the write fan-out log it
-was handed.  Because the store layout and index structure match the
-parent's replica bit for bit, the per-query I/O counters a worker
-reports are exactly what the in-process fan-out would have measured:
-that determinism, not state shipping, is what makes process mode
-answer- and I/O-count-identical to in-process mode.
+rebuilds its replica *deterministically* through the function the parent
+built it with, :func:`~repro.engine.catalog.build_replicas` — the
+dataset's :class:`~repro.engine.catalog.ReplicaRecipe` (block size,
+buffer-pool size, sample size, seed, selectivity model), the replica's
+build-time points and a replay of the dataset's recorded
+``suite_builds`` — then replays the write fan-out log it was handed.
+Because the store layout and index structure match the parent's replica
+bit for bit, the per-query I/O counters a worker reports are exactly
+what the in-process fan-out would have measured: that determinism, not
+state shipping, is what makes process mode answer- and
+I/O-count-identical to in-process mode.
 
 Workers always build on the ``"memory"`` backend regardless of the
 parent's: block accounting is backend-independent (the backend-parity
@@ -34,77 +31,37 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.kernels import vectorized_enabled
-from repro.engine.catalog import Catalog
+from repro.engine.catalog import ReplicaRecipe, build_replicas
 from repro.engine.cluster import protocol
 from repro.engine.writes import apply_mutation
 
 
-def build_spec(dataset: str, shard_id: int, replica_id: int,
-               replica_name: str, points: np.ndarray, dimension: int,
-               block_size: int, cache_blocks: int, sample_size: int,
-               seed: Optional[int],
-               suite_builds: List[Dict[str, object]],
-               log: List[Tuple[int, str, Tuple[float, ...]]],
-               stats_model: object = "uniform",
-               stats_params: Optional[Dict[str, object]] = None,
-               conformal: Optional[Dict[str, object]] = None
-               ) -> Dict[str, object]:
-    """The picklable replica description a worker process is spawned with.
+class ShardWorker:
+    """One shard replica rebuilt in this process and served over RPC.
 
     ``points`` is the replica's *build-time* array (the parent keeps it
-    immutable on the child dataset); every mutation since build rides in
-    ``log``.  An empty array marks a lazily-materialized shard, whose
-    builds replay :meth:`Catalog.materialize_shard`'s dimension
-    defaulting.  ``stats_model`` / ``stats_params`` are the dataset's
-    *effective* selectivity-model configuration (register-time override
-    or catalog default), so the worker's mini-catalog rebuilds the
-    identical model — uniform, histogram or ensemble — over the replica;
+    immutable on the child dataset; a zero-point array is a lazily
+    materialised shard) and ``recipe`` the dataset's
+    :class:`~repro.engine.catalog.ReplicaRecipe` with the backend forced
+    to ``"memory"``; every mutation since build rides in ``log``.
     ``conformal`` is the parent calibrator's
     :meth:`~repro.engine.stats.ConformalCalibrator.config` snapshot,
     carried so the worker's configuration is a faithful replica of the
-    parent's estimation stack (the spec travels by pickle through the
-    fork, not over the socket protocol).
+    parent's estimation stack.  The arguments travel through the fork,
+    not over the socket protocol.
     """
-    return {
-        "dataset": dataset, "shard_id": shard_id, "replica_id": replica_id,
-        "replica_name": replica_name, "points": np.asarray(points),
-        "dimension": int(dimension), "block_size": int(block_size),
-        "cache_blocks": int(cache_blocks), "sample_size": int(sample_size),
-        "seed": seed,
-        "suite_builds": [dict(build) for build in suite_builds],
-        "materialized": len(points) == 0,
-        "log": list(log),
-        "stats_model": stats_model,
-        "stats_params": dict(stats_params or {}),
-        "conformal": dict(conformal or {}),
-    }
 
-
-class ShardWorker:
-    """One shard replica rebuilt in this process and served over RPC."""
-
-    def __init__(self, spec: Dict[str, object]):
-        self.spec = spec
-        # Older specs (pre-stats-config) default to the provisional
-        # uniform model; current coordinators always fill these in.
-        self._catalog = Catalog(
-            block_size=spec["block_size"],
-            cache_blocks=spec["cache_blocks"],
-            sample_size=spec["sample_size"],
-            seed=spec["seed"], backend="memory",
-            stats_model=spec.get("stats_model", "uniform"),
-            stats_params=spec.get("stats_params"))
-        self.conformal_config: Dict[str, object] = dict(
-            spec.get("conformal") or {})
-        self.dataset = self._catalog.adopt_replica(
-            spec["replica_name"], spec["points"], spec["suite_builds"],
-            dimension=spec["dimension"],
-            materialized=spec["materialized"])
+    def __init__(self, name: str, points: np.ndarray, recipe: ReplicaRecipe,
+                 suite_builds: Sequence[Dict[str, object]],
+                 log: Sequence[Tuple[int, str, Tuple[float, ...]]],
+                 conformal: Dict[str, object]):
+        self.conformal_config: Dict[str, object] = dict(conformal)
+        [self.dataset] = build_replicas([name], points, recipe, suite_builds)
         self._started_s = time.perf_counter()
         self._stop = threading.Event()
         self._lock = threading.Lock()     # counters below
@@ -114,7 +71,7 @@ class ShardWorker:
         #: Cumulative (index_name, model_ios, observed_cold_ios) feedback
         #: summaries, drained by the ``stats`` op.
         self._observations: Dict[str, Dict[str, float]] = {}
-        for seq, op, point in spec["log"]:
+        for seq, op, point in log:
             self._apply_write(op, tuple(point), int(seq))
 
     # ------------------------------------------------------------------
@@ -292,6 +249,7 @@ class ShardWorker:
             connection.close()
 
 
-def worker_main(spec: Dict[str, object], pipe) -> None:
-    """Process entrypoint: build the replica, then serve until shut down."""
-    ShardWorker(spec).serve(pipe)
+def worker_main(pipe, *replica) -> None:
+    """Process entrypoint: build the replica (:class:`ShardWorker`'s
+    arguments), then serve until shut down."""
+    ShardWorker(*replica).serve(pipe)

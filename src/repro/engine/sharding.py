@@ -47,7 +47,7 @@ from repro.core.conjunction import ConstraintConjunction
 from repro.geometry.primitives import LinearConstraint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog imports us)
-    from repro.engine.catalog import Catalog, Dataset
+    from repro.engine.catalog import Catalog, Dataset, ReplicaRecipe
     from repro.engine.metrics import EngineStats
     from repro.engine.stats import SelectivityModel
 
@@ -390,6 +390,9 @@ class ShardedDataset:
     router: ShardRouter
     #: Pluggable selectivity model over the whole dataset.
     stats: "SelectivityModel"
+    #: Replica settings resolved at registration; every rebuild (re-split,
+    #: lazy materialisation, stats upgrade, worker process) reads them here.
+    recipe: "ReplicaRecipe"
     shards: List[Shard] = field(default_factory=list)
     prune: bool = True
     #: Index builds performed over every shard — ``{"kind", "index_name",
@@ -398,9 +401,6 @@ class ShardedDataset:
     suite_builds: List[Dict[str, object]] = field(default_factory=list)
     #: Re-split counter; plans carry the generation they were made against.
     generation: int = 0
-    #: Registration parameters (block size, backend, stats model, ...)
-    #: replayed by the catalog when re-splitting.
-    register_params: Dict[str, object] = field(default_factory=dict)
     #: The dataset's write barrier: engine-level mutations hold it for
     #: route+fanout, and a re-split holds it for its whole
     #: collect-swap-rebuild-rewire window — so a write can neither land

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.engine import Catalog
 from repro.io.store import BlockStore
 
 
@@ -29,3 +30,32 @@ def rng():
 def brute_force_halfspace(points, constraint):
     """Ground truth for halfspace queries (set of tuples)."""
     return {tuple(p) for p in points if constraint.below(p)}
+
+
+def assert_replica_layout(sharded):
+    """Invariants every replica build site must leave on a ShardedDataset.
+
+    Registration, re-split, lazy materialisation and the stats upgrade
+    all go through one builder; whichever ran last, each shard's
+    replicas are copies of one another built from the dataset's recipe.
+    """
+    recipe = sharded.recipe
+    suite = [build["index_name"] for build in sharded.suite_builds]
+    assert sharded.nonempty_shards()
+    for shard in sharded.nonempty_shards():
+        assert shard.num_replicas == recipe.replicas
+        primary = shard.replicas[0]
+        for replica in shard.replicas:
+            assert np.array_equal(replica.points, primary.points)
+            assert sorted(map(tuple, Catalog.live_points_of(replica))) \
+                == sorted(map(tuple, Catalog.live_points_of(primary)))
+            assert list(replica.indexes) == suite
+            assert list(replica.build_records) == suite
+            assert replica.stats is primary.stats
+            assert replica.store.block_size == recipe.block_size
+            assert replica.store.cache_blocks == recipe.cache_blocks
+        if shard.box_stale:
+            continue
+        # A fresh box bounds (at least) the points the shard was built on.
+        assert np.all(np.asarray(shard.lows) <= primary.points.min(axis=0))
+        assert np.all(np.asarray(shard.highs) >= primary.points.max(axis=0))

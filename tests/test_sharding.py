@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_halfspace
+from conftest import assert_replica_layout, brute_force_halfspace
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.engine import Catalog, ShardedPlan
+from repro.engine.cluster import ShardWorker
 from repro.engine.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -443,3 +445,108 @@ def test_block_file_names_cannot_collide():
              "€", " ac", "_20ac"]
     files = {Catalog._block_file_name(name) for name in names}
     assert len(files) == len(names)
+
+
+# ----------------------------------------------------------------------
+# one replica recipe: every build site leaves the same layout
+# ----------------------------------------------------------------------
+WRITABLE = ["dynamic", "full_scan"]
+
+
+def _insert_into_an_empty_shard(engine, count):
+    """Register a tiny hash-sharded "d" and fill one of its empty shards."""
+    engine.register_sharded_dataset(
+        "d", [(float(i), float(i)) for i in range(4)], num_shards=4,
+        sharding="hash", replicas=2, kinds=WRITABLE)
+    sharded = engine.catalog.sharded("d")
+    empty = next(shard for shard in sharded.shards if shard.is_empty)
+    probes = (tuple(map(float, p)) for p in
+              np.random.default_rng(0).uniform(10.0, 20.0, size=(4096, 2)))
+    for __ in range(count):
+        engine.insert("d", next(p for p in probes if
+                                sharded.router.shard_of(p) == empty.shard_id))
+    return empty
+
+
+def _site_register(engine, points):
+    engine.register_dataset("d", points, kinds=WRITABLE, cache_blocks=6)
+
+
+def _site_register_sharded(engine, points):
+    engine.register_sharded_dataset("d", points, num_shards=3, replicas=2,
+                                    kinds=WRITABLE, block_size=16)
+    assert engine.catalog.sharded("d").recipe.block_size == 16
+
+
+def _site_rebalance(engine, points):
+    _site_register_sharded(engine, points)
+    for x in np.linspace(5.0, 6.0, 40):
+        engine.insert("d", (float(x), 0.0))
+    engine.rebalance("d")
+    assert engine.catalog.sharded("d").generation == 1
+
+
+def _site_materialize(engine, points):
+    empty = _insert_into_an_empty_shard(engine, 1)
+    assert empty.box_stale and empty.stats_provisional
+    assert empty.dataset.stats.name == "uniform"
+
+
+def _site_upgrade_stats(engine, points):
+    empty = _insert_into_an_empty_shard(engine, 8)
+    assert not empty.stats_provisional
+    assert empty.dataset.stats.name == "histogram"
+    assert all(replica.sample is empty.dataset.sample
+               for replica in empty.replicas)
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("site", [
+    _site_register, _site_register_sharded, _site_rebalance,
+    _site_materialize, _site_upgrade_stats], ids=lambda site: site.__name__)
+def test_every_build_site_leaves_the_same_replica_layout(site, backend,
+                                                         tmp_path):
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=17, backend=backend,
+                         data_dir=str(tmp_path), stats_model="histogram",
+                         stats_upgrade_min_points=8)
+    try:
+        site(engine, uniform_points(384, seed=18))
+        sharded = engine.catalog.sharded("d")
+        assert_replica_layout(sharded)
+        assert {type(store.backend).__name__
+                for store in engine.catalog.stores("d")} == {
+            "FileBackend" if backend == "file" else "MemoryBackend"}
+        everything = LinearConstraint(coeffs=(0.0,), offset=1e9)
+        assert len(engine.query("d", everything).points) \
+            == sum(sharded.shard_live_sizes())
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
+    """The worker calls the parent's builder with the parent's recipe
+    (on the memory backend): same sample, model kind and index builds."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=19, backend=backend,
+                         data_dir=str(tmp_path), sample_size=64)
+    try:
+        engine.register_sharded_dataset(
+            "d", uniform_points(384, seed=20), num_shards=2, replicas=2,
+            stats_model="ensemble", cache_blocks=6)
+        sharded = engine.catalog.sharded("d")
+        recipe = dataclasses.replace(sharded.recipe, backend="memory")
+        for shard in sharded.nonempty_shards():
+            for replica in shard.replicas:
+                rebuilt = ShardWorker(replica.name, replica.points, recipe,
+                                      sharded.suite_builds, [], {}).dataset
+                assert rebuilt.store.block_size == replica.store.block_size
+                assert rebuilt.store.cache_blocks == 6
+                assert np.array_equal(rebuilt.sample, replica.sample)
+                assert rebuilt.stats.name == replica.stats.name == "ensemble"
+                assert list(rebuilt.indexes) == list(replica.indexes)
+                for name, record in replica.build_records.items():
+                    twin = rebuilt.build_records[name]
+                    assert twin.space_blocks == record.space_blocks
+                    assert twin.build_ios.total == record.build_ios.total
+    finally:
+        engine.close()

@@ -1162,15 +1162,41 @@ def test_process_workers_parity_with_ensemble_stats():
 
 
 def test_worker_spec_carries_stats_and_conformal_config():
-    from repro.engine.cluster.worker import ShardWorker, build_spec
+    from repro.engine.catalog import ReplicaRecipe
+    from repro.engine.cluster.worker import ShardWorker
     points = np.asarray(uniform_points(256, seed=58))
-    spec = build_spec(
-        "sh", 0, 0, "sh#0", points, 2, BLOCK_SIZE, 4, 128, 58,
+    recipe = ReplicaRecipe(
+        block_size=BLOCK_SIZE, cache_blocks=4, backend="memory",
+        data_dir=None, sample_size=128, seed=58, stats_model="ensemble",
+        stats_params={}, replicas=1)
+    worker = ShardWorker(
+        "sh#0", points, recipe,
         [{"kind": "full_scan", "index_name": "full_scan", "params": {}}],
-        [], stats_model="ensemble", stats_params={},
-        conformal={"coverage": 0.9, "window": 128, "min_calibration": 16})
-    worker = ShardWorker(spec)
+        [], {"coverage": 0.9, "window": 128, "min_calibration": 16})
     assert worker.dataset.stats.name == "ensemble"
     stats = worker.handle({"op": "stats"})
     assert stats["stats_model"] == "ensemble"
     assert stats["conformal"]["coverage"] == 0.9
+    # Spawned workers get the recipe their dataset was registered with:
+    # a per-dataset override reaches them for both register_* shapes.
+    for sharded in (False, True):
+        for override in ({}, {"stats_model": "histogram"}):
+            engine = QueryEngine(block_size=BLOCK_SIZE, seed=58,
+                                 workers="process")
+            try:
+                if sharded:
+                    engine.register_sharded_dataset(
+                        "d", points, num_shards=2, kinds=["full_scan"],
+                        **override)
+                else:
+                    engine.register_dataset("d", points,
+                                            kinds=["full_scan"], **override)
+                    engine.cluster.start_dataset("d")
+                for shard in engine.catalog.sharded("d").nonempty_shards():
+                    assert shard.dataset.stats.name \
+                        == override.get("stats_model", "uniform")
+                    assert engine.cluster.worker_stats(
+                        "d", shard.shard_id, 0)["stats_model"] \
+                        == shard.dataset.stats.name
+            finally:
+                engine.close()
