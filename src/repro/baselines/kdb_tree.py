@@ -117,15 +117,15 @@ class KDBTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
+        results = kernels.PointRows()
         if self._root is None:
-            return []
-        results: List[Point] = []
+            return results
         self._last_regions_visited = 0
         self._visit(self._root, constraint, results, filter_points=True)
         return results
 
     def _visit(self, node_id: int, constraint: LinearConstraint,
-               results: List[Point], filter_points: bool) -> None:
+               results: kernels.PointRows, filter_points: bool) -> None:
         record = self._read_node(node_id)
         self._last_regions_visited += 1
         if record[0] == _LEAF:

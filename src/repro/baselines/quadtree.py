@@ -118,15 +118,15 @@ class QuadTreeIndex(ExternalIndex):
         """Report satisfying points by recursing into crossed quadrants."""
         if constraint.dimension != 2:
             raise ValueError("QuadTreeIndex answers 2-D constraints only")
+        results = kernels.PointRows()
         if self._root is None:
-            return []
-        results: List[Point] = []
+            return results
         self._last_nodes_visited = 0
         self._visit(self._root, constraint, results)
         return results
 
     def _visit(self, node_id: int, constraint: LinearConstraint,
-               results: List[Point]) -> None:
+               results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
@@ -144,7 +144,7 @@ class QuadTreeIndex(ExternalIndex):
             else:
                 self._visit(child_id, constraint, results)
 
-    def _report_subtree(self, node_id: int, results: List[Point]) -> None:
+    def _report_subtree(self, node_id: int, results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:

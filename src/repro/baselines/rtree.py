@@ -128,15 +128,15 @@ class RTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
+        results = kernels.PointRows()
         if self._root is None:
-            return []
-        results: List[Point] = []
+            return results
         self._last_nodes_visited = 0
         self._visit(self._root, constraint, results)
         return results
 
     def _visit(self, node_id: int, constraint: LinearConstraint,
-               results: List[Point]) -> None:
+               results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
@@ -154,7 +154,7 @@ class RTreeIndex(ExternalIndex):
             else:
                 self._visit(child_id, constraint, results)
 
-    def _report_subtree(self, node_id: int, results: List[Point]) -> None:
+    def _report_subtree(self, node_id: int, results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:

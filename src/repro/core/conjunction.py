@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.interface import ExternalIndex, Point, QueryResult
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.geometry.primitives import LinearConstraint
@@ -122,17 +123,14 @@ def query_conjunction(index: ExternalIndex,
                          "dimension %d" % (conjunction.dimension, index.dimension))
     if isinstance(index, PartitionTreeIndex) or hasattr(index, "query_simplex"):
         return index.query_simplex(conjunction.to_polytope())
-    candidates = index.query(conjunction.constraints[0])
-    from repro.core import kernels
-    from repro.io.block import as_point_matrix
+    candidates = kernels.PointRows.of(
+        index.query(conjunction.constraints[0]))
     if kernels.vectorized_enabled() and len(candidates) > 1:
-        matrix = as_point_matrix(list(candidates))
-        if matrix is not None:
-            mask = conjunction.satisfied_many(matrix)
-            # Index into the original list so callers keep the exact
-            # objects the underlying index reported.
-            return [candidates[int(i)] for i in np.nonzero(mask)[0]]
-    return [point for point in candidates if conjunction.satisfied_by(point)]
+        matrix = candidates.matrix
+        return kernels.PointRows.of(
+            matrix[conjunction.satisfied_many(matrix)])
+    return kernels.PointRows.of(
+        [point for point in candidates if conjunction.satisfied_by(point)])
 
 
 def query_conjunction_with_stats(index: ExternalIndex,

@@ -306,14 +306,18 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match index "
                              "dimension %d" % (constraint.dimension, self._dimension))
-        hidden: Dict[Tuple[float, ...], int] = {}
-        results: List[Point] = []
-        for point in self._tree.query(constraint):
-            record = tuple(point)
-            count = self._tombstones.get(record, 0)
-            if count and hidden.get(record, 0) < count:
-                hidden[record] = hidden.get(record, 0) + 1
-                continue
-            results.append(point)
+        results = self._tree.query(constraint)
+        if self._tombstones:
+            # Only now are points looked at one by one; with nothing
+            # hidden the tree's matrix chunks pass through untouched.
+            hidden: Dict[Tuple[float, ...], int] = {}
+            reported, results = results, kernels.PointRows()
+            for point in reported:
+                record = tuple(point)
+                count = self._tombstones.get(record, 0)
+                if count and hidden.get(record, 0) < count:
+                    hidden[record] = hidden.get(record, 0) + 1
+                    continue
+                results.append(point)
         kernels.filter_constraint(self._buffer, constraint, out=results)
         return results

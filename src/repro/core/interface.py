@@ -105,7 +105,12 @@ class ExternalIndex(abc.ABC):
 
     @abc.abstractmethod
     def query(self, constraint: LinearConstraint) -> List[Point]:
-        """Report every stored point satisfying ``constraint``."""
+        """Report every stored point satisfying ``constraint``.
+
+        The batch-kernel structures answer with a
+        :class:`~repro.core.kernels.PointRows` — a list that keeps the
+        kernels' float64 matrix and builds its tuples on first use.
+        """
 
     # ------------------------------------------------------------------
     # cost estimation (planner hook)

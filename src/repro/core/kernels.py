@@ -16,6 +16,11 @@ point exactly on the boundary hyperplane resolves identically in both
 paths.  Blocks that are not columnar (mixed record types, ragged
 widths) silently take the scalar fallback per block.
 
+What a kernel selects stays a matrix: the masked sub-matrix of each
+scan goes into a :class:`PointRows`, the ordered answer the indexes
+return and the engine carries to the socket, and rows become Python
+tuples only for a caller that reads individual points.
+
 A process-wide toggle (:func:`set_vectorized`, :func:`scalar_kernels`)
 forces the scalar path everywhere; the benchmark uses it to measure the
 speedup with identical I/O traces on both sides.
@@ -24,13 +29,13 @@ speedup with identical I/O traces on both sides.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
-from repro.io.block import BlockPayload
+from repro.io.block import POINT_DTYPE, BlockPayload
 from repro.io.disk_array import DiskArray
 
 _VECTORIZED = True
@@ -69,6 +74,159 @@ def matrix_rows(matrix: np.ndarray) -> List[Tuple[float, ...]]:
     return [tuple(row) for row in matrix.tolist()]
 
 
+class PointRows(list):
+    """An ordered query answer: a list of point tuples that boxes its
+    items only on demand.
+
+    The batch kernels hand over masked ``(k, d)`` float64 sub-matrices
+    (:meth:`extend_matrix`), the natively scalar paths single records
+    (:meth:`append` / :meth:`extend`); insertion order is the answer's
+    order.  :attr:`matrix` is the whole answer as one read-only
+    C-contiguous ``(n, d)`` float64 array and is what the engine carries
+    from the scan to the socket; ``len()`` counts rows without looking
+    at them.  The first caller that does look at individual points —
+    iterates, indexes, compares, ``json.dumps`` — has the tuples built
+    once, and from then on this is an ordinary ``list`` in every respect
+    (it always was one to ``isinstance``).
+    """
+
+    __slots__ = ("_parts", "_matrix")
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: The unboxed answer — ndarray chunks and record lists, in
+        #: insertion order — or None once the list holds the tuples.
+        self._parts: Optional[List[Any]] = []
+        self._matrix: Optional[np.ndarray] = None
+
+    @classmethod
+    def of(cls, points: Any) -> "PointRows":
+        """``points`` — an ``(n, d)`` matrix or an iterable of records —
+        as a :class:`PointRows` (itself, when it already is one)."""
+        if isinstance(points, cls):
+            return points
+        rows = cls()
+        if isinstance(points, np.ndarray):
+            rows.extend_matrix(points)
+        else:
+            rows.extend(points)
+        return rows
+
+    def _tail(self) -> List[Any]:
+        """The chunk new scalar records land in (while unboxed)."""
+        if not self._parts or type(self._parts[-1]) is not list:
+            self._parts.append([])
+        return self._parts[-1]
+
+    def append(self, record: Any) -> None:
+        self._matrix = None
+        if self._parts is None:
+            super().append(record)
+        else:
+            self._tail().append(record)
+
+    def extend(self, records: Iterable[Any]) -> None:
+        parts = records._parts if isinstance(records, PointRows) else None
+        if parts is not None:
+            for part in parts:
+                if type(part) is list:
+                    # Copied, never shared: a later append must not
+                    # reach into the answer the records came from.
+                    self.extend(part)
+                else:
+                    self.extend_matrix(part)
+            return
+        self._matrix = None
+        if self._parts is None:
+            super().extend(records)
+        else:
+            self._tail().extend(records)
+
+    def extend_matrix(self, matrix: np.ndarray) -> None:
+        """Append the rows of an ``(k, d)`` matrix (kept by reference)."""
+        if not len(matrix):
+            return
+        self._matrix = None
+        if self._parts is None:
+            super().extend(matrix_rows(matrix))
+        else:
+            self._parts.append(matrix)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The answer as one read-only C-contiguous ``(n, d)`` float64
+        array (``(0, 0)`` when empty); no per-point Python objects."""
+        if self._matrix is None:
+            parts = self._parts if self._parts is not None else [list(self)]
+            chunks = [part if type(part) is not list
+                      else np.asarray(part, dtype=POINT_DTYPE)
+                      for part in parts if len(part)]
+            if len(chunks) > 1:
+                matrix = np.concatenate(chunks)
+            else:
+                matrix = chunks[0] if chunks else np.empty((0, 0))
+            matrix = np.ascontiguousarray(matrix, dtype=POINT_DTYPE)
+            if matrix.flags.writeable:
+                matrix = matrix.view()
+                matrix.setflags(write=False)
+            self._matrix = matrix
+            if self._parts is not None:
+                # The chunks are spent: hold the answer once, not twice.
+                self._parts = [matrix]
+        return self._matrix
+
+    def _box(self) -> None:
+        """Build the tuples; from here on the list itself is the answer."""
+        if self._parts is None:
+            return
+        if not any(type(part) is list for part in self._parts):
+            self.matrix     # outlives the chunks: the tuples are its rows
+        parts, self._parts = self._parts, None
+        for part in parts:
+            super().extend(part if type(part) is list
+                           else matrix_rows(part))
+
+    def __len__(self) -> int:
+        if self._parts is None:
+            return super().__len__()
+        return sum(len(part) for part in self._parts)
+
+    def __iter__(self) -> Iterator[Any]:
+        self._box()
+        return super().__iter__()
+
+    def __radd__(self, other: List[Any]) -> List[Any]:
+        return other + list(self)
+
+    def __reduce__(self):
+        return list, (list(self),)      # copies and pickles as its items
+
+
+def _boxed_first(name: str, mutates: bool):
+    """``list.<name>`` for :class:`PointRows`: C code reads a list's
+    items directly, so they (and an operand's) are boxed before it runs."""
+    method = getattr(list, name)
+
+    def call(self, *args, **kwargs):
+        for rows in (self,) + args:
+            if isinstance(rows, PointRows):
+                rows._box()
+        if mutates:
+            self._matrix = None
+        return method(self, *args, **kwargs)
+    call.__name__ = name
+    return call
+
+
+for _name in ("__getitem__", "__contains__", "__reversed__", "__repr__",
+              "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
+              "__add__", "__mul__", "__rmul__", "copy", "count", "index"):
+    setattr(PointRows, _name, _boxed_first(_name, mutates=False))
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "clear",
+              "insert", "pop", "remove", "reverse", "sort"):
+    setattr(PointRows, _name, _boxed_first(_name, mutates=True))
+
+
 def _columnar_stack(payloads: List[BlockPayload]) -> Optional[np.ndarray]:
     """One matrix for an all-columnar, same-width payload list, else None.
 
@@ -90,14 +248,14 @@ def _columnar_stack(payloads: List[BlockPayload]) -> Optional[np.ndarray]:
 
 
 def filter_constraint(array: DiskArray, constraint: LinearConstraint,
-                      out: Optional[List[Any]] = None) -> List[Any]:
+                      out: Optional[PointRows] = None) -> PointRows:
     """All records of ``array`` satisfying ``constraint``.
 
     The batch analogue of ``[r for r in array.scan() if
     constraint.below(r)]`` with identical I/O charging and identical
     results (order preserved).  Appends into ``out`` when given.
     """
-    results = out if out is not None else []
+    results = out if out is not None else PointRows()
     if not _VECTORIZED:
         for record in array.scan():
             if constraint.below(record):
@@ -108,7 +266,7 @@ def filter_constraint(array: DiskArray, constraint: LinearConstraint,
     if matrix is not None:
         mask = constraint.below_many(matrix)
         if mask.any():
-            results.extend(matrix_rows(matrix[mask]))
+            results.extend_matrix(matrix[mask])
         return results
     for payload in payloads:
         _filter_payload_constraint(payload, constraint, results)
@@ -117,11 +275,11 @@ def filter_constraint(array: DiskArray, constraint: LinearConstraint,
 
 def _filter_payload_constraint(payload: BlockPayload,
                                constraint: LinearConstraint,
-                               results: List[Any]) -> None:
+                               results: PointRows) -> None:
     if payload.is_columnar:
         mask = constraint.below_many(payload.matrix)
         if mask.any():
-            results.extend(matrix_rows(payload.matrix[mask]))
+            results.extend_matrix(payload.matrix[mask])
     else:
         for record in payload.records():
             if constraint.below(record):
@@ -129,9 +287,9 @@ def _filter_payload_constraint(payload: BlockPayload,
 
 
 def filter_simplex(array: DiskArray, simplex: Simplex,
-                   out: Optional[List[Any]] = None) -> List[Any]:
+                   out: Optional[PointRows] = None) -> PointRows:
     """All records of ``array`` inside ``simplex`` (batch per block)."""
-    results = out if out is not None else []
+    results = out if out is not None else PointRows()
     if not _VECTORIZED:
         for record in array.scan():
             if simplex.contains(record):
@@ -142,13 +300,13 @@ def filter_simplex(array: DiskArray, simplex: Simplex,
     if matrix is not None:
         mask = simplex.contains_many(matrix)
         if mask.any():
-            results.extend(matrix_rows(matrix[mask]))
+            results.extend_matrix(matrix[mask])
         return results
     for payload in payloads:
         if payload.is_columnar:
             mask = simplex.contains_many(payload.matrix)
             if mask.any():
-                results.extend(matrix_rows(payload.matrix[mask]))
+                results.extend_matrix(payload.matrix[mask])
         else:
             for record in payload.records():
                 if simplex.contains(record):
@@ -157,19 +315,19 @@ def filter_simplex(array: DiskArray, simplex: Simplex,
 
 
 def collect_records(array: DiskArray,
-                    out: Optional[List[Any]] = None) -> List[Any]:
+                    out: Optional[PointRows] = None) -> PointRows:
     """All records of ``array`` (the unfiltered report path).
 
-    Same I/Os as ``list(array.scan())``; columnar blocks materialize via
-    one ``tolist`` instead of a per-record Python loop.
+    Same I/Os as ``list(array.scan())``; columnar blocks are handed
+    over as they were read, with no per-record Python loop.
     """
-    results = out if out is not None else []
+    results = out if out is not None else PointRows()
     if not _VECTORIZED:
         results.extend(array.scan())
         return results
     for payload in array.scan_batches():
         if payload.is_columnar:
-            results.extend(matrix_rows(payload.matrix))
+            results.extend_matrix(payload.matrix)
         else:
             results.extend(payload.records())
     return results

@@ -160,16 +160,16 @@ class PartitionTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
+        results = kernels.PointRows()
         if self._root is None:
-            return []
+            return results
         hyperplane = constraint.hyperplane
-        results: List[Point] = []
         self._last_nodes_visited = 0
         self._query_node(self._root, hyperplane, constraint, results)
         return results
 
     def _query_node(self, node_id: int, hyperplane: Hyperplane,
-                    constraint: LinearConstraint, results: List[Point]) -> None:
+                    constraint: LinearConstraint, results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
@@ -187,7 +187,7 @@ class PartitionTreeIndex(ExternalIndex):
             else:
                 self._query_node(child_id, hyperplane, constraint, results)
 
-    def report_subtree(self, node_id: int, results: List[Point]) -> None:
+    def report_subtree(self, node_id: int, results: kernels.PointRows) -> None:
         """Append every point stored under ``node_id`` (no filtering)."""
         node = self._nodes[node_id]
         if node.is_leaf:
@@ -201,14 +201,14 @@ class PartitionTreeIndex(ExternalIndex):
     # ------------------------------------------------------------------
     def query_simplex(self, simplex: Simplex) -> List[Point]:
         """Report every stored point inside ``simplex``."""
+        results = kernels.PointRows()
         if self._root is None:
-            return []
-        results: List[Point] = []
+            return results
         self._query_simplex_node(self._root, simplex, results)
         return results
 
     def _query_simplex_node(self, node_id: int, simplex: Simplex,
-                            results: List[Point]) -> None:
+                            results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         if node.is_leaf:
             kernels.filter_simplex(node.points_array, simplex, out=results)

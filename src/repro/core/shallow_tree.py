@@ -152,15 +152,15 @@ class ShallowPartitionTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
+        results = kernels.PointRows()
         if self._root is None:
-            return []
-        results: List[Point] = []
+            return results
         self._last_secondary_queries = 0
         self._query_node(self._root, constraint.hyperplane, constraint, results)
         return results
 
     def _query_node(self, node_id: int, hyperplane: Hyperplane,
-                    constraint: LinearConstraint, results: List[Point]) -> None:
+                    constraint: LinearConstraint, results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         if node.is_leaf:
             kernels.filter_constraint(node.points_array, constraint,
@@ -189,7 +189,7 @@ class ShallowPartitionTreeIndex(ExternalIndex):
             else:
                 self._query_node(child_id, hyperplane, constraint, results)
 
-    def _report_subtree(self, node_id: int, results: List[Point]) -> None:
+    def _report_subtree(self, node_id: int, results: kernels.PointRows) -> None:
         node = self._nodes[node_id]
         if node.is_leaf:
             for record in node.points_array.scan():

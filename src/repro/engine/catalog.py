@@ -59,7 +59,7 @@ from repro.core import (
     ShallowPartitionTreeIndex,
 )
 from repro.core.conjunction import ConstraintConjunction, query_conjunction
-from repro.core.interface import Point
+from repro.core.kernels import PointRows
 from repro.engine.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -195,14 +195,16 @@ class Dataset:
         return self.stats.estimate_output(constraint)
 
     def run_query(self, index_name: str, query: Query,
-                  clear_cache: bool = False) -> Tuple[List[Point], IOStats]:
+                  clear_cache: bool = False) -> Tuple[PointRows, IOStats]:
         """Run one constraint or conjunction on one of this dataset's indexes.
 
         The engine's unit of execution — the executor's local transport
         and the shard-worker process both answer a per-replica query
         here, so the two cannot measure differently.  Returns the
-        reported points and the I/Os the store charged for them
-        (``clear_cache`` empties the buffer pool first: the cold cost).
+        reported points — as the one
+        :class:`~repro.core.kernels.PointRows` every layer above carries
+        — and the I/Os the store charged for them (``clear_cache``
+        empties the buffer pool first: the cold cost).
         """
         index = self.indexes[index_name]
         with self.store.measured(clear_cache) as ios:
@@ -210,7 +212,7 @@ class Dataset:
                 points = query_conjunction(index, query)
             else:
                 points = index.query(query)
-        return points, ios
+        return PointRows.of(points), ios
 
 
 @dataclass(frozen=True)

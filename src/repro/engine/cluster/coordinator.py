@@ -37,6 +37,7 @@ import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.conjunction import ConstraintConjunction
+from repro.core.kernels import PointRows
 from repro.engine.catalog import Catalog, Query
 from repro.engine.cluster import protocol, worker
 from repro.engine.cluster.client import (
@@ -269,7 +270,7 @@ class Coordinator:
                   clear_cache: bool = False,
                   trace_id: Optional[str] = None,
                   parent: Optional[str] = None
-                  ) -> Optional[Tuple[List[tuple], IOStats, int,
+                  ) -> Optional[Tuple[PointRows, IOStats, int,
                                       Optional[Dict[str, object]]]]:
         """Serve one per-shard query on a worker, failing over replicas.
 
@@ -324,7 +325,8 @@ class Coordinator:
     def _write_request(seq: int, op: str,
                        point: Tuple[float, ...]) -> Dict[str, object]:
         """The write RPC for one logged mutation (broadcast and replay)."""
-        return {"op": op, "point": [float(c) for c in point], "seq": seq}
+        return {"op": op, "point": protocol.point_to_wire(point),
+                "seq": seq}
 
     def note_write(self, dataset_name: str, shard_id: int, op: str,
                    record: Tuple[float, ...], applied: bool) -> None:

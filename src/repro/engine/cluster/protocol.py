@@ -1,18 +1,36 @@
-"""The cluster's wire protocol: length-prefixed JSON over local sockets.
+"""The cluster's wire protocol: length-prefixed frames over local sockets.
 
 One message is a 4-byte big-endian length followed by that many bytes of
-UTF-8 JSON — the same compact framing acp-agents uses between its
-agent-servers.  Requests and responses are flat JSON objects; the module
-also owns the (de)serialization of the engine's query objects
-(:class:`~repro.geometry.primitives.LinearConstraint`, conjunctions) and
-of :class:`~repro.io.store.IOStats`, so the worker and the coordinator
-can never disagree on a field name.
+body — the same compact framing acp-agents uses between its
+agent-servers.  A body is one of two shapes:
 
-JSON floats round-trip exactly (Python serializes the shortest repr that
-parses back to the same float64), so a constraint or point crossing the
-process boundary is *bit-identical* on the other side — which is what
-lets process-worker mode promise answer- and I/O-count-identical results
-to the in-process fan-out.
+* **pure JSON** — a flat UTF-8 JSON object (every request, and every
+  response without an answer: ping, insert, delete, warm, stats);
+* **mixed** — a 4-byte big-endian header length, a JSON object of that
+  many bytes, then the raw little-endian float64 bytes of one ``(rows,
+  cols)`` matrix.  The header carries every other field and, under
+  ``"points"``, the ``[rows, cols]`` shape the blob must match: the
+  ``(rows, cols)`` + ``tobytes()`` convention
+  :class:`~repro.io.backend.FileBackend` stores point blocks with.
+  :func:`send_message` ships any ndarray-valued ``points`` field this
+  way; :func:`recv_message` hands it back as a zero-copy read-only view
+  of the one buffer the frame was received into.
+
+A JSON object starts with ``{`` (0x7B) and a header length never can
+(it would exceed :data:`MAX_MESSAGE_BYTES`), so the first byte of a body
+tells the shapes apart.  The module also owns the (de)serialization of
+the engine's query objects
+(:class:`~repro.geometry.primitives.LinearConstraint`, conjunctions),
+of points and of :class:`~repro.io.store.IOStats`, so the worker, the
+coordinator and the HTTP client can never disagree on a field name.
+
+Both shapes are *bit-identical* across the process boundary: JSON floats
+round-trip exactly (Python serializes the shortest repr that parses back
+to the same float64), which covers constraints and written points, and
+an answer's float64 bytes are never re-encoded at all — ``-0.0``,
+subnormals and the extremes of the range arrive as they left.  That is
+what lets process-worker mode promise answer- and I/O-count-identical
+results to the in-process fan-out.
 
 The RPC operations (``op`` field of every request):
 
@@ -42,61 +60,115 @@ import socket
 import struct
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.conjunction import ConstraintConjunction, Halfspace
+from repro.core.kernels import PointRows
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import IOStats
 
 #: Upper bound on one frame; a length above this means a corrupt or
-#: foreign peer, not a real message (queries and answers are far
-#: smaller; a full-shard answer of ~1e5 3-d points is ~8 MB of JSON).
+#: foreign peer, not a real message (queries are a few hundred bytes; a
+#: full-shard answer of ~1e5 3-d points is 2.4 MB of float64).
 MAX_MESSAGE_BYTES = 256 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+
+#: Element type of an answer on the wire, whatever the host's byte order.
+_WIRE_DTYPE = np.dtype("<f8")
 
 
 class ProtocolError(RuntimeError):
     """A malformed frame (bad length, truncated payload, invalid JSON)."""
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray:
     """Read exactly ``count`` bytes or raise ``ConnectionError`` on EOF."""
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+    buffer = bytearray(count)
+    view = memoryview(buffer)
+    received = 0
+    while received < count:
+        got = sock.recv_into(view[received:], min(count - received, 1 << 20))
+        if not got:
             raise ConnectionError(
                 "peer closed mid-frame (%d of %d bytes missing)"
-                % (remaining, count))
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+                % (count - received, count))
+        received += got
+    return buffer
+
+
+def _dump(payload: Dict[str, object]) -> bytes:
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def _load(data: bytearray) -> Dict[str, object]:
+    """One JSON object, or :class:`ProtocolError`."""
+    try:
+        payload = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
+        raise ProtocolError("invalid JSON frame: %s" % exc) from exc
+    if not isinstance(payload, dict):
+        raise ProtocolError("frame is a JSON %s, not an object"
+                            % type(payload).__name__)
+    return payload
 
 
 def send_message(sock: socket.socket, payload: Dict[str, object]) -> None:
-    """Frame and send one JSON message."""
-    data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    sock.sendall(_LENGTH.pack(len(data)) + data)
+    """Frame and send one message (mixed when ``points`` is an ndarray)."""
+    points = payload.get("points")
+    if not isinstance(points, np.ndarray):
+        data = _dump(payload)
+        sock.sendall(_LENGTH.pack(len(data)) + data)
+        return
+    matrix = np.ascontiguousarray(points, dtype=_WIRE_DTYPE)
+    header = _dump(dict(payload, points=list(matrix.shape)))
+    sock.sendall(_LENGTH.pack(_LENGTH.size + len(header) + matrix.nbytes)
+                 + _LENGTH.pack(len(header)) + header)
+    sock.sendall(matrix.reshape(-1).view(np.uint8))
 
 
 def recv_message(sock: socket.socket) -> Dict[str, object]:
-    """Receive one framed JSON message (blocking)."""
+    """Receive one framed message (blocking); see the module docstring."""
     (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
     if length > MAX_MESSAGE_BYTES:
         raise ProtocolError("frame of %d bytes exceeds the %d-byte cap"
                             % (length, MAX_MESSAGE_BYTES))
-    try:
-        return json.loads(_recv_exact(sock, length).decode("utf-8"))
-    except ValueError as exc:
-        raise ProtocolError("invalid JSON frame: %s" % exc) from exc
+    body = _recv_exact(sock, length)
+    if body[:1] == b"{" or length < _LENGTH.size:
+        return _load(body)
+    (header_length,) = _LENGTH.unpack_from(body)
+    blob_at = _LENGTH.size + header_length
+    if blob_at > length:
+        raise ProtocolError("header of %d bytes overruns its %d-byte frame"
+                            % (header_length, length))
+    payload = _load(body[_LENGTH.size:blob_at])
+    shape = payload.get("points")
+    if (not isinstance(shape, list) or len(shape) != 2
+            or not all(type(n) is int and 0 <= n <= MAX_MESSAGE_BYTES
+                       for n in shape)
+            or shape[0] * shape[1] * _WIRE_DTYPE.itemsize
+            != length - blob_at):
+        raise ProtocolError("header shape %r does not match its %d-byte blob"
+                            % (shape, length - blob_at))
+    matrix = np.frombuffer(body, dtype=_WIRE_DTYPE, offset=blob_at,
+                           count=shape[0] * shape[1]).reshape(shape)
+    matrix.setflags(write=False)
+    payload["points"] = matrix
+    return payload
 
 
 # ----------------------------------------------------------------------
 # payload (de)serialization
 # ----------------------------------------------------------------------
 def constraint_to_wire(constraint: LinearConstraint) -> Dict[str, object]:
-    return {"coeffs": list(constraint.coeffs),
+    return {"coeffs": point_to_wire(constraint.coeffs),
             "offset": float(constraint.offset)}
+
+
+def point_to_wire(point: Sequence[float]) -> List[float]:
+    """One point (or coefficient vector) as a JSON list of plain floats."""
+    return [float(c) for c in point]
 
 
 def constraint_from_wire(payload: Dict[str, object]) -> LinearConstraint:
@@ -140,13 +212,14 @@ def iostats_from_wire(payload: Dict[str, object]) -> IOStats:
                    cache_hits=int(payload.get("cache_hits", 0)))
 
 
-def points_to_wire(points: Sequence[Sequence[float]]) -> List[List[float]]:
-    return [[float(c) for c in point] for point in points]
+def points_to_wire(points: Sequence[Sequence[float]]) -> np.ndarray:
+    """An answer as the ``(n, d)`` matrix :func:`send_message` ships raw."""
+    return PointRows.of(points).matrix
 
 
-def points_from_wire(payload: Sequence[Sequence[float]]) -> List[tuple]:
-    # Answers come back as the same tuples the in-process path reports.
-    return [tuple(float(c) for c in point) for point in payload]
+def points_from_wire(payload: np.ndarray) -> PointRows:
+    """The received matrix as the answer the in-process path reports."""
+    return PointRows.of(payload)
 
 
 def trace_header(trace_id: Optional[str],

@@ -40,10 +40,11 @@ from dataclasses import dataclass
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
+import numpy as np
+
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
-from repro.core.interface import Point
-from repro.core.kernels import vectorized_enabled
+from repro.core.kernels import PointRows, vectorized_enabled
 from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.metrics import EngineStats, ServedQueryRecord, q_error
 from repro.engine.planner import Plan, Planner, ShardedPlan
@@ -78,11 +79,19 @@ def query_key(query: Query) -> ConstraintKey:
 
 @dataclass
 class ExecutedQuery:
-    """One served query: its answer, its plan, and what it cost."""
+    """One served query: its answer, its plan, and what it cost.
+
+    The answer is one ``(count, d)`` float64 matrix from the scan
+    kernels to the socket: :attr:`count` and :attr:`matrix` are free,
+    while :attr:`points` — a :class:`~repro.core.kernels.PointRows`, the
+    list of tuples it always was — builds its items once, for the first
+    caller that iterates, indexes, compares or serialises it, so only a
+    caller that looks at individual points pays for them.
+    """
 
     dataset: str
     index_name: str
-    points: List[Point]
+    points: PointRows
     ios: IOStats
     latency_s: float
     estimated_ios: float
@@ -113,10 +122,18 @@ class ExecutedQuery:
     #: ``"normal_fallback"`` (None for exact answers).
     interval_source: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        self.points = PointRows.of(self.points)
+
     @property
     def count(self) -> int:
-        """Number of reported points."""
+        """Number of reported points (no tuple is built to count them)."""
         return len(self.points)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The answer as a read-only ``(count, d)`` float64 array."""
+        return self.points.matrix
 
     @property
     def total_ios(self) -> int:
@@ -178,7 +195,7 @@ class ShardOutcome:
     item: _WorkItem
     #: The replica that served it (a failover may differ from the pick).
     replica_id: int
-    points: List[Point]
+    points: PointRows
     ios: IOStats
     #: Wall-clock window of the item, stamped only under an active trace.
     started_s: float = 0.0
@@ -220,9 +237,13 @@ class ExecutionCore:
         #: Request-trace lifecycle: the serving layers open traces here
         #: and the core's spans land in whatever trace is active.
         self.tracer = tracer if tracer is not None else Tracer()
-        self._results: LRUCache[Tuple[str, ConstraintKey], Tuple[str, List[Point]]]
+        # Answers are cached as their read-only matrix: immutable, so a
+        # hit shares the stored array instead of copying it.
+        self._results: LRUCache[Tuple[str, ConstraintKey],
+                                Tuple[str, np.ndarray]]
         self._results = LRUCache(result_cache_entries)
         self._results_lock = threading.Lock()
+        self.stats.result_cache_provider = self.result_cache_size
         # Per-dataset invalidation generation (guarded by _results_lock).
         # An executing query snapshots it before touching the index; the
         # post-execution cache put is dropped if an invalidation bumped it
@@ -358,9 +379,15 @@ class ExecutionCore:
         with self._results_lock:
             return self._generations.get(dataset_name, 0)
 
+    def result_cache_size(self) -> Tuple[int, int]:
+        """Resident ``(entries, bytes)``: what the cache's bound holds."""
+        with self._results_lock:
+            cached = self._results.values()
+        return len(cached), sum(matrix.nbytes for __, matrix in cached)
+
     def _cache_put(self, dataset_name: str,
                    cache_key: Tuple[str, ConstraintKey],
-                   value: Tuple[str, List[Point]], generation: int) -> None:
+                   value: Tuple[str, np.ndarray], generation: int) -> None:
         """Cache an answer unless the dataset was invalidated meanwhile."""
         with self._results_lock:
             if self._generations.get(dataset_name, 0) == generation:
@@ -421,7 +448,7 @@ class ExecutionCore:
         fanout_span.finish()
         self.record(answer)
         self._cache_put(dataset_name, cache_key,
-                        (plan.index_name, list(answer.points)), generation)
+                        (plan.index_name, answer.matrix), generation)
         return answer
 
     def _lower(self, dataset_name: str, query: Query, plan: ShardedPlan
@@ -579,9 +606,9 @@ class ExecutionCore:
                outcomes: List[ShardOutcome], started: float,
                tenant: str) -> ExecutedQuery:
         """Post-processor 3: the outcomes' points in plan order, I/Os summed."""
-        # The first outcome's list becomes the answer (the records are
+        # The first outcome's rows become the answer (the records are
         # done with it), so the one-item case copies nothing.
-        points: List[Point] = outcomes[0].points if outcomes else []
+        points = outcomes[0].points if outcomes else PointRows()
         for outcome in outcomes[1:]:
             points.extend(outcome.points)
         ios = IOStats()
@@ -603,10 +630,10 @@ class ExecutionCore:
             hit = self._results.get(key)
         if hit is None:
             return None
-        index_name, points = hit
+        index_name, matrix = hit
         tracing.current_span().set("result_cache_hit", True)
         answer = ExecutedQuery(dataset=key[0], index_name=index_name,
-                               points=list(points), ios=IOStats(),
+                               points=matrix, ios=IOStats(),
                                latency_s=0.0, estimated_ios=0.0,
                                from_result_cache=True, tenant=tenant)
         self.record(answer)
@@ -622,7 +649,7 @@ class ExecutionCore:
         """
         shared = ExecutedQuery(dataset=answer.dataset,
                                index_name=answer.index_name,
-                               points=list(answer.points), ios=IOStats(),
+                               points=answer.matrix, ios=IOStats(),
                                latency_s=0.0, estimated_ios=0.0,
                                from_result_cache=True, tenant=tenant)
         self.record(shared)

@@ -61,7 +61,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Union)
+                    Tuple, Union)
 
 from repro.engine.obs.registry import (Counter, Gauge, Histogram,
                                        HistogramView, MetricsRegistry,
@@ -256,6 +256,11 @@ class EngineStats:
     #: the per-model gauges.
     model_provider: Optional[Callable[[], Dict[str, object]]] = field(
         default=None, repr=False)
+    #: Optional callable returning the result cache's resident
+    #: ``(entries, bytes)`` (the execution core registers its own);
+    #: feeds ``summary()["result_cache"]`` and the gauge pair.
+    result_cache_provider: Optional[Callable[[], Tuple[int, int]]] = field(
+        default=None, repr=False)
     #: The latest shard re-split reports (RebalanceReport summaries, in
     #: order); their count lives in the rebalance counter.
     rebalance_events: Deque[Dict[str, object]] = field(
@@ -324,6 +329,12 @@ class EngineStats:
             ("dataset", "shard", "replica"))
         # Model-state gauges: last-write-wins snapshots refreshed by
         # refresh_model_metrics() (every summary() / /metrics scrape).
+        self._m_result_cache_entries = reg.gauge(
+            "engine_result_cache_entries", "Answers resident in the result "
+            "cache")
+        self._m_result_cache_bytes = reg.gauge(
+            "engine_result_cache_bytes", "Bytes of the answer matrices "
+            "resident in the result cache")
         self._m_adaptations = reg.gauge(
             "engine_histogram_adaptations",
             "Histogram directions replaced by workload feedback",
@@ -672,7 +683,7 @@ class EngineStats:
                     direction=entry["direction"])
 
     def refresh_model_metrics(self) -> Dict[str, Dict[str, object]]:
-        """Update the model/conformal gauges from live state.
+        """Update the model/conformal/result-cache gauges from live state.
 
         Called before every ``/metrics`` scrape (and by ``summary()``),
         since gauges are last-write-wins snapshots rather than hot-path
@@ -686,6 +697,10 @@ class EngineStats:
             if state["empirical_coverage"] is not None:
                 self._m_conformal_coverage.set(state["empirical_coverage"],
                                                dataset=name)
+        if self.result_cache_provider is not None:
+            entries, resident = self.result_cache_provider()
+            self._m_result_cache_entries.set(entries)
+            self._m_result_cache_bytes.set(resident)
         return models
 
     # ------------------------------------------------------------------
@@ -726,6 +741,11 @@ class EngineStats:
             "admission": view.by(self._m_admission, 0),
             "max_queue_depth": int(
                 view.series(self._m_queue_depth).get((), 0)),
+            "result_cache": {
+                "entries": int(view.series(
+                    self._m_result_cache_entries).get((), 0)),
+                "bytes": int(view.series(
+                    self._m_result_cache_bytes).get((), 0))},
             "replica_load": self._replica_load(view),
             "tenants": self._tenants(view),
             "http": self._http(view),

@@ -241,7 +241,8 @@ class EngineApp:
             payload["answer"] = {
                 "index": answer.index_name,
                 "count": answer.count,
-                "points": [list(point) for point in answer.points],
+                # One call on the answer's matrix: no per-point boxing.
+                "points": answer.matrix.tolist(),
                 "ios": answer.total_ios,
                 "latency_s": answer.latency_s,
                 "from_result_cache": answer.from_result_cache,

@@ -21,6 +21,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode
 
+from repro.engine.cluster.protocol import constraint_to_wire, point_to_wire
+from repro.geometry.primitives import LinearConstraint
+
 
 @dataclass(frozen=True)
 class SSEEvent:
@@ -79,7 +82,8 @@ class ServerClient:
               ) -> Tuple[int, Dict[str, object]]:
         payload: Dict[str, object] = {
             "dataset": dataset,
-            "constraint": {"coeffs": list(coeffs), "offset": offset},
+            "constraint": constraint_to_wire(
+                LinearConstraint(coeffs=tuple(coeffs), offset=offset)),
             "priority": priority,
         }
         if deadline_s is not None:
@@ -90,7 +94,7 @@ class ServerClient:
                 priority: int = 0, deadline_s: Optional[float] = None
                 ) -> Tuple[int, Dict[str, object]]:
         payload: Dict[str, object] = {"dataset": dataset,
-                                      "point": list(point),
+                                      "point": point_to_wire(point),
                                       "priority": priority}
         if deadline_s is not None:
             payload["deadline_s"] = deadline_s

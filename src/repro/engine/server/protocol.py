@@ -103,7 +103,9 @@ class HTTPRequest:
                             "request body must be a JSON object")
         try:
             payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
+        except (ValueError, RecursionError):
+            # ValueError covers invalid UTF-8; RecursionError is nesting
+            # deeper than the parser's stack.
             raise HTTPError(400, "bad_json",
                             "request body is not valid JSON")
         if not isinstance(payload, dict):

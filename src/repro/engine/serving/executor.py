@@ -751,7 +751,7 @@ class AsyncExecutor:
                     "interval_source": source})
         answer = ExecutedQuery(
             dataset=request.dataset, index_name="degraded_sample",
-            points=[tuple(row) for row in hits.tolist()], ios=IOStats(),
+            points=hits, ios=IOStats(),
             latency_s=0.0, estimated_ios=0.0, tenant=request.tenant,
             degraded=True,
             sample_rate=(sample_size / population if population else 1.0),

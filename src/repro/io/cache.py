@@ -11,7 +11,7 @@ effect of internal memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generic, Hashable, Optional, TypeVar
+from typing import Callable, Generic, Hashable, List, Optional, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -70,6 +70,11 @@ class LRUCache(Generic[K, V]):
         self.capacity = capacity
         while len(self._entries) > capacity:
             self._entries.popitem(last=False)
+
+    def values(self) -> List[V]:
+        """The cached values, least recently used first (recency and
+        hit/miss statistics untouched)."""
+        return list(self._entries.values())
 
     def invalidate(self, key: K) -> None:
         """Drop an entry (used when a block is rewritten or freed)."""

@@ -9,8 +9,11 @@ shard must lose no requests (surviving replica serves) and no writes
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
+import struct
 import threading
 import time
 
@@ -70,6 +73,192 @@ def test_constraint_and_conjunction_round_trip_exactly():
         extra_halfspaces=(Halfspace(normal=(0.5, -1.0), offset=0.125),))
     assert protocol.conjunction_from_wire(
         protocol.conjunction_to_wire(conjunction)) == conjunction
+
+
+@pytest.fixture
+def wire():
+    """A connected socket pair with a deadline: a codec bug fails a test,
+    it never hangs one."""
+    near, far = socket.socketpair()
+    near.settimeout(5.0)
+    far.settimeout(5.0)
+    yield near, far
+    near.close()
+    far.close()
+
+
+def send_in_background(sock, payload):
+    """Send from a thread: a 160 KB frame outgrows the socket buffer."""
+    thread = threading.Thread(target=protocol.send_message,
+                              args=(sock, payload))
+    thread.start()
+    return thread
+
+
+HOSTILE_VALUES = [-0.0, 5e-324, -2.2250738585072014e-308, 1.797e308,
+                  -1.797e308, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4096])
+@pytest.mark.parametrize("cols", [2, 3, 5])
+def test_answer_frames_round_trip_bit_identically(wire, rows, cols):
+    near, far = wire
+    rng = np.random.default_rng(rows + cols)
+    matrix = rng.uniform(-1.0, 1.0, size=(rows, cols))
+    matrix.reshape(-1)[:len(HOSTILE_VALUES)] = \
+        HOSTILE_VALUES[:matrix.size]
+    response = {"ok": True, "points": matrix,
+                "ios": {"reads": 7, "writes": 0, "cache_hits": 3},
+                "span": {"name": "worker.query", "duration_s": 0.25}}
+    sender = send_in_background(near, response)
+    received = protocol.recv_message(far)
+    sender.join(5.0)
+    assert not sender.is_alive()
+    points = received.pop("points")
+    assert points.shape == (rows, cols)
+    assert points.tobytes() == matrix.tobytes()
+    assert not points.flags.writeable
+    # Every other field of the response rides the JSON header untouched.
+    assert received == {key: value for key, value in response.items()
+                        if key != "points"}
+    answer = protocol.points_from_wire(points)
+    assert len(answer) == rows
+    assert answer.matrix.tobytes() == matrix.tobytes()
+    assert list(answer) == [tuple(row) for row in matrix.tolist()]
+
+
+@pytest.mark.parametrize("layout", ["strided", "fortran", "big_endian"])
+def test_answer_frames_normalise_layout_and_byte_order(wire, layout):
+    near, far = wire
+    base = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 6))
+    base[0, :4] = [-0.0, 5e-324, 1.797e308, -1.797e308]
+    matrix = {"strided": base[::2, ::2],
+              "fortran": np.asfortranarray(base),
+              "big_endian": base.astype(">f8")}[layout]
+    sender = send_in_background(near, {"ok": True, "points": matrix})
+    points = protocol.recv_message(far)["points"]
+    sender.join(5.0)
+    assert points.shape == matrix.shape
+    assert points.tobytes() == \
+        np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+
+
+def test_points_to_wire_is_an_array_adaptor():
+    tuples = [(0.5, -0.0), (5e-324, 1.797e308)]
+    matrix = protocol.points_to_wire(tuples)
+    assert isinstance(matrix, np.ndarray) and matrix.shape == (2, 2)
+    assert matrix.tobytes() == np.asarray(tuples).tobytes()
+    rows = protocol.points_from_wire(matrix)
+    assert list(rows) == tuples
+    assert protocol.points_to_wire(rows) is rows.matrix      # no copy
+
+
+def test_pure_json_frames_are_byte_for_byte_what_they_were(wire):
+    near, far = wire
+    frames = [
+        {"op": "ping"},
+        {"op": "insert", "point": protocol.point_to_wire((0.25, -1.5)),
+         "seq": 3},
+        {"op": "stats"},
+        {"ok": True, "applied": True, "ios": 2, "duplicate": False,
+         "seq": 3},
+        # A JSON-list ``points`` is not an answer matrix: plain JSON.
+        {"ok": True, "points": [[0.5, 0.25]]},
+    ]
+    for payload in frames:
+        protocol.send_message(near, payload)
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        expected = struct.pack(">I", len(body)) + body
+        assert far.recv(len(expected) + 1) == expected
+        protocol.send_message(near, payload)
+        assert protocol.recv_message(far) == payload
+
+
+def mixed_frame(header: bytes, blob: bytes) -> bytes:
+    body = struct.pack(">I", len(header)) + header + blob
+    return struct.pack(">I", len(body)) + body
+
+
+def json_frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+MALFORMED_FRAMES = {
+    "truncated blob": mixed_frame(b'{"ok":true,"points":[4,2]}',
+                                  b"\0" * (4 * 2 * 8 - 1)),
+    "header lies about rows x cols": mixed_frame(
+        b'{"ok":true,"points":[5,2]}', b"\0" * (4 * 2 * 8)),
+    "negative shape": mixed_frame(b'{"ok":true,"points":[-1,-8]}',
+                                  b"\0" * 64),
+    "empty blob under an absurd width": mixed_frame(
+        b'{"ok":true,"points":[0,1000000000000000000000000000000]}', b""),
+    "shape is not two integers": mixed_frame(
+        b'{"ok":true,"points":[2.0,4]}', b"\0" * 64),
+    "blob without a points field": mixed_frame(b'{"ok":true}', b"\0" * 8),
+    "header length beyond the frame": struct.pack(">II", 12, 4096)
+    + b'{"ok":1}',
+    "invalid UTF-8 in a header": mixed_frame(b'{"ok":"\xff\xfe"}', b""),
+    "non-object header": mixed_frame(b'[4,2]', b"\0" * 64),
+    "deeply nested header": mixed_frame(b"[" * 100000, b""),
+    "invalid UTF-8": json_frame(b'{"ok":"\xff\xfe"}'),
+    "not JSON": json_frame(b"{not json"),
+    "deeply nested JSON": json_frame(b'{"a":' + b"[" * 100000),
+    "non-object JSON": json_frame(b"[]"),
+    "empty body": json_frame(b""),
+    "oversize frame": struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FRAMES))
+def test_malformed_frames_raise_protocol_error_promptly(wire, case):
+    near, far = wire
+    near.sendall(MALFORMED_FRAMES[case])
+    started = time.perf_counter()
+    with pytest.raises(protocol.ProtocolError):
+        protocol.recv_message(far)
+    assert time.perf_counter() - started < 2.0
+
+
+def test_peer_closing_mid_frame_is_a_connection_error(wire):
+    near, far = wire
+    near.sendall(mixed_frame(b'{"ok":true,"points":[4,2]}',
+                             b"\0" * 64)[:-10])
+    near.close()
+    with pytest.raises(ConnectionError):
+        protocol.recv_message(far)
+
+
+@pytest.mark.parametrize("reply", [json_frame(b'{"a":' + b"[" * 100000),
+                                   json_frame(b"[]")])
+def test_client_drops_the_connection_on_an_undecodable_reply(reply):
+    """A frame the decoder refuses marks the worker unavailable and closes
+    the socket — it is neither leaked nor returned to the pool."""
+    from repro.engine.cluster import WorkerClient
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    closed_by_client = []
+
+    def answer_once():
+        connection, __ = listener.accept()
+        connection.settimeout(5.0)
+        with connection:
+            protocol.recv_message(connection)
+            connection.sendall(reply)
+            closed_by_client.append(connection.recv(1) == b"")
+
+    server = threading.Thread(target=answer_once)
+    server.start()
+    client = WorkerClient(listener.getsockname(), timeout_s=5.0)
+    try:
+        with pytest.raises(WorkerUnavailable):
+            client.call({"op": "ping"})
+        server.join(5.0)
+        assert closed_by_client == [True]
+        assert client._idle == []
+    finally:
+        client.close()
+        listener.close()
 
 
 def test_write_log_orders_and_clears():
@@ -451,6 +640,73 @@ def test_serving_and_http_paths_work_in_process_mode(points2d):
     finally:
         engine.close()
         reference.close()
+
+
+def test_bulk_answers_reach_the_socket_unboxed(monkeypatch):
+    """One float64 matrix from the scan kernels to the HTTP socket, in
+    both worker modes: with ``matrix_rows`` refusing to run (in the
+    forked workers too) a bulk answer is still served, counted and
+    cached; tuples appear only when a caller reads ``.points``."""
+    from repro.core import kernels
+    from repro.engine.server import ApiKey, ServerClient
+    points = uniform_points(3000, seed=17)
+    bulk = LinearConstraint(coeffs=(0.3,), offset=0.4)
+    other = LinearConstraint(coeffs=(-0.2,), offset=0.6)
+    oracle = sorted(tuple(p) for p in points.tolist() if bulk.below(p))
+    assert len(oracle) > 1500
+    real = kernels.matrix_rows
+
+    def refuse(matrix):
+        raise AssertionError("a point was boxed on the hot path")
+
+    engines = {}
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "matrix_rows", refuse)
+            for mode in ("inprocess", "process"):
+                engines[mode] = make_engine(points, mode)
+            answers = {}
+            for mode, engine in engines.items():
+                with engine.serve_http([ApiKey(key="k", tenant="t")]) \
+                        as server:
+                    client = ServerClient(*server.address, api_key="k")
+                    status, body = client.query("pts", bulk.coeffs,
+                                                bulk.offset)
+                    assert status == 200, body
+                    assert not body["answer"]["from_result_cache"]
+                    assert body["answer"]["count"] == len(oracle)
+                    assert sorted(map(tuple, body["answer"]["points"])) \
+                        == oracle
+                    status, again = client.query("pts", bulk.coeffs,
+                                                 bulk.offset)
+                    assert again["answer"]["from_result_cache"]
+                    assert again["answer"]["points"] \
+                        == body["answer"]["points"]
+                first = engine.query("pts", other)
+                hit = engine.query("pts", other)
+                assert first.count == hit.count == sum(
+                    other.below(p) for p in points.tolist())
+                assert hit.from_result_cache
+                # Cached answers are immutable: a hit shares the stored
+                # array, it does not copy it.
+                assert hit.matrix is first.matrix
+                assert not hit.matrix.flags.writeable
+                answers[mode] = hit
+        boxings = []
+        monkeypatch.setattr(
+            kernels, "matrix_rows",
+            lambda matrix: boxings.append(len(matrix)) or real(matrix))
+        hit = answers["process"]
+        tuples = list(hit.points)
+        assert tuples == [tuple(row) for row in hit.matrix.tolist()]
+        assert hit.points[0] == tuples[0] and list(hit.points) == tuples
+        assert boxings == [hit.count]            # materialised once
+        # Order-exact across worker modes, matrix and tuples alike.
+        assert hit.points == answers["inprocess"].points
+        assert hit.matrix.tobytes() == answers["inprocess"].matrix.tobytes()
+    finally:
+        for engine in engines.values():
+            engine.close()
 
 
 _ORPHAN_SCRIPT = '''

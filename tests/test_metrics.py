@@ -244,3 +244,37 @@ def test_histogram_stays_cumulative_when_scraped_mid_observe():
     assert int(lines['seconds_bucket{le="1"}']) \
         <= int(lines['seconds_bucket{le="+Inf"}']) \
         == int(lines["seconds_count"]) == 4
+
+
+@pytest.mark.parametrize("dimension", [2, 3])
+def test_result_cache_size_is_visible_and_bounded(dimension):
+    """300 distinct 4096-point answers leave at most the cache's 256
+    entries resident — as float64 matrices, so the bytes are bounded too
+    — and ``summary()`` and ``/metrics`` report the same gauge pair."""
+    import numpy as np
+    from repro import LinearConstraint, QueryEngine
+    points = np.random.default_rng(dimension).uniform(
+        -1.0, 1.0, size=(4096, dimension))
+    engine = QueryEngine(block_size=64, seed=3)
+    try:
+        engine.register_dataset("d", points, kinds=["full_scan"])
+        assert engine.summary()["result_cache"] == {"entries": 0, "bytes": 0}
+        for step in range(300):
+            everything = LinearConstraint(
+                coeffs=(0.0,) * (dimension - 1), offset=10.0 + step)
+            assert engine.query("d", everything).count == 4096
+        resident = engine.summary()["result_cache"]
+        assert resident["entries"] == 256
+        assert 0 < resident["bytes"] <= 256 * 4096 * dimension * 8
+        engine.stats.refresh_model_metrics()
+        scraped = dict(
+            line.split(" ") for line
+            in render_prometheus(engine.stats.registry).splitlines()
+            if line.startswith("engine_result_cache_"))
+        assert float(scraped["engine_result_cache_entries"]) == 256
+        assert float(scraped["engine_result_cache_bytes"]) \
+            == resident["bytes"]
+        engine.executor.invalidate_dataset("d")
+        assert engine.summary()["result_cache"] == {"entries": 0, "bytes": 0}
+    finally:
+        engine.close()

@@ -229,6 +229,26 @@ def test_stream_validation_fails_before_the_stream_opens(served_engine):
 # ----------------------------------------------------------------------
 # malformed requests
 # ----------------------------------------------------------------------
+def raw_post(server, path, body: bytes):
+    """POST bytes the typed client could not have produced; the answer
+    must leave the connection usable (a 400, not a dropped socket)."""
+    import http.client
+    host, port = server.address
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        headers = {"Authorization": "Bearer key-fast",
+                   "Content-Type": "application/json"}
+        conn.request("POST", path, body=body, headers=headers)
+        response = conn.getresponse()
+        parsed = json.loads(response.read().decode("utf-8"))
+        assert response.getheader("Connection") == "keep-alive"
+        conn.request("GET", "/healthz", headers=headers)
+        assert conn.getresponse().read()
+        return response.status, parsed
+    finally:
+        conn.close()
+
+
 def test_malformed_bodies_get_structured_4xx(served_engine):
     __, server, __ = served_engine
     client = client_for(server)
@@ -287,10 +307,20 @@ def test_malformed_bodies_get_structured_4xx(served_engine):
          "bad_constraint"),
         ("/query/stream?dataset=plain&coeffs=0.1&offset=0.5"
          "&deadline_s=nan", 400, "bad_deadline"),
+        # Raw bodies json.loads refuses with something other than a plain
+        # ValueError: nesting past the parser's stack (RecursionError),
+        # bytes that are not UTF-8 (UnicodeDecodeError).
+        (b"[" * 100000, 400, "bad_json"),
+        (b'{"dataset": "plain", "constraint": ' + b"[" * 100000, 400,
+         "bad_json"),
+        (b'{"dataset": "\xff\xfe"}', 400, "bad_json"),
+        (b"[]", 400, "bad_json"),
     ]
     for payload, expected_status, expected_code in cases:
         if isinstance(payload, str):
             status, body = client.request("GET", payload)
+        elif isinstance(payload, bytes):
+            status, body = raw_post(server, "/query", payload)
         else:
             path = "/insert" if "point" in payload else "/query"
             status, body = client.request("POST", path, payload)

@@ -10,16 +10,18 @@ blocks, and every storage backend, asserting both properties.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
 import pytest
 
 from repro.baselines import FullScanIndex, KDBTreeIndex, RTreeIndex
-from repro.core import (ConstraintConjunction, PartitionTreeIndex,
-                        query_conjunction, scalar_kernels,
-                        set_vectorized, vectorized_enabled)
+from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
+                        PartitionTreeIndex, query_conjunction,
+                        scalar_kernels, set_vectorized, vectorized_enabled)
 from repro.core import kernels
+from repro.core.kernels import PointRows
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.io.block import BlockPayload, as_point_matrix, matrix_to_records
@@ -222,6 +224,19 @@ def test_mmap_zero_copy_matrix_detached_from_mapping():
 # ----------------------------------------------------------------------
 # index-level parity: answers AND IOStats
 # ----------------------------------------------------------------------
+def assert_same_ordered_answer(vector, scalar, name):
+    """Order-exact parity of both views: tuples, and the float64 matrix
+    (bit for bit) the engine carries instead of them."""
+    assert list(vector) == list(scalar), name
+    assert len(vector) == len(scalar), name
+    vector_matrix = PointRows.of(vector).matrix
+    scalar_matrix = PointRows.of(scalar).matrix
+    assert not vector_matrix.flags.writeable, name
+    assert vector_matrix.flags.c_contiguous, name
+    assert vector_matrix.tobytes() == scalar_matrix.tobytes(), name
+    assert kernels.matrix_rows(vector_matrix) == list(scalar), name
+
+
 def index_cases(points, block_size=16):
     yield FullScanIndex(points, block_size=block_size)
     yield PartitionTreeIndex(points, block_size=block_size)
@@ -238,15 +253,18 @@ def test_index_answers_and_ios_identical_both_paths(dimension):
         store = index.store
         store.clear_cache()
         store.reset_stats()
-        vector_answer = sorted(index.query(constraint))
+        vector = index.query(constraint)
+        vector_answer = sorted(vector)
         vector_ios = store.stats.snapshot()
         store.clear_cache()
         store.reset_stats()
         with scalar_kernels():
-            scalar_answer = sorted(index.query(constraint))
+            scalar = index.query(constraint)
+            scalar_answer = sorted(scalar)
         scalar_ios = store.stats.snapshot()
         name = type(index).__name__
         assert vector_answer == scalar_answer, name
+        assert_same_ordered_answer(vector, scalar, name)
         assert vector_ios.reads == scalar_ios.reads, name
         assert vector_ios.writes == scalar_ios.writes, name
         assert vector_ios.cache_hits == scalar_ios.cache_hits, name
@@ -260,14 +278,17 @@ def test_partition_tree_simplex_parity():
     store = index.store
     store.clear_cache()
     store.reset_stats()
-    vector = sorted(index.query_simplex(simplex))
+    vector_rows = index.query_simplex(simplex)
+    vector = sorted(vector_rows)
     vector_ios = store.stats.snapshot()
     store.clear_cache()
     store.reset_stats()
     with scalar_kernels():
-        scalar = sorted(index.query_simplex(simplex))
+        scalar_rows = index.query_simplex(simplex)
+        scalar = sorted(scalar_rows)
     scalar_ios = store.stats.snapshot()
     assert vector == scalar
+    assert_same_ordered_answer(vector_rows, scalar_rows, "simplex")
     assert vector_ios.reads == scalar_ios.reads
     assert vector_ios.cache_hits == scalar_ios.cache_hits
     expected = sorted(tuple(p) for p in points if simplex.contains(p))
@@ -288,6 +309,108 @@ def test_conjunction_fallback_filter_parity():
     expected = sorted(tuple(p) for p in points
                       if conjunction.satisfied_by(tuple(p)))
     assert vector == expected
+
+
+@pytest.mark.parametrize("index_type", [FullScanIndex, RTreeIndex,
+                                        PartitionTreeIndex])
+def test_three_conjunct_answer_is_order_exact_across_paths(index_type):
+    """The conjunction masks the first conjunct's matrix directly; the
+    scalar loop is the reference for which rows survive, in which order."""
+    rng = np.random.default_rng(23)
+    points = rng.uniform(-1.0, 1.0, size=(512, 2))
+    index = index_type(points, block_size=16)
+    conjunction = ConstraintConjunction.of(
+        LinearConstraint(coeffs=(0.4,), offset=0.6),
+        LinearConstraint(coeffs=(-0.7,), offset=0.5),
+        LinearConstraint(coeffs=(0.05,), offset=0.3))
+    vector = query_conjunction(index, conjunction)
+    with scalar_kernels():
+        scalar = query_conjunction(index, conjunction)
+    assert len(vector) > 8
+    assert_same_ordered_answer(vector, scalar, index_type.__name__)
+    assert sorted(vector) == sorted(
+        tuple(p) for p in points.tolist()
+        if conjunction.satisfied_by(tuple(p)))
+
+
+def test_dynamic_index_answer_is_order_exact_with_and_without_tombstones():
+    rng = np.random.default_rng(29)
+    points = rng.uniform(-1.0, 1.0, size=(300, 2))
+    index = DynamicPartitionTreeIndex(points, block_size=16)
+    constraint = LinearConstraint(coeffs=(0.3,), offset=0.2)
+
+    def both_paths():
+        vector = index.query(constraint)
+        with scalar_kernels():
+            scalar = index.query(constraint)
+        assert_same_ordered_answer(vector, scalar, "dynamic")
+        return vector
+
+    for point in rng.uniform(-1.0, 1.0, size=(5, 2)):
+        index.insert(tuple(point))           # buffered, no tombstones
+    assert index.tombstoned == 0
+    untouched = both_paths()
+    doomed = [tuple(row) for row in untouched.matrix[:7].tolist()]
+    for point in doomed:
+        assert index.delete(point)
+    assert index.tombstoned > 0
+    survivors = both_paths()
+    # Exactly the pre-delete answer minus the deleted rows, order kept.
+    assert list(survivors) == [p for p in untouched if p not in doomed]
+
+
+def test_point_rows_is_a_list_that_boxes_once_on_first_use(monkeypatch):
+    rows = PointRows()
+    rows.extend_matrix(np.asarray([[0.5, -0.0], [5e-324, 1.797e308]]))
+    rows.append((1, 2))                      # a scalar-path record
+    rows.extend([(3.0, 4.0)])
+    rows.extend_matrix(np.empty((0, 2)))     # empty chunks vanish
+    expected = [(0.5, -0.0), (5e-324, 1.797e308), (1.0, 2.0), (3.0, 4.0)]
+    boxed = []
+    real = kernels.matrix_rows
+    monkeypatch.setattr(kernels, "matrix_rows",
+                        lambda matrix: boxed.append(1) or real(matrix))
+    assert isinstance(rows, list)
+    assert len(rows) == 4 and rows and not boxed   # counting boxes nothing
+    matrix = rows.matrix
+    assert matrix.shape == (4, 2) and rows.matrix is matrix
+    assert not matrix.flags.writeable and not boxed
+    # Whatever looks at the items first — C code included, which reads
+    # a list's storage directly — finds them all there.
+    assert json.loads(json.dumps(rows)) == [list(p) for p in expected]
+    assert len(boxed) == 1
+    assert rows == expected and expected == rows and not rows != expected
+    assert [(0.5, 0.0)] + rows[1:] == list(rows) == rows + []
+    assert [] + rows == expected and tuple(rows) == tuple(expected)
+    assert rows[2] == (1, 2) and rows[-1] == (3.0, 4.0)
+    assert (3.0, 4.0) in rows and rows.index((3.0, 4.0)) == 3
+    assert list(reversed(rows)) == expected[::-1]
+    assert rows.count((0.5, 0.0)) == 1 and repr(rows) == repr(expected)
+    assert copy.copy(rows) == expected and type(copy.copy(rows)) is list
+    assert len(boxed) == 1                   # ... once, however often read
+    assert rows.matrix is matrix             # and the matrix outlives it
+    for fresh in (PointRows.of(matrix), PointRows.of(matrix)):
+        # An unboxed operand is boxed too, on either side.
+        assert fresh == rows and rows == PointRows.of(matrix)
+        assert fresh.matrix is matrix
+    fresh.append((9.0, 9.0))                 # a mutation drops the matrix
+    assert len(fresh) == 5 and fresh[-1] == (9.0, 9.0)
+    assert fresh.matrix.shape == (5, 2) and len(rows) == 4
+    fresh.sort(reverse=True)                 # so does a list-level one
+    assert fresh[0] == (9.0, 9.0) and fresh.pop() == (5e-324, 1.797e308)
+    assert kernels.matrix_rows(fresh.matrix) == list(fresh) and len(fresh) == 4
+    fresh.extend_matrix(np.asarray([[6.0, 6.0]]))
+    assert fresh[-1] == (6.0, 6.0) and fresh.matrix.shape == (5, 2)
+    merged = PointRows()
+    merged.extend(PointRows.of(matrix))      # chunks pass through unboxed
+    merged.extend(rows)
+    merged.append((7.0, 7.0))
+    assert len(rows) == 4 and len(merged) == 9
+    assert merged == expected + expected + [(7.0, 7.0)]
+    assert PointRows().matrix.shape == (0, 0) and PointRows() == []
+    assert json.dumps(PointRows()) == "[]"
+    with pytest.raises(TypeError):
+        hash(rows)
 
 
 def test_vector_results_are_json_serializable():
