@@ -1,1 +1,1 @@
-"""Benchmark package: one module per experiment in DESIGN.md's index."""
+"""Benchmark package: one module per experiment (README.md, "Layout")."""

@@ -1,4 +1,4 @@
-"""Ablation experiments ABL-PART and ABL-CLUSTER (design choices in DESIGN.md).
+"""Ablation experiments ABL-PART and ABL-CLUSTER ("Substitutions" in README.md).
 
 * ABL-PART — the partition tree of Section 5 is built once with the default
   median-cut partitioner and once with the 2-D ham-sandwich partitioner

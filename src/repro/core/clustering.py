@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-import numpy as np
-
 from repro.geometry.arrangement2d import Level, lines_below_point_fast
 
 
@@ -58,8 +56,7 @@ def greedy_clustering(level: Level, width: int) -> List[Cluster]:
     if width < 1:
         raise ValueError("cluster width must be >= 1, got %r" % width)
     lines = level.lines
-    slopes = np.array([line.slope for line in lines], dtype=float)
-    intercepts = np.array([line.intercept for line in lines], dtype=float)
+    slopes, intercepts = lines.slopes, lines.intercepts
 
     clusters: List[Cluster] = []
 

@@ -33,9 +33,9 @@ import numpy as np
 
 from repro.core.clustering import Cluster, clustering_union, greedy_clustering
 from repro.core.interface import ExternalIndex, Point
-from repro.geometry.arrangement2d import compute_level
-from repro.geometry.duality import dual_line_of_point, dual_point_of_hyperplane
-from repro.geometry.primitives import EPS, Line2, LinearConstraint
+from repro.geometry.arrangement2d import LineArrays, compute_level
+from repro.geometry.duality import dual_point_of_hyperplane
+from repro.geometry.primitives import EPS, LinearConstraint
 from repro.io.btree import BTree
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -107,54 +107,57 @@ class HalfplaneIndex2D(ExternalIndex):
     # construction
     # ------------------------------------------------------------------
     def _build(self) -> None:
-        lines = [dual_line_of_point(point) for point in self._points]
-        remaining = list(range(self._num_points))
-        while remaining:
-            subset_lines = [lines[index] for index in remaining]
+        # The dual lines y = -a1 * x + a2 of the points (a1, a2), as arrays:
+        # each layer walks a level of the sub-family still unassigned.
+        lines = LineArrays(-self._points[:, 0], self._points[:, 1])
+        # What a cluster stores of a point: its number, its dual line, itself
+        # (one tuple per point, shared by the clusters the line is in).
+        records = list(zip(range(self._num_points), lines.slopes,
+                           lines.intercepts, self._points[:, 0].tolist(),
+                           self._points[:, 1].tolist()))
+        remaining = np.arange(self._num_points)
+        while len(remaining):
             lam = int(self._rng.integers(self._beta, 2 * self._beta + 1))
-            if len(remaining) <= 2 * lam or lam >= len(remaining):
-                self._append_trivial_layer(remaining, subset_lines, lam)
-                remaining = []
+            if len(remaining) <= 2 * lam:
+                self._append_trivial_layer(lines, records, remaining, lam)
                 break
-            level = compute_level(subset_lines, lam)
+            level = compute_level(lines[remaining], lam)
             width = self._cluster_width_factor * lam
             clusters = greedy_clustering(level, width)
             layer_local_lines = clustering_union(clusters)
             if not layer_local_lines:
                 # Defensive: should not happen (every point of the level has
                 # λ lines below it); fall back to a trivial final layer.
-                self._append_trivial_layer(remaining, subset_lines, lam)
-                remaining = []
+                self._append_trivial_layer(lines, records, remaining, lam)
                 break
-            self._append_layer(remaining, subset_lines, lam, clusters)
-            removed = {remaining[local] for local in layer_local_lines}
-            remaining = [index for index in remaining if index not in removed]
+            self._append_layer(lines, records, remaining, lam, clusters)
+            remaining = np.delete(remaining, layer_local_lines)
 
-    def _append_trivial_layer(self, remaining: List[int],
-                              subset_lines: List[Line2], lam: int) -> None:
+    def _append_trivial_layer(self, lines: LineArrays, records: List[tuple],
+                              remaining: np.ndarray, lam: int) -> None:
         """Store the last few lines as a single cluster covering all of R."""
-        cluster = Cluster(lines=list(range(len(subset_lines))),
+        cluster = Cluster(lines=list(range(len(remaining))),
                           x_from=-math.inf, x_to=math.inf)
-        self._append_layer(remaining, subset_lines, lam, [cluster])
+        self._append_layer(lines, records, remaining, lam, [cluster])
 
-    def _append_layer(self, remaining: List[int], subset_lines: List[Line2],
-                      lam: int, clusters: List[Cluster]) -> None:
-        """Write a layer's clusters and boundary B-tree to disk."""
+    def _append_layer(self, lines: LineArrays, records: List[tuple],
+                      remaining: np.ndarray, lam: int,
+                      clusters: List[Cluster]) -> None:
+        """Write a layer's clusters and boundary B-tree to disk.
+
+        ``remaining[local]`` is the point whose dual line the layer's level
+        numbered ``local``; ``records[point]`` is what a cluster stores of it.
+        """
         cluster_arrays: List[DiskArray] = []
         boundary_entries: List[Tuple[float, int]] = []
         total_lines = 0
         for cluster_index, cluster in enumerate(clusters):
-            records = []
-            for local in cluster.lines:
-                global_index = remaining[local]
-                line = subset_lines[local]
-                point = self._points[global_index]
-                records.append((global_index, line.slope, line.intercept,
-                                float(point[0]), float(point[1])))
-            records.sort(key=lambda record: record[1])
-            cluster_arrays.append(DiskArray(self._store, records))
+            members = remaining[cluster.lines]
+            members = members[np.argsort(lines.slopes[members], kind="stable")]
+            cluster_arrays.append(DiskArray(
+                self._store, [records[point] for point in members.tolist()]))
             boundary_entries.append((cluster.x_from, cluster_index))
-            total_lines += len(records)
+            total_lines += len(members)
         boundary_tree = BTree(self._store)
         boundary_tree.bulk_load(boundary_entries)
         self._layers.append(_Layer(lam=lam, clusters=cluster_arrays,

@@ -176,7 +176,8 @@ class QueryEngine:
             conformal=ConformalCalibrator(
                 coverage=conformal_coverage, window=conformal_window,
                 min_calibration=conformal_min_calibration),
-            model_provider=self._live_models)
+            model_provider=self._live_models,
+            build_provider=self._build_records)
         self.planner = Planner(self.catalog, ewma_alpha=ewma_alpha,
                                conformal=self.stats.conformal)
         self.tracer = Tracer(enabled=tracing, max_traces=trace_capacity,
@@ -375,6 +376,11 @@ class QueryEngine:
                 child = shard.planning_dataset()
                 models[child.name] = child.stats
         return models
+
+    def _build_records(self) -> List[BuildRecord]:
+        """Every index build on every replica (the metrics provider)."""
+        return [build for name in self.catalog.datasets()
+                for build in self.catalog.build_records(name).values()]
 
     def _make_point_hook(self, name, dataset, sharded, shard):
         """The per-point mutation callback keeping statistics current."""

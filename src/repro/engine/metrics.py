@@ -60,8 +60,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.engine.obs.registry import (Counter, Gauge, Histogram,
                                        HistogramView, MetricsRegistry,
@@ -261,6 +261,11 @@ class EngineStats:
     #: feeds ``summary()["result_cache"]`` and the gauge pair.
     result_cache_provider: Optional[Callable[[], Tuple[int, int]]] = field(
         default=None, repr=False)
+    #: Optional callable returning the catalog's ``BuildRecord`` of every
+    #: index on every replica (the engine registers one); feeds the
+    #: index-build gauges.
+    build_provider: Optional[Callable[[], Iterable[object]]] = field(
+        default=None, repr=False)
     #: The latest shard re-split reports (RebalanceReport summaries, in
     #: order); their count lives in the rebalance counter.
     rebalance_events: Deque[Dict[str, object]] = field(
@@ -335,6 +340,14 @@ class EngineStats:
         self._m_result_cache_bytes = reg.gauge(
             "engine_result_cache_bytes", "Bytes of the answer matrices "
             "resident in the result cache")
+        self._m_build_seconds = reg.gauge(
+            "engine_index_build_seconds",
+            "Wall-clock seconds the index's latest build took",
+            ("dataset", "index", "kind"))
+        self._m_build_ios = reg.gauge(
+            "engine_index_build_ios",
+            "Block transfers the index's latest build was charged",
+            ("dataset", "index", "kind"))
         self._m_adaptations = reg.gauge(
             "engine_histogram_adaptations",
             "Histogram directions replaced by workload feedback",
@@ -683,7 +696,7 @@ class EngineStats:
                     direction=entry["direction"])
 
     def refresh_model_metrics(self) -> Dict[str, Dict[str, object]]:
-        """Update the model/conformal/result-cache gauges from live state.
+        """Update the model, conformal, result-cache and index-build gauges.
 
         Called before every ``/metrics`` scrape (and by ``summary()``),
         since gauges are last-write-wins snapshots rather than hot-path
@@ -701,6 +714,13 @@ class EngineStats:
             entries, resident = self.result_cache_provider()
             self._m_result_cache_entries.set(entries)
             self._m_result_cache_bytes.set(resident)
+        if self.build_provider is not None:
+            for build in self.build_provider():
+                labels = {"dataset": build.dataset, "index": build.index_name,
+                          "kind": build.kind}
+                self._m_build_seconds.set(build.build_seconds, **labels)
+                if build.build_ios is not None:
+                    self._m_build_ios.set(build.build_ios.total, **labels)
         return models
 
     # ------------------------------------------------------------------

@@ -15,7 +15,8 @@ This module computes those objects:
   samples and as the reference in tests, and a dual convex-hull backend
   (scipy/qhull) that only clips against the hull neighbours of each plane.
   The paper instead invokes the external algorithm of Crauser et al. [18];
-  the substitution affects construction cost only (see DESIGN.md).
+  the substitution affects construction cost only (see "Substitutions"
+  in README.md).
 * :func:`conflict_lists` — vectorised computation of the triangle conflict
   lists (a plane conflicts with a triangle iff it passes strictly below one
   of the triangle's vertices, by linearity).

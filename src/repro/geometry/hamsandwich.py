@@ -5,7 +5,8 @@ bisects both.  Willard's classic partition tree splits a point set into four
 quadrants by a pair of such cuts; any query line then misses at least one
 quadrant, which yields an O(n^{log_4 3}) query bound.  We use this
 partitioner as an *ablation* against the default median-cut partitioner of
-:mod:`repro.geometry.partitions` (benchmark ABL-PART in DESIGN.md).
+:mod:`repro.geometry.partitions` (benchmark ABL-PART, see "Substitutions"
+in README.md).
 
 The cut itself is found by a practical rotating-direction search: for a
 fixed direction the line bisecting the first set is unique (median of the

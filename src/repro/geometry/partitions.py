@@ -11,8 +11,8 @@ Two partitioners are provided:
 * :func:`median_cut_partition` — recursive median splits along alternating
   axes, producing axis-aligned boxes.  A hyperplane crosses O(r^{1-1/d})
   cells of such a grid-like partition, which is the property Theorem 5.1 is
-  used for; this is the default (and the substitution documented in
-  DESIGN.md).
+  used for; this is the default (and the substitution documented under
+  "Substitutions" in README.md).
 * :func:`ham_sandwich_partition` (2-D only, in :mod:`repro.geometry.hamsandwich`)
   — Willard-style partitions by ham-sandwich cuts, used by the ablation
   benchmark.

@@ -4,7 +4,8 @@ The 3-D structure (Section 4) needs, for every random sample, a structure
 that finds the triangle of the triangulated lower envelope lying above/below
 a query point of the xy-plane in O(log_B n) I/Os.  The paper cites the
 external planar point-location structures of [7, 27]; this module provides
-an engineering substitution with the same role (documented in DESIGN.md): a
+an engineering substitution with the same role (documented under
+"Substitutions" in README.md): a
 *blocked bounding-interval tree* over the triangles.
 
 The tree recursively splits the bounding rectangle at the median triangle

@@ -278,3 +278,29 @@ def test_result_cache_size_is_visible_and_bounded(dimension):
         assert engine.summary()["result_cache"] == {"entries": 0, "bytes": 0}
     finally:
         engine.close()
+
+
+def test_index_builds_are_visible_on_metrics():
+    """Each index's build cost — seconds and block transfers, straight
+    from its ``BuildRecord`` — is a ``dataset``/``index``/``kind`` gauge."""
+    import numpy as np
+    from repro import QueryEngine
+    engine = QueryEngine(block_size=32, seed=3)
+    try:
+        engine.register_dataset(
+            "d", np.random.default_rng(5).random((600, 2)),
+            kinds=["halfplane2d", "full_scan"])
+        engine.stats.refresh_model_metrics()
+        scraped = dict(
+            line.split(" ") for line
+            in render_prometheus(engine.stats.registry).splitlines()
+            if line.startswith("engine_index_build_"))
+        for name, build in engine.catalog.build_records("d").items():
+            labels = '{dataset="d",index="%s",kind="%s"}' % (name, build.kind)
+            assert 0.0 < build.build_seconds == pytest.approx(
+                float(scraped["engine_index_build_seconds" + labels]))
+            assert float(scraped["engine_index_build_ios" + labels]) \
+                == build.build_ios.total > 0
+        assert len(scraped) == 4
+    finally:
+        engine.close()
