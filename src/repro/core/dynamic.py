@@ -306,7 +306,10 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match index "
                              "dimension %d" % (constraint.dimension, self._dimension))
-        results = self._tree.query(constraint)
+        # The buffer is scanned with the tree's leaves; it never holds a
+        # tombstoned value (insert resurrects one instead, delete takes
+        # buffered copies first), so the pass below leaves its rows alone.
+        results = self._tree.query_and_scan(constraint, (self._buffer,))
         if self._tombstones:
             # Only now are points looked at one by one; with nothing
             # hidden the tree's matrix chunks pass through untouched.
@@ -319,5 +322,4 @@ class DynamicPartitionTreeIndex(ExternalIndex):
                     hidden[record] = hidden.get(record, 0) + 1
                     continue
                 results.append(point)
-        kernels.filter_constraint(self._buffer, constraint, out=results)
         return results

@@ -11,42 +11,26 @@ answers its residual query in O(log_B n + t_leaf) expected I/Os.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.halfspace3d import HalfspaceIndex3D
-from repro.core.interface import ExternalIndex, Point
-from repro.core.partition_tree import Partitioner
-from repro.geometry.boxes import Box, CellRelation
-from repro.geometry.partitions import median_cut_partition
-from repro.geometry.primitives import Hyperplane, LinearConstraint
-from repro.io.disk_array import DiskArray
+from repro.core.partition_tree import CellTreeIndex, Partitioner, _Node
+from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore
 
 
-@dataclass
-class _HybridNode:
-    """Internal node, or leaf holding a Section 4 structure plus a raw copy."""
-
-    is_leaf: bool
-    size: int
-    child_table: Optional[DiskArray] = None
-    children: List[int] = field(default_factory=list)
-    leaf_index: Optional[HalfspaceIndex3D] = None
-    points_array: Optional[DiskArray] = None
-
-
-class HybridIndex3D(ExternalIndex):
+class HybridIndex3D(CellTreeIndex):
     """Theorem 6.1: O(n log2 B) space, O((n/B^{a-1})^{2/3+ε} + t) query I/Os.
 
     Parameters
     ----------
     leaf_exponent:
         The constant ``a > 1``: recursion stops at subsets of ``<= B^a``
-        points, which are then indexed by the Section 4 structure.
+        points, which are then indexed by the Section 4 structure (each
+        leaf also keeps a raw copy for unfiltered reporting).
     copies / seed:
         Passed through to the leaf structures.
     """
@@ -63,72 +47,27 @@ class HybridIndex3D(ExternalIndex):
         if leaf_exponent <= 1.0:
             raise ValueError("leaf_exponent must be > 1 (the paper's a > 1)")
         points = np.asarray(points, dtype=float)
-        if points.size == 0 and points.ndim != 2:
-            points = points.reshape(0, 3)
-        if points.ndim != 2 or points.shape[1] != 3:
+        if points.ndim == 2 and points.shape[1] != 3:
             raise ValueError("HybridIndex3D expects points of shape (N, 3)")
-        self._points = points
-        self._num_points = len(points)
-        self._leaf_threshold = max(self.block_size,
-                                   int(round(self.block_size ** leaf_exponent)))
-        self._max_fanout = max_fanout if max_fanout is not None else self.block_size
-        self._partitioner = partitioner if partitioner is not None else median_cut_partition
         self._copies = copies
         self._seed = seed
-        self._nodes: List[_HybridNode] = []
         self._last_leaves_queried = 0
-        self._begin_space_accounting()
-        if self._num_points:
-            self._root = self._build(np.arange(self._num_points))
-        else:
-            self._root = None
-        self._end_space_accounting()
+        self._build_tree(points, 3, max_fanout,
+                         max(self.block_size,
+                             int(round(self.block_size ** leaf_exponent))),
+                         partitioner)
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build(self, indices: np.ndarray) -> int:
-        size = len(indices)
-        if size <= self._leaf_threshold:
-            subset = self._points[indices]
-            leaf_index = HalfspaceIndex3D(subset, store=self._store,
-                                          copies=self._copies, seed=self._seed)
-            records = [tuple(point) for point in subset]
-            node = _HybridNode(is_leaf=True, size=size, leaf_index=leaf_index,
-                               points_array=DiskArray(self._store, records))
-            self._nodes.append(node)
-            return len(self._nodes) - 1
-        blocks = -(-size // self.block_size)
-        fanout = max(2, min(self._max_fanout, 2 * blocks))
-        cells = self._partitioner(self._points, fanout, indices)
-        children: List[int] = []
-        table_records = []
-        for cell in cells:
-            child_id = self._build(np.asarray(cell.indices))
-            children.append(child_id)
-            table_records.append((child_id, tuple(cell.cell.lower),
-                                  tuple(cell.cell.upper)))
-        node = _HybridNode(is_leaf=False, size=size,
-                           child_table=DiskArray(self._store, table_records),
-                           children=children)
-        self._nodes.append(node)
-        return len(self._nodes) - 1
-
-    # ------------------------------------------------------------------
-    # properties
-    # ------------------------------------------------------------------
-    @property
-    def dimension(self) -> int:
-        return 3
-
-    @property
-    def size(self) -> int:
-        return self._num_points
+    def _leaf_node(self, indices: np.ndarray) -> _Node:
+        leaf_index = HalfspaceIndex3D(self._points[indices], store=self._store,
+                                      copies=self._copies, seed=self._seed)
+        node = super()._leaf_node(indices)
+        node.leaf_index = leaf_index
+        return node
 
     @property
     def leaf_threshold(self) -> int:
         """Maximum leaf subset size B^a."""
-        return self._leaf_threshold
+        return self._leaf_size
 
     @property
     def last_leaves_queried(self) -> int:
@@ -140,47 +79,19 @@ class HybridIndex3D(ExternalIndex):
         """Theorem 6.1 bound: O((n / B^{a-1})^{2/3} + t) expected I/Os."""
         del constraint
         blocks = max(1, self._store.blocks_for(max(1, self.size)))
-        effective = max(1.0, blocks * self.block_size / float(self._leaf_threshold))
+        effective = max(1.0, blocks * self.block_size / float(self._leaf_size))
         search = effective ** (2.0 / 3.0) + self._log_b_n()
         return 1.0 + search + self._output_blocks(expected_output)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def query(self, constraint: LinearConstraint) -> List[Point]:
-        """Report every stored point satisfying the 3-D linear constraint."""
-        if constraint.dimension != 3:
-            raise ValueError("expected a 3-D constraint, got dimension %d"
-                             % constraint.dimension)
-        if self._root is None:
-            return []
-        results: List[Point] = []
+    def walk(self, constraint: LinearConstraint,
+             scan: kernels.DeferredScan) -> None:
         self._last_leaves_queried = 0
-        self._query_node(self._root, constraint.hyperplane, constraint, results)
-        return results
+        super().walk(constraint, scan)
 
-    def _query_node(self, node_id: int, hyperplane: Hyperplane,
-                    constraint: LinearConstraint, results: List[Point]) -> None:
-        node = self._nodes[node_id]
-        if node.is_leaf:
-            self._last_leaves_queried += 1
-            results.extend(node.leaf_index.query(constraint))
-            return
-        for record in node.child_table.scan():
-            child_id, lower, upper = record
-            relation = Box(lower, upper).classify_halfspace(hyperplane)
-            if relation is CellRelation.ABOVE:
-                continue
-            if relation is CellRelation.BELOW:
-                self._report_subtree(child_id, results)
-            else:
-                self._query_node(child_id, hyperplane, constraint, results)
-
-    def _report_subtree(self, node_id: int, results: List[Point]) -> None:
-        node = self._nodes[node_id]
-        if node.is_leaf:
-            for record in node.points_array.scan():
-                results.append(record)
-            return
-        for record in node.child_table.scan():
-            self._report_subtree(record[0], results)
+    def _query_leaf(self, node: _Node, constraint: LinearConstraint,
+                    scan: kernels.DeferredScan) -> None:
+        self._last_leaves_queried += 1
+        scan.extend(node.leaf_index.query(constraint))

@@ -16,6 +16,11 @@ point exactly on the boundary hyperplane resolves identically in both
 paths.  Blocks that are not columnar (mixed record types, ragged
 widths) silently take the scalar fallback per block.
 
+One scan serves one query (:class:`DeferredScan`): a tree walk reads
+each leaf when it visits it and the predicate runs once, over all the
+rows read, when the walk is over; ``filter_constraint`` and its
+siblings are that scan over a single array.
+
 What a kernel selects stays a matrix: the masked sub-matrix of each
 scan goes into a :class:`PointRows`, the ordered answer the indexes
 return and the engine carries to the socket, and rows become Python
@@ -29,13 +34,14 @@ speedup with identical I/O traces on both sides.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
-from repro.io.block import POINT_DTYPE, BlockPayload
+from repro.io.block import POINT_DTYPE
 from repro.io.disk_array import DiskArray
 
 _VECTORIZED = True
@@ -227,24 +233,100 @@ for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "clear",
     setattr(PointRows, _name, _boxed_first(_name, mutates=True))
 
 
-def _columnar_stack(payloads: List[BlockPayload]) -> Optional[np.ndarray]:
-    """One matrix for an all-columnar, same-width payload list, else None.
+class DeferredScan:
+    """One query's leaf scan: blocks are read when visited, the
+    predicate runs once when the query ends.
 
-    Stacking lets a multi-block scan evaluate its predicate once instead
-    of once per block (the per-call numpy overhead dominates small
-    blocks).  Row order is exactly scan order, and the predicate kernels
-    are row-independent, so the stacked evaluation is bit-identical to
-    the per-block one.  The payloads were already read — I/O counters
-    are untouched.
+    :meth:`add` fetches an array's payloads immediately — the I/Os and
+    their order are the record-at-a-time path's — and only queues the
+    matrices; :meth:`flush` stacks them, evaluates ``keep_many`` once
+    (the per-call numpy overhead dominates one-block scans), forces the
+    rows queued unfiltered to true and appends one masked matrix to
+    ``results``.  Row order is visit order and the predicate is
+    row-independent, so the mask is bit for bit the per-block one.  A
+    non-columnar payload flushes what is pending and is filtered record
+    by record in place; a width change starts a new stack.  With the
+    kernels switched off (:func:`scalar_kernels`) nothing is deferred:
+    ``keep_one`` runs over ``array.scan()`` on the spot.
     """
-    if not payloads or not all(p.is_columnar for p in payloads):
-        return None
-    width = payloads[0].matrix.shape[1]
-    if any(p.matrix.shape[1] != width for p in payloads):
-        return None
-    if len(payloads) == 1:
-        return payloads[0].matrix
-    return np.concatenate([p.matrix for p in payloads])
+
+    __slots__ = ("results", "_keep_one", "_keep_many", "_pending", "_kept",
+                 "_filtering")
+
+    def __init__(self, results: PointRows, keep_one, keep_many) -> None:
+        self.results = results
+        self._keep_one = keep_one
+        self._keep_many = keep_many
+        self._pending: List[np.ndarray] = []
+        #: Ranges ``[first, last]`` of pending blocks reported unfiltered.
+        self._kept: List[List[int]] = []
+        self._filtering = False
+
+    def add(self, array: DiskArray, filtered: bool) -> None:
+        """Read ``array`` now; keep its rows that pass the predicate
+        (``filtered``) or all of them."""
+        if not _VECTORIZED:
+            self._extend_scalar(array.scan(), filtered)
+            return
+        pending = self._pending
+        first = len(pending)
+        for payload in array.scan_batches():
+            matrix = payload.matrix
+            if matrix is None or (pending and matrix.shape[1]
+                                  != pending[0].shape[1]):
+                self._mark(first, filtered)
+                self.flush()
+                first = 0
+                if matrix is None:
+                    self._extend_scalar(payload.records(), filtered)
+                    continue
+            pending.append(matrix)
+        self._mark(first, filtered)
+
+    def _mark(self, first: int, filtered: bool) -> None:
+        """The blocks pending from ``first`` on came in as ``filtered``."""
+        last = len(self._pending)
+        if first == last:
+            return
+        if filtered:
+            self._filtering = True
+        elif self._kept and self._kept[-1][1] == first:
+            self._kept[-1][1] = last
+        else:
+            self._kept.append([first, last])
+
+    def _extend_scalar(self, records: Iterable[Any], filtered: bool) -> None:
+        self.results.extend([record for record in records
+                             if self._keep_one(record)]
+                            if filtered else records)
+
+    def extend(self, records: Iterable[Any]) -> None:
+        """Append records selected elsewhere, after what is pending."""
+        self.flush()
+        self.results.extend(records)
+
+    def flush(self) -> PointRows:
+        """Evaluate and append everything pending; returns ``results``."""
+        pending = self._pending
+        if not pending:
+            return self.results
+        if not self._filtering:
+            for matrix in pending:      # handed over as read, no copy
+                self.results.extend_matrix(matrix)
+        else:
+            matrix = pending[0] if len(pending) == 1 \
+                else np.concatenate(pending)
+            mask = self._keep_many(matrix)
+            if self._kept:
+                ends = list(accumulate(map(len, pending), initial=0))
+                for first, last in self._kept:
+                    mask[ends[first]:ends[last]] = True
+            # compress: the rows of matrix[mask], several times sooner.
+            self.results.extend_matrix(matrix.compress(mask, axis=0))
+        pending.clear()
+        self._kept = []
+        self._filtering = False
+        return self.results
 
 
 def filter_constraint(array: DiskArray, constraint: LinearConstraint,
@@ -255,63 +337,19 @@ def filter_constraint(array: DiskArray, constraint: LinearConstraint,
     constraint.below(r)]`` with identical I/O charging and identical
     results (order preserved).  Appends into ``out`` when given.
     """
-    results = out if out is not None else PointRows()
-    if not _VECTORIZED:
-        for record in array.scan():
-            if constraint.below(record):
-                results.append(record)
-        return results
-    payloads = list(array.scan_batches())
-    matrix = _columnar_stack(payloads)
-    if matrix is not None:
-        mask = constraint.below_many(matrix)
-        if mask.any():
-            results.extend_matrix(matrix[mask])
-        return results
-    for payload in payloads:
-        _filter_payload_constraint(payload, constraint, results)
-    return results
-
-
-def _filter_payload_constraint(payload: BlockPayload,
-                               constraint: LinearConstraint,
-                               results: PointRows) -> None:
-    if payload.is_columnar:
-        mask = constraint.below_many(payload.matrix)
-        if mask.any():
-            results.extend_matrix(payload.matrix[mask])
-    else:
-        for record in payload.records():
-            if constraint.below(record):
-                results.append(record)
+    scan = DeferredScan(out if out is not None else PointRows(),
+                        constraint.below, constraint.below_many)
+    scan.add(array, filtered=True)
+    return scan.flush()
 
 
 def filter_simplex(array: DiskArray, simplex: Simplex,
                    out: Optional[PointRows] = None) -> PointRows:
-    """All records of ``array`` inside ``simplex`` (batch per block)."""
-    results = out if out is not None else PointRows()
-    if not _VECTORIZED:
-        for record in array.scan():
-            if simplex.contains(record):
-                results.append(record)
-        return results
-    payloads = list(array.scan_batches())
-    matrix = _columnar_stack(payloads)
-    if matrix is not None:
-        mask = simplex.contains_many(matrix)
-        if mask.any():
-            results.extend_matrix(matrix[mask])
-        return results
-    for payload in payloads:
-        if payload.is_columnar:
-            mask = simplex.contains_many(payload.matrix)
-            if mask.any():
-                results.extend_matrix(payload.matrix[mask])
-        else:
-            for record in payload.records():
-                if simplex.contains(record):
-                    results.append(record)
-    return results
+    """All records of ``array`` inside ``simplex`` (one batch per scan)."""
+    scan = DeferredScan(out if out is not None else PointRows(),
+                        simplex.contains, simplex.contains_many)
+    scan.add(array, filtered=True)
+    return scan.flush()
 
 
 def collect_records(array: DiskArray,
@@ -321,14 +359,6 @@ def collect_records(array: DiskArray,
     Same I/Os as ``list(array.scan())``; columnar blocks are handed
     over as they were read, with no per-record Python loop.
     """
-    results = out if out is not None else PointRows()
-    if not _VECTORIZED:
-        results.extend(array.scan())
-        return results
-    for payload in array.scan_batches():
-        if payload.is_columnar:
-            results.extend_matrix(payload.matrix)
-        else:
-            results.extend(payload.records())
-    return results
-
+    scan = DeferredScan(out if out is not None else PointRows(), None, None)
+    scan.add(array, filtered=False)
+    return scan.flush()

@@ -16,15 +16,16 @@ which both partitioners provide for hyperplane queries.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex, Point
-from repro.geometry.boxes import Box, CellRelation
+from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
+                                  classify_boxes_halfspace)
 from repro.geometry.partitions import PartitionCell, median_cut_partition
 from repro.geometry.primitives import Hyperplane, LinearConstraint
 from repro.geometry.simplex import Simplex
@@ -36,21 +37,229 @@ Partitioner = Callable[[np.ndarray, int, Optional[np.ndarray]], List[PartitionCe
 
 @dataclass
 class _Node:
-    """One partition-tree node.
+    """One node of a cell tree.
 
-    Leaves store their points in ``points_array``; internal nodes store a
-    disk-resident child table (one record per child: child id + its cell's
-    box corners) plus the in-memory ids of their children.
+    A leaf stores its points in ``points_array``; an internal node stores
+    a disk-resident cell table (:func:`encode_cells`).  ``secondary`` and
+    ``crossing_threshold`` are the shallow tree's, ``leaf_index`` is the
+    hybrid structure's.
     """
 
     is_leaf: bool
     size: int
     points_array: Optional[DiskArray] = None
     child_table: Optional[DiskArray] = None
-    children: List[int] = field(default_factory=list)
+    secondary: Optional["PartitionTreeIndex"] = None
+    crossing_threshold: int = 0
+    leaf_index: Optional[ExternalIndex] = None
 
 
-class PartitionTreeIndex(ExternalIndex):
+# ----------------------------------------------------------------------
+# the cell table: one record per child, (child id, lower, upper) flat
+# ----------------------------------------------------------------------
+def encode_cells(child_ids: Sequence[int],
+                 cells: Sequence[PartitionCell]) -> List[Tuple[float, ...]]:
+    """One flat float record ``(child_id, *lower, *upper)`` per cell, so
+    a table block is columnar: one ``(fanout, 1 + 2d)`` float64 matrix in
+    the buffer pool and on the file backends."""
+    return [(float(child_id), *map(float, cell.cell.lower),
+             *map(float, cell.cell.upper))
+            for child_id, cell in zip(child_ids, cells)]
+
+
+def scan_cells(child_table: DiskArray
+               ) -> Iterator[Tuple[int, Tuple[float, ...], Tuple[float, ...]]]:
+    """``(child_id, lower, upper)`` per table record, one block read at
+    a time: the record-at-a-time reader."""
+    for record in child_table.scan():
+        split = (len(record) + 1) // 2
+        yield int(record[0]), record[1:split], record[split:]
+
+
+def scan_child_ids(child_table: DiskArray) -> Iterator[int]:
+    """The child id of every table record (an unfiltered report looks
+    at no box), one block read at a time."""
+    if not kernels.vectorized_enabled():
+        for child_id, __, __ in scan_cells(child_table):
+            yield child_id
+        return
+    for payload in child_table.scan_batches():
+        yield from payload.matrix[:, 0].astype(np.intp).tolist()
+
+
+def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
+                   ) -> Iterator[Tuple[int, CellRelation]]:
+    """``(child_id, relation)`` for every cell of the table not ABOVE
+    ``hyperplane``, in record order.
+
+    Lazy, one table block at a time — a caller that descends into the
+    cells of one block before asking for the next reads blocks in the
+    order the record-at-a-time loop does — and each block is classified
+    in one :func:`classify_boxes_halfspace` call.  Under
+    :func:`kernels.scalar_kernels` it is that loop.
+    """
+    if not kernels.vectorized_enabled():
+        for child_id, lower, upper in scan_cells(child_table):
+            relation = Box(lower, upper).classify_halfspace(hyperplane)
+            if relation is not CellRelation.ABOVE:
+                yield child_id, relation
+        return
+    for payload in child_table.scan_batches():
+        matrix = payload.matrix
+        split = (matrix.shape[1] + 1) // 2
+        codes = classify_boxes_halfspace(matrix[:, 1:split],
+                                         matrix[:, split:], hyperplane)
+        hit = np.flatnonzero(codes)
+        for child_id, code in zip(matrix[hit, 0].astype(np.intp).tolist(),
+                                  codes[hit].tolist()):
+            yield child_id, CELL_RELATIONS[code]
+
+
+class CellTreeIndex(ExternalIndex):
+    """What the partition trees of Sections 5 and 6 share: the recursive
+    build over balanced partitions, the cell tables and the descent.
+
+    A query visits a child only when the query hyperplane *crosses* its
+    cell, reports whole subtrees whose cells lie below the hyperplane and
+    skips cells entirely above it.  Leaves hand their blocks to one
+    :class:`kernels.DeferredScan` per query.  Subclasses set their own
+    parameters, then call :meth:`_build_tree`; they vary the node
+    contents (:meth:`_leaf_node`, :meth:`_internal_node`) and what
+    happens at a crossed node (:meth:`_query_leaf`, :meth:`_cells`).
+    """
+
+    def _build_tree(self, points: Sequence[Sequence[float]],
+                    empty_dimension: int, max_fanout: Optional[int],
+                    leaf_size: int,
+                    partitioner: Optional[Partitioner]) -> None:
+        points = np.asarray(points, dtype=float)
+        if points.size == 0 and points.ndim != 2:
+            points = points.reshape(0, empty_dimension)
+        if points.ndim != 2:
+            raise ValueError("points must be a 2-D array of shape (N, d)")
+        self._points = points
+        self._max_fanout = max_fanout if max_fanout is not None else self.block_size
+        self._leaf_size = leaf_size
+        self._partitioner = partitioner if partitioner is not None else median_cut_partition
+        self._nodes: List[_Node] = []
+        self._last_nodes_visited = 0
+        self._begin_space_accounting()
+        self._root = self._build(np.arange(len(points))) if len(points) else None
+        self._end_space_accounting()
+
+    # ------------------------------------------------------------------
+    # construction
+    # ------------------------------------------------------------------
+    def _build(self, indices: np.ndarray) -> int:
+        size = len(indices)
+        if size <= self._leaf_size:
+            node = self._leaf_node(indices)
+        else:
+            blocks = -(-size // self.block_size)
+            fanout = max(2, min(self._max_fanout, 2 * blocks))
+            cells = self._partitioner(self._points, fanout, indices)
+            child_ids = [self._build(np.asarray(cell.indices)) for cell in cells]
+            node = self._internal_node(indices, encode_cells(child_ids, cells))
+        self._nodes.append(node)
+        return len(self._nodes) - 1
+
+    def _leaf_node(self, indices: np.ndarray) -> _Node:
+        records = [tuple(self._points[index]) for index in indices]
+        return _Node(is_leaf=True, size=len(indices),
+                     points_array=DiskArray(self._store, records))
+
+    def _internal_node(self, indices: np.ndarray,
+                       cell_records: List[Tuple[float, ...]]) -> _Node:
+        return _Node(is_leaf=False, size=len(indices),
+                     child_table=DiskArray(self._store, cell_records))
+
+    # ------------------------------------------------------------------
+    # properties
+    # ------------------------------------------------------------------
+    @property
+    def dimension(self) -> int:
+        return self._points.shape[1]
+
+    @property
+    def size(self) -> int:
+        return len(self._points)
+
+    @property
+    def num_nodes(self) -> int:
+        """Total number of tree nodes."""
+        return len(self._nodes)
+
+    @property
+    def last_nodes_visited(self) -> int:
+        """Nodes whose cell was crossed during the most recent query."""
+        return self._last_nodes_visited
+
+    # ------------------------------------------------------------------
+    # halfspace queries
+    # ------------------------------------------------------------------
+    def query(self, constraint: LinearConstraint) -> List[Point]:
+        """Report every stored point satisfying the linear constraint."""
+        return self.query_and_scan(constraint, ())
+
+    def query_and_scan(self, constraint: LinearConstraint,
+                       arrays: Iterable[DiskArray]) -> List[Point]:
+        """:meth:`query`, followed by the records of the unindexed
+        ``arrays`` (an insertion buffer) that satisfy the constraint —
+        read after the tree's blocks, filtered in the same deferred scan."""
+        if constraint.dimension != self.dimension:
+            raise ValueError("constraint dimension %d does not match data "
+                             "dimension %d" % (constraint.dimension, self.dimension))
+        scan = kernels.DeferredScan(kernels.PointRows(), constraint.below,
+                                    constraint.below_many)
+        self.walk(constraint, scan)
+        for array in arrays:
+            scan.add(array, filtered=True)
+        return scan.flush()
+
+    def walk(self, constraint: LinearConstraint,
+             scan: kernels.DeferredScan) -> None:
+        """Feed ``scan`` the blocks a query with ``constraint`` reads."""
+        self._last_nodes_visited = 0
+        if self._root is not None:
+            self._descend(self._root, constraint, scan)
+
+    def _descend(self, node_id: int, constraint: LinearConstraint,
+                 scan: kernels.DeferredScan) -> None:
+        node = self._nodes[node_id]
+        self._last_nodes_visited += 1
+        if node.is_leaf:
+            self._query_leaf(node, constraint, scan)
+            return
+        for child_id, relation in self._cells(node, constraint, scan):
+            if relation is CellRelation.BELOW:
+                self._report_subtree(child_id, scan)
+            else:
+                self._descend(child_id, constraint, scan)
+
+    def _query_leaf(self, node: _Node, constraint: LinearConstraint,
+                    scan: kernels.DeferredScan) -> None:
+        """A leaf whose cell the hyperplane crosses."""
+        del constraint
+        scan.add(node.points_array, filtered=True)
+
+    def _cells(self, node: _Node, constraint: LinearConstraint,
+               scan: kernels.DeferredScan
+               ) -> Iterable[Tuple[int, CellRelation]]:
+        """The cells of a crossed internal node still to be visited."""
+        del scan
+        return classify_cells(node.child_table, constraint.hyperplane)
+
+    def _report_subtree(self, node_id: int, scan: kernels.DeferredScan) -> None:
+        """Every point stored under ``node_id``, unfiltered."""
+        node = self._nodes[node_id]
+        if node.is_leaf:
+            scan.add(node.points_array, filtered=False)
+            return
+        for child_id in scan_child_ids(node.child_table):
+            self._report_subtree(child_id, scan)
+
+
+class PartitionTreeIndex(CellTreeIndex):
     """Linear-space halfspace/simplex reporting for any fixed dimension.
 
     Parameters
@@ -76,73 +285,9 @@ class PartitionTreeIndex(ExternalIndex):
                  leaf_capacity: Optional[int] = None,
                  partitioner: Optional[Partitioner] = None):
         super().__init__(store, block_size)
-        points = np.asarray(points, dtype=float)
-        if points.size == 0 and points.ndim != 2:
-            points = points.reshape(0, 2)
-        if points.ndim != 2:
-            raise ValueError("points must be a 2-D array of shape (N, d)")
-        self._points = points
-        self._num_points = len(points)
-        self._dimension = points.shape[1]
-        self._max_fanout = max_fanout if max_fanout is not None else self.block_size
-        self._leaf_capacity = leaf_capacity if leaf_capacity is not None else self.block_size
-        self._partitioner = partitioner if partitioner is not None else median_cut_partition
-        self._nodes: List[_Node] = []
-        self._last_nodes_visited = 0
-        self._begin_space_accounting()
-        if self._num_points:
-            self._root = self._build(np.arange(self._num_points))
-        else:
-            self._root = None
-        self._end_space_accounting()
-
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    def _build(self, indices: np.ndarray) -> int:
-        size = len(indices)
-        if size <= self._leaf_capacity:
-            records = [tuple(self._points[index]) for index in indices]
-            node = _Node(is_leaf=True, size=size,
-                         points_array=DiskArray(self._store, records))
-            self._nodes.append(node)
-            return len(self._nodes) - 1
-        blocks = -(-size // self.block_size)
-        fanout = max(2, min(self._max_fanout, 2 * blocks))
-        cells = self._partitioner(self._points, fanout, indices)
-        children: List[int] = []
-        table_records = []
-        for cell in cells:
-            child_id = self._build(np.asarray(cell.indices))
-            children.append(child_id)
-            table_records.append((child_id, tuple(cell.cell.lower),
-                                  tuple(cell.cell.upper)))
-        node = _Node(is_leaf=False, size=size,
-                     child_table=DiskArray(self._store, table_records),
-                     children=children)
-        self._nodes.append(node)
-        return len(self._nodes) - 1
-
-    # ------------------------------------------------------------------
-    # properties
-    # ------------------------------------------------------------------
-    @property
-    def dimension(self) -> int:
-        return self._dimension
-
-    @property
-    def size(self) -> int:
-        return self._num_points
-
-    @property
-    def num_nodes(self) -> int:
-        """Total number of tree nodes."""
-        return len(self._nodes)
-
-    @property
-    def last_nodes_visited(self) -> int:
-        """Nodes whose cell was crossed during the most recent query."""
-        return self._last_nodes_visited
+        self._build_tree(points, 2, max_fanout,
+                         leaf_capacity if leaf_capacity is not None else self.block_size,
+                         partitioner)
 
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
@@ -153,72 +298,29 @@ class PartitionTreeIndex(ExternalIndex):
         return 1.0 + search + self._output_blocks(expected_output)
 
     # ------------------------------------------------------------------
-    # halfspace queries
-    # ------------------------------------------------------------------
-    def query(self, constraint: LinearConstraint) -> List[Point]:
-        """Report every stored point satisfying the linear constraint."""
-        if constraint.dimension != self._dimension:
-            raise ValueError("constraint dimension %d does not match data "
-                             "dimension %d" % (constraint.dimension, self._dimension))
-        results = kernels.PointRows()
-        if self._root is None:
-            return results
-        hyperplane = constraint.hyperplane
-        self._last_nodes_visited = 0
-        self._query_node(self._root, hyperplane, constraint, results)
-        return results
-
-    def _query_node(self, node_id: int, hyperplane: Hyperplane,
-                    constraint: LinearConstraint, results: kernels.PointRows) -> None:
-        node = self._nodes[node_id]
-        self._last_nodes_visited += 1
-        if node.is_leaf:
-            kernels.filter_constraint(node.points_array, constraint,
-                                      out=results)
-            return
-        for record in node.child_table.scan():
-            child_id, lower, upper = record
-            box = Box(lower, upper)
-            relation = box.classify_halfspace(hyperplane)
-            if relation is CellRelation.ABOVE:
-                continue
-            if relation is CellRelation.BELOW:
-                self.report_subtree(child_id, results)
-            else:
-                self._query_node(child_id, hyperplane, constraint, results)
-
-    def report_subtree(self, node_id: int, results: kernels.PointRows) -> None:
-        """Append every point stored under ``node_id`` (no filtering)."""
-        node = self._nodes[node_id]
-        if node.is_leaf:
-            kernels.collect_records(node.points_array, out=results)
-            return
-        for record in node.child_table.scan():
-            self.report_subtree(record[0], results)
-
-    # ------------------------------------------------------------------
     # simplex queries (Section 5, Remark i)
     # ------------------------------------------------------------------
     def query_simplex(self, simplex: Simplex) -> List[Point]:
         """Report every stored point inside ``simplex``."""
-        results = kernels.PointRows()
-        if self._root is None:
-            return results
-        self._query_simplex_node(self._root, simplex, results)
-        return results
+        scan = kernels.DeferredScan(kernels.PointRows(), simplex.contains,
+                                    simplex.contains_many)
+        self._last_nodes_visited = 0
+        if self._root is not None:
+            self._descend_simplex(self._root, simplex, scan)
+        return scan.flush()
 
-    def _query_simplex_node(self, node_id: int, simplex: Simplex,
-                            results: kernels.PointRows) -> None:
+    def _descend_simplex(self, node_id: int, simplex: Simplex,
+                         scan: kernels.DeferredScan) -> None:
         node = self._nodes[node_id]
+        self._last_nodes_visited += 1
         if node.is_leaf:
-            kernels.filter_simplex(node.points_array, simplex, out=results)
+            scan.add(node.points_array, filtered=True)
             return
-        for record in node.child_table.scan():
-            child_id, lower, upper = record
+        for child_id, lower, upper in scan_cells(node.child_table):
             box = Box(lower, upper)
             if simplex.certainly_disjoint_from_box(box):
                 continue
             if simplex.contains_box(box):
-                self.report_subtree(child_id, results)
+                self._report_subtree(child_id, scan)
             else:
-                self._query_simplex_node(child_id, simplex, results)
+                self._descend_simplex(child_id, simplex, scan)

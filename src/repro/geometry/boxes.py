@@ -16,6 +16,8 @@ from enum import Enum
 from itertools import product
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry.primitives import EPS, Hyperplane
 
 
@@ -25,6 +27,41 @@ class CellRelation(Enum):
     BELOW = "below"      # every point of the cell satisfies the constraint
     ABOVE = "above"      # no point of the cell satisfies the constraint
     CROSSES = "crosses"  # the hyperplane intersects the cell
+
+
+#: The relation behind each code :func:`classify_boxes_halfspace` returns
+#: (0 is ABOVE, so ``np.flatnonzero(codes)`` is the cells worth a visit).
+CELL_RELATIONS = (CellRelation.ABOVE, CellRelation.BELOW, CellRelation.CROSSES)
+
+
+def classify_boxes_halfspace(lowers: np.ndarray, uppers: np.ndarray,
+                             hyperplane: Hyperplane) -> np.ndarray:
+    """:meth:`Box.classify_halfspace` for n boxes at once, as codes.
+
+    ``lowers`` / ``uppers`` are ``(n, d)`` corner matrices; the result
+    indexes :data:`CELL_RELATIONS`.  Two folds stand in for the 2^d
+    corners: IEEE multiply and add are monotone, so the scalar fold
+    ``sum(c * x) + offset + eps`` over a box's corners is largest at the
+    corner taking ``upper_i`` where ``c_i >= 0`` else ``lower_i`` and
+    smallest at the opposite one.  Some corner is below iff ``lower_d``
+    is below the largest fold, some corner is above iff ``upper_d`` is
+    not below the smallest.  Both folds replay the scalar accumulation
+    one coefficient at a time, as ``LinearConstraint.below_many`` does,
+    so a cell touching the hyperplane resolves exactly as
+    :meth:`Box.classify_halfspace` resolves it.
+    """
+    highest = np.zeros(lowers.shape[0], dtype=np.float64)
+    lowest = np.zeros(lowers.shape[0], dtype=np.float64)
+    for axis, coefficient in enumerate(hyperplane.coeffs):
+        rising = coefficient >= 0
+        highest += coefficient * (uppers if rising else lowers)[:, axis]
+        lowest += coefficient * (lowers if rising else uppers)[:, axis]
+    for fold in (highest, lowest):
+        fold += hyperplane.offset
+        fold += EPS
+    below_any = lowers[:, -1] <= highest
+    above_any = ~(uppers[:, -1] <= lowest)
+    return below_any.astype(np.int8) + (below_any & above_any)
 
 
 @dataclass(frozen=True)

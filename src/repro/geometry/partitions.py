@@ -28,7 +28,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.boxes import Box, CellRelation
+from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
+                                  classify_boxes_halfspace)
 from repro.geometry.primitives import Hyperplane
 
 
@@ -102,8 +103,13 @@ def _median_split(points: np.ndarray,
 def crossing_number(cells: Sequence[PartitionCell],
                     hyperplane: Hyperplane) -> int:
     """Number of cells crossed by ``hyperplane`` (the Theorem 5.1 quantity)."""
-    return sum(1 for cell in cells
-               if cell.cell.classify_halfspace(hyperplane) is CellRelation.CROSSES)
+    if not cells:
+        return 0
+    codes = classify_boxes_halfspace(
+        np.array([cell.cell.lower for cell in cells], dtype=float),
+        np.array([cell.cell.upper for cell in cells], dtype=float), hyperplane)
+    return int(np.count_nonzero(
+        codes == CELL_RELATIONS.index(CellRelation.CROSSES)))
 
 
 def max_crossing_number(cells: Sequence[PartitionCell],

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.hybrid3d import HybridIndex3D
+from repro.core.kernels import PointRows
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.core.shallow_tree import ShallowPartitionTreeIndex
 from repro.geometry.hamsandwich import ham_sandwich_partition
@@ -88,6 +89,17 @@ class TestPartitionTree:
         points, tree = tree_2d
         far_triangle = Simplex.from_vertices_2d([(10, 10), (11, 10), (10, 11)])
         assert tree.query_simplex(far_triangle) == []
+
+    def test_simplex_query_counts_its_own_nodes(self, tree_2d):
+        points, tree = tree_2d
+        tree.query(halfspace_queries_with_selectivity(points, 1, 0.5, seed=4)[0])
+        after_halfspace = tree.last_nodes_visited
+        far_triangle = Simplex.from_vertices_2d([(10, 10), (11, 10), (10, 11)])
+        tree.query_simplex(far_triangle)
+        assert tree.last_nodes_visited == 1 < after_halfspace   # the root only
+        triangle = Simplex.from_vertices_2d([(-0.5, -0.5), (0.7, -0.3), (0.0, 0.8)])
+        tree.query_simplex(triangle)
+        assert 1 < tree.last_nodes_visited <= tree.num_nodes
 
     def test_ham_sandwich_partitioner_variant_correct(self):
         points = uniform_points(900, seed=9)
@@ -182,6 +194,17 @@ class TestHybrid3D:
         result = tree.query_with_stats(constraint)
         n = math.ceil(len(points) / tree.block_size)
         assert result.total_ios < n
+
+    def test_answers_are_point_rows_reported_by_the_block(self, hybrid):
+        """BELOW subtrees hand over whole payload matrices; the empty
+        answer is a PointRows too, as for the other trees."""
+        points, tree = hybrid
+        everything = tree.query(LinearConstraint((0.0, 0.0), 10.0))
+        assert isinstance(everything, PointRows)
+        assert everything.matrix.shape == (len(points), 3)
+        assert tree.last_leaves_queried == 0
+        nothing = tree.query(LinearConstraint((0.0, 0.0), -10.0))
+        assert isinstance(nothing, PointRows) and nothing == []
 
     def test_leaves_queried_counter(self, hybrid):
         points, tree = hybrid

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.boxes import Box, CellRelation
+from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
+                                  classify_boxes_halfspace)
 from repro.geometry.hamsandwich import (
     OrientedLine,
     ham_sandwich_cut,
@@ -21,7 +22,7 @@ from repro.geometry.partitions import (
     max_crossing_number,
     median_cut_partition,
 )
-from repro.geometry.primitives import Hyperplane
+from repro.geometry.primitives import EPS, Hyperplane
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.workloads import uniform_points
 
@@ -73,6 +74,71 @@ class TestBox:
         assert low.upper[0] == 1.0 and high.lower[0] == 1.0
         with pytest.raises(ValueError):
             box.split(0, 5.0)
+
+
+@st.composite
+def cells_and_hyperplane(draw):
+    """Boxes (some degenerate, some with a corner exactly on, EPS above
+    and 3 EPS above the hyperplane) and a hyperplane whose coefficients
+    may be zero, negative or of mixed sign, at magnitudes 1e-3 .. 1e5."""
+    dimension = draw(st.integers(2, 5))
+    scale = 10.0 ** draw(st.integers(-3, 5))
+    on_grid = draw(st.booleans())
+    value = (st.integers(-8, 8).map(lambda k: k * scale) if on_grid else
+             st.floats(-1.0, 1.0, allow_nan=False).map(lambda v: v * scale))
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                            st.floats(-3.0, 3.0, allow_nan=False))
+    hyperplane = Hyperplane(
+        tuple(draw(st.lists(coefficient, min_size=dimension - 1,
+                            max_size=dimension - 1))),
+        draw(value))
+    lowers, uppers = [], []
+    for __ in range(draw(st.integers(1, 12))):
+        first = draw(st.lists(value, min_size=dimension, max_size=dimension))
+        second = draw(st.lists(value, min_size=dimension, max_size=dimension))
+        flat = draw(st.lists(st.booleans(), min_size=dimension,
+                             max_size=dimension))
+        lower = [min(a, b) for a, b in zip(first, second)]
+        upper = [low if degenerate else max(a, b) for a, b, low, degenerate
+                 in zip(first, second, lower, flat)]
+        nudge = draw(st.sampled_from([None, 0.0, EPS, 3 * EPS]))
+        if nudge is not None:
+            # The last coordinate of one bound sits at the scalar height
+            # over one of the box's corners (plus the nudge).
+            picks = draw(st.lists(st.booleans(), min_size=dimension - 1,
+                                  max_size=dimension - 1))
+            corner = tuple(high if pick else low for pick, low, high
+                           in zip(picks, lower, upper))
+            height = hyperplane.height_at(corner + (0.0,)) + nudge
+            if draw(st.booleans()):
+                lower[-1], upper[-1] = height, max(height, upper[-1])
+            else:
+                lower[-1], upper[-1] = min(height, lower[-1]), height
+        lowers.append(tuple(lower))
+        uppers.append(tuple(upper))
+    return lowers, uppers, hyperplane
+
+
+class TestClassifyBoxes:
+    @settings(max_examples=400, deadline=None)
+    @given(cells_and_hyperplane())
+    def test_two_folds_equal_the_corner_loop(self, case):
+        lowers, uppers, hyperplane = case
+        codes = classify_boxes_halfspace(np.array(lowers), np.array(uppers),
+                                         hyperplane)
+        assert [CELL_RELATIONS[code] for code in codes.tolist()] == \
+            [Box(lower, upper).classify_halfspace(hyperplane)
+             for lower, upper in zip(lowers, uppers)]
+
+    def test_codes_index_the_relations(self):
+        hyperplane = Hyperplane((0.0,), 0.5)
+        codes = classify_boxes_halfspace(
+            np.array([[0.0, 0.6], [0.0, 0.0], [0.0, 0.2]]),
+            np.array([[1.0, 0.9], [1.0, 0.4], [1.0, 0.8]]), hyperplane)
+        assert codes.tolist() == [0, 1, 2]
+        assert CELL_RELATIONS == (CellRelation.ABOVE, CellRelation.BELOW,
+                                  CellRelation.CROSSES)
+        assert np.flatnonzero(codes).tolist() == [1, 2]
 
 
 class TestSimplex:

@@ -18,7 +18,8 @@ import pytest
 
 from repro.baselines import FullScanIndex, KDBTreeIndex, RTreeIndex
 from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
-                        PartitionTreeIndex, query_conjunction,
+                        HybridIndex3D, PartitionTreeIndex,
+                        ShallowPartitionTreeIndex, query_conjunction,
                         scalar_kernels, set_vectorized, vectorized_enabled)
 from repro.core import kernels
 from repro.core.kernels import PointRows
@@ -237,11 +238,34 @@ def assert_same_ordered_answer(vector, scalar, name):
     assert kernels.matrix_rows(vector_matrix) == list(scalar), name
 
 
-def index_cases(points, block_size=16):
-    yield FullScanIndex(points, block_size=block_size)
-    yield PartitionTreeIndex(points, block_size=block_size)
-    yield KDBTreeIndex(points, block_size=block_size)
-    yield RTreeIndex(points, block_size=block_size)
+def index_cases(points, block_size=16, backend="memory"):
+    """Every batch-kernel index kind, each on a store of its own (the
+    caller closes it).  The dynamic tree carries tombstones and a
+    non-empty buffer; the last tree's child tables span several blocks
+    and its pool holds two."""
+    def store(cache_blocks=4):
+        return BlockStore(block_size=block_size, cache_blocks=cache_blocks,
+                          backend=backend)
+
+    yield FullScanIndex(points, store=store())
+    yield PartitionTreeIndex(points, store=store())
+    yield KDBTreeIndex(points, store=store())
+    yield RTreeIndex(points, store=store())
+    yield ShallowPartitionTreeIndex(points, store=store())
+    dynamic = DynamicPartitionTreeIndex(points, store=store())
+    for point in list(points)[3:40:6]:
+        assert dynamic.delete(tuple(point))
+    for point in list(points)[:5]:
+        dynamic.insert(tuple(0.5 * float(c) for c in point))
+    assert dynamic.tombstoned and dynamic.buffered and not dynamic.rebuilds
+    yield dynamic
+    if len(points[0]) == 3:
+        yield HybridIndex3D(points, store=store(), leaf_exponent=1.2, seed=3)
+    wide = PartitionTreeIndex(points, store=store(cache_blocks=2),
+                              max_fanout=3 * block_size)
+    assert any(node.child_table.num_blocks > 1
+               for node in wide._nodes if not node.is_leaf)
+    yield wide
 
 
 @pytest.mark.parametrize("dimension", [2, 3])
@@ -249,25 +273,56 @@ def test_index_answers_and_ios_identical_both_paths(dimension):
     constraint = constraint_for(dimension, 5)
     records = make_cloud(dimension, 300, 5, with_boundary=constraint)
     points = np.asarray(records, dtype=float)
-    for index in index_cases(records if dimension != 2 else points):
-        store = index.store
-        store.clear_cache()
-        store.reset_stats()
-        vector = index.query(constraint)
-        vector_answer = sorted(vector)
-        vector_ios = store.stats.snapshot()
-        store.clear_cache()
-        store.reset_stats()
-        with scalar_kernels():
-            scalar = index.query(constraint)
-            scalar_answer = sorted(scalar)
-        scalar_ios = store.stats.snapshot()
-        name = type(index).__name__
-        assert vector_answer == scalar_answer, name
-        assert_same_ordered_answer(vector, scalar, name)
-        assert vector_ios.reads == scalar_ios.reads, name
-        assert vector_ios.writes == scalar_ios.writes, name
-        assert vector_ios.cache_hits == scalar_ios.cache_hits, name
+    for backend in ("memory", "file", "mmap"):
+        for index in index_cases(records if dimension != 2 else points,
+                                 backend=backend):
+            store = index.store
+            store.clear_cache()
+            store.reset_stats()
+            vector = index.query(constraint)
+            vector_answer = sorted(vector)
+            vector_ios = store.stats.snapshot()
+            store.clear_cache()
+            store.reset_stats()
+            with scalar_kernels():
+                scalar = index.query(constraint)
+                scalar_answer = sorted(scalar)
+            scalar_ios = store.stats.snapshot()
+            store.close()
+            name = "%s on %s" % (type(index).__name__, backend)
+            assert len(vector) > 8, name
+            assert vector_answer == scalar_answer, name
+            assert_same_ordered_answer(vector, scalar, name)
+            assert vector_ios.reads == scalar_ios.reads, name
+            assert vector_ios.writes == scalar_ios.writes, name
+            assert vector_ios.cache_hits == scalar_ios.cache_hits, name
+
+
+def test_mixed_leaf_block_mid_traversal_keeps_answer_order():
+    """A non-columnar leaf in the middle of a walk flushes the deferred
+    scan and is filtered in place: the answer is still in visit order."""
+    points = [(float(x), float(y)) for x in range(20) for y in range(20)]
+    index = PartitionTreeIndex(points, block_size=8)
+    constraint = LinearConstraint(coeffs=(0.5,), offset=4.25)
+    leaves = [node.points_array for node in index._nodes if node.is_leaf]
+    crossed = [array for array in leaves
+               if 0 < len(constraint.filter(array.read_all())) < len(array)]
+    below = [array for array in leaves
+             if len(constraint.filter(array.read_all())) == len(array)]
+    assert len(crossed) > 4 and len(below) > 4
+    for array in (crossed[len(crossed) // 2], below[len(below) // 2]):
+        # Same values as ints: the block is no longer a float matrix.
+        block_id = array.block_ids[0]
+        index.store.write(block_id, [tuple(int(c) for c in record)
+                                     for record in index.store.read(block_id)])
+        assert not index.store.read_payload(block_id).is_columnar
+    vector = index.query(constraint)
+    with scalar_kernels():
+        scalar = index.query(constraint)
+    assert list(vector) == list(scalar)
+    assert sorted(vector) == sorted(constraint.filter(points))
+    boxed = [type(record[0]) is int for record in vector]
+    assert any(boxed) and not boxed[0] and not boxed[-1]
 
 
 def test_partition_tree_simplex_parity():
@@ -454,6 +509,34 @@ def test_kernels_fall_back_on_non_point_blocks():
     assert got == expected
     # Fallback records keep their exact original form (ints stay ints).
     assert (1, -2) in got and (-1, -1) in got
+    store.close()
+
+
+def test_deferred_scan_reads_at_visit_time_and_evaluates_once():
+    store = BlockStore(block_size=4, cache_blocks=0)
+    constraint = LinearConstraint(coeffs=(0.0,), offset=0.0)
+    crossed = DiskArray(store, [(float(i), float(i % 3 - 1)) for i in range(10)])
+    below = DiskArray(store, [(float(i), 5.0) for i in range(6)])
+    wider = DiskArray(store, [(1.0, 2.0, -3.0), (1.0, 2.0, 3.0)])
+    evaluated = []
+
+    def keep_many(matrix):
+        evaluated.append(matrix.shape)
+        return matrix[:, -1] <= 0.0
+
+    scan = kernels.DeferredScan(PointRows(), constraint.below, keep_many)
+    store.reset_stats()
+    scan.add(crossed, filtered=True)
+    scan.add(below, filtered=False)
+    scan.add(crossed, filtered=True)
+    assert store.stats.reads == 3 + 2 + 3       # fetched when visited ...
+    assert not evaluated and len(scan.results) == 0     # ... nothing judged
+    scan.add(wider, filtered=True)              # a new width: a new stack
+    assert evaluated == [(26, 2)]
+    kept = constraint.filter(crossed.read_all())
+    assert scan.results == kept + below.read_all() + kept
+    assert len(scan.flush()) == 2 * len(kept) + len(below) + 1
+    assert evaluated == [(26, 2), (2, 3)]
     store.close()
 
 
