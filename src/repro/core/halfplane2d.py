@@ -31,6 +31,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.clustering import Cluster, clustering_union, greedy_clustering
 from repro.core.interface import ExternalIndex, Point
 from repro.geometry.arrangement2d import LineArrays, compute_level
@@ -111,9 +112,11 @@ class HalfplaneIndex2D(ExternalIndex):
         # each layer walks a level of the sub-family still unassigned.
         lines = LineArrays(-self._points[:, 0], self._points[:, 1])
         # What a cluster stores of a point: its number, its dual line, itself
-        # (one tuple per point, shared by the clusters the line is in).
-        records = list(zip(range(self._num_points), lines.slopes,
-                           lines.intercepts, self._points[:, 0].tolist(),
+        # (one tuple per point, shared by the clusters the line is in) — all
+        # floats, the number too, so a cluster block is columnar.
+        records = list(zip(map(float, range(self._num_points)),
+                           lines.slopes.tolist(), lines.intercepts.tolist(),
+                           self._points[:, 0].tolist(),
                            self._points[:, 1].tolist()))
         remaining = np.arange(self._num_points)
         while len(remaining):
@@ -201,20 +204,22 @@ class HalfplaneIndex2D(ExternalIndex):
         if constraint.dimension != 2:
             raise ValueError("expected a 2-D constraint, got dimension %d"
                              % constraint.dimension)
+        rows = kernels.PointRows()
         if self._num_points == 0:
-            return []
+            return rows
         query_x, query_y = dual_point_of_hyperplane(constraint.hyperplane)
-        reported: dict = {}
+        reported = _Reported()
         self._last_layers_probed = 0
         for layer in self._layers:
             self._last_layers_probed += 1
             finished = self._query_layer(layer, query_x, query_y, reported)
             if finished:
                 break
-        return [(px, py) for (px, py) in reported.values()]
+        reported.points_into(rows)
+        return rows
 
     def _query_layer(self, layer: _Layer, query_x: float, query_y: float,
-                     reported: dict) -> bool:
+                     reported: "_Reported") -> bool:
         """Probe one clustering; return True if the whole query is answered."""
         entry = layer.boundary_tree.predecessor(query_x)
         relevant = entry[1] if entry is not None else 0
@@ -231,8 +236,9 @@ class HalfplaneIndex2D(ExternalIndex):
         return False
 
     def _walk_direction(self, layer: _Layer, start: int, step: int,
-                        query_x: float, query_y: float, reported: dict) -> None:
-        distinct_above: Set[int] = set()
+                        query_x: float, query_y: float,
+                        reported: "_Reported") -> None:
+        distinct_above: Set[float] = set()
         index = start
         while 0 <= index < len(layer.clusters):
             __, above = self._scan_cluster(layer, index, query_x, query_y,
@@ -242,20 +248,62 @@ class HalfplaneIndex2D(ExternalIndex):
             index += step
 
     def _scan_cluster(self, layer: _Layer, cluster_index: int, query_x: float,
-                      query_y: float, reported: dict,
-                      above_set: Optional[Set[int]] = None) -> Tuple[int, int]:
+                      query_y: float, reported: "_Reported",
+                      above_set: Optional[Set[float]] = None) -> Tuple[int, int]:
         """Read one cluster, report its below-lines, count above-lines."""
-        below = 0
-        above = 0
-        for record in layer.clusters[cluster_index].scan():
-            global_index, slope, intercept, px, py = record
-            height = slope * query_x + intercept
-            if height <= query_y + EPS:
-                below += 1
-                if global_index not in reported:
-                    reported[global_index] = (px, py)
-            else:
-                above += 1
-                if above_set is not None:
-                    above_set.add(global_index)
-        return below, above
+        cluster = layer.clusters[cluster_index]
+        if not kernels.vectorized_enabled():
+            below = 0
+            above = 0
+            for record in cluster.scan():
+                global_index, slope, intercept, __, __ = record
+                height = slope * query_x + intercept
+                if height <= query_y + EPS:
+                    below += 1
+                    reported.records.append(record)
+                else:
+                    above += 1
+                    if above_set is not None:
+                        above_set.add(global_index)
+            return below, above
+        # The cluster as one (n, 5) matrix; the height in the record
+        # loop's two roundings, product then sum.
+        matrix = cluster.read_all_array()
+        heights = matrix[:, 1] * query_x
+        heights += matrix[:, 2]
+        is_below = heights <= query_y + EPS
+        below = int(np.count_nonzero(is_below))
+        if below:
+            reported.matrices.append(matrix.compress(is_below, axis=0))
+        if above_set is not None:
+            above_set.update(matrix[:, 0].compress(~is_below).tolist())
+        return below, len(matrix) - below
+
+
+class _Reported:
+    """The cluster records below one query's point, in the order read:
+    record tuples from the scalar loop, compressed matrices from the
+    vector scan.  A line lies in several clusters of its layer, so the
+    answer keeps the first record of each point number."""
+
+    __slots__ = ("records", "matrices")
+
+    def __init__(self) -> None:
+        self.records: List[tuple] = []
+        self.matrices: List[np.ndarray] = []
+
+    def points_into(self, rows: kernels.PointRows) -> None:
+        """Append the distinct points, in first-seen order."""
+        first_seen: dict = {}
+        for record in self.records:
+            first_seen.setdefault(record[0], record[3:])
+        rows.extend(first_seen.values())
+        if self.matrices:
+            matrix = np.concatenate(self.matrices)
+            __, first = np.unique(matrix[:, 0], return_index=True)
+            if len(first) < len(matrix):
+                first.sort()
+                matrix = matrix[first]
+            # A copy of the two point columns: the answer does not pin
+            # the number, slope and intercept columns beside them.
+            rows.extend_matrix(np.ascontiguousarray(matrix[:, 3:]))

@@ -15,6 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.interface import ExternalIndex, Point
+from repro.core.kernels import PointRows
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.duality import dual_plane_of_point, dual_point_of_hyperplane
 from repro.geometry.primitives import LinearConstraint
@@ -80,8 +81,9 @@ class HalfspaceIndex3D(ExternalIndex):
         if constraint.dimension != 3:
             raise ValueError("expected a 3-D constraint, got dimension %d"
                              % constraint.dimension)
-        if self._num_points == 0:
-            return []
-        qx, qy, qz = dual_point_of_hyperplane(constraint.hyperplane)
-        indices = self._planes_index.planes_below_point(qx, qy, qz)
-        return [tuple(self._points[index]) for index in indices]
+        rows = PointRows()
+        if self._num_points:
+            qx, qy, qz = dual_point_of_hyperplane(constraint.hyperplane)
+            indices = self._planes_index.planes_below_point(qx, qy, qz)
+            rows.extend_matrix(self._points[indices])
+        return rows

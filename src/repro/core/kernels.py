@@ -34,8 +34,8 @@ speedup with identical I/O traces on both sides.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import accumulate
-from typing import Any, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
 from repro.io.block import POINT_DTYPE
 from repro.io.disk_array import DiskArray
+from repro.io.store import BlockStore
 
 _VECTORIZED = True
 
@@ -237,63 +238,67 @@ class DeferredScan:
     """One query's leaf scan: blocks are read when visited, the
     predicate runs once when the query ends.
 
-    :meth:`add` fetches an array's payloads immediately — the I/Os and
-    their order are the record-at-a-time path's — and only queues the
-    matrices; :meth:`flush` stacks them, evaluates ``keep_many`` once
-    (the per-call numpy overhead dominates one-block scans), forces the
-    rows queued unfiltered to true and appends one masked matrix to
-    ``results``.  Row order is visit order and the predicate is
-    row-independent, so the mask is bit for bit the per-block one.  A
-    non-columnar payload flushes what is pending and is filtered record
-    by record in place; a width change starts a new stack.  With the
-    kernels switched off (:func:`scalar_kernels`) nothing is deferred:
-    ``keep_one`` runs over ``array.scan()`` on the spot.
+    :meth:`add` / :meth:`add_blocks` fetch their blocks immediately
+    — the I/Os and their order are the record-at-a-time path's — and
+    only queue the matrices; :meth:`flush` stacks them, evaluates
+    ``keep_many`` once (the per-call numpy overhead dominates one-block
+    scans), forces the rows queued unfiltered to true and appends one
+    masked matrix to ``results``.  Row order is visit order and the
+    predicate is row-independent, so the mask is bit for bit the
+    per-block one.  A non-columnar block flushes what is pending and is
+    filtered record by record in place; a width change starts a new
+    stack.  With the kernels switched off (:func:`scalar_kernels`)
+    nothing is deferred: ``keep_one`` runs over ``array.scan()`` on the
+    spot.
     """
 
-    __slots__ = ("results", "_keep_one", "_keep_many", "_pending", "_kept",
-                 "_filtering")
+    __slots__ = ("results", "_keep_one", "_keep_many", "_pending", "_kept")
 
     def __init__(self, results: PointRows, keep_one, keep_many) -> None:
         self.results = results
         self._keep_one = keep_one
         self._keep_many = keep_many
         self._pending: List[np.ndarray] = []
-        #: Ranges ``[first, last]`` of pending blocks reported unfiltered.
-        self._kept: List[List[int]] = []
-        self._filtering = False
+        #: Per pending block: reported unfiltered?
+        self._kept: List[bool] = []
 
     def add(self, array: DiskArray, filtered: bool) -> None:
         """Read ``array`` now; keep its rows that pass the predicate
         (``filtered``) or all of them."""
-        if not _VECTORIZED:
-            self._extend_scalar(array.scan(), filtered)
-            return
-        pending = self._pending
-        first = len(pending)
-        for payload in array.scan_batches():
-            matrix = payload.matrix
-            if matrix is None or (pending and matrix.shape[1]
-                                  != pending[0].shape[1]):
-                self._mark(first, filtered)
-                self.flush()
-                first = 0
-                if matrix is None:
-                    self._extend_scalar(payload.records(), filtered)
-                    continue
-            pending.append(matrix)
-        self._mark(first, filtered)
+        block_ids = array.block_ids
+        self.add_blocks(array.store, block_ids,
+                        [not filtered] * len(block_ids))
 
-    def _mark(self, first: int, filtered: bool) -> None:
-        """The blocks pending from ``first`` on came in as ``filtered``."""
-        last = len(self._pending)
-        if first == last:
+    def add_blocks(self, store: BlockStore, block_ids: Sequence[int],
+                   kept: Sequence[bool]) -> None:
+        """Read the blocks now, as one :meth:`BlockStore.read_run`; keep
+        all rows of block ``i`` when ``kept[i]``, else those that pass
+        the predicate."""
+        if not _VECTORIZED:
+            for block_id, keep in zip(block_ids, kept):
+                self._extend_scalar(store.read(block_id), not keep)
             return
-        if filtered:
-            self._filtering = True
-        elif self._kept and self._kept[-1][1] == first:
-            self._kept[-1][1] = last
-        else:
-            self._kept.append([first, last])
+        blocks = store.read_run(block_ids)
+        pending = self._pending
+        try:
+            widths = {block.shape[1] for block in blocks}
+        except AttributeError:          # a record list among them
+            widths = set()
+        if len(widths) == 1 and (not pending
+                                 or pending[0].shape[1] in widths):
+            pending += blocks
+            self._kept += kept
+            return
+        for block, keep in zip(blocks, kept):
+            columnar = isinstance(block, np.ndarray)
+            if not columnar or (pending and block.shape[1]
+                                != pending[0].shape[1]):
+                self.flush()
+                if not columnar:
+                    self._extend_scalar(block, not keep)
+                    continue
+            pending.append(block)
+            self._kept.append(keep)
 
     def _extend_scalar(self, records: Iterable[Any], filtered: bool) -> None:
         self.results.extend([record for record in records
@@ -307,25 +312,22 @@ class DeferredScan:
 
     def flush(self) -> PointRows:
         """Evaluate and append everything pending; returns ``results``."""
-        pending = self._pending
+        pending, kept = self._pending, self._kept
         if not pending:
             return self.results
-        if not self._filtering:
+        if all(kept):
             for matrix in pending:      # handed over as read, no copy
                 self.results.extend_matrix(matrix)
         else:
             matrix = pending[0] if len(pending) == 1 \
                 else np.concatenate(pending)
             mask = self._keep_many(matrix)
-            if self._kept:
-                ends = list(accumulate(map(len, pending), initial=0))
-                for first, last in self._kept:
-                    mask[ends[first]:ends[last]] = True
+            if any(kept):
+                mask |= np.repeat(kept, list(map(len, pending)))
             # compress: the rows of matrix[mask], several times sooner.
             self.results.extend_matrix(matrix.compress(mask, axis=0))
         pending.clear()
-        self._kept = []
-        self._filtering = False
+        kept.clear()
         return self.results
 
 

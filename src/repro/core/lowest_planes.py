@@ -330,7 +330,3 @@ class LowestPlanesIndex:
             if len(lowest) < k or any(height > z + EPS for __, height in lowest):
                 return [index for index, height in lowest if height <= z + EPS]
             k *= 2
-
-    def lowest_points(self, x: float, y: float, k: int) -> List[Tuple[int, float]]:
-        """Alias of :meth:`k_lowest` (kept for API symmetry with the paper)."""
-        return self.k_lowest(x, y, k)

@@ -17,6 +17,7 @@ which both partitioners provide for hyperplane queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -76,33 +77,33 @@ def scan_cells(child_table: DiskArray
         yield int(record[0]), record[1:split], record[split:]
 
 
-def scan_child_ids(child_table: DiskArray) -> Iterator[int]:
-    """The child id of every table record (an unfiltered report looks
-    at no box), one block read at a time."""
+def scan_child_ids(child_table: DiskArray) -> Iterator[List[int]]:
+    """The child ids of the table's records (an unfiltered report looks
+    at no box), one list per block read."""
     if not kernels.vectorized_enabled():
         for child_id, __, __ in scan_cells(child_table):
-            yield child_id
+            yield [child_id]
         return
     for payload in child_table.scan_batches():
-        yield from payload.matrix[:, 0].astype(np.intp).tolist()
+        yield payload.matrix[:, 0].astype(np.intp).tolist()
 
 
 def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
-                   ) -> Iterator[Tuple[int, CellRelation]]:
+                   ) -> Iterator[List[Tuple[int, CellRelation]]]:
     """``(child_id, relation)`` for every cell of the table not ABOVE
-    ``hyperplane``, in record order.
+    ``hyperplane``, in record order, one list per block read.
 
     Lazy, one table block at a time — a caller that descends into the
     cells of one block before asking for the next reads blocks in the
     order the record-at-a-time loop does — and each block is classified
     in one :func:`classify_boxes_halfspace` call.  Under
-    :func:`kernels.scalar_kernels` it is that loop.
+    :func:`kernels.scalar_kernels` it is that loop, a cell at a time.
     """
     if not kernels.vectorized_enabled():
         for child_id, lower, upper in scan_cells(child_table):
             relation = Box(lower, upper).classify_halfspace(hyperplane)
             if relation is not CellRelation.ABOVE:
-                yield child_id, relation
+                yield [(child_id, relation)]
         return
     for payload in child_table.scan_batches():
         matrix = payload.matrix
@@ -110,9 +111,8 @@ def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
         codes = classify_boxes_halfspace(matrix[:, 1:split],
                                          matrix[:, split:], hyperplane)
         hit = np.flatnonzero(codes)
-        for child_id, code in zip(matrix[hit, 0].astype(np.intp).tolist(),
-                                  codes[hit].tolist()):
-            yield child_id, CELL_RELATIONS[code]
+        yield list(zip(matrix[hit, 0].astype(np.intp).tolist(),
+                       map(CELL_RELATIONS.__getitem__, codes[hit].tolist())))
 
 
 class CellTreeIndex(ExternalIndex):
@@ -221,31 +221,59 @@ class CellTreeIndex(ExternalIndex):
         """Feed ``scan`` the blocks a query with ``constraint`` reads."""
         self._last_nodes_visited = 0
         if self._root is not None:
-            self._descend(self._root, constraint, scan)
+            self._visit([(self._root, CellRelation.CROSSES)], constraint,
+                        scan)
+
+    #: A subclass's own answer to a leaf whose cell the hyperplane
+    #: crosses, ``_query_leaf(node, constraint, scan)``; None: the leaf's
+    #: blocks join the scan, filtered, like any other run of blocks.
+    _query_leaf = None
 
     def _descend(self, node_id: int, constraint: LinearConstraint,
                  scan: kernels.DeferredScan) -> None:
+        """A crossed node :meth:`_visit` does not scan itself."""
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
             self._query_leaf(node, constraint, scan)
             return
-        for child_id, relation in self._cells(node, constraint, scan):
-            if relation is CellRelation.BELOW:
+        for cells in self._cells(node, constraint, scan):
+            self._visit(cells, constraint, scan)
+
+    def _visit(self, cells: Iterable[Tuple[int, CellRelation]],
+               constraint: Optional[LinearConstraint],
+               scan: kernels.DeferredScan) -> None:
+        """Visit the children of one table block (or the root alone),
+        none of them ABOVE, in record order.  Consecutive leaves that
+        only need scanning go to ``scan`` as one run — one pool call for
+        their blocks — which any other child (its subtree is read before
+        the next leaf) ends."""
+        run_ids: List[int] = []
+        run_kept: List[bool] = []
+        for child_id, relation in cells:
+            child = self._nodes[child_id]
+            below = relation is CellRelation.BELOW
+            if child.is_leaf and (below or self._query_leaf is None):
+                self._last_nodes_visited += not below
+                block_ids = child.points_array.block_ids
+                run_ids += block_ids
+                run_kept += [below] * len(block_ids)
+                continue
+            if run_ids:
+                scan.add_blocks(self._store, run_ids, run_kept)
+                run_ids, run_kept = [], []
+            if below:
                 self._report_subtree(child_id, scan)
             else:
                 self._descend(child_id, constraint, scan)
-
-    def _query_leaf(self, node: _Node, constraint: LinearConstraint,
-                    scan: kernels.DeferredScan) -> None:
-        """A leaf whose cell the hyperplane crosses."""
-        del constraint
-        scan.add(node.points_array, filtered=True)
+        if run_ids:
+            scan.add_blocks(self._store, run_ids, run_kept)
 
     def _cells(self, node: _Node, constraint: LinearConstraint,
                scan: kernels.DeferredScan
-               ) -> Iterable[Tuple[int, CellRelation]]:
-        """The cells of a crossed internal node still to be visited."""
+               ) -> Iterable[List[Tuple[int, CellRelation]]]:
+        """The cells of a crossed internal node still to be visited, one
+        list per table block."""
         del scan
         return classify_cells(node.child_table, constraint.hyperplane)
 
@@ -255,8 +283,9 @@ class CellTreeIndex(ExternalIndex):
         if node.is_leaf:
             scan.add(node.points_array, filtered=False)
             return
-        for child_id in scan_child_ids(node.child_table):
-            self._report_subtree(child_id, scan)
+        for child_ids in scan_child_ids(node.child_table):
+            self._visit(zip(child_ids, repeat(CellRelation.BELOW)), None,
+                        scan)
 
 
 class PartitionTreeIndex(CellTreeIndex):

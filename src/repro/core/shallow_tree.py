@@ -89,10 +89,11 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
 
     def _cells(self, node: _Node, constraint: LinearConstraint,
                scan: kernels.DeferredScan
-               ) -> Iterable[Tuple[int, CellRelation]]:
+               ) -> Iterable[List[Tuple[int, CellRelation]]]:
         # The whole table is classified before any child is visited.
         cells = list(super()._cells(node, constraint, scan))
-        crossed = sum(relation is CellRelation.CROSSES for __, relation in cells)
+        crossed = sum(relation is CellRelation.CROSSES
+                      for block in cells for __, relation in block)
         if crossed > node.crossing_threshold:
             # The query is not shallow for this subset: answer it with the
             # node's secondary (ordinary) partition tree.

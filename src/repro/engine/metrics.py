@@ -385,10 +385,11 @@ class EngineStats:
     # ------------------------------------------------------------------
     def record(self, record: ServedQueryRecord) -> None:
         """Count one served query."""
-        labels = {"dataset": record.dataset, "index": record.index_name,
-                  "tenant": record.tenant}
-        self._m_queries.inc(**labels)
-        self._m_latency.observe(record.latency_s, **labels)
+        # One label tuple for the eight families (QUERY_LABELS order).
+        values = (str(record.dataset), str(record.index_name),
+                  str(record.tenant))
+        self._m_queries.inc_at(values, 1)
+        self._m_latency.observe_at(values, record.latency_s)
         for counter, amount in (
                 (self._m_ios, record.ios),
                 (self._m_reported, record.reported),
@@ -397,10 +398,10 @@ class EngineStats:
                 (self._m_shards_queried, record.shards_queried),
                 (self._m_shards_pruned, record.shards_pruned)):
             if amount:
-                counter.inc(amount, **labels)
+                counter.inc_at(values, amount)
         if record.degraded:
-            self._m_degraded.inc(
-                interval_source=record.interval_source or "", **labels)
+            self._m_degraded.inc_at(
+                values + (record.interval_source or "",), 1)
 
     def note_estimation(self, dataset: str, expected: float,
                         actual: float) -> None:

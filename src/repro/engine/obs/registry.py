@@ -82,10 +82,16 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
+        self.inc_at(_label_values(self.label_names, labels), amount)
+
+    def inc_at(self, values: Tuple[str, ...], amount: float) -> None:
+        """:meth:`inc` at label *values* — strings, in ``label_names``
+        order — for a caller that writes several families with one label
+        set and builds it once."""
         if amount < 0:
             raise ValueError("counters only go up, got %r" % amount)
         shard = self._registry._shard()["counters"]
-        key = self._key(labels)
+        key = (self.name, values)
         current = shard.get(key)
         if current is None:
             # First touch of this key by this thread: the insert can
@@ -145,8 +151,12 @@ class Histogram(_Metric):
             raise ValueError("a histogram needs at least one bucket bound")
 
     def observe(self, value: float, **labels: Any) -> None:
+        self.observe_at(_label_values(self.label_names, labels), value)
+
+    def observe_at(self, values: Tuple[str, ...], value: float) -> None:
+        """:meth:`observe` at label *values* (see :meth:`Counter.inc_at`)."""
         shard = self._registry._shard()["histograms"]
-        key = self._key(labels)
+        key = (self.name, values)
         state = shard.get(key)
         if state is None:
             state = [0] * (len(self.buckets) + 1) + [0.0, float("-inf")]

@@ -38,7 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
@@ -56,8 +56,7 @@ MIN_FACTOR = 0.05
 MAX_FACTOR = 20.0
 
 
-@dataclass(frozen=True)
-class CandidateEstimate:
+class CandidateEstimate(NamedTuple):
     """The planner's prediction for one candidate index."""
 
     index_name: str
@@ -99,7 +98,8 @@ class Plan:
 
     def explain(self) -> str:
         """One line per candidate, winner first (for logs and examples)."""
-        ordered = sorted(self.estimates, key=lambda est: est.cost)
+        ordered = sorted(self.estimates,
+                         key=lambda est: (est.cost, est.index_name))
         band = "" if self.output_interval is None \
             else " in [%d, %d]" % self.output_interval
         lines = ["plan for dataset %r (expected T=%d%s):"
@@ -237,15 +237,16 @@ class Planner:
             raise ValueError("dataset %r has no indexes to plan over"
                              % dataset.name)
         expected_output = dataset.estimate_output(constraint)
+        routable = self._routable_indexes(dataset)
+        with self._lock:        # one hold for every candidate's factor
+            entries = [self._calibrations.get((calibration_name, name))
+                       for name in routable]
+        # Candidates in registration order; cost ties go to the name.
         estimates = tuple(
             CandidateEstimate(
-                index_name=name,
-                model_ios=index.estimated_query_ios(constraint,
-                                                    expected_output),
-                calibration=self.calibration_factor(calibration_name, name),
-            )
-            for name, index in sorted(
-                self._routable_indexes(dataset).items()))
+                name, index.estimated_query_ios(constraint, expected_output),
+                entry.factor if entry else 1.0)
+            for (name, index), entry in zip(routable.items(), entries))
         winner = min(estimates, key=lambda est: (est.cost, est.index_name))
         # Conformal residuals are calibrated per *dataset* (shard children
         # feed their parent's window through note_estimation), so shard

@@ -41,8 +41,9 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 #: Default nominal coverage (matches the ~95% normal approximation the
 #: conformal intervals replace).
@@ -72,14 +73,28 @@ def scaled_residual(estimate: float, actual: float) -> float:
 
 
 class _Calibration:
-    """One dataset's bounded score window plus coverage counters."""
+    """One dataset's bounded score window plus coverage counters.
 
-    __slots__ = ("scores", "intervals", "covered")
+    ``scores`` is the window in arrival order (what FIFO eviction needs),
+    ``ordered`` the same multiset ascending (what a rank statistic
+    needs): :meth:`push` keeps the two equal, so a quantile is an index,
+    not a sort of the window per request.
+    """
+
+    __slots__ = ("scores", "ordered", "intervals", "covered")
 
     def __init__(self, window: int):
         self.scores: Deque[float] = deque(maxlen=window)
+        self.ordered: List[float] = []
         self.intervals = 0
         self.covered = 0
+
+    def push(self, score: float) -> None:
+        """Append ``score``, evicting the oldest from a full window."""
+        if len(self.scores) == self.scores.maxlen:
+            del self.ordered[bisect_left(self.ordered, self.scores[0])]
+        self.scores.append(score)
+        insort(self.ordered, score)
 
 
 class ConformalCalibrator:
@@ -150,8 +165,12 @@ class ConformalCalibrator:
         current calibration — would the interval have covered the actual
         count? — which is the prequential empirical-coverage signal
         :meth:`describe` reports.  (Scoring first keeps it honest: the
-        pair never helps cover itself.)
+        pair never helps cover itself.)  A non-finite estimate is no
+        estimate: it has no score to order the window by and is ignored.
         """
+        score = scaled_residual(estimate, actual)
+        if not math.isfinite(score):
+            return
         with self._lock:
             calibration = self._sets.setdefault(
                 dataset, _Calibration(self._window))
@@ -161,7 +180,7 @@ class ConformalCalibrator:
                 calibration.intervals += 1
                 if low <= int(actual) <= high:
                     calibration.covered += 1
-            calibration.scores.append(scaled_residual(estimate, actual))
+            calibration.push(score)
 
     # ------------------------------------------------------------------
     # intervals
@@ -251,6 +270,16 @@ class ConformalCalibrator:
         with self._lock:
             self._sets.clear()
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless every window is within its bound
+        and its ascending mirror holds exactly the window's scores."""
+        with self._lock:
+            for name, calibration in self._sets.items():
+                if len(calibration.scores) > self._window \
+                        or calibration.ordered != sorted(calibration.scores):
+                    raise AssertionError(
+                        "calibration window of %r lost its mirror" % name)
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -264,7 +293,7 @@ class ConformalCalibrator:
         if rank > n:
             # Not enough pairs to certify this coverage level at all.
             return None
-        return sorted(calibration.scores)[rank - 1]
+        return calibration.ordered[rank - 1]
 
 
 def _interval_around(estimate: float, quantile: float) -> Tuple[int, int]:

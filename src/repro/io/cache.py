@@ -11,7 +11,8 @@ effect of internal memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Generic, Hashable, List, Optional, TypeVar
+from typing import (Callable, Generic, Hashable, List, Optional, Tuple,
+                    TypeVar)
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -75,6 +76,11 @@ class LRUCache(Generic[K, V]):
         """The cached values, least recently used first (recency and
         hit/miss statistics untouched)."""
         return list(self._entries.values())
+
+    def items(self) -> List[Tuple[K, V]]:
+        """The cached ``(key, value)`` pairs, in the order of
+        :meth:`values`."""
+        return list(self._entries.items())
 
     def invalidate(self, key: K) -> None:
         """Drop an entry (used when a block is rewritten or freed)."""

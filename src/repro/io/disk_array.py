@@ -116,6 +116,9 @@ class DiskArray:
         The batch analogue of :meth:`scan`: identical I/O charging (one
         read or cache hit per block), but point blocks arrive as
         contiguous ``(n, d)`` matrices ready for the vectorized kernels.
+        Lazy — block ``i + 1`` is read when the caller asks for it — which
+        is what a table walk's read order rests on; a caller that wants
+        every block anyway uses :meth:`BlockStore.read_run`.
         """
         for block_id in self._block_ids:
             yield self._store.read_payload(block_id)
@@ -131,14 +134,9 @@ class DiskArray:
         when any block is non-columnar (mixed records, width mismatch)
         or the array is empty — callers fall back to :meth:`read_all`.
         """
-        matrices: List[np.ndarray] = []
-        columnar = True
-        for payload in self.scan_batches():
-            if payload.is_columnar:
-                matrices.append(payload.matrix)
-            else:
-                columnar = False  # keep scanning: I/O parity with read_all
-        if not columnar or not matrices:
+        matrices = self._store.read_run(self._block_ids)
+        if not matrices or not all(isinstance(block, np.ndarray)
+                                   for block in matrices):
             return None
         if len(matrices) == 1:
             return matrices[0]

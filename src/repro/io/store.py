@@ -21,7 +21,9 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
+
+import numpy as np
 
 from repro.io.backend import StorageBackend, make_backend
 from repro.io.block import (Block, BlockId, BlockPayload, as_point_matrix,
@@ -53,10 +55,19 @@ class _CacheEntry:
             self.records = matrix_to_records(self.matrix)
         return self.records
 
+    def _try_matrix(self) -> None:
+        self.matrix = as_point_matrix(self.records)
+        self.tried_matrix = True
+
+    def block(self) -> Union[np.ndarray, List[Any]]:
+        """The matrix of a columnar block, the record list of any other."""
+        if self.matrix is None and not self.tried_matrix:
+            self._try_matrix()
+        return self.matrix if self.matrix is not None else self.records
+
     def payload(self) -> BlockPayload:
         if self.matrix is None and not self.tried_matrix:
-            self.matrix = as_point_matrix(self.records)
-            self.tried_matrix = True
+            self._try_matrix()
         if self.matrix is not None:
             return BlockPayload(matrix=self.matrix, records=self.records)
         return BlockPayload(records=self.records)
@@ -247,16 +258,33 @@ class BlockStore:
             return cached.payload()
         return self._fetch(block_id).payload()
 
+    def read_run(self, block_ids: Sequence[BlockId]
+                 ) -> List[Union[np.ndarray, List[Any]]]:
+        """Read several blocks in order: per block its matrix, or its
+        record list when the block is not columnar (both read-only).
+
+        ``[read_payload(i) for i in block_ids]`` — the same
+        :class:`IOStats`, pool hits, misses and recency order, bytes
+        moved, and the same :class:`KeyError` after the same charges —
+        in one call, without a :class:`BlockPayload` per block.
+        """
+        cache = self._cache
+        blocks = []
+        for block_id in block_ids:
+            entry = cache.get(block_id)
+            if entry is not None:
+                self.stats.cache_hits += 1
+            else:
+                entry = self._fetch(block_id)
+            blocks.append(entry.block())
+        return blocks
+
     def _fetch(self, block_id: BlockId) -> _CacheEntry:
         """Fetch a block from the backend, charge one read, cache it."""
         if not self._backend.contains(block_id):
             raise KeyError("block %r is not allocated" % block_id)
         self.stats.reads += 1
-        records, matrix = self._backend.get_payload(block_id)
-        if matrix is not None:
-            entry = _CacheEntry(matrix=matrix)
-        else:
-            entry = _CacheEntry(records=list(records))
+        entry = _CacheEntry(*self._backend.get_payload(block_id))
         self._cache.put(block_id, entry)
         return entry
 
@@ -342,6 +370,22 @@ class BlockStore:
             "misses": self._cache.misses,
             "hit_rate": self._cache.hit_rate,
         }
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the pool is consistent with the
+        disk: at most ``capacity`` entries, each of an allocated block
+        and holding at least one representation of it."""
+        resident = self._cache.items()
+        if len(resident) > self._cache.capacity:
+            raise AssertionError("pool holds %d blocks, capacity %d"
+                                 % (len(resident), self._cache.capacity))
+        for block_id, entry in resident:
+            if not self._backend.contains(block_id):
+                raise AssertionError("block %r is resident but not "
+                                     "allocated" % block_id)
+            if entry.records is None and entry.matrix is None:
+                raise AssertionError("pool entry of block %r is empty"
+                                     % block_id)
 
     def byte_counters(self) -> Tuple[int, int]:
         """Cumulative (bytes_read, bytes_written) at the physical medium.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.halfplane2d import HalfplaneIndex2D, default_beta
+from repro.core.kernels import PointRows
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import (
     clustered_points,
@@ -40,6 +41,25 @@ class TestConstruction:
         miss = LinearConstraint((0.0,), 0.0)
         assert index.query(hit) == [(0.5, 0.5)]
         assert index.query(miss) == []
+
+    def test_clusters_are_columnar_and_answers_point_rows(self, uniform_index):
+        """A cluster record is five floats, the point number included, so
+        every cluster block is a matrix in the pool; the answer is the
+        one result representation, also from an empty index."""
+        points, index = uniform_index
+        for layer in index._layers:
+            for cluster in layer.clusters:
+                matrix = cluster.read_all_array()
+                assert matrix is not None and matrix.shape[1] == 5
+                assert np.array_equal(matrix[:, 3:],
+                                      points[matrix[:, 0].astype(int)])
+        constraint = LinearConstraint((0.3,), 0.1)
+        answer = index.query(constraint)
+        assert isinstance(answer, PointRows) and len(answer) > 100
+        assert answer.matrix.shape == (len(answer), 2)
+        assert {tuple(p) for p in answer} == brute_force_halfspace(points, constraint)
+        empty = HalfplaneIndex2D([], block_size=16).query(constraint)
+        assert isinstance(empty, PointRows) and len(empty) == 0
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.halfspace3d import HalfspaceIndex3D
+from repro.core.kernels import PointRows
 from repro.core.knn import KNNIndex
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.primitives import LinearConstraint, Plane3
@@ -143,6 +144,21 @@ class TestHalfspace3D:
     def test_empty_index(self):
         index = HalfspaceIndex3D(np.zeros((0, 3)), block_size=16)
         assert index.query(LinearConstraint((0.0, 0.0), 0.0)) == []
+
+    def test_answers_are_point_rows(self, halfspace_index):
+        """One result representation: a matrix of the stored rows in
+        report order, also when nothing qualifies or nothing is stored."""
+        points, index = halfspace_index
+        constraint = halfspace_queries_with_selectivity(points, 1, 0.1, seed=17)[0]
+        answer = index.query(constraint)
+        assert isinstance(answer, PointRows) and len(answer) > 10
+        assert answer.matrix.shape == (len(answer), 3)
+        assert list(answer) == [tuple(row) for row in answer.matrix.tolist()]
+        assert {tuple(p) for p in answer} == brute_force_halfspace(points, constraint)
+        for nothing in (index.query(LinearConstraint((0.0, 0.0), -10.0)),
+                        HalfspaceIndex3D(np.zeros((0, 3)), block_size=16)
+                        .query(constraint)):
+            assert isinstance(nothing, PointRows) and len(nothing) == 0
 
     def test_three_copies_still_correct(self):
         points = uniform_points_ball(400, dimension=3, seed=14)

@@ -304,3 +304,21 @@ def test_index_builds_are_visible_on_metrics():
         assert len(scraped) == 4
     finally:
         engine.close()
+
+
+def test_writes_at_label_values_land_on_the_keyword_series():
+    """``inc_at`` / ``observe_at`` take the label values as one tuple,
+    built once for several families; they are the same series."""
+    registry = MetricsRegistry()
+    counter = registry.counter("c_total", "", ("a", "b"))
+    histogram = registry.histogram("h_seconds", "", ("a", "b"))
+    counter.inc(2, a="x", b=1)
+    counter.inc_at(("x", "1"), 3)
+    histogram.observe(0.5, a="x", b=1)
+    histogram.observe_at(("x", "1"), 0.25)
+    assert counter.value(a="x", b=1) == 5
+    series = registry.collect()["histograms"]["h_seconds"]
+    assert list(series) == [("x", "1")]
+    assert series[("x", "1")]["cumulative"][-1] == 2
+    with pytest.raises(ValueError):
+        counter.inc_at(("x", "1"), -1)

@@ -872,6 +872,42 @@ def test_conformal_empirical_coverage_is_prequential():
     assert abs(description["empirical_coverage"] - 0.9) < 0.05
 
 
+def test_conformal_window_keeps_its_sorted_mirror_under_ties_and_eviction():
+    """The ascending mirror and the FIFO window hold the same multiset
+    after every push, past eviction, across datasets and a reset, and
+    the served quantile is the window's rank statistic."""
+    import math
+
+    rng = np.random.default_rng(4)
+    calibrator = ConformalCalibrator(coverage=0.8, window=16,
+                                     min_calibration=4)
+    windows = {"a": [], "b": []}
+    for step in range(300):
+        name = "a" if rng.random() < 0.7 else "b"
+        # Few distinct residuals: ties in the window are the rule.
+        estimate, actual = 10.0, 10 + int(rng.integers(0, 5))
+        calibrator.observe(name, estimate, actual)
+        if step % 7 == 0:
+            # A non-finite estimate has no score: the window ignores it.
+            calibrator.observe(name, (math.inf, math.nan)[step % 2], actual)
+        window = windows[name]
+        window.append(abs(actual - estimate) / 11.0)
+        del window[:-16]
+        calibrator.check_invariants()
+        expected = None
+        rank = math.ceil((len(window) + 1) * 0.8)
+        if len(window) >= 4 and rank <= len(window):
+            expected = sorted(window)[rank - 1]
+        assert calibrator.quantile(name) == expected
+        assert calibrator.describe()["datasets"][name]["pairs"] == len(window)
+        if step == 200:
+            calibrator.reset()
+            windows = {"a": [], "b": []}
+            calibrator.check_invariants()
+            assert calibrator.size("a") == 0
+    assert calibrator.size("a") == 16
+
+
 def test_plans_carry_conformal_output_interval_once_warm():
     points = uniform_points(1024, seed=42)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=42,

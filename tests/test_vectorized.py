@@ -18,9 +18,10 @@ import pytest
 
 from repro.baselines import FullScanIndex, KDBTreeIndex, RTreeIndex
 from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
-                        HybridIndex3D, PartitionTreeIndex,
-                        ShallowPartitionTreeIndex, query_conjunction,
-                        scalar_kernels, set_vectorized, vectorized_enabled)
+                        HalfplaneIndex2D, HalfspaceIndex3D, HybridIndex3D,
+                        PartitionTreeIndex, ShallowPartitionTreeIndex,
+                        query_conjunction, scalar_kernels, set_vectorized,
+                        vectorized_enabled)
 from repro.core import kernels
 from repro.core.kernels import PointRows
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
@@ -242,7 +243,8 @@ def index_cases(points, block_size=16, backend="memory"):
     """Every batch-kernel index kind, each on a store of its own (the
     caller closes it).  The dynamic tree carries tombstones and a
     non-empty buffer; the last tree's child tables span several blocks
-    and its pool holds two."""
+    and its pool holds two; the planar structure's layers are small
+    enough for a query to probe several."""
     def store(cache_blocks=4):
         return BlockStore(block_size=block_size, cache_blocks=cache_blocks,
                           backend=backend)
@@ -261,6 +263,8 @@ def index_cases(points, block_size=16, backend="memory"):
     yield dynamic
     if len(points[0]) == 3:
         yield HybridIndex3D(points, store=store(), leaf_exponent=1.2, seed=3)
+    else:
+        yield HalfplaneIndex2D(points, store=store(), seed=4)
     wide = PartitionTreeIndex(points, store=store(cache_blocks=2),
                               max_fanout=3 * block_size)
     assert any(node.child_table.num_blocks > 1
@@ -291,6 +295,8 @@ def test_index_answers_and_ios_identical_both_paths(dimension):
             store.close()
             name = "%s on %s" % (type(index).__name__, backend)
             assert len(vector) > 8, name
+            if isinstance(index, HalfplaneIndex2D):
+                assert index.last_layers_probed > 1, name
             assert vector_answer == scalar_answer, name
             assert_same_ordered_answer(vector, scalar, name)
             assert vector_ios.reads == scalar_ios.reads, name
@@ -563,3 +569,138 @@ def test_full_scan_dimension_mismatch_rejected():
 def test_full_scan_dimension_consistent_accepted():
     index = FullScanIndex([(1.0, 2.0, 3.0)], dimension=3)
     assert index.dimension == 3
+
+
+# ----------------------------------------------------------------------
+# leaf runs and the whole request path, vector against scalar
+# ----------------------------------------------------------------------
+def logged_reads(store, monkeypatch):
+    """Every block the store is asked for, in order; runs kept apart."""
+    log, runs = [], []
+    read, read_payload, read_run = (store.read, store.read_payload,
+                                    store.read_run)
+
+    def one(method):
+        def call(block_id):
+            log.append(block_id)
+            return method(block_id)
+        return call
+
+    def run(block_ids):
+        log.extend(block_ids)
+        runs.append(list(block_ids))
+        return read_run(block_ids)
+
+    monkeypatch.setattr(store, "read", one(read))
+    monkeypatch.setattr(store, "read_payload", one(read_payload))
+    monkeypatch.setattr(store, "read_run", run)
+    return log, runs
+
+
+def test_leaf_runs_read_the_blocks_the_walk_reads_in_its_order(monkeypatch):
+    """Consecutive leaf children go to the pool as one run; a run ends
+    at an internal child and at a table-block boundary, so the order of
+    block accesses is the record-at-a-time walk's."""
+    constraint = constraint_for(2, 5)
+    points = np.asarray(make_cloud(2, 900, 5, with_boundary=constraint))
+    store = BlockStore(block_size=16, cache_blocks=2)
+    wide = PartitionTreeIndex(points, store=store, max_fanout=3 * 16)
+    assert any(node.child_table.num_blocks > 1
+               for node in wide._nodes if not node.is_leaf)
+    log, runs = logged_reads(store, monkeypatch)
+    store.clear_cache()
+    store.reset_stats()
+    vector = wide.query(constraint)
+    vector_log, vector_runs = list(log), list(runs)
+    vector_info = store.cache_info()
+    del log[:], runs[:]
+    store.clear_cache()
+    store.reset_stats()
+    with scalar_kernels():
+        scalar = wide.query(constraint)
+    assert not runs and log == vector_log
+    scalar_info = store.cache_info()
+    assert max(map(len, vector_runs)) > 2
+    assert (vector_info["hits"], vector_info["misses"]) \
+        == (scalar_info["hits"], scalar_info["misses"])
+    assert_same_ordered_answer(vector, scalar, "wide tree")
+
+
+def test_hybrid_batches_below_leaves_and_queries_crossed_ones(monkeypatch):
+    points = np.asarray(make_cloud(3, 1500, 9))
+    store = BlockStore(block_size=8, cache_blocks=4)
+    index = HybridIndex3D(points, store=store, leaf_exponent=1.2, seed=3)
+    leaf_blocks = {block_id for node in index._nodes if node.is_leaf
+                   for block_id in node.points_array.block_ids}
+    constraint = LinearConstraint(coeffs=(0.3, -0.2), offset=0.1)
+    log, runs = logged_reads(store, monkeypatch)
+    vector = index.query(constraint)
+    vector_log = list(log)
+    assert index.last_leaves_queried > 0
+    # Runs hold the raw copies of BELOW leaves and nothing else; a
+    # crossed leaf's answer comes from its own structure's blocks.
+    assert max(map(len, runs)) > 1
+    assert leaf_blocks.issuperset(block for run in runs for block in run)
+    assert not leaf_blocks.issuperset(vector_log)
+    del log[:], runs[:]
+    with scalar_kernels():
+        scalar = index.query(constraint)
+    assert log == vector_log
+    assert_same_ordered_answer(vector, scalar, "hybrid")
+
+
+def replay_digest(requests, seed):
+    """One engine over the 2-D and 3-D default suites serves ``requests``;
+    sha256 of every answer's index, reads, pool hits, count and bytes."""
+    from repro import QueryEngine
+    from repro.workloads import uniform_points
+    import hashlib
+
+    engine = QueryEngine(block_size=16, seed=seed)
+    try:
+        engine.register_dataset("p2", uniform_points(1500, seed=seed))
+        engine.register_dataset("p3", uniform_points(700, dimension=3,
+                                                     seed=seed + 1))
+        digest = hashlib.sha256()
+        served = set()
+        for name, constraint in requests:
+            answer = engine.query(name, constraint)
+            served.add(answer.index_name)
+            digest.update(("%s|%d|%d|%d|" % (
+                answer.index_name, answer.ios.reads, answer.ios.cache_hits,
+                answer.count)).encode())
+            digest.update(answer.matrix.tobytes())
+        return digest.hexdigest(), served
+    finally:
+        engine.close()
+
+
+def test_replay_of_the_embedded_shape_is_identical_in_both_modes():
+    """600 requests alternating a 2-D and a 3-D dataset, 35% of them
+    repeats of a hot set: planner routing, pool state and answers evolve
+    identically under the vector kernels and under the scalar oracle."""
+    from repro.workloads import (halfspace_queries_with_selectivity,
+                                 uniform_points)
+
+    seed = 21
+    rng = np.random.default_rng(seed)
+    requests = []
+    for slot, (name, dimension) in enumerate((("p2", 2), ("p3", 3))):
+        points = uniform_points(1500 if dimension == 2 else 700,
+                                dimension=dimension, seed=seed + slot)
+        pool = [halfspace_queries_with_selectivity(
+            points, 1, float(selectivity), seed=int(pick))[0]
+            for selectivity, pick in zip(
+                np.exp(rng.uniform(np.log(0.004), np.log(0.3), 316)),
+                rng.integers(0, 1 << 30, 316))]
+        hot, fresh = pool[:16], iter(pool[16:])
+        requests.append([
+            (name, hot[int(rng.integers(0, 16))] if rng.random() < 0.35
+             else next(fresh)) for __ in range(300)])
+    stream = [request for pair in zip(*requests) for request in pair]
+    assert len(stream) == 600
+    vector, served = replay_digest(stream, seed)
+    assert {"halfplane2d", "partition_tree"} <= served
+    with scalar_kernels():
+        scalar, __ = replay_digest(stream, seed)
+    assert vector == scalar
