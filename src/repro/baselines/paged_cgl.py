@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.interface import ExternalIndex, Point
+from repro.geometry.polygons import convex_hull
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -30,28 +31,17 @@ from repro.io.store import BlockStore
 
 def convex_layers(points: np.ndarray) -> List[np.ndarray]:
     """Peel ``points`` into nested convex-hull layers (index arrays)."""
-    try:
-        from scipy.spatial import ConvexHull  # type: ignore
-    except ImportError:  # pragma: no cover
-        ConvexHull = None
     remaining = np.arange(len(points))
     layers: List[np.ndarray] = []
     while len(remaining) > 0:
-        subset = points[remaining]
-        if len(remaining) <= 3 or ConvexHull is None:
+        # The hull's corners in cyclic order (for chain walking); points
+        # on its edges wait for the next layer.
+        corners = convex_hull(points[remaining].tolist())
+        if len(remaining) <= 3 or len(corners) < 3:
             layers.append(remaining.copy())
             break
-        try:
-            hull = ConvexHull(subset)
-            hull_local = np.array(sorted(set(hull.vertices.tolist())))
-        except Exception:
-            layers.append(remaining.copy())
-            break
-        # Preserve the hull's cyclic order for chain walking.
-        layers.append(remaining[hull.vertices])
-        mask = np.ones(len(remaining), dtype=bool)
-        mask[hull_local] = False
-        remaining = remaining[mask]
+        layers.append(remaining[corners])
+        remaining = np.delete(remaining, corners)
     return layers
 
 

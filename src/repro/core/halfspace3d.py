@@ -4,13 +4,14 @@
 and reports the points satisfying a 3-D linear constraint in
 O(log_B n + t) expected I/Os.  It dualises the points to planes and answers
 "planes below the dual query point" with the layered random-sampling
-structure of :class:`~repro.core.lowest_planes.LowestPlanesIndex`, doubling
-the guess ``k`` geometrically as in Section 4.2.
+structure of :class:`~repro.core.lowest_planes.LowestPlanesIndex`: from the
+conflict list of one triangle of the one layer whose envelope clears the
+dual point, or from a scan when that cannot be cheaper.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class HalfspaceIndex3D(ExternalIndex):
                  copies: int = 1,
                  beta: Optional[int] = None,
                  domain: Optional[Tuple[float, float, float, float]] = None,
-                 envelope_backend: str = "auto",
                  seed: Optional[int] = None):
         super().__init__(store, block_size)
         points = np.asarray(points, dtype=float)
@@ -52,7 +52,6 @@ class HalfspaceIndex3D(ExternalIndex):
             copies=copies,
             beta=beta,
             domain=domain,
-            envelope_backend=envelope_backend,
             seed=seed,
         )
         self._end_space_accounting()
@@ -70,11 +69,23 @@ class HalfspaceIndex3D(ExternalIndex):
         """The underlying Theorem 4.2 structure (exposed for diagnostics)."""
         return self._planes_index
 
+    @property
+    def last_query(self) -> Dict[str, object]:
+        """The most recent query's ``layer`` (sample size read, or None),
+        ``probes``, ``list_blocks`` and ``scanned`` (None, or why:
+        ``no_layer`` / ``outside_domain`` / ``list_longer_than_data``)."""
+        return self._planes_index.last_query
+
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
-        """Theorem 4.1 bound: O(log_B n + t) expected I/Os."""
-        del constraint
-        return 1.0 + self._log_b_n() + self._output_blocks(expected_output)
+        """The bound the query honours, ``min(scan, probes + one list)``
+        (:meth:`LowestPlanesIndex.estimated_halfspace_ios`); a constraint
+        whose dual point lies outside the envelopes' domain is a scan."""
+        if expected_output is None:
+            expected_output = min(self.size, self.block_size)
+        qx, qy = constraint.coeffs
+        return self._planes_index.estimated_halfspace_ios(
+            qx, qy, max(0.0, expected_output))
 
     def query(self, constraint: LinearConstraint) -> List[Point]:
         """Report every stored point satisfying the 3-D linear constraint."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore, IOStats
@@ -92,6 +92,12 @@ class ExternalIndex(abc.ABC):
     def build_ios(self) -> Optional[IOStats]:
         """I/O counters accumulated during the build (write-dominated)."""
         return self._build_ios
+
+    @property
+    def last_query(self) -> Dict[str, object]:
+        """How the most recent :meth:`query` was answered, by a structure
+        that has more than one way (diagnostics; empty otherwise)."""
+        return {}
 
     @property
     @abc.abstractmethod

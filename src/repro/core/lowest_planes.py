@@ -11,39 +11,59 @@ Construction.  A random permutation of the planes defines nested samples
 triangulated lower envelope ``Δ(R_i)``, an external point-location structure
 over its xy-projection, and the conflict list ``K(Δ)`` of every triangle
 (the planes outside the sample passing below some point of the triangle),
-each list occupying a contiguous run of blocks.
+each list occupying a contiguous run of blocks.  The samples are built
+coarse to fine, each envelope from the previous one and its conflict lists
+(:func:`~repro.geometry.envelope3d.refine_lower_envelope`) — a randomized
+incremental construction on exactly what the structure stores anyway.  A
+sample whose longest conflict list holds at least half the planes is not
+stored: reading such a list cannot beat the scan by enough to pay for
+finding it.
 
-Query (``TryLowestPlanes``).  To find the ``k`` lowest planes along ``l``
-with failure probability ``O(δ)``, locate the envelope triangle of the
-sample of size ``≈ N δ / k`` hit by ``l``; unless the conflict list is
-unexpectedly long (``> k/δ²``) or contains fewer than ``k`` planes below the
-envelope point, the ``k`` lowest planes along ``l`` are exactly the ``k``
-lowest conflict-list entries.  On failure ``δ`` is halved and the procedure
-retried; after a bounded number of failures the structure falls back to a
-full scan (an event of negligible probability that keeps the worst case
-finite).  The paper additionally keeps three independent copies to sharpen
-the expectation; the number of copies is a constructor parameter.
+Halfspace query (Section 4.2).  The envelope of a nested sample only sinks
+as the sample grows, so a binary search over the stored layers finds the
+finest one whose envelope passes above the query point.  Every plane below
+the point is then in the conflict list of the one triangle above it: one
+contiguous read, one comparison.  When no stored layer clears the point,
+the point lies outside the triangulated domain, or the probes and the list
+together would cost the scan, the planes are scanned — a query costs
+``min(scan, ⌈log2 layers⌉ locates + one list)``.
+
+k lowest planes (``TryLowestPlanes``).  To find the ``k`` lowest planes
+along ``l`` with failure probability ``O(δ)``, locate the envelope triangle
+of the largest sample of at most ``N δ / k`` planes hit by ``l``; unless
+the conflict list is unexpectedly long (``> k/δ²``) or contains fewer than
+``k`` planes below the envelope point, the ``k`` lowest planes along ``l``
+are exactly the ``k`` lowest conflict-list entries.  On failure every
+independent copy is tried, then ``δ`` is halved — the next coarser layer —
+and after a bounded number of failures, or once the attempts have read as
+many blocks as the scan would (the cap that stands in for the ``k/δ²``
+test, whose constant a fan triangulation does not meet at δ = 1/2), the
+planes are scanned.  The paper keeps
+three independent copies to sharpen the expectation; the number of copies
+is a constructor parameter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interface import ExternalIndex
-from repro.geometry.envelope3d import (
-    TriangulatedEnvelope,
-    compute_lower_envelope,
-    conflict_lists,
-    default_domain,
-)
+from repro.core import kernels
+from repro.geometry.envelope3d import default_domain, nested_envelopes
 from repro.geometry.point_location import ExternalPointLocator
-from repro.geometry.primitives import EPS, Plane3, LinearConstraint
+from repro.geometry.polygons import polygon_area
+from repro.geometry.primitives import EPS, Plane3
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
+
+#: A layer answers a halfspace query only when its envelope passes above
+#: the query point by more than this: what the conflict lists' own
+#: strictness (1e-9 at the triangle corners), the point locator's slack and
+#: the rounding of nine refinements can add up to, with room to spare.
+CLEARANCE = 1e-6
 
 
 @dataclass
@@ -51,21 +71,28 @@ class _Layer:
     """Everything stored for one random sample R_i.
 
     The point locator maps a query position to a *triangle* of the
-    triangulated envelope; each triangle's conflict list occupies one
-    contiguous span of ``conflict_store``, exactly as in the paper.
+    triangulated envelope — its label is the triangle's number and the
+    plane ``(a, b, c)`` realising the envelope over it; each triangle's
+    conflict list occupies one contiguous span of ``conflict_store``,
+    exactly as in the paper.
     """
 
     sample_size: int
-    triangle_table: DiskArray          # per triangle: (cell_id, plane_id, a, b, c)
     locator: ExternalPointLocator
-    conflict_store: DiskArray          # all conflict lists, packed back to back
-    conflict_spans: List[Tuple[int, int]]  # per triangle: (start, length)
+    conflict_store: DiskArray   # all conflict lists, packed back to back
+    starts: np.ndarray          # list t is records [starts[t], starts[t + 1])
+
+    def span(self, triangle: int) -> Tuple[int, int]:
+        start, stop = self.starts[triangle:triangle + 2].tolist()
+        return start, stop
 
 
 @dataclass
 class _Copy:
-    """One independent replica of the layered sample structure."""
+    """One independent replica of the layered sample structure: sample
+    ``R_i`` is the first ``2^i`` planes of ``permutation``."""
 
+    permutation: np.ndarray
     layers: List[_Layer]
 
 
@@ -84,8 +111,8 @@ class LowestPlanesIndex:
         Number of independent replicas (the paper uses three to obtain the
         optimal expectation; one is the practical default).
     beta:
-        The threshold ``β = B log_B n`` controlling which sample sizes are
-        materialised; defaults to the paper's value.
+        The threshold ``β = B log_B n`` bounding the finest sample at about
+        ``N / β`` planes; defaults to the paper's value.
     domain:
         xy-rectangle the envelopes are triangulated over.  Queries outside
         it fall back to a scan of the full plane set.
@@ -93,7 +120,7 @@ class LowestPlanesIndex:
         Seed for the random permutations.
     """
 
-    #: After this many δ-halvings the query falls back to a full scan.
+    #: After this many δ-halvings ``k_lowest`` falls back to a full scan.
     #: Kept small: each extra attempt reads a (larger) conflict list, so a
     #: handful of failures already costs as much as the fallback scan.
     MAX_FAILURES = 4
@@ -104,35 +131,52 @@ class LowestPlanesIndex:
                  copies: int = 1,
                  beta: Optional[int] = None,
                  domain: Optional[Tuple[float, float, float, float]] = None,
-                 envelope_backend: str = "auto",
                  seed: Optional[int] = None):
         if copies < 1:
             raise ValueError("copies must be >= 1")
         if store is None:
             store = BlockStore(block_size=block_size)
         self._store = store
-        self._planes = list(planes)
-        self._num_planes = len(self._planes)
+        self._coefficients = np.array(
+            [plane.coefficients() for plane in planes],
+            dtype=float).reshape(-1, 3)
+        self._num_planes = len(self._coefficients)
         self._rng = np.random.default_rng(seed)
-        self._backend = envelope_backend
-        blocks = max(2, -(-max(1, self._num_planes) // store.block_size))
+        self._scan_blocks = store.blocks_for(self._num_planes)
+        blocks = max(2, self._scan_blocks)
         log_term = max(1.0, math.log(blocks) / math.log(max(2, store.block_size)))
         self._beta = beta if beta is not None else max(
             store.block_size, int(round(store.block_size * log_term)))
-        if domain is None and self._planes:
-            domain = default_domain(self._planes)
+        if domain is None and self._num_planes:
+            domain = default_domain(planes)
         self._domain = domain
         self._blocks_before = store.num_blocks
-        self._copies: List[_Copy] = []
-        self._all_planes_array = DiskArray(
-            self._store,
-            [(index, plane.a, plane.b, plane.c)
-             for index, plane in enumerate(self._planes)])
-        if self._planes:
-            for __ in range(copies):
-                self._copies.append(self._build_copy())
+        # What the disk holds of a plane: its number and its coefficients,
+        # all floats (so a block is columnar) and one tuple per plane,
+        # shared by every conflict list the plane is in.
+        records = list(zip(map(float, range(self._num_planes)),
+                           *self._coefficients.T.tolist()))
+        self._all_planes_array = DiskArray(self._store, records)
+        self._copies: List[_Copy] = [self._build_copy(records)
+                                     for __ in range(copies)
+                                     if self._num_planes]
         self._space_blocks = store.num_blocks - self._blocks_before
+        # What estimated_halfspace_ios prices a query from, by the first
+        # copy: per stored layer, fine to coarse, the share of the planes
+        # outside its sample and the blocks of a mean conflict list; and the
+        # blocks every copy's ⌈log2 layers⌉ point locations read.
+        layers = self._copies[0].layers if self._copies else []
+        self._cost_model = [
+            (1.0 - layer.sample_size / self._num_planes,
+             1.0 + len(layer.conflict_store) / (len(layer.starts) - 1.0)
+             / store.block_size)
+            for layer in reversed(layers)]
+        self._probe_blocks = copies * math.ceil(math.log2(len(layers) + 1)) \
+            * sum(layer.locator.mean_path_blocks for layer in layers) \
+            / max(1, len(layers))
         self._last_fallbacks = 0
+        self._last_attempts = 0
+        self._last_query: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -143,54 +187,42 @@ class LowestPlanesIndex:
         upper = max(1.0, self._num_planes / max(1, self._beta))
         return max(1, int(math.ceil(math.log2(upper))) + 1)
 
-    def _build_copy(self) -> _Copy:
+    def _build_copy(self, records: List[tuple]) -> _Copy:
         permutation = self._rng.permutation(self._num_planes)
-        layers: List[_Layer] = []
-        for layer_index in range(0, self._max_layer_index() + 1):
-            sample_size = min(self._num_planes, 2 ** layer_index)
-            sample_indices = permutation[:sample_size].tolist()
-            layers.append(self._build_layer(sample_indices))
-            if sample_size == self._num_planes:
-                break
-        return _Copy(layers=layers)
+        sizes = [min(self._num_planes, 2 ** layer_index)
+                 for layer_index in range(self._max_layer_index() + 1)]
+        if self._num_planes in sizes:
+            del sizes[sizes.index(self._num_planes) + 1:]
+        # In the copy's own numbering — plane j is ``permutation[j]`` — a
+        # sample is a prefix of the planes.
+        layers = [
+            self._store_layer(size, envelope,
+                              [np.sort(permutation[conflict])
+                               for conflict in conflicts], records)
+            for size, (envelope, conflicts) in zip(sizes, nested_envelopes(
+                self._coefficients[permutation], sizes, self._domain))
+            # A list of half the planes cannot beat the scan by enough to
+            # pay for finding it: such a layer is not stored.
+            if 2 * max(map(len, conflicts), default=0) < self._num_planes]
+        return _Copy(permutation=permutation, layers=layers)
 
-    def _build_layer(self, sample_indices: List[int]) -> _Layer:
-        sample_planes = [self._planes[index] for index in sample_indices]
-        envelope = compute_lower_envelope(sample_planes, self._domain,
-                                          backend=self._backend)
-        # Group the envelope triangles into cells: one cell per sample plane
-        # appearing on the envelope.
-        cell_of_plane: dict = {}
-        triangle_records = []
-        locator_input = []
-        for triangle_index, triangle in enumerate(envelope.triangles):
-            global_plane = sample_indices[triangle.plane_index]
-            cell_id = cell_of_plane.setdefault(triangle.plane_index,
-                                               len(cell_of_plane))
-            plane = self._planes[global_plane]
-            triangle_records.append((cell_id, global_plane,
-                                     plane.a, plane.b, plane.c))
-            locator_input.append((triangle_index, triangle.xy_vertices()))
-        triangle_table = DiskArray(self._store, triangle_records)
-        locator = ExternalPointLocator(self._store, locator_input)
-        per_triangle = conflict_lists(self._planes, sample_indices, envelope)
+    def _store_layer(self, sample_size: int, envelope,
+                     conflicts: List[np.ndarray],
+                     records: List[tuple]) -> _Layer:
+        locator = ExternalPointLocator(self._store, [
+            ((number, *envelope.planes[triangle.plane_index].coefficients()),
+             triangle.xy_vertices())
+            for number, triangle in enumerate(envelope.triangles)])
         # Pack every triangle's conflict list back to back in one disk array
         # (the paper's "one contiguous set of blocks" per list) and remember
-        # each triangle's (start, length) span.
-        packed_records: List[Tuple[int, float, float, float]] = []
-        spans: List[Tuple[int, int]] = []
-        for triangle_list in per_triangle:
-            start = len(packed_records)
-            for index in triangle_list:
-                plane = self._planes[index]
-                packed_records.append((index, plane.a, plane.b, plane.c))
-            spans.append((start, len(triangle_list)))
-        conflict_store = DiskArray(self._store, packed_records)
-        return _Layer(sample_size=len(sample_indices),
-                      triangle_table=triangle_table,
-                      locator=locator,
-                      conflict_store=conflict_store,
-                      conflict_spans=spans)
+        # where each triangle's list starts.
+        starts = np.zeros(len(conflicts) + 1, dtype=np.int64)
+        np.cumsum([len(conflict) for conflict in conflicts], out=starts[1:])
+        conflict_store = DiskArray(self._store, [
+            records[index] for conflict in conflicts
+            for index in conflict.tolist()])
+        return _Layer(sample_size=sample_size, locator=locator,
+                      conflict_store=conflict_store, starts=starts)
 
     # ------------------------------------------------------------------
     # properties
@@ -211,122 +243,316 @@ class LowestPlanesIndex:
         return self._beta
 
     @property
+    def domain(self) -> Optional[Tuple[float, float, float, float]]:
+        """The xy-rectangle the envelopes cover (None when empty)."""
+        return self._domain
+
+    @property
     def space_blocks(self) -> int:
         """Disk blocks allocated for the structure."""
         return self._space_blocks
 
     @property
     def num_layers(self) -> int:
-        """Layers per copy (O(log2 n))."""
+        """Stored layers per copy (O(log2 n))."""
         return len(self._copies[0].layers) if self._copies else 0
 
     @property
     def last_fallbacks(self) -> int:
-        """Number of full-scan fallbacks during the most recent query."""
+        """Number of full-scan fallbacks during the most recent
+        :meth:`k_lowest` (a scan chosen outright — ``2k >= N``, or no
+        stored sample as small as ``N / 2k`` — is not one)."""
         return self._last_fallbacks
+
+    @property
+    def last_attempts(self) -> int:
+        """``TryLowestPlanes`` attempts of the most recent :meth:`k_lowest`
+        (all of them failures when it fell back, all but the last
+        otherwise)."""
+        return self._last_attempts
+
+    @property
+    def last_query(self) -> Dict[str, object]:
+        """How the most recent :meth:`planes_below_point` was answered:
+        ``layer`` (the sample size read, or None), ``probes`` (point
+        locations), ``list_blocks`` and ``scanned`` (None, or why:
+        ``no_layer`` / ``outside_domain`` / ``list_longer_than_data``)."""
+        return self._last_query
+
+    def estimated_halfspace_ios(self, x: float, y: float,
+                                expected_output: float) -> float:
+        """What :meth:`planes_below_point` is expected to read at ``(x, y)``
+        when ``expected_output`` planes pass below the point.
+
+        Arithmetic on build-time constants (no block is read).  A sample
+        of ``r`` planes clears the point exactly when it holds none of the
+        ``T`` answers — for a random sample with probability
+        ``(1 - r/N)^T`` — so the finest clearing layer, and with it the
+        list read, follows from ``T``: the estimate is the probes, plus
+        each stored layer's mean list weighted by the chance that it is
+        that layer, plus the scan weighted by the chance that not even the
+        coarsest one clears.  A point outside the domain is the scan.
+        """
+        scan = float(max(1, self._scan_blocks))
+        if not self._cost_model or not self._in_domain(x, y):
+            return scan
+        expected = self._probe_blocks
+        finer_clears = 0.0
+        for kept_share, list_blocks in self._cost_model:    # fine to coarse
+            clears = kept_share ** expected_output
+            expected += (clears - finer_clears) * list_blocks
+            finer_clears = clears
+        return min(scan + self._probe_blocks,
+                   expected + (1.0 - finer_clears) * scan)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def _in_domain(self, x: float, y: float) -> bool:
+        xmin, xmax, ymin, ymax = self._domain
+        return xmin <= x <= xmax and ymin <= y <= ymax
+
+    def _heights_along(self, array: DiskArray, start: int, stop: int,
+                       x: float, y: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Numbers and heights above ``(x, y)`` of the planes stored as
+        records ``[start, stop)`` of ``array``, read as one run."""
+        if start == stop:
+            return np.empty(0, dtype=np.intp), np.empty(0)
+        if not kernels.vectorized_enabled():
+            numbers, heights = [], []
+            for number, a, b, c in array.read_range(start, stop):
+                numbers.append(number)
+                heights.append(a * x + b * y + c)
+            return np.array(numbers, dtype=np.intp), np.array(heights)
+        # The record loop's three roundings: products, their sum, plus c.
+        rows = array.read_range_array(start, stop)
+        heights = rows[:, 1] * x
+        heights += rows[:, 2] * y
+        heights += rows[:, 3]
+        return rows[:, 0].astype(np.intp), heights
+
+    def _list_blocks(self, start: int, stop: int) -> int:
+        """Blocks the packed records ``[start, stop)`` touch."""
+        if start == stop:
+            return 0
+        B = self._store.block_size
+        return (stop - 1) // B - start // B + 1
+
     def k_lowest(self, x: float, y: float, k: int) -> List[Tuple[int, float]]:
         """The ``k`` lowest planes along the vertical line through ``(x, y)``.
 
         Returns ``(plane_index, height_at_xy)`` pairs sorted by height.
         """
-        if k <= 0:
-            return []
-        if not self._planes:
+        if k <= 0 or not self._num_planes:
             return []
         k = min(k, self._num_planes)
-        self._last_fallbacks = 0
+        self._last_fallbacks = self._last_attempts = 0
         # Close to N the sampling machinery cannot beat a plain scan: the
         # useful samples would have O(1) planes and their conflict lists are
         # the whole input, so scanning directly is both simpler and cheaper
         # (and still O(t) I/Os, since t = Θ(n) in that regime).
-        if 2 * k >= self._num_planes:
-            return self._scan_lowest(x, y, k)
-        delta = 0.5
-        failures = 0
-        # Once an attempt at some sample size fails because too few planes
-        # lie below the envelope, retrying the same sample with a smaller
-        # delta is hopeless (the count is deterministic); remember those.
-        exhausted_layers = set()
-        while failures < self.MAX_FAILURES:
-            for copy_index, copy in enumerate(self._copies):
-                result = self._try_lowest(copy, x, y, k, delta,
-                                          exhausted=(copy_index, exhausted_layers))
-                if result is not None:
-                    return result
-            failures += 1
-            delta /= 2.0
-        self._last_fallbacks += 1
-        return self._scan_lowest(x, y, k)
+        if 2 * k < self._num_planes:
+            lowest = self._try_lowest(x, y, k)
+            if lowest is not None:
+                return lowest
+            self._last_fallbacks = int(self._last_attempts > 0)
+        numbers, heights = self._heights_along(
+            self._all_planes_array, 0, self._num_planes, x, y)
+        return _lowest(numbers, heights, k)
 
-    def _try_lowest(self, copy: _Copy, x: float, y: float, k: int,
-                    delta: float, exhausted=None) -> Optional[List[Tuple[int, float]]]:
-        """One attempt of the paper's TryLowestPlanes procedure."""
-        if k >= self._num_planes:
-            return None
-        target = max(1.0, self._num_planes * delta / k)
-        rho = int(math.ceil(math.log2(target)))
-        rho = max(0, min(rho, len(copy.layers) - 1))
-        exhausted_key = None
-        if exhausted is not None:
-            copy_index, exhausted_set = exhausted
-            exhausted_key = (copy_index, rho)
-            if exhausted_key in exhausted_set:
-                return None
-        layer = copy.layers[rho]
-        if layer.sample_size >= self._num_planes:
-            # The sample is the whole set: conflict lists are empty and the
-            # attempt cannot certify k planes below the envelope.
-            return None
-        triangle_index = layer.locator.locate(x, y)
-        if triangle_index is None:
-            return None
-        cell_id, plane_id, a, b, c = layer.triangle_table[triangle_index]
-        start, length = layer.conflict_spans[triangle_index]
-        threshold = k / (delta * delta)
-        if length > threshold:
-            return None
-        envelope_height = a * x + b * y + c
-        below: List[Tuple[float, int]] = []
-        for record in layer.conflict_store.read_range(start, start + length):
-            index, pa, pb, pc = record
-            height = pa * x + pb * y + pc
-            if height < envelope_height - EPS:
-                below.append((height, index))
-        if len(below) < k:
-            if exhausted_key is not None:
-                exhausted[1].add(exhausted_key)
-            return None
-        below.sort()
-        return [(index, height) for height, index in below[:k]]
+    def _try_lowest(self, x: float, y: float,
+                    k: int) -> Optional[List[Tuple[int, float]]]:
+        """The paper's TryLowestPlanes, δ = 1/2, 1/4, ... down the layers.
 
-    def _scan_lowest(self, x: float, y: float, k: int) -> List[Tuple[int, float]]:
-        """Fallback: scan every plane (⌈N/B⌉ I/Os)."""
-        heights: List[Tuple[float, int]] = []
-        for record in self._all_planes_array.scan():
-            index, a, b, c = record
-            heights.append((a * x + b * y + c, index))
-        heights.sort()
-        return [(index, height) for height, index in heights[:k]]
+        The first attempt reads the largest sample of at most ``N δ / k``
+        planes (rounded *down*: at δ = 1/2 the rounded-up sample certifies
+        ``k`` planes below its envelope less than half the time); each
+        failure halves δ — every copy moves one layer coarser.  None once
+        the attempts have failed ``MAX_FAILURES`` times or have read what
+        the scan reads, which is also what bounds an unexpectedly long list
+        (the paper's ``k/δ²`` test, without its constant).
+        """
+        budget = self._scan_blocks
+        # Per copy, the finest stored layer of at most N / 2k planes (-1: no
+        # sample that small is stored — it could not beat the scan, which is
+        # what the caller does next).
+        first_rungs = [sum(layer.sample_size * 2 * k <= self._num_planes
+                           for layer in copy.layers) - 1
+                       for copy in self._copies]
+        for failures in range(self.MAX_FAILURES):
+            for copy, first_rung in zip(self._copies, first_rungs):
+                if first_rung < failures:
+                    continue
+                layer = copy.layers[first_rung - failures]
+                self._last_attempts += 1
+                budget -= 1
+                label = layer.locator.locate(x, y)
+                if label is None:
+                    continue
+                triangle, a, b, c = label
+                start, stop = layer.span(triangle)
+                if stop - start < k:
+                    continue
+                budget -= self._list_blocks(start, stop)
+                if budget < 0:
+                    return None
+                numbers, heights = self._heights_along(
+                    layer.conflict_store, start, stop, x, y)
+                below = heights < (a * x + b * y + c) - EPS
+                if np.count_nonzero(below) >= k:
+                    return _lowest(numbers[below], heights[below], k)
+        return None
 
     def planes_below_point(self, x: float, y: float, z: float) -> List[int]:
-        """Indices of every plane passing on or below ``(x, y, z)``.
+        """Indices of every plane passing on or below ``(x, y, z)``, ascending.
 
-        Implements the geometric doubling of Section 4.2: query the k lowest
-        planes for ``k = β, 2β, 4β, ...`` until one of them lies above the
-        point, then report the ones below.
+        Section 4.2 on one layer: the finest stored sample whose envelope
+        clears the point holds every answer in the conflict list of the
+        triangle above it.
         """
-        if not self._planes:
+        if not self._num_planes:
             return []
-        k = self._beta
-        while True:
-            if 2 * k >= self._num_planes:
-                lowest = self._scan_lowest(x, y, self._num_planes)
-                return [index for index, height in lowest if height <= z + EPS]
-            lowest = self.k_lowest(x, y, k)
-            if len(lowest) < k or any(height > z + EPS for __, height in lowest):
-                return [index for index, height in lowest if height <= z + EPS]
-            k *= 2
+        inside = self._in_domain(x, y)
+        probes, best = self._finest_clearing(x, y, z) if inside else (0, None)
+        list_blocks = self._list_blocks(*best[1:]) if best else 0
+        if not inside:
+            scanned = "outside_domain"
+        elif best is None:
+            scanned = "no_layer"
+        elif probes + list_blocks >= self._scan_blocks:
+            scanned = "list_longer_than_data"
+        else:
+            scanned = None
+        if scanned is None:
+            layer, start, stop = best
+            numbers, heights = self._heights_along(
+                layer.conflict_store, start, stop, x, y)
+        else:
+            numbers, heights = self._heights_along(
+                self._all_planes_array, 0, self._num_planes, x, y)
+        self._last_query = {
+            "layer": best[0].sample_size if scanned is None else None,
+            "probes": probes,
+            "list_blocks": list_blocks if scanned is None else 0,
+            "scanned": scanned}
+        return numbers[heights <= z + EPS].tolist()
+
+    def _finest_clearing(self, x: float, y: float, z: float
+                         ) -> Tuple[int, Optional[Tuple[_Layer, int, int]]]:
+        """Probes spent, and the shortest conflict list ``(layer, start,
+        stop)`` among each copy's finest layer whose envelope passes above
+        ``(x, y, z)`` by more than ``CLEARANCE`` (None when no layer does).
+
+        The envelope of nested samples only sinks as they grow, so the
+        layers that clear the point are a prefix: a binary search.
+        """
+        probes, best = 0, None
+        for copy in self._copies:
+            low, high = 0, len(copy.layers)     # layers[:low] clear the point
+            found = None
+            while low < high:
+                middle = (low + high) // 2
+                layer = copy.layers[middle]
+                probes += 1
+                label = layer.locator.locate(x, y)
+                if label is None or (label[1] * x + label[2] * y
+                                     + label[3]) <= z + CLEARANCE:
+                    high = middle
+                else:
+                    low = middle + 1
+                    found = (layer, *layer.span(label[0]))
+            if found and (best is None
+                          or found[2] - found[1] < best[2] - best[1]):
+                best = found
+        return probes, best
+
+    # ------------------------------------------------------------------
+    # structural checker
+    # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless every stored layer is what Section
+        4.1 says it is, as read back from the disk.
+
+        Per layer: the triangles tile the domain (by area); the plane
+        stored with a triangle is the lowest sample plane at its centroid;
+        the conflict spans are contiguous, disjoint and cover the conflict
+        store; every list is ascending, holds no sample plane, and holds
+        every plane passing below a corner or the centroid of its
+        triangle.  Per copy: the envelope height at random positions does
+        not rise from one stored layer to the next finer one.
+        """
+        if not self._copies:
+            return
+        xmin, xmax, ymin, ymax = self._domain
+        domain_area = (xmax - xmin) * (ymax - ymin)
+        positions = np.random.default_rng(0).uniform(
+            (xmin, ymin), (xmax, ymax), size=(32, 2)).tolist()
+        a_column, b_column, c_column = self._coefficients.T
+        for copy_number, copy in enumerate(self._copies):
+            previous = [math.inf] * len(positions)
+            for layer in copy.layers:
+                def check(holds: bool, message: str, *values) -> None:
+                    if not holds:
+                        raise AssertionError(
+                            "copy %d, sample %d: " % (copy_number,
+                                                      layer.sample_size)
+                            + message % values)
+
+                stored = {label[0]: (label[1:], triangle) for label, triangle
+                          in layer.locator.stored_triangles()}
+                starts = layer.starts
+                check(sorted(stored) == list(range(len(starts) - 1)),
+                      "triangles and conflict spans are numbered differently")
+                check(starts[0] == 0 and np.all(np.diff(starts) >= 0)
+                      and starts[-1] == len(layer.conflict_store),
+                      "conflict spans do not tile the conflict store")
+                covered = sum(polygon_area(triangle)
+                              for __, triangle in stored.values())
+                check(abs(covered - domain_area) <= 1e-6 * domain_area,
+                      "triangles cover %.9g of a domain of %.9g",
+                      covered, domain_area)
+                sample = copy.permutation[:layer.sample_size]
+                outside_sample = np.ones(self._num_planes, dtype=bool)
+                outside_sample[sample] = False
+                for number, ((a, b, c), triangle) in stored.items():
+                    start, stop = layer.span(number)
+                    listed = np.zeros(self._num_planes, dtype=bool)
+                    if stop > start:
+                        numbers = layer.conflict_store.read_range_array(
+                            start, stop)[:, 0].astype(np.intp)
+                        check(np.all(np.diff(numbers) > 0),
+                              "list of triangle %d is not ascending", number)
+                        listed[numbers] = True
+                    check(not np.any(listed & ~outside_sample),
+                          "list of triangle %d holds a sample plane", number)
+                    centroid = np.mean(triangle, axis=0).tolist()
+                    # (by linearity a plane below the centroid is below a
+                    # corner, up to the rounding the doubled slack allows)
+                    for (px, py), slack in (*((corner, 1e-9)
+                                              for corner in triangle),
+                                            (centroid, 2e-9)):
+                        heights = a_column * px + b_column * py + c_column
+                        missing = (heights < (a * px + b * py + c) - slack) \
+                            & outside_sample & ~listed
+                        check(not np.any(missing),
+                              "list of triangle %d misses planes %s, which "
+                              "pass below (%r, %r)",
+                              number, np.flatnonzero(missing)[:3], px, py)
+                    check(a * px + b * py + c
+                          <= heights[sample].min() + CLEARANCE / 10,
+                          "triangle %d does not carry the lowest sample "
+                          "plane at its centroid", number)
+                for slot, (px, py) in enumerate(positions):
+                    label = layer.locator.locate(px, py)
+                    if label is not None:
+                        height = label[1] * px + label[2] * py + label[3]
+                        check(height <= previous[slot] + CLEARANCE / 10,
+                              "the envelope rises at (%r, %r)", px, py)
+                        previous[slot] = height
+
+
+def _lowest(numbers: np.ndarray, heights: np.ndarray,
+            k: int) -> List[Tuple[int, float]]:
+    """The ``k`` lowest ``(number, height)`` pairs, ties by number."""
+    order = np.lexsort((numbers, heights))[:k]
+    return list(zip(numbers[order].tolist(), heights[order].tolist()))

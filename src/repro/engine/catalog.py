@@ -195,7 +195,8 @@ class Dataset:
         return self.stats.estimate_output(constraint)
 
     def run_query(self, index_name: str, query: Query,
-                  clear_cache: bool = False) -> Tuple[PointRows, IOStats]:
+                  clear_cache: bool = False
+                  ) -> Tuple[PointRows, IOStats, Dict[str, object]]:
         """Run one constraint or conjunction on one of this dataset's indexes.
 
         The engine's unit of execution — the executor's local transport
@@ -203,8 +204,9 @@ class Dataset:
         here, so the two cannot measure differently.  Returns the
         reported points — as the one
         :class:`~repro.core.kernels.PointRows` every layer above carries
-        — and the I/Os the store charged for them (``clear_cache``
-        empties the buffer pool first: the cold cost).
+        — the I/Os the store charged for them (``clear_cache`` empties
+        the buffer pool first: the cold cost), and the index's own account
+        of how it answered (:attr:`ExternalIndex.last_query`).
         """
         index = self.indexes[index_name]
         with self.store.measured(clear_cache) as ios:
@@ -212,7 +214,7 @@ class Dataset:
                 points = query_conjunction(index, query)
             else:
                 points = index.query(query)
-        return PointRows.of(points), ios
+        return PointRows.of(points), ios, index.last_query
 
 
 @dataclass(frozen=True)

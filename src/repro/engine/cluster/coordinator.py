@@ -271,12 +271,14 @@ class Coordinator:
                   trace_id: Optional[str] = None,
                   parent: Optional[str] = None
                   ) -> Optional[Tuple[PointRows, IOStats, int,
-                                      Optional[Dict[str, object]]]]:
+                                      Optional[Dict[str, object]],
+                                      Dict[str, object]]]:
         """Serve one per-shard query on a worker, failing over replicas.
 
-        Returns ``(points, ios, served_replica_id, span_payload)`` from
-        the first worker that answers — preferring the replica the
-        picker acquired — or ``None`` when no worker can serve it
+        Returns ``(points, ios, served_replica_id, span_payload,
+        index_detail)`` from the first worker that answers — preferring
+        the replica the picker acquired — or ``None`` when no worker can
+        serve it
         (uncovered dataset, bypassed dataset, every replica's worker
         dead, or spawned before ``index_name`` was built), telling the
         executor to run the shard in-process.  A failed attempt charges
@@ -315,7 +317,8 @@ class Coordinator:
             handle.served += 1
             return (protocol.points_from_wire(response["points"]),
                     protocol.iostats_from_wire(response["ios"]),
-                    handle.replica_id, response.get("span"))
+                    handle.replica_id, response.get("span"),
+                    response.get("detail") or {})
         return None
 
     # ------------------------------------------------------------------

@@ -115,7 +115,7 @@ class ShardWorker:
         # The same call the in-process executor makes on its own copy of
         # this replica, so the buffer pool sees the same operation
         # sequence in both modes and I/O parity holds.
-        points, ios = self.dataset.run_query(
+        points, ios, detail = self.dataset.run_query(
             index_name, query, clear_cache=bool(request.get("clear_cache")))
         elapsed = time.perf_counter() - started
         trace = request.get("trace") or {}
@@ -130,6 +130,8 @@ class ShardWorker:
             "points": protocol.points_to_wire(points),
             "ios": protocol.iostats_to_wire(ios),
         }
+        if detail:
+            response["detail"] = detail
         if trace.get("trace_id"):
             # The span subtree the parent grafts under its executor.shard
             # node: worker-side wall time plus enough attributes to tell

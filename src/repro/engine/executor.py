@@ -36,7 +36,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -202,6 +202,8 @@ class ShardOutcome:
     ended_s: float = 0.0
     #: The worker process's span payload, when one answered under a trace.
     worker_span: Optional[Dict[str, object]] = None
+    #: The index's own account of the query (``last_query``; mostly empty).
+    index_detail: Dict[str, object] = field(default_factory=dict)
 
     @property
     def replica(self) -> Dataset:
@@ -490,6 +492,8 @@ class ExecutionCore:
                                         replica_id, estimate)
         self.stats.record_replica_load(dataset_name, item.shard.shard_id,
                                        outcome.replica_id, outcome.ios.total)
+        if outcome.index_detail:    # only halfspace3d gives one
+            self.stats.note_halfspace3d(dataset_name, outcome.index_detail)
         if traced:
             outcome.started_s, outcome.ended_s = started, time.perf_counter()
         return outcome
@@ -518,12 +522,14 @@ class ExecutionCore:
                 trace_id=fanout_span.trace_id if traced else None,
                 parent=fanout_span.name if traced else None)
             if remote is not None:
-                points, ios, replica_id, worker_span = remote
+                points, ios, replica_id, worker_span, detail = remote
                 return ShardOutcome(item, replica_id, points, ios,
-                                    worker_span=worker_span)
-        points, ios = item.shard.replicas[replica_id].run_query(
+                                    worker_span=worker_span,
+                                    index_detail=detail)
+        points, ios, detail = item.shard.replicas[replica_id].run_query(
             index_name, query, clear_cache=clear_cache)
-        return ShardOutcome(item, replica_id, points, ios)
+        return ShardOutcome(item, replica_id, points, ios,
+                            index_detail=detail)
 
     @staticmethod
     def _assemble_spans(fanout_span, outcomes: List[ShardOutcome]) -> None:
@@ -548,6 +554,7 @@ class ExecutionCore:
                 q_error=round(q_error(plan.expected_output,
                                       len(outcome.points)), 3),
                 vectorized=vectorized_enabled(),
+                **outcome.index_detail,
                 **outcome.replica.store.span_attributes(ios))
             span.started_s = outcome.started_s
             span.ended_s = outcome.ended_s

@@ -60,8 +60,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.engine.obs.registry import (Counter, Gauge, Histogram,
                                        HistogramView, MetricsRegistry,
@@ -332,6 +332,10 @@ class EngineStats:
         self._m_replica_ios = reg.counter(
             "engine_replica_ios_total", "I/Os attributed per shard replica",
             ("dataset", "shard", "replica"))
+        self._m_halfspace3d = reg.counter(
+            "engine_halfspace3d_queries_total",
+            "halfspace3d queries by how they were answered: from one "
+            "layer's conflict list, or a scan and why", ("dataset", "outcome"))
         # Model-state gauges: last-write-wins snapshots refreshed by
         # refresh_model_metrics() (every summary() / /metrics scrape).
         self._m_result_cache_entries = reg.gauge(
@@ -467,6 +471,13 @@ class EngineStats:
         """Attribute I/Os to one shard replica."""
         self._m_replica_ios.inc(ios, dataset=dataset, shard=shard_id,
                                 replica=replica_id)
+
+    def note_halfspace3d(self, dataset: str,
+                         detail: Mapping[str, object]) -> None:
+        """Count one ``halfspace3d`` query by its ``last_query`` outcome:
+        ``layer``, or the reason it scanned — the share of capped scans."""
+        self._m_halfspace3d.inc(1, dataset=dataset,
+                                outcome=detail.get("scanned") or "layer")
 
     def reset(self) -> None:
         """Zero every series (e.g. between benchmark phases)."""

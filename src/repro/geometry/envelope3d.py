@@ -9,11 +9,14 @@ planes of ``H \\ R_i`` that pass below some point of the triangle
 This module computes those objects:
 
 * :func:`compute_lower_envelope` — the minimisation diagram of the planes,
-  clipped to a rectangular query domain and fan-triangulated.  Two backends
-  are available: an exact O(m^2) construction (each cell is the query domain
-  clipped by the halfplanes induced by every other plane) used for small
-  samples and as the reference in tests, and a dual convex-hull backend
-  (scipy/qhull) that only clips against the hull neighbours of each plane.
+  clipped to a rectangular query domain and fan-triangulated: each cell is
+  the query domain clipped by the halfplanes induced by every other plane
+  (O(m^2); the reference in tests), or by the plane's neighbours on the
+  dual convex hull (``backend="hull"``, scipy/qhull: the tests' second
+  oracle, imported by nothing else).
+* :func:`refine_lower_envelope` — the envelope of a sample from the
+  envelope of the half of it drawn first and that envelope's conflict
+  lists, which is how the index builds its nested samples coarse to fine.
   The paper instead invokes the external algorithm of Crauser et al. [18];
   the substitution affects construction cost only (see "Substitutions"
   in README.md).
@@ -24,14 +27,16 @@ This module computes those objects:
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
 from repro.geometry.polygons import (
     clip_polygon_halfplane,
+    convex_hull,
     fan_triangulate,
     polygon_area,
     polygon_contains,
@@ -39,13 +44,18 @@ from repro.geometry.polygons import (
 )
 from repro.geometry.primitives import Plane3
 
+Point2 = Tuple[float, float]
 Point3 = Tuple[float, float, float]
 
 #: Cells with less than this area after clipping are discarded as slivers.
 _MIN_CELL_AREA = 1e-18
 
-#: Samples up to this size always use the exact O(m^2) backend.
-_EXACT_BACKEND_LIMIT = 96
+#: Cells must cover the domain to within this share of its area.
+_TILING_TOLERANCE = 1e-6
+
+#: A piece corner this close (as a cross product) to the line through its
+#: neighbours is the same cell vertex found in two triangles, not a corner.
+_MERGE_EPS = 1e-12
 
 
 @dataclass
@@ -122,7 +132,7 @@ class TriangulatedEnvelope:
 
 def compute_lower_envelope(planes: Sequence[Plane3],
                            domain: Tuple[float, float, float, float],
-                           backend: str = "auto") -> TriangulatedEnvelope:
+                           backend: str = "exact") -> TriangulatedEnvelope:
     """Triangulate the lower envelope of ``planes`` over ``domain``.
 
     Parameters
@@ -134,34 +144,25 @@ def compute_lower_envelope(planes: Sequence[Plane3],
         triangulated.  Queries outside the domain must be handled by the
         caller (the 3-D structure falls back to scanning the sample).
     backend:
-        ``"exact"`` forces the O(m^2) construction, ``"hull"`` forces the
-        dual convex-hull construction, ``"auto"`` (default) picks by size.
+        ``"exact"`` (default) clips every plane against every other;
+        ``"hull"`` clips it against its neighbours on the dual convex
+        hull and needs scipy (the ``test`` extra).
     """
     if not planes:
         raise ValueError("cannot build the envelope of an empty set of planes")
     xmin, xmax, ymin, ymax = domain
     if xmin >= xmax or ymin >= ymax:
         raise ValueError("degenerate query domain %r" % (domain,))
-    if backend not in ("auto", "exact", "hull"):
+    if backend not in ("exact", "hull"):
         raise ValueError("unknown backend %r" % backend)
-
-    if backend == "exact" or (backend == "auto"
-                              and len(planes) <= _EXACT_BACKEND_LIMIT):
-        neighbor_sets = [
-            [j for j in range(len(planes)) if j != i] for i in range(len(planes))
-        ]
-        triangles = _cells_to_triangles(planes, neighbor_sets, domain)
-        return TriangulatedEnvelope(planes=planes, triangles=triangles,
-                                    domain=domain)
-
-    triangles = _hull_backend(planes, domain)
+    triangles = _hull_backend(planes, domain) if backend == "hull" else None
     if triangles is None:
-        # Degenerate input for qhull (coplanar dual points, ...): fall back.
-        neighbor_sets = [
-            [j for j in range(len(planes)) if j != i] for i in range(len(planes))
-        ]
-        triangles = _cells_to_triangles(planes, neighbor_sets, domain)
-    return TriangulatedEnvelope(planes=planes, triangles=triangles, domain=domain)
+        # (also qhull's degenerate inputs: coplanar dual points, ...)
+        everyone = range(len(planes))
+        triangles = _cells_to_triangles(
+            planes, domain, {index: everyone for index in everyone})
+    return TriangulatedEnvelope(planes=planes, triangles=triangles,
+                                domain=domain)
 
 
 def _hull_backend(planes: Sequence[Plane3],
@@ -169,13 +170,12 @@ def _hull_backend(planes: Sequence[Plane3],
                   ) -> Optional[List[EnvelopeTriangle]]:
     """Neighbour discovery via the lower convex hull of the dual points."""
     try:
-        from scipy.spatial import ConvexHull  # type: ignore
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        return None
-    try:
-        from scipy.spatial import QhullError  # type: ignore
-    except ImportError:  # pragma: no cover - older scipy releases
-        from scipy.spatial.qhull import QhullError  # type: ignore
+        from scipy.spatial import ConvexHull, QhullError  # type: ignore
+    except ImportError as error:
+        raise ImportError(
+            'compute_lower_envelope(backend="hull") needs scipy, which only '
+            'the "test" extra installs (pip install "repro[test]")'
+        ) from error
     coefficients = np.array([plane.coefficients() for plane in planes], dtype=float)
     try:
         hull = ConvexHull(coefficients)
@@ -183,23 +183,18 @@ def _hull_backend(planes: Sequence[Plane3],
         return None
     # Facets of the lower hull (with respect to the c-axis) have an outward
     # normal with negative last component.
-    neighbor_sets: List[set] = [set() for _ in planes]
-    on_lower_hull = [False] * len(planes)
+    neighbor_sets: Dict[int, set] = {}
     for simplex, equation in zip(hull.simplices, hull.equations):
         if equation[2] >= -1e-12:
             continue
-        for vertex in simplex:
-            on_lower_hull[vertex] = True
         for a_index in simplex:
-            for b_index in simplex:
-                if a_index != b_index:
-                    neighbor_sets[a_index].add(int(b_index))
-    if not any(on_lower_hull):
+            neighbors = neighbor_sets.setdefault(int(a_index), set())
+            neighbors.update(int(b_index) for b_index in simplex)
+    if not neighbor_sets:
         return None
-    neighbor_lists = [sorted(neighbors) for neighbors in neighbor_sets]
-    participating = [index for index, flag in enumerate(on_lower_hull) if flag]
-    triangles = _cells_to_triangles(planes, neighbor_lists, domain,
-                                    candidates=participating)
+    triangles = _cells_to_triangles(
+        planes, domain, {index: sorted(neighbor_sets[index])
+                         for index in sorted(neighbor_sets)})
     # Sanity: the cells must tile the domain; if clipping lost too much area
     # (extreme degeneracies), fall back to the exact backend.
     xmin, xmax, ymin, ymax = domain
@@ -210,51 +205,143 @@ def _hull_backend(planes: Sequence[Plane3],
     return triangles
 
 
+def _clip_cell(planes: Sequence[Plane3], index: int, rivals: Iterable[int],
+               polygon: List[Point2]) -> List[Point2]:
+    """The part of the convex ``polygon`` where plane ``index`` is the
+    lowest of ``rivals`` (which may name the plane itself)."""
+    plane = planes[index]
+    cell = polygon
+    for other_index in rivals:
+        if other_index == index:
+            continue
+        other = planes[other_index]
+        # Cell of ``index``: a*x + b*y + c <= a'*x + b'*y + c'.
+        a = plane.a - other.a
+        b = plane.b - other.b
+        c = other.c - plane.c
+        if a == 0.0 and b == 0.0 and c == 0.0 and other_index < index:
+            return []       # the same plane twice: the first keeps the cell
+        cell = clip_polygon_halfplane(cell, a, b, c)
+        if len(cell) < 3:
+            return []
+    return cell
+
+
+def _triangulate(index: int, plane: Plane3,
+                 cell: Sequence[Point2]) -> List[EnvelopeTriangle]:
+    """Fan triangles of one plane's cell, lifted onto the plane."""
+    if len(cell) < 3 or polygon_area(cell) < _MIN_CELL_AREA:
+        return []
+    return [EnvelopeTriangle(plane_index=index, vertices=tuple(
+                (float(px), float(py), float(plane.z_at(px, py)))
+                for px, py in corners))
+            for corners in fan_triangulate(cell)]
+
+
 def _cells_to_triangles(planes: Sequence[Plane3],
-                        neighbor_sets: Sequence[Sequence[int]],
                         domain: Tuple[float, float, float, float],
-                        candidates: Optional[Sequence[int]] = None
+                        rivals_of: Mapping[int, Iterable[int]]
                         ) -> List[EnvelopeTriangle]:
-    """Clip each candidate plane's minimisation cell and fan-triangulate it."""
+    """Clip each candidate plane's minimisation cell out of the domain
+    against its rivals and fan-triangulate it."""
     xmin, xmax, ymin, ymax = domain
     base_polygon = rectangle_polygon(xmin, xmax, ymin, ymax)
-    if candidates is None:
-        candidates = range(len(planes))
     triangles: List[EnvelopeTriangle] = []
-    for index in candidates:
-        plane = planes[index]
-        cell = list(base_polygon)
-        for other_index in neighbor_sets[index]:
-            other = planes[other_index]
-            # Cell of ``index``: a*x + b*y + c <= a'*x + b'*y + c'.
-            a = plane.a - other.a
-            b = plane.b - other.b
-            c = other.c - plane.c
-            cell = clip_polygon_halfplane(cell, a, b, c)
-            if len(cell) < 3:
-                break
-        if len(cell) < 3 or polygon_area(cell) < _MIN_CELL_AREA:
-            continue
-        for corner_a, corner_b, corner_c in fan_triangulate(cell):
-            vertices = tuple(
-                (float(px), float(py), float(plane.z_at(px, py)))
-                for px, py in (corner_a, corner_b, corner_c)
-            )
-            triangles.append(EnvelopeTriangle(plane_index=index, vertices=vertices))
+    for index, rivals in rivals_of.items():
+        cell = _clip_cell(planes, index, rivals, base_polygon)
+        triangles.extend(_triangulate(index, planes[index], cell))
     return triangles
 
 
-def conflict_lists(all_planes: Sequence[Plane3],
+def refine_lower_envelope(envelope: TriangulatedEnvelope,
+                          planes: Sequence[Plane3],
+                          added_conflicts: Sequence[Sequence[int]]
+                          ) -> TriangulatedEnvelope:
+    """The envelope of ``planes`` from the envelope of a prefix of them.
+
+    ``envelope`` is the lower envelope of ``planes[:r]`` and
+    ``added_conflicts[t]`` names the planes ``r, r + 1, ...`` in the
+    conflict list of its triangle ``t``.  A plane is on the new envelope
+    only if it was on the old one or is an added plane in some triangle's
+    list, and inside an old triangle only that triangle's own plane and its
+    added conflicts compete — so each old triangle is clipped against that
+    active set alone, a plane's pieces are merged back into its (convex)
+    cell and the cell is fan-triangulated: near-linear in the envelope's
+    size, where clipping the whole sample is quadratic.  Should the cells
+    fail to tile the domain, every candidate is clipped against every
+    other instead.
+    """
+    pieces: Dict[int, List[Point2]] = {}
+    for triangle, added in zip(envelope.triangles, added_conflicts):
+        polygon = list(triangle.xy_vertices())
+        active = [triangle.plane_index, *added]
+        for index in active:
+            corners = _clip_cell(planes, index, active, polygon)
+            if corners:
+                pieces.setdefault(index, []).extend(corners)
+    triangles: List[EnvelopeTriangle] = []
+    covered = 0.0
+    for index in sorted(pieces):
+        corners = pieces[index]
+        cell = [corners[corner]
+                for corner in convex_hull(corners, eps=_MERGE_EPS)]
+        covered += polygon_area(cell)
+        triangles.extend(_triangulate(index, planes[index], cell))
+    xmin, xmax, ymin, ymax = envelope.domain
+    domain_area = (xmax - xmin) * (ymax - ymin)
+    if abs(covered - domain_area) > _TILING_TOLERANCE * domain_area:
+        candidates = sorted({triangle.plane_index
+                             for triangle in envelope.triangles}.union(
+                                 *added_conflicts))
+        triangles = _cells_to_triangles(
+            planes, envelope.domain,
+            {index: candidates for index in candidates})
+    return TriangulatedEnvelope(planes=planes, triangles=triangles,
+                                domain=envelope.domain)
+
+
+def nested_envelopes(coefficients: np.ndarray, sizes: Sequence[int],
+                     domain: Tuple[float, float, float, float]
+                     ) -> Iterator[Tuple[TriangulatedEnvelope, List[List[int]]]]:
+    """Envelope and conflict lists of each nested sample, coarse to fine.
+
+    Sample ``i`` is the first ``sizes[i]`` rows (ascending sizes) of the
+    ``(N, 3)`` plane ``coefficients``; its conflict lists number the
+    planes by row.  The coarsest envelope is clipped from scratch, every
+    finer one refined from the one before it
+    (:func:`refine_lower_envelope`) — the lists a sample stores are what
+    building the next sample needs.
+    """
+    planes = [Plane3(*row) for row in coefficients[:sizes[-1]].tolist()]
+    envelope = conflicts = None
+    for size in sizes:
+        if envelope is None:
+            envelope = compute_lower_envelope(planes[:size], domain)
+        else:
+            # Ascending lists of planes outside the old sample: the added
+            # planes are a prefix of each.
+            envelope = refine_lower_envelope(envelope, planes[:size], [
+                conflict[:bisect_left(conflict, size)]
+                for conflict in conflicts])
+        conflicts = conflict_lists(coefficients, range(size), envelope)
+        yield envelope, conflicts
+
+
+#: ``conflict_lists`` evaluates this many (plane, vertex) heights at a time.
+_CONFLICT_BATCH = 1 << 18
+
+
+def conflict_lists(all_planes: Union[Sequence[Plane3], np.ndarray],
                    sample_indices: Sequence[int],
                    envelope: TriangulatedEnvelope,
-                   eps: float = 1e-9,
-                   chunk: int = 256) -> List[List[int]]:
+                   eps: float = 1e-9) -> List[List[int]]:
     """Conflict list of every triangle of ``envelope``.
 
     Parameters
     ----------
     all_planes:
-        The full set ``H`` of planes (global indices).
+        The full set ``H`` of planes (global indices), or their ``(N, 3)``
+        coefficient matrix.
     sample_indices:
         Global indices of the planes in the sample ``R`` (excluded from the
         conflict lists, as in the paper).
@@ -265,40 +352,38 @@ def conflict_lists(all_planes: Sequence[Plane3],
 
     Returns
     -------
-    A list with one entry per triangle: the global indices of the planes of
-    ``H \\ R`` passing strictly below at least one vertex of the triangle.
+    A list with one entry per triangle: the global indices, ascending, of
+    the planes of ``H \\ R`` passing strictly below at least one vertex of
+    the triangle.
     """
-    num_planes = len(all_planes)
-    in_sample = np.zeros(num_planes, dtype=bool)
-    for index in sample_indices:
-        in_sample[index] = True
+    if isinstance(all_planes, np.ndarray):
+        coefficients = all_planes
+    else:
+        coefficients = np.array([plane.coefficients() for plane in all_planes],
+                                dtype=float).reshape(-1, 3)
+    outside_sample = np.ones(len(coefficients), dtype=bool)
+    outside_sample[np.asarray(sample_indices, dtype=np.intp)] = False
+    a_column = coefficients[:, 0:1]
+    b_column = coefficients[:, 1:2]
+    c_column = coefficients[:, 2:3]
 
-    coefficients = np.array([plane.coefficients() for plane in all_planes],
-                            dtype=float)
-    a_column = coefficients[:, 0]
-    b_column = coefficients[:, 1]
-    c_column = coefficients[:, 2]
-
-    results: List[List[int]] = [[] for _ in range(envelope.size)]
-    triangle_indices = list(range(envelope.size))
-    for start in range(0, len(triangle_indices), chunk):
-        batch = triangle_indices[start:start + chunk]
-        if not batch:
-            continue
+    results: List[List[int]] = []
+    # A few triangles at a time, so that the (N, 3 * batch) height matrix
+    # stays small beside the structure being built.
+    batch = max(1, _CONFLICT_BATCH // (3 * max(1, len(coefficients))))
+    for start in range(0, envelope.size, batch):
         # Stack the 3 vertices of each triangle in the batch: (3*batch, 3).
         vertices = np.array(
-            [vertex for t in batch for vertex in envelope.triangles[t].vertices],
-            dtype=float)
+            [vertex for triangle in envelope.triangles[start:start + batch]
+             for vertex in triangle.vertices], dtype=float)
         # heights[p, v] = height of plane p above vertex v's xy position.
-        heights = (a_column[:, None] * vertices[None, :, 0]
-                   + b_column[:, None] * vertices[None, :, 1]
-                   + c_column[:, None])
-        below = heights < (vertices[None, :, 2] - eps)
-        below[in_sample, :] = False
-        for offset, triangle_index in enumerate(batch):
-            columns = slice(3 * offset, 3 * offset + 3)
-            mask = below[:, columns].any(axis=1)
-            results[triangle_index] = np.nonzero(mask)[0].tolist()
+        heights = a_column * vertices[:, 0]
+        heights += b_column * vertices[:, 1]
+        heights += c_column
+        below = heights < (vertices[:, 2] - eps)
+        in_list = below.reshape(len(below), -1, 3).any(axis=2)
+        in_list &= outside_sample[:, None]
+        results.extend(np.flatnonzero(column).tolist() for column in in_list.T)
     return results
 
 
@@ -319,9 +404,13 @@ def default_domain(planes: Sequence[Plane3], margin: float = 2.0,
     planes' own coefficients (times ``margin``) covers every reasonable
     query.  The domain is deliberately kept tight: triangles reaching far
     outside the populated region accumulate needlessly large conflict lists,
-    which inflates both space and query I/Os.  Callers whose queries can
-    fall outside the default should pass an explicit domain (queries outside
-    the domain remain correct — the index falls back to a scan).
+    which inflates both space and query I/Os.  Queries outside the domain
+    remain correct — the index scans, and prices that scan in its cost
+    estimate.  On unit-cube points with uniformly random query directions
+    (the system benchmark's 3-D stream) that is 17–19% of the constraints
+    with the default [-4, 4]^2; a [-24, 24]^2 domain scanned 16% fewer of
+    them for 47% more space.  Callers whose queries mostly fall outside the
+    default should pass an explicit domain.
     """
     scale = 0.0
     for plane in planes:

@@ -11,18 +11,20 @@ an engineering substitution with the same role (documented under
 The tree recursively splits the bounding rectangle at the median triangle
 centroid (alternating axes); a triangle is handed to every child whose
 region its bounding box overlaps, so leaves contain a handful of candidate
-triangles.  Nodes are packed ``B`` per disk block, so a root-to-leaf descent
-touches O(depth / B)+O(1) blocks in the best case and O(depth) in the worst;
-leaf candidate triangles are stored inline in the leaf record.  Measured
-I/Os are reported as-is by the benchmarks.
+triangles.  Nodes are packed ``B`` per disk block, each block holding
+connected pieces of the tree filled breadth first, so a root-to-leaf descent
+touches about depth / log2(B) blocks; leaf candidate triangles are stored
+inline in the leaf record.  Measured I/Os are reported as-is by the
+benchmarks.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.geometry.predicates import point_in_triangle
 from repro.io.store import BlockStore
 
 Point2 = Tuple[float, float]
@@ -76,8 +78,6 @@ class ExternalPointLocator:
                                      max_depth=max_depth)
         else:
             self._root = self._add_node(_BuildNode(kind=_KIND_LEAF, payload=[]))
-        self._block_of_node: List[int] = []
-        self._slot_of_node: List[int] = []
         self._pack_nodes()
 
     # ------------------------------------------------------------------
@@ -116,29 +116,31 @@ class ExternalPointLocator:
     # disk layout
     # ------------------------------------------------------------------
     def _pack_nodes(self) -> None:
-        """Write nodes to disk in DFS order, ``B`` node records per block."""
-        order: List[int] = []
-        stack = [self._root]
-        seen = set()
-        while stack:
-            index = stack.pop()
-            if index in seen:
-                continue
-            seen.add(index)
-            order.append(index)
-            node = self._nodes[index]
-            if node.kind == _KIND_INTERNAL:
-                stack.append(node.right)
-                stack.append(node.left)
-        position_of = {node_index: position for position, node_index in enumerate(order)}
+        """Write the nodes to disk ``B`` records per block, each block a
+        few connected pieces of the tree filled breadth first — so a
+        descent stays inside a block for about ``log2 B`` levels."""
         B = self._store.block_size
-        self._block_of_node = [0] * len(self._nodes)
-        self._slot_of_node = [0] * len(self._nodes)
+        order: List[int] = []
+        roots = deque([self._root])
+        while roots:
+            frontier = deque([roots.popleft()])
+            while frontier:
+                index = frontier.popleft()
+                order.append(index)
+                node = self._nodes[index]
+                if node.kind == _KIND_INTERNAL:
+                    frontier += (node.left, node.right)
+                if len(order) % B == 0:
+                    # The block is full: the rest of this piece's frontier
+                    # starts pieces of later blocks.
+                    roots += frontier
+                    frontier.clear()
+        position_of = {node_index: position for position, node_index in enumerate(order)}
         block_ids: List[int] = []
         for start in range(0, len(order), B):
             chunk = order[start:start + B]
             records = []
-            for slot, node_index in enumerate(chunk):
+            for node_index in chunk:
                 node = self._nodes[node_index]
                 if node.kind == _KIND_LEAF:
                     records.append((_KIND_LEAF, node.payload))
@@ -146,12 +148,27 @@ class ExternalPointLocator:
                     records.append((_KIND_INTERNAL, node.axis, node.split,
                                     position_of[node.left],
                                     position_of[node.right]))
-                self._block_of_node[node_index] = len(block_ids)
-                self._slot_of_node[node_index] = slot
             block_ids.append(self._store.allocate(records))
         self._block_ids = block_ids
-        self._position_order = order
         self._root_position = position_of[self._root]
+        # Blocks a descent reads, averaged over the leaves: a child sits in
+        # its parent's block or a later one, so a root-to-leaf path enters
+        # each of its blocks once.
+        reads = leaves = 0
+        stack = [(self._root, 0, -1)]
+        while stack:
+            index, entered, block = stack.pop()
+            entered += position_of[index] // B != block
+            node = self._nodes[index]
+            if node.kind == _KIND_LEAF:
+                reads, leaves = reads + entered, leaves + 1
+            else:
+                block = position_of[index] // B
+                stack += [(node.left, entered, block),
+                          (node.right, entered, block)]
+        self._mean_path_blocks = reads / leaves
+        self._num_nodes = len(self._nodes)
+        self._nodes = []
 
     # ------------------------------------------------------------------
     # queries
@@ -164,10 +181,23 @@ class ExternalPointLocator:
     @property
     def num_nodes(self) -> int:
         """Number of tree nodes."""
-        return len(self._nodes)
+        return self._num_nodes
+
+    @property
+    def mean_path_blocks(self) -> float:
+        """Blocks one :meth:`locate` reads from a cold pool, averaged over
+        the tree's leaves."""
+        return self._mean_path_blocks
 
     def locate(self, x: float, y: float) -> Optional[int]:
-        """Return the label of a triangle containing ``(x, y)``, or None.
+        """Return the label of the triangle containing ``(x, y)``, or None.
+
+        Among the candidates of the leaf reached, the triangle in which
+        the point's smallest barycentric coordinate is largest — the
+        triangle itself when the point is inside one, and otherwise one it
+        misses by at most 1e-9 of the triangle's own size.  (A fixed
+        tolerance on the edge cross products would let a sliver claim
+        every point near the line through it.)
 
         Every block touched during the descent is read through the store, so
         the caller's I/O counters reflect the true access cost.
@@ -183,13 +213,42 @@ class ExternalPointLocator:
                 current_block = block_index
             record = current_records[slot]
             if record[0] == _KIND_LEAF:
+                best_label, best_margin = None, -_LOCATE_SLACK
                 for label, triangle in record[1]:
-                    if point_in_triangle((x, y), *triangle):
-                        return label
-                return None
+                    margin = _barycentric_margin(x, y, triangle)
+                    if margin >= best_margin:
+                        best_label, best_margin = label, margin
+                        if margin >= 0.0:
+                            break
+                return best_label
             __, axis, split, left_position, right_position = record
             coordinate = x if axis == 0 else y
             position = left_position if coordinate <= split else right_position
+
+    def stored_triangles(self) -> List[Tuple[object, Triangle2]]:
+        """Every ``(label, triangle)`` pair as the leaves hold it — a
+        triangle once per leaf it reaches — read back from the disk blocks
+        (what a structural checker compares against; charged as reads)."""
+        return [pair for block_id in self._block_ids
+                for record in self._store.read(block_id)
+                if record[0] == _KIND_LEAF for pair in record[1]]
+
+
+#: ``locate`` accepts a triangle the point misses by this share of its size.
+_LOCATE_SLACK = 1e-9
+
+
+def _barycentric_margin(x: float, y: float, triangle: Triangle2) -> float:
+    """The smallest barycentric coordinate of ``(x, y)`` in ``triangle``
+    (non-negative exactly when the point is inside); -inf when the triangle
+    has no area."""
+    (ax, ay), (bx, by), (cx, cy) = triangle
+    doubled_area = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    if doubled_area == 0.0:
+        return -math.inf
+    first = ((bx - x) * (cy - y) - (by - y) * (cx - x)) / doubled_area
+    second = ((cx - x) * (ay - y) - (cy - y) * (ax - x)) / doubled_area
+    return min(first, second, 1.0 - first - second)
 
 
 def _bbox(triangle: Triangle2) -> Tuple[Point2, Point2]:

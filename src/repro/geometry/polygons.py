@@ -132,3 +132,34 @@ def polygon_centroid(polygon: Sequence[Point2]) -> Point2:
     sx = sum(p[0] for p in polygon)
     sy = sum(p[1] for p in polygon)
     return (sx / len(polygon), sy / len(polygon))
+
+
+def convex_hull(points: Sequence[Point2], eps: float = 0.0) -> List[int]:
+    """Indices of the convex hull's corners, counter-clockwise.
+
+    Andrew's monotone chain.  A point within ``eps`` (as a cross product)
+    of the line through its hull neighbours is not a corner, so collinear
+    points — and, with a positive ``eps``, the near-duplicates that the
+    same vertex computed twice leaves behind — are dropped.  Fewer than
+    three corners mean the points are (nearly) collinear.
+    """
+    order = sorted(range(len(points)), key=points.__getitem__)
+    if len(order) < 3:
+        return order
+
+    def chain(indices) -> List[int]:
+        kept: List[int] = []
+        for index in indices:
+            x, y = points[index]
+            while len(kept) >= 2:
+                ax, ay = points[kept[-2]]
+                bx, by = points[kept[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > eps:
+                    break
+                kept.pop()
+            kept.append(index)
+        return kept
+
+    lower = chain(order)
+    upper = chain(reversed(order))
+    return lower[:-1] + upper[:-1]

@@ -182,5 +182,19 @@ class DiskArray:
             records.extend(block[lo:hi] if (lo, hi) != (0, len(block)) else block)
         return records
 
+    def read_range_array(self, start: int, stop: int) -> np.ndarray:
+        """Records ``[start, stop)`` of a columnar array as one matrix.
+
+        The blocks :meth:`read_range` touches, charged the same, read as
+        one :meth:`BlockStore.read_run`; a view when one block holds the
+        range.  ``start < stop``, and every block must be columnar.
+        """
+        B = self._store.block_size
+        first_block = start // B
+        blocks = self._store.read_run(
+            self._block_ids[first_block:(stop - 1) // B + 1])
+        matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return matrix[start - first_block * B:stop - first_block * B]
+
     def __repr__(self) -> str:
         return "DiskArray(len=%d, blocks=%d)" % (self._length, self.num_blocks)

@@ -130,15 +130,14 @@ class TestConvexLayers:
         points = uniform_points(400, seed=14)
         layers = convex_layers(points)
         assert len(layers) >= 2
-        # Outer layer's hull contains every inner point.
-        from scipy.spatial import ConvexHull
-        hull = ConvexHull(points[layers[0]])
-        # All points must be inside (or on) the outer hull: check via the
-        # hull inequalities.
-        A = hull.equations[:, :2]
-        b = hull.equations[:, 2]
+        # Outer layer's hull contains every inner point: the layer lists
+        # its corners counter-clockwise, so nothing lies right of an edge.
+        outer = points[layers[0]]
+        edges = np.roll(outer, -1, axis=0) - outer
         inner = points[np.concatenate(layers[1:])]
-        assert np.all(inner @ A.T + b <= 1e-9)
+        offsets = inner[:, None, :] - outer[None, :, :]
+        assert np.all(edges[:, 0] * offsets[:, :, 1]
+                      - edges[:, 1] * offsets[:, :, 0] >= -1e-9)
 
     def test_tiny_input(self):
         points = uniform_points(3, seed=15)

@@ -89,6 +89,20 @@ class TestDiskArray:
         assert array.read_range(8, 16) == list(range(8, 16))
         assert store_nocache.stats.reads == 1      # exactly block 1
 
+    def test_read_range_array_is_read_range_as_one_matrix(self, store_nocache):
+        """Same rows, same blocks charged, for every range of a columnar
+        array (a view of the block when one block holds the range)."""
+        rows = [(float(i), float(-i), 0.5 * i) for i in range(40)]
+        array = DiskArray(store_nocache, rows)
+        for start, stop in [(0, 1), (3, 8), (7, 9), (8, 16), (5, 40), (39, 40)]:
+            store_nocache.reset_stats()
+            records = array.read_range(start, stop)
+            reads = store_nocache.stats.reads
+            store_nocache.reset_stats()
+            matrix = array.read_range_array(start, stop)
+            assert store_nocache.stats.reads == reads
+            assert [tuple(row) for row in matrix.tolist()] == records
+
     def test_read_range_block_aligned_and_edges(self, store):
         array = DiskArray(store, list(range(30)))
         assert array.read_range(0, 30) == list(range(30))

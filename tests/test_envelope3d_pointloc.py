@@ -25,6 +25,17 @@ from repro.io.store import BlockStore
 DOMAIN = (-4.0, 4.0, -4.0, 4.0)
 
 
+def hull(count):
+    """A ``backend="hull"`` case: skipped where scipy (the ``test`` extra)
+    is not installed."""
+    try:
+        import scipy.spatial  # noqa: F401
+    except ImportError:
+        return pytest.param(count, "hull", marks=pytest.mark.skip(
+            reason='backend="hull" needs scipy'))
+    return pytest.param(count, "hull")
+
+
 def random_planes(count, seed):
     rng = np.random.default_rng(seed)
     coefficients = rng.uniform(-1, 1, size=(count, 3))
@@ -82,14 +93,14 @@ class TestLowerEnvelope:
         assert envelope.covered_area() == pytest.approx(envelope.domain_area())
 
     @pytest.mark.parametrize("count,backend", [(6, "exact"), (40, "exact"),
-                                               (150, "hull")])
+                                               hull(150)])
     def test_cells_tile_the_domain(self, count, backend):
         planes = random_planes(count, seed=count)
         envelope = compute_lower_envelope(planes, DOMAIN, backend=backend)
         assert envelope.covered_area() == pytest.approx(envelope.domain_area(),
                                                         rel=1e-6)
 
-    @pytest.mark.parametrize("count,backend", [(12, "exact"), (120, "hull")])
+    @pytest.mark.parametrize("count,backend", [(12, "exact"), hull(120)])
     def test_triangles_carry_the_lowest_plane(self, count, backend):
         planes = random_planes(count, seed=100 + count)
         envelope = compute_lower_envelope(planes, DOMAIN, backend=backend)
@@ -105,6 +116,7 @@ class TestLowerEnvelope:
             assert actual == pytest.approx(expected, abs=1e-6)
 
     def test_hull_and_exact_backends_agree_on_envelope_height(self):
+        pytest.importorskip("scipy.spatial", reason='backend="hull" needs scipy')
         planes = random_planes(60, seed=17)
         exact = compute_lower_envelope(planes, DOMAIN, backend="exact")
         hull = compute_lower_envelope(planes, DOMAIN, backend="hull")

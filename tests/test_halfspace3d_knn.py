@@ -10,6 +10,7 @@ from repro.core.kernels import PointRows
 from repro.core.knn import KNNIndex
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.primitives import LinearConstraint, Plane3
+from repro.workloads.queries import knn_query_points
 from repro.workloads import (
     halfspace_queries_with_selectivity,
     uniform_points,
@@ -160,6 +161,30 @@ class TestHalfspace3D:
                         .query(constraint)):
             assert isinstance(nothing, PointRows) and len(nothing) == 0
 
+    def test_estimate_is_the_bound_the_query_honours(self, halfspace_index):
+        """min(scan, probes + one list): a dual point outside the
+        envelopes' domain is priced as the scan it is, a small answer far
+        below it, and no answer above the scan plus the probes."""
+        points, index = halfspace_index
+        scan = math.ceil(len(points) / index.block_size)
+        outside = LinearConstraint((50.0, 0.0), 0.1)
+        assert index.estimated_query_ios(outside, 10) == scan
+        index.query(outside)
+        assert index.last_query == {"layer": None, "probes": 0,
+                                    "list_blocks": 0,
+                                    "scanned": "outside_domain"}
+        inside = LinearConstraint((0.3, -0.2), 0.1)
+        estimates = [index.estimated_query_ios(inside, expected)
+                     for expected in (0, 5, 40, 200, len(points))]
+        assert estimates == sorted(estimates)
+        assert estimates[0] < scan / 2 and scan <= estimates[-1] <= scan + 16
+        # Within a small factor of what small queries cost on average.
+        queries = halfspace_queries_with_selectivity(points, 30, 0.02, seed=21)
+        observed = sum(index.query_with_stats(q).total_ios for q in queries)
+        modelled = sum(index.estimated_query_ios(
+            q, len(brute_force_halfspace(points, q))) for q in queries)
+        assert 0.4 <= modelled / observed <= 2.5
+
     def test_three_copies_still_correct(self):
         points = uniform_points_ball(400, dimension=3, seed=14)
         index = HalfspaceIndex3D(points, block_size=32, copies=3, seed=15)
@@ -202,6 +227,28 @@ class TestKNN:
         n = math.ceil(len(points) / index.block_size)
         assert small.total <= large.total
         assert large.total <= 4 * n    # never much worse than a couple of scans
+
+    def test_most_attempts_succeed_and_none_costs_two_scans(self):
+        """``benchmarks/bench_knn.py``'s shape.  The sample is rounded
+        down, a failure moves to the next coarser layer, a call's reads
+        are capped at the scan's before it scans: at most half of the
+        TryLowestPlanes attempts fail (0.83 of them did when the sample
+        was rounded up and a retry re-read the nested sample)."""
+        points = uniform_points(4096, seed=1)
+        index = KNNIndex(points, block_size=32, copies=3, seed=2)
+        planes_index = index.planes_index
+        scan_blocks = math.ceil(len(points) / 32)
+        attempts = failed = 0
+        for k in (1, 8, 32, 128, 512):
+            for query in knn_query_points(12, seed=3):
+                found, ios = index.nearest_with_stats(tuple(query), k)
+                assert found == self.brute_nearest(points, query, k)
+                assert ios.total <= 2 * scan_blocks + 3 * planes_index.MAX_FAILURES
+                attempts += planes_index.last_attempts
+                failed += planes_index.last_attempts - (
+                    planes_index.last_attempts > planes_index.last_fallbacks)
+        assert attempts > 50
+        assert failed <= attempts / 2
 
     def test_empty_index(self):
         index = KNNIndex(np.zeros((0, 2)), block_size=16)

@@ -1,0 +1,248 @@
+"""The Section 4 structure is what it says it is, and answers what a scan does.
+
+``LowestPlanesIndex.check_invariants()`` reads every stored layer back from
+the disk and checks it against Section 4.1 (tiling, lowest plane, spans,
+complete conflict lists, sinking envelopes); the generated properties here
+call it after every build and compare every answer with the full scan's,
+over the input families whose envelopes differ most — a cube (few planes on
+the envelope), a ball, points on a paraboloid (every plane on it) and
+duplicated points (coincident planes).  The incremental envelope behind the
+build is held to the clip-everything reference the same way, and to a clip
+count that a quadratic construction cannot meet.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.baselines.full_scan import FullScanIndex
+from repro.core.halfspace3d import HalfspaceIndex3D
+from repro.core.kernels import scalar_kernels
+from repro.core.lowest_planes import LowestPlanesIndex
+from repro.geometry import envelope3d
+from repro.geometry.duality import dual_plane_of_point
+from repro.geometry.envelope3d import (
+    compute_lower_envelope,
+    default_domain,
+    nested_envelopes,
+)
+from repro.geometry.primitives import LinearConstraint
+from repro.workloads import uniform_points, uniform_points_ball
+
+FAMILIES = ("cube", "ball", "paraboloid", "duplicated")
+
+
+def family_points(family, count, seed):
+    rng = np.random.default_rng([seed, count])
+    if family == "cube":
+        return rng.uniform(-1.0, 1.0, size=(count, 3))
+    if family == "ball":
+        return np.asarray(uniform_points_ball(count, dimension=3, seed=seed))
+    if family == "paraboloid":
+        xy = rng.uniform(-1.0, 1.0, size=(count, 2))
+        return np.column_stack([xy, (xy ** 2).sum(axis=1)])
+    pool = rng.uniform(-1.0, 1.0, size=(max(1, count // 6), 3))
+    return pool[rng.integers(0, len(pool), size=count)]
+
+
+def sorted_rows(points):
+    return sorted(tuple(point) for point in points)
+
+
+def constraints_for(points, rng):
+    """Through the data, typical, outside the domain, with huge slopes."""
+    made = []
+    for scale in (1.0, 1.0, 1.0, 20.0, 1e5):
+        slopes = rng.uniform(-scale, scale, size=2)
+        if len(points):
+            anchor = points[rng.integers(len(points))]
+            through = float(anchor[2] - slopes @ anchor[:2])
+            made.append((slopes, through))
+            made.append((slopes, through + float(rng.uniform(-0.5, 0.5))))
+        else:
+            made.append((slopes, float(rng.uniform(-1, 1))))
+    return [LinearConstraint(coeffs=tuple(map(float, slopes)), offset=offset)
+            for slopes, offset in made]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=st.sampled_from(FAMILIES),
+       block_size=st.sampled_from([4, 32]),
+       size=st.sampled_from(["0", "1", "B-1", "B", "hundreds"]),
+       seed=st.integers(0, 10_000))
+def test_query_equals_full_scan_and_layers_hold_their_invariants(
+        family, block_size, size, seed):
+    count = {"0": 0, "1": 1, "B-1": block_size - 1, "B": block_size,
+             "hundreds": 200 + seed % 400}[size]
+    points = family_points(family, count, seed)
+    index = HalfspaceIndex3D(points, block_size=block_size, seed=seed)
+    index.planes_index.check_invariants()
+    oracle = FullScanIndex(points.reshape(-1, 3), block_size=block_size)
+    scan_blocks = math.ceil(count / block_size)
+    for constraint in constraints_for(points, np.random.default_rng(seed)):
+        result = index.query_with_stats(constraint)
+        assert sorted_rows(result.points) == sorted_rows(oracle.query(constraint))
+        detail = index.last_query
+        if count:
+            assert (detail["layer"] is None) == (detail["scanned"] is not None)
+            # min(scan, one list) plus the probes, each a descent of at
+            # most 33 nodes — a handful of blocks when a block holds 32.
+            assert result.total_ios <= scan_blocks + (
+                16 if block_size == 32 else 33 * detail["probes"])
+        with scalar_kernels():
+            again = index.query_with_stats(constraint)
+        assert list(again.points) == list(result.points)
+        assert again.total_ios == result.total_ios
+
+
+def test_three_copies_hold_their_invariants_and_answer_from_the_shortest_list():
+    points = family_points("ball", 700, seed=5)
+    one = HalfspaceIndex3D(points, block_size=16, seed=6)
+    three = HalfspaceIndex3D(points, block_size=16, copies=3, seed=6)
+    three.planes_index.check_invariants()
+    oracle = FullScanIndex(points, block_size=16)
+    for constraint in constraints_for(points, np.random.default_rng(7)):
+        assert sorted_rows(three.query(constraint)) \
+            == sorted_rows(oracle.query(constraint))
+        one.query(constraint)
+        # The first copy is ``one``'s only copy (same seed, same stream).
+        if one.last_query["scanned"] is None:
+            assert three.last_query["scanned"] is None
+            assert three.last_query["list_blocks"] <= one.last_query["list_blocks"] + 1
+
+
+def test_check_invariants_notices_a_truncated_conflict_list():
+    planes = [dual_plane_of_point(point)
+              for point in family_points("ball", 400, seed=8)]
+    index = LowestPlanesIndex(planes, block_size=8, seed=9)
+    index.check_invariants()
+    layer = index._copies[0].layers[-1]
+    victim = int(np.argmax(np.diff(layer.starts)))
+    layer.starts[victim + 1:] -= 1          # one record short from there on
+    with pytest.raises(AssertionError):
+        index.check_invariants()
+
+
+# ----------------------------------------------------------------------
+# the incremental envelope against the clip-everything reference
+# ----------------------------------------------------------------------
+def sample_sizes(count):
+    sizes = [2 ** power for power in range(count.bit_length())
+             if 2 ** power < count]
+    return sizes + [count]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(family=st.sampled_from(FAMILIES), count=st.integers(1, 160),
+       seed=st.integers(0, 10_000))
+def test_incremental_envelope_is_the_exact_envelope(family, count, seed):
+    planes = [dual_plane_of_point(point)
+              for point in family_points(family, count, seed)]
+    coefficients = np.array([plane.coefficients() for plane in planes])
+    domain = default_domain(planes)
+    *__, (incremental, conflicts) = nested_envelopes(
+        coefficients, sample_sizes(count), domain)
+    exact = compute_lower_envelope(planes, domain, backend="exact")
+    assert all(len(conflict) == 0 for conflict in conflicts)
+    assert incremental.covered_area() == pytest.approx(exact.domain_area(),
+                                                       rel=1e-6)
+    assert abs(incremental.size - exact.size) <= max(2, 0.1 * exact.size)
+    rng = np.random.default_rng(seed)
+    xmin, xmax, ymin, ymax = domain
+    for x, y in rng.uniform((xmin, ymin), (xmax, ymax), size=(200, 2)).tolist():
+        triangle = incremental.locate_brute(x, y)
+        assert triangle is not None
+        carried = planes[incremental.triangles[triangle].plane_index]
+        assert carried.z_at(x, y) == pytest.approx(
+            exact.envelope_height(x, y), abs=1e-9)
+
+
+def test_cells_that_do_not_tile_fall_back_to_clipping_all_candidates(monkeypatch):
+    planes = [dual_plane_of_point(point)
+              for point in family_points("ball", 120, seed=4)]
+    coefficients = np.array([plane.coefficients() for plane in planes])
+    domain = default_domain(planes)
+    hull = envelope3d.convex_hull
+    monkeypatch.setattr(envelope3d, "convex_hull",
+                        lambda corners, eps: hull(corners, eps)[:-1])
+    *__, (lossy, __) = nested_envelopes(coefficients, sample_sizes(120), domain)
+    monkeypatch.undo()
+    exact = compute_lower_envelope(planes, domain)
+    assert lossy.covered_area() == pytest.approx(exact.domain_area(), rel=1e-9)
+    assert lossy.size == exact.size
+
+
+def test_refinement_clips_near_linearly_on_a_paraboloid(monkeypatch):
+    """Every sample plane of a paraboloid input is on the envelope, the
+    worst case for its size; clipping every plane against every other
+    takes ``r^2 - r`` clips for the sample of ``r`` alone."""
+    points = family_points("paraboloid", 2048, seed=11)
+    coefficients = points * (-1.0, -1.0, 1.0)
+    clips = [0]
+    clip = envelope3d.clip_polygon_halfplane
+
+    def counting(*arguments):
+        clips[0] += 1
+        return clip(*arguments)
+
+    monkeypatch.setattr(envelope3d, "clip_polygon_halfplane", counting)
+    sizes = [2 ** power for power in range(10)]
+    triangles = sum(envelope.size for envelope, __ in nested_envelopes(
+        coefficients, sizes, (-4.0, 4.0, -4.0, 4.0)))
+    assert triangles > sizes[-1]
+    assert clips[0] <= 12 * triangles
+    assert clips[0] < sizes[-1] ** 2 / 4
+
+
+# ----------------------------------------------------------------------
+# the bounds the docstrings state
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("family,points", [
+    ("cube", lambda: uniform_points(8192, dimension=3, seed=3)),
+    ("ball", lambda: uniform_points_ball(8192, dimension=3, seed=3)),
+])
+def test_space_is_n_log_n_blocks_and_no_query_reads_much_more_than_a_scan(
+        family, points):
+    del family
+    points = np.asarray(points())
+    index = HalfspaceIndex3D(points, block_size=32, seed=13)
+    blocks = math.ceil(len(points) / 32)
+    assert index.space_blocks <= 4 * blocks * math.log2(blocks)
+    rng = np.random.default_rng(17)
+    for constraint in constraints_for(points, rng) * 3:
+        assert index.query_with_stats(constraint).total_ios <= blocks + 16
+
+
+def test_nothing_but_the_hull_oracle_needs_scipy():
+    """numpy is the only runtime dependency: the 3-D structures and the
+    convex-layers baseline build with scipy unimportable, and the one
+    function that wants it says which extra installs it."""
+    script = """
+import sys
+sys.modules["scipy"] = sys.modules["scipy.spatial"] = None
+import numpy as np
+import repro
+from repro.baselines import PagedDualIndex2D
+from repro.geometry.envelope3d import compute_lower_envelope
+from repro.geometry.primitives import Plane3
+points = np.random.default_rng(1).random((300, 3))
+repro.HalfspaceIndex3D(points, block_size=16, seed=2).planes_index.check_invariants()
+repro.KNNIndex(points[:, :2], block_size=16, seed=3)
+assert PagedDualIndex2D(points[:, :2], block_size=16).num_layers > 3
+try:
+    compute_lower_envelope([Plane3(0.0, 0.0, 0.0)], (-1, 1, -1, 1), backend="hull")
+except ImportError as error:
+    assert "test" in str(error) and "scipy" in str(error)
+else:
+    raise SystemExit("backend='hull' did not ask for scipy")
+"""
+    source = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=os.path.abspath(source)))

@@ -322,3 +322,43 @@ def test_writes_at_label_values_land_on_the_keyword_series():
     assert series[("x", "1")]["cumulative"][-1] == 2
     with pytest.raises(ValueError):
         counter.inc_at(("x", "1"), -1)
+
+
+def test_halfspace3d_outcomes_are_on_metrics_and_on_the_shard_span():
+    """How a ``halfspace3d`` query was answered — from one layer's list,
+    or by a scan and why — is a counter by ``dataset``/``outcome`` and four
+    attributes of the shard span, in whichever process ran the index."""
+    import numpy as np
+    from repro import LinearConstraint, QueryEngine
+    engine = QueryEngine(block_size=32, seed=3)
+    try:
+        points = np.random.default_rng(7).random((2048, 3))
+        engine.register_dataset("d", points, kinds=["halfspace3d"])
+        inside = LinearConstraint(coeffs=(0.2, -0.1), offset=-0.05)
+        steep = LinearConstraint(coeffs=(30.0, 0.0), offset=0.5)
+        everything = LinearConstraint(coeffs=(0.0, 0.0), offset=5.0)
+        for constraint in (inside, steep, everything):
+            report = engine.explain("d", constraint, analyze=True)
+            shard = report["per_shard"][0]
+            detail = engine.catalog.indexes("d")["halfspace3d"].last_query
+            if engine.cluster is None:
+                assert {name: shard[name] for name in detail} == detail
+            assert set(shard) >= {"layer", "probes", "list_blocks", "scanned"}
+        assert engine.explain("d", steep, analyze=True)[
+            "per_shard"][0]["scanned"] == "outside_domain"
+        assert engine.explain("d", everything, analyze=True)[
+            "per_shard"][0]["scanned"] == "no_layer"
+        answered = engine.explain("d", inside, analyze=True)["per_shard"][0]
+        assert answered["scanned"] is None and answered["layer"] >= 8
+        assert answered["ios"] == answered["blocks_read"] \
+            >= answered["probes"] + answered["list_blocks"] > 0
+        scraped = dict(
+            line.split(" ") for line
+            in render_prometheus(engine.stats.registry).splitlines()
+            if line.startswith("engine_halfspace3d_queries_total"))
+        assert scraped == {
+            'engine_halfspace3d_queries_total{dataset="d",outcome="%s"}'
+            % outcome: "2" for outcome in ("layer", "outside_domain",
+                                           "no_layer")}
+    finally:
+        engine.close()

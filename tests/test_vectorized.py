@@ -637,10 +637,11 @@ def test_hybrid_batches_below_leaves_and_queries_crossed_ones(monkeypatch):
     vector = index.query(constraint)
     vector_log = list(log)
     assert index.last_leaves_queried > 0
-    # Runs hold the raw copies of BELOW leaves and nothing else; a
-    # crossed leaf's answer comes from its own structure's blocks.
-    assert max(map(len, runs)) > 1
-    assert leaf_blocks.issuperset(block for run in runs for block in run)
+    # A run holds the raw copies of BELOW leaves or one conflict list of a
+    # crossed leaf's own structure, never both.
+    assert max(len(run) for run in runs if leaf_blocks.issuperset(run)) > 1
+    assert all(leaf_blocks.issuperset(run) or leaf_blocks.isdisjoint(run)
+               for run in runs)
     assert not leaf_blocks.issuperset(vector_log)
     del log[:], runs[:]
     with scalar_kernels():
