@@ -33,6 +33,7 @@ speedup with identical I/O traces on both sides.
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from typing import (Any, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -232,6 +233,167 @@ for _name in ("__getitem__", "__contains__", "__reversed__", "__repr__",
 for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "clear",
               "insert", "pop", "remove", "reverse", "sort"):
     setattr(PointRows, _name, _boxed_first(_name, mutates=True))
+
+
+# ----------------------------------------------------------------------
+# the answer matrix as JSON text
+# ----------------------------------------------------------------------
+#: Below this many values :func:`matrix_json` is ``json.dumps``: the
+#: vector kernel costs ~0.2 ms before its first digit.  Medians on the
+#: builder's host (kernel | json.dumps, us, d = 2; d = 3 the same):
+#: 96 values 210 | 118, 192 values 245 | 236, 256 values 253 | 314,
+#: 384 values 294 | 462, 512 values 350 | 638, 1024 values 494 | 1239,
+#: 8192 values 2785 | 10812 -- the curves cross near 200.
+_JSON_CROSSOVER = 384
+#: Values encoded per kernel call (~300 B of temporaries each).
+_JSON_CHUNK = 4096
+#: One value's text: sign, "0.000", 17 digits around a point slot, then
+#: "," or "],[" and a spare byte; unused bytes stay NUL.
+_FIELD = 28
+_SPLITTER = 134217729.0             # 2**27 + 1: Veltkamp's split
+_TWO52 = 4503599627370496.0
+#: repr prints positional notation for 1e-4 <= |x| < 1e16.  The four
+#: negative powers round up as doubles, so ``a >= _TENS[k]`` decides
+#: ``a >= 10**(k - 4)`` exactly.
+_TENS = np.array([float("1e%d" % k) for k in range(-4, 17)])
+_SCALE = np.array([float("1e%d" % k) for k in range(21)])   # exact doubles
+_SCALE_HI = _SCALE * _SPLITTER
+_SCALE_HI = _SCALE_HI - (_SCALE_HI - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+#: "0000" .. "9999" as little-endian words: four digits per lookup.
+_QUADS = np.frombuffer(b"".join(b"%04d" % n for n in range(10000)),
+                       dtype="<u4")
+_DIGITS = np.arange(17)
+#: By decade (exponent + 5): which of the 17 digits are the integer part.
+_WHOLE = _DIGITS <= np.arange(-5, 16)[:, None]
+_UPTO = _DIGITS <= _DIGITS[:, None]
+
+
+def _json_chunk(values: np.ndarray, row_width: int) -> bytes:
+    """``values`` (flat, finite float64) as ``repr`` text, each followed
+    by ``,`` — or by ``],[`` after every ``row_width``-th.
+
+    Per value: ``|x| * 10**(16 - e)`` as an exact 17-digit integer part
+    and a fraction (Dekker's two-product), the rounding interval of
+    ``x`` in the same units, and the nearest 15-, 16- and 17-digit
+    decimals; the first inside the interval is what ``repr`` prints
+    (shortest, then nearest — the 17-digit one always is inside).  All
+    comparisons are on integers scaled by 2**52, hence exact.
+    """
+    n = len(values)
+    size = np.abs(values)
+    decade = _TENS.searchsorted(size, "right")      # exponent + 5
+    fixed = (decade > 0) & (decade < 21)
+    plain = bool(fixed.all())
+    if not plain:       # zeros and exponent notation: rewritten below
+        size = np.where(fixed, size, 1.0)
+        decade = np.where(fixed, decade, 5)
+    exponent = decade - 5
+    shift = 21 - decade
+    scale = _SCALE[shift]
+    # size * scale == high + low exactly; high is an integer (>= 2**53)
+    # and low has under 48 fractional bits.
+    high = size * scale
+    split = size * _SPLITTER
+    size_hi = split - (split - size)
+    size_lo = size - size_hi
+    scale_hi, scale_lo = _SCALE_HI[shift], _SCALE_LO[shift]
+    low = (((size_hi * scale_hi - high) + size_hi * scale_lo)
+           + size_lo * scale_hi) + size_lo * scale_lo
+    floor = np.floor(low)
+    whole = high.astype(np.int64) + floor.astype(np.int64)
+    fraction = ((low - floor) * _TWO52).astype(np.int64)
+    # Half the gap to the next double, in units of 2**-52: a power of
+    # two times 10**shift, so exact.  Two refinements of the interval
+    # cannot show below 1e16 and are left out.  Its ends, x's own when
+    # the mantissa is even, are odd multiples of 5**shift / 2**j with
+    # j > 0 -- no 17-digit decimal -- until |x| >= 2**52, where x is an
+    # integer and its own nearest decimal.  The gap below a power of two
+    # is half as wide, but every power of two in this range is a decimal
+    # of at most 16 digits.
+    reach = (np.spacing(size) * scale * (_TWO52 / 2)).astype(np.int64)
+    digits = whole + (fraction + (whole & 1) > 1 << 51)     # half-even
+    for unit in (10, 100):
+        quotient = whole // unit
+        rest = ((whole - quotient * unit) << 52) + fraction
+        up = rest + (quotient & 1) > unit << 51
+        inside = np.where(up, (unit << 52) - rest, rest) < reach
+        digits = np.where(inside, (quotient + up) * unit, digits)
+    # 17 digits = 1 + 8 + 8, each eight as two table words, written
+    # where the fraction digits go: bytes 7..23 of the field.
+    head = digits // 100000000
+    tail = (digits - head * 100000000).astype(np.uint32)
+    first = head // 100000000
+    middle = (head - first * 100000000).astype(np.uint32)
+    field = np.zeros((n, _FIELD), dtype=np.uint8)
+    words = field.view("<u4")
+    upper = middle // 10000
+    words[:, 2] = _QUADS[upper]
+    words[:, 3] = _QUADS[middle - upper * 10000]
+    upper = tail // 10000
+    words[:, 4] = _QUADS[upper]
+    words[:, 5] = _QUADS[tail - upper * 10000]
+    field[:, 7] = first + 48
+    text = field[:, 7:24]
+    # Trailing zeros go, but not the first fraction digit; the integer
+    # part moves one byte left and the point takes the gap.
+    last = 16 - (text[:, ::-1] != 48).argmax(axis=1)
+    kept = _UPTO.take(np.maximum(last, exponent + 1), axis=0)
+    small = exponent < 0
+    if small.all():
+        text *= kept
+    else:
+        whole_part = _WHOLE.take(decade, axis=0)
+        integer = text * whole_part
+        text *= kept > whole_part
+        field[:, 6:23] |= integer
+    field[:, 0] = np.signbit(values) * np.uint8(45)
+    field[:, 1] = small * np.uint8(48)
+    for column in (3, 4, 5):
+        field[:, column] = (exponent < 2 - column) * np.uint8(48)
+    field.ravel()[np.arange(0, n * _FIELD, _FIELD)
+                  + np.where(small, 2, exponent + 7)] = 46
+    if not plain:
+        zero = values == 0
+        field[zero, 1:24] = 0
+        field[zero, 6:9] = (48, 46, 48)
+        for index in np.flatnonzero(~(fixed | zero)).tolist():
+            literal = repr(float(values[index])).encode()
+            field[index, :24] = 0
+            field[index, :len(literal)] = np.frombuffer(literal, np.uint8)
+    field[:, 24] = 44
+    field[row_width - 1::row_width, 24:27] = (93, 44, 91)
+    return field.tobytes().translate(None, b"\0")
+
+
+def matrix_json(matrix: np.ndarray) -> bytes:
+    """An ``(n, d)`` float64 answer as compact JSON text ``[[a,b],...]``.
+
+    Byte for byte ``json.dumps(matrix.tolist(), separators=(",", ":"))``
+    — every number is the digits ``repr`` prints, so ``json.loads``
+    gives back the identical doubles — and *is* that call for small
+    answers and under :func:`scalar_kernels`.  Larger ones are written
+    :data:`_JSON_CHUNK` values at a time by array arithmetic
+    (:func:`_json_chunk`) with no Python float per value; only values
+    ``repr`` prints in exponent notation (``|x|`` outside ``[1e-4,
+    1e16)``) are written one by one.  NaN and infinities raise the
+    ``ValueError`` that ``allow_nan=False`` raises.
+    """
+    if not _VECTORIZED or matrix.size < _JSON_CROSSOVER:
+        return json.dumps(matrix.tolist(), separators=(",", ":"),
+                          allow_nan=False).encode("ascii")
+    if not np.isfinite(matrix).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    width = matrix.shape[1]
+    rows = max(1, _JSON_CHUNK // width)
+    pieces = [b"[["]
+    for start in range(0, len(matrix), rows):
+        chunk = np.ascontiguousarray(matrix[start:start + rows],
+                                     dtype=POINT_DTYPE)
+        pieces.append(_json_chunk(chunk.ravel(), width))
+    pieces[-1] = pieces[-1][:-2]        # "],[" ends the last row: "]"
+    pieces.append(b"]")
+    return b"".join(pieces)
 
 
 class DeferredScan:

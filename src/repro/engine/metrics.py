@@ -40,6 +40,8 @@ write_ios_total             dataset                  writes.*.total_ios
 write_latency_seconds       dataset                  writes.*.latency_s
 http_requests_total         endpoint, status         http.*.requests, status
 http_latency_seconds        endpoint                 http.*.latency_s
+http_encode_seconds         endpoint                 http.*.encode_s
+http_response_bytes         endpoint                 http.*.response_bytes
 admission_decisions_total   decision                 admission
 queue_depth_max (gauge)                              max_queue_depth
 rebalances_total            dataset                  rebalances.count,
@@ -321,6 +323,12 @@ class EngineStats:
         self._m_http_latency = reg.histogram(
             "engine_http_latency_seconds", "HTTP handling latency",
             ("endpoint",))
+        self._m_http_encode = reg.histogram(
+            "engine_http_encode_seconds",
+            "Time spent encoding a response's bodies", ("endpoint",))
+        self._m_http_bytes = reg.histogram(
+            "engine_http_response_bytes", "Response body size",
+            ("endpoint",), buckets=tuple(4 ** k for k in range(3, 13)))
         self._m_admission = reg.counter(
             "engine_admission_decisions_total",
             "Admission-control outcomes", ("decision",))
@@ -437,16 +445,20 @@ class EngineStats:
         self._m_write_ios.inc(ios, dataset=dataset)
         self._m_write_latency.observe(latency_s, dataset=dataset)
 
-    def note_http(self, endpoint: str, status: int,
-                  latency_s: float) -> None:
+    def note_http(self, endpoint: str, status: int, latency_s: float,
+                  encode_s: float, body_bytes: int) -> None:
         """Record one handled HTTP request.
 
         ``endpoint`` is the route path (e.g. ``"/query"``); the server
         buckets unroutable or malformed requests under ``"*"`` so a
         scanner probing random paths cannot grow the table unboundedly.
+        ``encode_s`` of the latency went into turning the response's
+        ``body_bytes`` into text.
         """
         self._m_http.inc(endpoint=endpoint, status=int(status))
         self._m_http_latency.observe(latency_s, endpoint=endpoint)
+        self._m_http_encode.observe(encode_s, endpoint=endpoint)
+        self._m_http_bytes.observe(body_bytes, endpoint=endpoint)
 
     def note_rebalance(self, event: Dict[str, object]) -> None:
         """Record one shard re-split event."""
@@ -644,10 +656,13 @@ class EngineStats:
             entry = out.setdefault(endpoint, {"requests": 0, "status": {}})
             entry["requests"] += amount
             entry["status"][status] = amount
-        latency = view.merged(self._m_http_latency, 0)
-        for endpoint, entry in out.items():
-            entry["latency_s"] = _percentiles(
-                latency.get(endpoint, _NO_SAMPLES), _P50_95_99)
+        for field, metric in (("latency_s", self._m_http_latency),
+                              ("encode_s", self._m_http_encode),
+                              ("response_bytes", self._m_http_bytes)):
+            merged = view.merged(metric, 0)
+            for endpoint, entry in out.items():
+                entry[field] = _percentiles(
+                    merged.get(endpoint, _NO_SAMPLES), _P50_95_99)
         return out
 
     # ------------------------------------------------------------------

@@ -24,7 +24,9 @@ Every handler runs *on the event loop* and awaits the executor; the
 engine's blocking work happens in the executor's worker threads, so one
 slow query never stalls other connections.  Each request is recorded in
 :meth:`EngineStats.note_http` under its route (label ``*`` for requests
-that never matched a route), which is what ``GET /stats`` reports back.
+that never matched a route) — latency, and the "HTTP serialise" row:
+seconds spent encoding its bodies and their size — which is what
+``GET /stats`` reports back.
 
 Each request also opens a request trace (when the engine's tracing is
 on): the serving executor's spans — admission decisions, planner,
@@ -48,16 +50,43 @@ from repro.engine.server.protocol import (HTTPError, HTTPRequest, json_body,
                                           parse_mutation_request,
                                           parse_query_request,
                                           parse_stream_query,
-                                          render_response, sse_event,
-                                          sse_preamble)
+                                          render_response, served_body,
+                                          sse_event, sse_preamble)
 
 #: HTTP status for each scheduler outcome.
 _OUTCOME_STATUS = {"served": 200, "degraded": 200, "rejected": 429,
                    "expired": 504, "failed": 500}
 
-#: (status, payload, keep_alive) triple a route handler returns; payload
-#: None means the handler already wrote the response (the SSE path).
-_Handled = Tuple[int, Optional[dict], bool]
+#: (status, body, keep_alive) triple a route handler returns; body None
+#: means the handler already wrote the response (SSE, ``/metrics``).
+_Handled = Tuple[int, Optional[bytes], bool]
+
+
+class _Reply:
+    """The bodies of one request's response, accounted: seconds spent
+    encoding them and bytes produced (the "HTTP serialise" row)."""
+
+    __slots__ = ("root", "encode_s", "body_bytes")
+
+    def __init__(self, root) -> None:
+        #: The request's root span (the null span with tracing off).
+        self.root = root
+        self.encode_s = 0.0
+        self.body_bytes = 0
+
+    def encoded(self, encode: Callable[[object], bytes],
+                subject: object) -> bytes:
+        started = time.perf_counter()
+        body = encode(subject)
+        self.encode_s += time.perf_counter() - started
+        self.body_bytes += len(body)
+        return body
+
+    def body(self, encode: Callable[[dict], bytes], payload: dict) -> bytes:
+        """``payload``, stamped with the request's trace id, encoded."""
+        if self.root.trace_id:
+            payload.setdefault("trace_id", self.root.trace_id)
+        return self.encoded(encode, payload)
 
 
 class EngineApp:
@@ -136,17 +165,14 @@ class EngineApp:
             "http.request", endpoint=endpoint, method=request.method)
         trace_headers = (("X-Trace-Id", trace.trace_id),) \
             if trace.trace_id else ()
+        reply = _Reply(trace.root)
         try:
             handler = self._route_for(request)
             with tracing.activate(trace.root):
-                status, payload, keep_alive = await handler(request, writer)
-            if payload is not None:
-                if trace.trace_id:
-                    payload.setdefault("trace_id", trace.trace_id)
-                    outcome = payload.get("outcome")
-                    if isinstance(outcome, str):
-                        trace.root.set("outcome", outcome)
-                writer.write(render_response(status, json_body(payload),
+                status, body, keep_alive = await handler(request, writer,
+                                                         reply)
+            if body is not None:
+                writer.write(render_response(status, body,
                                              keep_alive=keep_alive,
                                              extra_headers=trace_headers))
                 await writer.drain()
@@ -157,33 +183,31 @@ class EngineApp:
             if exc.retry_after_s is not None:
                 extra.append(("Retry-After", "%d"
                               % max(1, int(exc.retry_after_s + 0.999))))
-            payload = exc.payload()
-            if trace.trace_id:
-                payload["trace_id"] = trace.trace_id
-                trace.root.set("error", exc.code)
-            writer.write(render_response(status, json_body(payload),
-                                         keep_alive=keep_alive,
-                                         extra_headers=extra))
+            trace.root.set("error", exc.code)
+            writer.write(render_response(
+                status, reply.body(json_body, exc.payload()),
+                keep_alive=keep_alive, extra_headers=extra))
             await writer.drain()
         except Exception as exc:
             status = 500
             keep_alive = False
             error = HTTPError(500, "internal_error",
                               "%s: %s" % (type(exc).__name__, exc))
-            payload = error.payload()
-            if trace.trace_id:
-                payload["trace_id"] = trace.trace_id
-                trace.root.set("error", "internal_error")
-            writer.write(render_response(500, json_body(payload),
-                                         keep_alive=False,
-                                         extra_headers=trace_headers))
+            trace.root.set("error", "internal_error")
+            writer.write(render_response(
+                500, reply.body(json_body, error.payload()),
+                keep_alive=False, extra_headers=trace_headers))
             await writer.drain()
         finally:
             if trace.trace_id:
-                trace.root.set("status", status)
+                trace.root.set_many({
+                    "status": status,
+                    "encode_us": round(reply.encode_s * 1e6, 1),
+                    "body_bytes": reply.body_bytes})
             trace.finish()
             self._engine.stats.note_http(endpoint, status,
-                                         self._clock() - started)
+                                         self._clock() - started,
+                                         reply.encode_s, reply.body_bytes)
         return keep_alive
 
     # ------------------------------------------------------------------
@@ -241,8 +265,8 @@ class EngineApp:
             payload["answer"] = {
                 "index": answer.index_name,
                 "count": answer.count,
-                # One call on the answer's matrix: no per-point boxing.
-                "points": answer.matrix.tolist(),
+                # The matrix itself: ``served_body`` has it written.
+                "points": answer.matrix,
                 "ios": answer.total_ios,
                 "latency_s": answer.latency_s,
                 "from_result_cache": answer.from_result_cache,
@@ -282,84 +306,87 @@ class EngineApp:
     # ------------------------------------------------------------------
     # route handlers
     # ------------------------------------------------------------------
-    async def _handle_query(self, request: HTTPRequest, writer) -> _Handled:
+    def _encode_served(self, served: ServedRequest,
+                       reply: _Reply) -> bytes:
+        reply.root.set("outcome", served.outcome)
+        return reply.body(served_body, self._served_payload(served))
+
+    async def _handle_query(self, request: HTTPRequest, writer,
+                            reply: _Reply) -> _Handled:
         key = self._auth.authenticate(request)
         self._auth.check_rate(key)
         serving = parse_query_request(request.json(), key.tenant)
         self._validate_query(serving)
         served = await self._executor.submit(serving)
         return (_OUTCOME_STATUS.get(served.outcome, 500),
-                self._served_payload(served), request.keep_alive)
+                self._encode_served(served, reply), request.keep_alive)
 
-    async def _handle_mutation(self, request: HTTPRequest,
-                               op: str) -> _Handled:
+    async def _handle_mutation(self, request: HTTPRequest, op: str,
+                               reply: _Reply) -> _Handled:
         key = self._auth.authenticate(request)
         self._auth.check_rate(key)
         serving = parse_mutation_request(request.json(), key.tenant, op)
         self._validate_mutation(serving)
         served = await self._executor.submit(serving)
         return (_OUTCOME_STATUS.get(served.outcome, 500),
-                self._served_payload(served), request.keep_alive)
+                self._encode_served(served, reply), request.keep_alive)
 
-    async def _handle_insert(self, request: HTTPRequest, writer) -> _Handled:
-        return await self._handle_mutation(request, "insert")
+    async def _handle_insert(self, request: HTTPRequest, writer,
+                             reply: _Reply) -> _Handled:
+        return await self._handle_mutation(request, "insert", reply)
 
-    async def _handle_delete(self, request: HTTPRequest, writer) -> _Handled:
-        return await self._handle_mutation(request, "delete")
+    async def _handle_delete(self, request: HTTPRequest, writer,
+                             reply: _Reply) -> _Handled:
+        return await self._handle_mutation(request, "delete", reply)
 
-    async def _handle_stream(self, request: HTTPRequest, writer) -> _Handled:
+    async def _handle_stream(self, request: HTTPRequest, writer,
+                             reply: _Reply) -> _Handled:
         key = self._auth.authenticate(request)
         self._auth.check_rate(key)
         serving = parse_stream_query(request.query, key.tenant)
         self._validate_query(serving)
         # Everything that can 4xx happened above — from here the response
         # is a committed 200 event stream, so failures become events.
-        trace_id = tracing.current_trace_id()
-
-        def stamped(payload: dict) -> dict:
-            if trace_id:
-                payload.setdefault("trace_id", trace_id)
-            return payload
-
         writer.write(sse_preamble())
         await writer.drain()
         estimate = self._executor.estimate(serving)
-        writer.write(sse_event("estimate",
-                               stamped(self._estimate_payload(estimate))))
+        writer.write(sse_event("estimate", reply.body(
+            json_body, self._estimate_payload(estimate))))
         await writer.drain()
         served = await self._executor.submit(serving)
         if served.outcome in ("served", "degraded"):
-            writer.write(sse_event("result",
-                                   stamped(self._served_payload(served))))
-        elif served.outcome == "expired":
-            writer.write(sse_event("expired",
-                                   stamped(self._served_payload(served))))
+            event = "result"
         else:
-            writer.write(sse_event("error",
-                                   stamped(self._served_payload(served))))
+            event = "expired" if served.outcome == "expired" else "error"
+        writer.write(sse_event(event, self._encode_served(served, reply)))
         await writer.drain()
         # SSE responses are close-framed; the handler wrote everything.
         return 200, None, False
 
-    async def _handle_stats(self, request: HTTPRequest, writer) -> _Handled:
+    async def _handle_stats(self, request: HTTPRequest, writer,
+                            reply: _Reply) -> _Handled:
         self._auth.authenticate(request)  # authenticated, but never rated
-        return 200, self._engine.summary(), request.keep_alive
+        return (200, reply.body(json_body, self._engine.summary()),
+                request.keep_alive)
 
-    async def _handle_metrics(self, request: HTTPRequest, writer) -> _Handled:
+    async def _handle_metrics(self, request: HTTPRequest, writer,
+                              reply: _Reply) -> _Handled:
         """The metric registry in Prometheus text exposition format."""
         self._auth.authenticate(request)  # authenticated, never rated
         # Model/conformal gauges are pull-refreshed snapshots, not
         # hot-path counters: bring them current before rendering.
         self._engine.stats.refresh_model_metrics()
-        body = render_prometheus(self._engine.stats.registry) \
-            .encode("utf-8")
+        body = reply.encoded(
+            lambda registry: render_prometheus(registry).encode("utf-8"),
+            self._engine.stats.registry)
         writer.write(render_response(200, body,
                                      content_type=_PROMETHEUS_TYPE,
                                      keep_alive=request.keep_alive))
         await writer.drain()
         return 200, None, request.keep_alive
 
-    async def _handle_trace(self, request: HTTPRequest, writer) -> _Handled:
+    async def _handle_trace(self, request: HTTPRequest, writer,
+                            reply: _Reply) -> _Handled:
         """One finished trace by id (the span tree, JSON)."""
         self._auth.authenticate(request)
         trace_id = request.path[len("/trace/"):]
@@ -369,9 +396,10 @@ class EngineApp:
                             "no finished trace %r (traces are evicted "
                             "oldest-first; is tracing enabled?)"
                             % trace_id[:64])
-        return 200, dict(payload), request.keep_alive
+        return 200, reply.body(json_body, dict(payload)), request.keep_alive
 
-    async def _handle_slow(self, request: HTTPRequest, writer) -> _Handled:
+    async def _handle_slow(self, request: HTTPRequest, writer,
+                           reply: _Reply) -> _Handled:
         """The newest slow/degraded request traces (``?n=`` to bound)."""
         self._auth.authenticate(request)
         raw = request.query.get("n", "20")
@@ -381,13 +409,15 @@ class EngineApp:
             raise HTTPError(400, "bad_count",
                             "'n' must be an integer, got %r" % raw[:20])
         return (200,
-                {"threshold_s": self._engine.tracer.slow_threshold_s,
-                 "slow": self._engine.tracer.slow(n)},
+                reply.body(json_body, {
+                    "threshold_s": self._engine.tracer.slow_threshold_s,
+                    "slow": self._engine.tracer.slow(n)}),
                 request.keep_alive)
 
-    async def _handle_healthz(self, request: HTTPRequest,
-                              writer) -> _Handled:
+    async def _handle_healthz(self, request: HTTPRequest, writer,
+                              reply: _Reply) -> _Handled:
         return (200,
-                {"status": "ok",
-                 "datasets": self._engine.catalog.datasets()},
+                reply.body(json_body, {
+                    "status": "ok",
+                    "datasets": self._engine.catalog.datasets()}),
                 request.keep_alive)

@@ -1,10 +1,11 @@
 """The wire layer of the network front-end: HTTP/1.1 parsing and the
 JSON request schema.
 
-Everything here is dependency-free stdlib: requests are parsed off an
-:mod:`asyncio` stream reader (request line, headers, ``Content-Length``
-body), responses are rendered as bytes, and Server-Sent Events are
-framed for the streaming endpoint.  Validation failures raise
+Requests are parsed off an :mod:`asyncio` stream reader (request line,
+headers, ``Content-Length`` body), responses are rendered as bytes, and
+Server-Sent Events are framed for the streaming endpoint; all of it is
+stdlib except an answer's points, which :func:`served_body` has the
+``matrix_json`` kernel write.  Validation failures raise
 :class:`HTTPError` — a structured status + machine-readable code +
 human message — which the app layer turns into a JSON error body, so a
 client never has to parse prose to find out *what* was wrong.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.core.kernels import matrix_json
 from repro.engine.serving.queue import ServingRequest
 from repro.geometry.primitives import LinearConstraint
 
@@ -90,11 +92,16 @@ class HTTPRequest:
     query: Dict[str, str]
     headers: Dict[str, str]
     body: bytes = b""
+    version: str = "HTTP/1.1"
 
     @property
     def keep_alive(self) -> bool:
-        """HTTP/1.1 default unless the client asked to close."""
-        return self.headers.get("connection", "").lower() != "close"
+        """The version's default — HTTP/1.1 persists, HTTP/1.0 closes —
+        unless the ``Connection`` header says otherwise."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return connection == "keep-alive"
+        return connection != "close"
 
     def json(self) -> Dict[str, object]:
         """The body as a JSON object (structured 400s otherwise)."""
@@ -167,7 +174,7 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HTTPRequest]:
         exc.path = exc.path or path
         raise
     return HTTPRequest(method=method, path=path, query=query,
-                       headers=headers, body=body)
+                       headers=headers, body=body, version=parts[2])
 
 
 async def _read_body(reader: asyncio.StreamReader, method: str,
@@ -301,10 +308,31 @@ def sse_preamble() -> bytes:
             b"Connection: close\r\n\r\n")
 
 
-def sse_event(event: str, payload: object) -> bytes:
-    """One named SSE event with a JSON data line."""
-    return ("event: %s\ndata: %s\n\n"
-            % (event, json.dumps(payload, allow_nan=False))).encode("utf-8")
+def served_body(payload: Dict[str, object]) -> bytes:
+    """The JSON body of a scheduler outcome — ``POST /query``, the
+    mutations, the SSE ``result`` event.
+
+    An ``answer`` member carries its ``points`` as the answer's float64
+    matrix, and that is the one thing here ``json.dumps`` does not
+    render: the envelope and the rest of ``answer`` are rendered apart
+    and ``matrix_json``'s text goes in as the last member of ``answer``,
+    itself the last member of the body.
+    """
+    answer = payload.get("answer")
+    if answer is None:
+        return json_body(payload)
+    envelope = {key: value for key, value in payload.items()
+                if key != "answer"}
+    header = {key: value for key, value in answer.items()
+              if key != "points"}
+    return b"".join((json_body(envelope)[:-1], b', "answer": ',
+                     json_body(header)[:-1], b', "points": ',
+                     matrix_json(answer["points"]), b"}}"))
+
+
+def sse_event(event: str, body: bytes) -> bytes:
+    """One named SSE event with a JSON body as its data line."""
+    return b"event: %s\ndata: %s\n\n" % (event.encode("ascii"), body)
 
 
 # ----------------------------------------------------------------------

@@ -200,19 +200,15 @@ class EngineServer:
                                  writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        stop_waiter: Optional[asyncio.Task] = None
+        # One shutdown waiter per connection, raced against each read.
+        stop_waiter = asyncio.ensure_future(self._stop_event.wait())
         try:
             while not self._stop_event.is_set():
                 read_started = time.monotonic()
                 read = asyncio.ensure_future(read_request(reader))
-                stop_waiter = asyncio.ensure_future(self._stop_event.wait())
-                try:
-                    await asyncio.wait({read, stop_waiter},
-                                       return_when=asyncio.FIRST_COMPLETED,
-                                       timeout=self._idle_timeout)
-                finally:
-                    if not stop_waiter.done():
-                        stop_waiter.cancel()
+                await asyncio.wait({read, stop_waiter},
+                                   return_when=asyncio.FIRST_COMPLETED,
+                                   timeout=self._idle_timeout)
                 if not read.done():
                     # Either shutdown arrived while the connection sat
                     # idle between requests, or the idle deadline
@@ -234,12 +230,12 @@ class EngineServer:
                     # response before the refusal is visible in /stats.
                     endpoint = self.app.endpoint_label(
                         getattr(exc, "path", None))
+                    body = json_body(exc.payload())
                     self._engine.stats.note_http(
                         endpoint, exc.status,
-                        time.monotonic() - read_started)
-                    writer.write(render_response(
-                        exc.status, json_body(exc.payload()),
-                        keep_alive=False))
+                        time.monotonic() - read_started, 0.0, len(body))
+                    writer.write(render_response(exc.status, body,
+                                                 keep_alive=False))
                     await writer.drain()
                     break
                 if request is None:  # peer closed cleanly
@@ -250,6 +246,7 @@ class EngineServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            stop_waiter.cancel()
             self._conn_tasks.discard(task)
             try:
                 writer.close()

@@ -44,7 +44,7 @@ def drive(stats, step):
     stats.note_estimation("d%d" % (step % 2), 10 + step % 9, 12)
     stats.note_write("d0", ("insert", "delete")[step % 2], step % 4 != 1,
                      step % 3, 2e-4, 2)
-    stats.note_http("/query", (200, 429)[step % 5 == 0], 3e-4)
+    stats.note_http("/query", (200, 429)[step % 5 == 0], 3e-4, 1e-5, 600)
 
 
 def test_engine_stats_memory_is_bounded_by_series_not_requests():

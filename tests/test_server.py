@@ -11,15 +11,18 @@ shutdown drain.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import QueryEngine
+from repro import LinearConstraint, QueryEngine
+from repro.core import kernels
 from repro.engine import TenantBudget
 from repro.engine.metrics import jsonable
+from repro.engine.obs.prometheus import render_prometheus
 from repro.engine.server import ApiKey, EngineServer, ServerClient
 from repro.engine.server.protocol import (HTTPError, parse_query_request,
                                           parse_stream_query)
@@ -224,6 +227,175 @@ def test_stream_validation_fails_before_the_stream_opens(served_engine):
     status, events = client.query_stream("no-such-dataset", [0.1], 0.0)
     assert status == 404
     assert events[0].data["error"]["code"] == "unknown_dataset"
+
+
+# ----------------------------------------------------------------------
+# an answer's points on the wire
+# ----------------------------------------------------------------------
+def raw_exchange(server, request: bytes) -> bytes:
+    """Send bytes over a raw socket; everything the server writes back
+    before it closes the connection."""
+    with socket.create_connection(server.address, timeout=10.0) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return received
+            received += data
+
+
+@pytest.fixture(scope="module")
+def traced_bulk_server():
+    """4096 points behind one index (one answer order), tracing on, and
+    a tenant whose budget degrades."""
+    points = uniform_points(4096, seed=53)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=53, tracing=True)
+    engine.register_dataset("bulk", points, kinds=["full_scan"])
+    keys = [ApiKey(key="k", tenant="t"),
+            ApiKey(key="k-capped", tenant="capped",
+                   budget=TenantBudget(ios_per_s=1.0, burst=1.0,
+                                       policy="degrade"))]
+    with engine.serve_http(keys) as server:
+        yield engine, server
+    engine.close()
+
+
+#: Offsets whose answers sit under the text kernel's crossover, over it,
+#: and across two of its chunks (x_2 <= offset, points uniform in [-1, 1]^2).
+WIRE_OFFSETS = (-0.97, -0.6, 0.9)
+
+
+def bulk_matrix(engine, offset):
+    """The engine's own answer to ``x_2 <= offset`` (a result-cache hit
+    after the same query went over the wire: the very same matrix)."""
+    return engine.query("bulk", LinearConstraint(coeffs=(0.0,),
+                                                 offset=offset)).matrix
+
+
+def test_wire_offsets_straddle_the_text_kernel_paths(traced_bulk_server):
+    engine, __ = traced_bulk_server
+    sizes = [bulk_matrix(engine, offset).size for offset in WIRE_OFFSETS]
+    assert 0 < sizes[0] < kernels._JSON_CROSSOVER <= sizes[1] \
+        < kernels._JSON_CHUNK < sizes[2]
+
+
+@pytest.mark.parametrize("offset", WIRE_OFFSETS)
+def test_posted_points_are_the_engines_matrix_bit_for_bit(
+        traced_bulk_server, offset):
+    engine, server = traced_bulk_server
+    payload = json.dumps({"dataset": "bulk", "constraint":
+                          {"coeffs": [0.0], "offset": offset}}).encode()
+    response = raw_exchange(
+        server, b"POST /query HTTP/1.1\r\nHost: t\r\nX-Api-Key: k\r\n"
+        b"Connection: close\r\nContent-Length: %d\r\n\r\n%s"
+        % (len(payload), payload))
+    head, __, body = response.partition(b"\r\n\r\n")
+    headers = dict(line.split(": ", 1)
+                   for line in head.decode("latin-1").split("\r\n")[1:])
+    assert head.startswith(b"HTTP/1.1 200")
+    assert int(headers["Content-Length"]) == len(body)
+    parsed = json.loads(body)
+    assert parsed["trace_id"] == headers["X-Trace-Id"]
+    assert parsed["outcome"] == "served"
+    matrix = bulk_matrix(engine, offset)
+    answer = parsed["answer"]
+    assert answer["count"] == len(matrix) == len(answer["points"])
+    assert np.array(answer["points"]).tobytes() == matrix.tobytes()
+    # The request's trace prices the encoding it just did.
+    root = engine.tracer.get(parsed["trace_id"])["root"]
+    assert root["attributes"]["body_bytes"] == len(body)
+    assert root["attributes"]["encode_us"] > 0
+
+
+@pytest.mark.parametrize("offset", WIRE_OFFSETS)
+def test_streamed_result_points_are_the_engines_matrix(traced_bulk_server,
+                                                       offset):
+    engine, server = traced_bulk_server
+    status, events = client_for(server, "k").query_stream("bulk", [0.0],
+                                                          offset)
+    assert status == 200
+    assert [event.name for event in events] == ["estimate", "result"]
+    result = events[1].data
+    assert result["trace_id"] == events[0].data["trace_id"] != ""
+    assert np.array(result["answer"]["points"]).tobytes() \
+        == bulk_matrix(engine, offset).tobytes()
+
+
+def test_degraded_answers_keep_their_fields_on_the_wire(traced_bulk_server):
+    __, server = traced_bulk_server
+    capped = client_for(server, "k-capped")
+    bodies = [capped.query("bulk", [0.0], 0.4 + 0.01 * step)[1]
+              for step in range(4)]
+    degraded = [body for body in bodies if body["outcome"] == "degraded"]
+    assert degraded, "the capped tenant never hit its budget"
+    for body in degraded:
+        answer = body["answer"]
+        assert body["trace_id"]
+        assert answer["degraded"] is True
+        assert 0.0 < answer["sample_rate"] <= 1.0
+        low, high = answer["count_interval"]
+        assert low <= answer["estimated_count"] <= high
+        assert answer["interval_source"]
+        assert len(answer["points"]) == answer["count"]
+
+
+def test_http_metrics_price_the_serialise_row(traced_bulk_server):
+    engine, server = traced_bulk_server
+    client = client_for(server, "k")
+    assert client.query("bulk", [0.0], 0.9)[0] == 200
+    entry = client.stats()[1]["http"]["/query"]
+    assert entry["response_bytes"]["p50"] > 0
+    assert 0 < entry["encode_s"]["p99"] <= entry["latency_s"]["p99"]
+    text = render_prometheus(engine.stats.registry)     # GET /metrics
+    for family in ("engine_http_encode_seconds", "engine_http_response_bytes"):
+        assert '%s_count{endpoint="/query"}' % family in text
+
+
+# ----------------------------------------------------------------------
+# connection persistence by HTTP version
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("version, header, persists", [
+    ("HTTP/1.1", None, True),
+    ("HTTP/1.1", "close", False),
+    ("HTTP/1.1", "keep-alive", True),
+    ("HTTP/1.0", None, False),
+    ("HTTP/1.0", "keep-alive", True),
+    ("HTTP/1.0", "close", False),
+])
+def test_connection_persistence_follows_version_and_header(
+        served_engine, version, header, persists):
+    """An HTTP/1.0 request closes unless it asks to persist; HTTP/1.1
+    is the reverse.  A connection the server keeps gets a second
+    request answered; one it closes reads EOF after the first."""
+    __, server, __ = served_engine
+    request = ("GET /healthz %s\r\nHost: t\r\n" % version
+               + ("Connection: %s\r\n" % header if header else "")
+               + "\r\n").encode()
+    with socket.create_connection(server.address, timeout=5.0) as sock:
+        sock.sendall(request)
+        wanted = b"Connection: keep-alive" if persists \
+            else b"Connection: close"
+        assert wanted in read_one_response(sock)
+        if persists:
+            sock.sendall(request)
+            assert read_one_response(sock).startswith(b"HTTP/1.1 200")
+        else:
+            assert sock.recv(4096) == b""
+
+
+def read_one_response(sock) -> bytes:
+    """One Content-Length-framed response off the socket; its head."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += sock.recv(4096)
+    head, __, rest = data.partition(b"\r\n\r\n")
+    length = next(int(line.split(b":", 1)[1])
+                  for line in head.split(b"\r\n")
+                  if line.lower().startswith(b"content-length:"))
+    while len(rest) < length:
+        rest += sock.recv(4096)
+    return head
 
 
 # ----------------------------------------------------------------------
