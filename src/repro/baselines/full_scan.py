@@ -46,7 +46,7 @@ class FullScanIndex(ExternalIndex):
         self._dimension = points.shape[1]
         self._num_points = len(points)
         self._begin_space_accounting()
-        self._data = DiskArray(self._store, [tuple(point) for point in points])
+        self._data = DiskArray.from_matrix(self._store, points)
         self._end_space_accounting()
 
     @property

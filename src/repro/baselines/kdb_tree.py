@@ -60,10 +60,10 @@ class KDBTreeIndex(ExternalIndex):
     # ------------------------------------------------------------------
     def _build(self, indices: np.ndarray, axis: int) -> int:
         if len(indices) <= self._leaf_capacity:
-            records = [tuple(self._points[index]) for index in indices]
-            self._leaf_arrays.append(DiskArray(self._store, records))
-            box = Box.of_points(records) if records else Box((0.0,) * self._dimension,
-                                                             (0.0,) * self._dimension)
+            leaf = self._points[indices]
+            self._leaf_arrays.append(DiskArray.from_matrix(self._store, leaf))
+            box = Box.of_points(leaf) if len(leaf) else Box((0.0,) * self._dimension,
+                                                            (0.0,) * self._dimension)
             self._build_nodes.append((_LEAF, len(self._leaf_arrays) - 1,
                                       box.lower, box.upper))
             return len(self._build_nodes) - 1
@@ -75,7 +75,7 @@ class KDBTreeIndex(ExternalIndex):
         next_axis = (axis + 1) % self._dimension
         left_id = self._build(left, next_axis)
         right_id = self._build(right, next_axis)
-        box = Box.of_points(self._points[indices].tolist())
+        box = Box.of_points(self._points[indices])
         self._build_nodes.append((_INTERNAL, left_id, right_id, box.lower, box.upper))
         return len(self._build_nodes) - 1
 

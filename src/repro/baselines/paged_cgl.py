@@ -62,8 +62,8 @@ class PagedDualIndex2D(ExternalIndex):
         self._begin_space_accounting()
         self._layers: List[DiskArray] = []
         for layer in convex_layers(points) if self._num_points else []:
-            records = [tuple(points[index]) for index in layer]
-            self._layers.append(DiskArray(self._store, records))
+            self._layers.append(DiskArray.from_matrix(self._store,
+                                                      points[layer]))
         self._end_space_accounting()
 
     @property

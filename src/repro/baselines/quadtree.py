@@ -68,8 +68,8 @@ class QuadTreeIndex(ExternalIndex):
 
     def _build(self, indices: np.ndarray, box: Box, depth: int) -> int:
         if len(indices) <= self._leaf_capacity or depth >= self._max_depth:
-            records = [tuple(self._points[index]) for index in indices]
-            node = _QuadNode(True, box, points_array=DiskArray(self._store, records))
+            node = _QuadNode(True, box, points_array=DiskArray.from_matrix(
+                self._store, self._points[indices]))
             self._nodes.append(node)
             return len(self._nodes) - 1
         mid_x = (box.lower[0] + box.upper[0]) / 2.0

@@ -83,9 +83,9 @@ class RTreeIndex(ExternalIndex):
         return level[0]
 
     def _make_leaf(self, indices: np.ndarray) -> int:
-        records = [tuple(self._points[index]) for index in indices]
-        box = Box.of_points(records)
-        node = _RNode(True, box, points_array=DiskArray(self._store, records))
+        leaf = self._points[indices]
+        node = _RNode(True, Box.of_points(leaf),
+                      points_array=DiskArray.from_matrix(self._store, leaf))
         self._nodes.append(node)
         return len(self._nodes) - 1
 

@@ -61,11 +61,11 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         super().__init__(store, block_size)
         if not 0.0 < buffer_fraction <= 1.0:
             raise ValueError("buffer_fraction must be in (0, 1]")
-        initial = [tuple(float(c) for c in point) for point in points]
+        initial = np.asarray(points, dtype=float)
         if dimension is None:
-            if not initial:
+            if initial.ndim != 2:
                 raise ValueError("dimension is required when starting empty")
-            dimension = len(initial[0])
+            dimension = initial.shape[1]
         self._dimension = dimension
         self._buffer_fraction = buffer_fraction
         self._tree_kwargs = dict(max_fanout=max_fanout,
@@ -90,9 +90,10 @@ class DynamicPartitionTreeIndex(ExternalIndex):
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def _build_tree(self, points: List[Tuple[float, ...]]) -> None:
-        array = np.array(points, dtype=float).reshape(-1, self._dimension)
-        self._tree_points: List[Tuple[float, ...]] = list(points)
+    def _build_tree(self, points: np.ndarray) -> None:
+        array = points.reshape(-1, self._dimension)
+        self._tree_points: List[Tuple[float, ...]] = list(
+            map(tuple, array.tolist()))
         self._tree_counts = Counter(self._tree_points)
         self._tree = PartitionTreeIndex(array, store=self._store,
                                         block_size=self.block_size,
@@ -133,7 +134,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         self._tombstones = {}
         self._num_tombstones = 0
         self._tombstone_array.clear()
-        self._build_tree(live)
+        self._build_tree(np.array(live, dtype=float))
         self._rebuilds += 1
 
     def _maybe_rebuild(self) -> None:

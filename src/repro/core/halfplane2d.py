@@ -112,12 +112,11 @@ class HalfplaneIndex2D(ExternalIndex):
         # each layer walks a level of the sub-family still unassigned.
         lines = LineArrays(-self._points[:, 0], self._points[:, 1])
         # What a cluster stores of a point: its number, its dual line, itself
-        # (one tuple per point, shared by the clusters the line is in) — all
+        # (one row per point, gathered by the clusters the line is in) — all
         # floats, the number too, so a cluster block is columnar.
-        records = list(zip(map(float, range(self._num_points)),
-                           lines.slopes.tolist(), lines.intercepts.tolist(),
-                           self._points[:, 0].tolist(),
-                           self._points[:, 1].tolist()))
+        records = np.column_stack((
+            np.arange(self._num_points, dtype=float), lines.slopes,
+            lines.intercepts, self._points))
         remaining = np.arange(self._num_points)
         while len(remaining):
             lam = int(self._rng.integers(self._beta, 2 * self._beta + 1))
@@ -136,14 +135,14 @@ class HalfplaneIndex2D(ExternalIndex):
             self._append_layer(lines, records, remaining, lam, clusters)
             remaining = np.delete(remaining, layer_local_lines)
 
-    def _append_trivial_layer(self, lines: LineArrays, records: List[tuple],
+    def _append_trivial_layer(self, lines: LineArrays, records: np.ndarray,
                               remaining: np.ndarray, lam: int) -> None:
         """Store the last few lines as a single cluster covering all of R."""
         cluster = Cluster(lines=list(range(len(remaining))),
                           x_from=-math.inf, x_to=math.inf)
         self._append_layer(lines, records, remaining, lam, [cluster])
 
-    def _append_layer(self, lines: LineArrays, records: List[tuple],
+    def _append_layer(self, lines: LineArrays, records: np.ndarray,
                       remaining: np.ndarray, lam: int,
                       clusters: List[Cluster]) -> None:
         """Write a layer's clusters and boundary B-tree to disk.
@@ -157,8 +156,8 @@ class HalfplaneIndex2D(ExternalIndex):
         for cluster_index, cluster in enumerate(clusters):
             members = remaining[cluster.lines]
             members = members[np.argsort(lines.slopes[members], kind="stable")]
-            cluster_arrays.append(DiskArray(
-                self._store, [records[point] for point in members.tolist()]))
+            cluster_arrays.append(DiskArray.from_matrix(self._store,
+                                                        records[members]))
             boundary_entries.append((cluster.x_from, cluster_index))
             total_lines += len(members)
         boundary_tree = BTree(self._store)

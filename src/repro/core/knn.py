@@ -86,7 +86,8 @@ class KNNIndex:
         k = min(k, self._num_points)
         qx, qy = float(query[0]), float(query[1])
         lowest = self._planes_index.k_lowest(qx, qy, k)
-        return [tuple(self._points[index]) for index, __ in lowest]
+        rows = self._points[[index for index, __ in lowest]]
+        return list(map(tuple, rows.tolist()))
 
     def nearest_with_distances(self, query: Sequence[float],
                                k: int) -> List[Tuple[Tuple[float, float], float]]:

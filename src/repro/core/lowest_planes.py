@@ -152,11 +152,11 @@ class LowestPlanesIndex:
         self._domain = domain
         self._blocks_before = store.num_blocks
         # What the disk holds of a plane: its number and its coefficients,
-        # all floats (so a block is columnar) and one tuple per plane,
-        # shared by every conflict list the plane is in.
-        records = list(zip(map(float, range(self._num_planes)),
-                           *self._coefficients.T.tolist()))
-        self._all_planes_array = DiskArray(self._store, records)
+        # all floats (so a block is columnar), one row per plane, gathered
+        # by every conflict list the plane is in.
+        records = np.column_stack((
+            np.arange(self._num_planes, dtype=float), self._coefficients))
+        self._all_planes_array = DiskArray.from_matrix(self._store, records)
         self._copies: List[_Copy] = [self._build_copy(records)
                                      for __ in range(copies)
                                      if self._num_planes]
@@ -187,7 +187,7 @@ class LowestPlanesIndex:
         upper = max(1.0, self._num_planes / max(1, self._beta))
         return max(1, int(math.ceil(math.log2(upper))) + 1)
 
-    def _build_copy(self, records: List[tuple]) -> _Copy:
+    def _build_copy(self, records: np.ndarray) -> _Copy:
         permutation = self._rng.permutation(self._num_planes)
         sizes = [min(self._num_planes, 2 ** layer_index)
                  for layer_index in range(self._max_layer_index() + 1)]
@@ -208,7 +208,7 @@ class LowestPlanesIndex:
 
     def _store_layer(self, sample_size: int, envelope,
                      conflicts: List[np.ndarray],
-                     records: List[tuple]) -> _Layer:
+                     records: np.ndarray) -> _Layer:
         locator = ExternalPointLocator(self._store, [
             ((number, *envelope.planes[triangle.plane_index].coefficients()),
              triangle.xy_vertices())
@@ -218,9 +218,8 @@ class LowestPlanesIndex:
         # where each triangle's list starts.
         starts = np.zeros(len(conflicts) + 1, dtype=np.int64)
         np.cumsum([len(conflict) for conflict in conflicts], out=starts[1:])
-        conflict_store = DiskArray(self._store, [
-            records[index] for conflict in conflicts
-            for index in conflict.tolist()])
+        conflict_store = DiskArray.from_matrix(
+            self._store, records[np.concatenate(conflicts)])
         return _Layer(sample_size=sample_size, locator=locator,
                       conflict_store=conflict_store, starts=starts)
 

@@ -59,13 +59,13 @@ class _Node:
 # the cell table: one record per child, (child id, lower, upper) flat
 # ----------------------------------------------------------------------
 def encode_cells(child_ids: Sequence[int],
-                 cells: Sequence[PartitionCell]) -> List[Tuple[float, ...]]:
-    """One flat float record ``(child_id, *lower, *upper)`` per cell, so
-    a table block is columnar: one ``(fanout, 1 + 2d)`` float64 matrix in
-    the buffer pool and on the file backends."""
-    return [(float(child_id), *map(float, cell.cell.lower),
-             *map(float, cell.cell.upper))
-            for child_id, cell in zip(child_ids, cells)]
+                 cells: Sequence[PartitionCell]) -> np.ndarray:
+    """One flat float row ``(child_id, *lower, *upper)`` per cell, so a
+    table block is columnar: one ``(fanout, 1 + 2d)`` float64 matrix
+    from here to the buffer pool and the file backends."""
+    return np.array([(child_id, *cell.cell.lower, *cell.cell.upper)
+                     for child_id, cell in zip(child_ids, cells)],
+                    dtype=float)
 
 
 def scan_cells(child_table: DiskArray
@@ -164,14 +164,15 @@ class CellTreeIndex(ExternalIndex):
         return len(self._nodes) - 1
 
     def _leaf_node(self, indices: np.ndarray) -> _Node:
-        records = [tuple(self._points[index]) for index in indices]
         return _Node(is_leaf=True, size=len(indices),
-                     points_array=DiskArray(self._store, records))
+                     points_array=DiskArray.from_matrix(
+                         self._store, self._points[indices]))
 
     def _internal_node(self, indices: np.ndarray,
-                       cell_records: List[Tuple[float, ...]]) -> _Node:
+                       cell_table: np.ndarray) -> _Node:
         return _Node(is_leaf=False, size=len(indices),
-                     child_table=DiskArray(self._store, cell_records))
+                     child_table=DiskArray.from_matrix(self._store,
+                                                       cell_table))
 
     # ------------------------------------------------------------------
     # properties

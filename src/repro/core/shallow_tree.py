@@ -53,7 +53,7 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
                          partitioner)
 
     def _internal_node(self, indices: np.ndarray,
-                       cell_records: List[Tuple[float, ...]]) -> _Node:
+                       cell_table: np.ndarray) -> _Node:
         secondary = PartitionTreeIndex(
             self._points[indices],
             store=self._store,
@@ -61,10 +61,10 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
             leaf_capacity=self._leaf_size,
             partitioner=self._partitioner,
         )
-        node = super()._internal_node(indices, cell_records)
+        node = super()._internal_node(indices, cell_table)
         node.secondary = secondary
         node.crossing_threshold = max(1, int(math.ceil(
-            self._shallow_factor * math.log2(max(2, len(cell_records))))))
+            self._shallow_factor * math.log2(max(2, len(cell_table))))))
         return node
 
     @property

@@ -85,13 +85,13 @@ class Box:
 
     @classmethod
     def of_points(cls, points: Sequence[Sequence[float]]) -> "Box":
-        """The bounding box of a non-empty point set."""
-        if not points:
+        """The bounding box of a non-empty point set (an ``(n, d)``
+        array, or anything that converts to one)."""
+        matrix = np.asarray(points, dtype=float)
+        if len(matrix) == 0:
             raise ValueError("bounding box of an empty point set is undefined")
-        dimension = len(points[0])
-        lower = tuple(min(p[axis] for p in points) for axis in range(dimension))
-        upper = tuple(max(p[axis] for p in points) for axis in range(dimension))
-        return cls(lower, upper)
+        return cls(tuple(matrix.min(axis=0).tolist()),
+                   tuple(matrix.max(axis=0).tolist()))
 
     def contains(self, point: Sequence[float], eps: float = EPS) -> bool:
         """True if ``point`` lies inside the (closed) box."""

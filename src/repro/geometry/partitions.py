@@ -84,7 +84,7 @@ def median_cut_partition(points: np.ndarray, r: int,
     for piece in pieces:
         if len(piece) == 0:
             continue
-        box = Box.of_points(points[piece].tolist())
+        box = Box.of_points(points[piece])
         cells.append(PartitionCell(indices=piece, cell=box))
     return cells
 

@@ -26,7 +26,10 @@ Records are arbitrary Python objects, so the file backends serialise each
 block with :mod:`pickle` — except *point blocks* (uniform float tuples,
 detected by :func:`~repro.io.block.as_point_matrix`), which are written as
 a small magic header plus the raw float64 bytes of their ``(n, d)``
-matrix.  That columnar encoding is what makes the vectorized read path
+matrix.  A block that is a float matrix to begin with arrives through
+``put_matrix`` and is stored as that matrix — the same bytes on a file
+backend, the array itself in memory — without a record ever being built
+or inspected.  That columnar encoding is what makes the vectorized read path
 cheap: ``get_payload`` can hand back a contiguous ndarray without running
 the pickle machinery over every record, and :class:`MmapBackend` serves
 it as an ``np.frombuffer`` view of the mapping (materialised into a
@@ -43,7 +46,7 @@ import pickle
 import struct
 import tempfile
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -64,13 +67,18 @@ _COLUMNAR_SHAPE = struct.Struct("<qq")
 _COLUMNAR_HEADER = len(_COLUMNAR_MAGIC) + _COLUMNAR_SHAPE.size
 
 
+def _encode_matrix(matrix: np.ndarray) -> bytes:
+    """The columnar payload: magic, shape, raw float64 bytes."""
+    return b"".join((_COLUMNAR_MAGIC, _COLUMNAR_SHAPE.pack(*matrix.shape),
+                     matrix.tobytes()))
+
+
 def _encode_records(records: List[Any]) -> bytes:
     """Serialise one block: columnar for point blocks, pickle otherwise."""
     matrix = as_point_matrix(records)
     if matrix is None:
         return pickle.dumps(list(records), protocol=pickle.HIGHEST_PROTOCOL)
-    return (_COLUMNAR_MAGIC + _COLUMNAR_SHAPE.pack(*matrix.shape)
-            + matrix.tobytes())
+    return _encode_matrix(matrix)
 
 
 def _decode_matrix(payload: bytes) -> np.ndarray:
@@ -104,6 +112,13 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def put(self, block_id: BlockId, records: List[Any]) -> None:
         """Store (create or overwrite) the records of one block."""
+
+    @abc.abstractmethod
+    def put_matrix(self, block_id: BlockId, matrix: np.ndarray) -> None:
+        """Store (create or overwrite) one block given as its read-only
+        ``(n, d)`` float64 matrix — the block :meth:`put` of the row
+        tuples stores, without building them.  The backend may keep the
+        array; the caller (the store) hands over one nobody writes to."""
 
     @abc.abstractmethod
     def get(self, block_id: BlockId) -> List[Any]:
@@ -156,40 +171,44 @@ class StorageBackend(abc.ABC):
 class MemoryBackend(StorageBackend):
     """Blocks held in a Python dict — the simulator's original behaviour.
 
-    Point blocks additionally get a memoized columnar matrix, built on
-    the first :meth:`get_payload` and invalidated by any overwrite: a
-    full scan repeated over the same blocks then pays the tuple→ndarray
-    conversion once per block, not once per read.  :meth:`get` is
-    untouched, so the scalar path costs exactly what it always did.
+    A block is held in one form: the read-only matrix of a point block,
+    the record list of any other.  A matrix arrives through
+    :meth:`put_matrix`, or replaces a record list of uniform float
+    tuples at its first :meth:`get_payload` — a full scan repeated over
+    the same blocks pays the tuple→ndarray conversion once per block,
+    not once per read — and is decoded by :meth:`get` exactly as the
+    file backends decode theirs.
     """
 
     name = "memory"
 
     def __init__(self) -> None:
-        self._blocks: Dict[BlockId, List[Any]] = {}
-        #: Memoized columnar conversions (None = checked, not columnar).
-        self._matrices: Dict[BlockId, Optional[np.ndarray]] = {}
+        self._blocks: Dict[BlockId, Union[List[Any], np.ndarray]] = {}
 
     def put(self, block_id: BlockId, records: List[Any]) -> None:
         self._blocks[block_id] = list(records)
-        self._matrices.pop(block_id, None)
+
+    def put_matrix(self, block_id: BlockId, matrix: np.ndarray) -> None:
+        self._blocks[block_id] = matrix
 
     def get(self, block_id: BlockId) -> List[Any]:
-        return list(self._blocks[block_id])
+        block = self._blocks[block_id]
+        if isinstance(block, np.ndarray):
+            return matrix_to_records(block)
+        return list(block)
 
     def get_payload(self, block_id: BlockId
                     ) -> Tuple[Optional[List[Any]], Optional[np.ndarray]]:
-        records = self._blocks[block_id]
-        if block_id not in self._matrices:
-            self._matrices[block_id] = as_point_matrix(records)
-        matrix = self._matrices[block_id]
-        if matrix is not None:
-            return None, matrix
-        return list(records), None
+        block = self._blocks[block_id]
+        if not isinstance(block, np.ndarray):
+            matrix = as_point_matrix(block)
+            if matrix is None:
+                return list(block), None
+            block = self._blocks[block_id] = matrix
+        return None, block
 
     def delete(self, block_id: BlockId) -> None:
         del self._blocks[block_id]
-        self._matrices.pop(block_id, None)
 
     def contains(self, block_id: BlockId) -> bool:
         return block_id in self._blocks
@@ -239,6 +258,8 @@ class FileBackend(StorageBackend):
         self.bytes_read = 0
         self.bytes_written = 0
         self.compactions = 0
+        #: Size of the log: where the next record goes.
+        self._end = 0
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self._handle = open(path, "a+b")
@@ -282,19 +303,16 @@ class FileBackend(StorageBackend):
             self._handle.seek(position)
         if position < file_size:
             self._handle.truncate(position)
-        self._handle.seek(0, os.SEEK_END)
+        self._end = position
 
     def _append(self, block_id: BlockId, payload: bytes) -> Tuple[int, int]:
-        self._handle.seek(0, os.SEEK_END)
+        self._handle.seek(self._end)
         self._handle.write(_HEADER.pack(block_id, len(payload)))
-        offset = self._handle.tell()
+        offset = self._end + _HEADER.size
         self._handle.write(payload)
+        self._end = offset + len(payload)
         self.bytes_written += _HEADER.size + len(payload)
         return offset, len(payload)
-
-    def _file_bytes(self) -> int:
-        self._handle.seek(0, os.SEEK_END)
-        return self._handle.tell()
 
     def _live_file_bytes(self) -> int:
         """Bytes a freshly-compacted file would occupy (headers included)."""
@@ -307,7 +325,7 @@ class FileBackend(StorageBackend):
         # payloads *plus* their headers) — comparing to payload bytes
         # alone makes the threshold unsatisfiable for tiny blocks and
         # degenerates into a full rewrite on every put.
-        if self._file_bytes() > self._auto_compact_ratio * max(
+        if self._end > self._auto_compact_ratio * max(
                 1, self._live_file_bytes()):
             self._compact_locked()
 
@@ -319,6 +337,7 @@ class FileBackend(StorageBackend):
             live[block_id] = self._handle.read(length)
         self._handle.seek(0)
         self._handle.truncate()
+        self._end = 0
         self._index.clear()
         self._live_bytes = 0
         for block_id, payload in sorted(live.items()):
@@ -331,7 +350,12 @@ class FileBackend(StorageBackend):
     # StorageBackend interface
     # ------------------------------------------------------------------
     def put(self, block_id: BlockId, records: List[Any]) -> None:
-        payload = _encode_records(records)
+        self._put_payload(block_id, _encode_records(records))
+
+    def put_matrix(self, block_id: BlockId, matrix: np.ndarray) -> None:
+        self._put_payload(block_id, _encode_matrix(matrix))
+
+    def _put_payload(self, block_id: BlockId, payload: bytes) -> None:
         with self._lock:
             self._check_open()
             previous = self._index.get(block_id)
@@ -421,7 +445,7 @@ class FileBackend(StorageBackend):
 
     def info(self) -> Dict[str, object]:
         with self._lock:
-            file_bytes = 0 if self._closed else self._file_bytes()
+            file_bytes = 0 if self._closed else self._end
         return {
             "backend": self.name,
             "blocks": len(self),
@@ -468,7 +492,7 @@ class MmapBackend(FileBackend):
     def _remap_locked(self) -> None:
         """(Re)map the current file contents for reading."""
         self._handle.flush()
-        size = self._file_bytes()
+        size = self._end
         self._drop_map_locked()
         if size > 0:
             self._map = mmap.mmap(self._handle.fileno(), size,

@@ -10,9 +10,12 @@ Blocks whose records are uniform float tuples — point blocks, by far the
 most common payload — additionally have a *columnar* representation: one
 contiguous ``(n, d)`` float64 matrix.  :func:`as_point_matrix` is the
 single detection rule every layer (backends, the store's buffer pool, the
-batch scan kernels) shares, and :class:`BlockPayload` is the read-only
-view the store hands to batch consumers: the matrix when the block is
-columnar, the plain record list otherwise.
+batch scan kernels) shares for a block written as a record list;
+:func:`copy_point_matrix` is the gate of the columnar write path, where
+the block is a float array from the start and no record is ever looked
+at; and :class:`BlockPayload` is the read-only view the store hands to
+batch consumers: the matrix when the block is columnar, the plain record
+list otherwise.
 """
 
 from __future__ import annotations
@@ -51,6 +54,26 @@ def as_point_matrix(records) -> Optional[np.ndarray]:
             if not isinstance(coordinate, (float, np.floating)):
                 return None
     matrix = np.asarray(records, dtype=POINT_DTYPE)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def copy_point_matrix(matrix) -> np.ndarray:
+    """A private, read-only, C-contiguous float64 copy of an ``(n, d)``
+    float array: what the columnar write path stores.
+
+    The array counterpart of :func:`as_point_matrix`, and as strict: a
+    2-D array of a floating dtype with at least one column qualifies
+    (float32 widens exactly), anything else raises :class:`ValueError`.
+    The copy is what lets the caller keep writing to its own array.
+    """
+    matrix = np.asarray(matrix)
+    if (matrix.ndim != 2 or matrix.shape[1] == 0
+            or matrix.dtype.kind != "f"):
+        raise ValueError("a columnar block is an (n, d) float array with "
+                         "d >= 1, got shape %r of %s"
+                         % (matrix.shape, matrix.dtype))
+    matrix = np.array(matrix, dtype=POINT_DTYPE, order="C")
     matrix.setflags(write=False)
     return matrix
 

@@ -29,6 +29,20 @@ class DiskArray:
         if records:
             self.extend(records)
 
+    @classmethod
+    def from_matrix(cls, store: BlockStore, matrix: np.ndarray) -> "DiskArray":
+        """The array whose records are the rows of an ``(n, d)`` float
+        array, written through the columnar path
+        (:meth:`BlockStore.allocate_matrix`): block for block and charge
+        for charge ``DiskArray(store, rows as tuples)``, no tuple built.
+        """
+        array = cls(store)
+        array._block_ids = store.allocate_matrix(matrix)
+        array._length = len(matrix)
+        if array._length:
+            array._last_block_fill = (array._length - 1) % store.block_size + 1
+        return array
+
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------

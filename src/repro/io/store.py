@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.io.backend import StorageBackend, make_backend
 from repro.io.block import (Block, BlockId, BlockPayload, as_point_matrix,
-                            matrix_to_records)
+                            copy_point_matrix, matrix_to_records)
 from repro.io.cache import LRUCache
 
 
@@ -221,6 +221,32 @@ class BlockStore:
         for start in range(0, len(records), self.block_size):
             chunk = records[start:start + self.block_size]
             block_ids.append(self.allocate(chunk))
+        return block_ids
+
+    def allocate_matrix(self, matrix: np.ndarray) -> List[BlockId]:
+        """Write the rows of an ``(n, d)`` float array contiguously into
+        ⌈n/B⌉ fresh blocks: the columnar write path.
+
+        :meth:`allocate_many` of the row tuples — the same block ids,
+        charges and write-through pool entries, in the same order, and
+        the same blocks read back — without a tuple per record: each
+        block is a ``B``-row slice of one private read-only copy
+        (:func:`~repro.io.block.copy_point_matrix`, which raises
+        :class:`ValueError` for anything but a 2-D float array with a
+        column), handed to the backend and the pool as it is.
+        """
+        matrix = copy_point_matrix(matrix)
+        block_ids: List[BlockId] = []
+        for start in range(0, len(matrix), self.block_size):
+            chunk = matrix[start:start + self.block_size]
+            block_id = self._next_id
+            self._next_id += 1
+            self._backend.put_matrix(block_id, chunk)
+            self.stats.allocations += 1
+            if self._config.count_writes:
+                self.stats.writes += 1
+            self._cache.put(block_id, _CacheEntry(matrix=chunk))
+            block_ids.append(block_id)
         return block_ids
 
     def free(self, block_id: BlockId) -> None:

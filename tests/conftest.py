@@ -27,6 +27,16 @@ def rng():
     return np.random.default_rng(20260614)
 
 
+def observable(store: BlockStore):
+    """Everything a twin-store test compares after a step: counters,
+    pool hits / misses / capacity, resident ids in recency order, bytes
+    moved, blocks allocated."""
+    info = store.cache_info()
+    return (vars(store.stats.snapshot()), info["hits"], info["misses"],
+            info["capacity"], [key for key, __ in store._cache.items()],
+            store.byte_counters(), store.num_blocks)
+
+
 def brute_force_halfspace(points, constraint):
     """Ground truth for halfspace queries (set of tuples)."""
     return {tuple(p) for p in points if constraint.below(p)}

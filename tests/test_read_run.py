@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import observable
 from repro.io.store import BlockStore
 
 BLOCK_SIZE = 4
@@ -63,13 +64,6 @@ def apply(store: BlockStore, step, read_run):
         return store.resize_cache(step[1])
     except KeyError:
         return KeyError
-
-
-def observable(store: BlockStore):
-    info = store.cache_info()
-    return (vars(store.stats.snapshot()), info["hits"], info["misses"],
-            info["capacity"], [key for key, __ in store._cache.items()],
-            store.byte_counters(), store.num_blocks)
 
 
 def same_blocks(left, right) -> bool:

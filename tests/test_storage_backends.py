@@ -9,6 +9,7 @@ free-then-read errors, and cache-hit accounting parity across backends.
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.io.backend import (
@@ -80,6 +81,26 @@ class TestBackendConformance:
         records = [(1.0, 2.0), (3.0, 4.0)]
         backend.put(0, records)
         assert backend.get(0) == records
+
+    def test_put_matrix_stores_the_block_put_of_its_rows_stores(self, backend):
+        matrix = np.array([[1.0, -0.0], [2.5, 5e-324], [2.5, 5e-324]])
+        matrix.setflags(write=False)
+        backend.put(1, [("an", "overwritten"), ("record", "block")])
+        backend.put_matrix(0, matrix)
+        backend.put_matrix(1, matrix[:2])
+        rows = [tuple(row) for row in matrix.tolist()]
+        for block_id, expected in ((0, rows), (1, rows[:2])):
+            records = backend.get(block_id)
+            assert repr(records) == repr(expected)
+            records.append("mine")                  # a fresh list
+            assert backend.get(block_id) == expected
+            none, payload = backend.get_payload(block_id)
+            assert none is None
+            assert payload.tobytes() == matrix[:len(expected)].tobytes()
+        backend.put(0, [("records", "again")])
+        assert backend.get_payload(0) == ([("records", "again")], None)
+        backend.delete(1)
+        assert sorted(backend.block_ids()) == [0]
 
     def test_info_reports_backend_name_and_blocks(self, backend):
         backend.put(0, [1])
@@ -208,6 +229,87 @@ class TestFileBackend:
         reopened = FileBackend(path)
         assert reopened.get(3) == ["after crash"]
         reopened.close()
+
+
+class _AskingBackend(FileBackend):
+    """The compaction trigger as it was before the log kept its own end
+    offset: the size is asked of the file, a seek and a tell per put."""
+
+    def _maybe_compact_locked(self):
+        if not self._auto_compact_ratio or not self._index:
+            return
+        self._handle.seek(0, os.SEEK_END)
+        if self._handle.tell() > self._auto_compact_ratio * max(
+                1, self._live_file_bytes()):
+            self._compact_locked()
+
+
+class TestLogEndOffset:
+    """The log knows where it ends without asking the file."""
+
+    @pytest.mark.parametrize("ratio", [0, 1.0, 1.5, 4.0])
+    def test_compacts_at_the_same_operations_as_a_seeking_log(
+            self, tmp_path, ratio):
+        rng = np.random.default_rng(int(ratio * 10))
+        kept = FileBackend(str(tmp_path / "kept.log"),
+                           auto_compact_ratio=ratio)
+        asked = _AskingBackend(str(tmp_path / "asked.log"),
+                               auto_compact_ratio=ratio)
+        compacted_at = []
+        for step in range(400):
+            block_id = int(rng.integers(0, 12))
+            roll = rng.random()
+            for backend in (kept, asked):
+                if roll < 0.2 and backend.contains(block_id):
+                    backend.delete(block_id)
+                elif roll < 0.5:
+                    backend.put_matrix(block_id, np.full(
+                        (1 + step % 7, 2), float(step)))
+                elif roll < 0.6:
+                    backend.get(block_id) if backend.contains(block_id) \
+                        else None
+                else:
+                    backend.put(block_id, ["x" * (step % 40)] * (step % 5))
+            if kept.compactions > len(compacted_at):
+                compacted_at.append(step)
+            assert kept.compactions == asked.compactions, step
+            assert kept.bytes_written == asked.bytes_written, step
+            assert kept.info() == dict(asked.info(), path=kept.path), step
+            kept.sync()
+            assert kept.info()["file_bytes"] == os.path.getsize(kept.path)
+        assert bool(compacted_at) == bool(ratio)
+        blocks = {block_id: kept.get(block_id)
+                  for block_id in sorted(kept.block_ids())}
+        assert blocks
+        for backend in (kept, asked):
+            backend.close()
+            reopened = FileBackend(backend.path, auto_compact_ratio=ratio)
+            assert {block_id: reopened.get(block_id) for block_id
+                    in sorted(reopened.block_ids())} == blocks
+            # ... and appends where the recovered log ends.
+            reopened.put(99, ["after reopen"])
+            reopened.sync()
+            assert reopened.info()["file_bytes"] \
+                == os.path.getsize(backend.path)
+            assert reopened.get(99) == ["after reopen"]
+            reopened.close()
+
+    def test_a_torn_tail_is_not_counted_in_the_end_offset(self, tmp_path):
+        path = str(tmp_path / "torn.log")
+        backend = FileBackend(path)
+        backend.put_matrix(0, np.ones((3, 2)))
+        backend.close()
+        intact = os.path.getsize(path)
+        with open(path, "ab") as handle:
+            handle.write(b"\x07" * 11)          # less than one header
+        recovered = FileBackend(path)
+        assert recovered.info()["file_bytes"] == intact
+        recovered.put(1, ["next"])
+        recovered.sync()
+        assert recovered.info()["file_bytes"] == os.path.getsize(path)
+        assert recovered.get(0) == [(1.0, 1.0)] * 3
+        assert recovered.get(1) == ["next"]
+        recovered.close()
 
 
 class TestMmapBackend:
