@@ -3,18 +3,22 @@
 Every index in this repository reads blocks through the same accounting
 seam (:class:`~repro.io.store.BlockStore`), then filters the records it
 got with pure-Python point-at-a-time predicates.  This module batches
-that second half: a block arrives as one contiguous ``(n, d)`` float64
-matrix (:meth:`DiskArray.scan_batches`) and the predicate is evaluated
-as a masked numpy expression over the whole matrix.  The I/O counters
-are untouched — the kernels consume exactly the block reads the scalar
-path would have issued, in the same order.
+that second half.  A block is read in the one form it was stored in
+(:meth:`BlockStore.read_run`, :meth:`DiskArray.scan_batches`): a point
+block is one read-only ``(n, d)`` float64 matrix, and the predicate is
+evaluated as a masked numpy expression over the whole matrix.  The I/O
+counters are untouched — the kernels consume exactly the block reads
+the scalar path would have issued, in the same order.
 
 Parity is guaranteed, not approximate: the batch predicates
 (:meth:`LinearConstraint.below_many`, :meth:`Simplex.contains_many`)
 replay the scalar accumulation order coefficient by coefficient, so a
 point exactly on the boundary hyperplane resolves identically in both
-paths.  Blocks that are not columnar (mixed record types, ragged
-widths) silently take the scalar fallback per block.
+paths.  Any other block (mixed record types, ragged widths) arrives as
+its record list — the backend's write decided that, nothing here
+re-checks it — and takes the scalar fallback per block.
+:func:`matrix_rows` is the one function that boxes matrix rows into
+tuples, here and in the store.
 
 One scan serves one query (:class:`DeferredScan`): a tree walk reads
 each leaf when it visits it and the predicate runs once, over all the
@@ -35,14 +39,13 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import (Any, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
-from repro.io.block import POINT_DTYPE
+from repro.io.block import POINT_DTYPE, matrix_to_records
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
@@ -72,14 +75,9 @@ def scalar_kernels():
         set_vectorized(previous)
 
 
-def matrix_rows(matrix: np.ndarray) -> List[Tuple[float, ...]]:
-    """Materialize matrix rows as plain-float tuples.
-
-    ``tolist`` converts to builtin floats in one pass, so results are
-    JSON-serializable and compare equal (``==``, ``hash``) to the tuples
-    the scalar path returns.
-    """
-    return [tuple(row) for row in matrix.tolist()]
+#: Matrix rows as plain-float tuples: the one row-boxing function (the
+#: store decodes a point block with it too), called by this name here.
+matrix_rows = matrix_to_records
 
 
 class PointRows(list):

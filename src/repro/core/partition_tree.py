@@ -84,8 +84,8 @@ def scan_child_ids(child_table: DiskArray) -> Iterator[List[int]]:
         for child_id, __, __ in scan_cells(child_table):
             yield [child_id]
         return
-    for payload in child_table.scan_batches():
-        yield payload.matrix[:, 0].astype(np.intp).tolist()
+    for matrix in child_table.scan_batches():
+        yield matrix[:, 0].astype(np.intp).tolist()
 
 
 def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
@@ -105,8 +105,7 @@ def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
             if relation is not CellRelation.ABOVE:
                 yield [(child_id, relation)]
         return
-    for payload in child_table.scan_batches():
-        matrix = payload.matrix
+    for matrix in child_table.scan_batches():
         split = (matrix.shape[1] + 1) // 2
         codes = classify_boxes_halfspace(matrix[:, 1:split],
                                          matrix[:, split:], hyperplane)

@@ -16,6 +16,12 @@ a faithful software simulation of that model:
   Section 1.2 and an internal component of the 2-D structure of Section 3).
 * :func:`~repro.io.external_sort.external_merge_sort` — multiway merge sort.
 
+A block has one form, fixed when the backend's ``put`` writes it: the
+read-only ``(n, d)`` float64 matrix of a point block
+(:func:`~repro.io.block.as_point_matrix` is the one gate for a record
+list), the record list of any other.  The medium, the buffer pool and the
+batch readers all hold that one value.
+
 All higher-level structures in :mod:`repro.core` and :mod:`repro.baselines`
 perform their disk accesses exclusively through this layer, so their
 reported query costs are measured in I/Os exactly as in the paper.
@@ -28,9 +34,7 @@ from repro.io.backend import (
     make_backend,
 )
 from repro.io.block import (
-    Block,
     BlockId,
-    BlockPayload,
     POINT_DTYPE,
     as_point_matrix,
     matrix_to_records,
@@ -42,9 +46,7 @@ from repro.io.btree import BTree
 from repro.io.external_sort import external_merge_sort
 
 __all__ = [
-    "Block",
     "BlockId",
-    "BlockPayload",
     "POINT_DTYPE",
     "as_point_matrix",
     "matrix_to_records",

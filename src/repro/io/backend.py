@@ -5,7 +5,7 @@ is where the blocks actually live.  The store performs every block
 materialisation through this interface, so the I/O *accounting* is
 identical across backends by construction — swapping the backend changes
 where bytes go (a Python dict, a file on a real disk), never how many
-block transfers the model charges.  Two implementations ship:
+block transfers the model charges.  Three implementations ship:
 
 * :class:`MemoryBackend` — blocks in a dict; the original behaviour and
   the default.
@@ -22,19 +22,21 @@ block transfers the model charges.  Two implementations ship:
   file past the mapped size (and invalidated by compaction, which moves
   live payloads).
 
-Records are arbitrary Python objects, so the file backends serialise each
-block with :mod:`pickle` — except *point blocks* (uniform float tuples,
-detected by :func:`~repro.io.block.as_point_matrix`), which are written as
-a small magic header plus the raw float64 bytes of their ``(n, d)``
-matrix.  A block that is a float matrix to begin with arrives through
-``put_matrix`` and is stored as that matrix — the same bytes on a file
-backend, the array itself in memory — without a record ever being built
-or inspected.  That columnar encoding is what makes the vectorized read path
-cheap: ``get_payload`` can hand back a contiguous ndarray without running
-the pickle machinery over every record, and :class:`MmapBackend` serves
-it as an ``np.frombuffer`` view of the mapping (materialised into a
-private copy before the lock is released, so compaction can never move
-bytes under a live view).  Backends are *not* shared between stores.
+A block is stored in one form, fixed by :meth:`StorageBackend.put` —
+the one write, and the one call of the columnar rule
+(:func:`~repro.io.block.as_point_matrix`): a read-only float64 matrix is
+kept as it is, a record list of uniform float tuples becomes its
+``(n, d)`` matrix, and any other record list stays a list.  ``put``
+returns that form and :meth:`~StorageBackend.get_payload` hands it back,
+so the store's buffer pool holds exactly what the medium holds.  The
+memory backend keeps the value itself; the file backends write a matrix
+as a small magic header plus its raw float64 bytes and pickle a list.
+The columnar encoding is what makes the vectorized read path cheap: a
+point block comes back as a contiguous read-only ndarray
+(``np.frombuffer`` over the bytes read — for :class:`MmapBackend`, the
+bytes sliced out of the mapping, so compaction can never move them
+under a live view) without the pickle machinery running over every
+record.  Backends are *not* shared between stores.
 """
 
 from __future__ import annotations
@@ -46,12 +48,12 @@ import pickle
 import struct
 import tempfile
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.io.block import (BlockId, POINT_DTYPE, as_point_matrix,
-                            matrix_to_records)
+from repro.io.block import (BlockId, POINT_DTYPE, StoredBlock,
+                            as_point_matrix, block_records)
 
 #: Per-block header in the file layout: (block_id, payload_length).
 _HEADER = struct.Struct("<qq")
@@ -67,33 +69,22 @@ _COLUMNAR_SHAPE = struct.Struct("<qq")
 _COLUMNAR_HEADER = len(_COLUMNAR_MAGIC) + _COLUMNAR_SHAPE.size
 
 
-def _encode_matrix(matrix: np.ndarray) -> bytes:
-    """The columnar payload: magic, shape, raw float64 bytes."""
-    return b"".join((_COLUMNAR_MAGIC, _COLUMNAR_SHAPE.pack(*matrix.shape),
-                     matrix.tobytes()))
+def _encode(block: StoredBlock) -> bytes:
+    """One block's payload: magic, shape and raw float64 bytes for a
+    matrix, a pickle for a record list."""
+    if isinstance(block, np.ndarray):
+        return b"".join((_COLUMNAR_MAGIC, _COLUMNAR_SHAPE.pack(*block.shape),
+                         block.tobytes()))
+    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _encode_records(records: List[Any]) -> bytes:
-    """Serialise one block: columnar for point blocks, pickle otherwise."""
-    matrix = as_point_matrix(records)
-    if matrix is None:
-        return pickle.dumps(list(records), protocol=pickle.HIGHEST_PROTOCOL)
-    return _encode_matrix(matrix)
-
-
-def _decode_matrix(payload: bytes) -> np.ndarray:
-    """The ``(n, d)`` float64 matrix of a columnar payload (zero-copy)."""
-    rows, cols = _COLUMNAR_SHAPE.unpack_from(payload, len(_COLUMNAR_MAGIC))
-    return np.frombuffer(payload, dtype=POINT_DTYPE, count=rows * cols,
-                         offset=_COLUMNAR_HEADER).reshape(rows, cols)
-
-
-def _decode_records(payload: bytes) -> List[Any]:
-    """Deserialise one block payload back into its record list."""
-    if not payload:
-        return []
+def _decode(payload: bytes) -> StoredBlock:
+    """The stored form of one payload; a matrix is a read-only view of
+    the payload bytes (no copy)."""
     if payload[:len(_COLUMNAR_MAGIC)] == _COLUMNAR_MAGIC:
-        return matrix_to_records(_decode_matrix(payload))
+        rows, cols = _COLUMNAR_SHAPE.unpack_from(payload, len(_COLUMNAR_MAGIC))
+        return np.frombuffer(payload, dtype=POINT_DTYPE, count=rows * cols,
+                             offset=_COLUMNAR_HEADER).reshape(rows, cols)
     return pickle.loads(payload)
 
 
@@ -101,28 +92,43 @@ class StorageBackend(abc.ABC):
     """Where a :class:`~repro.io.store.BlockStore`'s blocks physically live.
 
     The contract mirrors a dict keyed by :data:`~repro.io.block.BlockId`:
-    ``put`` creates or overwrites, ``get``/``delete`` raise :class:`KeyError`
-    for unknown ids, and ``get`` returns a *fresh* list the caller may
-    mutate.  Implementations never count I/Os — that is the store's job.
+    ``put`` creates or overwrites, ``get``/``get_payload``/``delete`` raise
+    :class:`KeyError` for unknown ids, and ``get`` returns a *fresh* list
+    the caller may mutate.  Implementations never count I/Os — that is
+    the store's job.
     """
 
     #: Short name used in reprs and benchmark labels.
     name: str = "abstract"
 
-    @abc.abstractmethod
-    def put(self, block_id: BlockId, records: List[Any]) -> None:
-        """Store (create or overwrite) the records of one block."""
+    def put(self, block_id: BlockId, block: StoredBlock) -> StoredBlock:
+        """Store (create or overwrite) one block; return its stored form.
+
+        ``block`` is a read-only ``(n, d)`` float64 matrix, kept as it is,
+        or a record list: its matrix when every record is a float tuple
+        of one width (:func:`~repro.io.block.as_point_matrix`), a copy of
+        the list otherwise.  The returned value is what
+        :meth:`get_payload` gives back; nobody writes to it.
+        """
+        if not isinstance(block, np.ndarray):
+            matrix = as_point_matrix(block)
+            block = list(block) if matrix is None else matrix
+        self._put(block_id, block)
+        return block
 
     @abc.abstractmethod
-    def put_matrix(self, block_id: BlockId, matrix: np.ndarray) -> None:
-        """Store (create or overwrite) one block given as its read-only
-        ``(n, d)`` float64 matrix — the block :meth:`put` of the row
-        tuples stores, without building them.  The backend may keep the
-        array; the caller (the store) hands over one nobody writes to."""
+    def _put(self, block_id: BlockId, block: StoredBlock) -> None:
+        """Store (create or overwrite) one block given in stored form."""
 
     @abc.abstractmethod
+    def get_payload(self, block_id: BlockId) -> StoredBlock:
+        """One block in the form :meth:`put` stored it: the read-only
+        matrix of a point block, the record list of any other (read-only
+        too: it may be the stored value itself)."""
+
     def get(self, block_id: BlockId) -> List[Any]:
         """Return a fresh copy of a block's records (KeyError if missing)."""
+        return block_records(self.get_payload(block_id))
 
     @abc.abstractmethod
     def delete(self, block_id: BlockId) -> None:
@@ -139,20 +145,6 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def block_ids(self) -> Iterator[BlockId]:
         """Iterate over the stored block ids (unspecified order)."""
-
-    def get_payload(self, block_id: BlockId
-                    ) -> Tuple[Optional[List[Any]], Optional[np.ndarray]]:
-        """One block as ``(records, matrix)`` — exactly one is non-None.
-
-        The batch read path: backends that store (or can cheaply derive)
-        a point block's columnar ``(n, d)`` float64 matrix return it in
-        the second slot, skipping per-record deserialisation; everything
-        else falls back to the record list.  The default delegates to
-        :meth:`get`.  Implementations perform exactly the same physical
-        work per call as :meth:`get` (one block fetch), so the store can
-        charge both paths identically.
-        """
-        return self.get(block_id), None
 
     def close(self) -> None:
         """Release any resources (file handles, temp files).  Idempotent."""
@@ -171,41 +163,20 @@ class StorageBackend(abc.ABC):
 class MemoryBackend(StorageBackend):
     """Blocks held in a Python dict — the simulator's original behaviour.
 
-    A block is held in one form: the read-only matrix of a point block,
-    the record list of any other.  A matrix arrives through
-    :meth:`put_matrix`, or replaces a record list of uniform float
-    tuples at its first :meth:`get_payload` — a full scan repeated over
-    the same blocks pays the tuple→ndarray conversion once per block,
-    not once per read — and is decoded by :meth:`get` exactly as the
-    file backends decode theirs.
+    The dict holds each block's stored form itself (what :meth:`put`
+    returned), so a read hands over the very value that was written.
     """
 
     name = "memory"
 
     def __init__(self) -> None:
-        self._blocks: Dict[BlockId, Union[List[Any], np.ndarray]] = {}
+        self._blocks: Dict[BlockId, StoredBlock] = {}
 
-    def put(self, block_id: BlockId, records: List[Any]) -> None:
-        self._blocks[block_id] = list(records)
+    def _put(self, block_id: BlockId, block: StoredBlock) -> None:
+        self._blocks[block_id] = block
 
-    def put_matrix(self, block_id: BlockId, matrix: np.ndarray) -> None:
-        self._blocks[block_id] = matrix
-
-    def get(self, block_id: BlockId) -> List[Any]:
-        block = self._blocks[block_id]
-        if isinstance(block, np.ndarray):
-            return matrix_to_records(block)
-        return list(block)
-
-    def get_payload(self, block_id: BlockId
-                    ) -> Tuple[Optional[List[Any]], Optional[np.ndarray]]:
-        block = self._blocks[block_id]
-        if not isinstance(block, np.ndarray):
-            matrix = as_point_matrix(block)
-            if matrix is None:
-                return list(block), None
-            block = self._blocks[block_id] = matrix
-        return None, block
+    def get_payload(self, block_id: BlockId) -> StoredBlock:
+        return self._blocks[block_id]
 
     def delete(self, block_id: BlockId) -> None:
         del self._blocks[block_id]
@@ -349,13 +320,8 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
     # StorageBackend interface
     # ------------------------------------------------------------------
-    def put(self, block_id: BlockId, records: List[Any]) -> None:
-        self._put_payload(block_id, _encode_records(records))
-
-    def put_matrix(self, block_id: BlockId, matrix: np.ndarray) -> None:
-        self._put_payload(block_id, _encode_matrix(matrix))
-
-    def _put_payload(self, block_id: BlockId, payload: bytes) -> None:
+    def _put(self, block_id: BlockId, block: StoredBlock) -> None:
+        payload = _encode(block)
         with self._lock:
             self._check_open()
             previous = self._index.get(block_id)
@@ -375,16 +341,8 @@ class FileBackend(StorageBackend):
             self.bytes_read += length
         return payload
 
-    def get(self, block_id: BlockId) -> List[Any]:
-        return _decode_records(self._payload_bytes(block_id))
-
-    def get_payload(self, block_id: BlockId
-                    ) -> Tuple[Optional[List[Any]], Optional[np.ndarray]]:
-        payload = self._payload_bytes(block_id)
-        if payload[:len(_COLUMNAR_MAGIC)] == _COLUMNAR_MAGIC:
-            # frombuffer over the just-read bytes: no pickle, no copy.
-            return None, _decode_matrix(payload)
-        return (pickle.loads(payload) if payload else []), None
+    def get_payload(self, block_id: BlockId) -> StoredBlock:
+        return _decode(self._payload_bytes(block_id))
 
     def delete(self, block_id: BlockId) -> None:
         with self._lock:
@@ -505,39 +463,18 @@ class MmapBackend(FileBackend):
         self._drop_map_locked()
         super()._compact_locked()
 
-    # ------------------------------------------------------------------
-    # StorageBackend interface
-    # ------------------------------------------------------------------
-    def get(self, block_id: BlockId) -> List[Any]:
-        records, matrix = self.get_payload(block_id)
-        if matrix is not None:
-            return matrix_to_records(matrix)
-        return records
-
-    def get_payload(self, block_id: BlockId
-                    ) -> Tuple[Optional[List[Any]], Optional[np.ndarray]]:
+    def _payload_bytes(self, block_id: BlockId) -> bytes:
+        """One block's payload sliced out of the mapping: the slice is
+        the one copy, and it detaches the block before the lock is
+        released (compaction relocates payloads, and a closed mmap with
+        live views raises BufferError)."""
         with self._lock:
             self._check_open()
             offset, length = self._index[block_id]
             if self._map is None or offset + length > self._mapped_size:
                 self._remap_locked()
             self.bytes_read += length
-            if length == 0:
-                return [], None
-            magic_end = offset + len(_COLUMNAR_MAGIC)
-            if self._map[offset:magic_end] == _COLUMNAR_MAGIC:
-                # Zero-copy decode: frombuffer views the mapping directly,
-                # then one copy detaches the result before the lock is
-                # released (compaction relocates payloads, and a closed
-                # mmap with live views raises BufferError).
-                rows, cols = _COLUMNAR_SHAPE.unpack_from(self._map, magic_end)
-                matrix = np.frombuffer(
-                    self._map, dtype=POINT_DTYPE, count=rows * cols,
-                    offset=offset + _COLUMNAR_HEADER,
-                ).reshape(rows, cols).copy()
-                return None, matrix
-            payload = bytes(self._map[offset:offset + length])
-        return pickle.loads(payload), None
+            return self._map[offset:offset + length]
 
     def close(self) -> None:
         with self._lock:

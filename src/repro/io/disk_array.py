@@ -14,7 +14,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.io.block import BlockId, BlockPayload
+from repro.io.block import BlockId, StoredBlock
 from repro.io.store import BlockStore
 
 
@@ -124,18 +124,18 @@ class DiskArray:
         """Yield all records front to back, one block read at a time."""
         return self._store.scan(self._block_ids)
 
-    def scan_batches(self) -> Iterator[BlockPayload]:
-        """Yield one :class:`BlockPayload` per block, front to back.
+    def scan_batches(self) -> Iterator[StoredBlock]:
+        """Yield each block in its stored form, front to back.
 
         The batch analogue of :meth:`scan`: identical I/O charging (one
         read or cache hit per block), but point blocks arrive as
-        contiguous ``(n, d)`` matrices ready for the vectorized kernels.
-        Lazy — block ``i + 1`` is read when the caller asks for it — which
-        is what a table walk's read order rests on; a caller that wants
+        contiguous read-only ``(n, d)`` matrices ready for the vectorized
+        kernels (any other block as its read-only record list).  Lazy —
+        block ``i + 1`` is read when the caller asks for it — which is
+        what a table walk's read order rests on; a caller that wants
         every block anyway uses :meth:`BlockStore.read_run`.
         """
-        for block_id in self._block_ids:
-            yield self._store.read_payload(block_id)
+        return map(self._store.read_payload, self._block_ids)
 
     def read_all(self) -> List[Any]:
         """Read the whole array into memory (⌈N/B⌉ read I/Os)."""
@@ -209,6 +209,29 @@ class DiskArray:
             self._block_ids[first_block:(stop - 1) // B + 1])
         matrix = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
         return matrix[start - first_block * B:stop - first_block * B]
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the records are packed: ⌈len/B⌉
+        allocated blocks, each holding ``B`` records but the last, which
+        holds ``_last_block_fill``.
+
+        The blocks are read from the backend directly, so no I/O is
+        charged and the buffer pool is untouched (a file backend still
+        counts the bytes it reads).
+        """
+        B = self._store.block_size
+        backend = self._store.backend
+        missing = [i for i in self._block_ids if not backend.contains(i)]
+        if missing:
+            raise AssertionError("blocks %r are not allocated" % missing)
+        sizes = [len(backend.get_payload(i)) for i in self._block_ids]
+        packed = [B] * (len(sizes) - 1) + [self._last_block_fill] \
+            if sizes else []
+        if sizes != packed or sum(sizes) != self._length \
+                or len(sizes) != -(-self._length // B):
+            raise AssertionError("%d records of B = %d in blocks of %r, "
+                                 "last fill %d" % (self._length, B, sizes,
+                                                   self._last_block_fill))
 
     def __repr__(self) -> str:
         return "DiskArray(len=%d, blocks=%d)" % (self._length, self.num_blocks)

@@ -12,65 +12,25 @@ Where the blocks physically live is delegated to a pluggable
 :class:`~repro.io.backend.StorageBackend` (an in-memory dict by default, a
 real file with :class:`~repro.io.backend.FileBackend`).  Every backend sits
 behind the same charging points, so swapping backends changes the medium
-without changing any measured I/O count.
+without changing any measured I/O count.  The pool holds each resident
+block in the one form the backend stored it (the read-only matrix of a
+point block, the record list of any other), so a hit hands over the
+value a miss would have fetched.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.io.backend import StorageBackend, make_backend
-from repro.io.block import (Block, BlockId, BlockPayload, as_point_matrix,
-                            copy_point_matrix, matrix_to_records)
+from repro.io.block import (POINT_DTYPE, BlockId, StoredBlock, block_records,
+                            copy_point_matrix)
 from repro.io.cache import LRUCache
-
-
-class _CacheEntry:
-    """One buffer-pool slot: a block's records, its matrix, or both.
-
-    The pool memoizes whichever representation a read produced and
-    converts to the other lazily, at most once per cached version
-    (``put``/``write`` install a fresh entry, so mutations can never be
-    served from a stale conversion).  ``tried_matrix`` records that a
-    columnar conversion was attempted and failed, so non-point blocks
-    pay the type scan only once while resident.
-    """
-
-    __slots__ = ("records", "matrix", "tried_matrix")
-
-    def __init__(self, records: Optional[List[Any]] = None,
-                 matrix: Optional[Any] = None):
-        self.records = records
-        self.matrix = matrix
-        self.tried_matrix = matrix is not None
-
-    def record_list(self) -> List[Any]:
-        if self.records is None:
-            self.records = matrix_to_records(self.matrix)
-        return self.records
-
-    def _try_matrix(self) -> None:
-        self.matrix = as_point_matrix(self.records)
-        self.tried_matrix = True
-
-    def block(self) -> Union[np.ndarray, List[Any]]:
-        """The matrix of a columnar block, the record list of any other."""
-        if self.matrix is None and not self.tried_matrix:
-            self._try_matrix()
-        return self.matrix if self.matrix is not None else self.records
-
-    def payload(self) -> BlockPayload:
-        if self.matrix is None and not self.tried_matrix:
-            self._try_matrix()
-        if self.matrix is not None:
-            return BlockPayload(matrix=self.matrix, records=self.records)
-        return BlockPayload(records=self.records)
 
 
 @dataclass
@@ -129,13 +89,6 @@ class IOStats:
                 % (self.reads, self.writes, self.total, self.cache_hits))
 
 
-@dataclass
-class _StoreConfig:
-    block_size: int
-    cache_blocks: int = 4
-    count_writes: bool = True
-
-
 class BlockStore:
     """A simulated disk made of fixed-capacity blocks.
 
@@ -146,10 +99,6 @@ class BlockStore:
     cache_blocks:
         Size of the LRU buffer pool in blocks (the model's ``M/B``).  A value
         of 0 disables caching.
-    count_writes:
-        If False, block writes are not counted as I/Os.  Query-only
-        experiments sometimes use this to isolate read traffic; it defaults
-        to True, matching the model.
     backend:
         Where blocks physically live: None / ``"memory"`` (a dict, the
         default), ``"file"`` (a real file), a
@@ -158,16 +107,15 @@ class BlockStore:
     """
 
     def __init__(self, block_size: int, cache_blocks: int = 4,
-                 count_writes: bool = True,
                  backend: object = None):
         if block_size <= 0:
             raise ValueError("block_size must be positive, got %r" % block_size)
-        self._config = _StoreConfig(block_size, cache_blocks, count_writes)
+        self._block_size = block_size
         self._backend: StorageBackend = make_backend(backend)
         self._next_id: BlockId = 0
         for existing in self._backend.block_ids():
             self._next_id = max(self._next_id, existing + 1)
-        self._cache: LRUCache[BlockId, _CacheEntry] = LRUCache(cache_blocks)
+        self._cache: LRUCache[BlockId, StoredBlock] = LRUCache(cache_blocks)
         self.stats = IOStats()
         #: Serializes whole queries from multi-threaded executors.  One
         #: store models one disk, which serves one request at a time; the
@@ -183,7 +131,7 @@ class BlockStore:
     @property
     def block_size(self) -> int:
         """The number of records per block (``B``)."""
-        return self._config.block_size
+        return self._block_size
 
     @property
     def backend(self) -> StorageBackend:
@@ -198,8 +146,8 @@ class BlockStore:
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
-    def allocate(self, records: Iterable[Any] = ()) -> BlockId:
-        """Allocate a fresh block, optionally pre-filled, and write it.
+    def allocate(self, records: Sequence[Any]) -> BlockId:
+        """Allocate a fresh block holding ``records`` and write it.
 
         The initial write is charged as one write I/O (building a structure
         has to pay for writing it out, as in the paper's preprocessing
@@ -207,21 +155,15 @@ class BlockStore:
         """
         block_id = self._next_id
         self._next_id += 1
-        block = Block(block_id, self.block_size, records)
-        self._backend.put(block_id, block.records)
+        self._put(block_id, records)
         self.stats.allocations += 1
-        if self._config.count_writes:
-            self.stats.writes += 1
-        self._cache.put(block_id, _CacheEntry(records=block.copy_records()))
         return block_id
 
     def allocate_many(self, records: Sequence[Any]) -> List[BlockId]:
         """Write ``records`` contiguously into ⌈len/B⌉ fresh blocks."""
-        block_ids: List[BlockId] = []
-        for start in range(0, len(records), self.block_size):
-            chunk = records[start:start + self.block_size]
-            block_ids.append(self.allocate(chunk))
-        return block_ids
+        B = self._block_size
+        return [self.allocate(records[start:start + B])
+                for start in range(0, len(records), B)]
 
     def allocate_matrix(self, matrix: np.ndarray) -> List[BlockId]:
         """Write the rows of an ``(n, d)`` float array contiguously into
@@ -233,21 +175,9 @@ class BlockStore:
         block is a ``B``-row slice of one private read-only copy
         (:func:`~repro.io.block.copy_point_matrix`, which raises
         :class:`ValueError` for anything but a 2-D float array with a
-        column), handed to the backend and the pool as it is.
+        column), stored and pooled as it is.
         """
-        matrix = copy_point_matrix(matrix)
-        block_ids: List[BlockId] = []
-        for start in range(0, len(matrix), self.block_size):
-            chunk = matrix[start:start + self.block_size]
-            block_id = self._next_id
-            self._next_id += 1
-            self._backend.put_matrix(block_id, chunk)
-            self.stats.allocations += 1
-            if self._config.count_writes:
-                self.stats.writes += 1
-            self._cache.put(block_id, _CacheEntry(matrix=chunk))
-            block_ids.append(block_id)
-        return block_ids
+        return self.allocate_many(copy_point_matrix(matrix))
 
     def free(self, block_id: BlockId) -> None:
         """Release a block.  Freeing is bookkeeping only, not an I/O."""
@@ -261,68 +191,57 @@ class BlockStore:
     # transfers
     # ------------------------------------------------------------------
     def read(self, block_id: BlockId) -> List[Any]:
-        """Read a block, charging one I/O unless the buffer pool holds it."""
-        cached = self._cache.get(block_id)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return list(cached.record_list())
-        entry = self._fetch(block_id)
-        return list(entry.record_list())
+        """Read a block's records (a fresh list), charging one I/O unless
+        the buffer pool holds it."""
+        return block_records(self._read_one(block_id))
 
-    def read_payload(self, block_id: BlockId) -> BlockPayload:
-        """Read a block as a :class:`BlockPayload` (columnar when possible).
+    def read_payload(self, block_id: BlockId) -> StoredBlock:
+        """Read one block in its stored form — ``read_run([block_id])[0]``:
+        the read-only matrix of a point block, the record list of any
+        other (read-only too: it is the pool's entry).
 
-        Charges exactly what :meth:`read` charges — one read I/O on a
-        buffer-pool miss, one cache hit otherwise — so batch consumers
-        see bit-identical :class:`IOStats` to the record-at-a-time path.
-        The payload may share storage with the buffer pool; treat it as
-        read-only.
+        Charges what :meth:`read` charges — one read I/O on a buffer-pool
+        miss, one cache hit otherwise.
         """
-        cached = self._cache.get(block_id)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached.payload()
-        return self._fetch(block_id).payload()
+        block = self._cache.get(block_id)
+        if block is None:
+            return self._fetch(block_id)
+        self.stats.cache_hits += 1
+        return block
 
-    def read_run(self, block_ids: Sequence[BlockId]
-                 ) -> List[Union[np.ndarray, List[Any]]]:
-        """Read several blocks in order: per block its matrix, or its
-        record list when the block is not columnar (both read-only).
+    #: The one-block read :meth:`read` and :meth:`read_run` share, bound
+    #: here so that wrapping one public read method sees its calls alone.
+    _read_one = read_payload
 
-        ``[read_payload(i) for i in block_ids]`` — the same
-        :class:`IOStats`, pool hits, misses and recency order, bytes
-        moved, and the same :class:`KeyError` after the same charges —
-        in one call, without a :class:`BlockPayload` per block.
-        """
-        cache = self._cache
-        blocks = []
-        for block_id in block_ids:
-            entry = cache.get(block_id)
-            if entry is not None:
-                self.stats.cache_hits += 1
-            else:
-                entry = self._fetch(block_id)
-            blocks.append(entry.block())
-        return blocks
+    def read_run(self, block_ids: Sequence[BlockId]) -> List[StoredBlock]:
+        """Read several blocks in order, each as :meth:`read_payload`
+        reads it: the same :class:`IOStats`, pool hits, misses and
+        recency order, bytes moved, and the same :class:`KeyError` after
+        the same charges."""
+        return list(map(self._read_one, block_ids))
 
-    def _fetch(self, block_id: BlockId) -> _CacheEntry:
+    def _fetch(self, block_id: BlockId) -> StoredBlock:
         """Fetch a block from the backend, charge one read, cache it."""
         if not self._backend.contains(block_id):
             raise KeyError("block %r is not allocated" % block_id)
         self.stats.reads += 1
-        entry = _CacheEntry(*self._backend.get_payload(block_id))
-        self._cache.put(block_id, entry)
-        return entry
+        block = self._backend.get_payload(block_id)
+        self._cache.put(block_id, block)
+        return block
 
-    def write(self, block_id: BlockId, records: Iterable[Any]) -> None:
+    def write(self, block_id: BlockId, records: Sequence[Any]) -> None:
         """Overwrite a block's contents, charging one write I/O."""
         if not self._backend.contains(block_id):
             raise KeyError("block %r is not allocated" % block_id)
-        block = Block(block_id, self.block_size, records)
-        self._backend.put(block_id, block.records)
-        if self._config.count_writes:
-            self.stats.writes += 1
-        self._cache.put(block_id, _CacheEntry(records=block.copy_records()))
+        self._put(block_id, records)
+
+    def _put(self, block_id: BlockId, block: Sequence[Any]) -> None:
+        """Store one block (one write I/O) and pool its stored form."""
+        if len(block) > self._block_size:
+            raise ValueError("block %d overflow: %d records > capacity %d"
+                             % (block_id, len(block), self._block_size))
+        self._cache.put(block_id, self._backend.put(block_id, block))
+        self.stats.writes += 1
 
     def read_many(self, block_ids: Iterable[BlockId]) -> List[Any]:
         """Read several blocks and concatenate their records in order."""
@@ -384,7 +303,6 @@ class BlockStore:
         """
         previous = self._cache.capacity
         self._cache.resize(cache_blocks)
-        self._config.cache_blocks = cache_blocks
         return previous
 
     def cache_info(self) -> Dict[str, float]:
@@ -400,18 +318,23 @@ class BlockStore:
     def check_invariants(self) -> None:
         """Raise AssertionError unless the pool is consistent with the
         disk: at most ``capacity`` entries, each of an allocated block
-        and holding at least one representation of it."""
+        and in a stored form — a read-only 2-D float64 array or a list."""
         resident = self._cache.items()
         if len(resident) > self._cache.capacity:
             raise AssertionError("pool holds %d blocks, capacity %d"
                                  % (len(resident), self._cache.capacity))
-        for block_id, entry in resident:
+        for block_id, block in resident:
             if not self._backend.contains(block_id):
                 raise AssertionError("block %r is resident but not "
                                      "allocated" % block_id)
-            if entry.records is None and entry.matrix is None:
-                raise AssertionError("pool entry of block %r is empty"
-                                     % block_id)
+            if isinstance(block, np.ndarray):
+                stored = (block.ndim == 2 and block.dtype == POINT_DTYPE
+                          and not block.flags.writeable)
+            else:
+                stored = type(block) is list
+            if not stored:
+                raise AssertionError("pool entry of block %r is not a "
+                                     "stored form: %r" % (block_id, block))
 
     def byte_counters(self) -> Tuple[int, int]:
         """Cumulative (bytes_read, bytes_written) at the physical medium.

@@ -1,53 +1,26 @@
 """Unit tests for the I/O-model substrate: blocks, cache and the block store."""
 
+import numpy as np
 import pytest
 
-from repro.io.block import Block
+from repro.io.block import as_point_matrix, block_records
 from repro.io.cache import LRUCache
 from repro.io.store import BlockStore, IOStats
 
 
 class TestBlock:
-    def test_empty_block_has_zero_length(self):
-        block = Block(0, 4)
-        assert len(block) == 0
-
     def test_block_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            Block(0, 0)
-
-    def test_block_rejects_overflow_at_construction(self):
-        with pytest.raises(ValueError):
-            Block(0, 2, [1, 2, 3])
-
-    def test_append_until_full_then_overflow(self):
-        block = Block(0, 2)
-        block.append("a")
-        block.append("b")
-        assert block.is_full
-        with pytest.raises(OverflowError):
-            block.append("c")
-
-    def test_free_slots_decrease_with_appends(self):
-        block = Block(0, 3)
-        assert block.free_slots == 3
-        block.append(1)
-        assert block.free_slots == 2
-
-    def test_extend_adds_records_in_order(self):
-        block = Block(0, 5)
-        block.extend([1, 2, 3])
-        assert list(block) == [1, 2, 3]
+        for capacity in (0, -1):
+            with pytest.raises(ValueError):
+                BlockStore(block_size=capacity)
 
     def test_copy_records_is_a_copy(self):
-        block = Block(0, 3, [1, 2])
-        copy = block.copy_records()
-        copy.append(3)
-        assert len(block) == 2
-
-    def test_repr_mentions_fill_state(self):
-        block = Block(7, 4, [1])
-        assert "1/4" in repr(block)
+        for block in ([1, 2], as_point_matrix([(1.0, 2.0), (3.0, 4.0)])):
+            copy = block_records(block)
+            copy.append(3)
+            assert len(block) == 2
+            assert len(block_records(block)) == 2
+        assert isinstance(block, np.ndarray)
 
 
 class TestLRUCache:
@@ -200,11 +173,11 @@ class TestBlockStore:
         assert store.blocks_for(4) == 1
         assert store.blocks_for(5) == 2
 
-    def test_count_writes_false_suppresses_write_charges(self):
-        store = BlockStore(block_size=4, count_writes=False)
-        block_id = store.allocate([1])
-        store.write(block_id, [2])
-        assert store.stats.writes == 0
+    def test_block_overflow_rejected_on_allocate(self):
+        store = BlockStore(block_size=2)
+        with pytest.raises(ValueError):
+            store.allocate([1, 2, 3])
+        assert store.num_blocks == 0 and store.stats.total == 0
 
     def test_block_overflow_rejected_on_write(self):
         store = BlockStore(block_size=2)

@@ -81,7 +81,7 @@ def read_each(store, ids):
 
 
 def payload_each(store, ids):
-    return [store.read_payload(block_id).matrix for block_id in ids]
+    return [store.read_payload(block_id) for block_id in ids]
 
 
 def open_twins(backend, block_size, capacity, directory):
@@ -113,6 +113,8 @@ def test_allocate_matrix_is_allocate_many_of_the_rows(backend, drawn,
             assert ids == by_records.allocate_many(expected)
             assert len(ids) == -(-len(matrix) // block_size)
             assert observable(by_matrix) == observable(by_records)
+            by_matrix.check_invariants()
+            by_records.check_invariants()
             if matrix.flags.writeable and matrix.size:
                 matrix[...] = 99.0      # the caller's array stays its own
             for read in (read_each, BlockStore.read_run, payload_each):
@@ -128,11 +130,11 @@ def test_allocate_matrix_is_allocate_many_of_the_rows(backend, drawn,
                         # numpy scalar.
                         assert repr(block) == repr(twin)
                 assert observable(by_matrix) == observable(by_records)
+                by_matrix.check_invariants()
+                by_records.check_invariants()
             flat = [record for block_id in ids
                     for record in by_matrix.read(block_id)]
             assert repr(flat) == repr(expected)
-            by_matrix.check_invariants()
-            by_records.check_invariants()
             if backend == "memory":
                 return
             logs = []
@@ -174,8 +176,11 @@ def test_a_disk_array_from_a_matrix_grows_like_any_other(rows):
     arrays = (DiskArray.from_matrix(stores[0], matrix),
               DiskArray(stores[1], row_tuples(matrix)))
     for array in arrays:
+        array.check_invariants()
         array.append((0.5, 0.25))
+        array.check_invariants()
         array.extend([(7.0, 8.0)] * 4)
+        array.check_invariants()
     assert len(arrays[0]) == len(arrays[1]) == rows + 5
     assert arrays[0].block_ids == arrays[1].block_ids
     assert repr(arrays[0].read_all()) == repr(arrays[1].read_all())

@@ -1,6 +1,8 @@
 """Unit tests for DiskArray and the external merge sort."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.io.disk_array import DiskArray
 from repro.io.external_sort import external_merge_sort
@@ -114,9 +116,9 @@ class TestDiskArray:
         points = [(float(i), float(i * 2)) for i in range(20)]
         array = DiskArray(store, points)
         batched = []
-        for payload in array.scan_batches():
-            assert payload.is_columnar
-            batched.extend(tuple(row) for row in payload.matrix.tolist())
+        for matrix in array.scan_batches():
+            assert isinstance(matrix, np.ndarray)
+            batched.extend(tuple(row) for row in matrix.tolist())
         assert batched == list(array.scan())
 
     def test_scan_batches_same_ios_as_scan(self, store_nocache):
@@ -132,10 +134,8 @@ class TestDiskArray:
 
     def test_scan_batches_non_point_records_fall_back(self, store):
         array = DiskArray(store, ["a", "b", "c"])
-        payloads = list(array.scan_batches())
-        assert len(payloads) == 1
-        assert not payloads[0].is_columnar
-        assert payloads[0].records() == ["a", "b", "c"]
+        blocks = list(array.scan_batches())
+        assert blocks == [["a", "b", "c"]]
 
     def test_read_all_array_stacks_blocks(self, store):
         points = [(float(i), -float(i)) for i in range(20)]
@@ -152,6 +152,79 @@ class TestDiskArray:
 
     def test_read_all_array_empty(self, store):
         assert DiskArray(store).read_all_array() is None
+
+
+point_rows = st.tuples(st.floats(-4, 4, allow_nan=False),
+                       st.floats(-4, 4, allow_nan=False))
+records = st.one_of(point_rows, point_rows, st.integers(-9, 9))
+positions = st.integers(0, 40)
+array_steps = st.lists(st.one_of(
+    st.tuples(st.just("append"), records),
+    st.tuples(st.just("extend"), st.lists(records, max_size=11)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("from_matrix"), st.lists(point_rows, max_size=11)),
+    st.tuples(st.just("range"), positions, positions),
+), min_size=1, max_size=12)
+
+
+@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@settings(max_examples=60, deadline=None)
+@given(block_size=st.sampled_from([1, 3, 4]), capacity=st.integers(0, 3),
+       script=array_steps)
+def test_a_disk_array_reads_back_its_list_twin(backend, block_size, capacity,
+                                               script):
+    """Generated append / extend / clear / from_matrix scripts: after
+    every step the array reads back as the list it twins, and both
+    invariant checkers hold."""
+    store = BlockStore(block_size, cache_blocks=capacity, backend=backend)
+    try:
+        array, twin = DiskArray(store), []
+        for step in script:
+            if step[0] == "append":
+                array.append(step[1])
+                twin.append(step[1])
+            elif step[0] == "extend":
+                array.extend(step[1])
+                twin.extend(step[1])
+            elif step[0] == "clear":
+                array.clear()
+                twin = []
+            elif step[0] == "from_matrix":
+                array.clear()
+                array = DiskArray.from_matrix(
+                    store, np.array(step[1], dtype=float).reshape(-1, 2))
+                twin = list(step[1])
+            else:
+                start, stop = sorted((min(step[1], len(twin)),
+                                      min(step[2], len(twin))))
+                assert repr(array.read_range(start, stop)) \
+                    == repr(twin[start:stop]), step
+            array.check_invariants()
+            store.check_invariants()
+            assert len(array) == len(twin)
+            assert repr(array.read_all()) == repr(twin), step
+            matrix = array.read_all_array()
+            if not twin or any(type(record) is not tuple for record in twin):
+                assert matrix is None, step
+            else:
+                assert matrix.tobytes() == np.array(twin).tobytes(), step
+    finally:
+        store.close()
+
+
+def test_check_invariants_catches_a_torn_array(store):
+    array = DiskArray(store, [(float(i), 0.0) for i in range(20)])
+    array.check_invariants()
+    array._last_block_fill -= 1                 # the bookkeeping lies
+    with pytest.raises(AssertionError):
+        array.check_invariants()
+    array._last_block_fill += 1
+    store.write(array.block_ids[0], [(0.0, 0.0)])   # a short inner block
+    with pytest.raises(AssertionError):
+        array.check_invariants()
+    store.free(array.block_ids[1])
+    with pytest.raises(AssertionError):
+        array.check_invariants()
 
 
 class TestExternalSort:

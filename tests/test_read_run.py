@@ -42,9 +42,7 @@ steps = st.lists(st.one_of(
 def looped(store: BlockStore, ids):
     out = []
     for block_id in ids:
-        payload = store.read_payload(block_id)
-        out.append(payload.matrix if payload.is_columnar
-                   else payload.records())
+        out.append(store.read_payload(block_id))
     return out
 
 

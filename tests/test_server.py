@@ -648,13 +648,23 @@ def test_jsonable_normalizes_awkward_values():
 # ----------------------------------------------------------------------
 # graceful shutdown
 # ----------------------------------------------------------------------
-def test_graceful_shutdown_drains_in_flight_requests():
+def test_graceful_shutdown_drains_in_flight_requests(monkeypatch):
     points = uniform_points(1024, seed=23)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=23)
     engine.register_dataset("d", points, kinds=["dynamic"])
     server = engine.serve_http([ApiKey(key="k", tenant="t")])
     host, port = server.address
     outcomes = []
+    # The gate: stop() waits until every request has been admitted and
+    # handed to a worker, so none can arrive after the listener closes.
+    dispatched = threading.Semaphore(0)
+    dispatch = engine.executor.core.dispatch
+
+    def counted_dispatch(*args, **kwargs):
+        dispatched.release()
+        return dispatch(*args, **kwargs)
+
+    monkeypatch.setattr(engine.executor.core, "dispatch", counted_dispatch)
 
     def slow_client(offset):
         client = ServerClient(host, port, api_key="k")
@@ -664,7 +674,8 @@ def test_graceful_shutdown_drains_in_flight_requests():
                for i in range(6)]
     for thread in threads:
         thread.start()
-    time.sleep(0.02)          # let the requests reach the server
+    for __ in threads:
+        assert dispatched.acquire(timeout=30.0)
     server.stop(timeout=30.0)
     for thread in threads:
         thread.join(timeout=30.0)

@@ -8,9 +8,11 @@ free-then-read errors, and cache-hit accounting parity across backends.
 """
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.io.backend import (
     FileBackend,
@@ -86,21 +88,23 @@ class TestBackendConformance:
         matrix = np.array([[1.0, -0.0], [2.5, 5e-324], [2.5, 5e-324]])
         matrix.setflags(write=False)
         backend.put(1, [("an", "overwritten"), ("record", "block")])
-        backend.put_matrix(0, matrix)
-        backend.put_matrix(1, matrix[:2])
+        assert backend.put(0, matrix) is matrix
+        backend.put(1, matrix[:2])
         rows = [tuple(row) for row in matrix.tolist()]
         for block_id, expected in ((0, rows), (1, rows[:2])):
             records = backend.get(block_id)
             assert repr(records) == repr(expected)
             records.append("mine")                  # a fresh list
             assert backend.get(block_id) == expected
-            none, payload = backend.get_payload(block_id)
-            assert none is None
+            payload = backend.get_payload(block_id)
+            assert not payload.flags.writeable
             assert payload.tobytes() == matrix[:len(expected)].tobytes()
+        assert backend.put(2, rows).tobytes() == matrix.tobytes()
+        assert backend.get_payload(2).tobytes() == matrix.tobytes()
         backend.put(0, [("records", "again")])
-        assert backend.get_payload(0) == ([("records", "again")], None)
+        assert backend.get_payload(0) == [("records", "again")]
         backend.delete(1)
-        assert sorted(backend.block_ids()) == [0]
+        assert sorted(backend.block_ids()) == [0, 2]
 
     def test_info_reports_backend_name_and_blocks(self, backend):
         backend.put(0, [1])
@@ -263,7 +267,7 @@ class TestLogEndOffset:
                 if roll < 0.2 and backend.contains(block_id):
                     backend.delete(block_id)
                 elif roll < 0.5:
-                    backend.put_matrix(block_id, np.full(
+                    backend.put(block_id, np.full(
                         (1 + step % 7, 2), float(step)))
                 elif roll < 0.6:
                     backend.get(block_id) if backend.contains(block_id) \
@@ -297,7 +301,7 @@ class TestLogEndOffset:
     def test_a_torn_tail_is_not_counted_in_the_end_offset(self, tmp_path):
         path = str(tmp_path / "torn.log")
         backend = FileBackend(path)
-        backend.put_matrix(0, np.ones((3, 2)))
+        backend.put(0, np.ones((3, 2)))
         backend.close()
         intact = os.path.getsize(path)
         with open(path, "ab") as handle:
@@ -310,6 +314,99 @@ class TestLogEndOffset:
         assert recovered.get(0) == [(1.0, 1.0)] * 3
         assert recovered.get(1) == ["next"]
         recovered.close()
+
+
+def _read_only(matrix):
+    matrix = np.array(matrix, dtype=float).reshape(len(matrix), -1)
+    matrix.setflags(write=False)
+    return matrix
+
+
+finite = st.floats(allow_nan=False, width=64)
+log_blocks = st.one_of(
+    st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.lists(finite, min_size=d, max_size=d), min_size=1, max_size=5)
+        .map(_read_only)),                                     # a matrix
+    st.lists(st.tuples(finite, finite), min_size=1, max_size=5),  # float rows
+    st.lists(st.one_of(st.integers(), st.text(max_size=3),
+                       st.tuples(st.integers(), finite)), max_size=5))
+log_scripts = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 4), log_blocks),
+    st.tuples(st.just("delete"), st.integers(0, 4))), min_size=1, max_size=10)
+
+
+def _stored(block):
+    """The form ``put`` stores ``block`` in."""
+    if isinstance(block, np.ndarray):
+        return block
+    if block and all(isinstance(record, tuple) and len(record) == 2
+                     and all(type(c) is float for c in record)
+                     for record in block):
+        return np.array(block)
+    return list(block)
+
+
+def _same_blocks(backend, expected):
+    assert sorted(backend.block_ids()) == sorted(expected)
+    for block_id, block in expected.items():
+        stored = backend.get_payload(block_id)
+        assert type(stored) is type(block), block_id
+        if isinstance(block, np.ndarray):
+            assert not stored.flags.writeable
+            assert stored.shape == block.shape
+            assert stored.tobytes() == block.tobytes()
+        else:
+            assert repr(stored) == repr(block)
+
+
+@pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
+@settings(max_examples=40, deadline=None)
+@given(script=log_scripts, data=st.data())
+def test_a_torn_log_reopens_to_its_complete_record_prefix(kind, script,
+                                                         data):
+    """Cut a log at every record boundary and inside every header and
+    payload: the reopened backend holds the blocks of the complete
+    records before the cut, reports that prefix's length, and appends
+    and reopens cleanly from there."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "full.log")
+        writer = kind(path, auto_compact_ratio=0)   # one record per step
+        states, boundaries, model = [{}], [0], {}
+        for step in script:
+            if step[0] == "put":
+                writer.put(step[1], step[2])
+                model[step[1]] = _stored(step[2])
+            elif writer.contains(step[1]):
+                writer.delete(step[1])
+                del model[step[1]]
+            else:
+                continue
+            states.append(dict(model))
+            boundaries.append(writer.info()["file_bytes"])
+        writer.close()
+        with open(path, "rb") as handle:
+            log = handle.read()
+        assert len(log) == boundaries[-1]
+        cuts = list(boundaries)
+        for start, end in zip(boundaries, boundaries[1:]):
+            cuts.append(data.draw(st.integers(start + 1, start + 15)))
+            if end > start + 16:            # tombstones have no payload
+                cuts.append(data.draw(st.integers(start + 16, end - 1)))
+        for cut in cuts:
+            prefix = max(k for k, end in enumerate(boundaries) if end <= cut)
+            torn = os.path.join(directory, "torn-%d.log" % cut)
+            with open(torn, "wb") as handle:
+                handle.write(log[:cut])
+            reopened = kind(torn)
+            _same_blocks(reopened, states[prefix])
+            assert reopened.info()["file_bytes"] == boundaries[prefix]
+            after = dict(states[prefix])
+            after[9] = reopened.put(9, [("after", "the cut")])
+            reopened.close()
+            again = kind(torn)
+            _same_blocks(again, after)
+            assert again.info()["file_bytes"] == os.path.getsize(torn)
+            again.close()
 
 
 class TestMmapBackend:

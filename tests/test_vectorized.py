@@ -26,7 +26,7 @@ from repro.core import kernels
 from repro.core.kernels import PointRows
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
-from repro.io.block import BlockPayload, as_point_matrix, matrix_to_records
+from repro.io.block import as_point_matrix, matrix_to_records
 from repro.io.backend import FileBackend, MemoryBackend, MmapBackend
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -155,14 +155,6 @@ def test_as_point_matrix_round_trips():
     assert matrix_to_records(matrix) == records
 
 
-def test_block_payload_requires_one_representation():
-    with pytest.raises(ValueError):
-        BlockPayload()
-    payload = BlockPayload(matrix=np.asarray([[1.0, 2.0]]))
-    assert payload.is_columnar and len(payload) == 1
-    assert payload.records() == [(1.0, 2.0)]
-
-
 @pytest.mark.parametrize("backend_factory",
                          [MemoryBackend, FileBackend, MmapBackend])
 def test_point_blocks_round_trip_every_backend(backend_factory):
@@ -174,11 +166,10 @@ def test_point_blocks_round_trip_every_backend(backend_factory):
         backend.put(2, mixed)
         assert backend.get(1) == points
         assert backend.get(2) == mixed
-        records, matrix = backend.get_payload(1)
-        assert records is None and matrix is not None
+        matrix = backend.get_payload(1)
+        assert isinstance(matrix, np.ndarray)
         assert matrix_to_records(matrix) == points
-        records, matrix = backend.get_payload(2)
-        assert matrix is None and records == mixed
+        assert backend.get_payload(2) == mixed
     finally:
         backend.close()
 
@@ -195,8 +186,8 @@ def test_payload_reads_charge_identically_to_record_reads(backend):
         store_b.reset_stats()
         scalar = list(array_a.scan())
         batched = []
-        for payload in array_b.scan_batches():
-            batched.extend(tuple(row) for row in payload.matrix.tolist())
+        for matrix in array_b.scan_batches():
+            batched.extend(tuple(row) for row in matrix.tolist())
         assert batched == scalar
         # Run both a second time so buffer-pool hits are exercised too.
         list(array_a.scan())
@@ -213,8 +204,7 @@ def test_mmap_zero_copy_matrix_detached_from_mapping():
     store = BlockStore(block_size=4, cache_blocks=0, backend="mmap")
     try:
         array = DiskArray(store, [(float(i), 1.0) for i in range(8)])
-        payloads = list(array.scan_batches())
-        matrices = [payload.matrix for payload in payloads]
+        matrices = list(array.scan_batches())
     finally:
         store.close()
     # The mapping is closed; the matrices must stay readable (they were
@@ -321,7 +311,7 @@ def test_mixed_leaf_block_mid_traversal_keeps_answer_order():
         block_id = array.block_ids[0]
         index.store.write(block_id, [tuple(int(c) for c in record)
                                      for record in index.store.read(block_id)])
-        assert not index.store.read_payload(block_id).is_columnar
+        assert isinstance(index.store.read_payload(block_id), list)
     vector = index.query(constraint)
     with scalar_kernels():
         scalar = index.query(constraint)
