@@ -11,15 +11,17 @@ skips cells entirely above it.
 The partition cells are produced by a pluggable partitioner (median-cut
 boxes by default, ham-sandwich cells for the 2-D ablation) — the only
 property the analysis needs is the o(r) crossing number of Theorem 5.1,
-which both partitioners provide for hyperplane queries.
+which both partitioners provide for hyperplane queries.  The whole
+hierarchy of partitions is made first (median cuts in vectorised rounds,
+one per split depth of a tree depth; any other partitioner once per
+node), then written to the disk depth-first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import (Callable, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,13 +29,13 @@ from repro.core import kernels
 from repro.core.interface import ExternalIndex, Point
 from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
                                   classify_boxes_halfspace)
-from repro.geometry.partitions import PartitionCell, median_cut_partition
+from repro.geometry.partitions import (PartitionNode, Partitioner,
+                                       median_cut_hierarchy,
+                                       partitioner_hierarchy)
 from repro.geometry.primitives import Hyperplane, LinearConstraint
 from repro.geometry.simplex import Simplex
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
-
-Partitioner = Callable[[np.ndarray, int, Optional[np.ndarray]], List[PartitionCell]]
 
 
 @dataclass
@@ -58,14 +60,11 @@ class _Node:
 # ----------------------------------------------------------------------
 # the cell table: one record per child, (child id, lower, upper) flat
 # ----------------------------------------------------------------------
-def encode_cells(child_ids: Sequence[int],
-                 cells: Sequence[PartitionCell]) -> np.ndarray:
+def encode_cells(child_ids: Sequence[int], corners: np.ndarray) -> np.ndarray:
     """One flat float row ``(child_id, *lower, *upper)`` per cell, so a
     table block is columnar: one ``(fanout, 1 + 2d)`` float64 matrix
     from here to the buffer pool and the file backends."""
-    return np.array([(child_id, *cell.cell.lower, *cell.cell.upper)
-                     for child_id, cell in zip(child_ids, cells)],
-                    dtype=float)
+    return np.column_stack((np.asarray(child_ids, dtype=float), corners))
 
 
 def scan_cells(child_table: DiskArray
@@ -136,29 +135,47 @@ class CellTreeIndex(ExternalIndex):
             points = points.reshape(0, empty_dimension)
         if points.ndim != 2:
             raise ValueError("points must be a 2-D array of shape (N, d)")
+        if leaf_size < 1:
+            # A one-point node would re-partition into itself forever.
+            raise ValueError("leaf_capacity must be >= 1, got %r" % leaf_size)
         self._points = points
         self._max_fanout = max_fanout if max_fanout is not None else self.block_size
         self._leaf_size = leaf_size
-        self._partitioner = partitioner if partitioner is not None else median_cut_partition
+        #: None: median cuts (the rounds); kept for the shallow tree's
+        #: secondary trees.
+        self._partitioner = partitioner
         self._nodes: List[_Node] = []
         self._last_nodes_visited = 0
         self._begin_space_accounting()
-        self._root = self._build(np.arange(len(points))) if len(points) else None
+        self._root = None
+        if len(points):
+            hierarchy = (median_cut_hierarchy(points, self._fanout)
+                         if partitioner is None else
+                         partitioner_hierarchy(points, self._fanout,
+                                               partitioner))
+            self._root = self._build(hierarchy, 0)
         self._end_space_accounting()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self, indices: np.ndarray) -> int:
-        size = len(indices)
+    def _fanout(self, size: int) -> int:
+        """The partition size ``min(cB, 2 n_v)`` of a node of ``size``
+        points, at least 2; 0 for a leaf."""
         if size <= self._leaf_size:
+            return 0
+        return max(2, min(self._max_fanout, 2 * -(-size // self.block_size)))
+
+    def _build(self, hierarchy: List[PartitionNode], number: int) -> int:
+        """Write node ``number`` of ``hierarchy`` and its subtree,
+        depth-first; node ids are post-order."""
+        indices, children, corners = hierarchy[number]
+        if corners is None:
             node = self._leaf_node(indices)
         else:
-            blocks = -(-size // self.block_size)
-            fanout = max(2, min(self._max_fanout, 2 * blocks))
-            cells = self._partitioner(self._points, fanout, indices)
-            child_ids = [self._build(np.asarray(cell.indices)) for cell in cells]
-            node = self._internal_node(indices, encode_cells(child_ids, cells))
+            child_ids = [self._build(hierarchy, child) for child in children]
+            node = self._internal_node(indices,
+                                       encode_cells(child_ids, corners))
         self._nodes.append(node)
         return len(self._nodes) - 1
 
@@ -193,6 +210,83 @@ class CellTreeIndex(ExternalIndex):
     def last_nodes_visited(self) -> int:
         """Nodes whose cell was crossed during the most recent query."""
         return self._last_nodes_visited
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the stored tree is the one the
+        build promises, as read back from the disk.
+
+        Every child's box holds every point of its subtree; subtree sizes
+        add up to their node's ``size`` and the root's to N; a leaf holds
+        1 to ``leaf_size`` points and an internal node has at least 2
+        cells; node ids are post-order (so a child's id is below its
+        parent's); every table is one ``(fanout, 1 + 2d)`` float64 matrix
+        of :func:`encode_cells` rows.  A shallow tree's secondary trees
+        are checked as well.  The blocks are read from the backend
+        directly, so no I/O is charged and the buffer pool is untouched.
+        """
+        backend = self._store.backend
+        d = self.dimension
+        post_order: List[int] = []
+
+        def check(holds: bool, message: str, *values) -> None:
+            if not holds:
+                raise AssertionError(message % values)
+
+        def stored(array: DiskArray, width: int) -> np.ndarray:
+            array.check_invariants()
+            blocks = [backend.get_payload(i) for i in array.block_ids]
+            check(bool(blocks) and all(
+                isinstance(block, np.ndarray) and block.dtype == np.float64
+                and block.shape[1:] == (width,) for block in blocks),
+                "%r is not stored as (n, %d) float64 matrices", array, width)
+            return np.concatenate(blocks)
+
+        def subtree(node_id: int) -> Tuple[int, np.ndarray, np.ndarray]:
+            """The size and bounding corners of the points under a node."""
+            node = self._nodes[node_id]
+            if node.is_leaf:
+                rows = stored(node.points_array, d)
+                check(0 < len(rows) == node.size <= self._leaf_size,
+                      "leaf %d holds %d points, says %d, leaf size %d",
+                      node_id, len(rows), node.size, self._leaf_size)
+                post_order.append(node_id)
+                return node.size, rows.min(axis=0), rows.max(axis=0)
+            table = stored(node.child_table, 1 + 2 * d)
+            check(len(table) >= 2, "node %d has %d cells", node_id,
+                  len(table))
+            total, lowest, highest = 0, [], []
+            for child_id, lower, upper in zip(table[:, 0].tolist(),
+                                              table[:, 1:1 + d],
+                                              table[:, 1 + d:]):
+                check(child_id == int(child_id) and 0 <= child_id < node_id,
+                      "node %d lists child %r", node_id, child_id)
+                size, low, high = subtree(int(child_id))
+                check(bool(np.all(lower <= low) and np.all(high <= upper)),
+                      "the box of node %d does not hold its subtree",
+                      int(child_id))
+                total += size
+                lowest.append(low)
+                highest.append(high)
+            check(total == node.size, "node %d says %d points, its cells "
+                  "hold %d", node_id, node.size, total)
+            if node.secondary is not None:
+                node.secondary.check_invariants()
+                check(node.secondary.size == node.size, "the secondary "
+                      "tree of node %d holds %d points", node_id,
+                      node.secondary.size)
+            post_order.append(node_id)
+            return node.size, np.min(lowest, axis=0), np.max(highest, axis=0)
+
+        if self._root is None:
+            check(not self._nodes and not self.size,
+                  "%d points, %d nodes and no root", self.size,
+                  len(self._nodes))
+            return
+        size = subtree(self._root)[0]
+        check(size == self.size, "the tree holds %d of %d points", size,
+              self.size)
+        check(post_order == list(range(len(self._nodes))),
+              "node ids are not the post-order")
 
     # ------------------------------------------------------------------
     # halfspace queries
@@ -303,8 +397,9 @@ class PartitionTreeIndex(CellTreeIndex):
     leaf_capacity:
         Leaves hold at most this many points (defaults to B).
     partitioner:
-        Callable building the balanced simplicial partition; defaults to
-        :func:`repro.geometry.partitions.median_cut_partition`.
+        Callable building the balanced simplicial partition of one node;
+        None (the default) cuts every node's median-cut partition in the
+        rounds of :func:`repro.geometry.partitions.median_cut_hierarchy`.
     """
 
     def __init__(self, points: Sequence[Sequence[float]],

@@ -404,10 +404,16 @@ class Catalog:
             raise ValueError("dataset %r is already registered" % name)
 
     def _as_points(self, points: Sequence[Sequence[float]]) -> np.ndarray:
+        """The registration's point matrix, refused as a write would be:
+        a NaN or an infinity breaks the planar walk and every router."""
         array = np.asarray(points, dtype=float)
         if array.ndim != 2 or array.shape[0] == 0 or array.shape[1] < 2:
             raise ValueError("points must have shape (N >= 1, d >= 2), got %r"
                              % (array.shape,))
+        finite = np.isfinite(array).all(axis=1)
+        if not finite.all():
+            raise ValueError("point coordinates must be finite, got %r"
+                             % (tuple(array[np.argmin(finite)].tolist()),))
         return array
 
     @staticmethod

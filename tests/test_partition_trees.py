@@ -9,7 +9,9 @@ from repro.core.hybrid3d import HybridIndex3D
 from repro.core.kernels import PointRows
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.core.shallow_tree import ShallowPartitionTreeIndex
+from repro.geometry.boxes import Box
 from repro.geometry.hamsandwich import ham_sandwich_partition
+from repro.geometry.partitions import PartitionCell
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
 from repro.workloads import (
@@ -23,16 +25,22 @@ from repro.workloads import (
 from conftest import brute_force_halfspace
 
 
+def checked(tree):
+    """``tree``, once its stored structure has passed its invariants."""
+    tree.check_invariants()
+    return tree
+
+
 @pytest.fixture(scope="module")
 def tree_2d():
     points = uniform_points(2500, seed=1)
-    return points, PartitionTreeIndex(points, block_size=32)
+    return points, checked(PartitionTreeIndex(points, block_size=32))
 
 
 @pytest.fixture(scope="module")
 def tree_4d():
     points = uniform_points(1500, dimension=4, seed=2)
-    return points, PartitionTreeIndex(points, block_size=32)
+    return points, checked(PartitionTreeIndex(points, block_size=32))
 
 
 class TestPartitionTree:
@@ -52,7 +60,7 @@ class TestPartitionTree:
 
     def test_matches_ground_truth_3d_clustered(self):
         points = clustered_points(1200, dimension=3, seed=6)
-        tree = PartitionTreeIndex(points, block_size=32)
+        tree = checked(PartitionTreeIndex(points, block_size=32))
         for constraint in random_halfspace_queries(6, dimension=3, seed=7):
             assert brute_force_halfspace(points, constraint) == \
                 {tuple(p) for p in tree.query(constraint)}
@@ -70,7 +78,7 @@ class TestPartitionTree:
         assert result.total_ios < n
 
     def test_empty_index(self):
-        tree = PartitionTreeIndex(np.zeros((0, 2)), block_size=16)
+        tree = checked(PartitionTreeIndex(np.zeros((0, 2)), block_size=16))
         assert tree.query(LinearConstraint((0.0,), 0.0)) == []
 
     def test_dimension_mismatch_rejected(self, tree_2d):
@@ -103,11 +111,39 @@ class TestPartitionTree:
 
     def test_ham_sandwich_partitioner_variant_correct(self):
         points = uniform_points(900, seed=9)
-        tree = PartitionTreeIndex(points, block_size=32,
-                                  partitioner=ham_sandwich_partition)
+        tree = checked(PartitionTreeIndex(points, block_size=32,
+                                          partitioner=ham_sandwich_partition))
         for constraint in random_halfspace_queries(5, seed=10):
             assert brute_force_halfspace(points, constraint) == \
                 {tuple(p) for p in tree.query(constraint)}
+
+    @pytest.mark.parametrize("kind", [PartitionTreeIndex,
+                                      ShallowPartitionTreeIndex])
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_leaf_capacity_below_one_rejected(self, kind, capacity):
+        # A one-point node would partition into itself forever.
+        with pytest.raises(ValueError, match="leaf_capacity"):
+            kind(uniform_points(20, seed=24), block_size=4,
+                 leaf_capacity=capacity)
+
+    def test_a_partitioner_that_cannot_divide_is_refused(self):
+        def one_cell(points, r, indices):
+            return [PartitionCell(indices, Box.of_points(points[indices]))]
+        with pytest.raises(ValueError, match="undivided"):
+            PartitionTreeIndex(uniform_points(100, seed=26), block_size=8,
+                               partitioner=one_cell)
+
+    def test_a_broken_box_fails_the_invariants(self):
+        tree = checked(PartitionTreeIndex(uniform_points(300, seed=25),
+                                          block_size=8))
+        root = tree._nodes[-1]
+        table = tree._store.backend.get_payload(root.child_table.block_ids[0])
+        shrunk = table.copy()
+        shrunk[0, 1] += 0.25 * (shrunk[0, 3] - shrunk[0, 1])   # lower x up
+        shrunk.setflags(write=False)
+        tree._store.write(root.child_table.block_ids[0], shrunk)
+        with pytest.raises(AssertionError, match="does not hold"):
+            tree.check_invariants()
 
     def test_nodes_visited_smaller_than_node_count(self, tree_2d):
         points, tree = tree_2d
@@ -120,7 +156,8 @@ class TestShallowTree:
     @pytest.fixture(scope="class")
     def shallow_3d(self):
         points = uniform_points_ball(1200, dimension=3, seed=12)
-        return points, ShallowPartitionTreeIndex(points, block_size=32)
+        return points, checked(ShallowPartitionTreeIndex(points,
+                                                         block_size=32))
 
     def test_matches_ground_truth(self, shallow_3d):
         points, tree = shallow_3d
@@ -152,7 +189,8 @@ class TestShallowTree:
         assert tree.last_secondary_queries >= 0
 
     def test_empty_index(self):
-        tree = ShallowPartitionTreeIndex(np.zeros((0, 3)), block_size=16)
+        tree = checked(ShallowPartitionTreeIndex(np.zeros((0, 3)),
+                                                 block_size=16))
         assert tree.query(LinearConstraint((0.0, 0.0), 0.0)) == []
 
     def test_dimension_mismatch_rejected(self, shallow_3d):
@@ -165,8 +203,8 @@ class TestHybrid3D:
     @pytest.fixture(scope="class")
     def hybrid(self):
         points = uniform_points_ball(1500, dimension=3, seed=17)
-        return points, HybridIndex3D(points, block_size=32, leaf_exponent=1.5,
-                                     seed=18)
+        return points, checked(HybridIndex3D(points, block_size=32,
+                                             leaf_exponent=1.5, seed=18))
 
     def test_matches_ground_truth(self, hybrid):
         points, tree = hybrid
@@ -213,5 +251,5 @@ class TestHybrid3D:
         assert tree.last_leaves_queried >= 0
 
     def test_empty_index(self):
-        tree = HybridIndex3D(np.zeros((0, 3)), block_size=16)
+        tree = checked(HybridIndex3D(np.zeros((0, 3)), block_size=16))
         assert tree.query(LinearConstraint((0.0, 0.0), 0.0)) == []

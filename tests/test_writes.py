@@ -78,6 +78,24 @@ def test_non_finite_points_are_rejected_before_any_replica(points2d, bad):
                        for replica in shard.replicas)
         assert engine.query(name, EVERYTHING).count == len(points2d)
     assert heard == [] and engine.summary()["writes"] == {}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_points_are_refused_at_registration(points2d, bad):
+    # A NaN used to die in the planar level walk (an IndexError) and an
+    # infinity registered silently; both are refused as a write is, before
+    # any index is built and without taking the name.
+    poisoned = np.array(points2d)
+    poisoned[7, 1] = bad
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        engine.register_dataset("d", poisoned)
+    with pytest.raises(ValueError, match="finite"):
+        engine.register_sharded_dataset("d", poisoned, num_shards=2,
+                                        replicas=2)
+    engine.register_dataset("d", points2d, kinds=["full_scan"])
+    assert engine.query("d", EVERYTHING).count == len(points2d)
+    engine.close()
     engine.close()
 
 
