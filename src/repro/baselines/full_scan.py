@@ -7,12 +7,12 @@ the upper bound any clever structure must beat for small outputs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -63,7 +63,7 @@ class FullScanIndex(ExternalIndex):
         del constraint, expected_output
         return float(max(1, self._store.blocks_for(max(1, self.size))))
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report satisfying points by scanning all ⌈N/B⌉ blocks."""
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "

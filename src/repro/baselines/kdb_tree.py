@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
 from repro.geometry.boxes import Box, CellRelation
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
@@ -112,42 +112,36 @@ class KDBTreeIndex(ExternalIndex):
         """Regions (nodes) touched by the most recent query."""
         return self._last_regions_visited
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report satisfying points by descending into crossed regions."""
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
-        results = kernels.PointRows()
-        if self._root is None:
-            return results
-        self._last_regions_visited = 0
-        self._visit(self._root, constraint, results, filter_points=True)
-        return results
+        scan = kernels.DeferredScan(self._dimension, constraint.below,
+                                    constraint.below_many)
+        if self._root is not None:
+            self._last_regions_visited = 0
+            self._visit(self._root, constraint, scan, filter_points=True)
+        return scan.flush()
 
     def _visit(self, node_id: int, constraint: LinearConstraint,
-               results: kernels.PointRows, filter_points: bool) -> None:
+               scan: kernels.DeferredScan, filter_points: bool) -> None:
         record = self._read_node(node_id)
         self._last_regions_visited += 1
         if record[0] == _LEAF:
-            __, leaf_index, lower, upper = record
-            if filter_points:
-                kernels.filter_constraint(self._leaf_arrays[leaf_index],
-                                          constraint, out=results)
-            else:
-                kernels.collect_records(self._leaf_arrays[leaf_index],
-                                        out=results)
+            scan.add(self._leaf_arrays[record[1]], filtered=filter_points)
             return
         __, left_id, right_id, lower, upper = record
         if not filter_points:
-            self._visit(left_id, constraint, results, False)
-            self._visit(right_id, constraint, results, False)
+            self._visit(left_id, constraint, scan, False)
+            self._visit(right_id, constraint, scan, False)
             return
         relation = Box(lower, upper).classify_halfspace(constraint.hyperplane)
         if relation is CellRelation.ABOVE:
             return
         if relation is CellRelation.BELOW:
-            self._visit(left_id, constraint, results, False)
-            self._visit(right_id, constraint, results, False)
+            self._visit(left_id, constraint, scan, False)
+            self._visit(right_id, constraint, scan, False)
             return
-        self._visit(left_id, constraint, results, True)
-        self._visit(right_id, constraint, results, True)
+        self._visit(left_id, constraint, scan, True)
+        self._visit(right_id, constraint, scan, True)

@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
+from repro.core.kernels import answer_matrix
 from repro.geometry.polygons import convex_hull
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
@@ -87,13 +88,13 @@ class PagedDualIndex2D(ExternalIndex):
             expected_output = min(self.size, self.block_size)
         return 1.0 + float(np.log2(max(2, self.size))) + float(expected_output)
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report satisfying points layer by layer, stopping when one is empty."""
         if constraint.dimension != 2:
             raise ValueError("PagedDualIndex2D answers 2-D constraints only")
         slope = constraint.coeffs[0]
         offset = constraint.offset
-        results: List[Point] = []
+        results: List[tuple] = []
         for layer in self._layers:
             size = len(layer)
             if size == 0:
@@ -118,4 +119,4 @@ class PagedDualIndex2D(ExternalIndex):
                 # Every vertex of this hull is above the line, hence so is
                 # every point inside it (all deeper layers): stop.
                 break
-        return results
+        return answer_matrix((results,), 2)

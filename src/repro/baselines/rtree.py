@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
 from repro.geometry.boxes import Box, CellRelation
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
@@ -123,25 +123,24 @@ class RTreeIndex(ExternalIndex):
         """Nodes visited by the most recent query."""
         return self._last_nodes_visited
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report satisfying points by descending into crossed rectangles."""
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
-        results = kernels.PointRows()
-        if self._root is None:
-            return results
-        self._last_nodes_visited = 0
-        self._visit(self._root, constraint, results)
-        return results
+        scan = kernels.DeferredScan(self._dimension, constraint.below,
+                                    constraint.below_many)
+        if self._root is not None:
+            self._last_nodes_visited = 0
+            self._visit(self._root, constraint, scan)
+        return scan.flush()
 
     def _visit(self, node_id: int, constraint: LinearConstraint,
-               results: kernels.PointRows) -> None:
+               scan: kernels.DeferredScan) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
-            kernels.filter_constraint(node.points_array, constraint,
-                                      out=results)
+            scan.add(node.points_array, filtered=True)
             return
         hyperplane = constraint.hyperplane
         for record in node.child_table.scan():
@@ -150,15 +149,16 @@ class RTreeIndex(ExternalIndex):
             if relation is CellRelation.ABOVE:
                 continue
             if relation is CellRelation.BELOW:
-                self._report_subtree(child_id, results)
+                self._report_subtree(child_id, scan)
             else:
-                self._visit(child_id, constraint, results)
+                self._visit(child_id, constraint, scan)
 
-    def _report_subtree(self, node_id: int, results: kernels.PointRows) -> None:
+    def _report_subtree(self, node_id: int,
+                        scan: kernels.DeferredScan) -> None:
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
-            kernels.collect_records(node.points_array, out=results)
+            scan.add(node.points_array, filtered=False)
             return
         for record in node.child_table.scan():
-            self._report_subtree(record[0], results)
+            self._report_subtree(record[0], scan)

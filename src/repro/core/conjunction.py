@@ -22,7 +22,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, Point, QueryResult
+from repro.core.interface import ExternalIndex, QueryResult
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
@@ -112,25 +112,26 @@ class ConstraintConjunction:
 
 
 def query_conjunction(index: ExternalIndex,
-                      conjunction: ConstraintConjunction) -> List[Point]:
+                      conjunction: ConstraintConjunction) -> np.ndarray:
     """Report every point of ``index`` satisfying the conjunction.
 
     Partition trees answer the polytope natively (Section 5, Remark i);
-    other indexes answer their first constraint and filter the rest.
+    other indexes answer their first constraint and the rest mask its
+    matrix.
     """
     if conjunction.dimension != index.dimension:
         raise ValueError("conjunction dimension %d does not match index "
                          "dimension %d" % (conjunction.dimension, index.dimension))
     if isinstance(index, PartitionTreeIndex) or hasattr(index, "query_simplex"):
         return index.query_simplex(conjunction.to_polytope())
-    candidates = kernels.PointRows.of(
-        index.query(conjunction.constraints[0]))
-    if kernels.vectorized_enabled() and len(candidates) > 1:
-        matrix = candidates.matrix
-        return kernels.PointRows.of(
-            matrix[conjunction.satisfied_many(matrix)])
-    return kernels.PointRows.of(
-        [point for point in candidates if conjunction.satisfied_by(point)])
+    candidates = index.query(conjunction.constraints[0])
+    if kernels.vectorized_enabled():
+        keep = conjunction.satisfied_many(candidates)
+    else:
+        keep = [conjunction.satisfied_by(point)
+                for point in candidates.tolist()]
+    return kernels.answer_matrix((candidates.compress(keep, axis=0),),
+                                 conjunction.dimension)
 
 
 def query_conjunction_with_stats(index: ExternalIndex,

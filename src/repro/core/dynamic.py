@@ -27,12 +27,14 @@ amortised update cost is measurable with the usual counters.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
 from repro.core.partition_tree import PartitionTreeIndex, Partitioner
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
@@ -99,18 +101,23 @@ class DynamicPartitionTreeIndex(ExternalIndex):
                                         block_size=self.block_size,
                                         **self._tree_kwargs)
 
-    def _live_tree_points(self) -> List[Tuple[float, ...]]:
-        """The tree's points with exactly ``count`` copies of each
-        tombstoned value hidden (multiset semantics for duplicates)."""
+    def _unhidden(self, records: Iterable[Tuple[float, ...]]) -> List[bool]:
+        """Per record, in order: is it live?  A tombstoned value hides
+        exactly ``count`` of its copies, the first ones met (multiset
+        semantics for duplicates)."""
         remaining = dict(self._tombstones)
-        live: List[Tuple[float, ...]] = []
-        for point in self._tree_points:
-            hidden = remaining.get(point, 0)
+        keep: List[bool] = []
+        for record in records:
+            hidden = remaining.get(record, 0)
             if hidden:
-                remaining[point] = hidden - 1
-                continue
-            live.append(point)
-        return live
+                remaining[record] = hidden - 1
+            keep.append(not hidden)
+        return keep
+
+    def _live_tree_points(self) -> List[Tuple[float, ...]]:
+        """The tree's points, tombstoned copies hidden."""
+        return list(compress(self._tree_points,
+                             self._unhidden(self._tree_points)))
 
     def _rewrite_tombstone_array(self) -> None:
         """Make the on-disk tombstone blocks match the in-memory multiset.
@@ -297,7 +304,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         live.extend(self._buffer_points)
         return live
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every live point satisfying the constraint.
 
         A tombstoned value hides exactly ``count`` of its tree copies, so
@@ -309,18 +316,10 @@ class DynamicPartitionTreeIndex(ExternalIndex):
                              "dimension %d" % (constraint.dimension, self._dimension))
         # The buffer is scanned with the tree's leaves; it never holds a
         # tombstoned value (insert resurrects one instead, delete takes
-        # buffered copies first), so the pass below leaves its rows alone.
-        results = self._tree.query_and_scan(constraint, (self._buffer,))
-        if self._tombstones:
-            # Only now are points looked at one by one; with nothing
-            # hidden the tree's matrix chunks pass through untouched.
-            hidden: Dict[Tuple[float, ...], int] = {}
-            reported, results = results, kernels.PointRows()
-            for point in reported:
-                record = tuple(point)
-                count = self._tombstones.get(record, 0)
-                if count and hidden.get(record, 0) < count:
-                    hidden[record] = hidden.get(record, 0) + 1
-                    continue
-                results.append(point)
-        return results
+        # buffered copies first), so the mask below leaves its rows alone.
+        answer = self._tree.query_and_scan(constraint, (self._buffer,))
+        if not self._tombstones:
+            return answer
+        keep = self._unhidden(map(tuple, answer.tolist()))
+        return kernels.answer_matrix((answer.compress(keep, axis=0),),
+                                     self._dimension)

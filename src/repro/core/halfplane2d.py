@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.clustering import Cluster, clustering_union, greedy_clustering
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
 from repro.geometry.arrangement2d import LineArrays, compute_level
 from repro.geometry.duality import dual_point_of_hyperplane
 from repro.geometry.primitives import EPS, LinearConstraint
@@ -198,14 +198,13 @@ class HalfplaneIndex2D(ExternalIndex):
         del constraint
         return 1.0 + self._log_b_n() + self._output_blocks(expected_output)
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the linear constraint."""
         if constraint.dimension != 2:
             raise ValueError("expected a 2-D constraint, got dimension %d"
                              % constraint.dimension)
-        rows = kernels.PointRows()
         if self._num_points == 0:
-            return rows
+            return kernels.answer_matrix((), 2)
         query_x, query_y = dual_point_of_hyperplane(constraint.hyperplane)
         reported = _Reported()
         self._last_layers_probed = 0
@@ -214,8 +213,7 @@ class HalfplaneIndex2D(ExternalIndex):
             finished = self._query_layer(layer, query_x, query_y, reported)
             if finished:
                 break
-        reported.points_into(rows)
-        return rows
+        return reported.points()
 
     def _query_layer(self, layer: _Layer, query_x: float, query_y: float,
                      reported: "_Reported") -> bool:
@@ -291,18 +289,19 @@ class _Reported:
         self.records: List[tuple] = []
         self.matrices: List[np.ndarray] = []
 
-    def points_into(self, rows: kernels.PointRows) -> None:
-        """Append the distinct points, in first-seen order."""
+    def points(self) -> np.ndarray:
+        """The distinct points, in first-seen order, as the answer."""
         first_seen: dict = {}
         for record in self.records:
             first_seen.setdefault(record[0], record[3:])
-        rows.extend(first_seen.values())
+        parts = [list(first_seen.values())]
         if self.matrices:
             matrix = np.concatenate(self.matrices)
             __, first = np.unique(matrix[:, 0], return_index=True)
             if len(first) < len(matrix):
                 first.sort()
                 matrix = matrix[first]
-            # A copy of the two point columns: the answer does not pin
-            # the number, slope and intercept columns beside them.
-            rows.extend_matrix(np.ascontiguousarray(matrix[:, 3:]))
+            # Copied out: the answer does not pin the number, slope and
+            # intercept columns beside the two point columns.
+            parts.append(matrix[:, 3:])
+        return kernels.answer_matrix(parts, 2)

@@ -11,12 +11,12 @@ dual point, or from a scan when that cannot be cheaper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interface import ExternalIndex, Point
-from repro.core.kernels import PointRows
+from repro.core.interface import ExternalIndex
+from repro.core.kernels import answer_matrix
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.duality import dual_plane_of_point, dual_point_of_hyperplane
 from repro.geometry.primitives import LinearConstraint
@@ -87,14 +87,13 @@ class HalfspaceIndex3D(ExternalIndex):
         return self._planes_index.estimated_halfspace_ios(
             qx, qy, max(0.0, expected_output))
 
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the 3-D linear constraint."""
         if constraint.dimension != 3:
             raise ValueError("expected a 3-D constraint, got dimension %d"
                              % constraint.dimension)
-        rows = PointRows()
-        if self._num_points:
-            qx, qy, qz = dual_point_of_hyperplane(constraint.hyperplane)
-            indices = self._planes_index.planes_below_point(qx, qy, qz)
-            rows.extend_matrix(self._points[indices])
-        return rows
+        if not self._num_points:
+            return answer_matrix((), 3)
+        qx, qy, qz = dual_point_of_hyperplane(constraint.hyperplane)
+        indices = self._planes_index.planes_below_point(qx, qy, qz)
+        return answer_matrix((self._points[indices],), 3)

@@ -17,7 +17,9 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore, IOStats
@@ -27,9 +29,13 @@ Point = Tuple[float, ...]
 
 @dataclass
 class QueryResult:
-    """The outcome of one query: reported points plus its I/O cost."""
+    """The outcome of one query: reported points plus its I/O cost.
 
-    points: List[Point]
+    ``points`` is the index's answer as it returned it, one read-only
+    ``(count, d)`` float64 matrix.
+    """
+
+    points: np.ndarray
     ios: IOStats
 
     @property
@@ -110,12 +116,12 @@ class ExternalIndex(abc.ABC):
         """Number of stored points (the paper's N)."""
 
     @abc.abstractmethod
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying ``constraint``.
 
-        The batch-kernel structures answer with a
-        :class:`~repro.core.kernels.PointRows` — a list that keeps the
-        kernels' float64 matrix and builds its tuples on first use.
+        The answer is one read-only C-contiguous ``(n, d)`` float64
+        matrix, a row per reported point (``(0, d)`` when none is);
+        :func:`~repro.core.kernels.answer_matrix` makes it.
         """
 
     # ------------------------------------------------------------------
@@ -170,5 +176,5 @@ class ExternalIndex(abc.ABC):
                               points: Sequence[Point]) -> bool:
         """Check a query result against an in-memory scan (test helper)."""
         expected = {tuple(point) for point in points if constraint.below(point)}
-        actual = {tuple(point) for point in self.query(constraint)}
+        actual = set(map(tuple, self.query(constraint).tolist()))
         return expected == actual

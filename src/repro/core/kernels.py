@@ -22,13 +22,13 @@ tuples, here and in the store.
 
 One scan serves one query (:class:`DeferredScan`): a tree walk reads
 each leaf when it visits it and the predicate runs once, over all the
-rows read, when the walk is over; ``filter_constraint`` and its
-siblings are that scan over a single array.
+rows read, when the walk is over; ``filter_constraint`` is that scan
+over a single array.
 
-What a kernel selects stays a matrix: the masked sub-matrix of each
-scan goes into a :class:`PointRows`, the ordered answer the indexes
-return and the engine carries to the socket, and rows become Python
-tuples only for a caller that reads individual points.
+What a kernel selects stays a matrix: every index answers with one
+read-only C-contiguous ``(n, d)`` float64 matrix (:func:`answer_matrix`,
+``(0, d)`` when empty), and the engine carries it to the socket as it
+is.
 
 A process-wide toggle (:func:`set_vectorized`, :func:`scalar_kernels`)
 forces the scalar path everywhere; the benchmark uses it to measure the
@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
-from repro.geometry.simplex import Simplex
 from repro.io.block import POINT_DTYPE, matrix_to_records
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -80,157 +79,26 @@ def scalar_kernels():
 matrix_rows = matrix_to_records
 
 
-class PointRows(list):
-    """An ordered query answer: a list of point tuples that boxes its
-    items only on demand.
+def answer_matrix(parts: Sequence[Any], dimension: int) -> np.ndarray:
+    """Matrices and record lists, in order, as one answer: a read-only
+    C-contiguous ``(n, d)`` float64 matrix, ``(0, d)`` when empty.
 
-    The batch kernels hand over masked ``(k, d)`` float64 sub-matrices
-    (:meth:`extend_matrix`), the natively scalar paths single records
-    (:meth:`append` / :meth:`extend`); insertion order is the answer's
-    order.  :attr:`matrix` is the whole answer as one read-only
-    C-contiguous ``(n, d)`` float64 array and is what the engine carries
-    from the scan to the socket; ``len()`` counts rows without looking
-    at them.  The first caller that does look at individual points —
-    iterates, indexes, compares, ``json.dumps`` — has the tuples built
-    once, and from then on this is an ordinary ``list`` in every respect
-    (it always was one to ``isinstance``).
+    Records become rows here, once; a lone part that already is such a
+    matrix (a pool block) is the answer itself, not a copy.
     """
-
-    __slots__ = ("_parts", "_matrix")
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: The unboxed answer — ndarray chunks and record lists, in
-        #: insertion order — or None once the list holds the tuples.
-        self._parts: Optional[List[Any]] = []
-        self._matrix: Optional[np.ndarray] = None
-
-    @classmethod
-    def of(cls, points: Any) -> "PointRows":
-        """``points`` — an ``(n, d)`` matrix or an iterable of records —
-        as a :class:`PointRows` (itself, when it already is one)."""
-        if isinstance(points, cls):
-            return points
-        rows = cls()
-        if isinstance(points, np.ndarray):
-            rows.extend_matrix(points)
-        else:
-            rows.extend(points)
-        return rows
-
-    def _tail(self) -> List[Any]:
-        """The chunk new scalar records land in (while unboxed)."""
-        if not self._parts or type(self._parts[-1]) is not list:
-            self._parts.append([])
-        return self._parts[-1]
-
-    def append(self, record: Any) -> None:
-        self._matrix = None
-        if self._parts is None:
-            super().append(record)
-        else:
-            self._tail().append(record)
-
-    def extend(self, records: Iterable[Any]) -> None:
-        parts = records._parts if isinstance(records, PointRows) else None
-        if parts is not None:
-            for part in parts:
-                if type(part) is list:
-                    # Copied, never shared: a later append must not
-                    # reach into the answer the records came from.
-                    self.extend(part)
-                else:
-                    self.extend_matrix(part)
-            return
-        self._matrix = None
-        if self._parts is None:
-            super().extend(records)
-        else:
-            self._tail().extend(records)
-
-    def extend_matrix(self, matrix: np.ndarray) -> None:
-        """Append the rows of an ``(k, d)`` matrix (kept by reference)."""
-        if not len(matrix):
-            return
-        self._matrix = None
-        if self._parts is None:
-            super().extend(matrix_rows(matrix))
-        else:
-            self._parts.append(matrix)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The answer as one read-only C-contiguous ``(n, d)`` float64
-        array (``(0, 0)`` when empty); no per-point Python objects."""
-        if self._matrix is None:
-            parts = self._parts if self._parts is not None else [list(self)]
-            chunks = [part if type(part) is not list
-                      else np.asarray(part, dtype=POINT_DTYPE)
-                      for part in parts if len(part)]
-            if len(chunks) > 1:
-                matrix = np.concatenate(chunks)
-            else:
-                matrix = chunks[0] if chunks else np.empty((0, 0))
-            matrix = np.ascontiguousarray(matrix, dtype=POINT_DTYPE)
-            if matrix.flags.writeable:
-                matrix = matrix.view()
-                matrix.setflags(write=False)
-            self._matrix = matrix
-            if self._parts is not None:
-                # The chunks are spent: hold the answer once, not twice.
-                self._parts = [matrix]
-        return self._matrix
-
-    def _box(self) -> None:
-        """Build the tuples; from here on the list itself is the answer."""
-        if self._parts is None:
-            return
-        if not any(type(part) is list for part in self._parts):
-            self.matrix     # outlives the chunks: the tuples are its rows
-        parts, self._parts = self._parts, None
-        for part in parts:
-            super().extend(part if type(part) is list
-                           else matrix_rows(part))
-
-    def __len__(self) -> int:
-        if self._parts is None:
-            return super().__len__()
-        return sum(len(part) for part in self._parts)
-
-    def __iter__(self) -> Iterator[Any]:
-        self._box()
-        return super().__iter__()
-
-    def __radd__(self, other: List[Any]) -> List[Any]:
-        return other + list(self)
-
-    def __reduce__(self):
-        return list, (list(self),)      # copies and pickles as its items
-
-
-def _boxed_first(name: str, mutates: bool):
-    """``list.<name>`` for :class:`PointRows`: C code reads a list's
-    items directly, so they (and an operand's) are boxed before it runs."""
-    method = getattr(list, name)
-
-    def call(self, *args, **kwargs):
-        for rows in (self,) + args:
-            if isinstance(rows, PointRows):
-                rows._box()
-        if mutates:
-            self._matrix = None
-        return method(self, *args, **kwargs)
-    call.__name__ = name
-    return call
-
-
-for _name in ("__getitem__", "__contains__", "__reversed__", "__repr__",
-              "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__",
-              "__add__", "__mul__", "__rmul__", "copy", "count", "index"):
-    setattr(PointRows, _name, _boxed_first(_name, mutates=False))
-for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "clear",
-              "insert", "pop", "remove", "reverse", "sort"):
-    setattr(PointRows, _name, _boxed_first(_name, mutates=True))
+    chunks = [part if isinstance(part, np.ndarray)
+              else np.asarray(part, dtype=POINT_DTYPE)
+              for part in parts if len(part)]
+    if not chunks:
+        matrix = np.empty((0, dimension), dtype=POINT_DTYPE)
+    else:
+        matrix = np.ascontiguousarray(
+            chunks[0] if len(chunks) == 1 else np.concatenate(chunks),
+            dtype=POINT_DTYPE)
+    if matrix.flags.writeable:
+        matrix = matrix.view()
+        matrix.setflags(write=False)
+    return matrix
 
 
 # ----------------------------------------------------------------------
@@ -400,24 +268,28 @@ class DeferredScan:
 
     :meth:`add` / :meth:`add_blocks` fetch their blocks immediately
     — the I/Os and their order are the record-at-a-time path's — and
-    only queue the matrices; :meth:`flush` stacks them, evaluates
-    ``keep_many`` once (the per-call numpy overhead dominates one-block
-    scans), forces the rows queued unfiltered to true and appends one
-    masked matrix to ``results``.  Row order is visit order and the
+    only queue the matrices; at the end they are stacked, ``keep_many``
+    is evaluated once (the per-call numpy overhead dominates one-block
+    scans), the rows queued unfiltered are forced to true and one
+    masked matrix joins the answer.  Row order is visit order and the
     predicate is row-independent, so the mask is bit for bit the
-    per-block one.  A non-columnar block flushes what is pending and is
-    filtered record by record in place; a width change starts a new
-    stack.  With the kernels switched off (:func:`scalar_kernels`)
-    nothing is deferred: ``keep_one`` runs over ``array.scan()`` on the
-    spot.
+    per-block one.  A non-columnar block ends the stack and is filtered
+    record by record in place.  With the kernels switched off
+    (:func:`scalar_kernels`) nothing is deferred: ``keep_one`` runs over
+    each block's records on the spot.  :meth:`flush` returns the answer;
+    the records selected record by record become rows of it only there
+    (:func:`answer_matrix`).
     """
 
-    __slots__ = ("results", "_keep_one", "_keep_many", "_pending", "_kept")
+    __slots__ = ("_dimension", "_keep_one", "_keep_many", "_chunks",
+                 "_pending", "_kept")
 
-    def __init__(self, results: PointRows, keep_one, keep_many) -> None:
-        self.results = results
+    def __init__(self, dimension: int, keep_one, keep_many) -> None:
+        self._dimension = dimension
         self._keep_one = keep_one
         self._keep_many = keep_many
+        #: The answer so far, in order: matrices and record lists.
+        self._chunks: List[Any] = []
         self._pending: List[np.ndarray] = []
         #: Per pending block: reported unfiltered?
         self._kept: List[bool] = []
@@ -436,48 +308,38 @@ class DeferredScan:
         the predicate."""
         if not _VECTORIZED:
             for block_id, keep in zip(block_ids, kept):
-                self._extend_scalar(store.read(block_id), not keep)
+                self._select(store.read(block_id), not keep)
             return
         blocks = store.read_run(block_ids)
-        pending = self._pending
-        try:
-            widths = {block.shape[1] for block in blocks}
-        except AttributeError:          # a record list among them
-            widths = set()
-        if len(widths) == 1 and (not pending
-                                 or pending[0].shape[1] in widths):
-            pending += blocks
+        if all(isinstance(block, np.ndarray) for block in blocks):
+            self._pending += blocks
             self._kept += kept
             return
         for block, keep in zip(blocks, kept):
-            columnar = isinstance(block, np.ndarray)
-            if not columnar or (pending and block.shape[1]
-                                != pending[0].shape[1]):
-                self.flush()
-                if not columnar:
-                    self._extend_scalar(block, not keep)
-                    continue
-            pending.append(block)
-            self._kept.append(keep)
+            if isinstance(block, np.ndarray):
+                self._pending.append(block)
+                self._kept.append(keep)
+            else:
+                self._evaluate()
+                self._select(block, not keep)
 
-    def _extend_scalar(self, records: Iterable[Any], filtered: bool) -> None:
-        self.results.extend([record for record in records
+    def _select(self, records: List[Any], filtered: bool) -> None:
+        self._chunks.append([record for record in records
                              if self._keep_one(record)]
                             if filtered else records)
 
-    def extend(self, records: Iterable[Any]) -> None:
-        """Append records selected elsewhere, after what is pending."""
-        self.flush()
-        self.results.extend(records)
+    def extend(self, rows: np.ndarray) -> None:
+        """Append rows selected elsewhere, after what is pending."""
+        self._evaluate()
+        self._chunks.append(rows)
 
-    def flush(self) -> PointRows:
-        """Evaluate and append everything pending; returns ``results``."""
+    def _evaluate(self) -> None:
+        """Move everything pending, selected, to the answer."""
         pending, kept = self._pending, self._kept
         if not pending:
-            return self.results
+            return
         if all(kept):
-            for matrix in pending:      # handed over as read, no copy
-                self.results.extend_matrix(matrix)
+            self._chunks += pending     # handed over as read, no copy
         else:
             matrix = pending[0] if len(pending) == 1 \
                 else np.concatenate(pending)
@@ -485,42 +347,27 @@ class DeferredScan:
             if any(kept):
                 mask |= np.repeat(kept, list(map(len, pending)))
             # compress: the rows of matrix[mask], several times sooner.
-            self.results.extend_matrix(matrix.compress(mask, axis=0))
+            self._chunks.append(matrix.compress(mask, axis=0))
         pending.clear()
         kept.clear()
-        return self.results
+
+    def flush(self) -> np.ndarray:
+        """The answer: everything selected, as one read-only ``(n, d)``
+        float64 matrix."""
+        self._evaluate()
+        return answer_matrix(self._chunks, self._dimension)
 
 
-def filter_constraint(array: DiskArray, constraint: LinearConstraint,
-                      out: Optional[PointRows] = None) -> PointRows:
-    """All records of ``array`` satisfying ``constraint``.
+def filter_constraint(array: DiskArray,
+                      constraint: LinearConstraint) -> np.ndarray:
+    """All records of ``array`` satisfying ``constraint``, as an answer
+    matrix.
 
     The batch analogue of ``[r for r in array.scan() if
     constraint.below(r)]`` with identical I/O charging and identical
-    results (order preserved).  Appends into ``out`` when given.
+    results (order preserved).
     """
-    scan = DeferredScan(out if out is not None else PointRows(),
-                        constraint.below, constraint.below_many)
+    scan = DeferredScan(constraint.dimension, constraint.below,
+                        constraint.below_many)
     scan.add(array, filtered=True)
-    return scan.flush()
-
-
-def filter_simplex(array: DiskArray, simplex: Simplex,
-                   out: Optional[PointRows] = None) -> PointRows:
-    """All records of ``array`` inside ``simplex`` (one batch per scan)."""
-    scan = DeferredScan(out if out is not None else PointRows(),
-                        simplex.contains, simplex.contains_many)
-    scan.add(array, filtered=True)
-    return scan.flush()
-
-
-def collect_records(array: DiskArray,
-                    out: Optional[PointRows] = None) -> PointRows:
-    """All records of ``array`` (the unfiltered report path).
-
-    Same I/Os as ``list(array.scan())``; columnar blocks are handed
-    over as they were read, with no per-record Python loop.
-    """
-    scan = DeferredScan(out if out is not None else PointRows(), None, None)
-    scan.add(array, filtered=False)
     return scan.flush()

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, Point
+from repro.core.interface import ExternalIndex
 from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
                                   classify_boxes_halfspace)
 from repro.geometry.partitions import (PartitionNode, Partitioner,
@@ -291,19 +291,19 @@ class CellTreeIndex(ExternalIndex):
     # ------------------------------------------------------------------
     # halfspace queries
     # ------------------------------------------------------------------
-    def query(self, constraint: LinearConstraint) -> List[Point]:
+    def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the linear constraint."""
         return self.query_and_scan(constraint, ())
 
     def query_and_scan(self, constraint: LinearConstraint,
-                       arrays: Iterable[DiskArray]) -> List[Point]:
+                       arrays: Iterable[DiskArray]) -> np.ndarray:
         """:meth:`query`, followed by the records of the unindexed
         ``arrays`` (an insertion buffer) that satisfy the constraint —
         read after the tree's blocks, filtered in the same deferred scan."""
         if constraint.dimension != self.dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self.dimension))
-        scan = kernels.DeferredScan(kernels.PointRows(), constraint.below,
+        scan = kernels.DeferredScan(self.dimension, constraint.below,
                                     constraint.below_many)
         self.walk(constraint, scan)
         for array in arrays:
@@ -424,9 +424,9 @@ class PartitionTreeIndex(CellTreeIndex):
     # ------------------------------------------------------------------
     # simplex queries (Section 5, Remark i)
     # ------------------------------------------------------------------
-    def query_simplex(self, simplex: Simplex) -> List[Point]:
+    def query_simplex(self, simplex: Simplex) -> np.ndarray:
         """Report every stored point inside ``simplex``."""
-        scan = kernels.DeferredScan(kernels.PointRows(), simplex.contains,
+        scan = kernels.DeferredScan(self.dimension, simplex.contains,
                                     simplex.contains_many)
         self._last_nodes_visited = 0
         if self._root is not None:

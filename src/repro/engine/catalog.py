@@ -59,7 +59,6 @@ from repro.core import (
     ShallowPartitionTreeIndex,
 )
 from repro.core.conjunction import ConstraintConjunction, query_conjunction
-from repro.core.kernels import PointRows
 from repro.engine.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -196,17 +195,17 @@ class Dataset:
 
     def run_query(self, index_name: str, query: Query,
                   clear_cache: bool = False
-                  ) -> Tuple[PointRows, IOStats, Dict[str, object]]:
+                  ) -> Tuple[np.ndarray, IOStats, Dict[str, object]]:
         """Run one constraint or conjunction on one of this dataset's indexes.
 
         The engine's unit of execution — the executor's local transport
         and the shard-worker process both answer a per-replica query
         here, so the two cannot measure differently.  Returns the
-        reported points — as the one
-        :class:`~repro.core.kernels.PointRows` every layer above carries
-        — the I/Os the store charged for them (``clear_cache`` empties
-        the buffer pool first: the cold cost), and the index's own account
-        of how it answered (:attr:`ExternalIndex.last_query`).
+        reported points — the index's read-only ``(n, d)`` float64
+        matrix, which every layer above carries as it is — the I/Os the
+        store charged for them (``clear_cache`` empties the buffer pool
+        first: the cold cost), and the index's own account of how it
+        answered (:attr:`ExternalIndex.last_query`).
         """
         index = self.indexes[index_name]
         with self.store.measured(clear_cache) as ios:
@@ -214,7 +213,7 @@ class Dataset:
                 points = query_conjunction(index, query)
             else:
                 points = index.query(query)
-        return PointRows.of(points), ios, index.last_query
+        return points, ios, index.last_query
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ import threading
 import time
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.conjunction import ConstraintConjunction
-from repro.core.kernels import PointRows
 from repro.engine.catalog import Catalog, Query
 from repro.engine.cluster import protocol, worker
 from repro.engine.cluster.client import (
@@ -270,7 +271,7 @@ class Coordinator:
                   clear_cache: bool = False,
                   trace_id: Optional[str] = None,
                   parent: Optional[str] = None
-                  ) -> Optional[Tuple[PointRows, IOStats, int,
+                  ) -> Optional[Tuple[np.ndarray, IOStats, int,
                                       Optional[Dict[str, object]],
                                       Dict[str, object]]]:
         """Serve one per-shard query on a worker, failing over replicas.

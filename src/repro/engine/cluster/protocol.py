@@ -63,7 +63,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.conjunction import ConstraintConjunction, Halfspace
-from repro.core.kernels import PointRows
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import IOStats
 
@@ -213,13 +212,15 @@ def iostats_from_wire(payload: Dict[str, object]) -> IOStats:
 
 
 def points_to_wire(points: Sequence[Sequence[float]]) -> np.ndarray:
-    """An answer as the ``(n, d)`` matrix :func:`send_message` ships raw."""
-    return PointRows.of(points).matrix
+    """An answer (or any point list) as the ``(n, d)`` float64 matrix
+    :func:`send_message` ships raw; an answer matrix is not copied."""
+    return np.asarray(points, dtype=_WIRE_DTYPE)
 
 
-def points_from_wire(payload: np.ndarray) -> PointRows:
-    """The received matrix as the answer the in-process path reports."""
-    return PointRows.of(payload)
+def points_from_wire(payload: np.ndarray) -> np.ndarray:
+    """The received read-only matrix: the answer the in-process path
+    reports, as it is."""
+    return payload
 
 
 def trace_header(trace_id: Optional[str],

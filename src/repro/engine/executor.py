@@ -44,7 +44,7 @@ import numpy as np
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
-from repro.core.kernels import PointRows, vectorized_enabled
+from repro.core.kernels import answer_matrix, vectorized_enabled
 from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.metrics import EngineStats, ServedQueryRecord, q_error
 from repro.engine.planner import Plan, Planner, ShardedPlan
@@ -81,17 +81,14 @@ def query_key(query: Query) -> ConstraintKey:
 class ExecutedQuery:
     """One served query: its answer, its plan, and what it cost.
 
-    The answer is one ``(count, d)`` float64 matrix from the scan
-    kernels to the socket: :attr:`count` and :attr:`matrix` are free,
-    while :attr:`points` — a :class:`~repro.core.kernels.PointRows`, the
-    list of tuples it always was — builds its items once, for the first
-    caller that iterates, indexes, compares or serialises it, so only a
-    caller that looks at individual points pays for them.
+    :attr:`points` is the answer: one read-only ``(count, d)`` float64
+    matrix from the scan kernels to the socket (a result-cache hit
+    shares it — never write to it).
     """
 
     dataset: str
     index_name: str
-    points: PointRows
+    points: np.ndarray
     ios: IOStats
     latency_s: float
     estimated_ios: float
@@ -122,18 +119,10 @@ class ExecutedQuery:
     #: ``"normal_fallback"`` (None for exact answers).
     interval_source: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        self.points = PointRows.of(self.points)
-
     @property
     def count(self) -> int:
-        """Number of reported points (no tuple is built to count them)."""
+        """Number of reported points."""
         return len(self.points)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The answer as a read-only ``(count, d)`` float64 array."""
-        return self.points.matrix
 
     @property
     def total_ios(self) -> int:
@@ -195,7 +184,7 @@ class ShardOutcome:
     item: _WorkItem
     #: The replica that served it (a failover may differ from the pick).
     replica_id: int
-    points: PointRows
+    points: np.ndarray
     ios: IOStats
     #: Wall-clock window of the item, stamped only under an active trace.
     started_s: float = 0.0
@@ -450,7 +439,7 @@ class ExecutionCore:
         fanout_span.finish()
         self.record(answer)
         self._cache_put(dataset_name, cache_key,
-                        (plan.index_name, answer.matrix), generation)
+                        (plan.index_name, answer.points), generation)
         return answer
 
     def _lower(self, dataset_name: str, query: Query, plan: ShardedPlan
@@ -608,16 +597,14 @@ class ExecutionCore:
                     query, plan.expected_output, reported)
         self.planner.observe_many(dataset_name, observations)
 
-    @staticmethod
-    def _merge(dataset_name: str, plan: ShardedPlan,
+    def _merge(self, dataset_name: str, plan: ShardedPlan,
                outcomes: List[ShardOutcome], started: float,
                tenant: str) -> ExecutedQuery:
         """Post-processor 3: the outcomes' points in plan order, I/Os summed."""
-        # The first outcome's rows become the answer (the records are
-        # done with it), so the one-item case copies nothing.
-        points = outcomes[0].points if outcomes else PointRows()
-        for outcome in outcomes[1:]:
-            points.extend(outcome.points)
+        # The one-item case is its outcome's matrix, not a copy.
+        points = answer_matrix(
+            [outcome.points for outcome in outcomes],
+            self.catalog.sharded(dataset_name).dimension)
         ios = IOStats()
         for outcome in outcomes:
             ios.merge(outcome.ios)
@@ -656,7 +643,7 @@ class ExecutionCore:
         """
         shared = ExecutedQuery(dataset=answer.dataset,
                                index_name=answer.index_name,
-                               points=answer.matrix, ios=IOStats(),
+                               points=answer.points, ios=IOStats(),
                                latency_s=0.0, estimated_ios=0.0,
                                from_result_cache=True, tenant=tenant)
         self.record(shared)

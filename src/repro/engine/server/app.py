@@ -266,7 +266,7 @@ class EngineApp:
                 "index": answer.index_name,
                 "count": answer.count,
                 # The matrix itself: ``served_body`` has it written.
-                "points": answer.matrix,
+                "points": answer.points,
                 "ios": answer.total_ios,
                 "latency_s": answer.latency_s,
                 "from_result_cache": answer.from_result_cache,

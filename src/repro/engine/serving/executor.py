@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.engine.tracing as tracing
+from repro.core.kernels import answer_matrix
 from repro.engine.executor import ExecutedQuery, ExecutionCore, constraint_key
 from repro.engine.metrics import percentile
 from repro.engine.serving.admission import (
@@ -751,7 +752,7 @@ class AsyncExecutor:
                     "interval_source": source})
         answer = ExecutedQuery(
             dataset=request.dataset, index_name="degraded_sample",
-            points=hits, ios=IOStats(),
+            points=answer_matrix((hits,), entry.dimension), ios=IOStats(),
             latency_s=0.0, estimated_ios=0.0, tenant=request.tenant,
             degraded=True,
             sample_rate=(sample_size / population if population else 1.0),

@@ -42,6 +42,20 @@ def brute_force_halfspace(points, constraint):
     return {tuple(p) for p in points if constraint.below(p)}
 
 
+def rows(answer):
+    """An answer — an index's matrix, or a result carrying it as
+    ``.points`` — as its list of point tuples, in report order."""
+    return list(map(tuple, getattr(answer, "points", answer).tolist()))
+
+
+def assert_answer(answer, dimension):
+    """The answer contract: one read-only C-contiguous ``(n, d)``
+    float64 matrix."""
+    assert isinstance(answer, np.ndarray) and answer.dtype == np.float64
+    assert answer.ndim == 2 and answer.shape[1] == dimension
+    assert answer.flags.c_contiguous and not answer.flags.writeable
+
+
 def assert_replica_layout(sharded):
     """Invariants every replica build site must leave on a ShardedDataset.
 

@@ -24,6 +24,8 @@ from repro import LinearConstraint, QueryEngine
 from repro.engine.cluster import WorkerUnavailable, WriteLog, protocol
 from repro.workloads import uniform_points
 
+from conftest import rows
+
 BLOCK_SIZE = 32
 
 EVERYTHING = LinearConstraint(coeffs=(0.0,), offset=1e9)
@@ -121,10 +123,8 @@ def test_answer_frames_round_trip_bit_identically(wire, rows, cols):
     # Every other field of the response rides the JSON header untouched.
     assert received == {key: value for key, value in response.items()
                         if key != "points"}
-    answer = protocol.points_from_wire(points)
-    assert len(answer) == rows
-    assert answer.matrix.tobytes() == matrix.tobytes()
-    assert list(answer) == [tuple(row) for row in matrix.tolist()]
+    # The answer is the received matrix itself.
+    assert protocol.points_from_wire(points) is points
 
 
 @pytest.mark.parametrize("layout", ["strided", "fortran", "big_endian"])
@@ -148,9 +148,9 @@ def test_points_to_wire_is_an_array_adaptor():
     matrix = protocol.points_to_wire(tuples)
     assert isinstance(matrix, np.ndarray) and matrix.shape == (2, 2)
     assert matrix.tobytes() == np.asarray(tuples).tobytes()
-    rows = protocol.points_from_wire(matrix)
-    assert list(rows) == tuples
-    assert protocol.points_to_wire(rows) is rows.matrix      # no copy
+    answer = protocol.points_from_wire(matrix)
+    assert list(map(tuple, answer.tolist())) == tuples
+    assert protocol.points_to_wire(answer) is answer        # no copy
 
 
 def test_pure_json_frames_are_byte_for_byte_what_they_were(wire):
@@ -513,7 +513,7 @@ def test_index_built_after_spawn_is_served_locally():
             answers[mode] = answer
         finally:
             engine.close()
-    assert answers["process"].points == answers["inprocess"].points
+    assert rows(answers["process"]) == rows(answers["inprocess"])
     assert answers["process"].ios == answers["inprocess"].ios
     assert answers["process"].count > 0
 
@@ -646,7 +646,7 @@ def test_bulk_answers_reach_the_socket_unboxed(monkeypatch):
     """One float64 matrix from the scan kernels to the HTTP socket, in
     both worker modes: with ``matrix_rows`` refusing to run (in the
     forked workers too) a bulk answer is still served, counted and
-    cached; tuples appear only when a caller reads ``.points``."""
+    cached."""
     from repro.core import kernels
     from repro.engine.server import ApiKey, ServerClient
     points = uniform_points(3000, seed=17)
@@ -654,7 +654,6 @@ def test_bulk_answers_reach_the_socket_unboxed(monkeypatch):
     other = LinearConstraint(coeffs=(-0.2,), offset=0.6)
     oracle = sorted(tuple(p) for p in points.tolist() if bulk.below(p))
     assert len(oracle) > 1500
-    real = kernels.matrix_rows
 
     def refuse(matrix):
         raise AssertionError("a point was boxed on the hot path")
@@ -689,21 +688,13 @@ def test_bulk_answers_reach_the_socket_unboxed(monkeypatch):
                 assert hit.from_result_cache
                 # Cached answers are immutable: a hit shares the stored
                 # array, it does not copy it.
-                assert hit.matrix is first.matrix
-                assert not hit.matrix.flags.writeable
+                assert hit.points is first.points
+                assert not hit.points.flags.writeable
                 answers[mode] = hit
-        boxings = []
-        monkeypatch.setattr(
-            kernels, "matrix_rows",
-            lambda matrix: boxings.append(len(matrix)) or real(matrix))
         hit = answers["process"]
-        tuples = list(hit.points)
-        assert tuples == [tuple(row) for row in hit.matrix.tolist()]
-        assert hit.points[0] == tuples[0] and list(hit.points) == tuples
-        assert boxings == [hit.count]            # materialised once
-        # Order-exact across worker modes, matrix and tuples alike.
-        assert hit.points == answers["inprocess"].points
-        assert hit.matrix.tobytes() == answers["inprocess"].matrix.tobytes()
+        # Order-exact across worker modes, matrix and rows alike.
+        assert rows(hit) == rows(answers["inprocess"])
+        assert hit.points.tobytes() == answers["inprocess"].points.tobytes()
     finally:
         for engine in engines.values():
             engine.close()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import observable
+from conftest import observable, rows
 from repro.baselines.full_scan import FullScanIndex
 from repro.core import scalar_kernels
 from repro.core.dynamic import DynamicPartitionTreeIndex
@@ -210,7 +210,7 @@ def test_a_stored_coordinate_is_a_float_on_every_backend(backend, scalar,
             yield array.read_all()
             yield array.read_range(3, 21)
             yield [array[17]]
-            yield list(tree.query(constraint))
+            yield rows(tree.query(constraint))
 
         for cold in (True, False):      # from the medium, from the pool
             if cold:

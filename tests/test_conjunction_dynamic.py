@@ -1,7 +1,10 @@
 """Tests for constraint conjunctions (polytope queries) and the dynamic tree."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro import (
     ConstraintConjunction,
@@ -13,9 +16,11 @@ from repro import (
     query_conjunction_with_stats,
 )
 from repro.baselines import FullScanIndex
+from repro.core import scalar_kernels
+from repro.io.store import BlockStore
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
-from conftest import brute_force_halfspace
+from conftest import assert_answer, brute_force_halfspace, rows
 
 
 class TestConstraintConjunction:
@@ -242,3 +247,94 @@ class TestDynamicPartitionTree:
         for constraint in halfspace_queries_with_selectivity(live, 4, 0.2, seed=16):
             assert {tuple(p) for p in index.query(constraint)} == \
                 {tuple(p) for p in static.query(constraint)}
+
+
+# ----------------------------------------------------------------------
+# generated scripts against a multiset oracle
+# ----------------------------------------------------------------------
+#: Coordinates on a coarse grid: duplicates are common and many points
+#: sit exactly on a query's hyperplane.
+GRID = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def dynamic_scripts(draw):
+    dimension = draw(st.sampled_from([2, 3]))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from(GRID)] * dimension),
+                         min_size=1, max_size=6))
+    picks = st.integers(0, len(pool) - 1)
+    queries = st.builds(LinearConstraint,
+                        st.tuples(*[st.sampled_from(GRID)] * (dimension - 1)),
+                        st.sampled_from(GRID + (-9.0, 9.0)))
+    initial = draw(st.lists(picks, max_size=24))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("insert"), picks),
+        st.tuples(st.just("delete"), picks),
+        st.tuples(st.just("query"), queries)), min_size=1, max_size=40))
+    return dimension, pool, initial, steps
+
+
+def answer_and_reads(index, constraint):
+    store = index.store
+    store.clear_cache()
+    store.reset_stats()
+    answer = index.query(constraint)
+    return answer, (store.stats.reads, store.stats.cache_hits)
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@settings(max_examples=150, deadline=None)
+@given(script=dynamic_scripts())
+def test_dynamic_index_is_its_multiset_under_generated_scripts(backend,
+                                                                script):
+    """Inserts, deletes (one copy each) and queries over duplicated
+    points, across buffer and tombstone rebuilds: every answer is the
+    oracle's live multiset below the constraint, the same rows in the
+    same order and the same reads under both kernel modes, and ``size``
+    and ``live_points()`` agree with it."""
+    dimension, pool, initial, steps = script
+    store = BlockStore(4, cache_blocks=2, backend=backend)
+    try:
+        index = DynamicPartitionTreeIndex(
+            np.asarray([pool[i] for i in initial]).reshape(-1, dimension),
+            store=store, dimension=dimension, leaf_capacity=3)
+        oracle = Counter(pool[i] for i in initial)
+        for step in steps:
+            if step[0] == "insert":
+                index.insert(pool[step[1]])
+                oracle[pool[step[1]]] += 1
+            elif step[0] == "delete":
+                point = pool[step[1]]
+                assert index.delete(point) == (oracle[point] > 0)
+                oracle -= Counter({point: 1})
+            else:
+                constraint = step[1]
+                vector, vector_reads = answer_and_reads(index, constraint)
+                with scalar_kernels():
+                    scalar, scalar_reads = answer_and_reads(index, constraint)
+                assert_answer(vector, dimension)
+                assert Counter(rows(vector)) == Counter(
+                    {point: count for point, count in oracle.items()
+                     if constraint.below(point)})
+                assert vector.tobytes() == scalar.tobytes()
+                assert vector_reads == scalar_reads
+            assert index.size == sum(oracle.values())
+            assert Counter(index.live_points()) == oracle
+        event("rebuilds: %d" % min(index.rebuilds, 2))
+    finally:
+        store.close()
+
+
+def test_a_script_crosses_both_rebuild_thresholds():
+    """The buffer fills past its fraction, then half the tree is
+    tombstoned: two rebuilds, answers exact after each."""
+    pool = [(0.0, 0.0), (0.5, 0.5), (-0.5, 1.0)]
+    index = DynamicPartitionTreeIndex(np.asarray(pool * 4), block_size=4)
+    everything = LinearConstraint((0.0,), 9.0)
+    for point in pool * 2:
+        index.insert(point)
+    assert index.rebuilds == 1 and index.size == 18
+    for point in pool * 4:
+        assert index.delete(point)
+    assert index.rebuilds == 2 and index.size == 6
+    assert Counter(rows(index.query(everything))) == Counter(pool * 2)

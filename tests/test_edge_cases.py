@@ -19,6 +19,8 @@ from repro.io.btree import BTree
 from repro.io.disk_array import DiskArray
 from repro.workloads import uniform_points
 
+from conftest import rows
+
 
 class TestCacheBehaviour:
     def test_warm_cache_queries_cost_less(self):
@@ -70,7 +72,7 @@ class TestDegenerateGeometry:
         constraint = LinearConstraint((2.0,), 0.1)   # the line itself: inclusive
         assert len(tree.query(constraint)) == 200
         below = LinearConstraint((2.0,), 0.0)
-        assert tree.query(below) == []
+        assert rows(tree.query(below)) == []
 
     def test_envelope_of_parallel_planes(self):
         planes = [Plane3(0.2, -0.1, float(c)) for c in range(5)]
@@ -87,8 +89,8 @@ class TestDegenerateGeometry:
         constraint_miss = LinearConstraint((0.0,), -1.0)
         for cls in (HalfplaneIndex2D, PartitionTreeIndex):
             index = cls([(0.0, 0.0)], block_size=8)
-            assert index.query(constraint_hit) == [(0.0, 0.0)]
-            assert index.query(constraint_miss) == []
+            assert rows(index.query(constraint_hit)) == [(0.0, 0.0)]
+            assert rows(index.query(constraint_miss)) == []
 
 
 class TestIOAccountingInvariants:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import brute_force_halfspace
+from conftest import assert_answer, brute_force_halfspace, rows
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
+from repro.core import DynamicPartitionTreeIndex
 from repro.engine import Catalog, EngineStats, Planner, ServedQueryRecord
 from repro.engine.calibration import CalibrationStore
+from repro.engine.catalog import INDEX_KINDS
 from repro.engine.metrics import percentile
 from repro.workloads import (
     halfspace_queries_with_selectivity,
@@ -289,7 +291,7 @@ def test_result_cache_serves_repeats_for_free(engine2d, points2d):
     assert not first.from_result_cache
     assert second.from_result_cache
     assert second.total_ios == 0
-    assert second.points == first.points
+    assert rows(second) == rows(first)
 
 
 def test_batch_dedups_repeated_constraints(points2d):
@@ -452,3 +454,91 @@ def test_workload_generator_shapes_and_hot_repeats(points2d):
         repeats += key in seen
         seen.add(key)
     assert repeats > 10   # the hot pool produces real repeats
+
+
+# ----------------------------------------------------------------------
+# the empty answer: (0, d), read-only, on every path
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("kind", sorted(INDEX_KINDS))
+def test_every_index_kind_answers_nothing_as_zero_by_d(kind):
+    """At N = 0 and for a constraint below no point alike, every index
+    kind (the baselines too) answers a read-only (0, d) matrix."""
+    for dimension in INDEX_KINDS[kind].dimensions or (2, 3, 4):
+        nowhere = LinearConstraint(coeffs=(0.0,) * (dimension - 1),
+                                   offset=-100.0)
+        factory = INDEX_KINDS[kind].factory
+        for points in (np.zeros((0, dimension)),
+                       uniform_points(200, dimension=dimension, seed=3)):
+            answer = factory(points, block_size=16).query(nowhere)
+            assert_answer(answer, dimension)
+            assert answer.shape == (0, dimension), (kind, len(points))
+
+
+def test_dynamic_with_every_point_tombstoned_answers_zero_by_d():
+    points = uniform_points(100, dimension=3, seed=4)
+    index = DynamicPartitionTreeIndex(points, block_size=16,
+                                      buffer_fraction=1.0)
+    for point in points[:50].tolist():
+        assert index.delete(point)
+    assert index.tombstoned == 50 and not index.rebuilds
+    everything = LinearConstraint(coeffs=(0.0, 0.0), offset=100.0)
+    answer = index.query(everything)
+    assert sorted(rows(answer)) == sorted(map(tuple, points[50:].tolist()))
+    for point in points[50:].tolist():
+        index.delete(point)
+    answer = index.query(everything)
+    assert_answer(answer, 3)
+    assert answer.shape == (0, 3) and index.size == 0
+
+
+def test_engine_empty_answers_are_zero_by_d_on_every_path():
+    """All shards pruned, a degraded answer with zero sample hits, a
+    worker's RPC answer and the HTTP body: each is (0, d), read-only."""
+    from repro.engine import ServingRequest, TenantBudget
+    from repro.engine.server import ApiKey, ServerClient
+
+    nowhere = LinearConstraint(coeffs=(0.0,), offset=-100.0)
+    # Points on a parabola; the tangent at x = 0.5, lowered, has no point
+    # below it but crosses the bounding box, so it prunes no shard.
+    xs = np.linspace(-1.0, 1.0, 512)
+    parabola = np.column_stack([xs, xs ** 2])
+    tangent = LinearConstraint(coeffs=(1.0,), offset=-0.26)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, workers="process")
+    try:
+        engine.register_sharded_dataset("sh", parabola, num_shards=4)
+        # The first request overdraws the tenant's bucket; the second
+        # is answered from the sample, where no point lies below it.
+        budget = TenantBudget(ios_per_s=0.001, burst=0.001,
+                              policy="degrade")
+        served = engine.serve_async(
+            [ServingRequest(tenant="soft", dataset="sh", constraint=query)
+             for query in (LinearConstraint((0.0,), 100.0), tangent)],
+            budgets={"soft": budget}, max_concurrency=1).requests[1]
+        assert served.outcome == "degraded"
+        assert_answer(served.answer.points, 2)
+        assert served.answer.points.shape == (0, 2)
+        pruned = engine.query("sh", nowhere, clear_cache=True)
+        assert pruned.shards_queried == 0 and pruned.shards_pruned == 4
+        exact = engine.query("sh", tangent, clear_cache=True)
+        assert exact.shards_queried > 0
+        for answer in (pruned, exact):
+            assert_answer(answer.points, 2)
+            assert answer.points.shape == (0, 2)
+        # One shard's worker, asked directly: the matrix off the socket.
+        shard = engine.catalog.sharded("sh").nonempty_shards()[0]
+        remote = engine.cluster.run_query("sh", shard, 0, "full_scan",
+                                          tangent, clear_cache=True)
+        assert remote is not None
+        assert_answer(remote[0], 2)
+        assert remote[0].shape == (0, 2)
+
+        with engine.serve_http([ApiKey(key="k", tenant="t")]) as server:
+            client = ServerClient(*server.address, api_key="k")
+            for constraint in (nowhere, tangent):
+                status, body = client.query("sh", constraint.coeffs,
+                                            constraint.offset)
+                assert status == 200, body
+                assert body["answer"]["points"] == []
+                assert body["answer"]["count"] == 0
+    finally:
+        engine.close()

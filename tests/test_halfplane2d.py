@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.halfplane2d import HalfplaneIndex2D, default_beta
-from repro.core.kernels import PointRows
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import (
     clustered_points,
@@ -16,7 +15,7 @@ from repro.workloads import (
     uniform_points,
 )
 
-from conftest import brute_force_halfspace
+from conftest import assert_answer, brute_force_halfspace, rows
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +32,19 @@ class TestConstruction:
     def test_empty_index(self):
         index = HalfplaneIndex2D([], block_size=16)
         assert index.size == 0
-        assert index.query(LinearConstraint((1.0,), 0.0)) == []
+        assert rows(index.query(LinearConstraint((1.0,), 0.0))) == []
 
     def test_single_point(self):
         index = HalfplaneIndex2D([(0.5, 0.5)], block_size=16)
         hit = LinearConstraint((0.0,), 1.0)
         miss = LinearConstraint((0.0,), 0.0)
-        assert index.query(hit) == [(0.5, 0.5)]
-        assert index.query(miss) == []
+        assert rows(index.query(hit)) == [(0.5, 0.5)]
+        assert rows(index.query(miss)) == []
 
-    def test_clusters_are_columnar_and_answers_point_rows(self, uniform_index):
+    def test_clusters_are_columnar_and_answers_are_matrices(self, uniform_index):
         """A cluster record is five floats, the point number included, so
-        every cluster block is a matrix in the pool; the answer is the
-        one result representation, also from an empty index."""
+        every cluster block is a matrix in the pool; the answer is a
+        read-only (n, 2) float64 matrix, also from an empty index."""
         points, index = uniform_index
         for layer in index._layers:
             for cluster in layer.clusters:
@@ -55,11 +54,12 @@ class TestConstruction:
                                       points[matrix[:, 0].astype(int)])
         constraint = LinearConstraint((0.3,), 0.1)
         answer = index.query(constraint)
-        assert isinstance(answer, PointRows) and len(answer) > 100
-        assert answer.matrix.shape == (len(answer), 2)
+        assert_answer(answer, 2)
+        assert len(answer) > 100
         assert {tuple(p) for p in answer} == brute_force_halfspace(points, constraint)
         empty = HalfplaneIndex2D([], block_size=16).query(constraint)
-        assert isinstance(empty, PointRows) and len(empty) == 0
+        assert_answer(empty, 2)
+        assert len(empty) == 0
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
@@ -98,7 +98,7 @@ class TestCorrectness:
     def test_empty_result_query(self, uniform_index):
         points, index = uniform_index
         constraint = LinearConstraint((0.0,), -10.0)
-        assert index.query(constraint) == []
+        assert rows(index.query(constraint)) == []
 
     def test_all_points_query(self, uniform_index):
         points, index = uniform_index

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.halfspace3d import HalfspaceIndex3D
-from repro.core.kernels import PointRows
 from repro.core.knn import KNNIndex
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.primitives import LinearConstraint, Plane3
@@ -17,7 +16,7 @@ from repro.workloads import (
     uniform_points_ball,
 )
 
-from conftest import brute_force_halfspace
+from conftest import assert_answer, brute_force_halfspace, rows
 
 
 def random_planes(count, seed):
@@ -118,7 +117,7 @@ class TestHalfspace3D:
         points, index = halfspace_index
         nothing = LinearConstraint((0.0, 0.0), -10.0)
         everything = LinearConstraint((0.0, 0.0), 10.0)
-        assert index.query(nothing) == []
+        assert rows(index.query(nothing)) == []
         assert len(index.query(everything)) == len(points)
 
     def test_rejects_wrong_dimension(self, halfspace_index):
@@ -144,22 +143,23 @@ class TestHalfspace3D:
 
     def test_empty_index(self):
         index = HalfspaceIndex3D(np.zeros((0, 3)), block_size=16)
-        assert index.query(LinearConstraint((0.0, 0.0), 0.0)) == []
+        assert rows(index.query(LinearConstraint((0.0, 0.0), 0.0))) == []
 
-    def test_answers_are_point_rows(self, halfspace_index):
-        """One result representation: a matrix of the stored rows in
-        report order, also when nothing qualifies or nothing is stored."""
+    def test_answers_are_read_only_matrices(self, halfspace_index):
+        """One result representation: a read-only (n, 3) float64 matrix
+        of the stored rows, also when nothing qualifies or nothing is
+        stored."""
         points, index = halfspace_index
         constraint = halfspace_queries_with_selectivity(points, 1, 0.1, seed=17)[0]
         answer = index.query(constraint)
-        assert isinstance(answer, PointRows) and len(answer) > 10
-        assert answer.matrix.shape == (len(answer), 3)
-        assert list(answer) == [tuple(row) for row in answer.matrix.tolist()]
+        assert_answer(answer, 3)
+        assert len(answer) > 10
         assert {tuple(p) for p in answer} == brute_force_halfspace(points, constraint)
         for nothing in (index.query(LinearConstraint((0.0, 0.0), -10.0)),
                         HalfspaceIndex3D(np.zeros((0, 3)), block_size=16)
                         .query(constraint)):
-            assert isinstance(nothing, PointRows) and len(nothing) == 0
+            assert_answer(nothing, 3)
+            assert len(nothing) == 0
 
     def test_estimate_is_the_bound_the_query_honours(self, halfspace_index):
         """min(scan, probes + one list): a dual point outside the

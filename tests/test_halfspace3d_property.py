@@ -34,6 +34,8 @@ from repro.geometry.envelope3d import (
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import uniform_points, uniform_points_ball
 
+from conftest import rows
+
 FAMILIES = ("cube", "ball", "paraboloid", "duplicated")
 
 
@@ -97,7 +99,7 @@ def test_query_equals_full_scan_and_layers_hold_their_invariants(
                 16 if block_size == 32 else 33 * detail["probes"])
         with scalar_kernels():
             again = index.query_with_stats(constraint)
-        assert list(again.points) == list(result.points)
+        assert rows(again) == rows(result)
         assert again.total_ios == result.total_ios
 
 

@@ -21,6 +21,7 @@ from repro.geometry.arrangement2d import LineArrays, compute_level
 from repro.geometry.primitives import Line2, LinearConstraint
 from repro.workloads import uniform_points
 
+from conftest import rows
 from level_oracle import oracle_compute_level
 
 
@@ -140,7 +141,8 @@ class TestIndexBuiltOnTheBandedWalk:
         for slope, offset in [(0.3, 0.4), (-0.5, 0.9), (2.0, -0.2),
                               (0.0, 0.05), (-1.0, 1.9)]:
             constraint = LinearConstraint((slope,), offset)
-            assert banded.query(constraint) == full.query(constraint)
+            assert rows(banded.query(constraint)) \
+                == rows(full.query(constraint))
 
 
 class TestWalkCost:

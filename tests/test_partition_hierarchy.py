@@ -24,6 +24,7 @@ from repro.core.shallow_tree import ShallowPartitionTreeIndex
 from repro.geometry.partitions import median_cut_partition
 from repro.geometry.primitives import LinearConstraint
 
+from conftest import rows
 from partition_oracle import (oracle_median_cut_hierarchy,
                               oracle_median_cut_partition)
 
@@ -149,7 +150,7 @@ def assert_same_answers(tree, expected, points):
     for constraint in constraints_for(points):
         answer = tree.query_with_stats(constraint)
         wanted = expected.query_with_stats(constraint)
-        assert answer.points == wanted.points
+        assert rows(answer) == rows(wanted)
         assert answer.ios == wanted.ios
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.hybrid3d import HybridIndex3D
-from repro.core.kernels import PointRows
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.core.shallow_tree import ShallowPartitionTreeIndex
 from repro.geometry.boxes import Box
@@ -22,7 +21,7 @@ from repro.workloads import (
     uniform_points_ball,
 )
 
-from conftest import brute_force_halfspace
+from conftest import assert_answer, brute_force_halfspace, rows
 
 
 def checked(tree):
@@ -79,7 +78,7 @@ class TestPartitionTree:
 
     def test_empty_index(self):
         tree = checked(PartitionTreeIndex(np.zeros((0, 2)), block_size=16))
-        assert tree.query(LinearConstraint((0.0,), 0.0)) == []
+        assert rows(tree.query(LinearConstraint((0.0,), 0.0))) == []
 
     def test_dimension_mismatch_rejected(self, tree_2d):
         __, tree = tree_2d
@@ -96,7 +95,7 @@ class TestPartitionTree:
     def test_simplex_query_empty_region(self, tree_2d):
         points, tree = tree_2d
         far_triangle = Simplex.from_vertices_2d([(10, 10), (11, 10), (10, 11)])
-        assert tree.query_simplex(far_triangle) == []
+        assert rows(tree.query_simplex(far_triangle)) == []
 
     def test_simplex_query_counts_its_own_nodes(self, tree_2d):
         points, tree = tree_2d
@@ -191,7 +190,7 @@ class TestShallowTree:
     def test_empty_index(self):
         tree = checked(ShallowPartitionTreeIndex(np.zeros((0, 3)),
                                                  block_size=16))
-        assert tree.query(LinearConstraint((0.0, 0.0), 0.0)) == []
+        assert rows(tree.query(LinearConstraint((0.0, 0.0), 0.0))) == []
 
     def test_dimension_mismatch_rejected(self, shallow_3d):
         __, tree = shallow_3d
@@ -233,16 +232,18 @@ class TestHybrid3D:
         n = math.ceil(len(points) / tree.block_size)
         assert result.total_ios < n
 
-    def test_answers_are_point_rows_reported_by_the_block(self, hybrid):
-        """BELOW subtrees hand over whole payload matrices; the empty
-        answer is a PointRows too, as for the other trees."""
+    def test_answers_are_read_only_matrices_reported_by_the_block(self, hybrid):
+        """BELOW subtrees hand over whole payload matrices; the answer is
+        a read-only (n, 3) float64 matrix, the empty one (0, 3), as for
+        the other trees."""
         points, tree = hybrid
         everything = tree.query(LinearConstraint((0.0, 0.0), 10.0))
-        assert isinstance(everything, PointRows)
-        assert everything.matrix.shape == (len(points), 3)
+        assert_answer(everything, 3)
+        assert everything.shape == (len(points), 3)
         assert tree.last_leaves_queried == 0
         nothing = tree.query(LinearConstraint((0.0, 0.0), -10.0))
-        assert isinstance(nothing, PointRows) and nothing == []
+        assert_answer(nothing, 3)
+        assert nothing.shape == (0, 3)
 
     def test_leaves_queried_counter(self, hybrid):
         points, tree = hybrid
@@ -252,4 +253,4 @@ class TestHybrid3D:
 
     def test_empty_index(self):
         tree = checked(HybridIndex3D(np.zeros((0, 3)), block_size=16))
-        assert tree.query(LinearConstraint((0.0, 0.0), 0.0)) == []
+        assert rows(tree.query(LinearConstraint((0.0, 0.0), 0.0))) == []

@@ -270,7 +270,7 @@ def bulk_matrix(engine, offset):
     """The engine's own answer to ``x_2 <= offset`` (a result-cache hit
     after the same query went over the wire: the very same matrix)."""
     return engine.query("bulk", LinearConstraint(coeffs=(0.0,),
-                                                 offset=offset)).matrix
+                                                 offset=offset)).points
 
 
 def test_wire_offsets_straddle_the_text_kernel_paths(traced_bulk_server):

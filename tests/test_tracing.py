@@ -37,6 +37,8 @@ from repro.engine.server.protocol import HTTPError, read_request
 from repro.engine.tracing import NULL_SPAN, NULL_TRACE, Tracer, activate
 from repro.workloads import uniform_points
 
+from conftest import rows
+
 BLOCK_SIZE = 32
 
 #: A halfspace every point of a [-1, 1]^2 cloud satisfies — it
@@ -212,7 +214,7 @@ def test_tracing_observes_the_data_path_and_never_steers_it(traced_engine):
                    if mode == "bare"
                    else served_request(traced_engine, constraint)[1]
                    for constraint in constraints]
-        return [(answer.points, answer.ios) for answer in answers]
+        return [(rows(answer), answer.ios) for answer in answers]
 
     assert served("on") == served("off") == served("bare")
     assert sum(ios.total for __, ios in served("on")) > 0

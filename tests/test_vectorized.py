@@ -10,7 +10,6 @@ blocks, and every storage backend, asserting both properties.
 
 from __future__ import annotations
 
-import copy
 import json
 
 import numpy as np
@@ -23,13 +22,14 @@ from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
                         query_conjunction, scalar_kernels, set_vectorized,
                         vectorized_enabled)
 from repro.core import kernels
-from repro.core.kernels import PointRows
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.io.block import as_point_matrix, matrix_to_records
 from repro.io.backend import FileBackend, MemoryBackend, MmapBackend
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
+
+from conftest import assert_answer, rows
 
 
 def make_cloud(dimension, count, seed, with_boundary=None):
@@ -217,16 +217,14 @@ def test_mmap_zero_copy_matrix_detached_from_mapping():
 # index-level parity: answers AND IOStats
 # ----------------------------------------------------------------------
 def assert_same_ordered_answer(vector, scalar, name):
-    """Order-exact parity of both views: tuples, and the float64 matrix
-    (bit for bit) the engine carries instead of them."""
-    assert list(vector) == list(scalar), name
-    assert len(vector) == len(scalar), name
-    vector_matrix = PointRows.of(vector).matrix
-    scalar_matrix = PointRows.of(scalar).matrix
-    assert not vector_matrix.flags.writeable, name
-    assert vector_matrix.flags.c_contiguous, name
-    assert vector_matrix.tobytes() == scalar_matrix.tobytes(), name
-    assert kernels.matrix_rows(vector_matrix) == list(scalar), name
+    """Order-exact parity: both answers are the answer matrix, equal bit
+    for bit, and so are their rows."""
+    assert rows(vector) == rows(scalar), name
+    assert vector.shape == scalar.shape, name
+    assert_answer(vector, vector.shape[1])
+    assert_answer(scalar, vector.shape[1])
+    assert vector.tobytes() == scalar.tobytes(), name
+    assert kernels.matrix_rows(vector) == rows(scalar), name
 
 
 def index_cases(points, block_size=16, backend="memory"):
@@ -274,13 +272,13 @@ def test_index_answers_and_ios_identical_both_paths(dimension):
             store.clear_cache()
             store.reset_stats()
             vector = index.query(constraint)
-            vector_answer = sorted(vector)
+            vector_answer = sorted(rows(vector))
             vector_ios = store.stats.snapshot()
             store.clear_cache()
             store.reset_stats()
             with scalar_kernels():
                 scalar = index.query(constraint)
-                scalar_answer = sorted(scalar)
+                scalar_answer = sorted(rows(scalar))
             scalar_ios = store.stats.snapshot()
             store.close()
             name = "%s on %s" % (type(index).__name__, backend)
@@ -306,19 +304,22 @@ def test_mixed_leaf_block_mid_traversal_keeps_answer_order():
     below = [array for array in leaves
              if len(constraint.filter(array.read_all())) == len(array)]
     assert len(crossed) > 4 and len(below) > 4
+    rewritten = set()
     for array in (crossed[len(crossed) // 2], below[len(below) // 2]):
         # Same values as ints: the block is no longer a float matrix.
         block_id = array.block_ids[0]
-        index.store.write(block_id, [tuple(int(c) for c in record)
-                                     for record in index.store.read(block_id)])
+        records = [tuple(int(c) for c in record)
+                   for record in index.store.read(block_id)]
+        index.store.write(block_id, records)
+        rewritten.update(records)
         assert isinstance(index.store.read_payload(block_id), list)
     vector = index.query(constraint)
     with scalar_kernels():
         scalar = index.query(constraint)
-    assert list(vector) == list(scalar)
-    assert sorted(vector) == sorted(constraint.filter(points))
-    boxed = [type(record[0]) is int for record in vector]
-    assert any(boxed) and not boxed[0] and not boxed[-1]
+    assert_same_ordered_answer(vector, scalar, "mixed leaves")
+    assert sorted(rows(vector)) == sorted(constraint.filter(points))
+    inside = [record in rewritten for record in rows(vector)]
+    assert any(inside) and not inside[0] and not inside[-1]
 
 
 def test_partition_tree_simplex_parity():
@@ -330,13 +331,13 @@ def test_partition_tree_simplex_parity():
     store.clear_cache()
     store.reset_stats()
     vector_rows = index.query_simplex(simplex)
-    vector = sorted(vector_rows)
+    vector = sorted(rows(vector_rows))
     vector_ios = store.stats.snapshot()
     store.clear_cache()
     store.reset_stats()
     with scalar_kernels():
         scalar_rows = index.query_simplex(simplex)
-        scalar = sorted(scalar_rows)
+        scalar = sorted(rows(scalar_rows))
     scalar_ios = store.stats.snapshot()
     assert vector == scalar
     assert_same_ordered_answer(vector_rows, scalar_rows, "simplex")
@@ -353,9 +354,9 @@ def test_conjunction_fallback_filter_parity():
     conjunction = ConstraintConjunction.of(
         LinearConstraint(coeffs=(0.4,), offset=0.2),
         LinearConstraint(coeffs=(-0.7,), offset=0.5))
-    vector = sorted(query_conjunction(index, conjunction))
+    vector = sorted(rows(query_conjunction(index, conjunction)))
     with scalar_kernels():
-        scalar = sorted(query_conjunction(index, conjunction))
+        scalar = sorted(rows(query_conjunction(index, conjunction)))
     assert vector == scalar
     expected = sorted(tuple(p) for p in points
                       if conjunction.satisfied_by(tuple(p)))
@@ -379,7 +380,7 @@ def test_three_conjunct_answer_is_order_exact_across_paths(index_type):
         scalar = query_conjunction(index, conjunction)
     assert len(vector) > 8
     assert_same_ordered_answer(vector, scalar, index_type.__name__)
-    assert sorted(vector) == sorted(
+    assert sorted(rows(vector)) == sorted(
         tuple(p) for p in points.tolist()
         if conjunction.satisfied_by(tuple(p)))
 
@@ -401,74 +402,20 @@ def test_dynamic_index_answer_is_order_exact_with_and_without_tombstones():
         index.insert(tuple(point))           # buffered, no tombstones
     assert index.tombstoned == 0
     untouched = both_paths()
-    doomed = [tuple(row) for row in untouched.matrix[:7].tolist()]
+    doomed = rows(untouched)[:7]
     for point in doomed:
         assert index.delete(point)
     assert index.tombstoned > 0
     survivors = both_paths()
     # Exactly the pre-delete answer minus the deleted rows, order kept.
-    assert list(survivors) == [p for p in untouched if p not in doomed]
-
-
-def test_point_rows_is_a_list_that_boxes_once_on_first_use(monkeypatch):
-    rows = PointRows()
-    rows.extend_matrix(np.asarray([[0.5, -0.0], [5e-324, 1.797e308]]))
-    rows.append((1, 2))                      # a scalar-path record
-    rows.extend([(3.0, 4.0)])
-    rows.extend_matrix(np.empty((0, 2)))     # empty chunks vanish
-    expected = [(0.5, -0.0), (5e-324, 1.797e308), (1.0, 2.0), (3.0, 4.0)]
-    boxed = []
-    real = kernels.matrix_rows
-    monkeypatch.setattr(kernels, "matrix_rows",
-                        lambda matrix: boxed.append(1) or real(matrix))
-    assert isinstance(rows, list)
-    assert len(rows) == 4 and rows and not boxed   # counting boxes nothing
-    matrix = rows.matrix
-    assert matrix.shape == (4, 2) and rows.matrix is matrix
-    assert not matrix.flags.writeable and not boxed
-    # Whatever looks at the items first — C code included, which reads
-    # a list's storage directly — finds them all there.
-    assert json.loads(json.dumps(rows)) == [list(p) for p in expected]
-    assert len(boxed) == 1
-    assert rows == expected and expected == rows and not rows != expected
-    assert [(0.5, 0.0)] + rows[1:] == list(rows) == rows + []
-    assert [] + rows == expected and tuple(rows) == tuple(expected)
-    assert rows[2] == (1, 2) and rows[-1] == (3.0, 4.0)
-    assert (3.0, 4.0) in rows and rows.index((3.0, 4.0)) == 3
-    assert list(reversed(rows)) == expected[::-1]
-    assert rows.count((0.5, 0.0)) == 1 and repr(rows) == repr(expected)
-    assert copy.copy(rows) == expected and type(copy.copy(rows)) is list
-    assert len(boxed) == 1                   # ... once, however often read
-    assert rows.matrix is matrix             # and the matrix outlives it
-    for fresh in (PointRows.of(matrix), PointRows.of(matrix)):
-        # An unboxed operand is boxed too, on either side.
-        assert fresh == rows and rows == PointRows.of(matrix)
-        assert fresh.matrix is matrix
-    fresh.append((9.0, 9.0))                 # a mutation drops the matrix
-    assert len(fresh) == 5 and fresh[-1] == (9.0, 9.0)
-    assert fresh.matrix.shape == (5, 2) and len(rows) == 4
-    fresh.sort(reverse=True)                 # so does a list-level one
-    assert fresh[0] == (9.0, 9.0) and fresh.pop() == (5e-324, 1.797e308)
-    assert kernels.matrix_rows(fresh.matrix) == list(fresh) and len(fresh) == 4
-    fresh.extend_matrix(np.asarray([[6.0, 6.0]]))
-    assert fresh[-1] == (6.0, 6.0) and fresh.matrix.shape == (5, 2)
-    merged = PointRows()
-    merged.extend(PointRows.of(matrix))      # chunks pass through unboxed
-    merged.extend(rows)
-    merged.append((7.0, 7.0))
-    assert len(rows) == 4 and len(merged) == 9
-    assert merged == expected + expected + [(7.0, 7.0)]
-    assert PointRows().matrix.shape == (0, 0) and PointRows() == []
-    assert json.dumps(PointRows()) == "[]"
-    with pytest.raises(TypeError):
-        hash(rows)
+    assert rows(survivors) == [p for p in rows(untouched) if p not in doomed]
 
 
 def test_vector_results_are_json_serializable():
     rng = np.random.default_rng(3)
     points = rng.uniform(-1.0, 1.0, size=(64, 2))
     index = FullScanIndex(points, block_size=8)
-    answer = index.query(LinearConstraint(coeffs=(0.2,), offset=0.3))
+    answer = rows(index.query(LinearConstraint(coeffs=(0.2,), offset=0.3)))
     assert answer
     for record in answer:
         assert type(record) is tuple
@@ -501,9 +448,9 @@ def test_kernels_fall_back_on_non_point_blocks():
     constraint = LinearConstraint(coeffs=(0.0,), offset=0.0)
     with scalar_kernels():
         expected = [r for r in array.scan() if constraint.below(r)]
-    got = kernels.filter_constraint(array, constraint)
+    got = rows(kernels.filter_constraint(array, constraint))
     assert got == expected
-    # Fallback records keep their exact original form (ints stay ints).
+    # Fallback records become rows of the answer, values kept.
     assert (1, -2) in got and (-1, -1) in got
     store.close()
 
@@ -513,26 +460,28 @@ def test_deferred_scan_reads_at_visit_time_and_evaluates_once():
     constraint = LinearConstraint(coeffs=(0.0,), offset=0.0)
     crossed = DiskArray(store, [(float(i), float(i % 3 - 1)) for i in range(10)])
     below = DiskArray(store, [(float(i), 5.0) for i in range(6)])
-    wider = DiskArray(store, [(1.0, 2.0, -3.0), (1.0, 2.0, 3.0)])
+    mixed = DiskArray(store, [(1, -2), (0.5, 3.0)])
     evaluated = []
 
     def keep_many(matrix):
         evaluated.append(matrix.shape)
         return matrix[:, -1] <= 0.0
 
-    scan = kernels.DeferredScan(PointRows(), constraint.below, keep_many)
+    scan = kernels.DeferredScan(2, constraint.below, keep_many)
     store.reset_stats()
     scan.add(crossed, filtered=True)
     scan.add(below, filtered=False)
     scan.add(crossed, filtered=True)
     assert store.stats.reads == 3 + 2 + 3       # fetched when visited ...
-    assert not evaluated and len(scan.results) == 0     # ... nothing judged
-    scan.add(wider, filtered=True)              # a new width: a new stack
+    assert not evaluated                        # ... nothing judged
+    scan.add(mixed, filtered=True)              # a record block ends a stack
     assert evaluated == [(26, 2)]
+    scan.add(crossed, filtered=True)
     kept = constraint.filter(crossed.read_all())
-    assert scan.results == kept + below.read_all() + kept
-    assert len(scan.flush()) == 2 * len(kept) + len(below) + 1
-    assert evaluated == [(26, 2), (2, 3)]
+    answer = scan.flush()
+    assert_answer(answer, 2)
+    assert rows(answer) == kept + below.read_all() + kept + [(1, -2)] + kept
+    assert evaluated == [(26, 2), (10, 2)]
     store.close()
 
 
@@ -548,7 +497,7 @@ def test_full_scan_empty_with_dimension():
     index = FullScanIndex([], dimension=4)
     assert index.dimension == 4
     assert index.size == 0
-    assert index.query(constraint_for(4, 2)) == []
+    assert rows(index.query(constraint_for(4, 2))) == []
 
 
 def test_full_scan_dimension_mismatch_rejected():
@@ -660,7 +609,7 @@ def replay_digest(requests, seed):
             digest.update(("%s|%d|%d|%d|" % (
                 answer.index_name, answer.ios.reads, answer.ios.cache_hits,
                 answer.count)).encode())
-            digest.update(answer.matrix.tobytes())
+            digest.update(answer.points.tobytes())
         return digest.hexdigest(), served
     finally:
         engine.close()
