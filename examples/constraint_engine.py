@@ -4,8 +4,8 @@ Constraint query languages (one of the paper's motivations, Section 1) ask
 for all tuples satisfying linear constraints.  The paper supplies several
 structures with different space/query trade-offs; ``repro.engine`` fronts
 them with a serving layer: a catalog builds a suite of indexes per
-dataset, a cost-based planner routes each query to the cheapest structure
-using the paper's bounds (calibrated by observed I/Os), and a batch
+dataset, a cost-based planner routes each query to the structure whose
+own query, priced in memory for that constraint, is cheapest, and a batch
 executor adds dedup, a result cache and warm buffer pools.
 
 The scenario: two tenants share the engine —

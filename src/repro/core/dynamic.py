@@ -293,6 +293,13 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         """Number of points currently waiting in the insertion buffer."""
         return len(self._buffer_points)
 
+    def estimated_query_ios(self, constraint: LinearConstraint,
+                            expected_output: Optional[int] = None) -> float:
+        """Exactly what :meth:`query` reads on a cold pool: its tree's
+        price, then every buffer block."""
+        return (self._tree.estimated_query_ios(constraint, expected_output)
+                + self._buffer.num_blocks)
+
     def live_points(self) -> List[Tuple[float, ...]]:
         """Every live point (tree minus tombstones, plus the buffer).
 

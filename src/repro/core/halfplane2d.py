@@ -26,6 +26,7 @@ layers by O(1 + t / log_B n), giving the O(log_B n + t) total.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -44,12 +45,14 @@ from repro.io.store import BlockStore
 
 @dataclass
 class _Layer:
-    """One clustering Γ_i: its threshold λ_i, cluster storage and boundary tree."""
+    """One clustering Γ_i: its threshold λ_i, cluster storage and boundary
+    tree, and — for pricing only — the boundary abscissae the tree holds."""
 
     lam: int
     clusters: List[DiskArray]
     boundary_tree: BTree
     num_lines: int
+    bounds: List[float]
 
 
 def default_beta(num_points: int, block_size: int) -> int:
@@ -162,9 +165,10 @@ class HalfplaneIndex2D(ExternalIndex):
             total_lines += len(members)
         boundary_tree = BTree(self._store)
         boundary_tree.bulk_load(boundary_entries)
-        self._layers.append(_Layer(lam=lam, clusters=cluster_arrays,
-                                   boundary_tree=boundary_tree,
-                                   num_lines=total_lines))
+        self._layers.append(_Layer(
+            lam=lam, clusters=cluster_arrays, boundary_tree=boundary_tree,
+            num_lines=total_lines,
+            bounds=[x_from for x_from, __ in boundary_entries]))
 
     # ------------------------------------------------------------------
     # queries
@@ -194,9 +198,35 @@ class HalfplaneIndex2D(ExternalIndex):
 
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
-        """Theorem 3.5 bound: O(log_B n + t) worst-case I/Os."""
-        del constraint
-        return 1.0 + self._log_b_n() + self._output_blocks(expected_output)
+        """The layers :meth:`query` reads for an expected output of T
+        points, priced from memory (Theorem 3.5's O(log_B n + t)).
+
+        A probed layer costs its boundary tree's height and its relevant
+        cluster, found from the dual point's x as the tree's predecessor
+        search finds it.  The query stops at the first layer whose λ_i
+        exceeds the count still to report (Lemma 3.1).  A layer it walks
+        also reads the relevant cluster's neighbours (the Lemma 3.4 rule
+        ends a direction after about one cluster) and reports at least
+        the λ_i points below the query point in the relevant cluster —
+        the share priced, so no more layers are probed than the lemma
+        lets the query reach.
+        """
+        if expected_output is None:
+            expected_output = min(self.size, self.block_size)
+        query_x = constraint.coeffs[0]      # the dual point's x
+        remaining, cost = expected_output, 0
+        for layer in self._layers:
+            clusters = layer.clusters
+            relevant = max(0, bisect_right(layer.bounds, query_x) - 1)
+            cost += layer.boundary_tree.height + clusters[relevant].num_blocks
+            if remaining < layer.lam:
+                break
+            if relevant > 0:
+                cost += clusters[relevant - 1].num_blocks
+            if relevant + 1 < len(clusters):
+                cost += clusters[relevant + 1].num_blocks
+            remaining -= layer.lam
+        return float(cost)
 
     def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the linear constraint."""

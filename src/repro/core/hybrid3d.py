@@ -56,6 +56,15 @@ class HybridIndex3D(CellTreeIndex):
                          max(self.block_size,
                              int(round(self.block_size ** leaf_exponent))),
                          partitioner)
+        #: Per pricing slot, whether its node is a leaf.
+        self._leaf_slots = np.array(
+            [] if self._costs is None else
+            [self._nodes[node].is_leaf for node in self._costs.node.tolist()],
+            dtype=bool)
+        if self._costs is not None:
+            # A crossed leaf reads none of its raw copy: it is its Section 4
+            # structure's query, priced there.
+            self._costs.own[self._leaf_slots] = 0
 
     def _leaf_node(self, indices: np.ndarray) -> _Node:
         leaf_index = HalfspaceIndex3D(self._points[indices], store=self._store,
@@ -74,14 +83,9 @@ class HybridIndex3D(CellTreeIndex):
         """Number of leaf structures probed by the most recent query."""
         return self._last_leaves_queried
 
-    def estimated_query_ios(self, constraint: LinearConstraint,
-                            expected_output: Optional[int] = None) -> float:
-        """Theorem 6.1 bound: O((n / B^{a-1})^{2/3} + t) expected I/Os."""
-        del constraint
-        blocks = max(1, self._store.blocks_for(max(1, self.size)))
-        effective = max(1.0, blocks * self.block_size / float(self._leaf_size))
-        search = effective ** (2.0 / 3.0) + self._log_b_n()
-        return 1.0 + search + self._output_blocks(expected_output)
+    def _delegated(self, crossed: np.ndarray) -> np.ndarray:
+        """The crossed leaves: each structure prices its own query."""
+        return crossed & self._leaf_slots
 
     # ------------------------------------------------------------------
     # queries

@@ -15,7 +15,6 @@ paper's structures and the baselines interchangeably.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -127,34 +126,23 @@ class ExternalIndex(abc.ABC):
     # ------------------------------------------------------------------
     # cost estimation (planner hook)
     # ------------------------------------------------------------------
-    def _output_blocks(self, expected_output: Optional[int]) -> float:
-        """The paper's ``t = T/B`` for an expected output of T records."""
-        if expected_output is None:
-            expected_output = min(self.size, self.block_size)
-        return max(0.0, expected_output) / self.block_size
-
-    def _log_b_n(self) -> float:
-        """``log_B n`` — the additive search term of the optimal structures."""
-        blocks = max(2, self._store.blocks_for(max(1, self.size)))
-        return max(1.0, math.log(blocks) / math.log(max(2, self.block_size)))
-
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
-        """Cheap model-based estimate of what :meth:`query` would cost.
+        """What :meth:`query` would cost on a cold buffer pool, in I/Os.
 
         This is the hook the engine's cost-based planner calls to compare
-        candidate indexes *without* running the query.  It must be O(1):
-        no block reads, only arithmetic on ``N``, ``B`` and the expected
-        output size ``T`` (``expected_output``; when None, one block's
-        worth of output is assumed).
+        candidate indexes *without* running the query, and its whole
+        cost: no block reads, only in-memory arithmetic on the
+        constraint, the structure's shape and the expected output size
+        ``T`` (``expected_output``; when None, one block's worth of
+        output is assumed).
 
         The default is the conservative worst case of a structure with no
         search guarantee: read every block the structure occupies (a full
-        scan of the index).  Subclasses override this with their paper
-        bound, e.g. ``O(log_B n + t)`` for the optimal structures or
-        ``O(n^{1-1/d} + t)`` for the linear-size partition tree.  Constant
-        factors are deliberately crude — the planner calibrates them
-        against observed ``query_with_stats`` history.
+        scan of the index).  The paper's structures override it with
+        their own query priced for ``constraint``: the cell trees replay
+        their descent on an in-memory copy of the cell tables,
+        ``halfplane2d`` prices the layers its query reads.
         """
         del constraint, expected_output  # a scan's cost depends on neither
         blocks = self._space_blocks or self._store.blocks_for(max(1, self.size))

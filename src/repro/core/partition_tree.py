@@ -20,8 +20,9 @@ node), then written to the disk depth-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -55,6 +56,38 @@ class _Node:
     secondary: Optional["PartitionTreeIndex"] = None
     crossing_threshold: int = 0
     leaf_index: Optional[ExternalIndex] = None
+
+    @property
+    def blocks(self) -> int:
+        """The blocks the node itself occupies: its table or its points."""
+        return (self.points_array if self.is_leaf
+                else self.child_table).num_blocks
+
+
+class _CellCosts(NamedTuple):
+    """A cell tree's tables as its pricing reads them, in memory.
+
+    Slot ``j`` is node ``j`` of the partition hierarchy the tree was
+    written from (slot 0 the root).
+    """
+
+    #: ``(slots, d)`` each: the corners of each node's box in its
+    #: parent's table (the root's are unused), column-major — a
+    #: classification reads whole axes.
+    lowers: np.ndarray
+    uppers: np.ndarray
+    #: The slot of each node's parent (the root's own, 0).
+    parent: np.ndarray
+    #: Per level up, from one to the tree's depth less one: each slot's
+    #: ancestor that many levels up, the root standing in above a
+    #: shallower node (the root itself is checked apart).
+    ancestors: Tuple[np.ndarray, ...]
+    #: The node id (position in ``_nodes``) of each slot.
+    node: np.ndarray
+    #: Blocks a walk that crosses the node reads of the node itself.
+    own: np.ndarray
+    #: Blocks of the node's whole subtree: what reporting it reads.
+    subtree: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +156,9 @@ class CellTreeIndex(ExternalIndex):
     :class:`kernels.DeferredScan` per query.  Subclasses set their own
     parameters, then call :meth:`_build_tree`; they vary the node
     contents (:meth:`_leaf_node`, :meth:`_internal_node`) and what
-    happens at a crossed node (:meth:`_query_leaf`, :meth:`_cells`).
+    happens at a crossed node (:meth:`_query_leaf`, :meth:`_cells`), and
+    price that variation alike (``_delegated``): :meth:`estimated_query_ios`
+    replays the descent on an in-memory copy of the tables.
     """
 
     def _build_tree(self, points: Sequence[Sequence[float]],
@@ -148,12 +183,15 @@ class CellTreeIndex(ExternalIndex):
         self._last_nodes_visited = 0
         self._begin_space_accounting()
         self._root = None
+        self._costs: Optional[_CellCosts] = None
         if len(points):
             hierarchy = (median_cut_hierarchy(points, self._fanout)
                          if partitioner is None else
                          partitioner_hierarchy(points, self._fanout,
                                                partitioner))
-            self._root = self._build(hierarchy, 0)
+            ids = [0] * len(hierarchy)
+            self._root = self._build(hierarchy, 0, ids)
+            self._costs = self._cell_costs(hierarchy, ids)
         self._end_space_accounting()
 
     # ------------------------------------------------------------------
@@ -166,18 +204,53 @@ class CellTreeIndex(ExternalIndex):
             return 0
         return max(2, min(self._max_fanout, 2 * -(-size // self.block_size)))
 
-    def _build(self, hierarchy: List[PartitionNode], number: int) -> int:
+    def _build(self, hierarchy: List[PartitionNode], number: int,
+               ids: List[int]) -> int:
         """Write node ``number`` of ``hierarchy`` and its subtree,
-        depth-first; node ids are post-order."""
+        depth-first; node ids are post-order (``ids[number]``)."""
         indices, children, corners = hierarchy[number]
         if corners is None:
             node = self._leaf_node(indices)
         else:
-            child_ids = [self._build(hierarchy, child) for child in children]
+            child_ids = [self._build(hierarchy, child, ids)
+                         for child in children]
             node = self._internal_node(indices,
                                        encode_cells(child_ids, corners))
         self._nodes.append(node)
-        return len(self._nodes) - 1
+        ids[number] = len(self._nodes) - 1
+        return ids[number]
+
+    def _cell_costs(self, hierarchy: List[PartitionNode],
+                    ids: List[int]) -> _CellCosts:
+        """The in-memory copy of the written tables that pricing reads."""
+        d = self.dimension
+        parent = np.zeros(len(hierarchy), dtype=np.intp)
+        boxes = np.zeros((len(hierarchy), 2 * d))
+        internal = [(number, node.children, node.corners)
+                    for number, node in enumerate(hierarchy)
+                    if node.corners is not None]
+        if internal:
+            numbers, children, corners = zip(*internal)
+            slots = np.fromiter(chain.from_iterable(children), dtype=np.intp)
+            parent[slots] = np.repeat(numbers, list(map(len, children)))
+            boxes[slots] = np.concatenate(corners)
+        own = np.array([self._nodes[node_id].blocks for node_id in ids],
+                       dtype=float)
+        # Each node's blocks count toward every ancestor's subtree, one
+        # level up at a time (``deep``: the nodes with an ancestor so far up).
+        subtree = own.copy()
+        ancestors, above = [], parent
+        deep = np.arange(len(hierarchy)) != 0
+        while deep.any():
+            np.add.at(subtree, above[deep], own[deep])
+            ancestors.append(above)
+            deep &= above != 0
+            above = parent[above]
+        return _CellCosts(
+            lowers=np.asfortranarray(boxes[:, :d]),
+            uppers=np.asfortranarray(boxes[:, d:]), parent=parent,
+            ancestors=tuple(ancestors[:-1]), node=np.array(ids), own=own,
+            subtree=subtree)
 
     def _leaf_node(self, indices: np.ndarray) -> _Node:
         return _Node(is_leaf=True, size=len(indices),
@@ -287,6 +360,58 @@ class CellTreeIndex(ExternalIndex):
               self.size)
         check(post_order == list(range(len(self._nodes))),
               "node ids are not the post-order")
+
+    # ------------------------------------------------------------------
+    # pricing
+    # ------------------------------------------------------------------
+    #: A subclass's crossed nodes that another index answers,
+    #: ``_delegated(crossed) -> mask`` over the pricing slots; None: none.
+    _delegated = None
+
+    def estimated_query_ios(self, constraint: LinearConstraint,
+                            expected_output: Optional[int] = None) -> float:
+        """Exactly the blocks :meth:`query` reads on a cold pool, read
+        from none: the walk behind Theorems 5.2, 6.1 and 6.3 replayed on
+        the in-memory copy of the cell tables.
+
+        One :func:`classify_boxes_halfspace` call over every node's box;
+        a node is reached when its ancestors are all crossed (the root
+        always is).  A reached node below the hyperplane costs its
+        subtree's blocks, a crossed one its own, one above it nothing.  A
+        crossed node that another index answers — a shallow tree's
+        secondary tree, a hybrid leaf's structure — adds that index's
+        estimate for its share of ``expected_output``, and its cells are
+        not reached.
+        """
+        costs = self._costs
+        if costs is None:
+            return 0.0
+        codes = classify_boxes_halfspace(costs.lowers, costs.uppers,
+                                         constraint.hyperplane)
+        below = codes > 0                   # a corner on or below it
+        crossed = codes == 2                # a corner on each side
+        crossed[0] = True                   # every walk reads the root
+        delegated = None if self._delegated is None \
+            else self._delegated(crossed)
+        opened = crossed if delegated is None else crossed & ~delegated
+        reached = below
+        if opened[0]:
+            for ancestor in costs.ancestors:
+                reached = reached & opened[ancestor]
+        else:                               # another index takes it all
+            reached = np.zeros_like(below)
+        reached[0] = True
+        cost = float(np.dot(np.where(crossed, costs.own, costs.subtree),
+                            reached))
+        if delegated is not None:
+            if expected_output is None:
+                expected_output = min(self.size, self.block_size)
+            for node_id in costs.node[delegated & reached].tolist():
+                node = self._nodes[node_id]
+                answer = node.leaf_index if node.is_leaf else node.secondary
+                cost += answer.estimated_query_ios(
+                    constraint, node.size * expected_output / self.size)
+        return cost
 
     # ------------------------------------------------------------------
     # halfspace queries
@@ -412,14 +537,6 @@ class PartitionTreeIndex(CellTreeIndex):
         self._build_tree(points, 2, max_fanout,
                          leaf_capacity if leaf_capacity is not None else self.block_size,
                          partitioner)
-
-    def estimated_query_ios(self, constraint: LinearConstraint,
-                            expected_output: Optional[int] = None) -> float:
-        """Theorem 5.2 bound: O(n^{1-1/d} + t) I/Os (ε dropped)."""
-        del constraint
-        blocks = max(1, self._store.blocks_for(max(1, self.size)))
-        search = float(blocks) ** (1.0 - 1.0 / self.dimension)
-        return 1.0 + search + self._output_blocks(expected_output)
 
     # ------------------------------------------------------------------
     # simplex queries (Section 5, Remark i)

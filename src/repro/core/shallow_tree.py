@@ -51,6 +51,11 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
         self._build_tree(points, 2, max_fanout,
                          leaf_capacity if leaf_capacity is not None else self.block_size,
                          partitioner)
+        #: Per pricing slot, the crossings its node tolerates.
+        self._crossing_limits = np.array(
+            [] if self._costs is None else
+            [self._nodes[node].crossing_threshold
+             for node in self._costs.node.tolist()])
 
     def _internal_node(self, indices: np.ndarray,
                        cell_table: np.ndarray) -> _Node:
@@ -72,12 +77,12 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
         """How often the last query fell back to a secondary tree."""
         return self._last_secondary_queries
 
-    def estimated_query_ios(self, constraint: LinearConstraint,
-                            expected_output: Optional[int] = None) -> float:
-        """Theorem 6.3 bound: O(n^ε + t) I/Os (ε taken as 1/4)."""
-        del constraint
-        blocks = max(1, self._store.blocks_for(max(1, self.size)))
-        return 1.0 + float(blocks) ** 0.25 + self._output_blocks(expected_output)
+    def _delegated(self, crossed: np.ndarray) -> np.ndarray:
+        """The nodes crossing more of their cells than they tolerate:
+        a walk hands those to their secondary trees."""
+        parents = self._costs.parent[1:]       # of every slot but the root
+        crossings = np.bincount(parents[crossed[1:]], minlength=len(crossed))
+        return crossings > self._crossing_limits
 
     # ------------------------------------------------------------------
     # queries

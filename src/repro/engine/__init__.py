@@ -7,13 +7,13 @@ query.  This package is that layer:
 * :class:`~repro.engine.catalog.Catalog` — registers datasets, bulk-builds
   any combination of :class:`~repro.core.interface.ExternalIndex`
   implementations over a shared store, and tracks build cost;
-* :class:`~repro.engine.planner.Planner` — estimates each candidate's
-  query I/Os from the paper's bounds (via ``estimated_query_ios``),
-  calibrated against observed history, and routes to the cheapest;
+* :class:`~repro.engine.planner.Planner` — asks each candidate what it
+  would charge for the constraint (``estimated_query_ios``: the
+  structure's own query, priced in memory) and routes to the cheapest;
 * :class:`~repro.engine.executor.ExecutionCore` — the shared data path
-  (plan execution, sharded fan-out with replica picking, calibration
-  feedback, LRU result cache with invalidation hooks for dynamic
-  indexes) both executors run through;
+  (plan execution, sharded fan-out with replica picking, cost-model and
+  estimation feedback into the metrics, LRU result cache with
+  invalidation hooks for dynamic indexes) both executors run through;
 * :class:`~repro.engine.executor.BatchExecutor` — synchronous batch
   serving with constraint dedup, warm buffer pools and a thread-pool
   path for concurrent read-only tenants;
@@ -33,8 +33,6 @@ query.  This package is that layer:
 * :mod:`~repro.engine.stats` — pluggable selectivity models behind
   every ``expected_output`` estimate: the uniform sample scan and
   directional equi-depth histograms, per dataset and per shard;
-* :class:`~repro.engine.calibration.CalibrationStore` — JSON persistence
-  of the planner's learned constants, with staleness age-out;
 * :class:`~repro.engine.metrics.EngineStats` — latency percentiles, I/O
   totals, cache hit rates and the plan distribution, backed by a
   labelled :class:`~repro.engine.obs.MetricsRegistry` (Prometheus text
@@ -46,7 +44,6 @@ query.  This package is that layer:
 * :class:`~repro.engine.engine.QueryEngine` — the facade wiring them up.
 """
 
-from repro.engine.calibration import CalibrationStore
 from repro.engine.catalog import (
     BuildRecord,
     Catalog,
@@ -118,7 +115,6 @@ __all__ = [
     "BatchExecutor",
     "BatchResult",
     "BuildRecord",
-    "CalibrationStore",
     "CandidateEstimate",
     "Catalog",
     "ConformalCalibrator",

@@ -40,7 +40,7 @@ The RPC operations (``op`` field of every request):
 ``insert``      apply one routed write (with its fan-out-log ``seq``)
 ``delete``      apply one routed delete (idempotent by ``seq``)
 ``warm``        resize the replica's buffer pool (returns the old size)
-``stats``       cumulative I/O counters and calibration observations
+``stats``       cumulative I/O counters, served and write counts
 ``shutdown``    stop the serve loop and exit the process
 ========== ==========================================================
 

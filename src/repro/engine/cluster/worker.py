@@ -68,9 +68,6 @@ class ShardWorker:
         self._served = 0
         self._writes_applied = 0
         self._last_seq = 0
-        #: Cumulative (index_name, model_ios, observed_cold_ios) feedback
-        #: summaries, drained by the ``stats`` op.
-        self._observations: Dict[str, Dict[str, float]] = {}
         for seq, op, point in log:
             self._apply_write(op, tuple(point), int(seq))
 
@@ -121,10 +118,6 @@ class ShardWorker:
         trace = request.get("trace") or {}
         with self._lock:
             self._served += 1
-            summary = self._observations.setdefault(
-                index_name, {"queries": 0, "cold_ios": 0})
-            summary["queries"] += 1
-            summary["cold_ios"] += ios.total + ios.cache_hits
         response = {
             "ok": True,
             "points": protocol.points_to_wire(points),
@@ -197,10 +190,7 @@ class ShardWorker:
                     "ios": protocol.iostats_to_wire(totals),
                     "stats_model": getattr(self.dataset.stats, "name",
                                            None),
-                    "conformal": dict(self.conformal_config),
-                    "observations": {name: dict(summary)
-                                     for name, summary
-                                     in self._observations.items()}}
+                    "conformal": dict(self.conformal_config)}
 
     # ------------------------------------------------------------------
     # serve loop

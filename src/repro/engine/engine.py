@@ -16,9 +16,9 @@ benchmarks drive::
     print(engine.stats.to_table())
 
 Storage is pluggable end to end: ``backend="file"`` (or ``"mmap"``) puts
-every dataset's blocks in real files (``data_dir``), and a
-``calibration_path`` persists the planner's learned constants across
-restarts (loaded on startup, aged out after ``calibration_max_age_s``).
+every dataset's blocks in real files (``data_dir``).  The planner holds no
+learned state: each index prices the constraint it is given, so a
+restarted engine routes exactly as the one it replaces.
 Estimation is pluggable too: ``stats_model="histogram"`` prices queries
 with directional equi-depth histograms instead of the uniform sample
 (see :mod:`repro.engine.stats`), and ``auto_rebalance=True`` re-splits
@@ -28,8 +28,7 @@ Everything the facade does is available piecemeal through its
 :attr:`catalog`, :attr:`planner` and :attr:`executor` attributes; the
 async serving path (:meth:`QueryEngine.serve_async`) runs through the
 same :class:`~repro.engine.executor.ExecutionCore` as the synchronous
-one, so both share one result cache, one calibration and one metrics
-sink.
+one, so both share one result cache and one metrics sink.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import asyncio
 
 from repro.core.conjunction import ConstraintConjunction
-from repro.engine.calibration import DEFAULT_MAX_AGE_S, CalibrationStore
 from repro.engine.catalog import BuildRecord, Catalog, Query
 from repro.engine.executor import (
     BatchExecutor,
@@ -81,8 +79,6 @@ class QueryEngine:
     result_cache_entries / warm_cache_blocks:
         Executor knobs: answer-LRU capacity and the buffer-pool size used
         while serving a batch.
-    ewma_alpha:
-        Planner calibration learning rate.
     seed:
         Seed for sampling and randomised index builds.
     backend / data_dir:
@@ -91,10 +87,6 @@ class QueryEngine:
         the block files live in (temp files when omitted).
     fanout_workers:
         Thread-pool size for per-shard query fan-out (0 = sequential).
-    calibration_path / calibration_max_age_s:
-        When a path is given, planner calibration is loaded from that JSON
-        file on startup (entries older than the max age are dropped) and
-        :meth:`save_calibration` persists it back.
     stats_model / stats_params:
         Selectivity model built for every dataset and shard child:
         ``"uniform"`` (default, sample scan), ``"histogram"``
@@ -145,13 +137,11 @@ class QueryEngine:
 
     def __init__(self, block_size: int = 64, cache_blocks: int = 4,
                  sample_size: int = 512, result_cache_entries: int = 256,
-                 warm_cache_blocks: int = 64, ewma_alpha: float = 0.25,
+                 warm_cache_blocks: int = 64,
                  seed: Optional[int] = None,
                  backend: object = "memory",
                  data_dir: Optional[str] = None,
                  fanout_workers: int = 8,
-                 calibration_path: Optional[str] = None,
-                 calibration_max_age_s: float = DEFAULT_MAX_AGE_S,
                  stats_model: object = "uniform",
                  stats_params: Optional[Dict[str, object]] = None,
                  auto_rebalance: bool = False,
@@ -178,8 +168,7 @@ class QueryEngine:
                 min_calibration=conformal_min_calibration),
             model_provider=self._live_models,
             build_provider=self._build_records)
-        self.planner = Planner(self.catalog, ewma_alpha=ewma_alpha,
-                               conformal=self.stats.conformal)
+        self.planner = Planner(self.catalog, conformal=self.stats.conformal)
         self.tracer = Tracer(enabled=tracing, max_traces=trace_capacity,
                              slow_threshold_s=slow_query_threshold_s,
                              slow_capacity=slow_query_capacity)
@@ -233,13 +222,6 @@ class QueryEngine:
             self.rebalancer.add_listener(
                 lambda name, report: self.cluster.on_rebalance(name))
         self._serving_executor: Optional[AsyncExecutor] = None
-        self.calibration_store: Optional[CalibrationStore] = None
-        if calibration_path is not None:
-            self.calibration_store = CalibrationStore(
-                calibration_path, max_age_s=calibration_max_age_s)
-            persisted = self.calibration_store.load()
-            if persisted:
-                self.planner.load_calibration(persisted)
 
     # ------------------------------------------------------------------
     # registration
@@ -508,7 +490,7 @@ class QueryEngine:
         head-of-line-blocks a fast one, and ``budgets`` throttles named
         tenants to a token-bucket I/O rate with a queue / reject / degrade
         policy.  The async path executes through the same core as the
-        synchronous one: result cache, calibration and metrics are shared.
+        synchronous one: result cache and metrics are shared.
 
         Runs its own event loop; from an already-async context construct
         an :class:`~repro.engine.serving.AsyncExecutor` over
@@ -565,7 +547,7 @@ class QueryEngine:
         Created on first call (and cached on the engine) over the shared
         :class:`~repro.engine.executor.ExecutionCore`, so the network
         front-end's persistent scheduler serves through the same result
-        cache, calibration and metrics as every other path.  ``admission``
+        cache and metrics as every other path.  ``admission``
         binds a caller-held long-lived
         :class:`~repro.engine.serving.AdmissionController` — budgets then
         persist for the executor's whole lifetime, the
@@ -604,46 +586,9 @@ class QueryEngine:
         server.start()
         return server
 
-    def calibrate(self, dataset: str,
-                  constraints: Sequence[LinearConstraint]) -> int:
-        """Probe every index with a few constraints to seed calibration.
-
-        Runs each probe constraint through *every* candidate index with
-        ``query_with_stats`` (cold cache) and feeds the observed I/Os into
-        the planner, so routing starts from measured constants instead of
-        the bounds' implicit constant 1.  Every shard's indexes are
-        probed (feeding the shared per-kind constant).  Returns the
-        total I/Os spent probing (a serving deployment pays this once at
-        startup).
-        """
-        children = [shard.dataset for shard in
-                    self.catalog.sharded(dataset).nonempty_shards()]
-        total = 0
-        for constraint in constraints:
-            for child in children:
-                expected = child.estimate_output(constraint)
-                for name, index in sorted(child.indexes.items()):
-                    model = index.estimated_query_ios(constraint, expected)
-                    result = index.query_with_stats(constraint,
-                                                    clear_cache=True)
-                    self.planner.observe(dataset, name, model,
-                                         result.total_ios)
-                    total += result.total_ios
-        return total
-
     # ------------------------------------------------------------------
-    # persistence / lifecycle
+    # lifecycle
     # ------------------------------------------------------------------
-    def save_calibration(self) -> None:
-        """Persist the planner's calibration to ``calibration_path``.
-
-        Raises :class:`RuntimeError` when the engine was constructed
-        without one.
-        """
-        if self.calibration_store is None:
-            raise RuntimeError("engine has no calibration_path configured")
-        self.calibration_store.save(self.planner.export_calibration())
-
     def close(self) -> None:
         """Shut down workers, the fan-out pool, and every store backend."""
         if self.cluster is not None:
@@ -668,9 +613,8 @@ class QueryEngine:
         * ``estimated_ios`` vs ``actual_ios`` (and store cache hits);
         * ``stages`` — per-stage wall-clock (planning, execution);
         * ``per_shard`` — each executed shard's span attributes: its
-          replica, index, estimate, observed I/Os and the calibration
-          constant that priced it, so estimation error is attributable
-          to a specific shard;
+          replica, index, model and observed I/Os, so estimation error
+          is attributable to a specific shard;
         * ``stats_delta`` — the :class:`EngineStats` delta this run
           produced (the summed per-shard I/Os reconcile with it);
         * ``trace`` — the full span tree, and ``trace_id`` to refetch it.

@@ -3,10 +3,10 @@
 Two layers live here:
 
 * :class:`ExecutionCore` — the engine's shared data path.  Given a planned
-  query it runs the plan, feeds every observed (predicted, actual) I/O
-  pair back into the planner's calibration, records metrics, and
-  maintains the LRU **result cache** (with the invalidation hooks dynamic
-  indexes need).  Both the synchronous :class:`BatchExecutor` and the
+  query it runs the plan, records metrics (among them every observed
+  over predicted I/O ratio, the cost models' dashboard), and maintains
+  the LRU **result cache** (with the invalidation hooks dynamic indexes
+  need).  Both the synchronous :class:`BatchExecutor` and the
   asyncio :class:`~repro.engine.serving.executor.AsyncExecutor` execute
   through this one core, so the two serving paths cannot drift apart.
 * :class:`BatchExecutor` — the synchronous batch front-end.  Given a batch
@@ -23,11 +23,9 @@ dataset — and each item runs
 in a worker process when one is attached and can serve it, else here.
 Several items **fan out** on the shared thread pool, each on its shard's
 least-loaded *replica* (each replica owns its store).  The per-item I/Os
-are attributed individually — to the planner's calibration (merged per
-query under one lock via
-:meth:`~repro.engine.planner.Planner.observe_many`), to the per-replica
-load counters in :class:`~repro.engine.metrics.EngineStats`, and summed
-into the query's cost.
+are attributed individually — to the ``engine_cost_model_ratio`` and
+per-replica load series of :class:`~repro.engine.metrics.EngineStats` —
+and summed into the query's cost.
 """
 
 from __future__ import annotations
@@ -401,7 +399,7 @@ class ExecutionCore:
         The plan lowers to per-shard work items; each item runs on one
         replica's store — on the shared pool when there are several,
         since every replica owns its store and the only shared state
-        (planner calibration, metrics) is locked — and comes back as one
+        (the metrics) is thread-safe — and comes back as one
         :class:`ShardOutcome`.  Spans, feedback and the merged answer
         are then derived from those records alone.
         """
@@ -532,12 +530,10 @@ class ExecutionCore:
                 index=plan.index_name,
                 # "ios" is what EngineStats charges the request for
                 # this shard (reads+writes); cold-equivalent cost
-                # (+cache_hits) is what calibration sees.
+                # (+cache_hits) is what the model predicts.
                 ios=ios.total,
                 observed_cold_ios=ios.total + ios.cache_hits,
-                model_ios=round(plan.chosen.model_ios, 2),
-                calibration=round(plan.chosen.calibration, 4),
-                estimated_ios=round(plan.estimated_ios, 2),
+                model_ios=round(plan.estimated_ios, 2),
                 expected_output=round(plan.expected_output, 2),
                 reported=len(outcome.points),
                 q_error=round(q_error(plan.expected_output,
@@ -564,28 +560,24 @@ class ExecutionCore:
 
     def _feed_back(self, dataset_name: str, query: Query,
                    outcomes: List[ShardOutcome]) -> None:
-        """Post-processor 2: calibration, q-error and model feedback.
+        """Post-processor 2: cost-model, q-error and model feedback.
 
         Every executed per-replica plan contributes exactly one
-        calibration observation and (for single constraints) exactly one
+        cost-model ratio and (for single constraints) exactly one
         estimation residual — the conformal window's validity rests on
         that.  Conjunction plans are costed with a single conjunct's
         output — an intentional upper bound, not an estimate — so they
         stay out of the q-error metrics and the selectivity models.
         """
         estimation = not isinstance(query, ConstraintConjunction)
-        observations = []
         for outcome in outcomes:
             plan, reported = outcome.item.plan, len(outcome.points)
-            # Calibration models the *cold* cost of a structure (what the
-            # plan estimates predict), so buffer-pool hits count as the
-            # reads they would have been on a cold pool — otherwise
-            # whichever index runs later in a warm batch absorbs free
-            # reads and its factor collapses toward MIN_FACTOR.  Keyed by
-            # the parent dataset: shards share one learned constant per
-            # index kind.
-            observations.append((plan.index_name, plan.chosen.model_ios,
-                                 outcome.ios.total + outcome.ios.cache_hits))
+            # The models price the *cold* cost of a structure, so
+            # buffer-pool hits count as the reads they would have been
+            # on a cold pool.  Keyed by the parent dataset.
+            self.stats.note_cost_model(
+                dataset_name, plan.index_name, plan.estimated_ios,
+                outcome.ios.total + outcome.ios.cache_hits)
             if estimation:
                 self.stats.note_estimation(dataset_name,
                                            plan.expected_output, reported)
@@ -595,7 +587,6 @@ class ExecutionCore:
                 # base model ignores it.
                 outcome.replica.stats.note_estimation_feedback(
                     query, plan.expected_output, reported)
-        self.planner.observe_many(dataset_name, observations)
 
     def _merge(self, dataset_name: str, plan: ShardedPlan,
                outcomes: List[ShardOutcome], started: float,
@@ -724,7 +715,7 @@ class BatchExecutor:
     def execute(self, dataset_name: str, constraint: Query,
                 clear_cache: bool = False) -> ExecutedQuery:
         """Plan and run one constraint — or one conjunction of them (a
-        convex-polytope query) — recording metrics and calibration.
+        convex-polytope query) — recording metrics.
 
         ``clear_cache`` requests a cold-cache measurement: it empties the
         buffer pool first *and* bypasses the result cache, so the reported
@@ -774,10 +765,10 @@ class BatchExecutor:
                                    self.warm_cache_blocks):
             for index_name in sorted(groups):
                 for key, constraint in groups[index_name]:
-                    # Re-plan just before running: calibration learned from
-                    # earlier queries in this batch may have rerouted the
-                    # constraint (the pre-pass grouping is only a locality
-                    # heuristic).
+                    # Re-plan just before running: an adaptive selectivity
+                    # model fed by earlier queries in this batch may have
+                    # moved the expected output, hence the route (the
+                    # pre-pass grouping is only a locality heuristic).
                     plan = self._planner.plan(dataset_name, constraint)
                     answers[key] = self.core.dispatch(
                         dataset_name, constraint, plan,

@@ -33,6 +33,7 @@ degraded_answers_total      (same), interval_source  tenants.*.degraded (and
 query_latency_seconds       dataset, index, tenant   latency_s,
                                                      tenants.*.latency_s
 estimation_qerror           dataset                  estimation_qerror
+cost_model_ratio            dataset, index           (``/metrics`` only)
 writes_total                dataset, op              writes.*.inserts, deletes,
                                                      noop_deletes
 replica_writes_total        dataset                  writes.*.replica_writes
@@ -306,6 +307,11 @@ class EngineStats:
             "engine_estimation_qerror",
             "Expected-output q-error per executed plan", ("dataset",),
             buckets=(1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0))
+        self._m_cost_model = reg.histogram(
+            "engine_cost_model_ratio",
+            "Observed cold I/Os over the chosen index's model I/Os, per "
+            "executed plan", ("dataset", "index"),
+            buckets=(0.25, 0.5, 0.8, 0.9, 1.0, 1.1, 1.25, 2.0, 4.0, 10.0))
         self._m_writes = reg.counter(
             "engine_writes_total", "Engine-level mutations",
             ("dataset", "op"))
@@ -415,11 +421,20 @@ class EngineStats:
             self._m_degraded.inc_at(
                 values + (record.interval_source or "",), 1)
 
+    def note_cost_model(self, dataset: str, index: str, model_ios: float,
+                        observed_ios: int) -> None:
+        """Record one executed plan's observed cold I/Os over what its
+        index's cost model predicted (both floored at 1, so an exact
+        empty walk reads 1.0) — the model-versus-reality dashboard."""
+        self._m_cost_model.observe_at(
+            (str(dataset), str(index)),
+            max(observed_ios, 1.0) / max(model_ios, 1.0))
+
     def note_estimation(self, dataset: str, expected: float,
                         actual: float) -> None:
         """Record one plan's expected-vs-actual output q-error.
 
-        Fed by the executor alongside calibration feedback, so every
+        Fed by the executor beside the cost-model ratio, so every
         executed (shard) plan contributes exactly one sample — the signal
         operators watch to see when a dataset's selectivity model is
         misestimating.  Each pair also feeds the dataset's conformal

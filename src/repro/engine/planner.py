@@ -1,44 +1,31 @@
 """The cost-based planner: route each query to the cheapest index.
 
-For a dataset with several registered indexes, the planner predicts what
-each index would charge for a given constraint and picks the minimum.  The
-prediction has two factors:
-
-* the *model* term — each index's
-  :meth:`~repro.core.interface.ExternalIndex.estimated_query_ios`, i.e. the
-  paper's asymptotic bound (``log_B n + t`` for the optimal structures,
-  ``n^{1-1/d} + t`` for the partition tree, ``n`` for a scan) evaluated
-  with the expected output size from the dataset's selectivity model
-  (:mod:`repro.engine.stats` — a uniform sample by default, directional
-  histograms for skewed data; each shard is priced with its child's
-  *own* model);
-* a *calibration* factor — an exponentially-weighted running ratio of
-  observed I/Os (from ``query_with_stats`` history fed back by the
-  executor) to predicted I/Os, per (dataset, index).  Asymptotic bounds
-  drop constants; calibration learns them from traffic, so a structure
-  whose real constant is large gradually loses ties it should lose.
+For a dataset with several registered indexes, the planner asks each one
+what it would charge for the given constraint —
+:meth:`~repro.core.interface.ExternalIndex.estimated_query_ios`, the
+structure's own query priced in memory for that constraint (the cell
+trees replay their descent on a copy of their cell tables, ``halfplane2d``
+prices the layers its query reads, a scan its blocks) with the expected
+output size from the dataset's selectivity model (:mod:`repro.engine.stats`
+— a uniform sample by default, directional histograms for skewed data;
+each shard is priced with its child's *own* model) — and picks the
+minimum.  That estimate is the whole cost: the planner holds no learned
+state, so a fresh engine plans exactly as one that has served for hours.
 
 The planner prices a query as the *sum over relevant shards* of the
-per-shard paper bound: it asks the dataset which shards the constraint can
+per-shard estimate: it asks the dataset which shards the constraint can
 touch (shards outside the constraint's reach are pruned via their bounding
 boxes), plans each relevant shard independently over its own index suite
 (one :class:`Plan` each), and returns a :class:`ShardedPlan` whose cost is
 the fan-out total — for a ``register_dataset`` dataset that is the paper's
-own case, one shard.  Calibration is keyed by (dataset, index) *across*
-shards — shards of one dataset are statistically alike, so they share and
-jointly sharpen one learned constant per structure.
-
-Calibration state is exportable/restorable as a plain dict so a serving
-deployment can persist what it learned across restarts (see
-:mod:`repro.engine.calibration` for the on-disk store with age-out).
+own case, one shard.  How far the estimates are from the I/Os observed is
+the ``engine_cost_model_ratio`` histogram on ``/metrics``.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
@@ -47,26 +34,13 @@ from repro.engine.sharding import Shard, ShardedDataset
 from repro.engine.stats.conformal import ConformalCalibrator
 from repro.geometry.primitives import LinearConstraint
 
-#: One calibration feedback sample: (index_name, model_ios, observed_ios).
-Observation = Tuple[str, float, int]
-
-#: Calibration factors are clamped to this range so one outlier
-#: observation can never permanently blacklist (or anoint) an index.
-MIN_FACTOR = 0.05
-MAX_FACTOR = 20.0
-
 
 class CandidateEstimate(NamedTuple):
     """The planner's prediction for one candidate index."""
 
     index_name: str
+    #: The index's ``estimated_query_ios``: what the planner minimises.
     model_ios: float
-    calibration: float
-
-    @property
-    def cost(self) -> float:
-        """Calibrated predicted I/Os (what the planner minimises)."""
-        return self.model_ios * self.calibration
 
 
 @dataclass(frozen=True)
@@ -85,31 +59,24 @@ class Plan:
     @property
     def estimated_ios(self) -> float:
         """Predicted cost of the chosen index."""
-        return self.chosen.cost
-
-    @property
-    def chosen(self) -> CandidateEstimate:
-        """The winning candidate's estimate."""
         for estimate in self.estimates:
             if estimate.index_name == self.index_name:
-                return estimate
+                return estimate.model_ios
         raise AssertionError("plan lost its own chosen index %r"
                              % self.index_name)
 
     def explain(self) -> str:
         """One line per candidate, winner first (for logs and examples)."""
         ordered = sorted(self.estimates,
-                         key=lambda est: (est.cost, est.index_name))
+                         key=lambda est: (est.model_ios, est.index_name))
         band = "" if self.output_interval is None \
             else " in [%d, %d]" % self.output_interval
         lines = ["plan for dataset %r (expected T=%d%s):"
                  % (self.dataset, self.expected_output, band)]
         for rank, estimate in enumerate(ordered):
             marker = "->" if rank == 0 else "  "
-            lines.append("  %s %-16s %8.1f predicted I/Os"
-                         " (model %.1f x calibration %.2f)"
-                         % (marker, estimate.index_name, estimate.cost,
-                            estimate.model_ios, estimate.calibration))
+            lines.append("  %s %-16s %8.1f model I/Os"
+                         % (marker, estimate.index_name, estimate.model_ios))
         return "\n".join(lines)
 
 
@@ -173,25 +140,13 @@ class ShardedPlan:
         return "\n".join(lines)
 
 
-@dataclass
-class _Calibration:
-    """Running observed/predicted ratio for one (dataset, index)."""
-
-    factor: float = 1.0
-    observations: int = 0
-    updated_at: float = 0.0
-
-
 class Planner:
-    """Pick the cheapest index for each constraint, learning from history.
+    """Pick the cheapest index for each constraint.
 
     Parameters
     ----------
     catalog:
         The catalog holding datasets and their candidate indexes.
-    ewma_alpha:
-        Weight of the newest observed/predicted ratio in the calibration
-        factor (0 disables learning, 1 trusts only the last query).
     conformal:
         Optional :class:`ConformalCalibrator` (the engine passes its
         stats') — when set, every plan carries a conformal
@@ -199,16 +154,10 @@ class Planner:
         dataset's calibration window is warm.
     """
 
-    def __init__(self, catalog: Catalog, ewma_alpha: float = 0.25,
+    def __init__(self, catalog: Catalog,
                  conformal: Optional[ConformalCalibrator] = None):
-        if not 0.0 <= ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must lie in [0, 1], got %r"
-                             % ewma_alpha)
         self._catalog = catalog
-        self._alpha = ewma_alpha
         self._conformal = conformal
-        self._calibrations: Dict[Tuple[str, str], _Calibration] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # planning
@@ -230,29 +179,25 @@ class Planner:
             if callable(getattr(index, "add_mutation_listener", None))}
         return fresh or dataset.indexes
 
-    def _plan_dataset(self, dataset: Dataset, calibration_name: str,
+    def _plan_dataset(self, dataset: Dataset, parent_name: str,
                       constraint: LinearConstraint) -> Plan:
         """Plan over one shard's replica dataset."""
         if not dataset.indexes:
             raise ValueError("dataset %r has no indexes to plan over"
                              % dataset.name)
         expected_output = dataset.estimate_output(constraint)
-        routable = self._routable_indexes(dataset)
-        with self._lock:        # one hold for every candidate's factor
-            entries = [self._calibrations.get((calibration_name, name))
-                       for name in routable]
         # Candidates in registration order; cost ties go to the name.
         estimates = tuple(
             CandidateEstimate(
-                name, index.estimated_query_ios(constraint, expected_output),
-                entry.factor if entry else 1.0)
-            for (name, index), entry in zip(routable.items(), entries))
-        winner = min(estimates, key=lambda est: (est.cost, est.index_name))
+                name, index.estimated_query_ios(constraint, expected_output))
+            for name, index in self._routable_indexes(dataset).items())
+        winner = min(estimates,
+                     key=lambda est: (est.model_ios, est.index_name))
         # Conformal residuals are calibrated per *dataset* (shard children
         # feed their parent's window through note_estimation), so shard
         # plans are banded by the parent's key.
         interval = None if self._conformal is None else \
-            self._conformal.interval(calibration_name, expected_output,
+            self._conformal.interval(parent_name, expected_output,
                                      population=dataset.live_size)
         return Plan(dataset=dataset.name,
                     index_name=winner.index_name,
@@ -338,88 +283,3 @@ class Planner:
         })
         if plan.output_interval is not None:
             span.set("output_interval", list(plan.output_interval))
-
-    # ------------------------------------------------------------------
-    # calibration
-    # ------------------------------------------------------------------
-    def calibration_factor(self, dataset_name: str, index_name: str) -> float:
-        """Current observed/predicted ratio for one (dataset, index)."""
-        with self._lock:
-            entry = self._calibrations.get((dataset_name, index_name))
-            return entry.factor if entry else 1.0
-
-    def _observe_locked(self, dataset_name: str, index_name: str,
-                        model_ios: float, observed_ios: int) -> None:
-        """One EWMA update; the caller must hold :attr:`_lock`."""
-        if model_ios <= 0:
-            return
-        ratio = max(observed_ios, 1) / model_ios
-        key = (dataset_name, index_name)
-        entry = self._calibrations.setdefault(key, _Calibration())
-        if entry.observations == 0:
-            blended = ratio
-        else:
-            blended = (1.0 - self._alpha) * entry.factor \
-                + self._alpha * ratio
-        entry.factor = min(MAX_FACTOR, max(MIN_FACTOR, blended))
-        entry.observations += 1
-        entry.updated_at = time.time()
-
-    def observe(self, dataset_name: str, index_name: str,
-                model_ios: float, observed_ios: int) -> None:
-        """Feed back one executed query's (model estimate, observed) pair.
-
-        ``model_ios`` must be the *uncalibrated* estimate (the
-        ``estimated_query_ios`` value): the EWMA of ``observed / model``
-        then converges to the structure's true constant factor.  The very
-        first observation snaps the factor directly so a cold planner
-        learns a grossly mispredicted constant after one query.
-
-        The read-modify-write of the EWMA happens entirely under the
-        planner's lock, so concurrent feedback from fan-out workers or the
-        async executor can never lose an update.
-        """
-        with self._lock:
-            self._observe_locked(dataset_name, index_name, model_ios,
-                                 observed_ios)
-
-    def observe_many(self, dataset_name: str,
-                     observations: Sequence[Observation]) -> None:
-        """Apply a batch of feedback samples under one lock acquisition.
-
-        The sharded fan-out path produces one (model, observed) pair per
-        relevant shard; merging them per query keeps the per-shard EWMA
-        semantics of calling :meth:`observe` in a loop while making the
-        whole batch atomic with respect to concurrent planners — and it
-        halves the lock traffic the async executor generates.
-        """
-        with self._lock:
-            for index_name, model_ios, observed_ios in observations:
-                self._observe_locked(dataset_name, index_name, model_ios,
-                                     observed_ios)
-
-    def export_calibration(self) -> Dict[str, Dict[str, object]]:
-        """Calibration state as a JSON-friendly dict (persist across runs).
-
-        Each entry carries the wall-clock time of its last observation so
-        the on-disk store (:mod:`repro.engine.calibration`) can age out
-        constants learned from traffic that is no longer representative.
-        """
-        with self._lock:
-            return {
-                "%s/%s" % key: {"factor": entry.factor,
-                                "observations": entry.observations,
-                                "updated_at": entry.updated_at}
-                for key, entry in self._calibrations.items()
-            }
-
-    def load_calibration(self, state: Dict[str, Dict[str, object]]) -> None:
-        """Restore calibration exported by :meth:`export_calibration`."""
-        with self._lock:
-            for joined, payload in state.items():
-                dataset_name, _, index_name = joined.partition("/")
-                self._calibrations[(dataset_name, index_name)] = _Calibration(
-                    factor=float(payload["factor"]),
-                    observations=int(payload["observations"]),
-                    updated_at=float(payload.get("updated_at", 0.0)),
-                )

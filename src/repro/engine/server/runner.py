@@ -42,7 +42,7 @@ class EngineServer:
         ``serve_async`` call runs its wave on an executor of its own —
         same scheduler code, separate queue and budgets — and shares
         only the :class:`~repro.engine.executor.ExecutionCore` (result
-        cache, calibration, metrics, stores) with the server.
+        cache, metrics, stores) with the server.
     keys:
         The :class:`ApiKey` credentials to accept.
     host / port:

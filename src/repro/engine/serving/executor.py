@@ -20,8 +20,8 @@ executor instead schedules *per request*:
 * admitted requests execute on worker threads (up to ``max_concurrency``
   at once) through the *same*
   :class:`~repro.engine.executor.ExecutionCore` the synchronous path
-  uses, so planning, calibration feedback, result caching and metrics
-  cannot diverge between the two;
+  uses, so planning, result caching and metrics cannot diverge between
+  the two;
 * observed I/Os are settled back into the tenant's bucket, and queue
   depth / admission decisions / per-replica load land in
   :class:`~repro.engine.metrics.EngineStats`.
@@ -657,8 +657,8 @@ class AsyncExecutor:
                               applied=result.applied)
         else:
             served.answer = result
-            # Settle against what calibration treats as the cold cost,
-            # matching the estimate the bucket was charged with.
+            # Settle against the cold cost, what the estimate the bucket
+            # was charged with predicts.
             observed = result.ios.total + result.ios.cache_hits
             self._finish_span(item, "served", ios=result.ios.total,
                               reported=result.count)

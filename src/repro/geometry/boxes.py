@@ -50,18 +50,26 @@ def classify_boxes_halfspace(lowers: np.ndarray, uppers: np.ndarray,
     so a cell touching the hyperplane resolves exactly as
     :meth:`Box.classify_halfspace` resolves it.
     """
-    highest = np.zeros(lowers.shape[0], dtype=np.float64)
-    lowest = np.zeros(lowers.shape[0], dtype=np.float64)
+    # Each fold starts from its first term, not from 0: 0 + t is t but
+    # for a zero's sign, which adding the offset, then EPS > 0, erases.
+    highest = lowest = None
     for axis, coefficient in enumerate(hyperplane.coeffs):
         rising = coefficient >= 0
-        highest += coefficient * (uppers if rising else lowers)[:, axis]
-        lowest += coefficient * (lowers if rising else uppers)[:, axis]
+        high = coefficient * (uppers if rising else lowers)[:, axis]
+        low = coefficient * (lowers if rising else uppers)[:, axis]
+        if highest is None:
+            highest, lowest = high, low
+        else:
+            highest += high
+            lowest += low
+    if highest is None:                     # d = 1: no coefficient
+        highest, lowest = np.zeros((2, lowers.shape[0]))
     for fold in (highest, lowest):
         fold += hyperplane.offset
         fold += EPS
     below_any = lowers[:, -1] <= highest
     above_any = ~(uppers[:, -1] <= lowest)
-    return below_any.astype(np.int8) + (below_any & above_any)
+    return np.add(below_any, below_any & above_any, dtype=np.int8)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,12 @@ Covers the :mod:`repro.engine.serving` package (token buckets, admission
 policies, the prioritized deadline queue, the asyncio executor) plus the
 replication layer it drives (least-loaded picking, per-replica metrics,
 write-fanout consistency) and the concurrency regressions the async path
-must not reintroduce (lost calibration updates).
+must not reintroduce (lost metric updates).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -16,8 +17,8 @@ import pytest
 from conftest import brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
-from repro.engine import Catalog, Planner, ServingRequest, TenantBudget
-from repro.engine.calibration import CalibrationStore
+from repro.engine import (Catalog, ServingRequest, TenantBudget,
+                          render_prometheus)
 from repro.engine.serving.admission import (
     AdmissionController,
     TokenBucket,
@@ -911,63 +912,62 @@ def test_async_serving_after_engine_insert_stays_fresh(points2d):
 
 
 # ----------------------------------------------------------------------
-# calibration: race regression + age-out boundary (satellites)
+# the cost-model ratio: one sample per executed shard plan, no lock
 # ----------------------------------------------------------------------
-def test_concurrent_observe_never_loses_updates(points2d):
-    catalog = Catalog(block_size=BLOCK_SIZE, seed=3)
-    catalog.register_dataset("d", points2d)
-    catalog.build_suite("d", kinds=["full_scan"])
-    planner = Planner(catalog, ewma_alpha=0.25)
-    num_threads, per_thread = 8, 200
-    barrier = threading.Barrier(num_threads)
+def cost_model_ratios(engine):
+    """``engine_cost_model_ratio`` as JSON, by series."""
+    return {key: value for key, value
+            in engine.stats.registry.to_json()["histograms"].items()
+            if key.startswith("engine_cost_model_ratio")}
 
-    def hammer(seed):
+
+def test_concurrent_queries_lose_no_cost_model_sample(points2d):
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d, kinds=["full_scan"])
+    constraints = halfspace_queries_with_selectivity(points2d, 40, 0.1,
+                                                     seed=53)
+    num_threads = 8
+    barrier = threading.Barrier(num_threads, timeout=30)
+
+    def hammer(offset):
         barrier.wait()
-        for i in range(per_thread):
-            planner.observe("d", "full_scan", 10.0, 10 + (seed + i) % 5)
+        for constraint in constraints[offset::num_threads]:
+            engine.query("d", constraint, clear_cache=True)
 
     threads = [threading.Thread(target=hammer, args=(t,))
                for t in range(num_threads)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    state = planner.export_calibration()["d/full_scan"]
-    # Every observation must be counted: a lost read-modify-write would
-    # show up as a short count here.
-    assert state["observations"] == num_threads * per_thread
-    assert 0.05 <= state["factor"] <= 20.0
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads as often as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    series, = cost_model_ratios(engine).items()
+    assert series[0] == \
+        'engine_cost_model_ratio{dataset="d",index="full_scan"}'
+    # Every sample counted, and the scan's model is exact: all in the
+    # bucket ending at 1.0, none below it.
+    assert series[1]["count"] == len(constraints)
+    by_bound = {bucket["le"]: bucket["count"]
+                for bucket in series[1]["buckets"]}
+    assert by_bound[0.9] == 0 and by_bound[1.0] == len(constraints)
+    assert "engine_cost_model_ratio_bucket" in render_prometheus(
+        engine.stats.registry)
 
 
-def test_observe_many_matches_sequential_observes(points2d):
-    catalog = Catalog(block_size=BLOCK_SIZE, seed=3)
-    catalog.register_dataset("d", points2d)
-    catalog.build_suite("d", kinds=["full_scan", "partition_tree"])
-    sequential = Planner(catalog, ewma_alpha=0.5)
-    batched = Planner(catalog, ewma_alpha=0.5)
-    samples = [("full_scan", 10.0, 12), ("partition_tree", 20.0, 15),
-               ("full_scan", 10.0, 30)]
-    for index_name, model, observed in samples:
-        sequential.observe("d", index_name, model, observed)
-    batched.observe_many("d", samples)
-    assert batched.export_calibration().keys() == \
-        sequential.export_calibration().keys()
-    for key, entry in sequential.export_calibration().items():
-        assert batched.export_calibration()[key]["factor"] == \
-            pytest.approx(entry["factor"])
-
-
-def test_calibration_age_out_keeps_entry_exactly_at_max_age(tmp_path):
-    # The boundary case: an entry whose age equals max_age_s to the tick
-    # is still fresh (strictly-older-than ages out), one tick past is not.
-    path = str(tmp_path / "calibration.json")
-    store = CalibrationStore(path, max_age_s=3600.0)
-    store.save({
-        "d/boundary": {"factor": 2.0, "observations": 3,
-                       "updated_at": 6_400.0},
-        "d/one_past": {"factor": 3.0, "observations": 3,
-                       "updated_at": 6_399.999},
-    })
-    state = store.load(now=10_000.0)                  # ages: 3600.0, 3600.001
-    assert set(state) == {"d/boundary"}
-    assert state["d/boundary"]["factor"] == 2.0
+def test_cost_model_ratio_samples_each_executed_shard_plan(points2d):
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_sharded_dataset("sh", points2d, num_shards=4)
+    constraints = halfspace_queries_with_selectivity(points2d, 6, 0.3,
+                                                     seed=59)
+    shard_plans = 0
+    for constraint in constraints:
+        shard_plans += engine.query("sh", constraint).shards_queried
+        assert engine.query("sh", constraint).from_result_cache
+    assert shard_plans > len(constraints)
+    assert sum(series["count"] for series
+               in cost_model_ratios(engine).values()) == shard_plans

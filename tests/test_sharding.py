@@ -216,26 +216,24 @@ def test_fanout_runs_without_thread_pool(points2d):
 
 
 #: What the plain-dataset path (deleted in PR 14) measured for the
-#: inputs of ``test_unsharded_is_the_one_shard_case``, captured at the
-#: parent commit: per query ``(reads, buffer-pool hits)``, a CRC of the
-#: ordered answer, and the planner's final ``(factor, observations)`` —
-#: identical in both worker modes and for both ``clear_cache`` values.
-PLAIN_PATH_IOS = (
-    [(7, 1)] * 6
-    + [(25, 0), (36, 3), (27, 0), (25, 0), (24, 0), (25, 0)]
+#: inputs of ``test_unsharded_is_the_one_shard_case``: per
+#: ``clear_cache`` value and query ``(reads, buffer-pool hits)``, and a
+#: CRC of the ordered answer — identical in both worker modes.  Where the
+#: planner's own cost models route differently from the calibrated
+#: planner the path had (queries 0-3, 5 and 7, now to ``dynamic``), the
+#: blocks accessed are no more than they were (8 and 39); only query 0
+#: then splits by ``clear_cache`` (a warm pool turns one read into a hit).
+PLAIN_PATH_IOS = {
+    clear_cache: [first, (5, 0), (6, 0), (5, 0), (7, 1), (5, 0)]
+    + [(25, 0), (25, 0), (27, 0), (25, 0), (24, 0), (25, 0)]
     + [(64, 0)] * 6
-    + [(25, 0), (25, 0), (27, 0), (25, 0), (24, 0), (25, 0)])
+    + [(25, 0), (25, 0), (27, 0), (25, 0), (24, 0), (25, 0)]
+    for clear_cache, first in ((True, (7, 0)), (False, (6, 1)))}
 PLAIN_PATH_ANSWER_CRCS = [
-    1718288400, 459114149, 1412816064, 3357339010, 2516037071, 3357339010,
-    728571545, 4133594127, 2958121735, 800632094, 1821895261, 4065411313,
+    1880541781, 2362403529, 560882087, 1235100504, 2516037071, 1235100504,
+    728571545, 4065411313, 2958121735, 800632094, 1821895261, 4065411313,
     1141831757, 1141019565, 3722514581, 824364472, 572037296, 3064809956,
     728571545, 4065411313, 2958121735, 800632094, 1821895261, 4065411313]
-PLAIN_PATH_FACTORS = {
-    "d/halfplane2d": (3.2855550075721576, 7),
-    "d/partition_tree": (1.6554109250487137, 11),
-    "d/full_scan": (1.0, 6),
-    "d/dynamic": (0.05, 1),
-}
 
 
 @pytest.mark.parametrize("workers", ["inprocess", "process"])
@@ -244,10 +242,10 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
     # The equivalence the single dataset shape rests on: the same points
     # registered plainly, as one range shard or as one hash shard answer
     # with the same ordered points at the same I/O cost — the cost the
-    # deleted plain path charged — take writes alike, and teach the
-    # planner, the q-error metrics and the conformal window the same
-    # things: one residual per executed constraint plan, none per
-    # conjunction.
+    # deleted plain path charged, or less where the planner's own cost
+    # models route better — take writes alike, and teach the q-error
+    # metrics and the conformal window the same things: one residual per
+    # executed constraint plan, none per conjunction.
     constraints = [
         constraint
         for selectivity in (0.01, 0.1, 0.5)
@@ -280,7 +278,7 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
                     "d", query, clear_cache=clear_cache))
             assert plain.count > 0
             assert (plain.ios.reads, plain.ios.cache_hits) == \
-                PLAIN_PATH_IOS[position]
+                PLAIN_PATH_IOS[clear_cache][position]
             assert zlib.crc32(np.asarray(plain.points).tobytes()) == \
                 PLAIN_PATH_ANSWER_CRCS[position]
             for answer in (plain, *sharded):
@@ -306,19 +304,14 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
             del entry["duration_ms"]
             assert entry == reports[0]["per_shard"][0]
             assert (entry["shard_id"], entry["index"], entry["ios"],
-                    entry["model_ios"], entry["reported"]) == \
-                (0, "dynamic", 8, 161.0, 22)
+                    entry["reported"]) == (0, "dynamic", 8, 22)
+            # The dynamic tree's model is its cold walk plus its buffer.
+            assert entry["model_ios"] == entry["observed_cold_ios"]
         deleted = on_every_layout(
             lambda engine: mutation_fields(engine.delete("d", new_point)))
         assert set(deleted) == {(True, 0, 1, 0, 0)}
 
         plain = engines["unsharded"]
-        factors = {key: (entry["factor"], entry["observations"])
-                   for key, entry in
-                   plain.planner.export_calibration().items()}
-        assert factors == {key: (pytest.approx(factor, rel=1e-12), count)
-                           for key, (factor, count)
-                           in PLAIN_PATH_FACTORS.items()}
         assert plain.stats.conformal.size("d") == len(constraints) + 1
         expected = plain.stats.estimation_summary()["d"]
         assert expected["plans"] == len(constraints) + 1
@@ -329,9 +322,6 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
 
         for layout in ("range", "hash"):
             engine = engines[layout]
-            assert {key: (entry["factor"], entry["observations"])
-                    for key, entry in
-                    engine.planner.export_calibration().items()} == factors
             # The same q-errors in any order: counts, buckets (hence
             # the interpolated percentiles) and max are equal, the mean
             # is a float sum in a different order.
@@ -401,19 +391,6 @@ def test_sharded_result_cache_and_stats(points2d):
     assert summary["shards_queried"] > 0
     assert summary["shards_pruned"] > 0
     assert 0.0 < summary["shard_prune_rate"] < 1.0
-
-
-def test_sharded_calibration_shares_keys_across_shards(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
-    engine.register_sharded_dataset("sh", points2d, num_shards=4)
-    probes = halfspace_queries_with_selectivity(points2d, 2, 0.05, seed=79)
-    spent = engine.calibrate("sh", probes)
-    assert spent > 0
-    state = engine.planner.export_calibration()
-    assert set(state) == {"sh/halfplane2d", "sh/partition_tree",
-                          "sh/full_scan"}
-    # every shard fed the shared key: 4 shards x 2 probes
-    assert all(entry["observations"] == 8 for entry in state.values())
 
 
 def test_file_backed_sharded_engine_matches_memory(points2d, tmp_path):

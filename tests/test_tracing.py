@@ -194,10 +194,11 @@ def test_engine_query_produces_planner_executor_store_spans(traced_engine):
     assert len(shards) == 4  # EVERYTHING prunes nothing on K=4
     for node in shards:
         attrs = node.attributes
-        # Calibration attribution and store-level counters per shard.
-        assert {"shard_id", "replica_id", "index", "ios", "calibration",
-                "q_error", "blocks_read", "cache_hits", "block_size",
-                "vectorized"} <= set(attrs)
+        # Cost-model attribution and store-level counters per shard.
+        assert {"shard_id", "replica_id", "index", "ios", "model_ios",
+                "observed_cold_ios", "q_error", "blocks_read", "cache_hits",
+                "block_size", "vectorized"} <= set(attrs)
+        assert "calibration" not in attrs
     assert sum(node.attributes["ios"] for node in shards) \
         == answer.ios.total
 
