@@ -74,10 +74,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
                                  leaf_capacity=leaf_capacity,
                                  partitioner=partitioner)
         self._rebuilds = 0
-        self._mutation_listeners: List[Callable[[], None]] = []
         self._pre_mutation_listeners: List[Callable[[], None]] = []
-        self._point_listeners: List[Callable[[str, Tuple[float, ...]],
-                                             None]] = []
         self._begin_space_accounting()
         self._buffer = DiskArray(self._store)
         self._buffer_points: List[Tuple[float, ...]] = []
@@ -154,48 +151,19 @@ class DynamicPartitionTreeIndex(ExternalIndex):
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def add_mutation_listener(self, listener: Callable[[], None]) -> None:
-        """Register a callback fired after every successful insert/delete.
-
-        The engine's executor subscribes here so cached query results over
-        this index's dataset are flushed the moment the data changes
-        (result-cache invalidation), instead of serving stale answers.
-        """
-        self._mutation_listeners.append(listener)
-
     def add_pre_mutation_listener(self,
                                   listener: Callable[[], None]) -> None:
         """Register a callback fired *before* a mutation is applied.
 
         A pre-listener that raises vetoes the mutation: nothing has been
-        written yet, so the index is left exactly as it was.  The engine
-        uses this to reject *direct* writes to one replica of a
-        replicated shard (the supported route is the engine's write
-        fan-out, which keeps every replica in step) — a post-hoc error
-        would leave the replicas silently divergent.
+        written yet, so the index is left exactly as it was.  The engine's
+        catalog uses this to refuse every write to an index it built that
+        does not come through the engine's write path (which keeps the
+        replicas, statistics and caches in step) — a post-hoc error would
+        leave them silently divergent.  A delete of an absent point
+        writes nothing and is never vetoed.
         """
         self._pre_mutation_listeners.append(listener)
-
-    def add_point_listener(
-            self, listener: Callable[[str, Tuple[float, ...]], None]) -> None:
-        """Register a callback receiving each mutated point.
-
-        Called as ``listener(op, point)`` with ``op`` one of ``"insert"``
-        / ``"delete"`` after the mutation is applied, just before the
-        plain mutation listeners fire.  The engine's statistics layer
-        subscribes here: unlike :meth:`add_mutation_listener`, the point
-        itself is what a selectivity model needs to update its sample
-        reservoir and histograms incrementally.
-        """
-        self._point_listeners.append(listener)
-
-    def _notify_mutation(self) -> None:
-        for listener in self._mutation_listeners:
-            listener()
-
-    def _notify_point(self, op: str, record: Tuple[float, ...]) -> None:
-        for listener in self._point_listeners:
-            listener(op, record)
 
     def _check_pre_mutation(self) -> None:
         for listener in self._pre_mutation_listeners:
@@ -225,8 +193,6 @@ class DynamicPartitionTreeIndex(ExternalIndex):
             self._buffer.append(record)
             self._buffer_points.append(record)
         self._maybe_rebuild()
-        self._notify_point("insert", record)
-        self._notify_mutation()
 
     def delete(self, point: Sequence[float]) -> bool:
         """Delete one copy of a point; returns False if it was not present.
@@ -252,8 +218,6 @@ class DynamicPartitionTreeIndex(ExternalIndex):
             # path skipping it would let a delete-heavy workload sit past
             # the tombstone fraction until an unrelated mutation noticed.
             self._maybe_rebuild()
-            self._notify_point("delete", record)
-            self._notify_mutation()
             return True
         if not in_tree:
             return False
@@ -261,8 +225,6 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         self._num_tombstones += 1
         self._tombstone_array.append(record)
         self._maybe_rebuild()
-        self._notify_point("delete", record)
-        self._notify_mutation()
         return True
 
     # ------------------------------------------------------------------

@@ -12,15 +12,16 @@ query.  This package is that layer:
   structure's own query, priced in memory) and routes to the cheapest;
 * :class:`~repro.engine.executor.ExecutionCore` — the shared data path
   (plan execution, sharded fan-out with replica picking, cost-model and
-  estimation feedback into the metrics, LRU result cache with
-  invalidation hooks for dynamic indexes) both executors run through;
+  estimation feedback into the metrics, LRU result cache) both
+  executors run through;
 * :class:`~repro.engine.executor.BatchExecutor` — synchronous batch
   serving with constraint dedup, warm buffer pools and a thread-pool
   path for concurrent read-only tenants;
 * :class:`~repro.engine.writes.WritePath` — the engine-level mutation
   path: inserts/deletes routed by shard attribute and fanned out to
   every replica (rollback on veto), keeping replicas identical so reads
-  stay free to spread after writes;
+  stay free to spread after writes — and the one place a committed
+  write's effects (flags, statistics, listeners, cache flush) apply;
 * :mod:`~repro.engine.serving` — the async serving subsystem: the
   :class:`~repro.engine.serving.AsyncExecutor` scheduler over a
   prioritized deadline queue, per-tenant token-bucket admission control

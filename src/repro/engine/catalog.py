@@ -36,6 +36,7 @@ concrete per-query cost predictions.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -160,10 +161,13 @@ class Dataset:
     stats: SelectivityModel
     indexes: Dict[str, ExternalIndex] = field(default_factory=dict)
     build_records: Dict[str, BuildRecord] = field(default_factory=dict)
-    #: Set by the engine's mutation hooks when a dynamic index on this
-    #: dataset accepts an insert/delete.  Statically-built sibling indexes
-    #: are stale from that point on, so the planner stops routing to them.
+    #: Set by the engine's write path once a write committed on this
+    #: replica.  Statically-built sibling indexes are stale from that
+    #: point on, so the planner stops routing to them.
     mutated: bool = False
+    #: The thread inside :func:`~repro.engine.writes.apply_mutation` on
+    #: this replica (None: none) — the one writer the veto lets through.
+    writer: Optional[int] = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -192,6 +196,18 @@ class Dataset:
     def estimate_output(self, constraint: LinearConstraint) -> int:
         """Expected number of reported points (the paper's T)."""
         return self.stats.estimate_output(constraint)
+
+    def refuse_direct_write(self) -> None:
+        """The veto the catalog wires onto every dynamic index it builds:
+        a write not made by :func:`~repro.engine.writes.apply_mutation`
+        raises before it lands (it would reach no sibling replica,
+        statistic, cache or worker)."""
+        if self.writer != threading.get_ident():
+            raise ValueError(
+                "index on %r is engine-owned; mutating it directly would "
+                "desynchronise it from its replicas, statistics and caches "
+                "— route the write through QueryEngine.insert/delete"
+                % self.name)
 
     def run_query(self, index_name: str, query: Query,
                   clear_cache: bool = False
@@ -287,6 +303,11 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     index = index_kind.factory(dataset.points, store=dataset.store,
                                **params)
     elapsed = time.perf_counter() - started
+    # Every engine-owned dynamic index — registered, re-split, lazily
+    # materialised, built late or rebuilt in a worker — takes writes
+    # through the write path alone.
+    if isinstance(index, DynamicPartitionTreeIndex):
+        index.add_pre_mutation_listener(dataset.refuse_direct_write)
     record = BuildRecord(
         dataset=dataset.name,
         index_name=index_name,
@@ -311,9 +332,9 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
     Each replica gets its own store (a ``<name>.blocks`` file under the
     recipe's ``data_dir`` for file backends) and a replay of
     ``suite_builds``; all of them share one sample and one selectivity
-    model — they hold identical data, and a mutation's point hooks fire
-    once per logical write.  Samples and the randomised builds are
-    seeded from the recipe, so the same arguments give the same stores
+    model — they hold identical data, and the write path feeds a
+    committed write to the model once.  Samples and the randomised
+    builds are seeded from the recipe, so the same arguments give the same stores
     and structures in any process: registration, re-split, lazy
     materialisation and the shard worker all call this, which is what
     replica parity and process-mode I/O parity rest on.
@@ -575,18 +596,29 @@ class Catalog:
             pass
 
     @staticmethod
-    def mutable_index_of(dataset: Dataset) -> ExternalIndex:
-        """The (child) dataset's mutation-capable index — the write target.
+    def mutable_index_name(dataset: Dataset) -> Optional[str]:
+        """The name of a (child) dataset's write target — its first
+        dynamic partition tree — or None.
 
-        The engine-level write path routes ``insert``/``delete`` here.  A
-        suite built without a mutation-capable kind cannot be upgraded in
-        place (its statically-built structures would silently go stale),
-        so the error says how to register the dataset writable instead.
+        The one answer to "which index is mutable": the write path
+        writes it, a re-split reads its live points, the planner routes
+        to it alone once the replica has mutated, and a worker is sent
+        writes only when its suite holds it.
         """
-        for index in dataset.indexes.values():
-            if callable(getattr(index, "insert", None)) \
-                    and callable(getattr(index, "delete", None)):
-                return index
+        return next((name for name, index in dataset.indexes.items()
+                     if isinstance(index, DynamicPartitionTreeIndex)), None)
+
+    @staticmethod
+    def mutable_index_of(dataset: Dataset) -> ExternalIndex:
+        """The (child) dataset's mutable index — the write target.
+
+        A suite built without one cannot be upgraded in place (its
+        statically-built structures would silently go stale), so the
+        error says how to register the dataset writable instead.
+        """
+        name = Catalog.mutable_index_name(dataset)
+        if name is not None:
+            return dataset.indexes[name]
         raise ValueError(
             "dataset %r accepts no engine-level writes: its index suite "
             "was built statically (no mutation-capable index).  Register "
@@ -598,20 +630,15 @@ class Catalog:
     def live_points_of(dataset: Dataset) -> np.ndarray:
         """A (child) dataset's current points, mutations included.
 
-        When a mutation-aware index exists, its own ``live_points`` (the
-        dynamic partition tree's exact live set) is the truth — the
-        build array no longer reflects the data after inserts/deletes.
-        The index is consulted even when the ``mutated`` flag is unset:
-        the flag is wired by *engine*-built suites, and an index built
-        directly through the catalog must not lose its updates in a
-        re-split just because nobody subscribed to it.
+        The mutable index's exact live set when the suite has one (the
+        build array no longer reflects the data after writes), else the
+        build array.  Read from memory: no I/O is charged.
         """
-        for index in dataset.indexes.values():
-            live = getattr(index, "live_points", None)
-            if callable(live):
-                return np.asarray(live(), dtype=float).reshape(
-                    -1, dataset.dimension)
-        return dataset.points
+        name = Catalog.mutable_index_name(dataset)
+        if name is None:
+            return dataset.points
+        return np.asarray(dataset.indexes[name].live_points(),
+                          dtype=float).reshape(-1, dataset.dimension)
 
     def resplit_sharded_dataset(self, name: str) -> Dict[str, object]:
         """Re-split a range-sharded dataset at fresh quantiles.
@@ -629,7 +656,7 @@ class Catalog:
         This is the mechanism under
         :class:`~repro.engine.sharding.RebalanceManager`; callers above
         the catalog should go through the manager (or the engine facade),
-        which also invalidates result caches and re-wires mutation hooks.
+        which also invalidates result caches and restarts worker fleets.
         """
         sharded = self.sharded(name)
         if not isinstance(sharded.router, RangeShardRouter):
@@ -692,16 +719,15 @@ class Catalog:
         erroring.  No-op when the shard already has replicas.
 
         The caller must hold the dataset's ``write_lock`` (the write path
-        does); the engine facade re-wires its mutation hooks onto the new
-        indexes through the write path's materialize listener.
+        does, and applies the triggering insert right after).
 
         The shard's bounding box starts stale: there are no points to
         bound, and pruning must not skip the shard once its first insert
         lands.  Histogram selectivity models need at least one build
         point, so a materialized shard starts from the uniform sample
         model regardless of the configured kind; the shard is marked
-        ``stats_provisional`` so the engine's point hooks can promote it
-        onto the configured model once it holds enough live points
+        ``stats_provisional`` so the engine's post-commit step can promote
+        it onto the configured model once it holds enough live points
         (:meth:`upgrade_shard_stats`) — a re-split also rebuilds it with
         the registered model over real points.
         """
@@ -737,7 +763,7 @@ class Catalog:
         still too small, no longer provisional, or empty of live points.
 
         The caller must hold the dataset's ``write_lock`` (the engine's
-        point hook fires inside the write path, which does).
+        post-commit step runs inside the write path, which does).
         """
         sharded = self.sharded(name)
         shard = sharded.shards[shard_id]

@@ -20,10 +20,10 @@ non-empty shard replica of every covered sharded dataset.  It owns:
 * **cache propagation** — warm-serving windows resize worker buffer
   pools alongside the parent's so I/O accounting matches in both modes.
 
-Safety valve: a *direct* index mutation (user code bypassing the
-engine's write path) never reaches the log, so the coordinator marks
-that dataset **bypassed** — its queries run in-process from then on —
-rather than serving answers from silently diverged workers.
+The log is the only way a write reaches a worker, and nothing reaches a
+parent replica around it: the catalog vetoes every write to an
+engine-owned dynamic index that does not come through the engine's write
+path, so a worker never serves from a copy the log does not describe.
 """
 
 from __future__ import annotations
@@ -143,7 +143,6 @@ class Coordinator:
         self._lock = threading.RLock()
         self._workers: Dict[Tuple[str, int, int], WorkerHandle] = {}
         self._covered: set = set()
-        self._bypassed: set = set()
         self._stopped = False
         self._monitor: Optional[threading.Thread] = None
         # An owner that exits without stop() must not leave workers
@@ -250,7 +249,7 @@ class Coordinator:
                        replica_id: int) -> Optional[WorkerHandle]:
         """Respawn one (dead) worker and catch it up from the write log."""
         with self._lock:
-            if self._stopped or dataset_name in self._bypassed:
+            if self._stopped:
                 return None
         sharded = self._catalog.sharded(dataset_name)
         shard = sharded.shards[shard_id]
@@ -260,8 +259,7 @@ class Coordinator:
 
     def _serves(self, dataset_name: str) -> bool:
         """Whether workers answer for the dataset (call under the lock)."""
-        return (not self._stopped and dataset_name in self._covered
-                and dataset_name not in self._bypassed)
+        return not self._stopped and dataset_name in self._covered
 
     # ------------------------------------------------------------------
     # the query transport
@@ -280,8 +278,8 @@ class Coordinator:
         index_detail)`` from the first worker that answers — preferring
         the replica the picker acquired — or ``None`` when no worker can
         serve it
-        (uncovered dataset, bypassed dataset, every replica's worker
-        dead, or spawned before ``index_name`` was built), telling the
+        (uncovered dataset, every replica's worker dead, or spawned
+        before ``index_name`` was built), telling the
         executor to run the shard in-process.  A failed attempt charges
         no I/Os: only the serving worker's counters are returned, so
         failover never loses or double-counts a block transfer.
@@ -341,19 +339,24 @@ class Coordinator:
         parent already applied the mutation to its own replicas (the
         unchanged fan-out), so worker write I/Os are *not* re-charged —
         the broadcast only keeps the worker copies current.  A worker
-        that cannot be reached is marked dead; the log replays the write
+        that cannot be reached is marked dead, and one spawned before
+        the shard's mutable index was built is skipped (``run_query``
+        never asks it for that index either); the log replays the write
         into its restart.
         """
         del applied  # logged either way: a no-op delete replays as one
         with self._lock:
             if not self._serves(dataset_name):
                 return
+            target = Catalog.mutable_index_name(
+                self._catalog.sharded(dataset_name).shards[shard_id].dataset)
             seq = self.log.append(dataset_name, shard_id, op, record)
             payload = self._write_request(seq, op, record)
             for handle in list(self._workers.values()):
                 if (handle.dataset != dataset_name
                         or handle.shard_id != shard_id
-                        or not handle.alive):
+                        or not handle.alive
+                        or target not in handle.indexes):
                     continue
                 try:
                     handle.client.call(payload)
@@ -389,27 +392,6 @@ class Coordinator:
         self.log.clear_dataset(dataset_name)
         self.start_dataset(dataset_name)
 
-    def note_index_mutation(self, dataset_name: str, shard: Shard) -> None:
-        """Index-mutation listener: detect writes that bypassed the engine.
-
-        Mutations through the engine's write path happen inside the
-        shard's fan-out (the listener fires on the fanning thread); a
-        mutation from any *other* thread context went directly to the
-        index, never reached the write log, and has silently diverged
-        the workers — so the dataset drops to in-process serving for
-        good, which is always correct (the parent's state is current).
-        """
-        if shard._fanout_owner == threading.get_ident():
-            return
-        with self._lock:
-            if dataset_name in self._covered:
-                self._bypassed.add(dataset_name)
-
-    def bypassed(self, dataset_name: str) -> bool:
-        """True when the dataset fell back to in-process serving."""
-        with self._lock:
-            return dataset_name in self._bypassed
-
     # ------------------------------------------------------------------
     # cache propagation (warm-serving windows)
     # ------------------------------------------------------------------
@@ -424,8 +406,7 @@ class Coordinator:
         tokens: List[Tuple] = []
         with self._lock:
             handles = [handle for handle in self._workers.values()
-                       if handle.dataset in set(names) and handle.alive
-                       and handle.dataset not in self._bypassed]
+                       if handle.dataset in set(names) and handle.alive]
         for handle in handles:
             try:
                 response = handle.client.call(
@@ -547,7 +528,6 @@ class Coordinator:
             return {
                 "mode": "process",
                 "datasets": sorted(self._covered),
-                "bypassed": sorted(self._bypassed),
                 "workers": workers,
                 "write_log": self.log.sizes(),
             }

@@ -183,19 +183,10 @@ class QueryEngine:
             threshold=rebalance_threshold,
             min_mutations=rebalance_min_mutations)
         # A re-split rebuilds per-shard stores and indexes: flush the old
-        # layout's cached answers, then re-wire the staleness/statistics
-        # hooks onto the freshly built indexes.
+        # layout's cached answers.
         self.rebalancer.add_listener(
             lambda name, report: self.executor.invalidate_dataset(name))
-        self.rebalancer.add_listener(
-            lambda name, report: self._watch_indexes(name))
-        # A lazily-materialized shard (first insert into an empty range
-        # shard) builds fresh indexes mid-write: wire the hooks onto that
-        # shard alone — re-wiring the whole dataset would subscribe the
-        # already-watched shards twice and double-count statistics.
-        self.executor.core.writes.add_materialize_listener(
-            lambda name, shard_id: self._watch_indexes(name,
-                                                       only_shard=shard_id))
+        self.executor.core.writes.add_write_listener(self._after_write)
         self._stats_upgrade_min_points = stats_upgrade_min_points
         mode = workers if workers is not None \
             else os.environ.get("REPRO_WORKERS", "inprocess")
@@ -210,13 +201,9 @@ class QueryEngine:
             self.cluster = Coordinator(
                 self.catalog, conformal=self.stats.conformal.config())
             self.executor.core.attach_cluster(self.cluster)
-            # Every committed write to a covered dataset lands in the
-            # coordinator's fan-out log (and is broadcast to live
-            # workers); lazy materialization spawns the new shard's
-            # workers before its first write broadcasts; a re-split
+            # Lazy materialization spawns the new shard's workers before
+            # its first write broadcasts (see _after_write); a re-split
             # rebuilds the fleet on the new layout.
-            self.executor.core.writes.add_write_listener(
-                self.cluster.note_write)
             self.executor.core.writes.add_materialize_listener(
                 self.cluster.on_materialize)
             self.rebalancer.add_listener(
@@ -239,9 +226,7 @@ class QueryEngine:
         """
         self.catalog.register_dataset(name, points, block_size=block_size,
                                       **catalog_kwargs)
-        records = self.catalog.build_suite(name, kinds=kinds)
-        self._watch_indexes(name)
-        return records
+        return self.catalog.build_suite(name, kinds=kinds)
 
     def register_sharded_dataset(self, name: str,
                                  points: Sequence[Sequence[float]],
@@ -268,77 +253,9 @@ class QueryEngine:
             shard_attribute=shard_attribute, replicas=replicas,
             block_size=block_size, **catalog_kwargs)
         records = self.catalog.build_suite(name, kinds=kinds)
-        self._watch_indexes(name)
         if self.cluster is not None:
             self.cluster.start_dataset(name)
         return records
-
-    def _watch_indexes(self, name: str,
-                       only_shard: Optional[int] = None) -> None:
-        """Hook dynamic indexes up to the engine's staleness machinery.
-
-        A logical mutation (1) flushes the dataset's result-cache
-        entries, (2) marks the mutated (shard replica) dataset so the
-        planner stops routing to its statically-built siblings, (3)
-        marks the shard's bounding box stale so pruning no longer
-        trusts it, and (4) feeds the mutated *point* into the
-        dataset's selectivity model (sample reservoir / histograms) and
-        the rebalance manager's skew counters.
-
-        On replicated shards the write path fans each mutation out to
-        *every* replica, so hooks (1), (3) and (4) — the
-        once-per-logical-mutation family — are wired to the **primary
-        replica only**: the fan-out applies the primary last, so they
-        fire exactly once, and only when every replica already holds the
-        write.  Each replica keeps its own ``mutated`` flag (2) and a
-        pre-mutation veto against *direct* single-replica writes, which
-        would silently desynchronise the copies.
-
-        ``only_shard`` restricts the wiring to one shard's replicas —
-        used when a single shard's indexes were freshly built (lazy
-        materialization) while its siblings keep their existing, already
-        subscribed hooks (re-subscribing them would fire statistics
-        twice per mutation).
-        """
-        sharded = self.catalog.sharded(name)
-        targets = [
-            (replica, shard, replica_id == 0)
-            for shard in sharded.nonempty_shards()
-            if only_shard in (None, shard.shard_id)
-            for replica_id, replica in enumerate(shard.replicas)]
-        for dataset, shard, primary in targets:
-            point_hook = self._make_point_hook(name, dataset, sharded,
-                                               shard)
-            for index in dataset.indexes.values():
-                subscribe = getattr(index, "add_mutation_listener", None)
-                if not callable(subscribe):
-                    continue
-                if self.cluster is not None:
-                    # A mutation that did not come through the engine's
-                    # write fan-out never reached the cluster's write
-                    # log: the coordinator drops the dataset back to
-                    # in-process serving rather than answer from
-                    # silently diverged workers.
-                    subscribe(lambda shard=shard:
-                              self.cluster.note_index_mutation(name,
-                                                               shard))
-                # Veto direct writes to one replica of a replicated
-                # shard *before* they land (the engine's fan-out
-                # thread is exempt), so a rejected mutation leaves
-                # the replica byte-identical to its siblings.
-                presubscribe = getattr(index, "add_pre_mutation_listener",
-                                       None)
-                if callable(presubscribe):
-                    presubscribe(shard.check_direct_mutation)
-                subscribe(lambda dataset=dataset: setattr(
-                    dataset, "mutated", True))
-                if not primary:
-                    continue
-                self.executor.watch_index(name, index)
-                subscribe(shard.mark_mutated)
-                observe = getattr(index, "add_point_listener", None)
-                if callable(observe):
-                    observe(point_hook)
 
     def _live_models(self) -> Dict[str, object]:
         """Live selectivity models by dataset name (the metrics provider).
@@ -364,29 +281,26 @@ class QueryEngine:
         return [build for name in self.catalog.datasets()
                 for build in self.catalog.build_records(name).values()]
 
-    def _make_point_hook(self, name, dataset, sharded, shard):
-        """The per-point mutation callback keeping statistics current."""
-        def hook(op: str, point) -> None:
-            models = [dataset.stats]
-            if sharded.stats is not dataset.stats:
-                # (a register_dataset model *is* its shard's: observe once)
-                models.append(sharded.stats)
-            for model in models:
-                if op == "insert":
-                    model.observe_insert(point)
-                else:
-                    model.observe_delete(point)
+    def _after_write(self, name: str, shard_id: int, op: str, point,
+                     applied: bool) -> None:
+        """The write path's one post-commit listener (barrier held).
+
+        After the replicas, flags and statistics took the write: count
+        it toward the rebalance skew signal, promote a lazily
+        materialized shard off its provisional uniform model once it
+        holds enough live points, then hand the write to the process
+        coordinator's log and broadcast (a no-op delete too: the log
+        replays it as one).
+        """
+        if applied:
             self.rebalancer.note_mutation(name)
-            if (op == "insert" and shard.stats_provisional
-                    and self._stats_upgrade_min_points > 0):
-                # Satellite of lazy materialization: once the shard holds
-                # enough live points, promote it off the provisional
-                # uniform model onto the dataset's configured one.  The
-                # hook fires inside the write path, which holds the
-                # dataset's write barrier.
+            if (op == "insert" and self._stats_upgrade_min_points > 0
+                    and self.catalog.sharded(name).shards[shard_id]
+                    .stats_provisional):
                 self.catalog.upgrade_shard_stats(
-                    name, shard.shard_id, self._stats_upgrade_min_points)
-        return hook
+                    name, shard_id, self._stats_upgrade_min_points)
+        if self.cluster is not None:
+            self.cluster.note_write(name, shard_id, op, point, applied)
 
     # ------------------------------------------------------------------
     # rebalancing
@@ -396,8 +310,8 @@ class QueryEngine:
 
         Collects every shard's live points (dynamic inserts included),
         recomputes the quantile boundaries, rebuilds the per-shard
-        stores / index suites / statistics, flushes the dataset's cached
-        results and re-wires the mutation hooks.  Pruning works again
+        stores / index suites / statistics and flushes the dataset's
+        cached results.  Pruning works again
         afterwards: the new shards' bounding boxes are fresh.  The event
         lands in ``summary()["rebalances"]``.
         """
@@ -670,7 +584,7 @@ class QueryEngine:
 
         In process-worker mode a ``"cluster"`` entry is merged in: the
         coordinator's topology snapshot (worker pids/ports/states,
-        restart counts, write-log sizes, bypassed datasets).
+        restart counts, write-log sizes).
         """
         summary = self.stats.summary()
         if self.cluster is not None:

@@ -5,8 +5,8 @@ Two layers live here:
 * :class:`ExecutionCore` — the engine's shared data path.  Given a planned
   query it runs the plan, records metrics (among them every observed
   over predicted I/O ratio, the cost models' dashboard), and maintains
-  the LRU **result cache** (with the invalidation hooks dynamic indexes
-  need).  Both the synchronous :class:`BatchExecutor` and the
+  the LRU **result cache** (the write path flushes it as a committed
+  write's last effect).  Both the synchronous :class:`BatchExecutor` and the
   asyncio :class:`~repro.engine.serving.executor.AsyncExecutor` execute
   through this one core, so the two serving paths cannot drift apart.
 * :class:`BatchExecutor` — the synchronous batch front-end.  Given a batch
@@ -249,10 +249,9 @@ class ExecutionCore:
         #: The mutation twin of this core: routed inserts/deletes with
         #: replica write-fanout, sharing the same catalog and metrics
         #: sink (so sync and async writes cannot drift apart either).
-        #: The invalidate hook covers aborted fan-outs, whose rollback
-        #: must flush answers cached off a mid-fanout secondary.
-        self.writes = WritePath(catalog, stats=self.stats,
-                                invalidate=self.invalidate_dataset)
+        #: It flushes this core's result cache after every committed or
+        #: aborted write.
+        self.writes = WritePath(catalog, self.stats, self.invalidate_dataset)
         #: Optional process transport (see :mod:`repro.engine.cluster`):
         #: when attached, the fan-out offers each per-shard query to
         #: the shard's worker process first and falls back to the local
@@ -267,10 +266,10 @@ class ExecutionCore:
                   point) -> MutationResult:
         """Apply one engine-level mutation (the async path's write hook).
 
-        Delegates to the shared :class:`~repro.engine.writes.WritePath`;
-        result-cache invalidation, statistics feedback and shard-box
-        staleness all fire through the mutation listeners the engine
-        facade wired onto the primary replica's dynamic index.
+        Delegates to the shared :class:`~repro.engine.writes.WritePath`,
+        which applies every effect of the write — shard-box staleness,
+        statistics feedback, the engine's listener, result-cache
+        invalidation — at one site.
         """
         if op == "insert":
             return self.writes.insert(dataset_name, point)
@@ -336,20 +335,6 @@ class ExecutionCore:
     # ------------------------------------------------------------------
     # result-cache invalidation
     # ------------------------------------------------------------------
-    def watch_index(self, dataset_name: str, index: object) -> bool:
-        """Subscribe to an index's mutations, if it publishes any.
-
-        Indexes exposing ``add_mutation_listener`` (the dynamic partition
-        tree) get a callback that flushes the dataset's result-cache
-        entries, so updates never serve stale cached answers.  Returns
-        True when a listener was registered.
-        """
-        subscribe = getattr(index, "add_mutation_listener", None)
-        if not callable(subscribe):
-            return False
-        subscribe(lambda: self.invalidate_dataset(dataset_name))
-        return True
-
     def invalidate_dataset(self, dataset_name: str) -> int:
         """Drop every cached result for one dataset; returns entries dropped.
 
@@ -701,10 +686,6 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # result-cache invalidation (delegated to the shared core)
     # ------------------------------------------------------------------
-    def watch_index(self, dataset_name: str, index: object) -> bool:
-        """Subscribe to an index's mutations (see the core's docstring)."""
-        return self.core.watch_index(dataset_name, index)
-
     def invalidate_dataset(self, dataset_name: str) -> int:
         """Drop every cached result for one dataset; returns entries dropped."""
         return self.core.invalidate_dataset(dataset_name)

@@ -166,18 +166,15 @@ class Planner:
     def _routable_indexes(dataset: Dataset) -> Dict[str, object]:
         """The candidate indexes the planner may route to.
 
-        Once a dataset has mutated (an insert/delete through a dynamic
-        index), its statically-built indexes no longer reflect the data —
-        routing to them would silently drop the update.  Only
-        mutation-aware indexes (those publishing ``add_mutation_listener``)
-        stay routable from that point on.
+        Once a dataset has mutated (a write committed on its mutable
+        index), every other index no longer reflects the data — routing
+        to it would silently drop the update — so the mutable index
+        alone stays routable.
         """
         if not dataset.mutated:
             return dataset.indexes
-        fresh = {
-            name: index for name, index in dataset.indexes.items()
-            if callable(getattr(index, "add_mutation_listener", None))}
-        return fresh or dataset.indexes
+        name = Catalog.mutable_index_name(dataset)
+        return {name: dataset.indexes[name]}
 
     def _plan_dataset(self, dataset: Dataset, parent_name: str,
                       constraint: LinearConstraint) -> Plan:

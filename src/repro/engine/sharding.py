@@ -29,7 +29,6 @@ from __future__ import annotations
 import abc
 import bisect
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -226,21 +225,20 @@ class Shard:
     tiny datasets); empty shards hold no store, build no indexes and are
     always pruned.
 
-    The bounding box is computed from the build-time points.  Mutations
-    through a shard's dynamic index can land *outside* it, so the engine
-    marks the shard ``box_stale`` on the first mutation — a stale box is
-    no longer trusted for pruning (the shard always participates), keeping
-    pruning exact rather than heuristic.
+    The bounding box is computed from the build-time points.  A write
+    can land *outside* it, so the engine's write path
+    (:class:`~repro.engine.writes.WritePath`) marks the shard
+    ``box_stale`` once a write commits — a stale box is no longer
+    trusted for pruning (the shard always participates), keeping pruning
+    exact rather than heuristic.
 
-    Mutations also interact with replication: the engine's write path
-    (:class:`~repro.engine.writes.WritePath`) fans every insert/delete
-    out to **all** replicas inside :meth:`write_fanout`, so the copies
-    stay byte-identical and :meth:`replicas_for_query` keeps returning
-    every replica after writes — the least-loaded picker's choices stay
-    open.  Mutating one replica's index *directly* on a replicated shard
-    is vetoed pre-write by :meth:`check_direct_mutation` (it would
-    silently desynchronise the copies); single-replica shards accept
-    direct index mutations as before.
+    The write path also fans every insert/delete out to **all**
+    replicas, so the copies stay byte-identical and
+    :meth:`replicas_for_query` keeps returning every replica after
+    writes — the least-loaded picker's choices stay open.  Any other
+    write to a replica's dynamic index, on a one-replica shard as on a
+    replicated one, is vetoed before it lands (see
+    :meth:`~repro.engine.catalog.Dataset.refuse_direct_write`).
     """
 
     shard_id: int
@@ -253,14 +251,6 @@ class Shard:
     #: :meth:`~repro.engine.catalog.Catalog.upgrade_shard_stats` promotes
     #: it onto the dataset's configured model.
     stats_provisional: bool = False
-    #: Serializes write fan-outs on this shard (one logical mutation at
-    #: a time touches the replica set).
-    _write_lock: threading.Lock = field(default_factory=threading.Lock,
-                                        repr=False, compare=False)
-    #: Thread currently fanning a mutation out to every replica (None =
-    #: no fan-out in flight); the direct-mutation veto exempts it.
-    _fanout_owner: Optional[int] = field(default=None, repr=False,
-                                         compare=False)
 
     @property
     def dataset(self) -> Optional["Dataset"]:
@@ -278,56 +268,6 @@ class Shard:
     @property
     def size(self) -> int:
         return 0 if self.is_empty else self.replicas[0].size
-
-    @contextmanager
-    def write_fanout(self):
-        """Scope one logical mutation being applied to *every* replica.
-
-        The engine's write path holds this while fanning an insert/delete
-        out: it serializes writers on the shard and exempts the owning
-        thread from the direct-mutation veto.  Replicas stay identical
-        because nothing else may mutate them meanwhile.
-        """
-        with self._write_lock:
-            self._fanout_owner = threading.get_ident()
-            try:
-                yield
-            finally:
-                self._fanout_owner = None
-
-    def check_direct_mutation(self) -> None:
-        """Veto a single-replica mutation on a replicated shard.
-
-        Wired as a *pre*-mutation listener by the engine, so the raise
-        lands before any write is applied and the rejected replica stays
-        byte-identical to its siblings.  Writing one replica of a
-        replicated shard would silently desynchronise the copies — the
-        engine-level write path fans the mutation out to all of them
-        instead (its fan-out thread is exempt).
-
-        Single-replica shards keep accepting direct index mutations, as
-        they always have — but note those bypass the dataset's write
-        barrier, so they are not safe against a *concurrent* re-split
-        (the pre-existing contract: direct mutations are a
-        single-threaded convenience; concurrent writers go through
-        ``QueryEngine.insert``/``delete``).
-        """
-        if len(self.replicas) > 1 \
-                and self._fanout_owner != threading.get_ident():
-            raise ValueError(
-                "shard %d holds %d replicas; mutating one replica's index "
-                "directly would desynchronise the copies — route the write "
-                "through QueryEngine.insert/delete, which fans it out to "
-                "every replica" % (self.shard_id, len(self.replicas)))
-
-    def mark_mutated(self) -> None:
-        """Record that the shard's data changed after the build.
-
-        Called once per logical mutation by the engine's post-mutation
-        hooks; disables box pruning for this shard from now on (the
-        mutation may have landed outside the build-time bounding box).
-        """
-        self.box_stale = True
 
     def replicas_for_query(self) -> List[int]:
         """Replica ids a query may be served from — always all of them.
@@ -401,14 +341,14 @@ class ShardedDataset:
     suite_builds: List[Dict[str, object]] = field(default_factory=list)
     #: Re-split counter; plans carry the generation they were made against.
     generation: int = 0
-    #: The dataset's write barrier: engine-level mutations hold it for
-    #: route+fanout, and a re-split holds it for its whole
-    #: collect-swap-rebuild-rewire window — so a write can neither land
-    #: in shards that are about to be retired and miss the collected
+    #: The dataset's write barrier: an engine-level mutation holds it
+    #: for route, fan-out and effects, and a re-split for its whole
+    #: collect-swap-rebuild window — so a write can neither land in
+    #: shards that are about to be retired and miss the collected
     #: snapshot (it would be silently lost), nor route against a
-    #: half-swapped layout or freshly-built indexes whose mutation
-    #: hooks are not wired yet.  Re-entrant so the rebalance manager
-    #: can hold it around the catalog re-split *plus* its listeners.
+    #: half-swapped layout, and two fan-outs never interleave on one
+    #: replica set.  Re-entrant so the rebalance manager can hold it
+    #: around the catalog re-split *plus* its listeners.
     write_lock: threading.RLock = field(default_factory=threading.RLock,
                                         repr=False, compare=False)
 
@@ -474,6 +414,66 @@ class ShardedDataset:
         """The replication factor (max replicas over non-empty shards)."""
         return max((shard.num_replicas for shard in self.shards), default=0)
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the layout is one that writes and
+        re-splits can leave behind.
+
+        The router has one slot per shard and sorted range boundaries; a
+        shard's replicas share one sample and one selectivity model, hold
+        equal live multisets and equal ``mutated`` flags; every live point
+        routes to the shard holding it and, unless the box is stale, lies
+        inside the shard's box; a shard's live points are what its model
+        counts, and the shards' counts sum to ``live_size``.  Live points
+        are read from memory under the write barrier: no I/O is charged.
+        """
+        from repro.engine.catalog import Catalog  # (catalog imports us)
+
+        def check(holds: bool, message: str, *values) -> None:
+            if not holds:
+                raise AssertionError("%s: %s" % (self.name,
+                                                 message % values))
+
+        with self.write_lock:
+            router = self.router
+            check(len(self.shards) == router.num_shards,
+                  "%d shards behind a %d-shard router", len(self.shards),
+                  router.num_shards)
+            boundaries = getattr(router, "boundaries", [])
+            check(boundaries == sorted(boundaries),
+                  "range boundaries %r are not sorted", boundaries)
+            total = 0
+            for shard in self.nonempty_shards():
+                primary = shard.replicas[0]
+                live = Catalog.live_points_of(primary)
+                multiset = sorted(map(tuple, live.tolist()))
+                for replica in shard.replicas:
+                    check(replica.sample is primary.sample
+                          and replica.stats is primary.stats,
+                          "replica %r has a sample or model of its own",
+                          replica.name)
+                    check(replica.mutated == primary.mutated,
+                          "replica %r has mutated=%s, its primary %s",
+                          replica.name, replica.mutated, primary.mutated)
+                    check(sorted(map(tuple, Catalog.live_points_of(replica)
+                                     .tolist())) == multiset,
+                          "replica %r holds other live points than its "
+                          "primary", replica.name)
+                check(len(router.assign(live)[shard.shard_id]) == len(live),
+                      "shard %d holds points routed elsewhere",
+                      shard.shard_id)
+                check(shard.box_stale
+                      or bool(np.all((shard.lows <= live)
+                                     & (live <= shard.highs))),
+                      "shard %d holds points outside its fresh box",
+                      shard.shard_id)
+                check(len(live) == primary.live_size,
+                      "shard %d holds %d live points, its model counts %d",
+                      shard.shard_id, len(live), primary.live_size)
+                total += len(live)
+            check(total == self.live_size,
+                  "shards hold %d live points, the dataset counts %d",
+                  total, self.live_size)
+
     def describe(self) -> Dict[str, object]:
         """JSON-friendly sharding summary (persisted by benchmarks)."""
         return {
@@ -529,7 +529,7 @@ class RebalanceManager:
     split drifts: one shard bloats (its I/O share and its histogram skew
     grow) and its bounding box goes stale, which disables pruning for
     every later query.  The manager watches two signals, both fed by the
-    engine's mutation hooks:
+    engine's write path:
 
     * **size imbalance** — the largest shard's live size over the fair
       share ``N/K``;
@@ -541,8 +541,8 @@ class RebalanceManager:
     collected from every shard's planning replica, fresh quantile
     boundaries are computed, per-shard stores / index suites / models are
     rebuilt through the catalog, and the registered listeners run (the
-    engine wires result-cache invalidation and mutation-hook re-wiring
-    there).  Plans made against the old layout are invalidated by the
+    engine flushes the result cache and restarts worker fleets there).
+    Plans made against the old layout are invalidated by the
     dataset's bumped ``generation``.
 
     Only range-sharded datasets rebalance: hash routing has no
@@ -575,7 +575,7 @@ class RebalanceManager:
     # skew signals
     # ------------------------------------------------------------------
     def note_mutation(self, dataset_name: str) -> None:
-        """Count one mutation against a dataset (fed by engine hooks)."""
+        """Count one mutation against a dataset (fed by the write path)."""
         self._mutations[dataset_name] = \
             self._mutations.get(dataset_name, 0) + 1
 
@@ -626,16 +626,15 @@ class RebalanceManager:
         Collects live points (mutations included) from every shard's
         planning replica, rebuilds routers / stores / index suites /
         statistics through the catalog, resets the mutation counter, and
-        notifies the listeners (cache invalidation, hook re-wiring).
+        notifies the listeners (cache invalidation, worker restarts).
         """
         before = self.skew(dataset_name)
         sharded = self._catalog.sharded(dataset_name)
         # Hold the dataset's write barrier across the re-split AND the
-        # listeners: the engine re-wires its mutation hooks onto the new
-        # generation's indexes in a listener, and a write slipping in
-        # between the swap and that re-wiring would mutate hook-less
-        # indexes — stored but invisible to planning, statistics and
-        # cache invalidation.  (Re-entrant: the catalog re-split
+        # listeners: a write slipping in between the swap and the
+        # worker-fleet restart would be broadcast to the old fleet, then
+        # cleared with its log, and never reach the new workers.
+        # (Re-entrant: the catalog re-split
         # acquires the same lock inside.)
         with sharded.write_lock:
             outcome = self._catalog.resplit_sharded_dataset(dataset_name)

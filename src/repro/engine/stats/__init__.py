@@ -23,7 +23,7 @@ hinges on the expected output size T.  This package owns that estimate:
   direction helpers the histogram model composes.
 
 Models accept mutation feedback (``observe_insert``/``observe_delete``,
-wired to dynamic-index point listeners by the engine) and expose a
+fed once per committed write by the engine's write path) and expose a
 ``drift()`` signal the shard :class:`~repro.engine.sharding.
 RebalanceManager` uses to detect when inserts have skewed a shard's
 statistics.

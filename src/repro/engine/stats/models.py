@@ -30,7 +30,7 @@ Three models ship:
   better member without anyone choosing it up front.
 
 Both models accept ``observe_insert`` / ``observe_delete`` feedback from
-the engine's dynamic-index mutation hooks, so estimates track mutated
+the engine's write path, so estimates track mutated
 datasets: the sample is reservoir-refreshed, histograms are incremented,
 and the live size used to scale selectivity into an output count stays
 current.
@@ -140,7 +140,7 @@ class SelectivityModel(abc.ABC):
         return int(round(self.estimate_selectivity(constraint) * self._size))
 
     # ------------------------------------------------------------------
-    # mutation feedback (wired to dynamic-index point listeners)
+    # mutation feedback (fed by the engine's write path)
     # ------------------------------------------------------------------
     def observe_insert(self, point: Sequence[float]) -> None:
         """Fold one inserted point into the statistics."""
@@ -167,8 +167,8 @@ class SelectivityModel(abc.ABC):
     def observed_inserts(self) -> int:
         """Inserts this model has observed (one per *logical* mutation).
 
-        The engine wires point hooks to the primary replica only, so a
-        write fanned out to N replicas must land here exactly once —
+        The write path feeds a committed write to the shard's model
+        once, so a write fanned out to N replicas must land here exactly once —
         the counter is how tests (and dashboards) verify that.
         """
         return self._observed_inserts

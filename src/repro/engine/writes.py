@@ -2,62 +2,49 @@
 
 Reads route through the planner; writes route through the *shard
 attribute*.  :class:`WritePath` is the mutation twin of the execution
-core: given ``insert(dataset, point)`` / ``delete(dataset, point)`` it
+core and the one place a write takes effect.  Given ``insert(dataset,
+point)`` / ``delete(dataset, point)`` it
 
-* **routes** the point to its shard via the dataset's
-  :class:`~repro.engine.sharding.ShardRouter` — including range shards
-  whose boundaries moved under rebalancing: the router object is swapped
-  at every re-split, and routing happens under the dataset's *write
-  barrier* (:attr:`~repro.engine.sharding.ShardedDataset.write_lock`),
-  which a re-split holds for its whole collect-swap-rebuild window, so a
-  write always sees a complete layout — never one mid-swap, and never
-  one whose live points were already collected (the write would be
-  silently dropped from the rebuilt shards);
-* **fans the mutation out to every replica** of the target shard, so the
-  copies stay byte-identical and reads keep spreading over all of them
-  (no replica pinning).  The fan-out is atomic-enough: secondaries are
-  written first and the primary last, a pre-mutation veto (or any
-  failure) on a later replica **rolls the already-applied replicas back
-  via the inverse operation**, and the one-per-logical-mutation hooks —
-  statistics reservoir/histogram updates, rebalance skew counters,
-  result-cache invalidation, shard-box staleness — are wired to the
-  primary alone, so they fire exactly once and only when every replica
-  holds the write;
-* **accounts** the write: per-replica I/Os are measured off each store,
-  and per-dataset write counts and latency percentiles land in
-  :class:`~repro.engine.metrics.EngineStats`.
+* **routes** the point to its shard via the dataset's current
+  :class:`~repro.engine.sharding.ShardRouter`, under the dataset's
+  *write barrier* (:attr:`~repro.engine.sharding.ShardedDataset.
+  write_lock`), which a re-split holds for its whole collect-swap-rebuild
+  window — so a write never sees a layout mid-swap, nor lands in shards
+  whose live points were already collected;
+* **fans the mutation out to every replica** of the shard through
+  :func:`apply_mutation`, all or nothing: a veto or failure on a later
+  replica rolls the applied ones back via the inverse operation;
+* **applies the committed write's effects**, once, still under the
+  barrier (:meth:`WritePath._take_effect`) — flags, statistics, the
+  write listeners, and the result-cache flush last;
+* **accounts** the write in :class:`~repro.engine.metrics.EngineStats`.
 
-A ``register_dataset`` dataset takes this same path: its trivial router
-sends every point to shard 0, whose fan-out is one replica wide.  A
-dataset whose suite was built statically (no ``"dynamic"`` kind) rejects
-writes with a clear error — the catalog resolves the target index via
-:meth:`~repro.engine.catalog.Catalog.mutable_index_of`.
+A ``register_dataset`` dataset takes this same path (one shard, one
+replica).  A suite built without a mutable index rejects writes with a
+clear error (:meth:`~repro.engine.catalog.Catalog.mutable_index_of`),
+and the catalog's veto refuses any write to an engine-owned dynamic
+index that does not come through :func:`apply_mutation`.
 
 Each replica's application happens under that replica's store lock, the
-same lock the executors hold around queries, so concurrent
-``serve_async`` reads observe each replica either before or after a
-mutation — never mid-write.
-
-Writes to one dataset serialize on its write barrier, even when
-they target disjoint shards — a deliberate correctness-first trade-off
-(a mutation is a handful of amortised I/Os, so the barrier is cheap
-next to the reads it protects).  Sharding the barrier — shared mode for
-writers, exclusive for re-splits, with the per-shard fan-out lock doing
-the serialization — is the upgrade path if write throughput ever
-becomes the bottleneck.
+same lock the executors hold around queries, so concurrent reads observe
+each replica before or after a mutation — never mid-write.  Writes to
+one dataset serialize on its barrier even when they target disjoint
+shards: a mutation is a handful of amortised I/Os, cheap next to the
+reads it protects.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import repro.engine.tracing as tracing
 from repro.engine.catalog import Catalog, Dataset
 from repro.engine.metrics import EngineStats
-from repro.engine.sharding import Shard
+from repro.engine.sharding import Shard, ShardedDataset
 
 #: Amortised I/O estimate charged per replica application when admission
 #: control prices a write before it runs: one blocked buffer/tombstone
@@ -68,26 +55,30 @@ WRITE_IOS_PER_REPLICA = 2.0
 
 def apply_mutation(dataset: Dataset, op: str,
                    record: Tuple[float, ...]) -> Tuple[bool, int]:
-    """Apply one insert/delete to one replica's mutation-capable index.
+    """Apply one insert/delete to one replica's mutable index.
 
-    The write-side unit of account, shared by the fan-out below, its
-    rollback and the shard-worker process: the application runs under
-    the replica's store (:meth:`~repro.io.store.BlockStore.measured`, the
-    same window queries run in, so a concurrent read sees the replica
-    before or after the mutation, never mid-write).  Returns ``(applied,
-    ios)`` — ``applied`` is False only for a delete that found nothing;
-    ``ios`` counts buffer-pool hits as the transfers they stand for.
+    The write-side unit of account and the one writer the catalog's veto
+    lets through, shared by the fan-out, its rollback and the
+    shard-worker process; it runs inside the replica's
+    :meth:`~repro.io.store.BlockStore.measured` window.  Returns
+    ``(applied, ios)`` — ``applied`` is False only for a delete that
+    found nothing; ``ios`` counts pool hits as the transfers they stand
+    for.
     """
     index = Catalog.mutable_index_of(dataset)
     with dataset.store.measured() as delta:
-        if op == "insert":
-            index.insert(record)
-            applied = True
-        elif op == "delete":
-            applied = bool(index.delete(record))
-        else:
-            raise ValueError("unknown mutation op %r (expected 'insert' "
-                             "or 'delete')" % (op,))
+        dataset.writer = threading.get_ident()
+        try:
+            if op == "insert":
+                index.insert(record)
+                applied = True
+            elif op == "delete":
+                applied = bool(index.delete(record))
+            else:
+                raise ValueError("unknown mutation op %r (expected "
+                                 "'insert' or 'delete')" % (op,))
+        finally:
+            dataset.writer = None
     return applied, delta.total + delta.cache_hits
 
 
@@ -121,21 +112,16 @@ class WritePath:
     catalog:
         The engine's catalog (owns datasets, shards and their indexes).
     stats:
-        Optional :class:`EngineStats` sink for per-dataset write counters
-        and latency percentiles.
+        The :class:`EngineStats` sink for per-dataset write counters and
+        latency percentiles.
     invalidate:
-        Optional ``invalidate(dataset_name)`` callback (the execution
-        core's result-cache flush).  A *successful* mutation invalidates
-        through the primary replica's mutation hooks; this callback
-        covers the **aborted** fan-out, whose rollback may have raced a
-        concurrent read against an already-mutated secondary — the
-        cached answer would otherwise serve the rolled-back point
-        forever.
+        ``invalidate(dataset_name)``, the execution core's result-cache
+        flush: the last effect of a committed write, and the clean-up of
+        an aborted fan-out, whose rollback may have raced a concurrent
+        read against an already-mutated secondary.
     """
 
-    def __init__(self, catalog: Catalog,
-                 stats: Optional[EngineStats] = None,
-                 invalidate=None):
+    def __init__(self, catalog: Catalog, stats: EngineStats, invalidate):
         self._catalog = catalog
         self._stats = stats
         self._invalidate = invalidate
@@ -146,10 +132,11 @@ class WritePath:
         """Subscribe ``listener(dataset, shard_id, op, point, applied)``
         to every committed engine-level mutation.
 
-        Fired after the replica fan-out applied, still under the
-        dataset's write barrier, so listeners observe mutations in apply
-        order — the cluster coordinator's write log depends on that.
-        Aborted fan-outs (rolled back) do not fire.
+        Fired after the replica fan-out applied and the shard's flags and
+        statistics took the write, before the result cache is flushed,
+        still under the dataset's write barrier — so listeners observe
+        mutations in apply order (the cluster coordinator's write log
+        depends on that).  Aborted fan-outs (rolled back) do not fire.
         """
         self._write_listeners.append(listener)
 
@@ -158,8 +145,8 @@ class WritePath:
 
         Fired (under the dataset's write barrier) right after an insert
         routed into an empty shard materializes its replicas and index
-        suite — the engine facade uses it to wire its mutation hooks onto
-        the freshly built indexes before the insert is applied.
+        suite, before the insert is applied — the process coordinator
+        spawns the new shard's workers there.
         """
         self._materialize_listeners.append(listener)
 
@@ -210,23 +197,17 @@ class WritePath:
                     "ios": result.ios,
                     "generation": result.generation,
                 })
-        if self._stats is not None:
-            self._stats.note_write(result.dataset, result.op,
-                                   applied=result.applied, ios=result.ios,
-                                   latency_s=result.latency_s,
-                                   replicas=result.replicas)
+        self._stats.note_write(result.dataset, result.op,
+                               applied=result.applied, ios=result.ios,
+                               latency_s=result.latency_s,
+                               replicas=result.replicas)
         return result
 
     def _route_and_fan_out(self, dataset_name: str, point, op: str,
                            started: float) -> MutationResult:
         sharded = self._catalog.sharded(dataset_name)
         record = self._as_record(point, sharded)
-        # The dataset's write barrier serializes this route+fanout against
-        # re-splits (which hold it across their collect-swap-rebuild
-        # window): routing always uses the *current* generation's router
-        # and shard list, and the write can never land in shards whose
-        # live points a concurrent re-split already collected — that
-        # write would be missing from the rebuilt layout.
+        # Route, fan-out and effects under the barrier (module docstring).
         with sharded.write_lock:
             generation = sharded.generation
             shard = sharded.shards[sharded.router.shard_of(record)]
@@ -246,40 +227,62 @@ class WritePath:
                 # build points grows its replicas, stores and index suite
                 # on first insert (still under the write barrier), so
                 # live ingest into a fresh shard works instead of
-                # erroring.  Listeners (the engine's hook wiring) run
-                # before the fan-out applies, so statistics and staleness
-                # hooks observe this very insert.
+                # erroring.
                 shard = self._catalog.materialize_shard(dataset_name,
                                                         shard.shard_id)
                 for listener in self._materialize_listeners:
                     listener(dataset_name, shard.shard_id)
-            with shard.write_fanout():
-                applied, ios = self._apply_fanout(dataset_name, shard, op,
-                                                  record)
-            for listener in self._write_listeners:
-                listener(dataset_name, shard.shard_id, op, record, applied)
+            applied, ios = self._apply_fanout(dataset_name, shard, op,
+                                              record)
+            self._take_effect(sharded, shard, op, record, applied)
         return MutationResult(
             dataset=dataset_name, op=op, point=record, applied=applied,
             shard_id=shard.shard_id, replicas=shard.num_replicas,
             ios=ios, latency_s=time.perf_counter() - started,
             generation=generation)
 
+    def _take_effect(self, sharded: ShardedDataset, shard: Shard, op: str,
+                     record: Tuple[float, ...], applied: bool) -> None:
+        """Every effect of a committed write, in order (barrier held).
+
+        Flags, then statistics, then the listeners, then the result
+        cache — flushed last, so an answer a worker computed before the
+        broadcast cannot be cached under the new generation.  A no-op
+        delete changed nothing: only the listeners hear it (the write
+        log replays it as one).
+        """
+        if applied:
+            for replica in shard.replicas:
+                replica.mutated = True
+            shard.box_stale = True
+            models = [shard.planning_dataset().stats]
+            if sharded.stats is not models[0]:
+                # (a register_dataset model *is* its shard's: observe once)
+                models.append(sharded.stats)
+            for model in models:
+                if op == "insert":
+                    model.observe_insert(record)
+                else:
+                    model.observe_delete(record)
+        for listener in self._write_listeners:
+            listener(sharded.name, shard.shard_id, op, record, applied)
+        if applied:
+            self._invalidate(sharded.name)
+
     def _apply_fanout(self, dataset_name: str, shard: Shard, op: str,
                       record: Tuple[float, ...]) -> Tuple[bool, int]:
         """Apply one mutation to every replica, or to none.
 
-        Secondaries first, primary last: the primary carries the
-        one-per-logical-mutation hooks (statistics, cache invalidation,
-        box staleness), so they fire only once every secondary already
-        holds the write.  A failure part-way rolls the applied replicas
-        back via the inverse operation, restores their ``mutated``
-        flags, flushes the dataset's result cache (a concurrent read may
-        have cached an answer off an already-mutated secondary), and
-        re-raises the original error — annotated with the I/Os the
-        aborted attempt really spent, so admission can charge them.
+        Secondaries first, primary last.  A failure part-way rolls the
+        applied replicas back via the inverse operation, flushes the
+        dataset's result cache (a concurrent read may have cached an
+        answer off an already-mutated secondary), and re-raises the
+        original error — annotated with the I/Os the aborted attempt
+        really spent, so admission can charge them.  Nothing else of the
+        write takes effect: flags, statistics and listeners wait for
+        :meth:`_take_effect`.
         """
         order = shard.replicas[1:] + shard.replicas[:1]
-        mutated_flags = [replica.mutated for replica in shard.replicas]
         applied: List[Tuple[Dataset, bool]] = []
         total_ios = 0
         fanout_span = tracing.current_span().child(
@@ -302,16 +305,7 @@ class WritePath:
             rollback_span.finish()
             fanout_span.set("error", "aborted")
             fanout_span.finish()
-            # The apply (and its inverse) flagged secondaries mutated;
-            # the data is back to the pre-write state, so the flags are
-            # restored too (inverse ops run after this would re-set them).
-            for replica, flag in zip(shard.replicas, mutated_flags):
-                replica.mutated = flag
-            if self._invalidate is not None:
-                # The primary's invalidation hook never fired (the
-                # primary was never written): flush any answer a
-                # concurrent read cached off a mid-fanout secondary.
-                self._invalidate(dataset_name)
+            self._invalidate(dataset_name)
             try:
                 exc.write_ios_observed = total_ios
             except AttributeError:  # exceptions with __slots__

@@ -151,12 +151,11 @@ def test_dynamic_insert_flushes_result_cache(points2d):
     assert engine.query("d", constraint).from_result_cache
 
     # Insert a point that satisfies the constraint; the cached answer is
-    # now stale and must be flushed by the mutation hook.
-    dynamic = engine.catalog.indexes("d")["dynamic"]
+    # now stale and must be flushed by the write path.
     inside = min(points2d, key=lambda p: p[-1] - constraint.coeffs[0] * p[0])
     new_point = (float(inside[0]), float(inside[1]) - 0.5)
     assert constraint.below(new_point)
-    dynamic.insert(new_point)
+    engine.insert("d", new_point)
 
     after = engine.query("d", constraint)
     assert not after.from_result_cache
@@ -175,7 +174,7 @@ def test_mutated_dataset_stops_routing_to_static_indexes(points2d):
                                                     seed=103)[0]
     assert len(engine.explain("d", constraint)
                .shard_plans[0][1].estimates) == 3
-    engine.catalog.indexes("d")["dynamic"].insert((0.0, -2.0))
+    engine.insert("d", (0.0, -2.0))
     plan = engine.explain("d", constraint)
     assert [est.index_name for est in plan.shard_plans[0][1].estimates] \
         == ["dynamic"]

@@ -405,11 +405,10 @@ def test_deferred_request_replans_after_mutation(points2d):
     # a background insert lands (at ~50ms) into the dynamic index.
     budget = TenantBudget(ios_per_s=2.0 * e_deferred,
                           burst=e_drain + 1.0, policy="queue")
-    dynamic = engine.catalog.indexes("d")["dynamic"]
 
     def mutate():
         _time.sleep(0.05)
-        dynamic.insert(inserted)
+        engine.insert("d", inserted)
 
     mutator = _threading.Thread(target=mutate)
     mutator.start()
@@ -774,7 +773,15 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
 def test_direct_mutation_of_a_replicated_shard_raises(points2d):
     # Writing one replica's index directly would silently desynchronise
     # the copies, so it must fail loudly (pre-mutation, nothing written);
-    # the supported route is the engine-level fan-out.
+    # the supported route is the engine-level fan-out.  A one-replica
+    # shard refuses it alike: statistics and caches would miss it.
+    single = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    single.register_dataset("d", points2d, kinds=["dynamic"])
+    sole = single.catalog.dataset("d")
+    with pytest.raises(ValueError, match="QueryEngine.insert"):
+        sole.indexes["dynamic"].insert((0.5, 0.5))
+    assert not sole.mutated and sole.indexes["dynamic"].size == len(points2d)
+    single.close()
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_sharded_dataset("sh", points2d, num_shards=2,
                                     replicas=2, kinds=["dynamic"])
@@ -836,19 +843,21 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
         assert replica.indexes["dynamic"].size == shard.size
         assert probe not in {
             tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
-    # The one-per-logical-mutation hooks never fired for the failed write.
+    # The failed write took none of its once-per-write effects.
     assert (target.stats.observed_inserts, sharded.stats.size) == stats_before
     assert engine.rebalancer.mutations("sh") == mutations_before
-    # The rollback restored the secondaries' mutated flags and flushed
-    # the result cache (a concurrent read may have cached a mid-fanout
-    # secondary's answer).
+    # No replica was flagged mutated (flags wait for the commit), and
+    # the rollback flushed the result cache (a concurrent read may have
+    # cached a mid-fanout secondary's answer).
     for replica in shard.replicas:
         assert not replica.mutated
+    sharded.check_invariants()
     assert not engine.query("sh", everything).from_result_cache
     # The shard still accepts writes afterwards (lock released, no pin).
     target.indexes["dynamic"]._pre_mutation_listeners.remove(veto)
     result = engine.insert("sh", probe)
     assert result.applied and result.replicas == 3
+    sharded.check_invariants()
 
 
 def test_stale_answer_is_not_cached_past_concurrent_invalidation(points2d):

@@ -362,7 +362,7 @@ def test_dynamic_insert_disables_stale_box_pruning(points2d):
                                     sharding="range", kinds=["dynamic"])
     outlier = (10.0, 0.0)                       # far outside [-1, 1]^2
     last_shard = engine.catalog.sharded("sh").shards[-1]
-    engine.catalog.indexes("sh")["3/dynamic"].insert(outlier)
+    engine.insert("sh", outlier)
     assert last_shard.box_stale
     # Satisfied by the outlier alone: y <= 5x - 40.
     constraint = LinearConstraint(coeffs=(5.0,), offset=-40.0)

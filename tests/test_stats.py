@@ -297,16 +297,15 @@ def test_insert_hooks_update_dataset_model_and_counters():
     engine.register_dataset("d", points, kinds=["dynamic", "full_scan"])
     dataset = engine.catalog.dataset("d")
     before = dataset.stats.size
-    dynamic = dataset.indexes["dynamic"]
-    dynamic.insert((2.0, 2.0))
-    dynamic.insert((2.1, 2.1))
+    engine.insert("d", (2.0, 2.0))
+    engine.insert("d", (2.1, 2.1))
     assert dataset.stats.size == before + 2
     assert dataset.live_size == before + 2
     assert engine.rebalancer.mutations("d") == 2
     # The model's estimate now reflects the inserted points.
     everything = LinearConstraint(coeffs=(0.0,), offset=100.0)
     assert dataset.estimate_output(everything) == before + 2
-    dynamic.delete((2.0, 2.0))
+    engine.delete("d", (2.0, 2.0))
     assert dataset.stats.size == before + 1
     engine.close()
 
@@ -323,12 +322,14 @@ def _skewed_insert_scenario(replicas=1, stats_model="uniform", **kwargs):
         "sh", points, num_shards=4, sharding="range", replicas=replicas,
         kinds=["partition_tree", "full_scan", "dynamic"])
     queries = steep_leading_attribute_queries(points, 5, 0.02, seed=19)
+    top = engine.catalog.sharded("sh").router.boundaries[-1]
     rng = np.random.default_rng(20)
-    extra = rng.uniform(-1, 1, size=(400, 2))
-    dynamic = engine.catalog.sharded("sh").shards[3] \
-        .planning_dataset().indexes["dynamic"]
+    extra = np.column_stack([rng.uniform(top, 1.0, size=400),
+                             rng.uniform(-1.0, 1.0, size=400)])
+    # Through the write path itself: the facade's insert would re-split
+    # (auto_rebalance) before the skew is built up.
     for point in extra:
-        dynamic.insert(point)
+        assert engine.executor.core.writes.insert("sh", point).shard_id == 3
     return engine, points, extra, queries
 
 
@@ -410,12 +411,12 @@ def test_rebalance_rebuilds_models_and_rewires_insert_hooks():
     engine.rebalance("sh")
     assert engine.rebalancer.skew("sh")["drift"] == pytest.approx(1.0)
     assert engine.rebalancer.mutations("sh") == 0
-    # Hooks moved to the rebuilt indexes: an insert through a *new*
-    # shard's dynamic index still updates statistics and counters.
+    # An insert into a *new* shard still updates its rebuilt model and
+    # the skew counter.
     sharded = engine.catalog.sharded("sh")
     child = sharded.shards[0].planning_dataset()
     size_before = child.stats.size
-    child.indexes["dynamic"].insert((-5.0, -5.0))
+    engine.insert("sh", (-5.0, -5.0))
     assert child.stats.size == size_before + 1
     assert engine.rebalancer.mutations("sh") == 1
     assert sharded.live_size == len(points) + len(extra) + 1
@@ -431,16 +432,15 @@ def test_rebalance_preserves_custom_index_names_and_params():
                                        index_name="pt_wide", max_fanout=4)
     engine.catalog.build_sharded_index("sh", "dynamic")
     sharded = engine.catalog.sharded("sh")
-    sharded.shards[0].planning_dataset().indexes["dynamic"].insert(
-        (0.0, 0.0))
+    engine.insert("sh", (0.0, 0.0))
     engine.rebalance("sh")
     for shard in sharded.nonempty_shards():
         indexes = shard.planning_dataset().indexes
         assert set(indexes) == {"full_scan", "pt_wide", "dynamic"}
         record = shard.planning_dataset().build_records["pt_wide"]
         assert record.params == {"max_fanout": 4}
-    # The insert went through a catalog-built (engine-unwired) index;
-    # the re-split must still carry it into the new shards.
+    # The insert went to an index built after registration; the
+    # re-split must still carry it into the new shards.
     assert sharded.size == len(points) + 1
     hit = engine.query("sh", LinearConstraint.from_inequality((1e-9, 1.0),
                                                               0.0))
@@ -455,9 +455,7 @@ def test_rebalance_removes_previous_generation_block_files(tmp_path):
     engine.register_sharded_dataset("sh", points, num_shards=2,
                                     sharding="range",
                                     kinds=["full_scan", "dynamic"])
-    sharded = engine.catalog.sharded("sh")
-    sharded.shards[0].planning_dataset().indexes["dynamic"].insert(
-        (0.0, 0.0))
+    engine.insert("sh", (0.0, 0.0))
     files_before = sorted(p.name for p in tmp_path.iterdir())
     engine.rebalance("sh")
     files_after = sorted(p.name for p in tmp_path.iterdir())
@@ -528,8 +526,7 @@ def test_failed_build_leaves_no_phantom_suite_record():
                                     kinds=["full_scan", "dynamic"])
     with pytest.raises(KeyError):
         engine.catalog.build_sharded_index("sh", "nosuchkind")
-    engine.catalog.sharded("sh").shards[0].planning_dataset() \
-        .indexes["dynamic"].insert((0.0, 0.0))
+    engine.insert("sh", (0.0, 0.0))
     report = engine.rebalance("sh")  # must not replay the failed build
     assert report.generation == 1
     names = {build["index_name"]

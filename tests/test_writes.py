@@ -11,7 +11,8 @@ import pytest
 from conftest import brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
-from repro.engine import ServingRequest, TenantBudget
+from repro.engine import Catalog, ServingRequest, TenantBudget
+from repro.engine.writes import WritePath
 from repro.workloads import (
     halfspace_queries_with_selectivity,
     steep_leading_attribute_queries,
@@ -26,6 +27,18 @@ EVERYTHING = LinearConstraint(coeffs=(0.0,), offset=1e9)
 @pytest.fixture(scope="module")
 def points2d():
     return uniform_points(1024, seed=91)
+
+
+@pytest.fixture(autouse=True)
+def invariants_after_every_write(monkeypatch):
+    """Every engine-level write in this module, sync or async, is followed
+    by its dataset's structural check."""
+    for op in ("insert", "delete"):
+        def checked(self, dataset_name, point, write=getattr(WritePath, op)):
+            result = write(self, dataset_name, point)
+            self._catalog.sharded(dataset_name).check_invariants()
+            return result
+        monkeypatch.setattr(WritePath, op, checked)
 
 
 def _replica_answers(shard, constraint=EVERYTHING):
@@ -493,4 +506,114 @@ def test_concurrent_async_reads_during_writes_stay_consistent(points2d):
     final = engine.query("sh", constraint, clear_cache=True)
     assert {tuple(p) for p in final.points} == \
         brute_force_halfspace(live, constraint)
+    engine.close()
+
+
+# ----------------------------------------------------------------------
+# one place a write takes effect
+# ----------------------------------------------------------------------
+BELOW = (0.25, -100.0)                           # under every stored point
+FAR_DOWN = LinearConstraint(coeffs=(0.0,), offset=-10.0)     # y <= -10
+
+
+def _late_dynamic_engine(points, workers, kinds):
+    """A two-shard dataset registered static, ``dynamic`` built after."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=24, workers=workers)
+    engine.register_sharded_dataset("sh", points, num_shards=2,
+                                    sharding="range", kinds=kinds)
+    engine.catalog.build_sharded_index("sh", "dynamic")
+    return engine
+
+
+@pytest.mark.parametrize("workers", ["inprocess", "process"])
+def test_a_write_to_a_late_built_dynamic_index_takes_effect(points2d,
+                                                            workers):
+    engine = _late_dynamic_engine(points2d, workers,
+                                  ["full_scan", "partition_tree"])
+    try:
+        sharded = engine.catalog.sharded("sh")
+        assert engine.query("sh", EVERYTHING).count == len(points2d)
+        assert engine.insert("sh", BELOW).applied
+        stores = engine.catalog.stores("sh")
+        before = [vars(store.stats.snapshot()) for store in stores]
+        sharded.check_invariants()
+        assert [vars(store.stats.snapshot()) for store in stores] == before
+        # (a) the repeat query is not served from the pre-write cache
+        repeat = engine.query("sh", EVERYTHING)
+        assert not repeat.from_result_cache
+        assert BELOW in {tuple(p) for p in repeat.points}
+        # (b) the shard's build-time box no longer prunes the point away
+        cold = engine.query("sh", FAR_DOWN, clear_cache=True)
+        assert [tuple(p) for p in cold.points] == [BELOW]
+        # (c) nor does a static index the write never reached serve it
+        sharded.prune = False
+        unpruned = engine.query("sh", FAR_DOWN, clear_cache=True)
+        assert unpruned.index_name == "dynamic"
+        assert [tuple(p) for p in unpruned.points] == [BELOW]
+    finally:
+        engine.close()
+
+
+def test_process_mode_write_skips_a_worker_spawned_without_the_index(
+        points2d):
+    # The write commits in the parent and returns; the shard's workers,
+    # spawned before "dynamic" existed, are skipped rather than failing
+    # the caller, and the log replays the write into a restart.
+    engine = _late_dynamic_engine(points2d, "process", ["full_scan"])
+    try:
+        result = engine.insert("sh", BELOW)
+        assert result.applied
+        victim = engine.cluster.worker("sh", result.shard_id, 0)
+        assert "dynamic" not in victim.indexes
+        victim.process.kill()
+        victim.process.join()
+        engine.cluster.check_workers(restart=True)
+        restarted = engine.cluster.worker("sh", result.shard_id, 0)
+        assert "dynamic" in restarted.indexes
+        stats = engine.cluster.worker_stats("sh", result.shard_id, 0)
+        assert stats["last_seq"] == 1 and stats["writes"] == 1
+        served = restarted.served
+        answer = engine.query("sh", FAR_DOWN, clear_cache=True)
+        assert [tuple(p) for p in answer.points] == [BELOW]
+        assert restarted.served == served + 1
+    finally:
+        engine.close()
+
+
+def _assert_refuses_direct_writes(sharded):
+    """Every replica's dynamic index vetoes a direct write before it
+    lands; a delete of an absent point stays a no-op."""
+    for shard in sharded.nonempty_shards():
+        for replica in shard.replicas:
+            index = replica.indexes["dynamic"]
+            present = tuple(Catalog.live_points_of(replica)[0])
+            size = index.size
+            with pytest.raises(ValueError, match="QueryEngine.insert"):
+                index.insert((0.5, 0.5))
+            with pytest.raises(ValueError, match="QueryEngine.insert"):
+                index.delete(present)
+            assert index.delete((123.0, 456.0)) is False
+            assert index.size == size
+
+
+def test_direct_writes_raise_on_every_engine_owned_dynamic_index(points2d):
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=25)
+    engine.register_dataset("d", points2d, kinds=["dynamic"])
+    _assert_refuses_direct_writes(engine.catalog.sharded("d"))  # registered
+    engine.register_sharded_dataset("sh", points2d, num_shards=2,
+                                    sharding="range", replicas=2,
+                                    kinds=["full_scan"])
+    engine.catalog.build_sharded_index("sh", "dynamic")
+    _assert_refuses_direct_writes(engine.catalog.sharded("sh"))  # late
+    engine.insert("sh", (0.5, 0.5))
+    engine.rebalance("sh")
+    _assert_refuses_direct_writes(engine.catalog.sharded("sh"))  # re-split
+    engine.register_sharded_dataset("tiny", uniform_points(3, seed=5),
+                                    num_shards=8, sharding="hash",
+                                    kinds=["dynamic"])
+    tiny = engine.catalog.sharded("tiny")
+    probe, shard_id = _probe_into_empty_shard(tiny)
+    engine.insert("tiny", probe)
+    assert not tiny.shards[shard_id].is_empty
+    _assert_refuses_direct_writes(tiny)                   # materialised
     engine.close()
