@@ -101,10 +101,10 @@ class EngineApp:
         self._clock = clock
         self._routes: Dict[Tuple[str, str],
                            Callable[..., Awaitable[_Handled]]] = {
-            ("POST", "/query"): self._handle_query,
+            ("POST", "/query"): self._handle_submit,
             ("GET", "/query/stream"): self._handle_stream,
-            ("POST", "/insert"): self._handle_insert,
-            ("POST", "/delete"): self._handle_delete,
+            ("POST", "/insert"): self._handle_submit,
+            ("POST", "/delete"): self._handle_submit,
             ("GET", "/stats"): self._handle_stats,
             ("GET", "/metrics"): self._handle_metrics,
             ("GET", "/debug/slow"): self._handle_slow,
@@ -213,7 +213,7 @@ class EngineApp:
     # ------------------------------------------------------------------
     # validation against the catalog
     # ------------------------------------------------------------------
-    def _validate_query(self, serving: ServingRequest) -> None:
+    def _validate(self, serving: ServingRequest) -> None:
         try:
             entry = self._engine.catalog.sharded(serving.dataset)
         except KeyError:
@@ -231,14 +231,13 @@ class EngineApp:
                             "%s is %d but dataset %r is %d-dimensional"
                             % (what, wanted, serving.dataset,
                                entry.dimension))
-
-    def _validate_mutation(self, serving: ServingRequest) -> None:
-        self._validate_query(serving)
+        if not serving.is_mutation:
+            return
         # Surface "dataset is not writable" as a structured 400 up front
         # instead of a failed-outcome 500 out of the scheduler.
         catalog = self._engine.catalog
         try:
-            for shard in catalog.sharded(serving.dataset).nonempty_shards():
+            for shard in entry.nonempty_shards():
                 for replica in shard.replicas:
                     catalog.mutable_index_of(replica)
         except ValueError as exc:
@@ -311,40 +310,28 @@ class EngineApp:
         reply.root.set("outcome", served.outcome)
         return reply.body(served_body, self._served_payload(served))
 
-    async def _handle_query(self, request: HTTPRequest, writer,
-                            reply: _Reply) -> _Handled:
+    async def _handle_submit(self, request: HTTPRequest, writer,
+                             reply: _Reply) -> _Handled:
+        """``POST /query``, ``/insert`` or ``/delete`` (the path names the
+        op): one request through the scheduler."""
         key = self._auth.authenticate(request)
         self._auth.check_rate(key)
-        serving = parse_query_request(request.json(), key.tenant)
-        self._validate_query(serving)
+        if request.path == "/query":
+            serving = parse_query_request(request.json(), key.tenant)
+        else:
+            serving = parse_mutation_request(request.json(), key.tenant,
+                                             request.path[1:])
+        self._validate(serving)
         served = await self._executor.submit(serving)
         return (_OUTCOME_STATUS.get(served.outcome, 500),
                 self._encode_served(served, reply), request.keep_alive)
-
-    async def _handle_mutation(self, request: HTTPRequest, op: str,
-                               reply: _Reply) -> _Handled:
-        key = self._auth.authenticate(request)
-        self._auth.check_rate(key)
-        serving = parse_mutation_request(request.json(), key.tenant, op)
-        self._validate_mutation(serving)
-        served = await self._executor.submit(serving)
-        return (_OUTCOME_STATUS.get(served.outcome, 500),
-                self._encode_served(served, reply), request.keep_alive)
-
-    async def _handle_insert(self, request: HTTPRequest, writer,
-                             reply: _Reply) -> _Handled:
-        return await self._handle_mutation(request, "insert", reply)
-
-    async def _handle_delete(self, request: HTTPRequest, writer,
-                             reply: _Reply) -> _Handled:
-        return await self._handle_mutation(request, "delete", reply)
 
     async def _handle_stream(self, request: HTTPRequest, writer,
                              reply: _Reply) -> _Handled:
         key = self._auth.authenticate(request)
         self._auth.check_rate(key)
         serving = parse_stream_query(request.query, key.tenant)
-        self._validate_query(serving)
+        self._validate(serving)
         # Everything that can 4xx happened above — from here the response
         # is a committed 200 event stream, so failures become events.
         writer.write(sse_preamble())

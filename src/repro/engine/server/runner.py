@@ -10,9 +10,9 @@ sockets, and stop it, all without owning a loop themselves.
 
 Shutdown is graceful by construction: ``stop()`` flips a loop-side event
 that (1) stops accepting new connections, (2) lets every open connection
-finish the request it is currently serving (the per-connection handler
-races "read next request" against the stop event, so idle keep-alive
-connections close immediately), and (3) drains the executor — requests
+finish the request it is currently serving (one waiting for its next
+request — idle, or part way through reading it — is cancelled and
+closes without a response), and (3) drains the executor — requests
 already admitted or queued still run to completion and their responses
 are written before the loop exits.
 """
@@ -85,6 +85,8 @@ class EngineServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._conn_tasks: Set[asyncio.Task] = set()
+        #: The connections waiting for their next request: stop() cancels.
+        self._reading: Set[asyncio.Task] = set()
         self._started = threading.Event()
         self._startup_error: Optional[BaseException] = None
         self._fault: Optional[Exception] = None
@@ -185,13 +187,14 @@ class EngineServer:
             await self._stop_event.wait()
             # 1. refuse new connections;
             server.close()
+            # 2. close the connections between requests, and let the
+            #    others finish their current one;
+            for task in self._reading:
+                task.cancel()
             await server.wait_closed()
-            # 2. let open connections finish their current request;
-            if self._conn_tasks:
-                await asyncio.gather(*tuple(self._conn_tasks),
-                                     return_exceptions=True)
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
             # 3. drain whatever the scheduler still holds.
-            await self.executor.stop(drain=True)
+            await self.executor.stop()
         finally:
             if warm is not None:
                 warm.__exit__(None, None, None)
@@ -200,24 +203,19 @@ class EngineServer:
                                  writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
-        # One shutdown waiter per connection, raced against each read.
-        stop_waiter = asyncio.ensure_future(self._stop_event.wait())
         try:
             while not self._stop_event.is_set():
                 read_started = time.monotonic()
-                read = asyncio.ensure_future(read_request(reader))
-                await asyncio.wait({read, stop_waiter},
-                                   return_when=asyncio.FIRST_COMPLETED,
-                                   timeout=self._idle_timeout)
-                if not read.done():
-                    # Either shutdown arrived while the connection sat
-                    # idle between requests, or the idle deadline
-                    # expired with no next request on the wire: nothing
-                    # is half-served, close the socket cleanly.
-                    read.cancel()
-                    break
+                # Until the next request is read nothing is half-served,
+                # so stop() may cancel the connection.
+                self._reading.add(task)
                 try:
-                    request = read.result()
+                    request = await asyncio.wait_for(read_request(reader),
+                                                     self._idle_timeout)
+                except asyncio.TimeoutError:
+                    # The idle deadline expired with no complete request
+                    # on the wire: close the socket cleanly.
+                    break
                 except HTTPError as exc:
                     # Malformed wire input: count it, answer it, close.
                     # The parser annotates the error with method/path
@@ -238,6 +236,8 @@ class EngineServer:
                                                  keep_alive=False))
                     await writer.drain()
                     break
+                finally:
+                    self._reading.discard(task)
                 if request is None:  # peer closed cleanly
                     break
                 keep = await self.app.handle(request, writer)
@@ -246,7 +246,6 @@ class EngineServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            stop_waiter.cancel()
             self._conn_tasks.discard(task)
             try:
                 writer.close()

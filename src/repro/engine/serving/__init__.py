@@ -15,12 +15,12 @@ top of the same :class:`~repro.engine.executor.ExecutionCore`:
   routes each per-shard query to the replica with the least estimated
   in-flight I/O, so concurrent tenants on one shard overlap;
 * :class:`~repro.engine.serving.executor.AsyncExecutor` — the asyncio
-  scheduler tying them together.  It has one loop and one request
-  lifecycle (admit -> dispatch -> settle) for reads and writes alike:
-  the HTTP front-end feeds it single requests through ``submit()``, and
-  :meth:`repro.engine.engine.QueryEngine.serve_async` runs a whole wave
-  on the same loop through ``serve()``.  A fault that kills the loop
-  fails every request pending on it.
+  scheduler tying them together.  It is one completion-driven scheduler
+  with one request lifecycle (admit -> dispatch -> settle) for reads and
+  writes alike: the HTTP front-end feeds it single requests through
+  ``submit()``, and :meth:`repro.engine.engine.QueryEngine.serve_async`
+  runs a whole wave on the same scheduler through ``serve()``.  A fault
+  in any of its passes fails every request pending on it.
 """
 
 from repro.engine.serving.admission import (

@@ -30,23 +30,23 @@ Scheduling (queue pops, admission, settling) runs entirely on the event
 loop; only plan execution leaves it.  The clock is injectable so tests
 drive budgets deterministically.
 
-There is one scheduler loop, the persistent one:
-:meth:`AsyncExecutor.start` spawns it on the running event loop, any
-number of concurrently-executing coroutines (the network front-end's
-connection handlers) :meth:`AsyncExecutor.submit` single requests and
-await their outcomes, all sharing one queue, one admission controller
-and one concurrency cap, and :meth:`AsyncExecutor.stop` drains it: queued
-and in-flight requests finish, new submissions are refused.
-:meth:`AsyncExecutor.serve` is a *wave* on that same loop — it starts the
-scheduler if nobody has, enqueues the whole request sequence under one
-submission timestamp, gathers the outcomes in request order and stops
-only a scheduler it started.  Every request, read or write, takes the
-one admit -> dispatch -> settle path (``_admit_one`` / ``_complete``).
-
-A fault that kills the loop (an admission controller that raises, an
-injected clock that never advances past a parked request) fails every
-pending submitter with that exception and re-raises from
-:meth:`AsyncExecutor.stop`; nobody is left awaiting a dead scheduler.
+There is one scheduler, and no task runs it: a submission schedules one
+pop/admit pass for the loop's next turn (so a wave is wholly queued
+before the first pop), a worker future's done-callback settles its
+request and runs the same pass, and a parked request is a timer.
+:meth:`AsyncExecutor.start` binds it to the running event loop, any
+number of coroutines (the network front-end's connection handlers)
+:meth:`AsyncExecutor.submit` requests to it, sharing one queue, one
+admission controller and one concurrency cap, and
+:meth:`AsyncExecutor.stop` drains it.  :meth:`AsyncExecutor.serve` is a
+*wave* on it — it starts the scheduler if nobody has, enqueues the whole
+request sequence under one submission timestamp, gathers the outcomes
+in request order and stops only a scheduler it started.  Every request,
+read or write, takes the one admit -> dispatch -> settle path
+(``_admit_one`` / ``_complete``).  A fault in any pass (an admission
+controller that raises, an injected clock that never advances past a
+parked request) fails every pending submitter with that exception and
+re-raises from :meth:`AsyncExecutor.stop`.
 """
 
 from __future__ import annotations
@@ -176,18 +176,16 @@ class AsyncExecutor:
         self._max_concurrency = max_concurrency
         self._warm_cache_blocks = warm_cache_blocks
         self._clock = clock
-        # The rest of the scheduler's state is created by start().
-        self._task: Optional[asyncio.Task] = None
+        #: The loop start() bound to (None: stopped), the fault stop()
+        #: re-raises, the scheduled pass, the parked requests' timer (and,
+        #: set by _clear(), the future a draining stop() awaits).
+        self._loop = self._fault = self._pass = self._timer = None
+        self._clear()
 
     @property
     def admission(self) -> AdmissionController:
         """The admission controller (token balances are inspectable)."""
         return self._admission
-
-    @property
-    def stats(self):
-        """The shared metrics sink (same object as the sync executor's)."""
-        return self._core.stats
 
     @property
     def core(self):
@@ -214,16 +212,16 @@ class AsyncExecutor:
         return self._warm_cache_blocks
 
     # ------------------------------------------------------------------
-    # serving: one persistent scheduler, fed waves or single requests
+    # serving: one long-lived scheduler, fed waves or single requests
     # ------------------------------------------------------------------
     async def serve(self, requests: Sequence[ServingRequest],
                     warm_cache: bool = True) -> ServeResult:
         """Serve a request wave; returns outcomes in request order.
 
-        The wave rides the persistent scheduler: it is started here when
+        The wave rides the long-lived scheduler: it is started here when
         nobody has (and then stopped again on the way out), every
         request is enqueued under one submission timestamp before the
-        loop's first pop — so priority/deadline order holds over the
+        scheduler's first pop — so priority/deadline order holds over the
         whole wave — and an over-budget or low-priority tenant's
         requests wait while everyone else's keep flowing.  A scheduler
         fault raises out of this call.
@@ -249,20 +247,30 @@ class AsyncExecutor:
 
     @property
     def running(self) -> bool:
-        """True while the scheduler task is alive."""
-        return self._task is not None and not self._task.done()
+        """True from :meth:`start` until :meth:`stop` or a fault."""
+        return self._loop is not None and self._fault is None
 
     async def start(self) -> None:
-        """Spawn the scheduler on the running event loop.
+        """Bind the scheduler to the running event loop.
 
         Idempotent while running.  The scheduler owns no buffer-pool
         warming (a server warms stores for its whole lifetime, a
-        :meth:`serve` wave for its own) and never exits on an empty
-        queue — it sleeps until a submission wakes it, until
-        :meth:`stop` drains it.
+        :meth:`serve` wave for its own).
         """
         if self.running:
             return
+        self._clear()
+        self._loop = asyncio.get_running_loop()
+        self._fault = None
+
+    def _clear(self) -> None:
+        """Forget every request and handle: a fresh or stopped scheduler."""
+        for handle in (self._pass, self._timer):
+            if handle is not None:
+                handle.cancel()
+        self._pass = self._timer = self._drained = None
+        self._draining = False
+        self._seq = 0
         self._queue = PriorityRequestQueue()
         #: Worker futures currently executing, with their queue items.
         self._in_flight: Dict[asyncio.Future, QueuedRequest] = {}
@@ -275,10 +283,6 @@ class AsyncExecutor:
         self._followers: Dict[Tuple, List[QueuedRequest]] = {}
         #: One future per request not yet handed back, keyed by seq.
         self._waiters: Dict[int, asyncio.Future] = {}
-        self._seq = 0
-        self._draining = False
-        self._wakeup = asyncio.Event()
-        self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def submit(self, request: ServingRequest) -> ServedRequest:
         """Enqueue one request on the scheduler and await its outcome.
@@ -306,34 +310,54 @@ class AsyncExecutor:
         self._seq += 1
         item.span, item.trace, item.owns_trace = \
             self._open_request_span(request)
-        waiter = asyncio.get_running_loop().create_future()
+        waiter = self._loop.create_future()
         self._waiters[item.seq] = waiter
         self._queue.push(item)
-        self._wakeup.set()
+        if self._pass is None:
+            self._pass = self._loop.call_soon(self._pump, None)
         return waiter
 
-    async def stop(self, drain: bool = True) -> None:
-        """Shut the scheduler down.
-
-        With ``drain=True`` (the default) every queued and in-flight
-        request finishes first — submitters awaiting :meth:`submit` all
-        get their outcomes — and only new submissions are refused.  With
-        ``drain=False`` the scheduler task is cancelled and still-pending
-        submitters receive a :class:`RuntimeError`.  A fault that killed
-        the scheduler re-raises here.
-        """
-        if self._task is None:
+    async def stop(self) -> None:
+        """Drain the scheduler, then shut it down: every queued and
+        in-flight request finishes and reaches its submitter, new ones
+        are refused.  A fault that killed the scheduler re-raises here."""
+        if self._loop is None:
             return
         self._draining = True
-        self._wakeup.set()
-        if not drain:
-            self._task.cancel()
         try:
-            await self._task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            self._task = None
+            if self._queue or self._in_flight:
+                self._drained = self._loop.create_future()
+                await self._drained
+            if self._fault is not None:
+                raise self._fault
+        finally:        # only a cancelled stop() leaves a request behind
+            self._die(RuntimeError("the executor was stopped"))
+            self._loop = self._fault = None
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the scheduler's books agree (its
+        own state is all it reads: no I/O)."""
+        in_flight = list(self._in_flight.values())
+        held = [*self._queue, *in_flight, *(
+            item for items in self._followers.values() for item in items)]
+        reads = [(item.request.dataset,
+                  constraint_key(item.request.constraint))
+                 for item in in_flight if not item.request.is_mutation]
+        for holds, message in (
+                (sorted(item.seq for item in held) == sorted(self._waiters),
+                 "an awaited outcome is not one queued, in-flight or "
+                 "follower request's"),
+                (len(in_flight) <= self._max_concurrency,
+                 "more requests in flight than max_concurrency"),
+                (Counter(reads) == Counter(self._keys),
+                 "leader keys are not the in-flight reads' keys"),
+                (self._followers.keys() <= self._keys,
+                 "a follower waits on no in-flight read"),
+                (self.running or not (held or self._pass or self._timer),
+                 "a stopped scheduler holds a request or a handle")):
+            if not holds:
+                raise AssertionError("%s (awaited %r, leader keys %r)" % (
+                    message, sorted(self._waiters), self._keys))
 
     def estimate(self, request: ServingRequest) -> ExecutedQuery:
         """The degraded sample answer, outside the scheduler.
@@ -345,74 +369,61 @@ class AsyncExecutor:
         """
         return self._degraded_answer(request, record=False)
 
-    async def _run(self) -> None:
-        """The scheduler loop: pop, admit, wait, settle — until drained.
-
-        Whatever else ends it — a fault in a scheduler step, the clock
-        guard, ``stop(drain=False)``'s cancellation — fails every pending
-        submitter on the way out: nobody is left awaiting a dead loop.
-        """
-        queue = self._queue
-        in_flight = self._in_flight
-        waiters = self._waiters
-        loop = asyncio.get_running_loop()
+    def _pump(self, done: Optional[asyncio.Future]) -> None:
+        """One pass: settle ``done`` (as a worker future's done-callback),
+        pop and admit up to the concurrency cap, then time the parked
+        requests' wake-up — or end a drain once nothing is left."""
+        self._pass = None
+        queue, in_flight = self._queue, self._in_flight
         try:
-            while True:
-                if queue:
-                    self._core.stats.note_queue_depth(len(queue))
-                while len(in_flight) < self._max_concurrency:
-                    now = self._clock()
-                    item = queue.pop_ready(now)
-                    if item is None:
-                        break
-                    outcome = self._admit_one(loop, item, now)
-                    if outcome is not None:
-                        self._resolve(item.seq, outcome)
-                if self._draining and not queue and not in_flight:
-                    return
-                # Clear before computing the timeout: a submission that
-                # lands after the clear re-sets the event, and one that
-                # landed before is already visible in the queue (push
-                # precedes set), so next_ready_delay() returns 0 — no
-                # wake-up can be lost.
-                self._wakeup.clear()
-                before_wait = self._clock()
-                timeout = None
-                if len(in_flight) < self._max_concurrency:
-                    # A parked request may become runnable before any
-                    # in-flight query completes.
-                    timeout = queue.next_ready_delay(before_wait)
-                waker = asyncio.ensure_future(self._wakeup.wait())
-                try:
-                    done, __ = await asyncio.wait(
-                        set(in_flight) | {waker}, timeout=timeout,
-                        return_when=asyncio.FIRST_COMPLETED)
-                finally:
-                    if not waker.done():
-                        waker.cancel()
-                if not done and timeout and self._clock() <= before_wait:
-                    # An injected clock that does not advance with the
-                    # event loop would park this request (and the
-                    # scheduler) forever; fail loudly instead of
-                    # livelocking.
-                    raise RuntimeError(
-                        "AsyncExecutor clock did not advance across a "
-                        "%.3fs scheduler sleep; an injected clock must "
-                        "move forward for parked requests to become "
-                        "runnable" % timeout)
-                for future in done:
-                    if future is waker:
-                        continue
-                    item = in_flight.pop(future)
-                    for seq, outcome in self._complete(item, future):
-                        self._resolve(seq, outcome)
-        except BaseException as exc:
-            error = exc if isinstance(exc, Exception) else RuntimeError(
-                "the executor was stopped without draining")
-            for waiter in waiters.values():
-                if not waiter.done():
-                    waiter.set_exception(error)
-            raise
+            item = in_flight.pop(done, None)    # None: not settling one
+            if item is not None:
+                for seq, outcome in self._complete(item, done):
+                    self._resolve(seq, outcome)
+            if queue:
+                self._core.stats.note_queue_depth(len(queue))
+            while len(in_flight) < self._max_concurrency:
+                now = self._clock()
+                item = queue.pop_ready(now)
+                if item is None:
+                    break
+                outcome = self._admit_one(item, now)
+                if outcome is not None:
+                    self._resolve(item.seq, outcome)
+            if self._timer is not None:
+                self._timer.cancel()
+                self._timer = None
+            if queue and len(in_flight) < self._max_concurrency:
+                # Everything queued is parked, and may become runnable
+                # before any in-flight request completes.
+                now = self._clock()
+                delay = queue.next_ready_delay(now)
+                self._timer = self._loop.call_later(delay, self._wake, now,
+                                                    delay)
+            elif self._drained is not None and not queue and not in_flight:
+                self._drained.set_result(None)
+                self._drained = None
+        except Exception as exc:
+            self._die(exc)
+
+    def _wake(self, slept_from: float, delay: float) -> None:
+        """The parked requests' timer: the first of them may run now."""
+        self._timer = None
+        if delay and self._clock() <= slept_from:   # a stalled clock
+            self._die(RuntimeError(
+                "AsyncExecutor clock did not advance across a %.3fs "
+                "scheduler sleep; an injected clock must move forward for "
+                "parked requests to become runnable" % delay))
+        else:
+            self._pump(None)
+
+    def _die(self, error: Exception) -> None:
+        """Fail every pending outcome (a draining stop() too), clear."""
+        self._fault = error
+        for waiter in (*self._waiters.values(), self._drained):
+            if waiter is not None and not waiter.done():
+                waiter.set_exception(error)
+        self._clear()
 
     def _resolve(self, seq: int, outcome: ServedRequest) -> None:
         """Hand one finished request back to its awaiting submitter."""
@@ -497,7 +508,7 @@ class AsyncExecutor:
     # ------------------------------------------------------------------
     # scheduler steps (all on the event loop)
     # ------------------------------------------------------------------
-    def _admit_one(self, loop, item: QueuedRequest,
+    def _admit_one(self, item: QueuedRequest,
                    now: float) -> Optional[ServedRequest]:
         """Decide one popped request: dispatch, park, or finish it now.
 
@@ -586,8 +597,9 @@ class AsyncExecutor:
                         request.constraint, plan, cache_key, False,
                         request.tenant)
                 self._keys.add(cache_key)
-            future = loop.run_in_executor(None, self._run_traced, span,
-                                          *work)
+            future = self._loop.run_in_executor(None, self._run_traced,
+                                                span, *work)
+            future.add_done_callback(self._pump)
             self._in_flight[future] = item
             return None
         if decision.action == "degrade":

@@ -17,7 +17,7 @@ obey the same per-tenant budgets as reads.
 deadline among equals, FIFO as the final tie-break.  Requests deferred by
 admission control are *parked* with a not-before time and re-enter the
 runnable order once the clock passes it — the scheduler asks
-:meth:`next_ready_delay` how long it may sleep.
+:meth:`next_ready_delay` when to set its timer for them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import repro.engine.tracing as tracing
 from repro.geometry.primitives import LinearConstraint
@@ -140,8 +140,10 @@ class PriorityRequestQueue:
     def __len__(self) -> int:
         return len(self._ready) + len(self._parked)
 
-    def __bool__(self) -> bool:
-        return bool(self._ready) or bool(self._parked)
+    def __iter__(self) -> Iterator[QueuedRequest]:
+        """Every queued request, runnable or parked, in no order."""
+        yield from (item for __, item in self._ready)
+        yield from (item for __, __, item in self._parked)
 
     def push(self, item: QueuedRequest) -> None:
         """Add a request: parked when its not-before is in the future."""

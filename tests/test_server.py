@@ -10,6 +10,7 @@ shutdown drain.
 
 from __future__ import annotations
 
+import http.client
 import json
 import socket
 import threading
@@ -766,6 +767,97 @@ def test_idle_keep_alive_connections_are_reaped():
             stale.close()
             active.close()
     engine.close()
+
+
+def shutdown_scenario(prepare):
+    """Start a server with no idle timeout, answer one keep-alive
+    request, let ``prepare(sock)`` leave the connection in some state,
+    then stop: the stop must return within two seconds and the socket
+    must read EOF with no further response."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=47)
+    engine.register_dataset("d", uniform_points(256, seed=47),
+                            kinds=["dynamic"])
+    server = engine.serve_http([ApiKey(key="k", tenant="t")])
+    sock = socket.create_connection(server.address, timeout=5.0)
+    try:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert read_one_response(sock).startswith(b"HTTP/1.1 200")
+        prepare(sock)
+        time.sleep(0.1)          # the server is waiting on the socket
+        started = time.monotonic()
+        server.stop(timeout=2.0)
+        assert time.monotonic() - started < 2.0
+        assert sock.recv(4096) == b""
+    finally:
+        sock.close()
+        server.stop()
+        engine.close()
+
+
+def test_stop_closes_an_idle_keep_alive_connection_promptly():
+    shutdown_scenario(lambda sock: None)
+
+
+def test_stop_closes_a_half_read_request_without_a_response():
+    shutdown_scenario(lambda sock: sock.sendall(
+        b"POST /query HTTP/1.1\r\nHost: t\r\nX-Api-Key: k\r\n"))
+
+
+def test_keep_alive_queries_spawn_no_task_and_no_wait(monkeypatch):
+    """Serving 50 keep-alive ``POST /query`` requests creates no asyncio
+    task beyond the connection's own (its accept and its handler, made by
+    the first request) and calls ``asyncio.wait`` not at all, counted on
+    the server's loop.  Before the scheduler settled requests from
+    completion callbacks, the same 50 requests made 149 tasks and 149
+    ``asyncio.wait`` calls — 3 of each per request: a read task raced
+    against a per-connection stop waiter, and two scheduler wake-up
+    tasks, each under a wait of its own."""
+    import asyncio
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=59)
+    engine.register_dataset("d", uniform_points(512, seed=59),
+                            kinds=["dynamic"])
+    server = engine.serve_http([ApiKey(key="k", tenant="t")])
+    loop = server._loop
+    counts = {"tasks": 0, "waits": 0}
+
+    def counting_factory(loop, coro, **kwargs):
+        counts["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    wait = asyncio.wait
+
+    def counting_wait(*args, **kwargs):
+        if asyncio.get_running_loop() is loop:
+            counts["waits"] += 1
+        return wait(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "wait", counting_wait)
+    installed = threading.Event()
+    loop.call_soon_threadsafe(
+        lambda: (loop.set_task_factory(counting_factory), installed.set()))
+    conn = http.client.HTTPConnection(*server.address, timeout=10.0)
+
+    def query(offset):
+        payload = {"dataset": "d",
+                   "constraint": {"coeffs": [0.3], "offset": offset}}
+        conn.request("POST", "/query", body=json.dumps(payload),
+                     headers={"X-Api-Key": "k"})
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["outcome"] == "served"
+
+    try:
+        assert installed.wait(5.0)
+        query(0.5)
+        assert counts["tasks"] == 2
+        counts.update(tasks=0, waits=0)
+        for i in range(50):
+            query(-0.5 + 0.02 * i)
+        assert counts == {"tasks": 0, "waits": 0}
+    finally:
+        conn.close()
+        server.stop()
+        engine.close()
 
 
 def test_idle_timeout_rejects_nonpositive_values():

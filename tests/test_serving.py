@@ -23,6 +23,7 @@ from repro.engine.serving.admission import (
     AdmissionController,
     TokenBucket,
 )
+from repro.engine.serving.executor import AsyncExecutor
 from repro.engine.serving.queue import PriorityRequestQueue, QueuedRequest
 from repro.engine.serving.replicas import LeastLoadedReplicaPicker
 from repro.workloads import (
@@ -43,6 +44,27 @@ def _request(constraint, tenant="t", dataset="d", priority=0,
     return ServingRequest(tenant=tenant, dataset=dataset,
                           constraint=constraint, priority=priority,
                           deadline_s=deadline_s)
+
+
+@pytest.fixture(autouse=True)
+def checked_scheduler(monkeypatch):
+    """Every wave and every stop() in this file, ``serve_async``'s
+    included, ends with the scheduler's invariants checked."""
+    serve, stop = AsyncExecutor.serve, AsyncExecutor.stop
+
+    async def checked_serve(self, *args, **kwargs):
+        result = await serve(self, *args, **kwargs)
+        self.check_invariants()
+        return result
+
+    async def checked_stop(self, *args, **kwargs):
+        try:
+            await stop(self, *args, **kwargs)
+        finally:
+            self.check_invariants()
+
+    monkeypatch.setattr(AsyncExecutor, "serve", checked_serve)
+    monkeypatch.setattr(AsyncExecutor, "stop", checked_stop)
 
 
 # ----------------------------------------------------------------------
@@ -630,7 +652,7 @@ def test_stalled_clock_fails_submitters_instead_of_hanging(points2d):
 
 
 def test_scheduler_fault_reaches_every_submitter(points2d):
-    # Whatever kills the loop fails the requests pending on it, refuses
+    # Whatever kills the scheduler fails the requests pending on it, refuses
     # later ones, and still surfaces at stop().
     import asyncio
     from repro.engine.serving import AsyncExecutor
@@ -659,6 +681,53 @@ def test_scheduler_fault_reaches_every_submitter(points2d):
 
     errors = asyncio.run(scenario())
     assert [type(error) for error in errors] == [ZeroDivisionError] * 2
+
+
+def test_check_invariants_bites_on_each_broken_book(points2d):
+    # The checker the fixture above runs after every wave and stop()
+    # must fail on each kind of broken bookkeeping it claims to check.
+    import asyncio
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d)
+    constraints = halfspace_queries_with_selectivity(points2d, 2, 0.05,
+                                                     seed=103)
+    executor = AsyncExecutor(engine.executor.core, max_concurrency=1)
+    stray = ("d", "stray")
+
+    def bites(match, damage, repair):
+        damage()
+        with pytest.raises(AssertionError, match=match):
+            executor.check_invariants()
+        repair()
+        executor.check_invariants()
+
+    async def scenario():
+        await executor.start()
+        loop = asyncio.get_running_loop()
+        waiters = [executor._enqueue(_request(c), 0.0)
+                   for c in (constraints[0], constraints[0], constraints[1])]
+        executor.check_invariants()
+        books = executor._waiters
+        bites("an awaited outcome", lambda: books.update({99: waiters[0]}),
+              lambda: books.pop(99))
+        bites("more requests in flight than max_concurrency",
+              lambda: setattr(executor, "_max_concurrency", -1),
+              lambda: setattr(executor, "_max_concurrency", 1))
+        bites("leader keys", lambda: executor._keys.add(stray),
+              lambda: executor._keys.discard(stray))
+        bites("a follower waits on no in-flight read",
+              lambda: executor._followers.update({stray: []}),
+              lambda: executor._followers.pop(stray))
+        outcomes = await asyncio.gather(*waiters)
+        await executor.stop()
+        bites("a stopped scheduler",
+              lambda: setattr(executor, "_timer",
+                              loop.call_later(60.0, print)),
+              lambda: executor._clear())
+        return outcomes
+
+    outcomes = asyncio.run(scenario())
+    assert [item.outcome for item in outcomes] == ["served"] * 3
 
 
 # ----------------------------------------------------------------------
