@@ -5,8 +5,8 @@ for all tuples satisfying linear constraints.  The paper supplies several
 structures with different space/query trade-offs; ``repro.engine`` fronts
 them with a serving layer: a catalog builds a suite of indexes per
 dataset, a cost-based planner routes each query to the structure whose
-own query, priced in memory for that constraint, is cheapest, and a batch
-executor adds dedup, a result cache and warm buffer pools.
+own query, priced in memory for that constraint, is cheapest, and a
+serving wave adds dedup, a result cache and warm buffer pools.
 
 The scenario: two tenants share the engine —
 
@@ -119,14 +119,16 @@ def main() -> None:
         hot_fraction=0.4, seed=17)
     print("\nServing %d mixed requests (40%% hot repeats) ..."
           % len(requests))
-    result = engine.serve_workload(requests, warm_cache=True)
-    for (tenant, constraint), answer in zip(requests, result.queries):
+    result = engine.serve_workload(requests)
+    answers = [item.answer for item in result.requests]
+    for (tenant, constraint), answer in zip(requests, answers):
         assert {tuple(p) for p in answer.points} == {
             tuple(p) for p in
             {"servers": servers, "stocks": stocks}[tenant]
             if constraint.below(p)}
     print("  %d I/Os total, %d result-cache hits, %.1f ms wall clock"
-          % (result.total_ios, result.result_cache_hits,
+          % (result.total_ios,
+             sum(answer.from_result_cache for answer in answers),
              result.wall_seconds * 1e3))
 
     # --- async serving: a budget-capped tenant shares the replicated shard -

@@ -228,6 +228,60 @@ class HalfplaneIndex2D(ExternalIndex):
             remaining -= layer.lam
         return float(cost)
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless every layer is what Section 3.2
+        builds, as read back from the disk.
+
+        Per layer: β ≤ λ_i ≤ 2β; the boundary abscissae ascend from −inf
+        and are the keys of the boundary tree (which passes its own
+        check), each naming its cluster; slopes ascend within each
+        cluster; a cluster holds at most ``cluster_width_factor · λ_i``
+        lines, except in the trivial last layer; ``num_lines`` is the sum
+        of the cluster sizes.  The layers' point numbers partition
+        ``0..N−1``.  Blocks are read from the backend directly, so no I/O
+        is charged and the buffer pool is untouched.
+        """
+        backend = self._store.backend
+        numbers = []
+        for depth, layer in enumerate(self._layers):
+            def check(holds: bool, message: str, *values) -> None:
+                if not holds:
+                    raise AssertionError("layer %d: " % depth
+                                         + message % values)
+
+            check(self._beta <= layer.lam <= 2 * self._beta,
+                  "λ = %d outside [β, 2β] for β = %d", layer.lam, self._beta)
+            bounds = layer.bounds
+            check(bounds[0] == -math.inf and bounds == sorted(bounds),
+                  "boundaries %r do not ascend from -inf", bounds[:4])
+            check(layer.boundary_tree.check_invariants()
+                  == list(zip(bounds, range(len(layer.clusters)))),
+                  "the boundary tree does not hold the boundaries")
+            trivial = len(layer.clusters) == 1 and layer is self._layers[-1]
+            width = self._cluster_width_factor * layer.lam
+            sizes, in_layer = [], []
+            for position, cluster in enumerate(layer.clusters):
+                rows = np.concatenate([np.empty((0, 5))] + [
+                    np.asarray(backend.get_payload(block_id), dtype=float)
+                    for block_id in cluster.block_ids])
+                check(np.all(np.diff(rows[:, 1]) >= 0),
+                      "slopes do not ascend in cluster %d", position)
+                check(trivial or len(rows) <= width,
+                      "cluster %d holds %d lines, more than %d",
+                      position, len(rows), width)
+                sizes.append(len(rows))
+                in_layer.append(rows[:, 0])
+            check(layer.num_lines == sum(sizes),
+                  "num_lines %d, clusters hold %d", layer.num_lines,
+                  sum(sizes))
+            # A line may lie in several clusters of its layer, but in no
+            # other layer.
+            numbers.append(np.unique(np.concatenate(in_layer)))
+        stored = np.sort(np.concatenate(numbers)) if numbers else []
+        if not np.array_equal(stored, np.arange(self._num_points)):
+            raise AssertionError("the layers' point numbers do not "
+                                 "partition 0..%d" % (self._num_points - 1))
+
     def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the linear constraint."""
         if constraint.dimension != 2:

@@ -14,9 +14,8 @@ query.  This package is that layer:
   (plan execution, sharded fan-out with replica picking, cost-model and
   estimation feedback into the metrics, LRU result cache) both
   executors run through;
-* :class:`~repro.engine.executor.BatchExecutor` — synchronous batch
-  serving with constraint dedup, warm buffer pools and a thread-pool
-  path for concurrent read-only tenants;
+* :class:`~repro.engine.executor.BatchExecutor` — the synchronous
+  single-query front-end that owns the core;
 * :class:`~repro.engine.writes.WritePath` — the engine-level mutation
   path: inserts/deletes routed by shard attribute and fanned out to
   every replica (rollback on veto), keeping replicas identical so reads
@@ -56,10 +55,8 @@ from repro.engine.catalog import (
 from repro.engine.engine import QueryEngine
 from repro.engine.executor import (
     BatchExecutor,
-    BatchResult,
     ExecutedQuery,
     ExecutionCore,
-    WorkloadResult,
     constraint_key,
 )
 from repro.engine.metrics import EngineStats, ServedQueryRecord
@@ -114,7 +111,6 @@ __all__ = [
     "AdmissionController",
     "AsyncExecutor",
     "BatchExecutor",
-    "BatchResult",
     "BuildRecord",
     "CandidateEstimate",
     "Catalog",
@@ -155,7 +151,6 @@ __all__ = [
     "Trace",
     "Tracer",
     "UniformSampleModel",
-    "WorkloadResult",
     "WritePath",
     "constraint_key",
     "current_span",

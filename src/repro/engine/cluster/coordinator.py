@@ -516,6 +516,26 @@ class Coordinator:
             self.mark_dead(handle)
             return None
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the write log is gap-free and every
+        live worker's high-water mark is at most its shard's last logged
+        seq — and equal to it once caught up, for a worker holding the
+        shard's mutable index (every broadcast reaches it).  The
+        coordinator's own books are all it reads: no RPC."""
+        self.log.check_invariants()
+        with self._lock:
+            for handle in self._workers.values():
+                if not handle.alive:
+                    continue
+                last = self.log.last_seq(handle.dataset, handle.shard_id)
+                target = Catalog.mutable_index_name(self._catalog.sharded(
+                    handle.dataset).shards[handle.shard_id].dataset)
+                if handle.last_seq > last or (
+                        target in handle.indexes and handle.last_seq != last):
+                    raise AssertionError(
+                        "live worker %s is at seq %d, its shard's log at %d"
+                        % (handle.replica_name, handle.last_seq, last))
+
     def describe(self) -> Dict[str, object]:
         """JSON-safe topology snapshot (engine summary / HTTP stats)."""
         with self._lock:

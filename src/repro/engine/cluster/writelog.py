@@ -63,6 +63,23 @@ class WriteLog:
                 self._next_seq.pop(key, None)
             return dropped
 
+    def last_seq(self, dataset: str, shard_id: int) -> int:
+        """The shard's last logged sequence number (0 before its first)."""
+        with self._lock:
+            return self._next_seq.get((dataset, shard_id), 0)
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless each shard's seqs run 1..n with no
+        gap and its next-seq counter is the last of them."""
+        with self._lock:
+            for key in self._entries.keys() | self._next_seq.keys():
+                seqs = [seq for seq, __, __ in self._entries.get(key, ())]
+                if seqs != list(range(1, len(seqs) + 1)) \
+                        or self._next_seq.get(key, 0) != len(seqs):
+                    raise AssertionError(
+                        "shard %s#%d logs seqs %r, last seq %d"
+                        % (*key, seqs[:8], self._next_seq.get(key, 0)))
+
     def sizes(self) -> Dict[str, int]:
         """Logged-entry counts per ``dataset#shard`` (for ``describe()``)."""
         with self._lock:

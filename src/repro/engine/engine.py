@@ -11,7 +11,7 @@ benchmarks drive::
     result = engine.query("screener", constraint)        # planner-routed
     engine.insert("logs", point)                         # routed write,
     engine.delete("logs", point)                         # every replica
-    batch = engine.serve_batch("screener", constraints)  # warm, deduped
+    batch = engine.serve_batch("screener", constraints)  # one serving wave
     served = engine.serve_async(requests, budgets=...)   # multi-tenant async
     print(engine.stats.to_table())
 
@@ -25,10 +25,12 @@ with directional equi-depth histograms instead of the uniform sample
 range shards whose statistics have drifted under dynamic inserts
 (:meth:`QueryEngine.rebalance` does it on demand).
 Everything the facade does is available piecemeal through its
-:attr:`catalog`, :attr:`planner` and :attr:`executor` attributes; the
-async serving path (:meth:`QueryEngine.serve_async`) runs through the
-same :class:`~repro.engine.executor.ExecutionCore` as the synchronous
-one, so both share one result cache and one metrics sink.
+:attr:`catalog`, :attr:`planner` and :attr:`executor` attributes.  A
+single query runs on the calling thread; many queries — a batch, a
+workload, an async stream — are one wave on the serving scheduler
+(:meth:`QueryEngine.serve_async`).  Both run through the same
+:class:`~repro.engine.executor.ExecutionCore`, so they share one result
+cache and one metrics sink.
 """
 
 from __future__ import annotations
@@ -40,12 +42,7 @@ import asyncio
 
 from repro.core.conjunction import ConstraintConjunction
 from repro.engine.catalog import BuildRecord, Catalog, Query
-from repro.engine.executor import (
-    BatchExecutor,
-    BatchResult,
-    ExecutedQuery,
-    WorkloadResult,
-)
+from repro.engine.executor import BatchExecutor, ExecutedQuery
 from repro.engine.metrics import EngineStats
 from repro.engine.planner import Planner
 from repro.engine.stats import (
@@ -78,7 +75,7 @@ class QueryEngine:
         Per-dataset sample kept for selectivity estimation.
     result_cache_entries / warm_cache_blocks:
         Executor knobs: answer-LRU capacity and the buffer-pool size used
-        while serving a batch.
+        while serving a wave.
     seed:
         Seed for sampling and randomised index builds.
     backend / data_dir:
@@ -375,19 +372,42 @@ class QueryEngine:
                                      clear_cache=clear_cache)
 
     def serve_batch(self, dataset: str,
-                    constraints: Sequence[LinearConstraint],
-                    warm_cache: bool = True) -> BatchResult:
-        """Serve a batch against one dataset (dedup + warm buffer pool)."""
-        self._maybe_rebalance(dataset)
-        return self.executor.run_batch(dataset, constraints,
-                                       warm_cache=warm_cache)
+                    constraints: Sequence[LinearConstraint]) -> ServeResult:
+        """Serve a batch against one dataset: :meth:`serve_workload` of
+        its ``(dataset, constraint)`` pairs.
+
+        A repeat inside the batch charges nothing because the result
+        cache is on: its first occurrence has been answered and cached
+        by the time the repeat is admitted.  With
+        ``result_cache_entries=0`` a serial wave re-executes a repeat.
+        """
+        return self.serve_workload([(dataset, constraint)
+                                    for constraint in constraints])
 
     def serve_workload(self,
-                       requests: Sequence[Tuple[str, LinearConstraint]],
-                       warm_cache: bool = True) -> WorkloadResult:
-        """Serve a mixed-tenant workload of (dataset, constraint) pairs."""
-        self._maybe_rebalance(*(name for name, __ in requests))
-        return self.executor.run_workload(requests, warm_cache=warm_cache)
+                       requests: Sequence[Tuple[str, LinearConstraint]]
+                       ) -> ServeResult:
+        """Serve (dataset, constraint) pairs as one :meth:`serve_async`
+        wave; the outcomes come back in request order.
+
+        Every request is admitted (no budgets) and one runs at a time
+        (the per-shard fan-out inside a request stays parallel) over
+        warmed buffer pools.  Requests are submitted stable-sorted by
+        dataset and planner-chosen index, so consecutive queries reuse
+        one structure's pooled blocks.
+        """
+        core = self.executor.core
+        order = sorted(range(len(requests)), key=lambda position: (
+            requests[position][0],
+            core.plan(*requests[position]).index_name))
+        wave = self.serve_async(
+            [ServingRequest(tenant="", dataset=requests[position][0],
+                            constraint=requests[position][1])
+             for position in order],
+            max_concurrency=1)
+        wave.requests = [outcome for __, outcome
+                         in sorted(zip(order, wave.requests))]
+        return wave
 
     def serve_async(self, requests: Sequence[ServingRequest],
                     budgets: Optional[Dict[str, TenantBudget]] = None,

@@ -1,4 +1,4 @@
-"""Batch execution: dedup, result caching, warm buffer pools, concurrency.
+"""Query execution: the shared core, result caching, warm buffer pools.
 
 Two layers live here:
 
@@ -9,12 +9,11 @@ Two layers live here:
   write's last effect).  Both the synchronous :class:`BatchExecutor` and the
   asyncio :class:`~repro.engine.serving.executor.AsyncExecutor` execute
   through this one core, so the two serving paths cannot drift apart.
-* :class:`BatchExecutor` — the synchronous batch front-end.  Given a batch
-  of constraints (or a whole multi-tenant workload), it plans each unique
-  constraint, *groups* execution by chosen index so consecutive queries
-  touch the same structure, serves exact duplicates from the result cache,
-  and optionally enlarges the stores' buffer pools for the duration of
-  the batch (**warm-cache serving**).
+* :class:`BatchExecutor` — the synchronous single-query front-end: it
+  owns the core and runs one constraint (or conjunction) at a time.
+  Many queries run as one wave on the async scheduler
+  (:meth:`~repro.engine.engine.QueryEngine.serve_workload`), which
+  dedups repeats and warms the buffer pools for the wave.
 
 There is one execution path.  Every plan lowers to per-replica work
 items — one per relevant shard, so exactly one for a ``register_dataset``
@@ -128,46 +127,6 @@ class ExecutedQuery:
         return self.ios.total
 
 
-@dataclass
-class BatchResult:
-    """Outcome of one batch against one dataset, in request order."""
-
-    dataset: str
-    queries: List[ExecutedQuery]
-    wall_seconds: float
-    executed: int
-    result_cache_hits: int
-
-    @property
-    def total_ios(self) -> int:
-        """Block transfers charged to the whole batch."""
-        return sum(query.total_ios for query in self.queries)
-
-    @property
-    def total_reported(self) -> int:
-        """Points reported across the batch."""
-        return sum(query.count for query in self.queries)
-
-
-@dataclass
-class WorkloadResult:
-    """Outcome of a multi-tenant workload, in request order."""
-
-    queries: List[ExecutedQuery]
-    batches: Dict[str, BatchResult]
-    wall_seconds: float
-
-    @property
-    def total_ios(self) -> int:
-        """Block transfers charged to the whole workload."""
-        return sum(batch.total_ios for batch in self.batches.values())
-
-    @property
-    def result_cache_hits(self) -> int:
-        """Requests answered from the result cache."""
-        return sum(batch.result_cache_hits for batch in self.batches.values())
-
-
 class _WorkItem(NamedTuple):
     """One shard's share of a plan: what a plan lowers to."""
 
@@ -206,8 +165,7 @@ class ExecutionCore:
     catalog / planner:
         The engine's catalog and planner.
     stats:
-        Optional :class:`EngineStats` sink; a private one is created when
-        omitted (exposed as :attr:`stats`).
+        The engine's :class:`EngineStats` sink (exposed as :attr:`stats`).
     result_cache_entries:
         Capacity of the answer LRU (0 disables result caching).
     fanout_workers:
@@ -216,16 +174,14 @@ class ExecutionCore:
     """
 
     def __init__(self, catalog: Catalog, planner: Planner,
-                 stats: Optional[EngineStats] = None,
-                 result_cache_entries: int = 256,
-                 fanout_workers: int = 8,
-                 tracer: Optional[Tracer] = None):
+                 stats: EngineStats, result_cache_entries: int,
+                 fanout_workers: int, tracer: Tracer):
         self.catalog = catalog
         self.planner = planner
-        self.stats = stats if stats is not None else EngineStats()
+        self.stats = stats
         #: Request-trace lifecycle: the serving layers open traces here
         #: and the core's spans land in whatever trace is active.
-        self.tracer = tracer if tracer is not None else Tracer()
+        self.tracer = tracer
         # Answers are cached as their read-only matrix: immutable, so a
         # hit shares the stored array instead of copying it.
         self._results: LRUCache[Tuple[str, ConstraintKey],
@@ -321,7 +277,7 @@ class ExecutionCore:
                         max(store.cache_blocks, warm_cache_blocks))))
             if self.cluster is not None:
                 # Worker buffer pools mirror the parent's for the same
-                # window, so warm-batch I/O accounting matches across
+                # window, so a warm wave's I/O accounting matches across
                 # modes.
                 cluster_tokens = self.cluster.resize_caches(
                     list(names), warm_cache_blocks)
@@ -613,9 +569,8 @@ class ExecutionCore:
                      tenant: str) -> ExecutedQuery:
         """Single-flight tail: a recorded zero-cost copy for ``tenant``.
 
-        A repeat inside one batch and a follower of an in-flight async
-        leader are the same event — an identical constraint answered
-        from work already paid for.
+        A follower of an in-flight leader is an identical constraint
+        answered from work already paid for.
         """
         shared = ExecutedQuery(dataset=answer.dataset,
                                index_name=answer.index_name,
@@ -644,39 +599,29 @@ class ExecutionCore:
 
 
 class BatchExecutor:
-    """Runs query batches against the catalog under the planner's routing.
+    """Runs one query at a time against the catalog under the planner's
+    routing.
 
     Parameters
     ----------
-    catalog / planner:
-        The engine's catalog and planner.
-    stats:
-        Optional :class:`EngineStats` sink; a private one is created when
-        omitted (exposed as :attr:`stats`).
-    result_cache_entries:
-        Capacity of the answer LRU (0 disables result caching).
+    catalog / planner / stats / result_cache_entries / fanout_workers /
+    tracer:
+        The :class:`ExecutionCore`'s arguments.
     warm_cache_blocks:
-        Buffer-pool size used while serving a warm batch; the store's
-        original (small) pool is restored when the batch finishes.
-    fanout_workers:
-        Size of the core's shared thread pool for per-shard fan-out; 0
-        runs shards sequentially on the calling thread.
+        Buffer-pool size a serving wave warms its datasets' stores to;
+        the original (small) pools are restored when the wave finishes.
     """
 
     def __init__(self, catalog: Catalog, planner: Planner,
-                 stats: Optional[EngineStats] = None,
-                 result_cache_entries: int = 256,
-                 warm_cache_blocks: int = 64,
-                 fanout_workers: int = 8,
-                 tracer: Optional[Tracer] = None):
+                 stats: EngineStats, result_cache_entries: int,
+                 warm_cache_blocks: int, fanout_workers: int,
+                 tracer: Tracer):
         #: The shared execution core (the async executor serves through
         #: the same one, so sync and async traffic cannot drift apart).
-        self.core = ExecutionCore(
-            catalog, planner, stats=stats,
-            result_cache_entries=result_cache_entries,
-            fanout_workers=fanout_workers, tracer=tracer)
-        self._planner = planner
-        self.stats = self.core.stats
+        self.core = ExecutionCore(catalog, planner, stats,
+                                  result_cache_entries, fanout_workers,
+                                  tracer)
+        self.stats = stats
         self.warm_cache_blocks = warm_cache_blocks
 
     def shutdown(self) -> None:
@@ -710,96 +655,3 @@ class BatchExecutor:
         plan = self.core.plan(dataset_name, constraint)
         return self.core.dispatch(dataset_name, constraint, plan, key,
                                   clear_cache=clear_cache)
-
-    # ------------------------------------------------------------------
-    # batches and workloads
-    # ------------------------------------------------------------------
-    def run_batch(self, dataset_name: str,
-                  constraints: Sequence[LinearConstraint],
-                  warm_cache: bool = True) -> BatchResult:
-        """Serve a batch against one dataset.
-
-        Unique constraints are planned once, grouped by chosen index, and
-        executed with a shared (optionally enlarged) buffer pool; repeats
-        are answered from the result cache.  Every replica's pool is
-        warmed and each constraint fans out to its relevant shards.
-        """
-        started = time.perf_counter()
-        answers: Dict[ConstraintKey, ExecutedQuery] = {}
-        ordered_keys = [constraint_key(c) for c in constraints]
-
-        # Plan each unique constraint and group execution by chosen index
-        # (the plan's fan-out label).
-        unique: Dict[ConstraintKey, LinearConstraint] = {}
-        for constraint, key in zip(constraints, ordered_keys):
-            unique.setdefault(key, constraint)
-        groups: Dict[str, List[Tuple[ConstraintKey, LinearConstraint]]] = {}
-        for key, constraint in unique.items():
-            cached = self.core.result_cache_get((dataset_name, key))
-            if cached is not None:
-                answers[key] = cached
-                continue
-            plan = self._planner.plan(dataset_name, constraint)
-            groups.setdefault(plan.index_name, []).append((key, constraint))
-
-        with self.core.warm_stores([dataset_name] if warm_cache else [],
-                                   self.warm_cache_blocks):
-            for index_name in sorted(groups):
-                for key, constraint in groups[index_name]:
-                    # Re-plan just before running: an adaptive selectivity
-                    # model fed by earlier queries in this batch may have
-                    # moved the expected output, hence the route (the
-                    # pre-pass grouping is only a locality heuristic).
-                    plan = self._planner.plan(dataset_name, constraint)
-                    answers[key] = self.core.dispatch(
-                        dataset_name, constraint, plan,
-                        (dataset_name, key), clear_cache=False)
-
-        executed = sum(len(group) for group in groups.values())
-        seen = set()
-        in_order: List[ExecutedQuery] = []
-        hits = 0
-        for key in ordered_keys:
-            answer = answers[key]
-            if key in seen:
-                # A repeat inside the batch: serve the points resolved for
-                # the first occurrence and charge nothing.
-                answer = self.core.share_answer(answer, answer.tenant)
-            seen.add(key)
-            if answer.from_result_cache:
-                hits += 1
-            in_order.append(answer)
-        return BatchResult(dataset=dataset_name, queries=in_order,
-                           wall_seconds=time.perf_counter() - started,
-                           executed=executed, result_cache_hits=hits)
-
-    def run_workload(self, requests: Sequence[Tuple[str, LinearConstraint]],
-                     warm_cache: bool = True) -> WorkloadResult:
-        """Serve a mixed-tenant workload of (dataset, constraint) requests.
-
-        Requests are partitioned per dataset and each dataset's batch runs
-        as in :meth:`run_batch`, serial in arrival order; the async
-        serving path (:meth:`repro.engine.engine.QueryEngine.serve_async`)
-        is the one that runs requests concurrently and interleaves
-        tenants inside a single dataset.
-        """
-        started = time.perf_counter()
-        per_dataset: Dict[str, List[LinearConstraint]] = {}
-        positions: Dict[str, List[int]] = {}
-        for position, (dataset_name, constraint) in enumerate(requests):
-            per_dataset.setdefault(dataset_name, []).append(constraint)
-            positions.setdefault(dataset_name, []).append(position)
-
-        batches = {
-            dataset_name: self.run_batch(dataset_name, constraints,
-                                         warm_cache=warm_cache)
-            for dataset_name, constraints in per_dataset.items()}
-
-        ordered: List[Optional[ExecutedQuery]] = [None] * len(requests)
-        for dataset_name, batch in batches.items():
-            for position, answer in zip(positions[dataset_name],
-                                        batch.queries):
-                ordered[position] = answer
-        return WorkloadResult(queries=[q for q in ordered if q is not None],
-                              batches=batches,
-                              wall_seconds=time.perf_counter() - started)

@@ -1,8 +1,8 @@
 """The async serving subsystem: queue, admission control, replicas.
 
-The synchronous :class:`~repro.engine.executor.BatchExecutor` serializes
-each dataset's requests; this package is the scale-out serving path on
-top of the same :class:`~repro.engine.executor.ExecutionCore`:
+This package is the one way to run many queries, on top of the same
+:class:`~repro.engine.executor.ExecutionCore` a single query runs
+through:
 
 * :class:`~repro.engine.serving.queue.ServingRequest` /
   :class:`~repro.engine.serving.queue.PriorityRequestQueue` — requests
@@ -19,8 +19,9 @@ top of the same :class:`~repro.engine.executor.ExecutionCore`:
   with one request lifecycle (admit -> dispatch -> settle) for reads and
   writes alike: the HTTP front-end feeds it single requests through
   ``submit()``, and :meth:`repro.engine.engine.QueryEngine.serve_async`
-  runs a whole wave on the same scheduler through ``serve()``.  A fault
-  in any of its passes fails every request pending on it.
+  (with ``serve_batch`` / ``serve_workload``, its unbudgeted serial
+  case) runs a whole wave on the same scheduler through ``serve()``.  A
+  fault in any of its passes fails every request pending on it.
 """
 
 from repro.engine.serving.admission import (

@@ -1,10 +1,10 @@
 """The asyncio executor: per-request scheduling for multi-tenant serving.
 
-:class:`AsyncExecutor` is the asyncio twin of
-:class:`~repro.engine.executor.BatchExecutor`.  The batch path serializes
-each dataset's requests in arrival order, so one tenant issuing expensive
-queries head-of-line-blocks every other tenant of that dataset.  This
-executor instead schedules *per request*:
+:class:`AsyncExecutor` runs every multi-query workload the engine
+serves: an async tenant stream, an HTTP server's requests, and a batch
+(:meth:`~repro.engine.engine.QueryEngine.serve_batch` is a wave with no
+budgets and one request at a time).  It schedules *per request*, so one
+tenant issuing expensive queries does not head-of-line-block the others:
 
 * requests wait in a :class:`~repro.engine.serving.queue.
   PriorityRequestQueue` ordered by (priority, deadline, arrival) —
@@ -19,9 +19,9 @@ executor instead schedules *per request*:
   insert);
 * admitted requests execute on worker threads (up to ``max_concurrency``
   at once) through the *same*
-  :class:`~repro.engine.executor.ExecutionCore` the synchronous path
-  uses, so planning, result caching and metrics cannot diverge between
-  the two;
+  :class:`~repro.engine.executor.ExecutionCore` a single synchronous
+  query uses, so planning, result caching and metrics cannot diverge
+  between the two;
 * observed I/Os are settled back into the tenant's bucket, and queue
   depth / admission decisions / per-replica load land in
   :class:`~repro.engine.metrics.EngineStats`.
@@ -99,12 +99,19 @@ class ServedRequest:
     mutation: Optional[MutationResult] = None
 
 
-@dataclass
+@dataclass(repr=False)
 class ServeResult:
     """Outcome of one async serving run, in request order."""
 
     requests: List[ServedRequest]
     wall_seconds: float
+
+    def __repr__(self) -> str:
+        # Short on purpose: asyncio.run formats its finished main task,
+        # result included, when it restores the SIGINT handler, and the
+        # default repr would print every answer matrix of the wave.
+        return "ServeResult(%r, wall_seconds=%.6f)" % (self.outcomes(),
+                                                       self.wall_seconds)
 
     @property
     def total_ios(self) -> int:
@@ -278,8 +285,7 @@ class AsyncExecutor:
         self._keys = set()
         #: Identical requests attached to an in-flight leader: later
         #: arrivals wait for the leader's answer instead of re-executing
-        #: (and without re-charging their tenant's budget) — the async
-        #: mirror of the batch path's constraint dedup.
+        #: (and without re-charging their tenant's budget).
         self._followers: Dict[Tuple, List[QueuedRequest]] = {}
         #: One future per request not yet handed back, keyed by seq.
         self._waiters: Dict[int, asyncio.Future] = {}

@@ -3,9 +3,9 @@
 :class:`ServingRequest` is the unit of work the async path accepts: a
 (tenant, dataset, constraint) triple plus a scheduling priority and an
 optional deadline.  *Tenant* here is a logical client, deliberately
-decoupled from *dataset* — many tenants can hit one dataset, which is
-exactly the head-of-line-blocking scenario the synchronous batch path
-cannot untangle (it serializes a dataset's requests in arrival order).
+decoupled from *dataset* — many tenants can hit one dataset, and
+per-request scheduling keeps one tenant's expensive queries from
+head-of-line-blocking the others.
 
 Mutations ride the same queue: a request with ``op="insert"`` /
 ``op="delete"`` carries a ``point`` instead of a constraint and flows

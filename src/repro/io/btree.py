@@ -331,6 +331,74 @@ class BTree:
         self._write_node(_INTERNAL, left, block_id=node_id)
         return (right[0][0], new_node, left[0][0])
 
+    def check_invariants(self) -> List[Tuple[Any, Any]]:
+        """Raise AssertionError unless the tree is a B+-tree: every node
+        holds 1..``fanout`` entries with ascending keys, each separator is
+        its child subtree's minimum, every leaf sits at depth ``height``,
+        the leaf chain visits every leaf in key order and holds
+        ``len(tree)`` entries, and the blocks reached are ``num_nodes``.
+        Returns the leaf chain's ``(key, value)`` entries, so a structure
+        built on the tree can check what it holds.
+
+        Nodes are read from the backend directly, so no I/O is charged
+        and the buffer pool is untouched.
+        """
+        get = self._store.backend.get
+        if self._root is None:
+            if (self._height, self._length, self._node_count) != (0, 0, 0):
+                raise AssertionError("an empty tree with height %d, %d "
+                                     "entries and %d nodes" % (
+                                         self._height, self._length,
+                                         self._node_count))
+            return []
+        leaves: List[BlockId] = []
+        reached: List[BlockId] = []
+
+        def subtree_min(node_id: BlockId, depth: int) -> Any:
+            reached.append(node_id)
+            (kind, __), *entries = get(node_id)
+            keys = [key for key, __ in entries]
+            if not 1 <= len(keys) <= self._fanout:
+                raise AssertionError("node %r holds %d entries, fanout %d"
+                                     % (node_id, len(keys), self._fanout))
+            if keys != sorted(keys):
+                raise AssertionError("node %r keys do not ascend: %r"
+                                     % (node_id, keys))
+            if (kind == _LEAF) != (depth == self._height):
+                raise AssertionError("%s node %r at depth %d of height %d"
+                                     % (kind, node_id, depth, self._height))
+            if kind == _LEAF:
+                leaves.append(node_id)
+            for key, child in entries if kind == _INTERNAL else ():
+                if subtree_min(child, depth + 1) != key:
+                    raise AssertionError("separator %r of node %r is not "
+                                         "its child's minimum" % (key,
+                                                                  node_id))
+            return keys[0]
+
+        subtree_min(self._root, 1)
+        chain: List[BlockId] = []
+        chained: List[Tuple[Any, Any]] = []
+        leaf_id: Optional[BlockId] = leaves[0]
+        while leaf_id is not None and len(chain) <= len(leaves):
+            chain.append(leaf_id)
+            (__, leaf_id), *entries = get(leaf_id)
+            chained.extend(entries)
+        keys = [key for key, __ in chained]
+        if chain != leaves:
+            raise AssertionError("the leaf chain %r is not the leaves in "
+                                 "key order %r" % (chain, leaves))
+        if keys != sorted(keys) or len(keys) != self._length:
+            raise AssertionError("the leaf chain holds %d entries (len %d), "
+                                 "ascending: %s" % (len(keys), self._length,
+                                                    keys == sorted(keys)))
+        if not len(set(reached)) == len(reached) == self._node_count:
+            raise AssertionError("%d blocks reached (%d distinct), "
+                                 "num_nodes %d" % (len(reached),
+                                                   len(set(reached)),
+                                                   self._node_count))
+        return chained
+
     def __repr__(self) -> str:
         return "BTree(len=%d, height=%d, nodes=%d, fanout=%d)" % (
             self._length, self._height, self._node_count, self._fanout)

@@ -61,10 +61,10 @@ class LRUCache(Generic[K, V]):
     def resize(self, capacity: int) -> None:
         """Change the capacity, evicting LRU entries if it shrank.
 
-        The engine's batch executor enlarges the buffer pool while serving
-        a query batch (cache reuse across queries) and restores the
-        original size afterwards, so single-query measurements keep the
-        model's small ``M/B``.
+        The engine enlarges the buffer pool while serving a wave of
+        queries (cache reuse across queries) and restores the original
+        size afterwards, so single-query measurements keep the model's
+        small ``M/B``.
         """
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0, got %r" % capacity)

@@ -47,6 +47,12 @@ def rows(answer):
     return list(map(tuple, getattr(answer, "points", answer).tolist()))
 
 
+def wave_answers(result):
+    """A serving wave's answers (``ServeResult.requests[i].answer``), in
+    request order."""
+    return [item.answer for item in result.requests]
+
+
 def assert_answer(answer, dimension):
     """The answer contract: one read-only C-contiguous ``(n, d)``
     float64 matrix."""

@@ -11,6 +11,7 @@ def make_tree(block_size=8, items=None, fanout=None):
     tree = BTree(store, fanout=fanout)
     if items is not None:
         tree.bulk_load(items)
+    tree.check_invariants()
     return store, tree
 
 
@@ -116,6 +117,7 @@ class TestInsert:
     def test_insert_into_empty_tree(self):
         __, tree = make_tree()
         tree.insert(5, "five")
+        tree.check_invariants()
         assert tree.search(5) == "five"
         assert len(tree) == 1
 
@@ -127,6 +129,7 @@ class TestInsert:
         __, tree = make_tree(block_size=8)
         for key in keys:
             tree.insert(key, key * 2)
+        tree.check_invariants()
         assert len(tree) == 300
         for key in range(300):
             assert tree.search(key) == key * 2
@@ -138,17 +141,20 @@ class TestInsert:
         __, tree = make_tree(block_size=8)
         for key in keys:
             tree.insert(key, None)
+            tree.check_invariants()
         assert [key for key, __ in tree.items()] == sorted(keys)
 
     def test_insert_after_bulk_load(self):
         __, tree = make_tree(items=[(i, i) for i in range(0, 100, 2)])
         tree.insert(31, "odd")
+        tree.check_invariants()
         assert tree.search(31) == "odd"
         assert tree.predecessor(32) == (32, 32)
 
     def test_insert_key_below_current_minimum(self):
         __, tree = make_tree(items=[(10, "a"), (20, "b")])
         tree.insert(1, "new-min")
+        tree.check_invariants()
         assert tree.search(1) == "new-min"
         assert list(tree.items())[0] == (1, "new-min")
 
@@ -163,3 +169,38 @@ class TestInsert:
         __, tree = make_tree(items=[(i, i) for i in range(100)])
         assert tree.space_blocks == tree.num_nodes
         assert tree.space_blocks >= 100 // tree.fanout
+
+
+class TestCheckInvariants:
+    def test_the_check_reads_no_block(self):
+        store, tree = make_tree(items=[(i, i) for i in range(200)])
+        store.reset_stats()
+        tree.check_invariants()
+        assert store.stats.total == 0
+
+    def test_duplicate_keys_across_leaves_pass(self):
+        __, tree = make_tree(items=[(i // 20, i) for i in range(100)])
+        for key in (0, 2, 2, 4, 5):
+            tree.insert(key, -key)
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda node: node[:1] + node[1:][::-1], "do not ascend"),
+        (lambda node: node[:1] + [(node[1][0] - 1, node[1][1])] + node[2:],
+         "minimum"),
+        (lambda node: node + node[1:], "fanout"),
+    ])
+    def test_a_broken_relation_raises(self, corrupt, message):
+        store, tree = make_tree(items=[(i, i) for i in range(200)])
+        root = store.backend.get(tree._root)
+        store.backend.put(tree._root, corrupt(root))
+        with pytest.raises(AssertionError, match=message):
+            tree.check_invariants()
+
+    def test_a_broken_leaf_chain_raises(self):
+        store, tree = make_tree(items=[(i, i) for i in range(200)])
+        first = next(block_id for block_id in range(store.num_blocks)
+                     if store.backend.get(block_id)[0] == ("L", None))
+        store.backend.put(first, [("L", first)] + store.backend.get(first)[1:])
+        with pytest.raises(AssertionError, match="leaf chain"):
+            tree.check_invariants()

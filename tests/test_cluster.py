@@ -268,8 +268,24 @@ def test_write_log_orders_and_clears():
     assert log.append("d", 1, "insert", (3.0, 4.0)) == 1   # per-shard seqs
     assert [entry[0] for entry in log.entries("d", 0)] == [1, 2]
     assert log.sizes() == {"d#0": 2, "d#1": 1}
+    log.check_invariants()
     assert log.clear_dataset("d") == 3
     assert log.entries("d", 0) == []
+    log.check_invariants()
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda log: log._entries[("d", 0)].pop(0),          # a gap before 2
+    lambda log: log._next_seq.__setitem__(("d", 0), 3),  # counter ahead
+    lambda log: log._entries[("d", 0)].reverse(),        # out of order
+])
+def test_a_broken_write_log_raises(corrupt):
+    log = WriteLog()
+    for op in ("insert", "delete"):
+        log.append("d", 0, op, (1.0, 2.0))
+    corrupt(log)
+    with pytest.raises(AssertionError, match="d#0"):
+        log.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -435,6 +451,7 @@ def test_worker_death_mid_wave_loses_no_requests(points2d):
             # A failed attempt charges nothing: the I/Os are exactly the
             # serving replica's, never lost, never double-counted.
             assert answer.total_ios == ios
+        engine.cluster.check_invariants()
     finally:
         engine.close()
         reference.close()
@@ -454,10 +471,13 @@ def test_restarted_worker_replays_missed_writes(points2d):
         assert wait_until(lambda: not victim.process.is_alive())
         for point in missed:
             assert engine.insert("pts", point).applied   # logged, not lost
+        engine.cluster.check_invariants()
 
         engine.cluster.check_workers(restart=True)
+        engine.cluster.check_invariants()
         restarted = engine.cluster.worker("pts", 0, 0)
         assert restarted is not None and restarted.pid != victim.pid
+        assert restarted.last_seq == len(missed)
         stats = engine.cluster.worker_stats("pts", 0, 0)
         assert stats["last_seq"] == len(missed)          # replayed in order
         assert stats["writes"] == len(missed)
@@ -468,6 +488,9 @@ def test_restarted_worker_replays_missed_writes(points2d):
         assert all(tuple(point) in answered for point in missed)
         assert restarted.served > 0 or engine.cluster.worker(
             "pts", 0, 1).served > 0
+        restarted.last_seq -= 1              # a worker left behind the log
+        with pytest.raises(AssertionError, match="at seq 5"):
+            engine.cluster.check_invariants()
     finally:
         engine.close()
 
@@ -484,6 +507,7 @@ def test_all_workers_dead_falls_back_to_local_state(points2d):
         assert sorted(map(tuple, answer.points)) \
             == sorted(map(tuple, baseline.points))
         assert answer.total_ios == baseline.total_ios
+        engine.cluster.check_invariants()
     finally:
         engine.close()
 
@@ -547,8 +571,10 @@ def test_rebalance_restarts_workers_and_clears_log(points2d):
         old_pids = {handle.pid for handle in (
             engine.cluster.worker("pts", shard_id, replica_id)
             for shard_id in range(2) for replica_id in range(2))}
+        engine.cluster.check_invariants()
         engine.rebalance("pts")
         assert engine.cluster.log.sizes() == {}    # absorbed by the split
+        engine.cluster.check_invariants()
         new_pids = {handle.pid for handle in (
             engine.cluster.worker("pts", shard_id, replica_id)
             for shard_id in range(2) for replica_id in range(2))}

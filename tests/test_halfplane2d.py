@@ -18,10 +18,17 @@ from repro.workloads import (
 from conftest import assert_answer, brute_force_halfspace, rows
 
 
+def built(*args, **kwargs):
+    """A HalfplaneIndex2D whose structure passed its check."""
+    index = HalfplaneIndex2D(*args, **kwargs)
+    index.check_invariants()
+    return index
+
+
 @pytest.fixture(scope="module")
 def uniform_index():
     points = uniform_points(3000, seed=1)
-    return points, HalfplaneIndex2D(points, block_size=32, seed=2)
+    return points, built(points, block_size=32, seed=2)
 
 
 class TestConstruction:
@@ -30,12 +37,12 @@ class TestConstruction:
         assert default_beta(100_000, 64) >= 64
 
     def test_empty_index(self):
-        index = HalfplaneIndex2D([], block_size=16)
+        index = built([], block_size=16)
         assert index.size == 0
         assert rows(index.query(LinearConstraint((1.0,), 0.0))) == []
 
     def test_single_point(self):
-        index = HalfplaneIndex2D([(0.5, 0.5)], block_size=16)
+        index = built([(0.5, 0.5)], block_size=16)
         hit = LinearConstraint((0.0,), 1.0)
         miss = LinearConstraint((0.0,), 0.0)
         assert rows(index.query(hit)) == [(0.5, 0.5)]
@@ -57,7 +64,7 @@ class TestConstruction:
         assert_answer(answer, 2)
         assert len(answer) > 100
         assert {tuple(p) for p in answer} == brute_force_halfspace(points, constraint)
-        empty = HalfplaneIndex2D([], block_size=16).query(constraint)
+        empty = built([], block_size=16).query(constraint)
         assert_answer(empty, 2)
         assert len(empty) == 0
 
@@ -107,14 +114,14 @@ class TestCorrectness:
 
     def test_matches_ground_truth_on_clustered_points(self):
         points = clustered_points(1500, seed=6)
-        index = HalfplaneIndex2D(points, block_size=32, seed=7)
+        index = built(points, block_size=32, seed=7)
         for constraint in random_halfspace_queries(8, seed=8):
             assert brute_force_halfspace(points, constraint) == \
                 {tuple(p) for p in index.query(constraint)}
 
     def test_matches_ground_truth_on_adversarial_diagonal(self):
         points = diagonal_points(1200, seed=9)
-        index = HalfplaneIndex2D(points, block_size=32, seed=10)
+        index = built(points, block_size=32, seed=10)
         queries = halfspace_queries_with_selectivity(points, 6, 0.1, seed=11)
         for constraint in queries:
             assert brute_force_halfspace(points, constraint) == \
@@ -127,8 +134,8 @@ class TestCorrectness:
 
     def test_cluster_width_factor_two_still_correct(self):
         points = uniform_points(800, seed=12)
-        index = HalfplaneIndex2D(points, block_size=32, seed=13,
-                                 cluster_width_factor=2)
+        index = built(points, block_size=32, seed=13,
+                      cluster_width_factor=2)
         for constraint in random_halfspace_queries(6, seed=14):
             assert brute_force_halfspace(points, constraint) == \
                 {tuple(p) for p in index.query(constraint)}
@@ -171,7 +178,7 @@ class TestQueryCost:
     def test_adversarial_query_stays_output_sensitive(self):
         """The Section 1.2 scenario: the paper's structure does not degrade."""
         points = diagonal_points(2000, seed=20)
-        index = HalfplaneIndex2D(points, block_size=32, seed=21)
+        index = built(points, block_size=32, seed=21)
         from repro.workloads import rotated_diagonal_query
         constraint = rotated_diagonal_query(points, angle=1e-3, selectivity=0.05)
         result = index.query_with_stats(constraint)
@@ -179,3 +186,42 @@ class TestQueryCost:
         assert {tuple(p) for p in result.points} == \
             brute_force_halfspace(points, constraint)
         assert result.total_ios < n
+
+
+class TestCheckInvariants:
+    def test_the_check_reads_no_block(self, uniform_index):
+        __, index = uniform_index
+        index.store.reset_stats()
+        index.check_invariants()
+        assert index.store.stats.total == 0
+
+    def test_a_narrow_cluster_width_and_a_lone_layer_pass(self):
+        built(uniform_points(800, seed=12), block_size=32, seed=13,
+              cluster_width_factor=1)
+        built(uniform_points(40, seed=1), block_size=32, seed=1)
+
+    @pytest.mark.parametrize("relation", [
+        "slopes do not ascend", "outside", "num_lines", "boundary tree",
+        "partition"])
+    def test_a_broken_relation_raises(self, relation):
+        index = built(uniform_points(1500, seed=3), block_size=32, seed=4)
+        first, last = index._layers[0], index._layers[-1]
+        assert first is not last
+        backend = index.store.backend
+        block_id = first.clusters[0].block_ids[0]
+        if relation == "slopes do not ascend":
+            backend.put(block_id, backend.get(block_id)[::-1])
+        elif relation == "outside":
+            first.lam = 3 * index.beta
+        elif relation == "num_lines":
+            first.num_lines += 1
+        elif relation == "boundary tree":
+            first.bounds[1] += 1e-9
+        else:   # a point number of the first layer reappears in the last
+            stolen = backend.get(block_id)[0][0]
+            block_id = last.clusters[0].block_ids[0]
+            records = backend.get(block_id)
+            records[0] = (stolen, *records[0][1:])
+            backend.put(block_id, records)
+        with pytest.raises(AssertionError, match=relation):
+            index.check_invariants()

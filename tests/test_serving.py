@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from conftest import brute_force_halfspace
+from conftest import brute_force_halfspace, wave_answers
 
 from repro import LinearConstraint, QueryEngine
 from repro.engine import (Catalog, ServingRequest, TenantBudget,
@@ -758,7 +758,7 @@ def test_replicated_answers_match_brute_force(points2d):
     constraints = halfspace_queries_with_selectivity(points2d, 5, 0.08,
                                                      seed=37)
     batch = engine.serve_batch("sh", constraints)
-    for constraint, answer in zip(constraints, batch.queries):
+    for constraint, answer in zip(constraints, wave_answers(batch)):
         assert {tuple(p) for p in answer.points} == brute_force_halfspace(
             points2d, constraint)
 

@@ -8,7 +8,8 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import assert_replica_layout, brute_force_halfspace, rows
+from conftest import (assert_replica_layout, brute_force_halfspace, rows,
+                      wave_answers)
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.engine import Catalog, ShardedPlan
@@ -198,7 +199,7 @@ def test_fanout_answers_match_brute_force(sharded_engine, points2d):
     constraints = halfspace_queries_with_selectivity(points2d, 5, 0.08,
                                                      seed=61)
     batch = sharded_engine.serve_batch("sh", constraints)
-    for constraint, answer in zip(constraints, batch.queries):
+    for constraint, answer in zip(constraints, wave_answers(batch)):
         assert {tuple(p) for p in answer.points} == brute_force_halfspace(
             points2d, constraint)
         assert answer.shards_queried >= 1
@@ -386,7 +387,8 @@ def test_sharded_result_cache_and_stats(points2d):
     engine.register_sharded_dataset("sh", points2d, num_shards=4)
     constraints = steep_leading_attribute_queries(points2d, 3, 0.05, seed=73)
     batch = engine.serve_batch("sh", constraints + constraints)
-    assert batch.result_cache_hits == len(constraints)
+    assert sum(answer.from_result_cache
+               for answer in wave_answers(batch)) == len(constraints)
     summary = engine.summary()
     assert summary["shards_queried"] > 0
     assert summary["shards_pruned"] > 0
@@ -404,7 +406,8 @@ def test_file_backed_sharded_engine_matches_memory(points2d, tmp_path):
     memory_batch = memory_engine.serve_batch("sh", constraints)
     file_batch = file_engine.serve_batch("sh", constraints)
     assert memory_batch.total_ios == file_batch.total_ios
-    for first, second in zip(memory_batch.queries, file_batch.queries):
+    for first, second in zip(wave_answers(memory_batch),
+                             wave_answers(file_batch)):
         assert {tuple(p) for p in first.points} == {
             tuple(p) for p in second.points}
     # "#" is hex-escaped in block file names ("sh#0" -> "sh_0000230.blocks")
