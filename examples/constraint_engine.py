@@ -186,7 +186,7 @@ def main() -> None:
     fresh = engine.query("servers", constraint, clear_cache=True)
     assert {tuple(p) for p in fresh.points} == {
         tuple(p) for p in live if constraint.below(p)}
-    for shard in engine.catalog.sharded("servers").nonempty_shards():
+    for shard in engine.catalog.sharded("servers").shards:
         assert shard.replicas_for_query() == [0, 1]        # no pinning
     writes = engine.summary()["writes"]["servers"]
     print("  write counters  : %d inserts, %d deletes, p95 %.2f ms"

@@ -101,6 +101,7 @@ from repro.engine.stats import (
     EnsembleModel,
     EquiDepthHistogram,
     HistogramModel,
+    Reservoir,
     SelectivityModel,
     UniformSampleModel,
     make_model,
@@ -136,6 +137,7 @@ __all__ = [
     "RangeShardRouter",
     "RebalanceManager",
     "RebalanceReport",
+    "Reservoir",
     "SelectivityModel",
     "ServeResult",
     "ServedQueryRecord",

@@ -18,14 +18,17 @@ whose selectivity model is the dataset-level one; the plain-name lookups
 or a real file — is chosen per catalog or per dataset; see
 :mod:`repro.io.backend`.  A dataset's replica settings are resolved once,
 at registration, into a :class:`ReplicaRecipe`, and every replica —
-registered, re-split, lazily materialised or rebuilt in a worker
-process — comes out of :func:`build_replicas`.
+registered, re-split or rebuilt in a worker process — comes out of
+:func:`build_replicas`.  Every shard is built with its dataset, a shard
+the router gave no points included: a zero-point shard is an ordinary
+index suite over ``(0, d)`` that the first insert routed to it fills.
 
 The catalog also attaches a pluggable *selectivity model* (see
 :mod:`repro.engine.stats`) to every dataset — and to every shard child,
 so sharded planning is priced with shard-local statistics.  The default
 ``"uniform"`` model evaluates constraints on a small in-memory sample
-(O(sample) arithmetic, zero I/Os); ``"histogram"`` maintains equi-depth
+that it owns and that fills as its data grows (O(sample) arithmetic,
+zero I/Os); ``"histogram"`` maintains equi-depth
 directional histograms that resolve skewed data like the §1.2 diagonal;
 ``"ensemble"`` runs both side by side and blends them with online
 e-value-style weights learned from observed per-query q-error.
@@ -67,7 +70,7 @@ from repro.engine.sharding import (
     ShardedDataset,
     make_router,
 )
-from repro.engine.stats import SelectivityModel, make_model
+from repro.engine.stats import Reservoir, SelectivityModel, make_model
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import make_backend
 from repro.io.store import BlockStore, IOStats
@@ -151,13 +154,13 @@ class BuildRecord:
 
 @dataclass
 class Dataset:
-    """One replica of one shard: its store, indexes, sample and statistics."""
+    """One replica of one shard: its store, indexes and statistics."""
 
     name: str
     points: np.ndarray
     store: BlockStore
-    sample: np.ndarray
-    #: Pluggable selectivity model (shared by a shard's replicas).
+    #: Pluggable selectivity model, owner of the shard's sample (shared
+    #: by a shard's replicas).
     stats: SelectivityModel
     indexes: Dict[str, ExternalIndex] = field(default_factory=dict)
     build_records: Dict[str, BuildRecord] = field(default_factory=dict)
@@ -238,9 +241,9 @@ class ReplicaRecipe:
 
     Resolved once per dataset, at registration, from the ``register_*``
     overrides and the catalog-wide defaults, and kept on the
-    :class:`~repro.engine.sharding.ShardedDataset`: a re-split, a lazy
-    shard materialisation, a stats upgrade and a shard-worker process all
-    rebuild from this record, so "the same replica" has one definition.
+    :class:`~repro.engine.sharding.ShardedDataset`: a re-split and a
+    shard-worker process rebuild from this record, so "the same replica"
+    has one definition.
     ``stats_params`` already has the override rule applied — a
     per-dataset ``stats_model`` does *not* inherit the catalog-wide
     params, which belong to the catalog's model kind (histogram bucket
@@ -258,26 +261,27 @@ class ReplicaRecipe:
     replicas: int
 
 
-def fit_stats(recipe: ReplicaRecipe,
-              array: np.ndarray) -> Tuple[np.ndarray, SelectivityModel]:
-    """The recipe's sample and selectivity model over ``array``.
+def fit_stats(recipe: ReplicaRecipe, array: np.ndarray) -> SelectivityModel:
+    """The recipe's selectivity model over ``array``, owning its sample.
 
+    The sample is ``array`` itself up to ``recipe.sample_size`` rows,
+    else a seeded draw of that many; below that size it fills with the
+    inserts the model observes (:class:`~repro.engine.stats.Reservoir`).
     Histogram and ensemble models need at least one build point, so a
-    zero-point array (a lazily materialised shard) gets the uniform
-    sample model whatever kind is configured; the shard is promoted by
-    :meth:`Catalog.upgrade_shard_stats` once it holds enough points.
+    zero-point array gets the uniform model whatever kind is configured,
+    until its dataset's next re-split.
     """
     if len(array) <= recipe.sample_size:
-        sample = array.copy()
+        rows = array.copy()
     else:
         rng = np.random.default_rng(recipe.seed)
-        sample = array[rng.choice(len(array), size=recipe.sample_size,
-                                  replace=False)]
+        rows = array[rng.choice(len(array), size=recipe.sample_size,
+                                replace=False)]
+    sample = Reservoir(rows, recipe.sample_size, recipe.seed)
     model, params = recipe.stats_model, recipe.stats_params
     if len(array) == 0:
         model, params = "uniform", {}
-    return sample, make_model(model, array, sample, seed=recipe.seed,
-                              **params)
+    return make_model(model, array, sample, seed=recipe.seed, **params)
 
 
 def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
@@ -303,9 +307,8 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     index = index_kind.factory(dataset.points, store=dataset.store,
                                **params)
     elapsed = time.perf_counter() - started
-    # Every engine-owned dynamic index — registered, re-split, lazily
-    # materialised, built late or rebuilt in a worker — takes writes
-    # through the write path alone.
+    # Every engine-owned dynamic index — registered, re-split, built late
+    # or rebuilt in a worker — takes writes through the write path alone.
     if isinstance(index, DynamicPartitionTreeIndex):
         index.add_pre_mutation_listener(dataset.refuse_direct_write)
     record = BuildRecord(
@@ -331,15 +334,15 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
 
     Each replica gets its own store (a ``<name>.blocks`` file under the
     recipe's ``data_dir`` for file backends) and a replay of
-    ``suite_builds``; all of them share one sample and one selectivity
-    model — they hold identical data, and the write path feeds a
+    ``suite_builds``; all of them share one selectivity model and its
+    sample — they hold identical data, and the write path feeds a
     committed write to the model once.  Samples and the randomised
-    builds are seeded from the recipe, so the same arguments give the same stores
-    and structures in any process: registration, re-split, lazy
-    materialisation and the shard worker all call this, which is what
-    replica parity and process-mode I/O parity rest on.
+    builds are seeded from the recipe, so the same arguments give the
+    same stores and structures in any process: registration, re-split
+    and the shard worker all call this, which is what replica parity and
+    process-mode I/O parity rest on.  ``chunk`` may hold zero points.
     """
-    sample, stats = fit_stats(recipe, chunk)
+    stats = fit_stats(recipe, chunk)
     replicas: List[Dataset] = []
     for name in names:
         path = None
@@ -347,25 +350,23 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
             path = os.path.join(recipe.data_dir,
                                 Catalog._block_file_name(name))
         replica = Dataset(
-            name=name, points=chunk, sample=sample, stats=stats,
+            name=name, points=chunk, stats=stats,
             store=BlockStore(block_size=recipe.block_size,
                              cache_blocks=recipe.cache_blocks,
                              backend=make_backend(recipe.backend, path=path)))
         for build in suite_builds:
-            params = dict(build["params"])
-            if len(chunk) == 0 and build["kind"] == "dynamic":
-                # A dynamic index built from zero points cannot infer the
-                # dimension from its build array.
-                params.setdefault("dimension", chunk.shape[1])
             _build_index(replica, recipe.seed, build["kind"],
-                         build["index_name"], params)
+                         build["index_name"], build["params"])
         replicas.append(replica)
     return replicas
 
 
 def _boxed_shard(shard_id: int, replicas: List[Dataset]) -> Shard:
-    """A shard over freshly built replicas, boxed by their build points."""
+    """A shard over freshly built replicas, boxed by their build points
+    (none over zero points: pruned until a write makes the box stale)."""
     points = replicas[0].points
+    if len(points) == 0:
+        return Shard(shard_id=shard_id, replicas=replicas)
     return Shard(shard_id=shard_id, replicas=replicas,
                  lows=tuple(points.min(axis=0).tolist()),
                  highs=tuple(points.max(axis=0).tolist()))
@@ -495,7 +496,7 @@ class Catalog:
                               stats_model, stats_params, 1)
         [replica] = build_replicas([name], array, recipe, [])
         self._datasets[name] = ShardedDataset(
-            name=name, points=array, sample=replica.sample,
+            name=name, points=array,
             router=HashShardRouter(1), stats=replica.stats, recipe=recipe,
             shards=[_boxed_shard(0, [replica])])
         return replica
@@ -518,17 +519,13 @@ class Catalog:
                      recipe: ReplicaRecipe, generation: int,
                      suite_builds: Sequence[Dict[str, object]]
                      ) -> List[Shard]:
-        """The router's layout of ``array``: one boxed shard per chunk."""
-        shards: List[Shard] = []
-        for shard_id, rows in enumerate(router.assign(array)):
-            if len(rows) == 0:
-                shards.append(Shard(shard_id=shard_id))
-                continue
-            names = self._replica_names(name, shard_id, recipe.replicas,
-                                        generation)
-            shards.append(_boxed_shard(shard_id, build_replicas(
-                names, array[rows], recipe, suite_builds)))
-        return shards
+        """The router's layout of ``array``: one boxed shard per chunk, a
+        zero-point chunk included."""
+        return [_boxed_shard(shard_id, build_replicas(
+                    self._replica_names(name, shard_id, recipe.replicas,
+                                        generation),
+                    array[rows], recipe, suite_builds))
+                for shard_id, rows in enumerate(router.assign(array))]
 
     def register_sharded_dataset(self, name: str,
                                  points: Sequence[Sequence[float]],
@@ -545,18 +542,18 @@ class Catalog:
         """Partition ``points`` across ``num_shards`` per-shard stores.
 
         ``sharding`` picks the router (``"range"`` on ``shard_attribute``,
-        or ``"hash"``); each non-empty shard gets ``replicas`` child
-        datasets — the primary named ``<name>#<shard>``, further replicas
-        ``<name>#<shard>@r<replica>`` — each with its own store (and
-        backend), sharing the shard's sample and selectivity model, and
-        records the bounding box of its points for pruning.  Replicas
+        or ``"hash"``); each shard — one the router gave no points too —
+        gets ``replicas`` child datasets — the primary named
+        ``<name>#<shard>``, further replicas ``<name>#<shard>@r<replica>``
+        — each with its own store (and backend), sharing the shard's
+        selectivity model, and records the bounding box of its points
+        for pruning.  Replicas
         hold identical copies of the shard's points, so the executor can
         overlap concurrent queries on the same shard by picking the
         least-loaded replica.  The resolved :class:`ReplicaRecipe` is
         kept on the returned
         :class:`~repro.engine.sharding.ShardedDataset`, so every later
-        rebuild (re-split, lazy materialisation, worker process) uses
-        identical settings.
+        rebuild (re-split, worker process) uses identical settings.
         """
         self._check_name_free(name)
         if replicas < 1:
@@ -566,10 +563,9 @@ class Catalog:
                              attribute=shard_attribute)
         recipe = self._recipe(block_size, cache_blocks, backend,
                               stats_model, stats_params, replicas)
-        sample, stats = fit_stats(recipe, array)
         sharded = ShardedDataset(
-            name=name, points=array, sample=sample, router=router,
-            stats=stats, recipe=recipe,
+            name=name, points=array, router=router,
+            stats=fit_stats(recipe, array), recipe=recipe,
             shards=self._make_shards(name, array, router, recipe, 0, []))
         self._datasets[name] = sharded
         return sharded
@@ -673,7 +669,7 @@ class Catalog:
         with sharded.write_lock:
             old_sizes = sharded.shard_live_sizes()
             chunks = [self.live_points_of(shard.planning_dataset())
-                      for shard in sharded.nonempty_shards()]
+                      for shard in sharded.shards]
             chunks = [chunk for chunk in chunks if len(chunk)]
             if not chunks:
                 raise ValueError("cannot re-split %r: it holds no live "
@@ -687,7 +683,7 @@ class Catalog:
             shards = self._make_shards(name, array, router, sharded.recipe,
                                        generation, sharded.suite_builds)
             sharded.points = array
-            sharded.sample, sharded.stats = fit_stats(sharded.recipe, array)
+            sharded.stats = fit_stats(sharded.recipe, array)
             sharded.router = router
             sharded.shards = shards
             sharded.generation = generation
@@ -707,79 +703,6 @@ class Catalog:
             "num_points": int(len(array)),
         }
 
-    def materialize_shard(self, name: str, shard_id: int) -> Shard:
-        """Build an empty shard's replicas, stores and index suite in place.
-
-        A range shard that received no build points holds no replicas, so
-        the first insert routed into it has nowhere to land.  This builds
-        the shard's child datasets from a zero-point array — through
-        :func:`build_replicas`, exactly as registration would have — and
-        attaches them to the existing :class:`Shard` object, so live
-        ingest over the write path works on a fresh shard instead of
-        erroring.  No-op when the shard already has replicas.
-
-        The caller must hold the dataset's ``write_lock`` (the write path
-        does, and applies the triggering insert right after).
-
-        The shard's bounding box starts stale: there are no points to
-        bound, and pruning must not skip the shard once its first insert
-        lands.  Histogram selectivity models need at least one build
-        point, so a materialized shard starts from the uniform sample
-        model regardless of the configured kind; the shard is marked
-        ``stats_provisional`` so the engine's post-commit step can promote
-        it onto the configured model once it holds enough live points
-        (:meth:`upgrade_shard_stats`) — a re-split also rebuilds it with
-        the registered model over real points.
-        """
-        sharded = self.sharded(name)
-        shard = sharded.shards[shard_id]
-        if not shard.is_empty:
-            return shard
-        names = self._replica_names(name, shard_id, sharded.recipe.replicas,
-                                    sharded.generation)
-        # Attached only once every build succeeded, so a failed build
-        # leaves the shard empty (and the write that triggered it fails)
-        # instead of half-materialized.
-        shard.replicas = build_replicas(
-            names, np.empty((0, sharded.dimension), dtype=float),
-            sharded.recipe, sharded.suite_builds)
-        shard.lows = None
-        shard.highs = None
-        shard.box_stale = True
-        shard.stats_provisional = True
-        return shard
-
-    def upgrade_shard_stats(self, name: str, shard_id: int,
-                            min_points: int) -> bool:
-        """Promote a provisional shard onto the configured stats model.
-
-        A lazily materialized shard starts on the uniform model (it had
-        no build points to fit a histogram over).  Once its live point
-        count reaches ``min_points``, this re-fits the dataset's
-        *registered* model — kind and params — over the shard's current
-        live points and a fresh sample, and rebinds it on every replica
-        (replicas share one model object, so one rebind serves all).
-        Returns True when the upgrade happened; False while the shard is
-        still too small, no longer provisional, or empty of live points.
-
-        The caller must hold the dataset's ``write_lock`` (the engine's
-        post-commit step runs inside the write path, which does).
-        """
-        sharded = self.sharded(name)
-        shard = sharded.shards[shard_id]
-        if not shard.stats_provisional or shard.is_empty:
-            return False
-        primary = shard.planning_dataset()
-        live = self.live_points_of(primary)
-        if len(live) < max(1, int(min_points)):
-            return False
-        sample, stats = fit_stats(sharded.recipe, live)
-        for replica in shard.replicas:
-            replica.sample = sample
-            replica.stats = stats
-        shard.stats_provisional = False
-        return True
-
     def sharded(self, name: str) -> ShardedDataset:
         """Look up a registered dataset (KeyError with the known names)."""
         if name not in self._datasets:
@@ -793,10 +716,8 @@ class Catalog:
         Such a replica keeps its dataset's own name; every other
         replica's name carries a ``#<shard>`` suffix.
         """
-        primary = self.sharded(name).shards[0].dataset
-        if primary is not None and primary.name == name:
-            return primary
-        return None
+        primary = self.sharded(name).shards[0].planning_dataset()
+        return primary if primary.name == name else None
 
     def dataset(self, name: str) -> Dataset:
         """The sole replica of a ``register_dataset`` name."""
@@ -822,7 +743,7 @@ class Catalog:
     def stores(self, name: str) -> List[BlockStore]:
         """Every store backing a dataset: one per shard replica."""
         return [replica.store
-                for shard in self.sharded(name).nonempty_shards()
+                for shard in self.sharded(name).shards
                 for replica in shard.replicas]
 
     def close(self) -> None:
@@ -852,7 +773,7 @@ class Catalog:
     def build_sharded_index(self, dataset_name: str, kind: str,
                             index_name: Optional[str] = None,
                             **params) -> List[BuildRecord]:
-        """Build one kind on every replica of every non-empty shard.
+        """Build one kind on every replica of every shard.
 
         The build — kind, index name *and* parameters — is recorded on
         the sharded dataset's ``suite_builds`` so a re-split
@@ -862,7 +783,7 @@ class Catalog:
         sharded = self.sharded(dataset_name)
         records = [_build_index(replica, sharded.recipe.seed, kind,
                                 index_name, params)
-                   for shard in sharded.nonempty_shards()
+                   for shard in sharded.shards
                    for replica in shard.replicas]
         # Record only after the builds succeeded: a phantom entry for a
         # failed build would make every later re-split fail mid-rebuild.
@@ -878,8 +799,8 @@ class Catalog:
                     kinds: Optional[Sequence[str]] = None) -> List[BuildRecord]:
         """Build a set of kinds (default: :func:`default_suite`) over a dataset.
 
-        Every kind is built on every replica of every non-empty shard
-        (the records are returned in shard order per kind).
+        Every kind is built on every replica of every shard (the records
+        are returned in shard order per kind).
         """
         chosen = list(kinds) if kinds is not None else default_suite(
             self.sharded(dataset_name).dimension)
@@ -906,7 +827,7 @@ class Catalog:
             return dict(getattr(sole, attribute))
         return {
             self._sharded_key(shard.shard_id, replica_id, index_name): value
-            for shard in self.sharded(dataset_name).nonempty_shards()
+            for shard in self.sharded(dataset_name).shards
             for replica_id, replica in enumerate(shard.replicas)
             for index_name, value in getattr(replica, attribute).items()
         }

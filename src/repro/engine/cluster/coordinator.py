@@ -2,7 +2,8 @@
 
 One :class:`Coordinator` sits between the executor's shard fan-out and a
 fleet of :mod:`~repro.engine.cluster.worker` processes — one process per
-non-empty shard replica of every covered sharded dataset.  It owns:
+shard replica of every covered sharded dataset (a shard built over zero
+points included).  It owns:
 
 * **placement** — :meth:`start_dataset` forks a worker per replica, each
   rebuilding its replica deterministically from the dataset's
@@ -156,10 +157,10 @@ class Coordinator:
     # placement
     # ------------------------------------------------------------------
     def start_dataset(self, name: str) -> int:
-        """Spawn one worker per non-empty shard replica; returns how many."""
+        """Spawn one worker per shard replica; returns how many."""
         sharded = self._catalog.sharded(name)
         spawned = 0
-        for shard in sharded.nonempty_shards():
+        for shard in sharded.shards:
             for replica_id in range(shard.num_replicas):
                 self._spawn(name, shard, replica_id)
                 spawned += 1
@@ -176,8 +177,7 @@ class Coordinator:
             for handle in handles:
                 del self._workers[handle.key]
             self._covered.discard(name)
-        for handle in handles:
-            self._shutdown_handle(handle)
+        self._shutdown(handles)
 
     def _spawn(self, dataset_name: str, shard: Shard,
                replica_id: int) -> WorkerHandle:
@@ -251,10 +251,7 @@ class Coordinator:
         with self._lock:
             if self._stopped:
                 return None
-        sharded = self._catalog.sharded(dataset_name)
-        shard = sharded.shards[shard_id]
-        if shard.is_empty or replica_id >= shard.num_replicas:
-            return None
+        shard = self._catalog.sharded(dataset_name).shards[shard_id]
         return self._spawn(dataset_name, shard, replica_id)
 
     def _serves(self, dataset_name: str) -> bool:
@@ -348,8 +345,8 @@ class Coordinator:
         with self._lock:
             if not self._serves(dataset_name):
                 return
-            target = Catalog.mutable_index_name(
-                self._catalog.sharded(dataset_name).shards[shard_id].dataset)
+            target = Catalog.mutable_index_name(self._catalog.sharded(
+                dataset_name).shards[shard_id].planning_dataset())
             seq = self.log.append(dataset_name, shard_id, op, record)
             payload = self._write_request(seq, op, record)
             for handle in list(self._workers.values()):
@@ -363,20 +360,6 @@ class Coordinator:
                     handle.last_seq = seq
                 except WorkerUnavailable:
                     self.mark_dead(handle)
-
-    def on_materialize(self, dataset_name: str, shard_id: int) -> None:
-        """Write-path listener: a lazily materialized shard grew replicas.
-
-        Fires (under the write barrier) before the triggering insert
-        fans out, so the new shard's workers exist before its first
-        logged write is broadcast.
-        """
-        with self._lock:
-            if not self._serves(dataset_name):
-                return
-        shard = self._catalog.sharded(dataset_name).shards[shard_id]
-        for replica_id in range(shard.num_replicas):
-            self._spawn(dataset_name, shard, replica_id)
 
     def on_rebalance(self, dataset_name: str) -> None:
         """Rebalance listener: rebuild the dataset's fleet on the new layout.
@@ -529,7 +512,8 @@ class Coordinator:
                     continue
                 last = self.log.last_seq(handle.dataset, handle.shard_id)
                 target = Catalog.mutable_index_name(self._catalog.sharded(
-                    handle.dataset).shards[handle.shard_id].dataset)
+                    handle.dataset).shards[handle.shard_id]
+                    .planning_dataset())
                 if handle.last_seq > last or (
                         target in handle.indexes and handle.last_seq != last):
                     raise AssertionError(
@@ -552,17 +536,22 @@ class Coordinator:
                 "write_log": self.log.sizes(),
             }
 
-    def _shutdown_handle(self, handle: WorkerHandle) -> None:
-        if handle.alive:
-            try:
-                handle.client.call({"op": "shutdown"}, timeout_s=2.0)
-            except (WorkerUnavailable, WorkerError):
-                pass
-        handle.client.close()
-        handle.process.join(timeout=2.0)
-        if handle.process.is_alive():
-            handle.process.terminate()
+    @staticmethod
+    def _shutdown(handles: List[WorkerHandle]) -> None:
+        """Ask every worker to stop, then reap them all: a fleet waits
+        out one accept poll, not one per worker."""
+        for handle in handles:
+            if handle.alive:
+                try:
+                    handle.client.call({"op": "shutdown"}, timeout_s=2.0)
+                except (WorkerUnavailable, WorkerError):
+                    pass
+            handle.client.close()
+        for handle in handles:
             handle.process.join(timeout=2.0)
+            if handle.process.is_alive():
+                handle.process.terminate()
+                handle.process.join(timeout=2.0)
 
     def stop(self) -> None:
         """Shut every worker down and stop the monitor (idempotent)."""
@@ -574,5 +563,4 @@ class Coordinator:
             handles = list(self._workers.values())
             self._workers.clear()
             self._covered.clear()
-        for handle in handles:
-            self._shutdown_handle(handle)
+        self._shutdown(handles)

@@ -45,8 +45,8 @@ class ShardWorker:
     """One shard replica rebuilt in this process and served over RPC.
 
     ``points`` is the replica's *build-time* array (the parent keeps it
-    immutable on the child dataset; a zero-point array is a lazily
-    materialised shard) and ``recipe`` the dataset's
+    immutable on the child dataset; it may hold zero points) and
+    ``recipe`` the dataset's
     :class:`~repro.engine.catalog.ReplicaRecipe` with the backend forced
     to ``"memory"``; every mutation since build rides in ``log``.
     ``conformal`` is the parent calibrator's

@@ -124,12 +124,6 @@ class QueryEngine:
         ``None`` reads the ``REPRO_WORKERS`` environment variable (same
         values).  Answers and I/O accounting are identical in both
         modes; see the README's "Process layer" section for tradeoffs.
-    stats_upgrade_min_points:
-        A lazily materialized shard starts on the provisional uniform
-        stats model; once it holds this many live points the engine
-        re-fits the dataset's configured model over them
-        (:meth:`~repro.engine.catalog.Catalog.upgrade_shard_stats`).
-        ``<= 0`` disables the upgrade.
     """
 
     def __init__(self, block_size: int = 64, cache_blocks: int = 4,
@@ -149,7 +143,6 @@ class QueryEngine:
                  slow_query_threshold_s: float = 0.25,
                  slow_query_capacity: int = 64,
                  workers: Optional[str] = None,
-                 stats_upgrade_min_points: int = 64,
                  conformal_coverage: float = DEFAULT_COVERAGE,
                  conformal_window: int = DEFAULT_WINDOW,
                  conformal_min_calibration: int = DEFAULT_MIN_CALIBRATION):
@@ -184,7 +177,6 @@ class QueryEngine:
         self.rebalancer.add_listener(
             lambda name, report: self.executor.invalidate_dataset(name))
         self.executor.core.writes.add_write_listener(self._after_write)
-        self._stats_upgrade_min_points = stats_upgrade_min_points
         mode = workers if workers is not None \
             else os.environ.get("REPRO_WORKERS", "inprocess")
         if mode not in ("inprocess", "process"):
@@ -198,11 +190,7 @@ class QueryEngine:
             self.cluster = Coordinator(
                 self.catalog, conformal=self.stats.conformal.config())
             self.executor.core.attach_cluster(self.cluster)
-            # Lazy materialization spawns the new shard's workers before
-            # its first write broadcasts (see _after_write); a re-split
-            # rebuilds the fleet on the new layout.
-            self.executor.core.writes.add_materialize_listener(
-                self.cluster.on_materialize)
+            # A re-split rebuilds the fleet on the new layout.
             self.rebalancer.add_listener(
                 lambda name, report: self.cluster.on_rebalance(name))
         self._serving_executor: Optional[AsyncExecutor] = None
@@ -258,17 +246,17 @@ class QueryEngine:
         """Live selectivity models by dataset name (the metrics provider).
 
         Evaluated at summary/scrape time rather than captured once:
-        shard-child models are rebuilt on stats upgrades and re-splits,
-        so stored references would go stale.  Reports the dataset-level
-        model plus each non-empty shard's planning model under the
-        shard child's name (e.g. ``logs#2``; a ``register_dataset``
-        child shares its dataset's name and model).
+        shard-child models are rebuilt on re-splits, so stored references
+        would go stale.  Reports the dataset-level model plus each
+        shard's planning model under the shard child's name (e.g.
+        ``logs#2``; a ``register_dataset`` child shares its dataset's
+        name and model).
         """
         models: Dict[str, object] = {}
         for name in self.catalog.datasets():
             sharded = self.catalog.sharded(name)
             models[name] = sharded.stats
-            for shard in sharded.nonempty_shards():
+            for shard in sharded.shards:
                 child = shard.planning_dataset()
                 models[child.name] = child.stats
         return models
@@ -283,19 +271,12 @@ class QueryEngine:
         """The write path's one post-commit listener (barrier held).
 
         After the replicas, flags and statistics took the write: count
-        it toward the rebalance skew signal, promote a lazily
-        materialized shard off its provisional uniform model once it
-        holds enough live points, then hand the write to the process
-        coordinator's log and broadcast (a no-op delete too: the log
-        replays it as one).
+        it toward the rebalance skew signal, then hand the write to the
+        process coordinator's log and broadcast (a no-op delete too: the
+        log replays it as one).
         """
         if applied:
             self.rebalancer.note_mutation(name)
-            if (op == "insert" and self._stats_upgrade_min_points > 0
-                    and self.catalog.sharded(name).shards[shard_id]
-                    .stats_provisional):
-                self.catalog.upgrade_shard_stats(
-                    name, shard_id, self._stats_upgrade_min_points)
         if self.cluster is not None:
             self.cluster.note_write(name, shard_id, op, point, applied)
 

@@ -237,7 +237,7 @@ class EngineApp:
         # instead of a failed-outcome 500 out of the scheduler.
         catalog = self._engine.catalog
         try:
-            for shard in entry.nonempty_shards():
+            for shard in entry.shards:
                 for replica in shard.replicas:
                     catalog.mutable_index_of(replica)
         except ValueError as exc:

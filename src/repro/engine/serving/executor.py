@@ -558,8 +558,7 @@ class AsyncExecutor:
         # never the scheduler.
         try:
             if request.is_mutation:
-                estimate = self._core.writes.estimate_ios(request.dataset,
-                                                          request.point)
+                estimate = self._core.writes.estimate_ios(request.dataset)
             else:
                 if item.plan is None:
                     with tracing.activate(span):
@@ -723,7 +722,8 @@ class AsyncExecutor:
 
     def _degraded_answer(self, request: ServingRequest,
                          record: bool = True) -> ExecutedQuery:
-        """A zero-I/O approximate answer from the dataset's sample.
+        """A zero-I/O approximate answer from the dataset's sample — the
+        rows its selectivity model estimates from.
 
         The sample's points are real stored points, so the answer is a
         *subset* of the truth (membership follows the same rule as the
@@ -745,9 +745,9 @@ class AsyncExecutor:
         with tracing.span("serving.degraded_sample",
                           dataset=request.dataset) as sample_span:
             entry = self._core.catalog.sharded(request.dataset)
-            hits = sample_hits(entry.sample, entry.dimension,
-                               request.constraint)
-            sample_size = int(len(entry.sample))
+            sample = entry.stats.sample.rows
+            hits = sample_hits(sample, entry.dimension, request.constraint)
+            sample_size = int(len(sample))
             population = max(int(entry.live_size), sample_size)
             estimate, interval = scaled_count_estimate(len(hits), sample_size,
                                                        population)

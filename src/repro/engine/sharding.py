@@ -15,10 +15,16 @@ Two routers ship:
   attribute*, so a constraint that is selective in that attribute misses
   most shards entirely.
 
+Every shard is built with its dataset, whether or not the router gave it
+points: a zero-point shard (hash routing of a tiny dataset, a range shard
+no build point reached) is an ordinary index suite over ``(0, d)``, and
+the first insert routed to it fills it.
+
 Pruning is exact, not heuristic: every shard records the bounding box of
 its points, and a shard participates only if the query halfspace intersects
 that box (the minimum of the constraint residual over a box is a closed
-form).  For range shards and steep leading-attribute constraints this
+form); a zero-point shard has no box and is pruned until a write lands.
+For range shards and steep leading-attribute constraints this
 reproduces classic partition pruning; for hash shards the boxes all span
 the data and nothing is pruned — which is exactly the trade-off the two
 routers represent.
@@ -216,17 +222,15 @@ def make_router(scheme: str, points: np.ndarray, num_shards: int,
 class Shard:
     """One shard: replicated child datasets plus the pruning bounding box.
 
-    ``replicas`` holds N copies of the shard's points, each a full child
-    dataset with its own store and index suite; replica 0 is the *primary*
-    (exposed as :attr:`dataset` for the common unreplicated case).  The
-    executor picks the least-loaded replica per query, so concurrent
-    tenants touching the same shard overlap their I/O across replicas.
-    The list is empty for an *empty* shard (possible under hash routing of
-    tiny datasets); empty shards hold no store, build no indexes and are
-    always pruned.
+    ``replicas`` holds the recipe's N copies of the shard's points, each a
+    full child dataset with its own store and index suite; replica 0 is
+    the *primary* (:meth:`planning_dataset`).  The executor picks the
+    least-loaded replica per query, so concurrent tenants touching the
+    same shard overlap their I/O across replicas.
 
-    The bounding box is computed from the build-time points.  A write
-    can land *outside* it, so the engine's write path
+    The bounding box is computed from the build-time points (a shard
+    built over zero points has none: ``lows is None``).  A write can land
+    *outside* it, so the engine's write path
     (:class:`~repro.engine.writes.WritePath`) marks the shard
     ``box_stale`` once a write commits — a stale box is no longer
     trusted for pruning (the shard always participates), keeping pruning
@@ -242,32 +246,19 @@ class Shard:
     """
 
     shard_id: int
-    replicas: List["Dataset"] = field(default_factory=list)
+    replicas: List["Dataset"]
     lows: Optional[Tuple[float, ...]] = None
     highs: Optional[Tuple[float, ...]] = None
     box_stale: bool = False
-    #: True while a lazily materialized shard is still running on the
-    #: provisional uniform stats model; cleared when
-    #: :meth:`~repro.engine.catalog.Catalog.upgrade_shard_stats` promotes
-    #: it onto the dataset's configured model.
-    stats_provisional: bool = False
-
-    @property
-    def dataset(self) -> Optional["Dataset"]:
-        """The primary replica (None for an empty shard)."""
-        return self.replicas[0] if self.replicas else None
 
     @property
     def num_replicas(self) -> int:
         return len(self.replicas)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.replicas
-
-    @property
     def size(self) -> int:
-        return 0 if self.is_empty else self.replicas[0].size
+        """Build-time point count (the primary's)."""
+        return self.replicas[0].size
 
     def replicas_for_query(self) -> List[int]:
         """Replica ids a query may be served from — always all of them.
@@ -289,22 +280,21 @@ class Shard:
         return self.replicas[0]
 
     def may_contain(self, constraint: LinearConstraint) -> bool:
-        """True unless the bounding box proves the shard reports nothing."""
-        if self.is_empty:
-            return False
+        """True unless the bounding box proves the shard reports nothing
+        (a shard with no box and no write holds nothing)."""
         if self.box_stale:
             return True
-        return constraint_feasible_over_box(constraint, self.lows, self.highs)
+        return self.lows is not None and constraint_feasible_over_box(
+            constraint, self.lows, self.highs)
 
     def may_contain_conjunction(self,
                                 conjunction: ConstraintConjunction) -> bool:
         """True unless some conjunct alone already excludes the box."""
-        if self.is_empty:
-            return False
         if self.box_stale:
             return True
-        return all(constraint_feasible_over_box(c, self.lows, self.highs)
-                   for c in conjunction.constraints)
+        return self.lows is not None and all(
+            constraint_feasible_over_box(c, self.lows, self.highs)
+            for c in conjunction.constraints)
 
 
 @dataclass
@@ -326,12 +316,12 @@ class ShardedDataset:
 
     name: str
     points: np.ndarray
-    sample: np.ndarray
     router: ShardRouter
-    #: Pluggable selectivity model over the whole dataset.
+    #: Pluggable selectivity model over the whole dataset (it owns the
+    #: dataset-level sample the degraded-answer path scans).
     stats: "SelectivityModel"
     #: Replica settings resolved at registration; every rebuild (re-split,
-    #: lazy materialisation, stats upgrade, worker process) reads them here.
+    #: worker process) reads them here.
     recipe: "ReplicaRecipe"
     shards: List[Shard] = field(default_factory=list)
     prune: bool = True
@@ -369,12 +359,12 @@ class ShardedDataset:
 
     @property
     def num_shards(self) -> int:
-        """The configured shard count K (empty shards included)."""
+        """The configured shard count K."""
         return self.router.num_shards
 
     def nonempty_shards(self) -> List[Shard]:
-        """Shards that actually hold points (and therefore indexes)."""
-        return [shard for shard in self.shards if not shard.is_empty]
+        """Every shard: the benchmark's name for :attr:`shards`."""
+        return self.shards
 
     def estimate_selectivity(self, constraint: LinearConstraint) -> float:
         """Fraction of all points expected to satisfy ``constraint``."""
@@ -391,13 +381,12 @@ class ShardedDataset:
         hold identical data), so post-insert skew is visible — the
         build-time ``shards[i].size`` is not.
         """
-        return [0 if shard.is_empty else shard.planning_dataset().live_size
-                for shard in self.shards]
+        return [shard.planning_dataset().live_size for shard in self.shards]
 
     def relevant_shards(self, constraint: LinearConstraint) -> List[Shard]:
         """The shards a query must visit (box pruning unless disabled)."""
         if not self.prune:
-            return self.nonempty_shards()
+            return list(self.shards)
         return [shard for shard in self.shards
                 if shard.may_contain(constraint)]
 
@@ -405,26 +394,26 @@ class ShardedDataset:
             self, conjunction: ConstraintConjunction) -> List[Shard]:
         """Shards a conjunction must visit (each conjunct can prune)."""
         if not self.prune:
-            return self.nonempty_shards()
+            return list(self.shards)
         return [shard for shard in self.shards
                 if shard.may_contain_conjunction(conjunction)]
-
-    @property
-    def replicas_per_shard(self) -> int:
-        """The replication factor (max replicas over non-empty shards)."""
-        return max((shard.num_replicas for shard in self.shards), default=0)
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the layout is one that writes and
         re-splits can leave behind.
 
-        The router has one slot per shard and sorted range boundaries; a
-        shard's replicas share one sample and one selectivity model, hold
-        equal live multisets and equal ``mutated`` flags; every live point
-        routes to the shard holding it and, unless the box is stale, lies
-        inside the shard's box; a shard's live points are what its model
-        counts, and the shards' counts sum to ``live_size``.  Live points
-        are read from memory under the write barrier: no I/O is charged.
+        The router has one slot per shard and sorted range boundaries;
+        every shard holds the recipe's number of replicas, each with the
+        recorded index suite, sharing one selectivity model; replicas
+        hold equal live multisets, which their mutable indexes count, and
+        equal ``mutated`` flags; every live point routes to the shard
+        holding it and, unless the box is stale, lies inside the shard's
+        box — a shard with no box holds none; a shard's live points are
+        what its model counts, and the shards' counts sum to
+        ``live_size``; no model's sample exceeds the recipe's
+        ``sample_size``, and a sample below it is exactly its live
+        multiset.  Live points are read from memory under the write
+        barrier: no I/O is charged.
         """
         from repro.engine.catalog import Catalog  # (catalog imports us)
 
@@ -432,6 +421,16 @@ class ShardedDataset:
             if not holds:
                 raise AssertionError("%s: %s" % (self.name,
                                                  message % values))
+
+        def check_sample(model, live, owner: str) -> None:
+            rows = model.sample.rows
+            capacity = self.recipe.sample_size
+            check(len(rows) <= capacity, "%s's sample holds %d rows, its "
+                  "recipe at most %d", owner, len(rows), capacity)
+            check(len(rows) == capacity
+                  or sorted(map(tuple, rows.tolist())) == sorted(live),
+                  "%s's sample is short of %d rows but not its live "
+                  "multiset", owner, capacity)
 
         with self.write_lock:
             router = self.router
@@ -441,16 +440,23 @@ class ShardedDataset:
             boundaries = getattr(router, "boundaries", [])
             check(boundaries == sorted(boundaries),
                   "range boundaries %r are not sorted", boundaries)
-            total = 0
-            for shard in self.nonempty_shards():
+            suite = [build["index_name"] for build in self.suite_builds]
+            everything: List[Tuple[float, ...]] = []
+            for shard in self.shards:
+                check(shard.num_replicas == self.recipe.replicas,
+                      "shard %d has %d replicas, its recipe %d",
+                      shard.shard_id, shard.num_replicas,
+                      self.recipe.replicas)
                 primary = shard.replicas[0]
                 live = Catalog.live_points_of(primary)
                 multiset = sorted(map(tuple, live.tolist()))
                 for replica in shard.replicas:
-                    check(replica.sample is primary.sample
-                          and replica.stats is primary.stats,
-                          "replica %r has a sample or model of its own",
-                          replica.name)
+                    check(list(replica.indexes) == suite,
+                          "replica %r holds indexes %r, its dataset "
+                          "records %r", replica.name, list(replica.indexes),
+                          suite)
+                    check(replica.stats is primary.stats,
+                          "replica %r has a model of its own", replica.name)
                     check(replica.mutated == primary.mutated,
                           "replica %r has mutated=%s, its primary %s",
                           replica.name, replica.mutated, primary.mutated)
@@ -458,21 +464,35 @@ class ShardedDataset:
                                      .tolist())) == multiset,
                           "replica %r holds other live points than its "
                           "primary", replica.name)
+                    mutable = Catalog.mutable_index_name(replica)
+                    check(mutable is None
+                          or replica.indexes[mutable].size == len(live),
+                          "replica %r's %r counts other than its %d live "
+                          "points", replica.name, mutable, len(live))
                 check(len(router.assign(live)[shard.shard_id]) == len(live),
                       "shard %d holds points routed elsewhere",
                       shard.shard_id)
-                check(shard.box_stale
-                      or bool(np.all((shard.lows <= live)
-                                     & (live <= shard.highs))),
-                      "shard %d holds points outside its fresh box",
-                      shard.shard_id)
+                if shard.lows is None:
+                    check(shard.box_stale or len(live) == 0,
+                          "shard %d has no box and no write, but holds %d "
+                          "live points", shard.shard_id, len(live))
+                else:
+                    check(shard.box_stale
+                          or bool(np.all((shard.lows <= live)
+                                         & (live <= shard.highs))),
+                          "shard %d holds points outside its fresh box",
+                          shard.shard_id)
                 check(len(live) == primary.live_size,
                       "shard %d holds %d live points, its model counts %d",
                       shard.shard_id, len(live), primary.live_size)
-                total += len(live)
-            check(total == self.live_size,
+                check_sample(primary.stats, multiset,
+                             "shard %d" % shard.shard_id)
+                everything.extend(multiset)
+            check(len(everything) == self.live_size,
                   "shards hold %d live points, the dataset counts %d",
-                  total, self.live_size)
+                  len(everything), self.live_size)
+            if self.stats is not self.shards[0].replicas[0].stats:
+                check_sample(self.stats, everything, "the dataset")
 
     def describe(self) -> Dict[str, object]:
         """JSON-friendly sharding summary (persisted by benchmarks)."""
@@ -480,7 +500,7 @@ class ShardedDataset:
             "name": self.name,
             "router": self.router.describe(),
             "shard_sizes": [shard.size for shard in self.shards],
-            "replicas_per_shard": self.replicas_per_shard,
+            "replicas": self.recipe.replicas,
             "generation": self.generation,
         }
 
@@ -596,7 +616,7 @@ class RebalanceManager:
         sharded = self._catalog.sharded(dataset_name)
         sizes = sharded.shard_live_sizes()
         drift = 0.0
-        for shard in sharded.nonempty_shards():
+        for shard in sharded.shards:
             drift = max(drift, shard.planning_dataset().stats.drift())
         return {
             "imbalance": self._imbalance(sizes),

@@ -48,6 +48,7 @@ from repro.engine.stats.models import (
     EnsembleModel,
     HistogramModel,
     MODEL_KINDS,
+    Reservoir,
     SelectivityModel,
     UniformSampleModel,
     make_model,
@@ -63,6 +64,7 @@ __all__ = [
     "EquiDepthHistogram",
     "HistogramModel",
     "MODEL_KINDS",
+    "Reservoir",
     "SelectivityModel",
     "UniformSampleModel",
     "canonical_directions",

@@ -29,11 +29,11 @@ Three models ship:
   weight takes over within tens of queries, so the ensemble tracks the
   better member without anyone choosing it up front.
 
-Both models accept ``observe_insert`` / ``observe_delete`` feedback from
-the engine's write path, so estimates track mutated
-datasets: the sample is reservoir-refreshed, histograms are incremented,
-and the live size used to scale selectivity into an output count stays
-current.
+Every model accepts ``observe_insert`` / ``observe_delete`` feedback
+from the engine's write path, so estimates track mutated datasets: the
+model's :class:`Reservoir` sample fills and refreshes, histograms are
+incremented, and the live size used to scale selectivity into an output
+count stays current.
 """
 
 from __future__ import annotations
@@ -62,39 +62,51 @@ MODEL_KINDS = ("uniform", "histogram", "ensemble")
 DEFAULT_MIN_COSINE = 0.995
 
 
-def _reservoir_insert(sample: np.ndarray, rng: np.random.Generator,
-                      live_size: int, point: Sequence[float]) -> None:
-    """One reservoir-sampling step: keep the sample uniform over inserts.
+class Reservoir:
+    """A uniform sample of a live multiset: the one copy of a model's rows.
 
-    Replaces a uniformly-chosen row with probability
-    ``len(sample)/live_size`` — the classic algorithm-R update, shared by
-    both models so their sample semantics can never diverge.
+    The model that owns it feeds it every committed write, and the
+    degraded-answer path reads the same :attr:`rows`, so the two can
+    never drift apart.  Below ``capacity`` rows the sample *is* the live
+    multiset — an insert appends and a delete removes one matching row
+    (Algorithm R's fill phase) — so a dataset registered with few points,
+    or a shard built over none, grows its sample with its data.  At
+    capacity an insert replaces a uniformly-chosen row with probability
+    ``capacity / live_size`` (Algorithm R's replacement step), and a
+    delete overwrites the dead rows with copies of uniformly-chosen
+    surviving ones: the sample stays full and free of dead points (a
+    slight duplication bias, far smaller than estimating against points
+    that no longer exist).  A fill or a removal rebinds :attr:`rows`, so
+    a concurrent reader sees one array or the other, never a torn one.
     """
-    if len(sample) == 0:
-        return
-    slot = int(rng.integers(max(live_size, 1)))
-    if slot < len(sample):
-        sample[slot] = np.asarray(point, dtype=float)
 
+    def __init__(self, rows: np.ndarray, capacity: int,
+                 seed: Optional[int]):
+        self.rows = np.asarray(rows, dtype=float)
+        self.capacity = int(capacity)
+        self._rng = np.random.default_rng(seed)
 
-def _reservoir_evict(sample: np.ndarray, rng: np.random.Generator,
-                     point: Sequence[float]) -> None:
-    """Purge a deleted point from the sample.
+    def insert(self, row: np.ndarray, live_size: int) -> None:
+        """Fold one inserted row in (``live_size`` counts it already)."""
+        if len(self.rows) < self.capacity:
+            self.rows = np.concatenate([self.rows, row[None, :]])
+        elif len(self.rows):
+            slot = int(self._rng.integers(max(live_size, 1)))
+            if slot < len(self.rows):
+                self.rows[slot] = row
 
-    Rows equal to the deleted point are overwritten with copies of
-    uniformly-chosen surviving rows: the sample stays fixed-size and
-    free of dead points (a slight duplication bias, far smaller than the
-    unbounded bias of estimating against points that no longer exist).
-    """
-    if len(sample) == 0:
-        return
-    row = np.asarray(point, dtype=float)
-    dead = np.flatnonzero(np.all(sample == row, axis=1))
-    if len(dead) == 0 or len(dead) == len(sample):
-        return
-    alive = np.setdiff1d(np.arange(len(sample)), dead)
-    for slot in dead:
-        sample[slot] = sample[int(rng.choice(alive))]
+    def evict(self, row: np.ndarray) -> None:
+        """Purge one deleted row from the sample."""
+        dead = np.flatnonzero(np.all(self.rows == row, axis=1))
+        if len(self.rows) < self.capacity:
+            if len(dead):
+                self.rows = np.delete(self.rows, dead[0], axis=0)
+            return
+        if len(dead) == 0 or len(dead) == len(self.rows):
+            return
+        alive = np.setdiff1d(np.arange(len(self.rows)), dead)
+        for slot in dead:
+            self.rows[slot] = self.rows[int(self._rng.choice(alive))]
 
 
 class SelectivityModel(abc.ABC):
@@ -102,18 +114,21 @@ class SelectivityModel(abc.ABC):
 
     Subclasses implement :meth:`estimate_selectivity`; the base class
     turns it into an output-count estimate against the *live* size
-    (build size plus observed inserts minus deletes) and provides the
-    no-op mutation/drift hooks.
+    (build size plus observed inserts minus deletes), owns the model's
+    :class:`Reservoir` sample and feeds it every observed write, and
+    provides the no-op structure/drift hooks.
     """
 
     #: Short kind name ("uniform" / "histogram") used in configs.
     name = "abstract"
 
-    def __init__(self, dimension: int, size: int):
+    def __init__(self, dimension: int, size: int, sample: Reservoir):
         self._dimension = int(dimension)
         self._size = int(size)
         self._observed_inserts = 0
         self._observed_deletes = 0
+        #: The model's sample (what the degraded-answer path scans too).
+        self.sample = sample
 
     @property
     def dimension(self) -> int:
@@ -143,14 +158,27 @@ class SelectivityModel(abc.ABC):
     # mutation feedback (fed by the engine's write path)
     # ------------------------------------------------------------------
     def observe_insert(self, point: Sequence[float]) -> None:
-        """Fold one inserted point into the statistics."""
-        self._size += 1
-        self._observed_inserts += 1
+        """Fold one inserted point into the statistics and the sample."""
+        row = np.asarray(point, dtype=float)
+        self._take(row, 1)
+        self.sample.insert(row, self._size)
 
     def observe_delete(self, point: Sequence[float]) -> None:
-        """Fold one deleted point out of the statistics."""
-        self._size = max(0, self._size - 1)
-        self._observed_deletes += 1
+        """Fold one deleted point out of the statistics and the sample."""
+        row = np.asarray(point, dtype=float)
+        self._take(row, -1)
+        self.sample.evict(row)
+
+    def _take(self, row: np.ndarray, sign: int) -> None:
+        """Count one write (``sign`` +1: insert, -1: delete) and fold it
+        into the model's own structure — everything but the sample, which
+        the public hooks feed once however many members share it."""
+        if sign > 0:
+            self._size += 1
+            self._observed_inserts += 1
+        else:
+            self._size = max(0, self._size - 1)
+            self._observed_deletes += 1
 
     def note_estimation_feedback(self, constraint: LinearConstraint,
                                  expected: float, actual: int) -> None:
@@ -196,37 +224,24 @@ class SelectivityModel(abc.ABC):
 class UniformSampleModel(SelectivityModel):
     """The original sample-scan estimator, relocated behind the seam.
 
-    Holds a *reference* to the dataset's in-memory sample (the same array
-    the degraded-answer path scans, so the two can never drift apart) and
-    keeps it fresh under inserts with reservoir sampling: each insert
-    replaces a uniformly-chosen sample row with probability
-    ``len(sample)/live_size``, preserving uniformity over the live set.
+    Evaluates the constraint on the model's :class:`Reservoir`, which the
+    write path keeps uniform over the live set.
     """
 
     name = "uniform"
 
-    def __init__(self, sample: np.ndarray, dimension: int, size: int,
-                 seed: Optional[int] = None):
-        super().__init__(dimension, size)
-        self._sample = np.asarray(sample, dtype=float)
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, sample: Reservoir, dimension: int, size: int):
+        super().__init__(dimension, size, sample)
 
     def estimate_selectivity(self, constraint: LinearConstraint) -> float:
-        if len(self._sample):
+        rows = self.sample.rows
+        if len(rows):
             self._check_dimension(constraint)
-        return selectivity_on_sample(self._sample, self._dimension, constraint)
-
-    def observe_insert(self, point: Sequence[float]) -> None:
-        super().observe_insert(point)
-        _reservoir_insert(self._sample, self._rng, self._size, point)
-
-    def observe_delete(self, point: Sequence[float]) -> None:
-        super().observe_delete(point)
-        _reservoir_evict(self._sample, self._rng, point)
+        return selectivity_on_sample(rows, self._dimension, constraint)
 
     def describe(self) -> Dict[str, object]:
         payload = super().describe()
-        payload["sample_size"] = int(len(self._sample))
+        payload["sample_size"] = int(len(self.sample.rows))
         return payload
 
 
@@ -250,8 +265,8 @@ class HistogramModel(SelectivityModel):
         every canonical direction falls back to the sample estimate (set
         to -1 to force histogram answers; requires a sample otherwise).
     sample:
-        The dataset's uniform sample, used for the fallback and kept
-        reservoir-fresh under inserts like :class:`UniformSampleModel`.
+        The dataset's :class:`Reservoir`, used for the fallback (none: an
+        empty one, which ``min_cosine=-1`` requires).
     adapt_after / adapt_qerror:
         Workload adaptation knobs.  With ``adapt_after > 0``, q-error
         feedback from the executor accumulates per direction; once a
@@ -270,7 +285,7 @@ class HistogramModel(SelectivityModel):
                  directions: Optional[Sequence[Sequence[float]]] = None,
                  num_buckets: int = 64,
                  min_cosine: float = DEFAULT_MIN_COSINE,
-                 sample: Optional[np.ndarray] = None,
+                 sample: Optional[Reservoir] = None,
                  seed: Optional[int] = None,
                  adapt_after: int = 0,
                  adapt_qerror: float = 4.0):
@@ -278,8 +293,9 @@ class HistogramModel(SelectivityModel):
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("points must have shape (N >= 1, d), got %r"
                              % (points.shape,))
-        super().__init__(dimension if dimension is not None
-                         else points.shape[1], len(points))
+        dimension = dimension if dimension is not None else points.shape[1]
+        super().__init__(dimension, len(points), sample if sample is not None
+                         else Reservoir(np.empty((0, dimension)), 0, seed))
         if directions is None:
             self._directions = canonical_directions(points, seed=seed)
         else:
@@ -308,17 +324,13 @@ class HistogramModel(SelectivityModel):
         self._dir_log_qerror = np.zeros(len(self._directions), dtype=float)
         self._missed_directions = deque(maxlen=16)
         self._adaptations = 0
-        self._sample = None if sample is None \
-            else np.asarray(sample, dtype=float)
-        if (self._sample is None or len(self._sample) == 0) \
-                and self._min_cosine > -1.0:
+        if len(self.sample.rows) == 0 and self._min_cosine > -1.0:
             # Without a fallback, an off-direction query would be priced
             # from a badly-mismatched histogram with no signal at all.
             raise ValueError(
                 "HistogramModel needs a fallback sample while min_cosine "
                 "> -1; pass sample=..., or set min_cosine=-1 to accept "
                 "nearest-direction answers unconditionally")
-        self._rng = np.random.default_rng(seed)
         self._fallbacks = 0
 
     @property
@@ -337,30 +349,21 @@ class HistogramModel(SelectivityModel):
         best = int(np.argmax(cosines))
         if cosines[best] < self._min_cosine:
             self._fallbacks += 1
-            return selectivity_on_sample(self._sample, self._dimension,
+            return selectivity_on_sample(self.sample.rows, self._dimension,
                                          constraint)
         return self._histograms[best].selectivity(constraint.offset / scale)
 
     # ------------------------------------------------------------------
     # mutation feedback
     # ------------------------------------------------------------------
-    def observe_insert(self, point: Sequence[float]) -> None:
-        super().observe_insert(point)
-        row = np.asarray(point, dtype=float)
+    def _take(self, row: np.ndarray, sign: int) -> None:
+        super()._take(row, sign)
         values = self._directions @ row   # one matvec for every direction
         for value, histogram in zip(values, self._histograms):
-            histogram.insert(float(value))
-        if self._sample is not None:
-            _reservoir_insert(self._sample, self._rng, self._size, row)
-
-    def observe_delete(self, point: Sequence[float]) -> None:
-        super().observe_delete(point)
-        row = np.asarray(point, dtype=float)
-        values = self._directions @ row
-        for value, histogram in zip(values, self._histograms):
-            histogram.delete(float(value))
-        if self._sample is not None:
-            _reservoir_evict(self._sample, self._rng, row)
+            if sign > 0:
+                histogram.insert(float(value))
+            else:
+                histogram.delete(float(value))
 
     # ------------------------------------------------------------------
     # workload adaptation (q-error feedback)
@@ -399,7 +402,8 @@ class HistogramModel(SelectivityModel):
         the swap rebinds copied arrays atomically so concurrent
         estimators read either the old set or the new one, never a
         half-updated row."""
-        if self._sample is None or len(self._sample) == 0:
+        rows = self.sample.rows
+        if len(rows) == 0:
             return
         eligible = np.flatnonzero(self._dir_observations
                                   >= self._adapt_after)
@@ -416,7 +420,7 @@ class HistogramModel(SelectivityModel):
         directions[worst] = replacement
         histograms = list(self._histograms)
         histograms[worst] = EquiDepthHistogram(
-            self._sample @ replacement, num_buckets=self._num_buckets)
+            rows @ replacement, num_buckets=self._num_buckets)
         self._directions = directions
         self._histograms = histograms
         self._dir_observations[worst] = 0
@@ -487,7 +491,7 @@ class EnsembleModel(SelectivityModel):
     """Uniform-sample and histogram models aggregated by e-weights.
 
     Runs a :class:`UniformSampleModel` and a :class:`HistogramModel`
-    over the same points and (shared) sample, answering with the
+    over the same points and one shared :class:`Reservoir`, answering with the
     weight-averaged selectivity.  Weights are updated online in the
     e-value style: after every served query each member is scored by its
     *own* estimate's q-error against the actual count, and its weight is
@@ -507,8 +511,8 @@ class EnsembleModel(SelectivityModel):
     Parameters
     ----------
     points / sample / dimension / seed:
-        As for the member models; both members share the one ``sample``
-        array (the same reference the degraded-answer path scans).
+        As for the member models; both members read the ensemble's one
+        ``sample``, which the ensemble feeds once per write.
     learning_rate:
         Exponent on each per-query e-factor.  1.0 bets the full
         observed q-error each query (fast convergence, twitchy under
@@ -527,7 +531,7 @@ class EnsembleModel(SelectivityModel):
     MEMBER_NAMES = ("uniform", "histogram")
 
     def __init__(self, points: np.ndarray,
-                 sample: Optional[np.ndarray] = None,
+                 sample: Optional[Reservoir] = None,
                  dimension: Optional[int] = None,
                  seed: Optional[int] = None,
                  learning_rate: float = 0.5,
@@ -537,22 +541,21 @@ class EnsembleModel(SelectivityModel):
         if points.ndim != 2 or points.shape[0] == 0:
             raise ValueError("points must have shape (N >= 1, d), got %r"
                              % (points.shape,))
-        super().__init__(dimension if dimension is not None
-                         else points.shape[1], len(points))
+        dimension = dimension if dimension is not None else points.shape[1]
+        super().__init__(dimension, len(points), sample if sample is not None
+                         else Reservoir(np.empty((0, dimension)), 0, seed))
         if learning_rate <= 0.0:
             raise ValueError("learning_rate must be > 0, got %r"
                              % learning_rate)
         self._learning_rate = float(learning_rate)
         uniform_params = dict(uniform_params or {})
         histogram_params = dict(histogram_params or {})
-        sample = np.zeros((0, self._dimension)) if sample is None \
-            else np.asarray(sample, dtype=float)
         self._members = (
-            UniformSampleModel(sample, dimension=self._dimension,
-                               size=len(points), seed=seed,
-                               **uniform_params),
-            HistogramModel(points, dimension=self._dimension, sample=sample,
-                           seed=seed, **histogram_params),
+            UniformSampleModel(self.sample, dimension=self._dimension,
+                               size=len(points), **uniform_params),
+            HistogramModel(points, dimension=self._dimension,
+                           sample=self.sample, seed=seed,
+                           **histogram_params),
         )
         self._log_weights = np.zeros(len(self._members))
         self._member_observations = np.zeros(len(self._members), dtype=int)
@@ -589,20 +592,13 @@ class EnsembleModel(SelectivityModel):
         return float(np.dot(raw / raw.sum(), estimates))
 
     # ------------------------------------------------------------------
-    # mutation feedback — forwarded so member sizes/structures track.
-    # Both members share one sample array and seed-identical RNGs, so
-    # their reservoir updates land on the same rows; the shared sample
-    # stays a valid uniform reservoir either way.
+    # mutation feedback — forwarded so member sizes/structures track; the
+    # members read the ensemble's sample, which the public hooks feed once.
     # ------------------------------------------------------------------
-    def observe_insert(self, point: Sequence[float]) -> None:
-        super().observe_insert(point)
+    def _take(self, row: np.ndarray, sign: int) -> None:
+        super()._take(row, sign)
         for member in self._members:
-            member.observe_insert(point)
-
-    def observe_delete(self, point: Sequence[float]) -> None:
-        super().observe_delete(point)
-        for member in self._members:
-            member.observe_delete(point)
+            member._take(row, sign)
 
     # ------------------------------------------------------------------
     # q-error feedback — the e-weight update
@@ -649,9 +645,9 @@ class EnsembleModel(SelectivityModel):
         return payload
 
 
-def make_model(spec: object, points: np.ndarray, sample: np.ndarray,
+def make_model(spec: object, points: np.ndarray, sample: Reservoir,
                seed: Optional[int] = None, **params) -> SelectivityModel:
-    """Build a selectivity model from a spec.
+    """Build a selectivity model over ``points`` that owns ``sample``.
 
     ``spec`` is a kind name (``"uniform"`` / ``"histogram"`` /
     ``"ensemble"``), a callable ``f(points, sample, seed, **params) ->
@@ -667,7 +663,7 @@ def make_model(spec: object, points: np.ndarray, sample: np.ndarray,
         return spec(points=points, sample=sample, seed=seed, **params)
     if spec == "uniform":
         return UniformSampleModel(sample, dimension=points.shape[1],
-                                  size=len(points), seed=seed, **params)
+                                  size=len(points), **params)
     if spec == "histogram":
         return HistogramModel(points, sample=sample, seed=seed, **params)
     if spec == "ensemble":

@@ -5,7 +5,8 @@ attribute*.  :class:`WritePath` is the mutation twin of the execution
 core and the one place a write takes effect.  Given ``insert(dataset,
 point)`` / ``delete(dataset, point)`` it
 
-* **routes** the point to its shard via the dataset's current
+* **routes** the point to its shard — every shard has its replicas, one
+  built over zero points included — via the dataset's current
   :class:`~repro.engine.sharding.ShardRouter`, under the dataset's
   *write barrier* (:attr:`~repro.engine.sharding.ShardedDataset.
   write_lock`), which a re-split holds for its whole collect-swap-rebuild
@@ -94,8 +95,7 @@ class MutationResult:
     applied: bool
     #: Shard the router chose.
     shard_id: int
-    #: Replicas the mutation was applied to (0: a delete routed to an
-    #: empty shard).
+    #: Replicas the mutation was applied to.
     replicas: int
     #: Block transfers charged across every replica application.
     ios: int
@@ -125,7 +125,6 @@ class WritePath:
         self._catalog = catalog
         self._stats = stats
         self._invalidate = invalidate
-        self._materialize_listeners: List = []
         self._write_listeners: List = []
 
     def add_write_listener(self, listener) -> None:
@@ -139,16 +138,6 @@ class WritePath:
         depends on that).  Aborted fan-outs (rolled back) do not fire.
         """
         self._write_listeners.append(listener)
-
-    def add_materialize_listener(self, listener) -> None:
-        """Subscribe ``listener(dataset_name, shard_id)`` to lazy builds.
-
-        Fired (under the dataset's write barrier) right after an insert
-        routed into an empty shard materializes its replicas and index
-        suite, before the insert is applied — the process coordinator
-        spawns the new shard's workers there.
-        """
-        self._materialize_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # public API
@@ -165,20 +154,12 @@ class WritePath:
         """
         return self._mutate(dataset_name, point, "delete")
 
-    def estimate_ios(self, dataset_name: str, point=None) -> float:
-        """Predicted write cost, for admission control (pure arithmetic).
-
-        With a ``point`` the routed shard's actual replica count prices
-        the fan-out; without one the dataset's replication factor is the
-        (upper-bound) width.
-        """
-        sharded = self._catalog.sharded(dataset_name)
-        if point is not None:
-            record = tuple(float(c) for c in point)
-            shard = sharded.shards[sharded.router.shard_of(record)]
-            if not shard.is_empty:
-                return WRITE_IOS_PER_REPLICA * shard.num_replicas
-        return WRITE_IOS_PER_REPLICA * max(1, sharded.replicas_per_shard)
+    def estimate_ios(self, dataset_name: str) -> float:
+        """Predicted write cost, for admission control (pure arithmetic):
+        every shard has the recipe's replicas, and the write fans out to
+        all of them."""
+        return WRITE_IOS_PER_REPLICA \
+            * self._catalog.sharded(dataset_name).recipe.replicas
 
     # ------------------------------------------------------------------
     # the mutation
@@ -211,27 +192,6 @@ class WritePath:
         with sharded.write_lock:
             generation = sharded.generation
             shard = sharded.shards[sharded.router.shard_of(record)]
-            if shard.is_empty:
-                if op == "delete":
-                    # An empty shard holds nothing, so the point is
-                    # absent by definition: the documented no-op, not an
-                    # error (blind deletes must behave uniformly however
-                    # the router placed the key).
-                    return MutationResult(
-                        dataset=dataset_name, op=op, point=record,
-                        applied=False, shard_id=shard.shard_id,
-                        replicas=0, ios=0,
-                        latency_s=time.perf_counter() - started,
-                        generation=generation)
-                # Lazy materialization: a range shard that received no
-                # build points grows its replicas, stores and index suite
-                # on first insert (still under the write barrier), so
-                # live ingest into a fresh shard works instead of
-                # erroring.
-                shard = self._catalog.materialize_shard(dataset_name,
-                                                        shard.shard_id)
-                for listener in self._materialize_listeners:
-                    listener(dataset_name, shard.shard_id)
             applied, ios = self._apply_fanout(dataset_name, shard, op,
                                               record)
             self._take_effect(sharded, shard, op, record, applied)

@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.io.store import BlockStore
+
+#: The stateful machine's example budget (``tests/test_stateful.py``):
+#: examples, rules per example, and no per-example deadline (an example
+#: registers a fresh engine, and in process mode forks its workers).
+settings.register_profile(
+    "stateful", max_examples=100, stateful_step_count=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+STATEFUL = settings.get_profile("stateful")
 
 
 @pytest.fixture
@@ -64,22 +73,19 @@ def assert_answer(answer, dimension):
 def assert_replica_layout(sharded):
     """Invariants every replica build site must leave on a ShardedDataset.
 
-    Registration, re-split, lazy materialisation and the stats upgrade
-    all go through one builder; whichever ran last, each shard's
+    Registration and re-split go through one builder, and writes fill a
+    shard built over zero points; whichever ran last, each shard's
     replicas are copies of one another built from the dataset's recipe
-    (live parity, the shared model and the boxes are
-    :meth:`ShardedDataset.check_invariants`' part).
+    (replica counts, suites, live parity, the shared model, samples and
+    boxes are :meth:`ShardedDataset.check_invariants`' part).
     """
     sharded.check_invariants()
     recipe = sharded.recipe
     suite = [build["index_name"] for build in sharded.suite_builds]
-    assert sharded.nonempty_shards()
-    for shard in sharded.nonempty_shards():
-        assert shard.num_replicas == recipe.replicas
+    for shard in sharded.shards:
         primary = shard.replicas[0]
         for replica in shard.replicas:
             assert np.array_equal(replica.points, primary.points)
-            assert list(replica.indexes) == suite
             assert list(replica.build_records) == suite
             assert replica.store.block_size == recipe.block_size
             assert replica.store.cache_blocks == recipe.cache_blocks

@@ -559,7 +559,7 @@ def test_worker_write_application_is_seq_idempotent(points2d):
 
 
 # ----------------------------------------------------------------------
-# lifecycle: rebalance, lazy materialization, direct-mutation bypass
+# lifecycle: rebalance, zero-point shards, direct-mutation bypass
 # ----------------------------------------------------------------------
 def test_rebalance_restarts_workers_and_clears_log(points2d):
     engine = make_engine(points2d, "process", num_shards=2)
@@ -598,9 +598,9 @@ def test_rebalance_restarts_workers_and_clears_log(points2d):
 
 
 def test_materialized_shard_gets_workers(points2d):
-    # Hash-shard a tiny dataset so one shard starts empty, then insert
-    # into it: the materialize listener must spawn its workers before
-    # the first logged write broadcasts.
+    # Hash-shard a tiny dataset so one shard is built over no point: its
+    # workers are spawned with the dataset's, and its first insert is
+    # broadcast to them.
     tiny = [(float(i), float(i)) for i in range(4)]
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=7, workers="process")
     engine.register_sharded_dataset("tiny", tiny, num_shards=4,
@@ -608,7 +608,9 @@ def test_materialized_shard_gets_workers(points2d):
                                     kinds=["dynamic", "full_scan"])
     try:
         sharded = engine.catalog.sharded("tiny")
-        empty = next(s for s in sharded.shards if s.is_empty)
+        empty = next(s for s in sharded.shards
+                     if s.planning_dataset().live_size == 0)
+        assert engine.cluster.worker("tiny", empty.shard_id, 0).alive
         probe = (100.0, 100.0)
         target = sharded.router.shard_of(probe)
         if target != empty.shard_id:

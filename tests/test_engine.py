@@ -525,7 +525,7 @@ def test_engine_empty_answers_are_zero_by_d_on_every_path():
             assert_answer(answer.points, 2)
             assert answer.points.shape == (0, 2)
         # One shard's worker, asked directly: the matrix off the socket.
-        shard = engine.catalog.sharded("sh").nonempty_shards()[0]
+        shard = engine.catalog.sharded("sh").shards[0]
         remote = engine.cluster.run_query("sh", shard, 0, "full_scan",
                                           tangent, clear_cache=True)
         assert remote is not None

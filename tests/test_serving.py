@@ -737,8 +737,8 @@ def test_replicated_shard_registration_builds_per_replica(points2d):
     catalog = Catalog(block_size=BLOCK_SIZE, seed=3)
     sharded = catalog.register_sharded_dataset("sh", points2d, num_shards=2,
                                                replicas=2)
-    assert sharded.replicas_per_shard == 2
-    assert sharded.describe()["replicas_per_shard"] == 2
+    assert sharded.recipe.replicas == 2
+    assert sharded.describe()["replicas"] == 2
     records = catalog.build_suite("sh", kinds=["full_scan"])
     assert len(records) == 2 * 2                      # shards x replicas
     assert len(catalog.stores("sh")) == 4

@@ -103,7 +103,8 @@ def test_pruning_never_loses_answers(sharded_engine, points2d):
         relevant = {shard.shard_id
                     for shard in sharded.relevant_shards(constraint)}
         for shard in sharded.shards:
-            hits = [p for p in shard.dataset.points if constraint.below(p)]
+            hits = [p for p in shard.planning_dataset().points
+                    if constraint.below(p)]
             if hits:
                 assert shard.shard_id in relevant
         assert len(relevant) < sharded.num_shards   # steep queries do prune
@@ -147,19 +148,23 @@ def test_catalog_registers_and_builds_sharded_dataset(points2d):
 
 
 def test_hash_sharding_tolerates_empty_shards():
-    # 3 points over 8 shards: most shards are empty and must be skipped.
+    # 3 points over 8 shards: most shards hold no point and must be
+    # skipped; each is still built, with no box to prune it by.
     points = uniform_points(3, seed=1)
     catalog = Catalog(block_size=8, seed=3)
     sharded = catalog.register_sharded_dataset("tiny", points, num_shards=8,
                                                sharding="hash")
     catalog.build_suite("tiny", kinds=["full_scan"])
     assert sum(shard.size for shard in sharded.shards) == 3
-    assert all(shard.dataset is None
-               for shard in sharded.shards if shard.is_empty)
+    holding = {s.shard_id for s in sharded.shards
+               if s.planning_dataset().live_size}
+    assert len(holding) < 8
+    for shard in sharded.shards:
+        assert list(shard.planning_dataset().indexes) == ["full_scan"]
+        assert (shard.lows is None) == (shard.shard_id not in holding)
     constraint = LinearConstraint(coeffs=(0.0,), offset=1e9)
     relevant = sharded.relevant_shards(constraint)
-    assert {s.shard_id for s in relevant} == {
-        s.shard_id for s in sharded.nonempty_shards()}
+    assert {s.shard_id for s in relevant} == holding
 
 
 # ----------------------------------------------------------------------
@@ -434,12 +439,14 @@ WRITABLE = ["dynamic", "full_scan"]
 
 
 def _insert_into_an_empty_shard(engine, count):
-    """Register a tiny hash-sharded "d" and fill one of its empty shards."""
+    """Register a tiny hash-sharded "d" and insert into one of its
+    zero-point shards."""
     engine.register_sharded_dataset(
         "d", [(float(i), float(i)) for i in range(4)], num_shards=4,
         sharding="hash", replicas=2, kinds=WRITABLE)
     sharded = engine.catalog.sharded("d")
-    empty = next(shard for shard in sharded.shards if shard.is_empty)
+    empty = next(shard for shard in sharded.shards
+                 if shard.planning_dataset().live_size == 0)
     probes = (tuple(map(float, p)) for p in
               np.random.default_rng(0).uniform(10.0, 20.0, size=(4096, 2)))
     for __ in range(count):
@@ -466,29 +473,25 @@ def _site_rebalance(engine, points):
     assert engine.catalog.sharded("d").generation == 1
 
 
-def _site_materialize(engine, points):
-    empty = _insert_into_an_empty_shard(engine, 1)
-    assert empty.box_stale and empty.stats_provisional
-    assert empty.dataset.stats.name == "uniform"
-
-
-def _site_upgrade_stats(engine, points):
-    empty = _insert_into_an_empty_shard(engine, 8)
-    assert not empty.stats_provisional
-    assert empty.dataset.stats.name == "histogram"
-    assert all(replica.sample is empty.dataset.sample
-               for replica in empty.replicas)
+def _site_fill_zero_point_shard(engine, points):
+    shard = _insert_into_an_empty_shard(engine, 8)
+    assert shard.box_stale and shard.lows is None
+    primary = shard.planning_dataset()
+    assert primary.live_size == 8 and len(primary.points) == 0
+    # Histograms need a build point: uniform until the next re-split,
+    # its sample filled by the inserts.
+    assert primary.stats.name == "uniform"
+    assert len(primary.stats.sample.rows) == 8
 
 
 @pytest.mark.parametrize("backend", ["memory", "file"])
 @pytest.mark.parametrize("site", [
     _site_register, _site_register_sharded, _site_rebalance,
-    _site_materialize, _site_upgrade_stats], ids=lambda site: site.__name__)
+    _site_fill_zero_point_shard], ids=lambda site: site.__name__)
 def test_every_build_site_leaves_the_same_replica_layout(site, backend,
                                                          tmp_path):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=17, backend=backend,
-                         data_dir=str(tmp_path), stats_model="histogram",
-                         stats_upgrade_min_points=8)
+                         data_dir=str(tmp_path), stats_model="histogram")
     try:
         site(engine, uniform_points(384, seed=18))
         sharded = engine.catalog.sharded("d")
@@ -515,13 +518,14 @@ def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
             stats_model="ensemble", cache_blocks=6)
         sharded = engine.catalog.sharded("d")
         recipe = dataclasses.replace(sharded.recipe, backend="memory")
-        for shard in sharded.nonempty_shards():
+        for shard in sharded.shards:
             for replica in shard.replicas:
                 rebuilt = ShardWorker(replica.name, replica.points, recipe,
                                       sharded.suite_builds, [], {}).dataset
                 assert rebuilt.store.block_size == replica.store.block_size
                 assert rebuilt.store.cache_blocks == 6
-                assert np.array_equal(rebuilt.sample, replica.sample)
+                assert np.array_equal(rebuilt.stats.sample.rows,
+                                      replica.stats.sample.rows)
                 assert rebuilt.stats.name == replica.stats.name == "ensemble"
                 assert list(rebuilt.indexes) == list(replica.indexes)
                 for name, record in replica.build_records.items():
@@ -530,3 +534,97 @@ def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
                     assert twin.build_ios.total == record.build_ios.total
     finally:
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# the one shard shape, as check_invariants() asserts it
+# ----------------------------------------------------------------------
+def _two_replica_engine():
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=29, sample_size=64)
+    engine.register_sharded_dataset(
+        "d", uniform_points(256, seed=29), num_shards=2, replicas=2,
+        kinds=["dynamic", "full_scan"])
+    engine.register_sharded_dataset(
+        "tiny", [(0.5, y) for y in (-0.5, 0.0, 0.5)], num_shards=2,
+        kinds=["dynamic"])
+    for name in ("d", "tiny"):
+        engine.catalog.sharded(name).check_invariants()
+    return engine
+
+
+def _drop_a_replica(engine):
+    engine.catalog.sharded("d").shards[1].replicas.pop()
+
+
+def _drop_an_index(engine):
+    del engine.catalog.sharded("d").shards[0].replicas[1].indexes[
+        "full_scan"]
+
+
+def _unbox_a_shard_with_points(engine):
+    shard = engine.catalog.sharded("d").shards[0]
+    shard.lows = shard.highs = None
+
+
+def _miscount_a_tombstone(engine):
+    engine.catalog.sharded("d").shards[0].replicas[1].indexes[
+        "dynamic"]._num_tombstones += 1
+
+
+def _overfill_a_sample(engine):
+    sample = engine.catalog.sharded("d").shards[0].replicas[0].stats.sample
+    sample.rows = np.concatenate([sample.rows, sample.rows[:1]])
+
+
+def _forge_a_short_sample_row(engine):
+    sample = engine.catalog.sharded("tiny").stats.sample
+    assert len(sample.rows) < sample.capacity
+    sample.rows[0] = (9.0, 9.0)
+
+
+@pytest.mark.parametrize("corrupt, name, message", [
+    (_drop_a_replica, "d", "has 1 replicas, its recipe 2"),
+    (_drop_an_index, "d", "holds indexes"),
+    (_unbox_a_shard_with_points, "d", "no box and no write"),
+    (_miscount_a_tombstone, "d", "counts other than its"),
+    (_overfill_a_sample, "d", "its recipe at most 64"),
+    (_forge_a_short_sample_row, "tiny", "short of 64 rows"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_check_invariants_catches_a_broken_shard_shape(corrupt, name,
+                                                       message):
+    engine = _two_replica_engine()
+    try:
+        corrupt(engine)
+        with pytest.raises(AssertionError, match=message):
+            engine.catalog.sharded(name).check_invariants()
+    finally:
+        engine.close()
+
+
+def test_a_zero_point_shard_is_pruned_until_written_and_served_at_once():
+    """Every shard is built at registration; one with no point has no box
+    and no write, so it is pruned — one insert makes it serve, on every
+    replica, and a delete routed to it before then is a no-op."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=30)
+    engine.register_sharded_dataset(
+        "d", [(0.5, y) for y in np.linspace(-1, 1, 8)], num_shards=3,
+        sharding="range", replicas=2, kinds=["dynamic", "full_scan"])
+    sharded = engine.catalog.sharded("d")
+    zero = sharded.shards[0]
+    assert zero.lows is None and len(zero.replicas) == 2
+    everything = LinearConstraint(coeffs=(0.0,), offset=1e9)
+    assert zero not in sharded.relevant_shards(everything)
+    assert engine.query("d", everything).shards_pruned == 2
+    missing = engine.delete("d", (-0.5, 0.0))
+    assert (missing.applied, missing.shard_id, missing.replicas) \
+        == (False, 0, 2)
+    assert zero not in sharded.relevant_shards(everything)
+    engine.insert("d", (-0.5, 0.0))
+    assert zero in sharded.relevant_shards(everything)
+    answer = engine.query("d", LinearConstraint(coeffs=(0.0,), offset=0.1),
+                          clear_cache=True)
+    assert (-0.5, 0.0) in rows(answer)
+    assert [rows(replica.indexes["dynamic"].query(everything))
+            for replica in zero.replicas] == [[(-0.5, 0.0)]] * 2
+    sharded.check_invariants()
+    engine.close()

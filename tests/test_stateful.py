@@ -1,0 +1,248 @@
+"""The engine against a numpy oracle, under generated writes and re-splits.
+
+One :class:`RuleBasedStateMachine` registers a dataset drawn from index
+suite x {memory, file} backend x {range, hash} sharding x K in {1, 2, 4}
+shards x {1, 2} replicas, over degenerate point sets (duplicates,
+collinear and axis-parallel sets, points on a query hyperplane, N < B),
+then interleaves inserts (copies, grid points, points far outside the
+build range — which fill zero-point shards), deletes (present and
+absent), queries, conjunctions and re-splits.  The oracle is the live
+multiset, kept as a list.  After every rule the dataset's
+``check_invariants()`` holds and its whole answer is the oracle's; a
+query is also answered by every index of every replica, in both kernel
+modes (same answer, same I/Os) — the mutable one over its shard's part
+of the oracle, a static one over its build points — and under
+``explain(analyze=True)`` every shard ``dynamic`` served was priced at
+exactly its cold I/Os.  The worker mode is the suite's
+(``REPRO_WORKERS``); the example budget is ``conftest.STATEFUL``.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+
+import numpy as np
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
+
+from conftest import STATEFUL
+
+from repro import ConstraintConjunction, LinearConstraint, QueryEngine
+from repro.core import scalar_kernels
+from repro.engine import Catalog
+
+#: The static kinds built beside "dynamic" (the write target): between
+#: them, every kind the catalog builds in the dimension.
+SUITES = {2: [["halfplane2d", "partition_tree", "full_scan"],
+              ["quadtree", "paged_cgl"],
+              ["shallow_tree", "rtree", "kdb_tree"]],
+          3: [["halfspace3d", "partition_tree", "full_scan"],
+              ["halfspace3d", "hybrid3d"],
+              ["shallow_tree", "rtree", "kdb_tree"]]}
+#: Dyadic grid values: sums and products stay exact, so a query plane
+#: through a stored point passes exactly through it.  A suite with
+#: ``halfplane2d`` draws continuous coordinates instead (copies still
+#: duplicate points): its level walk drops a group of coincident dual
+#: lines at a vertex where several groups meet — collinear points with
+#: duplicates, e.g. (0.25, 0) x4, (0.5, 0.25) x3, (1, 0.75) x6 and
+#: y <= -x + 0.75 loses the three points on the line.
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+FAR = [-4.0, 3.0, 6.0]
+COEFFS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+EVERYTHING = {2: LinearConstraint(coeffs=(0.0,), offset=1e9),
+              3: LinearConstraint(coeffs=(0.0, 0.0), offset=1e9)}
+
+
+@st.composite
+def layouts(draw):
+    """One dataset: its dimension, points, suite, backend and sharding."""
+    dimension = draw(st.sampled_from([2, 3]))
+    kinds = ["dynamic"] + draw(st.sampled_from(SUITES[dimension]))
+    block_size = draw(st.sampled_from([4, 8]))
+    shape = draw(st.sampled_from(
+        ["grid", "duplicates", "collinear", "one_leading_value", "below_b"]))
+    count = draw(st.integers(1, block_size - 1)) if shape == "below_b" \
+        else draw(st.integers(block_size, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    points = rng.choice(GRID, size=(count, dimension))
+    if "halfplane2d" in kinds:
+        points = rng.uniform(-1.0, 1.0, size=(count, dimension))
+    elif shape == "duplicates":
+        points = points[rng.integers(0, 3, size=count)]
+    elif shape == "collinear":
+        points[:, 1:] = points[:, :1] * 0.5
+    elif shape == "one_leading_value":
+        points[:, 0] = 0.5      # range shards collapse: zero-point shards
+    return {
+        "points": points, "block_size": block_size, "kinds": kinds,
+        "backend": draw(st.sampled_from(["memory", "file"])),
+        "sharding": draw(st.sampled_from(["range", "hash"])),
+        "num_shards": draw(st.sampled_from([1, 2, 4])),
+        "replicas": draw(st.sampled_from([1, 2])),
+    }
+
+
+def fresh_points(dimension, general):
+    """A grid point (or one far outside the build range), or with
+    ``general`` a continuous one anywhere from -4 to 6."""
+    if general:
+        return st.integers(0, 2 ** 32).map(lambda seed: tuple(
+            np.random.default_rng(seed).uniform(-4.0, 6.0, dimension)
+            .tolist()))
+    return st.lists(st.sampled_from(GRID + FAR), min_size=dimension,
+                    max_size=dimension).map(tuple)
+
+
+def multiset(points):
+    """An answer matrix or a list of points as a sorted list of tuples."""
+    return sorted(map(tuple, np.asarray(points, dtype=float).tolist()))
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """One engine, one dataset ``d``, and ``live``: its oracle multiset."""
+
+    @initialize(layout=layouts(), seed=st.integers(0, 2 ** 16))
+    def register(self, layout, seed):
+        self.data_dir = tempfile.mkdtemp(prefix="stateful-")
+        self.engine = QueryEngine(
+            block_size=layout["block_size"], seed=seed, sample_size=8,
+            backend=layout["backend"], data_dir=self.data_dir)
+        self.engine.register_sharded_dataset(
+            "d", layout["points"], num_shards=layout["num_shards"],
+            sharding=layout["sharding"], replicas=layout["replicas"],
+            kinds=layout["kinds"])
+        self.sharded = self.engine.catalog.sharded("d")
+        self.dimension = layout["points"].shape[1]
+        self.fresh = fresh_points(self.dimension,
+                                  "halfplane2d" in layout["kinds"])
+        self.live = [tuple(p) for p in layout["points"].tolist()]
+        #: Writes applied since registration or the last re-split.
+        self.writes = 0
+
+    def teardown(self):
+        engine = getattr(self, "engine", None)
+        if engine is not None:
+            engine.close()
+            shutil.rmtree(self.data_dir, ignore_errors=True)
+
+    # ------------------------------------------------------------------
+    # writes
+    # ------------------------------------------------------------------
+    @rule(data=st.data(), source=st.sampled_from(["copy", "fresh"]),
+          pick=st.integers(0, 2 ** 16))
+    def insert(self, data, source, pick):
+        point = self.live[pick % len(self.live)] \
+            if source == "copy" and self.live else data.draw(self.fresh)
+        result = self.engine.insert("d", point)
+        assert result.applied and result.replicas == len(
+            self.sharded.shards[result.shard_id].replicas)
+        self.live.append(tuple(map(float, point)))
+        self.writes += 1
+
+    @rule(data=st.data(), present=st.booleans(),
+          pick=st.integers(0, 2 ** 16))
+    def delete(self, data, present, pick):
+        point = self.live[pick % len(self.live)] \
+            if present and self.live \
+            else tuple(map(float, data.draw(self.fresh)))
+        result = self.engine.delete("d", point)
+        assert result.applied == (point in self.live)
+        if result.applied:
+            self.live.remove(point)
+            self.writes += 1
+
+    @precondition(lambda self: self.sharded.router.scheme == "range"
+                  and self.live and self.writes)
+    @rule()
+    def rebalance(self):
+        self.engine.rebalance("d")
+        self.writes = 0
+
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
+    def constraints(self, draw_coeffs, pick, shift):
+        """A plane through a live point (or the origin), shifted."""
+        anchor = self.live[pick % len(self.live)] if self.live \
+            else (0.0,) * self.dimension
+        coeffs = tuple(draw_coeffs)
+        offset = anchor[-1] - sum(c * x for c, x in zip(coeffs, anchor))
+        return LinearConstraint(coeffs=coeffs, offset=offset + shift)
+
+    def oracle(self, mask_of):
+        live = np.asarray(self.live, dtype=float).reshape(-1, self.dimension)
+        return multiset(live[mask_of(live)]) if len(live) else []
+
+    def check_every_index(self, constraint):
+        """Every index of every replica, in both kernel modes, at one I/O
+        count: the mutable one answers its shard's part of the oracle, a
+        static one its build points (the planner skips it once stale)."""
+        live = np.asarray(self.live, dtype=float).reshape(-1, self.dimension)
+        routed = self.sharded.router.assign(live)
+        for shard in self.sharded.shards:
+            part = live[routed[shard.shard_id]]
+            for replica in shard.replicas:
+                mutable = Catalog.mutable_index_name(replica)
+                for name in replica.indexes:
+                    points = part if name == mutable else replica.points
+                    truth = multiset(points[constraint.below_many(points)])
+                    vector, vector_ios, __ = replica.run_query(
+                        name, constraint, clear_cache=True)
+                    with scalar_kernels():
+                        scalar, scalar_ios, __ = replica.run_query(
+                            name, constraint, clear_cache=True)
+                    where = (replica.name, name, constraint)
+                    assert multiset(vector) == truth, where
+                    assert multiset(scalar) == truth, where
+                    assert (vector_ios.reads, vector_ios.cache_hits) == (
+                        scalar_ios.reads, scalar_ios.cache_hits), where
+
+    @rule(data=st.data(), pick=st.integers(0, 2 ** 16),
+          shift=st.sampled_from([0.0, -0.25, 0.5, -10.0, 10.0]))
+    def query(self, data, pick, shift):
+        constraint = self.constraints(data.draw(st.lists(
+            st.sampled_from(COEFFS), min_size=self.dimension - 1,
+            max_size=self.dimension - 1)), pick, shift)
+        truth = self.oracle(constraint.below_many)
+        assert multiset(self.engine.query("d", constraint).points) == truth
+        report = self.engine.explain("d", constraint, analyze=True,
+                                     clear_cache=True)
+        assert report["reported"] == len(truth)
+        for entry in report["per_shard"]:
+            if entry["index"] == "dynamic":
+                assert entry["model_ios"] == entry["observed_cold_ios"], \
+                    entry
+        self.check_every_index(constraint)
+
+    @rule(data=st.data(), picks=st.tuples(st.integers(0, 2 ** 16),
+                                          st.integers(0, 2 ** 16)),
+          shift=st.sampled_from([0.0, 0.5, -0.25]))
+    def conjunction(self, data, picks, shift):
+        draw = st.lists(st.sampled_from(COEFFS), min_size=self.dimension - 1,
+                        max_size=self.dimension - 1)
+        both = ConstraintConjunction.of(*(
+            self.constraints(data.draw(draw), pick, shift)
+            for pick in picks))
+        truth = self.oracle(lambda live: np.logical_and.reduce(
+            [c.below_many(live) for c in both.constraints]))
+        answer = self.engine.query_conjunction("d", both, clear_cache=True)
+        assert multiset(answer.points) == truth
+
+    # ------------------------------------------------------------------
+    # after every rule
+    # ------------------------------------------------------------------
+    @invariant()
+    def layout_holds_and_answers_the_oracle(self):
+        if not hasattr(self, "engine"):
+            return
+        self.sharded.check_invariants()
+        if self.engine.cluster is not None:
+            self.engine.cluster.check_invariants()
+        answer = self.engine.query("d", EVERYTHING[self.dimension])
+        assert multiset(answer.points) == multiset(self.live)
+
+
+TestEngineMachine = EngineMachine.TestCase
+TestEngineMachine.settings = STATEFUL

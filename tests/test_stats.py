@@ -21,6 +21,7 @@ from repro.engine import (
     ConformalCalibrator,
     EquiDepthHistogram,
     HistogramModel,
+    Reservoir,
     ServingRequest,
     ShardedPlan,
     TenantBudget,
@@ -40,6 +41,12 @@ from repro.workloads import (
 )
 
 BLOCK_SIZE = 32
+
+
+def full(rows, seed=None):
+    """A reservoir already at its capacity: a copy of ``rows``, never
+    grown by an insert."""
+    return Reservoir(np.array(rows, dtype=float), len(rows), seed)
 
 
 # ----------------------------------------------------------------------
@@ -122,7 +129,7 @@ def test_constraint_direction_normalisation():
 def test_uniform_model_matches_sample_scan():
     points = uniform_points(2000, seed=4)
     sample = points[:500].copy()
-    model = UniformSampleModel(sample, dimension=2, size=len(points))
+    model = UniformSampleModel(full(sample), dimension=2, size=len(points))
     constraint = LinearConstraint(coeffs=(0.25,), offset=0.1)
     expected = sum(constraint.below(p) for p in sample) / len(sample)
     assert model.estimate_selectivity(constraint) == pytest.approx(expected)
@@ -133,7 +140,7 @@ def test_models_check_constraint_dimension():
     points = uniform_points(100, seed=5)
     bad = LinearConstraint(coeffs=(0.1, 0.2), offset=0.0)  # 3-D constraint
     for spec in ("uniform", "histogram"):
-        model = make_model(spec, points, points[:50].copy(), seed=5)
+        model = make_model(spec, points, full(points[:50]), seed=5)
         with pytest.raises(ValueError):
             model.estimate_selectivity(bad)
 
@@ -141,7 +148,7 @@ def test_models_check_constraint_dimension():
 def test_make_model_rejects_unknown_spec():
     points = uniform_points(64, seed=6)
     with pytest.raises(ValueError):
-        make_model("parametric", points, points.copy())
+        make_model("parametric", points, full(points))
 
 
 def test_histogram_model_beats_uniform_on_diagonal_qerror():
@@ -155,8 +162,8 @@ def test_histogram_model_beats_uniform_on_diagonal_qerror():
     points = diagonal_points(4096, noise=5e-3, seed=7)
     rng = np.random.default_rng(8)
     sample = points[rng.choice(len(points), 256, replace=False)]
-    uniform = make_model("uniform", points, sample.copy(), seed=9)
-    histogram = make_model("histogram", points, sample.copy(), seed=9)
+    uniform = make_model("uniform", points, full(sample, 9), seed=9)
+    histogram = make_model("histogram", points, full(sample, 9), seed=9)
     errors = {"uniform": [], "histogram": []}
     selectivities = np.exp(np.linspace(np.log(0.002), np.log(0.3), 20))
     for index, selectivity in enumerate(selectivities):
@@ -178,7 +185,7 @@ def test_histogram_model_falls_back_to_sample_off_direction():
     # Only the x_d axis is canonical; a steep constraint's residual
     # direction is far from it, so the model must fall back.
     model = HistogramModel(points, directions=[(0.0, 1.0)],
-                           min_cosine=0.99, sample=sample)
+                           min_cosine=0.99, sample=full(sample))
     steep = LinearConstraint(coeffs=(25.0,), offset=0.0)
     expected = sum(steep.below(p) for p in sample) / len(sample)
     assert model.estimate_selectivity(steep) == pytest.approx(expected)
@@ -208,8 +215,8 @@ def test_observe_delete_evicts_dead_points_from_sample():
                              rng.uniform(-1, 1, 200)])
     points = np.concatenate([left, right])
     sample = points.copy()  # full-coverage sample
-    model = UniformSampleModel(sample, dimension=2, size=len(points),
-                               seed=27)
+    model = UniformSampleModel(full(sample, 27), dimension=2,
+                               size=len(points))
     left_half = LinearConstraint.from_inequality((1.0, 1e-9), -0.5)
     assert model.estimate_selectivity(left_half) == pytest.approx(0.5)
     for point in left:
@@ -222,7 +229,8 @@ def test_observe_delete_evicts_dead_points_from_sample():
 
 def test_model_tracks_live_size_under_mutation_feedback():
     points = uniform_points(400, seed=11)
-    model = make_model("histogram", points, points[:100].copy(), seed=11)
+    model = make_model("histogram", points, full(points[:100], 11),
+                       seed=11)
     everything = LinearConstraint(coeffs=(0.0,), offset=10.0)
     assert model.estimate_output(everything) == 400
     for __ in range(100):
@@ -231,6 +239,46 @@ def test_model_tracks_live_size_under_mutation_feedback():
     assert model.estimate_output(everything) == 500
     model.observe_delete((0.5, 0.5))
     assert model.size == 499
+
+
+def test_a_short_sample_fills_to_its_capacity_as_the_dataset_grows():
+    # A 10-point dataset's sample starts as its 10 points; inserts append
+    # until the recipe's 512 rows, then Algorithm R keeps it uniform.
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=21)
+    engine.register_dataset("d", uniform_points(10, seed=21),
+                            kinds=["dynamic"])
+    for point in uniform_points(2000, seed=22):
+        engine.insert("d", point)
+    model = engine.catalog.dataset("d").stats
+    assert len(model.sample.rows) == 512
+    low = LinearConstraint(coeffs=(0.0,), offset=-0.9)
+    truth = engine.query("d", low).count
+    assert truth / 2 <= model.estimate_output(low) <= 2 * truth
+    engine.catalog.sharded("d").check_invariants()
+    engine.close()
+
+
+@pytest.mark.parametrize("inserts", [1, 64, 600])
+def test_a_zero_point_shard_samples_every_insert_up_to_capacity(inserts):
+    # Every build point shares the leading attribute, so range shards
+    # 0-2 are built over zero points; inserts left of it land in shard 0.
+    build = np.column_stack([np.full(16, 0.5), np.linspace(-1, 1, 16)])
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=23)
+    engine.register_sharded_dataset("d", build, num_shards=4,
+                                    sharding="range", kinds=["dynamic"])
+    shard = engine.catalog.sharded("d").shards[0]
+    assert len(shard.planning_dataset().points) == 0
+    grown = uniform_points(inserts, low=-1.0, high=0.4, seed=24)
+    for point in grown:
+        assert engine.insert("d", point).shard_id == 0
+    model = shard.planning_dataset().stats
+    assert len(model.sample.rows) == min(inserts, 512)
+    if inserts <= 512:   # the sample is the shard itself: exact estimates
+        low = LinearConstraint(coeffs=(0.5,), offset=0.0)
+        assert model.estimate_output(low) \
+            == int(low.below_many(grown).sum())
+    engine.catalog.sharded("d").check_invariants()
+    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +295,7 @@ def test_engine_builds_configured_model_per_dataset_and_shard():
     assert engine.catalog.dataset("plain").stats.name == "histogram"
     sharded = engine.catalog.sharded("sh")
     assert sharded.stats.name == "histogram"
-    for shard in sharded.nonempty_shards():
+    for shard in sharded.shards:
         for replica in shard.replicas:
             assert replica.stats.name == "histogram"
             assert replica.stats.describe()["buckets"] == 32
@@ -392,7 +440,7 @@ def test_rebalance_handles_replicated_shards():
         assert engine.insert("sh", point).shard_id == 3
     assert sharded.shards[3].box_stale
     engine.rebalance("sh")
-    for shard in sharded.nonempty_shards():
+    for shard in sharded.shards:
         assert not shard.box_stale
         assert shard.num_replicas == 2
         assert shard.replicas_for_query() == [0, 1]
@@ -434,7 +482,7 @@ def test_rebalance_preserves_custom_index_names_and_params():
     sharded = engine.catalog.sharded("sh")
     engine.insert("sh", (0.0, 0.0))
     engine.rebalance("sh")
-    for shard in sharded.nonempty_shards():
+    for shard in sharded.shards:
         indexes = shard.planning_dataset().indexes
         assert set(indexes) == {"full_scan", "pt_wide", "dynamic"}
         record = shard.planning_dataset().build_records["pt_wide"]
@@ -471,7 +519,7 @@ def test_shard_replicas_share_one_selectivity_model():
                          stats_model="histogram")
     engine.register_sharded_dataset("sh", points, num_shards=2,
                                     sharding="range", replicas=3)
-    for shard in engine.catalog.sharded("sh").nonempty_shards():
+    for shard in engine.catalog.sharded("sh").shards:
         models = {id(replica.stats) for replica in shard.replicas}
         assert len(models) == 1
     engine.close()
@@ -671,7 +719,8 @@ def test_qerror_helper_is_symmetric_and_clamped():
 def test_note_estimation_feedback_is_a_noop_on_base_models():
     points = uniform_points(256, seed=3)
     sample = np.asarray(points)[:64]
-    model = make_model("uniform", np.asarray(points), sample, seed=3)
+    model = make_model("uniform", np.asarray(points), full(sample, 3),
+                       seed=3)
     constraint = LinearConstraint(coeffs=(0.5,), offset=0.1)
     before = model.describe()
     model.note_estimation_feedback(constraint, 10.0, 1000)
@@ -687,7 +736,7 @@ def test_adaptive_histogram_replaces_persistently_bad_direction():
     # bad direction actually prices queries (and accrues q-error).
     model = HistogramModel(points, directions=[(1.0, 0.0), (0.0, 1.0)],
                            num_buckets=32, min_cosine=-1.0,
-                           sample=sample, seed=11,
+                           sample=full(sample, 11), seed=11,
                            adapt_after=8, adapt_qerror=2.0)
     assert model.adaptations == 0
     constraint = rotated_diagonal_query(points, angle=0.0,
@@ -710,7 +759,7 @@ def test_adaptive_histogram_recruits_missed_query_direction():
     # One canonical direction: (0, 1), the residual direction of
     # coeffs=(0.0,) constraints.
     model = HistogramModel(points, directions=[(0.0, 1.0)],
-                           num_buckets=32, sample=sample, seed=5,
+                           num_buckets=32, sample=full(sample, 5), seed=5,
                            adapt_after=4, adapt_qerror=2.0)
     # Queries far from the only canonical direction fall back to the
     # sample and record their direction as a replacement candidate.
@@ -747,68 +796,6 @@ def test_adapt_knobs_flow_through_engine_stats_params():
     assert int(np.sum(model._dir_observations)) + model.fallbacks > 0
     engine.close()
 
-
-# ----------------------------------------------------------------------
-# provisional-shard stats upgrade (lazy materialization satellite)
-# ----------------------------------------------------------------------
-def test_materialized_shard_upgrades_to_configured_model():
-    rng = np.random.default_rng(21)
-    # A tiny hash-sharded build leaves at least one shard empty, so it
-    # lazily materializes on first insert with provisional stats.
-    build = [(float(i), float(i)) for i in range(4)]
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=21,
-                         stats_model="histogram",
-                         stats_params={"num_buckets": 8},
-                         stats_upgrade_min_points=16)
-    engine.register_sharded_dataset("lazy", build, num_shards=4,
-                                    sharding="hash", replicas=2,
-                                    kinds=["dynamic", "full_scan"])
-    sharded = engine.catalog.sharded("lazy")
-    empty = next(s for s in sharded.shards if s.is_empty)
-    probes = [p for p in ((float(a), float(b)) for a, b in
-                          rng.uniform(10.0, 20.0, size=(4096, 2)))
-              if sharded.router.shard_of(p) == empty.shard_id]
-    assert len(probes) >= 18
-    for point in probes[:15]:
-        engine.insert("lazy", point)
-    shard = sharded.shards[empty.shard_id]
-    assert shard.stats_provisional                  # still below the bar
-    assert shard.planning_dataset().stats.name == "uniform"
-    engine.insert("lazy", probes[15])               # the 16th point
-    assert not shard.stats_provisional
-    assert shard.planning_dataset().stats.name == "histogram"
-    # Replicas share the upgraded model object.
-    assert all(replica.stats is shard.planning_dataset().stats
-               for replica in shard.replicas)
-    # Later mutations keep flowing into the upgraded model exactly once.
-    before = shard.planning_dataset().stats.observed_inserts
-    engine.insert("lazy", probes[16])
-    assert shard.planning_dataset().stats.observed_inserts == before + 1
-    engine.close()
-
-
-def test_stats_upgrade_disabled_keeps_provisional_model():
-    rng = np.random.default_rng(22)
-    build = [(float(i), float(i)) for i in range(4)]
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=22,
-                         stats_model="histogram",
-                         stats_params={"num_buckets": 8},
-                         stats_upgrade_min_points=0)
-    engine.register_sharded_dataset("lazy", build, num_shards=4,
-                                    sharding="hash", replicas=1,
-                                    kinds=["dynamic", "full_scan"])
-    sharded = engine.catalog.sharded("lazy")
-    empty = next(s for s in sharded.shards if s.is_empty)
-    probes = [p for p in ((float(a), float(b)) for a, b in
-                          rng.uniform(10.0, 20.0, size=(4096, 2)))
-              if sharded.router.shard_of(p) == empty.shard_id]
-    assert len(probes) >= 40
-    for point in probes[:40]:
-        engine.insert("lazy", point)
-    shard = sharded.shards[empty.shard_id]
-    assert shard.stats_provisional
-    assert shard.planning_dataset().stats.name == "uniform"
-    engine.close()
 
 # ----------------------------------------------------------------------
 # conformal calibration (distribution-free error bars)
@@ -1047,7 +1034,7 @@ def test_degraded_conformal_intervals_cover_at_the_nominal_level():
 def test_ensemble_estimates_are_weighted_blend_of_members():
     points = np.asarray(uniform_points(1024, seed=50))
     sample = points[:256].copy()
-    model = make_model("ensemble", points, sample, seed=50)
+    model = make_model("ensemble", points, full(sample, 50), seed=50)
     assert model.name == "ensemble"
     assert set(model.weights) == {"uniform", "histogram"}
     assert sum(model.weights.values()) == pytest.approx(1.0)
@@ -1065,7 +1052,7 @@ def test_ensemble_downweights_misspecified_member():
     points = np.asarray(diagonal_points(4096, noise=5e-3, seed=51))
     rng = np.random.default_rng(52)
     sample = points[rng.choice(len(points), 256, replace=False)]
-    model = make_model("ensemble", points, sample.copy(), seed=51)
+    model = make_model("ensemble", points, full(sample, 51), seed=51)
     selectivities = np.exp(np.linspace(np.log(0.002), np.log(0.2), 30))
     for selectivity in selectivities:
         constraint = rotated_diagonal_query(
@@ -1109,7 +1096,7 @@ def test_warmed_ensemble_prices_the_diagonal_within_the_histogram_baseline():
     for seed in (2010, 2011, 2012):
         rows = np.random.default_rng(seed).choice(len(points), 256,
                                                   replace=False)
-        models = {kind: make_model(kind, points, points[rows].copy(),
+        models = {kind: make_model(kind, points, full(points[rows], seed),
                                    seed=seed) for kind in errors}
         for constraint, actual in warmup:
             models["ensemble"].note_estimation_feedback(
@@ -1125,7 +1112,8 @@ def test_warmed_ensemble_prices_the_diagonal_within_the_histogram_baseline():
 
 def test_ensemble_forwards_mutations_to_both_members():
     points = np.asarray(uniform_points(512, seed=53))
-    model = make_model("ensemble", points, points[:128].copy(), seed=53)
+    model = make_model("ensemble", points, full(points[:128], 53),
+                       seed=53)
     before = model.size
     model.observe_insert((0.5, 0.5))
     assert model.size == before + 1
@@ -1225,11 +1213,11 @@ def test_worker_spec_carries_stats_and_conformal_config():
                     engine.register_dataset("d", points,
                                             kinds=["full_scan"], **override)
                     engine.cluster.start_dataset("d")
-                for shard in engine.catalog.sharded("d").nonempty_shards():
-                    assert shard.dataset.stats.name \
-                        == override.get("stats_model", "uniform")
+                for shard in engine.catalog.sharded("d").shards:
+                    model = shard.planning_dataset().stats
+                    assert model.name == override.get("stats_model",
+                                                      "uniform")
                     assert engine.cluster.worker_stats(
-                        "d", shard.shard_id, 0)["stats_model"] \
-                        == shard.dataset.stats.name
+                        "d", shard.shard_id, 0)["stats_model"] == model.name
             finally:
                 engine.close()

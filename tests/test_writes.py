@@ -173,9 +173,9 @@ def test_routed_insert_uses_rebalanced_boundaries(points2d):
 
 
 def _probe_into_empty_shard(sharded, seed=6):
-    """A point whose routed shard currently holds no replicas."""
+    """A point whose routed shard currently holds no live point."""
     empty_ids = {shard.shard_id for shard in sharded.shards
-                 if shard.is_empty}
+                 if shard.planning_dataset().live_size == 0}
     assert empty_ids
     rng = np.random.default_rng(seed)
     for __ in range(200):
@@ -187,7 +187,7 @@ def _probe_into_empty_shard(sharded, seed=6):
 
 
 def test_write_into_an_empty_shard_materializes_it_lazily():
-    # Hash-shard a tiny dataset so some shards hold no replicas at all.
+    # Hash-shard a tiny dataset so some shards are built over no point.
     points = uniform_points(3, seed=5)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_sharded_dataset("tiny", points, num_shards=8,
@@ -195,22 +195,22 @@ def test_write_into_an_empty_shard_materializes_it_lazily():
                                     replicas=2)
     sharded = engine.catalog.sharded("tiny")
     probe, shard_id = _probe_into_empty_shard(sharded)
-    # A delete routed to a still-empty shard stays the documented no-op:
-    # deleting an absent point must not build stores.
+    # A delete routed to a zero-point shard stays the documented no-op,
+    # fanned out to its replicas like any other write.
     result = engine.delete("tiny", probe)
-    assert result.applied is False and result.replicas == 0
-    assert sharded.shards[shard_id].is_empty
-    # The first insert materializes the shard — stores, index suites and
-    # replica fan-out appear on demand — and the write applies normally.
+    assert result.applied is False and result.replicas == 2
+    shard = sharded.shards[shard_id]
+    assert shard.planning_dataset().live_size == 0
+    assert not shard.box_stale and not shard.may_contain(EVERYTHING)
+    # The first insert lands on every replica like any other write.
     result = engine.insert("tiny", probe)
     assert result.applied is True
     assert result.shard_id == shard_id
     assert result.replicas == 2
-    shard = sharded.shards[shard_id]
-    assert not shard.is_empty
+    assert shard.planning_dataset().live_size == 1
     assert len(shard.replicas) == 2
     assert _replica_answers(shard)[0] == _replica_answers(shard)[1]
-    # The materialized shard serves immediately.
+    # The filled shard serves immediately.
     answer = engine.query("tiny", EVERYTHING)
     assert tuple(probe) in {tuple(p) for p in answer.points}
     # And the point can be deleted again through the same routed path.
@@ -233,9 +233,8 @@ def test_materialized_shard_feeds_stats_exactly_once():
         expected = 2
     else:
         expected = 1
-    # The materialization hook wires the new replicas exactly once: each
-    # logical insert is observed once by the shard's model (a double
-    # subscription would count every write twice and skew selectivity).
+    # Each logical insert is observed once by the shard's model and once
+    # by the dataset's (a double observation would skew selectivity).
     shard_model = sharded.shards[shard_id].replicas[0].stats
     assert shard_model.observed_inserts == expected
     assert sharded.stats.observed_inserts == expected
@@ -295,7 +294,7 @@ def test_stats_and_counters_observe_one_logical_mutation_per_fanout(points2d):
     # rebalance skew counter.
     assert sharded.stats.observed_inserts == len(extra)
     assert sharded.stats.size == size_before + len(extra)
-    for shard in sharded.nonempty_shards():
+    for shard in sharded.shards:
         model = shard.replicas[0].stats
         assert model.observed_inserts == per_shard[shard.shard_id]
         for replica in shard.replicas:        # replicas share one model
@@ -583,15 +582,15 @@ def test_process_mode_write_skips_a_worker_spawned_without_the_index(
 def _assert_refuses_direct_writes(sharded):
     """Every replica's dynamic index vetoes a direct write before it
     lands; a delete of an absent point stays a no-op."""
-    for shard in sharded.nonempty_shards():
+    for shard in sharded.shards:
         for replica in shard.replicas:
             index = replica.indexes["dynamic"]
-            present = tuple(Catalog.live_points_of(replica)[0])
             size = index.size
             with pytest.raises(ValueError, match="QueryEngine.insert"):
                 index.insert((0.5, 0.5))
-            with pytest.raises(ValueError, match="QueryEngine.insert"):
-                index.delete(present)
+            for present in map(tuple, Catalog.live_points_of(replica)[:1]):
+                with pytest.raises(ValueError, match="QueryEngine.insert"):
+                    index.delete(present)
             assert index.delete((123.0, 456.0)) is False
             assert index.size == size
 
@@ -612,8 +611,9 @@ def test_direct_writes_raise_on_every_engine_owned_dynamic_index(points2d):
                                     num_shards=8, sharding="hash",
                                     kinds=["dynamic"])
     tiny = engine.catalog.sharded("tiny")
+    _assert_refuses_direct_writes(tiny)                   # zero-point
     probe, shard_id = _probe_into_empty_shard(tiny)
     engine.insert("tiny", probe)
-    assert not tiny.shards[shard_id].is_empty
-    _assert_refuses_direct_writes(tiny)                   # materialised
+    assert tiny.shards[shard_id].planning_dataset().live_size == 1
+    _assert_refuses_direct_writes(tiny)                   # filled
     engine.close()
