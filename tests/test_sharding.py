@@ -473,7 +473,18 @@ def _site_rebalance(engine, points):
     assert engine.catalog.sharded("d").generation == 1
 
 
-def _site_fill_zero_point_shard(engine, points):
+def _site_materialize(engine, points):
+    """The first insert into a zero-point shard, built at registration."""
+    shard = _insert_into_an_empty_shard(engine, 1)
+    assert shard.box_stale and shard.lows is None
+    primary = shard.planning_dataset()
+    assert primary.live_size == 1 and len(primary.points) == 0
+    assert primary.stats.name == "uniform"
+
+
+def _site_upgrade_stats(engine, points):
+    """Inserts into a zero-point shard fill the sample its replicas
+    share."""
     shard = _insert_into_an_empty_shard(engine, 8)
     assert shard.box_stale and shard.lows is None
     primary = shard.planning_dataset()
@@ -482,12 +493,13 @@ def _site_fill_zero_point_shard(engine, points):
     # its sample filled by the inserts.
     assert primary.stats.name == "uniform"
     assert len(primary.stats.sample.rows) == 8
+    assert all(replica.stats is primary.stats for replica in shard.replicas)
 
 
 @pytest.mark.parametrize("backend", ["memory", "file"])
 @pytest.mark.parametrize("site", [
     _site_register, _site_register_sharded, _site_rebalance,
-    _site_fill_zero_point_shard], ids=lambda site: site.__name__)
+    _site_materialize, _site_upgrade_stats], ids=lambda site: site.__name__)
 def test_every_build_site_leaves_the_same_replica_layout(site, backend,
                                                          tmp_path):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=17, backend=backend,
