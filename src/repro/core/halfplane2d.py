@@ -26,9 +26,10 @@ layers by O(1 + t / log_B n), giving the O(log_B n + t) total.
 from __future__ import annotations
 
 import math
+import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -53,6 +54,23 @@ class _Layer:
     boundary_tree: BTree
     num_lines: int
     bounds: List[float]
+
+
+class LayerBuild(NamedTuple):
+    """What building one layer took: the lines still unassigned, λ_i, the
+    level's vertices (``run_vertices`` of them from the walk's checked
+    runs, ``exact_steps`` from its exact step), its band cuts, the walk's
+    seconds and the clusters it compressed into.  The trivial last layer
+    walks nothing."""
+
+    lines: int
+    lam: int
+    vertices: int
+    run_vertices: int
+    exact_steps: int
+    band_cuts: int
+    walk_s: float
+    clusters: int
 
 
 def default_beta(num_points: int, block_size: int) -> int:
@@ -102,6 +120,8 @@ class HalfplaneIndex2D(ExternalIndex):
             self._num_points, self.block_size)
         self._rng = np.random.default_rng(seed)
         self._layers: List[_Layer] = []
+        #: One :class:`LayerBuild` per layer, in layer order.
+        self.layer_builds: List[LayerBuild] = []
         self._last_layers_probed = 0
         self._begin_space_accounting()
         self._build()
@@ -126,7 +146,9 @@ class HalfplaneIndex2D(ExternalIndex):
             if len(remaining) <= 2 * lam:
                 self._append_trivial_layer(lines, records, remaining, lam)
                 break
+            started = time.perf_counter()
             level = compute_level(lines[remaining], lam)
+            walk_s = time.perf_counter() - started
             width = self._cluster_width_factor * lam
             clusters = greedy_clustering(level, width)
             layer_local_lines = clustering_union(clusters)
@@ -135,6 +157,10 @@ class HalfplaneIndex2D(ExternalIndex):
                 # λ lines below it); fall back to a trivial final layer.
                 self._append_trivial_layer(lines, records, remaining, lam)
                 break
+            self.layer_builds.append(LayerBuild(
+                len(remaining), lam, level.complexity, level.run_vertices,
+                level.complexity - level.run_vertices, level.band_cuts,
+                walk_s, len(clusters)))
             self._append_layer(lines, records, remaining, lam, clusters)
             remaining = np.delete(remaining, layer_local_lines)
 
@@ -143,6 +169,8 @@ class HalfplaneIndex2D(ExternalIndex):
         """Store the last few lines as a single cluster covering all of R."""
         cluster = Cluster(lines=list(range(len(remaining))),
                           x_from=-math.inf, x_to=math.inf)
+        self.layer_builds.append(
+            LayerBuild(len(remaining), lam, 0, 0, 0, 0, 0.0, 1))
         self._append_layer(lines, records, remaining, lam, [cluster])
 
     def _append_layer(self, lines: LineArrays, records: np.ndarray,

@@ -38,11 +38,12 @@ concrete per-query cost predictions.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from repro.core import (
     ShallowPartitionTreeIndex,
 )
 from repro.core.conjunction import ConstraintConjunction, query_conjunction
+from repro.engine import tracing
 from repro.engine.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -71,6 +73,7 @@ from repro.engine.sharding import (
     make_router,
 )
 from repro.engine.stats import Reservoir, SelectivityModel, make_model
+from repro.engine.tracing import NULL_TRACE, Tracer, activate
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import make_backend
 from repro.io.store import BlockStore, IOStats
@@ -326,6 +329,39 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     return record
 
 
+def _build_on_shards(shards: Sequence[Shard], seed: Optional[int], kind: str,
+                     index_name: Optional[str],
+                     params: Dict[str, object]) -> List[BuildRecord]:
+    """One index of ``kind`` on every replica of ``shards``, in shard
+    order, each build a ``catalog.build_index`` span when a trace is on."""
+    records = []
+    for shard in shards:
+        for replica_id, replica in enumerate(shard.replicas):
+            with tracing.span("catalog.build_index", kind=kind,
+                              shard=shard.shard_id,
+                              replica=replica_id) as span:
+                record = _build_index(replica, seed, kind, index_name, params)
+                if span.enabled:
+                    _trace_build(span, record,
+                                 replica.indexes[record.index_name])
+            records.append(record)
+    return records
+
+
+def _trace_build(span: tracing.Span, record: BuildRecord,
+                 index: ExternalIndex) -> None:
+    """A build's figures on its span, and one ``halfplane2d.layer`` child
+    per layer of a planar index, read from its layer records."""
+    span.set_many({
+        "points": record.num_points, "space_blocks": record.space_blocks,
+        "build_ios": record.build_ios.total if record.build_ios else 0,
+        "build_s": record.build_seconds})
+    if isinstance(index, HalfplaneIndex2D):
+        for depth, layer in enumerate(index.layer_builds):
+            span.child("halfplane2d.layer", layer=depth,
+                       **layer._asdict()).finish()
+
+
 def build_replicas(names: Sequence[str], chunk: np.ndarray,
                    recipe: ReplicaRecipe,
                    suite_builds: Sequence[Dict[str, object]]
@@ -340,7 +376,9 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
     builds are seeded from the recipe, so the same arguments give the
     same stores and structures in any process: registration, re-split
     and the shard worker all call this, which is what replica parity and
-    process-mode I/O parity rest on.  ``chunk`` may hold zero points.
+    process-mode I/O parity rest on (the first two with no builds, then
+    build each kind on every replica in turn, each replica's suite in the
+    same order).  ``chunk`` may hold zero points.
     """
     stats = fit_stats(recipe, chunk)
     replicas: List[Dataset] = []
@@ -416,6 +454,22 @@ class Catalog:
             seed=seed, stats_model=stats_model,
             stats_params=dict(stats_params or {}), replicas=1)
         self._datasets: Dict[str, ShardedDataset] = {}
+        #: The engine's tracer (set by the engine; None: nothing traced).
+        self.tracer: Optional[Tracer] = None
+
+    @contextlib.contextmanager
+    def registering(self, name: str, operation: str) -> Iterator[None]:
+        """Run one registration or re-split of ``name`` as one
+        ``catalog.register`` trace, its builds as ``catalog.build_index``
+        spans, while :attr:`tracer` is on; else no span is allocated."""
+        trace = NULL_TRACE if self.tracer is None else \
+            self.tracer.start_trace("catalog.register", dataset=name,
+                                    operation=operation)
+        try:
+            with activate(trace.root):
+                yield
+        finally:
+            trace.finish()
 
     # ------------------------------------------------------------------
     # datasets
@@ -516,15 +570,13 @@ class Catalog:
             for replica_id in range(1, count)]
 
     def _make_shards(self, name: str, array: np.ndarray, router,
-                     recipe: ReplicaRecipe, generation: int,
-                     suite_builds: Sequence[Dict[str, object]]
-                     ) -> List[Shard]:
+                     recipe: ReplicaRecipe, generation: int) -> List[Shard]:
         """The router's layout of ``array``: one boxed shard per chunk, a
-        zero-point chunk included."""
+        zero-point chunk included, with no index built yet."""
         return [_boxed_shard(shard_id, build_replicas(
                     self._replica_names(name, shard_id, recipe.replicas,
                                         generation),
-                    array[rows], recipe, suite_builds))
+                    array[rows], recipe, []))
                 for shard_id, rows in enumerate(router.assign(array))]
 
     def register_sharded_dataset(self, name: str,
@@ -566,7 +618,7 @@ class Catalog:
         sharded = ShardedDataset(
             name=name, points=array, router=router,
             stats=fit_stats(recipe, array), recipe=recipe,
-            shards=self._make_shards(name, array, router, recipe, 0, []))
+            shards=self._make_shards(name, array, router, recipe, 0))
         self._datasets[name] = sharded
         return sharded
 
@@ -666,7 +718,7 @@ class Catalog:
         # would vanish from the rebuilt layout), and no write routes
         # against a half-swapped router/shard list or a suite that is
         # still being rebuilt.
-        with sharded.write_lock:
+        with sharded.write_lock, self.registering(name, "resplit"):
             old_sizes = sharded.shard_live_sizes()
             chunks = [self.live_points_of(shard.planning_dataset())
                       for shard in sharded.shards]
@@ -681,7 +733,10 @@ class Catalog:
             generation = sharded.generation + 1
             old_stores = self.stores(name)
             shards = self._make_shards(name, array, router, sharded.recipe,
-                                       generation, sharded.suite_builds)
+                                       generation)
+            for build in sharded.suite_builds:
+                _build_on_shards(shards, sharded.recipe.seed, build["kind"],
+                                 build["index_name"], build["params"])
             sharded.points = array
             sharded.stats = fit_stats(sharded.recipe, array)
             sharded.router = router
@@ -781,10 +836,8 @@ class Catalog:
         over the new shards.
         """
         sharded = self.sharded(dataset_name)
-        records = [_build_index(replica, sharded.recipe.seed, kind,
-                                index_name, params)
-                   for shard in sharded.shards
-                   for replica in shard.replicas]
+        records = _build_on_shards(sharded.shards, sharded.recipe.seed, kind,
+                                   index_name, params)
         # Record only after the builds succeeded: a phantom entry for a
         # failed build would make every later re-split fail mid-rebuild.
         effective_name = index_name or kind

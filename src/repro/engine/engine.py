@@ -162,6 +162,7 @@ class QueryEngine:
         self.tracer = Tracer(enabled=tracing, max_traces=trace_capacity,
                              slow_threshold_s=slow_query_threshold_s,
                              slow_capacity=slow_query_capacity)
+        self.catalog.tracer = self.tracer
         self.executor = BatchExecutor(
             self.catalog, self.planner, stats=self.stats,
             result_cache_entries=result_cache_entries,
@@ -207,11 +208,14 @@ class QueryEngine:
 
         ``kinds`` picks the index families (default: the dimension's
         :func:`~repro.engine.catalog.default_suite`).  Returns the build
-        records (space, build I/Os, wall-clock) for the benchmarks.
+        records (space, build I/Os, wall-clock) for the benchmarks.  With
+        tracing on, the registration is one ``catalog.register`` trace.
         """
-        self.catalog.register_dataset(name, points, block_size=block_size,
-                                      **catalog_kwargs)
-        return self.catalog.build_suite(name, kinds=kinds)
+        with self.catalog.registering(name, "register"):
+            self.catalog.register_dataset(name, points,
+                                          block_size=block_size,
+                                          **catalog_kwargs)
+            return self.catalog.build_suite(name, kinds=kinds)
 
     def register_sharded_dataset(self, name: str,
                                  points: Sequence[Sequence[float]],
@@ -231,15 +235,17 @@ class QueryEngine:
         so the executor can overlap concurrent tenants hitting the same
         shard by picking the least-loaded replica.  An index suite is
         bulk-built per shard replica; queries against ``name`` then fan
-        out to the relevant shards.
+        out to the relevant shards.  With tracing on, the registration is
+        one ``catalog.register`` trace (as is every later re-split).
         """
-        self.catalog.register_sharded_dataset(
-            name, points, num_shards=num_shards, sharding=sharding,
-            shard_attribute=shard_attribute, replicas=replicas,
-            block_size=block_size, **catalog_kwargs)
-        records = self.catalog.build_suite(name, kinds=kinds)
-        if self.cluster is not None:
-            self.cluster.start_dataset(name)
+        with self.catalog.registering(name, "register"):
+            self.catalog.register_sharded_dataset(
+                name, points, num_shards=num_shards, sharding=sharding,
+                shard_attribute=shard_attribute, replicas=replicas,
+                block_size=block_size, **catalog_kwargs)
+            records = self.catalog.build_suite(name, kinds=kinds)
+            if self.cluster is not None:
+                self.cluster.start_dataset(name)
         return records
 
     def _live_models(self) -> Dict[str, object]:

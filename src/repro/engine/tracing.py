@@ -1,7 +1,9 @@
 """Request-scoped tracing: span trees across every serving layer.
 
 A :class:`Trace` is opened per served request (by the HTTP front-end or
-by the async executor) and carries a tree of :class:`Span` nodes timed on
+by the async executor), and per dataset registration or re-split (by the
+catalog: ``catalog.register``, one ``catalog.build_index`` span per index
+built), and carries a tree of :class:`Span` nodes timed on
 the monotonic clock.  Spans flow through every layer of the engine — the
 planner, admission, the execution core's shard/replica fan-out, the write
 path, and down to the :class:`~repro.io.store.BlockStore` counters — so a

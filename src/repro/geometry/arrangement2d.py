@@ -10,11 +10,12 @@ This module walks a level from left to right, reporting its vertices.  At
 each vertex the walk records whether it is *convex* (downward — the level's
 slope increases and one line drops strictly below the level, Lemma 3.2's
 "add the minimum-slope line" event) or *concave* (upward — nothing enters
-the region below the level).  Each step is a handful of numpy passes over the
-few hundred lines nearest the level (:func:`compute_level`); the paper
-instead uses the Edelsbrunner–Welzl sweep [22], a substitution documented
-under "Substitutions" in README.md that affects construction time only,
-never query I/Os.
+the region below the level).  It steps over the few hundred lines nearest
+the level (:func:`compute_level`) in runs of two-line vertices (:func:`_run`),
+kept while just two lines pass through each and its below count gives the
+crossing line its rank; the exact step takes over at the first that fails.
+The paper uses the Edelsbrunner–Welzl sweep [22] instead, a substitution
+("Substitutions" in README.md) that changes construction time only.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ _VERTEX_EPS = 1e-9
 #: How many of the lines nearest the level the walk keeps active between
 #: two passes over all of them.
 _BAND = 384
+
+#: The most vertices one run proposes before it checks them.
+_RUN = 32
 
 #: A band is trusted while its ``reach`` is at least this many times what
 #: the walk has drifted since the band was cut (so ``reach / 2`` dwarfs the
@@ -94,8 +98,9 @@ class Level:
     """The k-level of an arrangement of lines, as an x-monotone chain.
 
     ``work`` is what the walk cost: the number of lines it looked at,
-    summed over its steps and its passes over all lines (a count, so a
-    test can bound it on any host).
+    summed over its steps (a vertex a run proposed counts as one) and its
+    passes over all lines — a count, so a test can bound it on any host.
+    ``run_vertices`` came from checked runs; ``band_cuts`` counts passes.
     """
 
     k: int
@@ -103,6 +108,8 @@ class Level:
     initial_line: int
     vertices: List[LevelVertex]
     work: int
+    run_vertices: int = 0
+    band_cuts: int = 0
 
     @property
     def complexity(self) -> int:
@@ -127,12 +134,6 @@ class Level:
         if not self.vertices:
             return 0.0
         return self.vertices[0].x - 1.0
-
-
-def level_of_point(lines: Sequence[Line2], x: float, y: float,
-                   eps: float = _VERTEX_EPS) -> int:
-    """Number of lines strictly below the point ``(x, y)`` (its *level*)."""
-    return sum(1 for line in lines if line.y_at(x) < y - eps)
 
 
 def _vertex_tolerance(x: float, y: float) -> float:
@@ -169,8 +170,8 @@ def compute_level(lines: Sequence[Line2], k: int) -> Level:
     keeps the ``_BAND`` lines nearest it and steps among those for as long
     as :func:`_band_around` proves the others cannot matter, then cuts a new
     band where it stands; a step that even a new band cannot vouch for is
-    taken on all lines.  Every vertex is therefore the one a walk over all
-    lines at every step reports.
+    taken on all lines.  In a band it steps by checked runs (:func:`_run`).
+    Every vertex is the one a walk over all lines at every step reports.
     """
     lines = LineArrays.of(lines)
     count = len(lines)
@@ -192,24 +193,34 @@ def compute_level(lines: Sequence[Line2], k: int) -> Level:
     # drift added since from the geometry the band's horizon was proven on.
     drift = 0.0
     vertices: List[LevelVertex] = []
-    work = 0
+    work = run_vertices = band_cuts = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            step = _next_vertex(active, k, current, current_x, drift)
-            work += len(active.ids)
+        while len(vertices) <= 4 * count * count:
+            step = ended = None
+            if vertices and (active is not everything or not banded):
+                run, drift, proposed, ended = _run(
+                    active, k, current, current_x, drift)
+                work += proposed * len(active.ids)
+                run_vertices += len(run)
+                vertices.extend(run)
+                if run:
+                    current, current_x = run[-1].line_after, run[-1].x
+                if len(run) == _RUN:
+                    continue
+            # A band cut is right anywhere; the walk's end is the exact step's.
+            if not ended or active is everything:
+                step = _next_vertex(active, k, current, current_x, drift)
+                work += len(active.ids)
             if step is not None:
                 vertex, heights, tolerance = step
                 drift += tolerance
                 vertices.append(vertex)
                 current = vertex.line_after
                 current_x = vertex.x
-                if len(vertices) > 4 * count * count:
-                    raise RuntimeError(
-                        "level walk did not terminate; the input is too "
-                        "degenerate for the floating-point tolerances in use")
                 if banded and active is everything:
                     active = _band_around(everything, heights, vertex, drift)
                     work += count
+                    band_cuts += 1
             elif active is everything:
                 break
             elif active.cut_x == current_x:
@@ -221,8 +232,73 @@ def compute_level(lines: Sequence[Line2], k: int) -> Level:
                 heights = lines.slopes * vertex.x + lines.intercepts
                 active = _band_around(everything, heights, vertex, drift)
                 work += count
-    return Level(k=k, lines=lines, initial_line=initial_line,
-                 vertices=vertices, work=work)
+                band_cuts += 1
+        else:
+            raise RuntimeError(
+                "level walk did not terminate; the input is too "
+                "degenerate for the floating-point tolerances in use")
+    return Level(k, lines, initial_line, vertices, work, run_vertices,
+                 band_cuts)
+
+
+def _run(active: _Active, k: int, current: int, current_x: float,
+         drift: float):
+    """Up to ``_RUN`` two-line vertices where :func:`_next_vertex` would
+    step, checked in one height matrix with its arithmetic: the vertices up
+    to the first that fails, the drift after them, the count proposed, and
+    whether the run held to where the exact step finds no vertex."""
+    ids, slopes, intercepts = active.ids, active.slopes, active.intercepts
+    path, proposed, drifts = [int(ids.searchsorted(current))], [], [drift]
+    while len(proposed) < _RUN:
+        slope, intercept = slopes[path[-1]], intercepts[path[-1]]
+        # The line's own crossing is 0 / 0: dropped with those left of x.
+        cross = (intercepts - intercept) / (slope - slopes)
+        cross = np.where(cross > current_x + _VERTEX_EPS
+                         * max(1.0, abs(current_x)), cross, np.inf)
+        nearest = _nearest_crossing(cross)
+        current_x = float(cross[nearest])
+        y = float(slope * current_x + intercept)
+        tolerance = _vertex_tolerance(current_x, y)
+        ended = (math.isinf(current_x) or current_x > active.horizon
+                 or drift + tolerance > active.limit)
+        if ended or abs(slope - slopes[nearest]) < 1e-15:
+            break
+        drift += tolerance
+        proposed.append((current_x, y, tolerance))
+        drifts.append(drift)
+        path.append(nearest)
+    at_x, at_y, within = np.array(proposed).reshape(-1, 3).T
+    heights = at_x[:, None] * slopes + intercepts
+    line_slopes = slopes[path]
+    below = active.below + np.count_nonzero(
+        heights < (at_y - within)[:, None], axis=1)
+    holds = (_two_line_bundles(heights, at_y, within, path[1:])
+             & _ranks_agree(below, k, line_slopes[1:] > line_slopes[:-1]))
+    kept = len(holds) if holds.all() else int(holds.argmin())
+    numbers, line_slopes = ids[path].tolist(), line_slopes.tolist()
+    run = [LevelVertex(x, y, numbers[r], numbers[r + 1],
+                       line_slopes[r + 1] > line_slopes[r] + 1e-15,
+                       [numbers[r]] if line_slopes[r]
+                       < line_slopes[r + 1] - 1e-15 else [])
+           for r, (x, y, __) in enumerate(proposed[:kept])]
+    return run, drifts[kept], len(holds), ended and kept == len(holds)
+
+
+def _nearest_crossing(cross: np.ndarray) -> int:
+    """The proposal: the position of the nearest crossing in the row."""
+    return int(cross.argmin())
+
+
+def _two_line_bundles(heights, y, tol, after) -> np.ndarray:
+    """Check one: just the level's line and line ``after`` pass through."""
+    through = np.abs(heights - y[:, None]) <= tol[:, None]
+    return ((np.count_nonzero(through, axis=1) == 2)
+            & through[np.arange(len(after)), after])
+
+
+def _ranks_agree(below, k: int, up) -> np.ndarray:
+    """Check two: the unclamped rank ``k - below`` is 1 if ``up``, else 0."""
+    return k - below == up
 
 
 def _next_vertex(active: _Active, k: int, current: int, current_x: float,
@@ -330,40 +406,10 @@ def _band_around(everything: _Active, heights: np.ndarray,
                    limit=drift - tolerance + reach / _CLEARANCE)
 
 
-def lines_below_point(lines: Sequence[Line2], x: float, y: float,
-                      eps: float = _VERTEX_EPS) -> Set[int]:
-    """Set of indices of lines passing strictly below ``(x, y)``.
-
-    Used by the greedy clustering to seed each cluster with ``L_w`` (the
-    lines below a boundary point) and by the tests as ground truth.
-    """
-    result: Set[int] = set()
-    scale = max(1.0, abs(y))
-    for index, line in enumerate(lines):
-        if line.y_at(x) < y - eps * scale:
-            result.add(index)
-    return result
-
-
 def lines_below_point_fast(slopes: np.ndarray, intercepts: np.ndarray,
                            x: float, y: float,
                            eps: float = _VERTEX_EPS) -> Set[int]:
-    """Vectorised version of :func:`lines_below_point`."""
+    """Indices of the lines strictly below ``(x, y)`` (a cluster's ``L_w``)."""
     heights = slopes * x + intercepts
     scale = max(1.0, abs(y))
     return set(np.nonzero(heights < y - eps * scale)[0].tolist())
-
-
-def expected_level_complexity(num_lines: int, k: int) -> float:
-    """The Clarkson–Shor expectation of Lemma 2.2 specialised to the plane.
-
-    For a random level between ``k`` and ``2k`` the expected number of
-    vertices is O(N): this helper returns the un-normalised reference value
-    ``N`` used by the Figure-2 benchmark to compare measured complexities
-    against the lemma.
-    """
-    if num_lines <= 0:
-        raise ValueError("num_lines must be positive")
-    if k <= 0:
-        return float(num_lines)
-    return float(num_lines)

@@ -45,6 +45,20 @@ def oracle_compute_level(lines, k):
                  work=count * (len(vertices) + 1))
 
 
+def level_of_point(lines, x, y, eps=_VERTEX_EPS):
+    """Number of lines strictly below the point ``(x, y)`` (its *level*)."""
+    return sum(1 for line in lines if line.y_at(x) < y - eps)
+
+
+def lines_below_point(lines, x, y, eps=_VERTEX_EPS):
+    """Set of indices of lines passing strictly below ``(x, y)``, one line
+    at a time (the clustering's ``lines_below_point_fast`` is its vector
+    form)."""
+    scale = max(1.0, abs(y))
+    return {index for index, line in enumerate(lines)
+            if line.y_at(x) < y - eps * scale}
+
+
 def _next_vertex(lines, slopes, intercepts, k, current, current_x):
     slope_cur = slopes[current]
     intercept_cur = intercepts[current]

@@ -13,11 +13,7 @@ from repro.core.clustering import (
     max_cluster_size,
     relevant_cluster_index,
 )
-from repro.geometry.arrangement2d import (
-    compute_level,
-    level_of_point,
-    lines_below_point,
-)
+from repro.geometry.arrangement2d import compute_level
 from repro.geometry.lines import (
     envelope_value,
     lines_strictly_above,
@@ -26,6 +22,8 @@ from repro.geometry.lines import (
     upper_envelope,
 )
 from repro.geometry.primitives import Line2
+
+from level_oracle import level_of_point, lines_below_point
 
 
 def random_lines(count, seed):

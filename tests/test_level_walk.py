@@ -1,13 +1,17 @@
 """The banded k-level walk reports exactly what a walk over all lines does.
 
-``compute_level`` steps among the few hundred lines nearest the level; the
-O(N)-per-vertex walk it replaced lives on in ``level_oracle.py`` as the
-reference.  Parity is field by field — abscissae bit for bit, tie orders,
-``entering_lines`` in order — because the layers, clusters, block counts and
-answer order of ``HalfplaneIndex2D`` all hang on it.
+``compute_level`` steps among the few hundred lines nearest the level, in
+checked runs with an exact step behind them; the O(N)-per-vertex walk it
+replaced lives on in ``level_oracle.py`` as the reference.  Parity is field
+by field — abscissae bit for bit, tie orders, ``entering_lines`` in order —
+because the layers, clusters, block counts and answer order of
+``HalfplaneIndex2D`` all hang on it.  ``TestRunChecksBite`` shows that each
+check of a run is needed: a wrong proposal is caught, and with either check
+skipped a pinned input goes astray.
 """
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -144,6 +148,27 @@ class TestIndexBuiltOnTheBandedWalk:
             assert rows(banded.query(constraint)) \
                 == rows(full.query(constraint))
 
+    def test_layers_at_the_benchmark_shape_are_unchanged(self):
+        """16 384 uniform points, B = 32: every layer's λ, boundaries and
+        cluster members hash to what they were when every vertex came from
+        the exact step."""
+        index = HalfplaneIndex2D(uniform_points(16384, seed=1998),
+                                 block_size=32, seed=1998)
+        backend = index._store.backend
+        digest = hashlib.sha256()
+        for layer in index._layers:
+            digest.update(b"%d|" % layer.lam)
+            digest.update(np.asarray(layer.bounds, dtype=float).tobytes())
+            for cluster in layer.clusters:
+                members = np.concatenate([np.empty((0, 5))] + [
+                    np.asarray(backend.get_payload(block), dtype=float)
+                    for block in cluster.block_ids])[:, 0]
+                digest.update(members.astype(np.int64).tobytes() + b"|")
+        assert digest.hexdigest() == ("15efe4ffd5fcc62ff16963ef9fe07102"
+                                      "c8c8cd5f3c0e0a15b109a88c2611bced")
+        assert index.num_layers == len(index.layer_builds) == 29
+        assert sum(layer.vertices for layer in index.layer_builds) > 30000
+
 
 class TestWalkCost:
     def test_vertex_serialises_as_plain_json(self):
@@ -152,10 +177,58 @@ class TestWalkCost:
             is vertex.is_convex
 
     def test_work_is_a_quarter_of_the_full_walks(self):
-        """A count, so it bites on any host: the full walk's work is
+        """Counts, so they bite on any host: the full walk's work is
         ``N * (complexity + 1)`` lines looked at; the banded walk, band
-        cutting included, stays under a quarter of it."""
+        cutting included, stays under a quarter of it.  Checked runs find
+        nine in ten vertices or more, and a band lasts eight vertices or
+        more on average."""
         count = 4096
         level = compute_level(dual_lines(uniform_points(count, seed=1998)), 80)
         assert level.complexity > count // 8
         assert level.work <= count * level.complexity // 4
+        assert level.run_vertices >= 0.9 * level.complexity
+        assert level.band_cuts <= level.complexity / 8
+
+
+def _second_nearest(cross):
+    return int(np.argsort(cross, kind="stable")[1])
+
+
+def _skipped(*args):
+    """A check that passes every proposed vertex."""
+    return np.ones(len(args[-1]), dtype=bool)
+
+
+class TestRunChecksBite:
+    """A run's proposals are only as good as the checks behind them."""
+
+    @pytest.mark.parametrize("count, k", [(1500, 40), (300, 10)])
+    def test_a_proposal_past_the_nearest_crossing_is_rejected(
+            self, monkeypatch, count, k):
+        lines = dual_lines(uniform_points(count, seed=count))
+        expected = oracle_compute_level(lines, k)
+        honest = compute_level(lines, k)
+        monkeypatch.setattr(arrangement2d, "_nearest_crossing",
+                            _second_nearest)
+        misled = compute_level(lines, k)
+        assert_same_level(misled, expected)
+        assert misled.complexity - misled.run_vertices \
+            > honest.complexity - honest.run_vertices
+
+    @pytest.mark.parametrize("check, points, k, band", [
+        # Two coincident lines cross the level's line at one point.
+        ("_two_line_bundles", [(0, 0), (0, 1), (1, 0), (1, 0)], 1, 2),
+        # After a near-degenerate vertex at x = 0 the below count is one
+        # off, and the exact step keeps the level on its own line at the
+        # two-line vertex near x = 1.
+        ("_ranks_agree",
+         [(0, 1), (0, 1), (1, 1), (1, 0), (2.220446049250313e-16, 0)], 2, 2),
+    ])
+    def test_skipping_a_check_breaks_parity(self, monkeypatch, check, points,
+                                            k, band):
+        lines = dual_lines(points)
+        expected = oracle_compute_level(lines, k)
+        monkeypatch.setattr(arrangement2d, "_BAND", band)
+        assert_same_level(compute_level(lines, k), expected)
+        monkeypatch.setattr(arrangement2d, check, _skipped)
+        assert compute_level(lines, k).vertices != expected.vertices

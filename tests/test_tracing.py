@@ -272,6 +272,87 @@ def test_explain_analyze_works_when_engine_tracing_is_off():
 
 
 # ----------------------------------------------------------------------
+# build phases
+# ----------------------------------------------------------------------
+def build_spans(engine, operation):
+    """The ``catalog.build_index`` spans of the newest ``operation`` trace,
+    by (shard, replica, kind)."""
+    trees = [engine.tracer.get(trace_id)
+             for trace_id in engine.tracer.registry.ids()]
+    root = [tree["root"] for tree in trees
+            if tree["root"]["name"] == "catalog.register"
+            and tree["root"]["attributes"]["operation"] == operation][-1]
+    spans = {}
+    for node in root["children"]:
+        assert node["name"] == "catalog.build_index"
+        attributes = node["attributes"]
+        key = (attributes["shard"], attributes["replica"], attributes["kind"])
+        assert key not in spans
+        spans[key] = node
+    return spans
+
+
+def test_registration_is_one_trace_with_a_span_per_build():
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    try:
+        engine.register_sharded_dataset("planar", uniform_points(2400, seed=5),
+                                        num_shards=2, replicas=2)
+        [trace_id] = engine.tracer.registry.ids()
+        assert engine.tracer.get(trace_id)["root"]["attributes"] == {
+            "dataset": "planar", "operation": "register"}
+        for operation in ("register", "resplit"):
+            if operation == "resplit":
+                engine.rebalance("planar")
+            spans = build_spans(engine, operation)
+            shards = engine.catalog.sharded("planar").shards
+            assert sorted(spans) == sorted(
+                (shard, replica, kind) for shard in range(2)
+                for replica in range(2)
+                for kind in ("halfplane2d", "partition_tree", "full_scan"))
+            for (shard, replica, kind), node in spans.items():
+                dataset = shards[shard].replicas[replica]
+                record = dataset.build_records[kind]
+                attributes = node["attributes"]
+                assert (attributes["points"], attributes["space_blocks"],
+                        attributes["build_ios"], attributes["build_s"]) == (
+                    record.num_points, record.space_blocks,
+                    record.build_ios.total, record.build_seconds)
+                layers = [child["attributes"] for child in node["children"]]
+                assert all(child["name"] == "halfplane2d.layer"
+                           for child in node["children"])
+                if kind != "halfplane2d":
+                    assert layers == []
+                    continue
+                index = dataset.indexes[kind]
+                assert len(layers) == index.num_layers > 1
+                assert [layer["lam"] for layer in layers] \
+                    == [built.lam for built in index.layer_builds]
+                assert sum(layer["vertices"] for layer in layers) \
+                    == sum(built.vertices for built in index.layer_builds) > 0
+                assert all(layer["run_vertices"] + layer["exact_steps"]
+                           == layer["vertices"] for layer in layers)
+    finally:
+        engine.close()
+
+
+def test_registration_with_tracing_off_allocates_no_span(monkeypatch):
+    class NoSpan(tracing.Span):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a span was allocated with tracing off")
+
+    monkeypatch.setattr(tracing, "Span", NoSpan)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, tracing=False)
+    try:
+        engine.register_dataset("flat", uniform_points(1200, seed=5))
+        engine.register_sharded_dataset("planar", uniform_points(1200, seed=6),
+                                        num_shards=2)
+        engine.rebalance("planar")
+        assert len(engine.tracer.registry) == 0
+    finally:
+        engine.close()
+
+
+# ----------------------------------------------------------------------
 # concurrent serving
 # ----------------------------------------------------------------------
 def test_concurrent_wave_spans_never_interleave(traced_engine):
@@ -290,6 +371,9 @@ def test_concurrent_wave_spans_never_interleave(traced_engine):
 
     trees = [traced_engine.tracer.get(trace_id)
              for trace_id in traced_engine.tracer.registry.ids()]
+    # The registration is a trace of its own, older than every request's.
+    assert trees[0]["root"]["name"] == "catalog.register"
+    trees = trees[1:]
     assert len(trees) == len(requests)
     tenants = []
     for tree in trees:
