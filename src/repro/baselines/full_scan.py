@@ -45,9 +45,8 @@ class FullScanIndex(ExternalIndex):
                 % (points.shape[1], dimension))
         self._dimension = points.shape[1]
         self._num_points = len(points)
-        self._begin_space_accounting()
-        self._data = DiskArray.from_matrix(self._store, points)
-        self._end_space_accounting()
+        with self._building():
+            self._data = DiskArray.from_matrix(self._store, points)
 
     @property
     def dimension(self) -> int:

@@ -47,13 +47,12 @@ class KDBTreeIndex(ExternalIndex):
         self._build_nodes: List[tuple] = []
         self._leaf_arrays: List[DiskArray] = []
         self._last_regions_visited = 0
-        self._begin_space_accounting()
-        if self._num_points:
-            self._root = self._build(np.arange(self._num_points), axis=0)
-        else:
-            self._root = None
-        self._pack_internal_nodes()
-        self._end_space_accounting()
+        with self._building():
+            if self._num_points:
+                self._root = self._build(np.arange(self._num_points), axis=0)
+            else:
+                self._root = None
+            self._pack_internal_nodes()
 
     # ------------------------------------------------------------------
     # construction

@@ -60,12 +60,11 @@ class PagedDualIndex2D(ExternalIndex):
             raise ValueError("PagedDualIndex2D expects points of shape (N, 2)")
         self._points = points
         self._num_points = len(points)
-        self._begin_space_accounting()
-        self._layers: List[DiskArray] = []
-        for layer in convex_layers(points) if self._num_points else []:
-            self._layers.append(DiskArray.from_matrix(self._store,
-                                                      points[layer]))
-        self._end_space_accounting()
+        with self._building():
+            self._layers: List[DiskArray] = []
+            for layer in convex_layers(points) if self._num_points else []:
+                self._layers.append(DiskArray.from_matrix(self._store,
+                                                          points[layer]))
 
     @property
     def dimension(self) -> int:

@@ -54,17 +54,17 @@ class QuadTreeIndex(ExternalIndex):
         self._max_depth = max_depth
         self._nodes: List[_QuadNode] = []
         self._last_nodes_visited = 0
-        self._begin_space_accounting()
-        if self._num_points:
-            lo = points.min(axis=0)
-            hi = points.max(axis=0)
-            pad = 1e-9 + 1e-9 * float(np.abs(points).max())
-            root_box = Box((float(lo[0]) - pad, float(lo[1]) - pad),
-                           (float(hi[0]) + pad, float(hi[1]) + pad))
-            self._root = self._build(np.arange(self._num_points), root_box, 0)
-        else:
-            self._root = None
-        self._end_space_accounting()
+        with self._building():
+            if self._num_points:
+                lo = points.min(axis=0)
+                hi = points.max(axis=0)
+                pad = 1e-9 + 1e-9 * float(np.abs(points).max())
+                root_box = Box((float(lo[0]) - pad, float(lo[1]) - pad),
+                               (float(hi[0]) + pad, float(hi[1]) + pad))
+                self._root = self._build(np.arange(self._num_points),
+                                         root_box, 0)
+            else:
+                self._root = None
 
     def _build(self, indices: np.ndarray, box: Box, depth: int) -> int:
         if len(indices) <= self._leaf_capacity or depth >= self._max_depth:

@@ -57,9 +57,8 @@ class RTreeIndex(ExternalIndex):
         self._fanout = fanout if fanout is not None else max(4, self.block_size)
         self._nodes: List[_RNode] = []
         self._last_nodes_visited = 0
-        self._begin_space_accounting()
-        self._root = self._bulk_load() if self._num_points else None
-        self._end_space_accounting()
+        with self._building():
+            self._root = self._bulk_load() if self._num_points else None
 
     # ------------------------------------------------------------------
     # STR bulk loading

@@ -75,16 +75,15 @@ class DynamicPartitionTreeIndex(ExternalIndex):
                                  partitioner=partitioner)
         self._rebuilds = 0
         self._pre_mutation_listeners: List[Callable[[], None]] = []
-        self._begin_space_accounting()
-        self._buffer = DiskArray(self._store)
         self._buffer_points: List[Tuple[float, ...]] = []
         #: Tombstoned tree copies as value -> count (multiset semantics:
         #: one delete hides exactly one of a duplicated point's copies).
         self._tombstones: Dict[Tuple[float, ...], int] = {}
         self._num_tombstones = 0
-        self._tombstone_array = DiskArray(self._store)
-        self._build_tree(initial)
-        self._end_space_accounting()
+        with self._building():
+            self._buffer = DiskArray(self._store)
+            self._tombstone_array = DiskArray(self._store)
+            self._build_tree(initial)
 
     # ------------------------------------------------------------------
     # maintenance

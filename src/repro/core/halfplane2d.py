@@ -123,9 +123,8 @@ class HalfplaneIndex2D(ExternalIndex):
         #: One :class:`LayerBuild` per layer, in layer order.
         self.layer_builds: List[LayerBuild] = []
         self._last_layers_probed = 0
-        self._begin_space_accounting()
-        self._build()
-        self._end_space_accounting()
+        with self._building():
+            self._build()
 
     # ------------------------------------------------------------------
     # construction

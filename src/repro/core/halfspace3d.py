@@ -44,17 +44,16 @@ class HalfspaceIndex3D(ExternalIndex):
             raise ValueError("HalfspaceIndex3D expects points of shape (N, 3)")
         self._points = points.reshape(-1, 3)
         self._num_points = len(self._points)
-        self._begin_space_accounting()
-        planes = [dual_plane_of_point(point) for point in self._points]
-        self._planes_index = LowestPlanesIndex(
-            planes,
-            store=self._store,
-            copies=copies,
-            beta=beta,
-            domain=domain,
-            seed=seed,
-        )
-        self._end_space_accounting()
+        with self._building():
+            planes = [dual_plane_of_point(point) for point in self._points]
+            self._planes_index = LowestPlanesIndex(
+                planes,
+                store=self._store,
+                copies=copies,
+                beta=beta,
+                domain=domain,
+                seed=seed,
+            )
 
     @property
     def dimension(self) -> int:

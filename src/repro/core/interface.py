@@ -15,8 +15,9 @@ paper's structures and the baselines interchangeably.
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,9 +52,8 @@ class QueryResult:
 class ExternalIndex(abc.ABC):
     """Base class for the external-memory halfspace indexes.
 
-    Subclasses must populate ``self._store`` before calling
-    :meth:`_begin_space_accounting` / :meth:`_end_space_accounting` around
-    their build phase, and implement :meth:`query`.
+    Subclasses must populate ``self._store`` before running their build
+    phase inside :meth:`_building`, and implement :meth:`query`.
     """
 
     def __init__(self, store: Optional[BlockStore], block_size: int,
@@ -67,13 +67,18 @@ class ExternalIndex(abc.ABC):
     # ------------------------------------------------------------------
     # bookkeeping helpers for subclasses
     # ------------------------------------------------------------------
-    def _begin_space_accounting(self) -> None:
-        self._blocks_before_build = self._store.num_blocks
-        self._stats_before_build = self._store.stats.snapshot()
-
-    def _end_space_accounting(self) -> None:
-        self._space_blocks = self._store.num_blocks - self._blocks_before_build
-        self._build_ios = self._store.stats.delta(self._stats_before_build)
+    @contextmanager
+    def _building(self) -> Iterator[None]:
+        """Bracket the build phase: its writes reach the backend as one
+        run (:meth:`~repro.io.store.BlockStore.write_run`), and the blocks
+        it allocated and the I/Os it made are recorded."""
+        store = self._store
+        blocks_before = store.num_blocks
+        stats_before = store.stats.snapshot()
+        with store.write_run():
+            yield
+        self._space_blocks = store.num_blocks - blocks_before
+        self._build_ios = store.stats.delta(stats_before)
 
     # ------------------------------------------------------------------
     # public API

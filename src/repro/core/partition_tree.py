@@ -14,15 +14,21 @@ property the analysis needs is the o(r) crossing number of Theorem 5.1,
 which both partitioners provide for hyperplane queries.  The whole
 hierarchy of partitions is made first (median cuts in vectorised rounds,
 one per split depth of a tree depth; any other partitioner once per
-node), then written to the disk depth-first.
+node), then written to the disk depth-first.  Inside a build scope
+(:func:`sharing_partitions`: a catalog build) a median-cut hierarchy is
+cut once per chunk and fanout, and every other tree over the same chunk
+reads it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-                    Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -88,6 +94,52 @@ class _CellCosts(NamedTuple):
     own: np.ndarray
     #: Blocks of the node's whole subtree: what reporting it reads.
     subtree: np.ndarray
+
+
+# ----------------------------------------------------------------------
+# one median-cut hierarchy per chunk and fanout in a build scope
+# ----------------------------------------------------------------------
+@dataclass
+class SharedPartitions:
+    """The median-cut hierarchies of one build scope, keyed by what a
+    hierarchy is cut from: the chunk's content (its shape and a blake2b
+    digest of its bytes — never its address, which a freed array hands
+    on) and the block size, maximum fanout and leaf size the fanout
+    reads.
+
+    The first tree over a chunk cuts the hierarchy (``computed``); every
+    later one — another replica, another kind — reads it (``shared``).
+    A stored hierarchy's arrays are read-only.
+    """
+
+    hierarchies: Dict[tuple, Tuple[PartitionNode, ...]] = field(
+        default_factory=dict)
+    computed: int = 0
+    shared: int = 0
+
+
+#: The build scope open in this context; None outside one, so no
+#: hierarchy outlives the ``with`` block that opened its scope.
+_SCOPE: ContextVar[Optional[SharedPartitions]] = ContextVar(
+    "partition_scope", default=None)
+
+
+@contextmanager
+def sharing_partitions() -> Iterator[SharedPartitions]:
+    """Open a build scope for the ``with`` block (an inner scope is the
+    outer one): a cell tree built inside reads the median-cut hierarchy
+    an earlier tree cut over the same chunk at the same fanout.  The
+    table is dropped when the outermost block exits."""
+    scope = _SCOPE.get()
+    if scope is not None:
+        yield scope
+        return
+    scope = SharedPartitions()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
 
 
 # ----------------------------------------------------------------------
@@ -181,18 +233,17 @@ class CellTreeIndex(ExternalIndex):
         self._partitioner = partitioner
         self._nodes: List[_Node] = []
         self._last_nodes_visited = 0
-        self._begin_space_accounting()
         self._root = None
         self._costs: Optional[_CellCosts] = None
-        if len(points):
-            hierarchy = (median_cut_hierarchy(points, self._fanout)
-                         if partitioner is None else
-                         partitioner_hierarchy(points, self._fanout,
-                                               partitioner))
-            ids = [0] * len(hierarchy)
-            self._root = self._build(hierarchy, 0, ids)
-            self._costs = self._cell_costs(hierarchy, ids)
-        self._end_space_accounting()
+        with self._building():
+            if len(points):
+                hierarchy = (self._median_cuts(points)
+                             if partitioner is None else
+                             partitioner_hierarchy(points, self._fanout,
+                                                   partitioner))
+                ids = [0] * len(hierarchy)
+                self._root = self._build(hierarchy, 0, ids)
+                self._costs = self._cell_costs(hierarchy, ids)
 
     # ------------------------------------------------------------------
     # construction
@@ -204,7 +255,30 @@ class CellTreeIndex(ExternalIndex):
             return 0
         return max(2, min(self._max_fanout, 2 * -(-size // self.block_size)))
 
-    def _build(self, hierarchy: List[PartitionNode], number: int,
+    def _median_cuts(self, points: np.ndarray) -> Sequence[PartitionNode]:
+        """The median-cut hierarchy of ``points`` at this tree's fanout,
+        read-only: the open build scope's when it holds it, else cut (and
+        kept by the scope, if one is open)."""
+        scope = _SCOPE.get()
+        if scope is not None:
+            key = (points.shape,
+                   hashlib.blake2b(np.ascontiguousarray(points)).digest(),
+                   self.block_size, self._max_fanout, self._leaf_size)
+            hierarchy = scope.hierarchies.get(key)
+            if hierarchy is not None:
+                scope.shared += 1
+                return hierarchy
+        hierarchy = tuple(median_cut_hierarchy(points, self._fanout))
+        for node in hierarchy:
+            node.indices.setflags(write=False)
+            if node.corners is not None:
+                node.corners.setflags(write=False)
+        if scope is not None:
+            scope.computed += 1
+            scope.hierarchies[key] = hierarchy
+        return hierarchy
+
+    def _build(self, hierarchy: Sequence[PartitionNode], number: int,
                ids: List[int]) -> int:
         """Write node ``number`` of ``hierarchy`` and its subtree,
         depth-first; node ids are post-order (``ids[number]``)."""
@@ -220,7 +294,7 @@ class CellTreeIndex(ExternalIndex):
         ids[number] = len(self._nodes) - 1
         return ids[number]
 
-    def _cell_costs(self, hierarchy: List[PartitionNode],
+    def _cell_costs(self, hierarchy: Sequence[PartitionNode],
                     ids: List[int]) -> _CellCosts:
         """The in-memory copy of the written tables that pricing reads."""
         d = self.dimension

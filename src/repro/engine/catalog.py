@@ -64,6 +64,7 @@ from repro.core import (
     ShallowPartitionTreeIndex,
 )
 from repro.core.conjunction import ConstraintConjunction, query_conjunction
+from repro.core.partition_tree import SharedPartitions, sharing_partitions
 from repro.engine import tracing
 from repro.engine.sharding import (
     HashShardRouter,
@@ -329,33 +330,55 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     return record
 
 
-def _build_on_shards(shards: Sequence[Shard], seed: Optional[int], kind: str,
-                     index_name: Optional[str],
-                     params: Dict[str, object]) -> List[BuildRecord]:
-    """One index of ``kind`` on every replica of ``shards``, in shard
-    order, each build a ``catalog.build_index`` span when a trace is on."""
-    records = []
-    for shard in shards:
-        for replica_id, replica in enumerate(shard.replicas):
-            with tracing.span("catalog.build_index", kind=kind,
-                              shard=shard.shard_id,
-                              replica=replica_id) as span:
-                record = _build_index(replica, seed, kind, index_name, params)
-                if span.enabled:
-                    _trace_build(span, record,
-                                 replica.indexes[record.index_name])
-            records.append(record)
-    return records
+def _build_on_shards(shards: Sequence[Shard], seed: Optional[int],
+                     builds: Sequence[Dict[str, object]]
+                     ) -> List[BuildRecord]:
+    """Every build of ``builds`` (``kind`` / ``index_name`` / ``params``)
+    on every replica of ``shards``, shard by shard and, in a shard, in
+    ``builds`` order, each build a ``catalog.build_index`` span when a
+    trace is on.  The builds run in one build scope: a shard's chunk is
+    cut into its median cuts once, and the cuts are dropped before the
+    next shard's chunk is cut.  Returns the records build by build, each
+    in shard order."""
+    records: List[List[BuildRecord]] = [[] for __ in builds]
+    with sharing_partitions() as scope:
+        for shard in shards:
+            for build, built in zip(builds, records):
+                for replica_id, replica in enumerate(shard.replicas):
+                    with tracing.span("catalog.build_index",
+                                      kind=build["kind"],
+                                      shard=shard.shard_id,
+                                      replica=replica_id) as span:
+                        before = (scope.computed, scope.shared)
+                        record = _build_index(
+                            replica, seed, build["kind"],
+                            build["index_name"], build["params"])
+                        if span.enabled:
+                            _trace_build(span, record,
+                                         replica.indexes[record.index_name],
+                                         _partition_use(scope, before))
+                    built.append(record)
+            scope.hierarchies.clear()
+    return [record for built in records for record in built]
+
+
+def _partition_use(scope: SharedPartitions, before: Tuple[int, int]) -> str:
+    """What a build did with median-cut hierarchies since the scope's
+    counts were ``before``: cut one (``"computed"``), only read the
+    scope's (``"shared"``), or neither (``"none"``: no cell tree)."""
+    if scope.computed > before[0]:
+        return "computed"
+    return "shared" if scope.shared > before[1] else "none"
 
 
 def _trace_build(span: tracing.Span, record: BuildRecord,
-                 index: ExternalIndex) -> None:
+                 index: ExternalIndex, partition: str) -> None:
     """A build's figures on its span, and one ``halfplane2d.layer`` child
     per layer of a planar index, read from its layer records."""
     span.set_many({
         "points": record.num_points, "space_blocks": record.space_blocks,
         "build_ios": record.build_ios.total if record.build_ios else 0,
-        "build_s": record.build_seconds})
+        "build_s": record.build_seconds, "partition": partition})
     if isinstance(index, HalfplaneIndex2D):
         for depth, layer in enumerate(index.layer_builds):
             span.child("halfplane2d.layer", layer=depth,
@@ -377,25 +400,29 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
     same stores and structures in any process: registration, re-split
     and the shard worker all call this, which is what replica parity and
     process-mode I/O parity rest on (the first two with no builds, then
-    build each kind on every replica in turn, each replica's suite in the
-    same order).  ``chunk`` may hold zero points.
+    build the suite shard by shard, each replica's in the same order);
+    the builds here run in one build scope.  ``chunk`` may hold zero
+    points.
     """
     stats = fit_stats(recipe, chunk)
     replicas: List[Dataset] = []
-    for name in names:
-        path = None
-        if recipe.backend in ("file", "mmap") and recipe.data_dir is not None:
-            path = os.path.join(recipe.data_dir,
-                                Catalog._block_file_name(name))
-        replica = Dataset(
-            name=name, points=chunk, stats=stats,
-            store=BlockStore(block_size=recipe.block_size,
-                             cache_blocks=recipe.cache_blocks,
-                             backend=make_backend(recipe.backend, path=path)))
-        for build in suite_builds:
-            _build_index(replica, recipe.seed, build["kind"],
-                         build["index_name"], build["params"])
-        replicas.append(replica)
+    with sharing_partitions():
+        for name in names:
+            path = None
+            if recipe.backend in ("file", "mmap") \
+                    and recipe.data_dir is not None:
+                path = os.path.join(recipe.data_dir,
+                                    Catalog._block_file_name(name))
+            replica = Dataset(
+                name=name, points=chunk, stats=stats,
+                store=BlockStore(block_size=recipe.block_size,
+                                 cache_blocks=recipe.cache_blocks,
+                                 backend=make_backend(recipe.backend,
+                                                      path=path)))
+            for build in suite_builds:
+                _build_index(replica, recipe.seed, build["kind"],
+                             build["index_name"], build["params"])
+            replicas.append(replica)
     return replicas
 
 
@@ -459,15 +486,23 @@ class Catalog:
 
     @contextlib.contextmanager
     def registering(self, name: str, operation: str) -> Iterator[None]:
-        """Run one registration or re-split of ``name`` as one
-        ``catalog.register`` trace, its builds as ``catalog.build_index``
-        spans, while :attr:`tracer` is on; else no span is allocated."""
+        """Run one registration or re-split of ``name`` in one build
+        scope (each chunk's median cuts are cut once) and, while
+        :attr:`tracer` is on, as one ``catalog.register`` trace — its
+        builds ``catalog.build_index`` spans, the hierarchies it cut and
+        the backend writes its stores made on the root; else no span is
+        allocated."""
         trace = NULL_TRACE if self.tracer is None else \
             self.tracer.start_trace("catalog.register", dataset=name,
                                     operation=operation)
         try:
-            with activate(trace.root):
+            with activate(trace.root), sharing_partitions() as scope:
                 yield
+                if trace.root.enabled:
+                    trace.root.set_many({
+                        "partitions_computed": scope.computed,
+                        "write_runs": sum(store.write_runs
+                                          for store in self.stores(name))})
         finally:
             trace.finish()
 
@@ -734,9 +769,8 @@ class Catalog:
             old_stores = self.stores(name)
             shards = self._make_shards(name, array, router, sharded.recipe,
                                        generation)
-            for build in sharded.suite_builds:
-                _build_on_shards(shards, sharded.recipe.seed, build["kind"],
-                                 build["index_name"], build["params"])
+            _build_on_shards(shards, sharded.recipe.seed,
+                             sharded.suite_builds)
             sharded.points = array
             sharded.stats = fit_stats(sharded.recipe, array)
             sharded.router = router
@@ -835,30 +869,39 @@ class Catalog:
         (:meth:`resplit_sharded_dataset`) rebuilds the identical suite
         over the new shards.
         """
-        sharded = self.sharded(dataset_name)
-        records = _build_on_shards(sharded.shards, sharded.recipe.seed, kind,
-                                   index_name, params)
-        # Record only after the builds succeeded: a phantom entry for a
-        # failed build would make every later re-split fail mid-rebuild.
-        effective_name = index_name or kind
-        if all(build["index_name"] != effective_name
-               for build in sharded.suite_builds):
-            sharded.suite_builds.append({
-                "kind": kind, "index_name": effective_name,
-                "params": dict(params)})
-        return records
+        return self._build_recorded(dataset_name, [{
+            "kind": kind, "index_name": index_name or kind,
+            "params": dict(params)}])
 
     def build_suite(self, dataset_name: str,
                     kinds: Optional[Sequence[str]] = None) -> List[BuildRecord]:
         """Build a set of kinds (default: :func:`default_suite`) over a dataset.
 
-        Every kind is built on every replica of every shard (the records
-        are returned in shard order per kind).
+        Every kind is built on every replica of every shard, shard by
+        shard (see :func:`_build_on_shards`); the records are returned in
+        shard order per kind, and each build is recorded as
+        :meth:`build_sharded_index` records it.
         """
         chosen = list(kinds) if kinds is not None else default_suite(
             self.sharded(dataset_name).dimension)
-        return [record for kind in chosen
-                for record in self.build_sharded_index(dataset_name, kind)]
+        return self._build_recorded(dataset_name, [
+            {"kind": kind, "index_name": kind, "params": {}}
+            for kind in chosen])
+
+    def _build_recorded(self, dataset_name: str,
+                        builds: List[Dict[str, object]]) -> List[BuildRecord]:
+        """Run ``builds`` on every shard, then record each on the sharded
+        dataset's ``suite_builds`` (an index name once)."""
+        sharded = self.sharded(dataset_name)
+        records = _build_on_shards(sharded.shards, sharded.recipe.seed,
+                                   builds)
+        # Record only after the builds succeeded: a phantom entry for a
+        # failed build would make every later re-split fail mid-rebuild.
+        for build in builds:
+            if all(built["index_name"] != build["index_name"]
+                   for built in sharded.suite_builds):
+                sharded.suite_builds.append(build)
+        return records
 
     @staticmethod
     def _sharded_key(shard_id: int, replica_id: int, index_name: str) -> str:

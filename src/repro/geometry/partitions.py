@@ -233,7 +233,10 @@ def median_cut_hierarchy(points: np.ndarray, fanout: Callable[[int], int]
     nodes: List[PartitionNode] = []
     level = [(0, len(points))]          # this tree depth's nodes, as runs
     while level:
-        order = cuts.order.copy()       # each node's own order
+        # Each node's own order, as 32-bit positions while they fit (a
+        # build scope holds a hierarchy while its chunk's trees build).
+        order = cuts.order.astype(np.int32 if len(points) < 2 ** 31
+                                  else np.intp)
         schedules = [split_schedule(size, fanout(size)) if fanout(size)
                      else None for __, size in level]
         rounds: List[List[np.ndarray]] = []

@@ -22,16 +22,19 @@ block transfers the model charges.  Three implementations ship:
   file past the mapped size (and invalidated by compaction, which moves
   live payloads).
 
-A block is stored in one form, fixed by :meth:`StorageBackend.put` —
-the one write, and the one call of the columnar rule
-(:func:`~repro.io.block.as_point_matrix`): a read-only float64 matrix is
-kept as it is, a record list of uniform float tuples becomes its
-``(n, d)`` matrix, and any other record list stays a list.  ``put``
-returns that form and :meth:`~StorageBackend.get_payload` hands it back,
-so the store's buffer pool holds exactly what the medium holds.  The
-memory backend keeps the value itself; the file backends write a matrix
-as a small magic header plus its raw float64 bytes and pickle a list.
-The columnar encoding is what makes the vectorized read path cheap: a
+A block is stored in one form, fixed by :func:`stored_form` — the one
+call of the columnar rule (:func:`~repro.io.block.as_point_matrix`): a
+read-only float64 matrix is kept as it is, a record list of uniform
+float tuples becomes its ``(n, d)`` matrix, and any other record list
+stays a list.  :meth:`StorageBackend.put_run` is the one write: it takes
+a run of blocks in that form (a store hands it every block an index
+build writes at once; :meth:`~StorageBackend.put` is the one-block run),
+and the file backends append the whole run in one ``write``.
+:meth:`~StorageBackend.get_payload` hands a block back in its stored
+form, so the store's buffer pool holds exactly what the medium holds.
+The memory backend keeps the value itself; the file backends write a
+matrix as a small magic header plus its raw float64 bytes and pickle a
+list.  The columnar encoding is what makes the vectorized read path cheap: a
 point block comes back as a contiguous read-only ndarray
 (``np.frombuffer`` over the bytes read — for :class:`MmapBackend`, the
 bytes sliced out of the mapping, so compaction can never move them
@@ -48,7 +51,8 @@ import pickle
 import struct
 import tempfile
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (Any, BinaryIO, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -88,6 +92,57 @@ def _decode(payload: bytes) -> StoredBlock:
     return pickle.loads(payload)
 
 
+def stored_form(block: Any) -> StoredBlock:
+    """The form a block is stored, pooled and read in.
+
+    ``block`` is a read-only ``(n, d)`` float64 matrix, kept as it is,
+    or a record list: its matrix when every record is a float tuple of
+    one width (:func:`~repro.io.block.as_point_matrix`), a copy of the
+    list otherwise.  Nobody writes to the value returned.
+    """
+    if isinstance(block, np.ndarray):
+        return block
+    matrix = as_point_matrix(block)
+    return list(block) if matrix is None else matrix
+
+
+def _replay(handle: BinaryIO, size: int
+            ) -> Tuple[Dict[BlockId, Tuple[int, int]], int, int]:
+    """Replay a log of ``size`` bytes from byte 0, reading its headers
+    only: the offset table of its live blocks, their payload bytes, and
+    where its last complete record ends.
+
+    A record whose payload runs past ``size`` (a crash between the header
+    and the payload bytes, or inside a run's one write) ends the replay:
+    everything before it is intact.
+    """
+    index: Dict[BlockId, Tuple[int, int]] = {}
+    live_bytes = 0
+    position = 0
+    handle.seek(0)
+    while True:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            break
+        block_id, length = _HEADER.unpack(header)
+        offset = position + _HEADER.size
+        if length < 0 or offset + length > size:
+            break
+        if block_id >= 0:
+            if block_id in index:
+                live_bytes -= index[block_id][1]
+            index[block_id] = (offset, length)
+            live_bytes += length
+        else:
+            # A tombstone: negative id encodes deletion of ~block_id.
+            entry = index.pop(~block_id, None)
+            if entry is not None:
+                live_bytes -= entry[1]
+        position = offset + length
+        handle.seek(position)
+    return index, live_bytes, position
+
+
 class StorageBackend(abc.ABC):
     """Where a :class:`~repro.io.store.BlockStore`'s blocks physically live.
 
@@ -101,24 +156,21 @@ class StorageBackend(abc.ABC):
     #: Short name used in reprs and benchmark labels.
     name: str = "abstract"
 
-    def put(self, block_id: BlockId, block: StoredBlock) -> StoredBlock:
-        """Store (create or overwrite) one block; return its stored form.
-
-        ``block`` is a read-only ``(n, d)`` float64 matrix, kept as it is,
-        or a record list: its matrix when every record is a float tuple
-        of one width (:func:`~repro.io.block.as_point_matrix`), a copy of
-        the list otherwise.  The returned value is what
-        :meth:`get_payload` gives back; nobody writes to it.
-        """
-        if not isinstance(block, np.ndarray):
-            matrix = as_point_matrix(block)
-            block = list(block) if matrix is None else matrix
-        self._put(block_id, block)
+    def put(self, block_id: BlockId, block: Any) -> StoredBlock:
+        """Store (create or overwrite) one block — the one-block
+        :meth:`put_run` — and return its :func:`stored_form`, which is
+        what :meth:`get_payload` gives back."""
+        block = stored_form(block)
+        self.put_run([block_id], [block])
         return block
 
     @abc.abstractmethod
-    def _put(self, block_id: BlockId, block: StoredBlock) -> None:
-        """Store (create or overwrite) one block given in stored form."""
+    def put_run(self, block_ids: Sequence[BlockId],
+                blocks: Sequence[StoredBlock]) -> None:
+        """Store (create or overwrite) ``blocks[i]`` under
+        ``block_ids[i]``, in order: the one write.  Every block is given
+        in its :func:`stored_form`.  The result is that of the one-block
+        puts in the same order, down to the bytes of a log."""
 
     @abc.abstractmethod
     def get_payload(self, block_id: BlockId) -> StoredBlock:
@@ -149,6 +201,10 @@ class StorageBackend(abc.ABC):
     def close(self) -> None:
         """Release any resources (file handles, temp files).  Idempotent."""
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the medium holds what the backend's
+        books say (a dict has no books to check).  Charges no I/O."""
+
     def __contains__(self, block_id: BlockId) -> bool:
         return self.contains(block_id)
 
@@ -172,8 +228,9 @@ class MemoryBackend(StorageBackend):
     def __init__(self) -> None:
         self._blocks: Dict[BlockId, StoredBlock] = {}
 
-    def _put(self, block_id: BlockId, block: StoredBlock) -> None:
-        self._blocks[block_id] = block
+    def put_run(self, block_ids: Sequence[BlockId],
+                blocks: Sequence[StoredBlock]) -> None:
+        self._blocks.update(zip(block_ids, blocks))
 
     def get_payload(self, block_id: BlockId) -> StoredBlock:
         return self._blocks[block_id]
@@ -231,6 +288,9 @@ class FileBackend(StorageBackend):
         self.compactions = 0
         #: Size of the log: where the next record goes.
         self._end = 0
+        #: Headers and payloads appended but not yet written (empty
+        #: whenever the lock is free).
+        self._appended: List[bytes] = []
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
         self._handle = open(path, "a+b")
@@ -242,48 +302,32 @@ class FileBackend(StorageBackend):
     def _recover(self) -> None:
         """Rebuild the offset table from an existing log file.
 
-        A record whose payload was only partially written (crash between
-        the header and the payload bytes) is detected by bounds-checking
-        its length against the file size; the torn tail is truncated away
-        so later appends start at a clean record boundary.
+        A torn tail record (see :func:`_replay`) is truncated away so
+        later appends start at a clean record boundary.
         """
         self._handle.seek(0, os.SEEK_END)
         file_size = self._handle.tell()
-        self._handle.seek(0)
-        position = 0
-        while True:
-            header = self._handle.read(_HEADER.size)
-            if len(header) < _HEADER.size:
-                break
-            block_id, length = _HEADER.unpack(header)
-            offset = position + _HEADER.size
-            if length < 0 or offset + length > file_size:
-                break  # torn tail record: everything before it is intact
-            if block_id >= 0:
-                if block_id in self._index:
-                    self._live_bytes -= self._index[block_id][1]
-                self._index[block_id] = (offset, length)
-                self._live_bytes += length
-            else:
-                # A tombstone: negative id encodes deletion of ~block_id.
-                dead = ~block_id
-                entry = self._index.pop(dead, None)
-                if entry is not None:
-                    self._live_bytes -= entry[1]
-            position = offset + length
-            self._handle.seek(position)
-        if position < file_size:
-            self._handle.truncate(position)
-        self._end = position
+        self._index, self._live_bytes, self._end = _replay(self._handle,
+                                                           file_size)
+        if self._end < file_size:
+            self._handle.truncate(self._end)
 
     def _append(self, block_id: BlockId, payload: bytes) -> Tuple[int, int]:
-        self._handle.seek(self._end)
-        self._handle.write(_HEADER.pack(block_id, len(payload)))
+        """Queue one record at the log's end (:meth:`_write_appended`
+        writes the queue); return its payload's offset and length."""
+        self._appended += (_HEADER.pack(block_id, len(payload)), payload)
         offset = self._end + _HEADER.size
-        self._handle.write(payload)
         self._end = offset + len(payload)
         self.bytes_written += _HEADER.size + len(payload)
         return offset, len(payload)
+
+    def _write_appended(self) -> None:
+        """Write the queued records, which end at ``_end``, in one
+        ``writelines`` (no joined copy of the run is made)."""
+        if self._appended:
+            self._handle.seek(self._end - sum(map(len, self._appended)))
+            self._handle.writelines(self._appended)
+            self._appended = []
 
     def _live_file_bytes(self) -> int:
         """Bytes a freshly-compacted file would occupy (headers included)."""
@@ -302,6 +346,7 @@ class FileBackend(StorageBackend):
 
     def _compact_locked(self) -> None:
         """Rewrite only the live block versions into a fresh log."""
+        self._write_appended()
         live: Dict[BlockId, bytes] = {}
         for block_id, (offset, length) in self._index.items():
             self._handle.seek(offset)
@@ -314,22 +359,29 @@ class FileBackend(StorageBackend):
         for block_id, payload in sorted(live.items()):
             self._index[block_id] = self._append(block_id, payload)
             self._live_bytes += len(payload)
+        self._write_appended()
         self._handle.flush()
         self.compactions += 1
 
     # ------------------------------------------------------------------
     # StorageBackend interface
     # ------------------------------------------------------------------
-    def _put(self, block_id: BlockId, block: StoredBlock) -> None:
-        payload = _encode(block)
+    def put_run(self, block_ids: Sequence[BlockId],
+                blocks: Sequence[StoredBlock]) -> None:
+        """Append the run's records in one write.  The compaction test
+        still follows every record (in memory), so a run compacts the log
+        exactly where its one-block puts would have."""
         with self._lock:
             self._check_open()
-            previous = self._index.get(block_id)
-            self._index[block_id] = self._append(block_id, payload)
-            self._live_bytes += len(payload)
-            if previous is not None:
-                self._live_bytes -= previous[1]
-            self._maybe_compact_locked()
+            for block_id, block in zip(block_ids, blocks):
+                payload = _encode(block)
+                previous = self._index.get(block_id)
+                self._index[block_id] = self._append(block_id, payload)
+                self._live_bytes += len(payload)
+                if previous is not None:
+                    self._live_bytes -= previous[1]
+                self._maybe_compact_locked()
+            self._write_appended()
 
     def _payload_bytes(self, block_id: BlockId) -> bytes:
         """Read one block's raw payload (the single physical fetch)."""
@@ -351,6 +403,7 @@ class FileBackend(StorageBackend):
             self._live_bytes -= length
             # Tombstone so recovery after reopen also forgets the block.
             self._append(~block_id, b"")
+            self._write_appended()
 
     def contains(self, block_id: BlockId) -> bool:
         with self._lock:
@@ -366,6 +419,34 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless replaying the log's headers from
+        byte 0 gives exactly the offset table, the live payload bytes and
+        the end offset the backend keeps, with no torn tail and nothing
+        left unwritten.  Reads headers only, and counts no byte read."""
+        with self._lock:
+            self._check_open()
+            if self._appended:
+                raise AssertionError("%d records appended but not written"
+                                     % (len(self._appended) // 2))
+            self._handle.seek(0, os.SEEK_END)
+            size = self._handle.tell()
+            index, live_bytes, end = _replay(self._handle, size)
+        if end != size:
+            raise AssertionError("the log's records end at %d of its %d "
+                                 "bytes" % (end, size))
+        if end != self._end:
+            raise AssertionError("the log ends at %d, the backend says %d"
+                                 % (end, self._end))
+        if index != self._index:
+            wrong = sorted(set(index.items()) ^ set(self._index.items()))
+            raise AssertionError("the log's offset table differs from the "
+                                 "backend's at %r" % (wrong[:4],))
+        if live_bytes != self._live_bytes:
+            raise AssertionError("the log holds %d live payload bytes, the "
+                                 "backend says %d"
+                                 % (live_bytes, self._live_bytes))
+
     def compact(self) -> None:
         """Drop superseded block versions from the file."""
         with self._lock:

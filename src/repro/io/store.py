@@ -16,6 +16,14 @@ without changing any measured I/O count.  The pool holds each resident
 block in the one form the backend stored it (the read-only matrix of a
 point block, the record list of any other), so a hit hands over the
 value a miss would have fetched.
+
+Inside :meth:`BlockStore.write_run` (every index build is one) a write
+is charged and pooled at once but reaches the backend with the rest of
+the run (up to 256 blocks), in one
+:meth:`~repro.io.backend.StorageBackend.put_run`; the run is handed
+over first whenever anything asks the backend, so what the backend
+holds, and every counter, is as if each block had been written on its
+own.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.io.backend import StorageBackend, make_backend
+from repro.io.backend import StorageBackend, make_backend, stored_form
 from repro.io.block import (POINT_DTYPE, BlockId, StoredBlock, block_records,
                             copy_point_matrix)
 from repro.io.cache import LRUCache
@@ -117,6 +125,14 @@ class BlockStore:
             self._next_id = max(self._next_id, existing + 1)
         self._cache: LRUCache[BlockId, StoredBlock] = LRUCache(cache_blocks)
         self.stats = IOStats()
+        #: The open write run: blocks written (charged and pooled) but
+        #: not yet handed to the backend, in write order, and how many
+        #: :meth:`write_run` blocks are open.
+        self._run_ids: List[BlockId] = []
+        self._run_blocks: List[StoredBlock] = []
+        self._runs_open = 0
+        #: Writes handed to the backend, each one ``put_run``.
+        self.write_runs = 0
         #: Serializes whole queries from multi-threaded executors.  One
         #: store models one disk, which serves one request at a time; the
         #: store's own operations are NOT internally locked, so any driver
@@ -135,13 +151,53 @@ class BlockStore:
 
     @property
     def backend(self) -> StorageBackend:
-        """The storage backend holding this store's blocks."""
-        return self._backend
+        """The storage backend holding this store's blocks (the open
+        write run handed to it first)."""
+        return self._flushed()
 
     @property
     def num_blocks(self) -> int:
         """Number of currently allocated blocks (the space usage in blocks)."""
-        return len(self._backend)
+        return len(self._flushed())
+
+    # ------------------------------------------------------------------
+    # write runs
+    # ------------------------------------------------------------------
+    #: The most blocks a run holds before it is handed over: it bounds
+    #: what a pending run keeps in memory (a tree's 1 000-odd leaf blocks
+    #: held to the end of its build lifted the peak RSS of a file-backed
+    #: registration by about 1 MB).
+    _RUN_BLOCKS = 256
+
+    @contextmanager
+    def write_run(self) -> Iterator[None]:
+        """Hand the blocks written inside the ``with`` block to the
+        backend as one run, when the outermost such block exits (or each
+        time the run reaches :attr:`_RUN_BLOCKS` blocks).
+
+        Nothing observable moves: each write is charged and pooled when
+        it is made, and the run is handed over first whenever anything
+        asks the backend (a read miss, :meth:`free`, :meth:`write`,
+        :attr:`num_blocks`, :attr:`backend`, :meth:`byte_counters`,
+        :meth:`close`), so block ids, :class:`IOStats`, the pool and the
+        bytes of a log are those of one backend write per block.
+        """
+        self._runs_open += 1
+        try:
+            yield
+        finally:
+            self._runs_open -= 1
+            if not self._runs_open:
+                self._flushed()
+
+    def _flushed(self) -> StorageBackend:
+        """The backend, the open write run handed to it first."""
+        if self._run_ids:
+            block_ids, blocks = self._run_ids, self._run_blocks
+            self._run_ids, self._run_blocks = [], []
+            self._backend.put_run(block_ids, blocks)
+            self.write_runs += 1
+        return self._backend
 
     # ------------------------------------------------------------------
     # allocation
@@ -181,9 +237,10 @@ class BlockStore:
 
     def free(self, block_id: BlockId) -> None:
         """Release a block.  Freeing is bookkeeping only, not an I/O."""
-        if not self._backend.contains(block_id):
+        backend = self._flushed()
+        if not backend.contains(block_id):
             raise KeyError("block %r is not allocated" % block_id)
-        self._backend.delete(block_id)
+        backend.delete(block_id)
         self._cache.invalidate(block_id)
         self.stats.frees += 1
 
@@ -222,25 +279,32 @@ class BlockStore:
 
     def _fetch(self, block_id: BlockId) -> StoredBlock:
         """Fetch a block from the backend, charge one read, cache it."""
-        if not self._backend.contains(block_id):
+        backend = self._flushed()
+        if not backend.contains(block_id):
             raise KeyError("block %r is not allocated" % block_id)
         self.stats.reads += 1
-        block = self._backend.get_payload(block_id)
+        block = backend.get_payload(block_id)
         self._cache.put(block_id, block)
         return block
 
     def write(self, block_id: BlockId, records: Sequence[Any]) -> None:
         """Overwrite a block's contents, charging one write I/O."""
-        if not self._backend.contains(block_id):
+        if not self._flushed().contains(block_id):
             raise KeyError("block %r is not allocated" % block_id)
         self._put(block_id, records)
 
     def _put(self, block_id: BlockId, block: Sequence[Any]) -> None:
-        """Store one block (one write I/O) and pool its stored form."""
+        """Write one block (one write I/O) into the run — handed to the
+        backend at once when no run is open — and pool its stored form."""
         if len(block) > self._block_size:
             raise ValueError("block %d overflow: %d records > capacity %d"
                              % (block_id, len(block), self._block_size))
-        self._cache.put(block_id, self._backend.put(block_id, block))
+        block = stored_form(block)
+        self._run_ids.append(block_id)
+        self._run_blocks.append(block)
+        if not self._runs_open or len(self._run_ids) >= self._RUN_BLOCKS:
+            self._flushed()
+        self._cache.put(block_id, block)
         self.stats.writes += 1
 
     def read_many(self, block_ids: Iterable[BlockId]) -> List[Any]:
@@ -318,13 +382,27 @@ class BlockStore:
     def check_invariants(self) -> None:
         """Raise AssertionError unless the pool is consistent with the
         disk: at most ``capacity`` entries, each of an allocated block
-        and in a stored form — a read-only 2-D float64 array or a list."""
+        (on the backend or in the open run) and in a stored form — a
+        read-only 2-D float64 array or a list; a write run is pending
+        only while one is open; and the backend's own books hold
+        (:meth:`~repro.io.backend.StorageBackend.check_invariants`).
+        Charges no I/O and hands no run over."""
+        if self._run_ids and not self._runs_open:
+            raise AssertionError("%d blocks pending with no write run open"
+                                 % len(self._run_ids))
+        if len(self._run_ids) != len(self._run_blocks):
+            raise AssertionError("the write run has %d ids for %d blocks"
+                                 % (len(self._run_ids),
+                                    len(self._run_blocks)))
+        self._backend.check_invariants()
+        pending = set(self._run_ids)
         resident = self._cache.items()
         if len(resident) > self._cache.capacity:
             raise AssertionError("pool holds %d blocks, capacity %d"
                                  % (len(resident), self._cache.capacity))
         for block_id, block in resident:
-            if not self._backend.contains(block_id):
+            if not (block_id in pending
+                    or self._backend.contains(block_id)):
                 raise AssertionError("block %r is resident but not "
                                      "allocated" % block_id)
             if isinstance(block, np.ndarray):
@@ -344,8 +422,9 @@ class BlockStore:
         Callers wanting a per-query figure snapshot this before and
         after, like :attr:`stats`.
         """
-        return (getattr(self._backend, "bytes_read", 0),
-                getattr(self._backend, "bytes_written", 0))
+        backend = self._flushed()
+        return (getattr(backend, "bytes_read", 0),
+                getattr(backend, "bytes_written", 0))
 
     def span_attributes(self, delta: IOStats) -> Dict[str, object]:
         """One query's store-level trace-span attributes.
@@ -370,8 +449,9 @@ class BlockStore:
         return -(-num_records // self.block_size)
 
     def close(self) -> None:
-        """Release the backend's resources (file handles, temp files)."""
-        self._backend.close()
+        """Hand the open write run over, then release the backend's
+        resources (file handles, temp files)."""
+        self._flushed().close()
 
     def __repr__(self) -> str:
         return "BlockStore(B=%d, backend=%s, blocks=%d, %r)" % (

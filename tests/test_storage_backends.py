@@ -8,6 +8,7 @@ free-then-read errors, and cache-hit accounting parity across backends.
 """
 
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.io.backend import (
     MmapBackend,
     StorageBackend,
     make_backend,
+    stored_form,
 )
 from repro.io.cache import LRUCache
 from repro.io.store import BlockStore
@@ -237,11 +239,13 @@ class TestFileBackend:
 
 class _AskingBackend(FileBackend):
     """The compaction trigger as it was before the log kept its own end
-    offset: the size is asked of the file, a seek and a tell per put."""
+    offset: the size is asked of the file, a seek and a tell per put
+    (each record written before it is asked)."""
 
     def _maybe_compact_locked(self):
         if not self._auto_compact_ratio or not self._index:
             return
+        self._write_appended()
         self._handle.seek(0, os.SEEK_END)
         if self._handle.tell() > self._auto_compact_ratio * max(
                 1, self._live_file_bytes()):
@@ -407,6 +411,95 @@ def test_a_torn_log_reopens_to_its_complete_record_prefix(kind, script,
             _same_blocks(again, after)
             assert again.info()["file_bytes"] == os.path.getsize(torn)
             again.close()
+
+
+@pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
+@settings(max_examples=60, deadline=None)
+@given(ratio=st.sampled_from([1.0, 1.5, 4.0]), script=log_scripts,
+       run=st.lists(st.tuples(st.integers(0, 6), log_blocks), min_size=1,
+                    max_size=6))
+def test_a_run_is_its_one_block_puts(kind, ratio, script, run):
+    """After any history of puts and deletes (a delete leaves garbage
+    and checks nothing), a run compacts where its one-block puts would
+    and leaves the same books, counters and log bytes."""
+    with tempfile.TemporaryDirectory() as directory:
+        one_write, per_block = (
+            kind(os.path.join(directory, name), auto_compact_ratio=ratio)
+            for name in ("run.log", "puts.log"))
+        for backend in (one_write, per_block):
+            for step in script:
+                if step[0] == "put":
+                    backend.put(step[1], step[2])
+                elif backend.contains(step[1]):
+                    backend.delete(step[1])
+        one_write.put_run([block_id for block_id, __ in run],
+                          [stored_form(block) for __, block in run])
+        for block_id, block in run:
+            per_block.put(block_id, block)
+        for backend in (one_write, per_block):
+            backend.check_invariants()
+            backend.sync()
+        assert one_write.info() == dict(per_block.info(),
+                                        path=one_write.path)
+        with open(one_write.path, "rb") as left, \
+                open(per_block.path, "rb") as right:
+            assert left.read() == right.read()
+        one_write.close()
+        per_block.close()
+
+
+@pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
+def test_a_run_cut_inside_its_kth_payload_keeps_its_first_k_minus_one(
+        kind, tmp_path):
+    """A run is one write, and a crash can cut it anywhere: cut inside
+    the k-th payload, the reopened log holds the blocks before the run
+    and the run's first k - 1 blocks, and checks clean."""
+    path = str(tmp_path / "run.log")
+    backend = kind(path)
+    backend.put(0, ["before the run"])
+    start = backend.info()["file_bytes"]
+    run = [_read_only(np.arange(6.0).reshape(3, 2)), ["a", ("pickled", 1)],
+           _read_only([[0.5]]), [], _read_only(np.ones((4, 3)))]
+    backend.put_run(range(1, 6), run)
+    backend.check_invariants()
+    backend.close()
+    with open(path, "rb") as handle:
+        log = handle.read()
+    record_starts = [start]
+    for __ in run:
+        length = struct.unpack_from("<qq", log, record_starts[-1])[1]
+        record_starts.append(record_starts[-1] + 16 + length)
+    assert record_starts[-1] == len(log)
+    for k in range(1, len(run) + 1):
+        payload_start = record_starts[k - 1] + 16
+        for cut in {payload_start, (payload_start + record_starts[k]) // 2,
+                    record_starts[k] - 1}:
+            if not record_starts[k - 1] < cut < record_starts[k]:
+                continue
+            torn = str(tmp_path / ("torn-%d.log" % cut))
+            with open(torn, "wb") as handle:
+                handle.write(log[:cut])
+            reopened = kind(torn)
+            reopened.check_invariants()
+            _same_blocks(reopened, {0: ["before the run"],
+                                    **dict(zip(range(1, k), run))})
+            assert reopened.info()["file_bytes"] == record_starts[k - 1]
+            reopened.close()
+
+
+def test_check_invariants_catches_a_log_that_disagrees(tmp_path):
+    backend = FileBackend(str(tmp_path / "books.log"))
+    backend.put_run([0, 1], [["a"], ["b"]])
+    backend.delete(0)
+    backend.check_invariants()
+    backend._live_bytes += 1                        # behind the log's back
+    with pytest.raises(AssertionError):
+        backend.check_invariants()
+    backend._live_bytes -= 1
+    backend._index[1] = (backend._index[1][0] + 1, backend._index[1][1])
+    with pytest.raises(AssertionError):
+        backend.check_invariants()
+    backend.close()
 
 
 class TestMmapBackend:

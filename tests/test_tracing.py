@@ -35,6 +35,7 @@ from repro.engine.obs import MetricsRegistry, render_prometheus
 from repro.engine.server import ApiKey, ServerClient
 from repro.engine.server.protocol import HTTPError, read_request
 from repro.engine.tracing import NULL_SPAN, NULL_TRACE, Tracer, activate
+from repro.io.store import BlockStore
 from repro.workloads import uniform_points
 
 from conftest import rows
@@ -292,14 +293,25 @@ def build_spans(engine, operation):
     return spans
 
 
+def write_runs(records):
+    """The backend writes the builds of ``records`` make: one per run of
+    up to ``BlockStore._RUN_BLOCKS`` blocks."""
+    return sum(-(-record.space_blocks // BlockStore._RUN_BLOCKS)
+               for record in records)
+
+
 def test_registration_is_one_trace_with_a_span_per_build():
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     try:
         engine.register_sharded_dataset("planar", uniform_points(2400, seed=5),
                                         num_shards=2, replicas=2)
         [trace_id] = engine.tracer.registry.ids()
+        # One hierarchy cut per shard (partition_tree's; the replicas
+        # share it) and one backend write per run of a build's blocks.
+        records = engine.catalog.build_records("planar").values()
         assert engine.tracer.get(trace_id)["root"]["attributes"] == {
-            "dataset": "planar", "operation": "register"}
+            "dataset": "planar", "operation": "register",
+            "partitions_computed": 2, "write_runs": write_runs(records)}
         for operation in ("register", "resplit"):
             if operation == "resplit":
                 engine.rebalance("planar")
@@ -317,6 +329,9 @@ def test_registration_is_one_trace_with_a_span_per_build():
                         attributes["build_ios"], attributes["build_s"]) == (
                     record.num_points, record.space_blocks,
                     record.build_ios.total, record.build_seconds)
+                assert attributes["partition"] == (
+                    "none" if kind != "partition_tree"
+                    else "shared" if replica else "computed")
                 layers = [child["attributes"] for child in node["children"]]
                 assert all(child["name"] == "halfplane2d.layer"
                            for child in node["children"])
@@ -331,6 +346,37 @@ def test_registration_is_one_trace_with_a_span_per_build():
                     == sum(built.vertices for built in index.layer_builds) > 0
                 assert all(layer["run_vertices"] + layer["exact_steps"]
                            == layer["vertices"] for layer in layers)
+    finally:
+        engine.close()
+
+
+def test_a_mixed_layout_cuts_one_hierarchy_per_shard():
+    """Two replicas x {dynamic, partition_tree} over one chunk: the first
+    cell tree cuts the shard's median cuts, the other three read them,
+    and a build's blocks reach the backend in runs."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, backend="file")
+    try:
+        engine.register_sharded_dataset(
+            "mixed", uniform_points(2400, seed=5), num_shards=2,
+            replicas=2, kinds=["dynamic", "partition_tree", "full_scan"])
+        for operation in ("register", "resplit"):
+            if operation == "resplit":
+                engine.rebalance("mixed")
+            spans = build_spans(engine, operation)
+            for shard in range(2):
+                uses = sorted(spans[(shard, replica, kind)]["attributes"]
+                              ["partition"] for replica in range(2)
+                              for kind in ("dynamic", "partition_tree"))
+                assert uses == ["computed"] + ["shared"] * 3
+                assert {spans[(shard, replica, "full_scan")]["attributes"]
+                        ["partition"] for replica in range(2)} == {"none"}
+            root = [engine.tracer.get(trace_id)["root"]
+                    for trace_id in engine.tracer.registry.ids()][-1]
+            assert root["attributes"]["operation"] == operation
+            records = engine.catalog.build_records("mixed").values()
+            assert (root["attributes"]["partitions_computed"],
+                    root["attributes"]["write_runs"]) \
+                == (2, write_runs(records))
     finally:
         engine.close()
 
