@@ -8,6 +8,8 @@ benchmark measures exactly that workload for every baseline and for the
 optimal 2-D structure, and additionally shows the same structures on a
 uniform input where the heuristics do fine (so the contrast is attributable
 to the adversarial input, not to a generally bad baseline implementation).
+The table's rows go into the ``baseline_degradation`` section of the
+committed ``BENCH_table1.json``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.workloads import (
     uniform_points,
 )
 
-from .conftest import blocks, print_experiment
+from .conftest import blocks, persist_table1, print_experiment
 
 BLOCK_SIZE = 32
 NUM_POINTS = 6000
@@ -86,16 +88,25 @@ def test_degradation_table(benchmark):
         "SEC1.2-DEGRADE",
         "adversarial diagonal input (rotated query) versus uniform input")
     costs = {}
-    for name in STRUCTURES:
-        index = build(name, "diag")
-        summary = run_query_workload(index, adversarial,
-                                     label="%s / diagonal" % name)
-        costs[name] = summary.mean_ios
-        result.add(summary)
-    for name in STRUCTURES:
-        index = build(name, "uniform")
-        result.add(run_query_workload(index, benign, label="%s / uniform" % name))
+    rows = {name: {} for name in STRUCTURES}
+    for which, queries in (("diagonal", adversarial), ("uniform", benign)):
+        for name in STRUCTURES:
+            index = build(name, "diag" if which == "diagonal" else which)
+            summary = run_query_workload(index, queries,
+                                         label="%s / %s" % (name, which))
+            if which == "diagonal":
+                costs[name] = summary.mean_ios
+            result.add(summary)
+            rows[name][which] = {
+                "queries": summary.num_queries,
+                "mean_ios": round(summary.mean_ios, 2),
+                "max_ios": summary.max_ios,
+                "mean_output_blocks": round(summary.mean_output_blocks, 2),
+                "space_blocks": summary.space_blocks}
     print_experiment(result)
+    persist_table1("baseline_degradation", {
+        "block_size": BLOCK_SIZE, "num_points": NUM_POINTS,
+        "selectivity": SELECTIVITY, "rows": rows})
 
     n = blocks(NUM_POINTS, BLOCK_SIZE)
     ours = costs["HalfplaneIndex2D (Section 3)"]

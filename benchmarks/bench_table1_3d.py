@@ -14,9 +14,7 @@ numbers of both shapes go into the committed ``BENCH_table1.json``.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from repro.experiments import ExperimentResult, log_fit_exponent, run_query_work
 from repro.workloads import (halfspace_queries_with_selectivity,
                              uniform_points, uniform_points_ball)
 
-from .conftest import blocks, print_experiment
+from .conftest import blocks, persist_table1, print_experiment
 
 BLOCK_SIZE = 32
 SIZES = [1024, 2048, 4096]
@@ -36,9 +34,6 @@ NUM_QUERIES = 6
 SHAPES = {"ball": (uniform_points_ball, 3),
           "cube": (lambda count, **keywords: uniform_points(
               count, dimension=3, **keywords), 1)}
-#: The fitted numbers, committed at the repository root.
-TABLE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                          "BENCH_table1.json")
 
 _cache = {}
 
@@ -135,15 +130,7 @@ def test_t1_3d_report_table(benchmark):
             "ios_per_output_block_slope": round(slope, 3),
             "space_blocks_over_n_log2_n": space,
         }
-    try:
-        with open(TABLE_PATH) as handle:
-            persisted = json.load(handle)
-    except (OSError, ValueError):
-        persisted = {}
-    persisted["table1_3d"] = table
-    with open(TABLE_PATH, "w") as handle:
-        json.dump(persisted, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    persist_table1("table1_3d", table)
 
 
 def test_t1_3d_space_scaling(benchmark):

@@ -8,6 +8,7 @@ committed).
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -16,6 +17,10 @@ import pytest
 #: Directory where every experiment table is persisted as plain text, so the
 #: measured numbers survive pytest's output capturing.
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+#: The fitted and measured Table-1 figures, committed at the repository
+#: root: one section per experiment (:func:`persist_table1`).
+TABLE1_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
+                           "BENCH_table1.json")
 
 
 def print_experiment(result) -> None:
@@ -29,6 +34,20 @@ def print_experiment(result) -> None:
     filename = result.experiment_id.replace("/", "_").replace(" ", "_") + ".txt"
     with open(os.path.join(RESULTS_DIR, filename), "w") as handle:
         handle.write(table + "\n")
+
+
+def persist_table1(section: str, table: dict) -> None:
+    """Write ``table`` as ``section`` of the committed ``BENCH_table1.json``
+    at the repository root, keeping every other section as it is."""
+    try:
+        with open(TABLE1_PATH) as handle:
+            persisted = json.load(handle)
+    except (OSError, ValueError):
+        persisted = {}
+    persisted[section] = table
+    with open(TABLE1_PATH, "w") as handle:
+        json.dump(persisted, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def blocks(num_records: int, block_size: int) -> int:

@@ -7,7 +7,10 @@ query cost degrades to Ω(n) I/Os (for example on points lying on a diagonal
 line queried with a slightly rotated halfplane).  These baselines exist so
 the benchmarks can demonstrate exactly that contrast against the paper's
 structures, plus the trivial full scan and the naively paged
-internal-memory structure (O(log2 N + T) I/Os).
+internal-memory structure (O(log2 N + T) I/Os).  The R-tree and the
+quad-tree are cell trees (:class:`~repro.core.partition_tree.CellTreeIndex`)
+built from hierarchies of their own; the k-d-B-tree packs binary nodes
+into pages and walks them itself.
 """
 
 from repro.baselines.full_scan import FullScanIndex

@@ -6,7 +6,9 @@ comparison: median splits along alternating axes, leaves of B points, and a
 halfspace query that must descend into every region crossed by the
 constraint boundary.  Internal nodes are packed several to a block, so the
 I/O cost of a query is dominated by the number of crossed regions — Θ(n) on
-the adversarial diagonal input.
+the adversarial diagonal input.  Unlike the R-tree and the quad-tree it is
+no cell tree: a cell table lists one node's children, a page here packs a
+binary subtree.
 """
 
 from __future__ import annotations

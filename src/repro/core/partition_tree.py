@@ -17,7 +17,9 @@ one per split depth of a tree depth; any other partitioner once per
 node), then written to the disk depth-first.  Inside a build scope
 (:func:`sharing_partitions`: a catalog build) a median-cut hierarchy is
 cut once per chunk and fanout, and every other tree over the same chunk
-reads it.
+reads it.  :class:`CellTreeIndex` is every box tree's build, checker,
+descent and pricing: the R-tree and quad-tree baselines supply
+hierarchies of their own (:meth:`CellTreeIndex._hierarchy`).
 """
 
 from __future__ import annotations
@@ -199,18 +201,20 @@ def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
 
 
 class CellTreeIndex(ExternalIndex):
-    """What the partition trees of Sections 5 and 6 share: the recursive
-    build over balanced partitions, the cell tables and the descent.
+    """What every box tree shares — the partition trees of Sections 5
+    and 6, the R-tree and the quad-tree: the build over a partition
+    hierarchy, the cell tables and the descent.
 
     A query visits a child only when the query hyperplane *crosses* its
     cell, reports whole subtrees whose cells lie below the hyperplane and
     skips cells entirely above it.  Leaves hand their blocks to one
     :class:`kernels.DeferredScan` per query.  Subclasses set their own
-    parameters, then call :meth:`_build_tree`; they vary the node
-    contents (:meth:`_leaf_node`, :meth:`_internal_node`) and what
-    happens at a crossed node (:meth:`_query_leaf`, :meth:`_cells`), and
-    price that variation alike (``_delegated``): :meth:`estimated_query_ios`
-    replays the descent on an in-memory copy of the tables.
+    parameters, then call :meth:`_build_tree`; they vary the hierarchy
+    (:meth:`_hierarchy`), the node contents (:meth:`_leaf_node`,
+    :meth:`_internal_node`) and what happens at a crossed node
+    (:meth:`_query_leaf`, :meth:`_cells`), and price that variation alike
+    (``_delegated``): :meth:`estimated_query_ios` replays the descent on
+    an in-memory copy of the tables.
     """
 
     def _build_tree(self, points: Sequence[Sequence[float]],
@@ -237,10 +241,7 @@ class CellTreeIndex(ExternalIndex):
         self._costs: Optional[_CellCosts] = None
         with self._building():
             if len(points):
-                hierarchy = (self._median_cuts(points)
-                             if partitioner is None else
-                             partitioner_hierarchy(points, self._fanout,
-                                                   partitioner))
+                hierarchy = self._hierarchy(points)
                 ids = [0] * len(hierarchy)
                 self._root = self._build(hierarchy, 0, ids)
                 self._costs = self._cell_costs(hierarchy, ids)
@@ -254,6 +255,15 @@ class CellTreeIndex(ExternalIndex):
         if size <= self._leaf_size:
             return 0
         return max(2, min(self._max_fanout, 2 * -(-size // self.block_size)))
+
+    def _hierarchy(self, points: np.ndarray) -> Sequence[PartitionNode]:
+        """The partition hierarchy the tree is written from, node 0 its
+        root: the median cuts, or the ``partitioner``'s cells node by
+        node.  A subclass with a hierarchy of its own supplies it here,
+        outside the build scope, which keys median cuts alone."""
+        if self._partitioner is None:
+            return self._median_cuts(points)
+        return partitioner_hierarchy(points, self._fanout, self._partitioner)
 
     def _median_cuts(self, points: np.ndarray) -> Sequence[PartitionNode]:
         """The median-cut hierarchy of ``points`` at this tree's fanout,
@@ -358,18 +368,28 @@ class CellTreeIndex(ExternalIndex):
         """Nodes whose cell was crossed during the most recent query."""
         return self._last_nodes_visited
 
+    #: The fewest cells an internal node has: a balanced partition
+    #: splits its node in two at least.
+    _min_cells = 2
+
+    def _leaf_limit(self, depth: int) -> int:
+        """The most points a leaf at ``depth`` (the root's 0) holds."""
+        del depth
+        return self._leaf_size
+
     def check_invariants(self) -> None:
         """Raise AssertionError unless the stored tree is the one the
         build promises, as read back from the disk.
 
         Every child's box holds every point of its subtree; subtree sizes
         add up to their node's ``size`` and the root's to N; a leaf holds
-        1 to ``leaf_size`` points and an internal node has at least 2
-        cells; node ids are post-order (so a child's id is below its
-        parent's); every table is one ``(fanout, 1 + 2d)`` float64 matrix
-        of :func:`encode_cells` rows.  A shallow tree's secondary trees
-        are checked as well.  The blocks are read from the backend
-        directly, so no I/O is charged and the buffer pool is untouched.
+        1 to :meth:`_leaf_limit` points and an internal node has at least
+        ``_min_cells`` cells; node ids are post-order (so a child's id is
+        below its parent's); every table is one ``(fanout, 1 + 2d)``
+        float64 matrix of :func:`encode_cells` rows.  A shallow tree's
+        secondary trees are checked as well.  The blocks are read from
+        the backend directly, so no I/O is charged and the buffer pool is
+        untouched.
         """
         backend = self._store.backend
         d = self.dimension
@@ -388,26 +408,28 @@ class CellTreeIndex(ExternalIndex):
                 "%r is not stored as (n, %d) float64 matrices", array, width)
             return np.concatenate(blocks)
 
-        def subtree(node_id: int) -> Tuple[int, np.ndarray, np.ndarray]:
+        def subtree(node_id: int, depth: int
+                    ) -> Tuple[int, np.ndarray, np.ndarray]:
             """The size and bounding corners of the points under a node."""
             node = self._nodes[node_id]
             if node.is_leaf:
                 rows = stored(node.points_array, d)
-                check(0 < len(rows) == node.size <= self._leaf_size,
-                      "leaf %d holds %d points, says %d, leaf size %d",
-                      node_id, len(rows), node.size, self._leaf_size)
+                limit = self._leaf_limit(depth)
+                check(0 < len(rows) == node.size <= limit,
+                      "leaf %d holds %d points, says %d, leaf limit %d",
+                      node_id, len(rows), node.size, limit)
                 post_order.append(node_id)
                 return node.size, rows.min(axis=0), rows.max(axis=0)
             table = stored(node.child_table, 1 + 2 * d)
-            check(len(table) >= 2, "node %d has %d cells", node_id,
-                  len(table))
+            check(len(table) >= self._min_cells, "node %d has %d cells",
+                  node_id, len(table))
             total, lowest, highest = 0, [], []
             for child_id, lower, upper in zip(table[:, 0].tolist(),
                                               table[:, 1:1 + d],
                                               table[:, 1 + d:]):
                 check(child_id == int(child_id) and 0 <= child_id < node_id,
                       "node %d lists child %r", node_id, child_id)
-                size, low, high = subtree(int(child_id))
+                size, low, high = subtree(int(child_id), depth + 1)
                 check(bool(np.all(lower <= low) and np.all(high <= upper)),
                       "the box of node %d does not hold its subtree",
                       int(child_id))
@@ -429,7 +451,7 @@ class CellTreeIndex(ExternalIndex):
                   "%d points, %d nodes and no root", self.size,
                   len(self._nodes))
             return
-        size = subtree(self._root)[0]
+        size = subtree(self._root, 0)[0]
         check(size == self.size, "the tree holds %d of %d points", size,
               self.size)
         check(post_order == list(range(len(self._nodes))),

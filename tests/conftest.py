@@ -16,6 +16,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 STATEFUL = settings.get_profile("stateful")
 
+#: The index kinds whose ``estimated_query_ios`` is exactly their cold
+#: I/Os: ``tests/test_cost_models.py`` holds each to it, and the stateful
+#: machine holds every shard a query's plan gives one of them.
+EXACTLY_PRICED = ("dynamic", "partition_tree", "quadtree", "rtree",
+                  "shallow_tree")
+
 
 @pytest.fixture
 def store():

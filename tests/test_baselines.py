@@ -1,6 +1,7 @@
 """Tests for the baseline structures and the Section 1.2 degradation story."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from repro.baselines import (
     RTreeIndex,
 )
 from repro.baselines.paged_cgl import convex_layers
+from repro.core import scalar_kernels
 from repro.core.halfplane2d import HalfplaneIndex2D
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import (
@@ -28,6 +30,24 @@ from conftest import brute_force_halfspace, rows
 ALL_2D_BASELINES = [FullScanIndex, QuadTreeIndex, RTreeIndex, KDBTreeIndex,
                     PagedDualIndex2D]
 
+#: The box trees' summed cold I/Os over 40 queries of selectivity 0.02
+#: (plus the rotated diagonal query on the diagonal input) and their
+#: space, 6 000 points at B = 32: what their own per-record walks read,
+#: which the shared cell-tree descent must keep.
+PINNED = {(RTreeIndex, "uniform"): (457, 195),
+          (RTreeIndex, "diagonal"): (517, 195),
+          (QuadTreeIndex, "uniform"): (725, 365),
+          (QuadTreeIndex, "diagonal"): (1660, 594)}
+
+
+def checked(index):
+    """``index``, its stored structure checked if it has a checker (the
+    box trees do)."""
+    check = getattr(index, "check_invariants", None)
+    if check is not None:
+        check()
+    return index
+
 
 @pytest.fixture(scope="module")
 def uniform_cloud():
@@ -37,7 +57,7 @@ def uniform_cloud():
 class TestCorrectness:
     @pytest.mark.parametrize("index_class", ALL_2D_BASELINES)
     def test_matches_ground_truth_uniform(self, index_class, uniform_cloud):
-        index = index_class(uniform_cloud, block_size=32)
+        index = checked(index_class(uniform_cloud, block_size=32))
         queries = halfspace_queries_with_selectivity(uniform_cloud, 4, 0.1, seed=2)
         for constraint in queries:
             assert brute_force_halfspace(uniform_cloud, constraint) == \
@@ -46,25 +66,25 @@ class TestCorrectness:
     @pytest.mark.parametrize("index_class", ALL_2D_BASELINES)
     def test_matches_ground_truth_diagonal(self, index_class):
         points = diagonal_points(800, seed=3)
-        index = index_class(points, block_size=32)
+        index = checked(index_class(points, block_size=32))
         constraint = rotated_diagonal_query(points, angle=1e-3, selectivity=0.2)
         assert brute_force_halfspace(points, constraint) == \
             {tuple(p) for p in index.query(constraint)}
 
     @pytest.mark.parametrize("index_class", ALL_2D_BASELINES)
     def test_empty_index(self, index_class):
-        index = index_class(np.zeros((0, 2)), block_size=16)
+        index = checked(index_class(np.zeros((0, 2)), block_size=16))
         assert rows(index.query(LinearConstraint((0.0,), 0.0))) == []
 
     @pytest.mark.parametrize("index_class", ALL_2D_BASELINES)
     def test_empty_and_full_queries(self, index_class, uniform_cloud):
-        index = index_class(uniform_cloud, block_size=32)
+        index = checked(index_class(uniform_cloud, block_size=32))
         assert rows(index.query(LinearConstraint((0.0,), -100.0))) == []
         assert len(index.query(LinearConstraint((0.0,), 100.0))) == len(uniform_cloud)
 
     def test_rtree_handles_higher_dimensions(self):
         points = uniform_points(600, dimension=3, seed=4)
-        index = RTreeIndex(points, block_size=32)
+        index = checked(RTreeIndex(points, block_size=32))
         for constraint in random_halfspace_queries(4, dimension=3, seed=5):
             assert brute_force_halfspace(points, constraint) == \
                 {tuple(p) for p in index.query(constraint)}
@@ -106,6 +126,30 @@ class TestCosts:
         # structure stays close to the output bound.
         assert quad_cost > n / 2
         assert ours_cost < quad_cost
+
+    @pytest.mark.parametrize("mode", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("index_class, which", list(PINNED),
+                             ids=["rtree-uniform", "rtree-diagonal",
+                                  "quadtree-uniform", "quadtree-diagonal"])
+    def test_box_trees_keep_their_pinned_costs(self, index_class, which,
+                                               mode):
+        points = uniform_points(6000, seed=2) if which == "uniform" \
+            else diagonal_points(6000, seed=1)
+        queries = halfspace_queries_with_selectivity(points, 40, 0.02, seed=3)
+        if which == "diagonal":
+            queries.append(rotated_diagonal_query(points, angle=5e-4,
+                                                  selectivity=0.02))
+        index = checked(index_class(points, block_size=32))
+        total = 0
+        with scalar_kernels() if mode == "scalar" else nullcontext():
+            for constraint in queries:
+                cold = index.query_with_stats(constraint, clear_cache=True)
+                assert sorted(rows(cold)) == sorted(map(tuple, points[
+                    constraint.below_many(points)].tolist()))
+                assert index.estimated_query_ios(constraint) \
+                    == cold.total_ios
+                total += cold.total_ios
+        assert (total, index.space_blocks) == PINNED[index_class, which]
 
     def test_paged_structure_pays_per_point_probes(self):
         points = uniform_points(1500, seed=11)

@@ -2,12 +2,15 @@
 
 A cell tree's ``estimated_query_ios`` replays its descent on an in-memory
 copy of its cell tables, so it must *equal* what
-``query_with_stats(c, clear_cache=True)`` charges: on any point set
-(duplicates, collinear grids, N < B, N = 0, d from 1 to 5), under both
-kernel modes, on the memory and file backends — and for the dynamic tree
-after inserts and deletes that fill its buffer, tombstone its points and
-rebuild it.  ``halfplane2d`` prices the layers its query reads; a query
-answered from its first layer is priced exactly.
+``query_with_stats(c, clear_cache=True)`` charges: for the partition
+tree, the R-tree and the quad-tree (down to leaves at its depth limit),
+on any point set (duplicates, collinear grids, N < B, N = 0, d from 1 to
+5; the R-tree from 2, the quad-tree at 2 only), under both kernel modes,
+on the memory and file backends — and for the dynamic tree after inserts
+and deletes that fill its buffer, tombstone its points and rebuild it.
+``conftest.EXACTLY_PRICED`` names these kinds.  ``halfplane2d`` prices
+the layers its query reads; a query answered from its first layer is
+priced exactly.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import QuadTreeIndex, RTreeIndex
 from repro.core import (DynamicPartitionTreeIndex, HalfplaneIndex2D,
                         PartitionTreeIndex, ShallowPartitionTreeIndex,
                         scalar_kernels)
@@ -29,12 +33,17 @@ from repro.io.store import BlockStore
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
 SHAPES = ["uniform", "duplicates", "collinear", "grid", "below_b", "empty"]
+#: The static cell trees of ``conftest.EXACTLY_PRICED``: each kind's
+#: class and the dimensions it indexes.
+CELL_TREES = {"partition_tree": (PartitionTreeIndex, 1, 5),
+              "rtree": (RTreeIndex, 2, 5),
+              "quadtree": (QuadTreeIndex, 2, 2)}
 
 
 @st.composite
-def point_sets(draw):
+def point_sets(draw, lowest=1, highest=5):
     """``(block_size, points)``: the degenerate shapes beside uniform."""
-    dimension = draw(st.integers(1, 5))
+    dimension = draw(st.integers(lowest, highest))
     block_size = draw(st.sampled_from([2, 3, 8]))
     shape = draw(st.sampled_from(SHAPES))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
@@ -97,15 +106,23 @@ def assert_priced_exactly(index, queries):
 
 @pytest.mark.parametrize("mode", ["vectorized", "scalar"])
 @pytest.mark.parametrize("backend", ["memory", "file"])
-@settings(max_examples=40, deadline=None)
-@given(drawn=point_sets(), seed=st.integers(0, 2 ** 16))
-def test_partition_tree_prices_its_cold_query_exactly(mode, backend, drawn,
-                                                      seed):
-    block_size, points = drawn
+@settings(max_examples=90, deadline=None)
+@given(kind=st.sampled_from(sorted(CELL_TREES)), data=st.data(),
+       seed=st.integers(0, 2 ** 16))
+def test_partition_tree_prices_its_cold_query_exactly(mode, backend, kind,
+                                                      data, seed):
+    """Each static cell tree; a quad-tree is also drawn with a depth
+    limit of 3, where uniform points overfill its deepest leaves (as
+    duplicates do at any limit)."""
+    factory, lowest, highest = CELL_TREES[kind]
+    block_size, points = data.draw(point_sets(lowest, highest))
+    params = {"max_depth": data.draw(st.sampled_from([3, 32]))} \
+        if kind == "quadtree" else {}
     dimension = points.shape[1]
     queries = constraints(np.random.default_rng(seed), points, dimension)
     with opened_store(backend, block_size) as store, kernel_mode(mode):
-        tree = PartitionTreeIndex(points, store=store)
+        tree = factory(points, store=store, **params)
+        tree.check_invariants()
         assert_priced_exactly(tree, queries)
 
 

@@ -5,7 +5,8 @@ catalog build) the first cell tree over a chunk cuts its hierarchy and
 every other tree over the same chunk at the same fanout reads it.  The
 key is the chunk's content, never its address: a chunk that changed in
 place, or a new array where a freed one lived, is cut afresh.  A shared
-tree is the tree built alone, block for block.
+tree is the tree built alone, block for block.  A tree with a hierarchy
+of its own (the R-tree, the quad-tree) keeps it out of the scope.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro import QueryEngine
+from repro.baselines import QuadTreeIndex, RTreeIndex
 from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import (PartitionTreeIndex, _SCOPE,
                                        sharing_partitions)
@@ -111,21 +113,42 @@ def test_a_shared_hierarchy_is_read_only_and_dropped_with_its_scope():
 
 
 def test_a_replicated_registration_writes_each_tree_as_built_alone(tmp_path):
+    """The box trees bring hierarchies of their own, at the block size,
+    fanout and leaf size the scope would key a median cut of the same
+    chunk by: they neither store one in the scope (the partition tree
+    after the R-tree would read it) nor read one (the quad-tree after
+    the dynamic tree would)."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=3, backend="file",
                          data_dir=str(tmp_path))
+    kinds = (("rtree", RTreeIndex), ("dynamic", DynamicPartitionTreeIndex),
+             ("quadtree", QuadTreeIndex),
+             ("partition_tree", PartitionTreeIndex))
     try:
         engine.register_sharded_dataset(
             "d", uniform_points(1500, seed=3), num_shards=2, replicas=2,
-            kinds=["dynamic", "partition_tree"])
+            kinds=[kind for kind, __ in kinds])
         assert _SCOPE.get() is None
+        [trace_id] = engine.tracer.registry.ids()
+        root = engine.tracer.get(trace_id)["root"]
+        assert root["attributes"]["partitions_computed"] == 2
+        uses = {}
+        for span in root["children"]:
+            attributes = span["attributes"]
+            uses.setdefault((attributes["shard"], attributes["kind"]),
+                            []).append(attributes["partition"])
+        for shard in range(2):
+            assert uses[shard, "rtree"] == uses[shard, "quadtree"] \
+                == ["none", "none"]
+            assert sorted(uses[shard, "dynamic"]
+                          + uses[shard, "partition_tree"]) \
+                == ["computed"] + ["shared"] * 3
         for shard in engine.catalog.sharded("d").shards:
             for replica in shard.replicas:
                 store = replica.store
                 assert not store._run_ids and not store._runs_open
                 store.check_invariants()
                 first = 0
-                for kind, factory in (("dynamic", DynamicPartitionTreeIndex),
-                                      ("partition_tree", PartitionTreeIndex)):
+                for kind, factory in kinds:
                     index = replica.indexes[kind]
                     built, fresh = alone(replica.points, factory)
                     assert index.space_blocks == built.space_blocks > 0

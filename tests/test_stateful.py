@@ -14,9 +14,10 @@ oracle's; a
 query is also answered by every index of every replica, in both kernel
 modes (same answer, same I/Os) — the mutable one over its shard's part
 of the oracle, a static one over its build points — and under
-``explain(analyze=True)`` every shard ``dynamic`` served was priced at
-exactly its cold I/Os.  The worker mode is the suite's
-(``REPRO_WORKERS``); the example budget is ``conftest.STATEFUL``.
+``explain(analyze=True)`` every shard an exactly priced kind
+(``conftest.EXACTLY_PRICED``) served was priced at exactly its cold
+I/Os.  The worker mode is the suite's (``REPRO_WORKERS``); the example
+budget is ``conftest.STATEFUL``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from conftest import STATEFUL
+from conftest import EXACTLY_PRICED, STATEFUL
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.core import scalar_kernels
@@ -213,7 +214,7 @@ class EngineMachine(RuleBasedStateMachine):
                                      clear_cache=True)
         assert report["reported"] == len(truth)
         for entry in report["per_shard"]:
-            if entry["index"] == "dynamic":
+            if entry["index"] in EXACTLY_PRICED:
                 assert entry["model_ios"] == entry["observed_cold_ios"], \
                     entry
         self.check_every_index(constraint)
