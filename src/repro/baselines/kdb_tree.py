@@ -97,6 +97,77 @@ class KDBTreeIndex(ExternalIndex):
         block_index, slot = self._node_position[node_id]
         return self._store.read(self._node_block_ids[block_index])[slot]
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the stored tree is the one the
+        build promises, as read back from the disk.
+
+        Node records are packed B per block in id order; a child's id is
+        below its parent's, every node but the root (the last) is one
+        node's child, an internal box holds its children's boxes and a
+        leaf's box its points; every leaf array is referenced once and
+        holds 1 to ``leaf_capacity`` points, N in all.  The blocks are
+        read from the backend directly, so no I/O is charged and the
+        buffer pool is untouched.
+        """
+        backend = self._store.backend
+        B = self.block_size
+
+        def check(holds: bool, message: str, *values) -> None:
+            if not holds:
+                raise AssertionError(message % values)
+
+        blocks = [backend.get_payload(block_id)
+                  for block_id in self._node_block_ids]
+        records = [record for block in blocks for record in block]
+        count = len(records)
+        check([len(block) for block in blocks]
+              == [min(B, count - start) for start in range(0, count, B)]
+              and self._node_position == [divmod(node_id, B)
+                                          for node_id in range(count)],
+              "%d node records are not packed %d per block in id order",
+              count, B)
+        check(self._root == (count - 1 if count else None),
+              "the root is node %r of %d", self._root, count)
+        boxes = [(np.asarray(record[-2]), np.asarray(record[-1]))
+                 for record in records]
+        parents = [0] * count
+        leaves = [0] * len(self._leaf_arrays)
+        total = 0
+        for node_id, record in enumerate(records):
+            lower, upper = boxes[node_id]
+            if record[0] == _LEAF:
+                check(0 <= record[1] < len(leaves), "leaf node %d names "
+                      "leaf array %r", node_id, record[1])
+                leaves[record[1]] += 1
+                array = self._leaf_arrays[record[1]]
+                array.check_invariants()
+                rows = np.concatenate([np.empty((0, self._dimension))] + [
+                    np.asarray(backend.get_payload(block_id), dtype=float)
+                    for block_id in array.block_ids])
+                check(1 <= len(rows) <= self._leaf_capacity, "leaf node %d "
+                      "holds %d points, its capacity %d", node_id,
+                      len(rows), self._leaf_capacity)
+                check(bool(np.all((lower <= rows) & (rows <= upper))),
+                      "the box of leaf node %d does not hold its points",
+                      node_id)
+                total += len(rows)
+                continue
+            for child_id in record[1:3]:
+                check(0 <= child_id < node_id, "node %d lists child %r",
+                      node_id, child_id)
+                parents[child_id] += 1
+                low, high = boxes[child_id]
+                check(bool(np.all(lower <= low) and np.all(high <= upper)),
+                      "the box of node %d does not hold its child %d",
+                      node_id, child_id)
+        # (no child id reaches the root's, the last)
+        check(parents[:-1] == [1] * (count - 1), "the nodes are no tree: "
+              "parent counts %r", parents)
+        check(leaves == [1] * len(leaves), "leaf arrays are referenced "
+              "%r times", leaves)
+        check(total == self._num_points, "the leaves hold %d of %d points",
+              total, self._num_points)
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------

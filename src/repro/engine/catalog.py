@@ -11,10 +11,9 @@ Datasets come in one shape: every registered name is a
 :class:`~repro.engine.sharding.ShardedDataset` — a router over K shards,
 each shard a list of replica :class:`Dataset` children (one store, one
 index suite each).  ``register_dataset`` registers the one-shard,
-one-replica instance, whose sole replica keeps the dataset's own name and
-whose selectivity model is the dataset-level one; the plain-name lookups
-(:meth:`Catalog.dataset`, :meth:`Catalog.entry`, :meth:`Catalog.indexes`,
-...) are views of that replica.  Each store's *backend* — in-memory dict
+one-replica instance, whose sole replica keeps the dataset's own name;
+the plain-name lookups (:meth:`Catalog.dataset`, :meth:`Catalog.entry`,
+:meth:`Catalog.indexes`, ...) are views of that replica.  Each store's *backend* — in-memory dict
 or a real file — is chosen per catalog or per dataset; see
 :mod:`repro.io.backend`.  A dataset's replica settings are resolved once,
 at registration, into a :class:`ReplicaRecipe`, and every replica —
@@ -24,8 +23,9 @@ the router gave no points included: a zero-point shard is an ordinary
 index suite over ``(0, d)`` that the first insert routed to it fills.
 
 The catalog also attaches a pluggable *selectivity model* (see
-:mod:`repro.engine.stats`) to every dataset — and to every shard child,
-so sharded planning is priced with shard-local statistics.  The default
+:mod:`repro.engine.stats`) to every shard, shared by its replicas; a
+dataset's expected output T is the sum of its shards' estimates, so
+planning is priced with shard-local statistics.  The default
 ``"uniform"`` model evaluates constraints on a small in-memory sample
 that it owns and that fills as its data grows (O(sample) arithmetic,
 zero I/Os); ``"histogram"`` maintains equi-depth
@@ -191,17 +191,9 @@ class Dataset:
         """Current point count, observed mutations included."""
         return self.stats.size
 
-    def estimate_selectivity(self, constraint: LinearConstraint) -> float:
-        """Fraction of points expected to satisfy ``constraint``.
-
-        Delegated to the dataset's selectivity model (sample scan or
-        directional histograms); pure arithmetic either way — estimation
-        never touches the simulated disk.
-        """
-        return self.stats.estimate_selectivity(constraint)
-
     def estimate_output(self, constraint: LinearConstraint) -> int:
-        """Expected number of reported points (the paper's T)."""
+        """Expected number of reported points (the paper's T), from the
+        shard's selectivity model: pure arithmetic, no I/O."""
         return self.stats.estimate_output(constraint)
 
     def refuse_direct_write(self) -> None:
@@ -247,11 +239,8 @@ class ReplicaRecipe:
     overrides and the catalog-wide defaults, and kept on the
     :class:`~repro.engine.sharding.ShardedDataset`: a re-split and a
     shard-worker process rebuild from this record, so "the same replica"
-    has one definition.
-    ``stats_params`` already has the override rule applied — a
-    per-dataset ``stats_model`` does *not* inherit the catalog-wide
-    params, which belong to the catalog's model kind (histogram bucket
-    counts would crash a uniform model).
+    has one definition.  The selectivity model kind and its parameters
+    are the catalog's.
     """
 
     block_size: int
@@ -460,7 +449,7 @@ class Catalog:
         registered without an explicit path (one ``<dataset>.blocks`` file
         each); a temporary file per store when omitted.
     stats_model / stats_params:
-        Default selectivity model for every dataset (and shard child):
+        The selectivity model of every shard:
         ``"uniform"`` (default), ``"histogram"``, ``"ensemble"``, or a
         factory — see
         :func:`repro.engine.stats.make_model`; ``stats_params`` are
@@ -545,49 +534,35 @@ class Catalog:
 
     def _recipe(self, block_size: Optional[int],
                 cache_blocks: Optional[int], backend: object,
-                stats_model: object,
-                stats_params: Optional[Dict[str, object]],
                 replicas: int) -> ReplicaRecipe:
         """Resolve one registration's overrides against the defaults."""
         defaults = self._defaults
-        if stats_model is None:
-            stats_model = defaults.stats_model
-            if stats_params is None:
-                stats_params = defaults.stats_params
         return replace(
             defaults, block_size=block_size or defaults.block_size,
             cache_blocks=(defaults.cache_blocks if cache_blocks is None
                           else cache_blocks),
             backend=defaults.backend if backend is None else backend,
-            stats_model=stats_model, stats_params=dict(stats_params or {}),
             replicas=replicas)
 
     def register_dataset(self, name: str, points: Sequence[Sequence[float]],
                          block_size: Optional[int] = None,
                          cache_blocks: Optional[int] = None,
-                         backend: object = None,
-                         stats_model: object = None,
-                         stats_params: Optional[Dict[str, object]] = None
-                         ) -> Dataset:
+                         backend: object = None) -> Dataset:
         """Register a point set under ``name`` with its own shared store.
 
         The one-shard, one-replica case of
         :meth:`register_sharded_dataset`: a trivial router, the points'
         bounding box, and a single replica — returned — that keeps the
         dataset's own name (so its block file and metric labels carry no
-        ``#0`` suffix) and whose selectivity model is also the
-        dataset-level one.  ``stats_model`` / ``stats_params`` override
-        the catalog-wide selectivity model for this dataset.
+        ``#0`` suffix).
         """
         self._check_name_free(name)
         array = self._as_points(points)
-        recipe = self._recipe(block_size, cache_blocks, backend,
-                              stats_model, stats_params, 1)
+        recipe = self._recipe(block_size, cache_blocks, backend, 1)
         [replica] = build_replicas([name], array, recipe, [])
         self._datasets[name] = ShardedDataset(
-            name=name, points=array,
-            router=HashShardRouter(1), stats=replica.stats, recipe=recipe,
-            shards=[_boxed_shard(0, [replica])])
+            name=name, points=array, router=HashShardRouter(1),
+            recipe=recipe, shards=[_boxed_shard(0, [replica])])
         return replica
 
     @staticmethod
@@ -622,10 +597,7 @@ class Catalog:
                                  replicas: int = 1,
                                  block_size: Optional[int] = None,
                                  cache_blocks: Optional[int] = None,
-                                 backend: object = None,
-                                 stats_model: object = None,
-                                 stats_params: Optional[Dict[str, object]]
-                                 = None) -> ShardedDataset:
+                                 backend: object = None) -> ShardedDataset:
         """Partition ``points`` across ``num_shards`` per-shard stores.
 
         ``sharding`` picks the router (``"range"`` on ``shard_attribute``,
@@ -648,11 +620,9 @@ class Catalog:
         array = self._as_points(points)
         router = make_router(sharding, array, num_shards,
                              attribute=shard_attribute)
-        recipe = self._recipe(block_size, cache_blocks, backend,
-                              stats_model, stats_params, replicas)
+        recipe = self._recipe(block_size, cache_blocks, backend, replicas)
         sharded = ShardedDataset(
-            name=name, points=array, router=router,
-            stats=fit_stats(recipe, array), recipe=recipe,
+            name=name, points=array, router=router, recipe=recipe,
             shards=self._make_shards(name, array, router, recipe, 0))
         self._datasets[name] = sharded
         return sharded
@@ -772,7 +742,6 @@ class Catalog:
             _build_on_shards(shards, sharded.recipe.seed,
                              sharded.suite_builds)
             sharded.points = array
-            sharded.stats = fit_stats(sharded.recipe, array)
             sharded.router = router
             sharded.shards = shards
             sharded.generation = generation

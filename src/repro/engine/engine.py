@@ -85,7 +85,8 @@ class QueryEngine:
     fanout_workers:
         Thread-pool size for per-shard query fan-out (0 = sequential).
     stats_model / stats_params:
-        Selectivity model built for every dataset and shard child:
+        Selectivity model built for every shard (a dataset's expected
+        output is the sum of its shards' estimates):
         ``"uniform"`` (default, sample scan), ``"histogram"``
         (directional equi-depth histograms for skewed data) or
         ``"ensemble"`` (uniform + histogram side by side, blended by
@@ -253,19 +254,13 @@ class QueryEngine:
 
         Evaluated at summary/scrape time rather than captured once:
         shard-child models are rebuilt on re-splits, so stored references
-        would go stale.  Reports the dataset-level model plus each
-        shard's planning model under the shard child's name (e.g.
-        ``logs#2``; a ``register_dataset`` child shares its dataset's
-        name and model).
+        would go stale.  Reports each shard's model under its planning
+        replica's name (e.g. ``logs#2``; a ``register_dataset`` replica
+        keeps its dataset's name).
         """
-        models: Dict[str, object] = {}
-        for name in self.catalog.datasets():
-            sharded = self.catalog.sharded(name)
-            models[name] = sharded.stats
-            for shard in sharded.shards:
-                child = shard.planning_dataset()
-                models[child.name] = child.stats
-        return models
+        return {shard.planning_dataset().name: shard.planning_dataset().stats
+                for name in self.catalog.datasets()
+                for shard in self.catalog.sharded(name).shards}
 
     def _build_records(self) -> List[BuildRecord]:
         """Every index build on every replica (the metrics provider)."""

@@ -344,7 +344,7 @@ class ExecutionCore:
         :class:`ShardOutcome`.  Spans, feedback and the merged answer
         are then derived from those records alone.
         """
-        plan, items = self._lower(dataset_name, constraint, plan)
+        plan, items = self.lower(dataset_name, constraint, plan)
         generation = self.result_generation(dataset_name)
         started = time.perf_counter()
         # The pool workers below do not inherit this thread's contextvars
@@ -381,9 +381,10 @@ class ExecutionCore:
                         (plan.index_name, answer.points), generation)
         return answer
 
-    def _lower(self, dataset_name: str, query: Query, plan: ShardedPlan
-               ) -> Tuple[ShardedPlan, List[_WorkItem]]:
-        """Lower a plan to ``(plan, items)``, one item per relevant shard.
+    def lower(self, dataset_name: str, query: Query, plan: ShardedPlan
+              ) -> Tuple[ShardedPlan, List[_WorkItem]]:
+        """Lower a plan to ``(plan, items)``, one item per relevant shard
+        (what a fan-out runs and a degraded answer samples).
 
         The plan comes back because a stale one is replaced here.
         """

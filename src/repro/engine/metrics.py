@@ -686,8 +686,8 @@ class EngineStats:
     def model_summary(self) -> Dict[str, Dict[str, object]]:
         """Live per-model state: weights, adaptation, per-direction q-error.
 
-        One entry per model the provider reports (top-level datasets plus
-        ``name/shard<id>`` children), carrying the model's ``describe()``
+        One entry per model the provider reports (one per shard, under
+        its planning replica's name), carrying the model's ``describe()``
         payload; histogram models additionally surface their
         per-direction geometric-mean q-error, and ensemble members'
         histogram state is lifted alongside the weights.  Refreshes the

@@ -224,9 +224,8 @@ class Planner:
                                 constraint))
             for shard in relevant)
         # The fan-out's expected output is the sum of the *shard-local*
-        # estimates (each shard child owns its own selectivity model) —
-        # on skewed data the per-shard models see their shard's
-        # distribution, where the single global estimate would not.
+        # estimates (a dataset has no model but its shards') — on skewed
+        # data the per-shard models see their shard's distribution.
         # Its interval is the element-wise sum of the shard intervals
         # (every relevant shard banded, or no band at all).
         intervals = [plan.output_interval for __, plan in shard_plans]

@@ -61,6 +61,7 @@ import repro.engine.tracing as tracing
 from repro.core.kernels import answer_matrix
 from repro.engine.executor import ExecutedQuery, ExecutionCore, constraint_key
 from repro.engine.metrics import percentile
+from repro.engine.planner import ShardedPlan
 from repro.engine.serving.admission import (
     AdmissionController,
     scaled_count_estimate,
@@ -366,14 +367,16 @@ class AsyncExecutor:
                     message, sorted(self._waiters), self._keys))
 
     def estimate(self, request: ServingRequest) -> ExecutedQuery:
-        """The degraded sample answer, outside the scheduler.
+        """The degraded sample answer of the request's plan, outside the
+        scheduler.
 
         The SSE streaming path sends this (estimate + confidence
         interval, zero I/Os) before the exact answer arrives, so it must
         not wait in the queue and must not land in the metrics as a
         second served query — hence ``record=False``.
         """
-        return self._degraded_answer(request, record=False)
+        plan = self._core.planner.plan(request.dataset, request.constraint)
+        return self._degraded_answer(request, plan, record=False)
 
     def _pump(self, done: Optional[asyncio.Future]) -> None:
         """One pass: settle ``done`` (as a worker future's done-callback),
@@ -613,7 +616,7 @@ class AsyncExecutor:
             self._core.stats.note_admission("degrade")
             self._note_decision(item, "degrade", estimated_ios=estimated_ios)
             with tracing.activate(span):
-                answer = self._degraded_answer(request)
+                answer = self._degraded_answer(request, item.plan)
             return self._finished(item, "degraded", answer, now)
         if decision.action != "queue":
             self._core.stats.note_admission("reject")
@@ -720,61 +723,68 @@ class AsyncExecutor:
         outcome.error = message
         return outcome
 
-    def _degraded_answer(self, request: ServingRequest,
+    def _degraded_answer(self, request: ServingRequest, plan: ShardedPlan,
                          record: bool = True) -> ExecutedQuery:
-        """A zero-I/O approximate answer from the dataset's sample — the
-        rows its selectivity model estimates from.
+        """A zero-I/O approximate answer from the samples of the plan's
+        shards — the rows their selectivity models estimate from.
 
-        The sample's points are real stored points, so the answer is a
+        The samples' points are real stored points, so the answer is a
         *subset* of the truth (membership follows the same rule as the
         planner's selectivity estimate, via
         :func:`~repro.engine.sharding.sample_hits`) — marked ``degraded``
         and kept out of the result cache so it can never masquerade as an
-        exact answer.  The answer carries its ``sample_rate`` (what
-        fraction of the dataset was scanned) plus a scaled full-count
-        estimate with an interval, so callers can turn the subset into a
+        exact answer.  The answer carries its ``sample_rate`` (the rows
+        scanned over those shards' live points) plus the plan's expected
+        output with an interval, so callers can turn the subset into a
         qualified count instead of mistaking it for the whole truth.
 
-        The interval is conformal once the dataset's calibration window
-        is warm — distribution-free quantile-of-residuals bands from the
-        executor's observed (estimate, actual) pairs — and the normal
-        approximation (:func:`scaled_count_estimate`) only before then;
-        ``interval_source`` says which (``"conformal"`` /
-        ``"normal_fallback"``) on every degraded answer.
+        The interval is the plan's conformal band once the dataset's
+        calibration window is warm — calibrated on the residuals of the
+        same shard models whose estimates it wraps — and the sum of the
+        shards' normal approximations (:func:`scaled_count_estimate`)
+        only before then; ``interval_source`` says which
+        (``"conformal"`` / ``"normal_fallback"``) on every degraded
+        answer.
         """
         with tracing.span("serving.degraded_sample",
                           dataset=request.dataset) as sample_span:
-            entry = self._core.catalog.sharded(request.dataset)
-            sample = entry.stats.sample.rows
-            hits = sample_hits(sample, entry.dimension, request.constraint)
-            sample_size = int(len(sample))
-            population = max(int(entry.live_size), sample_size)
-            estimate, interval = scaled_count_estimate(len(hits), sample_size,
-                                                       population)
+            plan, items = self._core.lower(request.dataset,
+                                           request.constraint, plan)
+            dimension = self._core.catalog.sharded(request.dataset).dimension
+            hits, sample_size, population, low, high = [], 0, 0, 0, 0
+            for item in items:
+                replica = item.shard.planning_dataset()
+                sample = replica.stats.sample.rows
+                hits.append(sample_hits(sample, dimension,
+                                        request.constraint))
+                size = max(int(replica.live_size), len(sample))
+                __, band = scaled_count_estimate(len(hits[-1]), len(sample),
+                                                 size)
+                sample_size += len(sample)
+                population += size
+                low, high = low + band[0], high + band[1]
+            count = sum(map(len, hits))
             source = "normal_fallback"
-            conformal = self._core.stats.conformal.interval(
-                request.dataset, estimate, population=population)
-            if conformal is not None:
+            if plan.output_interval is not None:
                 # The sample hits are real stored points, so the true
                 # count can never sit below them — the conformal band is
                 # clipped to the same invariant the fallback obeys.
-                low = max(conformal[0], int(len(hits)))
-                high = max(conformal[1], low)
-                estimate = min(max(estimate, low), high)
-                interval = (low, high)
+                low = max(plan.output_interval[0], count)
+                high = max(plan.output_interval[1], low)
                 source = "conformal"
+            estimate = min(max(plan.expected_output, low), high)
             if sample_span.enabled:
                 sample_span.set_many({
-                    "sample_size": sample_size, "hits": int(len(hits)),
+                    "sample_size": sample_size, "hits": count,
                     "estimated_count": estimate,
                     "interval_source": source})
         answer = ExecutedQuery(
             dataset=request.dataset, index_name="degraded_sample",
-            points=answer_matrix((hits,), entry.dimension), ios=IOStats(),
+            points=answer_matrix(hits, dimension), ios=IOStats(),
             latency_s=0.0, estimated_ios=0.0, tenant=request.tenant,
             degraded=True,
             sample_rate=(sample_size / population if population else 1.0),
-            estimated_count=estimate, count_interval=interval,
+            estimated_count=estimate, count_interval=(low, high),
             interval_source=source)
         if record:
             self._core.record(answer)

@@ -54,7 +54,6 @@ from repro.geometry.primitives import LinearConstraint
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog imports us)
     from repro.engine.catalog import Catalog, Dataset, ReplicaRecipe
     from repro.engine.metrics import EngineStats
-    from repro.engine.stats import SelectivityModel
 
 
 def sample_hits(sample: np.ndarray, dimension: int,
@@ -302,12 +301,12 @@ class ShardedDataset:
     """A dataset partitioned across per-shard stores and index suites.
 
     Every registered name is one of these; ``register_dataset`` builds
-    the one-shard, one-replica instance.  The global ``stats`` model
-    estimates whole-dataset selectivity; each shard's child dataset
-    keeps its own model so the planner can price per-shard output sizes
-    with shard-local statistics (with one shard the two are one object).
-    ``prune`` can be flipped off to force fan-out to every shard
-    (benchmarks use this to measure what pruning saves).
+    the one-shard, one-replica instance.  The dataset holds no
+    selectivity model of its own: each shard's replicas share one, and
+    the dataset's live size and expected output (the paper's T) are the
+    sums of its shards' — what the planner prices and a degraded answer
+    reports.  ``prune`` can be flipped off to force fan-out to every
+    shard (benchmarks use this to measure what pruning saves).
 
     ``generation`` counts re-splits: the :class:`RebalanceManager` bumps
     it when it rebuilds the shard layout, and the executor re-plans any
@@ -317,9 +316,6 @@ class ShardedDataset:
     name: str
     points: np.ndarray
     router: ShardRouter
-    #: Pluggable selectivity model over the whole dataset (it owns the
-    #: dataset-level sample the degraded-answer path scans).
-    stats: "SelectivityModel"
     #: Replica settings resolved at registration; every rebuild (re-split,
     #: worker process) reads them here.
     recipe: "ReplicaRecipe"
@@ -355,7 +351,7 @@ class ShardedDataset:
     @property
     def live_size(self) -> int:
         """Current point count across shards, observed mutations included."""
-        return self.stats.size
+        return sum(self.shard_live_sizes())
 
     @property
     def num_shards(self) -> int:
@@ -366,13 +362,11 @@ class ShardedDataset:
         """Every shard: the benchmark's name for :attr:`shards`."""
         return self.shards
 
-    def estimate_selectivity(self, constraint: LinearConstraint) -> float:
-        """Fraction of all points expected to satisfy ``constraint``."""
-        return self.stats.estimate_selectivity(constraint)
-
     def estimate_output(self, constraint: LinearConstraint) -> int:
-        """Expected number of reported points across shards (the paper's T)."""
-        return self.stats.estimate_output(constraint)
+        """Expected number of reported points (the paper's T): the sum of
+        the relevant shards' estimates, as the planner takes it."""
+        return sum(shard.planning_dataset().estimate_output(constraint)
+                   for shard in self.relevant_shards(constraint))
 
     def shard_live_sizes(self) -> List[int]:
         """Current per-shard point counts, mutations included.
@@ -409,8 +403,7 @@ class ShardedDataset:
         equal ``mutated`` flags; every live point routes to the shard
         holding it and, unless the box is stale, lies inside the shard's
         box — a shard with no box holds none; a shard's live points are
-        what its model counts, and the shards' counts sum to
-        ``live_size``; no model's sample exceeds the recipe's
+        what its model counts; no model's sample exceeds the recipe's
         ``sample_size``, and a sample below it is exactly its live
         multiset.  Live points are read from memory under the write
         barrier: no I/O is charged.
@@ -422,16 +415,7 @@ class ShardedDataset:
                 raise AssertionError("%s: %s" % (self.name,
                                                  message % values))
 
-        def check_sample(model, live, owner: str) -> None:
-            rows = model.sample.rows
-            capacity = self.recipe.sample_size
-            check(len(rows) <= capacity, "%s's sample holds %d rows, its "
-                  "recipe at most %d", owner, len(rows), capacity)
-            check(len(rows) == capacity
-                  or sorted(map(tuple, rows.tolist())) == sorted(live),
-                  "%s's sample is short of %d rows but not its live "
-                  "multiset", owner, capacity)
-
+        capacity = self.recipe.sample_size
         with self.write_lock:
             router = self.router
             check(len(self.shards) == router.num_shards,
@@ -441,7 +425,6 @@ class ShardedDataset:
             check(boundaries == sorted(boundaries),
                   "range boundaries %r are not sorted", boundaries)
             suite = [build["index_name"] for build in self.suite_builds]
-            everything: List[Tuple[float, ...]] = []
             for shard in self.shards:
                 check(shard.num_replicas == self.recipe.replicas,
                       "shard %d has %d replicas, its recipe %d",
@@ -485,14 +468,14 @@ class ShardedDataset:
                 check(len(live) == primary.live_size,
                       "shard %d holds %d live points, its model counts %d",
                       shard.shard_id, len(live), primary.live_size)
-                check_sample(primary.stats, multiset,
-                             "shard %d" % shard.shard_id)
-                everything.extend(multiset)
-            check(len(everything) == self.live_size,
-                  "shards hold %d live points, the dataset counts %d",
-                  len(everything), self.live_size)
-            if self.stats is not self.shards[0].replicas[0].stats:
-                check_sample(self.stats, everything, "the dataset")
+                rows = primary.stats.sample.rows
+                check(len(rows) <= capacity, "shard %d's sample holds %d "
+                      "rows, its recipe at most %d", shard.shard_id,
+                      len(rows), capacity)
+                check(len(rows) == capacity
+                      or sorted(map(tuple, rows.tolist())) == multiset,
+                      "shard %d's sample is short of %d rows but not its "
+                      "live multiset", shard.shard_id, capacity)
 
     def describe(self) -> Dict[str, object]:
         """JSON-friendly sharding summary (persisted by benchmarks)."""

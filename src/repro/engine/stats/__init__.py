@@ -4,8 +4,8 @@ The paper's query bounds are output-sensitive, so every planner decision
 hinges on the expected output size T.  This package owns that estimate:
 
 * :class:`~repro.engine.stats.models.SelectivityModel` — the seam; one
-  model per dataset and one per shard child, so sharded plans are priced
-  with shard-local statistics;
+  model per shard, and a dataset's T is the sum of its shards', so plans
+  are priced with shard-local statistics;
 * :class:`~repro.engine.stats.models.UniformSampleModel` — evaluate the
   constraint on a uniform in-memory sample (the original estimator);
 * :class:`~repro.engine.stats.models.HistogramModel` — equi-depth

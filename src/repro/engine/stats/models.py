@@ -3,8 +3,9 @@
 Every planner decision hinges on ``expected_output`` — the paper's bounds
 are output-sensitive, so a misestimated T misprices every candidate
 index.  :class:`SelectivityModel` is the seam that estimate comes
-through; the catalog builds one model per dataset *and one per shard
-child*, so sharded planning is priced with shard-local statistics.
+through; the catalog builds one model per shard, and a dataset's T is
+the sum of its shards' estimates, so planning is priced with shard-local
+statistics.
 
 Three models ship:
 

@@ -215,15 +215,11 @@ class WritePath:
             for replica in shard.replicas:
                 replica.mutated = True
             shard.box_stale = True
-            models = [shard.planning_dataset().stats]
-            if sharded.stats is not models[0]:
-                # (a register_dataset model *is* its shard's: observe once)
-                models.append(sharded.stats)
-            for model in models:
-                if op == "insert":
-                    model.observe_insert(record)
-                else:
-                    model.observe_delete(record)
+            model = shard.planning_dataset().stats
+            if op == "insert":
+                model.observe_insert(record)
+            else:
+                model.observe_delete(record)
         for listener in self._write_listeners:
             listener(sharded.name, shard.shard_id, op, record, applied)
         if applied:

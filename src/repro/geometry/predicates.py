@@ -33,12 +33,6 @@ def point_below_line(point: Sequence[float], line: Line2,
     return point[1] < line.y_at(point[0]) - eps
 
 
-def point_above_line(point: Sequence[float], line: Line2,
-                     eps: float = EPS) -> bool:
-    """True if ``point`` lies strictly above ``line``."""
-    return point[1] > line.y_at(point[0]) + eps
-
-
 def line_below_point(line: Line2, point: Sequence[float],
                      eps: float = EPS) -> bool:
     """True if ``line`` passes strictly below ``point`` (the dual-query test)."""
@@ -51,36 +45,10 @@ def point_below_plane(point: Sequence[float], plane: Plane3,
     return point[2] < plane.z_at(point[0], point[1]) - eps
 
 
-def plane_below_point(plane: Plane3, point: Sequence[float],
-                      eps: float = EPS) -> bool:
-    """True if ``plane`` passes strictly below the 3-D ``point``."""
-    return plane.z_at(point[0], point[1]) < point[2] - eps
-
-
 def point_below_hyperplane(point: Sequence[float], hyperplane: Hyperplane,
                            eps: float = EPS) -> bool:
     """True if ``point`` lies strictly below ``hyperplane`` (any dimension)."""
     return point[-1] < hyperplane.height_at(point) - eps
-
-
-def point_on_or_below_hyperplane(point: Sequence[float],
-                                 hyperplane: Hyperplane,
-                                 eps: float = EPS) -> bool:
-    """True if ``point`` lies on or below ``hyperplane``.
-
-    This is the reporting condition of the paper's query (points satisfying
-    the linear constraint).
-    """
-    return point[-1] <= hyperplane.height_at(point) + eps
-
-
-def segment_intersects_vertical(x: float,
-                                p: Sequence[float],
-                                q: Sequence[float],
-                                eps: float = EPS) -> bool:
-    """True if the segment ``pq`` crosses the vertical line at ``x``."""
-    lo, hi = (p[0], q[0]) if p[0] <= q[0] else (q[0], p[0])
-    return lo - eps <= x <= hi + eps
 
 
 def point_in_triangle(point: Sequence[float],

@@ -14,7 +14,6 @@ a faithful software simulation of that model:
 * :class:`~repro.io.disk_array.DiskArray` — a blocked sequence of records.
 * :class:`~repro.io.btree.BTree` — an external B+-tree (the 1-D baseline of
   Section 1.2 and an internal component of the 2-D structure of Section 3).
-* :func:`~repro.io.external_sort.external_merge_sort` — multiway merge sort.
 
 A block has one form, fixed when the backend's ``put`` writes it: the
 read-only ``(n, d)`` float64 matrix of a point block
@@ -43,7 +42,6 @@ from repro.io.cache import LRUCache
 from repro.io.store import BlockStore, IOStats
 from repro.io.disk_array import DiskArray
 from repro.io.btree import BTree
-from repro.io.external_sort import external_merge_sort
 
 __all__ = [
     "BlockId",
@@ -59,5 +57,4 @@ __all__ = [
     "make_backend",
     "DiskArray",
     "BTree",
-    "external_merge_sort",
 ]

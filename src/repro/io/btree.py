@@ -2,13 +2,10 @@
 
 Each tree node occupies exactly one disk block, so a root-to-leaf search
 costs O(log_B n) I/Os and a range query costs O(log_B n + t) I/Os — the 1-D
-optimum the paper uses as its yardstick (Section 1.2).  The same tree is
-reused as an internal component of the higher-dimensional structures:
-
-* the boundary-point trees ``T_i`` and the slope-ordered tree ``T*`` of the
-  2-D structure (Section 3);
-* the slab index of the external point-location structure used by the 3-D
-  structure (Section 4).
+optimum the paper uses as its yardstick (Section 1.2).  The 2-D structure
+(Section 3) builds one per clustering, its boundary-point tree ``T_i``, with
+:meth:`BTree.bulk_load` and probes it with :meth:`BTree.predecessor`; no
+other structure uses it.
 
 Keys may be any totally ordered Python values; values are arbitrary.
 """

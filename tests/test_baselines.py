@@ -91,10 +91,33 @@ class TestCorrectness:
 
     def test_kdb_handles_higher_dimensions(self):
         points = uniform_points(600, dimension=3, seed=6)
-        index = KDBTreeIndex(points, block_size=32)
+        index = checked(KDBTreeIndex(points, block_size=32))
         for constraint in random_halfspace_queries(4, dimension=3, seed=7):
             assert brute_force_halfspace(points, constraint) == \
                 {tuple(p) for p in index.query(constraint)}
+
+    @pytest.mark.parametrize("corruption", ["shrunk_box", "forward_child"])
+    def test_a_broken_kdb_tree_fails_the_invariants(self, corruption):
+        index = checked(KDBTreeIndex(uniform_points(300, seed=8),
+                                     block_size=8))
+        root = index._read_node(index._root)
+        # The root's box, or its left child's (an internal node) left
+        # child id, rewritten in the stored block.
+        node_id = index._root if corruption == "shrunk_box" else root[1]
+        block_index, slot = index._node_position[node_id]
+        block_id = index._node_block_ids[block_index]
+        records = index._store.backend.get(block_id)
+        kind, left, right, lower, upper = records[slot]
+        if corruption == "shrunk_box":
+            lower = (lower[0] + 0.25 * (upper[0] - lower[0]),) + lower[1:]
+        else:
+            left = index._root
+        records[slot] = (kind, left, right, lower, upper)
+        index._store.write(block_id, records)
+        message = "does not hold" if corruption == "shrunk_box" \
+            else "lists child %d" % index._root
+        with pytest.raises(AssertionError, match=message):
+            index.check_invariants()
 
 
 class TestCosts:

@@ -1,11 +1,10 @@
-"""Unit tests for DiskArray and the external merge sort."""
+"""Unit tests for DiskArray."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.io.disk_array import DiskArray
-from repro.io.external_sort import external_merge_sort
 from repro.io.store import BlockStore
 
 
@@ -225,47 +224,3 @@ def test_check_invariants_catches_a_torn_array(store):
     store.free(array.block_ids[1])
     with pytest.raises(AssertionError):
         array.check_invariants()
-
-
-class TestExternalSort:
-    def test_sort_small_input(self, store):
-        data = DiskArray(store, [5, 3, 8, 1, 9, 2])
-        result = external_merge_sort(store, data)
-        assert result.read_all() == [1, 2, 3, 5, 8, 9]
-
-    def test_sort_empty_input(self, store):
-        data = DiskArray(store)
-        result = external_merge_sort(store, data)
-        assert len(result) == 0
-
-    def test_sort_with_key(self, store):
-        data = DiskArray(store, [(1, "b"), (2, "a"), (0, "c")])
-        result = external_merge_sort(store, data, key=lambda r: r[1])
-        assert [r[1] for r in result.read_all()] == ["a", "b", "c"]
-
-    def test_sort_large_input_needs_multiple_merge_rounds(self):
-        store = BlockStore(block_size=4, cache_blocks=0)
-        values = list(range(200))[::-1]
-        data = DiskArray(store, values)
-        result = external_merge_sort(store, data, memory_blocks=2)
-        assert result.read_all() == sorted(values)
-
-    def test_sort_preserves_duplicates(self, store):
-        data = DiskArray(store, [3, 1, 3, 1, 3])
-        result = external_merge_sort(store, data)
-        assert result.read_all() == [1, 1, 3, 3, 3]
-
-    def test_sort_rejects_tiny_memory(self, store):
-        data = DiskArray(store, [1, 2])
-        with pytest.raises(ValueError):
-            external_merge_sort(store, data, memory_blocks=1)
-
-    def test_sort_input_left_intact(self, store):
-        data = DiskArray(store, [3, 1, 2])
-        external_merge_sort(store, data)
-        assert data.read_all() == [3, 1, 2]
-
-    def test_sorted_input_stays_sorted(self, store):
-        data = DiskArray(store, list(range(50)))
-        result = external_merge_sort(store, data, memory_blocks=3)
-        assert result.read_all() == list(range(50))

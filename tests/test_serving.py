@@ -894,7 +894,7 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
 
     target.indexes["dynamic"].add_pre_mutation_listener(veto)
     probe = (float(shard.lows[0]), 0.0)  # routes to shard 0
-    stats_before = (target.stats.observed_inserts, sharded.stats.size)
+    stats_before = (target.stats.observed_inserts, sharded.live_size)
     mutations_before = engine.rebalancer.mutations("sh")
     # Prime the result cache so the rollback's invalidation is visible.
     everything = LinearConstraint(coeffs=(0.0,), offset=1e9)
@@ -913,7 +913,7 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
         assert probe not in {
             tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
     # The failed write took none of its once-per-write effects.
-    assert (target.stats.observed_inserts, sharded.stats.size) == stats_before
+    assert (target.stats.observed_inserts, sharded.live_size) == stats_before
     assert engine.rebalancer.mutations("sh") == mutations_before
     # No replica was flagged mutated (flags wait for the commit), and
     # the rollback flushed the result cache (a concurrent read may have

@@ -523,11 +523,12 @@ def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
     """The worker calls the parent's builder with the parent's recipe
     (on the memory backend): same sample, model kind and index builds."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=19, backend=backend,
-                         data_dir=str(tmp_path), sample_size=64)
+                         data_dir=str(tmp_path), sample_size=64,
+                         stats_model="ensemble")
     try:
         engine.register_sharded_dataset(
             "d", uniform_points(384, seed=20), num_shards=2, replicas=2,
-            stats_model="ensemble", cache_blocks=6)
+            cache_blocks=6)
         sharded = engine.catalog.sharded("d")
         recipe = dataclasses.replace(sharded.recipe, backend="memory")
         for shard in sharded.shards:
@@ -589,7 +590,9 @@ def _overfill_a_sample(engine):
 
 
 def _forge_a_short_sample_row(engine):
-    sample = engine.catalog.sharded("tiny").stats.sample
+    [sample] = [shard.replicas[0].stats.sample
+                for shard in engine.catalog.sharded("tiny").shards
+                if len(shard.replicas[0].stats.sample.rows)]
     assert len(sample.rows) < sample.capacity
     sample.rows[0] = (9.0, 9.0)
 

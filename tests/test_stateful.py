@@ -8,9 +8,9 @@ then interleaves inserts (copies, grid points, points far outside the
 build range — which fill zero-point shards), deletes (present and
 absent), queries, conjunctions and re-splits.  The oracle is the live
 multiset, kept as a list.  After every rule the dataset's
-``check_invariants()`` holds (and, on files, every replica store's: its
-log replays to its backend's books) and its whole answer is the
-oracle's; a
+``check_invariants()`` holds, as does every index's that has a checker
+(and, on files, every replica store's: its log replays to its backend's
+books), and its whole answer is the oracle's; a
 query is also answered by every index of every replica, in both kernel
 modes (same answer, same I/Os) — the mutable one over its shard's part
 of the oracle, a static one over its build points — and under
@@ -241,6 +241,12 @@ class EngineMachine(RuleBasedStateMachine):
         if not hasattr(self, "engine"):
             return
         self.sharded.check_invariants()
+        for shard in self.sharded.shards:
+            for replica in shard.replicas:
+                for index in replica.indexes.values():
+                    check = getattr(index, "check_invariants", None)
+                    if check is not None:
+                        check()
         if self.sharded.recipe.backend == "file":
             # Every replica's log replays to its backend's books.
             for store in self.engine.catalog.stores("d"):

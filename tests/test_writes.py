@@ -85,7 +85,7 @@ def test_non_finite_points_are_rejected_before_any_replica(points2d, bad):
             with pytest.raises(ValueError, match="finite"):
                 write(name, (bad, 0.5))
         sharded = engine.catalog.sharded(name)
-        assert sharded.stats.size == len(points2d)
+        assert sharded.live_size == len(points2d)
         assert not any(shard.box_stale or replica.mutated
                        for shard in sharded.shards
                        for replica in shard.replicas)
@@ -233,11 +233,12 @@ def test_materialized_shard_feeds_stats_exactly_once():
         expected = 2
     else:
         expected = 1
-    # Each logical insert is observed once by the shard's model and once
-    # by the dataset's (a double observation would skew selectivity).
+    # Each logical insert is observed once, by its shard's model and no
+    # other (a double observation would skew selectivity).
     shard_model = sharded.shards[shard_id].replicas[0].stats
     assert shard_model.observed_inserts == expected
-    assert sharded.stats.observed_inserts == expected
+    assert sum(shard.replicas[0].stats.observed_inserts
+               for shard in sharded.shards) == expected
     engine.close()
 
 
@@ -283,17 +284,16 @@ def test_stats_and_counters_observe_one_logical_mutation_per_fanout(points2d):
                                     replicas=3, sharding="range",
                                     kinds=["dynamic", "full_scan"])
     sharded = engine.catalog.sharded("sh")
-    size_before = sharded.stats.size
+    size_before = sharded.live_size
     rng = np.random.default_rng(11)
     extra = [tuple(p) for p in rng.uniform(-1, 1, size=(20, 2))]
     per_shard = {shard.shard_id: 0 for shard in sharded.shards}
     for point in extra:
         per_shard[engine.insert("sh", point).shard_id] += 1
-    # One observation per *logical* insert, not one per replica — on the
-    # global model, each shard's (replica-shared) model, and the
-    # rebalance skew counter.
-    assert sharded.stats.observed_inserts == len(extra)
-    assert sharded.stats.size == size_before + len(extra)
+    # One observation per *logical* insert, not one per replica — on
+    # each shard's (replica-shared) model, and the rebalance skew
+    # counter.
+    assert sharded.live_size == size_before + len(extra)
     for shard in sharded.shards:
         model = shard.replicas[0].stats
         assert model.observed_inserts == per_shard[shard.shard_id]
@@ -301,7 +301,8 @@ def test_stats_and_counters_observe_one_logical_mutation_per_fanout(points2d):
             assert replica.stats is model
     assert engine.rebalancer.mutations("sh") == len(extra)
     engine.delete("sh", extra[0])
-    assert sharded.stats.observed_deletes == 1
+    assert sum(shard.replicas[0].stats.observed_deletes
+               for shard in sharded.shards) == 1
     assert engine.rebalancer.mutations("sh") == len(extra) + 1
     engine.close()
 
