@@ -79,6 +79,66 @@ class PagedDualIndex2D(ExternalIndex):
         """Number of convex layers."""
         return len(self._layers)
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the stored layers are the convex
+        layers of the points, as read back from the disk.
+
+        Every layer but a last one of at most three or collinear points
+        is a strictly convex chain in counter-clockwise cyclic order
+        (every turn a strict left turn, once around); each layer lies in
+        the closed hull of the one before it; and the layers together
+        store every point exactly once.  The blocks are read from the
+        backend directly, so no I/O is charged and the buffer pool is
+        untouched.
+        """
+        backend = self._store.backend
+
+        def check(holds: bool, message: str, *values) -> None:
+            if not holds:
+                raise AssertionError(message % values)
+
+        def stored(array: DiskArray) -> np.ndarray:
+            array.check_invariants()
+            return np.concatenate([np.empty((0, 2))] + [
+                np.asarray(backend.get_payload(block_id), dtype=float)
+                for block_id in array.block_ids])
+
+        def sorted_rows(rows: np.ndarray) -> np.ndarray:
+            return rows[np.lexsort(rows.T[::-1])]
+
+        layers = [stored(layer) for layer in self._layers]
+        for number, rows in enumerate(layers):
+            check(len(rows) > 0, "layer %d is empty", number)
+            edges = np.roll(rows, -1, axis=0) - rows
+            following = np.roll(edges, -1, axis=0)
+            turns = (edges[:, 0] * following[:, 1]
+                     - edges[:, 1] * following[:, 0])
+            if number < len(layers) - 1 or (len(rows) > 3 and turns.any()):
+                # Each strict left turn is in (0, pi): once around sums
+                # to 2 pi, a chain wound k times to 2k pi.
+                winding = np.arctan2(turns, (edges * following).sum(axis=1))
+                check(len(rows) >= 3 and bool(np.all(turns > 0))
+                      and winding.sum() < 3 * np.pi,
+                      "layer %d is no strictly convex counter-clockwise "
+                      "chain", number)
+            if number:
+                outer = layers[number - 1]
+                outer_edges = np.roll(outer, -1, axis=0) - outer
+                sides = (outer_edges[:, None, 0]
+                         * (rows[None, :, 1] - outer[:, None, 1])
+                         - outer_edges[:, None, 1]
+                         * (rows[None, :, 0] - outer[:, None, 0]))
+                scale = max(1.0, float(np.abs(outer).max()),
+                            float(np.abs(rows).max())) ** 2
+                check(bool(np.all(sides >= -1e-12 * scale)),
+                      "layer %d leaves the hull of layer %d", number,
+                      number - 1)
+        stored_rows = np.concatenate([np.empty((0, 2))] + layers)
+        check(np.array_equal(sorted_rows(stored_rows),
+                             sorted_rows(self._points)),
+              "the layers store %d rows, not the %d points once each",
+              len(stored_rows), self._num_points)
+
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
         """O(log2 N + T) block reads — the output term is NOT divided by B."""

@@ -20,16 +20,20 @@ re-inserts), and one ``delete()`` removes exactly *one* copy — the
 tombstones carry per-value counts, so ``query()``, ``size`` and
 ``live_points()`` always agree on how many copies are live.
 
+The tree's points are kept once, as the read-only ``(n, d)`` matrix the
+inner :class:`PartitionTreeIndex` was built from; no per-point tuple or
+counter shadows it.  Membership is decided on that matrix: a value is in
+the tree while its exact row matches (float ``==``, so ``-0.0`` matches
+``0.0``) outnumber its tombstones, and a query or rebuild boxes only the
+rows whose value may be tombstoned.
+
 Rebuilds are charged to the store like any other construction, so the
 amortised update cost is measurable with the usual counters.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +84,9 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         #: one delete hides exactly one of a duplicated point's copies).
         self._tombstones: Dict[Tuple[float, ...], int] = {}
         self._num_tombstones = 0
+        #: Per coordinate, the sorted values the tombstoned points take
+        #: there (None until a query needs them after a change).
+        self._dead_columns: Optional[List[np.ndarray]] = None
         with self._building():
             self._buffer = DiskArray(self._store)
             self._tombstone_array = DiskArray(self._store)
@@ -89,31 +96,65 @@ class DynamicPartitionTreeIndex(ExternalIndex):
     # maintenance
     # ------------------------------------------------------------------
     def _build_tree(self, points: np.ndarray) -> None:
-        array = points.reshape(-1, self._dimension)
-        self._tree_points: List[Tuple[float, ...]] = list(
-            map(tuple, array.tolist()))
-        self._tree_counts = Counter(self._tree_points)
-        self._tree = PartitionTreeIndex(array, store=self._store,
+        rows = points.reshape(-1, self._dimension)
+        rows.setflags(write=False)
+        #: The tree's points, tombstoned copies included: the matrix the
+        #: tree was built from (its leaves hold exactly these rows).
+        self._tree_rows = rows
+        self._tree = PartitionTreeIndex(rows, store=self._store,
                                         block_size=self.block_size,
                                         **self._tree_kwargs)
 
-    def _unhidden(self, records: Iterable[Tuple[float, ...]]) -> List[bool]:
-        """Per record, in order: is it live?  A tombstoned value hides
+    def _copies(self, record: Tuple[float, ...]) -> int:
+        """How many tree rows equal ``record``, coordinate by coordinate
+        (none when its length is not the dimension)."""
+        if len(record) != self._dimension:
+            return 0
+        rows = self._tree_rows
+        hits = np.flatnonzero(rows[:, 0] == record[0])
+        for column in range(1, self._dimension):
+            hits = hits[rows[hits, column] == record[column]]
+        return len(hits)
+
+    def _unhidden(self, rows: np.ndarray) -> np.ndarray:
+        """Per row, in order: is it live?  A tombstoned value hides
         exactly ``count`` of its copies, the first ones met (multiset
-        semantics for duplicates)."""
-        remaining = dict(self._tombstones)
-        keep: List[bool] = []
-        for record in records:
-            hidden = remaining.get(record, 0)
-            if hidden:
-                remaining[record] = hidden - 1
-            keep.append(not hidden)
+        semantics for duplicates).  Only the rows whose every coordinate
+        occurs in some tombstoned value are boxed and looked up."""
+        keep = np.ones(len(rows), dtype=bool)
+        if not self._tombstones:
+            return keep
+        if self._dead_columns is None:
+            dead = np.array(list(self._tombstones), dtype=float)
+            self._dead_columns = [np.unique(column) for column in dead.T]
+        suspect = keep.copy()
+        for column, values in zip(rows.T, self._dead_columns):
+            slots = np.minimum(np.searchsorted(values, column),
+                               len(values) - 1)
+            suspect &= values[slots] == column
+        met: Dict[Tuple[float, ...], int] = {}
+        for position, record in zip(np.flatnonzero(suspect).tolist(),
+                                    map(tuple, rows[suspect].tolist())):
+            seen = met.get(record, 0)
+            if seen < self._tombstones.get(record, 0):
+                met[record] = seen + 1
+                keep[position] = False
         return keep
 
-    def _live_tree_points(self) -> List[Tuple[float, ...]]:
-        """The tree's points, tombstoned copies hidden."""
-        return list(compress(self._tree_points,
-                             self._unhidden(self._tree_points)))
+    def _tombstone(self, record: Tuple[float, ...], change: int) -> None:
+        """Add ``change`` (one more or one fewer) to a value's tombstones."""
+        count = self._tombstones.get(record, 0) + change
+        if count:
+            self._tombstones[record] = count
+        else:
+            del self._tombstones[record]
+        self._num_tombstones += change
+        self._dead_columns = None
+
+    def _live_tree_rows(self) -> np.ndarray:
+        """The tree's rows, tombstoned copies hidden, in row order."""
+        rows = self._tree_rows
+        return rows[self._unhidden(rows)] if self._tombstones else rows
 
     def _rewrite_tombstone_array(self) -> None:
         """Make the on-disk tombstone blocks match the in-memory multiset.
@@ -130,21 +171,24 @@ class DynamicPartitionTreeIndex(ExternalIndex):
 
     def _rebuild(self) -> None:
         """Fold the buffer and tombstones back into a fresh tree."""
-        live = self._live_tree_points()
-        live.extend(self._buffer_points)
+        live = np.concatenate((
+            self._live_tree_rows(),
+            np.array(self._buffer_points, dtype=float).reshape(
+                -1, self._dimension)))
         self._buffer.clear()
         self._buffer_points = []
         self._tombstones = {}
         self._num_tombstones = 0
+        self._dead_columns = None
         self._tombstone_array.clear()
-        self._build_tree(np.array(live, dtype=float))
+        self._build_tree(live)
         self._rebuilds += 1
 
     def _maybe_rebuild(self) -> None:
-        live_estimate = max(1, len(self._tree_points) - self._num_tombstones)
+        live_estimate = max(1, len(self._tree_rows) - self._num_tombstones)
         if len(self._buffer_points) > self._buffer_fraction * live_estimate:
             self._rebuild()
-        elif self._num_tombstones * 2 > max(1, len(self._tree_points)):
+        elif self._num_tombstones * 2 > max(1, len(self._tree_rows)):
             self._rebuild()
 
     # ------------------------------------------------------------------
@@ -182,11 +226,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
             # tombstone blocks are rewritten so they keep matching the
             # multiset (a stale record would survive to the next rebuild
             # and leak space meanwhile).
-            if self._tombstones[record] == 1:
-                del self._tombstones[record]
-            else:
-                self._tombstones[record] -= 1
-            self._num_tombstones -= 1
+            self._tombstone(record, -1)
             self._rewrite_tombstone_array()
         else:
             self._buffer.append(record)
@@ -202,8 +242,8 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         """
         record = tuple(float(c) for c in point)
         in_buffer = record in self._buffer_points
-        in_tree = (self._tree_counts.get(record, 0)
-                   > self._tombstones.get(record, 0))
+        in_tree = not in_buffer and (self._copies(record)
+                                     > self._tombstones.get(record, 0))
         if in_buffer or in_tree:
             # Veto only writes that would actually happen: deleting an
             # absent point stays a no-op returning False.
@@ -220,8 +260,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
             return True
         if not in_tree:
             return False
-        self._tombstones[record] = self._tombstones.get(record, 0) + 1
-        self._num_tombstones += 1
+        self._tombstone(record, 1)
         self._tombstone_array.append(record)
         self._maybe_rebuild()
         return True
@@ -236,7 +275,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
     @property
     def size(self) -> int:
         """Number of live points (copies of duplicates counted)."""
-        return len(self._tree_points) - self._num_tombstones \
+        return len(self._tree_rows) - self._num_tombstones \
             + len(self._buffer_points)
 
     @property
@@ -254,6 +293,65 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         """Number of points currently waiting in the insertion buffer."""
         return len(self._buffer_points)
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless the stored index is the one its
+        bookkeeping describes, as read back from the disk.
+
+        The inner tree's checker holds and its leaves store exactly the
+        tree matrix's rows (as a multiset); the buffer blocks hold the
+        buffered points in order; the tombstone blocks hold the tombstone
+        multiset, whose total is ``tombstoned``; every tombstoned value
+        has at least its count of copies in the matrix and none in the
+        buffer.  The blocks are read from the backend directly, so no I/O
+        is charged and the buffer pool is untouched.
+        """
+        backend = self._store.backend
+        d = self._dimension
+
+        def check(holds: bool, message: str, *values) -> None:
+            if not holds:
+                raise AssertionError(message % values)
+
+        def stored(array: DiskArray) -> np.ndarray:
+            array.check_invariants()
+            return np.concatenate([np.empty((0, d))] + [
+                np.asarray(backend.get_payload(block_id),
+                           dtype=float).reshape(-1, d)
+                for block_id in array.block_ids])
+
+        def sorted_rows(rows: np.ndarray) -> np.ndarray:
+            return rows[np.lexsort(rows.T[::-1])]
+
+        leaves = self._tree.check_invariants()
+        check(np.array_equal(sorted_rows(leaves),
+                             sorted_rows(self._tree_rows)),
+              "the tree's leaves store %d rows, not the %d of its matrix",
+              len(leaves), len(self._tree_rows))
+        check(np.array_equal(stored(self._buffer), np.array(
+            self._buffer_points, dtype=float).reshape(-1, d)),
+            "the buffer blocks do not hold the %d buffered points in order",
+            len(self._buffer_points))
+        counts = list(self._tombstones.values())
+        dead = np.array([record for record, count in self._tombstones.items()
+                         for __ in range(count)], dtype=float).reshape(-1, d)
+        check(np.array_equal(sorted_rows(stored(self._tombstone_array)),
+                             sorted_rows(dead)),
+              "the tombstone blocks do not hold the tombstone multiset")
+        check(all(count > 0 for count in counts)
+              and self._num_tombstones == sum(counts),
+              "%d tombstones counted, the multiset holds %r",
+              self._num_tombstones, counts)
+        check(self._dead_columns is None or all(
+            np.array_equal(cached, np.unique(column))
+            for cached, column in zip(self._dead_columns, dead.T)),
+            "the cached tombstone columns are stale")
+        for record, count in self._tombstones.items():
+            copies = self._copies(record)
+            check(copies >= count, "%r is tombstoned %d times but has %d "
+                  "tree copies", record, count, copies)
+            check(record not in self._buffer_points,
+                  "tombstoned %r is buffered", record)
+
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
         """Exactly what :meth:`query` reads on a cold pool: its tree's
@@ -268,7 +366,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         at fresh quantiles: the child dataset's build-time array no
         longer reflects the data once inserts and deletes have landed.
         """
-        live = self._live_tree_points()
+        live = list(map(tuple, self._live_tree_rows().tolist()))
         live.extend(self._buffer_points)
         return live
 
@@ -288,6 +386,5 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         answer = self._tree.query_and_scan(constraint, (self._buffer,))
         if not self._tombstones:
             return answer
-        keep = self._unhidden(map(tuple, answer.tolist()))
-        return kernels.answer_matrix((answer.compress(keep, axis=0),),
+        return kernels.answer_matrix((answer[self._unhidden(answer)],),
                                      self._dimension)

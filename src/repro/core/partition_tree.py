@@ -377,9 +377,10 @@ class CellTreeIndex(ExternalIndex):
         del depth
         return self._leaf_size
 
-    def check_invariants(self) -> None:
+    def check_invariants(self) -> np.ndarray:
         """Raise AssertionError unless the stored tree is the one the
-        build promises, as read back from the disk.
+        build promises, as read back from the disk; return the rows its
+        leaves store, leaf by leaf in post-order.
 
         Every child's box holds every point of its subtree; subtree sizes
         add up to their node's ``size`` and the root's to N; a leaf holds
@@ -394,6 +395,7 @@ class CellTreeIndex(ExternalIndex):
         backend = self._store.backend
         d = self.dimension
         post_order: List[int] = []
+        leaves: List[np.ndarray] = [np.empty((0, d))]
 
         def check(holds: bool, message: str, *values) -> None:
             if not holds:
@@ -419,6 +421,7 @@ class CellTreeIndex(ExternalIndex):
                       "leaf %d holds %d points, says %d, leaf limit %d",
                       node_id, len(rows), node.size, limit)
                 post_order.append(node_id)
+                leaves.append(rows)
                 return node.size, rows.min(axis=0), rows.max(axis=0)
             table = stored(node.child_table, 1 + 2 * d)
             check(len(table) >= self._min_cells, "node %d has %d cells",
@@ -450,12 +453,13 @@ class CellTreeIndex(ExternalIndex):
             check(not self._nodes and not self.size,
                   "%d points, %d nodes and no root", self.size,
                   len(self._nodes))
-            return
+            return leaves[0]
         size = subtree(self._root, 0)[0]
         check(size == self.size, "the tree holds %d of %d points", size,
               self.size)
         check(post_order == list(range(len(self._nodes))),
               "node ids are not the post-order")
+        return np.concatenate(leaves)
 
     # ------------------------------------------------------------------
     # pricing

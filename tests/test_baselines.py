@@ -119,6 +119,34 @@ class TestCorrectness:
         with pytest.raises(AssertionError, match=message):
             index.check_invariants()
 
+    @pytest.mark.parametrize("corruption, message", [
+        ("swapped_vertices", "layer 0 is no strictly convex"),
+        ("reversed_layer", "layer 1 is no strictly convex"),
+        ("swapped_layers", "layer 1 leaves the hull of layer 0"),
+        ("dropped_layer", "once each"),
+    ])
+    def test_a_broken_paged_cgl_fails_the_invariants(self, corruption,
+                                                     message):
+        index = checked(PagedDualIndex2D(uniform_points(300, seed=8),
+                                         block_size=8))
+        layers = index._layers
+        assert index.num_layers > 3 and len(layers[1]) > 3
+        if corruption in ("swapped_vertices", "reversed_layer"):
+            # A layer's first block rewritten in the stored order.
+            block_id = layers[corruption == "reversed_layer"].block_ids[0]
+            records = index._store.backend.get(block_id)
+            if corruption == "swapped_vertices":
+                records[0], records[1] = records[1], records[0]
+            else:
+                records.reverse()
+            index._store.write(block_id, records)
+        elif corruption == "swapped_layers":
+            layers[0], layers[1] = layers[1], layers[0]
+        else:
+            layers.pop()
+        with pytest.raises(AssertionError, match=message):
+            index.check_invariants()
+
 
 class TestCosts:
     def test_full_scan_costs_n_blocks(self, uniform_cloud):
