@@ -86,6 +86,12 @@ class HalfspaceIndex3D(ExternalIndex):
         return self._planes_index.estimated_halfspace_ios(
             qx, qy, max(0.0, expected_output))
 
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless every stored layer, its point
+        locator included, holds Section 4.1's relations
+        (:meth:`LowestPlanesIndex.check_invariants`); charges no I/O."""
+        self._planes_index.check_invariants()
+
     def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the 3-D linear constraint."""
         if constraint.dimension != 3:

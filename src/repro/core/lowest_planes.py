@@ -53,7 +53,9 @@ import numpy as np
 
 from repro.core import kernels
 from repro.geometry.envelope3d import default_domain, nested_envelopes
-from repro.geometry.point_location import ExternalPointLocator
+from repro.geometry.point_location import (LOCATE_SLACK,
+                                          ExternalPointLocator,
+                                          barycentric_margin)
 from repro.geometry.polygons import polygon_area
 from repro.geometry.primitives import EPS, Plane3
 from repro.io.disk_array import DiskArray
@@ -472,16 +474,21 @@ class LowestPlanesIndex:
         """Raise AssertionError unless every stored layer is what Section
         4.1 says it is, as read back from the disk.
 
-        Per layer: the triangles tile the domain (by area); the plane
-        stored with a triangle is the lowest sample plane at its centroid;
-        the conflict spans are contiguous, disjoint and cover the conflict
-        store; every list is ascending, holds no sample plane, and holds
-        every plane passing below a corner or the centroid of its
-        triangle.  Per copy: the envelope height at random positions does
-        not rise from one stored layer to the next finer one.
+        Per layer: the point locator holds its own relations
+        (:meth:`~repro.geometry.point_location.ExternalPointLocator.
+        check_invariants`); the triangles tile the domain (by area); the
+        plane stored with a triangle is the lowest sample plane at its
+        centroid; the conflict spans are contiguous, disjoint and cover
+        the conflict store; every list is ascending, holds no sample
+        plane, and holds every plane passing below a corner or the
+        centroid of its triangle.  Per copy: the envelope height at
+        random positions does not rise from one stored layer to the next
+        finer one.  The blocks are read from the backend directly, so no
+        I/O is charged and the buffer pool is untouched.
         """
         if not self._copies:
             return
+        backend = self._store.backend
         xmin, xmax, ymin, ymax = self._domain
         domain_area = (xmax - xmin) * (ymax - ymin)
         positions = np.random.default_rng(0).uniform(
@@ -498,8 +505,13 @@ class LowestPlanesIndex:
                             + message % values)
 
                 stored = {label[0]: (label[1:], triangle) for label, triangle
-                          in layer.locator.stored_triangles()}
+                          in layer.locator.check_invariants().items()}
                 starts = layer.starts
+                layer.conflict_store.check_invariants()
+                listed_numbers = np.concatenate(
+                    [np.asarray(backend.get_payload(block_id))[:, 0]
+                     for block_id in layer.conflict_store.block_ids]
+                    + [np.empty(0)]).astype(np.intp)
                 check(sorted(stored) == list(range(len(starts) - 1)),
                       "triangles and conflict spans are numbered differently")
                 check(starts[0] == 0 and np.all(np.diff(starts) >= 0)
@@ -517,8 +529,7 @@ class LowestPlanesIndex:
                     start, stop = layer.span(number)
                     listed = np.zeros(self._num_planes, dtype=bool)
                     if stop > start:
-                        numbers = layer.conflict_store.read_range_array(
-                            start, stop)[:, 0].astype(np.intp)
+                        numbers = listed_numbers[start:stop]
                         check(np.all(np.diff(numbers) > 0),
                               "list of triangle %d is not ascending", number)
                         listed[numbers] = True
@@ -542,9 +553,14 @@ class LowestPlanesIndex:
                           "triangle %d does not carry the lowest sample "
                           "plane at its centroid", number)
                 for slot, (px, py) in enumerate(positions):
-                    label = layer.locator.locate(px, py)
-                    if label is not None:
-                        height = label[1] * px + label[2] * py + label[3]
+                    # The stored triangle the position lies deepest in
+                    # (what the locator's leaf answers, up to ties on an
+                    # edge, where the envelope is continuous).
+                    margin, (a, b, c) = max(
+                        (barycentric_margin(px, py, triangle), abc)
+                        for abc, triangle in stored.values())
+                    if margin >= -LOCATE_SLACK:
+                        height = a * px + b * py + c
                         check(height <= previous[slot] + CLEARANCE / 10,
                               "the envelope rises at (%r, %r)", px, py)
                         previous[slot] = height

@@ -30,9 +30,9 @@ query.  This package is that layer:
   stores and index suites with bounding-box pruning) and the
   :class:`~repro.engine.sharding.RebalanceManager` (skew-triggered
   quantile re-splits after dynamic inserts);
-* :mod:`~repro.engine.stats` — pluggable selectivity models behind
-  every ``expected_output`` estimate: the uniform sample scan and
-  directional equi-depth histograms, per dataset and per shard;
+* :mod:`~repro.engine.stats` — the selectivity model behind every
+  ``expected_output`` estimate (a uniform sample scan, one per shard)
+  and the conformal calibrator that bands it;
 * :class:`~repro.engine.metrics.EngineStats` — latency percentiles, I/O
   totals, cache hit rates and the plan distribution, backed by a
   labelled :class:`~repro.engine.obs.MetricsRegistry` (Prometheus text
@@ -98,13 +98,8 @@ from repro.engine.sharding import (
 )
 from repro.engine.stats import (
     ConformalCalibrator,
-    EnsembleModel,
-    EquiDepthHistogram,
-    HistogramModel,
     Reservoir,
     SelectivityModel,
-    UniformSampleModel,
-    make_model,
 )
 from repro.engine.writes import MutationResult, WritePath
 
@@ -118,12 +113,9 @@ __all__ = [
     "ConformalCalibrator",
     "Dataset",
     "EngineStats",
-    "EnsembleModel",
-    "EquiDepthHistogram",
     "ExecutedQuery",
     "ExecutionCore",
     "HashShardRouter",
-    "HistogramModel",
     "INDEX_KINDS",
     "IndexKind",
     "LeastLoadedReplicaPicker",
@@ -152,13 +144,11 @@ __all__ = [
     "TokenBucket",
     "Trace",
     "Tracer",
-    "UniformSampleModel",
     "WritePath",
     "constraint_key",
     "current_span",
     "current_trace_id",
     "default_suite",
-    "make_model",
     "make_router",
     "render_prometheus",
 ]

@@ -22,18 +22,13 @@ registered, re-split or rebuilt in a worker process — comes out of
 the router gave no points included: a zero-point shard is an ordinary
 index suite over ``(0, d)`` that the first insert routed to it fills.
 
-The catalog also attaches a pluggable *selectivity model* (see
-:mod:`repro.engine.stats`) to every shard, shared by its replicas; a
-dataset's expected output T is the sum of its shards' estimates, so
-planning is priced with shard-local statistics.  The default
-``"uniform"`` model evaluates constraints on a small in-memory sample
-that it owns and that fills as its data grows (O(sample) arithmetic,
-zero I/Os); ``"histogram"`` maintains equi-depth
-directional histograms that resolve skewed data like the §1.2 diagonal;
-``"ensemble"`` runs both side by side and blends them with online
-e-value-style weights learned from observed per-query q-error.
-Either way the estimate turns the paper's output-sensitive bounds into
-concrete per-query cost predictions.
+The catalog also attaches a *selectivity model* (see
+:mod:`repro.engine.stats`) to every shard, shared by its replicas: it
+evaluates constraints on a small in-memory sample that it owns and that
+fills as its data grows (O(sample) arithmetic, zero I/Os).  A dataset's
+expected output T is the sum of its shards' estimates, so planning is
+priced with shard-local statistics, and the estimate turns the paper's
+output-sensitive bounds into concrete per-query cost predictions.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ from repro.engine.sharding import (
     ShardedDataset,
     make_router,
 )
-from repro.engine.stats import Reservoir, SelectivityModel, make_model
+from repro.engine.stats import Reservoir, SelectivityModel
 from repro.engine.tracing import NULL_TRACE, Tracer, activate
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import make_backend
@@ -163,8 +158,8 @@ class Dataset:
     name: str
     points: np.ndarray
     store: BlockStore
-    #: Pluggable selectivity model, owner of the shard's sample (shared
-    #: by a shard's replicas).
+    #: Selectivity model, owner of the shard's sample (shared by a
+    #: shard's replicas).
     stats: SelectivityModel
     indexes: Dict[str, ExternalIndex] = field(default_factory=dict)
     build_records: Dict[str, BuildRecord] = field(default_factory=dict)
@@ -239,8 +234,7 @@ class ReplicaRecipe:
     overrides and the catalog-wide defaults, and kept on the
     :class:`~repro.engine.sharding.ShardedDataset`: a re-split and a
     shard-worker process rebuild from this record, so "the same replica"
-    has one definition.  The selectivity model kind and its parameters
-    are the catalog's.
+    has one definition.
     """
 
     block_size: int
@@ -249,20 +243,15 @@ class ReplicaRecipe:
     data_dir: Optional[str]
     sample_size: int
     seed: Optional[int]
-    stats_model: object
-    stats_params: Dict[str, object]
     replicas: int
 
 
 def fit_stats(recipe: ReplicaRecipe, array: np.ndarray) -> SelectivityModel:
-    """The recipe's selectivity model over ``array``, owning its sample.
+    """The selectivity model over ``array``, owning its sample.
 
     The sample is ``array`` itself up to ``recipe.sample_size`` rows,
     else a seeded draw of that many; below that size it fills with the
     inserts the model observes (:class:`~repro.engine.stats.Reservoir`).
-    Histogram and ensemble models need at least one build point, so a
-    zero-point array gets the uniform model whatever kind is configured,
-    until its dataset's next re-split.
     """
     if len(array) <= recipe.sample_size:
         rows = array.copy()
@@ -270,11 +259,8 @@ def fit_stats(recipe: ReplicaRecipe, array: np.ndarray) -> SelectivityModel:
         rng = np.random.default_rng(recipe.seed)
         rows = array[rng.choice(len(array), size=recipe.sample_size,
                                 replace=False)]
-    sample = Reservoir(rows, recipe.sample_size, recipe.seed)
-    model, params = recipe.stats_model, recipe.stats_params
-    if len(array) == 0:
-        model, params = "uniform", {}
-    return make_model(model, array, sample, seed=recipe.seed, **params)
+    return SelectivityModel(Reservoir(rows, recipe.sample_size, recipe.seed),
+                            dimension=array.shape[1], size=len(array))
 
 
 def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
@@ -448,27 +434,18 @@ class Catalog:
         Directory for file-backed (``"file"``/``"mmap"``) stores
         registered without an explicit path (one ``<dataset>.blocks`` file
         each); a temporary file per store when omitted.
-    stats_model / stats_params:
-        The selectivity model of every shard:
-        ``"uniform"`` (default), ``"histogram"``, ``"ensemble"``, or a
-        factory — see
-        :func:`repro.engine.stats.make_model`; ``stats_params`` are
-        forwarded to the model constructor.
     """
 
     def __init__(self, block_size: int = 64, cache_blocks: int = 4,
                  sample_size: int = 512, seed: Optional[int] = None,
                  backend: object = "memory",
-                 data_dir: Optional[str] = None,
-                 stats_model: object = "uniform",
-                 stats_params: Optional[Dict[str, object]] = None):
+                 data_dir: Optional[str] = None):
         #: Catalog-wide replica settings; each registration resolves its
         #: overrides against these once (:meth:`_recipe`).
         self._defaults = ReplicaRecipe(
             block_size=block_size, cache_blocks=cache_blocks,
             backend=backend, data_dir=data_dir, sample_size=sample_size,
-            seed=seed, stats_model=stats_model,
-            stats_params=dict(stats_params or {}), replicas=1)
+            seed=seed, replicas=1)
         self._datasets: Dict[str, ShardedDataset] = {}
         #: The engine's tracer (set by the engine; None: nothing traced).
         self.tracer: Optional[Tracer] = None

@@ -45,12 +45,11 @@ The RPC operations (``op`` field of every request):
 ========== ==========================================================
 
 What a worker rebuilds its replica from — the dataset's
-:class:`~repro.engine.catalog.ReplicaRecipe`, selectivity-model kind
-and parameters included, and the parent's conformal-calibrator config —
-does not travel over this protocol: it rides the fork at spawn time
+:class:`~repro.engine.catalog.ReplicaRecipe` and the parent's
+conformal-calibrator config — does not travel over this protocol: it
+rides the fork at spawn time
 (:class:`repro.engine.cluster.worker.ShardWorker`'s arguments); the
-``stats`` response echoes the resulting model name and conformal config
-back for introspection.
+``stats`` response echoes the conformal config back for introspection.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 rebuilds its replica *deterministically* through the function the parent
 built it with, :func:`~repro.engine.catalog.build_replicas` — the
 dataset's :class:`~repro.engine.catalog.ReplicaRecipe` (block size,
-buffer-pool size, sample size, seed, selectivity model), the replica's
+buffer-pool size, sample size, seed, replica count), the replica's
 build-time points and a replay of the dataset's recorded
 ``suite_builds`` — then replays the write fan-out log it was handed.
 Because the store layout and index structure match the parent's replica
@@ -188,8 +188,6 @@ class ShardWorker:
                     "writes": self._writes_applied,
                     "last_seq": self._last_seq,
                     "ios": protocol.iostats_to_wire(totals),
-                    "stats_model": getattr(self.dataset.stats, "name",
-                                           None),
                     "conformal": dict(self.conformal_config)}
 
     # ------------------------------------------------------------------

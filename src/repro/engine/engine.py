@@ -19,10 +19,9 @@ Storage is pluggable end to end: ``backend="file"`` (or ``"mmap"``) puts
 every dataset's blocks in real files (``data_dir``).  The planner holds no
 learned state: each index prices the constraint it is given, so a
 restarted engine routes exactly as the one it replaces.
-Estimation is pluggable too: ``stats_model="histogram"`` prices queries
-with directional equi-depth histograms instead of the uniform sample
+Each shard's expected output comes from a uniform sample of its points
 (see :mod:`repro.engine.stats`), and ``auto_rebalance=True`` re-splits
-range shards whose statistics have drifted under dynamic inserts
+range shards that dynamic inserts have unbalanced
 (:meth:`QueryEngine.rebalance` does it on demand).
 Everything the facade does is available piecemeal through its
 :attr:`catalog`, :attr:`planner` and :attr:`executor` attributes.  A
@@ -72,7 +71,7 @@ class QueryEngine:
     block_size / cache_blocks:
         Defaults for each dataset's shared simulated disk.
     sample_size:
-        Per-dataset sample kept for selectivity estimation.
+        Rows of each shard's sample, kept for selectivity estimation.
     result_cache_entries / warm_cache_blocks:
         Executor knobs: answer-LRU capacity and the buffer-pool size used
         while serving a wave.
@@ -84,13 +83,6 @@ class QueryEngine:
         the block files live in (temp files when omitted).
     fanout_workers:
         Thread-pool size for per-shard query fan-out (0 = sequential).
-    stats_model / stats_params:
-        Selectivity model built for every shard (a dataset's expected
-        output is the sum of its shards' estimates):
-        ``"uniform"`` (default, sample scan), ``"histogram"``
-        (directional equi-depth histograms for skewed data) or
-        ``"ensemble"`` (uniform + histogram side by side, blended by
-        online e-value-style weights); see :mod:`repro.engine.stats`.
     conformal_coverage / conformal_window / conformal_min_calibration:
         Conformal calibration of estimation error: the executor's
         observed (estimate, actual) pairs feed a bounded per-dataset
@@ -101,9 +93,9 @@ class QueryEngine:
     auto_rebalance / rebalance_threshold / rebalance_min_mutations:
         When ``auto_rebalance`` is set, every serving entry point first
         checks the touched range-sharded datasets for skew (largest
-        shard's live size, or histogram drift, at ``rebalance_threshold``
-        times the fair share, after at least ``rebalance_min_mutations``
-        mutations) and re-splits them before serving.
+        shard's live size at ``rebalance_threshold`` times the fair
+        share, after at least ``rebalance_min_mutations`` mutations) and
+        re-splits them before serving.
         :meth:`rebalance` triggers the same re-split manually.
     tracing / trace_capacity:
         Request tracing: every served request builds a span tree across
@@ -134,8 +126,6 @@ class QueryEngine:
                  backend: object = "memory",
                  data_dir: Optional[str] = None,
                  fanout_workers: int = 8,
-                 stats_model: object = "uniform",
-                 stats_params: Optional[Dict[str, object]] = None,
                  auto_rebalance: bool = False,
                  rebalance_threshold: float = 2.0,
                  rebalance_min_mutations: int = 64,
@@ -150,9 +140,7 @@ class QueryEngine:
         self.catalog = Catalog(block_size=block_size,
                                cache_blocks=cache_blocks,
                                sample_size=sample_size, seed=seed,
-                               backend=backend, data_dir=data_dir,
-                               stats_model=stats_model,
-                               stats_params=stats_params)
+                               backend=backend, data_dir=data_dir)
         self.stats = EngineStats(
             conformal=ConformalCalibrator(
                 coverage=conformal_coverage, window=conformal_window,

@@ -502,14 +502,14 @@ class ExecutionCore:
 
     def _feed_back(self, dataset_name: str, query: Query,
                    outcomes: List[ShardOutcome]) -> None:
-        """Post-processor 2: cost-model, q-error and model feedback.
+        """Post-processor 2: cost-model and q-error feedback.
 
         Every executed per-replica plan contributes exactly one
         cost-model ratio and (for single constraints) exactly one
         estimation residual — the conformal window's validity rests on
         that.  Conjunction plans are costed with a single conjunct's
         output — an intentional upper bound, not an estimate — so they
-        stay out of the q-error metrics and the selectivity models.
+        stay out of the q-error metrics and the conformal window.
         """
         estimation = not isinstance(query, ConstraintConjunction)
         for outcome in outcomes:
@@ -523,12 +523,6 @@ class ExecutionCore:
             if estimation:
                 self.stats.note_estimation(dataset_name,
                                            plan.expected_output, reported)
-                # The same pair feeds the replica's selectivity model
-                # (one object shared by a shard's replicas): adaptive
-                # histograms re-aim their direction set from it; the
-                # base model ignores it.
-                outcome.replica.stats.note_estimation_feedback(
-                    query, plan.expected_output, reported)
 
     def _merge(self, dataset_name: str, plan: ShardedPlan,
                outcomes: List[ShardOutcome], started: float,

@@ -48,9 +48,8 @@ queue_depth_max (gauge)                              max_queue_depth
 rebalances_total            dataset                  rebalances.count,
                                                      by_dataset
 replica_ios_total           dataset, shard, replica  replica_load
-histogram_*, ensemble_*,    dataset, ...             gauges refreshed from the
-                                                     live models; stats and
-conformal_* (gauges)                                 conformal carry the same
+conformal_* (gauges)        dataset                  conformal (refreshed at
+                                                     each scrape)
 ==========================  =======================  ==========================
 
 ``to_table()`` groups the query families by ``index``; the only
@@ -255,8 +254,7 @@ class EngineStats:
     conformal: ConformalCalibrator = field(
         default_factory=ConformalCalibrator, repr=False)
     #: Optional callable returning the live ``{name: SelectivityModel}``
-    #: map (the engine registers one); feeds ``summary()["stats"]`` and
-    #: the per-model gauges.
+    #: map (the engine registers one); feeds ``summary()["stats"]``.
     model_provider: Optional[Callable[[], Dict[str, object]]] = field(
         default=None, repr=False)
     #: Optional callable returning the result cache's resident
@@ -350,7 +348,7 @@ class EngineStats:
             "engine_halfspace3d_queries_total",
             "halfspace3d queries by how they were answered: from one "
             "layer's conflict list, or a scan and why", ("dataset", "outcome"))
-        # Model-state gauges: last-write-wins snapshots refreshed by
+        # State gauges: last-write-wins snapshots refreshed by
         # refresh_model_metrics() (every summary() / /metrics scrape).
         self._m_result_cache_entries = reg.gauge(
             "engine_result_cache_entries", "Answers resident in the result "
@@ -366,22 +364,6 @@ class EngineStats:
             "engine_index_build_ios",
             "Block transfers the index's latest build was charged",
             ("dataset", "index", "kind"))
-        self._m_adaptations = reg.gauge(
-            "engine_histogram_adaptations",
-            "Histogram directions replaced by workload feedback",
-            ("dataset",))
-        self._m_direction_qerror = reg.gauge(
-            "engine_histogram_direction_qerror",
-            "Geometric-mean q-error per histogram direction",
-            ("dataset", "direction"))
-        self._m_ensemble_weight = reg.gauge(
-            "engine_ensemble_weight",
-            "Normalised e-value weight per ensemble member",
-            ("dataset", "member"))
-        self._m_member_qerror = reg.gauge(
-            "engine_ensemble_member_qerror",
-            "Geometric-mean own-estimate q-error per ensemble member",
-            ("dataset", "member"))
         self._m_conformal_pairs = reg.gauge(
             "engine_conformal_calibration_pairs",
             "Calibration pairs held per dataset", ("dataset",))
@@ -627,9 +609,10 @@ class EngineStats:
         One entry per dataset that executed at least one plan: sample
         count, p50/p90/max and mean of the q-errors.  A p50 near 1.0
         means the selectivity model prices typical queries well; a heavy
-        tail (p90/max) is the operator's cue to switch models (or that a
-        mutated shard needs rebalancing).  Count, max and mean are exact;
-        p50/p90 are interpolated from the q-error buckets.
+        tail (p90/max) says the sample is too small for the workload's
+        selectivities (or that a mutated shard needs rebalancing).  Count,
+        max and mean are exact; p50/p90 are interpolated from the q-error
+        buckets.
         """
         return self._estimation(self.snapshot())
 
@@ -681,70 +664,23 @@ class EngineStats:
         return out
 
     # ------------------------------------------------------------------
-    # model state (ensemble weights, histogram adaptation, conformal)
+    # model state
     # ------------------------------------------------------------------
     def model_summary(self) -> Dict[str, Dict[str, object]]:
-        """Live per-model state: weights, adaptation, per-direction q-error.
-
-        One entry per model the provider reports (one per shard, under
-        its planning replica's name), carrying the model's ``describe()``
-        payload; histogram models additionally surface their
-        per-direction geometric-mean q-error, and ensemble members'
-        histogram state is lifted alongside the weights.  Refreshes the
-        corresponding Prometheus gauges as a side effect, so
-        ``summary()`` and ``/metrics`` report the same snapshot.
-        """
+        """Each shard model's ``describe()`` payload, under its planning
+        replica's name (one entry per model the provider reports)."""
         if self.model_provider is None:
             return {}
-        out: Dict[str, Dict[str, object]] = {}
-        for name, model in sorted(self.model_provider().items()):
-            if model is None:
-                continue
-            payload: Dict[str, object] = dict(model.describe())
-            self._collect_histogram_state(name, model, payload)
-            weights = getattr(model, "weights", None)
-            if isinstance(weights, dict):
-                for member, weight in weights.items():
-                    self._m_ensemble_weight.set(weight, dataset=name,
-                                                member=member)
-                for member, error in model.member_qerror().items():
-                    if error is not None:
-                        self._m_member_qerror.set(error, dataset=name,
-                                                  member=member)
-                members = getattr(model, "members", ())
-                member_names = getattr(model, "MEMBER_NAMES", ())
-                for member_name, member in zip(member_names, members):
-                    self._collect_histogram_state(
-                        "%s/%s" % (name, member_name), member,
-                        payload.setdefault("members", {})
-                        .setdefault(member_name, {}))
-            out[name] = payload
-        return out
+        return {name: dict(model.describe())
+                for name, model in sorted(self.model_provider().items())}
 
-    def _collect_histogram_state(self, label: str, model: object,
-                                 payload: Dict[str, object]) -> None:
-        """Fold one histogram-capable model's adaptation state in."""
-        direction_qerror = getattr(model, "direction_qerror", None)
-        if not callable(direction_qerror):
-            return
-        per_direction = direction_qerror()
-        payload["adaptations"] = getattr(model, "adaptations", 0)
-        payload["direction_qerror"] = per_direction
-        self._m_adaptations.set(payload["adaptations"], dataset=label)
-        for entry in per_direction:
-            if entry["qerror"] is not None:
-                self._m_direction_qerror.set(
-                    entry["qerror"], dataset=label,
-                    direction=entry["direction"])
-
-    def refresh_model_metrics(self) -> Dict[str, Dict[str, object]]:
-        """Update the model, conformal, result-cache and index-build gauges.
+    def refresh_model_metrics(self) -> None:
+        """Update the conformal, result-cache and index-build gauges.
 
         Called before every ``/metrics`` scrape (and by ``summary()``),
         since gauges are last-write-wins snapshots rather than hot-path
-        counters.  Returns the model summary it refreshed from.
+        counters.
         """
-        models = self.model_summary()
         for name, state in self.conformal.describe()["datasets"].items():
             self._m_conformal_pairs.set(state["pairs"], dataset=name)
             self._m_conformal_intervals.set(state["intervals"], dataset=name)
@@ -763,7 +699,6 @@ class EngineStats:
                 self._m_build_seconds.set(build.build_seconds, **labels)
                 if build.build_ios is not None:
                     self._m_build_ios.set(build.build_ios.total, **labels)
-        return models
 
     # ------------------------------------------------------------------
     # reporting
@@ -778,7 +713,7 @@ class EngineStats:
         ``/stats`` ships it over the wire verbatim and
         ``json.dumps(summary, allow_nan=False)`` must not raise.
         """
-        models = self.refresh_model_metrics()
+        self.refresh_model_metrics()
         view = self.snapshot()
         summary: Dict[str, object] = self._totals(view)
         queries, ios = summary["num_queries"], summary["total_ios"]
@@ -794,7 +729,7 @@ class EngineStats:
             "latency_s": self._latency(view, (0.5, 0.9, 0.99)),
             "plan_distribution": view.by(self._m_queries, _INDEX),
             "estimation_qerror": self._estimation(view),
-            "stats": models,
+            "stats": self.model_summary(),
             "conformal": self.conformal.describe(),
             "writes": self._writes(view),
             "rebalances": {"count": view.total(self._m_rebalances),

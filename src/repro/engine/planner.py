@@ -7,8 +7,8 @@ structure's own query priced in memory for that constraint (the cell
 trees replay their descent on a copy of their cell tables, ``halfplane2d``
 prices the layers its query reads, a scan its blocks) with the expected
 output size from the dataset's selectivity model (:mod:`repro.engine.stats`
-— a uniform sample by default, directional histograms for skewed data;
-each shard is priced with its child's *own* model) — and picks the
+— a uniform sample of each shard; each shard is priced with its child's
+*own* model) — and picks the
 minimum.  That estimate is the whole cost: the planner holds no learned
 state, so a fresh engine plans exactly as one that has served for hours.
 

@@ -73,17 +73,6 @@ def sample_hits(sample: np.ndarray, dimension: int,
     return sample[residuals <= constraint.offset]
 
 
-def selectivity_on_sample(sample: np.ndarray, dimension: int,
-                          constraint: LinearConstraint) -> float:
-    """Fraction of the sample satisfying ``constraint`` (zero I/Os).
-
-    The uniform selectivity models' estimator.
-    """
-    if len(sample) == 0:
-        return 0.0
-    return len(sample_hits(sample, dimension, constraint)) / len(sample)
-
-
 def constraint_feasible_over_box(constraint: LinearConstraint,
                                  lows: Sequence[float],
                                  highs: Sequence[float]) -> bool:
@@ -508,7 +497,6 @@ class RebalanceReport:
     new_sizes: Tuple[int, ...]
     imbalance_before: float
     imbalance_after: float
-    drift_before: float
 
     def summary(self) -> Dict[str, object]:
         """JSON-friendly view (EngineStats keeps these as events)."""
@@ -520,7 +508,6 @@ class RebalanceReport:
             "new_sizes": list(self.new_sizes),
             "imbalance_before": self.imbalance_before,
             "imbalance_after": self.imbalance_after,
-            "drift_before": self.drift_before,
         }
 
 
@@ -529,17 +516,12 @@ class RebalanceManager:
 
     Range shards are split at *build-time* quantiles; inserts through a
     shard's dynamic index land wherever the caller sends them, so the
-    split drifts: one shard bloats (its I/O share and its histogram skew
-    grow) and its bounding box goes stale, which disables pruning for
-    every later query.  The manager watches two signals, both fed by the
-    engine's write path:
+    split drifts: one shard bloats (its I/O share grows) and its bounding
+    box goes stale, which disables pruning for every later query.  The
+    manager watches the **size imbalance** — the largest shard's live
+    size over the fair share ``N/K`` — fed by the engine's write path.
 
-    * **size imbalance** — the largest shard's live size over the fair
-      share ``N/K``;
-    * **statistics drift** — the worst per-shard selectivity-model
-      ``drift()`` (equi-depth bucket skew for histogram models).
-
-    When either exceeds ``threshold`` (after at least ``min_mutations``
+    When it reaches ``threshold`` (after at least ``min_mutations``
     mutations), :meth:`maybe_rebalance` re-splits: live points are
     collected from every shard's planning replica, fresh quantile
     boundaries are computed, per-shard stores / index suites / models are
@@ -595,15 +577,10 @@ class RebalanceManager:
         return max(sizes) / (total / len(sizes))
 
     def skew(self, dataset_name: str) -> Dict[str, float]:
-        """The dataset's current skew signals (imbalance, drift, mutations)."""
-        sharded = self._catalog.sharded(dataset_name)
-        sizes = sharded.shard_live_sizes()
-        drift = 0.0
-        for shard in sharded.shards:
-            drift = max(drift, shard.planning_dataset().stats.drift())
+        """The dataset's current skew signals (imbalance, mutations)."""
+        sizes = self._catalog.sharded(dataset_name).shard_live_sizes()
         return {
             "imbalance": self._imbalance(sizes),
-            "drift": drift,
             "mutations": float(self.mutations(dataset_name)),
         }
 
@@ -615,9 +592,7 @@ class RebalanceManager:
             return False
         if self._catalog.sharded(dataset_name).router.scheme != "range":
             return False
-        signals = self.skew(dataset_name)
-        return (signals["imbalance"] >= self.threshold
-                or signals["drift"] >= self.threshold)
+        return self.skew(dataset_name)["imbalance"] >= self.threshold
 
     # ------------------------------------------------------------------
     # the re-split
@@ -650,7 +625,6 @@ class RebalanceManager:
                 new_sizes=tuple(outcome["new_sizes"]),
                 imbalance_before=before["imbalance"],
                 imbalance_after=self.skew(dataset_name)["imbalance"],
-                drift_before=before["drift"],
             )
             for listener in self._listeners:
                 listener(dataset_name, report)

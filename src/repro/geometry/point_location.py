@@ -23,7 +23,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.io.store import BlockStore
 
@@ -72,6 +74,7 @@ class ExternalPointLocator:
         self._store = store
         self._nodes: List[_BuildNode] = []
         items = [(label, tri, _bbox(tri)) for label, tri in triangles]
+        self._num_triangles = len(items)
         if items:
             self._root = self._build(items, depth=0, axis=0,
                                      leaf_capacity=leaf_capacity,
@@ -213,9 +216,9 @@ class ExternalPointLocator:
                 current_block = block_index
             record = current_records[slot]
             if record[0] == _KIND_LEAF:
-                best_label, best_margin = None, -_LOCATE_SLACK
+                best_label, best_margin = None, -LOCATE_SLACK
                 for label, triangle in record[1]:
-                    margin = _barycentric_margin(x, y, triangle)
+                    margin = barycentric_margin(x, y, triangle)
                     if margin >= best_margin:
                         best_label, best_margin = label, margin
                         if margin >= 0.0:
@@ -225,20 +228,100 @@ class ExternalPointLocator:
             coordinate = x if axis == 0 else y
             position = left_position if coordinate <= split else right_position
 
-    def stored_triangles(self) -> List[Tuple[object, Triangle2]]:
-        """Every ``(label, triangle)`` pair as the leaves hold it — a
-        triangle once per leaf it reaches — read back from the disk blocks
-        (what a structural checker compares against; charged as reads)."""
-        return [pair for block_id in self._block_ids
-                for record in self._store.read(block_id)
-                if record[0] == _KIND_LEAF for pair in record[1]]
+    def check_invariants(self) -> Dict[object, Triangle2]:
+        """Raise AssertionError unless the stored tree is the one the
+        build promises, as read back from the disk; return its triangles
+        by label.
+
+        Every stored node is reached from the root exactly once, each
+        child at a later position than its parent; every triangle built
+        reaches a leaf, under one label; a node's *region* is the box its
+        descent allows (closed, empty where a split fell outside it), and
+        the triangles handed to a node are those whose bounding box meets
+        it: an internal node at depth k splits on axis k mod 2 at the
+        median of its triangles' bounding-box centres, and a leaf holds
+        exactly its triangles; the mean path length recomputed from the
+        stored positions is :attr:`mean_path_blocks`.  The blocks are
+        read from the backend directly, so no I/O is charged and the
+        buffer pool is untouched.
+        """
+        B = self._store.block_size
+        backend = self._store.backend
+        records = [record for block_id in self._block_ids
+                   for record in backend.get_payload(block_id)]
+
+        def check(holds: bool, message: str, *values) -> None:
+            if not holds:
+                raise AssertionError(message % values)
+
+        check(len(records) == self._num_nodes, "%d nodes stored of %d",
+              len(records), self._num_nodes)
+        triangles: Dict[object, Triangle2] = {}
+        for record in records:
+            if record[0] == _KIND_LEAF:
+                for label, triangle in record[1]:
+                    check(triangles.setdefault(label, triangle) == triangle,
+                          "label %r names two triangles", label)
+        check(len(triangles) == self._num_triangles,
+              "%d of the %d triangles built reach a leaf", len(triangles),
+              self._num_triangles)
+        number_of = {label: number for number, label in enumerate(triangles)}
+        boxes = np.array([[*low, *high] for low, high in
+                          map(_bbox, triangles.values())]).reshape(-1, 4)
+        reached = [False] * len(records)
+        reads = leaves = 0
+        # (position, depth, region (low x, low y, high x, high y),
+        #  blocks entered on the way, the parent's block)
+        stack = [(self._root_position, 0,
+                  (-math.inf, -math.inf, math.inf, math.inf), 0, -1)]
+        while stack:
+            position, depth, region, entered, block = stack.pop()
+            check(not reached[position], "node %d is reached twice", position)
+            reached[position] = True
+            entered += position // B != block
+            handed = (np.all(boxes[:, :2] <= region[2:], axis=1)
+                      & np.all(boxes[:, 2:] >= region[:2], axis=1))
+            record = records[position]
+            if record[0] == _KIND_LEAF:
+                held = sorted(number_of[label] for label, __ in record[1])
+                check(held == np.flatnonzero(handed).tolist(),
+                      "leaf %d holds triangles %s, not the %s whose boxes "
+                      "meet its region %r", position, held,
+                      np.flatnonzero(handed).tolist(), region)
+                reads, leaves = reads + entered, leaves + 1
+                continue
+            __, axis, split, left, right = record
+            centres = np.sort((boxes[handed, axis] + boxes[handed, 2 + axis])
+                              / 2.0)
+            check(axis == depth % 2 and len(centres)
+                  and split == centres[len(centres) // 2],
+                  "node %d splits axis %d at %r, not at its triangles' "
+                  "median centre", position, axis, split)
+            check(position < left < len(records)
+                  and position < right < len(records),
+                  "node %d points to children %d and %d", position, left,
+                  right)
+            below, above = list(region), list(region)
+            below[2 + axis] = min(region[2 + axis], split)
+            above[axis] = max(region[axis], split)
+            stack += [(right, depth + 1, tuple(above), entered,
+                       position // B),
+                      (left, depth + 1, tuple(below), entered,
+                       position // B)]
+        check(all(reached), "nodes %s are never reached",
+              [position for position, seen in enumerate(reached)
+               if not seen][:3])
+        check(reads / leaves == self._mean_path_blocks,
+              "the mean path is %r blocks, not the stored %r",
+              reads / leaves, self._mean_path_blocks)
+        return triangles
 
 
 #: ``locate`` accepts a triangle the point misses by this share of its size.
-_LOCATE_SLACK = 1e-9
+LOCATE_SLACK = 1e-9
 
 
-def _barycentric_margin(x: float, y: float, triangle: Triangle2) -> float:
+def barycentric_margin(x: float, y: float, triangle: Triangle2) -> float:
     """The smallest barycentric coordinate of ``(x, y)`` in ``triangle``
     (non-negative exactly when the point is inside); -inf when the triangle
     has no area."""

@@ -213,6 +213,17 @@ class TestExternalPointLocator:
         store = BlockStore(block_size=8)
         locator = ExternalPointLocator(store, [])
         assert locator.locate(0.0, 0.0) is None
+        assert locator.check_invariants() == {}
+
+    @pytest.mark.parametrize("block_size", [2, 4, 16])
+    def test_locator_holds_its_invariants_without_io(self, block_size):
+        store, envelope, locator = self.build(90, seed=47,
+                                              block_size=block_size)
+        store.reset_stats()
+        triangles = locator.check_invariants()
+        assert store.stats.total == 0
+        assert triangles == {index: triangle.xy_vertices() for index, triangle
+                             in enumerate(envelope.triangles)}
 
     def test_space_is_linear_in_triangles(self):
         store, envelope, locator = self.build(120, seed=43)

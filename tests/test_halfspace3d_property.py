@@ -84,7 +84,9 @@ def test_query_equals_full_scan_and_layers_hold_their_invariants(
              "hundreds": 200 + seed % 400}[size]
     points = family_points(family, count, seed)
     index = HalfspaceIndex3D(points, block_size=block_size, seed=seed)
-    index.planes_index.check_invariants()
+    before = index.store.stats.snapshot()
+    index.check_invariants()
+    assert index.store.stats.snapshot() == before      # no I/O charged
     oracle = FullScanIndex(points.reshape(-1, 3), block_size=block_size)
     scan_blocks = math.ceil(count / block_size)
     for constraint in constraints_for(points, np.random.default_rng(seed)):
@@ -127,6 +129,55 @@ def test_check_invariants_notices_a_truncated_conflict_list():
     layer = index._copies[0].layers[-1]
     victim = int(np.argmax(np.diff(layer.starts)))
     layer.starts[victim + 1:] -= 1          # one record short from there on
+    with pytest.raises(AssertionError):
+        index.check_invariants()
+
+
+def _first_record(index, wanted):
+    """The finest layer's locator, and the position, block and slot of
+    its first stored record that ``wanted`` accepts (positions count
+    from the locator's first block, B records a block)."""
+    locator = index.planes_index._copies[0].layers[-1].locator
+    B = index.store.block_size
+    for number, block_id in enumerate(locator._block_ids):
+        for slot, record in enumerate(
+                index.store.backend.get_payload(block_id)):
+            if wanted(number * B + slot, record):
+                return locator, number * B + slot, block_id, slot
+    raise LookupError("no such record")
+
+
+def _move_a_split(position, record):
+    kind, axis, split, left, right = record
+    return kind, axis, split + 0.25, left, right
+
+
+def _point_a_child_backward(position, record):
+    kind, axis, split, left, right = record
+    return kind, axis, split, position - 1, right
+
+
+def _drop_a_triangle(position, record):
+    kind, payload = record
+    return kind, payload[1:]
+
+
+@pytest.mark.parametrize("corrupt, wanted", [
+    (_move_a_split, lambda position, record: record[0] == 0),
+    (_point_a_child_backward,
+     lambda position, record: record[0] == 0 and position > 0),
+    (_drop_a_triangle, lambda position, record: record[0] == 1 and record[1]),
+], ids=["moved_split", "backward_child", "dropped_triangle"])
+def test_a_broken_point_locator_fails_the_invariants(corrupt, wanted):
+    index = HalfspaceIndex3D(family_points("ball", 400, seed=8),
+                             block_size=8, seed=9)
+    index.check_invariants()
+    locator, position, block_id, slot = _first_record(index, wanted)
+    records = list(index.store.backend.get_payload(block_id))
+    records[slot] = corrupt(position, records[slot])
+    index.store.write(block_id, records)
+    with pytest.raises(AssertionError):
+        locator.check_invariants()
     with pytest.raises(AssertionError):
         index.check_invariants()
 

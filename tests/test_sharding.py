@@ -479,7 +479,7 @@ def _site_materialize(engine, points):
     assert shard.box_stale and shard.lows is None
     primary = shard.planning_dataset()
     assert primary.live_size == 1 and len(primary.points) == 0
-    assert primary.stats.name == "uniform"
+    assert len(primary.stats.sample.rows) == 1
 
 
 def _site_upgrade_stats(engine, points):
@@ -489,9 +489,6 @@ def _site_upgrade_stats(engine, points):
     assert shard.box_stale and shard.lows is None
     primary = shard.planning_dataset()
     assert primary.live_size == 8 and len(primary.points) == 0
-    # Histograms need a build point: uniform until the next re-split,
-    # its sample filled by the inserts.
-    assert primary.stats.name == "uniform"
     assert len(primary.stats.sample.rows) == 8
     assert all(replica.stats is primary.stats for replica in shard.replicas)
 
@@ -503,7 +500,7 @@ def _site_upgrade_stats(engine, points):
 def test_every_build_site_leaves_the_same_replica_layout(site, backend,
                                                          tmp_path):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=17, backend=backend,
-                         data_dir=str(tmp_path), stats_model="histogram")
+                         data_dir=str(tmp_path))
     try:
         site(engine, uniform_points(384, seed=18))
         sharded = engine.catalog.sharded("d")
@@ -521,10 +518,9 @@ def test_every_build_site_leaves_the_same_replica_layout(site, backend,
 @pytest.mark.parametrize("backend", ["memory", "file"])
 def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
     """The worker calls the parent's builder with the parent's recipe
-    (on the memory backend): same sample, model kind and index builds."""
+    (on the memory backend): same sample, live size and index builds."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=19, backend=backend,
-                         data_dir=str(tmp_path), sample_size=64,
-                         stats_model="ensemble")
+                         data_dir=str(tmp_path), sample_size=64)
     try:
         engine.register_sharded_dataset(
             "d", uniform_points(384, seed=20), num_shards=2, replicas=2,
@@ -539,7 +535,7 @@ def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
                 assert rebuilt.store.cache_blocks == 6
                 assert np.array_equal(rebuilt.stats.sample.rows,
                                       replica.stats.sample.rows)
-                assert rebuilt.stats.name == replica.stats.name == "ensemble"
+                assert rebuilt.stats.size == replica.stats.size
                 assert list(rebuilt.indexes) == list(replica.indexes)
                 for name, record in replica.build_records.items():
                     twin = rebuilt.build_records[name]

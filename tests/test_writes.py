@@ -278,8 +278,7 @@ def test_insert_keeps_all_replicas_serving_and_identical(points2d):
 
 
 def test_stats_and_counters_observe_one_logical_mutation_per_fanout(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=10,
-                         stats_model="histogram")
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=10)
     engine.register_sharded_dataset("sh", points2d, num_shards=2,
                                     replicas=3, sharding="range",
                                     kinds=["dynamic", "full_scan"])
