@@ -106,14 +106,6 @@ def clustering_union(clusters: Sequence[Cluster]) -> List[int]:
     return sorted(union)
 
 
-def relevant_cluster_index(clusters: Sequence[Cluster], x: float) -> int:
-    """Index of the cluster relevant for abscissa ``x`` (linear scan reference)."""
-    for index, cluster in enumerate(clusters):
-        if cluster.covers(x):
-            return index
-    return len(clusters) - 1
-
-
 def max_cluster_size(clusters: Sequence[Cluster]) -> int:
     """Largest cluster size (must be <= the width used to build)."""
     return max((cluster.size for cluster in clusters), default=0)

@@ -66,12 +66,10 @@ class HybridIndex3D(CellTreeIndex):
             # structure's query, priced there.
             self._costs.own[self._leaf_slots] = 0
 
-    def _leaf_node(self, indices: np.ndarray) -> _Node:
-        leaf_index = HalfspaceIndex3D(self._points[indices], store=self._store,
-                                      copies=self._copies, seed=self._seed)
-        node = super()._leaf_node(indices)
-        node.leaf_index = leaf_index
-        return node
+    def _leaf_structure(self, points: np.ndarray) -> HalfspaceIndex3D:
+        """A leaf's Section 4 structure, written before its raw copy."""
+        return HalfspaceIndex3D(points, store=self._store,
+                                copies=self._copies, seed=self._seed)
 
     @property
     def leaf_threshold(self) -> int:

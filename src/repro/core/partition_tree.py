@@ -210,7 +210,7 @@ class CellTreeIndex(ExternalIndex):
     skips cells entirely above it.  Leaves hand their blocks to one
     :class:`kernels.DeferredScan` per query.  Subclasses set their own
     parameters, then call :meth:`_build_tree`; they vary the hierarchy
-    (:meth:`_hierarchy`), the node contents (:meth:`_leaf_node`,
+    (:meth:`_hierarchy`), the node contents (``_leaf_structure``,
     :meth:`_internal_node`) and what happens at a crossed node
     (:meth:`_query_leaf`, :meth:`_cells`), and price that variation alike
     (``_delegated``): :meth:`estimated_query_ios` replays the descent on
@@ -243,7 +243,7 @@ class CellTreeIndex(ExternalIndex):
             if len(points):
                 hierarchy = self._hierarchy(points)
                 ids = [0] * len(hierarchy)
-                self._root = self._build(hierarchy, 0, ids)
+                self._root, = self._build(hierarchy, [0], ids)
                 self._costs = self._cell_costs(hierarchy, ids)
 
     # ------------------------------------------------------------------
@@ -288,21 +288,47 @@ class CellTreeIndex(ExternalIndex):
             scope.hierarchies[key] = hierarchy
         return hierarchy
 
-    def _build(self, hierarchy: Sequence[PartitionNode], number: int,
-               ids: List[int]) -> int:
-        """Write node ``number`` of ``hierarchy`` and its subtree,
-        depth-first; node ids are post-order (``ids[number]``)."""
-        indices, children, corners = hierarchy[number]
+    def _build(self, hierarchy: Sequence[PartitionNode], run: List[int],
+               ids: List[int]) -> List[int]:
+        """Write the nodes ``run`` of ``hierarchy`` — a run of leaves
+        (:meth:`_runs`) or one internal node and its subtree, depth-first
+        — and return their node ids, which are post-order (``ids[number]``
+        is node ``number``'s)."""
+        indices, children, corners = hierarchy[run[0]]
         if corners is None:
-            node = self._leaf_node(indices)
+            nodes = self._leaf_nodes([hierarchy[number].indices
+                                      for number in run])
         else:
-            child_ids = [self._build(hierarchy, child, ids)
-                         for child in children]
-            node = self._internal_node(indices,
-                                       encode_cells(child_ids, corners))
-        self._nodes.append(node)
-        ids[number] = len(self._nodes) - 1
-        return ids[number]
+            child_ids = [node_id for child_run in self._runs(hierarchy,
+                                                             children)
+                         for node_id in self._build(hierarchy, child_run,
+                                                    ids)]
+            nodes = [self._internal_node(indices,
+                                         encode_cells(child_ids, corners))]
+        first = len(self._nodes)
+        self._nodes += nodes
+        for node_id, number in enumerate(run, first):
+            ids[number] = node_id
+        return list(range(first, len(self._nodes)))
+
+    def _runs(self, hierarchy: Sequence[PartitionNode],
+              children: Sequence[int]) -> Iterator[List[int]]:
+        """``children`` cut into what :meth:`_build` writes at once: each
+        run of consecutive leaves, and every internal node alone.  A leaf
+        with a structure of its own (``_leaf_structure``) is alone too:
+        that structure's blocks come before the leaf's points."""
+        run: List[int] = []
+        for child in children:
+            if hierarchy[child].corners is None \
+                    and self._leaf_structure is None:
+                run.append(child)
+                continue
+            if run:
+                yield run
+                run = []
+            yield [child]
+        if run:
+            yield run
 
     def _cell_costs(self, hierarchy: Sequence[PartitionNode],
                     ids: List[int]) -> _CellCosts:
@@ -336,10 +362,25 @@ class CellTreeIndex(ExternalIndex):
             ancestors=tuple(ancestors[:-1]), node=np.array(ids), own=own,
             subtree=subtree)
 
-    def _leaf_node(self, indices: np.ndarray) -> _Node:
-        return _Node(is_leaf=True, size=len(indices),
-                     points_array=DiskArray.from_matrix(
-                         self._store, self._points[indices]))
+    #: A subclass's own structure over a leaf's points,
+    #: ``_leaf_structure(points) -> index``, written before the leaf's
+    #: points; None: a leaf is its points alone.
+    _leaf_structure = None
+
+    def _leaf_nodes(self, leaves: List[np.ndarray]) -> List[_Node]:
+        """The nodes of a run of leaves (each one's point indices): their
+        rows gathered into one private read-only matrix, each leaf's
+        blocks row slices of it, written in one store call."""
+        structures = [None if self._leaf_structure is None
+                      else self._leaf_structure(self._points[indices])
+                      for indices in leaves]
+        rows = self._points[np.concatenate(leaves)]
+        rows.setflags(write=False)
+        arrays = DiskArray.from_rows(self._store, rows,
+                                     list(map(len, leaves)))
+        return [_Node(is_leaf=True, size=len(array), points_array=array,
+                      leaf_index=structure)
+                for array, structure in zip(arrays, structures)]
 
     def _internal_node(self, indices: np.ndarray,
                        cell_table: np.ndarray) -> _Node:

@@ -80,13 +80,20 @@ class ProtocolError(RuntimeError):
     """A malformed frame (bad length, truncated payload, invalid JSON)."""
 
 
+#: The first allocation of a frame's buffer, which then at most doubles
+#: as its bytes arrive: a length field that lies costs memory for the
+#: bytes really sent, not for the length it claims.
+_RECV_STEP = 1 << 20
+
+
 def _recv_exact(sock: socket.socket, count: int) -> bytearray:
     """Read exactly ``count`` bytes or raise ``ConnectionError`` on EOF."""
-    buffer = bytearray(count)
-    view = memoryview(buffer)
+    buffer = bytearray(min(count, _RECV_STEP))
     received = 0
     while received < count:
-        got = sock.recv_into(view[received:], min(count - received, 1 << 20))
+        if received == len(buffer):
+            buffer += bytes(min(count - received, received))
+        got = sock.recv_into(memoryview(buffer)[received:])
         if not got:
             raise ConnectionError(
                 "peer closed mid-frame (%d of %d bytes missing)"

@@ -6,7 +6,6 @@ Everything the paper's data structures need from geometry lives here:
   the linear-constraint query object.
 * :mod:`repro.geometry.predicates` — orientation / above–below tests.
 * :mod:`repro.geometry.duality` — the paper's duality transform (Lemma 2.1).
-* :mod:`repro.geometry.lines` — lower/upper envelopes of lines in the plane.
 * :mod:`repro.geometry.arrangement2d` — k-levels of line arrangements
   (Section 2.3) used by the optimal 2-D structure.
 * :mod:`repro.geometry.envelope3d` — triangulated lower envelopes of planes

@@ -27,11 +27,6 @@ def dual_point_of_line(line: Line2) -> Tuple[float, float]:
     return (line.slope, line.intercept)
 
 
-def primal_point_of_dual_line(line: Line2) -> Tuple[float, float]:
-    """Invert :func:`dual_line_of_point`: recover the point whose dual is ``line``."""
-    return (-line.slope, line.intercept)
-
-
 def dual_plane_of_point(point: Sequence[float]) -> Plane3:
     """Dual plane ``z = -a1*x - a2*y + a3`` of a point ``(a1, a2, a3)``."""
     a1, a2, a3 = point[0], point[1], point[2]
@@ -43,11 +38,6 @@ def dual_point_of_plane(plane: Plane3) -> Tuple[float, float, float]:
     return (plane.a, plane.b, plane.c)
 
 
-def primal_point_of_dual_plane(plane: Plane3) -> Tuple[float, float, float]:
-    """Invert :func:`dual_plane_of_point`."""
-    return (-plane.a, -plane.b, plane.c)
-
-
 def dual_hyperplane_of_point(point: Sequence[float]) -> Hyperplane:
     """Dual hyperplane of a d-dimensional point (general-dimension form)."""
     coeffs = tuple(-c for c in point[:-1])
@@ -57,8 +47,3 @@ def dual_hyperplane_of_point(point: Sequence[float]) -> Hyperplane:
 def dual_point_of_hyperplane(hyperplane: Hyperplane) -> Tuple[float, ...]:
     """Dual point of a d-dimensional hyperplane."""
     return tuple(hyperplane.coeffs) + (hyperplane.offset,)
-
-
-def primal_point_of_dual_hyperplane(hyperplane: Hyperplane) -> Tuple[float, ...]:
-    """Invert :func:`dual_hyperplane_of_point`."""
-    return tuple(-c for c in hyperplane.coeffs) + (hyperplane.offset,)

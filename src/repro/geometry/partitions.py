@@ -309,21 +309,3 @@ def max_crossing_number(cells: Sequence[PartitionCell],
     """Maximum crossing number over a family of query hyperplanes."""
     return max((crossing_number(cells, hyperplane) for hyperplane in hyperplanes),
                default=0)
-
-
-def is_balanced(cells: Sequence[PartitionCell], total: int,
-                slack: float = 2.0) -> bool:
-    """Check the balance condition ``N/r <= |S_i| <= slack * N/r`` loosely.
-
-    Cells created from very small subsets (fewer points than cells) are
-    exempt, mirroring the way the partition trees only request partitions of
-    subsets with many more points than the fan-out.
-    """
-    if not cells:
-        return True
-    r = len(cells)
-    target = total / r
-    for cell in cells:
-        if cell.size > slack * target + 1:
-            return False
-    return True

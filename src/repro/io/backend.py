@@ -45,6 +45,8 @@ record.  Backends are *not* shared between stores.
 from __future__ import annotations
 
 import abc
+import functools
+import itertools
 import mmap
 import os
 import pickle
@@ -73,13 +75,49 @@ _COLUMNAR_SHAPE = struct.Struct("<qq")
 _COLUMNAR_HEADER = len(_COLUMNAR_MAGIC) + _COLUMNAR_SHAPE.size
 
 
-def _encode(block: StoredBlock) -> bytes:
-    """One block's payload: magic, shape and raw float64 bytes for a
-    matrix, a pickle for a record list."""
-    if isinstance(block, np.ndarray):
-        return b"".join((_COLUMNAR_MAGIC, _COLUMNAR_SHAPE.pack(*block.shape),
-                         block.tobytes()))
-    return pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
+@functools.lru_cache(maxsize=256)
+def _layout(shape: Tuple[int, ...]) -> Tuple[np.dtype, np.void]:
+    """The log record of a matrix of ``shape`` as one structured dtype —
+    the block id, the bytes every such record shares (payload length,
+    magic, shape) and the raw float64 rows, unpadded — and those shared
+    bytes."""
+    layout = np.dtype([("id", "<i8"), ("shared", "V%d" % (
+        _HEADER.size - 8 + _COLUMNAR_HEADER)), ("rows", POINT_DTYPE, shape)])
+    return layout, np.void(b"".join((
+        struct.pack("<q", layout.itemsize - _HEADER.size), _COLUMNAR_MAGIC,
+        _COLUMNAR_SHAPE.pack(*shape))))
+
+
+def _records(block_ids: Sequence[BlockId],
+             blocks: Sequence[StoredBlock]) -> np.ndarray:
+    """The log records (header, then payload) of a stretch of
+    :func:`_stretch_end`, one ``uint8`` row each: the matrices of one
+    shape encoded in one numpy pass, as the fields of one structured
+    array, or a record list's pickle."""
+    first = blocks[0]
+    if not isinstance(first, np.ndarray):
+        payload = pickle.dumps(first, protocol=pickle.HIGHEST_PROTOCOL)
+        return np.frombuffer(_HEADER.pack(block_ids[0], len(payload))
+                             + payload, dtype=np.uint8).reshape(1, -1)
+    layout, shared = _layout(first.shape)
+    records = np.empty(len(blocks), layout)
+    records["id"] = block_ids
+    records["shared"] = shared
+    records["rows"] = np.concatenate(blocks).reshape(-1, *first.shape)
+    return records.view(np.uint8).reshape(len(blocks), layout.itemsize)
+
+
+def _stretch_end(blocks: Sequence[StoredBlock], start: int) -> int:
+    """Where the stretch of matrices of ``blocks[start]``'s shape that
+    starts there ends (``start + 1`` for a record list)."""
+    first = blocks[start]
+    stop = start + 1
+    if type(first) is np.ndarray:
+        for block in itertools.islice(blocks, stop, None):
+            if type(block) is not np.ndarray or block.shape != first.shape:
+                break
+            stop += 1
+    return stop
 
 
 def _decode(payload: bytes) -> StoredBlock:
@@ -368,20 +406,65 @@ class FileBackend(StorageBackend):
     # ------------------------------------------------------------------
     def put_run(self, block_ids: Sequence[BlockId],
                 blocks: Sequence[StoredBlock]) -> None:
-        """Append the run's records in one write.  The compaction test
-        still follows every record (in memory), so a run compacts the log
-        exactly where its one-block puts would have."""
+        """Append the run's records in one write, each stretch of
+        same-shape matrices encoded in one numpy pass.  The compaction
+        test still follows every record (in memory), so a run compacts
+        the log exactly where its one-block puts would have."""
         with self._lock:
             self._check_open()
-            for block_id, block in zip(block_ids, blocks):
-                payload = _encode(block)
+            start = 0
+            while start < len(blocks):
+                stop = _stretch_end(blocks, start)
+                self._append_records(block_ids[start:stop],
+                                     _records(block_ids[start:stop],
+                                              blocks[start:stop]))
+                start = stop
+            self._write_appended()
+
+    def _append_records(self, block_ids: Sequence[BlockId],
+                        records: np.ndarray) -> None:
+        """Queue the records of :func:`_records` at the log's end and
+        keep the books of their one-block puts, the compaction test after
+        each: a stretch of fresh ids the test passes everywhere is booked
+        at once, anything else a record at a time."""
+        count, size = records.shape
+        length = size - _HEADER.size
+        if count > 1 and self._stays_uncompacted(block_ids, size):
+            first = self._end + _HEADER.size
+            self._index.update(zip(block_ids, zip(
+                range(first, first + count * size, size),
+                itertools.repeat(length))))
+            self._live_bytes += count * length
+            self._end += count * size
+            self._appended.append(records.reshape(-1))
+        else:
+            for block_id, record in zip(block_ids, records):
+                self._appended.append(record)
+                offset = self._end + _HEADER.size
+                self._end = offset + length
                 previous = self._index.get(block_id)
-                self._index[block_id] = self._append(block_id, payload)
-                self._live_bytes += len(payload)
+                self._index[block_id] = (offset, length)
+                self._live_bytes += length
                 if previous is not None:
                     self._live_bytes -= previous[1]
                 self._maybe_compact_locked()
-            self._write_appended()
+        self.bytes_written += count * size
+
+    def _stays_uncompacted(self, block_ids: Sequence[BlockId],
+                           size: int) -> bool:
+        """Whether records of ``size`` bytes under ``block_ids`` would
+        each add a block — no id is booked or repeats — and leave the
+        test of :meth:`_maybe_compact_locked` false after every one.
+
+        Each such record adds ``size`` bytes both to the log and to what
+        compacting it would leave, and the ratio is 0 or at least 1: the
+        test false after the first record stays false."""
+        if len(set(block_ids)) < len(block_ids) \
+                or not self._index.keys().isdisjoint(block_ids):
+            return False
+        ratio = self._auto_compact_ratio
+        return not ratio or \
+            self._end + size <= ratio * (self._live_file_bytes() + size)
 
     def _payload_bytes(self, block_id: BlockId) -> bytes:
         """Read one block's raw payload (the single physical fetch)."""

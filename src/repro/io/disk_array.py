@@ -36,11 +36,30 @@ class DiskArray:
         (:meth:`BlockStore.allocate_matrix`): block for block and charge
         for charge ``DiskArray(store, rows as tuples)``, no tuple built.
         """
+        return cls._packed(store, store.allocate_matrix(matrix), len(matrix))
+
+    @classmethod
+    def from_rows(cls, store: BlockStore, rows: np.ndarray,
+                  lengths: Sequence[int]) -> List["DiskArray"]:
+        """One array per consecutive stretch of ``rows``, ``lengths[i]``
+        rows each, all written in one :meth:`BlockStore.allocate_arrays`
+        call: array for array :meth:`from_matrix` of each stretch in
+        turn.  ``rows`` is a private read-only float64 matrix the caller
+        writes no more; the blocks are its row slices."""
+        return [cls._packed(store, block_ids, length)
+                for block_ids, length in zip(
+                    store.allocate_arrays(rows, lengths), lengths)]
+
+    @classmethod
+    def _packed(cls, store: BlockStore, block_ids: List[BlockId],
+                length: int) -> "DiskArray":
+        """The array over ``length`` records just written, packed ``B``
+        to a block, into ``block_ids``."""
         array = cls(store)
-        array._block_ids = store.allocate_matrix(matrix)
-        array._length = len(matrix)
-        if array._length:
-            array._last_block_fill = (array._length - 1) % store.block_size + 1
+        array._block_ids = block_ids
+        array._length = length
+        if length:
+            array._last_block_fill = (length - 1) % store.block_size + 1
         return array
 
     # ------------------------------------------------------------------

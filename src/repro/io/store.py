@@ -223,17 +223,53 @@ class BlockStore:
 
     def allocate_matrix(self, matrix: np.ndarray) -> List[BlockId]:
         """Write the rows of an ``(n, d)`` float array contiguously into
-        ⌈n/B⌉ fresh blocks: the columnar write path.
+        ⌈n/B⌉ fresh blocks: :meth:`allocate_arrays` of one private
+        read-only copy (:func:`~repro.io.block.copy_point_matrix`, which
+        raises :class:`ValueError` for anything but a 2-D float array
+        with a column), so the caller may keep writing to its own array.
 
         :meth:`allocate_many` of the row tuples — the same block ids,
         charges and write-through pool entries, in the same order, and
-        the same blocks read back — without a tuple per record: each
-        block is a ``B``-row slice of one private read-only copy
-        (:func:`~repro.io.block.copy_point_matrix`, which raises
-        :class:`ValueError` for anything but a 2-D float array with a
-        column), stored and pooled as it is.
+        the same blocks read back — without a tuple per record.
         """
-        return self.allocate_many(copy_point_matrix(matrix))
+        return self.allocate_arrays(copy_point_matrix(matrix),
+                                    [len(matrix)])[0]
+
+    def allocate_arrays(self, rows: np.ndarray,
+                        lengths: Sequence[int]) -> List[List[BlockId]]:
+        """Write consecutive stretches of ``rows``, ``lengths[i]`` rows
+        each, each into ⌈length/B⌉ fresh blocks, and return each
+        stretch's block ids: the columnar write, one call for many arrays.
+
+        ``rows`` is a private read-only C-contiguous float64 matrix (a
+        fresh gather or :func:`~repro.io.block.copy_point_matrix`): each
+        block is a row slice of it, stored and pooled as it is.  The ids,
+        charges, pool entries and write run are those of
+        :meth:`allocate_many` of each stretch's row tuples in turn.
+        """
+        if (rows.ndim != 2 or rows.dtype != POINT_DTYPE
+                or rows.flags.writeable or not rows.flags.c_contiguous):
+            raise ValueError("a columnar write takes a read-only C-ordered "
+                             "(n, d) float64 matrix, got shape %r of %s"
+                             % (rows.shape, rows.dtype))
+        # Each stretch's blocks start every B rows; a block ends where
+        # the next one starts, the last where the rows do.
+        starts: List[int] = []
+        bounds = [0]
+        stop = 0
+        for length in lengths:
+            starts += range(stop, stop + length, self._block_size)
+            stop += length
+            bounds.append(len(starts))
+        blocks = [rows[start:end]
+                  for start, end in zip(starts, starts[1:] + [stop])]
+        first = self._next_id
+        self._next_id += len(blocks)
+        block_ids = list(range(first, self._next_id))
+        self._write_blocks(block_ids, blocks)
+        self.stats.allocations += len(blocks)
+        return [block_ids[start:end]
+                for start, end in zip(bounds, bounds[1:])]
 
     def free(self, block_id: BlockId) -> None:
         """Release a block.  Freeing is bookkeeping only, not an I/O."""
@@ -294,18 +330,32 @@ class BlockStore:
         self._put(block_id, records)
 
     def _put(self, block_id: BlockId, block: Sequence[Any]) -> None:
-        """Write one block (one write I/O) into the run — handed to the
-        backend at once when no run is open — and pool its stored form."""
+        """Write one block (one write I/O) in its stored form."""
         if len(block) > self._block_size:
             raise ValueError("block %d overflow: %d records > capacity %d"
                              % (block_id, len(block), self._block_size))
-        block = stored_form(block)
-        self._run_ids.append(block_id)
-        self._run_blocks.append(block)
-        if not self._runs_open or len(self._run_ids) >= self._RUN_BLOCKS:
-            self._flushed()
-        self._cache.put(block_id, block)
-        self.stats.writes += 1
+        self._write_blocks([block_id], [stored_form(block)])
+
+    def _write_blocks(self, block_ids: List[BlockId],
+                      blocks: List[StoredBlock]) -> None:
+        """Write blocks in their stored forms, one write I/O each, into
+        the run — handed to the backend each time it fills, block by
+        block when no run is open — and pool them in order."""
+        limit = self._RUN_BLOCKS if self._runs_open else 1
+        start = 0
+        while start < len(blocks):
+            stop = start + limit - len(self._run_ids)
+            self._run_ids += block_ids[start:stop]
+            self._run_blocks += blocks[start:stop]
+            start = stop
+            if len(self._run_ids) >= limit:
+                self._flushed()
+        # Of distinct blocks put in order, the pool keeps the last
+        # ``capacity``: putting those alone leaves the same entries.
+        skip = max(0, len(blocks) - self._cache.capacity)
+        for pair in zip(block_ids[skip:], blocks[skip:]):
+            self._cache.put(*pair)
+        self.stats.writes += len(blocks)
 
     def read_many(self, block_ids: Iterable[BlockId]) -> List[Any]:
         """Read several blocks and concatenate their records in order."""

