@@ -425,46 +425,19 @@ class FileBackend(StorageBackend):
                         records: np.ndarray) -> None:
         """Queue the records of :func:`_records` at the log's end and
         keep the books of their one-block puts, the compaction test after
-        each: a stretch of fresh ids the test passes everywhere is booked
-        at once, anything else a record at a time."""
-        count, size = records.shape
-        length = size - _HEADER.size
-        if count > 1 and self._stays_uncompacted(block_ids, size):
-            first = self._end + _HEADER.size
-            self._index.update(zip(block_ids, zip(
-                range(first, first + count * size, size),
-                itertools.repeat(length))))
-            self._live_bytes += count * length
-            self._end += count * size
-            self._appended.append(records.reshape(-1))
-        else:
-            for block_id, record in zip(block_ids, records):
-                self._appended.append(record)
-                offset = self._end + _HEADER.size
-                self._end = offset + length
-                previous = self._index.get(block_id)
-                self._index[block_id] = (offset, length)
-                self._live_bytes += length
-                if previous is not None:
-                    self._live_bytes -= previous[1]
-                self._maybe_compact_locked()
-        self.bytes_written += count * size
-
-    def _stays_uncompacted(self, block_ids: Sequence[BlockId],
-                           size: int) -> bool:
-        """Whether records of ``size`` bytes under ``block_ids`` would
-        each add a block — no id is booked or repeats — and leave the
-        test of :meth:`_maybe_compact_locked` false after every one.
-
-        Each such record adds ``size`` bytes both to the log and to what
-        compacting it would leave, and the ratio is 0 or at least 1: the
-        test false after the first record stays false."""
-        if len(set(block_ids)) < len(block_ids) \
-                or not self._index.keys().isdisjoint(block_ids):
-            return False
-        ratio = self._auto_compact_ratio
-        return not ratio or \
-            self._end + size <= ratio * (self._live_file_bytes() + size)
+        each."""
+        length = records.shape[1] - _HEADER.size
+        for block_id, record in zip(block_ids, records):
+            self._appended.append(record)
+            offset = self._end + _HEADER.size
+            self._end = offset + length
+            self.bytes_written += len(record)
+            previous = self._index.get(block_id)
+            self._index[block_id] = (offset, length)
+            self._live_bytes += length
+            if previous is not None:
+                self._live_bytes -= previous[1]
+            self._maybe_compact_locked()
 
     def _payload_bytes(self, block_id: BlockId) -> bytes:
         """Read one block's raw payload (the single physical fetch)."""
@@ -510,8 +483,8 @@ class FileBackend(StorageBackend):
         with self._lock:
             self._check_open()
             if self._appended:
-                raise AssertionError("%d records appended but not written"
-                                     % (len(self._appended) // 2))
+                raise AssertionError("%d bytes appended but not written"
+                                     % sum(map(len, self._appended)))
             self._handle.seek(0, os.SEEK_END)
             size = self._handle.tell()
             index, live_bytes, end = _replay(self._handle, size)
