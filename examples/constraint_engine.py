@@ -11,12 +11,13 @@ serving wave adds dedup, a result cache and warm buffer pools.
 The scenario: two tenants share the engine —
 
 * ``servers``: a 3-D fact table (cpu_load, memory_load, latency_ms),
-  **range-sharded on cpu_load across 2 file-backed shards with 2 replicas
-  each** — queries fan out to the relevant shards only, concurrent
-  queries on one shard overlap across its replicas, and the blocks live
-  in real files;
-* ``stocks``: a 2-D table (volatility, expected_return) on the default
-  in-memory store.
+  **range-sharded on cpu_load across 2 shards with 2 replicas each** —
+  queries fan out to the relevant shards only, and concurrent queries on
+  one shard overlap across its replicas;
+* ``stocks``: a 2-D table (volatility, expected_return).
+
+The engine is **file-backed**: every store of both tenants keeps its
+blocks in a real file, one storage recipe for the whole engine.
 
 The engine serves a mixed trace of hot and fresh constraints against
 both, ingests **live mutations through the engine-level write path**
@@ -61,12 +62,11 @@ def main() -> None:
     ])
 
     print("Registering tenants and bulk-building their index suites ...")
-    engine = QueryEngine(block_size=block_size, seed=9)
-    # servers: 2 range shards on cpu_load x 2 replicas, every replica in
-    # its own real file (temp files; engine.close() removes them).
+    # Every store in its own real file (temp files; engine.close() removes
+    # them); servers: 2 range shards on cpu_load x 2 replicas.
+    engine = QueryEngine(block_size=block_size, seed=9, backend="file")
     for record in engine.register_sharded_dataset(
             "servers", servers, num_shards=2, replicas=2, sharding="range",
-            backend="file",
             kinds=["halfspace3d", "partition_tree", "full_scan", "dynamic"]):
         print("  %-22s %5d blocks  built in %.2fs"
               % ("%s/%s" % (record.dataset, record.kind),

@@ -12,13 +12,25 @@ The implementation walks the level vertices produced by
 :func:`repro.geometry.arrangement2d.compute_level`.  Lines enter the region
 below the level only at convex vertices (the level's ``entering_lines``),
 which is where the greedy algorithm adds them.
+
+"Below the level" is the walk's rank order, which breaks ties between
+lines through one point by slope, intercept and index: a cluster holds,
+everywhere on its interval, the ``k`` lines that rank below the level.
+In general position those are the lines strictly below it.  On degenerate
+input some of them lie *on* the level — copies of the level's line (a
+duplicated point) and lines through a vertex where three or more meet —
+and the cluster holds them too, so at every abscissa of its interval it
+has at least ``k`` lines on or below the level.  That is the relation
+Lemma 3.1's early exit needs when the query point lies on the level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
+
+import numpy as np
 
 from repro.geometry.arrangement2d import Level, lines_below_point_fast
 
@@ -57,14 +69,19 @@ def greedy_clustering(level: Level, width: int) -> List[Cluster]:
         raise ValueError("cluster width must be >= 1, got %r" % width)
     lines = level.lines
     slopes, intercepts = lines.slopes, lines.intercepts
+    copies_below = _copies_below(slopes, intercepts)
 
     clusters: List[Cluster] = []
 
-    def seed_cluster(x_from: float, seed_x: float, seed_y: float) -> Cluster:
-        """Start a cluster at ``x_from`` containing the lines below the seed point."""
+    def seed_cluster(x_from: float, seed_x: float, seed_y: float,
+                     on_level: Sequence[int]) -> Cluster:
+        """Start a cluster at ``x_from`` containing the lines below the
+        seed point, then the lines ``on_level`` through it that rank below
+        the level."""
         members = lines_below_point_fast(slopes, intercepts, seed_x, seed_y)
         cluster = Cluster(x_from=x_from)
-        cluster.lines = sorted(members)
+        cluster.lines = sorted(members) + [
+            line for line in on_level if line not in members]
         cluster._member_set = set(cluster.lines)  # type: ignore[attr-defined]
         return cluster
 
@@ -72,11 +89,16 @@ def greedy_clustering(level: Level, width: int) -> List[Cluster]:
     # of every vertex sees the same set of lines below the level.
     start_x = level.sample_point_before_first_vertex()
     start_y = lines[level.initial_line].y_at(start_x)
-    current = seed_cluster(-math.inf, start_x, start_y)
+    current = seed_cluster(-math.inf, start_x, start_y,
+                           copies_below.get(level.initial_line, ()))
 
     for vertex in level.vertices:
         member_set = current._member_set  # type: ignore[attr-defined]
-        for entering in vertex.entering_lines:
+        # The lines that rank below the level right of the vertex and did
+        # not left of it: the entering ones, and copies of the level's new
+        # line that rank below it (above the old line, at a concave vertex).
+        for entering in (vertex.entering_lines
+                         + copies_below.get(vertex.line_after, [])):
             if entering in member_set:
                 continue
             if current.size < width:
@@ -84,18 +106,36 @@ def greedy_clustering(level: Level, width: int) -> List[Cluster]:
                 member_set.add(entering)
                 continue
             # The cluster is full: close it at this vertex and start the
-            # next one, seeded with the lines below the boundary point, then
-            # retry the entering line (it always fits in a fresh cluster).
+            # next one with the lines below the level on the vertex's
+            # right edge (the entering line is one of them).
             current.x_to = vertex.x
             clusters.append(current)
-            current = seed_cluster(vertex.x, vertex.x, vertex.y)
+            current = seed_cluster(vertex.x, vertex.x, vertex.y,
+                                   level.lines_ranked_below(vertex))
             member_set = current._member_set  # type: ignore[attr-defined]
-            if entering not in member_set:
-                current.lines.append(entering)
-                member_set.add(entering)
     current.x_to = math.inf
     clusters.append(current)
     return clusters
+
+
+def _copies_below(slopes: np.ndarray,
+                  intercepts: np.ndarray) -> Dict[int, List[int]]:
+    """For each line with identical copies (a duplicated point), the
+    copies of lower index: the ones that rank below it in the walk's
+    order.  Empty in general position."""
+    ascending = np.sort(slopes)
+    if not np.any(ascending[1:] == ascending[:-1]):
+        return {}      # no two parallel lines: the cheap common case
+    # Stable: a run of identical lines comes out in index order.
+    order = np.lexsort((intercepts, slopes))
+    same = ((slopes[order[1:]] == slopes[order[:-1]])
+            & (intercepts[order[1:]] == intercepts[order[:-1]]))
+    copies: Dict[int, List[int]] = {}
+    for position in np.nonzero(same)[0].tolist():
+        below = order[position]
+        copies[int(order[position + 1])] = copies.get(int(below), []) \
+            + [int(below)]
+    return copies
 
 
 def clustering_union(clusters: Sequence[Cluster]) -> List[int]:

@@ -265,17 +265,15 @@ class HalfplaneIndex2D(ExternalIndex):
         cluster; a cluster holds at most ``cluster_width_factor · λ_i``
         lines, except in the trivial last layer; ``num_lines`` is the sum
         of the cluster sizes.  The layers' point numbers partition
-        ``0..N−1``.  Blocks are read from the backend directly, so no I/O
-        is charged and the buffer pool is untouched.
+        ``0..N−1``.  Lemma 3.1's relation, which the query's early exit
+        rests on (:meth:`_check_lemma_3_1`), holds in every layer.  Blocks
+        are read from the backend directly, so no I/O is charged and the
+        buffer pool is untouched.
         """
         backend = self._store.backend
-        numbers = []
+        members = []
         for depth, layer in enumerate(self._layers):
-            def check(holds: bool, message: str, *values) -> None:
-                if not holds:
-                    raise AssertionError("layer %d: " % depth
-                                         + message % values)
-
+            check = _layer_check(depth)
             check(self._beta <= layer.lam <= 2 * self._beta,
                   "λ = %d outside [β, 2β] for β = %d", layer.lam, self._beta)
             bounds = layer.bounds
@@ -301,13 +299,70 @@ class HalfplaneIndex2D(ExternalIndex):
             check(layer.num_lines == sum(sizes),
                   "num_lines %d, clusters hold %d", layer.num_lines,
                   sum(sizes))
-            # A line may lie in several clusters of its layer, but in no
-            # other layer.
-            numbers.append(np.unique(np.concatenate(in_layer)))
+            members.append(in_layer)
+        # A line may lie in several clusters of its layer, but in no
+        # other layer.
+        numbers = [np.unique(np.concatenate(in_layer)) for in_layer in members]
         stored = np.sort(np.concatenate(numbers)) if numbers else []
         if not np.array_equal(stored, np.arange(self._num_points)):
             raise AssertionError("the layers' point numbers do not "
                                  "partition 0..%d" % (self._num_points - 1))
+        for depth, layer in enumerate(self._layers):
+            self._check_lemma_3_1(
+                layer, members[depth],
+                np.sort(np.concatenate(numbers[depth:])).astype(int),
+                _layer_check(depth))
+
+    def _check_lemma_3_1(self, layer: _Layer, members: List[np.ndarray],
+                         remaining: np.ndarray, check) -> None:
+        """Lemma 3.1's relation in one layer: the layer's λ-level is
+        walked again over the lines no earlier layer took (the point
+        numbers ``remaining``, ascending), and at each vertex, each edge's
+        midpoint and left of the first vertex the cluster relevant there —
+        ``members[c]`` are cluster ``c``'s point numbers — holds every line
+        strictly below the level and at least λ lines on or below it.  So
+        when fewer than λ of its lines lie on or below a query point, the
+        point is below the level, and the cluster holds every line on or
+        below it.  A layer of at most λ lines has no level: nothing to
+        check."""
+        if len(remaining) <= layer.lam:
+            return
+        slopes = -self._points[remaining, 0]
+        intercepts = self._points[remaining, 1]
+        level = compute_level(LineArrays(slopes, intercepts), layer.lam)
+        first = level.sample_point_before_first_vertex()
+        xs = [first]
+        ys = [slopes[level.initial_line] * first
+              + intercepts[level.initial_line]]
+        for position, vertex in enumerate(level.vertices):
+            following = (level.vertices[position + 1].x
+                         if position + 1 < len(level.vertices)
+                         else vertex.x + 2.0)
+            middle = 0.5 * (vertex.x + following)
+            after = vertex.line_after
+            xs += [vertex.x, middle]
+            ys += [vertex.y, slopes[after] * middle + intercepts[after]]
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        tolerance = 1e-9 * np.maximum(1.0, np.maximum(np.abs(xs),
+                                                      np.abs(ys)))
+        relevant = np.searchsorted(layer.bounds, xs, side="right") - 1
+        holds = np.array([np.isin(remaining, numbers) for numbers in members])
+        for start in range(0, len(xs), 256):
+            rows = slice(start, start + 256)
+            heights = xs[rows, None] * slopes + intercepts
+            held = holds[relevant[rows]]
+            missing = (heights < (ys[rows] - tolerance[rows])[:, None]) & ~held
+            on_or_below = np.count_nonzero(
+                held & (heights <= (ys[rows] + tolerance[rows])[:, None]),
+                axis=1)
+            bad = np.nonzero(missing.any(axis=1)
+                             | (on_or_below < layer.lam))[0]
+            if len(bad):
+                row = start + int(bad[0])
+                check(False, "Lemma 3.1 fails at x = %r: cluster %d lacks a "
+                      "line below the level or holds fewer than λ = %d on "
+                      "or below it", float(xs[row]), int(relevant[row]),
+                      layer.lam)
 
     def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report every stored point satisfying the linear constraint."""
@@ -386,6 +441,14 @@ class HalfplaneIndex2D(ExternalIndex):
         if above_set is not None:
             above_set.update(matrix[:, 0].compress(~is_below).tolist())
         return below, len(matrix) - below
+
+
+def _layer_check(depth: int):
+    """An assertion that names layer ``depth`` in its message."""
+    def check(holds: bool, message: str, *values) -> None:
+        if not holds:
+            raise AssertionError("layer %d: " % depth + message % values)
+    return check
 
 
 class _Reported:

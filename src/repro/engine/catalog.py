@@ -13,11 +13,12 @@ each shard a list of replica :class:`Dataset` children (one store, one
 index suite each).  ``register_dataset`` registers the one-shard,
 one-replica instance, whose sole replica keeps the dataset's own name;
 the plain-name lookups (:meth:`Catalog.dataset`, :meth:`Catalog.entry`,
-:meth:`Catalog.indexes`, ...) are views of that replica.  Each store's *backend* — in-memory dict
-or a real file — is chosen per catalog or per dataset; see
-:mod:`repro.io.backend`.  A dataset's replica settings are resolved once,
-at registration, into a :class:`ReplicaRecipe`, and every replica —
-registered, re-split or rebuilt in a worker process — comes out of
+:meth:`Catalog.indexes`, ...) are views of that replica.  Every store
+follows the catalog's one recipe: its block size, buffer-pool size and
+*backend* — an in-memory dict or a real file, see
+:mod:`repro.io.backend`.  A dataset's :class:`ReplicaRecipe` is that
+recipe with the dataset's replica count, and every replica — registered,
+re-split or rebuilt in a worker process — comes out of
 :func:`build_replicas`.  Every shard is built with its dataset, a shard
 the router gave no points included: a zero-point shard is an ordinary
 index suite over ``(0, d)`` that the first insert routed to it fills.
@@ -71,7 +72,7 @@ from repro.engine.sharding import (
 from repro.engine.stats import Reservoir, SelectivityModel
 from repro.engine.tracing import NULL_TRACE, Tracer, activate
 from repro.geometry.primitives import LinearConstraint
-from repro.io.backend import make_backend
+from repro.io.backend import BACKEND_NAMES, make_backend
 from repro.io.store import BlockStore, IOStats
 
 
@@ -230,8 +231,8 @@ class Dataset:
 class ReplicaRecipe:
     """Everything but its points and index suite that determines a replica.
 
-    Resolved once per dataset, at registration, from the ``register_*``
-    overrides and the catalog-wide defaults, and kept on the
+    The catalog's recipe with the dataset's ``replicas``, fixed at
+    registration and kept on the
     :class:`~repro.engine.sharding.ShardedDataset`: a re-split and a
     shard-worker process rebuild from this record, so "the same replica"
     has one definition.
@@ -384,8 +385,7 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
     with sharing_partitions():
         for name in names:
             path = None
-            if recipe.backend in ("file", "mmap") \
-                    and recipe.data_dir is not None:
+            if recipe.backend == "file" and recipe.data_dir is not None:
                 path = os.path.join(recipe.data_dir,
                                     Catalog._block_file_name(name))
             replica = Dataset(
@@ -418,31 +418,31 @@ class Catalog:
     Parameters
     ----------
     block_size:
-        Default block size B for datasets registered without one.
+        Block size B of every store.
     cache_blocks:
-        Default buffer-pool size for each dataset's shared store.
+        Buffer-pool size M of every store.
     sample_size:
-        Number of points kept in memory per dataset for selectivity
-        estimation (the whole dataset if smaller).
+        Number of points kept in memory per shard for selectivity
+        estimation (the whole shard if smaller).
     seed:
         Seed for sampling and for the randomised index builds.
     backend:
-        Default storage backend for every dataset's store(s): ``"memory"``
-        (default), ``"file"``, ``"mmap"``, or a factory (see
-        :func:`repro.io.backend.make_backend`).
+        Storage backend of every store: ``"memory"`` (default) or
+        ``"file"`` (see :mod:`repro.io.backend`).
     data_dir:
-        Directory for file-backed (``"file"``/``"mmap"``) stores
-        registered without an explicit path (one ``<dataset>.blocks`` file
+        Directory for file-backed stores (one ``<replica>.blocks`` file
         each); a temporary file per store when omitted.
     """
 
     def __init__(self, block_size: int = 64, cache_blocks: int = 4,
                  sample_size: int = 512, seed: Optional[int] = None,
-                 backend: object = "memory",
-                 data_dir: Optional[str] = None):
-        #: Catalog-wide replica settings; each registration resolves its
-        #: overrides against these once (:meth:`_recipe`).
-        self._defaults = ReplicaRecipe(
+                 backend: str = "memory", data_dir: Optional[str] = None):
+        if backend not in BACKEND_NAMES:
+            raise ValueError("backend must be one of %s, got %r"
+                             % (", ".join(BACKEND_NAMES), backend))
+        #: The one replica recipe; a dataset's is this with its own
+        #: ``replicas``.
+        self._recipe = ReplicaRecipe(
             block_size=block_size, cache_blocks=cache_blocks,
             backend=backend, data_dir=data_dir, sample_size=sample_size,
             seed=seed, replicas=1)
@@ -509,22 +509,8 @@ class Catalog:
             for ch in name)
         return "%s.blocks" % safe
 
-    def _recipe(self, block_size: Optional[int],
-                cache_blocks: Optional[int], backend: object,
-                replicas: int) -> ReplicaRecipe:
-        """Resolve one registration's overrides against the defaults."""
-        defaults = self._defaults
-        return replace(
-            defaults, block_size=block_size or defaults.block_size,
-            cache_blocks=(defaults.cache_blocks if cache_blocks is None
-                          else cache_blocks),
-            backend=defaults.backend if backend is None else backend,
-            replicas=replicas)
-
-    def register_dataset(self, name: str, points: Sequence[Sequence[float]],
-                         block_size: Optional[int] = None,
-                         cache_blocks: Optional[int] = None,
-                         backend: object = None) -> Dataset:
+    def register_dataset(self, name: str,
+                         points: Sequence[Sequence[float]]) -> Dataset:
         """Register a point set under ``name`` with its own shared store.
 
         The one-shard, one-replica case of
@@ -535,11 +521,10 @@ class Catalog:
         """
         self._check_name_free(name)
         array = self._as_points(points)
-        recipe = self._recipe(block_size, cache_blocks, backend, 1)
-        [replica] = build_replicas([name], array, recipe, [])
+        [replica] = build_replicas([name], array, self._recipe, [])
         self._datasets[name] = ShardedDataset(
             name=name, points=array, router=HashShardRouter(1),
-            recipe=recipe, shards=[_boxed_shard(0, [replica])])
+            recipe=self._recipe, shards=[_boxed_shard(0, [replica])])
         return replica
 
     @staticmethod
@@ -571,17 +556,14 @@ class Catalog:
                                  num_shards: int,
                                  sharding: str = "range",
                                  shard_attribute: int = 0,
-                                 replicas: int = 1,
-                                 block_size: Optional[int] = None,
-                                 cache_blocks: Optional[int] = None,
-                                 backend: object = None) -> ShardedDataset:
+                                 replicas: int = 1) -> ShardedDataset:
         """Partition ``points`` across ``num_shards`` per-shard stores.
 
         ``sharding`` picks the router (``"range"`` on ``shard_attribute``,
         or ``"hash"``); each shard — one the router gave no points too —
         gets ``replicas`` child datasets — the primary named
         ``<name>#<shard>``, further replicas ``<name>#<shard>@r<replica>``
-        — each with its own store (and backend), sharing the shard's
+        — each with its own store, sharing the shard's
         selectivity model, and records the bounding box of its points
         for pruning.  Replicas
         hold identical copies of the shard's points, so the executor can
@@ -597,7 +579,7 @@ class Catalog:
         array = self._as_points(points)
         router = make_router(sharding, array, num_shards,
                              attribute=shard_attribute)
-        recipe = self._recipe(block_size, cache_blocks, backend, replicas)
+        recipe = replace(self._recipe, replicas=replicas)
         sharded = ShardedDataset(
             name=name, points=array, router=router, recipe=recipe,
             shards=self._make_shards(name, array, router, recipe, 0))
@@ -614,7 +596,7 @@ class Catalog:
         (caller-managed backends) are left alone.
         """
         path = getattr(store.backend, "path", None)
-        data_dir = self._defaults.data_dir
+        data_dir = self._recipe.data_dir
         if not path or data_dir is None:
             return
         directory = os.path.dirname(os.path.abspath(path))

@@ -26,6 +26,10 @@ from typing import Dict, List, Optional, Tuple
 from repro.engine.cluster import protocol
 
 
+#: Idle connections a client keeps open for reuse.
+MAX_IDLE = 4
+
+
 class WorkerUnavailable(RuntimeError):
     """The worker's socket is gone — fail over, then restart the worker."""
 
@@ -37,11 +41,9 @@ class WorkerError(RuntimeError):
 class WorkerClient:
     """A pooled length-prefixed-JSON RPC client for one worker address."""
 
-    def __init__(self, address: Tuple[str, int], timeout_s: float = 30.0,
-                 max_idle: int = 4):
+    def __init__(self, address: Tuple[str, int], timeout_s: float = 30.0):
         self.address = address
         self.timeout_s = timeout_s
-        self._max_idle = max_idle
         self._idle: List[socket.socket] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -68,7 +70,7 @@ class WorkerClient:
 
     def _checkin(self, sock: socket.socket) -> None:
         with self._lock:
-            if not self._closed and len(self._idle) < self._max_idle:
+            if not self._closed and len(self._idle) < MAX_IDLE:
                 self._idle.append(sock)
                 return
         sock.close()

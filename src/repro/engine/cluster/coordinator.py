@@ -52,6 +52,11 @@ from repro.engine.sharding import Shard
 from repro.io.store import IOStats
 
 
+#: How long a forked worker has to report its port before its spawn
+#: counts as failed.
+SPAWN_TIMEOUT_S = 60.0
+
+
 def _fork_context():
     """Fork when the platform has it (cheap, inherits built state for
     nothing — the worker rebuilds anyway); default context elsewhere."""
@@ -114,29 +119,13 @@ class Coordinator:
     heartbeat_interval_s:
         Monitor-thread ping period; 0 disables the background monitor
         (tests then drive :meth:`check_workers` deterministically).
-    spawn_timeout_s:
-        How long to wait for a forked worker's port handshake before
-        declaring the spawn failed.
-    auto_restart:
-        Whether the monitor restarts dead workers itself (failover to
-        surviving replicas happens either way).
-    conformal:
-        The parent engine's conformal-calibrator configuration
-        (:meth:`~repro.engine.stats.ConformalCalibrator.config`),
-        forwarded to every worker so worker processes replicate
-        the parent's estimation stack exactly.
     """
 
-    def __init__(self, catalog: Catalog, heartbeat_interval_s: float = 1.0,
-                 spawn_timeout_s: float = 60.0, auto_restart: bool = True,
-                 conformal: Optional[Dict[str, object]] = None):
+    def __init__(self, catalog: Catalog, heartbeat_interval_s: float = 1.0):
         self._catalog = catalog
-        self._conformal = dict(conformal or {})
         self.log = WriteLog()
         self._mp = _fork_context()
-        self._spawn_timeout_s = spawn_timeout_s
         self._heartbeat_interval_s = heartbeat_interval_s
-        self._auto_restart = auto_restart
         # Guards the tables below; also serializes write broadcast and
         # restart catch-up, so a restarted worker can never observe
         # sequence numbers out of order (its idempotence check would
@@ -204,16 +193,16 @@ class Coordinator:
         process = self._mp.Process(
             target=worker.worker_main,
             args=(child_end, replica.name, replica.points, recipe,
-                  suite_builds, log_entries, self._conformal),
+                  suite_builds, log_entries),
             name="repro-worker-%s" % replica.name, daemon=True)
         process.start()
         child_end.close()
-        if not parent_end.poll(self._spawn_timeout_s):
+        if not parent_end.poll(SPAWN_TIMEOUT_S):
             process.terminate()
             parent_end.close()
             raise RuntimeError(
                 "worker for replica %r did not report a port within %.1fs"
-                % (replica.name, self._spawn_timeout_s))
+                % (replica.name, SPAWN_TIMEOUT_S))
         hello = parent_end.recv()
         parent_end.close()
         client = WorkerClient(("127.0.0.1", int(hello["port"])))
@@ -423,16 +412,14 @@ class Coordinator:
             handle.alive = False
         handle.client.close()
 
-    def check_workers(self, restart: Optional[bool] = None) -> List[Tuple]:
-        """Ping every worker; mark the unreachable dead; optionally respawn.
+    def check_workers(self) -> List[Tuple]:
+        """Ping every worker; mark the unreachable dead and respawn them.
 
         Returns the keys of workers found (or already marked) dead this
-        round, after any restarts.  ``restart`` defaults to the
-        coordinator's ``auto_restart`` setting; tests call this directly
-        for deterministic failover coverage.
+        round, after the restarts.  The monitor calls this every
+        heartbeat; tests call it directly for deterministic failover
+        coverage.
         """
-        if restart is None:
-            restart = self._auto_restart
         with self._lock:
             if self._stopped:
                 return []
@@ -448,12 +435,11 @@ class Coordinator:
             if handle.alive:
                 self.mark_dead(handle)
             dead.append(handle.key)
-        if restart:
-            for dataset_name, shard_id, replica_id in dead:
-                try:
-                    self.restart_worker(dataset_name, shard_id, replica_id)
-                except RuntimeError:
-                    pass  # still down; next round tries again
+        for dataset_name, shard_id, replica_id in dead:
+            try:
+                self.restart_worker(dataset_name, shard_id, replica_id)
+            except RuntimeError:
+                pass  # still down; next round tries again
         return dead
 
     def _ensure_monitor(self) -> None:

@@ -48,19 +48,15 @@ class ShardWorker:
     immutable on the child dataset; it may hold zero points) and
     ``recipe`` the dataset's
     :class:`~repro.engine.catalog.ReplicaRecipe` with the backend forced
-    to ``"memory"``; every mutation since build rides in ``log``.
-    ``conformal`` is the parent calibrator's
-    :meth:`~repro.engine.stats.ConformalCalibrator.config` snapshot,
-    carried so the worker's configuration is a faithful replica of the
-    parent's estimation stack.  The arguments travel through the fork,
-    not over the socket protocol.
+    to ``"memory"``; every mutation since build rides in ``log``.  The
+    arguments travel through the fork, not over the socket protocol.  A
+    worker answers queries and writes; the parent computes every
+    estimate and interval.
     """
 
     def __init__(self, name: str, points: np.ndarray, recipe: ReplicaRecipe,
                  suite_builds: Sequence[Dict[str, object]],
-                 log: Sequence[Tuple[int, str, Tuple[float, ...]]],
-                 conformal: Dict[str, object]):
-        self.conformal_config: Dict[str, object] = dict(conformal)
+                 log: Sequence[Tuple[int, str, Tuple[float, ...]]]):
         [self.dataset] = build_replicas([name], points, recipe, suite_builds)
         self._started_s = time.perf_counter()
         self._stop = threading.Event()
@@ -187,8 +183,7 @@ class ShardWorker:
                     "served": self._served,
                     "writes": self._writes_applied,
                     "last_seq": self._last_seq,
-                    "ios": protocol.iostats_to_wire(totals),
-                    "conformal": dict(self.conformal_config)}
+                    "ios": protocol.iostats_to_wire(totals)}
 
     # ------------------------------------------------------------------
     # serve loop

@@ -15,8 +15,10 @@ benchmarks drive::
     served = engine.serve_async(requests, budgets=...)   # multi-tenant async
     print(engine.stats.to_table())
 
-Storage is pluggable end to end: ``backend="file"`` (or ``"mmap"``) puts
-every dataset's blocks in real files (``data_dir``).  The planner holds no
+The engine has one storage recipe: its ``block_size`` (the paper's B),
+``cache_blocks`` (M) and ``backend`` hold for every store of every
+dataset, and ``backend="file"`` puts all of them in real files
+(``data_dir``).  The planner holds no
 learned state: each index prices the constraint it is given, so a
 restarted engine routes exactly as the one it replaces.
 Each shard's expected output comes from a uniform sample of its points
@@ -44,12 +46,7 @@ from repro.engine.catalog import BuildRecord, Catalog, Query
 from repro.engine.executor import BatchExecutor, ExecutedQuery
 from repro.engine.metrics import EngineStats
 from repro.engine.planner import Planner
-from repro.engine.stats import (
-    DEFAULT_COVERAGE,
-    DEFAULT_MIN_CALIBRATION,
-    DEFAULT_WINDOW,
-    ConformalCalibrator,
-)
+from repro.engine.stats import DEFAULT_COVERAGE, ConformalCalibrator
 from repro.engine.sharding import RebalanceManager, RebalanceReport
 from repro.engine.serving import (
     AdmissionController,
@@ -69,44 +66,39 @@ class QueryEngine:
     Parameters
     ----------
     block_size / cache_blocks:
-        Defaults for each dataset's shared simulated disk.
+        The paper's B and M: every store's block size and buffer-pool
+        size.  Every dataset's stores follow the engine's one recipe.
     sample_size:
         Rows of each shard's sample, kept for selectivity estimation.
-    result_cache_entries / warm_cache_blocks:
-        Executor knobs: answer-LRU capacity and the buffer-pool size used
-        while serving a wave.
     seed:
         Seed for sampling and randomised index builds.
     backend / data_dir:
-        Default storage backend for every store (``"memory"``, ``"file"``
-        or ``"mmap"``) and, for the file-based backends, the directory
-        the block files live in (temp files when omitted).
-    fanout_workers:
-        Thread-pool size for per-shard query fan-out (0 = sequential).
-    conformal_coverage / conformal_window / conformal_min_calibration:
-        Conformal calibration of estimation error: the executor's
-        observed (estimate, actual) pairs feed a bounded per-dataset
-        calibration window, and plans / degraded answers carry
-        distribution-free intervals at the nominal
-        ``conformal_coverage`` once ``conformal_min_calibration`` pairs
-        are in (see :class:`repro.engine.stats.ConformalCalibrator`).
-    auto_rebalance / rebalance_threshold / rebalance_min_mutations:
-        When ``auto_rebalance`` is set, every serving entry point first
-        checks the touched range-sharded datasets for skew (largest
-        shard's live size at ``rebalance_threshold`` times the fair
-        share, after at least ``rebalance_min_mutations`` mutations) and
-        re-splits them before serving.
-        :meth:`rebalance` triggers the same re-split manually.
-    tracing / trace_capacity:
+        Storage backend for every store (``"memory"`` or ``"file"``)
+        and, for ``"file"``, the directory the block files live in (temp
+        files when omitted).
+    conformal_coverage:
+        Nominal coverage of the conformal intervals on estimation error:
+        the executor's observed (estimate, actual) pairs feed a bounded
+        per-dataset calibration window, and plans / degraded answers
+        carry distribution-free intervals at this level once enough
+        pairs are in (see :class:`repro.engine.stats.ConformalCalibrator`).
+    auto_rebalance:
+        Every serving entry point first checks the touched range-sharded
+        datasets for skew (largest shard's live size at
+        :data:`~repro.engine.sharding.REBALANCE_THRESHOLD` times the fair
+        share, after at least
+        :data:`~repro.engine.sharding.REBALANCE_MIN_MUTATIONS` mutations)
+        and re-splits them before serving.  :meth:`rebalance` triggers
+        the same re-split manually.
+    tracing:
         Request tracing: every served request builds a span tree across
         planner, admission, executor fan-out and block I/O (fetch it by
         id via :attr:`tracer`, or ``GET /trace/<id>`` over HTTP).
         ``tracing=False`` swaps in no-op singletons — instrumented code
-        paths then allocate nothing.  ``trace_capacity`` bounds the
-        finished-trace registry (oldest evicted).
-    slow_query_threshold_s / slow_query_capacity:
-        Finished traces slower than the threshold (or degraded) also land
-        in a bounded slow-query ring (``GET /debug/slow``).
+        paths then allocate nothing.  Finished traces slower than
+        :data:`~repro.engine.obs.slowlog.SLOW_QUERY_THRESHOLD_S` (or
+        degraded) also land in a bounded slow-query ring
+        (``GET /debug/slow``).
     workers:
         Shard-query transport: ``"inprocess"`` (default) fans out on the
         executor's thread pool inside this process; ``"process"`` spawns
@@ -120,48 +112,26 @@ class QueryEngine:
     """
 
     def __init__(self, block_size: int = 64, cache_blocks: int = 4,
-                 sample_size: int = 512, result_cache_entries: int = 256,
-                 warm_cache_blocks: int = 64,
-                 seed: Optional[int] = None,
-                 backend: object = "memory",
-                 data_dir: Optional[str] = None,
-                 fanout_workers: int = 8,
-                 auto_rebalance: bool = False,
-                 rebalance_threshold: float = 2.0,
-                 rebalance_min_mutations: int = 64,
-                 tracing: bool = True,
-                 trace_capacity: int = 256,
-                 slow_query_threshold_s: float = 0.25,
-                 slow_query_capacity: int = 64,
+                 sample_size: int = 512, seed: Optional[int] = None,
+                 backend: str = "memory", data_dir: Optional[str] = None,
+                 auto_rebalance: bool = False, tracing: bool = True,
                  workers: Optional[str] = None,
-                 conformal_coverage: float = DEFAULT_COVERAGE,
-                 conformal_window: int = DEFAULT_WINDOW,
-                 conformal_min_calibration: int = DEFAULT_MIN_CALIBRATION):
+                 conformal_coverage: float = DEFAULT_COVERAGE):
         self.catalog = Catalog(block_size=block_size,
                                cache_blocks=cache_blocks,
                                sample_size=sample_size, seed=seed,
                                backend=backend, data_dir=data_dir)
         self.stats = EngineStats(
-            conformal=ConformalCalibrator(
-                coverage=conformal_coverage, window=conformal_window,
-                min_calibration=conformal_min_calibration),
+            conformal=ConformalCalibrator(coverage=conformal_coverage),
             model_provider=self._live_models,
             build_provider=self._build_records)
         self.planner = Planner(self.catalog, conformal=self.stats.conformal)
-        self.tracer = Tracer(enabled=tracing, max_traces=trace_capacity,
-                             slow_threshold_s=slow_query_threshold_s,
-                             slow_capacity=slow_query_capacity)
+        self.tracer = Tracer(enabled=tracing)
         self.catalog.tracer = self.tracer
-        self.executor = BatchExecutor(
-            self.catalog, self.planner, stats=self.stats,
-            result_cache_entries=result_cache_entries,
-            warm_cache_blocks=warm_cache_blocks,
-            fanout_workers=fanout_workers, tracer=self.tracer)
+        self.executor = BatchExecutor(self.catalog, self.planner,
+                                      stats=self.stats, tracer=self.tracer)
         self._auto_rebalance = auto_rebalance
-        self.rebalancer = RebalanceManager(
-            self.catalog, stats=self.stats,
-            threshold=rebalance_threshold,
-            min_mutations=rebalance_min_mutations)
+        self.rebalancer = RebalanceManager(self.catalog, self.stats)
         # A re-split rebuilds per-shard stores and indexes: flush the old
         # layout's cached answers.
         self.rebalancer.add_listener(
@@ -177,8 +147,7 @@ class QueryEngine:
         if mode == "process":
             # Deferred import: the cluster package imports engine pieces.
             from repro.engine.cluster import Coordinator
-            self.cluster = Coordinator(
-                self.catalog, conformal=self.stats.conformal.config())
+            self.cluster = Coordinator(self.catalog)
             self.executor.core.attach_cluster(self.cluster)
             # A re-split rebuilds the fleet on the new layout.
             self.rebalancer.add_listener(
@@ -190,9 +159,8 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def register_dataset(self, name: str,
                          points: Sequence[Sequence[float]],
-                         kinds: Optional[Sequence[str]] = None,
-                         block_size: Optional[int] = None,
-                         **catalog_kwargs) -> List[BuildRecord]:
+                         kinds: Optional[Sequence[str]] = None
+                         ) -> List[BuildRecord]:
         """Register a dataset and bulk-build its index suite.
 
         ``kinds`` picks the index families (default: the dimension's
@@ -201,9 +169,7 @@ class QueryEngine:
         tracing on, the registration is one ``catalog.register`` trace.
         """
         with self.catalog.registering(name, "register"):
-            self.catalog.register_dataset(name, points,
-                                          block_size=block_size,
-                                          **catalog_kwargs)
+            self.catalog.register_dataset(name, points)
             return self.catalog.build_suite(name, kinds=kinds)
 
     def register_sharded_dataset(self, name: str,
@@ -212,9 +178,8 @@ class QueryEngine:
                                  sharding: str = "range",
                                  shard_attribute: int = 0,
                                  replicas: int = 1,
-                                 kinds: Optional[Sequence[str]] = None,
-                                 block_size: Optional[int] = None,
-                                 **catalog_kwargs) -> List[BuildRecord]:
+                                 kinds: Optional[Sequence[str]] = None
+                                 ) -> List[BuildRecord]:
         """Register a dataset partitioned across ``num_shards`` stores.
 
         ``sharding`` picks hash or range partitioning (range splits on
@@ -230,8 +195,7 @@ class QueryEngine:
         with self.catalog.registering(name, "register"):
             self.catalog.register_sharded_dataset(
                 name, points, num_shards=num_shards, sharding=sharding,
-                shard_attribute=shard_attribute, replicas=replicas,
-                block_size=block_size, **catalog_kwargs)
+                shard_attribute=shard_attribute, replicas=replicas)
             records = self.catalog.build_suite(name, kinds=kinds)
             if self.cluster is not None:
                 self.cluster.start_dataset(name)
@@ -346,10 +310,9 @@ class QueryEngine:
         """Serve a batch against one dataset: :meth:`serve_workload` of
         its ``(dataset, constraint)`` pairs.
 
-        A repeat inside the batch charges nothing because the result
-        cache is on: its first occurrence has been answered and cached
-        by the time the repeat is admitted.  With
-        ``result_cache_entries=0`` a serial wave re-executes a repeat.
+        A repeat inside the batch charges nothing: its first occurrence
+        has been answered and put in the result cache by the time the
+        repeat is admitted.
         """
         return self.serve_workload([(dataset, constraint)
                                     for constraint in constraints])
@@ -382,9 +345,7 @@ class QueryEngine:
     def serve_async(self, requests: Sequence[ServingRequest],
                     budgets: Optional[Dict[str, TenantBudget]] = None,
                     max_concurrency: int = 8,
-                    warm_cache: bool = True,
-                    admission: Optional[AdmissionController] = None
-                    ) -> ServeResult:
+                    warm_cache: bool = True) -> ServeResult:
         """Serve a multi-tenant request stream through the async executor.
 
         Each :class:`~repro.engine.serving.ServingRequest` carries a
@@ -401,13 +362,12 @@ class QueryEngine:
         ``engine.executor.core`` and ``await`` its ``serve`` directly.
 
         ``budgets`` builds a fresh admission controller per call — token
-        balances reset between waves.  For a long-lived deployment pass
-        a caller-held ``admission``
-        :class:`~repro.engine.serving.AdmissionController` instead: its
-        buckets persist across calls, so a tenant that exhausted its
-        budget in one wave stays throttled in the next, and mid-wave
-        overdrafts carry over (the two parameters are mutually
-        exclusive).
+        balances reset between waves.  Budgets that persist across waves
+        belong to a long-lived executor: :meth:`serving_executor` (or an
+        :class:`~repro.engine.serving.AsyncExecutor`) bound to a
+        caller-held :class:`~repro.engine.serving.AdmissionController`,
+        whose buckets carry a tenant's exhausted budget and mid-wave
+        overdrafts into its next wave.
 
         Examples
         --------
@@ -430,17 +390,10 @@ class QueryEngine:
             print(result.turnaround_percentile("dashboard", 0.95))
             print(engine.summary()["admission"])         # decision counts
         """
-        if admission is not None and budgets:
-            raise ValueError("pass either budgets (per-call buckets) or "
-                             "admission (a caller-held controller whose "
-                             "balances persist across calls), not both")
         self._maybe_rebalance(*(request.dataset for request in requests))
-        executor = AsyncExecutor(
-            self.executor.core,
-            admission=(admission if admission is not None
-                       else AdmissionController(budgets)),
-            max_concurrency=max_concurrency,
-            warm_cache_blocks=self.executor.warm_cache_blocks)
+        executor = AsyncExecutor(self.executor.core,
+                                 admission=AdmissionController(budgets),
+                                 max_concurrency=max_concurrency)
         return asyncio.run(executor.serve(requests, warm_cache=warm_cache))
 
     def serving_executor(self,
@@ -454,8 +407,7 @@ class QueryEngine:
         cache and metrics as every other path.  ``admission``
         binds a caller-held long-lived
         :class:`~repro.engine.serving.AdmissionController` — budgets then
-        persist for the executor's whole lifetime, the
-        ``serve_async(admission=...)`` seam writ large.  While the
+        persist for the executor's whole lifetime.  While the
         scheduler is *running*, a call with a different controller
         raises — silently swapping budget state out from under a live
         server would be worse than an error; a stopped executor rebinds
@@ -466,8 +418,7 @@ class QueryEngine:
                 self.executor.core,
                 admission=(admission if admission is not None
                            else AdmissionController()),
-                max_concurrency=max_concurrency,
-                warm_cache_blocks=self.executor.warm_cache_blocks)
+                max_concurrency=max_concurrency)
         elif admission is not None \
                 and admission is not self._serving_executor.admission:
             self._serving_executor.rebind_admission(admission)

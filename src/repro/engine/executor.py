@@ -54,6 +54,16 @@ from repro.io.store import BlockStore, IOStats
 
 ConstraintKey = Tuple
 
+#: Answers the result cache holds (least recently used evicted).
+RESULT_CACHE_ENTRIES = 256
+
+#: Threads in the shared pool a query's per-shard items fan out on.
+FANOUT_WORKERS = 8
+
+#: Buffer-pool size a serving wave warms its datasets' stores to; the
+#: original (small) pools are restored when the wave finishes.
+WARM_CACHE_BLOCKS = 64
+
 
 def constraint_key(constraint: LinearConstraint) -> ConstraintKey:
     """Hashable identity of a constraint (dedup and result-cache key)."""
@@ -166,16 +176,12 @@ class ExecutionCore:
         The engine's catalog and planner.
     stats:
         The engine's :class:`EngineStats` sink (exposed as :attr:`stats`).
-    result_cache_entries:
-        Capacity of the answer LRU (0 disables result caching).
-    fanout_workers:
-        Size of the shared thread pool used for per-shard fan-out; 0 runs
-        shards sequentially on the calling thread.
+    tracer:
+        The engine's :class:`~repro.engine.tracing.Tracer`.
     """
 
     def __init__(self, catalog: Catalog, planner: Planner,
-                 stats: EngineStats, result_cache_entries: int,
-                 fanout_workers: int, tracer: Tracer):
+                 stats: EngineStats, tracer: Tracer):
         self.catalog = catalog
         self.planner = planner
         self.stats = stats
@@ -186,7 +192,7 @@ class ExecutionCore:
         # hit shares the stored array instead of copying it.
         self._results: LRUCache[Tuple[str, ConstraintKey],
                                 Tuple[str, np.ndarray]]
-        self._results = LRUCache(result_cache_entries)
+        self._results = LRUCache(RESULT_CACHE_ENTRIES)
         self._results_lock = threading.Lock()
         self.stats.result_cache_provider = self.result_cache_size
         # Per-dataset invalidation generation (guarded by _results_lock).
@@ -195,7 +201,6 @@ class ExecutionCore:
         # meanwhile, so a concurrent mutation can never be overwritten by
         # the stale answer that raced it.
         self._generations: Dict[str, int] = {}
-        self._fanout_workers = fanout_workers
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         # Deferred import: the serving package imports this module.
@@ -233,14 +238,12 @@ class ExecutionCore:
             return self.writes.delete(dataset_name, point)
         raise ValueError("unknown mutation op %r" % (op,))
 
-    def _shared_pool(self) -> Optional[ThreadPoolExecutor]:
+    def _shared_pool(self) -> ThreadPoolExecutor:
         """The lazily-created thread pool shard fan-out runs on."""
-        if self._fanout_workers <= 0:
-            return None
         with self._pool_lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self._fanout_workers,
+                    max_workers=FANOUT_WORKERS,
                     thread_name_prefix="repro-engine")
             return self._pool
 
@@ -358,9 +361,8 @@ class ExecutionCore:
             return self._run_item(dataset_name, constraint, item,
                                   clear_cache, fanout_span)
 
-        pool = self._shared_pool() if len(items) > 1 else None
-        if pool is not None:
-            outcomes = list(pool.map(run, items))
+        if len(items) > 1:
+            outcomes = list(self._shared_pool().map(run, items))
         else:
             outcomes = [run(item) for item in items]
 
@@ -599,25 +601,19 @@ class BatchExecutor:
 
     Parameters
     ----------
-    catalog / planner / stats / result_cache_entries / fanout_workers /
-    tracer:
+    catalog / planner / stats / tracer:
         The :class:`ExecutionCore`'s arguments.
-    warm_cache_blocks:
-        Buffer-pool size a serving wave warms its datasets' stores to;
-        the original (small) pools are restored when the wave finishes.
     """
 
+    #: Buffer-pool size a serving wave warms its datasets' stores to.
+    warm_cache_blocks = WARM_CACHE_BLOCKS
+
     def __init__(self, catalog: Catalog, planner: Planner,
-                 stats: EngineStats, result_cache_entries: int,
-                 warm_cache_blocks: int, fanout_workers: int,
-                 tracer: Tracer):
+                 stats: EngineStats, tracer: Tracer):
         #: The shared execution core (the async executor serves through
         #: the same one, so sync and async traffic cannot drift apart).
-        self.core = ExecutionCore(catalog, planner, stats,
-                                  result_cache_entries, fanout_workers,
-                                  tracer)
+        self.core = ExecutionCore(catalog, planner, stats, tracer)
         self.stats = stats
-        self.warm_cache_blocks = warm_cache_blocks
 
     def shutdown(self) -> None:
         """Stop the core's shared thread pool (idempotent)."""

@@ -23,13 +23,20 @@ import threading
 from collections import OrderedDict, deque
 from typing import Any, Dict, List, Optional
 
-__all__ = ["SlowQueryLog", "TraceRegistry"]
+__all__ = ["SLOW_QUERY_CAPACITY", "SLOW_QUERY_THRESHOLD_S", "SlowQueryLog",
+           "TraceRegistry"]
+
+#: A finished trace at least this slow (seconds) joins the slow log.
+SLOW_QUERY_THRESHOLD_S = 0.25
+
+#: Entries the slow log keeps (oldest evicted).
+SLOW_QUERY_CAPACITY = 64
 
 
 class TraceRegistry:
     """The newest ``capacity`` finished traces, fetchable by id."""
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive, got %r" % capacity)
         self.capacity = capacity
@@ -61,19 +68,15 @@ class TraceRegistry:
 
 
 class SlowQueryLog:
-    """A ring of slow or degraded finished traces, newest kept."""
+    """A ring of the newest :data:`SLOW_QUERY_CAPACITY` finished traces
+    that took :data:`SLOW_QUERY_THRESHOLD_S` or longer or were degraded."""
 
-    def __init__(self, threshold_s: float = 0.25,
-                 capacity: int = 64) -> None:
-        if threshold_s < 0:
-            raise ValueError("threshold_s must be >= 0, got %r"
-                             % threshold_s)
-        if capacity <= 0:
-            raise ValueError("capacity must be positive, got %r" % capacity)
-        self.threshold_s = threshold_s
-        self.capacity = capacity
+    threshold_s = SLOW_QUERY_THRESHOLD_S
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
+        self._entries: "deque[Dict[str, Any]]" = deque(
+            maxlen=SLOW_QUERY_CAPACITY)
 
     def offer(self, trace: Any, duration_s: float,
               degraded: bool = False) -> bool:

@@ -4,10 +4,10 @@ Each :class:`ApiKey` binds a secret to a *tenant* — the logical client
 the serving layer's admission control budgets.  The authenticator owns
 one long-lived :class:`~repro.engine.serving.AdmissionController` built
 from every key's :class:`~repro.engine.serving.TenantBudget`, which the
-server hands to the engine's persistent executor (the
-``serve_async(admission=...)`` seam): I/O budgets therefore persist
-across requests and connections, exactly like the caller-held controller
-in the embedded API.
+server binds to the engine's persistent executor
+(``engine.serving_executor(admission=...)``): I/O budgets therefore
+persist across requests and connections, exactly like a caller-held
+controller on that executor in the embedded API.
 
 On top of the I/O budget each key may carry a **request-rate** limit —
 a second token bucket denominated in requests per second, not block

@@ -24,6 +24,7 @@ import threading
 import time
 from typing import Iterable, Optional, Set, Tuple
 
+from repro.engine.executor import WARM_CACHE_BLOCKS
 from repro.engine.server.auth import ApiKey, ApiKeyAuthenticator
 from repro.engine.server.protocol import (STREAM_LIMIT, HTTPError,
                                           json_body, read_request,
@@ -180,7 +181,7 @@ class EngineServer:
         warm = None
         if self._warm_cache:
             warm = core.warm_stores(self._engine.catalog.datasets(),
-                                    self.executor.warm_cache_blocks)
+                                    WARM_CACHE_BLOCKS)
             warm.__enter__()
         try:
             self._started.set()

@@ -59,7 +59,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.kernels import answer_matrix
-from repro.engine.executor import ExecutedQuery, ExecutionCore, constraint_key
+from repro.engine.executor import (WARM_CACHE_BLOCKS, ExecutedQuery,
+                                   ExecutionCore, constraint_key)
 from repro.engine.metrics import percentile
 from repro.engine.planner import ShardedPlan
 from repro.engine.serving.admission import (
@@ -162,9 +163,6 @@ class AsyncExecutor:
         omitted.
     max_concurrency:
         Requests executing at once; the rest wait in the queue.
-    warm_cache_blocks:
-        Buffer-pool size applied to the touched datasets' stores for the
-        duration of a :meth:`serve` run (original sizes are restored).
     clock:
         Monotonic time source for deadlines and bucket refills; tests
         inject synthetic clocks.
@@ -173,7 +171,6 @@ class AsyncExecutor:
     def __init__(self, core: ExecutionCore,
                  admission: Optional[AdmissionController] = None,
                  max_concurrency: int = 8,
-                 warm_cache_blocks: int = 64,
                  clock=time.monotonic):
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1, got %r"
@@ -182,7 +179,6 @@ class AsyncExecutor:
         self._admission = admission if admission is not None \
             else AdmissionController()
         self._max_concurrency = max_concurrency
-        self._warm_cache_blocks = warm_cache_blocks
         self._clock = clock
         #: The loop start() bound to (None: stopped), the fault stop()
         #: re-raises, the scheduled pass, the parked requests' timer (and,
@@ -214,11 +210,6 @@ class AsyncExecutor:
                 "executor; stop it first (or reuse executor.admission)")
         self._admission = admission
 
-    @property
-    def warm_cache_blocks(self) -> int:
-        """Buffer-pool size the serving paths warm touched stores to."""
-        return self._warm_cache_blocks
-
     # ------------------------------------------------------------------
     # serving: one long-lived scheduler, fed waves or single requests
     # ------------------------------------------------------------------
@@ -239,7 +230,7 @@ class AsyncExecutor:
             return ServeResult(requests=[], wall_seconds=0.0)
         warmed = sorted({request.dataset for request in requests}) \
             if warm_cache else []
-        with self._core.warm_stores(warmed, self._warm_cache_blocks):
+        with self._core.warm_stores(warmed, WARM_CACHE_BLOCKS):
             owned = not self.running
             await self.start()
             try:

@@ -511,6 +511,14 @@ class RebalanceReport:
         }
 
 
+#: Largest shard's live size over the fair share at which a range-sharded
+#: dataset is re-split (1.0 is perfectly balanced).
+REBALANCE_THRESHOLD = 2.0
+
+#: Mutations a dataset takes before its skew is looked at.
+REBALANCE_MIN_MUTATIONS = 64
+
+
 class RebalanceManager:
     """Detects shard skew and re-splits range shards at fresh quantiles.
 
@@ -521,8 +529,9 @@ class RebalanceManager:
     manager watches the **size imbalance** — the largest shard's live
     size over the fair share ``N/K`` — fed by the engine's write path.
 
-    When it reaches ``threshold`` (after at least ``min_mutations``
-    mutations), :meth:`maybe_rebalance` re-splits: live points are
+    When it reaches :data:`REBALANCE_THRESHOLD` (after at least
+    :data:`REBALANCE_MIN_MUTATIONS` mutations), :meth:`maybe_rebalance`
+    re-splits: live points are
     collected from every shard's planning replica, fresh quantile
     boundaries are computed, per-shard stores / index suites / models are
     rebuilt through the catalog, and the registered listeners run (the
@@ -534,19 +543,9 @@ class RebalanceManager:
     boundaries to move.
     """
 
-    def __init__(self, catalog: "Catalog",
-                 stats: Optional["EngineStats"] = None,
-                 threshold: float = 2.0, min_mutations: int = 64):
-        if threshold <= 1.0:
-            raise ValueError("threshold must exceed 1.0 (1.0 means "
-                             "perfectly balanced), got %r" % threshold)
-        if min_mutations < 1:
-            raise ValueError("min_mutations must be >= 1, got %r"
-                             % min_mutations)
+    def __init__(self, catalog: "Catalog", stats: "EngineStats"):
         self._catalog = catalog
         self._stats = stats
-        self.threshold = threshold
-        self.min_mutations = min_mutations
         self._mutations: Dict[str, int] = {}
         self._listeners: List[Callable[[str, RebalanceReport], None]] = []
 
@@ -588,11 +587,11 @@ class RebalanceManager:
         """True when skew warrants a re-split (cheap; no I/Os)."""
         # Mutation count first: a name the catalog does not know has
         # none, so serving entry points may probe it without a KeyError.
-        if self.mutations(dataset_name) < self.min_mutations:
+        if self.mutations(dataset_name) < REBALANCE_MIN_MUTATIONS:
             return False
         if self._catalog.sharded(dataset_name).router.scheme != "range":
             return False
-        return self.skew(dataset_name)["imbalance"] >= self.threshold
+        return self.skew(dataset_name)["imbalance"] >= REBALANCE_THRESHOLD
 
     # ------------------------------------------------------------------
     # the re-split
@@ -628,8 +627,7 @@ class RebalanceManager:
             )
             for listener in self._listeners:
                 listener(dataset_name, report)
-        if self._stats is not None:
-            self._stats.note_rebalance(report.summary())
+        self._stats.note_rebalance(report.summary())
         return report
 
     def maybe_rebalance(self,

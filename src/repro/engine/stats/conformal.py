@@ -150,11 +150,6 @@ class ConformalCalibrator:
         """Pairs required before intervals are served."""
         return self._min_calibration
 
-    def config(self) -> Dict[str, object]:
-        """The knobs as a plain dict (travels in worker build specs)."""
-        return {"coverage": self._coverage, "window": self._window,
-                "min_calibration": self._min_calibration}
-
     # ------------------------------------------------------------------
     # feedback
     # ------------------------------------------------------------------

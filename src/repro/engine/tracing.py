@@ -404,7 +404,8 @@ class Tracer:
 
     Finished traces land in a bounded
     :class:`~repro.engine.obs.slowlog.TraceRegistry` (fetch by id, e.g.
-    ``GET /trace/<id>``) and — when slower than ``slow_threshold_s`` or
+    ``GET /trace/<id>``) and — when slower than
+    :data:`~repro.engine.obs.slowlog.SLOW_QUERY_THRESHOLD_S` or
     marked degraded — in a
     :class:`~repro.engine.obs.slowlog.SlowQueryLog` ring
     (``GET /debug/slow``).  ``enabled=False`` makes :meth:`start_trace`
@@ -412,13 +413,11 @@ class Tracer:
     instrumentation site to the no-op singleton.
     """
 
-    def __init__(self, enabled: bool = True, max_traces: int = 256,
-                 slow_threshold_s: float = 0.25,
-                 slow_capacity: int = 64) -> None:
+    def __init__(self, enabled: bool = True, max_traces: int = 256) -> None:
         from repro.engine.obs.slowlog import SlowQueryLog, TraceRegistry
         self.enabled = enabled
         self.registry = TraceRegistry(max_traces)
-        self.slow_log = SlowQueryLog(slow_threshold_s, slow_capacity)
+        self.slow_log = SlowQueryLog()
         self._counter = itertools.count(1)
 
     def start_trace(self, name: str, **attributes: Any) -> Any:

@@ -135,6 +135,20 @@ class Level:
             return 0.0
         return self.vertices[0].x - 1.0
 
+    def lines_ranked_below(self, vertex: LevelVertex) -> List[int]:
+        """The lines through ``vertex`` that rank below the level just to
+        its right, in the walk's order there (slope, then intercept, then
+        index): with the lines strictly below the vertex, the ``k`` lines
+        below the level on the edge the vertex starts.  Two lines cross at
+        a vertex in general position, and then this is its
+        ``entering_lines``."""
+        slopes, intercepts = self.lines.slopes, self.lines.intercepts
+        heights = slopes * vertex.x + intercepts
+        through = np.nonzero(np.abs(heights - vertex.y) <= _vertex_tolerance(
+            vertex.x, vertex.y))[0].tolist()
+        ordered = sorted(through, key=lambda i: (slopes[i], intercepts[i]))
+        return ordered[:ordered.index(vertex.line_after)]
+
 
 def _vertex_tolerance(x: float, y: float) -> float:
     """How far from the vertex ``(x, y)`` a line may pass and still be on it."""

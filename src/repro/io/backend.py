@@ -5,7 +5,7 @@ is where the blocks actually live.  The store performs every block
 materialisation through this interface, so the I/O *accounting* is
 identical across backends by construction — swapping the backend changes
 where bytes go (a Python dict, a file on a real disk), never how many
-block transfers the model charges.  Three implementations ship:
+block transfers the model charges.  Two implementations ship:
 
 * :class:`MemoryBackend` — blocks in a dict; the original behaviour and
   the default.
@@ -15,12 +15,6 @@ block transfers the model charges.  Three implementations ship:
   crash-simple, sequential writes); ``compact()`` rewrites live blocks to
   reclaim the space of superseded versions.  Byte counters expose what a
   real disk actually moved, alongside the model's block counts.
-* :class:`MmapBackend` — the same log layout, but reads go through an
-  :mod:`mmap` view of the file instead of ``seek``/``read`` system calls,
-  so repeated block reads measure page-cache behaviour rather than
-  syscall traffic.  The mapping is refreshed lazily when appends grow the
-  file past the mapped size (and invalidated by compaction, which moves
-  live payloads).
 
 A block is stored in one form, fixed by :func:`stored_form` — the one
 call of the columnar rule (:func:`~repro.io.block.as_point_matrix`): a
@@ -29,17 +23,15 @@ float tuples becomes its ``(n, d)`` matrix, and any other record list
 stays a list.  :meth:`StorageBackend.put_run` is the one write: it takes
 a run of blocks in that form (a store hands it every block an index
 build writes at once; :meth:`~StorageBackend.put` is the one-block run),
-and the file backends append the whole run in one ``write``.
+and the file backend appends the whole run in one ``write``.
 :meth:`~StorageBackend.get_payload` hands a block back in its stored
 form, so the store's buffer pool holds exactly what the medium holds.
-The memory backend keeps the value itself; the file backends write a
+The memory backend keeps the value itself; the file backend writes a
 matrix as a small magic header plus its raw float64 bytes and pickle a
 list.  The columnar encoding is what makes the vectorized read path cheap: a
 point block comes back as a contiguous read-only ndarray
-(``np.frombuffer`` over the bytes read — for :class:`MmapBackend`, the
-bytes sliced out of the mapping, so compaction can never move them
-under a live view) without the pickle machinery running over every
-record.  Backends are *not* shared between stores.
+(``np.frombuffer`` over the bytes read) without the pickle machinery
+running over every record.  Backends are *not* shared between stores.
 """
 
 from __future__ import annotations
@@ -47,7 +39,6 @@ from __future__ import annotations
 import abc
 import functools
 import itertools
-import mmap
 import os
 import pickle
 import struct
@@ -556,105 +547,23 @@ class FileBackend(StorageBackend):
         return "FileBackend(path=%r, blocks=%d)" % (self.path, len(self))
 
 
-class MmapBackend(FileBackend):
-    """The log-structured file layout read through a memory mapping.
-
-    Writes share :class:`FileBackend`'s append path (sequential, crash
-    recoverable); reads slice block payloads out of an ``mmap`` view of
-    the file, so hot blocks are served from the OS page cache without a
-    ``seek``/``read`` round trip.  The mapping is rebuilt lazily whenever
-    a read lands past the mapped size (appends grew the file) and
-    invalidated outright by compaction, which relocates live payloads.
-    """
-
-    name = "mmap"
-
-    def __init__(self, path: Optional[str] = None,
-                 auto_compact_ratio: float = 4.0) -> None:
-        self._map: Optional[mmap.mmap] = None
-        self._mapped_size = 0
-        super().__init__(path=path, auto_compact_ratio=auto_compact_ratio)
-
-    # ------------------------------------------------------------------
-    # mapping plumbing (callers hold self._lock)
-    # ------------------------------------------------------------------
-    def _drop_map_locked(self) -> None:
-        if self._map is not None:
-            self._map.close()
-            self._map = None
-        self._mapped_size = 0
-
-    def _remap_locked(self) -> None:
-        """(Re)map the current file contents for reading."""
-        self._handle.flush()
-        size = self._end
-        self._drop_map_locked()
-        if size > 0:
-            self._map = mmap.mmap(self._handle.fileno(), size,
-                                  access=mmap.ACCESS_READ)
-            self._mapped_size = size
-
-    def _compact_locked(self) -> None:
-        # Compaction relocates every live payload; the old mapping would
-        # serve stale bytes at the new offsets, so drop it first.
-        self._drop_map_locked()
-        super()._compact_locked()
-
-    def _payload_bytes(self, block_id: BlockId) -> bytes:
-        """One block's payload sliced out of the mapping: the slice is
-        the one copy, and it detaches the block before the lock is
-        released (compaction relocates payloads, and a closed mmap with
-        live views raises BufferError)."""
-        with self._lock:
-            self._check_open()
-            offset, length = self._index[block_id]
-            if self._map is None or offset + length > self._mapped_size:
-                self._remap_locked()
-            self.bytes_read += length
-            return self._map[offset:offset + length]
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._closed:
-                self._drop_map_locked()
-        super().close()
-
-    def info(self) -> Dict[str, object]:
-        payload = super().info()   # reports backend=self.name ("mmap")
-        payload["mapped_bytes"] = self._mapped_size
-        return payload
-
-    def __repr__(self) -> str:
-        return "MmapBackend(path=%r, blocks=%d)" % (self.path, len(self))
-
-
 #: Backend spec strings accepted by :func:`make_backend`.
-BACKEND_NAMES = ("memory", "file", "mmap")
+BACKEND_NAMES = ("memory", "file")
 
 
 def make_backend(spec: object = None, path: Optional[str] = None
                  ) -> StorageBackend:
-    """Resolve a backend spec into a fresh :class:`StorageBackend`.
+    """Resolve a backend spec into a :class:`StorageBackend`.
 
     ``spec`` may be None / ``"memory"`` (dict-backed), ``"file"``
-    (file-backed, optionally at ``path``), ``"mmap"`` (file-backed with
-    memory-mapped reads), an already-constructed backend (returned as
-    is), or a zero-argument callable producing one.
+    (file-backed, optionally at ``path``), or an already-constructed
+    backend, returned as is.
     """
     if spec is None or spec == "memory":
         return MemoryBackend()
     if spec == "file":
         return FileBackend(path=path)
-    if spec == "mmap":
-        return MmapBackend(path=path)
     if isinstance(spec, StorageBackend):
         return spec
-    if callable(spec):
-        backend = spec()
-        if not isinstance(backend, StorageBackend):
-            raise TypeError("backend factory returned %r, not a "
-                            "StorageBackend" % (backend,))
-        return backend
-    raise ValueError("unknown storage backend %r (expected one of %s, a "
-                     "StorageBackend, or a factory)"
-                     % (spec, ", ".join(BACKEND_NAMES)))
+    raise ValueError("unknown storage backend %r (expected one of %s or a "
+                     "StorageBackend)" % (spec, ", ".join(BACKEND_NAMES)))

@@ -53,15 +53,9 @@ class BTree:
     # node encoding helpers
     # ------------------------------------------------------------------
     def _write_node(self, kind: str, entries: Sequence[Tuple[Any, Any]],
-                    next_leaf: Optional[BlockId] = None,
-                    block_id: Optional[BlockId] = None) -> BlockId:
-        records = [(kind, next_leaf)] + list(entries)
-        if block_id is None:
-            block_id = self._store.allocate(records)
-            self._node_count += 1
-        else:
-            self._store.write(block_id, records)
-        return block_id
+                    next_leaf: Optional[BlockId] = None) -> BlockId:
+        self._node_count += 1
+        return self._store.allocate([(kind, next_leaf)] + list(entries))
 
     def _read_node(self, block_id: BlockId):
         records = self._store.read(block_id)
@@ -267,66 +261,6 @@ class BTree:
             for entry in entries:
                 yield entry
             leaf_id = next_leaf
-
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def insert(self, key: Any, value: Any) -> None:
-        """Insert a (key, value) pair, splitting nodes on overflow."""
-        if self._root is None:
-            self._root = self._write_node(_LEAF, [(key, value)])
-            self._height = 1
-            self._length = 1
-            return
-        split = self._insert_recursive(self._root, key, value)
-        self._length += 1
-        if split is not None:
-            # The old root split: grow the tree by one level.
-            sep_key, new_node_id, old_min_key = split
-            new_root = self._write_node(
-                _INTERNAL, [(old_min_key, self._root), (sep_key, new_node_id)])
-            self._root = new_root
-            self._height += 1
-
-    def _insert_recursive(self, node_id: BlockId, key: Any, value: Any):
-        """Insert under ``node_id``; return (sep_key, new_sibling, my_min) on split."""
-        kind, next_leaf, entries = self._read_node(node_id)
-        if kind == _LEAF:
-            keys = [entry[0] for entry in entries]
-            index = bisect.bisect_right(keys, key)
-            entries.insert(index, (key, value))
-            if len(entries) <= self._fanout:
-                self._write_node(_LEAF, entries, next_leaf=next_leaf,
-                                 block_id=node_id)
-                return None
-            mid = len(entries) // 2
-            left, right = entries[:mid], entries[mid:]
-            new_leaf = self._write_node(_LEAF, right, next_leaf=next_leaf)
-            self._write_node(_LEAF, left, next_leaf=new_leaf, block_id=node_id)
-            return (right[0][0], new_leaf, left[0][0])
-        # Internal node.
-        keys = [entry[0] for entry in entries]
-        child_index = bisect.bisect_right(keys, key) - 1
-        if child_index < 0:
-            child_index = 0
-            # Keep separator keys consistent with subtree minima.
-            entries[0] = (key, entries[0][1])
-        child_id = entries[child_index][1]
-        split = self._insert_recursive(child_id, key, value)
-        if split is None:
-            self._write_node(_INTERNAL, entries, block_id=node_id)
-            return None
-        sep_key, new_child, old_min = split
-        entries[child_index] = (old_min, child_id)
-        entries.insert(child_index + 1, (sep_key, new_child))
-        if len(entries) <= self._fanout:
-            self._write_node(_INTERNAL, entries, block_id=node_id)
-            return None
-        mid = len(entries) // 2
-        left, right = entries[:mid], entries[mid:]
-        new_node = self._write_node(_INTERNAL, right)
-        self._write_node(_INTERNAL, left, block_id=node_id)
-        return (right[0][0], new_node, left[0][0])
 
     def check_invariants(self) -> List[Tuple[Any, Any]]:
         """Raise AssertionError unless the tree is a B+-tree: every node

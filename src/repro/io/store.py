@@ -109,8 +109,8 @@ class BlockStore:
         of 0 disables caching.
     backend:
         Where blocks physically live: None / ``"memory"`` (a dict, the
-        default), ``"file"`` (a real file), a
-        :class:`~repro.io.backend.StorageBackend` instance, or a factory.
+        default), ``"file"`` (a temporary file), or a
+        :class:`~repro.io.backend.StorageBackend` instance.
         The I/O accounting is identical for every backend.
     """
 
@@ -467,7 +467,7 @@ class BlockStore:
     def byte_counters(self) -> Tuple[int, int]:
         """Cumulative (bytes_read, bytes_written) at the physical medium.
 
-        Backends that move real bytes (file, mmap) count them; the
+        A backend that moves real bytes (the file) counts them; the
         in-memory backend moves references, so both stay 0 there.
         Callers wanting a per-query figure snapshot this before and
         after, like :attr:`stats`.

@@ -48,6 +48,18 @@ class TestBulkLoad:
         __, tree = make_tree(items=items)
         assert list(tree.items()) == items
 
+    def test_fanout_validation(self):
+        store = BlockStore(block_size=8)
+        with pytest.raises(ValueError):
+            BTree(store, fanout=1)
+        with pytest.raises(ValueError):
+            BTree(store, fanout=8)   # must leave room for the header record
+
+    def test_space_blocks_reflects_node_count(self):
+        __, tree = make_tree(items=[(i, i) for i in range(100)])
+        assert tree.space_blocks == tree.num_nodes
+        assert tree.space_blocks >= 100 // tree.fanout
+
 
 class TestSearch:
     def test_search_missing_key(self):
@@ -113,64 +125,6 @@ class TestRangeQuery:
         assert large_cost <= small_cost + (len(large) // tree.fanout) + 3
 
 
-class TestInsert:
-    def test_insert_into_empty_tree(self):
-        __, tree = make_tree()
-        tree.insert(5, "five")
-        tree.check_invariants()
-        assert tree.search(5) == "five"
-        assert len(tree) == 1
-
-    def test_insert_many_keys_random_order(self):
-        import random
-        random.seed(7)
-        keys = list(range(300))
-        random.shuffle(keys)
-        __, tree = make_tree(block_size=8)
-        for key in keys:
-            tree.insert(key, key * 2)
-        tree.check_invariants()
-        assert len(tree) == 300
-        for key in range(300):
-            assert tree.search(key) == key * 2
-
-    def test_insert_preserves_sorted_iteration(self):
-        import random
-        random.seed(11)
-        keys = random.sample(range(1000), 150)
-        __, tree = make_tree(block_size=8)
-        for key in keys:
-            tree.insert(key, None)
-            tree.check_invariants()
-        assert [key for key, __ in tree.items()] == sorted(keys)
-
-    def test_insert_after_bulk_load(self):
-        __, tree = make_tree(items=[(i, i) for i in range(0, 100, 2)])
-        tree.insert(31, "odd")
-        tree.check_invariants()
-        assert tree.search(31) == "odd"
-        assert tree.predecessor(32) == (32, 32)
-
-    def test_insert_key_below_current_minimum(self):
-        __, tree = make_tree(items=[(10, "a"), (20, "b")])
-        tree.insert(1, "new-min")
-        tree.check_invariants()
-        assert tree.search(1) == "new-min"
-        assert list(tree.items())[0] == (1, "new-min")
-
-    def test_fanout_validation(self):
-        store = BlockStore(block_size=8)
-        with pytest.raises(ValueError):
-            BTree(store, fanout=1)
-        with pytest.raises(ValueError):
-            BTree(store, fanout=8)   # must leave room for the header record
-
-    def test_space_blocks_reflects_node_count(self):
-        __, tree = make_tree(items=[(i, i) for i in range(100)])
-        assert tree.space_blocks == tree.num_nodes
-        assert tree.space_blocks >= 100 // tree.fanout
-
-
 class TestCheckInvariants:
     def test_the_check_reads_no_block(self):
         store, tree = make_tree(items=[(i, i) for i in range(200)])
@@ -180,8 +134,6 @@ class TestCheckInvariants:
 
     def test_duplicate_keys_across_leaves_pass(self):
         __, tree = make_tree(items=[(i // 20, i) for i in range(100)])
-        for key in (0, 2, 2, 4, 5):
-            tree.insert(key, -key)
         tree.check_invariants()
 
     @pytest.mark.parametrize("corrupt, message", [

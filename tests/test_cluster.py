@@ -31,9 +31,8 @@ BLOCK_SIZE = 32
 EVERYTHING = LinearConstraint(coeffs=(0.0,), offset=1e9)
 
 
-def make_engine(points, workers, replicas=2, num_shards=4, **kwargs):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=7, workers=workers,
-                         fanout_workers=4, **kwargs)
+def make_engine(points, workers, replicas=2, num_shards=4):
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=7, workers=workers)
     engine.register_sharded_dataset("pts", points, num_shards=num_shards,
                                     replicas=replicas,
                                     kinds=["dynamic", "full_scan"])
@@ -473,7 +472,7 @@ def test_restarted_worker_replays_missed_writes(points2d):
             assert engine.insert("pts", point).applied   # logged, not lost
         engine.cluster.check_invariants()
 
-        engine.cluster.check_workers(restart=True)
+        engine.cluster.check_workers()
         engine.cluster.check_invariants()
         restarted = engine.cluster.worker("pts", 0, 0)
         assert restarted is not None and restarted.pid != victim.pid

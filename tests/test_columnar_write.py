@@ -28,11 +28,11 @@ from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.engine.catalog import INDEX_KINDS
 from repro.geometry.primitives import LinearConstraint
-from repro.io.backend import FileBackend, MmapBackend
+from repro.io.backend import FileBackend
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
-BACKENDS = ["memory", "file", "mmap"]
+BACKENDS = ["memory", "file"]
 
 
 def row_tuples(matrix):
@@ -88,9 +88,7 @@ def open_twins(backend, block_size, capacity, directory):
     stores = []
     for name in ("matrix", "records"):
         path = os.path.join(directory, name + ".log")
-        medium = {"memory": lambda: "memory",
-                  "file": lambda: FileBackend(path),
-                  "mmap": lambda: MmapBackend(path)}[backend]()
+        medium = "memory" if backend == "memory" else FileBackend(path)
         stores.append(BlockStore(block_size, cache_blocks=capacity,
                                  backend=medium))
     return stores

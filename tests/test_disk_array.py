@@ -166,7 +166,7 @@ array_steps = st.lists(st.one_of(
 ), min_size=1, max_size=12)
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 @settings(max_examples=60, deadline=None)
 @given(block_size=st.sampled_from([1, 3, 4]), capacity=st.integers(0, 3),
        script=array_steps)

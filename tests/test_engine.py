@@ -369,8 +369,7 @@ def test_a_wave_keeps_the_index_grouped_io_per_request(seed, hits):
 
 
 def test_warm_batch_restores_buffer_pool(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, cache_blocks=4,
-                         warm_cache_blocks=128, seed=5)
+    engine = QueryEngine(block_size=BLOCK_SIZE, cache_blocks=4, seed=5)
     engine.register_dataset("d", points2d)
     store = engine.catalog.dataset("d").store
     assert store.cache_blocks == 4

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core import scalar_kernels
 from repro.core.halfplane2d import HalfplaneIndex2D, default_beta
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import (
@@ -202,7 +204,7 @@ class TestCheckInvariants:
 
     @pytest.mark.parametrize("relation", [
         "slopes do not ascend", "outside", "num_lines", "boundary tree",
-        "partition"])
+        "partition", "Lemma 3.1"])
     def test_a_broken_relation_raises(self, relation):
         index = built(uniform_points(1500, seed=3), block_size=32, seed=4)
         first, last = index._layers[0], index._layers[-1]
@@ -217,6 +219,15 @@ class TestCheckInvariants:
             first.num_lines += 1
         elif relation == "boundary tree":
             first.bounds[1] += 1e-9
+        elif relation == "Lemma 3.1":
+            # The line lowest just left of the first boundary is below the
+            # level there, so its relevant cluster must hold it: move it
+            # to the last layer.
+            x = first.bounds[1] - 1e-6
+            __, number = min((record[1] * x + record[2], record[0])
+                             for block in first.clusters[0].block_ids
+                             for record in backend.get(block))
+            move_lines(index, [number], first, last)
         else:   # a point number of the first layer reappears in the last
             stolen = backend.get(block_id)[0][0]
             block_id = last.clusters[0].block_ids[0]
@@ -225,3 +236,99 @@ class TestCheckInvariants:
             backend.put(block_id, records)
         with pytest.raises(AssertionError, match=relation):
             index.check_invariants()
+
+    def test_the_reproducers_layers_before_the_fix_fail_lemma_3_1(self):
+        """At the parent commit the first layer lacked the two copies of
+        (0.5, 0.25) that rank below the λ-level on its edge, so a query
+        through them stopped there with 4 < λ = 6 lines on or below it."""
+        index = built(REPRODUCER, block_size=4, seed=1)
+        first, last = index._layers
+        assert first.lam == 6 and len(first.clusters) == 1
+        move_lines(index, [4, 5], first, last)
+        with pytest.raises(AssertionError, match="Lemma 3.1"):
+            index.check_invariants()
+
+
+def move_lines(index, numbers, source, target):
+    """Move the records of point ``numbers`` out of every cluster of layer
+    ``source`` into the one cluster of layer ``target``, slopes still
+    ascending, so the layers still partition the points."""
+    backend = index.store.backend
+    moved = {}
+    for cluster in source.clusters:
+        for block in cluster.block_ids:
+            records = backend.get(block)
+            kept = [record for record in records if record[0] not in numbers]
+            moved.update((record[0], record) for record in records
+                         if record[0] in numbers)
+            source.num_lines -= len(records) - len(kept)
+            backend.put(block, kept)
+    [cluster] = target.clusters
+    *blocks, tail = cluster.block_ids
+    records = sorted([record for block in cluster.block_ids
+                      for record in backend.get(block)] + list(moved.values()),
+                     key=lambda record: record[1])
+    for block in blocks:
+        size = len(backend.get(block))
+        backend.put(block, records[:size])
+        records = records[size:]
+    backend.put(tail, records)
+    target.num_lines += len(moved)
+
+
+#: ROADMAP item 1's reproducer: three groups of duplicated points on one
+#: line, so their dual lines are concurrent copies.
+REPRODUCER = [(0.25, 0.0)] * 4 + [(0.5, 0.25)] * 3 + [(1.0, 0.75)] * 6
+
+#: Dyadic values: heights of lines through stored points stay exact.
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+SLOPES = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+
+
+class TestPointsOnTheQueryLine:
+    def test_the_reproducer_reports_the_points_on_the_line(self):
+        index = built(REPRODUCER, block_size=4, seed=1)
+        answer = index.query(LinearConstraint(coeffs=(-1.0,), offset=0.75))
+        assert len(answer) == 7
+        assert sorted(rows(answer)) == [(0.25, 0.0)] * 4 + [(0.5, 0.25)] * 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from(
+               ["grid", "duplicates", "collinear", "concurrent"]),
+           count=st.integers(1, 120), block_size=st.sampled_from([4, 8]),
+           seed=st.integers(0, 2 ** 16))
+    # A cluster closed at a vertex three or more dual lines meet, and a
+    # level edge on a line with copies ranked below it.
+    @example(shape="grid", count=66, block_size=4, seed=11)
+    @example(shape="duplicates", count=21, block_size=4, seed=0)
+    def test_degenerate_point_sets_answer_exactly(self, shape, count,
+                                                  block_size, seed):
+        """Grid, duplicated, collinear and concurrent-dual-line point sets,
+        queried with lines through stored points, in both kernel modes:
+        the answer is the numpy filter's, and the layers hold Lemma
+        3.1's relation."""
+        rng = np.random.default_rng(seed)
+        if shape == "grid":
+            points = rng.choice(GRID, size=(count, 2))
+        elif shape == "duplicates":
+            points = rng.choice(GRID, size=(3, 2))[rng.integers(0, 3, count)]
+        elif shape == "collinear":
+            # On two lines, one of them vertical (parallel dual lines).
+            xs = rng.choice(GRID, size=count)
+            points = np.column_stack([xs, 0.5 * xs + 0.25])
+            points[::3, 0] = 0.5
+        else:
+            # Groups of copies of points on one line: concurrent duals.
+            distinct = np.column_stack([GRID, np.asarray(GRID) - 0.25])
+            points = distinct[rng.integers(0, len(GRID), count)]
+        index = built(points, block_size=block_size, seed=seed)
+        for __ in range(6):
+            x, y = points[rng.integers(0, count)]
+            slope = float(rng.choice(SLOPES))
+            constraint = LinearConstraint((slope,), float(y - slope * x))
+            expected = sorted(map(tuple, points[
+                points[:, 1] <= slope * points[:, 0] + constraint.offset]
+                .tolist()))
+            assert sorted(rows(index.query(constraint))) == expected
+            with scalar_kernels():
+                assert sorted(rows(index.query(constraint))) == expected

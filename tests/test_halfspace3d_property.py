@@ -105,6 +105,43 @@ def test_query_equals_full_scan_and_layers_hold_their_invariants(
         assert again.total_ios == result.total_ios
 
 
+#: Dyadic values: a plane through a stored grid point passes exactly
+#: through it, and through every other point it meets.
+GRID = [-1.0, -0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0]
+SLOPES = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(count=st.integers(1, 300), block_size=st.sampled_from([4, 8, 32]),
+       seed=st.integers(0, 10_000))
+def test_planes_through_grid_points_report_every_point_on_them(
+        count, block_size, seed):
+    """The open-versus-closed audit of Section 4: a layer clears a point
+    when its envelope passes more than ``CLEARANCE`` above it, and then
+    reports the conflict-list planes on or below it.  Grid points (many
+    duplicated, many coplanar) queried with planes through stored ones put
+    planes exactly on the query point; the answer is the numpy filter's in
+    both kernel modes.  Each plane passes through a point among the
+    lowest eighth in its direction, so a third or so of the queries are
+    answered from a layer rather than by a scan."""
+    rng = np.random.default_rng(seed)
+    points = rng.choice(GRID, size=(count, 3))
+    index = HalfspaceIndex3D(points, block_size=block_size, seed=seed)
+    index.check_invariants()
+    for __ in range(8):
+        a, b = rng.choice(SLOPES, size=2)
+        offsets = np.sort(points[:, 2] - a * points[:, 0] - b * points[:, 1])
+        constraint = LinearConstraint(
+            coeffs=(float(a), float(b)),
+            offset=float(offsets[rng.integers(max(1, count // 8))]))
+        expected = sorted_rows(points[points[:, 2] <= a * points[:, 0]
+                                      + b * points[:, 1] + constraint.offset])
+        assert sorted_rows(index.query(constraint)) == expected
+        with scalar_kernels():
+            assert sorted_rows(index.query(constraint)) == expected
+
+
 def test_three_copies_hold_their_invariants_and_answer_from_the_shortest_list():
     points = family_points("ball", 700, seed=5)
     one = HalfspaceIndex3D(points, block_size=16, seed=6)

@@ -118,7 +118,7 @@ def observed(index, store: BlockStore) -> Dict[str, object]:
             "build_ios": vars(index.build_ios), "medium": medium}
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 @pytest.mark.parametrize("kind", sorted(KINDS))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())

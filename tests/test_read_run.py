@@ -76,7 +76,7 @@ def same_blocks(left, right) -> bool:
         for one, other in zip(left, right))
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 @settings(max_examples=120, deadline=None)
 @given(capacity=st.integers(0, 8),
        initial=st.lists(blocks, min_size=INITIAL_BLOCKS,

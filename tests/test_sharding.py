@@ -211,16 +211,6 @@ def test_fanout_answers_match_brute_force(sharded_engine, points2d):
         assert answer.shards_queried + answer.shards_pruned == 4
 
 
-def test_fanout_runs_without_thread_pool(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, fanout_workers=0)
-    engine.register_sharded_dataset("sh", points2d, num_shards=3)
-    constraint = halfspace_queries_with_selectivity(points2d, 1, 0.1,
-                                                    seed=67)[0]
-    answer = engine.query("sh", constraint)
-    assert {tuple(p) for p in answer.points} == brute_force_halfspace(
-        points2d, constraint)
-
-
 #: What the plain-dataset path (deleted in PR 14) measured for the
 #: inputs of ``test_unsharded_is_the_one_shard_case``: per
 #: ``clear_cache`` value and query ``(reads, buffer-pool hits)``, and a
@@ -456,13 +446,15 @@ def _insert_into_an_empty_shard(engine, count):
 
 
 def _site_register(engine, points):
-    engine.register_dataset("d", points, kinds=WRITABLE, cache_blocks=6)
+    engine.register_dataset("d", points, kinds=WRITABLE)
 
 
 def _site_register_sharded(engine, points):
     engine.register_sharded_dataset("d", points, num_shards=3, replicas=2,
-                                    kinds=WRITABLE, block_size=16)
-    assert engine.catalog.sharded("d").recipe.block_size == 16
+                                    kinds=WRITABLE)
+    recipe = engine.catalog.sharded("d").recipe
+    assert (recipe.block_size, recipe.cache_blocks, recipe.replicas) \
+        == (BLOCK_SIZE, 6, 2)
 
 
 def _site_rebalance(engine, points):
@@ -499,8 +491,8 @@ def _site_upgrade_stats(engine, points):
     _site_materialize, _site_upgrade_stats], ids=lambda site: site.__name__)
 def test_every_build_site_leaves_the_same_replica_layout(site, backend,
                                                          tmp_path):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=17, backend=backend,
-                         data_dir=str(tmp_path))
+    engine = QueryEngine(block_size=BLOCK_SIZE, cache_blocks=6, seed=17,
+                         backend=backend, data_dir=str(tmp_path))
     try:
         site(engine, uniform_points(384, seed=18))
         sharded = engine.catalog.sharded("d")
@@ -519,18 +511,18 @@ def test_every_build_site_leaves_the_same_replica_layout(site, backend,
 def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
     """The worker calls the parent's builder with the parent's recipe
     (on the memory backend): same sample, live size and index builds."""
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=19, backend=backend,
-                         data_dir=str(tmp_path), sample_size=64)
+    engine = QueryEngine(block_size=BLOCK_SIZE, cache_blocks=6, seed=19,
+                         backend=backend, data_dir=str(tmp_path),
+                         sample_size=64)
     try:
         engine.register_sharded_dataset(
-            "d", uniform_points(384, seed=20), num_shards=2, replicas=2,
-            cache_blocks=6)
+            "d", uniform_points(384, seed=20), num_shards=2, replicas=2)
         sharded = engine.catalog.sharded("d")
         recipe = dataclasses.replace(sharded.recipe, backend="memory")
         for shard in sharded.shards:
             for replica in shard.replicas:
                 rebuilt = ShardWorker(replica.name, replica.points, recipe,
-                                      sharded.suite_builds, [], {}).dataset
+                                      sharded.suite_builds, []).dataset
                 assert rebuilt.store.block_size == replica.store.block_size
                 assert rebuilt.store.cache_blocks == 6
                 assert np.array_equal(rebuilt.stats.sample.rows,

@@ -45,12 +45,7 @@ SUITES = {2: [["halfplane2d", "partition_tree", "full_scan"],
               ["halfspace3d", "hybrid3d"],
               ["shallow_tree", "rtree", "kdb_tree"]]}
 #: Dyadic grid values: sums and products stay exact, so a query plane
-#: through a stored point passes exactly through it.  A suite with
-#: ``halfplane2d`` draws continuous coordinates instead (copies still
-#: duplicate points): its level walk drops a group of coincident dual
-#: lines at a vertex where several groups meet — collinear points with
-#: duplicates, e.g. (0.25, 0) x4, (0.5, 0.25) x3, (1, 0.75) x6 and
-#: y <= -x + 0.75 loses the three points on the line.
+#: through a stored point passes exactly through it.
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 FAR = [-4.0, 3.0, 6.0]
 COEFFS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
@@ -70,9 +65,7 @@ def layouts(draw):
         else draw(st.integers(block_size, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     points = rng.choice(GRID, size=(count, dimension))
-    if "halfplane2d" in kinds:
-        points = rng.uniform(-1.0, 1.0, size=(count, dimension))
-    elif shape == "duplicates":
+    if shape == "duplicates":
         points = points[rng.integers(0, 3, size=count)]
     elif shape == "collinear":
         points[:, 1:] = points[:, :1] * 0.5
@@ -87,13 +80,8 @@ def layouts(draw):
     }
 
 
-def fresh_points(dimension, general):
-    """A grid point (or one far outside the build range), or with
-    ``general`` a continuous one anywhere from -4 to 6."""
-    if general:
-        return st.integers(0, 2 ** 32).map(lambda seed: tuple(
-            np.random.default_rng(seed).uniform(-4.0, 6.0, dimension)
-            .tolist()))
+def fresh_points(dimension):
+    """A grid point, or one far outside the build range."""
     return st.lists(st.sampled_from(GRID + FAR), min_size=dimension,
                     max_size=dimension).map(tuple)
 
@@ -118,8 +106,7 @@ class EngineMachine(RuleBasedStateMachine):
             kinds=layout["kinds"])
         self.sharded = self.engine.catalog.sharded("d")
         self.dimension = layout["points"].shape[1]
-        self.fresh = fresh_points(self.dimension,
-                                  "halfplane2d" in layout["kinds"])
+        self.fresh = fresh_points(self.dimension)
         self.live = [tuple(p) for p in layout["points"].tolist()]
         #: Writes applied since registration or the last re-split.
         self.writes = 0

@@ -28,6 +28,7 @@ from repro.engine import (
 from repro.engine.metrics import q_error
 from repro.engine.serving import AdmissionController
 from repro.engine.serving.admission import scaled_count_estimate
+from repro.engine.sharding import REBALANCE_THRESHOLD
 from repro.workloads import (
     diagonal_points,
     halfspace_queries_with_selectivity,
@@ -254,8 +255,9 @@ def test_insert_hooks_update_dataset_model_and_counters():
 # ----------------------------------------------------------------------
 # rebalancing
 # ----------------------------------------------------------------------
-def _skewed_insert_scenario(replicas=1, **kwargs):
-    """A K=4 range-sharded engine plus skewed inserts into shard 3."""
+def _skewed_insert_scenario(replicas=1, inserts=400, **kwargs):
+    """A K=4 range-sharded engine plus ``inserts`` skewed inserts into
+    shard 3 (400 leave it at 1.84x the fair share, 600 at 2.11x)."""
     points = uniform_points(1024, seed=18)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=18, **kwargs)
     engine.register_sharded_dataset(
@@ -264,8 +266,8 @@ def _skewed_insert_scenario(replicas=1, **kwargs):
     queries = steep_leading_attribute_queries(points, 5, 0.02, seed=19)
     top = engine.catalog.sharded("sh").router.boundaries[-1]
     rng = np.random.default_rng(20)
-    extra = np.column_stack([rng.uniform(top, 1.0, size=400),
-                             rng.uniform(-1.0, 1.0, size=400)])
+    extra = np.column_stack([rng.uniform(top, 1.0, size=inserts),
+                             rng.uniform(-1.0, 1.0, size=inserts)])
     # Through the write path itself: the facade's insert would re-split
     # (auto_rebalance) before the skew is built up.
     for point in extra:
@@ -437,8 +439,8 @@ def test_rebalance_records_event_in_engine_stats():
 
 def test_auto_rebalance_triggers_on_serving_entry():
     engine, points, extra, queries = _skewed_insert_scenario(
-        auto_rebalance=True, rebalance_threshold=1.5,
-        rebalance_min_mutations=50)
+        inserts=600, auto_rebalance=True)
+    assert engine.rebalancer.skew("sh")["imbalance"] >= REBALANCE_THRESHOLD
     assert engine.rebalancer.should_rebalance("sh")
     engine.query("sh", queries[0])
     summary = engine.summary()["rebalances"]
@@ -563,7 +565,10 @@ def test_degraded_answer_carries_sample_rate_and_interval():
     engine.close()
 
 
-def test_caller_held_admission_persists_across_serve_async_calls():
+def test_caller_held_admission_persists_across_waves():
+    """Budgets that persist across waves live on a long-lived executor
+    bound to a caller-held controller."""
+    import asyncio
     points = uniform_points(1024, seed=24)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=24)
     engine.register_dataset("d", points)
@@ -573,22 +578,18 @@ def test_caller_held_admission_persists_across_serve_async_calls():
     budget = TenantBudget(ios_per_s=1.0, burst=plan.estimated_ios * 1.2,
                           policy="reject")
     controller = AdmissionController({"slow": budget})
-    first = engine.serve_async(
+    executor = engine.serving_executor(admission=controller)
+    first = asyncio.run(executor.serve(
         [ServingRequest(tenant="slow", dataset="d",
-                        constraint=constraints[0])],
-        admission=controller)
+                        constraint=constraints[0])]))
     assert first.outcomes() == {"served": 1}
     drained = controller.tokens("slow")
     assert drained < budget.burst * 0.5
     # The second wave sees the drained bucket (fresh budgets would not).
-    second = engine.serve_async(
+    second = asyncio.run(executor.serve(
         [ServingRequest(tenant="slow", dataset="d",
-                        constraint=constraints[1])],
-        admission=controller)
+                        constraint=constraints[1])]))
     assert second.outcomes() == {"rejected": 1}
-    with pytest.raises(ValueError):
-        engine.serve_async([], budgets={"slow": budget},
-                           admission=controller)
     engine.close()
 
 
@@ -697,14 +698,14 @@ def test_conformal_window_keeps_its_sorted_mirror_under_ties_and_eviction():
 
 def test_plans_carry_conformal_output_interval_once_warm():
     points = uniform_points(1024, seed=42)
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=42,
-                         conformal_min_calibration=8)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=42)
     engine.register_dataset("d", points)
     constraints = halfspace_queries_with_selectivity(
-        np.asarray(points), 30, 0.15, seed=43)
+        np.asarray(points), 40, 0.15, seed=43)
     cold = engine.explain("d", constraints[0])
     assert cold.output_interval is None          # nothing calibrated yet
-    for constraint in constraints[:25]:
+    # DEFAULT_MIN_CALIBRATION (32) pairs and a few more.
+    for constraint in constraints[:36]:
         engine.query("d", constraint, clear_cache=True)
     warm = engine.explain("d", constraints[-1])
     low, high = warm.output_interval
@@ -715,13 +716,12 @@ def test_plans_carry_conformal_output_interval_once_warm():
 
 def test_sharded_plan_interval_sums_shard_bands():
     points = uniform_points(2048, seed=44)
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=44,
-                         conformal_min_calibration=8)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=44)
     engine.register_sharded_dataset("sh", points, num_shards=2,
                                     sharding="range")
     constraints = halfspace_queries_with_selectivity(
-        np.asarray(points), 30, 0.2, seed=45)
-    for constraint in constraints[:25]:
+        np.asarray(points), 40, 0.2, seed=45)
+    for constraint in constraints[:36]:
         engine.query("sh", constraint, clear_cache=True)
     plan = engine.explain("sh", constraints[-1])
     assert isinstance(plan, ShardedPlan)
@@ -750,13 +750,17 @@ def _register_layout(engine, name, points, layout):
                                         **SHARDED_LAYOUTS[layout])
 
 
+#: Queries that warm every shard's calibration window past
+#: DEFAULT_MIN_CALIBRATION (32) pairs.
+WARM_UP = 48
+
+
 def _prefers_conformal_with_normal_fallback(layout):
     points = uniform_points(2000, seed=46)
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=46, sample_size=400,
-                         conformal_min_calibration=8)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=46, sample_size=400)
     _register_layout(engine, "d", points, layout)
     constraints = halfspace_queries_with_selectivity(
-        np.asarray(points), 30, 0.25, seed=47)
+        np.asarray(points), WARM_UP + 3, 0.25, seed=47)
 
     def degrade_wave(wave):
         # The first (uncached) request drains the bucket; the rest of
@@ -774,10 +778,10 @@ def _prefers_conformal_with_normal_fallback(layout):
 
     # Cold start: no calibration pairs yet, so the interval is the
     # normal approximation and says so.
-    cold = degrade_wave(constraints[25:28])
+    cold = degrade_wave(constraints[WARM_UP:])
     assert cold and all(a.interval_source == "normal_fallback"
                         for a in cold)
-    for constraint in constraints[:25]:
+    for constraint in constraints[:WARM_UP]:
         engine.query("d", constraint, clear_cache=True)
     warm = degrade_wave(halfspace_queries_with_selectivity(
         np.asarray(points), 3, 0.2, seed=48))
@@ -817,8 +821,7 @@ def _degraded_coverage(layout, nominal):
     from repro.engine.serving import AsyncExecutor
     points = uniform_points(4096, seed=2029)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=1998,
-                         conformal_coverage=nominal, conformal_window=256,
-                         conformal_min_calibration=32)
+                         conformal_coverage=nominal)
     _register_layout(engine, "d", points, layout)
     levels = np.exp(np.linspace(np.log(0.02), np.log(0.4), 12))
 
@@ -909,7 +912,7 @@ def test_process_workers_parity_with_shard_stats():
             assert entry["last_seq"] >= 0
 
 
-def test_worker_spec_carries_stats_and_conformal_config():
+def test_worker_spec_carries_its_recipe_and_no_conformal_config():
     from repro.engine.catalog import ReplicaRecipe
     from repro.engine.cluster.worker import ShardWorker
     points = np.asarray(uniform_points(256, seed=58))
@@ -919,12 +922,14 @@ def test_worker_spec_carries_stats_and_conformal_config():
     worker = ShardWorker(
         "sh#0", points, recipe,
         [{"kind": "full_scan", "index_name": "full_scan", "params": {}}],
-        [], {"coverage": 0.9, "window": 128, "min_calibration": 16})
+        [])
     assert len(worker.dataset.stats.sample.rows) == 128
     assert worker.dataset.stats.size == len(points)
     stats = worker.handle({"op": "stats"})
     assert stats["replica"] == "sh#0"
-    assert stats["conformal"]["coverage"] == 0.9
+    # The parent computes every estimate and interval; a worker's
+    # replies carry none.
+    assert "conformal" not in stats
     # Spawned workers get the recipe their dataset was registered with,
     # for both register_* shapes.
     for sharded in (False, True):

@@ -18,7 +18,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.io.backend import (
     FileBackend,
     MemoryBackend,
-    MmapBackend,
     StorageBackend,
     make_backend,
     stored_form,
@@ -29,15 +28,13 @@ from repro.io.store import BlockStore
 from build_oracle import oracle_put_run
 
 
-@pytest.fixture(params=["memory", "file", "mmap"])
+@pytest.fixture(params=["memory", "file"])
 def backend(request, tmp_path):
     """One instance of every backend implementation."""
     if request.param == "memory":
         instance = MemoryBackend()
-    elif request.param == "file":
-        instance = FileBackend(str(tmp_path / "blocks.log"))
     else:
-        instance = MmapBackend(str(tmp_path / "blocks.log"))
+        instance = FileBackend(str(tmp_path / "blocks.log"))
     yield instance
     instance.close()
 
@@ -113,7 +110,7 @@ class TestBackendConformance:
     def test_info_reports_backend_name_and_blocks(self, backend):
         backend.put(0, [1])
         info = backend.info()
-        assert info["backend"] in ("memory", "file", "mmap")
+        assert info["backend"] in ("memory", "file")
         assert info["blocks"] == 1
 
 
@@ -365,7 +362,7 @@ def _same_blocks(backend, expected):
             assert repr(stored) == repr(block)
 
 
-@pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
+@pytest.mark.parametrize("kind", [FileBackend])
 @settings(max_examples=40, deadline=None)
 @given(script=log_scripts, data=st.data())
 def test_a_torn_log_reopens_to_its_complete_record_prefix(kind, script,
@@ -442,7 +439,7 @@ def _matrices(count, rows=2, first=0.0):
     return [_read_only(np.full((rows, 2), first + k)) for k in range(count)]
 
 
-@pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
+@pytest.mark.parametrize("kind", [FileBackend])
 @settings(max_examples=60, deadline=None)
 @given(ratio=st.sampled_from([1.0, 1.5, 4.0]), script=log_scripts,
        runs=st.lists(log_runs(), min_size=1, max_size=3))
@@ -510,7 +507,7 @@ def _block_bytes(backend, block_id):
     return repr(block)
 
 
-@pytest.mark.parametrize("kind", [FileBackend, MmapBackend])
+@pytest.mark.parametrize("kind", [FileBackend])
 def test_a_run_cut_inside_its_kth_payload_keeps_its_first_k_minus_one(
         kind, tmp_path):
     """A run is one write, and a crash can cut it anywhere: cut inside
@@ -564,66 +561,6 @@ def test_check_invariants_catches_a_log_that_disagrees(tmp_path):
     backend.close()
 
 
-class TestMmapBackend:
-    """Mmap-specific behaviour: remapping across appends and compaction."""
-
-    def test_reads_after_appends_remap_lazily(self, tmp_path):
-        backend = MmapBackend(str(tmp_path / "m.log"))
-        backend.put(0, [1, 2])
-        assert backend.get(0) == [1, 2]          # maps the initial file
-        backend.put(1, list(range(64)))          # grows past the mapping
-        assert backend.get(1) == list(range(64))
-        assert backend.get(0) == [1, 2]
-        assert backend.info()["mapped_bytes"] > 0
-        backend.close()
-
-    def test_compaction_invalidates_mapping(self, tmp_path):
-        backend = MmapBackend(str(tmp_path / "m.log"), auto_compact_ratio=0)
-        for version in range(10):
-            backend.put(0, [version] * 8)
-        backend.put(1, ["keep"])
-        assert backend.get(0) == [9] * 8         # mapping established
-        backend.compact()                        # payloads relocate
-        assert backend.get(0) == [9] * 8
-        assert backend.get(1) == ["keep"]
-        backend.close()
-
-    def test_reopen_recovers_like_file_backend(self, tmp_path):
-        path = str(tmp_path / "m.log")
-        first = MmapBackend(path)
-        first.put(0, [1, 2])
-        first.put(1, ["a"])
-        first.delete(1)
-        first.close()
-        reopened = MmapBackend(path)
-        assert sorted(reopened.block_ids()) == [0]
-        assert reopened.get(0) == [1, 2]
-        reopened.close()
-
-    def test_file_written_by_file_backend_is_readable(self, tmp_path):
-        # Same log format: the two file-based backends are interchangeable
-        # on disk, so a deployment can switch read paths without migrating.
-        path = str(tmp_path / "shared.log")
-        writer = FileBackend(path)
-        writer.put(3, [(1.0, 2.0)])
-        writer.close()
-        reader = MmapBackend(path)
-        assert reader.get(3) == [(1.0, 2.0)]
-        reader.close()
-
-    def test_accounting_parity_with_memory(self, tmp_path):
-        memory_store = BlockStore(block_size=4, cache_blocks=2)
-        mmap_store = BlockStore(block_size=4, cache_blocks=2,
-                                backend=MmapBackend(str(tmp_path / "p.log")))
-        _exercise(memory_store)
-        _exercise(mmap_store)
-        for attribute in ("reads", "writes", "allocations", "frees",
-                          "cache_hits"):
-            assert getattr(memory_store.stats, attribute) == \
-                getattr(mmap_store.stats, attribute), attribute
-        mmap_store.close()
-
-
 class TestMakeBackend:
     def test_none_and_memory_specs(self):
         assert isinstance(make_backend(None), MemoryBackend)
@@ -634,21 +571,17 @@ class TestMakeBackend:
         assert isinstance(backend, FileBackend)
         backend.close()
 
-    def test_mmap_spec_with_path(self, tmp_path):
-        backend = make_backend("mmap", path=str(tmp_path / "m.log"))
-        assert isinstance(backend, MmapBackend)
-        backend.close()
-
     def test_instance_passthrough_and_factory(self):
         instance = MemoryBackend()
         assert make_backend(instance) is instance
-        assert isinstance(make_backend(MemoryBackend), MemoryBackend)
+        # A factory is no spec: a backend is named or handed over built.
+        with pytest.raises(ValueError):
+            make_backend(MemoryBackend)
 
     def test_rejects_unknown_spec_and_bad_factory(self):
-        with pytest.raises(ValueError):
-            make_backend("tape")
-        with pytest.raises(TypeError):
-            make_backend(lambda: object())
+        for spec in ("tape", lambda: object()):
+            with pytest.raises(ValueError):
+                make_backend(spec)
 
 
 def _exercise(store: BlockStore):

@@ -25,7 +25,7 @@ from repro.core import kernels
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.io.block import as_point_matrix, matrix_to_records
-from repro.io.backend import FileBackend, MemoryBackend, MmapBackend
+from repro.io.backend import FileBackend, MemoryBackend
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
@@ -156,7 +156,7 @@ def test_as_point_matrix_round_trips():
 
 
 @pytest.mark.parametrize("backend_factory",
-                         [MemoryBackend, FileBackend, MmapBackend])
+                         [MemoryBackend, FileBackend])
 def test_point_blocks_round_trip_every_backend(backend_factory):
     backend = backend_factory()
     try:
@@ -174,7 +174,7 @@ def test_point_blocks_round_trip_every_backend(backend_factory):
         backend.close()
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 def test_payload_reads_charge_identically_to_record_reads(backend):
     points = [(float(i), float(-i)) for i in range(32)]
     store_a = BlockStore(block_size=8, cache_blocks=2, backend=backend)
@@ -198,19 +198,6 @@ def test_payload_reads_charge_identically_to_record_reads(backend):
     finally:
         store_a.close()
         store_b.close()
-
-
-def test_mmap_zero_copy_matrix_detached_from_mapping():
-    store = BlockStore(block_size=4, cache_blocks=0, backend="mmap")
-    try:
-        array = DiskArray(store, [(float(i), 1.0) for i in range(8)])
-        matrices = list(array.scan_batches())
-    finally:
-        store.close()
-    # The mapping is closed; the matrices must stay readable (they were
-    # copied out under the lock, not left as live mmap views).
-    total = sum(float(matrix[:, 0].sum()) for matrix in matrices)
-    assert total == sum(range(8))
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +252,7 @@ def test_index_answers_and_ios_identical_both_paths(dimension):
     constraint = constraint_for(dimension, 5)
     records = make_cloud(dimension, 300, 5, with_boundary=constraint)
     points = np.asarray(records, dtype=float)
-    for backend in ("memory", "file", "mmap"):
+    for backend in ("memory", "file"):
         for index in index_cases(records if dimension != 2 else points,
                                  backend=backend):
             store = index.store

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import observable
 from repro.core.partition_tree import PartitionTreeIndex
-from repro.io.backend import FileBackend, MmapBackend
+from repro.io.backend import FileBackend
 from repro.io.store import BlockStore
 from test_read_run import INITIAL_BLOCKS, block_ids, blocks, same_blocks
 
@@ -77,7 +77,7 @@ def log_bytes(store: BlockStore) -> bytes:
         return handle.read()
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 @settings(max_examples=120, deadline=None)
 @given(capacity=st.integers(0, 8),
        initial=st.lists(blocks, min_size=INITIAL_BLOCKS,
@@ -90,8 +90,6 @@ def test_a_write_run_is_one_write_per_block(backend, capacity, initial,
             path = os.path.join(directory, name)
             if backend == "file":
                 return FileBackend(path, auto_compact_ratio=1.0)
-            if backend == "mmap":
-                return MmapBackend(path, auto_compact_ratio=1.5)
             return "memory"
 
         run_store = BlockStore(BLOCK_SIZE, cache_blocks=capacity,
@@ -134,7 +132,7 @@ def test_a_write_run_is_one_write_per_block(backend, capacity, initial,
             twin.close()
 
 
-@pytest.mark.parametrize("backend", ["memory", "file", "mmap"])
+@pytest.mark.parametrize("backend", ["memory", "file"])
 @pytest.mark.parametrize("size", [600, 3000])
 def test_a_build_is_one_backend_write_per_run_of_blocks(backend, size):
     points = np.random.default_rng(3).random((size, 2))

@@ -566,7 +566,7 @@ def test_process_mode_write_skips_a_worker_spawned_without_the_index(
         assert "dynamic" not in victim.indexes
         victim.process.kill()
         victim.process.join()
-        engine.cluster.check_workers(restart=True)
+        engine.cluster.check_workers()
         restarted = engine.cluster.worker("sh", result.shard_id, 0)
         assert "dynamic" in restarted.indexes
         stats = engine.cluster.worker_stats("sh", result.shard_id, 0)
