@@ -35,11 +35,13 @@ output-sensitive bounds into concrete per-query cost predictions.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (BinaryIO, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -164,6 +166,10 @@ class Dataset:
     stats: SelectivityModel
     indexes: Dict[str, ExternalIndex] = field(default_factory=dict)
     build_records: Dict[str, BuildRecord] = field(default_factory=dict)
+    #: Index names that resolve to another name's structure: a
+    #: ``partition_tree`` built as the dynamic index beside it (see
+    #: :func:`one_tree_per_replica`).
+    aliases: Dict[str, str] = field(default_factory=dict)
     #: Set by the engine's write path once a write committed on this
     #: replica.  Statically-built sibling indexes are stale from that
     #: point on, so the planner stops routing to them.
@@ -216,9 +222,10 @@ class Dataset:
         matrix, which every layer above carries as it is — the I/Os the
         store charged for them (``clear_cache`` empties the buffer pool
         first: the cold cost), and the index's own account of how it
-        answered (:attr:`ExternalIndex.last_query`).
+        answered (:attr:`ExternalIndex.last_query`).  An alias answers
+        through the structure it names.
         """
-        index = self.indexes[index_name]
+        index = self.indexes[self.aliases.get(index_name, index_name)]
         with self.store.measured(clear_cache) as ios:
             if isinstance(query, ConstraintConjunction):
                 points = query_conjunction(index, query)
@@ -264,6 +271,12 @@ def fit_stats(recipe: ReplicaRecipe, array: np.ndarray) -> SelectivityModel:
                             dimension=array.shape[1], size=len(array))
 
 
+def _check_index_free(dataset: Dataset, index_name: str) -> None:
+    if index_name in dataset.indexes or index_name in dataset.aliases:
+        raise ValueError("index %r already exists on dataset %r"
+                         % (index_name, dataset.name))
+
+
 def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
                  index_name: Optional[str],
                  params: Dict[str, object]) -> BuildRecord:
@@ -276,9 +289,7 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
         raise ValueError("index kind %r does not support dimension %d"
                          % (kind, dataset.dimension))
     index_name = index_name or kind
-    if index_name in dataset.indexes:
-        raise ValueError("index %r already exists on dataset %r"
-                         % (index_name, dataset.name))
+    _check_index_free(dataset, index_name)
     params = dict(params)
     if seed is not None and kind in ("halfplane2d", "halfspace3d",
                                      "hybrid3d"):
@@ -306,20 +317,58 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     return record
 
 
+def one_tree_per_replica(builds: Sequence[Dict[str, object]]
+                         ) -> Tuple[List[Dict[str, object]], Dict[str, str]]:
+    """The builds of ``builds`` that run, in order, and the aliases.
+
+    Before its first write a dynamic index *is* the partition tree over
+    its points (paper §5, Remark iii): same nodes, same price, same
+    reads.  So a ``partition_tree`` build whose parameters equal a
+    ``dynamic`` build's tree parameters (all of them but
+    ``buffer_fraction``) is not built: its name becomes an alias of the
+    first such dynamic index, and each replica builds, stores and prices
+    one tree.  A list naming no ``dynamic`` runs as it is.
+    """
+    trees = [(build["index_name"],
+              {key: value for key, value in build["params"].items()
+               if key != "buffer_fraction"})
+             for build in builds if build["kind"] == "dynamic"]
+    runs: List[Dict[str, object]] = []
+    aliases: Dict[str, str] = {}
+    for build in builds:
+        target = next((name for name, params in trees
+                       if params == build["params"]), None) \
+            if build["kind"] == "partition_tree" else None
+        if target is None:
+            runs.append(build)
+        else:
+            aliases[build["index_name"]] = target
+    return runs, aliases
+
+
+def _alias(dataset: Dataset, aliases: Dict[str, str]) -> None:
+    """Give ``dataset`` the aliases of :func:`one_tree_per_replica`."""
+    for alias in aliases:
+        _check_index_free(dataset, alias)
+    dataset.aliases.update(aliases)
+
+
 def _build_on_shards(shards: Sequence[Shard], seed: Optional[int],
                      builds: Sequence[Dict[str, object]]
                      ) -> List[BuildRecord]:
     """Every build of ``builds`` (``kind`` / ``index_name`` / ``params``)
-    on every replica of ``shards``, shard by shard and, in a shard, in
-    ``builds`` order, each build a ``catalog.build_index`` span when a
-    trace is on.  The builds run in one build scope: a shard's chunk is
+    that :func:`one_tree_per_replica` runs on every replica of
+    ``shards``, shard by shard and, in a shard, in ``builds`` order, each
+    build a ``catalog.build_index`` span when a trace is on; the others
+    become aliases.  The builds run in one build scope: a shard's chunk is
     cut into its median cuts once, and the cuts are dropped before the
     next shard's chunk is cut.  Returns the records build by build, each
     in shard order."""
-    records: List[List[BuildRecord]] = [[] for __ in builds]
+    runs, aliases = one_tree_per_replica(builds)
+    records: List[List[BuildRecord]] = [[] for __ in runs]
     with sharing_partitions() as scope:
         for shard in shards:
-            for build, built in zip(builds, records):
+            for build, built in zip(runs, records):
                 for replica_id, replica in enumerate(shard.replicas):
                     with tracing.span("catalog.build_index",
                                       kind=build["kind"],
@@ -334,6 +383,8 @@ def _build_on_shards(shards: Sequence[Shard], seed: Optional[int],
                                          replica.indexes[record.index_name],
                                          _partition_use(scope, before))
                     built.append(record)
+            for replica in shard.replicas:
+                _alias(replica, aliases)
             scope.hierarchies.clear()
     return [record for built in records for record in built]
 
@@ -377,9 +428,10 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
     and the shard worker all call this, which is what replica parity and
     process-mode I/O parity rest on (the first two with no builds, then
     build the suite shard by shard, each replica's in the same order);
-    the builds here run in one build scope.  ``chunk`` may hold zero
-    points.
+    the builds here run in one build scope, resolved by
+    :func:`one_tree_per_replica`.  ``chunk`` may hold zero points.
     """
+    runs, aliases = one_tree_per_replica(suite_builds)
     stats = fit_stats(recipe, chunk)
     replicas: List[Dataset] = []
     with sharing_partitions():
@@ -394,9 +446,10 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
                                  cache_blocks=recipe.cache_blocks,
                                  backend=make_backend(recipe.backend,
                                                       path=path)))
-            for build in suite_builds:
+            for build in runs:
                 _build_index(replica, recipe.seed, build["kind"],
                              build["index_name"], build["params"])
+            _alias(replica, aliases)
             replicas.append(replica)
     return replicas
 
@@ -410,6 +463,31 @@ def _boxed_shard(shard_id: int, replicas: List[Dataset]) -> Shard:
     return Shard(shard_id=shard_id, replicas=replicas,
                  lows=tuple(points.min(axis=0).tolist()),
                  highs=tuple(points.max(axis=0).tolist()))
+
+
+#: The file in a file-backed catalog's ``data_dir`` that the catalog
+#: holds an exclusive lock on while it is open.
+LOCK_FILE = "catalog.lock"
+
+
+def _claim(data_dir: str) -> BinaryIO:
+    """Take ``data_dir`` for one catalog: an exclusive lock on its
+    :data:`LOCK_FILE`, held until the handle is unlocked or closed (the
+    kernel drops it with the process), and no block file an earlier
+    catalog left there — nothing reads one.  Raises ValueError when
+    another live catalog, in this process or another, holds it."""
+    os.makedirs(data_dir, exist_ok=True)
+    handle = open(os.path.join(data_dir, LOCK_FILE), "ab")
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:
+        handle.close()
+        raise ValueError("data_dir %r belongs to another live engine; close "
+                         "it first" % data_dir) from None
+    for name in os.listdir(data_dir):
+        if name.endswith(".blocks"):
+            os.unlink(os.path.join(data_dir, name))
+    return handle
 
 
 class Catalog:
@@ -431,7 +509,11 @@ class Catalog:
         ``"file"`` (see :mod:`repro.io.backend`).
     data_dir:
         Directory for file-backed stores (one ``<replica>.blocks`` file
-        each); a temporary file per store when omitted.
+        each); a temporary file per store when omitted.  A file-backed
+        catalog owns its ``data_dir`` until :meth:`close`: a second one
+        on the same directory is refused (:data:`LOCK_FILE`), the block
+        files an earlier one left there are deleted, and every store it
+        places there starts an empty log.
     """
 
     def __init__(self, block_size: int = 64, cache_blocks: int = 4,
@@ -447,6 +529,8 @@ class Catalog:
             backend=backend, data_dir=data_dir, sample_size=sample_size,
             seed=seed, replicas=1)
         self._datasets: Dict[str, ShardedDataset] = {}
+        self._claim = _claim(data_dir) \
+            if backend == "file" and data_dir is not None else None
         #: The engine's tracer (set by the engine; None: nothing traced).
         self.tracer: Optional[Tracer] = None
 
@@ -533,8 +617,8 @@ class Catalog:
         """Child-dataset names of one shard's replicas (first = primary).
 
         Re-split generations get a ``@g<G>`` infix so a rebuilt shard's
-        block file can never collide with (and recover blocks from) the
-        file its predecessor used.
+        block file can never collide with (and empty) the file its
+        predecessor still serves from.
         """
         base = name if generation == 0 else "%s@g%d" % (name, generation)
         return ["%s#%d" % (base, shard_id)] + [
@@ -585,27 +669,6 @@ class Catalog:
             shards=self._make_shards(name, array, router, recipe, 0))
         self._datasets[name] = sharded
         return sharded
-
-    def _remove_store_file(self, store: BlockStore) -> None:
-        """Delete a retired store's block file, if the catalog assigned it.
-
-        Temp-file backends delete themselves on close; files the catalog
-        placed under ``data_dir`` do not (the backend does not own an
-        explicit path), so a re-split would otherwise orphan one full
-        copy of the dataset per generation.  Files outside ``data_dir``
-        (caller-managed backends) are left alone.
-        """
-        path = getattr(store.backend, "path", None)
-        data_dir = self._recipe.data_dir
-        if not path or data_dir is None:
-            return
-        directory = os.path.dirname(os.path.abspath(path))
-        if directory != os.path.abspath(data_dir):
-            return
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
 
     @staticmethod
     def mutable_index_name(dataset: Dataset) -> Optional[str]:
@@ -710,7 +773,8 @@ class Catalog:
             # shard read before the store (and its file) disappears.
             with store.lock:
                 store.close()
-                self._remove_store_file(store)
+                if self._claim is not None:     # placed under data_dir
+                    os.unlink(store.backend.path)
         return {
             "dataset": name,
             "generation": generation,
@@ -764,10 +828,17 @@ class Catalog:
                 for replica in shard.replicas]
 
     def close(self) -> None:
-        """Close every store's backend (file handles, temp files)."""
+        """Close every store's backend (file handles, temp files), then
+        give up the ``data_dir``."""
         for name in self.datasets():
             for store in self.stores(name):
                 store.close()
+        if self._claim is not None:
+            # Unlocked, not just closed: a process forked meanwhile holds
+            # the same open file, and its copy would keep the lock.
+            fcntl.flock(self._claim, fcntl.LOCK_UN)
+            self._claim.close()
+            self._claim = None
 
     # ------------------------------------------------------------------
     # index builds
@@ -806,8 +877,10 @@ class Catalog:
         """Build a set of kinds (default: :func:`default_suite`) over a dataset.
 
         Every kind is built on every replica of every shard, shard by
-        shard (see :func:`_build_on_shards`); the records are returned in
-        shard order per kind, and each build is recorded as
+        shard (see :func:`_build_on_shards`) — but ``partition_tree``
+        beside ``dynamic``, which names the dynamic index's tree
+        (:func:`one_tree_per_replica`); the records are returned in
+        shard order per kind built, and each kind is recorded as
         :meth:`build_sharded_index` records it.
         """
         chosen = list(kinds) if kinds is not None else default_suite(

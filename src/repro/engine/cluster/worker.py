@@ -97,7 +97,8 @@ class ShardWorker:
 
     def _op_query(self, request: Dict[str, object]) -> Dict[str, object]:
         index_name = request["index"]
-        if index_name not in self.dataset.indexes:
+        if self.dataset.aliases.get(index_name, index_name) \
+                not in self.dataset.indexes:
             return {"ok": False, "error": "unknown index %r on replica %r"
                                           % (index_name, self.dataset.name)}
         if "conjunction" in request:

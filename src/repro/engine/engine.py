@@ -75,7 +75,9 @@ class QueryEngine:
     backend / data_dir:
         Storage backend for every store (``"memory"`` or ``"file"``)
         and, for ``"file"``, the directory the block files live in (temp
-        files when omitted).
+        files when omitted).  The engine owns that directory until
+        :meth:`close`: a second live engine on it is refused, and the
+        block files it finds there are deleted, not reopened.
     conformal_coverage:
         Nominal coverage of the conformal intervals on estimation error:
         the executor's observed (estimate, actual) pairs feed a bounded

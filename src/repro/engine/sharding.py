@@ -387,7 +387,8 @@ class ShardedDataset:
 
         The router has one slot per shard and sorted range boundaries;
         every shard holds the recipe's number of replicas, each with the
-        recorded index suite, sharing one selectivity model; replicas
+        recorded index suite (each name built, in order, or an alias of
+        one built), sharing one selectivity model; replicas
         hold equal live multisets, which their mutable indexes count, and
         equal ``mutated`` flags; every live point routes to the shard
         holding it and, unless the box is stale, lies inside the shard's
@@ -423,10 +424,14 @@ class ShardedDataset:
                 live = Catalog.live_points_of(primary)
                 multiset = sorted(map(tuple, live.tolist()))
                 for replica in shard.replicas:
-                    check(list(replica.indexes) == suite,
-                          "replica %r holds indexes %r, its dataset "
-                          "records %r", replica.name, list(replica.indexes),
-                          suite)
+                    names = list(replica.indexes)
+                    check(names == [name for name in suite
+                                    if name not in replica.aliases]
+                          and set(replica.aliases) <= set(suite)
+                          and set(replica.aliases.values()) <= set(names),
+                          "replica %r holds indexes %r and aliases %r, its "
+                          "dataset records %r", replica.name, names,
+                          replica.aliases, suite)
                     check(replica.stats is primary.stats,
                           "replica %r has a model of its own", replica.name)
                     check(replica.mutated == primary.mutated,

@@ -12,9 +12,11 @@ block transfers the model charges.  Two implementations ship:
 * :class:`FileBackend` — blocks serialised to a single append-only file
   read back with ``seek``/``read``.  Writes append a fresh copy of the
   block and update an in-memory offset table (a log-structured layout:
-  crash-simple, sequential writes); ``compact()`` rewrites live blocks to
-  reclaim the space of superseded versions.  Byte counters expose what a
-  real disk actually moved, alongside the model's block counts.
+  sequential writes); ``compact()`` rewrites live blocks to reclaim the
+  space of superseded versions.  A log lives one backend lifetime: the
+  backend starts it empty, and only :meth:`FileBackend.check_invariants`
+  reads one back (:func:`_replay`).  Byte counters expose what a real
+  disk actually moved, alongside the model's block counts.
 
 A block is stored in one form, fixed by :func:`stored_form` — the one
 call of the columnar rule (:func:`~repro.io.block.as_point_matrix`): a
@@ -64,6 +66,11 @@ _COLUMNAR_MAGIC = b"\x01NPB"
 _COLUMNAR_SHAPE = struct.Struct("<qq")
 
 _COLUMNAR_HEADER = len(_COLUMNAR_MAGIC) + _COLUMNAR_SHAPE.size
+
+#: A file backend compacts its log once the log holds more than this
+#: multiple of what a compacted log would (garbage from superseded block
+#: versions); ``0`` disables automatic compaction.
+AUTO_COMPACT_RATIO = 4.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -141,9 +148,10 @@ def _replay(handle: BinaryIO, size: int
     only: the offset table of its live blocks, their payload bytes, and
     where its last complete record ends.
 
-    A record whose payload runs past ``size`` (a crash between the header
-    and the payload bytes, or inside a run's one write) ends the replay:
-    everything before it is intact.
+    A record whose payload runs past ``size`` (a log cut between a
+    header and its payload bytes, or inside a run's one write) ends the
+    replay: everything before it is intact, and the end reported is
+    where the intact prefix ends.
     """
     index: Dict[BlockId, Tuple[int, int]] = {}
     live_bytes = 0
@@ -284,29 +292,23 @@ class FileBackend(StorageBackend):
     ----------
     path:
         File to store blocks in.  When omitted a temporary file is created
-        and removed again on :meth:`close`.  An existing file written by a
-        previous :class:`FileBackend` is recovered by replaying its log,
-        so a store can be reopened across processes.
-    auto_compact_ratio:
-        When the file holds more than this multiple of the live payload
-        (garbage from superseded block versions), :meth:`put` triggers a
-        :meth:`compact`.  ``0`` disables automatic compaction.
+        and removed again on :meth:`close`.  A file already at ``path`` is
+        truncated: the backend starts an empty log, whatever an earlier
+        backend left there.
+
+    A write that leaves the log longer than :data:`AUTO_COMPACT_RATIO`
+    times its compacted size triggers a :meth:`compact`.
     """
 
     name = "file"
 
-    def __init__(self, path: Optional[str] = None,
-                 auto_compact_ratio: float = 4.0) -> None:
-        if auto_compact_ratio and auto_compact_ratio < 1.0:
-            raise ValueError("auto_compact_ratio must be >= 1 (or 0 to "
-                             "disable), got %r" % auto_compact_ratio)
+    def __init__(self, path: Optional[str] = None) -> None:
         self._owns_path = path is None
         if path is None:
             fd, path = tempfile.mkstemp(prefix="repro-blocks-",
                                         suffix=".log")
             os.close(fd)
         self.path = path
-        self._auto_compact_ratio = auto_compact_ratio
         self._lock = threading.Lock()
         # block_id -> (payload offset, payload length) of the live version.
         self._index: Dict[BlockId, Tuple[int, int]] = {}
@@ -322,25 +324,11 @@ class FileBackend(StorageBackend):
         self._appended: List[bytes] = []
         directory = os.path.dirname(os.path.abspath(path))
         os.makedirs(directory, exist_ok=True)
-        self._handle = open(path, "a+b")
-        self._recover()
+        self._handle = open(path, "w+b")
 
     # ------------------------------------------------------------------
     # log plumbing
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Rebuild the offset table from an existing log file.
-
-        A torn tail record (see :func:`_replay`) is truncated away so
-        later appends start at a clean record boundary.
-        """
-        self._handle.seek(0, os.SEEK_END)
-        file_size = self._handle.tell()
-        self._index, self._live_bytes, self._end = _replay(self._handle,
-                                                           file_size)
-        if self._end < file_size:
-            self._handle.truncate(self._end)
-
     def _append(self, block_id: BlockId, payload: bytes) -> Tuple[int, int]:
         """Queue one record at the log's end (:meth:`_write_appended`
         writes the queue); return its payload's offset and length."""
@@ -363,13 +351,13 @@ class FileBackend(StorageBackend):
         return self._live_bytes + len(self._index) * _HEADER.size
 
     def _maybe_compact_locked(self) -> None:
-        if not self._auto_compact_ratio or not self._index:
+        if not AUTO_COMPACT_RATIO or not self._index:
             return
         # Compare against what compaction can actually achieve (live
         # payloads *plus* their headers) — comparing to payload bytes
         # alone makes the threshold unsatisfiable for tiny blocks and
         # degenerates into a full rewrite on every put.
-        if self._end > self._auto_compact_ratio * max(
+        if self._end > AUTO_COMPACT_RATIO * max(
                 1, self._live_file_bytes()):
             self._compact_locked()
 
@@ -448,7 +436,7 @@ class FileBackend(StorageBackend):
             self._check_open()
             __, length = self._index.pop(block_id)
             self._live_bytes -= length
-            # Tombstone so recovery after reopen also forgets the block.
+            # A tombstone, so a replay of the log forgets the block too.
             self._append(~block_id, b"")
             self._write_appended()
 

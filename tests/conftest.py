@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.io import backend as backend_module
+from repro.io.backend import _decode, _replay
 from repro.io.store import BlockStore
 
 #: The stateful machine's example budget (``tests/test_stateful.py``):
@@ -21,6 +26,28 @@ STATEFUL = settings.get_profile("stateful")
 #: machine holds every shard a query's plan gives one of them.
 EXACTLY_PRICED = ("dynamic", "partition_tree", "quadtree", "rtree",
                   "shallow_tree")
+
+
+def compact_at(ratio):
+    """The file backend's compaction ratio
+    (:data:`~repro.io.backend.AUTO_COMPACT_RATIO`) patched to ``ratio``
+    while the context is open; ``0`` never compacts."""
+    return mock.patch.object(backend_module, "AUTO_COMPACT_RATIO", ratio)
+
+
+def replayed(path, size=None):
+    """What :func:`_replay` reads from the log at ``path`` (its first
+    ``size`` bytes; all of them by default): each live block in its
+    stored form, and where the intact records end."""
+    with open(path, "rb") as handle:
+        if size is None:
+            size = os.path.getsize(path)
+        index, __, end = _replay(handle, size)
+        blocks = {}
+        for block_id, (offset, length) in index.items():
+            handle.seek(offset)
+            blocks[block_id] = _decode(handle.read(length))
+    return blocks, end
 
 
 @pytest.fixture
@@ -87,11 +114,11 @@ def assert_replica_layout(sharded):
     """
     sharded.check_invariants()
     recipe = sharded.recipe
-    suite = [build["index_name"] for build in sharded.suite_builds]
     for shard in sharded.shards:
         primary = shard.replicas[0]
         for replica in shard.replicas:
             assert np.array_equal(replica.points, primary.points)
-            assert list(replica.build_records) == suite
+            assert list(replica.build_records) == list(replica.indexes)
+            assert replica.aliases == primary.aliases
             assert replica.store.block_size == recipe.block_size
             assert replica.store.cache_blocks == recipe.cache_blocks

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import observable, rows
+from conftest import observable, replayed, rows
 from repro.baselines.full_scan import FullScanIndex
 from repro.core import scalar_kernels
 from repro.core.dynamic import DynamicPartitionTreeIndex
@@ -29,6 +29,7 @@ from repro.core.partition_tree import PartitionTreeIndex
 from repro.engine.catalog import INDEX_KINDS
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import FileBackend
+from repro.io.block import block_records
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
@@ -142,12 +143,11 @@ def test_allocate_matrix_is_allocate_many_of_the_rows(backend, drawn,
                     logs.append(handle.read())
             assert logs[0] == logs[1]
             by_matrix.close()
-            reopened = FileBackend(by_matrix.backend.path)
-            assert sorted(reopened.block_ids()) == [0] + ids
+            blocks, __ = replayed(by_matrix.backend.path)
+            assert sorted(blocks) == [0] + ids
             assert repr([record for block_id in ids
-                         for record in reopened.get(block_id)]) \
+                         for record in block_records(blocks[block_id])]) \
                 == repr(expected)
-            reopened.close()
         finally:
             by_matrix.close()
             by_records.close()

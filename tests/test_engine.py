@@ -170,7 +170,7 @@ def test_dynamic_insert_flushes_result_cache(points2d):
 def test_mutated_dataset_stops_routing_to_static_indexes(points2d):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_dataset("d", points2d,
-                            kinds=["dynamic", "partition_tree", "full_scan"])
+                            kinds=["dynamic", "shallow_tree", "full_scan"])
     constraint = halfspace_queries_with_selectivity(points2d, 1, 0.3,
                                                     seed=103)[0]
     assert len(engine.explain("d", constraint)

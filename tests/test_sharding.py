@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -408,6 +411,45 @@ def test_file_backed_sharded_engine_matches_memory(points2d, tmp_path):
     # "#" is hex-escaped in block file names ("sh#0" -> "sh_0000230.blocks")
     assert (tmp_path / "sh_0000230.blocks").exists()
     file_engine.close()
+
+
+def test_an_engine_owns_its_data_dir(points2d, tmp_path):
+    """A second live engine on a data_dir is refused, in this process or
+    another; once the first closes, the next one starts from no block
+    file: a stale one is deleted, and its own logs start empty."""
+    first = QueryEngine(block_size=BLOCK_SIZE, seed=5, backend="file",
+                        data_dir=str(tmp_path))
+    first.register_sharded_dataset("sh", points2d, num_shards=2)
+    for store in first.catalog.stores("sh"):
+        store.backend.sync()
+    fresh = sorted((path.name, path.stat().st_size)
+                   for path in tmp_path.glob("*.blocks"))
+    with pytest.raises(ValueError, match="another live engine"):
+        QueryEngine(backend="file", data_dir=str(tmp_path))
+    claim = ("from repro import QueryEngine\n"
+             "QueryEngine(backend='file', data_dir=%r)" % str(tmp_path))
+    other = subprocess.run([sys.executable, "-c", claim], text=True,
+                           capture_output=True,
+                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                               sys.path)))
+    assert other.returncode != 0 and "another live engine" in other.stderr
+    first.rebalance("sh")               # leaves generation-1 files behind
+    first.close()
+    (tmp_path / "orphan.blocks").write_bytes(b"\x00" * 64)
+    again = QueryEngine(block_size=BLOCK_SIZE, seed=5, backend="file",
+                        data_dir=str(tmp_path))
+    try:
+        assert not list(tmp_path.glob("*.blocks"))
+        again.register_sharded_dataset("sh", points2d, num_shards=2)
+        for store in again.catalog.stores("sh"):
+            store.backend.sync()
+        assert sorted((path.name, path.stat().st_size)
+                      for path in tmp_path.glob("*.blocks")) == fresh
+    finally:
+        again.close()
+    memory = [QueryEngine(data_dir=str(tmp_path)) for __ in range(2)]
+    for engine in memory:               # a memory engine places no file
+        engine.close()
 
 
 def test_block_file_names_cannot_collide():

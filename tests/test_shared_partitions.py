@@ -115,14 +115,13 @@ def test_a_shared_hierarchy_is_read_only_and_dropped_with_its_scope():
 def test_a_replicated_registration_writes_each_tree_as_built_alone(tmp_path):
     """The box trees bring hierarchies of their own, at the block size,
     fanout and leaf size the scope would key a median cut of the same
-    chunk by: they neither store one in the scope (the partition tree
+    chunk by: they neither store one in the scope (the dynamic tree
     after the R-tree would read it) nor read one (the quad-tree after
     the dynamic tree would)."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=3, backend="file",
                          data_dir=str(tmp_path))
     kinds = (("rtree", RTreeIndex), ("dynamic", DynamicPartitionTreeIndex),
-             ("quadtree", QuadTreeIndex),
-             ("partition_tree", PartitionTreeIndex))
+             ("quadtree", QuadTreeIndex))
     try:
         engine.register_sharded_dataset(
             "d", uniform_points(1500, seed=3), num_shards=2, replicas=2,
@@ -139,9 +138,7 @@ def test_a_replicated_registration_writes_each_tree_as_built_alone(tmp_path):
         for shard in range(2):
             assert uses[shard, "rtree"] == uses[shard, "quadtree"] \
                 == ["none", "none"]
-            assert sorted(uses[shard, "dynamic"]
-                          + uses[shard, "partition_tree"]) \
-                == ["computed"] + ["shared"] * 3
+            assert sorted(uses[shard, "dynamic"]) == ["computed", "shared"]
         for shard in engine.catalog.sharded("d").shards:
             for replica in shard.replicas:
                 store = replica.store

@@ -6,7 +6,10 @@ shards x {1, 2} replicas, over degenerate point sets (duplicates,
 collinear and axis-parallel sets, points on a query hyperplane, N < B),
 then interleaves inserts (copies, grid points, points far outside the
 build range — which fill zero-point shards), deletes (present and
-absent), queries, conjunctions and re-splits.  The oracle is the live
+absent), queries, conjunctions, re-splits, and closes that reopen an
+engine on the same ``data_dir`` over the live points (refused while the
+old one is live; after each, the stores and the directory hold what one
+fresh registration's do).  The oracle is the live
 multiset, kept as a list.  After every rule the dataset's
 ``check_invariants()`` holds, as does every index's that has a checker
 (and, on files, every replica store's: its log replays to its backend's
@@ -22,10 +25,12 @@ budget is ``conftest.STATEFUL``.
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
@@ -49,6 +54,9 @@ SUITES = {2: [["halfplane2d", "partition_tree", "full_scan"],
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 FAR = [-4.0, 3.0, 6.0]
 COEFFS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+#: Reopens per example: a reopen in process mode waits out its
+#: workers' shutdown.
+REOPENS = 2
 EVERYTHING = {2: LinearConstraint(coeffs=(0.0,), offset=1e9),
               3: LinearConstraint(coeffs=(0.0, 0.0), offset=1e9)}
 
@@ -91,25 +99,48 @@ def multiset(points):
     return sorted(map(tuple, np.asarray(points, dtype=float).tolist()))
 
 
+def on_disk(engine, data_dir):
+    """What an engine's stores hold: each one's block count and log
+    size, and the files in its ``data_dir``, by name and size."""
+    stores = []
+    for store in engine.catalog.stores("d"):
+        if hasattr(store.backend, "sync"):
+            store.backend.sync()
+        info = store.backend.info()
+        stores.append((info["blocks"], info.get("file_bytes")))
+    files = sorted((name, os.path.getsize(os.path.join(data_dir, name)))
+                   for name in os.listdir(data_dir))
+    return stores, files
+
+
 class EngineMachine(RuleBasedStateMachine):
     """One engine, one dataset ``d``, and ``live``: its oracle multiset."""
 
     @initialize(layout=layouts(), seed=st.integers(0, 2 ** 16))
     def register(self, layout, seed):
+        self.layout, self.seed = layout, seed
         self.data_dir = tempfile.mkdtemp(prefix="stateful-")
-        self.engine = QueryEngine(
-            block_size=layout["block_size"], seed=seed, sample_size=8,
-            backend=layout["backend"], data_dir=self.data_dir)
-        self.engine.register_sharded_dataset(
-            "d", layout["points"], num_shards=layout["num_shards"],
-            sharding=layout["sharding"], replicas=layout["replicas"],
-            kinds=layout["kinds"])
+        self.engine = self.open_engine(self.data_dir, layout["points"])
         self.sharded = self.engine.catalog.sharded("d")
         self.dimension = layout["points"].shape[1]
         self.fresh = fresh_points(self.dimension)
         self.live = [tuple(p) for p in layout["points"].tolist()]
         #: Writes applied since registration or the last re-split.
         self.writes = 0
+        self.reopens = 0
+
+    def open_engine(self, data_dir, points, workers=None):
+        """An engine on ``data_dir`` with ``points`` registered as ``d``
+        in the drawn layout."""
+        layout = self.layout
+        engine = QueryEngine(
+            block_size=layout["block_size"], seed=self.seed, sample_size=8,
+            backend=layout["backend"], data_dir=data_dir, workers=workers)
+        engine.register_sharded_dataset(
+            "d", points, num_shards=layout["num_shards"],
+            sharding=layout["sharding"], replicas=layout["replicas"],
+            kinds=layout["kinds"])
+        return engine
 
     def teardown(self):
         engine = getattr(self, "engine", None)
@@ -149,6 +180,30 @@ class EngineMachine(RuleBasedStateMachine):
     def rebalance(self):
         self.engine.rebalance("d")
         self.writes = 0
+
+    @precondition(lambda self: self.live and self.reopens < REOPENS)
+    @rule()
+    def reopen(self):
+        """Close the engine and open the next on its ``data_dir`` over the
+        live points: refused while the first is live, then holding on
+        disk exactly what one fresh registration of them holds."""
+        points = np.asarray(self.live, dtype=float)
+        if self.layout["backend"] == "file":
+            with pytest.raises(ValueError, match="another live engine"):
+                QueryEngine(backend="file", data_dir=self.data_dir)
+        self.engine.close()
+        self.engine = self.open_engine(self.data_dir, points)
+        self.sharded = self.engine.catalog.sharded("d")
+        self.writes = 0
+        self.reopens += 1
+        fresh_dir = tempfile.mkdtemp(prefix="stateful-fresh-")
+        fresh = self.open_engine(fresh_dir, points, workers="inprocess")
+        try:
+            assert on_disk(self.engine, self.data_dir) \
+                == on_disk(fresh, fresh_dir)
+        finally:
+            fresh.close()
+            shutil.rmtree(fresh_dir, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # reads

@@ -405,9 +405,9 @@ def test_rebalance_removes_previous_generation_block_files(tmp_path):
                                     sharding="range",
                                     kinds=["full_scan", "dynamic"])
     engine.insert("sh", (0.0, 0.0))
-    files_before = sorted(p.name for p in tmp_path.iterdir())
+    files_before = sorted(p.name for p in tmp_path.glob("*.blocks"))
     engine.rebalance("sh")
-    files_after = sorted(p.name for p in tmp_path.iterdir())
+    files_after = sorted(p.name for p in tmp_path.glob("*.blocks"))
     # Same file count: generation-0 files removed, @g1 files created.
     assert len(files_after) == len(files_before)
     assert all("_000040g1" in name for name in files_after)  # escaped "@g1"

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.io import backend as backend_module
 from repro.io.backend import (
     FileBackend,
     MemoryBackend,
@@ -26,6 +27,7 @@ from repro.io.cache import LRUCache
 from repro.io.store import BlockStore
 
 from build_oracle import oracle_put_run
+from conftest import compact_at, replayed
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -117,7 +119,7 @@ class TestBackendConformance:
 class TestFileBackend:
     """File-specific behaviour: persistence, compaction, temp cleanup."""
 
-    def test_reopen_recovers_blocks_and_tombstones(self, tmp_path):
+    def test_reopening_a_path_starts_an_empty_log(self, tmp_path):
         path = str(tmp_path / "store.log")
         first = FileBackend(path)
         first.put(0, [1, 2])
@@ -125,28 +127,32 @@ class TestFileBackend:
         first.put(0, [3, 4])      # supersedes the first version
         first.delete(1)
         first.close()
-        reopened = FileBackend(path)
-        assert sorted(reopened.block_ids()) == [0]
-        assert reopened.get(0) == [3, 4]
+        assert replayed(path)[0] == {0: [3, 4]}    # the log replays ...
+        reopened = FileBackend(path)               # ... and is not reread
+        assert len(reopened) == 0 and os.path.getsize(path) == 0
+        reopened.put(2, ["b"])
+        reopened.check_invariants()
         reopened.close()
+        assert replayed(path)[0] == {2: ["b"]}
 
-    def test_store_over_reopened_backend_allocates_fresh_ids(self, tmp_path):
+    def test_a_store_over_a_reopened_path_starts_empty(self, tmp_path):
         path = str(tmp_path / "store.log")
-        backend = FileBackend(path)
-        store = BlockStore(block_size=4, backend=backend)
-        block_id = store.allocate([1, 2, 3])
+        store = BlockStore(block_size=4, backend=FileBackend(path))
+        store.allocate([1, 2, 3])
         store.close()
-        resumed = BlockStore(block_size=4, backend=FileBackend(path))
-        fresh = resumed.allocate(["new"])
-        assert fresh != block_id
-        assert resumed.read(block_id) == [1, 2, 3]
-        resumed.close()
+        written = os.path.getsize(path)
+        again = BlockStore(block_size=4, backend=FileBackend(path))
+        assert again.num_blocks == 0 and len(again.backend) == 0
+        again.allocate([1, 2, 3])
+        again.backend.sync()
+        assert os.path.getsize(path) == written
+        again.close()
 
     def test_compact_drops_superseded_versions(self, tmp_path):
-        backend = FileBackend(str(tmp_path / "store.log"),
-                              auto_compact_ratio=0)
-        for __ in range(10):
-            backend.put(0, list(range(8)))
+        backend = FileBackend(str(tmp_path / "store.log"))
+        with compact_at(0):
+            for __ in range(10):
+                backend.put(0, list(range(8)))
         before = backend.info()["file_bytes"]
         backend.compact()
         after = backend.info()["file_bytes"]
@@ -156,10 +162,10 @@ class TestFileBackend:
         backend.close()
 
     def test_auto_compaction_bounds_file_size(self, tmp_path):
-        backend = FileBackend(str(tmp_path / "store.log"),
-                              auto_compact_ratio=2.0)
-        for __ in range(50):
-            backend.put(0, list(range(32)))
+        backend = FileBackend(str(tmp_path / "store.log"))
+        with compact_at(2.0):
+            for __ in range(50):
+                backend.put(0, list(range(32)))
         assert backend.compactions > 0
         info = backend.info()
         assert info["file_bytes"] <= 2.0 * info["live_bytes"] + 256
@@ -169,8 +175,8 @@ class TestFileBackend:
         # Header bytes must count as live: with payloads smaller than the
         # record header, a payload-only threshold is unsatisfiable and
         # compaction would run on every single put (O(n^2) writes).
-        backend = FileBackend(str(tmp_path / "tiny.log"),
-                              auto_compact_ratio=4.0)
+        backend = FileBackend(str(tmp_path / "tiny.log"))
+        assert backend_module.AUTO_COMPACT_RATIO == 4.0
         for block_id in range(64):
             backend.put(block_id, [])
         assert backend.compactions == 0
@@ -208,32 +214,23 @@ class TestFileBackend:
         assert backend.bytes_read > 0
         backend.close()
 
-    def test_rejects_bad_compact_ratio(self, tmp_path):
-        with pytest.raises(ValueError):
-            FileBackend(str(tmp_path / "x.log"), auto_compact_ratio=0.5)
-
-    def test_recovery_drops_torn_tail_record(self, tmp_path):
-        # Simulate a crash between writing a record header and its payload:
-        # recovery must keep every complete record, drop the torn tail, and
-        # leave the file appendable.
-        import struct
+    def test_check_invariants_catches_a_torn_tail_record(self, tmp_path):
+        # A header whose payload never arrived, behind the backend's back:
+        # the replay keeps every complete record and stops there, and the
+        # backend's check says its log ends short of the file.
         path = str(tmp_path / "torn.log")
         backend = FileBackend(path)
         backend.put(0, [1, 2])
         backend.put(1, ["ok"])
-        backend.close()
+        backend.sync()
+        intact = os.path.getsize(path)
         with open(path, "ab") as handle:
             handle.write(struct.pack("<qq", 2, 10_000))  # header only
             handle.write(b"partial")                     # truncated payload
-        recovered = FileBackend(path)
-        assert sorted(recovered.block_ids()) == [0, 1]
-        assert recovered.get(0) == [1, 2]
-        assert recovered.get(1) == ["ok"]
-        recovered.put(3, ["after crash"])                # clean boundary
-        recovered.close()
-        reopened = FileBackend(path)
-        assert reopened.get(3) == ["after crash"]
-        reopened.close()
+        assert replayed(path) == ({0: [1, 2], 1: ["ok"]}, intact)
+        with pytest.raises(AssertionError, match="records end at"):
+            backend.check_invariants()
+        backend.close()
 
 
 class _AskingBackend(FileBackend):
@@ -242,11 +239,11 @@ class _AskingBackend(FileBackend):
     (each record written before it is asked)."""
 
     def _maybe_compact_locked(self):
-        if not self._auto_compact_ratio or not self._index:
+        if not backend_module.AUTO_COMPACT_RATIO or not self._index:
             return
         self._write_appended()
         self._handle.seek(0, os.SEEK_END)
-        if self._handle.tell() > self._auto_compact_ratio * max(
+        if self._handle.tell() > backend_module.AUTO_COMPACT_RATIO * max(
                 1, self._live_file_bytes()):
             self._compact_locked()
 
@@ -258,48 +255,46 @@ class TestLogEndOffset:
     def test_compacts_at_the_same_operations_as_a_seeking_log(
             self, tmp_path, ratio):
         rng = np.random.default_rng(int(ratio * 10))
-        kept = FileBackend(str(tmp_path / "kept.log"),
-                           auto_compact_ratio=ratio)
-        asked = _AskingBackend(str(tmp_path / "asked.log"),
-                               auto_compact_ratio=ratio)
+        kept = FileBackend(str(tmp_path / "kept.log"))
+        asked = _AskingBackend(str(tmp_path / "asked.log"))
         compacted_at = []
-        for step in range(400):
-            block_id = int(rng.integers(0, 12))
-            roll = rng.random()
-            for backend in (kept, asked):
-                if roll < 0.2 and backend.contains(block_id):
-                    backend.delete(block_id)
-                elif roll < 0.5:
-                    backend.put(block_id, np.full(
-                        (1 + step % 7, 2), float(step)))
-                elif roll < 0.6:
-                    backend.get(block_id) if backend.contains(block_id) \
-                        else None
-                else:
-                    backend.put(block_id, ["x" * (step % 40)] * (step % 5))
-            if kept.compactions > len(compacted_at):
-                compacted_at.append(step)
-            assert kept.compactions == asked.compactions, step
-            assert kept.bytes_written == asked.bytes_written, step
-            assert kept.info() == dict(asked.info(), path=kept.path), step
-            kept.sync()
-            assert kept.info()["file_bytes"] == os.path.getsize(kept.path)
+        with compact_at(ratio):
+            for step in range(400):
+                block_id = int(rng.integers(0, 12))
+                roll = rng.random()
+                for backend in (kept, asked):
+                    if roll < 0.2 and backend.contains(block_id):
+                        backend.delete(block_id)
+                    elif roll < 0.5:
+                        backend.put(block_id, np.full(
+                            (1 + step % 7, 2), float(step)))
+                    elif roll < 0.6:
+                        backend.get(block_id) if backend.contains(block_id) \
+                            else None
+                    else:
+                        backend.put(block_id,
+                                    ["x" * (step % 40)] * (step % 5))
+                if kept.compactions > len(compacted_at):
+                    compacted_at.append(step)
+                assert kept.compactions == asked.compactions, step
+                assert kept.bytes_written == asked.bytes_written, step
+                assert kept.info() == dict(asked.info(), path=kept.path), \
+                    step
+                kept.sync()
+                assert kept.info()["file_bytes"] \
+                    == os.path.getsize(kept.path)
         assert bool(compacted_at) == bool(ratio)
-        blocks = {block_id: kept.get(block_id)
-                  for block_id in sorted(kept.block_ids())}
+        blocks = {block_id: _block_bytes(kept.get_payload(block_id))
+                  for block_id in kept.block_ids()}
         assert blocks
         for backend in (kept, asked):
+            # The log replays to the same blocks, ending where it says.
+            backend.check_invariants()
             backend.close()
-            reopened = FileBackend(backend.path, auto_compact_ratio=ratio)
-            assert {block_id: reopened.get(block_id) for block_id
-                    in sorted(reopened.block_ids())} == blocks
-            # ... and appends where the recovered log ends.
-            reopened.put(99, ["after reopen"])
-            reopened.sync()
-            assert reopened.info()["file_bytes"] \
-                == os.path.getsize(backend.path)
-            assert reopened.get(99) == ["after reopen"]
-            reopened.close()
+            logged, end = replayed(backend.path)
+            assert {block_id: _block_bytes(block)
+                    for block_id, block in logged.items()} == blocks
+            assert end == os.path.getsize(backend.path)
 
     def test_a_torn_tail_is_not_counted_in_the_end_offset(self, tmp_path):
         path = str(tmp_path / "torn.log")
@@ -309,14 +304,9 @@ class TestLogEndOffset:
         intact = os.path.getsize(path)
         with open(path, "ab") as handle:
             handle.write(b"\x07" * 11)          # less than one header
-        recovered = FileBackend(path)
-        assert recovered.info()["file_bytes"] == intact
-        recovered.put(1, ["next"])
-        recovered.sync()
-        assert recovered.info()["file_bytes"] == os.path.getsize(path)
-        assert recovered.get(0) == [(1.0, 1.0)] * 3
-        assert recovered.get(1) == ["next"]
-        recovered.close()
+        blocks, end = replayed(path)
+        assert end == intact
+        assert blocks[0].tolist() == [[1.0, 1.0]] * 3
 
 
 def _read_only(matrix):
@@ -349,10 +339,11 @@ def _stored(block):
     return list(block)
 
 
-def _same_blocks(backend, expected):
-    assert sorted(backend.block_ids()) == sorted(expected)
+def _same_blocks(blocks, expected):
+    """``blocks`` (id -> stored form) are ``expected``'s, form and bytes."""
+    assert sorted(blocks) == sorted(expected)
     for block_id, block in expected.items():
-        stored = backend.get_payload(block_id)
+        stored = blocks[block_id]
         assert type(stored) is type(block), block_id
         if isinstance(block, np.ndarray):
             assert not stored.flags.writeable
@@ -362,34 +353,30 @@ def _same_blocks(backend, expected):
             assert repr(stored) == repr(block)
 
 
-@pytest.mark.parametrize("kind", [FileBackend])
 @settings(max_examples=40, deadline=None)
 @given(script=log_scripts, data=st.data())
-def test_a_torn_log_reopens_to_its_complete_record_prefix(kind, script,
-                                                         data):
+def test_a_torn_log_replays_to_its_complete_record_prefix(script, data):
     """Cut a log at every record boundary and inside every header and
-    payload: the reopened backend holds the blocks of the complete
-    records before the cut, reports that prefix's length, and appends
-    and reopens cleanly from there."""
+    payload: the replay holds the blocks of the complete records before
+    the cut and ends where that prefix ends."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "full.log")
-        writer = kind(path, auto_compact_ratio=0)   # one record per step
+        writer = FileBackend(path)
         states, boundaries, model = [{}], [0], {}
-        for step in script:
-            if step[0] == "put":
-                writer.put(step[1], step[2])
-                model[step[1]] = _stored(step[2])
-            elif writer.contains(step[1]):
-                writer.delete(step[1])
-                del model[step[1]]
-            else:
-                continue
-            states.append(dict(model))
-            boundaries.append(writer.info()["file_bytes"])
+        with compact_at(0):                 # one record per step
+            for step in script:
+                if step[0] == "put":
+                    writer.put(step[1], step[2])
+                    model[step[1]] = _stored(step[2])
+                elif writer.contains(step[1]):
+                    writer.delete(step[1])
+                    del model[step[1]]
+                else:
+                    continue
+                states.append(dict(model))
+                boundaries.append(writer.info()["file_bytes"])
         writer.close()
-        with open(path, "rb") as handle:
-            log = handle.read()
-        assert len(log) == boundaries[-1]
+        assert os.path.getsize(path) == boundaries[-1]
         cuts = list(boundaries)
         for start, end in zip(boundaries, boundaries[1:]):
             cuts.append(data.draw(st.integers(start + 1, start + 15)))
@@ -397,19 +384,9 @@ def test_a_torn_log_reopens_to_its_complete_record_prefix(kind, script,
                 cuts.append(data.draw(st.integers(start + 16, end - 1)))
         for cut in cuts:
             prefix = max(k for k, end in enumerate(boundaries) if end <= cut)
-            torn = os.path.join(directory, "torn-%d.log" % cut)
-            with open(torn, "wb") as handle:
-                handle.write(log[:cut])
-            reopened = kind(torn)
-            _same_blocks(reopened, states[prefix])
-            assert reopened.info()["file_bytes"] == boundaries[prefix]
-            after = dict(states[prefix])
-            after[9] = reopened.put(9, [("after", "the cut")])
-            reopened.close()
-            again = kind(torn)
-            _same_blocks(again, after)
-            assert again.info()["file_bytes"] == os.path.getsize(torn)
-            again.close()
+            blocks, end = replayed(path, cut)
+            _same_blocks(blocks, states[prefix])
+            assert end == boundaries[prefix]
 
 
 @st.composite
@@ -457,10 +434,10 @@ def test_a_run_is_its_one_block_puts(kind, ratio, script, runs):
     would, and where the record-at-a-time encoder's one write
     (``build_oracle.oracle_put_run``) would, and leaves the same books,
     counters and log bytes; each log then replays to the same blocks."""
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, compact_at(ratio):
         paths = [os.path.join(directory, name)
                  for name in ("run.log", "puts.log", "oracle.log")]
-        backends = [kind(path, auto_compact_ratio=ratio) for path in paths]
+        backends = [kind(path) for path in paths]
         for backend in backends:
             for step in script:
                 if step[0] == "put":
@@ -487,21 +464,18 @@ def test_a_run_is_its_one_block_puts(kind, ratio, script, runs):
                 with open(path, "rb") as handle:
                     logs.append(handle.read())
             assert logs[0] == logs[1] == logs[2]
-            for backend in backends:
-                backend.close()
-            backends = [kind(path, auto_compact_ratio=ratio)
-                        for path in paths]
-            replayed = [{block_id: _block_bytes(backend, block_id)
-                         for block_id in sorted(backend.block_ids())}
-                        for backend in backends]
-            assert replayed[0] == replayed[1] == replayed[2]
+            replays = [replayed(path) for path in paths]
+            forms = [{block_id: _block_bytes(block)
+                      for block_id, block in blocks.items()}
+                     for blocks, __ in replays]
+            assert forms[0] == forms[1] == forms[2]
+            assert sorted(forms[0]) == sorted(one_write.block_ids())
+            assert [end for __, end in replays] == [len(logs[0])] * 3
         for backend in backends:
-            backend.check_invariants()
             backend.close()
 
 
-def _block_bytes(backend, block_id):
-    block = backend.get_payload(block_id)
+def _block_bytes(block):
     if isinstance(block, np.ndarray):
         return block.shape, block.tobytes()
     return repr(block)
@@ -511,8 +485,8 @@ def _block_bytes(backend, block_id):
 def test_a_run_cut_inside_its_kth_payload_keeps_its_first_k_minus_one(
         kind, tmp_path):
     """A run is one write, and a crash can cut it anywhere: cut inside
-    the k-th payload, the reopened log holds the blocks before the run
-    and the run's first k - 1 blocks, and checks clean."""
+    the k-th payload, the log replays to the blocks before the run and
+    the run's first k - 1 blocks, and ends after them."""
     path = str(tmp_path / "run.log")
     backend = kind(path)
     backend.put(0, ["before the run"])
@@ -535,15 +509,10 @@ def test_a_run_cut_inside_its_kth_payload_keeps_its_first_k_minus_one(
                     record_starts[k] - 1}:
             if not record_starts[k - 1] < cut < record_starts[k]:
                 continue
-            torn = str(tmp_path / ("torn-%d.log" % cut))
-            with open(torn, "wb") as handle:
-                handle.write(log[:cut])
-            reopened = kind(torn)
-            reopened.check_invariants()
-            _same_blocks(reopened, {0: ["before the run"],
-                                    **dict(zip(range(1, k), run))})
-            assert reopened.info()["file_bytes"] == record_starts[k - 1]
-            reopened.close()
+            blocks, end = replayed(path, cut)
+            _same_blocks(blocks, {0: ["before the run"],
+                                  **dict(zip(range(1, k), run))})
+            assert end == record_starts[k - 1]
 
 
 def test_check_invariants_catches_a_log_that_disagrees(tmp_path):

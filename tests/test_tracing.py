@@ -351,9 +351,10 @@ def test_registration_is_one_trace_with_a_span_per_build():
 
 
 def test_a_mixed_layout_cuts_one_hierarchy_per_shard():
-    """Two replicas x {dynamic, partition_tree} over one chunk: the first
-    cell tree cuts the shard's median cuts, the other three read them,
-    and a build's blocks reach the backend in runs."""
+    """Two replicas x {dynamic, partition_tree} over one chunk build one
+    tree a replica: the first replica's cuts the shard's median cuts, the
+    second reads them, no partition_tree build runs, and a build's blocks
+    reach the backend in runs."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5, backend="file")
     try:
         engine.register_sharded_dataset(
@@ -364,10 +365,11 @@ def test_a_mixed_layout_cuts_one_hierarchy_per_shard():
                 engine.rebalance("mixed")
             spans = build_spans(engine, operation)
             for shard in range(2):
-                uses = sorted(spans[(shard, replica, kind)]["attributes"]
-                              ["partition"] for replica in range(2)
-                              for kind in ("dynamic", "partition_tree"))
-                assert uses == ["computed"] + ["shared"] * 3
+                uses = sorted(spans[(shard, replica, "dynamic")]
+                              ["attributes"]["partition"]
+                              for replica in range(2))
+                assert uses == ["computed", "shared"]
+                assert not any(key[2] == "partition_tree" for key in spans)
                 assert {spans[(shard, replica, "full_scan")]["attributes"]
                         ["partition"] for replica in range(2)} == {"none"}
             root = [engine.tracer.get(trace_id)["root"]

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import observable
+from conftest import compact_at, observable
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.io.backend import FileBackend
 from repro.io.store import BlockStore
@@ -85,11 +85,11 @@ def log_bytes(store: BlockStore) -> bytes:
        script=steps)
 def test_a_write_run_is_one_write_per_block(backend, capacity, initial,
                                             script):
-    with tempfile.TemporaryDirectory() as directory:
+    with tempfile.TemporaryDirectory() as directory, compact_at(1.0):
         def medium(name):
             path = os.path.join(directory, name)
             if backend == "file":
-                return FileBackend(path, auto_compact_ratio=1.0)
+                return FileBackend(path)
             return "memory"
 
         run_store = BlockStore(BLOCK_SIZE, cache_blocks=capacity,
