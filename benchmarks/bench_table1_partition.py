@@ -89,20 +89,20 @@ def test_t1_partition_growth_exponent(benchmark, dimension):
 
 
 def test_t1_partition_simplex_queries(benchmark):
-    """Remark i: the same tree answers simplex queries output-sensitively."""
+    """Remark i: the same walk answers simplex queries output-sensitively."""
     points, index = build(SIZES[-2], 2)
     triangle = Simplex.from_vertices_2d([(-0.4, -0.4), (0.5, -0.2), (0.0, 0.6)])
     expected = {tuple(p) for p in points if triangle.contains(p)}
 
     def run():
-        return index.query_simplex(triangle)
+        return index.query(triangle)
 
     reported = benchmark(run)
     assert {tuple(p) for p in reported} == expected
     store = index.store
     store.clear_cache()
     before = store.stats.snapshot()
-    index.query_simplex(triangle)
+    index.query(triangle)
     ios = store.stats.delta(before).total
     benchmark.extra_info["simplex_ios"] = ios
     n = blocks(len(points), BLOCK_SIZE)

@@ -103,11 +103,11 @@ def main() -> None:
              pruned_answer.shards_pruned + pruned_answer.shards_queried,
              pruned_answer.count, pruned_answer.total_ios))
 
-    # --- a conjunction (convex polytope) -----------------------------------
+    # --- a conjunction (convex polytope): one more query --------------------
     conjunction = ConstraintConjunction.of(
         LinearConstraint(coeffs=(0.0, 0.0), offset=0.12),     # latency <= 0.12
     ).and_halfspace((1.0, 1.0, 0.0), 0.55)                    # cpu + mem <= 0.55
-    polytope_answer = engine.query_conjunction("servers", conjunction)
+    polytope_answer = engine.query("servers", conjunction)
     assert sorted(tuple(p) for p in polytope_answer.points) == sorted(
         tuple(p) for p in servers if conjunction.satisfied_by(p))
     print("\nConjunction: latency <= 0.12 AND cpu+mem <= 0.55")

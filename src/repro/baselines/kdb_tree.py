@@ -48,7 +48,6 @@ class KDBTreeIndex(ExternalIndex):
         # In-memory build structures; flattened to blocks afterwards.
         self._build_nodes: List[tuple] = []
         self._leaf_arrays: List[DiskArray] = []
-        self._last_regions_visited = 0
         with self._building():
             if self._num_points:
                 self._root = self._build(np.arange(self._num_points), axis=0)
@@ -179,11 +178,6 @@ class KDBTreeIndex(ExternalIndex):
     def size(self) -> int:
         return self._num_points
 
-    @property
-    def last_regions_visited(self) -> int:
-        """Regions (nodes) touched by the most recent query."""
-        return self._last_regions_visited
-
     def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report satisfying points by descending into crossed regions."""
         if constraint.dimension != self._dimension:
@@ -192,14 +186,12 @@ class KDBTreeIndex(ExternalIndex):
         scan = kernels.DeferredScan(self._dimension, constraint.below,
                                     constraint.below_many)
         if self._root is not None:
-            self._last_regions_visited = 0
             self._visit(self._root, constraint, scan, filter_points=True)
         return scan.flush()
 
     def _visit(self, node_id: int, constraint: LinearConstraint,
                scan: kernels.DeferredScan, filter_points: bool) -> None:
         record = self._read_node(node_id)
-        self._last_regions_visited += 1
         if record[0] == _LEAF:
             scan.add(self._leaf_arrays[record[1]], filtered=filter_points)
             return

@@ -7,23 +7,28 @@ piece of public API that turns a list of :class:`LinearConstraint` /
 ``normal . x <= offset`` conditions into a convex polytope and evaluates it
 against an index:
 
-* on a :class:`~repro.core.partition_tree.PartitionTreeIndex` the query is
-  answered natively by the simplex-query traversal of Section 5 (Remark i);
-* on any other index the most selective single constraint is answered by
-  the index and the remaining conditions are filtered from its output,
-  which is correct for every index and costs one halfspace query.
+* every cell tree (:class:`~repro.core.partition_tree.CellTreeIndex`:
+  the partition, shallow and hybrid trees, the R-tree and the quad-tree)
+  and the dynamic index walk the polytope in the one descent they walk a
+  constraint with (Section 5, Remark i);
+* any other index answers the conjunction's first constraint — the
+  engine's planner puts the conjunct it priced, the most selective one,
+  first (:meth:`ConstraintConjunction.led_by`) — and the remaining
+  conditions are filtered from its output, which is correct for every
+  index and costs one halfspace query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex, QueryResult
-from repro.core.partition_tree import PartitionTreeIndex
+from repro.core.dynamic import DynamicPartitionTreeIndex
+from repro.core.partition_tree import CellTreeIndex
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
 
@@ -53,6 +58,13 @@ class ConstraintConjunction:
                               offset=float(offset))
         return ConstraintConjunction(constraints=self.constraints,
                                      extra_halfspaces=self.extra_halfspaces + (halfspace,))
+
+    def led_by(self, lead: LinearConstraint) -> "ConstraintConjunction":
+        """The same conjunction with its conjunct ``lead`` first: the one
+        an index outside the cell-tree walk answers."""
+        rest = list(self.constraints)
+        rest.remove(lead)
+        return replace(self, constraints=(lead, *rest))
 
     @property
     def dimension(self) -> int:
@@ -115,15 +127,15 @@ def query_conjunction(index: ExternalIndex,
                       conjunction: ConstraintConjunction) -> np.ndarray:
     """Report every point of ``index`` satisfying the conjunction.
 
-    Partition trees answer the polytope natively (Section 5, Remark i);
-    other indexes answer their first constraint and the rest mask its
-    matrix.
+    A cell tree or the dynamic index walks the polytope (Section 5,
+    Remark i); any other index answers the first constraint and the rest
+    mask its matrix.
     """
     if conjunction.dimension != index.dimension:
         raise ValueError("conjunction dimension %d does not match index "
                          "dimension %d" % (conjunction.dimension, index.dimension))
-    if isinstance(index, PartitionTreeIndex) or hasattr(index, "query_simplex"):
-        return index.query_simplex(conjunction.to_polytope())
+    if isinstance(index, (CellTreeIndex, DynamicPartitionTreeIndex)):
+        return index.query(conjunction.to_polytope())
     candidates = index.query(conjunction.constraints[0])
     if kernels.vectorized_enabled():
         keep = conjunction.satisfied_many(candidates)

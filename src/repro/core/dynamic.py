@@ -10,9 +10,10 @@ implements the practical variant of that idea:
 * deletions mark points in a tombstone *multiset* (stored in its own
   blocks); once half of the indexed points are dead, the structure is
   rebuilt;
-* queries combine the main tree (minus tombstones) with a scan of the
-  buffer, so answers are always exact and the extra query cost is
-  O(buffer/B) = O(εn) I/Os.
+* queries — a constraint or a convex polytope, in the tree's one walk —
+  combine the main tree (minus tombstones) with a scan of the buffer, so
+  answers are always exact and the extra query cost is O(buffer/B) =
+  O(εn) I/Os.
 
 Duplicate points get **multiset semantics**: the same point may be
 stored several times (the tree built with duplicates, plus buffered
@@ -39,7 +40,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex
-from repro.core.partition_tree import PartitionTreeIndex, Partitioner
+from repro.core.partition_tree import PartitionTreeIndex, Partitioner, Region
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -370,20 +371,18 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         live.extend(self._buffer_points)
         return live
 
-    def query(self, constraint: LinearConstraint) -> np.ndarray:
-        """Report every live point satisfying the constraint.
+    def query(self, region: Region) -> np.ndarray:
+        """Report every live point satisfying the constraint, or inside
+        the convex polytope.
 
         A tombstoned value hides exactly ``count`` of its tree copies, so
         duplicated points report the same multiplicity as ``size`` and
         ``live_points()`` account for.
         """
-        if constraint.dimension != self._dimension:
-            raise ValueError("constraint dimension %d does not match index "
-                             "dimension %d" % (constraint.dimension, self._dimension))
         # The buffer is scanned with the tree's leaves; it never holds a
         # tombstoned value (insert resurrects one instead, delete takes
         # buffered copies first), so the mask below leaves its rows alone.
-        answer = self._tree.query_and_scan(constraint, (self._buffer,))
+        answer = self._tree.query_and_scan(region, (self._buffer,))
         if not self._tombstones:
             return answer
         return kernels.answer_matrix((answer[self._unhidden(answer)],),

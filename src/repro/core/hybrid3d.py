@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.halfspace3d import HalfspaceIndex3D
-from repro.core.partition_tree import CellTreeIndex, Partitioner, _Node
+from repro.core.partition_tree import (CellTreeIndex, Partitioner, Region,
+                                       _Node)
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore
 
@@ -30,7 +31,8 @@ class HybridIndex3D(CellTreeIndex):
     leaf_exponent:
         The constant ``a > 1``: recursion stops at subsets of ``<= B^a``
         points, which are then indexed by the Section 4 structure (each
-        leaf also keeps a raw copy for unfiltered reporting).
+        leaf also keeps a raw copy for unfiltered reporting, and for a
+        polytope query, which the structure does not answer).
     copies / seed:
         Passed through to the leaf structures.
     """
@@ -88,10 +90,9 @@ class HybridIndex3D(CellTreeIndex):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def walk(self, constraint: LinearConstraint,
-             scan: kernels.DeferredScan) -> None:
+    def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
         self._last_leaves_queried = 0
-        super().walk(constraint, scan)
+        super().walk(region, scan)
 
     def _query_leaf(self, node: _Node, constraint: LinearConstraint,
                     scan: kernels.DeferredScan) -> None:

@@ -30,7 +30,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
 from repro.geometry.partitions import (PartitionNode, Partitioner,
                                        median_cut_hierarchy,
                                        partitioner_hierarchy)
-from repro.geometry.primitives import Hyperplane, LinearConstraint
+from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Simplex
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -174,27 +174,41 @@ def scan_child_ids(child_table: DiskArray) -> Iterator[List[int]]:
         yield matrix[:, 0].astype(np.intp).tolist()
 
 
-def classify_cells(child_table: DiskArray, hyperplane: Hyperplane
+#: What a cell tree walks: the region below one constraint's hyperplane,
+#: or a convex polytope (a conjunction walks as its ``to_polytope()``).
+Region = Union[LinearConstraint, Simplex]
+
+
+def classify_cells(child_table: DiskArray, region: Region
                    ) -> Iterator[List[Tuple[int, CellRelation]]]:
     """``(child_id, relation)`` for every cell of the table not ABOVE
-    ``hyperplane``, in record order, one list per block read.
+    ``region`` (none of its points in it), in record order, one list per
+    block read.
 
     Lazy, one table block at a time — a caller that descends into the
     cells of one block before asking for the next reads blocks in the
     order the record-at-a-time loop does — and each block is classified
-    in one :func:`classify_boxes_halfspace` call.  Under
+    in one :func:`classify_boxes_halfspace` or
+    :meth:`Simplex.classify_boxes` call.  Under
     :func:`kernels.scalar_kernels` it is that loop, a cell at a time.
     """
+    polytope = isinstance(region, Simplex)
     if not kernels.vectorized_enabled():
         for child_id, lower, upper in scan_cells(child_table):
-            relation = Box(lower, upper).classify_halfspace(hyperplane)
+            box = Box(lower, upper)
+            relation = box.classify_halfspace(region.hyperplane) \
+                if not polytope else CellRelation.ABOVE \
+                if region.certainly_disjoint_from_box(box) else \
+                CellRelation.BELOW if region.contains_box(box) else \
+                CellRelation.CROSSES
             if relation is not CellRelation.ABOVE:
                 yield [(child_id, relation)]
         return
     for matrix in child_table.scan_batches():
         split = (matrix.shape[1] + 1) // 2
-        codes = classify_boxes_halfspace(matrix[:, 1:split],
-                                         matrix[:, split:], hyperplane)
+        lowers, uppers = matrix[:, 1:split], matrix[:, split:]
+        codes = region.classify_boxes(lowers, uppers) if polytope else \
+            classify_boxes_halfspace(lowers, uppers, region.hyperplane)
         hit = np.flatnonzero(codes)
         yield list(zip(matrix[hit, 0].astype(np.intp).tolist(),
                        map(CELL_RELATIONS.__getitem__, codes[hit].tolist())))
@@ -205,16 +219,17 @@ class CellTreeIndex(ExternalIndex):
     and 6, the R-tree and the quad-tree: the build over a partition
     hierarchy, the cell tables and the descent.
 
-    A query visits a child only when the query hyperplane *crosses* its
-    cell, reports whole subtrees whose cells lie below the hyperplane and
-    skips cells entirely above it.  Leaves hand their blocks to one
-    :class:`kernels.DeferredScan` per query.  Subclasses set their own
-    parameters, then call :meth:`_build_tree`; they vary the hierarchy
-    (:meth:`_hierarchy`), the node contents (``_leaf_structure``,
-    :meth:`_internal_node`) and what happens at a crossed node
-    (:meth:`_query_leaf`, :meth:`_cells`), and price that variation alike
-    (``_delegated``): :meth:`estimated_query_ios` replays the descent on
-    an in-memory copy of the tables.
+    One walk answers both query shapes, a constraint and a polytope
+    (:data:`Region`): it visits a child only when the region's boundary
+    *crosses* its cell, reports whole subtrees whose cells lie inside the
+    region and skips cells entirely outside it.  Leaves hand their blocks
+    to one :class:`kernels.DeferredScan` per query, in runs.  Subclasses
+    set their own parameters, then call :meth:`_build_tree`; they vary
+    the hierarchy (:meth:`_hierarchy`), the node contents
+    (``_leaf_structure``, :meth:`_internal_node`) and what happens at a
+    crossed node (:meth:`_query_leaf`, :meth:`_cells`), and price that
+    variation alike (``_delegated``): :meth:`estimated_query_ios` replays
+    a constraint's descent on an in-memory copy of the tables.
     """
 
     def _build_tree(self, points: Sequence[Sequence[float]],
@@ -555,53 +570,56 @@ class CellTreeIndex(ExternalIndex):
         return cost
 
     # ------------------------------------------------------------------
-    # halfspace queries
+    # queries: a constraint or a polytope, one walk
     # ------------------------------------------------------------------
-    def query(self, constraint: LinearConstraint) -> np.ndarray:
-        """Report every stored point satisfying the linear constraint."""
-        return self.query_and_scan(constraint, ())
+    def query(self, region: Region) -> np.ndarray:
+        """Report every stored point satisfying the linear constraint, or
+        inside the convex polytope."""
+        return self.query_and_scan(region, ())
 
-    def query_and_scan(self, constraint: LinearConstraint,
+    def query_and_scan(self, region: Region,
                        arrays: Iterable[DiskArray]) -> np.ndarray:
         """:meth:`query`, followed by the records of the unindexed
-        ``arrays`` (an insertion buffer) that satisfy the constraint —
-        read after the tree's blocks, filtered in the same deferred scan."""
-        if constraint.dimension != self.dimension:
-            raise ValueError("constraint dimension %d does not match data "
-                             "dimension %d" % (constraint.dimension, self.dimension))
-        scan = kernels.DeferredScan(self.dimension, constraint.below,
-                                    constraint.below_many)
-        self.walk(constraint, scan)
+        ``arrays`` (an insertion buffer) in ``region`` — read after the
+        tree's blocks, filtered in the same deferred scan."""
+        if region.dimension != self.dimension:
+            raise ValueError("query dimension %d does not match data "
+                             "dimension %d" % (region.dimension,
+                                               self.dimension))
+        scan = kernels.DeferredScan(self.dimension, *(
+            (region.contains, region.contains_many)
+            if isinstance(region, Simplex) else
+            (region.below, region.below_many)))
+        self.walk(region, scan)
         for array in arrays:
             scan.add(array, filtered=True)
         return scan.flush()
 
-    def walk(self, constraint: LinearConstraint,
-             scan: kernels.DeferredScan) -> None:
-        """Feed ``scan`` the blocks a query with ``constraint`` reads."""
+    def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
+        """Feed ``scan`` the blocks a query of ``region`` reads."""
         self._last_nodes_visited = 0
         if self._root is not None:
-            self._visit([(self._root, CellRelation.CROSSES)], constraint,
-                        scan)
+            self._visit([(self._root, CellRelation.CROSSES)], region, scan)
 
-    #: A subclass's own answer to a leaf whose cell the hyperplane
-    #: crosses, ``_query_leaf(node, constraint, scan)``; None: the leaf's
-    #: blocks join the scan, filtered, like any other run of blocks.
+    #: A subclass's own answer to a leaf whose cell a constraint's
+    #: hyperplane crosses, ``_query_leaf(node, constraint, scan)``; None:
+    #: the leaf's blocks join the scan, filtered, like any other run of
+    #: blocks — as a crossed leaf's always do under a polytope.
     _query_leaf = None
 
-    def _descend(self, node_id: int, constraint: LinearConstraint,
+    def _descend(self, node_id: int, region: Region,
                  scan: kernels.DeferredScan) -> None:
         """A crossed node :meth:`_visit` does not scan itself."""
         node = self._nodes[node_id]
         self._last_nodes_visited += 1
         if node.is_leaf:
-            self._query_leaf(node, constraint, scan)
+            self._query_leaf(node, region, scan)
             return
-        for cells in self._cells(node, constraint, scan):
-            self._visit(cells, constraint, scan)
+        for cells in self._cells(node, region, scan):
+            self._visit(cells, region, scan)
 
     def _visit(self, cells: Iterable[Tuple[int, CellRelation]],
-               constraint: Optional[LinearConstraint],
+               region: Optional[Region],
                scan: kernels.DeferredScan) -> None:
         """Visit the children of one table block (or the root alone),
         none of them ABOVE, in record order.  Consecutive leaves that
@@ -613,7 +631,8 @@ class CellTreeIndex(ExternalIndex):
         for child_id, relation in cells:
             child = self._nodes[child_id]
             below = relation is CellRelation.BELOW
-            if child.is_leaf and (below or self._query_leaf is None):
+            if child.is_leaf and (below or self._query_leaf is None
+                                  or isinstance(region, Simplex)):
                 self._last_nodes_visited += not below
                 block_ids = child.points_array.block_ids
                 run_ids += block_ids
@@ -625,17 +644,17 @@ class CellTreeIndex(ExternalIndex):
             if below:
                 self._report_subtree(child_id, scan)
             else:
-                self._descend(child_id, constraint, scan)
+                self._descend(child_id, region, scan)
         if run_ids:
             scan.add_blocks(self._store, run_ids, run_kept)
 
-    def _cells(self, node: _Node, constraint: LinearConstraint,
+    def _cells(self, node: _Node, region: Region,
                scan: kernels.DeferredScan
                ) -> Iterable[List[Tuple[int, CellRelation]]]:
         """The cells of a crossed internal node still to be visited, one
         list per table block."""
         del scan
-        return classify_cells(node.child_table, constraint.hyperplane)
+        return classify_cells(node.child_table, region)
 
     def _report_subtree(self, node_id: int, scan: kernels.DeferredScan) -> None:
         """Every point stored under ``node_id``, unfiltered."""
@@ -678,31 +697,3 @@ class PartitionTreeIndex(CellTreeIndex):
         self._build_tree(points, 2, max_fanout,
                          leaf_capacity if leaf_capacity is not None else self.block_size,
                          partitioner)
-
-    # ------------------------------------------------------------------
-    # simplex queries (Section 5, Remark i)
-    # ------------------------------------------------------------------
-    def query_simplex(self, simplex: Simplex) -> np.ndarray:
-        """Report every stored point inside ``simplex``."""
-        scan = kernels.DeferredScan(self.dimension, simplex.contains,
-                                    simplex.contains_many)
-        self._last_nodes_visited = 0
-        if self._root is not None:
-            self._descend_simplex(self._root, simplex, scan)
-        return scan.flush()
-
-    def _descend_simplex(self, node_id: int, simplex: Simplex,
-                         scan: kernels.DeferredScan) -> None:
-        node = self._nodes[node_id]
-        self._last_nodes_visited += 1
-        if node.is_leaf:
-            scan.add(node.points_array, filtered=True)
-            return
-        for child_id, lower, upper in scan_cells(node.child_table):
-            box = Box(lower, upper)
-            if simplex.certainly_disjoint_from_box(box):
-                continue
-            if simplex.contains_box(box):
-                self._report_subtree(child_id, scan)
-            else:
-                self._descend_simplex(child_id, simplex, scan)

@@ -22,9 +22,8 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.partition_tree import (CellTreeIndex, PartitionTreeIndex,
-                                       Partitioner, _Node)
+                                       Partitioner, Region, _Node)
 from repro.geometry.boxes import CellRelation
-from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore
 
 
@@ -87,22 +86,21 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def walk(self, constraint: LinearConstraint,
-             scan: kernels.DeferredScan) -> None:
+    def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
         self._last_secondary_queries = 0
-        super().walk(constraint, scan)
+        super().walk(region, scan)
 
-    def _cells(self, node: _Node, constraint: LinearConstraint,
+    def _cells(self, node: _Node, region: Region,
                scan: kernels.DeferredScan
                ) -> Iterable[List[Tuple[int, CellRelation]]]:
         # The whole table is classified before any child is visited.
-        cells = list(super()._cells(node, constraint, scan))
+        cells = list(super()._cells(node, region, scan))
         crossed = sum(relation is CellRelation.CROSSES
                       for block in cells for __, relation in block)
         if crossed > node.crossing_threshold:
             # The query is not shallow for this subset: answer it with the
             # node's secondary (ordinary) partition tree.
             self._last_secondary_queries += 1
-            node.secondary.walk(constraint, scan)
+            node.secondary.walk(region, scan)
             return ()
         return cells

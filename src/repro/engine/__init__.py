@@ -57,7 +57,6 @@ from repro.engine.executor import (
     BatchExecutor,
     ExecutedQuery,
     ExecutionCore,
-    constraint_key,
 )
 from repro.engine.metrics import EngineStats, ServedQueryRecord
 from repro.engine.obs import MetricsRegistry, render_prometheus
@@ -145,7 +144,6 @@ __all__ = [
     "Trace",
     "Tracer",
     "WritePath",
-    "constraint_key",
     "current_span",
     "current_trace_id",
     "default_suite",

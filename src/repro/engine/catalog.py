@@ -223,7 +223,10 @@ class Dataset:
         store charged for them (``clear_cache`` empties the buffer pool
         first: the cold cost), and the index's own account of how it
         answered (:attr:`ExternalIndex.last_query`).  An alias answers
-        through the structure it names.
+        through the structure it names.  A conjunction is the shard
+        plan's :attr:`~repro.engine.planner.Plan.query`: an index outside
+        the cell-tree walk answers its first conjunct, the one the plan
+        priced (:func:`~repro.core.conjunction.query_conjunction`).
         """
         index = self.indexes[self.aliases.get(index_name, index_name)]
         with self.store.measured(clear_cache) as ios:

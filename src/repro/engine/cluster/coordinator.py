@@ -12,8 +12,11 @@ points included).  It owns:
   sharded mutation (still under the dataset's write barrier) to
   :meth:`note_write`, which appends it to the :class:`WriteLog` and
   broadcasts it to the shard's live workers;
-* **heartbeats and failover** — a monitor thread pings every worker; a
-  dead worker's queries route to the shard's surviving replicas (the
+* **heartbeats and failover** — a monitor thread pings every worker and
+  keeps its last reply (counts, cumulative I/Os, peak RSS: what
+  :meth:`worker_stats` and the ``engine_worker_*`` gauges read, with no
+  RPC of their own); a dead worker's queries route to the shard's
+  surviving replicas (the
   executor's ultimate fallback is its own in-process state, which the
   parent keeps current regardless of mode), and the worker is restarted
   and caught up by replaying the shard's log (workers apply ``seq``
@@ -39,7 +42,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.conjunction import ConstraintConjunction
 from repro.engine.catalog import Catalog, Query
 from repro.engine.cluster import protocol, worker
 from repro.engine.cluster.client import (
@@ -91,6 +93,8 @@ class WorkerHandle:
         #: broadcast all advance it) — the worker's replay position as
         #: the coordinator knows it, without an RPC round-trip.
         self.last_seq = 0
+        #: The worker's last heartbeat reply (empty before the first).
+        self.heartbeat: Dict[str, object] = {}
 
     @property
     def key(self) -> Tuple[str, int, int]:
@@ -180,7 +184,7 @@ class Coordinator:
         rebuilding is caught up under the coordinator lock right after
         registration (idempotent re-send of the full log, in order),
         closing the spawn-window gap without holding the lock across the
-        fork.
+        fork; the worker's first heartbeat follows.
         """
         sharded = self._catalog.sharded(dataset_name)
         replica = shard.replicas[replica_id]
@@ -230,6 +234,11 @@ class Coordinator:
                 except WorkerUnavailable:
                     handle.alive = False
                     break
+            if handle.alive:
+                try:                        # the first heartbeat
+                    handle.heartbeat = handle.client.ping()
+                except (WorkerUnavailable, WorkerError):
+                    handle.alive = False
         if previous is not None:
             previous.client.close()
         return handle
@@ -277,11 +286,8 @@ class Coordinator:
                                     if r != replica_id]
             candidates = [self._workers.get((dataset_name, shard.shard_id,
                                              r)) for r in order]
-        request: Dict[str, object] = {"op": "query", "index": index_name}
-        if isinstance(query, ConstraintConjunction):
-            request["conjunction"] = protocol.conjunction_to_wire(query)
-        else:
-            request["constraint"] = protocol.constraint_to_wire(query)
+        request: Dict[str, object] = {"op": "query", "index": index_name,
+                                      "query": protocol.query_to_wire(query)}
         if clear_cache:
             request["clear_cache"] = True
         trace = protocol.trace_header(trace_id, parent)
@@ -413,7 +419,8 @@ class Coordinator:
         handle.client.close()
 
     def check_workers(self) -> List[Tuple]:
-        """Ping every worker; mark the unreachable dead and respawn them.
+        """Ping every worker, keeping each live one's reply; mark the
+        unreachable dead and respawn them.
 
         Returns the keys of workers found (or already marked) dead this
         round, after the restarts.  The monitor calls this every
@@ -428,7 +435,7 @@ class Coordinator:
         for handle in handles:
             if handle.alive and handle.process.is_alive():
                 try:
-                    handle.client.ping()
+                    handle.heartbeat = handle.client.ping()
                     continue
                 except (WorkerUnavailable, WorkerError):
                     pass
@@ -475,15 +482,29 @@ class Coordinator:
 
     def worker_stats(self, dataset_name: str, shard_id: int,
                      replica_id: int) -> Optional[Dict[str, object]]:
-        """One worker's cumulative counters (the ``stats`` RPC), or None."""
+        """One live worker's last heartbeat reply (its counts, cumulative
+        I/Os and peak RSS as of :meth:`check_workers`), or None."""
         handle = self.worker(dataset_name, shard_id, replica_id)
-        if handle is None or not handle.alive:
+        if handle is None or not handle.alive or not handle.heartbeat:
             return None
-        try:
-            return handle.client.call({"op": "stats"})
-        except WorkerUnavailable:
-            self.mark_dead(handle)
-            return None
+        return handle.heartbeat
+
+    def worker_metrics(self) -> List[Tuple[str, Dict[str, float]]]:
+        """Per worker, by replica name: the coordinator's counts (served,
+        last seq, restarts) and its last heartbeat's (writes, cumulative
+        I/Os, peak RSS) — the metrics provider; no RPC."""
+        with self._lock:
+            handles = list(self._workers.values())
+        metrics = []
+        for handle in handles:
+            beat = handle.heartbeat
+            ios = beat.get("ios", {})
+            metrics.append((handle.replica_name, {
+                "served": handle.served, "last_seq": handle.last_seq,
+                "restarts": handle.restarts, "writes": beat.get("writes", 0),
+                "ios": ios.get("reads", 0) + ios.get("writes", 0),
+                "peak_rss_bytes": beat.get("peak_rss_bytes", 0)}))
+        return metrics
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the write log is gap-free and every

@@ -20,9 +20,10 @@ A JSON object starts with ``{`` (0x7B) and a header length never can
 (it would exceed :data:`MAX_MESSAGE_BYTES`), so the first byte of a body
 tells the shapes apart.  The module also owns the (de)serialization of
 the engine's query objects
-(:class:`~repro.geometry.primitives.LinearConstraint`, conjunctions),
-of points and of :class:`~repro.io.store.IOStats`, so the worker, the
-coordinator and the HTTP client can never disagree on a field name.
+(:class:`~repro.geometry.primitives.LinearConstraint` and conjunctions,
+one pair of functions), of points and of :class:`~repro.io.store.IOStats`,
+so the worker, the coordinator and the HTTP client can never disagree on
+a field name.
 
 Both shapes are *bit-identical* across the process boundary: JSON floats
 round-trip exactly (Python serializes the shortest repr that parses back
@@ -35,21 +36,19 @@ results to the in-process fan-out.
 The RPC operations (``op`` field of every request):
 
 ========== ==========================================================
-``ping``        liveness probe; returns pid, uptime and served counts
-``query``       one constraint or conjunction against a named index
+``ping``        heartbeat; returns pid, uptime, replica, served and
+                write counts, cumulative I/Os and the peak RSS
+``query``       one query (:func:`query_to_wire`) against a named index
 ``insert``      apply one routed write (with its fan-out-log ``seq``)
 ``delete``      apply one routed delete (idempotent by ``seq``)
 ``warm``        resize the replica's buffer pool (returns the old size)
-``stats``       cumulative I/O counters, served and write counts
 ``shutdown``    stop the serve loop and exit the process
 ========== ==========================================================
 
 What a worker rebuilds its replica from — the dataset's
-:class:`~repro.engine.catalog.ReplicaRecipe` and the parent's
-conformal-calibrator config — does not travel over this protocol: it
-rides the fork at spawn time
-(:class:`repro.engine.cluster.worker.ShardWorker`'s arguments); the
-``stats`` response echoes the conformal config back for introspection.
+:class:`~repro.engine.catalog.ReplicaRecipe` — does not travel over this
+protocol: it rides the fork at spawn time
+(:class:`repro.engine.cluster.worker.ShardWorker`'s arguments).
 """
 
 from __future__ import annotations
@@ -57,13 +56,16 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.conjunction import ConstraintConjunction, Halfspace
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import IOStats
+
+#: What a ``query`` request carries: a constraint or a conjunction.
+Query = Union[LinearConstraint, ConstraintConjunction]
 
 #: Upper bound on one frame; a length above this means a corrupt or
 #: foreign peer, not a real message (queries are a few hundred bytes; a
@@ -166,41 +168,37 @@ def recv_message(sock: socket.socket) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # payload (de)serialization
 # ----------------------------------------------------------------------
-def constraint_to_wire(constraint: LinearConstraint) -> Dict[str, object]:
-    return {"coeffs": point_to_wire(constraint.coeffs),
-            "offset": float(constraint.offset)}
-
-
 def point_to_wire(point: Sequence[float]) -> List[float]:
     """One point (or coefficient vector) as a JSON list of plain floats."""
     return [float(c) for c in point]
 
 
-def constraint_from_wire(payload: Dict[str, object]) -> LinearConstraint:
+def query_to_wire(query: Query) -> Dict[str, object]:
+    """A constraint as ``{"coeffs", "offset"}``; a conjunction as its
+    ``constraints`` in order (the first is the one an index outside the
+    cell-tree walk answers) and its extra ``halfspaces``."""
+    if isinstance(query, ConstraintConjunction):
+        return {"constraints": [query_to_wire(c) for c in query.constraints],
+                "halfspaces": [{"normal": point_to_wire(h.normal),
+                                "offset": float(h.offset)}
+                               for h in query.extra_halfspaces]}
+    return {"coeffs": point_to_wire(query.coeffs),
+            "offset": float(query.offset)}
+
+
+def query_from_wire(payload: Dict[str, object]) -> Query:
+    """The query :func:`query_to_wire` encoded, bit for bit."""
+    if "constraints" in payload:
+        return ConstraintConjunction(
+            constraints=tuple(query_from_wire(c)
+                              for c in payload["constraints"]),
+            extra_halfspaces=tuple(
+                Halfspace(normal=tuple(float(v) for v in h["normal"]),
+                          offset=float(h["offset"]))
+                for h in payload.get("halfspaces", ())))
     return LinearConstraint(
         coeffs=tuple(float(c) for c in payload["coeffs"]),
         offset=float(payload["offset"]))
-
-
-def conjunction_to_wire(
-        conjunction: ConstraintConjunction) -> Dict[str, object]:
-    return {
-        "constraints": [constraint_to_wire(c)
-                        for c in conjunction.constraints],
-        "halfspaces": [{"normal": list(h.normal), "offset": float(h.offset)}
-                       for h in conjunction.extra_halfspaces],
-    }
-
-
-def conjunction_from_wire(
-        payload: Dict[str, object]) -> ConstraintConjunction:
-    return ConstraintConjunction(
-        constraints=tuple(constraint_from_wire(c)
-                          for c in payload["constraints"]),
-        extra_halfspaces=tuple(
-            Halfspace(normal=tuple(float(v) for v in h["normal"]),
-                      offset=float(h["offset"]))
-            for h in payload.get("halfspaces", ())))
 
 
 def iostats_to_wire(ios: IOStats) -> Dict[str, int]:

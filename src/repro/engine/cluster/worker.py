@@ -28,6 +28,7 @@ and heartbeats interleave with the same semantics in both modes.
 from __future__ import annotations
 
 import os
+import resource
 import socket
 import threading
 import time
@@ -81,19 +82,25 @@ class ShardWorker:
             return self._op_write(op, request)
         if op == "warm":
             return self._op_warm(request)
-        if op == "stats":
-            return self._op_stats()
         if op == "shutdown":
             self._stop.set()
             return {"ok": True, "stopping": True}
         return {"ok": False, "error": "unknown op %r" % (op,)}
 
     def _op_ping(self) -> Dict[str, object]:
+        """The heartbeat reply: liveness, the worker's counts, its store's
+        cumulative I/Os and its peak RSS in bytes (``ru_maxrss`` counts
+        kilobytes on Linux)."""
+        totals = self.dataset.store.stats.snapshot()
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
         with self._lock:
             return {"ok": True, "pid": os.getpid(),
                     "uptime_s": time.perf_counter() - self._started_s,
+                    "replica": self.dataset.name,
                     "served": self._served, "writes": self._writes_applied,
-                    "last_seq": self._last_seq}
+                    "last_seq": self._last_seq,
+                    "ios": protocol.iostats_to_wire(totals),
+                    "peak_rss_bytes": peak}
 
     def _op_query(self, request: Dict[str, object]) -> Dict[str, object]:
         index_name = request["index"]
@@ -101,10 +108,7 @@ class ShardWorker:
                 not in self.dataset.indexes:
             return {"ok": False, "error": "unknown index %r on replica %r"
                                           % (index_name, self.dataset.name)}
-        if "conjunction" in request:
-            query = protocol.conjunction_from_wire(request["conjunction"])
-        else:
-            query = protocol.constraint_from_wire(request["constraint"])
+        query = protocol.query_from_wire(request["query"])
         started = time.perf_counter()
         # The same call the in-process executor makes on its own copy of
         # this replica, so the buffer pool sees the same operation
@@ -175,16 +179,6 @@ class ShardWorker:
         previous = store.resize_cache(target)
         return {"ok": True, "previous": previous,
                 "cache_blocks": store.cache_blocks}
-
-    def _op_stats(self) -> Dict[str, object]:
-        totals = self.dataset.store.stats.snapshot()
-        with self._lock:
-            return {"ok": True, "pid": os.getpid(),
-                    "replica": self.dataset.name,
-                    "served": self._served,
-                    "writes": self._writes_applied,
-                    "last_seq": self._last_seq,
-                    "ios": protocol.iostats_to_wire(totals)}
 
     # ------------------------------------------------------------------
     # serve loop

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import asyncio
 
-from repro.core.conjunction import ConstraintConjunction
 from repro.engine.catalog import BuildRecord, Catalog, Query
 from repro.engine.executor import BatchExecutor, ExecutedQuery
 from repro.engine.metrics import EngineStats
@@ -151,6 +150,7 @@ class QueryEngine:
             from repro.engine.cluster import Coordinator
             self.cluster = Coordinator(self.catalog)
             self.executor.core.attach_cluster(self.cluster)
+            self.stats.worker_provider = self.cluster.worker_metrics
             # A re-split rebuilds the fleet on the new layout.
             self.rebalancer.add_listener(
                 lambda name, report: self.cluster.on_rebalance(name))
@@ -292,20 +292,13 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def query(self, dataset: str, constraint: LinearConstraint,
+    def query(self, dataset: str, query: Query,
               clear_cache: bool = False) -> ExecutedQuery:
-        """Serve one constraint through the planner-chosen index(es)."""
+        """Serve one constraint, or one AND of constraints (a
+        :class:`~repro.core.conjunction.ConstraintConjunction`: a
+        convex-polytope query), through the planner-chosen index(es)."""
         self._maybe_rebalance(dataset)
-        return self.executor.execute(dataset, constraint,
-                                     clear_cache=clear_cache)
-
-    def query_conjunction(self, dataset: str,
-                          conjunction: ConstraintConjunction,
-                          clear_cache: bool = False) -> ExecutedQuery:
-        """Serve an AND of constraints (convex-polytope query)."""
-        self._maybe_rebalance(dataset)
-        return self.executor.execute(dataset, conjunction,
-                                     clear_cache=clear_cache)
+        return self.executor.execute(dataset, query, clear_cache=clear_cache)
 
     def serve_batch(self, dataset: str,
                     constraints: Sequence[LinearConstraint]) -> ServeResult:
@@ -331,10 +324,9 @@ class QueryEngine:
         dataset and planner-chosen index, so consecutive queries reuse
         one structure's pooled blocks.
         """
-        core = self.executor.core
         order = sorted(range(len(requests)), key=lambda position: (
             requests[position][0],
-            core.plan(*requests[position]).index_name))
+            self.planner.plan(*requests[position]).index_name))
         wave = self.serve_async(
             [ServingRequest(tenant="", dataset=requests[position][0],
                             constraint=requests[position][1])
@@ -481,7 +473,7 @@ class QueryEngine:
         cost.
         """
         if not analyze:
-            return self.executor.core.plan(dataset, constraint)
+            return self.planner.plan(dataset, constraint)
         # A private always-on tracer keeps analyze working when the
         # engine was built with tracing=False (nothing lands in the
         # shared registry in that case — the report carries the tree).

@@ -48,11 +48,8 @@ from repro.engine.planner import Plan, Planner, ShardedPlan
 from repro.engine.sharding import Shard
 from repro.engine.tracing import Tracer
 from repro.engine.writes import MutationResult, WritePath
-from repro.geometry.primitives import LinearConstraint
 from repro.io.cache import LRUCache
 from repro.io.store import BlockStore, IOStats
-
-ConstraintKey = Tuple
 
 #: Answers the result cache holds (least recently used evicted).
 RESULT_CACHE_ENTRIES = 256
@@ -63,25 +60,6 @@ FANOUT_WORKERS = 8
 #: Buffer-pool size a serving wave warms its datasets' stores to; the
 #: original (small) pools are restored when the wave finishes.
 WARM_CACHE_BLOCKS = 64
-
-
-def constraint_key(constraint: LinearConstraint) -> ConstraintKey:
-    """Hashable identity of a constraint (dedup and result-cache key)."""
-    return (constraint.coeffs, constraint.offset)
-
-
-def conjunction_key(conjunction: ConstraintConjunction) -> ConstraintKey:
-    """Hashable identity of a conjunction."""
-    return ("conj",
-            tuple(constraint_key(c) for c in conjunction.constraints),
-            tuple((h.normal, h.offset) for h in conjunction.extra_halfspaces))
-
-
-def query_key(query: Query) -> ConstraintKey:
-    """Hashable identity of whichever query shape the engine serves."""
-    if isinstance(query, ConstraintConjunction):
-        return conjunction_key(query)
-    return constraint_key(query)
 
 
 @dataclass
@@ -189,9 +167,9 @@ class ExecutionCore:
         #: and the core's spans land in whatever trace is active.
         self.tracer = tracer
         # Answers are cached as their read-only matrix: immutable, so a
-        # hit shares the stored array instead of copying it.
-        self._results: LRUCache[Tuple[str, ConstraintKey],
-                                Tuple[str, np.ndarray]]
+        # hit shares the stored array instead of copying it.  The key is
+        # the dataset name and the frozen query object itself.
+        self._results: LRUCache[Tuple[str, Query], Tuple[str, np.ndarray]]
         self._results = LRUCache(RESULT_CACHE_ENTRIES)
         self._results_lock = threading.Lock()
         self.stats.result_cache_provider = self.result_cache_size
@@ -319,7 +297,7 @@ class ExecutionCore:
         return len(cached), sum(matrix.nbytes for __, matrix in cached)
 
     def _cache_put(self, dataset_name: str,
-                   cache_key: Tuple[str, ConstraintKey],
+                   cache_key: Tuple[str, Query],
                    value: Tuple[str, np.ndarray], generation: int) -> None:
         """Cache an answer unless the dataset was invalidated meanwhile."""
         with self._results_lock:
@@ -329,14 +307,8 @@ class ExecutionCore:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def plan(self, dataset_name: str, query: Query) -> ShardedPlan:
-        """Plan a constraint or a conjunction with the matching planner."""
-        if isinstance(query, ConstraintConjunction):
-            return self.planner.plan_conjunction(dataset_name, query)
-        return self.planner.plan(dataset_name, query)
-
-    def dispatch(self, dataset_name: str, constraint: Query,
-                 plan: ShardedPlan, cache_key: Tuple[str, ConstraintKey],
+    def dispatch(self, dataset_name: str, query: Query,
+                 plan: ShardedPlan, cache_key: Tuple[str, Query],
                  clear_cache: bool, tenant: str = "") -> ExecutedQuery:
         """Execute a planned constraint (or conjunction) and account for it.
 
@@ -347,7 +319,7 @@ class ExecutionCore:
         :class:`ShardOutcome`.  Spans, feedback and the merged answer
         are then derived from those records alone.
         """
-        plan, items = self.lower(dataset_name, constraint, plan)
+        plan, items = self.lower(dataset_name, query, plan)
         generation = self.result_generation(dataset_name)
         started = time.perf_counter()
         # The pool workers below do not inherit this thread's contextvars
@@ -358,8 +330,8 @@ class ExecutionCore:
             "executor.fanout", dataset=dataset_name, shards=len(items))
 
         def run(item: _WorkItem) -> ShardOutcome:
-            return self._run_item(dataset_name, constraint, item,
-                                  clear_cache, fanout_span)
+            return self._run_item(dataset_name, item, clear_cache,
+                                  fanout_span)
 
         if len(items) > 1:
             outcomes = list(self._shared_pool().map(run, items))
@@ -368,7 +340,7 @@ class ExecutionCore:
 
         if fanout_span.enabled:
             self._assemble_spans(fanout_span, outcomes)
-        self._feed_back(dataset_name, constraint, outcomes)
+        self._feed_back(dataset_name, outcomes)
         answer = self._merge(dataset_name, plan, outcomes, started, tenant)
         if fanout_span.enabled:
             fanout_span.set_many({
@@ -396,12 +368,12 @@ class ExecutionCore:
             # its shard ids, boxes and per-shard indexes describe a
             # layout that no longer exists, so executing it could miss
             # points that moved shards.  Re-plan against the new layout.
-            plan = self.plan(dataset_name, query)
+            plan = self.planner.plan(dataset_name, query)
         # (the shard list is indexed by shard id, as the write path routes)
         return plan, [_WorkItem(shard_plan, sharded.shards[shard_id])
                       for shard_id, shard_plan in plan.shard_plans]
 
-    def _run_item(self, dataset_name: str, query: Query, item: _WorkItem,
+    def _run_item(self, dataset_name: str, item: _WorkItem,
                   clear_cache: bool, fanout_span) -> ShardOutcome:
         """Run one work item on the replica the picker chooses for it."""
         # Tracing inside a pool worker is two clock reads and nothing
@@ -416,7 +388,7 @@ class ExecutionCore:
         replica_id = self.replica_picker.acquire(dataset_name, item.shard,
                                                  estimate)
         try:
-            outcome = self._transport(dataset_name, query, item, replica_id,
+            outcome = self._transport(dataset_name, item, replica_id,
                                       clear_cache, fanout_span)
         finally:
             self.replica_picker.release(dataset_name, item.shard.shard_id,
@@ -429,10 +401,11 @@ class ExecutionCore:
             outcome.started_s, outcome.ended_s = started, time.perf_counter()
         return outcome
 
-    def _transport(self, dataset_name: str, query: Query, item: _WorkItem,
+    def _transport(self, dataset_name: str, item: _WorkItem,
                    replica_id: int, clear_cache: bool,
                    fanout_span) -> ShardOutcome:
-        """The two-member transport: a worker process, else this one.
+        """The two-member transport: a worker process, else this one,
+        running the query the shard plan carries.
 
         With a cluster attached a shard's item is offered to its worker
         fleet first (preferring the picked replica, failing over to its
@@ -444,7 +417,7 @@ class ExecutionCore:
         serve the item; the parent's own state is always current, so the
         local path is the ultimate failover target.
         """
-        index_name = item.plan.index_name
+        index_name, query = item.plan.index_name, item.plan.query
         if self.cluster is not None:
             traced = fanout_span.enabled
             remote = self.cluster.run_query(
@@ -502,7 +475,7 @@ class ExecutionCore:
                 child.ended_s = outcome.started_s + float(
                     meta.get("duration_s", 0.0))
 
-    def _feed_back(self, dataset_name: str, query: Query,
+    def _feed_back(self, dataset_name: str,
                    outcomes: List[ShardOutcome]) -> None:
         """Post-processor 2: cost-model and q-error feedback.
 
@@ -513,7 +486,6 @@ class ExecutionCore:
         output — an intentional upper bound, not an estimate — so they
         stay out of the q-error metrics and the conformal window.
         """
-        estimation = not isinstance(query, ConstraintConjunction)
         for outcome in outcomes:
             plan, reported = outcome.item.plan, len(outcome.points)
             # The models price the *cold* cost of a structure, so
@@ -522,7 +494,7 @@ class ExecutionCore:
             self.stats.note_cost_model(
                 dataset_name, plan.index_name, plan.estimated_ios,
                 outcome.ios.total + outcome.ios.cache_hits)
-            if estimation:
+            if not isinstance(plan.query, ConstraintConjunction):
                 self.stats.note_estimation(dataset_name,
                                            plan.expected_output, reported)
 
@@ -546,7 +518,7 @@ class ExecutionCore:
             shards_pruned=plan.shards_pruned, tenant=tenant)
 
     def result_cache_get(
-            self, key: Tuple[str, ConstraintKey],
+            self, key: Tuple[str, Query],
             tenant: str = "") -> Optional[ExecutedQuery]:
         """Serve a cached answer (zero I/Os) if one is resident."""
         with self._results_lock:
@@ -629,7 +601,7 @@ class BatchExecutor:
     # ------------------------------------------------------------------
     # single queries
     # ------------------------------------------------------------------
-    def execute(self, dataset_name: str, constraint: Query,
+    def execute(self, dataset_name: str, query: Query,
                 clear_cache: bool = False) -> ExecutedQuery:
         """Plan and run one constraint — or one conjunction of them (a
         convex-polytope query) — recording metrics.
@@ -638,11 +610,11 @@ class BatchExecutor:
         buffer pool first *and* bypasses the result cache, so the reported
         I/Os are what the query costs from scratch.
         """
-        key = (dataset_name, query_key(constraint))
+        key = (dataset_name, query)
         if not clear_cache:
             cached = self.core.result_cache_get(key)
             if cached is not None:
                 return cached
-        plan = self.core.plan(dataset_name, constraint)
-        return self.core.dispatch(dataset_name, constraint, plan, key,
+        plan = self.core.planner.plan(dataset_name, query)
+        return self.core.dispatch(dataset_name, query, plan, key,
                                   clear_cache=clear_cache)

@@ -379,6 +379,20 @@ class EngineStats:
             "engine_conformal_empirical_coverage",
             "Prequential empirical coverage per dataset (vs nominal)",
             ("dataset",))
+        #: Process mode's worker metrics, ``() -> [(replica, {gauge
+        #: suffix: value})]`` (the engine registers the coordinator's);
+        #: None: no workers.  Published as the ``engine_worker_*`` gauges.
+        self.worker_provider: Optional[
+            Callable[[], List[Tuple[str, Dict[str, float]]]]] = None
+        self._m_workers = {
+            suffix: reg.gauge("engine_worker_" + suffix, about, ("worker",))
+            for suffix, about in (
+                ("served", "Queries the worker answered"),
+                ("writes", "Writes the worker applied (last heartbeat)"),
+                ("last_seq", "Highest write-log seq sent to the worker"),
+                ("restarts", "Times the worker was respawned"),
+                ("ios", "The worker store's I/Os (last heartbeat)"),
+                ("peak_rss_bytes", "The worker's peak RSS (last heartbeat)"))}
 
     # ------------------------------------------------------------------
     # writes: each call is only its registry writes (thread-safe, no lock)
@@ -675,7 +689,8 @@ class EngineStats:
                 for name, model in sorted(self.model_provider().items())}
 
     def refresh_model_metrics(self) -> None:
-        """Update the conformal, result-cache and index-build gauges.
+        """Update the conformal, result-cache, index-build and worker
+        gauges.
 
         Called before every ``/metrics`` scrape (and by ``summary()``),
         since gauges are last-write-wins snapshots rather than hot-path
@@ -699,6 +714,10 @@ class EngineStats:
                 self._m_build_seconds.set(build.build_seconds, **labels)
                 if build.build_ios is not None:
                     self._m_build_ios.set(build.build_ios.total, **labels)
+        if self.worker_provider is not None:
+            for worker, values in self.worker_provider():
+                for suffix, value in values.items():
+                    self._m_workers[suffix].set(value, worker=worker)
 
     # ------------------------------------------------------------------
     # reporting

@@ -20,6 +20,11 @@ boxes), plans each relevant shard independently over its own index suite
 the fan-out total — for a ``register_dataset`` dataset that is the paper's
 own case, one shard.  How far the estimates are from the I/Os observed is
 the ``engine_cost_model_ratio`` histogram on ``/metrics``.
+
+A conjunction is one more query: every conjunct prunes shards, and it is
+priced by its most selective conjunct, which an index outside the
+cell-tree walk answers before it filters the rest — so each shard plan
+carries the conjunction led by that conjunct (:attr:`Plan.query`).
 """
 
 from __future__ import annotations
@@ -29,10 +34,9 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
-from repro.engine.catalog import Catalog, Dataset
+from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.sharding import Shard, ShardedDataset
 from repro.engine.stats.conformal import ConformalCalibrator
-from repro.geometry.primitives import LinearConstraint
 
 
 class CandidateEstimate(NamedTuple):
@@ -51,6 +55,9 @@ class Plan:
     index_name: str
     expected_output: int
     estimates: Tuple[CandidateEstimate, ...]
+    #: What the shard runs: the query, a conjunction led by the conjunct
+    #: the plan priced (``query.constraints[0]``).
+    query: Query
     #: Conformal interval around ``expected_output`` (None while the
     #: dataset's calibration window is cold — estimates are then points
     #: with no certified uncertainty).
@@ -177,11 +184,13 @@ class Planner:
         return {name: dataset.indexes[name]}
 
     def _plan_dataset(self, dataset: Dataset, parent_name: str,
-                      constraint: LinearConstraint) -> Plan:
-        """Plan over one shard's replica dataset."""
+                      query: Query) -> Plan:
+        """Plan over one shard's replica dataset, priced by the query's
+        first conjunct."""
         if not dataset.indexes:
             raise ValueError("dataset %r has no indexes to plan over"
                              % dataset.name)
+        constraint = query.constraints[0]
         expected_output = dataset.estimate_output(constraint)
         # Candidates in registration order; cost ties go to the name.
         estimates = tuple(
@@ -199,21 +208,27 @@ class Planner:
         return Plan(dataset=dataset.name,
                     index_name=winner.index_name,
                     expected_output=expected_output, estimates=estimates,
-                    output_interval=interval)
+                    query=query, output_interval=interval)
 
-    def plan(self, dataset_name: str,
-             constraint: LinearConstraint) -> ShardedPlan:
-        """Choose the cheapest index on each relevant shard for a constraint."""
+    def plan(self, dataset_name: str, query: Query) -> ShardedPlan:
+        """Choose the cheapest index on each relevant shard for a
+        constraint or a conjunction.
+
+        A conjunction is priced by its most selective conjunct (a lone
+        constraint prices nothing more: it is its own).
+        """
         with tracing.span("planner.plan") as span:
             sharded = self._catalog.sharded(dataset_name)
-            plan = self._plan_shards(
-                sharded, constraint, sharded.relevant_shards(constraint))
+            relevant = sharded.relevant_shards(query)
+            if isinstance(query, ConstraintConjunction):
+                query = query.led_by(min(query.constraints,
+                                         key=sharded.estimate_output))
+            plan = self._plan_shards(sharded, query, relevant)
             if span.enabled:
                 self._annotate_plan_span(span, plan)
             return plan
 
-    def _plan_shards(self, sharded: ShardedDataset,
-                     constraint: LinearConstraint,
+    def _plan_shards(self, sharded: ShardedDataset, query: Query,
                      relevant: "list[Shard]") -> ShardedPlan:
         # Plan against each shard's *routing* replica: before any mutation
         # that is replica 0, and after a mutation it is the replica holding
@@ -221,7 +236,7 @@ class Planner:
         shard_plans = tuple(
             (shard.shard_id,
              self._plan_dataset(shard.planning_dataset(), sharded.name,
-                                constraint))
+                                query))
             for shard in relevant)
         # The fan-out's expected output is the sum of the *shard-local*
         # estimates (a dataset has no model but its shards') — on skewed
@@ -241,29 +256,6 @@ class Planner:
                            num_shards=sharded.num_shards,
                            generation=sharded.generation,
                            output_interval=interval)
-
-    def plan_conjunction(self, dataset_name: str,
-                         conjunction: ConstraintConjunction) -> ShardedPlan:
-        """Choose an index for a conjunction of constraints.
-
-        Non-simplex indexes answer a conjunction by running its most
-        selective conjunct and filtering (see :mod:`repro.core.conjunction`),
-        so each candidate is costed with that conjunct's expected output;
-        the executor then evaluates the conjunction through
-        :func:`~repro.core.conjunction.query_conjunction`.  Every
-        conjunct participates in pruning (any one conjunct missing a
-        shard's box excludes the shard).
-        """
-        with tracing.span("planner.plan_conjunction",
-                          conjuncts=len(conjunction.constraints)) as span:
-            sharded = self._catalog.sharded(dataset_name)
-            best = min(conjunction.constraints, key=sharded.estimate_output)
-            plan = self._plan_shards(
-                sharded, best,
-                sharded.relevant_shards_conjunction(conjunction))
-            if span.enabled:
-                self._annotate_plan_span(span, plan)
-            return plan
 
     @staticmethod
     def _annotate_plan_span(span, plan: ShardedPlan) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlencode
 
-from repro.engine.cluster.protocol import constraint_to_wire, point_to_wire
+from repro.engine.cluster.protocol import point_to_wire, query_to_wire
 from repro.geometry.primitives import LinearConstraint
 
 
@@ -82,7 +82,7 @@ class ServerClient:
               ) -> Tuple[int, Dict[str, object]]:
         payload: Dict[str, object] = {
             "dataset": dataset,
-            "constraint": constraint_to_wire(
+            "constraint": query_to_wire(
                 LinearConstraint(coeffs=tuple(coeffs), offset=offset)),
             "priority": priority,
         }

@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import repro.engine.tracing as tracing
 from repro.core.kernels import answer_matrix
 from repro.engine.executor import (WARM_CACHE_BLOCKS, ExecutedQuery,
-                                   ExecutionCore, constraint_key)
+                                   ExecutionCore)
 from repro.engine.metrics import percentile
 from repro.engine.planner import ShardedPlan
 from repro.engine.serving.admission import (
@@ -338,8 +338,7 @@ class AsyncExecutor:
         in_flight = list(self._in_flight.values())
         held = [*self._queue, *in_flight, *(
             item for items in self._followers.values() for item in items)]
-        reads = [(item.request.dataset,
-                  constraint_key(item.request.constraint))
+        reads = [(item.request.dataset, item.request.constraint)
                  for item in in_flight if not item.request.is_mutation]
         for holds, message in (
                 (sorted(item.seq for item in held) == sorted(self._waiters),
@@ -529,7 +528,7 @@ class AsyncExecutor:
             return self._finished(item, "expired", None, now)
         cache_key = None
         if not request.is_mutation:
-            cache_key = (request.dataset, constraint_key(request.constraint))
+            cache_key = (request.dataset, request.constraint)
             cached = self._core.result_cache_get(cache_key,
                                                  tenant=request.tenant)
             if cached is not None:
@@ -638,7 +637,7 @@ class AsyncExecutor:
         now = self._clock()
         request = item.request
         cache_key = None if request.is_mutation else \
-            (request.dataset, constraint_key(request.constraint))
+            (request.dataset, request.constraint)
         self._keys.discard(cache_key)
         try:
             result = future.result()

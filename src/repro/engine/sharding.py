@@ -48,11 +48,10 @@ from typing import (
 
 import numpy as np
 
-from repro.core.conjunction import ConstraintConjunction
 from repro.geometry.primitives import LinearConstraint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog imports us)
-    from repro.engine.catalog import Catalog, Dataset, ReplicaRecipe
+    from repro.engine.catalog import Catalog, Dataset, Query, ReplicaRecipe
     from repro.engine.metrics import EngineStats
 
 
@@ -267,22 +266,15 @@ class Shard:
         """
         return self.replicas[0]
 
-    def may_contain(self, constraint: LinearConstraint) -> bool:
-        """True unless the bounding box proves the shard reports nothing
-        (a shard with no box and no write holds nothing)."""
-        if self.box_stale:
-            return True
-        return self.lows is not None and constraint_feasible_over_box(
-            constraint, self.lows, self.highs)
-
-    def may_contain_conjunction(self,
-                                conjunction: ConstraintConjunction) -> bool:
-        """True unless some conjunct alone already excludes the box."""
+    def may_contain(self, query: "Query") -> bool:
+        """True unless the bounding box proves the shard reports nothing:
+        some conjunct of the query alone excludes the box (a shard with
+        no box and no write holds nothing)."""
         if self.box_stale:
             return True
         return self.lows is not None and all(
-            constraint_feasible_over_box(c, self.lows, self.highs)
-            for c in conjunction.constraints)
+            constraint_feasible_over_box(constraint, self.lows, self.highs)
+            for constraint in query.constraints)
 
 
 @dataclass
@@ -366,20 +358,12 @@ class ShardedDataset:
         """
         return [shard.planning_dataset().live_size for shard in self.shards]
 
-    def relevant_shards(self, constraint: LinearConstraint) -> List[Shard]:
-        """The shards a query must visit (box pruning unless disabled)."""
+    def relevant_shards(self, query: "Query") -> List[Shard]:
+        """The shards a query must visit (box pruning unless disabled;
+        each conjunct can prune)."""
         if not self.prune:
             return list(self.shards)
-        return [shard for shard in self.shards
-                if shard.may_contain(constraint)]
-
-    def relevant_shards_conjunction(
-            self, conjunction: ConstraintConjunction) -> List[Shard]:
-        """Shards a conjunction must visit (each conjunct can prune)."""
-        if not self.prune:
-            return list(self.shards)
-        return [shard for shard in self.shards
-                if shard.may_contain_conjunction(conjunction)]
+        return [shard for shard in self.shards if shard.may_contain(query)]
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the layout is one that writes and

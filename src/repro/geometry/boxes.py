@@ -138,19 +138,6 @@ class Box:
                 return CellRelation.CROSSES
         return CellRelation.BELOW if below_any else CellRelation.ABOVE
 
-    def disjoint_from_halfspaces(self, halfspaces: Sequence[Hyperplane],
-                                 eps: float = EPS) -> bool:
-        """Conservative test: the box misses the intersection of halfspaces.
-
-        True is returned when some halfspace excludes the whole box, which
-        certifies emptiness; False means "maybe intersects".  Used by the
-        simplex-query traversal of Section 5 (Remark i).
-        """
-        for hyperplane in halfspaces:
-            if self.classify_halfspace(hyperplane, eps) is CellRelation.ABOVE:
-                return True
-        return False
-
     def split(self, axis: int, value: float) -> Tuple["Box", "Box"]:
         """Split the box at ``value`` along ``axis`` into (lower, upper) halves."""
         if not self.lower[axis] <= value <= self.upper[axis]:

@@ -124,11 +124,6 @@ class TriangulatedEnvelope:
         xmin, xmax, ymin, ymax = self.domain
         return (xmax - xmin) * (ymax - ymin)
 
-    def contains_xy(self, x: float, y: float) -> bool:
-        """True if ``(x, y)`` lies inside the triangulated query domain."""
-        xmin, xmax, ymin, ymax = self.domain
-        return xmin <= x <= xmax and ymin <= y <= ymax
-
 
 def compute_lower_envelope(planes: Sequence[Plane3],
                            domain: Tuple[float, float, float, float],

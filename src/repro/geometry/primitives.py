@@ -214,6 +214,12 @@ class LinearConstraint:
         return len(self.coeffs) + 1
 
     @property
+    def constraints(self) -> Tuple["LinearConstraint", ...]:
+        """The constraint as a query's conjuncts: itself alone (a
+        conjunction's are its ``constraints``)."""
+        return (self,)
+
+    @property
     def hyperplane(self) -> Hyperplane:
         """The boundary hyperplane ``x_d = a_0 + sum a_i x_i``."""
         return Hyperplane(self.coeffs, self.offset)

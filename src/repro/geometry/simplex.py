@@ -3,8 +3,9 @@
 The paper defines a d-dimensional simplex as the intersection of ``d + 1``
 halfspaces; the linear-size partition tree can report the points inside such
 a simplex within the same I/O bound as a halfspace query.  This module
-provides the simplex object used by that query path, including the
-conservative cell-vs-simplex tests the traversal needs.
+provides the simplex object used by that query path — every cell tree's
+one walk — including the cell-vs-simplex tests the walk needs: a box at a
+time (the scalar oracle) and a table block of boxes in one call.
 """
 
 from __future__ import annotations
@@ -130,6 +131,36 @@ class Simplex:
         """
         return any(halfspace.excludes_box(box, eps)
                    for halfspace in self.halfspaces)
+
+    def classify_boxes(self, lowers: np.ndarray,
+                       uppers: np.ndarray) -> np.ndarray:
+        """:meth:`certainly_disjoint_from_box` and :meth:`contains_box`
+        for n boxes at once, as :data:`~repro.geometry.boxes.CELL_RELATIONS`
+        codes: ABOVE when some facet excludes the box, BELOW when every
+        facet contains it, else CROSSES.
+
+        ``lowers`` / ``uppers`` are ``(n, d)`` corner matrices.  Per
+        facet, two folds stand in for the 2^d corners (IEEE multiply and
+        add are monotone): the least ``normal . x`` over a box is at the
+        corner taking ``lower_i`` where ``normal_i >= 0`` else
+        ``upper_i``, the greatest at the opposite one.  Both replay the
+        scalar accumulation one coefficient at a time, so a box touching
+        a facet resolves as the two scalar tests resolve it.
+        """
+        count = lowers.shape[0]
+        excluded = np.zeros(count, dtype=bool)
+        inside = np.ones(count, dtype=bool)
+        for halfspace in self.halfspaces:
+            least = np.zeros(count)
+            most = np.zeros(count)
+            for axis, coefficient in enumerate(halfspace.normal):
+                rising = coefficient >= 0
+                least += coefficient * (lowers if rising else uppers)[:, axis]
+                most += coefficient * (uppers if rising else lowers)[:, axis]
+            bound = halfspace.offset + 1e-9
+            excluded |= least > bound
+            inside &= most <= bound
+        return np.add(~excluded, ~(excluded | inside), dtype=np.int8)
 
     def filter(self, points: Sequence[Sequence[float]]) -> List[Sequence[float]]:
         """In-memory reference filter used by the tests."""

@@ -64,16 +64,18 @@ def wait_until(predicate, timeout_s=10.0):
 def test_constraint_and_conjunction_round_trip_exactly():
     constraint = LinearConstraint(coeffs=(0.1234567890123456, -3.5),
                                   offset=7.25e-17)
-    wire = protocol.constraint_to_wire(constraint)
-    back = protocol.constraint_from_wire(wire)
+    wire = protocol.query_to_wire(constraint)
+    assert wire == {"coeffs": [0.1234567890123456, -3.5],
+                    "offset": 7.25e-17}     # the HTTP body's constraint
+    back = protocol.query_from_wire(wire)
     assert back == constraint      # bit-identical floats over JSON
 
     from repro.core.conjunction import ConstraintConjunction, Halfspace
     conjunction = ConstraintConjunction(
         constraints=(constraint,),
         extra_halfspaces=(Halfspace(normal=(0.5, -1.0), offset=0.125),))
-    assert protocol.conjunction_from_wire(
-        protocol.conjunction_to_wire(conjunction)) == conjunction
+    assert protocol.query_from_wire(
+        protocol.query_to_wire(conjunction)) == conjunction
 
 
 @pytest.fixture
@@ -158,7 +160,7 @@ def test_pure_json_frames_are_byte_for_byte_what_they_were(wire):
         {"op": "ping"},
         {"op": "insert", "point": protocol.point_to_wire((0.25, -1.5)),
          "seq": 3},
-        {"op": "stats"},
+        {"op": "warm", "cache_blocks": 8, "at_least": True},
         {"ok": True, "applied": True, "ios": 2, "duplicate": False,
          "seq": 3},
         # A JSON-list ``points`` is not an answer matrix: plain JSON.
@@ -346,8 +348,8 @@ def test_process_mode_serves_conjunctions(points2d):
     inproc = make_engine(points2d, "inprocess")
     procs = make_engine(points2d, "process")
     try:
-        a = inproc.query_conjunction("pts", conjunction, clear_cache=True)
-        b = procs.query_conjunction("pts", conjunction, clear_cache=True)
+        a = inproc.query("pts", conjunction, clear_cache=True)
+        b = procs.query("pts", conjunction, clear_cache=True)
         assert sorted(map(tuple, a.points)) == sorted(map(tuple, b.points))
         assert a.total_ios == b.total_ios
     finally:
@@ -541,6 +543,56 @@ def test_index_built_after_spawn_is_served_locally():
     assert answers["process"].count > 0
 
 
+def test_worker_metrics_reach_the_scrape_from_the_heartbeats(points2d):
+    """Each worker's counts are ``engine_worker_*`` gauges under its
+    replica name: the handle's and its last heartbeat's, read at scrape
+    time with no RPC; a restarted worker's ``restarts`` reads 1."""
+    from repro.engine.obs import render_prometheus
+    engine = make_engine(points2d, "process", replicas=1, num_shards=2)
+    try:
+        for constraint in constraints(12):
+            engine.query("pts", constraint, clear_cache=True)
+        victim = engine.cluster.worker("pts", 0, 0)
+        victim.process.kill()
+        victim.process.join()
+        engine.cluster.check_workers()      # restarts it, beats the other
+        handles = [engine.cluster.worker("pts", shard_id, 0)
+                   for shard_id in range(2)]
+        assert handles[1].served > 0
+        calls = []                          # this thread's (not the monitor's)
+        for handle in handles:
+            def call(*args, _call=handle.client.call, **kwargs):
+                if threading.get_ident() == scraper:
+                    calls.append(args)
+                return _call(*args, **kwargs)
+            handle.client.call = call
+        scraper = threading.get_ident()
+        engine.stats.refresh_model_metrics()
+        scraped = dict(
+            line.split(" ") for line
+            in render_prometheus(engine.stats.registry).splitlines()
+            if line.startswith("engine_worker_"))
+        assert calls == []                  # the scrape made no RPC
+        assert len(scraped) == 6 * len(handles)
+        for handle, restarts in zip(handles, (1, 0)):
+            beat = handle.heartbeat
+            assert beat["served"] == handle.served
+            assert beat["last_seq"] == handle.last_seq
+            assert beat["peak_rss_bytes"] > 0
+            for suffix, value in (
+                    ("served", handle.served), ("writes", beat["writes"]),
+                    ("last_seq", handle.last_seq), ("restarts", restarts),
+                    ("ios", beat["ios"]["reads"] + beat["ios"]["writes"])):
+                assert float(scraped['engine_worker_%s{worker="%s"}' % (
+                    suffix, handle.replica_name)]) == value
+            # (the monitor's next beat may have moved the peak since)
+            assert float(scraped['engine_worker_peak_rss_bytes{worker="%s"}'
+                               % handle.replica_name]) > 0
+            assert handle.restarts == restarts
+    finally:
+        engine.close()
+
+
 def test_worker_write_application_is_seq_idempotent(points2d):
     engine = make_engine(points2d, "process", num_shards=2)
     try:
@@ -551,6 +603,7 @@ def test_worker_write_application_is_seq_idempotent(points2d):
         second = handle.client.call(payload)             # duplicate seq
         assert first["applied"] and not first["duplicate"]
         assert second["duplicate"] and not second["applied"]
+        engine.cluster.check_workers()              # a fresh heartbeat
         after = engine.cluster.worker_stats("pts", 0, 0)
         assert after["writes"] == before["writes"] + 1
     finally:
@@ -621,6 +674,7 @@ def test_materialized_shard_gets_workers(points2d):
         assert engine.insert("tiny", probe).applied
         handle = engine.cluster.worker("tiny", empty.shard_id, 0)
         assert handle is not None and handle.alive
+        engine.cluster.check_workers()              # a fresh heartbeat
         stats = engine.cluster.worker_stats("tiny", empty.shard_id, 0)
         assert stats["last_seq"] >= 1                   # saw its insert
         answer = engine.query("tiny", EVERYTHING, clear_cache=True)

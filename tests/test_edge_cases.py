@@ -15,6 +15,7 @@ from repro.geometry.arrangement2d import compute_level
 from repro.geometry.boxes import Box
 from repro.geometry.envelope3d import compute_lower_envelope, conflict_lists
 from repro.geometry.primitives import Hyperplane, Line2, Plane3
+from repro.geometry.simplex import Halfspace, Simplex
 from repro.io.btree import BTree
 from repro.io.disk_array import DiskArray
 from repro.workloads import uniform_points
@@ -125,10 +126,10 @@ class TestIOAccountingInvariants:
 class TestBoxHelpers:
     def test_disjoint_from_halfspaces_certificate(self):
         box = Box((0.0, 0.0), (1.0, 1.0))
-        outside = [Hyperplane((0.0,), -2.0)]      # y <= -2 excludes the box
-        overlapping = [Hyperplane((0.0,), 0.5)]
-        assert box.disjoint_from_halfspaces(outside)
-        assert not box.disjoint_from_halfspaces(overlapping)
+        outside = Simplex((Halfspace((0.0, 1.0), -2.0),))  # y <= -2 excludes
+        overlapping = Simplex((Halfspace((0.0, 1.0), 0.5),))
+        assert outside.certainly_disjoint_from_box(box)
+        assert not overlapping.certainly_disjoint_from_box(box)
 
     def test_volume_and_corners_in_3d(self):
         box = Box((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))

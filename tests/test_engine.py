@@ -405,9 +405,34 @@ def test_conjunction_query_matches_filter(points2d):
         LinearConstraint(coeffs=(0.4,), offset=0.2),
         LinearConstraint(coeffs=(-0.3,), offset=0.5),
     )
-    answer = engine.query_conjunction("d", conjunction)
+    answer = engine.query("d", conjunction)
     assert sorted(tuple(p) for p in answer.points) == sorted(
         tuple(p) for p in conjunction.filter(points2d))
+
+
+@pytest.mark.parametrize("kind, cost", [("halfplane2d", 87), ("dynamic", 64),
+                                        ("partition_tree", 64)])
+def test_a_conjunction_costs_the_same_in_either_order(kind, cost):
+    """The shard plan carries the conjunct it priced, and an index
+    outside the cell-tree walk answers that one (``halfplane2d``); a
+    cell tree walks the polytope.  Either way, writing the conjuncts in
+    the other order moves no I/O.  The worker mode is the suite's."""
+    points = np.random.default_rng(3).random((8192, 2))
+    wide = LinearConstraint((0.1,), 0.9)
+    narrow = LinearConstraint((0.1,), 0.03)
+    truth = sorted(map(tuple, ConstraintConjunction.of(wide, narrow).filter(
+        points.tolist())))
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
+    try:
+        engine.register_sharded_dataset("d", points, num_shards=1,
+                                        kinds=[kind])
+        for order in ((wide, narrow), (narrow, wide)):
+            answer = engine.query("d", ConstraintConjunction.of(*order),
+                                  clear_cache=True)
+            assert answer.total_ios == cost
+            assert sorted(rows(answer.points)) == truth
+    finally:
+        engine.close()
 
 
 # ----------------------------------------------------------------------

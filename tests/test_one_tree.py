@@ -7,8 +7,9 @@ with the same tree parameters builds the dynamic index alone, and
 backends, after a re-split and in a shard worker's rebuild, every
 replica holds one tree, and through either name it answers what a
 static :class:`PartitionTreeIndex` over the replica's points answers —
-the oracle — at the oracle's price and cold I/Os; the planner prices
-that one tree on every shard.  The worker mode is the suite's
+the oracle — at the oracle's price and cold I/Os, a conjunction included
+(the oracle's polytope walk: the same rows in the same order); the
+planner prices that one tree on every shard.  The worker mode is the suite's
 (``REPRO_WORKERS``).
 """
 
@@ -22,7 +23,8 @@ import numpy as np
 import pytest
 
 from repro import QueryEngine
-from repro.core import DynamicPartitionTreeIndex, PartitionTreeIndex
+from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
+                        PartitionTreeIndex)
 from repro.engine.catalog import one_tree_per_replica
 from repro.engine.cluster.worker import ShardWorker
 from repro.io.store import BlockStore
@@ -35,6 +37,8 @@ POINTS = uniform_points(1500, seed=41)
 QUERIES = [query for share in (0.005, 0.05, 0.4)
            for query in halfspace_queries_with_selectivity(
                POINTS, 3, share, seed=int(share * 1000))]
+CONJUNCTIONS = [ConstraintConjunction.of(first, second)
+                for first, second in zip(QUERIES[:3], QUERIES[6:])]
 
 
 def multiset(points):
@@ -77,6 +81,15 @@ def assert_the_static_tree(replica):
             points, ios, __ = replica.run_query(name, query,
                                                 clear_cache=True)
             assert multiset(points) == multiset(truth.points)
+            assert (ios.reads, ios.writes, ios.cache_hits) == (
+                truth.ios.reads, truth.ios.writes, truth.ios.cache_hits)
+    for conjunction in CONJUNCTIONS:
+        truth = oracle.query_with_stats(conjunction.to_polytope(),
+                                        clear_cache=True)
+        for name in ("dynamic", "partition_tree"):
+            points, ios, __ = replica.run_query(name, conjunction,
+                                                clear_cache=True)
+            assert np.array_equal(points, truth.points)
             assert (ios.reads, ios.writes, ios.cache_hits) == (
                 truth.ios.reads, truth.ios.writes, truth.ios.cache_hits)
 

@@ -89,23 +89,23 @@ class TestPartitionTree:
         points, tree = tree_2d
         triangle = Simplex.from_vertices_2d([(-0.5, -0.5), (0.7, -0.3), (0.0, 0.8)])
         expected = {tuple(p) for p in points if triangle.contains(p)}
-        actual = {tuple(p) for p in tree.query_simplex(triangle)}
+        actual = {tuple(p) for p in tree.query(triangle)}
         assert actual == expected
 
     def test_simplex_query_empty_region(self, tree_2d):
         points, tree = tree_2d
         far_triangle = Simplex.from_vertices_2d([(10, 10), (11, 10), (10, 11)])
-        assert rows(tree.query_simplex(far_triangle)) == []
+        assert rows(tree.query(far_triangle)) == []
 
     def test_simplex_query_counts_its_own_nodes(self, tree_2d):
         points, tree = tree_2d
         tree.query(halfspace_queries_with_selectivity(points, 1, 0.5, seed=4)[0])
         after_halfspace = tree.last_nodes_visited
         far_triangle = Simplex.from_vertices_2d([(10, 10), (11, 10), (10, 11)])
-        tree.query_simplex(far_triangle)
+        tree.query(far_triangle)
         assert tree.last_nodes_visited == 1 < after_halfspace   # the root only
         triangle = Simplex.from_vertices_2d([(-0.5, -0.5), (0.7, -0.3), (0.0, 0.8)])
-        tree.query_simplex(triangle)
+        tree.query(triangle)
         assert 1 < tree.last_nodes_visited <= tree.num_nodes
 
     def test_ham_sandwich_partitioner_variant_correct(self):

@@ -120,6 +120,31 @@ def cells_and_hyperplane(draw):
     return lowers, uppers, hyperplane
 
 
+@st.composite
+def cells_and_polytope(draw):
+    """The boxes of :func:`cells_and_hyperplane` and a polytope: that
+    hyperplane's halfspace and up to three facets more, each through a
+    corner of one of the boxes, or EPS or 3 EPS off it."""
+    lowers, uppers, hyperplane = draw(cells_and_hyperplane())
+    dimension = len(lowers[0])
+    halfspaces = [Halfspace(tuple(-c for c in hyperplane.coeffs) + (1.0,),
+                            hyperplane.offset)]
+    coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                            st.floats(-3.0, 3.0, allow_nan=False))
+    for __ in range(draw(st.integers(0, 3))):
+        normal = tuple(draw(st.lists(coefficient, min_size=dimension,
+                                     max_size=dimension)))
+        box = draw(st.integers(0, len(lowers) - 1))
+        picks = draw(st.lists(st.booleans(), min_size=dimension,
+                              max_size=dimension))
+        corner = [high if pick else low for pick, low, high
+                  in zip(picks, lowers[box], uppers[box])]
+        nudge = draw(st.sampled_from([0.0, EPS, -EPS, 3 * EPS]))
+        halfspaces.append(Halfspace(
+            normal, sum(n * x for n, x in zip(normal, corner)) + nudge))
+    return lowers, uppers, Simplex(tuple(halfspaces))
+
+
 class TestClassifyBoxes:
     @settings(max_examples=400, deadline=None)
     @given(cells_and_hyperplane())
@@ -130,6 +155,25 @@ class TestClassifyBoxes:
         assert [CELL_RELATIONS[code] for code in codes.tolist()] == \
             [Box(lower, upper).classify_halfspace(hyperplane)
              for lower, upper in zip(lowers, uppers)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(cells_and_polytope())
+    def test_polytope_folds_equal_the_scalar_tests(self, case):
+        """ABOVE when some facet excludes the box, BELOW when every facet
+        contains it, else CROSSES: box by box, the scalar oracle's
+        :meth:`Simplex.certainly_disjoint_from_box` then
+        :meth:`Simplex.contains_box`."""
+        lowers, uppers, polytope = case
+        codes = polytope.classify_boxes(np.array(lowers), np.array(uppers))
+        expected = []
+        for lower, upper in zip(lowers, uppers):
+            box = Box(lower, upper)
+            expected.append(
+                CellRelation.ABOVE
+                if polytope.certainly_disjoint_from_box(box) else
+                CellRelation.BELOW if polytope.contains_box(box) else
+                CellRelation.CROSSES)
+        assert [CELL_RELATIONS[code] for code in codes.tolist()] == expected
 
     def test_codes_index_the_relations(self):
         hyperplane = Hyperplane((0.0,), 0.5)

@@ -363,7 +363,7 @@ def test_follower_whose_deadline_passed_during_leader_is_expired(points2d):
     doomed = QueuedRequest(_request(constraint, tenant="c",
                                     deadline_s=1.0), seq=2,
                            enqueued_at=0.0)
-    key = ("d", (constraint.coeffs, constraint.offset))
+    key = ("d", constraint)
     # The scheduler state start() would create, with the followers
     # already attached to the in-flight leader.
     executor._keys = {key}

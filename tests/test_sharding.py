@@ -375,7 +375,7 @@ def test_sharded_conjunction_matches_filter(sharded_engine, points2d):
         LinearConstraint(coeffs=(0.4,), offset=0.2),
         LinearConstraint(coeffs=(-0.3,), offset=0.5),
     )
-    answer = sharded_engine.query_conjunction("sh", conjunction)
+    answer = sharded_engine.query("sh", conjunction)
     assert sorted(tuple(p) for p in answer.points) == sorted(
         tuple(p) for p in conjunction.filter(points2d))
 

@@ -272,7 +272,7 @@ class EngineMachine(RuleBasedStateMachine):
             for pick in picks))
         truth = self.oracle(lambda live: np.logical_and.reduce(
             [c.below_many(live) for c in both.constraints]))
-        answer = self.engine.query_conjunction("d", both, clear_cache=True)
+        answer = self.engine.query("d", both, clear_cache=True)
         assert multiset(answer.points) == truth
 
     # ------------------------------------------------------------------

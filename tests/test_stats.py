@@ -925,7 +925,7 @@ def test_worker_spec_carries_its_recipe_and_no_conformal_config():
         [])
     assert len(worker.dataset.stats.sample.rows) == 128
     assert worker.dataset.stats.size == len(points)
-    stats = worker.handle({"op": "stats"})
+    stats = worker.handle({"op": "ping"})
     assert stats["replica"] == "sh#0"
     # The parent computes every estimate and interval; a worker's
     # replies carry none.

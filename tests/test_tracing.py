@@ -233,7 +233,7 @@ def test_explain_analyze_per_shard_io_parity_on_k4(traced_engine):
     for dataset, query, shard_ids, planner_stage in (
             ("grid", EVERYTHING, [0, 1, 2, 3], "planner.plan"),
             ("plain", EVERYTHING, [0], "planner.plan"),
-            ("plain", wedge, [0], "planner.plan_conjunction")):
+            ("plain", wedge, [0], "planner.plan")):
         marker = traced_engine.stats.snapshot()
         report = traced_engine.explain(dataset, query, analyze=True)
         assert report["analyze"] is True

@@ -317,13 +317,13 @@ def test_partition_tree_simplex_parity():
     store = index.store
     store.clear_cache()
     store.reset_stats()
-    vector_rows = index.query_simplex(simplex)
+    vector_rows = index.query(simplex)
     vector = sorted(rows(vector_rows))
     vector_ios = store.stats.snapshot()
     store.clear_cache()
     store.reset_stats()
     with scalar_kernels():
-        scalar_rows = index.query_simplex(simplex)
+        scalar_rows = index.query(simplex)
         scalar = sorted(rows(scalar_rows))
     scalar_ios = store.stats.snapshot()
     assert vector == scalar
@@ -332,6 +332,95 @@ def test_partition_tree_simplex_parity():
     assert vector_ios.cache_hits == scalar_ios.cache_hits
     expected = sorted(tuple(p) for p in points if simplex.contains(p))
     assert vector == expected
+
+
+#: A conjunction per dimension whose facets pass through dyadic grid
+#: points exactly (every product and sum below is exact).
+FACET_CONJUNCTIONS = {
+    2: ConstraintConjunction.of(
+        LinearConstraint((0.5,), 0.25),
+        LinearConstraint((-0.75,), 0.5)).and_halfspace((0.0, -1.0), 0.25),
+    3: ConstraintConjunction.of(
+        LinearConstraint((0.5, -0.25), 0.25),
+        LinearConstraint((-0.75, 0.5), 0.5)).and_halfspace(
+            (0.0, 0.0, -1.0), 0.25),
+}
+
+#: Every kind the cell-tree walk serves: ``(name, suite, dimension,
+#: writes)``; the aliased ``partition_tree`` is the dynamic index's.
+WALK_KINDS = [
+    ("partition_tree", ["partition_tree"], 2, False),
+    ("shallow_tree", ["shallow_tree"], 2, False),
+    ("hybrid3d", ["hybrid3d"], 3, False),
+    ("rtree", ["rtree"], 2, False),
+    ("quadtree", ["quadtree"], 2, False),
+    ("dynamic", ["dynamic"], 3, False),
+    ("dynamic", ["dynamic"], 2, True),
+    ("partition_tree", ["dynamic", "partition_tree"], 2, False),
+]
+
+
+def facet_grid(dimension):
+    """Dyadic grid points on each facet of :data:`FACET_CONJUNCTIONS`
+    ``[dimension]`` (the extra one at height -0.25) and off them."""
+    axis = np.arange(-8, 9) / 8.0
+    prefixes = np.stack(np.meshgrid(*[axis] * (dimension - 1)),
+                        axis=-1).reshape(-1, dimension - 1)
+    heights = [constraint.offset + prefixes @ np.asarray(constraint.coeffs)
+               for constraint in FACET_CONJUNCTIONS[dimension].constraints]
+    heights += [np.full(len(prefixes), value) for value in (-0.25, 0.0, 0.5)]
+    return np.vstack([np.column_stack((prefixes, height))
+                      for height in heights])
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("name, suite, dimension, writes", WALK_KINDS,
+                         ids=["%s-%s%s" % ("+".join(suite), dimension,
+                                           "-written" if writes else "")
+                              for __, suite, dimension, writes in WALK_KINDS])
+def test_every_cell_tree_walks_a_conjunction(name, suite, dimension, writes,
+                                             backend, tmp_path):
+    """A conjunction walks every cell tree, and the dynamic index's tree
+    and buffer, as its polytope: on random points and on grid points
+    lying on a facet the answer is ``conjunction.filter``'s, in both
+    conjunct orders, and the scalar oracle reads the same blocks and
+    answers the same rows in the same order."""
+    from repro import QueryEngine
+    rng = np.random.default_rng(dimension)
+    points = np.vstack([rng.uniform(-1.0, 1.0, size=(700, dimension)),
+                        facet_grid(dimension)])
+    engine = QueryEngine(block_size=16, seed=5, backend=backend,
+                         data_dir=str(tmp_path))
+    try:
+        engine.register_dataset("d", points, kinds=suite)
+        live = points
+        if writes:
+            grid = facet_grid(dimension)
+            for point in grid[::7]:
+                assert engine.insert("d", tuple(point)).applied
+            for point in points[::9]:
+                assert engine.delete("d", tuple(point)).applied
+            live = np.vstack([np.delete(points, np.s_[::9], axis=0),
+                              grid[::7]])
+        replica = engine.catalog.dataset("d")
+        conjunction = FACET_CONJUNCTIONS[dimension]
+        for query in (conjunction, ConstraintConjunction(
+                conjunction.constraints[::-1],
+                conjunction.extra_halfspaces)):
+            truth = sorted(map(tuple, query.filter(live.tolist())))
+            assert len(truth) > 20
+            answer, ios, __ = replica.run_query(name, query,
+                                                clear_cache=True)
+            assert sorted(rows(answer)) == truth
+            with scalar_kernels():
+                scalar, scalar_ios, __ = replica.run_query(
+                    name, query, clear_cache=True)
+            assert_same_ordered_answer(answer, scalar, name)
+            assert (ios.reads, ios.cache_hits) \
+                == (scalar_ios.reads, scalar_ios.cache_hits)
+            assert sorted(rows(engine.query("d", query).points)) == truth
+    finally:
+        engine.close()
 
 
 def test_conjunction_fallback_filter_parity():
