@@ -9,6 +9,11 @@ prints measured I/Os, output sizes and space.  The shape to verify:
   (the additive log_B n term moves by < a couple of I/Os over a 8x range);
 * at fixed selectivity the mean I/Os grow linearly with t;
 * space stays within a small constant of n = ⌈N/B⌉.
+
+The report test persists the ``table1_2d`` section of ``BENCH_table1.json``:
+per N the worst and mean I/Os at fixed output, space over n and the
+build's level-walk counts (vertices, band cuts, lines looked at, lock
+steps), with the fixed-output growth exponents beside the theorem's.
 """
 
 from __future__ import annotations
@@ -22,12 +27,15 @@ from repro.baselines import FullScanIndex
 from repro.experiments import ExperimentResult, log_fit_exponent, run_query_workload
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
-from .conftest import blocks, print_experiment
+from .conftest import blocks, persist_table1, print_experiment
 
 BLOCK_SIZE = 32
 SIZES = [2048, 4096, 8192, 16384]
 FIXED_OUTPUT = 256           # records per query for the "fixed T" batch
 NUM_QUERIES = 8
+#: Theorem 3.5's query bound is O(log_B n + t): at fixed output the cost
+#: grows with N by no power of it.
+THEOREM_EXPONENT = 0.0
 
 _cache = {}
 
@@ -78,11 +86,23 @@ def test_t1_2d_report_table(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     result = ExperimentResult(
         "T1-2D", "2-D halfplane queries: O(n) space, O(log_B n + t) I/Os")
-    fixed_costs = []
+    fixed_costs, worst_costs, per_size = [], [], {}
     for num_points in SIZES:
         summary = run_fixed_output(num_points)
         fixed_costs.append(summary.mean_ios)
+        worst_costs.append(summary.max_ios)
         result.add(summary)
+        __, index = build(num_points)
+        walks = index.layer_builds
+        per_size[str(num_points)] = {
+            "worst_ios": summary.max_ios,
+            "mean_ios": round(summary.mean_ios, 2),
+            "space_over_n": round(
+                index.space_blocks / blocks(num_points, BLOCK_SIZE), 3),
+            "walk": {name: sum(getattr(layer, name) for layer in walks)
+                     for name in ("vertices", "band_cuts", "work",
+                                  "lock_steps")},
+        }
     for selectivity in (0.01, 0.1):
         for num_points in (SIZES[0], SIZES[-1]):
             result.add(run_fixed_selectivity(num_points, selectivity))
@@ -96,7 +116,16 @@ def test_t1_2d_report_table(benchmark):
 
     # Shape check: with T fixed, quadrupling N should barely move the cost.
     growth = log_fit_exponent(SIZES, fixed_costs)
-    print("fixed-output growth exponent (want << 1):", round(growth, 3))
+    worst_growth = log_fit_exponent(SIZES, worst_costs)
+    print("fixed-output growth exponent (want << 1):", round(growth, 3),
+          "worst:", round(worst_growth, 3))
+    persist_table1("table1_2d", {
+        "block_size": BLOCK_SIZE, "fixed_output": FIXED_OUTPUT,
+        "queries": NUM_QUERIES, "sizes": per_size,
+        "mean_growth_exponent": round(growth, 3),
+        "worst_growth_exponent": round(worst_growth, 3),
+        "theorem_exponent": THEOREM_EXPONENT,
+    })
     assert growth < 0.35
     # Space: linear with a small constant.
     for num_points in SIZES:

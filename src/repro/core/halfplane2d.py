@@ -59,9 +59,11 @@ class _Layer:
 class LayerBuild(NamedTuple):
     """What building one layer took: the lines still unassigned, λ_i, the
     level's vertices (``run_vertices`` of them from the walk's checked
-    runs, ``exact_steps`` from its exact step), its band cuts, the walk's
-    seconds and the clusters it compressed into.  The trivial last layer
-    walks nothing."""
+    runs, ``exact_steps`` from its exact step), its band cuts, the rounds
+    its walkers proposed in (``lock_steps``), the walkers and the ones
+    dropped at a stitch, the lines the walk looked at (``work``), the
+    walk's seconds and the clusters it compressed into.  The trivial last
+    layer walks nothing."""
 
     lines: int
     lam: int
@@ -69,6 +71,10 @@ class LayerBuild(NamedTuple):
     run_vertices: int
     exact_steps: int
     band_cuts: int
+    lock_steps: int
+    walkers: int
+    stitch_fallbacks: int
+    work: int
     walk_s: float
     clusters: int
 
@@ -159,7 +165,8 @@ class HalfplaneIndex2D(ExternalIndex):
             self.layer_builds.append(LayerBuild(
                 len(remaining), lam, level.complexity, level.run_vertices,
                 level.complexity - level.run_vertices, level.band_cuts,
-                walk_s, len(clusters)))
+                level.lock_steps, level.walkers, level.stitch_fallbacks,
+                level.work, walk_s, len(clusters)))
             self._append_layer(lines, records, remaining, lam, clusters)
             remaining = np.delete(remaining, layer_local_lines)
 
@@ -169,7 +176,7 @@ class HalfplaneIndex2D(ExternalIndex):
         cluster = Cluster(lines=list(range(len(remaining))),
                           x_from=-math.inf, x_to=math.inf)
         self.layer_builds.append(
-            LayerBuild(len(remaining), lam, 0, 0, 0, 0, 0.0, 1))
+            LayerBuild(len(remaining), lam, 0, 0, 0, 0, 0, 0, 0, 0, 0.0, 1))
         self._append_layer(lines, records, remaining, lam, [cluster])
 
     def _append_layer(self, lines: LineArrays, records: np.ndarray,

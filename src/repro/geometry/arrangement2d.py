@@ -10,19 +10,25 @@ This module walks a level from left to right, reporting its vertices.  At
 each vertex the walk records whether it is *convex* (downward — the level's
 slope increases and one line drops strictly below the level, Lemma 3.2's
 "add the minimum-slope line" event) or *concave* (upward — nothing enters
-the region below the level).  It steps over the few hundred lines nearest
-the level (:func:`compute_level`) in runs of two-line vertices (:func:`_run`),
-kept while just two lines pass through each and its below count gives the
-crossing line its rank; the exact step takes over at the first that fails.
-The paper uses the Edelsbrunner–Welzl sweep [22] instead, a substitution
-("Substitutions" in README.md) that changes construction time only.
+the region below the level).  Walkers start at several abscissae along
+the level and step in lock step (:func:`compute_level`), each over the few
+hundred lines nearest it, in runs of two-line vertices: every round
+proposes the next vertex of every walker's run from one crossing matrix,
+and a run is kept while just two lines pass through each vertex and its
+below count gives the crossing line its rank; the exact step takes over at
+the first that fails.  A walker stops where its chain meets the next
+walker's, so the level is one chain, vertex for vertex the one a single
+walk from the left reports.  The paper uses the Edelsbrunner–Welzl sweep
+[22] instead, a substitution ("Substitutions" in README.md) that changes
+construction time only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Sequence, Set
+from typing import List, NamedTuple, Optional, Sequence, Set
 
 import numpy as np
 
@@ -38,10 +44,17 @@ _BAND = 384
 #: The most vertices one run proposes before it checks them.
 _RUN = 32
 
+#: How many walkers walk a level of more than ``2 * _BAND`` lines; a
+#: smaller level is walked by one.
+_WALKERS = 16
+
+#: How many random line pairs the walkers' starts are spread by.
+_PAIRS = 2048
+
 #: A band is trusted while its ``reach`` is at least this many times what
-#: the walk has drifted since the band was cut (so ``reach / 2`` dwarfs the
+#: the walk has drifted since the band was cut (so ``reach / 8`` dwarfs the
 #: vertex tolerance and the rounding noise below it).
-_CLEARANCE = 8.0
+_CLEARANCE = 32.0
 
 
 class LineArrays(Sequence):
@@ -100,7 +113,10 @@ class Level:
     ``work`` is what the walk cost: the number of lines it looked at,
     summed over its steps (a vertex a run proposed counts as one) and its
     passes over all lines — a count, so a test can bound it on any host.
-    ``run_vertices`` came from checked runs; ``band_cuts`` counts passes.
+    ``run_vertices`` came from checked runs; ``band_cuts`` counts passes;
+    ``lock_steps`` counts the rounds in which the ``walkers`` proposed
+    their next vertices together, and ``stitch_fallbacks`` the walkers
+    dropped because a vertex before them contradicted their chain.
     """
 
     k: int
@@ -110,24 +126,14 @@ class Level:
     work: int
     run_vertices: int = 0
     band_cuts: int = 0
+    lock_steps: int = 0
+    walkers: int = 1
+    stitch_fallbacks: int = 0
 
     @property
     def complexity(self) -> int:
         """Number of vertices of the level (the paper's |Λ|)."""
         return len(self.vertices)
-
-    def line_at(self, x: float) -> int:
-        """Index of the line realising the level at abscissa ``x``."""
-        current = self.initial_line
-        for vertex in self.vertices:
-            if vertex.x > x:
-                break
-            current = vertex.line_after
-        return current
-
-    def y_at(self, x: float) -> float:
-        """Height of the level at abscissa ``x``."""
-        return self.lines[self.line_at(x)].y_at(x)
 
     def sample_point_before_first_vertex(self) -> float:
         """An abscissa strictly to the left of every vertex of the level."""
@@ -180,12 +186,22 @@ def compute_level(lines: Sequence[Line2], k: int) -> Level:
     ``k`` counts lines strictly below, so ``k = 0`` is the lower envelope.
     Raises :class:`ValueError` unless ``0 <= k < len(lines)``.
 
-    A step needs only the lines near the level, so after a vertex the walk
+    A step needs only the lines near the level, so after a vertex a walker
     keeps the ``_BAND`` lines nearest it and steps among those for as long
     as :func:`_band_around` proves the others cannot matter, then cuts a new
     band where it stands; a step that even a new band cannot vouch for is
-    taken on all lines.  In a band it steps by checked runs (:func:`_run`).
-    Every vertex is the one a walk over all lines at every step reports.
+    taken on all lines.  In a band it steps by checked runs.
+
+    The level is x-monotone and a step depends only on the line the walk
+    is on and where, so a level of more than ``2 * _BAND`` lines is walked
+    by ``_WALKERS`` walkers, started on the level's line at abscissae spread
+    like its vertices (:func:`_starts`), in lock step (:class:`_Walk`).  A
+    walker stops at its first vertex past the next walker's start that is
+    one of that walker's vertices, and the level goes on along that
+    walker's chain; a walker whose chain a vertex before it contradicts is
+    dropped (a stitch fallback), and the one before walks its stretch too.
+    Every vertex is the one a walk over all lines at every step, from the
+    left, reports.
     """
     lines = LineArrays.of(lines)
     count = len(lines)
@@ -194,119 +210,338 @@ def compute_level(lines: Sequence[Line2], k: int) -> Level:
 
     # At x = -infinity the lines are ordered bottom-to-top by decreasing
     # slope (ties broken by intercept, then index), so the line with exactly
-    # k lines below it is the one of rank k in that order.
-    current = initial_line = int(
-        np.lexsort((lines.intercepts, -lines.slopes))[k])
-    current_x = -math.inf
-
-    everything = _Active(np.arange(count), lines.slopes, lines.intercepts)
-    banded = count > 2 * _BAND
-    active = everything
-    # The vertex tolerances spent so far: at each vertex the chain may jump
-    # by one, so since a band was cut the chain has strayed at most the
-    # drift added since from the geometry the band's horizon was proven on.
-    drift = 0.0
-    vertices: List[LevelVertex] = []
-    work = run_vertices = band_cuts = 0
+    # k lines below it is the one of rank k in that order: past the lines
+    # of steeper slope, among those of the rank-k slope.
+    steepness = -lines.slopes
+    steep = steepness[np.argpartition(steepness, k)[k]]
+    tied = np.flatnonzero(steepness == steep)
+    initial_line = int(tied[np.argsort(lines.intercepts[tied], kind="stable")]
+                       [k - np.count_nonzero(steepness < steep)])
+    walk = _Walk(lines, k)
+    first = _Walker(-math.inf, walk.everything, initial_line, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        while len(vertices) <= 4 * count * count:
-            step = ended = None
-            if vertices and (active is not everything or not banded):
-                run, drift, proposed, ended = _run(
-                    active, k, current, current_x, drift)
-                work += proposed * len(active.ids)
-                run_vertices += len(run)
-                vertices.extend(run)
-                if run:
-                    current, current_x = run[-1].line_after, run[-1].x
-                if len(run) == _RUN:
-                    continue
-            # A band cut is right anywhere; the walk's end is the exact step's.
-            if not ended or active is everything:
-                step = _next_vertex(active, k, current, current_x, drift)
-                work += len(active.ids)
-            if step is not None:
-                vertex, heights, tolerance = step
-                drift += tolerance
-                vertices.append(vertex)
-                current = vertex.line_after
-                current_x = vertex.x
-                if banded and active is everything:
-                    active = _band_around(everything, heights, vertex, drift)
-                    work += count
-                    band_cuts += 1
-            elif active is everything:
-                break
-            elif active.cut_x == current_x:
-                # Not even a band cut here vouches for the step: all lines.
-                active = everything
-            else:
-                # The band has run out: cut a new one where the walk stands.
-                vertex = vertices[-1]
-                heights = lines.slopes * vertex.x + lines.intercepts
-                active = _band_around(everything, heights, vertex, drift)
-                work += count
-                band_cuts += 1
-        else:
+        walkers = [first] + [walk.start(x) for x in _starts(
+            lines, _WALKERS - 1 if walk.banded else 0)]
+        for walker, following in zip(walkers, walkers[1:] + [None]):
+            walker.aim(following)
+        walk.walk(walkers)
+    vertices, walker, begin = [], first, 0
+    while True:
+        vertices.extend(walker.vertices[begin:])
+        if walker.joined is None:
+            break
+        begin, walker = walker.joined + 1, walker.target
+    return Level(k, lines, initial_line, vertices, walk.work,
+                 walk.run_vertices, walk.band_cuts, walk.lock_steps,
+                 len(walkers), walk.fallbacks)
+
+
+class _Walker:
+    """One walker: the line it is on at ``x``, the lines it steps among and
+    the drift it has spent, the vertices it has found, and the run it is
+    proposing.
+
+    It started at ``start`` (``-inf`` for the first) and walks until one of
+    its vertices past ``target``'s start is one of ``target``'s vertices —
+    it then keeps its vertices up to that one and ``joined`` is that
+    vertex's position in ``target``'s — or until the level ends or the
+    walker before it drops it.  ``checked`` is the position of its vertex
+    compared last.
+
+    A run (:meth:`_Walk._ready`) proposes from the band in row ``row`` of
+    the walk's band matrices until a vertex past ``stop``, the target's
+    start: ``path`` are the band positions of its lines, ``run`` its
+    vertices' ``(x, y, tolerance)``, ``drifts`` the drift before and after
+    each, ``slope``, ``intercept`` and ``after`` the line it is on and
+    where its next crossing must lie.
+    """
+
+    __slots__ = ("start", "x", "active", "line", "drift", "vertices",
+                 "target", "live", "joined", "checked", "row", "band",
+                 "stop", "running", "path", "run", "drifts", "slope",
+                 "intercept", "after", "ended")
+
+    def __init__(self, start: float, active: _Active, line: int,
+                 drift: float):
+        self.start = self.x = start
+        self.active, self.line, self.drift = active, line, drift
+        self.vertices: List[LevelVertex] = []
+        self.target: Optional[_Walker] = None
+        self.live = True
+        self.joined: Optional[int] = None
+        self.checked = 0
+        self.band: Optional[_Active] = None
+
+    def add(self, vertices: List[LevelVertex]) -> None:
+        self.vertices.extend(vertices)
+        self.line, self.x = vertices[-1].line_after, vertices[-1].x
+
+    def aim(self, target: Optional["_Walker"]) -> None:
+        self.target = target
+        self.stop = math.inf if target is None else target.start
+
+
+class _Walk:
+    """One level's walkers in lock step, and the counts :class:`Level`
+    reports.  ``bands[r]`` holds the slopes and intercepts of the band of
+    the walker in row ``r``, padded with lines of slope 0 at height +inf,
+    which cross nothing and pass through no vertex."""
+
+    def __init__(self, lines: LineArrays, k: int):
+        self.lines, self.k = lines, k
+        self.everything = _Active(np.arange(len(lines)), lines.slopes,
+                                  lines.intercepts)
+        self.banded = len(lines) > 2 * _BAND
+        self.work = self.run_vertices = self.band_cuts = 0
+        self.lock_steps = self.fallbacks = 0
+
+    def start(self, x: float) -> _Walker:
+        """A walker on the level's line at abscissa ``x``, and its band."""
+        heights = self.lines.slopes * x + self.lines.intercepts
+        line = _line_of_rank(heights, self.k)
+        y = float(heights[line])
+        walker = _Walker(x, self.everything, line, _vertex_tolerance(x, y))
+        self.work += len(heights)
+        if self.banded:
+            walker.active = self._cut(walker, x, y, heights)
+        return walker
+
+    def _cut(self, walker: _Walker, x: float, y: float,
+             heights: np.ndarray) -> _Active:
+        """``walker``'s band around ``(x, y)``, in a pass over all lines,
+        whose ``heights`` at ``x`` are given."""
+        self.work += len(heights)
+        self.band_cuts += 1
+        return _band_around(self.everything, heights, x, y, walker.drift)
+
+    def walk(self, walkers: List[_Walker]) -> None:
+        """Step ``walkers`` in lock step until none is live."""
+        self.live: List[_Walker] = list(walkers)
+        self.bands = np.zeros((len(walkers), 2, _BAND + 1))
+        self.bands[:, 1] = np.inf
+        self.rows = np.arange(len(walkers))
+        for row, walker in enumerate(walkers):
+            walker.row = row
+            self._ready(walker)
+        while self.live:
+            self._round()
+
+    def _ready(self, walker: _Walker) -> None:
+        """Set ``walker`` to propose a run from where it stands, if it can:
+        after its first vertex, on a band or on all lines of a level too
+        small for bands."""
+        active = walker.active
+        walker.running = walker.x > -math.inf and (
+            active is not self.everything or not self.banded)
+        if not walker.running:
+            return
+        if walker.band is not active:
+            size = len(active.ids)
+            if size > self.bands.shape[2]:
+                wider = np.zeros(self.bands.shape[:2] + (size,))
+                wider[:, 1] = np.inf
+                wider[:, :, :self.bands.shape[2]] = self.bands
+                self.bands = wider
+            row = self.bands[walker.row]
+            row[0, :size], row[1, :size] = active.slopes, active.intercepts
+            row[0, size:], row[1, size:] = 0.0, np.inf
+            walker.band = active
+        here = int(active.ids.searchsorted(walker.line))
+        walker.path, walker.run, walker.drifts = [here], [], [walker.drift]
+        walker.slope = float(active.slopes[here])
+        walker.intercept = float(active.intercepts[here])
+        walker.after = walker.x + _VERTEX_EPS * max(1.0, abs(walker.x))
+        walker.ended = False
+
+    def _round(self) -> None:
+        """Propose the next vertex of every running walker's run, all from
+        one crossing matrix, where :func:`_next_vertex` would step; then
+        settle the walkers whose runs stopped."""
+        runners: List[_Walker] = []
+        stopped: List[_Walker] = []
+        for walker in self.live:
+            (runners if walker.running else stopped).append(walker)
+        if runners:
+            self.lock_steps += 1
+            bands = (self.bands if len(runners) == len(self.live)
+                     else self.bands[[walker.row for walker in runners]])
+            slopes, intercepts = bands[:, 0], bands[:, 1]
+            lines = np.array([(walker.slope, walker.intercept, walker.after)
+                              for walker in runners])
+            # The line's own crossing is 0 / 0: dropped with those left of x.
+            cross = intercepts - lines[:, 1:2]
+            cross /= lines[:, :1] - slopes
+            np.putmask(cross, ~(cross > lines[:, 2:]), np.inf)
+            nearest = _nearest_crossing(cross)
+            rows = self.rows[:len(runners)]
+            for walker, x, at, (slope, intercept) in zip(
+                    runners, cross[rows, nearest].tolist(), nearest.tolist(),
+                    bands[rows, :, nearest].tolist()):
+                y = walker.slope * x + walker.intercept
+                tolerance = _VERTEX_EPS * max(1.0, abs(y), abs(x))
+                drift = walker.drifts[-1] + tolerance
+                active = walker.active
+                if math.isinf(x) or x > active.horizon or drift > active.limit:
+                    walker.ended = True
+                    stopped.append(walker)
+                elif abs(walker.slope - slope) < 1e-15:
+                    stopped.append(walker)
+                else:
+                    walker.run.append((x, y, tolerance))
+                    walker.drifts.append(drift)
+                    walker.path.append(at)
+                    walker.slope, walker.intercept = slope, intercept
+                    walker.after = x + _VERTEX_EPS * max(1.0, abs(x))
+                    if len(walker.run) == _RUN or x > walker.stop:
+                        stopped.append(walker)
+        if not stopped:
+            return
+        for walker in stopped:
+            self._step(walker, self._check(walker) if walker.running
+                       else None)
+            if walker.live:
+                self._ready(walker)
+        self._stitch()
+        if not all(walker.live for walker in self.live):
+            self.live = [walker for walker in self.live if walker.live]
+            self.bands = self.bands[[walker.row for walker in self.live]]
+            for row, walker in enumerate(self.live):
+                walker.row = row
+
+    def _check(self, walker: _Walker):
+        """``walker``'s run checked in one height matrix with the exact
+        step's arithmetic: the vertices up to its first that fails, the
+        drift after them, the count proposed, whether the run held to
+        where the exact step finds no vertex, and whether it held past the
+        target's start."""
+        active, path, proposed = walker.active, walker.path, walker.run
+        kept = 0
+        if proposed:
+            at_x, at_y, within = np.array(proposed).T
+            heights = np.multiply.outer(at_x, active.slopes)
+            heights += active.intercepts
+            line_slopes = active.slopes[path]
+            below = active.below + (
+                heights < (at_y - within)[:, None]).sum(axis=1)
+            holds = (_two_line_bundles(heights, at_y, within, path[1:])
+                     & _ranks_agree(below, self.k,
+                                    line_slopes[1:] > line_slopes[:-1]))
+            kept = len(holds) if holds.all() else int(holds.argmin())
+            slopes = line_slopes[:kept + 1].tolist()
+        numbers = active.ids[path[:kept + 1]].tolist()
+        run = [LevelVertex(x, y, numbers[r], numbers[r + 1],
+                           slopes[r + 1] > slopes[r] + 1e-15,
+                           [numbers[r]] if slopes[r] < slopes[r + 1] - 1e-15
+                           else [])
+               for r, (x, y, __) in enumerate(proposed[:kept])]
+        whole = kept == len(proposed)
+        passed = whole and bool(proposed) and proposed[-1][0] > walker.stop
+        return (run, walker.drifts[kept], len(proposed),
+                walker.ended and whole, passed)
+
+    def _step(self, walker: _Walker, outcome) -> None:
+        """Take ``walker`` on from its checked run (``None``: it did not
+        run), as the banded walk of one walker does."""
+        everything = self.everything
+        if len(walker.vertices) > 4 * len(self.lines) ** 2:
             raise RuntimeError(
                 "level walk did not terminate; the input is too "
                 "degenerate for the floating-point tolerances in use")
-    return Level(k, lines, initial_line, vertices, work, run_vertices,
-                 band_cuts)
+        step = ended = None
+        if outcome is not None:
+            run, walker.drift, proposed, ended, passed = outcome
+            self.work += proposed * len(walker.active.ids)
+            self.run_vertices += len(run)
+            if run:
+                walker.add(run)
+            if len(run) == _RUN or passed:
+                return
+        # A band cut is right anywhere; the walk's end is the exact step's.
+        if not ended or walker.active is everything:
+            step = _next_vertex(walker.active, self.k, walker.line,
+                                walker.x, walker.drift)
+            self.work += len(walker.active.ids)
+        if step is not None:
+            vertex, heights, tolerance = step
+            walker.drift += tolerance
+            walker.add([vertex])
+            if self.banded and walker.active is everything:
+                walker.active = self._cut(walker, vertex.x, vertex.y,
+                                          heights)
+        elif walker.active is everything:
+            walker.live = False   # the level ends
+        elif walker.active.cut_x == walker.x:
+            # Not even a band cut here vouches for the step: all lines.
+            walker.active = everything
+        else:
+            # The band has run out: cut a new one where the walker stands.
+            vertex = walker.vertices[-1]
+            walker.active = self._cut(
+                walker, vertex.x, vertex.y,
+                self.lines.slopes * vertex.x + self.lines.intercepts)
+
+    def _stitch(self) -> None:
+        """Stop each walker at its first vertex past its target's start
+        that is one of its target's vertices.  A vertex there that the
+        target's chain does not have — the target walked as far, or
+        stopped — shows that chain is not the level's: the target is
+        dropped and the walker walks on towards the target's target.
+        Right to left, so a target has stopped before it is compared."""
+        for walker in reversed(self.live):
+            while walker.live and walker.x > walker.stop:
+                target, vertices = walker.target, walker.vertices
+                walker.checked = max(walker.checked, bisect.bisect_right(
+                    vertices, target.start, key=_abscissa))
+                vertex = vertices[walker.checked]
+                if target.live and target.x < vertex.x:
+                    break   # the target has not got this far yet
+                at = bisect.bisect_left(target.vertices, vertex.x,
+                                        key=_abscissa)
+                if at < len(target.vertices) and target.vertices[at] == vertex:
+                    del vertices[walker.checked + 1:]
+                    walker.joined, walker.live = at, False
+                else:
+                    target.live = False
+                    walker.aim(target.target)
+                    self.fallbacks += 1
 
 
-def _run(active: _Active, k: int, current: int, current_x: float,
-         drift: float):
-    """Up to ``_RUN`` two-line vertices where :func:`_next_vertex` would
-    step, checked in one height matrix with its arithmetic: the vertices up
-    to the first that fails, the drift after them, the count proposed, and
-    whether the run held to where the exact step finds no vertex."""
-    ids, slopes, intercepts = active.ids, active.slopes, active.intercepts
-    path, proposed, drifts = [int(ids.searchsorted(current))], [], [drift]
-    while len(proposed) < _RUN:
-        slope, intercept = slopes[path[-1]], intercepts[path[-1]]
-        # The line's own crossing is 0 / 0: dropped with those left of x.
-        cross = (intercepts - intercept) / (slope - slopes)
-        cross = np.where(cross > current_x + _VERTEX_EPS
-                         * max(1.0, abs(current_x)), cross, np.inf)
-        nearest = _nearest_crossing(cross)
-        current_x = float(cross[nearest])
-        y = float(slope * current_x + intercept)
-        tolerance = _vertex_tolerance(current_x, y)
-        ended = (math.isinf(current_x) or current_x > active.horizon
-                 or drift + tolerance > active.limit)
-        if ended or abs(slope - slopes[nearest]) < 1e-15:
-            break
-        drift += tolerance
-        proposed.append((current_x, y, tolerance))
-        drifts.append(drift)
-        path.append(nearest)
-    at_x, at_y, within = np.array(proposed).reshape(-1, 3).T
-    heights = at_x[:, None] * slopes + intercepts
-    line_slopes = slopes[path]
-    below = active.below + np.count_nonzero(
-        heights < (at_y - within)[:, None], axis=1)
-    holds = (_two_line_bundles(heights, at_y, within, path[1:])
-             & _ranks_agree(below, k, line_slopes[1:] > line_slopes[:-1]))
-    kept = len(holds) if holds.all() else int(holds.argmin())
-    numbers, line_slopes = ids[path].tolist(), line_slopes.tolist()
-    run = [LevelVertex(x, y, numbers[r], numbers[r + 1],
-                       line_slopes[r + 1] > line_slopes[r] + 1e-15,
-                       [numbers[r]] if line_slopes[r]
-                       < line_slopes[r + 1] - 1e-15 else [])
-           for r, (x, y, __) in enumerate(proposed[:kept])]
-    return run, drifts[kept], len(holds), ended and kept == len(holds)
+def _abscissa(vertex: LevelVertex) -> float:
+    return vertex.x
 
 
-def _nearest_crossing(cross: np.ndarray) -> int:
-    """The proposal: the position of the nearest crossing in the row."""
-    return int(cross.argmin())
+def _starts(lines: LineArrays, count: int) -> List[float]:
+    """``count`` abscissae that cut a level's vertices into stretches of
+    similar length, or fewer: the quantiles of the crossings of ``_PAIRS``
+    random line pairs, each the midpoint of two neighbouring crossings, so
+    that no start is a crossing itself."""
+    if count < 1:
+        return []
+    first, second = np.random.default_rng(len(lines)).integers(
+        0, len(lines), (2, _PAIRS))
+    cross = ((lines.intercepts[second] - lines.intercepts[first])
+             / (lines.slopes[first] - lines.slopes[second]))
+    cross = np.sort(cross[np.isfinite(cross)])
+    if len(cross) < 2:
+        return []
+    at = np.arange(1, count + 1) * (len(cross) - 1) // (count + 1)
+    return sorted(set((0.5 * (cross[at] + cross[at + 1])).tolist()))
+
+
+def _line_of_rank(heights: np.ndarray, k: int) -> int:
+    """The line with ``k`` lines below it at the heights given."""
+    return int(np.argpartition(heights, k)[k])
+
+
+def _nearest_crossing(cross: np.ndarray) -> np.ndarray:
+    """The proposal: the position of the nearest crossing in each row."""
+    return cross.argmin(axis=1)
 
 
 def _two_line_bundles(heights, y, tol, after) -> np.ndarray:
     """Check one: just the level's line and line ``after`` pass through."""
     through = np.abs(heights - y[:, None]) <= tol[:, None]
-    return ((np.count_nonzero(through, axis=1) == 2)
+    return ((through.sum(axis=1) == 2)
             & through[np.arange(len(after)), after])
 
 
@@ -382,41 +617,47 @@ def _next_vertex(active: _Active, k: int, current: int, current_x: float,
     return vertex, heights, tolerance
 
 
-def _band_around(everything: _Active, heights: np.ndarray,
-                 vertex: LevelVertex, drift: float) -> _Active:
-    """The ``_BAND`` lines nearest the level at ``vertex``, as an active set.
+def _band_around(everything: _Active, heights: np.ndarray, x: float,
+                 y: float, drift: float) -> _Active:
+    """The ``_BAND`` lines nearest the level at ``(x, y)``, as an active set.
 
-    ``heights`` are all lines' heights at the vertex and ``drift`` includes
-    the vertex's own tolerance.  A line left out is more than ``reach`` from
-    the level here.  Until one of them reaches the level, the level runs
-    along band lines, so its slope lies in the band's slope range
-    ``[s_lo, s_hi]`` and a left-out line of slope ``s`` closes its gap no
-    faster than ``max(|s - s_lo|, |s - s_hi|)``.  Up to ``horizon`` — half
-    the soonest such arrival — every left-out line is therefore still more
-    than ``reach / 2`` from the chain the walk draws, less what the chain
-    drifts, and on the side it started: while ``reach`` is ``_CLEARANCE``
-    drifts wide the line is on no vertex, crosses no level edge, and counts
+    ``heights`` are all lines' heights at ``x``, and ``drift`` includes
+    the tolerance of ``(x, y)``.  A line left out is more than ``reach``
+    from the level here.  Until one of them reaches the level, the level
+    runs along band lines, so its slope lies in the band's slope range
+    ``[s_lo, s_hi]``: a left-out line of slope ``s`` above the level closes
+    its gap no faster than ``s_hi - s``, one below no faster than
+    ``s - s_lo``, and one that cannot close it never arrives.  Up to
+    ``horizon`` — seven eighths of the soonest arrival — every left-out
+    line is therefore still more than ``reach / 8`` from the chain the
+    walk draws, less what the chain drifts, and on the side it started:
+    while ``reach`` is ``_CLEARANCE`` drifts wide, ``3 * reach / 32`` clear
+    of it, the line is on no vertex, crosses no level edge, and counts
     below the level exactly if it does here.
     """
-    gap = np.abs(heights - vertex.y)
+    gap = heights - y
+    np.abs(gap, out=gap)
     reach = float(np.partition(gap, _BAND)[_BAND])
-    tolerance = _vertex_tolerance(vertex.x, vertex.y)
+    tolerance = _vertex_tolerance(x, y)
     if reach < _CLEARANCE * tolerance:
         # Too many lines too close: not even the line the level leaves the
         # vertex on is sure to be among the nearest.
         return everything
-    outside = gap > reach
-    ids = np.nonzero(~outside)[0]
+    inside = gap <= reach
+    ids = np.flatnonzero(inside)
     slopes = everything.slopes[ids]
-    out_slopes = everything.slopes[outside]
-    closing = np.maximum(np.abs(out_slopes - slopes.min()),
-                         np.abs(out_slopes - slopes.max()))
-    arrival = float((gap[outside] / closing).min(initial=math.inf))
-    # Not ``heights < vertex.y - reach``: that rounded difference can also
-    # catch the band line whose gap *is* ``reach`` and count it twice.
-    below = np.count_nonzero(outside & (heights < vertex.y))
-    return _Active(ids, slopes, everything.intercepts[ids], below,
-                   cut_x=vertex.x, horizon=vertex.x + 0.5 * arrival,
+    # Not ``heights < y - reach``: that rounded difference can also catch
+    # the band line whose gap *is* ``reach`` and count it twice.
+    under = heights < y
+    closing = everything.slopes - slopes.min()
+    np.subtract(slopes.max(), everything.slopes, out=closing, where=~under)
+    np.maximum(closing, 0.0, out=closing)
+    arrival = np.divide(gap, closing, out=gap)
+    np.putmask(arrival, inside, np.inf)
+    return _Active(ids, slopes, everything.intercepts[ids],
+                   int(np.count_nonzero(under))
+                   - int(np.count_nonzero(under[ids])), cut_x=x,
+                   horizon=x + 0.875 * float(arrival.min()),
                    limit=drift - tolerance + reach / _CLEARANCE)
 
 

@@ -5,6 +5,7 @@ before it learnt to step inside an active band: every vertex is derived
 from *all* lines.  The banded walk's contract is field-by-field equality
 with what this returns (``tests/test_level_walk.py``), so every tolerance,
 tie order and clamp below is the specification — do not "fix" them here.
+``line_at`` and ``y_at`` read a level at an abscissa; only tests need them.
 """
 
 import math
@@ -43,6 +44,21 @@ def oracle_compute_level(lines, k):
     return Level(k=k, lines=LineArrays(slopes, intercepts),
                  initial_line=initial_line, vertices=vertices,
                  work=count * (len(vertices) + 1))
+
+
+def line_at(level, x):
+    """Index of the line realising ``level`` at abscissa ``x``."""
+    current = level.initial_line
+    for vertex in level.vertices:
+        if vertex.x > x:
+            break
+        current = vertex.line_after
+    return current
+
+
+def y_at(level, x):
+    """Height of ``level`` at abscissa ``x``."""
+    return level.lines[line_at(level, x)].y_at(x)
 
 
 def level_of_point(lines, x, y, eps=_VERTEX_EPS):

@@ -23,7 +23,7 @@ from geometry_oracle import (
     relevant_cluster_index,
     upper_envelope,
 )
-from level_oracle import level_of_point, lines_below_point
+from level_oracle import level_of_point, lines_below_point, y_at
 
 
 def random_lines(count, seed):
@@ -71,7 +71,7 @@ class TestLevels:
         level = compute_level(lines, 0)
         envelope = lower_envelope(lines)
         for x in np.linspace(-2.5, 2.5, 40):
-            assert level.y_at(x) == pytest.approx(
+            assert y_at(level, x) == pytest.approx(
                 envelope_value(envelope, lines, x))
 
     def test_level_index_out_of_range(self):
@@ -91,7 +91,7 @@ class TestLevels:
         if level.vertices:
             xs.append(level.vertices[-1].x + 1.0)
         for x in xs:
-            y = level.y_at(x)
+            y = y_at(level, x)
             assert level_of_point(lines, x, y) == k
 
     def test_level_vertices_are_sorted_by_x(self):
@@ -105,7 +105,7 @@ class TestLevels:
         level = compute_level(lines, len(lines) - 1)
         envelope = upper_envelope(lines)
         for x in np.linspace(-2, 2, 25):
-            assert level.y_at(x) == pytest.approx(
+            assert y_at(level, x) == pytest.approx(
                 envelope_value(envelope, lines, x))
 
     def test_entering_lines_only_at_convex_vertices(self):
@@ -132,7 +132,7 @@ class TestLevels:
         level = compute_level(lines, k)
         # Sample a few abscissae and verify the level invariant everywhere.
         for x in (-1.7, -0.2, 0.9, 2.3):
-            y = level.y_at(x)
+            y = y_at(level, x)
             assert level_of_point(lines, x, y) == k
 
 
@@ -165,7 +165,7 @@ class TestGreedyClustering:
         clusters = greedy_clustering(level, width=3 * level.k)
         xs = np.linspace(-2.5, 2.5, 60)
         for x in xs:
-            y = level.y_at(float(x))
+            y = y_at(level, float(x))
             below = lines_below_point(lines, float(x), y)
             cluster = clusters[relevant_cluster_index(clusters, float(x))]
             assert below.issubset(set(cluster.lines))
@@ -178,7 +178,7 @@ class TestGreedyClustering:
         xs = np.linspace(-3, 3, 80)
         seen = set()
         for x in xs:
-            seen.update(lines_below_point(lines, float(x), level.y_at(float(x))))
+            seen.update(lines_below_point(lines, float(x), y_at(level, float(x))))
         assert seen.issubset(union)
 
     def test_invalid_width_rejected(self):

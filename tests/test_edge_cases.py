@@ -21,6 +21,7 @@ from repro.io.disk_array import DiskArray
 from repro.workloads import uniform_points
 
 from conftest import rows
+from level_oracle import line_at, y_at
 
 
 class TestCacheBehaviour:
@@ -48,7 +49,7 @@ class TestDegenerateGeometry:
         lines = [Line2(1.0, float(i)) for i in range(6)]
         level = compute_level(lines, 3)
         assert level.complexity == 0
-        assert level.line_at(0.0) == 3   # the 4th lowest parallel line
+        assert line_at(level, 0.0) == 3   # the 4th lowest parallel line
 
     def test_level_with_two_lines(self):
         lines = [Line2(1.0, 0.0), Line2(-1.0, 0.0)]
@@ -56,8 +57,8 @@ class TestDegenerateGeometry:
         upper = compute_level(lines, 1)
         assert lower.complexity == 1
         assert upper.complexity == 1
-        assert lower.y_at(5.0) == pytest.approx(-5.0)
-        assert upper.y_at(5.0) == pytest.approx(5.0)
+        assert y_at(lower, 5.0) == pytest.approx(-5.0)
+        assert y_at(upper, 5.0) == pytest.approx(5.0)
 
     def test_duplicate_points_in_2d_index(self):
         points = [(0.25, 0.25)] * 40 + [(-0.5, 0.75)] * 10

@@ -1,13 +1,16 @@
 """The banded k-level walk reports exactly what a walk over all lines does.
 
-``compute_level`` steps among the few hundred lines nearest the level, in
-checked runs with an exact step behind them; the O(N)-per-vertex walk it
-replaced lives on in ``level_oracle.py`` as the reference.  Parity is field
-by field — abscissae bit for bit, tie orders, ``entering_lines`` in order —
-because the layers, clusters, block counts and answer order of
+``compute_level`` walks a level with several walkers in lock step, each
+among the few hundred lines nearest it, in checked runs with an exact step
+behind them, and stitches their chains into one; the O(N)-per-vertex walk
+it replaced lives on in ``level_oracle.py`` as the reference.  Parity is
+field by field — abscissae bit for bit, tie orders, ``entering_lines`` in
+order — because the layers, clusters, block counts and answer order of
 ``HalfplaneIndex2D`` all hang on it.  ``TestRunChecksBite`` shows that each
 check of a run is needed: a wrong proposal is caught, and with either check
-skipped a pinned input goes astray.
+skipped a pinned input goes astray.  ``TestStitching`` starts walkers where
+the test chooses, on the right line and one rank off; ``TestBandHorizon``
+checks the band's horizon against the oracle's chain.
 """
 
 import dataclasses
@@ -26,7 +29,7 @@ from repro.geometry.primitives import Line2, LinearConstraint
 from repro.workloads import uniform_points
 
 from conftest import rows
-from level_oracle import oracle_compute_level
+from level_oracle import line_at, oracle_compute_level
 
 
 def dual_lines(points):
@@ -98,11 +101,14 @@ class TestBandedWalkMatchesFullWalk:
     @settings(max_examples=300, deadline=None)
     @given(walk_cases())
     def test_level_equal_field_by_field(self, case):
+        """Tiny bands make most of these levels banded, so the walkers
+        engage on every degenerate family."""
         lines, k, band = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(arrangement2d, "_BAND", band)
             level = compute_level(lines, k)
         assert_same_level(level, oracle_compute_level(lines, k))
+        assert level.walkers == 1 or len(lines) > 2 * band
 
     @pytest.mark.parametrize("count, k", [(700, 40), (1500, 0), (3000, 90),
                                           (3000, 2999)])
@@ -167,7 +173,15 @@ class TestIndexBuiltOnTheBandedWalk:
         assert digest.hexdigest() == ("15efe4ffd5fcc62ff16963ef9fe07102"
                                       "c8c8cd5f3c0e0a15b109a88c2611bced")
         assert index.num_layers == len(index.layer_builds) == 29
-        assert sum(layer.vertices for layer in index.layer_builds) > 30000
+        vertices = sum(layer.vertices for layer in index.layer_builds)
+        assert vertices > 30000
+        # The walkers share their rounds: a quarter as many as vertices,
+        # on the whole build and on its first, widest level alike.
+        first = index.layer_builds[0]
+        assert first.walkers == arrangement2d._WALKERS
+        assert first.lock_steps <= first.vertices / 4
+        assert sum(layer.lock_steps for layer in index.layer_builds) \
+            <= vertices / 4
 
 
 class TestWalkCost:
@@ -190,8 +204,109 @@ class TestWalkCost:
         assert level.band_cuts <= level.complexity / 8
 
 
+class TestStitching:
+    """A walker joins the chain of the walker after it, or drops it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(walk_cases(), st.data())
+    def test_a_walk_started_between_two_vertices_continues_the_chain(
+            self, case, data):
+        """Started on the level's line between two of the oracle's
+        vertices, a walker's first vertex is the oracle's next one, and
+        the walker before it joins it there."""
+        lines, k, band = case
+        expected = oracle_compute_level(lines, k)
+        if expected.complexity < 2:
+            return
+        at = data.draw(st.integers(0, expected.complexity - 2))
+        left, right = expected.vertices[at].x, expected.vertices[at + 1].x
+        start = 0.5 * (left + right)
+        heights = lines.slopes * start + lines.intercepts
+        # Too close to a vertex, or on a line that ties with the level's
+        # there: a start somewhere else.
+        if (right - left <= 1e-6 * max(1.0, abs(left), abs(right))
+                or arrangement2d._line_of_rank(heights, k)
+                != line_at(expected, start)):
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(arrangement2d, "_BAND", band)
+            patch.setattr(arrangement2d, "_starts",
+                          lambda lines, count: [start])
+            level = compute_level(lines, k)
+        assert_same_level(level, expected)
+        assert (level.walkers, level.stitch_fallbacks) == (2, 0)
+
+    def test_a_start_one_rank_off_is_dropped(self, monkeypatch):
+        """Walkers started on the line one rank above the level walk a
+        chain the level does not have: the walker before each drops it and
+        walks its stretch, and the level is still the oracle's."""
+        lines = dual_lines(uniform_points(3000, seed=3090))
+        expected = oracle_compute_level(lines, 90)
+        rank = arrangement2d._line_of_rank
+        monkeypatch.setattr(arrangement2d, "_line_of_rank",
+                            lambda heights, k: rank(heights, k + 1))
+        level = compute_level(lines, 90)
+        assert_same_level(level, expected)
+        assert level.walkers == arrangement2d._WALKERS
+        assert level.stitch_fallbacks >= 1
+
+    def test_tiny_bands_drive_many_walkers_on_a_grid(self, monkeypatch):
+        """A grid's dual lines are parallel and concurrent by the dozen;
+        with a band of three, sixteen walkers still stitch the oracle's
+        level."""
+        cells = np.arange(-4, 5, dtype=float)
+        lines = dual_lines(np.stack(np.meshgrid(cells, cells), -1))
+        monkeypatch.setattr(arrangement2d, "_BAND", 3)
+        for k in (0, 20, 40, 80):
+            level = compute_level(lines, k)
+            assert_same_level(level, oracle_compute_level(lines, k))
+            assert level.walkers > 1
+
+
+class TestBandHorizon:
+    @settings(max_examples=200, deadline=None)
+    @given(walk_cases())
+    def test_left_out_lines_keep_clear_of_the_chain(self, case):
+        """A band cut at any oracle vertex: at every later oracle vertex up
+        to the band's horizon, while the chain's drift stays within the
+        band's limit, each line the band left out is on the side of the
+        chain it started on and more than ``reach / 8`` from it, less the
+        drift."""
+        lines, k, band = case
+        band = min(band, (len(lines) - 1) // 2)
+        if band < 2:
+            return
+        vertices = oracle_compute_level(lines, k).vertices
+        everything = arrangement2d._Active(
+            np.arange(len(lines)), lines.slopes, lines.intercepts)
+        with pytest.MonkeyPatch.context() as patch, \
+                np.errstate(divide="ignore", invalid="ignore"):
+            patch.setattr(arrangement2d, "_BAND", band)
+            for at, cut in enumerate(vertices):
+                heights = lines.slopes * cut.x + lines.intercepts
+                active = arrangement2d._band_around(
+                    everything, heights, cut.x, cut.y,
+                    arrangement2d._vertex_tolerance(cut.x, cut.y))
+                if active is everything:
+                    continue
+                reach = np.partition(np.abs(heights - cut.y), band)[band]
+                left_out = np.setdiff1d(np.arange(len(lines)), active.ids)
+                above = heights[left_out] > cut.y
+                drift = 0.0
+                for vertex in vertices[at + 1:]:
+                    drift += arrangement2d._vertex_tolerance(vertex.x,
+                                                             vertex.y)
+                    if (vertex.x > active.horizon
+                            or drift > reach / arrangement2d._CLEARANCE):
+                        break
+                    offset = (lines.slopes[left_out] * vertex.x
+                              + lines.intercepts[left_out] - vertex.y)
+                    assert np.array_equal(offset > 0, above)
+                    assert np.all(np.abs(offset) > reach / 8 - drift)
+
+
 def _second_nearest(cross):
-    return int(np.argsort(cross, kind="stable")[1])
+    return np.argsort(cross, axis=1, kind="stable")[:, 1]
 
 
 def _skipped(*args):
