@@ -36,7 +36,6 @@ from repro.core import (
     QueryResult,
     ShallowPartitionTreeIndex,
     query_conjunction,
-    query_conjunction_with_stats,
 )
 from repro.engine import QueryEngine
 from repro.geometry.primitives import Hyperplane, Line2, LinearConstraint, Plane3
@@ -57,7 +56,6 @@ __all__ = [
     "DynamicPartitionTreeIndex",
     "ConstraintConjunction",
     "query_conjunction",
-    "query_conjunction_with_stats",
     "QueryEngine",
     "LinearConstraint",
     "Hyperplane",

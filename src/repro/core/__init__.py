@@ -27,7 +27,6 @@ from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.conjunction import (
     ConstraintConjunction,
     query_conjunction,
-    query_conjunction_with_stats,
 )
 from repro.core.kernels import (
     scalar_kernels,
@@ -51,5 +50,4 @@ __all__ = [
     "DynamicPartitionTreeIndex",
     "ConstraintConjunction",
     "query_conjunction",
-    "query_conjunction_with_stats",
 ]

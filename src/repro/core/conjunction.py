@@ -26,7 +26,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels
-from repro.core.interface import ExternalIndex, QueryResult
+from repro.core.interface import ExternalIndex
 from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import CellTreeIndex
 from repro.geometry.primitives import LinearConstraint
@@ -144,12 +144,3 @@ def query_conjunction(index: ExternalIndex,
                 for point in candidates.tolist()]
     return kernels.answer_matrix((candidates.compress(keep, axis=0),),
                                  conjunction.dimension)
-
-
-def query_conjunction_with_stats(index: ExternalIndex,
-                                 conjunction: ConstraintConjunction,
-                                 clear_cache: bool = True) -> QueryResult:
-    """As :func:`query_conjunction`, with the I/O cost of the evaluation."""
-    with index.store.measured(clear_cache) as ios:
-        points = query_conjunction(index, conjunction)
-    return QueryResult(points=points, ios=ios)

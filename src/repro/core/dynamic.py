@@ -46,6 +46,16 @@ from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
 
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """The distinct values of ``column``, ascending: a sort and a
+    neighbour mask (``np.unique`` imports ``numpy.ma`` on its first call,
+    which a query would pay)."""
+    values = np.sort(column)
+    fresh = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values[fresh]
+
+
 class DynamicPartitionTreeIndex(ExternalIndex):
     """Insertions and deletions on top of the Section 5 partition tree.
 
@@ -127,7 +137,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
             return keep
         if self._dead_columns is None:
             dead = np.array(list(self._tombstones), dtype=float)
-            self._dead_columns = [np.unique(column) for column in dead.T]
+            self._dead_columns = [_distinct(column) for column in dead.T]
         suspect = keep.copy()
         for column, values in zip(rows.T, self._dead_columns):
             slots = np.minimum(np.searchsorted(values, column),
@@ -343,7 +353,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
               "%d tombstones counted, the multiset holds %r",
               self._num_tombstones, counts)
         check(self._dead_columns is None or all(
-            np.array_equal(cached, np.unique(column))
+            np.array_equal(cached, _distinct(column))
             for cached, column in zip(self._dead_columns, dead.T)),
             "the cached tombstone columns are stale")
         for record, count in self._tombstones.items():

@@ -97,9 +97,9 @@ class KNNIndex:
         return [(point, math.hypot(point[0] - qx, point[1] - qy))
                 for point in neighbours]
 
-    def nearest_with_stats(self, query: Sequence[float], k: int,
-                           clear_cache: bool = True):
-        """Run :meth:`nearest` and return ``(points, IOStats)``."""
-        with self._store.measured(clear_cache) as ios:
+    def nearest_with_stats(self, query: Sequence[float], k: int):
+        """Run :meth:`nearest` from a cold buffer pool and return
+        ``(points, IOStats)``."""
+        with self._store.measured(clear_cache=True) as ios:
             points = self.nearest(query, k)
         return points, ios

@@ -42,111 +42,14 @@ query.  This package is that layer:
   finished-trace registry and a slow/degraded-query log
   (:class:`~repro.engine.tracing.Tracer`; no-op singletons when off);
 * :class:`~repro.engine.engine.QueryEngine` — the facade wiring them up.
+
+The package exports the facade and the two request types a caller hands
+it (:class:`~repro.engine.serving.ServingRequest`,
+:class:`~repro.engine.serving.TenantBudget`); everything else is
+imported from its module.
 """
 
-from repro.engine.catalog import (
-    BuildRecord,
-    Catalog,
-    Dataset,
-    INDEX_KINDS,
-    IndexKind,
-    default_suite,
-)
 from repro.engine.engine import QueryEngine
-from repro.engine.executor import (
-    BatchExecutor,
-    ExecutedQuery,
-    ExecutionCore,
-)
-from repro.engine.metrics import EngineStats, ServedQueryRecord
-from repro.engine.obs import MetricsRegistry, render_prometheus
-from repro.engine.tracing import (
-    NULL_SPAN,
-    Span,
-    Trace,
-    Tracer,
-    current_span,
-    current_trace_id,
-)
-from repro.engine.serving import (
-    AdmissionController,
-    AsyncExecutor,
-    LeastLoadedReplicaPicker,
-    PriorityRequestQueue,
-    ServeResult,
-    ServedRequest,
-    ServingRequest,
-    TenantBudget,
-    TokenBucket,
-)
-from repro.engine.planner import (
-    CandidateEstimate,
-    Plan,
-    Planner,
-    ShardedPlan,
-)
-from repro.engine.sharding import (
-    HashShardRouter,
-    RangeShardRouter,
-    RebalanceManager,
-    RebalanceReport,
-    Shard,
-    ShardedDataset,
-    ShardRouter,
-    make_router,
-)
-from repro.engine.stats import (
-    ConformalCalibrator,
-    Reservoir,
-    SelectivityModel,
-)
-from repro.engine.writes import MutationResult, WritePath
+from repro.engine.serving import ServingRequest, TenantBudget
 
-__all__ = [
-    "AdmissionController",
-    "AsyncExecutor",
-    "BatchExecutor",
-    "BuildRecord",
-    "CandidateEstimate",
-    "Catalog",
-    "ConformalCalibrator",
-    "Dataset",
-    "EngineStats",
-    "ExecutedQuery",
-    "ExecutionCore",
-    "HashShardRouter",
-    "INDEX_KINDS",
-    "IndexKind",
-    "LeastLoadedReplicaPicker",
-    "MetricsRegistry",
-    "MutationResult",
-    "NULL_SPAN",
-    "Plan",
-    "Planner",
-    "PriorityRequestQueue",
-    "QueryEngine",
-    "RangeShardRouter",
-    "RebalanceManager",
-    "RebalanceReport",
-    "Reservoir",
-    "SelectivityModel",
-    "ServeResult",
-    "ServedQueryRecord",
-    "ServedRequest",
-    "ServingRequest",
-    "Shard",
-    "ShardRouter",
-    "ShardedDataset",
-    "ShardedPlan",
-    "Span",
-    "TenantBudget",
-    "TokenBucket",
-    "Trace",
-    "Tracer",
-    "WritePath",
-    "current_span",
-    "current_trace_id",
-    "default_suite",
-    "make_router",
-    "render_prometheus",
-]
+__all__ = ["QueryEngine", "ServingRequest", "TenantBudget"]

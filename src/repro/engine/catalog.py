@@ -234,7 +234,10 @@ class Dataset:
                 points = query_conjunction(index, query)
             else:
                 points = index.query(query)
-        return points, ios, index.last_query
+            # Read under the store lock: once it is released, the next
+            # query on this replica may replace the index's account.
+            detail = index.last_query
+        return points, ios, detail
 
 
 @dataclass(frozen=True)

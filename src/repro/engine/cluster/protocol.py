@@ -37,7 +37,8 @@ The RPC operations (``op`` field of every request):
 
 ========== ==========================================================
 ``ping``        heartbeat; returns pid, uptime, replica, served and
-                write counts, cumulative I/Os and the peak RSS
+                write counts, cumulative I/Os, the peak RSS and the
+                frame bytes the worker received and sent
 ``query``       one query (:func:`query_to_wire`) against a named index
 ``insert``      apply one routed write (with its fan-out-log ``seq``)
 ``delete``      apply one routed delete (idempotent by ``seq``)
@@ -56,7 +57,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,29 +122,37 @@ def _load(data: bytearray) -> Dict[str, object]:
     return payload
 
 
-def send_message(sock: socket.socket, payload: Dict[str, object]) -> None:
-    """Frame and send one message (mixed when ``points`` is an ndarray)."""
+def send_message(sock: socket.socket, payload: Dict[str, object]) -> int:
+    """Frame and send one message (mixed when ``points`` is an ndarray);
+    returns the bytes sent, length prefix included."""
     points = payload.get("points")
     if not isinstance(points, np.ndarray):
         data = _dump(payload)
         sock.sendall(_LENGTH.pack(len(data)) + data)
-        return
+        return _LENGTH.size + len(data)
     matrix = np.ascontiguousarray(points, dtype=_WIRE_DTYPE)
     header = _dump(dict(payload, points=list(matrix.shape)))
     sock.sendall(_LENGTH.pack(_LENGTH.size + len(header) + matrix.nbytes)
                  + _LENGTH.pack(len(header)) + header)
     sock.sendall(matrix.reshape(-1).view(np.uint8))
+    return 2 * _LENGTH.size + len(header) + matrix.nbytes
 
 
 def recv_message(sock: socket.socket) -> Dict[str, object]:
     """Receive one framed message (blocking); see the module docstring."""
+    return recv_frame(sock)[0]
+
+
+def recv_frame(sock: socket.socket) -> Tuple[Dict[str, object], int]:
+    """:func:`recv_message`'s message and the bytes its frame took,
+    length prefix included."""
     (length,) = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))
     if length > MAX_MESSAGE_BYTES:
         raise ProtocolError("frame of %d bytes exceeds the %d-byte cap"
                             % (length, MAX_MESSAGE_BYTES))
     body = _recv_exact(sock, length)
     if body[:1] == b"{" or length < _LENGTH.size:
-        return _load(body)
+        return _load(body), _LENGTH.size + length
     (header_length,) = _LENGTH.unpack_from(body)
     blob_at = _LENGTH.size + header_length
     if blob_at > length:
@@ -162,7 +171,7 @@ def recv_message(sock: socket.socket) -> Dict[str, object]:
                            count=shape[0] * shape[1]).reshape(shape)
     matrix.setflags(write=False)
     payload["points"] = matrix
-    return payload
+    return payload, _LENGTH.size + length
 
 
 # ----------------------------------------------------------------------

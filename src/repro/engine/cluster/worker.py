@@ -65,6 +65,8 @@ class ShardWorker:
         self._served = 0
         self._writes_applied = 0
         self._last_seq = 0
+        self._wire_received = 0           # frame bytes, prefixes included
+        self._wire_sent = 0
         for seq, op, point in log:
             self._apply_write(op, tuple(point), int(seq))
 
@@ -89,8 +91,9 @@ class ShardWorker:
 
     def _op_ping(self) -> Dict[str, object]:
         """The heartbeat reply: liveness, the worker's counts, its store's
-        cumulative I/Os and its peak RSS in bytes (``ru_maxrss`` counts
-        kilobytes on Linux)."""
+        cumulative I/Os, its peak RSS in bytes (``ru_maxrss`` counts
+        kilobytes on Linux) and the frame bytes it has received and sent
+        on every connection (this reply not yet among them)."""
         totals = self.dataset.store.stats.snapshot()
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
         with self._lock:
@@ -100,7 +103,9 @@ class ShardWorker:
                     "served": self._served, "writes": self._writes_applied,
                     "last_seq": self._last_seq,
                     "ios": protocol.iostats_to_wire(totals),
-                    "peak_rss_bytes": peak}
+                    "peak_rss_bytes": peak,
+                    "wire_bytes_received": self._wire_received,
+                    "wire_bytes_sent": self._wire_sent}
 
     def _op_query(self, request: Dict[str, object]) -> Dict[str, object]:
         index_name = request["index"]
@@ -212,9 +217,11 @@ class ShardWorker:
         try:
             while not self._stop.is_set():
                 try:
-                    request = protocol.recv_message(connection)
+                    request, received = protocol.recv_frame(connection)
                 except (ConnectionError, OSError, protocol.ProtocolError):
                     break
+                with self._lock:
+                    self._wire_received += received
                 try:
                     response = self.handle(request)
                 except Exception as exc:  # per-request isolation
@@ -222,9 +229,11 @@ class ShardWorker:
                                 "error": "%s: %s" % (type(exc).__name__,
                                                      exc)}
                 try:
-                    protocol.send_message(connection, response)
+                    sent = protocol.send_message(connection, response)
                 except (ConnectionError, OSError):
                     break
+                with self._lock:
+                    self._wire_sent += sent
         finally:
             connection.close()
 

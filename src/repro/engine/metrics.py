@@ -392,7 +392,11 @@ class EngineStats:
                 ("last_seq", "Highest write-log seq sent to the worker"),
                 ("restarts", "Times the worker was respawned"),
                 ("ios", "The worker store's I/Os (last heartbeat)"),
-                ("peak_rss_bytes", "The worker's peak RSS (last heartbeat)"))}
+                ("peak_rss_bytes", "The worker's peak RSS (last heartbeat)"),
+                ("wire_bytes_received",
+                 "RPC frame bytes the worker received (last heartbeat)"),
+                ("wire_bytes_sent",
+                 "RPC frame bytes the worker sent (last heartbeat)"))}
 
     # ------------------------------------------------------------------
     # writes: each call is only its registry writes (thread-safe, no lock)

@@ -38,9 +38,12 @@ from typing import Dict, Optional, Tuple
 #: The three over-budget policies a tenant can configure.
 POLICIES = ("queue", "reject", "degrade")
 
+#: Standard errors either side of a fallback interval (~95%).
+_Z = 1.96
 
-def scaled_count_estimate(hits: int, sample_size: int, population: int,
-                          z: float = 1.96) -> Tuple[int, Tuple[int, int]]:
+
+def scaled_count_estimate(hits: int, sample_size: int,
+                          population: int) -> Tuple[int, Tuple[int, int]]:
     """Scale a sample hit count to the population, with a ~95% interval.
 
     This is the *cold-start fallback* interval: degraded answers prefer
@@ -52,7 +55,7 @@ def scaled_count_estimate(hits: int, sample_size: int, population: int,
     constraint out of a uniform ``sample_size``-point sample of a
     ``population``-point dataset.  The unbiased full-count estimate is
     ``hits / sample_rate``; the interval is the normal approximation to
-    the hypergeometric count, ``z`` standard errors wide with the
+    the hypergeometric count, ``_Z`` standard errors wide with the
     finite-population correction (so a sample covering the whole dataset
     collapses to the exact count).  Zero observed hits use the rule of
     three (``3/sample_size``) as the 95% upper bound instead of the
@@ -71,7 +74,7 @@ def scaled_count_estimate(hits: int, sample_size: int, population: int,
             max(0.0, (population - sample_size) / (population - 1)))
     else:
         correction = 0.0
-    error = z * correction * math.sqrt(
+    error = _Z * correction * math.sqrt(
         proportion * (1.0 - proportion) / sample_size)
     low = proportion - error
     high = proportion + error

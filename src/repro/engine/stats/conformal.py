@@ -186,11 +186,6 @@ class ConformalCalibrator:
             calibration = self._sets.get(dataset)
             return 0 if calibration is None else len(calibration.scores)
 
-    def ready(self, dataset: str,
-              coverage: Optional[float] = None) -> bool:
-        """Whether conformal intervals are being served for a dataset."""
-        return self.quantile(dataset, coverage=coverage) is not None
-
     def quantile(self, dataset: str,
                  coverage: Optional[float] = None) -> Optional[float]:
         """The calibrated score quantile, or ``None`` while cold.

@@ -67,7 +67,10 @@ class Reservoir:
             return
         if len(dead) == 0 or len(dead) == len(self.rows):
             return
-        alive = np.setdiff1d(np.arange(len(self.rows)), dead)
+        # A mask, not np.setdiff1d: that imports numpy.ma on first use.
+        alive = np.ones(len(self.rows), dtype=bool)
+        alive[dead] = False
+        alive = np.flatnonzero(alive)
         for slot in dead:
             self.rows[slot] = self.rows[int(self._rng.choice(alive))]
 

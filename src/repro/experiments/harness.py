@@ -20,7 +20,6 @@ class QueryCostSummary:
     total_reported: int
     block_size: int
     space_blocks: int
-    extra: dict = field(default_factory=dict)
 
     @property
     def mean_ios(self) -> float:
@@ -71,15 +70,15 @@ class ExperimentResult:
                             title="%s — %s" % (self.experiment_id, self.description))
 
 
-def run_query_workload(index, queries: Sequence[LinearConstraint], label: str,
-                       clear_cache: bool = True,
-                       extra: Optional[dict] = None) -> QueryCostSummary:
-    """Run every query through ``index.query_with_stats`` and aggregate."""
+def run_query_workload(index, queries: Sequence[LinearConstraint],
+                       label: str) -> QueryCostSummary:
+    """Run every query through ``index.query_with_stats`` (each from a
+    cold buffer pool) and aggregate."""
     total_ios = 0
     max_ios = 0
     total_reported = 0
     for constraint in queries:
-        result = index.query_with_stats(constraint, clear_cache=clear_cache)
+        result = index.query_with_stats(constraint)
         total_ios += result.total_ios
         max_ios = max(max_ios, result.total_ios)
         total_reported += result.count
@@ -91,7 +90,6 @@ def run_query_workload(index, queries: Sequence[LinearConstraint], label: str,
         total_reported=total_reported,
         block_size=index.block_size,
         space_blocks=index.space_blocks,
-        extra=dict(extra or {}),
     )
 
 

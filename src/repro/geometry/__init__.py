@@ -2,9 +2,9 @@
 
 Everything the paper's data structures need from geometry lives here:
 
-* :mod:`repro.geometry.primitives` — points, lines, planes, hyperplanes and
-  the linear-constraint query object.
-* :mod:`repro.geometry.predicates` — orientation / above–below tests.
+* :mod:`repro.geometry.primitives` — points, lines, planes, hyperplanes,
+  the linear-constraint query object and ``EPS``, the one absolute
+  tolerance every above/below and inside/outside test uses.
 * :mod:`repro.geometry.duality` — the paper's duality transform (Lemma 2.1).
 * :mod:`repro.geometry.arrangement2d` — k-levels of line arrangements
   (Section 2.3) used by the optimal 2-D structure.

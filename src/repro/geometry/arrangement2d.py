@@ -662,9 +662,8 @@ def _band_around(everything: _Active, heights: np.ndarray, x: float,
 
 
 def lines_below_point_fast(slopes: np.ndarray, intercepts: np.ndarray,
-                           x: float, y: float,
-                           eps: float = _VERTEX_EPS) -> Set[int]:
+                           x: float, y: float) -> Set[int]:
     """Indices of the lines strictly below ``(x, y)`` (a cluster's ``L_w``)."""
     heights = slopes * x + intercepts
     scale = max(1.0, abs(y))
-    return set(np.nonzero(heights < y - eps * scale)[0].tolist())
+    return set(np.nonzero(heights < y - _VERTEX_EPS * scale)[0].tolist())

@@ -101,9 +101,9 @@ class Box:
         return cls(tuple(matrix.min(axis=0).tolist()),
                    tuple(matrix.max(axis=0).tolist()))
 
-    def contains(self, point: Sequence[float], eps: float = EPS) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         """True if ``point`` lies inside the (closed) box."""
-        return all(low - eps <= coordinate <= high + eps
+        return all(low - EPS <= coordinate <= high + EPS
                    for low, coordinate, high in zip(self.lower, point, self.upper))
 
     def corners(self) -> list:
@@ -119,8 +119,7 @@ class Box:
         """The axis along which the box is widest."""
         return max(range(self.dimension), key=self.extent)
 
-    def classify_halfspace(self, hyperplane: Hyperplane,
-                           eps: float = EPS) -> CellRelation:
+    def classify_halfspace(self, hyperplane: Hyperplane) -> CellRelation:
         """Relate the box to the halfspace on or below ``hyperplane``.
 
         Because the constraint ``x_d <= h(x_1..x_{d-1})`` is linear, its
@@ -130,7 +129,7 @@ class Box:
         below_any = False
         above_any = False
         for corner in self.corners():
-            if hyperplane.point_below(corner, eps):
+            if hyperplane.point_below(corner):
                 below_any = True
             else:
                 above_any = True

@@ -42,7 +42,7 @@ from repro.geometry.polygons import (
     polygon_contains,
     rectangle_polygon,
 )
-from repro.geometry.primitives import Plane3
+from repro.geometry.primitives import EPS, Plane3
 
 Point2 = Tuple[float, float]
 Point3 = Tuple[float, float, float]
@@ -328,8 +328,7 @@ _CONFLICT_BATCH = 1 << 18
 
 def conflict_lists(all_planes: Union[Sequence[Plane3], np.ndarray],
                    sample_indices: Sequence[int],
-                   envelope: TriangulatedEnvelope,
-                   eps: float = 1e-9) -> List[List[int]]:
+                   envelope: TriangulatedEnvelope) -> List[List[int]]:
     """Conflict list of every triangle of ``envelope``.
 
     Parameters
@@ -342,8 +341,6 @@ def conflict_lists(all_planes: Union[Sequence[Plane3], np.ndarray],
         conflict lists, as in the paper).
     envelope:
         The triangulated lower envelope of the sample.
-    eps:
-        Strictness tolerance for "passes below".
 
     Returns
     -------
@@ -375,40 +372,32 @@ def conflict_lists(all_planes: Union[Sequence[Plane3], np.ndarray],
         heights = a_column * vertices[:, 0]
         heights += b_column * vertices[:, 1]
         heights += c_column
-        below = heights < (vertices[:, 2] - eps)
+        below = heights < (vertices[:, 2] - EPS)
         in_list = below.reshape(len(below), -1, 3).any(axis=2)
         in_list &= outside_sample[:, None]
         results.extend(np.flatnonzero(column).tolist() for column in in_list.T)
     return results
 
 
-def planes_below_point(planes: Sequence[Plane3], x: float, y: float, z: float,
-                       eps: float = 1e-9) -> List[int]:
-    """Indices of the planes passing strictly below the point (reference)."""
-    return [index for index, plane in enumerate(planes)
-            if plane.z_at(x, y) < z - eps]
-
-
-def default_domain(planes: Sequence[Plane3], margin: float = 2.0,
-                   minimum_half_width: float = 4.0
+def default_domain(planes: Sequence[Plane3]
                    ) -> Tuple[float, float, float, float]:
     """A square query domain large enough for typical dual-query positions.
 
     The dual point of a query plane has xy-coordinates equal to the plane's
     slope coefficients, so a domain proportional to the spread of the input
-    planes' own coefficients (times ``margin``) covers every reasonable
-    query.  The domain is deliberately kept tight: triangles reaching far
-    outside the populated region accumulate needlessly large conflict lists,
-    which inflates both space and query I/Os.  Queries outside the domain
-    remain correct — the index scans, and prices that scan in its cost
-    estimate.  On unit-cube points with uniformly random query directions
-    (the system benchmark's 3-D stream) that is 17–19% of the constraints
-    with the default [-4, 4]^2; a [-24, 24]^2 domain scanned 16% fewer of
-    them for 47% more space.  Callers whose queries mostly fall outside the
-    default should pass an explicit domain.
+    planes' own coefficients (twice the largest, at least 4) covers every
+    reasonable query.  The domain is deliberately kept tight: triangles
+    reaching far outside the populated region accumulate needlessly large
+    conflict lists, which inflates both space and query I/Os.  Queries
+    outside the domain remain correct — the index scans, and prices that
+    scan in its cost estimate.  On unit-cube points with uniformly random
+    query directions (the system benchmark's 3-D stream) that is 17–19% of
+    the constraints with the default [-4, 4]^2; a [-24, 24]^2 domain
+    scanned 16% fewer of them for 47% more space.  Callers whose queries
+    mostly fall outside the default should pass an explicit domain.
     """
     scale = 0.0
     for plane in planes:
         scale = max(scale, abs(plane.a), abs(plane.b))
-    half_width = max(minimum_half_width, margin * scale)
+    half_width = max(4.0, 2.0 * scale)
     return (-half_width, half_width, -half_width, half_width)

@@ -27,6 +27,13 @@ import numpy as np
 from repro.geometry.boxes import Box
 from repro.geometry.partitions import PartitionCell
 
+#: Directions a cut search samples over a half turn, bisection steps it
+#: spends on a bracketed sign change, and the imbalance (in points) it
+#: accepts on each set.
+_SAMPLES = 64
+_REFINEMENTS = 40
+_TOLERANCE = 1
+
 
 @dataclass(frozen=True)
 class OrientedLine:
@@ -56,12 +63,11 @@ def _imbalance(points: np.ndarray, line: OrientedLine) -> int:
     return positive - negative
 
 
-def ham_sandwich_cut(red: np.ndarray, blue: np.ndarray,
-                     samples: int = 64, refinements: int = 40,
-                     tolerance: int = 1) -> Optional[OrientedLine]:
+def ham_sandwich_cut(red: np.ndarray,
+                     blue: np.ndarray) -> Optional[OrientedLine]:
     """Find a line simultaneously bisecting ``red`` and ``blue``.
 
-    Returns a line whose imbalance on each set is at most ``tolerance``
+    Returns a line whose imbalance on each set is at most ``_TOLERANCE``
     points, or None if the search fails (degenerate inputs).  The search
     samples directions, brackets a sign change of the blue imbalance of the
     red-median line, and bisects the bracket.
@@ -79,20 +85,21 @@ def ham_sandwich_cut(red: np.ndarray, blue: np.ndarray,
     best_score = None
     previous_angle = 0.0
     previous_value, previous_line = blue_imbalance(previous_angle)
-    if abs(previous_value) <= tolerance and abs(_imbalance(red, previous_line)) <= tolerance:
+    if abs(previous_value) <= _TOLERANCE \
+            and abs(_imbalance(red, previous_line)) <= _TOLERANCE:
         return previous_line
-    for step in range(1, samples + 1):
-        angle = math.pi * step / samples
+    for step in range(1, _SAMPLES + 1):
+        angle = math.pi * step / _SAMPLES
         value, line = blue_imbalance(angle)
         score = abs(value) + abs(_imbalance(red, line))
         if best_score is None or score < best_score:
             best_score = score
             best_line = line
-        if abs(value) <= tolerance and abs(_imbalance(red, line)) <= tolerance:
+        if abs(value) <= _TOLERANCE \
+                and abs(_imbalance(red, line)) <= _TOLERANCE:
             return line
         if (previous_value > 0) != (value > 0):
-            refined = _refine_bracket(red, blue, previous_angle, angle,
-                                      refinements, tolerance)
+            refined = _refine_bracket(red, blue, previous_angle, angle)
             if refined is not None:
                 return refined
         previous_angle, previous_value = angle, value
@@ -102,14 +109,15 @@ def ham_sandwich_cut(red: np.ndarray, blue: np.ndarray,
     return best_line
 
 
-def _refine_bracket(red: np.ndarray, blue: np.ndarray, low: float, high: float,
-                    refinements: int, tolerance: int) -> Optional[OrientedLine]:
+def _refine_bracket(red: np.ndarray, blue: np.ndarray, low: float,
+                    high: float) -> Optional[OrientedLine]:
     low_value = _imbalance(blue, _median_line_for_direction(red, low))
-    for __ in range(refinements):
+    for __ in range(_REFINEMENTS):
         middle = (low + high) / 2.0
         line = _median_line_for_direction(red, middle)
         value = _imbalance(blue, line)
-        if abs(value) <= tolerance and abs(_imbalance(red, line)) <= tolerance:
+        if abs(value) <= _TOLERANCE \
+                and abs(_imbalance(red, line)) <= _TOLERANCE:
             return line
         if (value > 0) == (low_value > 0):
             low, low_value = middle, value

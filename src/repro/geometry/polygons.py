@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.geometry.primitives import EPS
+
 Point2 = Tuple[float, float]
+
+#: How far past a clipping line a vertex may sit and still count as
+#: inside, and how close two vertices must be to count as one.
+CLIP_EPS = 1e-12
 
 
 def rectangle_polygon(xmin: float, xmax: float, ymin: float,
@@ -22,7 +28,7 @@ def rectangle_polygon(xmin: float, xmax: float, ymin: float,
 
 
 def clip_polygon_halfplane(polygon: Sequence[Point2], a: float, b: float,
-                           c: float, eps: float = 1e-12) -> List[Point2]:
+                           c: float) -> List[Point2]:
     """Clip a convex polygon to the halfplane ``a*x + b*y <= c``.
 
     Standard Sutherland–Hodgman step; returns the (possibly empty) clipped
@@ -35,8 +41,8 @@ def clip_polygon_halfplane(polygon: Sequence[Point2], a: float, b: float,
     for index in range(count):
         current = polygon[index]
         nxt = polygon[(index + 1) % count]
-        current_inside = a * current[0] + b * current[1] <= c + eps
-        next_inside = a * nxt[0] + b * nxt[1] <= c + eps
+        current_inside = a * current[0] + b * current[1] <= c + CLIP_EPS
+        next_inside = a * nxt[0] + b * nxt[1] <= c + CLIP_EPS
         if current_inside:
             result.append(current)
             if not next_inside:
@@ -62,18 +68,18 @@ def _halfplane_crossing(p: Point2, q: Point2, a: float, b: float,
     return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
 
 
-def _dedupe(polygon: List[Point2], eps: float = 1e-12) -> List[Point2]:
+def _dedupe(polygon: List[Point2]) -> List[Point2]:
     """Remove consecutive (near-)duplicate vertices."""
     if not polygon:
         return []
     cleaned: List[Point2] = []
     for vertex in polygon:
-        if cleaned and abs(vertex[0] - cleaned[-1][0]) <= eps \
-                and abs(vertex[1] - cleaned[-1][1]) <= eps:
+        if cleaned and abs(vertex[0] - cleaned[-1][0]) <= CLIP_EPS \
+                and abs(vertex[1] - cleaned[-1][1]) <= CLIP_EPS:
             continue
         cleaned.append(vertex)
-    while len(cleaned) > 1 and abs(cleaned[0][0] - cleaned[-1][0]) <= eps \
-            and abs(cleaned[0][1] - cleaned[-1][1]) <= eps:
+    while len(cleaned) > 1 and abs(cleaned[0][0] - cleaned[-1][0]) <= CLIP_EPS \
+            and abs(cleaned[0][1] - cleaned[-1][1]) <= CLIP_EPS:
         cleaned.pop()
     return cleaned
 
@@ -101,8 +107,7 @@ def fan_triangulate(polygon: Sequence[Point2]) -> List[Tuple[Point2, Point2, Poi
     return triangles
 
 
-def polygon_contains(polygon: Sequence[Point2], x: float, y: float,
-                     eps: float = 1e-9) -> bool:
+def polygon_contains(polygon: Sequence[Point2], x: float, y: float) -> bool:
     """True if the convex polygon (CCW or CW) contains ``(x, y)``."""
     if len(polygon) < 3:
         return False
@@ -112,9 +117,9 @@ def polygon_contains(polygon: Sequence[Point2], x: float, y: float,
         x1, y1 = polygon[index]
         x2, y2 = polygon[(index + 1) % count]
         cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if cross > eps:
+        if cross > EPS:
             current = 1
-        elif cross < -eps:
+        elif cross < -EPS:
             current = -1
         else:
             continue

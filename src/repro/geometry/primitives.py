@@ -21,7 +21,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-#: Tolerance used by strict above/below comparisons throughout the library.
+#: The library's one absolute tolerance: a point within ``EPS`` of a
+#: boundary counts as on it, in every above/below, inside/outside test,
+#: scalar or vectorised.
 EPS = 1e-9
 
 
@@ -35,18 +37,6 @@ class Line2:
     def y_at(self, x: float) -> float:
         """The line's y-coordinate at abscissa ``x``."""
         return self.slope * x + self.intercept
-
-    def is_below_point(self, x: float, y: float, eps: float = EPS) -> bool:
-        """True if the line passes strictly below the point ``(x, y)``."""
-        return self.y_at(x) < y - eps
-
-    def is_above_point(self, x: float, y: float, eps: float = EPS) -> bool:
-        """True if the line passes strictly above the point ``(x, y)``."""
-        return self.y_at(x) > y + eps
-
-    def passes_through(self, x: float, y: float, eps: float = 1e-7) -> bool:
-        """True if ``(x, y)`` lies on the line (within tolerance)."""
-        return abs(self.y_at(x) - y) <= eps
 
     def intersection_x(self, other: "Line2") -> float:
         """The x-coordinate where this line meets ``other``.
@@ -81,16 +71,6 @@ class Plane3:
         """The plane's height above the point ``(x, y)``."""
         return self.a * x + self.b * y + self.c
 
-    def is_below_point(self, x: float, y: float, z: float,
-                       eps: float = EPS) -> bool:
-        """True if the plane passes strictly below the point ``(x, y, z)``."""
-        return self.z_at(x, y) < z - eps
-
-    def is_above_point(self, x: float, y: float, z: float,
-                       eps: float = EPS) -> bool:
-        """True if the plane passes strictly above the point ``(x, y, z)``."""
-        return self.z_at(x, y) > z + eps
-
     def coefficients(self) -> Tuple[float, float, float]:
         """The ``(a, b, c)`` triple (used by the dual-hull computations)."""
         return (self.a, self.b, self.c)
@@ -115,17 +95,13 @@ class Hyperplane:
         """The hyperplane's x_d value above the first d-1 coordinates of ``point``."""
         return sum(c * x for c, x in zip(self.coeffs, point)) + self.offset
 
-    def is_below_point(self, point: Sequence[float], eps: float = EPS) -> bool:
-        """True if the hyperplane passes strictly below ``point``."""
-        return self.height_at(point) < point[-1] - eps
-
-    def point_below(self, point: Sequence[float], eps: float = EPS) -> bool:
+    def point_below(self, point: Sequence[float]) -> bool:
         """True if ``point`` lies on or below the hyperplane.
 
         This is the containment test of the paper's query: report all points
         ``p`` with ``p_d <= a_0 + sum a_i p_i``.
         """
-        return point[-1] <= self.height_at(point) + eps
+        return point[-1] <= self.height_at(point) + EPS
 
     def height_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`height_at` over an ``(n, d)`` point matrix.
@@ -141,25 +117,6 @@ class Hyperplane:
             total += coefficient * points[:, index]
         heights += total
         return heights
-
-    def point_below_many(self, points: np.ndarray,
-                         eps: float = EPS) -> np.ndarray:
-        """Vectorized :meth:`point_below`: a boolean mask over the rows."""
-        return points[:, -1] <= self.height_many(points) + eps
-
-    def as_line2(self) -> Line2:
-        """View a 2-D hyperplane as a :class:`Line2`."""
-        if self.dimension != 2:
-            raise ValueError("hyperplane has dimension %d, expected 2"
-                             % self.dimension)
-        return Line2(self.coeffs[0], self.offset)
-
-    def as_plane3(self) -> Plane3:
-        """View a 3-D hyperplane as a :class:`Plane3`."""
-        if self.dimension != 3:
-            raise ValueError("hyperplane has dimension %d, expected 3"
-                             % self.dimension)
-        return Plane3(self.coeffs[0], self.coeffs[1], self.offset)
 
     def __repr__(self) -> str:
         terms = " + ".join("%.4g*x%d" % (c, i + 1)
@@ -224,9 +181,9 @@ class LinearConstraint:
         """The boundary hyperplane ``x_d = a_0 + sum a_i x_i``."""
         return Hyperplane(self.coeffs, self.offset)
 
-    def below(self, point: Sequence[float], eps: float = EPS) -> bool:
+    def below(self, point: Sequence[float]) -> bool:
         """True if ``point`` satisfies the constraint (lies on/below the plane)."""
-        return self.hyperplane.point_below(point, eps)
+        return self.hyperplane.point_below(point)
 
     def filter(self, points) -> list:
         """Return the subset of ``points`` satisfying the constraint.
@@ -236,7 +193,7 @@ class LinearConstraint:
         """
         return [p for p in points if self.below(p)]
 
-    def below_many(self, points: np.ndarray, eps: float = EPS) -> np.ndarray:
+    def below_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`below`: a boolean mask over an ``(n, d)`` matrix.
 
         Guaranteed to agree with per-point :meth:`below` on every row,
@@ -244,7 +201,7 @@ class LinearConstraint:
         below replays the scalar ``sum(c * x for ...) + offset`` one
         coefficient at a time (a BLAS dot product may round differently
         and flip boundary points).  Inlined rather than delegated to
-        :meth:`Hyperplane.point_below_many` — this runs once per scanned
+        :meth:`Hyperplane.height_many` — this runs once per scanned
         block, where constructing a throwaway Hyperplane and the extra
         temporaries measurably slow the hot path.
         """
@@ -252,13 +209,8 @@ class LinearConstraint:
         for index, coefficient in enumerate(self.coeffs):
             total += coefficient * points[:, index]
         total += self.offset
-        total += eps
+        total += EPS
         return points[:, -1] <= total
-
-    def filter_many(self, points: np.ndarray,
-                    eps: float = EPS) -> np.ndarray:
-        """The rows of ``points`` satisfying the constraint (a submatrix)."""
-        return points[self.below_many(points, eps)]
 
     def __repr__(self) -> str:
         terms = " + ".join("%.4g*x%d" % (c, i + 1)

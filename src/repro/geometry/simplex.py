@@ -16,6 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.boxes import Box
+from repro.geometry.primitives import EPS
 
 
 @dataclass(frozen=True)
@@ -25,13 +26,12 @@ class Halfspace:
     normal: Tuple[float, ...]
     offset: float
 
-    def contains(self, point: Sequence[float], eps: float = 1e-9) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         """True if ``point`` satisfies ``normal . x <= offset``."""
         value = sum(n * x for n, x in zip(self.normal, point))
-        return value <= self.offset + eps
+        return value <= self.offset + EPS
 
-    def contains_many(self, points: np.ndarray,
-                      eps: float = 1e-9) -> np.ndarray:
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains`: a boolean mask over the rows.
 
         Replays the scalar accumulation order (one coefficient at a
@@ -42,9 +42,9 @@ class Halfspace:
             if index >= points.shape[1]:
                 break
             values += coefficient * points[:, index]
-        return values <= self.offset + eps
+        return values <= self.offset + EPS
 
-    def excludes_box(self, box: Box, eps: float = 1e-9) -> bool:
+    def excludes_box(self, box: Box) -> bool:
         """True if no point of ``box`` satisfies the halfspace (exact test).
 
         The minimum of ``normal . x`` over an axis-aligned box is attained
@@ -53,7 +53,7 @@ class Halfspace:
         minimum = 0.0
         for coefficient, low, high in zip(self.normal, box.lower, box.upper):
             minimum += coefficient * (low if coefficient >= 0 else high)
-        return minimum > self.offset + eps
+        return minimum > self.offset + EPS
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,11 @@ class Simplex:
         """Ambient dimension (taken from the first halfspace)."""
         return len(self.halfspaces[0].normal)
 
-    def contains(self, point: Sequence[float], eps: float = 1e-9) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
         """True if ``point`` satisfies every halfspace."""
-        return all(halfspace.contains(point, eps) for halfspace in self.halfspaces)
+        return all(halfspace.contains(point) for halfspace in self.halfspaces)
 
-    def contains_many(self, points: np.ndarray,
-                      eps: float = 1e-9) -> np.ndarray:
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`contains` over an ``(n, d)`` point matrix.
 
         Short-circuits the way the scalar ``all(...)`` does, but per
@@ -109,7 +108,7 @@ class Simplex:
         active = points
         indices = np.arange(points.shape[0])
         for halfspace in self.halfspaces:
-            inside = halfspace.contains_many(active, eps)
+            inside = halfspace.contains_many(active)
             if not inside.all():
                 indices = indices[inside]
                 active = active[inside]
@@ -119,17 +118,17 @@ class Simplex:
         mask[indices] = True
         return mask
 
-    def contains_box(self, box: Box, eps: float = 1e-9) -> bool:
+    def contains_box(self, box: Box) -> bool:
         """Exact test: every point of ``box`` lies inside the simplex."""
-        return all(self.contains(corner, eps) for corner in box.corners())
+        return all(self.contains(corner) for corner in box.corners())
 
-    def certainly_disjoint_from_box(self, box: Box, eps: float = 1e-9) -> bool:
+    def certainly_disjoint_from_box(self, box: Box) -> bool:
         """Conservative test: some facet halfspace excludes the whole box.
 
         True certifies disjointness; False means "maybe intersects" and the
         traversal recurses (correct, possibly slightly slower).
         """
-        return any(halfspace.excludes_box(box, eps)
+        return any(halfspace.excludes_box(box)
                    for halfspace in self.halfspaces)
 
     def classify_boxes(self, lowers: np.ndarray,
@@ -157,7 +156,7 @@ class Simplex:
                 rising = coefficient >= 0
                 least += coefficient * (lowers if rising else uppers)[:, axis]
                 most += coefficient * (uppers if rising else lowers)[:, axis]
-            bound = halfspace.offset + 1e-9
+            bound = halfspace.offset + EPS
             excluded |= least > bound
             inside &= most <= bound
         return np.add(~excluded, ~(excluded | inside), dtype=np.int8)

@@ -12,8 +12,9 @@ a faithful software simulation of that model:
   :class:`~repro.io.backend.FileBackend` (a real file, seek/read), both
   behind identical I/O accounting.
 * :class:`~repro.io.disk_array.DiskArray` — a blocked sequence of records.
-* :class:`~repro.io.btree.BTree` — an external B+-tree (the 1-D baseline of
-  Section 1.2 and an internal component of the 2-D structure of Section 3).
+* :class:`~repro.io.btree.BTree` — an external B+-tree, bulk-loaded and
+  probed by predecessor: the boundary tree of the 2-D structure of
+  Section 3.
 
 A block has one form, fixed when the backend's ``put`` writes it: the
 read-only ``(n, d)`` float64 matrix of a point block

@@ -1,11 +1,12 @@
 """An external-memory B+-tree over the simulated disk.
 
 Each tree node occupies exactly one disk block, so a root-to-leaf search
-costs O(log_B n) I/Os and a range query costs O(log_B n + t) I/Os — the 1-D
-optimum the paper uses as its yardstick (Section 1.2).  The 2-D structure
-(Section 3) builds one per clustering, its boundary-point tree ``T_i``, with
-:meth:`BTree.bulk_load` and probes it with :meth:`BTree.predecessor`; no
-other structure uses it.
+costs O(log_B n) I/Os — the 1-D optimum the paper uses as its yardstick
+(Section 1.2).  The 2-D structure (Section 3) builds one per clustering,
+its boundary-point tree ``T_i``, with :meth:`BTree.bulk_load` and probes
+it with :meth:`BTree.predecessor`; no other structure uses it, and those
+are the tree's whole query surface.  The leaves stay chained in key order
+(the classic B+-tree layout, which :meth:`BTree.check_invariants` walks).
 
 Keys may be any totally ordered Python values; values are arbitrary.
 """
@@ -13,7 +14,7 @@ Keys may be any totally ordered Python values; values are arbitrary.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.io.block import BlockId
 from repro.io.store import BlockStore
@@ -152,49 +153,12 @@ class BTree:
                 index = 0
             node_id = entries[index][1]
 
-    def _descend_to_leaf_left(self, key: Any) -> Optional[BlockId]:
-        """Return the leftmost leaf that can contain ``key``.
-
-        With duplicate keys spanning several leaves, the rightmost-child
-        descent of :meth:`_descend_to_leaf` may skip earlier duplicates;
-        range queries and successor searches therefore descend to the
-        leftmost candidate leaf instead and rely on the leaf chain to walk
-        forward.
-        """
-        if self._root is None:
-            return None
-        node_id = self._root
-        while True:
-            kind, __, entries = self._read_node(node_id)
-            if kind == _LEAF:
-                return node_id
-            keys = [entry[0] for entry in entries]
-            index = bisect.bisect_left(keys, key) - 1
-            if index < 0:
-                index = 0
-            node_id = entries[index][1]
-
-    def search(self, key: Any) -> Optional[Any]:
-        """Return the value stored under ``key`` or None."""
-        leaf_id = self._descend_to_leaf(key)
-        if leaf_id is None:
-            return None
-        __, __, entries = self._read_node(leaf_id)
-        for entry_key, value in entries:
-            if entry_key == key:
-                return value
-        return None
-
-    def contains(self, key: Any) -> bool:
-        """True if ``key`` is stored in the tree."""
-        return self.search(key) is not None
-
     def predecessor(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Return the (key, value) with the largest key <= ``key``.
 
         This is the primitive the 2-D structure uses to locate the cluster
-        relevant for a query point, and the point-location structure uses to
-        find the slab containing a query x-coordinate.
+        relevant for a query point: one root-to-leaf descent, ``height``
+        reads.
         """
         leaf_id = self._descend_to_leaf(key)
         if leaf_id is None:
@@ -207,60 +171,6 @@ class BTree:
             else:
                 break
         return best
-
-    def successor(self, key: Any) -> Optional[Tuple[Any, Any]]:
-        """Return the (key, value) with the smallest key >= ``key``."""
-        leaf_id = self._descend_to_leaf_left(key)
-        if leaf_id is None:
-            return None
-        kind, next_leaf, entries = self._read_node(leaf_id)
-        for entry_key, value in entries:
-            if entry_key >= key:
-                return (entry_key, value)
-        # The first key of the next leaf is the successor (if any).
-        while next_leaf is not None:
-            kind, next_leaf_2, entries = self._read_node(next_leaf)
-            if entries:
-                return entries[0]
-            next_leaf = next_leaf_2
-        return None
-
-    def range_query(self, low: Any, high: Any) -> List[Tuple[Any, Any]]:
-        """Return all (key, value) pairs with ``low <= key <= high``.
-
-        Costs O(log_B n + t) I/Os: one root-to-leaf descent plus a walk
-        along the leaf level.
-        """
-        if self._root is None or low > high:
-            return []
-        leaf_id = self._descend_to_leaf_left(low)
-        results: List[Tuple[Any, Any]] = []
-        while leaf_id is not None:
-            __, next_leaf, entries = self._read_node(leaf_id)
-            for entry_key, value in entries:
-                if entry_key > high:
-                    return results
-                if entry_key >= low:
-                    results.append((entry_key, value))
-            leaf_id = next_leaf
-        return results
-
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """Yield every (key, value) pair in key order (a full leaf scan)."""
-        if self._root is None:
-            return
-        node_id = self._root
-        while True:
-            kind, __, entries = self._read_node(node_id)
-            if kind == _LEAF:
-                break
-            node_id = entries[0][1]
-        leaf_id: Optional[BlockId] = node_id
-        while leaf_id is not None:
-            __, next_leaf, entries = self._read_node(leaf_id)
-            for entry in entries:
-                yield entry
-            leaf_id = next_leaf
 
     def check_invariants(self) -> List[Tuple[Any, Any]]:
         """Raise AssertionError unless the tree is a B+-tree: every node

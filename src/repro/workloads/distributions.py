@@ -30,47 +30,44 @@ def uniform_points_ball(n: int, dimension: int = 3, radius: float = 1.0,
     return directions / norms * radii
 
 
-def gaussian_points(n: int, dimension: int = 2, scale: float = 1.0,
+def gaussian_points(n: int, dimension: int = 2,
                     seed: Optional[int] = None) -> np.ndarray:
-    """``n`` points from an isotropic Gaussian."""
-    return _rng(seed).normal(scale=scale, size=(n, dimension))
+    """``n`` points from an isotropic standard Gaussian."""
+    return _rng(seed).normal(size=(n, dimension))
 
 
 def clustered_points(n: int, dimension: int = 2, clusters: int = 10,
-                     spread: float = 0.05, low: float = -1.0,
-                     high: float = 1.0, seed: Optional[int] = None) -> np.ndarray:
-    """``n`` points in ``clusters`` tight Gaussian blobs (a skewed workload)."""
+                     spread: float = 0.05,
+                     seed: Optional[int] = None) -> np.ndarray:
+    """``n`` points in ``clusters`` tight Gaussian blobs centred in
+    ``[-1, 1]^d`` (a skewed workload)."""
     generator = _rng(seed)
-    centers = generator.uniform(low, high, size=(clusters, dimension))
+    centers = generator.uniform(-1.0, 1.0, size=(clusters, dimension))
     assignments = generator.integers(0, clusters, size=n)
     offsets = generator.normal(scale=spread, size=(n, dimension))
     return centers[assignments] + offsets
 
 
-def diagonal_points(n: int, noise: float = 1e-4, low: float = -1.0,
-                    high: float = 1.0, seed: Optional[int] = None) -> np.ndarray:
-    """The adversarial input of Section 1.2: points on (a jittered) diagonal.
+def diagonal_points(n: int, noise: float = 1e-4,
+                    seed: Optional[int] = None) -> np.ndarray:
+    """The adversarial input of Section 1.2: points on (a jittered) diagonal
+    of ``[-1, 1]^2``.
 
     A halfplane bounded by a slight rotation of the diagonal line forces
     quad-tree-like structures to visit Ω(n) nodes, while the paper's 2-D
     structure still answers in O(log_B n + t) I/Os.
     """
     generator = _rng(seed)
-    xs = np.sort(generator.uniform(low, high, size=n))
+    xs = np.sort(generator.uniform(-1.0, 1.0, size=n))
     ys = xs + generator.normal(scale=noise, size=n)
     return np.column_stack([xs, ys])
 
 
-def grid_points(side: int, dimension: int = 2, low: float = -1.0,
-                high: float = 1.0, jitter: float = 0.0,
-                seed: Optional[int] = None) -> np.ndarray:
-    """A regular ``side^d`` grid, optionally jittered to break degeneracies."""
-    axes = [np.linspace(low, high, side) for _ in range(dimension)]
+def grid_points(side: int, dimension: int = 2) -> np.ndarray:
+    """A regular ``side^d`` grid over ``[-1, 1]^d``."""
+    axes = [np.linspace(-1.0, 1.0, side) for _ in range(dimension)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.column_stack([axis.ravel() for axis in mesh])
-    if jitter > 0:
-        points = points + _rng(seed).normal(scale=jitter, size=points.shape)
-    return points
+    return np.column_stack([axis.ravel() for axis in mesh])
 
 
 def company_table(n: int, seed: Optional[int] = None) -> List[Tuple[str, float, float]]:

@@ -21,32 +21,30 @@ def _rng(seed: Optional[int]) -> np.random.Generator:
 
 
 def random_halfspace_queries(num_queries: int, dimension: int = 2,
-                             slope_scale: float = 1.0,
-                             offset_scale: float = 1.0,
                              seed: Optional[int] = None) -> List[LinearConstraint]:
-    """Linear constraints with random coefficients (no selectivity control)."""
+    """Linear constraints with coefficients and offset uniform in
+    ``[-1, 1]`` (no selectivity control)."""
     generator = _rng(seed)
     queries: List[LinearConstraint] = []
     for __ in range(num_queries):
-        coeffs = tuple(generator.uniform(-slope_scale, slope_scale,
+        coeffs = tuple(generator.uniform(-1.0, 1.0,
                                          size=dimension - 1).tolist())
-        offset = float(generator.uniform(-offset_scale, offset_scale))
+        offset = float(generator.uniform(-1.0, 1.0))
         queries.append(LinearConstraint(coeffs=coeffs, offset=offset))
     return queries
 
 
 def halfspace_queries_with_selectivity(points: np.ndarray, num_queries: int,
                                        selectivity: float,
-                                       slope_scale: float = 1.0,
                                        seed: Optional[int] = None
                                        ) -> List[LinearConstraint]:
     """Constraints calibrated so ~``selectivity * N`` points satisfy each.
 
-    For a random coefficient vector ``a``, the constraint
-    ``x_d <= a . x_{1..d-1} + a_0`` is satisfied by exactly the points whose
-    residual ``x_d - a . x_{1..d-1}`` is at most ``a_0``; choosing ``a_0`` as
-    the ``selectivity``-quantile of the residuals hits the target output
-    size exactly (up to ties).
+    For a coefficient vector ``a`` uniform in ``[-1, 1]^{d-1}``, the
+    constraint ``x_d <= a . x_{1..d-1} + a_0`` is satisfied by exactly the
+    points whose residual ``x_d - a . x_{1..d-1}`` is at most ``a_0``;
+    choosing ``a_0`` as the ``selectivity``-quantile of the residuals hits
+    the target output size exactly (up to ties).
     """
     if not 0.0 <= selectivity <= 1.0:
         raise ValueError("selectivity must lie in [0, 1], got %r" % selectivity)
@@ -57,7 +55,7 @@ def halfspace_queries_with_selectivity(points: np.ndarray, num_queries: int,
     generator = _rng(seed)
     queries: List[LinearConstraint] = []
     for __ in range(num_queries):
-        coeffs = generator.uniform(-slope_scale, slope_scale, size=dimension - 1)
+        coeffs = generator.uniform(-1.0, 1.0, size=dimension - 1)
         residuals = points[:, -1] - points[:, :-1] @ coeffs
         offset = float(np.quantile(residuals, selectivity))
         queries.append(LinearConstraint(coeffs=tuple(coeffs.tolist()),
@@ -81,12 +79,11 @@ def rotated_diagonal_query(points: np.ndarray, angle: float = 1e-3,
 
 
 def _constraint_with_selectivity(points: np.ndarray, selectivity: float,
-                                 slope_scale: float,
                                  generator: np.random.Generator
                                  ) -> LinearConstraint:
     """One constraint whose offset is the selectivity-quantile of residuals."""
     dimension = points.shape[1]
-    coeffs = generator.uniform(-slope_scale, slope_scale, size=dimension - 1)
+    coeffs = generator.uniform(-1.0, 1.0, size=dimension - 1)
     residuals = points[:, -1] - points[:, :-1] @ coeffs
     offset = float(np.quantile(residuals, selectivity))
     return LinearConstraint(coeffs=tuple(coeffs.tolist()), offset=offset)
@@ -94,8 +91,6 @@ def _constraint_with_selectivity(points: np.ndarray, selectivity: float,
 
 def mixed_tenant_workload(tenants: Dict[str, np.ndarray], num_requests: int,
                           hot_fraction: float = 0.3, hot_pool: int = 4,
-                          selectivity_range: Tuple[float, float] = (0.005, 0.25),
-                          slope_scale: float = 1.0,
                           seed: Optional[int] = None
                           ) -> List[Tuple[str, LinearConstraint]]:
     """A serving trace for the engine: interleaved (tenant, constraint) pairs.
@@ -106,7 +101,7 @@ def mixed_tenant_workload(tenants: Dict[str, np.ndarray], num_requests: int,
     * a ``hot_fraction`` of requests re-issue one of the tenant's
       ``hot_pool`` *hot* constraints — repeats a result cache can absorb;
     * the rest are fresh constraints whose selectivity is drawn
-      log-uniformly from ``selectivity_range``, mixing reporting-heavy
+      log-uniformly from ``[0.005, 0.25]``, mixing reporting-heavy
       queries (large ``t``) with needle queries (search-term bound).
 
     Tenants may have different dimensions; every constraint matches its
@@ -117,19 +112,15 @@ def mixed_tenant_workload(tenants: Dict[str, np.ndarray], num_requests: int,
     if not 0.0 <= hot_fraction <= 1.0:
         raise ValueError("hot_fraction must lie in [0, 1], got %r"
                          % hot_fraction)
-    low, high = selectivity_range
-    if not 0.0 < low <= high <= 1.0:
-        raise ValueError("selectivity_range must satisfy 0 < low <= high <= 1")
     generator = _rng(seed)
     names = sorted(tenants)
     points_by_name = {name: np.asarray(tenants[name], dtype=float)
                       for name in names}
 
     def fresh(points: np.ndarray) -> LinearConstraint:
-        selectivity = float(np.exp(generator.uniform(np.log(low),
-                                                     np.log(high))))
-        return _constraint_with_selectivity(points, selectivity, slope_scale,
-                                            generator)
+        selectivity = float(np.exp(generator.uniform(np.log(0.005),
+                                                     np.log(0.25))))
+        return _constraint_with_selectivity(points, selectivity, generator)
 
     hot: Dict[str, List[LinearConstraint]] = {
         name: [fresh(points_by_name[name]) for __ in range(max(1, hot_pool))]
@@ -148,7 +139,6 @@ def mixed_tenant_workload(tenants: Dict[str, np.ndarray], num_requests: int,
 
 def steep_leading_attribute_queries(points: np.ndarray, num_queries: int,
                                     selectivity: float,
-                                    steepness: float = 32.0,
                                     seed: Optional[int] = None
                                     ) -> List[LinearConstraint]:
     """Constraints whose satisfying region is narrow in the *leading* attribute.
@@ -159,13 +149,11 @@ def steep_leading_attribute_queries(points: np.ndarray, num_queries: int,
     values.  On a range-sharded dataset (split on attribute 0) such
     queries touch only the low shards — the workload that exercises the
     planner's shard pruning.  Offsets are chosen per query as the
-    ``selectivity``-quantile of the residuals, with the steepness jittered
-    per query so the constraints are distinct.
+    ``selectivity``-quantile of the residuals, with the steepness (32)
+    jittered by up to a quarter per query so the constraints are distinct.
     """
     if not 0.0 <= selectivity <= 1.0:
         raise ValueError("selectivity must lie in [0, 1], got %r" % selectivity)
-    if steepness <= 0:
-        raise ValueError("steepness must be positive, got %r" % steepness)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] < 2:
         raise ValueError("points must have shape (N, d >= 2)")
@@ -174,7 +162,7 @@ def steep_leading_attribute_queries(points: np.ndarray, num_queries: int,
     queries: List[LinearConstraint] = []
     for __ in range(num_queries):
         coeffs = np.zeros(dimension - 1)
-        coeffs[0] = -float(steepness * generator.uniform(0.75, 1.25))
+        coeffs[0] = -float(32.0 * generator.uniform(0.75, 1.25))
         residuals = points[:, -1] - points[:, :-1] @ coeffs
         offset = float(np.quantile(residuals, selectivity))
         queries.append(LinearConstraint(coeffs=tuple(coeffs.tolist()),
@@ -182,7 +170,8 @@ def steep_leading_attribute_queries(points: np.ndarray, num_queries: int,
     return queries
 
 
-def knn_query_points(num_queries: int, low: float = -1.0, high: float = 1.0,
+def knn_query_points(num_queries: int,
                      seed: Optional[int] = None) -> np.ndarray:
-    """Uniform planar query points for the k-nearest-neighbour benchmarks."""
-    return _rng(seed).uniform(low, high, size=(num_queries, 2))
+    """Query points uniform in ``[-1, 1]^2`` for the k-nearest-neighbour
+    benchmarks."""
+    return _rng(seed).uniform(-1.0, 1.0, size=(num_queries, 2))

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.clustering import Cluster
 from repro.geometry.partitions import PartitionCell
-from repro.geometry.primitives import Hyperplane, Line2, Plane3
+from repro.geometry.primitives import EPS, Hyperplane, Line2, Plane3
 
 
 def lower_envelope(lines: Sequence[Line2]) -> List[Tuple[int, float, float]]:
@@ -92,6 +92,14 @@ def lines_strictly_above(lines: Sequence[Line2], x: float, y: float,
                          eps: float = 1e-9) -> List[int]:
     """Indices of the lines passing strictly above the point ``(x, y)``."""
     return [i for i, line in enumerate(lines) if line.y_at(x) > y + eps]
+
+
+def planes_below_point(planes: Sequence[Plane3], x: float, y: float,
+                       z: float) -> List[int]:
+    """Indices of the planes passing strictly below the point (the
+    reference for a triangle's conflict list)."""
+    return [index for index, plane in enumerate(planes)
+            if plane.z_at(x, y) < z - EPS]
 
 
 def primal_point_of_dual_line(line: Line2) -> Tuple[float, float]:

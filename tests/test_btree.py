@@ -19,7 +19,7 @@ class TestBulkLoad:
     def test_empty_bulk_load(self):
         __, tree = make_tree(items=[])
         assert len(tree) == 0
-        assert tree.search(1) is None
+        assert tree.predecessor(1) is None
 
     def test_bulk_load_requires_sorted_input(self):
         store = BlockStore(block_size=8)
@@ -36,7 +36,7 @@ class TestBulkLoad:
         items = [(i, i * 10) for i in range(200)]
         __, tree = make_tree(items=items)
         for key, value in items[::7]:
-            assert tree.search(key) == value
+            assert tree.predecessor(key) == (key, value)
 
     def test_height_grows_logarithmically(self):
         __, small = make_tree(items=[(i, i) for i in range(5)])
@@ -44,9 +44,11 @@ class TestBulkLoad:
         assert small.height <= large.height <= small.height + 4
 
     def test_items_iterates_in_key_order(self):
+        # The leaf chain, as the checker walks it, holds every item in
+        # key order.
         items = [(i, str(i)) for i in range(100)]
         __, tree = make_tree(items=items)
-        assert list(tree.items()) == items
+        assert tree.check_invariants() == items
 
     def test_fanout_validation(self):
         store = BlockStore(block_size=8)
@@ -64,24 +66,18 @@ class TestBulkLoad:
 class TestSearch:
     def test_search_missing_key(self):
         __, tree = make_tree(items=[(i, i) for i in range(0, 100, 2)])
-        assert tree.search(31) is None
+        assert tree.predecessor(31) == (30, 30)
 
     def test_contains(self):
         __, tree = make_tree(items=[(1, "a"), (5, "b")])
-        assert tree.contains(5)
-        assert not tree.contains(4)
+        assert tree.predecessor(5) == (5, "b")
+        assert tree.predecessor(4) == (1, "a")
 
     def test_predecessor_exact_and_between(self):
         __, tree = make_tree(items=[(i * 10, i) for i in range(20)])
         assert tree.predecessor(50) == (50, 5)
         assert tree.predecessor(55) == (50, 5)
         assert tree.predecessor(-1) is None
-
-    def test_successor_exact_and_between(self):
-        __, tree = make_tree(items=[(i * 10, i) for i in range(20)])
-        assert tree.successor(50) == (50, 5)
-        assert tree.successor(55) == (60, 6)
-        assert tree.successor(1000) is None
 
     def test_predecessor_with_negative_infinity_key(self):
         __, tree = make_tree(items=[(float("-inf"), 0), (1.0, 1), (2.0, 2)])
@@ -92,37 +88,8 @@ class TestSearch:
         store, tree = make_tree(block_size=16,
                                 items=[(i, i) for i in range(2000)])
         store.reset_stats()
-        tree.search(1234)
+        assert tree.predecessor(1234) == (1234, 1234)
         assert store.stats.reads <= tree.height + 1
-
-
-class TestRangeQuery:
-    def test_range_query_inclusive_bounds(self):
-        __, tree = make_tree(items=[(i, i) for i in range(100)])
-        result = tree.range_query(10, 20)
-        assert [key for key, __ in result] == list(range(10, 21))
-
-    def test_range_query_empty_when_low_above_high(self):
-        __, tree = make_tree(items=[(i, i) for i in range(10)])
-        assert tree.range_query(5, 3) == []
-
-    def test_range_query_outside_key_space(self):
-        __, tree = make_tree(items=[(i, i) for i in range(10)])
-        assert tree.range_query(100, 200) == []
-
-    def test_range_query_io_cost_is_output_sensitive(self):
-        store, tree = make_tree(block_size=16,
-                                items=[(i, i) for i in range(4000)])
-        store.reset_stats()
-        small = tree.range_query(100, 110)
-        small_cost = store.stats.reads
-        store.reset_stats()
-        large = tree.range_query(100, 1700)
-        large_cost = store.stats.reads
-        assert len(small) == 11 and len(large) == 1601
-        # The large range reads many more blocks, but only ~T/B more.
-        assert large_cost > small_cost
-        assert large_cost <= small_cost + (len(large) // tree.fanout) + 3
 
 
 class TestCheckInvariants:

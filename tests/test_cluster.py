@@ -573,7 +573,7 @@ def test_worker_metrics_reach_the_scrape_from_the_heartbeats(points2d):
             in render_prometheus(engine.stats.registry).splitlines()
             if line.startswith("engine_worker_"))
         assert calls == []                  # the scrape made no RPC
-        assert len(scraped) == 6 * len(handles)
+        assert len(scraped) == 8 * len(handles)
         for handle, restarts in zip(handles, (1, 0)):
             beat = handle.heartbeat
             assert beat["served"] == handle.served
@@ -589,6 +589,37 @@ def test_worker_metrics_reach_the_scrape_from_the_heartbeats(points2d):
             assert float(scraped['engine_worker_peak_rss_bytes{worker="%s"}'
                                % handle.replica_name]) > 0
             assert handle.restarts == restarts
+    finally:
+        engine.close()
+
+
+def test_worker_wire_bytes_count_the_answer_frames(points2d):
+    """A worker counts the RPC frame bytes it receives and sends; its
+    heartbeat carries both and the scrape publishes them per worker, so
+    an answer's float64 bytes show on the worker that sent them."""
+    from repro.engine.obs import render_prometheus
+    engine = make_engine(points2d, "process", replicas=1, num_shards=1)
+    try:
+        engine.cluster.check_workers()
+        before = engine.cluster.worker_stats("pts", 0, 0)
+        answer = engine.query("pts", EVERYTHING, clear_cache=True)
+        engine.cluster.check_workers()
+        after = engine.cluster.worker_stats("pts", 0, 0)
+        assert answer.count == len(points2d)
+        assert (after["wire_bytes_sent"] - before["wire_bytes_sent"]
+                >= answer.points.nbytes)
+        assert after["wire_bytes_received"] > before["wire_bytes_received"]
+        engine.stats.refresh_model_metrics()
+        scraped = dict(
+            line.split(" ") for line
+            in render_prometheus(engine.stats.registry).splitlines()
+            if line.startswith("engine_worker_wire_bytes_"))
+        name = engine.cluster.worker("pts", 0, 0).replica_name
+        for direction in ("received", "sent"):
+            # The monitor's next beat may have raised it since.
+            assert float(scraped['engine_worker_wire_bytes_%s{worker="%s"}'
+                                 % (direction, name)]) \
+                >= after["wire_bytes_" + direction]
     finally:
         engine.close()
 

@@ -13,7 +13,6 @@ from repro import (
     LinearConstraint,
     PartitionTreeIndex,
     query_conjunction,
-    query_conjunction_with_stats,
 )
 from repro.baselines import FullScanIndex
 from repro.core import scalar_kernels
@@ -70,9 +69,10 @@ class TestConstraintConjunction:
     def test_query_with_stats_counts_ios(self):
         points = uniform_points(1000, seed=5)
         tree = PartitionTreeIndex(points, block_size=32)
-        result = query_conjunction_with_stats(tree, self.build_conjunction())
-        assert result.total_ios > 0
-        assert result.count == len([p for p in points
+        with tree.store.measured(clear_cache=True) as ios:
+            answer = query_conjunction(tree, self.build_conjunction())
+        assert ios.total > 0
+        assert len(answer) == len([p for p in points
                                     if self.build_conjunction().satisfied_by(p)])
 
     def test_dimension_mismatch_rejected(self):

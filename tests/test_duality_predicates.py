@@ -1,22 +1,19 @@
-"""Tests for the duality transform (Lemma 2.1) and the basic predicates."""
+"""Tests for the duality transform (Lemma 2.1) and the basic predicates,
+stated with the geometry the library keeps."""
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.geometry import duality
-from repro.geometry.predicates import (
-    bounding_box,
-    line_below_point,
-    orientation,
-    point_below_hyperplane,
-    point_below_line,
-    point_below_plane,
-    point_in_triangle,
-    triangle_area,
-)
-from repro.geometry.primitives import Hyperplane, Line2, Plane3
+from repro.geometry.arrangement2d import lines_below_point_fast
+from repro.geometry.boxes import Box
+from repro.geometry.polygons import convex_hull, polygon_area, polygon_contains
+from repro.geometry.primitives import (EPS, Hyperplane, Line2,
+                                       LinearConstraint, Plane3)
 
-from geometry_oracle import (primal_point_of_dual_hyperplane,
+from geometry_oracle import (lines_strictly_above,
+                             primal_point_of_dual_hyperplane,
                              primal_point_of_dual_line,
                              primal_point_of_dual_plane)
 
@@ -88,7 +85,7 @@ class TestDualityGeneral:
         line = duality.dual_line_of_point(point)
         assert hyperplane.coeffs == (-1.0,)
         assert hyperplane.offset == 2.0
-        assert hyperplane.as_line2() == line
+        assert Line2(hyperplane.coeffs[0], hyperplane.offset) == line
 
     def test_dual_point_of_hyperplane(self):
         hyperplane = Hyperplane((1.0, 2.0, 3.0), 4.0)
@@ -104,7 +101,7 @@ class TestDualityGeneral:
     @settings(max_examples=100, deadline=None)
     def test_lemma_2_1_in_dimension_four(self, point, plane_coeffs):
         hyperplane = Hyperplane(tuple(plane_coeffs[:3]), plane_coeffs[3])
-        below = point_below_hyperplane(point, hyperplane)
+        below = point[-1] < hyperplane.height_at(point) - EPS
         dual_h = duality.dual_hyperplane_of_point(point)
         dual_p = duality.dual_point_of_hyperplane(hyperplane)
         # Lemma 2.1: the point is below the hyperplane iff the dual
@@ -115,39 +112,42 @@ class TestDualityGeneral:
 
 class TestPredicates:
     def test_orientation_signs(self):
-        assert orientation((0, 0), (1, 0), (0, 1)) == 1
-        assert orientation((0, 0), (0, 1), (1, 0)) == -1
-        assert orientation((0, 0), (1, 1), (2, 2)) == 0
+        # A counter-clockwise triple is its own hull, in order; a
+        # clockwise one comes back reversed; a collinear one has fewer
+        # than three corners.
+        assert convex_hull([(0, 0), (1, 0), (0, 1)]) == [0, 1, 2]
+        assert convex_hull([(0, 0), (0, 1), (1, 0)]) == [0, 2, 1]
+        assert len(convex_hull([(0, 0), (1, 1), (2, 2)])) < 3
 
     def test_point_below_line_strictness(self):
         line = Line2(0.0, 0.0)
-        assert point_below_line((0.0, -0.1), line)
-        assert not point_below_line((0.0, 0.0), line)
+        assert lines_strictly_above([line], 0.0, -0.1) == [0]
+        assert lines_strictly_above([line], 0.0, 0.0) == []
 
     def test_line_below_point_is_dual_of_point_above_line(self):
-        line = Line2(1.0, 0.0)
-        assert line_below_point(line, (0.0, 1.0))
-        assert not line_below_point(line, (0.0, -1.0))
+        slopes, intercepts = np.array([1.0]), np.array([0.0])
+        assert lines_below_point_fast(slopes, intercepts, 0.0, 1.0) == {0}
+        assert lines_below_point_fast(slopes, intercepts, 0.0, -1.0) == set()
 
     def test_point_below_plane(self):
-        plane = Plane3(0.0, 0.0, 1.0)
-        assert point_below_plane((0.0, 0.0, 0.5), plane)
-        assert not point_below_plane((0.0, 0.0, 1.5), plane)
+        plane = LinearConstraint(coeffs=(0.0, 0.0), offset=1.0)
+        assert plane.below((0.0, 0.0, 0.5))
+        assert not plane.below((0.0, 0.0, 1.5))
 
     def test_point_in_triangle_inside_outside_boundary(self):
-        a, b, c = (0.0, 0.0), (2.0, 0.0), (0.0, 2.0)
-        assert point_in_triangle((0.5, 0.5), a, b, c)
-        assert point_in_triangle((1.0, 0.0), a, b, c)       # on an edge
-        assert not point_in_triangle((2.0, 2.0), a, b, c)
+        triangle = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
+        assert polygon_contains(triangle, 0.5, 0.5)
+        assert polygon_contains(triangle, 1.0, 0.0)        # on an edge
+        assert not polygon_contains(triangle, 2.0, 2.0)
 
     def test_triangle_area(self):
-        assert triangle_area((0, 0), (2, 0), (0, 2)) == pytest.approx(2.0)
+        assert polygon_area([(0, 0), (2, 0), (0, 2)]) == pytest.approx(2.0)
 
     def test_bounding_box(self):
-        lower, upper = bounding_box([(0, 1), (2, -1), (1, 3)])
-        assert lower == (0, -1)
-        assert upper == (2, 3)
+        box = Box.of_points([(0, 1), (2, -1), (1, 3)])
+        assert box.lower == (0, -1)
+        assert box.upper == (2, 3)
 
     def test_bounding_box_empty_raises(self):
         with pytest.raises(ValueError):
-            bounding_box([])
+            Box.of_points([])

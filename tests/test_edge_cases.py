@@ -16,7 +16,6 @@ from repro.geometry.boxes import Box
 from repro.geometry.envelope3d import compute_lower_envelope, conflict_lists
 from repro.geometry.primitives import Hyperplane, Line2, Plane3
 from repro.geometry.simplex import Halfspace, Simplex
-from repro.io.btree import BTree
 from repro.io.disk_array import DiskArray
 from repro.workloads import uniform_points
 
@@ -116,12 +115,6 @@ class TestIOAccountingInvariants:
         store.reset_stats()
         array[17]
         assert store.stats.reads == 1
-
-    def test_btree_duplicate_keys_all_reported_in_range(self):
-        store = BlockStore(block_size=8, cache_blocks=0)
-        tree = BTree(store)
-        tree.bulk_load([(5, i) for i in range(10)])
-        assert len(tree.range_query(5, 5)) == 10
 
 
 class TestBoxHelpers:

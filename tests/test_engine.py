@@ -10,7 +10,8 @@ from conftest import (assert_answer, brute_force_halfspace, rows,
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.core import DynamicPartitionTreeIndex
-from repro.engine import Catalog, EngineStats, ServedQueryRecord
+from repro.engine.catalog import Catalog
+from repro.engine.metrics import EngineStats, ServedQueryRecord
 from repro.engine.catalog import INDEX_KINDS
 from repro.engine.metrics import percentile
 from repro.workloads import (
@@ -376,6 +377,30 @@ def test_warm_batch_restores_buffer_pool(points2d):
     engine.serve_batch("d", halfspace_queries_with_selectivity(
         points2d, 3, 0.05, seed=31))
     assert store.cache_blocks == 4
+
+
+def test_run_query_reads_the_index_account_under_the_store_lock(points2d):
+    # Once the store lock is released, another query on the replica (an
+    # async worker, a worker process's connection thread) may replace the
+    # index's account, so run_query reads it before letting go.
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    engine.register_dataset("d", points2d, kinds=["full_scan"])
+    replica = engine.catalog.dataset("d")
+    held = []
+
+    class Stub:
+        def query(self, constraint):
+            return np.empty((0, 2))
+
+        @property
+        def last_query(self):
+            held.append(replica.store.lock.locked())
+            return {}
+
+    replica.indexes["stub"] = Stub()
+    replica.run_query("stub", LinearConstraint(coeffs=(0.0,), offset=0.0))
+    assert held == [True]
+    engine.close()
 
 
 def test_threaded_workload_matches_brute_force(points2d):

@@ -8,7 +8,6 @@ from repro.geometry.envelope3d import (
     compute_lower_envelope,
     conflict_lists,
     default_domain,
-    planes_below_point,
 )
 from repro.geometry.point_location import ExternalPointLocator
 from repro.geometry.polygons import (
@@ -21,6 +20,8 @@ from repro.geometry.polygons import (
 )
 from repro.geometry.primitives import Plane3
 from repro.io.store import BlockStore
+
+from geometry_oracle import planes_below_point
 
 DOMAIN = (-4.0, 4.0, -4.0, 4.0)
 

@@ -19,7 +19,7 @@ from bisect import bisect_left
 
 import pytest
 
-from repro.engine import EngineStats, ServedQueryRecord
+from repro.engine.metrics import EngineStats, ServedQueryRecord
 from repro.engine.metrics import percentile
 from repro.engine.obs import MetricsRegistry, render_prometheus
 from repro.engine.obs.registry import (DEFAULT_BUCKETS, histogram_quantile,

@@ -2,10 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.geometry.arrangement2d import lines_below_point_fast
 from repro.geometry.primitives import EPS, Hyperplane, Line2, LinearConstraint, Plane3
+
+from geometry_oracle import lines_strictly_above, lines_strictly_below
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False)
@@ -18,14 +22,9 @@ class TestLine2:
 
     def test_below_and_above_point(self):
         line = Line2(slope=0.0, intercept=0.0)
-        assert line.is_below_point(0.0, 1.0)
-        assert line.is_above_point(0.0, -1.0)
-        assert not line.is_below_point(0.0, 0.0)
-
-    def test_passes_through(self):
-        line = Line2(slope=1.0, intercept=-1.0)
-        assert line.passes_through(2.0, 1.0)
-        assert not line.passes_through(2.0, 1.5)
+        assert lines_strictly_below([line], 0.0, 1.0) == [0]
+        assert lines_strictly_above([line], 0.0, -1.0) == [0]
+        assert lines_strictly_below([line], 0.0, 0.0) == []
 
     def test_intersection_of_crossing_lines(self):
         a = Line2(1.0, 0.0)
@@ -42,10 +41,12 @@ class TestLine2:
     @given(slope=coords, intercept=coords, x=coords)
     @settings(max_examples=50, deadline=None)
     def test_point_on_line_is_neither_strictly_above_nor_below(self, slope, intercept, x):
-        line = Line2(slope, intercept)
-        y = line.y_at(x)
-        assert not line.is_below_point(x, y)
-        assert not line.is_above_point(x, y)
+        # The library's two forms of the test: the query's inclusive
+        # side and a cluster's strictly-below set.
+        y = Line2(slope, intercept).y_at(x)
+        assert LinearConstraint(coeffs=(slope,), offset=intercept).below((x, y))
+        assert not lines_below_point_fast(np.array([slope]),
+                                          np.array([intercept]), x, y)
 
 
 class TestPlane3:
@@ -54,9 +55,9 @@ class TestPlane3:
         assert plane.z_at(1.0, 1.0) == 6.0
 
     def test_below_above_point(self):
-        plane = Plane3(0.0, 0.0, 0.0)
-        assert plane.is_below_point(0.0, 0.0, 1.0)
-        assert plane.is_above_point(0.0, 0.0, -1.0)
+        plane = LinearConstraint(coeffs=(0.0, 0.0), offset=0.0)
+        assert not plane.below((0.0, 0.0, 1.0))
+        assert plane.below((0.0, 0.0, -1.0))
 
     def test_coefficients_roundtrip(self):
         plane = Plane3(1.5, -2.5, 0.25)
@@ -77,18 +78,6 @@ class TestHyperplane:
         assert hyperplane.point_below((5.0, 0.0))
         assert hyperplane.point_below((5.0, -1.0))
         assert not hyperplane.point_below((5.0, 1.0))
-
-    def test_as_line2_and_as_plane3(self):
-        assert Hyperplane((2.0,), 1.0).as_line2() == Line2(2.0, 1.0)
-        assert Hyperplane((1.0, 2.0), 3.0).as_plane3() == Plane3(1.0, 2.0, 3.0)
-
-    def test_as_line2_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            Hyperplane((1.0, 2.0), 0.0).as_line2()
-
-    def test_as_plane3_wrong_dimension(self):
-        with pytest.raises(ValueError):
-            Hyperplane((1.0,), 0.0).as_plane3()
 
 
 class TestLinearConstraint:

@@ -17,8 +17,9 @@ import pytest
 from conftest import brute_force_halfspace, wave_answers
 
 from repro import LinearConstraint, QueryEngine
-from repro.engine import (Catalog, ServingRequest, TenantBudget,
-                          render_prometheus)
+from repro.engine import ServingRequest, TenantBudget
+from repro.engine.catalog import Catalog
+from repro.engine.obs import render_prometheus
 from repro.engine.serving.admission import (
     AdmissionController,
     TokenBucket,
@@ -345,7 +346,7 @@ def test_follower_whose_deadline_passed_during_leader_is_expired(points2d):
     # must enforce its deadline: a follower that the leader outlived is
     # dropped as "expired", not reported "served" late.
     from concurrent.futures import Future
-    from repro.engine import ExecutionCore
+    from repro.engine.executor import ExecutionCore
     from repro.engine.executor import ExecutedQuery
     from repro.engine.serving.executor import AsyncExecutor
     from repro.io.store import IOStats

@@ -15,7 +15,8 @@ from conftest import (assert_replica_layout, brute_force_halfspace, rows,
                       wave_answers)
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
-from repro.engine import Catalog, ShardedPlan
+from repro.engine.catalog import Catalog
+from repro.engine.planner import ShardedPlan
 from repro.engine.cluster import ShardWorker
 from repro.engine.sharding import (
     HashShardRouter,

@@ -39,7 +39,7 @@ from conftest import EXACTLY_PRICED, STATEFUL
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.core import scalar_kernels
-from repro.engine import Catalog
+from repro.engine.catalog import Catalog
 
 #: The static kinds built beside "dynamic" (the write target): between
 #: them, every kind the catalog builds in the dimension.

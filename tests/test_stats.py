@@ -17,14 +17,9 @@ import pytest
 from conftest import brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
-from repro.engine import (
-    ConformalCalibrator,
-    Reservoir,
-    SelectivityModel,
-    ServingRequest,
-    ShardedPlan,
-    TenantBudget,
-)
+from repro.engine import ServingRequest, TenantBudget
+from repro.engine.planner import ShardedPlan
+from repro.engine.stats import ConformalCalibrator, Reservoir, SelectivityModel
 from repro.engine.metrics import q_error
 from repro.engine.serving import AdmissionController
 from repro.engine.serving.admission import scaled_count_estimate
@@ -609,10 +604,10 @@ def test_conformal_cold_start_returns_no_interval():
     assert calibrator.interval("d", 100) is None
     for i in range(31):
         calibrator.observe("d", 100 + i, 100)
-    assert not calibrator.ready("d")
+    assert calibrator.quantile("d") is None
     assert calibrator.interval("d", 100) is None
     calibrator.observe("d", 100, 100)
-    assert calibrator.ready("d")
+    assert calibrator.quantile("d") is not None
     low, high = calibrator.interval("d", 100)
     assert low <= 100 <= high
 

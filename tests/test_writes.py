@@ -11,7 +11,8 @@ import pytest
 from conftest import brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
-from repro.engine import Catalog, ServingRequest, TenantBudget
+from repro.engine import ServingRequest, TenantBudget
+from repro.engine.catalog import Catalog
 from repro.engine.writes import WritePath
 from repro.workloads import (
     halfspace_queries_with_selectivity,
