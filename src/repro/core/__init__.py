@@ -28,16 +28,8 @@ from repro.core.conjunction import (
     ConstraintConjunction,
     query_conjunction,
 )
-from repro.core.kernels import (
-    scalar_kernels,
-    set_vectorized,
-    vectorized_enabled,
-)
 
 __all__ = [
-    "scalar_kernels",
-    "set_vectorized",
-    "vectorized_enabled",
     "ExternalIndex",
     "QueryResult",
     "HalfplaneIndex2D",

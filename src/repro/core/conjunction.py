@@ -21,7 +21,7 @@ against an index:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,10 +76,6 @@ class ConstraintConjunction:
         if not all(constraint.below(point) for constraint in self.constraints):
             return False
         return all(halfspace.contains(point) for halfspace in self.extra_halfspaces)
-
-    def filter(self, points: Iterable[Sequence[float]]) -> List[Sequence[float]]:
-        """In-memory reference filter (ground truth for the tests)."""
-        return [point for point in points if self.satisfied_by(point)]
 
     def satisfied_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`satisfied_by`: a boolean mask over the rows.
@@ -137,10 +133,6 @@ def query_conjunction(index: ExternalIndex,
     if isinstance(index, (CellTreeIndex, DynamicPartitionTreeIndex)):
         return index.query(conjunction.to_polytope())
     candidates = index.query(conjunction.constraints[0])
-    if kernels.vectorized_enabled():
-        keep = conjunction.satisfied_many(candidates)
-    else:
-        keep = [conjunction.satisfied_by(point)
-                for point in candidates.tolist()]
+    keep = conjunction.satisfied_many(candidates)
     return kernels.answer_matrix((candidates.compress(keep, axis=0),),
                                  conjunction.dimension)

@@ -422,22 +422,8 @@ class HalfplaneIndex2D(ExternalIndex):
                       above_set: Optional[Set[float]] = None) -> Tuple[int, int]:
         """Read one cluster, report its below-lines, count above-lines."""
         cluster = layer.clusters[cluster_index]
-        if not kernels.vectorized_enabled():
-            below = 0
-            above = 0
-            for record in cluster.scan():
-                global_index, slope, intercept, __, __ = record
-                height = slope * query_x + intercept
-                if height <= query_y + EPS:
-                    below += 1
-                    reported.records.append(record)
-                else:
-                    above += 1
-                    if above_set is not None:
-                        above_set.add(global_index)
-            return below, above
-        # The cluster as one (n, 5) matrix; the height in the record
-        # loop's two roundings, product then sum.
+        # The cluster as one (n, 5) matrix; the height in two roundings,
+        # slope * x + intercept: product then sum.
         matrix = cluster.read_all_array()
         heights = matrix[:, 1] * query_x
         heights += matrix[:, 2]
@@ -459,30 +445,24 @@ def _layer_check(depth: int):
 
 
 class _Reported:
-    """The cluster records below one query's point, in the order read:
-    record tuples from the scalar loop, compressed matrices from the
-    vector scan.  A line lies in several clusters of its layer, so the
-    answer keeps the first record of each point number."""
+    """The cluster records below one query's point, as the compressed
+    matrices read, in order.  A line lies in several clusters of its
+    layer, so the answer keeps the first record of each point number."""
 
-    __slots__ = ("records", "matrices")
+    __slots__ = ("matrices",)
 
     def __init__(self) -> None:
-        self.records: List[tuple] = []
         self.matrices: List[np.ndarray] = []
 
     def points(self) -> np.ndarray:
         """The distinct points, in first-seen order, as the answer."""
-        first_seen: dict = {}
-        for record in self.records:
-            first_seen.setdefault(record[0], record[3:])
-        parts = [list(first_seen.values())]
-        if self.matrices:
-            matrix = np.concatenate(self.matrices)
-            __, first = np.unique(matrix[:, 0], return_index=True)
-            if len(first) < len(matrix):
-                first.sort()
-                matrix = matrix[first]
-            # Copied out: the answer does not pin the number, slope and
-            # intercept columns beside the two point columns.
-            parts.append(matrix[:, 3:])
-        return kernels.answer_matrix(parts, 2)
+        if not self.matrices:
+            return kernels.answer_matrix((), 2)
+        matrix = np.concatenate(self.matrices)
+        __, first = np.unique(matrix[:, 0], return_index=True)
+        if len(first) < len(matrix):
+            first.sort()
+            matrix = matrix[first]
+        # Copied out: the answer does not pin the number, slope and
+        # intercept columns beside the two point columns.
+        return kernels.answer_matrix((matrix[:, 3:],), 2)

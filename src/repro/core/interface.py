@@ -17,14 +17,12 @@ from __future__ import annotations
 import abc
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore, IOStats
-
-Point = Tuple[float, ...]
 
 
 @dataclass
@@ -164,10 +162,3 @@ class ExternalIndex(abc.ABC):
         with self._store.measured(clear_cache) as ios:
             points = self.query(constraint)
         return QueryResult(points=points, ios=ios)
-
-    def validate_against_scan(self, constraint: LinearConstraint,
-                              points: Sequence[Point]) -> bool:
-        """Check a query result against an in-memory scan (test helper)."""
-        expected = {tuple(point) for point in points if constraint.below(point)}
-        actual = set(map(tuple, self.query(constraint).tolist()))
-        return expected == actual

@@ -8,15 +8,18 @@ that second half.  A block is read in the one form it was stored in
 block is one read-only ``(n, d)`` float64 matrix, and the predicate is
 evaluated as a masked numpy expression over the whole matrix.  The I/O
 counters are untouched — the kernels consume exactly the block reads
-the scalar path would have issued, in the same order.
+a record-at-a-time loop would issue, in the same order.
 
 Parity is guaranteed, not approximate: the batch predicates
 (:meth:`LinearConstraint.below_many`, :meth:`Simplex.contains_many`)
-replay the scalar accumulation order coefficient by coefficient, so a
-point exactly on the boundary hyperplane resolves identically in both
-paths.  Any other block (mixed record types, ragged widths) arrives as
-its record list — the backend's write decided that, nothing here
-re-checks it — and takes the scalar fallback per block.
+replay the per-point accumulation order coefficient by coefficient, so
+a point exactly on the boundary hyperplane resolves as
+:meth:`LinearConstraint.below` resolves it.  Any other block (mixed
+record types, ragged widths) arrives as its record list — the backend's
+write decided that, nothing here re-checks it — and is filtered record
+by record.  There is one scan path; the record loops it replaced are the
+tests' oracle (``tests/scan_oracle.py``), which holds it to the same
+answers, row order, reads and pool hits.
 :func:`matrix_rows` is the one function that boxes matrix rows into
 tuples, here and in the store.
 
@@ -29,16 +32,11 @@ What a kernel selects stays a matrix: every index answers with one
 read-only C-contiguous ``(n, d)`` float64 matrix (:func:`answer_matrix`,
 ``(0, d)`` when empty), and the engine carries it to the socket as it
 is.
-
-A process-wide toggle (:func:`set_vectorized`, :func:`scalar_kernels`)
-forces the scalar path everywhere; the benchmark uses it to measure the
-speedup with identical I/O traces on both sides.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from typing import Any, List, Sequence
 
 import numpy as np
@@ -47,32 +45,6 @@ from repro.geometry.primitives import LinearConstraint
 from repro.io.block import POINT_DTYPE, matrix_to_records
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
-
-_VECTORIZED = True
-
-
-def set_vectorized(enabled: bool) -> bool:
-    """Enable/disable the vectorized kernels; returns the previous value."""
-    global _VECTORIZED
-    previous = _VECTORIZED
-    _VECTORIZED = bool(enabled)
-    return previous
-
-
-def vectorized_enabled() -> bool:
-    """True when the batch kernels are active (the default)."""
-    return _VECTORIZED
-
-
-@contextmanager
-def scalar_kernels():
-    """Context manager forcing the original record-at-a-time loops."""
-    previous = set_vectorized(False)
-    try:
-        yield
-    finally:
-        set_vectorized(previous)
-
 
 #: Matrix rows as plain-float tuples: the one row-boxing function (the
 #: store decodes a point block with it too), called by this name here.
@@ -238,14 +210,14 @@ def matrix_json(matrix: np.ndarray) -> bytes:
     Byte for byte ``json.dumps(matrix.tolist(), separators=(",", ":"))``
     — every number is the digits ``repr`` prints, so ``json.loads``
     gives back the identical doubles — and *is* that call for small
-    answers and under :func:`scalar_kernels`.  Larger ones are written
+    answers.  Larger ones are written
     :data:`_JSON_CHUNK` values at a time by array arithmetic
     (:func:`_json_chunk`) with no Python float per value; only values
     ``repr`` prints in exponent notation (``|x|`` outside ``[1e-4,
     1e16)``) are written one by one.  NaN and infinities raise the
     ``ValueError`` that ``allow_nan=False`` raises.
     """
-    if not _VECTORIZED or matrix.size < _JSON_CROSSOVER:
+    if matrix.size < _JSON_CROSSOVER:
         return json.dumps(matrix.tolist(), separators=(",", ":"),
                           allow_nan=False).encode("ascii")
     if not np.isfinite(matrix).all():
@@ -267,16 +239,14 @@ class DeferredScan:
     predicate runs once when the query ends.
 
     :meth:`add` / :meth:`add_blocks` fetch their blocks immediately
-    — the I/Os and their order are the record-at-a-time path's — and
+    — the I/Os and their order are a record-at-a-time loop's — and
     only queue the matrices; at the end they are stacked, ``keep_many``
     is evaluated once (the per-call numpy overhead dominates one-block
     scans), the rows queued unfiltered are forced to true and one
     masked matrix joins the answer.  Row order is visit order and the
     predicate is row-independent, so the mask is bit for bit the
     per-block one.  A non-columnar block ends the stack and is filtered
-    record by record in place.  With the kernels switched off
-    (:func:`scalar_kernels`) nothing is deferred: ``keep_one`` runs over
-    each block's records on the spot.  :meth:`flush` returns the answer;
+    record by record in place.  :meth:`flush` returns the answer;
     the records selected record by record become rows of it only there
     (:func:`answer_matrix`).
     """
@@ -306,10 +276,6 @@ class DeferredScan:
         """Read the blocks now, as one :meth:`BlockStore.read_run`; keep
         all rows of block ``i`` when ``kept[i]``, else those that pass
         the predicate."""
-        if not _VECTORIZED:
-            for block_id, keep in zip(block_ids, kept):
-                self._select(store.read(block_id), not keep)
-            return
         blocks = store.read_run(block_ids)
         if all(isinstance(block, np.ndarray) for block in blocks):
             self._pending += blocks
@@ -363,9 +329,8 @@ def filter_constraint(array: DiskArray,
     """All records of ``array`` satisfying ``constraint``, as an answer
     matrix.
 
-    The batch analogue of ``[r for r in array.scan() if
-    constraint.below(r)]`` with identical I/O charging and identical
-    results (order preserved).
+    One block read per block of ``array``, in order, and the records
+    :meth:`LinearConstraint.below` keeps, in record order.
     """
     scan = DeferredScan(constraint.dimension, constraint.below,
                         constraint.below_many)

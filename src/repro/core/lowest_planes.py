@@ -51,7 +51,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.geometry.envelope3d import default_domain, nested_envelopes
 from repro.geometry.point_location import (LOCATE_SLACK,
                                           ExternalPointLocator,
@@ -319,13 +318,8 @@ class LowestPlanesIndex:
         records ``[start, stop)`` of ``array``, read as one run."""
         if start == stop:
             return np.empty(0, dtype=np.intp), np.empty(0)
-        if not kernels.vectorized_enabled():
-            numbers, heights = [], []
-            for number, a, b, c in array.read_range(start, stop):
-                numbers.append(number)
-                heights.append(a * x + b * y + c)
-            return np.array(numbers, dtype=np.intp), np.array(heights)
-        # The record loop's three roundings: products, their sum, plus c.
+        # Three roundings per plane, a * x + b * y + c: products, their
+        # sum, plus c.
         rows = array.read_range_array(start, stop)
         heights = rows[:, 1] * x
         heights += rows[:, 2] * y

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex
-from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
+from repro.geometry.boxes import (CELL_RELATIONS, CellRelation,
                                   classify_boxes_halfspace)
 from repro.geometry.partitions import (PartitionNode, Partitioner,
                                        median_cut_hierarchy,
@@ -154,22 +154,9 @@ def encode_cells(child_ids: Sequence[int], corners: np.ndarray) -> np.ndarray:
     return np.column_stack((np.asarray(child_ids, dtype=float), corners))
 
 
-def scan_cells(child_table: DiskArray
-               ) -> Iterator[Tuple[int, Tuple[float, ...], Tuple[float, ...]]]:
-    """``(child_id, lower, upper)`` per table record, one block read at
-    a time: the record-at-a-time reader."""
-    for record in child_table.scan():
-        split = (len(record) + 1) // 2
-        yield int(record[0]), record[1:split], record[split:]
-
-
 def scan_child_ids(child_table: DiskArray) -> Iterator[List[int]]:
     """The child ids of the table's records (an unfiltered report looks
     at no box), one list per block read."""
-    if not kernels.vectorized_enabled():
-        for child_id, __, __ in scan_cells(child_table):
-            yield [child_id]
-        return
     for matrix in child_table.scan_batches():
         yield matrix[:, 0].astype(np.intp).tolist()
 
@@ -187,23 +174,11 @@ def classify_cells(child_table: DiskArray, region: Region
 
     Lazy, one table block at a time — a caller that descends into the
     cells of one block before asking for the next reads blocks in the
-    order the record-at-a-time loop does — and each block is classified
+    order a record-at-a-time loop does — and each block is classified
     in one :func:`classify_boxes_halfspace` or
-    :meth:`Simplex.classify_boxes` call.  Under
-    :func:`kernels.scalar_kernels` it is that loop, a cell at a time.
+    :meth:`Simplex.classify_boxes` call.
     """
     polytope = isinstance(region, Simplex)
-    if not kernels.vectorized_enabled():
-        for child_id, lower, upper in scan_cells(child_table):
-            box = Box(lower, upper)
-            relation = box.classify_halfspace(region.hyperplane) \
-                if not polytope else CellRelation.ABOVE \
-                if region.certainly_disjoint_from_box(box) else \
-                CellRelation.BELOW if region.contains_box(box) else \
-                CellRelation.CROSSES
-            if relation is not CellRelation.ABOVE:
-                yield [(child_id, relation)]
-        return
     for matrix in child_table.scan_batches():
         split = (matrix.shape[1] + 1) // 2
         lowers, uppers = matrix[:, 1:split], matrix[:, split:]

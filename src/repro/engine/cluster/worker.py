@@ -36,7 +36,6 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernels import vectorized_enabled
 from repro.engine.catalog import ReplicaRecipe, build_replicas
 from repro.engine.cluster import protocol
 from repro.engine.writes import apply_mutation
@@ -146,7 +145,6 @@ class ShardWorker:
                     "replica": self.dataset.name,
                     "ios": ios.total,
                     "cache_hits": ios.cache_hits,
-                    "vectorized": vectorized_enabled(),
                 },
             }
         return response

@@ -41,7 +41,7 @@ import numpy as np
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
-from repro.core.kernels import answer_matrix, vectorized_enabled
+from repro.core.kernels import answer_matrix
 from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.metrics import EngineStats, ServedQueryRecord, q_error
 from repro.engine.planner import Plan, Planner, ShardedPlan
@@ -455,7 +455,6 @@ class ExecutionCore:
                 reported=len(outcome.points),
                 q_error=round(q_error(plan.expected_output,
                                       len(outcome.points)), 3),
-                vectorized=vectorized_enabled(),
                 **outcome.index_detail,
                 **outcome.replica.store.span_attributes(ios))
             span.started_s = outcome.started_s

@@ -185,14 +185,6 @@ class LinearConstraint:
         """True if ``point`` satisfies the constraint (lies on/below the plane)."""
         return self.hyperplane.point_below(point)
 
-    def filter(self, points) -> list:
-        """Return the subset of ``points`` satisfying the constraint.
-
-        This in-memory helper is the ground truth the test-suite compares
-        every index against.
-        """
-        return [p for p in points if self.below(p)]
-
     def below_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`below`: a boolean mask over an ``(n, d)`` matrix.
 

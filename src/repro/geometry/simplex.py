@@ -4,8 +4,9 @@ The paper defines a d-dimensional simplex as the intersection of ``d + 1``
 halfspaces; the linear-size partition tree can report the points inside such
 a simplex within the same I/O bound as a halfspace query.  This module
 provides the simplex object used by that query path — every cell tree's
-one walk — including the cell-vs-simplex tests the walk needs: a box at a
-time (the scalar oracle) and a table block of boxes in one call.
+one walk — including the cell-vs-simplex test the walk needs, a table
+block of boxes in one call (the box-at-a-time tests are the tests'
+oracle, ``tests/geometry_oracle.py``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.boxes import Box
 from repro.geometry.primitives import EPS
 
 
@@ -43,17 +43,6 @@ class Halfspace:
                 break
             values += coefficient * points[:, index]
         return values <= self.offset + EPS
-
-    def excludes_box(self, box: Box) -> bool:
-        """True if no point of ``box`` satisfies the halfspace (exact test).
-
-        The minimum of ``normal . x`` over an axis-aligned box is attained
-        corner-wise, so the test picks the minimising corner directly.
-        """
-        minimum = 0.0
-        for coefficient, low, high in zip(self.normal, box.lower, box.upper):
-            minimum += coefficient * (low if coefficient >= 0 else high)
-        return minimum > self.offset + EPS
 
 
 @dataclass(frozen=True)
@@ -118,33 +107,20 @@ class Simplex:
         mask[indices] = True
         return mask
 
-    def contains_box(self, box: Box) -> bool:
-        """Exact test: every point of ``box`` lies inside the simplex."""
-        return all(self.contains(corner) for corner in box.corners())
-
-    def certainly_disjoint_from_box(self, box: Box) -> bool:
-        """Conservative test: some facet halfspace excludes the whole box.
-
-        True certifies disjointness; False means "maybe intersects" and the
-        traversal recurses (correct, possibly slightly slower).
-        """
-        return any(halfspace.excludes_box(box)
-                   for halfspace in self.halfspaces)
-
     def classify_boxes(self, lowers: np.ndarray,
                        uppers: np.ndarray) -> np.ndarray:
-        """:meth:`certainly_disjoint_from_box` and :meth:`contains_box`
-        for n boxes at once, as :data:`~repro.geometry.boxes.CELL_RELATIONS`
-        codes: ABOVE when some facet excludes the box, BELOW when every
-        facet contains it, else CROSSES.
+        """Relate n boxes to the polytope at once, as
+        :data:`~repro.geometry.boxes.CELL_RELATIONS` codes: ABOVE when
+        some facet excludes the box, BELOW when every facet contains it
+        (every corner passes :meth:`contains`), else CROSSES.
 
         ``lowers`` / ``uppers`` are ``(n, d)`` corner matrices.  Per
         facet, two folds stand in for the 2^d corners (IEEE multiply and
         add are monotone): the least ``normal . x`` over a box is at the
         corner taking ``lower_i`` where ``normal_i >= 0`` else
         ``upper_i``, the greatest at the opposite one.  Both replay the
-        scalar accumulation one coefficient at a time, so a box touching
-        a facet resolves as the two scalar tests resolve it.
+        per-corner accumulation one coefficient at a time, so a box
+        touching a facet resolves as a corner-by-corner test resolves it.
         """
         count = lowers.shape[0]
         excluded = np.zeros(count, dtype=bool)
@@ -160,7 +136,3 @@ class Simplex:
             excluded |= least > bound
             inside &= most <= bound
         return np.add(~excluded, ~(excluded | inside), dtype=np.int8)
-
-    def filter(self, points: Sequence[Sequence[float]]) -> List[Sequence[float]]:
-        """In-memory reference filter used by the tests."""
-        return [point for point in points if self.contains(point)]

@@ -85,8 +85,8 @@ def matrix_to_records(matrix: np.ndarray) -> List[Tuple[float, ...]]:
     """The rows of a float64 matrix as tuples of Python floats.
 
     ``tolist`` converts to builtin floats in one pass, so the tuples are
-    JSON-serializable and compare equal (``==``, ``hash``) to the ones
-    the scalar paths build.
+    JSON-serializable and compare equal (``==``, ``hash``) to the record
+    tuples a caller writes.
     """
     return list(map(tuple, matrix.tolist()))
 

@@ -138,32 +138,20 @@ class BTree:
     # ------------------------------------------------------------------
     # searching
     # ------------------------------------------------------------------
-    def _descend_to_leaf(self, key: Any) -> Optional[BlockId]:
-        """Return the leaf block that would contain ``key`` (or None)."""
-        if self._root is None:
-            return None
-        node_id = self._root
-        while True:
-            kind, __, entries = self._read_node(node_id)
-            if kind == _LEAF:
-                return node_id
-            keys = [entry[0] for entry in entries]
-            index = bisect.bisect_right(keys, key) - 1
-            if index < 0:
-                index = 0
-            node_id = entries[index][1]
-
     def predecessor(self, key: Any) -> Optional[Tuple[Any, Any]]:
         """Return the (key, value) with the largest key <= ``key``.
 
         This is the primitive the 2-D structure uses to locate the cluster
         relevant for a query point: one root-to-leaf descent, ``height``
-        reads.
+        reads, each node read once.
         """
-        leaf_id = self._descend_to_leaf(key)
-        if leaf_id is None:
+        if self._root is None:
             return None
-        __, __, entries = self._read_node(leaf_id)
+        kind, __, entries = self._read_node(self._root)
+        while kind != _LEAF:
+            keys = [entry[0] for entry in entries]
+            index = max(bisect.bisect_right(keys, key) - 1, 0)
+            kind, __, entries = self._read_node(entries[index][1])
         best: Optional[Tuple[Any, Any]] = None
         for entry_key, value in entries:
             if entry_key <= key:

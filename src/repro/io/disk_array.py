@@ -68,9 +68,6 @@ class DiskArray:
     def __len__(self) -> int:
         return self._length
 
-    def __iter__(self) -> Iterator[Any]:
-        return self.scan()
-
     @property
     def store(self) -> BlockStore:
         """The block store this array lives on."""
@@ -139,33 +136,22 @@ class DiskArray:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def scan(self) -> Iterator[Any]:
-        """Yield all records front to back, one block read at a time."""
-        return self._store.scan(self._block_ids)
-
     def scan_batches(self) -> Iterator[StoredBlock]:
-        """Yield each block in its stored form, front to back.
-
-        The batch analogue of :meth:`scan`: identical I/O charging (one
-        read or cache hit per block), but point blocks arrive as
-        contiguous read-only ``(n, d)`` matrices ready for the vectorized
-        kernels (any other block as its read-only record list).  Lazy —
-        block ``i + 1`` is read when the caller asks for it — which is
-        what a table walk's read order rests on; a caller that wants
-        every block anyway uses :meth:`BlockStore.read_run`.
+        """Yield each block in its stored form, front to back: one read
+        or cache hit per block, a point block as its contiguous
+        read-only ``(n, d)`` matrix (any other block as its read-only
+        record list).  Lazy — block ``i + 1`` is read when the caller
+        asks for it — which is what a table walk's read order rests on;
+        a caller that wants every block anyway uses
+        :meth:`BlockStore.read_run`.
         """
         return map(self._store.read_payload, self._block_ids)
 
-    def read_all(self) -> List[Any]:
-        """Read the whole array into memory (⌈N/B⌉ read I/Os)."""
-        return self._store.read_many(self._block_ids)
-
     def read_all_array(self) -> Optional[np.ndarray]:
-        """Read the whole array as one stacked ``(N, d)`` float64 matrix.
-
-        Charges the same ⌈N/B⌉ I/Os as :meth:`read_all`.  Returns None
-        when any block is non-columnar (mixed records, width mismatch)
-        or the array is empty — callers fall back to :meth:`read_all`.
+        """Read the whole array as one stacked ``(N, d)`` float64 matrix
+        (⌈N/B⌉ reads or pool hits, one per block, in order).  Returns
+        None when any block is non-columnar (mixed records, width
+        mismatch) or the array is empty.
         """
         matrices = self._store.read_run(self._block_ids)
         if not matrices or not all(isinstance(block, np.ndarray)
@@ -178,12 +164,9 @@ class DiskArray:
             return None
         return np.concatenate(matrices, axis=0)
 
-    def read_block(self, index: int) -> List[Any]:
-        """Read the records of the ``index``-th block (one I/O)."""
-        return self._store.read(self._block_ids[index])
-
     def __getitem__(self, position: int) -> Any:
-        """Random access to one record (one block read)."""
+        """Random access to one record (one block read).  Iterating an
+        array goes through here: one block read per record."""
         if position < 0:
             position += self._length
         if not 0 <= position < self._length:
@@ -192,35 +175,13 @@ class DiskArray:
         block_index, offset = divmod(position, B)
         return self._store.read(self._block_ids[block_index])[offset]
 
-    def read_range(self, start: int, stop: int) -> List[Any]:
-        """Read records in ``[start, stop)`` touching only the needed blocks.
-
-        Exactly ``last_block - first_block + 1`` block reads; the first
-        and last blocks are sliced to the requested offsets instead of
-        concatenating every covered record and slicing afterwards.
-        """
-        if start < 0 or stop > self._length or start > stop:
-            raise IndexError("invalid range [%d, %d) for length %d"
-                             % (start, stop, self._length))
-        if start == stop:
-            return []
-        B = self._store.block_size
-        first_block = start // B
-        last_block = (stop - 1) // B
-        records: List[Any] = []
-        for block_index in range(first_block, last_block + 1):
-            block = self._store.read(self._block_ids[block_index])
-            lo = start - block_index * B if block_index == first_block else 0
-            hi = stop - block_index * B if block_index == last_block else len(block)
-            records.extend(block[lo:hi] if (lo, hi) != (0, len(block)) else block)
-        return records
-
     def read_range_array(self, start: int, stop: int) -> np.ndarray:
         """Records ``[start, stop)`` of a columnar array as one matrix.
 
-        The blocks :meth:`read_range` touches, charged the same, read as
-        one :meth:`BlockStore.read_run`; a view when one block holds the
-        range.  ``start < stop``, and every block must be columnar.
+        Only the blocks the range touches, ``last - first + 1`` of them,
+        read as one :meth:`BlockStore.read_run`; a view when one block
+        holds the range.  ``start < stop``, and every block must be
+        columnar.
         """
         B = self._store.block_size
         first_block = start // B

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -356,19 +356,6 @@ class BlockStore:
         for pair in zip(block_ids[skip:], blocks[skip:]):
             self._cache.put(*pair)
         self.stats.writes += len(blocks)
-
-    def read_many(self, block_ids: Iterable[BlockId]) -> List[Any]:
-        """Read several blocks and concatenate their records in order."""
-        out: List[Any] = []
-        for block_id in block_ids:
-            out.extend(self.read(block_id))
-        return out
-
-    def scan(self, block_ids: Iterable[BlockId]) -> Iterator[Any]:
-        """Yield records from the given blocks one block-read at a time."""
-        for block_id in block_ids:
-            for record in self.read(block_id):
-                yield record
 
     # ------------------------------------------------------------------
     # accounting helpers

@@ -5,14 +5,21 @@ The line envelopes cross-check the k-level walk (the 0-level and the
 primal-point inverses check the duality transform's round trips;
 ``is_balanced`` checks the balance condition of a simplicial partition
 (Theorem 5.1); ``relevant_cluster_index`` is the linear scan the boundary
-B-tree of the planar structure replaces.
+B-tree of the planar structure replaces.  ``filter_points`` is the
+in-memory ground truth every index answer is checked against, and the
+box-at-a-time polytope tests are what ``Simplex.classify_boxes`` folds
+into one call per table block (the scan oracle's ``classify_cells``).
 """
 
 from typing import List, Sequence, Tuple
 
 from repro.core.clustering import Cluster
+from repro.core.conjunction import ConstraintConjunction
+from repro.geometry.boxes import Box
 from repro.geometry.partitions import PartitionCell
-from repro.geometry.primitives import EPS, Hyperplane, Line2, Plane3
+from repro.geometry.primitives import (EPS, Hyperplane, Line2,
+                                       LinearConstraint, Plane3)
+from repro.geometry.simplex import Halfspace, Simplex
 
 
 def lower_envelope(lines: Sequence[Line2]) -> List[Tuple[int, float, float]]:
@@ -141,3 +148,51 @@ def relevant_cluster_index(clusters: Sequence[Cluster], x: float) -> int:
         if cluster.covers(x):
             return index
     return len(clusters) - 1
+
+
+#: The per-point test of each query shape.
+_KEEPS = {LinearConstraint: LinearConstraint.below,
+          Simplex: Simplex.contains,
+          ConstraintConjunction: ConstraintConjunction.satisfied_by}
+
+
+def filter_points(query, points) -> list:
+    """The points a constraint, polytope or conjunction keeps, in order."""
+    keep = _KEEPS[type(query)]
+    return [point for point in points if keep(query, point)]
+
+
+def validate_against_scan(index, constraint: LinearConstraint,
+                          points) -> bool:
+    """Whether ``index`` answers ``constraint`` with the set of
+    ``points`` an in-memory scan keeps."""
+    expected = {tuple(point) for point in points if constraint.below(point)}
+    actual = set(map(tuple, index.query(constraint).tolist()))
+    return expected == actual
+
+
+def excludes_box(halfspace: Halfspace, box: Box) -> bool:
+    """True if no point of ``box`` satisfies the halfspace (exact test).
+
+    The minimum of ``normal . x`` over an axis-aligned box is attained
+    corner-wise, so the test picks the minimising corner directly.
+    """
+    minimum = 0.0
+    for coefficient, low, high in zip(halfspace.normal, box.lower, box.upper):
+        minimum += coefficient * (low if coefficient >= 0 else high)
+    return minimum > halfspace.offset + EPS
+
+
+def contains_box(simplex: Simplex, box: Box) -> bool:
+    """Exact test: every point of ``box`` lies inside the simplex."""
+    return all(simplex.contains(corner) for corner in box.corners())
+
+
+def certainly_disjoint_from_box(simplex: Simplex, box: Box) -> bool:
+    """Conservative test: some facet halfspace excludes the whole box.
+
+    True certifies disjointness; False means "maybe intersects" and the
+    traversal recurses (correct, possibly slightly slower).
+    """
+    return any(excludes_box(halfspace, box)
+               for halfspace in simplex.halfspaces)

@@ -1,0 +1,198 @@
+"""The record-at-a-time scan loops, kept as the batch kernels' oracle.
+
+Every index reads a block and filters it in one way: a block in its
+stored form (a point block as a read-only float64 matrix) and a masked
+numpy predicate over it (``repro.core.kernels``).  The loops here are
+what those kernels replaced: one block read at a time, one record at a
+time, the per-point predicate on each.  They read the same blocks in the
+same order, so answers, row order, reads and pool hits must agree.
+
+:func:`scalar_kernels` patches them in, for the ``with`` block, in place
+of the five batch readers (``partition_tree.classify_cells`` /
+``scan_child_ids``, ``DeferredScan.add_blocks``,
+``HalfplaneIndex2D._scan_cluster``, ``LowestPlanesIndex._heights_along``)
+and of the conjunction mask ``ConstraintConjunction.satisfied_many``.
+The record readers below (``scan``, ``read_all``, ``read_range``, ...)
+are the loops' block reads, one ``store.read`` per block.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
+import pytest
+
+from repro.core import partition_tree
+from repro.core.conjunction import ConstraintConjunction
+from repro.core.halfplane2d import HalfplaneIndex2D
+from repro.core.kernels import DeferredScan
+from repro.core.lowest_planes import LowestPlanesIndex
+from repro.geometry.boxes import Box, CellRelation
+from repro.geometry.primitives import EPS
+from repro.geometry.simplex import Simplex
+
+from geometry_oracle import certainly_disjoint_from_box, contains_box
+
+
+# ----------------------------------------------------------------------
+# record readers: one store.read per block
+# ----------------------------------------------------------------------
+def store_scan(store, block_ids) -> Iterator[Any]:
+    """Yield records from the given blocks one block-read at a time."""
+    for block_id in block_ids:
+        for record in store.read(block_id):
+            yield record
+
+
+def read_many(store, block_ids) -> List[Any]:
+    """Read several blocks and concatenate their records in order."""
+    out: List[Any] = []
+    for block_id in block_ids:
+        out.extend(store.read(block_id))
+    return out
+
+
+def scan(array) -> Iterator[Any]:
+    """Yield all records of a ``DiskArray`` front to back, one block
+    read at a time."""
+    return store_scan(array.store, array.block_ids)
+
+
+def read_all(array) -> List[Any]:
+    """Read the whole array into memory (⌈N/B⌉ read I/Os)."""
+    return read_many(array.store, array.block_ids)
+
+
+def read_block(array, index: int) -> List[Any]:
+    """Read the records of the ``index``-th block (one I/O)."""
+    return array.store.read(array.block_ids[index])
+
+
+def read_range(array, start: int, stop: int) -> List[Any]:
+    """Read records in ``[start, stop)`` touching only the needed blocks:
+    exactly ``last_block - first_block + 1`` block reads."""
+    if start < 0 or stop > len(array) or start > stop:
+        raise IndexError("invalid range [%d, %d) for length %d"
+                         % (start, stop, len(array)))
+    if start == stop:
+        return []
+    store, block_ids = array.store, array.block_ids
+    B = store.block_size
+    first_block = start // B
+    last_block = (stop - 1) // B
+    records: List[Any] = []
+    for block_index in range(first_block, last_block + 1):
+        block = store.read(block_ids[block_index])
+        lo = start - block_index * B if block_index == first_block else 0
+        hi = stop - block_index * B if block_index == last_block else len(block)
+        records.extend(block[lo:hi] if (lo, hi) != (0, len(block)) else block)
+    return records
+
+
+# ----------------------------------------------------------------------
+# the scan loops
+# ----------------------------------------------------------------------
+def scan_cells(child_table) -> Iterator[Tuple[int, Tuple[float, ...],
+                                             Tuple[float, ...]]]:
+    """``(child_id, lower, upper)`` per table record, one block read at
+    a time."""
+    for record in scan(child_table):
+        split = (len(record) + 1) // 2
+        yield int(record[0]), record[1:split], record[split:]
+
+
+def scan_child_ids(child_table) -> Iterator[List[int]]:
+    """``partition_tree.scan_child_ids``, a record at a time."""
+    for child_id, __, __ in scan_cells(child_table):
+        yield [child_id]
+
+
+def classify_cells(child_table, region
+                   ) -> Iterator[List[Tuple[int, CellRelation]]]:
+    """``partition_tree.classify_cells``, a cell at a time: the corner
+    tests of :meth:`Box.classify_halfspace` for a constraint, the
+    box-at-a-time polytope tests for a :class:`Simplex`."""
+    polytope = isinstance(region, Simplex)
+    for child_id, lower, upper in scan_cells(child_table):
+        box = Box(lower, upper)
+        relation = box.classify_halfspace(region.hyperplane) \
+            if not polytope else CellRelation.ABOVE \
+            if certainly_disjoint_from_box(region, box) else \
+            CellRelation.BELOW if contains_box(region, box) else \
+            CellRelation.CROSSES
+        if relation is not CellRelation.ABOVE:
+            yield [(child_id, relation)]
+
+
+def add_blocks(self, store, block_ids, kept) -> None:
+    """``DeferredScan.add_blocks`` with nothing deferred: each block is
+    read on its own and ``keep_one`` runs over its records on the spot."""
+    for block_id, keep in zip(block_ids, kept):
+        self._select(store.read(block_id), not keep)
+
+
+def scan_cluster(self, layer, cluster_index: int, query_x: float,
+                 query_y: float, reported,
+                 above_set: Optional[Set[float]] = None) -> Tuple[int, int]:
+    """``HalfplaneIndex2D._scan_cluster``, a record at a time; the
+    below-records join the answer as one matrix per cluster."""
+    cluster = layer.clusters[cluster_index]
+    below = 0
+    above = 0
+    records = []
+    for record in scan(cluster):
+        global_index, slope, intercept, __, __ = record
+        height = slope * query_x + intercept
+        if height <= query_y + EPS:
+            below += 1
+            records.append(record)
+        else:
+            above += 1
+            if above_set is not None:
+                above_set.add(global_index)
+    if records:
+        reported.matrices.append(np.array(records, dtype=np.float64))
+    return below, above
+
+
+def heights_along(self, array, start: int, stop: int, x: float,
+                  y: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``LowestPlanesIndex._heights_along``, a record at a time."""
+    if start == stop:
+        return np.empty(0, dtype=np.intp), np.empty(0)
+    numbers, heights = [], []
+    for number, a, b, c in read_range(array, start, stop):
+        numbers.append(number)
+        heights.append(a * x + b * y + c)
+    return np.array(numbers, dtype=np.intp), np.array(heights)
+
+
+def satisfied_rows(self, points: np.ndarray) -> np.ndarray:
+    """``ConstraintConjunction.satisfied_many`` as a row loop over
+    :meth:`ConstraintConjunction.satisfied_by`."""
+    return np.array([self.satisfied_by(point) for point in points.tolist()],
+                    dtype=bool)
+
+
+#: What :func:`scalar_kernels` swaps in: (owner, attribute, oracle).
+ORACLES = (
+    (partition_tree, "classify_cells", classify_cells),
+    (partition_tree, "scan_child_ids", scan_child_ids),
+    (DeferredScan, "add_blocks", add_blocks),
+    (HalfplaneIndex2D, "_scan_cluster", scan_cluster),
+    (LowestPlanesIndex, "_heights_along", heights_along),
+    (ConstraintConjunction, "satisfied_many", satisfied_rows),
+)
+
+
+@contextmanager
+def scalar_kernels() -> Iterator[None]:
+    """Run the ``with`` block on the record loops above instead of the
+    batch kernels; nested blocks are fine, and everything is restored on
+    exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name, oracle in ORACLES:
+            patch.setattr(owner, name, oracle)
+        yield

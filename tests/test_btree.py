@@ -89,7 +89,7 @@ class TestSearch:
                                 items=[(i, i) for i in range(2000)])
         store.reset_stats()
         assert tree.predecessor(1234) == (1234, 1234)
-        assert store.stats.reads <= tree.height + 1
+        assert store.stats.reads == tree.height
 
 
 class TestCheckInvariants:

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import observable, replayed, rows
+from scan_oracle import read_all, read_range, scalar_kernels, store_scan
 from repro.baselines.full_scan import FullScanIndex
-from repro.core import scalar_kernels
 from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.engine.catalog import INDEX_KINDS
@@ -181,7 +181,7 @@ def test_a_disk_array_from_a_matrix_grows_like_any_other(rows):
         array.check_invariants()
     assert len(arrays[0]) == len(arrays[1]) == rows + 5
     assert arrays[0].block_ids == arrays[1].block_ids
-    assert repr(arrays[0].read_all()) == repr(arrays[1].read_all())
+    assert repr(read_all(arrays[0])) == repr(read_all(arrays[1]))
     assert np.array_equal(arrays[0].read_all_array(),
                           arrays[1].read_all_array())
     assert observable(stores[0]) == observable(stores[1])
@@ -204,9 +204,9 @@ def test_a_stored_coordinate_is_a_float_on_every_backend(backend, scalar,
         def views():
             leaf = next(node for node in tree._nodes if node.is_leaf)
             yield store.read(leaf.points_array.block_ids[0])
-            yield list(store.scan(array.block_ids))
-            yield array.read_all()
-            yield array.read_range(3, 21)
+            yield list(store_scan(store, array.block_ids))
+            yield read_all(array)
+            yield read_range(array, 3, 21)
             yield [array[17]]
             yield rows(tree.query(constraint))
 
@@ -223,7 +223,7 @@ def test_a_stored_coordinate_is_a_float_on_every_backend(backend, scalar,
                 for record in records:
                     assert type(record) is tuple
                     assert all(type(c) is float for c in record)
-        assert sorted(array.read_all()) == sorted(map(tuple,
+        assert sorted(read_all(array)) == sorted(map(tuple,
                                                       points.tolist()))
     finally:
         store.close()

@@ -15,11 +15,12 @@ from repro import (
     query_conjunction,
 )
 from repro.baselines import FullScanIndex
-from repro.core import scalar_kernels
 from repro.io.store import BlockStore
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
 from conftest import assert_answer, brute_force_halfspace, rows
+from geometry_oracle import filter_points
+from scan_oracle import read_all, scalar_kernels
 
 
 class TestConstraintConjunction:
@@ -84,7 +85,7 @@ class TestConstraintConjunction:
     def test_filter_reference_helper(self):
         conjunction = self.build_conjunction()
         points = [(0.0, 0.0), (0.0, 0.45)]
-        assert conjunction.filter(points) == [(0.0, 0.0)]
+        assert filter_points(conjunction, points) == [(0.0, 0.0)]
 
 
 class TestDynamicPartitionTree:
@@ -197,7 +198,7 @@ class TestDynamicPartitionTree:
         index.insert(victims[0])                 # resurrects a tree copy
         assert index.tombstoned == 2
         assert len(index._tombstone_array) == 2  # disk matches the set
-        assert sorted(index._tombstone_array.read_all()) == \
+        assert sorted(read_all(index._tombstone_array)) == \
             sorted(victims[1:])
         index.insert(victims[1])
         index.insert(victims[2])

@@ -25,12 +25,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import QuadTreeIndex, RTreeIndex
 from repro.core import (DynamicPartitionTreeIndex, HalfplaneIndex2D,
-                        PartitionTreeIndex, ShallowPartitionTreeIndex,
-                        scalar_kernels)
+                        PartitionTreeIndex, ShallowPartitionTreeIndex)
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import FileBackend
 from repro.io.store import BlockStore
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
+
+from scan_oracle import scalar_kernels
 
 SHAPES = ["uniform", "duplicates", "collinear", "grid", "below_b", "empty"]
 #: The static cell trees of ``conftest.EXACTLY_PRICED``: each kind's

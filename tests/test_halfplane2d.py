@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import scalar_kernels
 from repro.core.halfplane2d import HalfplaneIndex2D, default_beta
 from repro.geometry.primitives import LinearConstraint
 from repro.workloads import (
@@ -18,6 +17,7 @@ from repro.workloads import (
 )
 
 from conftest import assert_answer, brute_force_halfspace, rows
+from scan_oracle import scalar_kernels
 
 
 def built(*args, **kwargs):

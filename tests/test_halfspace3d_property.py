@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines.full_scan import FullScanIndex
 from repro.core.halfspace3d import HalfspaceIndex3D
-from repro.core.kernels import scalar_kernels
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry import envelope3d
 from repro.geometry.duality import dual_plane_of_point
@@ -35,6 +34,7 @@ from repro.geometry.primitives import LinearConstraint
 from repro.workloads import uniform_points, uniform_points_ball
 
 from conftest import rows
+from scan_oracle import scalar_kernels
 
 FAMILIES = ("cube", "ball", "paraboloid", "duplicated")
 

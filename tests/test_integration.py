@@ -30,6 +30,7 @@ from repro.workloads import (
 )
 
 from conftest import brute_force_halfspace
+from geometry_oracle import validate_against_scan
 
 
 class TestCrossStructureAgreement2D:
@@ -107,7 +108,8 @@ class TestSharedStoreAndBlockSizes:
         points = uniform_points(500, seed=18)
         index = HalfplaneIndex2D(points, block_size=32, seed=19)
         constraint = halfspace_queries_with_selectivity(points, 1, 0.15, seed=20)[0]
-        assert index.validate_against_scan(constraint, [tuple(p) for p in points])
+        assert validate_against_scan(index, constraint,
+                                     [tuple(p) for p in points])
 
 
 class TestPackageAPI:

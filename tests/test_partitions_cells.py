@@ -25,7 +25,8 @@ from repro.geometry.primitives import EPS, Hyperplane
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.workloads import uniform_points
 
-from geometry_oracle import is_balanced
+from geometry_oracle import (certainly_disjoint_from_box, contains_box,
+                             excludes_box, filter_points, is_balanced)
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -160,9 +161,8 @@ class TestClassifyBoxes:
     @given(cells_and_polytope())
     def test_polytope_folds_equal_the_scalar_tests(self, case):
         """ABOVE when some facet excludes the box, BELOW when every facet
-        contains it, else CROSSES: box by box, the scalar oracle's
-        :meth:`Simplex.certainly_disjoint_from_box` then
-        :meth:`Simplex.contains_box`."""
+        contains it, else CROSSES: box by box, the oracle's
+        ``certainly_disjoint_from_box`` then ``contains_box``."""
         lowers, uppers, polytope = case
         codes = polytope.classify_boxes(np.array(lowers), np.array(uppers))
         expected = []
@@ -170,8 +170,8 @@ class TestClassifyBoxes:
             box = Box(lower, upper)
             expected.append(
                 CellRelation.ABOVE
-                if polytope.certainly_disjoint_from_box(box) else
-                CellRelation.BELOW if polytope.contains_box(box) else
+                if certainly_disjoint_from_box(polytope, box) else
+                CellRelation.BELOW if contains_box(polytope, box) else
                 CellRelation.CROSSES)
         assert [CELL_RELATIONS[code] for code in codes.tolist()] == expected
 
@@ -191,8 +191,8 @@ class TestSimplex:
         halfspace = Halfspace(normal=(1.0, 0.0), offset=1.0)   # x <= 1
         assert halfspace.contains((0.5, 3.0))
         assert not halfspace.contains((2.0, 0.0))
-        assert halfspace.excludes_box(Box((2.0, 0.0), (3.0, 1.0)))
-        assert not halfspace.excludes_box(Box((0.0, 0.0), (3.0, 1.0)))
+        assert excludes_box(halfspace, Box((2.0, 0.0), (3.0, 1.0)))
+        assert not excludes_box(halfspace, Box((0.0, 0.0), (3.0, 1.0)))
 
     def test_triangle_from_vertices(self):
         triangle = Simplex.from_vertices_2d([(0, 0), (2, 0), (0, 2)])
@@ -206,19 +206,21 @@ class TestSimplex:
 
     def test_contains_box_exact(self):
         triangle = Simplex.from_vertices_2d([(0, 0), (4, 0), (0, 4)])
-        assert triangle.contains_box(Box((0.5, 0.5), (1.0, 1.0)))
-        assert not triangle.contains_box(Box((3.0, 3.0), (3.5, 3.5)))
+        assert contains_box(triangle, Box((0.5, 0.5), (1.0, 1.0)))
+        assert not contains_box(triangle, Box((3.0, 3.0), (3.5, 3.5)))
 
     def test_certainly_disjoint_is_conservative(self):
         triangle = Simplex.from_vertices_2d([(0, 0), (1, 0), (0, 1)])
-        assert triangle.certainly_disjoint_from_box(Box((5.0, 5.0), (6.0, 6.0)))
+        assert certainly_disjoint_from_box(triangle,
+                                           Box((5.0, 5.0), (6.0, 6.0)))
         # A box overlapping the triangle must never be declared disjoint.
-        assert not triangle.certainly_disjoint_from_box(Box((0.1, 0.1), (0.3, 0.3)))
+        assert not certainly_disjoint_from_box(triangle,
+                                               Box((0.1, 0.1), (0.3, 0.3)))
 
     def test_filter_matches_contains(self):
         triangle = Simplex.from_vertices_2d([(0, 0), (1, 0), (0, 1)])
         points = [(0.2, 0.2), (0.9, 0.9), (0.1, 0.05)]
-        assert triangle.filter(points) == [(0.2, 0.2), (0.1, 0.05)]
+        assert filter_points(triangle, points) == [(0.2, 0.2), (0.1, 0.05)]
 
 
 class TestMedianCutPartition:

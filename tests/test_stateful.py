@@ -1,7 +1,7 @@
 """The engine against a numpy oracle, under generated writes and re-splits.
 
-One :class:`RuleBasedStateMachine` registers a dataset drawn from index
-suite x {memory, file} backend x {range, hash} sharding x K in {1, 2, 4}
+One :class:`RuleBasedStateMachine` registers a dataset of dimension 2 to 5
+drawn from index suite x {memory, file} backend x {range, hash} sharding x K in {1, 2, 4}
 shards x {1, 2} replicas, over degenerate point sets (duplicates,
 collinear and axis-parallel sets, points on a query hyperplane, N < B),
 then interleaves inserts (copies, grid points, points far outside the
@@ -14,8 +14,9 @@ multiset, kept as a list.  After every rule the dataset's
 ``check_invariants()`` holds, as does every index's that has a checker
 (and, on files, every replica store's: its log replays to its backend's
 books), and its whole answer is the oracle's; a
-query is also answered by every index of every replica, in both kernel
-modes (same answer, same I/Os) — the mutable one over its shard's part
+query is also answered by every index of every replica, by the batch
+kernels and by the record loops of ``scan_oracle`` (same answer, same
+I/Os) — the mutable one over its shard's part
 of the oracle, a static one over its build points — and under
 ``explain(analyze=True)`` every shard an exactly priced kind
 (``conftest.EXACTLY_PRICED``) served was priced at exactly its cold
@@ -36,19 +37,24 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from conftest import EXACTLY_PRICED, STATEFUL
+from scan_oracle import scalar_kernels
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
-from repro.core import scalar_kernels
 from repro.engine.catalog import Catalog
 
 #: The static kinds built beside "dynamic" (the write target): between
-#: them, every kind the catalog builds in the dimension.
+#: them, every kind the catalog builds in the dimension (past 3, the
+#: five that take any dimension).
 SUITES = {2: [["halfplane2d", "partition_tree", "full_scan"],
               ["quadtree", "paged_cgl"],
               ["shallow_tree", "rtree", "kdb_tree"]],
           3: [["halfspace3d", "partition_tree", "full_scan"],
               ["halfspace3d", "hybrid3d"],
-              ["shallow_tree", "rtree", "kdb_tree"]]}
+              ["shallow_tree", "rtree", "kdb_tree"]],
+          4: [["partition_tree", "shallow_tree", "full_scan"],
+              ["rtree", "kdb_tree"]],
+          5: [["partition_tree", "shallow_tree", "full_scan"],
+              ["rtree", "kdb_tree"]]}
 #: Dyadic grid values: sums and products stay exact, so a query plane
 #: through a stored point passes exactly through it.
 GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -57,14 +63,14 @@ COEFFS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 #: Reopens per example: a reopen in process mode waits out its
 #: workers' shutdown.
 REOPENS = 2
-EVERYTHING = {2: LinearConstraint(coeffs=(0.0,), offset=1e9),
-              3: LinearConstraint(coeffs=(0.0, 0.0), offset=1e9)}
+EVERYTHING = {d: LinearConstraint(coeffs=(0.0,) * (d - 1), offset=1e9)
+              for d in SUITES}
 
 
 @st.composite
 def layouts(draw):
     """One dataset: its dimension, points, suite, backend and sharding."""
-    dimension = draw(st.sampled_from([2, 3]))
+    dimension = draw(st.sampled_from(sorted(SUITES)))
     kinds = ["dynamic"] + draw(st.sampled_from(SUITES[dimension]))
     block_size = draw(st.sampled_from([4, 8]))
     shape = draw(st.sampled_from(

@@ -198,7 +198,7 @@ def test_engine_query_produces_planner_executor_store_spans(traced_engine):
         # Cost-model attribution and store-level counters per shard.
         assert {"shard_id", "replica_id", "index", "ios", "model_ios",
                 "observed_cold_ios", "q_error", "blocks_read", "cache_hits",
-                "block_size", "vectorized"} <= set(attrs)
+                "block_size"} <= set(attrs)
         assert "calibration" not in attrs
     assert sum(node.attributes["ios"] for node in shards) \
         == answer.ios.total

@@ -1,9 +1,9 @@
 """Scalar/vector kernel parity: the vectorized hot path must be invisible.
 
-The batch kernels promise two things: answers identical to the original
-record-at-a-time loops (including points exactly on a query boundary),
-and bit-identical I/O counters (vectorization happens strictly on the
-memory side of the BlockStore accounting seam).  These tests sweep
+The batch kernels promise two things: answers identical to the
+record-at-a-time loops of ``scan_oracle`` (including points exactly on a
+query boundary), and bit-identical I/O counters (vectorization happens
+strictly on the memory side of the BlockStore accounting seam).  These tests sweep
 dimensions 2–5, duplicate points, on-hyperplane boundary values, empty
 blocks, and every storage backend, asserting both properties.
 """
@@ -19,9 +19,8 @@ from repro.baselines import FullScanIndex, KDBTreeIndex, RTreeIndex
 from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
                         HalfplaneIndex2D, HalfspaceIndex3D, HybridIndex3D,
                         PartitionTreeIndex, ShallowPartitionTreeIndex,
-                        query_conjunction, scalar_kernels, set_vectorized,
-                        vectorized_enabled)
-from repro.core import kernels
+                        query_conjunction)
+from repro.core import kernels, partition_tree
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.io.block import as_point_matrix, matrix_to_records
@@ -30,6 +29,9 @@ from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
 from conftest import assert_answer, rows
+from geometry_oracle import filter_points
+import scan_oracle
+from scan_oracle import read_all, scalar_kernels, scan
 
 
 def make_cloud(dimension, count, seed, with_boundary=None):
@@ -71,7 +73,7 @@ def test_below_many_matches_scalar_below(dimension):
     scalar = np.array([constraint.below(record) for record in records])
     assert np.array_equal(mask, scalar)
     filtered = kernels.matrix_rows(matrix[constraint.below_many(matrix)])
-    assert filtered == constraint.filter(records)
+    assert filtered == filter_points(constraint, records)
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 4, 5])
@@ -184,13 +186,13 @@ def test_payload_reads_charge_identically_to_record_reads(backend):
         array_b = DiskArray(store_b, points)
         store_a.reset_stats()
         store_b.reset_stats()
-        scalar = list(array_a.scan())
+        scalar = list(scan(array_a))
         batched = []
         for matrix in array_b.scan_batches():
             batched.extend(tuple(row) for row in matrix.tolist())
         assert batched == scalar
         # Run both a second time so buffer-pool hits are exercised too.
-        list(array_a.scan())
+        list(scan(array_a))
         list(array_b.scan_batches())
         for field in ("reads", "writes", "cache_hits"):
             assert getattr(store_a.stats, field) == \
@@ -287,9 +289,9 @@ def test_mixed_leaf_block_mid_traversal_keeps_answer_order():
     constraint = LinearConstraint(coeffs=(0.5,), offset=4.25)
     leaves = [node.points_array for node in index._nodes if node.is_leaf]
     crossed = [array for array in leaves
-               if 0 < len(constraint.filter(array.read_all())) < len(array)]
+               if 0 < len(filter_points(constraint, read_all(array))) < len(array)]
     below = [array for array in leaves
-             if len(constraint.filter(array.read_all())) == len(array)]
+             if len(filter_points(constraint, read_all(array))) == len(array)]
     assert len(crossed) > 4 and len(below) > 4
     rewritten = set()
     for array in (crossed[len(crossed) // 2], below[len(below) // 2]):
@@ -304,7 +306,7 @@ def test_mixed_leaf_block_mid_traversal_keeps_answer_order():
     with scalar_kernels():
         scalar = index.query(constraint)
     assert_same_ordered_answer(vector, scalar, "mixed leaves")
-    assert sorted(rows(vector)) == sorted(constraint.filter(points))
+    assert sorted(rows(vector)) == sorted(filter_points(constraint, points))
     inside = [record in rewritten for record in rows(vector)]
     assert any(inside) and not inside[0] and not inside[-1]
 
@@ -382,7 +384,7 @@ def test_every_cell_tree_walks_a_conjunction(name, suite, dimension, writes,
                                              backend, tmp_path):
     """A conjunction walks every cell tree, and the dynamic index's tree
     and buffer, as its polytope: on random points and on grid points
-    lying on a facet the answer is ``conjunction.filter``'s, in both
+    lying on a facet the answer is ``filter_points``', in both
     conjunct orders, and the scalar oracle reads the same blocks and
     answers the same rows in the same order."""
     from repro import QueryEngine
@@ -407,7 +409,7 @@ def test_every_cell_tree_walks_a_conjunction(name, suite, dimension, writes,
         for query in (conjunction, ConstraintConjunction(
                 conjunction.constraints[::-1],
                 conjunction.extra_halfspaces)):
-            truth = sorted(map(tuple, query.filter(live.tolist())))
+            truth = sorted(map(tuple, filter_points(query, live.tolist())))
             assert len(truth) > 20
             answer, ios, __ = replica.run_query(name, query,
                                                 clear_cache=True)
@@ -499,19 +501,38 @@ def test_vector_results_are_json_serializable():
     json.dumps(answer)
 
 
-def test_scalar_kernels_toggle_restores_state():
-    assert vectorized_enabled()
-    with scalar_kernels():
-        assert not vectorized_enabled()
-        with scalar_kernels():
-            assert not vectorized_enabled()
-        assert not vectorized_enabled()
-    assert vectorized_enabled()
-    previous = set_vectorized(False)
-    assert previous is True
-    assert not vectorized_enabled()
-    set_vectorized(True)
-    assert vectorized_enabled()
+@pytest.mark.parametrize("dimension", [2, 3, 4])
+def test_classify_cells_is_the_cell_loop_on_boxes_touching_the_region(
+        dimension):
+    """A cell table whose box corners lie on a constraint's hyperplane or
+    on a polytope's facet, exactly or EPS to either side: classified a
+    block at a time, it yields the oracle's cell loop's relations, in
+    its order, at its reads."""
+    rng = np.random.default_rng(dimension)
+    edge = 0.25 + EPS                       # what a fold compares with
+    values = np.array([-0.5, 0.0, 0.25, edge, 0.25 + 3 * EPS, 0.5])
+    corners = np.sort(rng.choice(values, size=(400, 2, dimension)), axis=1)
+    flat = LinearConstraint((0.0,) * (dimension - 1), 0.25)
+    regions = [flat, constraint_for(dimension, 41),
+               ConstraintConjunction.of(flat).and_halfspace(
+                   (1.0,) + (0.0,) * (dimension - 1), 0.25).to_polytope(),
+               ConstraintConjunction.of(flat, constraint_for(dimension, 43))
+               .to_polytope()]
+    store = BlockStore(block_size=16, cache_blocks=0)
+    table = DiskArray.from_matrix(store, partition_tree.encode_cells(
+        range(len(corners)), corners.reshape(len(corners), -1)))
+    for region in regions:
+        store.reset_stats()
+        batch = [cell for block in partition_tree.classify_cells(table, region)
+                 for cell in block]
+        reads = store.stats.reads
+        store.reset_stats()
+        loop = [cell for block in scan_oracle.classify_cells(table, region)
+                for cell in block]
+        assert batch == loop, region
+        assert reads == store.stats.reads == table.num_blocks
+        assert 0 < len(loop) < len(corners)
+    store.close()
 
 
 def test_kernels_fall_back_on_non_point_blocks():
@@ -523,7 +544,7 @@ def test_kernels_fall_back_on_non_point_blocks():
     array.extend([(1, -2), (0.0, 0.0), (0.25, -0.5, 9.0), (-1, -1)])
     constraint = LinearConstraint(coeffs=(0.0,), offset=0.0)
     with scalar_kernels():
-        expected = [r for r in array.scan() if constraint.below(r)]
+        expected = [r for r in scan(array) if constraint.below(r)]
     got = rows(kernels.filter_constraint(array, constraint))
     assert got == expected
     # Fallback records become rows of the answer, values kept.
@@ -553,10 +574,10 @@ def test_deferred_scan_reads_at_visit_time_and_evaluates_once():
     scan.add(mixed, filtered=True)              # a record block ends a stack
     assert evaluated == [(26, 2)]
     scan.add(crossed, filtered=True)
-    kept = constraint.filter(crossed.read_all())
+    kept = filter_points(constraint, read_all(crossed))
     answer = scan.flush()
     assert_answer(answer, 2)
-    assert rows(answer) == kept + below.read_all() + kept + [(1, -2)] + kept
+    assert rows(answer) == kept + read_all(below) + kept + [(1, -2)] + kept
     assert evaluated == [(26, 2), (10, 2)]
     store.close()
 
