@@ -393,6 +393,7 @@ class DynamicPartitionTreeIndex(ExternalIndex):
         # tombstoned value (insert resurrects one instead, delete takes
         # buffered copies first), so the mask below leaves its rows alone.
         answer = self._tree.query_and_scan(region, (self._buffer,))
+        self.last_query = self._tree.last_query
         if not self._tombstones:
             return answer
         return kernels.answer_matrix((answer[self._unhidden(answer)],),

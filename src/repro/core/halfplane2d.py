@@ -128,7 +128,6 @@ class HalfplaneIndex2D(ExternalIndex):
         self._layers: List[_Layer] = []
         #: One :class:`LayerBuild` per layer, in layer order.
         self.layer_builds: List[LayerBuild] = []
-        self._last_layers_probed = 0
         with self._building():
             self._build()
 
@@ -224,11 +223,6 @@ class HalfplaneIndex2D(ExternalIndex):
     def beta(self) -> int:
         """The layer threshold β used by this index."""
         return self._beta
-
-    @property
-    def last_layers_probed(self) -> int:
-        """How many layers the most recent query visited (diagnostics)."""
-        return self._last_layers_probed
 
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
@@ -376,16 +370,14 @@ class HalfplaneIndex2D(ExternalIndex):
         if constraint.dimension != 2:
             raise ValueError("expected a 2-D constraint, got dimension %d"
                              % constraint.dimension)
-        if self._num_points == 0:
-            return kernels.answer_matrix((), 2)
         query_x, query_y = dual_point_of_hyperplane(constraint.hyperplane)
         reported = _Reported()
-        self._last_layers_probed = 0
+        probed = 0
         for layer in self._layers:
-            self._last_layers_probed += 1
-            finished = self._query_layer(layer, query_x, query_y, reported)
-            if finished:
+            probed += 1
+            if self._query_layer(layer, query_x, query_y, reported):
                 break
+        self.last_query = {"layers_probed": probed}
         return reported.points()
 
     def _query_layer(self, layer: _Layer, query_x: float, query_y: float,

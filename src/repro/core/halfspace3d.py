@@ -11,7 +11,7 @@ dual point, or from a scan when that cannot be cheaper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,13 +68,6 @@ class HalfspaceIndex3D(ExternalIndex):
         """The underlying Theorem 4.2 structure (exposed for diagnostics)."""
         return self._planes_index
 
-    @property
-    def last_query(self) -> Dict[str, object]:
-        """The most recent query's ``layer`` (sample size read, or None),
-        ``probes``, ``list_blocks`` and ``scanned`` (None, or why:
-        ``no_layer`` / ``outside_domain`` / ``list_longer_than_data``)."""
-        return self._planes_index.last_query
-
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
         """The bound the query honours, ``min(scan, probes + one list)``
@@ -101,4 +94,7 @@ class HalfspaceIndex3D(ExternalIndex):
             return answer_matrix((), 3)
         qx, qy, qz = dual_point_of_hyperplane(constraint.hyperplane)
         indices = self._planes_index.planes_below_point(qx, qy, qz)
+        # layer, probes, list_blocks and scanned
+        # (:attr:`LowestPlanesIndex.last_query`).
+        self.last_query = self._planes_index.last_query
         return answer_matrix((self._points[indices],), 3)

@@ -17,8 +17,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.halfspace3d import HalfspaceIndex3D
-from repro.core.partition_tree import (CellTreeIndex, Partitioner, Region,
-                                       _Node)
+from repro.core.partition_tree import CellTreeIndex, Partitioner, _Node
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore
 
@@ -53,7 +52,6 @@ class HybridIndex3D(CellTreeIndex):
             raise ValueError("HybridIndex3D expects points of shape (N, 3)")
         self._copies = copies
         self._seed = seed
-        self._last_leaves_queried = 0
         self._build_tree(points, 3, max_fanout,
                          max(self.block_size,
                              int(round(self.block_size ** leaf_exponent))),
@@ -73,16 +71,6 @@ class HybridIndex3D(CellTreeIndex):
         return HalfspaceIndex3D(points, store=self._store,
                                 copies=self._copies, seed=self._seed)
 
-    @property
-    def leaf_threshold(self) -> int:
-        """Maximum leaf subset size B^a."""
-        return self._leaf_size
-
-    @property
-    def last_leaves_queried(self) -> int:
-        """Number of leaf structures probed by the most recent query."""
-        return self._last_leaves_queried
-
     def _delegated(self, crossed: np.ndarray) -> np.ndarray:
         """The crossed leaves: each structure prices its own query."""
         return crossed & self._leaf_slots
@@ -90,11 +78,13 @@ class HybridIndex3D(CellTreeIndex):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
-        self._last_leaves_queried = 0
-        super().walk(region, scan)
+    _steps = ("leaves_queried", "leaf_scans")
 
     def _query_leaf(self, node: _Node, constraint: LinearConstraint,
                     scan: kernels.DeferredScan) -> None:
-        self._last_leaves_queried += 1
+        """Ask the leaf's structure; count it, and whether it scanned
+        instead of reading one conflict list."""
         scan.extend(node.leaf_index.query(constraint))
+        scan.steps["leaves_queried"] += 1
+        if node.leaf_index.last_query["scanned"] is not None:
+            scan.steps["leaf_scans"] += 1

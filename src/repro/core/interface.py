@@ -61,6 +61,11 @@ class ExternalIndex(abc.ABC):
         self._store = store
         self._space_blocks = 0
         self._build_ios: Optional[IOStats] = None
+        #: The most recent :meth:`query`'s account: its step counts by
+        #: name (``nodes_crossed``, ``layers_probed``, ...) and, for a
+        #: structure with more than one way to answer, which way; empty
+        #: for a structure that keeps none.  Replaced by every query.
+        self.last_query: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # bookkeeping helpers for subclasses
@@ -100,12 +105,6 @@ class ExternalIndex(abc.ABC):
     def build_ios(self) -> Optional[IOStats]:
         """I/O counters accumulated during the build (write-dominated)."""
         return self._build_ios
-
-    @property
-    def last_query(self) -> Dict[str, object]:
-        """How the most recent :meth:`query` was answered, by a structure
-        that has more than one way (diagnostics; empty otherwise)."""
-        return {}
 
     @property
     @abc.abstractmethod

@@ -37,7 +37,7 @@ is.
 from __future__ import annotations
 
 import json
-from typing import Any, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
@@ -249,10 +249,14 @@ class DeferredScan:
     record by record in place.  :meth:`flush` returns the answer;
     the records selected record by record become rows of it only there
     (:func:`answer_matrix`).
+
+    The scan also carries the query's account (:meth:`account`): every
+    walk that feeds it counts its steps here, so a walk nested in
+    another (a shallow tree's secondary tree) adds to the same account.
     """
 
     __slots__ = ("_dimension", "_keep_one", "_keep_many", "_chunks",
-                 "_pending", "_kept")
+                 "_pending", "_kept", "crossed", "steps")
 
     def __init__(self, dimension: int, keep_one, keep_many) -> None:
         self._dimension = dimension
@@ -263,6 +267,11 @@ class DeferredScan:
         self._pending: List[np.ndarray] = []
         #: Per pending block: reported unfiltered?
         self._kept: List[bool] = []
+        #: Nodes whose cell the query's boundary crossed (a plain
+        #: attribute: a walk counts it once per crossed child).
+        self.crossed = 0
+        #: Every other step, by name: the walk's index sets the names.
+        self.steps: Dict[str, int] = {}
 
     def add(self, array: DiskArray, filtered: bool) -> None:
         """Read ``array`` now; keep its rows that pass the predicate
@@ -316,6 +325,10 @@ class DeferredScan:
             self._chunks.append(matrix.compress(mask, axis=0))
         pending.clear()
         kept.clear()
+
+    def account(self) -> Dict[str, int]:
+        """The query's step counts: ``nodes_crossed`` and :attr:`steps`."""
+        return {"nodes_crossed": self.crossed, **self.steps}
 
     def flush(self) -> np.ndarray:
         """The answer: everything selected, as one read-only ``(n, d)``

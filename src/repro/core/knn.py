@@ -12,14 +12,13 @@ O(n log2 n) expected space and O(log_B n + k/B) expected query I/Os.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.lifting import lift_point
-from repro.io.store import BlockStore, IOStats
+from repro.io.store import BlockStore
 
 
 class KNNIndex:
@@ -88,14 +87,6 @@ class KNNIndex:
         lowest = self._planes_index.k_lowest(qx, qy, k)
         rows = self._points[[index for index, __ in lowest]]
         return list(map(tuple, rows.tolist()))
-
-    def nearest_with_distances(self, query: Sequence[float],
-                               k: int) -> List[Tuple[Tuple[float, float], float]]:
-        """As :meth:`nearest` but paired with the true Euclidean distances."""
-        qx, qy = float(query[0]), float(query[1])
-        neighbours = self.nearest(query, k)
-        return [(point, math.hypot(point[0] - qx, point[1] - qy))
-                for point in neighbours]
 
     def nearest_with_stats(self, query: Sequence[float], k: int):
         """Run :meth:`nearest` from a cold buffer pool and return

@@ -175,9 +175,16 @@ class LowestPlanesIndex:
         self._probe_blocks = copies * math.ceil(math.log2(len(layers) + 1)) \
             * sum(layer.locator.mean_path_blocks for layer in layers) \
             / max(1, len(layers))
-        self._last_fallbacks = 0
-        self._last_attempts = 0
-        self._last_query: Dict[str, object] = {}
+        #: The most recent query's account.  :meth:`planes_below_point`:
+        #: ``layer`` (the sample size read, or None), ``probes`` (point
+        #: locations), ``list_blocks`` and ``scanned`` (None, or why:
+        #: ``no_layer`` / ``outside_domain`` / ``list_longer_than_data``).
+        #: :meth:`k_lowest`: its TryLowestPlanes ``attempts`` (all of them
+        #: failures when it fell back, all but the last otherwise) and
+        #: ``fallbacks`` (1 when the attempts gave up for the scan; a scan
+        #: chosen outright — ``2k >= N``, or no stored sample as small as
+        #: ``N / 2k`` — is not one).
+        self.last_query: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -257,28 +264,6 @@ class LowestPlanesIndex:
         """Stored layers per copy (O(log2 n))."""
         return len(self._copies[0].layers) if self._copies else 0
 
-    @property
-    def last_fallbacks(self) -> int:
-        """Number of full-scan fallbacks during the most recent
-        :meth:`k_lowest` (a scan chosen outright — ``2k >= N``, or no
-        stored sample as small as ``N / 2k`` — is not one)."""
-        return self._last_fallbacks
-
-    @property
-    def last_attempts(self) -> int:
-        """``TryLowestPlanes`` attempts of the most recent :meth:`k_lowest`
-        (all of them failures when it fell back, all but the last
-        otherwise)."""
-        return self._last_attempts
-
-    @property
-    def last_query(self) -> Dict[str, object]:
-        """How the most recent :meth:`planes_below_point` was answered:
-        ``layer`` (the sample size read, or None), ``probes`` (point
-        locations), ``list_blocks`` and ``scanned`` (None, or why:
-        ``no_layer`` / ``outside_domain`` / ``list_longer_than_data``)."""
-        return self._last_query
-
     def estimated_halfspace_ios(self, x: float, y: float,
                                 expected_output: float) -> float:
         """What :meth:`planes_below_point` is expected to read at ``(x, y)``
@@ -341,22 +326,23 @@ class LowestPlanesIndex:
         if k <= 0 or not self._num_planes:
             return []
         k = min(k, self._num_planes)
-        self._last_fallbacks = self._last_attempts = 0
+        self.last_query = account = {"attempts": 0, "fallbacks": 0}
         # Close to N the sampling machinery cannot beat a plain scan: the
         # useful samples would have O(1) planes and their conflict lists are
         # the whole input, so scanning directly is both simpler and cheaper
         # (and still O(t) I/Os, since t = Θ(n) in that regime).
         if 2 * k < self._num_planes:
-            lowest = self._try_lowest(x, y, k)
+            lowest = self._try_lowest(x, y, k, account)
             if lowest is not None:
                 return lowest
-            self._last_fallbacks = int(self._last_attempts > 0)
+            account["fallbacks"] = int(account["attempts"] > 0)
         numbers, heights = self._heights_along(
             self._all_planes_array, 0, self._num_planes, x, y)
         return _lowest(numbers, heights, k)
 
-    def _try_lowest(self, x: float, y: float,
-                    k: int) -> Optional[List[Tuple[int, float]]]:
+    def _try_lowest(self, x: float, y: float, k: int,
+                    account: Dict[str, int]
+                    ) -> Optional[List[Tuple[int, float]]]:
         """The paper's TryLowestPlanes, δ = 1/2, 1/4, ... down the layers.
 
         The first attempt reads the largest sample of at most ``N δ / k``
@@ -365,7 +351,8 @@ class LowestPlanesIndex:
         failure halves δ — every copy moves one layer coarser.  None once
         the attempts have failed ``MAX_FAILURES`` times or have read what
         the scan reads, which is also what bounds an unexpectedly long list
-        (the paper's ``k/δ²`` test, without its constant).
+        (the paper's ``k/δ²`` test, without its constant).  Each attempt
+        counts in ``account["attempts"]``.
         """
         budget = self._scan_blocks
         # Per copy, the finest stored layer of at most N / 2k planes (-1: no
@@ -379,7 +366,7 @@ class LowestPlanesIndex:
                 if first_rung < failures:
                     continue
                 layer = copy.layers[first_rung - failures]
-                self._last_attempts += 1
+                account["attempts"] += 1
                 budget -= 1
                 label = layer.locator.locate(x, y)
                 if label is None:
@@ -425,7 +412,7 @@ class LowestPlanesIndex:
         else:
             numbers, heights = self._heights_along(
                 self._all_planes_array, 0, self._num_planes, x, y)
-        self._last_query = {
+        self.last_query = {
             "layer": best[0].sample_size if scanned is None else None,
             "probes": probes,
             "list_blocks": list_blocks if scanned is None else 0,

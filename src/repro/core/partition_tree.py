@@ -226,7 +226,6 @@ class CellTreeIndex(ExternalIndex):
         #: secondary trees.
         self._partitioner = partitioner
         self._nodes: List[_Node] = []
-        self._last_nodes_visited = 0
         self._root = None
         self._costs: Optional[_CellCosts] = None
         with self._building():
@@ -394,11 +393,6 @@ class CellTreeIndex(ExternalIndex):
         """Total number of tree nodes."""
         return len(self._nodes)
 
-    @property
-    def last_nodes_visited(self) -> int:
-        """Nodes whose cell was crossed during the most recent query."""
-        return self._last_nodes_visited
-
     #: The fewest cells an internal node has: a balanced partition
     #: splits its node in two at least.
     _min_cells = 2
@@ -552,11 +546,16 @@ class CellTreeIndex(ExternalIndex):
         inside the convex polytope."""
         return self.query_and_scan(region, ())
 
+    #: The steps a subclass counts besides the crossed nodes, each
+    #: ``scan.steps[name]``: its account's keys (zero when not taken).
+    _steps: Tuple[str, ...] = ()
+
     def query_and_scan(self, region: Region,
                        arrays: Iterable[DiskArray]) -> np.ndarray:
         """:meth:`query`, followed by the records of the unindexed
         ``arrays`` (an insertion buffer) in ``region`` — read after the
-        tree's blocks, filtered in the same deferred scan."""
+        tree's blocks, filtered in the same deferred scan.  The scan's
+        account becomes :attr:`last_query`."""
         if region.dimension != self.dimension:
             raise ValueError("query dimension %d does not match data "
                              "dimension %d" % (region.dimension,
@@ -565,14 +564,17 @@ class CellTreeIndex(ExternalIndex):
             (region.contains, region.contains_many)
             if isinstance(region, Simplex) else
             (region.below, region.below_many)))
+        scan.steps = dict.fromkeys(self._steps, 0)
         self.walk(region, scan)
         for array in arrays:
             scan.add(array, filtered=True)
-        return scan.flush()
+        answer = scan.flush()
+        self.last_query = scan.account()
+        return answer
 
     def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
-        """Feed ``scan`` the blocks a query of ``region`` reads."""
-        self._last_nodes_visited = 0
+        """Feed ``scan`` the blocks a query of ``region`` reads, and count
+        the nodes it crosses there."""
         if self._root is not None:
             self._visit([(self._root, CellRelation.CROSSES)], region, scan)
 
@@ -586,7 +588,7 @@ class CellTreeIndex(ExternalIndex):
                  scan: kernels.DeferredScan) -> None:
         """A crossed node :meth:`_visit` does not scan itself."""
         node = self._nodes[node_id]
-        self._last_nodes_visited += 1
+        scan.crossed += 1
         if node.is_leaf:
             self._query_leaf(node, region, scan)
             return
@@ -608,7 +610,7 @@ class CellTreeIndex(ExternalIndex):
             below = relation is CellRelation.BELOW
             if child.is_leaf and (below or self._query_leaf is None
                                   or isinstance(region, Simplex)):
-                self._last_nodes_visited += not below
+                scan.crossed += not below
                 block_ids = child.points_array.block_ids
                 run_ids += block_ids
                 run_kept += [below] * len(block_ids)

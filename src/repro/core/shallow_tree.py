@@ -46,7 +46,6 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
                  partitioner: Optional[Partitioner] = None):
         super().__init__(store, block_size)
         self._shallow_factor = shallow_factor
-        self._last_secondary_queries = 0
         self._build_tree(points, 2, max_fanout,
                          leaf_capacity if leaf_capacity is not None else self.block_size,
                          partitioner)
@@ -71,11 +70,6 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
             self._shallow_factor * math.log2(max(2, len(cell_table))))))
         return node
 
-    @property
-    def last_secondary_queries(self) -> int:
-        """How often the last query fell back to a secondary tree."""
-        return self._last_secondary_queries
-
     def _delegated(self, crossed: np.ndarray) -> np.ndarray:
         """The nodes crossing more of their cells than they tolerate:
         a walk hands those to their secondary trees."""
@@ -86,9 +80,7 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
-        self._last_secondary_queries = 0
-        super().walk(region, scan)
+    _steps = ("secondary_walks",)
 
     def _cells(self, node: _Node, region: Region,
                scan: kernels.DeferredScan
@@ -99,8 +91,9 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
                       for block in cells for __, relation in block)
         if crossed > node.crossing_threshold:
             # The query is not shallow for this subset: answer it with the
-            # node's secondary (ordinary) partition tree.
-            self._last_secondary_queries += 1
+            # node's secondary (ordinary) partition tree, whose walk
+            # counts its crossed nodes into the same account.
+            scan.steps["secondary_walks"] += 1
             node.secondary.walk(region, scan)
             return ()
         return cells

@@ -270,7 +270,7 @@ class Coordinator:
         """Serve one per-shard query on a worker, failing over replicas.
 
         Returns ``(points, ios, served_replica_id, span_payload,
-        index_detail)`` from the first worker that answers — preferring
+        account)`` from the first worker that answers — preferring
         the replica the picker acquired — or ``None`` when no worker can
         serve it
         (uncovered dataset, every replica's worker dead, or spawned

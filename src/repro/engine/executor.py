@@ -43,7 +43,7 @@ import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
 from repro.core.kernels import answer_matrix
 from repro.engine.catalog import Catalog, Dataset, Query
-from repro.engine.metrics import EngineStats, ServedQueryRecord, q_error
+from repro.engine.metrics import EngineStats, q_error
 from repro.engine.planner import Plan, Planner, ShardedPlan
 from repro.engine.sharding import Shard
 from repro.engine.tracing import Tracer
@@ -136,8 +136,8 @@ class ShardOutcome:
     ended_s: float = 0.0
     #: The worker process's span payload, when one answered under a trace.
     worker_span: Optional[Dict[str, object]] = None
-    #: The index's own account of the query (``last_query``; mostly empty).
-    index_detail: Dict[str, object] = field(default_factory=dict)
+    #: The index's own account of the query (its ``last_query``).
+    account: Dict[str, object] = field(default_factory=dict)
 
     @property
     def replica(self) -> Dataset:
@@ -350,7 +350,7 @@ class ExecutionCore:
                 "shards_pruned": plan.shards_pruned,
             })
         fanout_span.finish()
-        self.record(answer)
+        self.stats.record(answer)
         self._cache_put(dataset_name, cache_key,
                         (plan.index_name, answer.points), generation)
         return answer
@@ -395,8 +395,8 @@ class ExecutionCore:
                                         replica_id, estimate)
         self.stats.record_replica_load(dataset_name, item.shard.shard_id,
                                        outcome.replica_id, outcome.ios.total)
-        if outcome.index_detail:    # only halfspace3d gives one
-            self.stats.note_halfspace3d(dataset_name, outcome.index_detail)
+        self.stats.note_account(dataset_name, item.plan.index_name,
+                                outcome.account)
         if traced:
             outcome.started_s, outcome.ended_s = started, time.perf_counter()
         return outcome
@@ -426,14 +426,13 @@ class ExecutionCore:
                 trace_id=fanout_span.trace_id if traced else None,
                 parent=fanout_span.name if traced else None)
             if remote is not None:
-                points, ios, replica_id, worker_span, detail = remote
+                points, ios, replica_id, worker_span, account = remote
                 return ShardOutcome(item, replica_id, points, ios,
                                     worker_span=worker_span,
-                                    index_detail=detail)
-        points, ios, detail = item.shard.replicas[replica_id].run_query(
+                                    account=account)
+        points, ios, account = item.shard.replicas[replica_id].run_query(
             index_name, query, clear_cache=clear_cache)
-        return ShardOutcome(item, replica_id, points, ios,
-                            index_detail=detail)
+        return ShardOutcome(item, replica_id, points, ios, account=account)
 
     @staticmethod
     def _assemble_spans(fanout_span, outcomes: List[ShardOutcome]) -> None:
@@ -455,7 +454,7 @@ class ExecutionCore:
                 reported=len(outcome.points),
                 q_error=round(q_error(plan.expected_output,
                                       len(outcome.points)), 3),
-                **outcome.index_detail,
+                **outcome.account,
                 **outcome.replica.store.span_attributes(ios))
             span.started_s = outcome.started_s
             span.ended_s = outcome.ended_s
@@ -530,7 +529,7 @@ class ExecutionCore:
                                points=matrix, ios=IOStats(),
                                latency_s=0.0, estimated_ios=0.0,
                                from_result_cache=True, tenant=tenant)
-        self.record(answer)
+        self.stats.record(answer)
         return answer
 
     def share_answer(self, answer: ExecutedQuery,
@@ -545,25 +544,8 @@ class ExecutionCore:
                                points=answer.points, ios=IOStats(),
                                latency_s=0.0, estimated_ios=0.0,
                                from_result_cache=True, tenant=tenant)
-        self.record(shared)
+        self.stats.record(shared)
         return shared
-
-    def record(self, answer: ExecutedQuery) -> None:
-        """Count one served query in the metrics sink."""
-        self.stats.record(ServedQueryRecord(
-            dataset=answer.dataset,
-            index_name=answer.index_name,
-            latency_s=answer.latency_s,
-            ios=answer.total_ios,
-            reported=answer.count,
-            result_cache_hit=answer.from_result_cache,
-            store_cache_hits=answer.ios.cache_hits,
-            shards_queried=answer.shards_queried,
-            shards_pruned=answer.shards_pruned,
-            tenant=answer.tenant,
-            degraded=answer.degraded,
-            interval_source=answer.interval_source,
-        ))
 
 
 class BatchExecutor:

@@ -34,6 +34,8 @@ query_latency_seconds       dataset, index, tenant   latency_s,
                                                      tenants.*.latency_s
 estimation_qerror           dataset                  estimation_qerror
 cost_model_ratio            dataset, index           (``/metrics`` only)
+index_steps_total           dataset, index, step     (``/metrics`` only)
+halfspace3d_queries_total   dataset, outcome         (``/metrics`` only)
 writes_total                dataset, op              writes.*.inserts, deletes,
                                                      noop_deletes
 replica_writes_total        dataset                  writes.*.replica_writes
@@ -62,8 +64,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable,
+                    List, Mapping, Optional, Sequence, Tuple, Union)
 
 from repro.engine.obs.registry import (Counter, Gauge, Histogram,
                                        HistogramView, MetricsRegistry,
@@ -72,12 +74,20 @@ from repro.engine.obs.registry import (Counter, Gauge, Histogram,
 from repro.engine.stats.conformal import ConformalCalibrator
 from repro.experiments.harness import format_table
 
+if TYPE_CHECKING:       # the executor imports this module
+    from repro.engine.executor import ExecutedQuery
+
 #: The labels of every query family, and their positions for group-bys.
 QUERY_LABELS = ("dataset", "index", "tenant")
 _INDEX, _TENANT = 1, 2
 
 #: Rebalance reports retained for ``summary()["rebalances"]["events"]``.
 REBALANCE_EVENTS_KEPT = 64
+
+#: The fields of an index's account (``last_query``) that say how a
+#: query was answered rather than count its steps: ``halfspace3d``'s
+#: sample size read and its scan reason.
+ACCOUNT_LABELS = ("layer", "scanned")
 
 
 def jsonable(value: object) -> object:
@@ -111,31 +121,6 @@ def jsonable(value: object) -> object:
     if callable(tolist):           # numpy arrays
         return jsonable(tolist())
     return repr(value)
-
-
-@dataclass(frozen=True)
-class ServedQueryRecord:
-    """One served query, as the metrics module sees it."""
-
-    dataset: str
-    index_name: str
-    latency_s: float
-    ios: int
-    reported: int
-    result_cache_hit: bool = False
-    store_cache_hits: int = 0
-    #: Shards the query fanned out to.
-    shards_queried: int = 0
-    #: Shards skipped by the planner's bounding-box pruning.
-    shards_pruned: int = 0
-    #: Logical tenant the request belonged to ("" outside the async path).
-    tenant: str = ""
-    #: True when admission control served a degraded (sample-only) answer.
-    degraded: bool = False
-    #: How a degraded answer's count interval was produced ("conformal"
-    #: once the dataset's calibration set is warm, "normal_fallback"
-    #: during cold start); the degraded counter's label.
-    interval_source: Optional[str] = None
 
 
 def q_error(expected: float, actual: float) -> float:
@@ -344,6 +329,11 @@ class EngineStats:
         self._m_replica_ios = reg.counter(
             "engine_replica_ios_total", "I/Os attributed per shard replica",
             ("dataset", "shard", "replica"))
+        self._m_steps = reg.counter(
+            "engine_index_steps_total",
+            "Steps of served queries, by each index's own account (cells "
+            "crossed, secondary walks, layers probed, ...)",
+            ("dataset", "index", "step"))
         self._m_halfspace3d = reg.counter(
             "engine_halfspace3d_queries_total",
             "halfspace3d queries by how they were answered: from one "
@@ -401,25 +391,25 @@ class EngineStats:
     # ------------------------------------------------------------------
     # writes: each call is only its registry writes (thread-safe, no lock)
     # ------------------------------------------------------------------
-    def record(self, record: ServedQueryRecord) -> None:
+    def record(self, answer: ExecutedQuery) -> None:
         """Count one served query."""
         # One label tuple for the eight families (QUERY_LABELS order).
-        values = (str(record.dataset), str(record.index_name),
-                  str(record.tenant))
+        values = (str(answer.dataset), str(answer.index_name),
+                  str(answer.tenant))
         self._m_queries.inc_at(values, 1)
-        self._m_latency.observe_at(values, record.latency_s)
+        self._m_latency.observe_at(values, answer.latency_s)
         for counter, amount in (
-                (self._m_ios, record.ios),
-                (self._m_reported, record.reported),
-                (self._m_store_hits, record.store_cache_hits),
-                (self._m_result_hits, int(record.result_cache_hit)),
-                (self._m_shards_queried, record.shards_queried),
-                (self._m_shards_pruned, record.shards_pruned)):
+                (self._m_ios, answer.ios.total),
+                (self._m_reported, len(answer.points)),
+                (self._m_store_hits, answer.ios.cache_hits),
+                (self._m_result_hits, int(answer.from_result_cache)),
+                (self._m_shards_queried, answer.shards_queried),
+                (self._m_shards_pruned, answer.shards_pruned)):
             if amount:
                 counter.inc_at(values, amount)
-        if record.degraded:
+        if answer.degraded:
             self._m_degraded.inc_at(
-                values + (record.interval_source or "",), 1)
+                values + (answer.interval_source or "",), 1)
 
     def note_cost_model(self, dataset: str, index: str, model_ios: float,
                         observed_ios: int) -> None:
@@ -499,12 +489,17 @@ class EngineStats:
         self._m_replica_ios.inc(ios, dataset=dataset, shard=shard_id,
                                 replica=replica_id)
 
-    def note_halfspace3d(self, dataset: str,
-                         detail: Mapping[str, object]) -> None:
-        """Count one ``halfspace3d`` query by its ``last_query`` outcome:
-        ``layer``, or the reason it scanned — the share of capped scans."""
-        self._m_halfspace3d.inc(1, dataset=dataset,
-                                outcome=detail.get("scanned") or "layer")
+    def note_account(self, dataset: str, index: str,
+                     account: Mapping[str, object]) -> None:
+        """Publish one shard's query account (the index's ``last_query``):
+        each step count under its name, and a ``halfspace3d`` answer by
+        its outcome — ``layer``, or the reason it scanned."""
+        for step, count in account.items():
+            if count and step not in ACCOUNT_LABELS:
+                self._m_steps.inc_at((dataset, index, step), count)
+        if "scanned" in account:
+            self._m_halfspace3d.inc_at(
+                (dataset, account["scanned"] or "layer"), 1)
 
     def reset(self) -> None:
         """Zero every series (e.g. between benchmark phases)."""
@@ -598,30 +593,21 @@ class EngineStats:
             for value, queries
             in sorted(view.by(self._m_queries, position).items())}
 
-    def tenant_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-tenant traffic summary (queries, I/Os, latency percentiles).
-
-        Only series carrying a tenant label (the async serving path)
-        participate; an empty dict means no tenant-attributed traffic.
-        """
-        return self._tenants(self.snapshot())
-
     def _tenants(self, view: _View) -> Dict[str, Dict[str, object]]:
+        """Per-tenant traffic (queries, I/Os, latency percentiles): only
+        series carrying a tenant label (the async serving path)."""
         rows = self._grouped(view, _TENANT, _P50_95_99)
         rows.pop("", None)
         return rows
 
-    def replica_load_summary(self) -> Dict[str, int]:
-        """Per-replica I/O totals keyed ``dataset/shard/replica``."""
-        return self._replica_load(self.snapshot())
-
     def _replica_load(self, view: _View) -> Dict[str, int]:
+        """Per-replica I/O totals keyed ``dataset/shard/replica``."""
         series = view.series(self._m_replica_ios)
         ordered = sorted(series, key=lambda key: (key[0], int(key[1]),
                                                   int(key[2])))
         return {"/".join(key): series[key] for key in ordered}
 
-    def estimation_summary(self) -> Dict[str, Dict[str, float]]:
+    def _estimation(self, view: _View) -> Dict[str, Dict[str, float]]:
         """Per-dataset expected-output q-error percentiles.
 
         One entry per dataset that executed at least one plan: sample
@@ -632,9 +618,6 @@ class EngineStats:
         max and mean are exact; p50/p90 are interpolated from the q-error
         buckets.
         """
-        return self._estimation(self.snapshot())
-
-    def _estimation(self, view: _View) -> Dict[str, Dict[str, float]]:
         out = {}
         for dataset, errors in sorted(view.merged(self._m_qerror, 0).items()):
             plans = errors["cumulative"][-1]

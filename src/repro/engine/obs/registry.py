@@ -337,10 +337,6 @@ class MetricsRegistry:
                 "gauges": _by_family(gauges),
                 "histograms": _by_family(histograms)}
 
-    def to_json(self) -> Dict[str, Any]:
-        """The merged metrics as a strictly JSON-serializable dict."""
-        return view_to_json(self.collect())
-
     def reset(self) -> None:
         """Zero every shard and gauge (families stay registered)."""
         with self._lock:

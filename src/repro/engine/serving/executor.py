@@ -777,5 +777,5 @@ class AsyncExecutor:
             estimated_count=estimate, count_interval=(low, high),
             interval_source=source)
         if record:
-            self._core.record(answer)
+            self._core.stats.record(answer)
         return answer

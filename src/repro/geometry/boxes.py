@@ -111,14 +111,6 @@ class Box:
         axes = [(low, high) for low, high in zip(self.lower, self.upper)]
         return [tuple(choice) for choice in product(*axes)]
 
-    def extent(self, axis: int) -> float:
-        """Side length along ``axis``."""
-        return self.upper[axis] - self.lower[axis]
-
-    def widest_axis(self) -> int:
-        """The axis along which the box is widest."""
-        return max(range(self.dimension), key=self.extent)
-
     def classify_halfspace(self, hyperplane: Hyperplane) -> CellRelation:
         """Relate the box to the halfspace on or below ``hyperplane``.
 
@@ -148,13 +140,6 @@ class Box:
         lower_of_high[axis] = value
         return (Box(self.lower, tuple(upper_of_low)),
                 Box(tuple(lower_of_high), self.upper))
-
-    def volume(self) -> float:
-        """Product of the side lengths."""
-        result = 1.0
-        for axis in range(self.dimension):
-            result *= self.extent(axis)
-        return result
 
     def __repr__(self) -> str:
         return "Box(%s)" % " x ".join("[%.4g, %.4g]" % (low, high)

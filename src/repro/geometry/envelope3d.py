@@ -39,7 +39,6 @@ from repro.geometry.polygons import (
     convex_hull,
     fan_triangulate,
     polygon_area,
-    polygon_contains,
     rectangle_polygon,
 )
 from repro.geometry.primitives import EPS, Plane3
@@ -98,27 +97,6 @@ class TriangulatedEnvelope:
                 best_value = value
                 best_index = index
         return best_index
-
-    def locate_brute(self, x: float, y: float) -> Optional[int]:
-        """Index of a triangle containing ``(x, y)`` by linear scan (reference)."""
-        for index, triangle in enumerate(self.triangles):
-            a, b, c = triangle.xy_vertices()
-            if polygon_contains([a, b, c], x, y):
-                return index
-        return None
-
-    def envelope_height(self, x: float, y: float) -> float:
-        """Height of the lower envelope at ``(x, y)``."""
-        plane = self.planes[self.lowest_plane_at(x, y)]
-        return plane.z_at(x, y)
-
-    def covered_area(self) -> float:
-        """Total area of the triangles (should equal the domain area)."""
-        total = 0.0
-        for triangle in self.triangles:
-            a, b, c = triangle.xy_vertices()
-            total += polygon_area([a, b, c])
-        return total
 
     def domain_area(self) -> float:
         xmin, xmax, ymin, ymax = self.domain

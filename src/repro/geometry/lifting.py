@@ -9,8 +9,7 @@ equals ``|pq|^2 - (p^2 + q^2)`` — a constant shift of the squared distance.
 
 from __future__ import annotations
 
-import math
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from repro.geometry.primitives import Plane3
 
@@ -19,24 +18,3 @@ def lift_point(point: Sequence[float]) -> Plane3:
     """Lift a planar point ``(a, b)`` to its distance plane."""
     a, b = float(point[0]), float(point[1])
     return Plane3(a=-2.0 * a, b=-2.0 * b, c=a * a + b * b)
-
-
-def lifted_height_is_shifted_squared_distance(point: Sequence[float],
-                                              query: Sequence[float]) -> Tuple[float, float]:
-    """Return (plane height at query, squared distance minus |query|^2).
-
-    The two values are equal; the helper exists so the property tests can
-    assert the identity the reduction relies on.
-    """
-    plane = lift_point(point)
-    px, py = float(query[0]), float(query[1])
-    height = plane.z_at(px, py)
-    squared_distance = (point[0] - px) ** 2 + (point[1] - py) ** 2
-    return height, squared_distance - (px * px + py * py)
-
-
-def distance_from_height(height: float, query: Sequence[float]) -> float:
-    """Recover the true distance from a lifted-plane height at ``query``."""
-    px, py = float(query[0]), float(query[1])
-    squared = height + px * px + py * py
-    return math.sqrt(max(squared, 0.0))

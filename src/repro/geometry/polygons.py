@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.geometry.primitives import EPS
-
 Point2 = Tuple[float, float]
 
 #: How far past a clipping line a vertex may sit and still count as
@@ -105,38 +103,6 @@ def fan_triangulate(polygon: Sequence[Point2]) -> List[Tuple[Point2, Point2, Poi
     for index in range(1, len(polygon) - 1):
         triangles.append((polygon[0], polygon[index], polygon[index + 1]))
     return triangles
-
-
-def polygon_contains(polygon: Sequence[Point2], x: float, y: float) -> bool:
-    """True if the convex polygon (CCW or CW) contains ``(x, y)``."""
-    if len(polygon) < 3:
-        return False
-    sign = 0
-    count = len(polygon)
-    for index in range(count):
-        x1, y1 = polygon[index]
-        x2, y2 = polygon[(index + 1) % count]
-        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
-        if cross > EPS:
-            current = 1
-        elif cross < -EPS:
-            current = -1
-        else:
-            continue
-        if sign == 0:
-            sign = current
-        elif sign != current:
-            return False
-    return True
-
-
-def polygon_centroid(polygon: Sequence[Point2]) -> Point2:
-    """Arithmetic mean of the polygon vertices (inside a convex polygon)."""
-    if not polygon:
-        raise ValueError("centroid of an empty polygon is undefined")
-    sx = sum(p[0] for p in polygon)
-    sy = sum(p[1] for p in polygon)
-    return (sx / len(polygon), sy / len(polygon))
 
 
 def convex_hull(points: Sequence[Point2], eps: float = 0.0) -> List[int]:

@@ -406,16 +406,6 @@ class BlockStore:
         self._cache.resize(cache_blocks)
         return previous
 
-    def cache_info(self) -> Dict[str, float]:
-        """Buffer-pool capacity, occupancy and hit rate (for metrics)."""
-        return {
-            "capacity": self._cache.capacity,
-            "resident": len(self._cache),
-            "hits": self._cache.hits,
-            "misses": self._cache.misses,
-            "hit_rate": self._cache.hit_rate,
-        }
-
     def check_invariants(self) -> None:
         """Raise AssertionError unless the pool is consistent with the
         disk: at most ``capacity`` entries, each of an allocated block

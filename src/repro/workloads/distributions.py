@@ -63,13 +63,6 @@ def diagonal_points(n: int, noise: float = 1e-4,
     return np.column_stack([xs, ys])
 
 
-def grid_points(side: int, dimension: int = 2) -> np.ndarray:
-    """A regular ``side^d`` grid over ``[-1, 1]^d``."""
-    axes = [np.linspace(-1.0, 1.0, side) for _ in range(dimension)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([axis.ravel() for axis in mesh])
-
-
 def company_table(n: int, seed: Optional[int] = None) -> List[Tuple[str, float, float]]:
     """A toy ``Companies(Name, PricePerShare, EarningsPerShare)`` relation.
 

@@ -9,7 +9,7 @@ offset so that the desired fraction of points satisfies the constraint.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, settings
 
 from repro.io import backend as backend_module
 from repro.io.backend import _decode, _replay
-from repro.io.store import BlockStore
+from repro.engine.executor import ExecutedQuery
+from repro.io.store import BlockStore, IOStats
 
 #: The stateful machine's example budget (``tests/test_stateful.py``):
 #: examples, rules per example, and no per-example deadline (an example
@@ -68,14 +69,34 @@ def rng():
     return np.random.default_rng(20260614)
 
 
+def cache_info(store: BlockStore):
+    """The buffer pool's capacity, occupancy, hits, misses and hit rate."""
+    cache = store._cache
+    return {"capacity": cache.capacity, "resident": len(cache),
+            "hits": cache.hits, "misses": cache.misses,
+            "hit_rate": cache.hit_rate}
+
+
 def observable(store: BlockStore):
     """Everything a twin-store test compares after a step: counters,
     pool hits / misses / capacity, resident ids in recency order, bytes
     moved, blocks allocated."""
-    info = store.cache_info()
+    info = cache_info(store)
     return (vars(store.stats.snapshot()), info["hits"], info["misses"],
             info["capacity"], [key for key, __ in store._cache.items()],
             store.byte_counters(), store.num_blocks)
+
+
+def served_query(dataset, index_name, latency_s, ios, reported,
+                 result_cache_hit=False, store_cache_hits=0, **fields):
+    """A served query as :meth:`EngineStats.record` reads it: ``ios``
+    block reads, ``store_cache_hits`` pool hits and ``reported`` rows."""
+    return ExecutedQuery(
+        dataset=dataset, index_name=index_name,
+        points=np.zeros((reported, 2)),
+        ios=IOStats(reads=ios, cache_hits=store_cache_hits),
+        latency_s=latency_s, estimated_ios=0.0,
+        from_result_cache=result_cache_hit, **fields)
 
 
 def brute_force_halfspace(points, constraint):

@@ -5,18 +5,25 @@ The line envelopes cross-check the k-level walk (the 0-level and the
 primal-point inverses check the duality transform's round trips;
 ``is_balanced`` checks the balance condition of a simplicial partition
 (Theorem 5.1); ``relevant_cluster_index`` is the linear scan the boundary
-B-tree of the planar structure replaces.  ``filter_points`` is the
+B-tree of the planar structure replaces; ``locate_brute`` is the linear
+scan the point locator replaces, and ``envelope_height`` /
+``covered_area`` check an envelope's triangles.  The lifting identities
+are what the k-nearest-neighbour reduction rests on (Theorem 4.3).  ``filter_points`` is the
 in-memory ground truth every index answer is checked against, and the
 box-at-a-time polytope tests are what ``Simplex.classify_boxes`` folds
 into one call per table block (the scan oracle's ``classify_cells``).
 """
 
-from typing import List, Sequence, Tuple
+import math
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.clustering import Cluster
 from repro.core.conjunction import ConstraintConjunction
 from repro.geometry.boxes import Box
+from repro.geometry.envelope3d import TriangulatedEnvelope
+from repro.geometry.lifting import lift_point
 from repro.geometry.partitions import PartitionCell
+from repro.geometry.polygons import Point2, polygon_area
 from repro.geometry.primitives import (EPS, Hyperplane, Line2,
                                        LinearConstraint, Plane3)
 from repro.geometry.simplex import Halfspace, Simplex
@@ -196,3 +203,103 @@ def certainly_disjoint_from_box(simplex: Simplex, box: Box) -> bool:
     """
     return any(excludes_box(halfspace, box)
                for halfspace in simplex.halfspaces)
+
+
+# ----------------------------------------------------------------------
+# polygons, boxes and envelopes, by hand
+# ----------------------------------------------------------------------
+def polygon_contains(polygon: Sequence[Point2], x: float, y: float) -> bool:
+    """True if the convex polygon (CCW or CW) contains ``(x, y)``."""
+    if len(polygon) < 3:
+        return False
+    sign = 0
+    count = len(polygon)
+    for index in range(count):
+        x1, y1 = polygon[index]
+        x2, y2 = polygon[(index + 1) % count]
+        cross = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+        if cross > EPS:
+            current = 1
+        elif cross < -EPS:
+            current = -1
+        else:
+            continue
+        if sign == 0:
+            sign = current
+        elif sign != current:
+            return False
+    return True
+
+
+def polygon_centroid(polygon: Sequence[Point2]) -> Point2:
+    """Arithmetic mean of the polygon vertices (inside a convex polygon)."""
+    if not polygon:
+        raise ValueError("centroid of an empty polygon is undefined")
+    sx = sum(p[0] for p in polygon)
+    sy = sum(p[1] for p in polygon)
+    return (sx / len(polygon), sy / len(polygon))
+
+
+def extent(box: Box, axis: int) -> float:
+    """The box's side length along ``axis``."""
+    return box.upper[axis] - box.lower[axis]
+
+
+def widest_axis(box: Box) -> int:
+    """The axis along which the box is widest."""
+    return max(range(box.dimension), key=lambda axis: extent(box, axis))
+
+
+def volume(box: Box) -> float:
+    """Product of the box's side lengths."""
+    result = 1.0
+    for axis in range(box.dimension):
+        result *= extent(box, axis)
+    return result
+
+
+def locate_brute(envelope: TriangulatedEnvelope, x: float,
+                 y: float) -> Optional[int]:
+    """Index of a triangle containing ``(x, y)``, by linear scan."""
+    for index, triangle in enumerate(envelope.triangles):
+        a, b, c = triangle.xy_vertices()
+        if polygon_contains([a, b, c], x, y):
+            return index
+    return None
+
+
+def envelope_height(envelope: TriangulatedEnvelope, x: float, y: float) -> float:
+    """Height of the lower envelope at ``(x, y)``."""
+    return envelope.planes[envelope.lowest_plane_at(x, y)].z_at(x, y)
+
+
+def covered_area(envelope: TriangulatedEnvelope) -> float:
+    """Total area of the triangles (the domain's, when they tile it)."""
+    total = 0.0
+    for triangle in envelope.triangles:
+        a, b, c = triangle.xy_vertices()
+        total += polygon_area([a, b, c])
+    return total
+
+
+# ----------------------------------------------------------------------
+# the paraboloid lifting
+# ----------------------------------------------------------------------
+def lifted_height_is_shifted_squared_distance(
+        point: Sequence[float],
+        query: Sequence[float]) -> Tuple[float, float]:
+    """(lifted plane height at ``query``, squared distance minus
+    ``|query|^2``): equal, which is the identity the reduction uses."""
+    plane = lift_point(point)
+    px, py = float(query[0]), float(query[1])
+    height = plane.z_at(px, py)
+    squared_distance = (point[0] - px) ** 2 + (point[1] - py) ** 2
+    return height, squared_distance - (px * px + py * py)
+
+
+def distance_from_height(height: float, query: Sequence[float]) -> float:
+    """The true distance, recovered from a lifted-plane height at
+    ``query``."""
+    px, py = float(query[0]), float(query[1])
+    squared = height + px * px + py * py
+    return math.sqrt(max(squared, 0.0))

@@ -305,8 +305,8 @@ def test_process_mode_matches_inprocess_answers_and_ios(points2d):
             assert a.ios.cache_hits == b.ios.cache_hits
         # Replica-level attribution matches too: the same replica served
         # the same shard queries and charged the same I/Os.
-        assert inproc.stats.replica_load_summary() \
-            == procs.stats.replica_load_summary()
+        assert inproc.stats.summary()["replica_load"] \
+            == procs.stats.summary()["replica_load"]
     finally:
         inproc.close()
         procs.close()

@@ -176,7 +176,7 @@ def test_shallow_tree_prices_its_secondary_switches(mode):
             assert_priced_exactly(tree, queries)
             for constraint in queries:
                 tree.query(constraint)
-                switched += tree.last_secondary_queries
+                switched += tree.last_query["secondary_walks"]
     assert switched
 
 

@@ -8,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.geometry import duality
 from repro.geometry.arrangement2d import lines_below_point_fast
 from repro.geometry.boxes import Box
-from repro.geometry.polygons import convex_hull, polygon_area, polygon_contains
+from repro.geometry.polygons import convex_hull, polygon_area
 from repro.geometry.primitives import (EPS, Hyperplane, Line2,
                                        LinearConstraint, Plane3)
 
-from geometry_oracle import (lines_strictly_above,
+from geometry_oracle import (lines_strictly_above, polygon_contains,
                              primal_point_of_dual_hyperplane,
                              primal_point_of_dual_line,
                              primal_point_of_dual_plane)

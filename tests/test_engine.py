@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import (assert_answer, brute_force_halfspace, rows,
-                      wave_answers)
+                      served_query, wave_answers)
 from geometry_oracle import filter_points, validate_against_scan
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.core import DynamicPartitionTreeIndex
 from repro.engine.catalog import Catalog
-from repro.engine.metrics import EngineStats, ServedQueryRecord
+from repro.engine.metrics import EngineStats
 from repro.engine.catalog import INDEX_KINDS
 from repro.engine.metrics import percentile
 from repro.workloads import (
@@ -476,11 +476,11 @@ def test_percentile_nearest_rank():
 def test_engine_stats_summary_and_distribution():
     stats = EngineStats()
     for ios, cached in ((10, False), (0, True), (6, False)):
-        stats.record(ServedQueryRecord(
+        stats.record(served_query(
             dataset="d", index_name="halfplane2d", latency_s=0.001 * (ios + 1),
             ios=ios, reported=5, result_cache_hit=cached))
-    stats.record(ServedQueryRecord(dataset="d", index_name="full_scan",
-                                   latency_s=0.5, ios=128, reported=4096))
+    stats.record(served_query(dataset="d", index_name="full_scan",
+                              latency_s=0.5, ios=128, reported=4096))
     summary = stats.summary()
     assert summary["num_queries"] == 4
     assert summary["total_ios"] == 144

@@ -14,14 +14,13 @@ from repro.geometry.polygons import (
     clip_polygon_halfplane,
     fan_triangulate,
     polygon_area,
-    polygon_centroid,
-    polygon_contains,
     rectangle_polygon,
 )
 from repro.geometry.primitives import Plane3
 from repro.io.store import BlockStore
 
-from geometry_oracle import planes_below_point
+from geometry_oracle import (covered_area, locate_brute, planes_below_point,
+                             polygon_centroid, polygon_contains)
 
 DOMAIN = (-4.0, 4.0, -4.0, 4.0)
 
@@ -91,14 +90,14 @@ class TestLowerEnvelope:
     def test_single_plane_covers_domain(self):
         envelope = compute_lower_envelope([Plane3(0.1, -0.2, 0.3)], DOMAIN)
         assert envelope.size >= 1
-        assert envelope.covered_area() == pytest.approx(envelope.domain_area())
+        assert covered_area(envelope) == pytest.approx(envelope.domain_area())
 
     @pytest.mark.parametrize("count,backend", [(6, "exact"), (40, "exact"),
                                                hull(150)])
     def test_cells_tile_the_domain(self, count, backend):
         planes = random_planes(count, seed=count)
         envelope = compute_lower_envelope(planes, DOMAIN, backend=backend)
-        assert envelope.covered_area() == pytest.approx(envelope.domain_area(),
+        assert covered_area(envelope) == pytest.approx(envelope.domain_area(),
                                                         rel=1e-6)
 
     @pytest.mark.parametrize("count,backend", [(12, "exact"), hull(120)])
@@ -108,7 +107,7 @@ class TestLowerEnvelope:
         rng = np.random.default_rng(0)
         for __ in range(30):
             x, y = rng.uniform(-3.9, 3.9, size=2)
-            triangle_index = envelope.locate_brute(float(x), float(y))
+            triangle_index = locate_brute(envelope, float(x), float(y))
             assert triangle_index is not None
             triangle = envelope.triangles[triangle_index]
             lowest = envelope.lowest_plane_at(float(x), float(y))
@@ -124,8 +123,8 @@ class TestLowerEnvelope:
         rng = np.random.default_rng(1)
         for __ in range(20):
             x, y = rng.uniform(-3, 3, size=2)
-            t_exact = exact.locate_brute(float(x), float(y))
-            t_hull = hull.locate_brute(float(x), float(y))
+            t_exact = locate_brute(exact, float(x), float(y))
+            t_hull = locate_brute(hull, float(x), float(y))
             z_exact = planes[exact.triangles[t_exact].plane_index].z_at(x, y)
             z_hull = planes[hull.triangles[t_hull].plane_index].z_at(x, y)
             assert z_exact == pytest.approx(z_hull, abs=1e-6)

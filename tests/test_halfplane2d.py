@@ -172,9 +172,9 @@ class TestQueryCost:
         small = halfspace_queries_with_selectivity(points, 1, 0.01, seed=18)[0]
         large = halfspace_queries_with_selectivity(points, 1, 0.6, seed=19)[0]
         index.query(small)
-        probed_small = index.last_layers_probed
+        probed_small = index.last_query["layers_probed"]
         index.query(large)
-        probed_large = index.last_layers_probed
+        probed_large = index.last_query["layers_probed"]
         assert probed_small <= probed_large
 
     def test_adversarial_query_stays_output_sensitive(self):

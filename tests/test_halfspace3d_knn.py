@@ -19,6 +19,13 @@ from repro.workloads import (
 from conftest import assert_answer, brute_force_halfspace, rows
 
 
+def nearest_with_distances(index, query, k):
+    """``index.nearest`` paired with the true Euclidean distances."""
+    qx, qy = float(query[0]), float(query[1])
+    return [(point, math.hypot(point[0] - qx, point[1] - qy))
+            for point in index.nearest(query, k)]
+
+
 def random_planes(count, seed):
     rng = np.random.default_rng(seed)
     return [Plane3(*row) for row in rng.uniform(-1, 1, size=(count, 3))]
@@ -208,7 +215,7 @@ class TestKNN:
 
     def test_nearest_with_distances_sorted(self, knn_index):
         points, index = knn_index
-        pairs = index.nearest_with_distances((0.2, 0.3), 15)
+        pairs = nearest_with_distances(index, (0.2, 0.3), 15)
         distances = [d for __, d in pairs]
         assert distances == sorted(distances)
 
@@ -244,9 +251,10 @@ class TestKNN:
                 found, ios = index.nearest_with_stats(tuple(query), k)
                 assert found == self.brute_nearest(points, query, k)
                 assert ios.total <= 2 * scan_blocks + 3 * planes_index.MAX_FAILURES
-                attempts += planes_index.last_attempts
-                failed += planes_index.last_attempts - (
-                    planes_index.last_attempts > planes_index.last_fallbacks)
+                account = planes_index.last_query
+                attempts += account["attempts"]
+                failed += account["attempts"] - (
+                    account["attempts"] > account["fallbacks"])
         assert attempts > 50
         assert failed <= attempts / 2
 

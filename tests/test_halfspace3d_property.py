@@ -34,6 +34,7 @@ from repro.geometry.primitives import LinearConstraint
 from repro.workloads import uniform_points, uniform_points_ball
 
 from conftest import rows
+from geometry_oracle import covered_area, envelope_height, locate_brute
 from scan_oracle import scalar_kernels
 
 FAMILIES = ("cube", "ball", "paraboloid", "duplicated")
@@ -241,17 +242,17 @@ def test_incremental_envelope_is_the_exact_envelope(family, count, seed):
         coefficients, sample_sizes(count), domain)
     exact = compute_lower_envelope(planes, domain, backend="exact")
     assert all(len(conflict) == 0 for conflict in conflicts)
-    assert incremental.covered_area() == pytest.approx(exact.domain_area(),
+    assert covered_area(incremental) == pytest.approx(exact.domain_area(),
                                                        rel=1e-6)
     assert abs(incremental.size - exact.size) <= max(2, 0.1 * exact.size)
     rng = np.random.default_rng(seed)
     xmin, xmax, ymin, ymax = domain
     for x, y in rng.uniform((xmin, ymin), (xmax, ymax), size=(200, 2)).tolist():
-        triangle = incremental.locate_brute(x, y)
+        triangle = locate_brute(incremental, x, y)
         assert triangle is not None
         carried = planes[incremental.triangles[triangle].plane_index]
         assert carried.z_at(x, y) == pytest.approx(
-            exact.envelope_height(x, y), abs=1e-9)
+            envelope_height(exact, x, y), abs=1e-9)
 
 
 def test_cells_that_do_not_tile_fall_back_to_clipping_all_candidates(monkeypatch):
@@ -265,7 +266,7 @@ def test_cells_that_do_not_tile_fall_back_to_clipping_all_candidates(monkeypatch
     *__, (lossy, __) = nested_envelopes(coefficients, sample_sizes(120), domain)
     monkeypatch.undo()
     exact = compute_lower_envelope(planes, domain)
-    assert lossy.covered_area() == pytest.approx(exact.domain_area(), rel=1e-9)
+    assert covered_area(lossy) == pytest.approx(exact.domain_area(), rel=1e-9)
     assert lossy.size == exact.size
 
 

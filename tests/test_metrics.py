@@ -2,7 +2,7 @@
 
 * memory does not grow with traffic, only with the number of series;
 * windows (``snapshot`` / ``snapshot_delta``) and every integer field
-  of ``summary()`` / ``tenant_summary()`` are exact under threads;
+  of ``summary()`` (its tenants too) are exact under threads;
 * bucket-interpolated quantiles stay within one bucket of nearest-rank;
 * the registry folds dead threads' shards away and always renders a
   cumulative (valid) histogram, even mid-``observe``.
@@ -19,22 +19,23 @@ from bisect import bisect_left
 
 import pytest
 
-from repro.engine.metrics import EngineStats, ServedQueryRecord
+from conftest import served_query
+from repro.engine.metrics import EngineStats
 from repro.engine.metrics import percentile
 from repro.engine.obs import MetricsRegistry, render_prometheus
 from repro.engine.obs.registry import (DEFAULT_BUCKETS, histogram_quantile,
-                                       merge_histograms)
+                                       merge_histograms, view_to_json)
 
 
 def series_count(stats):
-    metrics = stats.registry.to_json()
+    metrics = view_to_json(stats.registry.collect())
     return sum(len(metrics[kind])
                for kind in ("counters", "gauges", "histograms"))
 
 
 def drive(stats, step):
     """One query + estimation + write + HTTP note, cycling a few labels."""
-    stats.record(ServedQueryRecord(
+    stats.record(served_query(
         dataset="d%d" % (step % 2), index_name=("tree", "scan")[step % 2],
         latency_s=1e-4 * (1 + step % 50), ios=step % 7, reported=step % 5,
         result_cache_hit=step % 3 == 0, store_cache_hits=step % 2,
@@ -79,10 +80,10 @@ def oracle(records):
         plans[record.index_name] = plans.get(record.index_name, 0) + 1
     return {
         "num_queries": len(records),
-        "total_ios": sum(r.ios for r in records),
-        "total_reported": sum(r.reported for r in records),
-        "store_cache_hits": sum(r.store_cache_hits for r in records),
-        "result_cache_hits": sum(r.result_cache_hit for r in records),
+        "total_ios": sum(r.total_ios for r in records),
+        "total_reported": sum(r.count for r in records),
+        "store_cache_hits": sum(r.ios.cache_hits for r in records),
+        "result_cache_hits": sum(r.from_result_cache for r in records),
         "shards_queried": sum(r.shards_queried for r in records),
         "shards_pruned": sum(r.shards_pruned for r in records),
         "degraded": sum(r.degraded for r in records),
@@ -95,7 +96,7 @@ def test_windows_and_summaries_are_exact_under_threads():
     rng = random.Random(1998)
 
     def make_record(worker):
-        return ServedQueryRecord(
+        return served_query(
             dataset=rng.choice(("d0", "d1")),
             index_name=rng.choice(("tree", "scan", "hybrid")),
             latency_s=rng.lognormvariate(-7, 1), ios=rng.randrange(40),
@@ -148,14 +149,13 @@ def test_windows_and_summaries_are_exact_under_threads():
     assert {name: summary[name] for name in INTEGER_FIELDS} \
         == {name: expected[name] for name in INTEGER_FIELDS}
     assert summary["plan_distribution"] == expected["plan_distribution"]
-    tenants = stats.tenant_summary()
+    tenants = summary["tenants"]
     assert set(tenants) == {"t0", "t1", "t2"}
     for tenant, row in tenants.items():
         mine = [r for r in everything if r.tenant == tenant]
         assert (row["queries"], row["total_ios"], row["degraded"]) == (
-            len(mine), sum(r.ios for r in mine),
+            len(mine), sum(r.total_ios for r in mine),
             sum(r.degraded for r in mine))
-    assert summary["tenants"] == tenants
 
     # reset() between the marker and the delta: the empty window.
     stats.reset()
@@ -234,7 +234,7 @@ def test_histogram_stays_cumulative_when_scraped_mid_observe():
     # A scrape landing after observe() bumped the bucket and before it
     # finished: the bucket is ahead of whatever else the state holds.
     registry._shard()["histograms"][("seconds", ())][1] += 1
-    series = registry.to_json()["histograms"]["seconds"]
+    series = view_to_json(registry.collect())["histograms"]["seconds"]
     counts = [bucket["count"] for bucket in series["buckets"]]
     assert counts == sorted(counts) == [1, 4, 4]
     assert series["count"] == counts[-1]
@@ -360,5 +360,83 @@ def test_halfspace3d_outcomes_are_on_metrics_and_on_the_shard_span():
             'engine_halfspace3d_queries_total{dataset="d",outcome="%s"}'
             % outcome: "2" for outcome in ("layer", "outside_domain",
                                            "no_layer")}
+    finally:
+        engine.close()
+
+
+#: The step counts each engine kind's account holds (its ``last_query``
+#: but for ``halfspace3d``'s ``layer`` and ``scanned``, which say how it
+#: answered); a kind that keeps no account has none.
+ACCOUNT_STEPS = {
+    "halfplane2d": {"layers_probed"},
+    "halfspace3d": {"probes", "list_blocks"},
+    "hybrid3d": {"nodes_crossed", "leaves_queried", "leaf_scans"},
+    "partition_tree": {"nodes_crossed"},
+    "shallow_tree": {"nodes_crossed", "secondary_walks"},
+    "rtree": {"nodes_crossed"},
+    "quadtree": {"nodes_crossed"},
+    "dynamic": {"nodes_crossed"},
+    "full_scan": set(),
+    "kdb_tree": set(),
+    "paged_cgl": set(),
+}
+
+
+def scraped_steps(engine):
+    """``engine_index_steps_total`` as ``{(index, step): count}``."""
+    steps = {}
+    for line in render_prometheus(engine.stats.registry).splitlines():
+        if line.startswith("engine_index_steps_total{"):
+            labels, value = line[len("engine_index_steps_total{"):].split(
+                "} ")
+            fields = dict(part.split("=") for part in labels.split(","))
+            key = (fields["index"].strip('"'), fields["step"].strip('"'))
+            steps[key] = float(value)
+    return steps
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("kind", sorted(ACCOUNT_STEPS))
+def test_every_kind_publishes_the_account_its_shards_report(kind, backend,
+                                                            tmp_path):
+    """One record read two ways: the step counts in
+    ``explain(analyze=True)``'s per-shard entries sum to the
+    ``engine_index_steps_total`` delta, for every engine kind, on two
+    shards.  The worker mode is the suite's."""
+    import numpy as np
+    from repro import ConstraintConjunction, LinearConstraint, QueryEngine
+    from repro.engine.catalog import INDEX_KINDS
+    assert set(ACCOUNT_STEPS) == set(INDEX_KINDS)
+    dimension = 3 if INDEX_KINDS[kind].supports(3) else 2
+    points = np.random.default_rng(11).uniform(-1.0, 1.0, (800, dimension))
+    engine = QueryEngine(block_size=16, seed=4, backend=backend,
+                         data_dir=str(tmp_path))
+    try:
+        engine.register_sharded_dataset("d", points, num_shards=2,
+                                        kinds=[kind])
+        flat = (0.0,) * (dimension - 1)
+        queries = [LinearConstraint(flat, offset) for offset in (-0.9, 0.1)]
+        queries += [LinearConstraint((0.3,) + flat[1:], -0.2),
+                    ConstraintConjunction.of(
+                        LinearConstraint((0.2,) + flat[1:], 0.4),
+                        LinearConstraint((-0.4,) + flat[1:], 0.3))]
+        reported = {}
+        for query in queries:
+            before = scraped_steps(engine)
+            report = engine.explain("d", query, analyze=True)
+            grown = {key[1]: count - before.get(key, 0.0)
+                     for key, count in scraped_steps(engine).items()
+                     if count != before.get(key)}
+            assert report["index"] == kind
+            assert len(report["per_shard"]) == 2
+            for entry in report["per_shard"]:
+                assert set(entry) >= ACCOUNT_STEPS[kind]
+            steps = {step: sum(entry[step] for entry in report["per_shard"])
+                     for step in ACCOUNT_STEPS[kind]}
+            assert grown == {step: count for step, count in steps.items()
+                             if count}
+            for step, count in steps.items():
+                reported[step] = reported.get(step, 0) + count
+        assert all(reported.values())      # every step was taken
     finally:
         engine.close()

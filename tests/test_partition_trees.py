@@ -100,13 +100,13 @@ class TestPartitionTree:
     def test_simplex_query_counts_its_own_nodes(self, tree_2d):
         points, tree = tree_2d
         tree.query(halfspace_queries_with_selectivity(points, 1, 0.5, seed=4)[0])
-        after_halfspace = tree.last_nodes_visited
+        after_halfspace = tree.last_query["nodes_crossed"]
         far_triangle = Simplex.from_vertices_2d([(10, 10), (11, 10), (10, 11)])
         tree.query(far_triangle)
-        assert tree.last_nodes_visited == 1 < after_halfspace   # the root only
+        assert tree.last_query["nodes_crossed"] == 1 < after_halfspace   # the root only
         triangle = Simplex.from_vertices_2d([(-0.5, -0.5), (0.7, -0.3), (0.0, 0.8)])
         tree.query(triangle)
-        assert 1 < tree.last_nodes_visited <= tree.num_nodes
+        assert 1 < tree.last_query["nodes_crossed"] <= tree.num_nodes
 
     def test_ham_sandwich_partitioner_variant_correct(self):
         points = uniform_points(900, seed=9)
@@ -148,7 +148,7 @@ class TestPartitionTree:
         points, tree = tree_2d
         constraint = halfspace_queries_with_selectivity(points, 1, 0.05, seed=11)[0]
         tree.query(constraint)
-        assert 0 < tree.last_nodes_visited <= tree.num_nodes
+        assert 0 < tree.last_query["nodes_crossed"] <= tree.num_nodes
 
 
 class TestShallowTree:
@@ -185,7 +185,22 @@ class TestShallowTree:
         tree.query(constraint)
         # Large outputs are allowed to use the secondary structures; the
         # counter merely has to be consistent (>= 0).
-        assert tree.last_secondary_queries >= 0
+        assert tree.last_query["secondary_walks"] >= 0
+
+    def test_a_secondary_walk_counts_into_the_query_account(self):
+        """At d = 4 the root hands every one of these halfspaces to its
+        secondary tree.  The query's crossed nodes are the root and all
+        of that walk's: one account, however deep the walks nest."""
+        points = uniform_points(16384, dimension=4, seed=2000)
+        tree = ShallowPartitionTreeIndex(points, block_size=32)
+        secondary = tree._nodes[tree._root].secondary
+        for constraint in random_halfspace_queries(40, 4, seed=8):
+            tree.query(constraint)
+            account = tree.last_query
+            secondary.query(constraint)
+            assert account["secondary_walks"] == 1
+            assert account["nodes_crossed"] \
+                == 1 + secondary.last_query["nodes_crossed"] > 100
 
     def test_empty_index(self):
         tree = checked(ShallowPartitionTreeIndex(np.zeros((0, 3)),
@@ -214,8 +229,12 @@ class TestHybrid3D:
                 {tuple(p) for p in tree.query(constraint)}
 
     def test_leaf_threshold_respects_exponent(self, hybrid):
-        __, tree = hybrid
-        assert tree.leaf_threshold == int(round(tree.block_size ** 1.5))
+        # The recursion stops at subsets of at most B^a points: no leaf
+        # holds more, and the largest holds more than a B-point cap allows.
+        points, tree = hybrid
+        sizes = [node.size for node in tree._nodes if node.is_leaf]
+        assert sum(sizes) == len(points)
+        assert tree.block_size < max(sizes) <= round(tree.block_size ** 1.5)
 
     def test_leaf_exponent_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -240,7 +259,7 @@ class TestHybrid3D:
         everything = tree.query(LinearConstraint((0.0, 0.0), 10.0))
         assert_answer(everything, 3)
         assert everything.shape == (len(points), 3)
-        assert tree.last_leaves_queried == 0
+        assert tree.last_query["leaves_queried"] == 0
         nothing = tree.query(LinearConstraint((0.0, 0.0), -10.0))
         assert_answer(nothing, 3)
         assert nothing.shape == (0, 3)
@@ -249,7 +268,9 @@ class TestHybrid3D:
         points, tree = hybrid
         constraint = halfspace_queries_with_selectivity(points, 1, 0.05, seed=23)[0]
         tree.query(constraint)
-        assert tree.last_leaves_queried >= 0
+        assert tree.last_query["leaves_queried"] >= 0
+        assert tree.last_query["leaf_scans"] \
+            <= tree.last_query["leaves_queried"]
 
     def test_empty_index(self):
         tree = checked(HybridIndex3D(np.zeros((0, 3)), block_size=16))

@@ -11,11 +11,7 @@ from repro.geometry.hamsandwich import (
     ham_sandwich_cut,
     ham_sandwich_partition,
 )
-from repro.geometry.lifting import (
-    distance_from_height,
-    lift_point,
-    lifted_height_is_shifted_squared_distance,
-)
+from repro.geometry.lifting import lift_point
 from repro.geometry.partitions import (
     crossing_number,
     max_crossing_number,
@@ -25,8 +21,10 @@ from repro.geometry.primitives import EPS, Hyperplane
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.workloads import uniform_points
 
-from geometry_oracle import (certainly_disjoint_from_box, contains_box,
-                             excludes_box, filter_points, is_balanced)
+from geometry_oracle import (
+    certainly_disjoint_from_box, contains_box, distance_from_height,
+    excludes_box, extent, filter_points, is_balanced,
+    lifted_height_is_shifted_squared_distance, volume, widest_axis)
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
 
@@ -35,9 +33,9 @@ class TestBox:
     def test_dimension_and_extent(self):
         box = Box((0.0, 0.0), (2.0, 1.0))
         assert box.dimension == 2
-        assert box.extent(0) == 2.0
-        assert box.widest_axis() == 0
-        assert box.volume() == 2.0
+        assert extent(box, 0) == 2.0
+        assert widest_axis(box) == 0
+        assert volume(box) == 2.0
 
     def test_invalid_corners_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import observable
+from conftest import cache_info, observable
 from repro.io.store import BlockStore
 
 BLOCK_SIZE = 4
@@ -109,7 +109,7 @@ def test_a_run_longer_than_the_pool_keeps_its_tail():
     store.reset_stats()
     blocks_read = store.read_run(ids)
     assert [block[0, 0] for block in blocks_read] == list(map(float, range(8)))
-    info = store.cache_info()
+    info = cache_info(store)
     assert (store.stats.reads, info["misses"], info["hits"]) == (8, 8, 0)
     assert [key for key, __ in store._cache.items()] == ids[-3:]
     # Resident ids, and a repeated one, hit.

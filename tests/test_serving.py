@@ -19,6 +19,7 @@ from conftest import brute_force_halfspace, wave_answers
 from repro import LinearConstraint, QueryEngine
 from repro.engine import ServingRequest, TenantBudget
 from repro.engine.catalog import Catalog
+from repro.engine.obs.registry import view_to_json
 from repro.engine.obs import render_prometheus
 from repro.engine.serving.admission import (
     AdmissionController,
@@ -798,7 +799,7 @@ def test_replicated_serving_attributes_load_to_both_replicas(points2d):
                 for i, c in enumerate(constraints)]
     result = engine.serve_async(requests, max_concurrency=4)
     assert result.outcomes() == {"served": len(requests)}
-    load = engine.stats.replica_load_summary()
+    load = engine.stats.summary()["replica_load"]
     for shard_id in (0, 1):
         replicas_used = {key for key, ios in load.items()
                          if key.startswith("sh/%d/" % shard_id) and ios > 0}
@@ -835,7 +836,7 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
     # picker's choices stay open after the mutation (no pinning).
     for __ in range(4):
         engine.query("sh", constraint, clear_cache=True)
-    load = engine.stats.replica_load_summary()
+    load = engine.stats.summary()["replica_load"]
     assert "sh/%d/0" % last_shard.shard_id in load
     assert "sh/%d/1" % last_shard.shard_id in load
 
@@ -995,8 +996,8 @@ def test_async_serving_after_engine_insert_stays_fresh(points2d):
 # ----------------------------------------------------------------------
 def cost_model_ratios(engine):
     """``engine_cost_model_ratio`` as JSON, by series."""
-    return {key: value for key, value
-            in engine.stats.registry.to_json()["histograms"].items()
+    histograms = view_to_json(engine.stats.registry.collect())["histograms"]
+    return {key: value for key, value in histograms.items()
             if key.startswith("engine_cost_model_ratio")}
 
 

@@ -17,6 +17,7 @@ from geometry_oracle import filter_points
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
 from repro.engine.catalog import Catalog
+from repro.engine.obs.registry import view_to_json
 from repro.engine.planner import ShardedPlan
 from repro.engine.cluster import ShardWorker
 from repro.engine.sharding import (
@@ -316,12 +317,14 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
 
         plain = engines["unsharded"]
         assert plain.stats.conformal.size("d") == len(constraints) + 1
-        expected = plain.stats.estimation_summary()["d"]
+        expected = plain.stats.summary()["estimation_qerror"]["d"]
         assert expected["plans"] == len(constraints) + 1
 
         def qerror_buckets(engine):
-            return engine.stats.registry.to_json()["histograms"][
-                'engine_estimation_qerror{dataset="d"}']["buckets"]
+            histograms = view_to_json(
+                engine.stats.registry.collect())["histograms"]
+            return histograms['engine_estimation_qerror{dataset="d"}'][
+                "buckets"]
 
         for layout in ("range", "hash"):
             engine = engines[layout]
@@ -329,7 +332,7 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
             # the interpolated percentiles) and max are equal, the mean
             # is a float sum in a different order.
             assert qerror_buckets(engine) == qerror_buckets(plain)
-            estimation = engine.stats.estimation_summary()["d"]
+            estimation = engine.stats.summary()["estimation_qerror"]["d"]
             assert estimation.pop("mean") == pytest.approx(expected["mean"])
             assert estimation == {key: value for key, value
                                   in expected.items() if key != "mean"}

@@ -555,7 +555,7 @@ def test_degraded_answer_carries_sample_rate_and_interval():
                                           item.request.constraint))
         assert low <= truth <= high
     # Every degraded answer is counted against its tenant.
-    assert engine.stats.tenant_summary()["soft"]["degraded"] \
+    assert engine.stats.summary()["tenants"]["soft"]["degraded"] \
         == len(degraded)
     engine.close()
 

@@ -27,7 +27,7 @@ from repro.io.cache import LRUCache
 from repro.io.store import BlockStore
 
 from build_oracle import oracle_put_run
-from conftest import compact_at, replayed
+from conftest import cache_info, compact_at, replayed
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -683,7 +683,7 @@ class TestBlockStoreEdgeCases:
         store.read(ids[0])                            # miss (pool was empty)
         store.read(ids[0])                            # hit
         assert store.stats.cache_hits == 1
-        info = store.cache_info()
+        info = cache_info(store)
         assert info["hits"] >= 1 and info["capacity"] == 2
 
     def test_resize_cache_returns_previous_capacity(self):

@@ -28,7 +28,7 @@ from repro.io.backend import FileBackend, MemoryBackend
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
-from conftest import assert_answer, rows
+from conftest import assert_answer, cache_info, rows
 from geometry_oracle import filter_points
 import scan_oracle
 from scan_oracle import read_all, scalar_kernels, scan
@@ -273,7 +273,7 @@ def test_index_answers_and_ios_identical_both_paths(dimension):
             name = "%s on %s" % (type(index).__name__, backend)
             assert len(vector) > 8, name
             if isinstance(index, HalfplaneIndex2D):
-                assert index.last_layers_probed > 1, name
+                assert index.last_query["layers_probed"] > 1, name
             assert vector_answer == scalar_answer, name
             assert_same_ordered_answer(vector, scalar, name)
             assert vector_ios.reads == scalar_ios.reads, name
@@ -648,14 +648,14 @@ def test_leaf_runs_read_the_blocks_the_walk_reads_in_its_order(monkeypatch):
     store.reset_stats()
     vector = wide.query(constraint)
     vector_log, vector_runs = list(log), list(runs)
-    vector_info = store.cache_info()
+    vector_info = cache_info(store)
     del log[:], runs[:]
     store.clear_cache()
     store.reset_stats()
     with scalar_kernels():
         scalar = wide.query(constraint)
     assert not runs and log == vector_log
-    scalar_info = store.cache_info()
+    scalar_info = cache_info(store)
     assert max(map(len, vector_runs)) > 2
     assert (vector_info["hits"], vector_info["misses"]) \
         == (scalar_info["hits"], scalar_info["misses"])
@@ -672,7 +672,7 @@ def test_hybrid_batches_below_leaves_and_queries_crossed_ones(monkeypatch):
     log, runs = logged_reads(store, monkeypatch)
     vector = index.query(constraint)
     vector_log = list(log)
-    assert index.last_leaves_queried > 0
+    assert index.last_query["leaves_queried"] > 0
     # A run holds the raw copies of BELOW leaves or one conflict list of a
     # crossed leaf's own structure, never both.
     assert max(len(run) for run in runs if leaf_blocks.issuperset(run)) > 1

@@ -22,7 +22,7 @@ from repro.workloads import (
     uniform_points,
     uniform_points_ball,
 )
-from repro.workloads.distributions import company_table, grid_points
+from repro.workloads.distributions import company_table
 from repro.workloads.queries import knn_query_points
 
 
@@ -47,9 +47,6 @@ class TestDistributions:
     def test_diagonal_points_hug_the_diagonal(self):
         points = diagonal_points(300, noise=1e-5, seed=5)
         assert np.max(np.abs(points[:, 1] - points[:, 0])) < 1e-3
-
-    def test_grid_points_count(self):
-        assert grid_points(5, dimension=2).shape == (25, 2)
 
     def test_company_table_schema(self):
         table = company_table(10, seed=6)

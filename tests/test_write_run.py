@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import compact_at, observable
+from conftest import cache_info, compact_at, observable
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.io.backend import FileBackend
 from repro.io.store import BlockStore
@@ -45,7 +45,7 @@ steps = st.lists(st.one_of(
 
 def pool_state(store: BlockStore):
     """What a step may be compared on without handing a run over."""
-    info = store.cache_info()
+    info = cache_info(store)
     return (vars(store.stats.snapshot()), info["hits"], info["misses"],
             info["capacity"], [key for key, __ in store._cache.items()])
 
