@@ -117,15 +117,13 @@ INDEX_KINDS: Dict[str, IndexKind] = {
 def default_suite(dimension: int) -> List[str]:
     """The kinds the engine builds when the caller does not choose.
 
-    One optimal structure for the dimension (when the paper provides one),
-    the linear-size partition tree (handles conjunctions natively), and
-    the full scan as the always-correct floor.
+    The paper's optimal structure where it has one (d = 2 and 3), the
+    linear-size partition tree (handles conjunctions natively), and the
+    full scan as the always-correct floor.  Each kind but the floor wins
+    some query of ``benchmarks/bench_planner_regret.py``.
     """
-    if dimension == 2:
-        return ["halfplane2d", "partition_tree", "full_scan"]
-    if dimension == 3:
-        return ["halfspace3d", "partition_tree", "full_scan"]
-    return ["partition_tree", "shallow_tree", "full_scan"]
+    optimal = {2: ["halfplane2d"], 3: ["halfspace3d"]}.get(dimension, [])
+    return optimal + ["partition_tree", "full_scan"]
 
 
 @dataclass
@@ -170,10 +168,6 @@ class Dataset:
     #: ``partition_tree`` built as the dynamic index beside it (see
     #: :func:`one_tree_per_replica`).
     aliases: Dict[str, str] = field(default_factory=dict)
-    #: Set by the engine's write path once a write committed on this
-    #: replica.  Statically-built sibling indexes are stale from that
-    #: point on, so the planner stops routing to them.
-    mutated: bool = False
     #: The thread inside :func:`~repro.engine.writes.apply_mutation` on
     #: this replica (None: none) — the one writer the veto lets through.
     writer: Optional[int] = field(default=None, repr=False, compare=False)
@@ -359,12 +353,13 @@ def _alias(dataset: Dataset, aliases: Dict[str, str]) -> None:
     dataset.aliases.update(aliases)
 
 
-def _build_on_shards(shards: Sequence[Shard], seed: Optional[int],
-                     builds: Sequence[Dict[str, object]]
+def _build_on_shards(shards: Sequence[Tuple[Optional[int], List[Dataset]]],
+                     seed: Optional[int], builds: Sequence[Dict[str, object]]
                      ) -> List[BuildRecord]:
-    """Every build of ``builds`` (``kind`` / ``index_name`` / ``params``)
-    that :func:`one_tree_per_replica` runs on every replica of
-    ``shards``, shard by shard and, in a shard, in ``builds`` order, each
+    """The one build site: every build of ``builds`` (``kind`` /
+    ``index_name`` / ``params``) that :func:`one_tree_per_replica` runs on
+    every replica of ``shards`` (``(shard id, replicas)``; a worker's is
+    None), shard by shard and, in a shard, in ``builds`` order, each
     build a ``catalog.build_index`` span when a trace is on; the others
     become aliases.  The builds run in one build scope: a shard's chunk is
     cut into its median cuts once, and the cuts are dropped before the
@@ -373,12 +368,11 @@ def _build_on_shards(shards: Sequence[Shard], seed: Optional[int],
     runs, aliases = one_tree_per_replica(builds)
     records: List[List[BuildRecord]] = [[] for __ in runs]
     with sharing_partitions() as scope:
-        for shard in shards:
+        for shard_id, replicas in shards:
             for build, built in zip(runs, records):
-                for replica_id, replica in enumerate(shard.replicas):
+                for replica_id, replica in enumerate(replicas):
                     with tracing.span("catalog.build_index",
-                                      kind=build["kind"],
-                                      shard=shard.shard_id,
+                                      kind=build["kind"], shard=shard_id,
                                       replica=replica_id) as span:
                         before = (scope.computed, scope.shared)
                         record = _build_index(
@@ -389,7 +383,7 @@ def _build_on_shards(shards: Sequence[Shard], seed: Optional[int],
                                          replica.indexes[record.index_name],
                                          _partition_use(scope, before))
                     built.append(record)
-            for replica in shard.replicas:
+            for replica in replicas:
                 _alias(replica, aliases)
             scope.hierarchies.clear()
     return [record for built in records for record in built]
@@ -422,7 +416,7 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
                    recipe: ReplicaRecipe,
                    suite_builds: Sequence[Dict[str, object]]
                    ) -> List[Dataset]:
-    """One replica per name over the same ``chunk``: the one build site.
+    """One replica per name over the same ``chunk``: the one replica maker.
 
     Each replica gets its own store (a ``<name>.blocks`` file under the
     recipe's ``data_dir`` for file backends) and a replay of
@@ -431,38 +425,31 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
     committed write to the model once.  Samples and the randomised
     builds are seeded from the recipe, so the same arguments give the
     same stores and structures in any process: registration, re-split
-    and the shard worker all call this, which is what replica parity and
-    process-mode I/O parity rest on (the first two with no builds, then
-    build the suite shard by shard, each replica's in the same order);
-    the builds here run in one build scope, resolved by
-    :func:`one_tree_per_replica`.  ``chunk`` may hold zero points.
+    and the shard worker all call this (the first two with no builds,
+    then build the suite shard by shard), and every build runs in
+    :func:`_build_on_shards` — which is what replica parity and process-mode
+    I/O parity rest on.  ``chunk`` may hold zero points.
     """
-    runs, aliases = one_tree_per_replica(suite_builds)
     stats = fit_stats(recipe, chunk)
     replicas: List[Dataset] = []
-    with sharing_partitions():
-        for name in names:
-            path = None
-            if recipe.backend == "file" and recipe.data_dir is not None:
-                path = os.path.join(recipe.data_dir,
-                                    Catalog._block_file_name(name))
-            replica = Dataset(
-                name=name, points=chunk, stats=stats,
-                store=BlockStore(block_size=recipe.block_size,
-                                 cache_blocks=recipe.cache_blocks,
-                                 backend=make_backend(recipe.backend,
-                                                      path=path)))
-            for build in runs:
-                _build_index(replica, recipe.seed, build["kind"],
-                             build["index_name"], build["params"])
-            _alias(replica, aliases)
-            replicas.append(replica)
+    for name in names:
+        path = None
+        if recipe.backend == "file" and recipe.data_dir is not None:
+            path = os.path.join(recipe.data_dir,
+                                Catalog._block_file_name(name))
+        replicas.append(Dataset(
+            name=name, points=chunk, stats=stats,
+            store=BlockStore(block_size=recipe.block_size,
+                             cache_blocks=recipe.cache_blocks,
+                             backend=make_backend(recipe.backend,
+                                                  path=path))))
+    _build_on_shards([(None, replicas)], recipe.seed, suite_builds)
     return replicas
 
 
 def _boxed_shard(shard_id: int, replicas: List[Dataset]) -> Shard:
     """A shard over freshly built replicas, boxed by their build points
-    (none over zero points: pruned until a write makes the box stale)."""
+    (none over zero points: pruned until a write lands on it)."""
     points = replicas[0].points
     if len(points) == 0:
         return Shard(shard_id=shard_id, replicas=replicas)
@@ -683,7 +670,7 @@ class Catalog:
 
         The one answer to "which index is mutable": the write path
         writes it, a re-split reads its live points, the planner routes
-        to it alone once the replica has mutated, and a worker is sent
+        to it alone once its shard is ``written``, and a worker is sent
         writes only when its suite holds it.
         """
         return next((name for name, index in dataset.indexes.items()
@@ -767,8 +754,9 @@ class Catalog:
             old_stores = self.stores(name)
             shards = self._make_shards(name, array, router, sharded.recipe,
                                        generation)
-            _build_on_shards(shards, sharded.recipe.seed,
-                             sharded.suite_builds)
+            _build_on_shards([(shard.shard_id, shard.replicas)
+                              for shard in shards],
+                             sharded.recipe.seed, sharded.suite_builds)
             sharded.points = array
             sharded.router = router
             sharded.shards = shards
@@ -900,8 +888,9 @@ class Catalog:
         """Run ``builds`` on every shard, then record each on the sharded
         dataset's ``suite_builds`` (an index name once)."""
         sharded = self.sharded(dataset_name)
-        records = _build_on_shards(sharded.shards, sharded.recipe.seed,
-                                   builds)
+        records = _build_on_shards([(shard.shard_id, shard.replicas)
+                                    for shard in sharded.shards],
+                                   sharded.recipe.seed, builds)
         # Record only after the builds succeeded: a phantom entry for a
         # failed build would make every later re-split fail mid-rebuild.
         for build in builds:

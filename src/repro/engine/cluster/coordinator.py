@@ -492,21 +492,21 @@ class Coordinator:
     def worker_metrics(self) -> List[Tuple[str, Dict[str, float]]]:
         """Per worker, by replica name: the coordinator's counts (served,
         last seq, restarts) and its last heartbeat's (writes, cumulative
-        I/Os, peak RSS, frame bytes received and sent) — the metrics
-        provider; no RPC."""
+        I/Os, peak RSS, frame bytes received and sent, codec seconds) —
+        the metrics provider; no RPC."""
         with self._lock:
             handles = list(self._workers.values())
         metrics = []
         for handle in handles:
             beat = handle.heartbeat
             ios = beat.get("ios", {})
-            metrics.append((handle.replica_name, {
-                "served": handle.served, "last_seq": handle.last_seq,
-                "restarts": handle.restarts, "writes": beat.get("writes", 0),
-                "ios": ios.get("reads", 0) + ios.get("writes", 0),
-                "peak_rss_bytes": beat.get("peak_rss_bytes", 0),
-                "wire_bytes_received": beat.get("wire_bytes_received", 0),
-                "wire_bytes_sent": beat.get("wire_bytes_sent", 0)}))
+            metrics.append((handle.replica_name, dict(
+                {key: beat.get(key, 0) for key in (
+                    "writes", "peak_rss_bytes", "wire_bytes_received",
+                    "wire_bytes_sent", "codec_seconds")},
+                served=handle.served, last_seq=handle.last_seq,
+                restarts=handle.restarts,
+                ios=ios.get("reads", 0) + ios.get("writes", 0))))
         return metrics
 
     def check_invariants(self) -> None:

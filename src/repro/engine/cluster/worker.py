@@ -60,12 +60,11 @@ class ShardWorker:
         [self.dataset] = build_replicas([name], points, recipe, suite_builds)
         self._started_s = time.perf_counter()
         self._stop = threading.Event()
-        self._lock = threading.Lock()     # counters below
-        self._served = 0
-        self._writes_applied = 0
-        self._last_seq = 0
-        self._wire_received = 0           # frame bytes, prefixes included
-        self._wire_sent = 0
+        self._lock = threading.Lock()     # the counts below
+        #: The heartbeat's counts (frame bytes include length prefixes).
+        self._counts = {"served": 0, "writes": 0, "last_seq": 0,
+                        "wire_bytes_received": 0, "wire_bytes_sent": 0,
+                        "codec_seconds": 0.0}
         for seq, op, point in log:
             self._apply_write(op, tuple(point), int(seq))
 
@@ -91,20 +90,18 @@ class ShardWorker:
     def _op_ping(self) -> Dict[str, object]:
         """The heartbeat reply: liveness, the worker's counts, its store's
         cumulative I/Os, its peak RSS in bytes (``ru_maxrss`` counts
-        kilobytes on Linux) and the frame bytes it has received and sent
-        on every connection (this reply not yet among them)."""
+        kilobytes on Linux), and the frame bytes it has received and sent
+        on every connection with the CPU seconds its connection threads
+        spent reading and decoding, encoding and writing them (a thread's
+        clock: socket and lock waits are left out; this reply is not yet
+        among them)."""
         totals = self.dataset.store.stats.snapshot()
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
         with self._lock:
-            return {"ok": True, "pid": os.getpid(),
-                    "uptime_s": time.perf_counter() - self._started_s,
-                    "replica": self.dataset.name,
-                    "served": self._served, "writes": self._writes_applied,
-                    "last_seq": self._last_seq,
-                    "ios": protocol.iostats_to_wire(totals),
-                    "peak_rss_bytes": peak,
-                    "wire_bytes_received": self._wire_received,
-                    "wire_bytes_sent": self._wire_sent}
+            return dict(self._counts, ok=True, pid=os.getpid(),
+                        uptime_s=time.perf_counter() - self._started_s,
+                        replica=self.dataset.name, peak_rss_bytes=peak,
+                        ios=protocol.iostats_to_wire(totals))
 
     def _op_query(self, request: Dict[str, object]) -> Dict[str, object]:
         index_name = request["index"]
@@ -122,7 +119,7 @@ class ShardWorker:
         elapsed = time.perf_counter() - started
         trace = request.get("trace") or {}
         with self._lock:
-            self._served += 1
+            self._counts["served"] += 1
         response = {
             "ok": True,
             "points": protocol.points_to_wire(points),
@@ -166,12 +163,12 @@ class ShardWorker:
         delivery, exactly-once application).
         """
         with self._lock:
-            if seq <= self._last_seq:
+            if seq <= self._counts["last_seq"]:
                 return False, 0, True
-            self._last_seq = seq
+            self._counts["last_seq"] = seq
         applied, ios = apply_mutation(self.dataset, op, record)
         with self._lock:
-            self._writes_applied += 1
+            self._counts["writes"] += 1
         return applied, ios, False
 
     def _op_warm(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -214,24 +211,30 @@ class ShardWorker:
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             while not self._stop.is_set():
+                started = time.thread_time()    # CPU: waits left out
                 try:
                     request, received = protocol.recv_frame(connection)
                 except (ConnectionError, OSError, protocol.ProtocolError):
                     break
                 with self._lock:
-                    self._wire_received += received
+                    self._counts["wire_bytes_received"] += received
+                    self._counts["codec_seconds"] += \
+                        time.thread_time() - started
                 try:
                     response = self.handle(request)
                 except Exception as exc:  # per-request isolation
                     response = {"ok": False,
                                 "error": "%s: %s" % (type(exc).__name__,
                                                      exc)}
+                started = time.thread_time()
                 try:
                     sent = protocol.send_message(connection, response)
                 except (ConnectionError, OSError):
                     break
                 with self._lock:
-                    self._wire_sent += sent
+                    self._counts["wire_bytes_sent"] += sent
+                    self._counts["codec_seconds"] += \
+                        time.thread_time() - started
         finally:
             connection.close()
 

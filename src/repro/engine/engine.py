@@ -270,8 +270,8 @@ class QueryEngine:
         target shard (all-or-nothing: a replica that vetoes rolls the
         already-applied copies back), so reads keep spreading over the
         full replica set afterwards.  Statistics, skew counters, cache
-        invalidation and box staleness observe exactly one logical
-        mutation.  Requires a mutation-capable index in the suite
+        invalidation and the shard's ``written`` flag observe exactly one
+        logical mutation.  Requires a mutation-capable index in the suite
         (``kinds`` including ``"dynamic"``).
         """
         result = self.executor.core.run_write(dataset, "insert", point)

@@ -206,8 +206,8 @@ class ExecutionCore:
         """Apply one engine-level mutation (the async path's write hook).
 
         Delegates to the shared :class:`~repro.engine.writes.WritePath`,
-        which applies every effect of the write — shard-box staleness,
-        statistics feedback, the engine's listener, result-cache
+        which applies every effect of the write — the shard's ``written``
+        flag, statistics feedback, the engine's listener, result-cache
         invalidation — at one site.
         """
         if op == "insert":

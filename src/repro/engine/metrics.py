@@ -386,7 +386,9 @@ class EngineStats:
                 ("wire_bytes_received",
                  "RPC frame bytes the worker received (last heartbeat)"),
                 ("wire_bytes_sent",
-                 "RPC frame bytes the worker sent (last heartbeat)"))}
+                 "RPC frame bytes the worker sent (last heartbeat)"),
+                ("codec_seconds", "CPU seconds the worker spent on its "
+                 "RPC frames, waits left out (last heartbeat)"))}
 
     # ------------------------------------------------------------------
     # writes: each call is only its registry writes (thread-safe, no lock)

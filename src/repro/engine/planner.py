@@ -34,7 +34,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
-from repro.engine.catalog import Catalog, Dataset, Query
+from repro.engine.catalog import Catalog, Query
 from repro.engine.sharding import Shard, ShardedDataset
 from repro.engine.stats.conformal import ConformalCalibrator
 
@@ -170,23 +170,25 @@ class Planner:
     # planning
     # ------------------------------------------------------------------
     @staticmethod
-    def _routable_indexes(dataset: Dataset) -> Dict[str, object]:
-        """The candidate indexes the planner may route to.
+    def _routable_indexes(shard: Shard) -> Dict[str, object]:
+        """The candidate indexes of the shard's planning replica.
 
-        Once a dataset has mutated (a write committed on its mutable
+        Once the shard is ``written`` (a write committed on its mutable
         index), every other index no longer reflects the data — routing
         to it would silently drop the update — so the mutable index
         alone stays routable.
         """
-        if not dataset.mutated:
+        dataset = shard.planning_dataset()
+        if not shard.written:
             return dataset.indexes
         name = Catalog.mutable_index_name(dataset)
         return {name: dataset.indexes[name]}
 
-    def _plan_dataset(self, dataset: Dataset, parent_name: str,
-                      query: Query) -> Plan:
-        """Plan over one shard's replica dataset, priced by the query's
+    def _plan_shard(self, shard: Shard, parent_name: str,
+                    query: Query) -> Plan:
+        """Plan over one shard's planning replica, priced by the query's
         first conjunct."""
+        dataset = shard.planning_dataset()
         if not dataset.indexes:
             raise ValueError("dataset %r has no indexes to plan over"
                              % dataset.name)
@@ -196,7 +198,7 @@ class Planner:
         estimates = tuple(
             CandidateEstimate(
                 name, index.estimated_query_ios(constraint, expected_output))
-            for name, index in self._routable_indexes(dataset).items())
+            for name, index in self._routable_indexes(shard).items())
         winner = min(estimates,
                      key=lambda est: (est.model_ios, est.index_name))
         # Conformal residuals are calibrated per *dataset* (shard children
@@ -230,13 +232,8 @@ class Planner:
 
     def _plan_shards(self, sharded: ShardedDataset, query: Query,
                      relevant: "list[Shard]") -> ShardedPlan:
-        # Plan against each shard's *routing* replica: before any mutation
-        # that is replica 0, and after a mutation it is the replica holding
-        # the fresh data (whose routable indexes exclude stale statics).
         shard_plans = tuple(
-            (shard.shard_id,
-             self._plan_dataset(shard.planning_dataset(), sharded.name,
-                                query))
+            (shard.shard_id, self._plan_shard(shard, sharded.name, query))
             for shard in relevant)
         # The fan-out's expected output is the sum of the *shard-local*
         # estimates (a dataset has no model but its shards') — on skewed

@@ -216,12 +216,12 @@ class Shard:
     same shard overlap their I/O across replicas.
 
     The bounding box is computed from the build-time points (a shard
-    built over zero points has none: ``lows is None``).  A write can land
-    *outside* it, so the engine's write path
+    built over zero points has none: ``lows is None``).  Once a write
+    commits, the engine's write path
     (:class:`~repro.engine.writes.WritePath`) marks the shard
-    ``box_stale`` once a write commits — a stale box is no longer
-    trusted for pruning (the shard always participates), keeping pruning
-    exact rather than heuristic.
+    ``written``: a write can land outside the box, so it is no longer
+    trusted for pruning (the shard always participates, keeping pruning
+    exact), and the planner routes to the mutable index alone.
 
     The write path also fans every insert/delete out to **all**
     replicas, so the copies stay byte-identical and
@@ -236,7 +236,7 @@ class Shard:
     replicas: List["Dataset"]
     lows: Optional[Tuple[float, ...]] = None
     highs: Optional[Tuple[float, ...]] = None
-    box_stale: bool = False
+    written: bool = False
 
     @property
     def num_replicas(self) -> int:
@@ -260,9 +260,7 @@ class Shard:
         """The replica dataset the planner should cost candidates against.
 
         Replicas are identical by construction (the write path fans
-        mutations out to all of them), so this is simply the primary;
-        its ``mutated`` flag makes the planner skip statically-built
-        indexes after updates.
+        mutations out to all of them), so this is simply the primary.
         """
         return self.replicas[0]
 
@@ -270,7 +268,7 @@ class Shard:
         """True unless the bounding box proves the shard reports nothing:
         some conjunct of the query alone excludes the box (a shard with
         no box and no write holds nothing)."""
-        if self.box_stale:
+        if self.written:
             return True
         return self.lows is not None and all(
             constraint_feasible_over_box(constraint, self.lows, self.highs)
@@ -373,9 +371,9 @@ class ShardedDataset:
         every shard holds the recipe's number of replicas, each with the
         recorded index suite (each name built, in order, or an alias of
         one built), sharing one selectivity model; replicas
-        hold equal live multisets, which their mutable indexes count, and
-        equal ``mutated`` flags; every live point routes to the shard
-        holding it and, unless the box is stale, lies inside the shard's
+        hold equal live multisets, which their mutable indexes count;
+        every live point routes to the shard holding it and, unless the
+        shard is written, lies inside its
         box — a shard with no box holds none; a shard's live points are
         what its model counts; no model's sample exceeds the recipe's
         ``sample_size``, and a sample below it is exactly its live
@@ -418,9 +416,6 @@ class ShardedDataset:
                           replica.aliases, suite)
                     check(replica.stats is primary.stats,
                           "replica %r has a model of its own", replica.name)
-                    check(replica.mutated == primary.mutated,
-                          "replica %r has mutated=%s, its primary %s",
-                          replica.name, replica.mutated, primary.mutated)
                     check(sorted(map(tuple, Catalog.live_points_of(replica)
                                      .tolist())) == multiset,
                           "replica %r holds other live points than its "
@@ -434,14 +429,14 @@ class ShardedDataset:
                       "shard %d holds points routed elsewhere",
                       shard.shard_id)
                 if shard.lows is None:
-                    check(shard.box_stale or len(live) == 0,
+                    check(shard.written or len(live) == 0,
                           "shard %d has no box and no write, but holds %d "
                           "live points", shard.shard_id, len(live))
                 else:
-                    check(shard.box_stale
+                    check(shard.written
                           or bool(np.all((shard.lows <= live)
                                          & (live <= shard.highs))),
-                          "shard %d holds points outside its fresh box",
+                          "shard %d holds points outside its unwritten box",
                           shard.shard_id)
                 check(len(live) == primary.live_size,
                       "shard %d holds %d live points, its model counts %d",

@@ -16,8 +16,9 @@ point)`` / ``delete(dataset, point)`` it
   :func:`apply_mutation`, all or nothing: a veto or failure on a later
   replica rolls the applied ones back via the inverse operation;
 * **applies the committed write's effects**, once, still under the
-  barrier (:meth:`WritePath._take_effect`) — flags, statistics, the
-  write listeners, and the result-cache flush last;
+  barrier (:meth:`WritePath._take_effect`) — the shard's ``written``
+  flag, statistics, the write listeners, and the result-cache flush
+  last;
 * **accounts** the write in :class:`~repro.engine.metrics.EngineStats`.
 
 A ``register_dataset`` dataset takes this same path (one shard, one
@@ -131,7 +132,7 @@ class WritePath:
         """Subscribe ``listener(dataset, shard_id, op, point, applied)``
         to every committed engine-level mutation.
 
-        Fired after the replica fan-out applied and the shard's flags and
+        Fired after the replica fan-out applied and the shard's flag and
         statistics took the write, before the result cache is flushed,
         still under the dataset's write barrier — so listeners observe
         mutations in apply order (the cluster coordinator's write log
@@ -205,16 +206,15 @@ class WritePath:
                      record: Tuple[float, ...], applied: bool) -> None:
         """Every effect of a committed write, in order (barrier held).
 
-        Flags, then statistics, then the listeners, then the result
-        cache — flushed last, so an answer a worker computed before the
-        broadcast cannot be cached under the new generation.  A no-op
+        The shard's ``written`` flag, then statistics, then the
+        listeners, then the result cache — flushed last, so an answer a
+        worker computed before the broadcast cannot be cached under the
+        new generation.  A no-op
         delete changed nothing: only the listeners hear it (the write
         log replays it as one).
         """
         if applied:
-            for replica in shard.replicas:
-                replica.mutated = True
-            shard.box_stale = True
+            shard.written = True
             model = shard.planning_dataset().stats
             if op == "insert":
                 model.observe_insert(record)
@@ -235,7 +235,7 @@ class WritePath:
         answer off an already-mutated secondary), and re-raises the
         original error — annotated with the I/Os the aborted attempt
         really spent, so admission can charge them.  Nothing else of the
-        write takes effect: flags, statistics and listeners wait for
+        write takes effect: flag, statistics and listeners wait for
         :meth:`_take_effect`.
         """
         order = shard.replicas[1:] + shard.replicas[:1]

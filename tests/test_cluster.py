@@ -573,7 +573,7 @@ def test_worker_metrics_reach_the_scrape_from_the_heartbeats(points2d):
             in render_prometheus(engine.stats.registry).splitlines()
             if line.startswith("engine_worker_"))
         assert calls == []                  # the scrape made no RPC
-        assert len(scraped) == 8 * len(handles)
+        assert len(scraped) == 9 * len(handles)
         for handle, restarts in zip(handles, (1, 0)):
             beat = handle.heartbeat
             assert beat["served"] == handle.served
@@ -620,6 +620,43 @@ def test_worker_wire_bytes_count_the_answer_frames(points2d):
             assert float(scraped['engine_worker_wire_bytes_%s{worker="%s"}'
                                  % (direction, name)]) \
                 >= after["wire_bytes_" + direction]
+    finally:
+        engine.close()
+
+
+def test_worker_codec_seconds_reach_the_scrape_and_grow():
+    """A worker adds up the CPU seconds its connection threads spend on
+    RPC frames (reading and decoding requests, encoding and writing
+    responses; waits left out); the heartbeat carries the total and the
+    scrape publishes it as ``engine_worker_codec_seconds``, which rises
+    as more 4 096-point answers are sent."""
+    from repro.engine.obs import render_prometheus
+    engine = make_engine(uniform_points(4096, seed=93), "process",
+                         replicas=1, num_shards=1)
+
+    def scrape():
+        engine.cluster.check_workers()
+        engine.stats.refresh_model_metrics()
+        name = engine.cluster.worker("pts", 0, 0).replica_name
+        return dict(
+            line.split(" ") for line
+            in render_prometheus(engine.stats.registry).splitlines()
+            if line.startswith("engine_worker_codec_seconds")
+        )['engine_worker_codec_seconds{worker="%s"}' % name]
+
+    def serve(first, count):
+        for offset in range(first, first + count):
+            # Distinct offsets: every answer is encoded, none cached.
+            answer = engine.query("pts", LinearConstraint(
+                coeffs=(0.0,), offset=1e9 + offset), clear_cache=True)
+            assert answer.count == 4096
+
+    try:
+        serve(0, 4)
+        before = float(scrape())
+        assert before > 0.0
+        serve(4, 8)
+        assert float(scrape()) > before
     finally:
         engine.close()
 

@@ -91,6 +91,36 @@ def assert_routed_to_the_cheapest(engine, dataset, constraint):
     return plan
 
 
+@pytest.mark.parametrize("dimension", [4, 5])
+def test_the_d4_default_suite_plans_as_the_one_with_the_shallow_tree(
+        dimension):
+    """The shallow tree left the d >= 4 default because it is never
+    strictly cheapest (benchmarks/bench_planner_regret.py); a kind that
+    never wins leaves without moving a plan, since cost ties go to the
+    name and ``partition_tree`` sorts first.  So on a fixed warm stream
+    every request's index, reads, pool hits, count and answer bytes
+    equal those of a registration that builds the shallow tree too."""
+    from repro.engine.catalog import default_suite
+    assert default_suite(dimension) == ["partition_tree", "full_scan"]
+    points = uniform_points(4096, dimension, seed=2000)
+    queries = [query for selectivity in (0.0005, 0.002, 0.01, 0.05, 0.3)
+               for query in halfspace_queries_with_selectivity(
+                   points, 8, selectivity, seed=8)]
+
+    def served(kinds):
+        engine = QueryEngine(block_size=BLOCK_SIZE, seed=1998)
+        engine.register_dataset("d", points, kinds=kinds)
+        answers = [engine.query("d", query) for query in queries]
+        return [(answer.index_name, answer.ios.reads, answer.ios.cache_hits,
+                 answer.count, answer.points.tobytes())
+                for answer in answers]
+
+    default = served(None)
+    assert default == served(["partition_tree", "shallow_tree", "full_scan"])
+    assert {index for index, *__ in default} == {"partition_tree",
+                                                 "full_scan"}
+
+
 def test_planner_picks_optimal_structure_for_selective_query(engine2d,
                                                              points2d):
     for seed in range(7, 12):

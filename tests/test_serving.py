@@ -823,7 +823,7 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
     # *both* replicas, so reads stay free to use either copy.
     assert result.shard_id == last_shard.shard_id
     assert result.replicas == 2
-    assert last_shard.box_stale
+    assert last_shard.written
     assert last_shard.replicas_for_query() == [0, 1]
     for replica in last_shard.replicas:
         assert replica.indexes["dynamic"].size == last_shard.size + 1
@@ -851,7 +851,8 @@ def test_direct_mutation_of_a_replicated_shard_raises(points2d):
     sole = single.catalog.dataset("d")
     with pytest.raises(ValueError, match="QueryEngine.insert"):
         sole.indexes["dynamic"].insert((0.5, 0.5))
-    assert not sole.mutated and sole.indexes["dynamic"].size == len(points2d)
+    assert not single.catalog.sharded("d").shards[0].written
+    assert sole.indexes["dynamic"].size == len(points2d)
     single.close()
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_sharded_dataset("sh", points2d, num_shards=2,
@@ -865,16 +866,16 @@ def test_direct_mutation_of_a_replicated_shard_raises(points2d):
     # replicas stay byte-identical to the build and unflagged.
     shard = engine.catalog.sharded("sh").shards[0]
     inside_all = LinearConstraint(coeffs=(0.0,), offset=1e9)
+    assert not shard.written
     for replica in shard.replicas:
-        assert not replica.mutated
         assert (0.5, 0.5) not in {
             tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
-    # The engine-level route is what works — and flags every replica of
-    # whichever shard the point routes to.
+    # The engine-level route is what works — it lands on every replica
+    # of whichever shard the point routes to, and flags that shard.
     result = engine.insert("sh", (0.5, 0.5))
     routed = engine.catalog.sharded("sh").shards[result.shard_id]
+    assert routed.written
     for replica in routed.replicas:
-        assert replica.mutated
         assert (0.5, 0.5) in {
             tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
 
@@ -917,11 +918,10 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
     # The failed write took none of its once-per-write effects.
     assert (target.stats.observed_inserts, sharded.live_size) == stats_before
     assert engine.rebalancer.mutations("sh") == mutations_before
-    # No replica was flagged mutated (flags wait for the commit), and
-    # the rollback flushed the result cache (a concurrent read may have
-    # cached a mid-fanout secondary's answer).
-    for replica in shard.replicas:
-        assert not replica.mutated
+    # The shard was not flagged written (the flag waits for the
+    # commit), and the rollback flushed the result cache (a concurrent
+    # read may have cached a mid-fanout secondary's answer).
+    assert not shard.written
     sharded.check_invariants()
     assert not engine.query("sh", everything).from_result_cache
     # The shard still accepts writes afterwards (lock released, no pin).

@@ -369,7 +369,7 @@ def test_dynamic_insert_disables_stale_box_pruning(points2d):
     outlier = (10.0, 0.0)                       # far outside [-1, 1]^2
     last_shard = engine.catalog.sharded("sh").shards[-1]
     engine.insert("sh", outlier)
-    assert last_shard.box_stale
+    assert last_shard.written
     # Satisfied by the outlier alone: y <= 5x - 40.
     constraint = LinearConstraint(coeffs=(5.0,), offset=-40.0)
     assert constraint.below(outlier)
@@ -517,7 +517,7 @@ def _site_rebalance(engine, points):
 def _site_materialize(engine, points):
     """The first insert into a zero-point shard, built at registration."""
     shard = _insert_into_an_empty_shard(engine, 1)
-    assert shard.box_stale and shard.lows is None
+    assert shard.written and shard.lows is None
     primary = shard.planning_dataset()
     assert primary.live_size == 1 and len(primary.points) == 0
     assert len(primary.stats.sample.rows) == 1
@@ -527,7 +527,7 @@ def _site_upgrade_stats(engine, points):
     """Inserts into a zero-point shard fill the sample its replicas
     share."""
     shard = _insert_into_an_empty_shard(engine, 8)
-    assert shard.box_stale and shard.lows is None
+    assert shard.written and shard.lows is None
     primary = shard.planning_dataset()
     assert primary.live_size == 8 and len(primary.points) == 0
     assert len(primary.stats.sample.rows) == 8

@@ -281,7 +281,8 @@ def test_rebalance_restores_pruning_after_skewed_inserts():
     engine, points, extra, queries = _skewed_insert_scenario()
     live = np.concatenate([points, extra])
     skewed_ios, skewed_pruned = _serve_cold(engine, queries)
-    # The mutated shard's box is stale: it participates in every query.
+    # The written shard's box is not trusted: it participates in every
+    # query.
     assert skewed_pruned < 3 * len(queries)
     report = engine.rebalance("sh")
     assert report.generation == 1
@@ -327,13 +328,13 @@ def test_rebalance_handles_replicated_shards():
                              rng.uniform(-1.0, 1.0, size=400)])
     for point in extra:
         assert engine.insert("sh", point).shard_id == 3
-    assert sharded.shards[3].box_stale
+    assert sharded.shards[3].written
     # Each insert reached one model: its shard's, once for both replicas.
     assert sum(shard.planning_dataset().stats.observed_inserts
                for shard in sharded.shards) == len(extra)
     engine.rebalance("sh")
     for shard in sharded.shards:
-        assert not shard.box_stale
+        assert not shard.written
         assert shard.num_replicas == 2
         assert shard.replicas_for_query() == [0, 1]
     live = np.concatenate([points, extra])

@@ -87,9 +87,7 @@ def test_non_finite_points_are_rejected_before_any_replica(points2d, bad):
                 write(name, (bad, 0.5))
         sharded = engine.catalog.sharded(name)
         assert sharded.live_size == len(points2d)
-        assert not any(shard.box_stale or replica.mutated
-                       for shard in sharded.shards
-                       for replica in shard.replicas)
+        assert not any(shard.written for shard in sharded.shards)
         assert engine.query(name, EVERYTHING).count == len(points2d)
     assert heard == [] and engine.summary()["writes"] == {}
 
@@ -202,7 +200,7 @@ def test_write_into_an_empty_shard_materializes_it_lazily():
     assert result.applied is False and result.replicas == 2
     shard = sharded.shards[shard_id]
     assert shard.planning_dataset().live_size == 0
-    assert not shard.box_stale and not shard.may_contain(EVERYTHING)
+    assert not shard.written and not shard.may_contain(EVERYTHING)
     # The first insert lands on every replica like any other write.
     result = engine.insert("tiny", probe)
     assert result.applied is True
