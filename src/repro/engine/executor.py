@@ -4,10 +4,11 @@ Two layers live here:
 
 * :class:`ExecutionCore` — the engine's shared data path.  Given a planned
   query it runs the plan, records metrics (among them every observed
-  over predicted I/O ratio, the cost models' dashboard), and maintains
-  the LRU **result cache** (the write path flushes it as a committed
-  write's last effect).  Both the synchronous :class:`BatchExecutor` and the
-  asyncio :class:`~repro.engine.serving.executor.AsyncExecutor` execute
+  over predicted I/O ratio, the cost models' dashboard), and keeps the
+  **result cache** (:mod:`repro.engine.result_cache`; a committed
+  write's last effect evicts the answers its point falls in).  Both
+  the synchronous :class:`BatchExecutor` and the asyncio
+  :class:`~repro.engine.serving.executor.AsyncExecutor` execute
   through this one core, so the two serving paths cannot drift apart.
 * :class:`BatchExecutor` — the synchronous single-query front-end: it
   owns the core and runs one constraint (or conjunction) at a time.
@@ -45,14 +46,11 @@ from repro.core.kernels import answer_matrix
 from repro.engine.catalog import Catalog, Dataset, Query
 from repro.engine.metrics import EngineStats, q_error
 from repro.engine.planner import Plan, Planner, ShardedPlan
+from repro.engine.result_cache import CacheKey, CachedAnswer, ResultCache
 from repro.engine.sharding import Shard
 from repro.engine.tracing import Tracer
 from repro.engine.writes import MutationResult, WritePath
-from repro.io.cache import LRUCache
 from repro.io.store import BlockStore, IOStats
-
-#: Answers the result cache holds (least recently used evicted).
-RESULT_CACHE_ENTRIES = 256
 
 #: Threads in the shared pool a query's per-shard items fan out on.
 FANOUT_WORKERS = 8
@@ -166,19 +164,10 @@ class ExecutionCore:
         #: Request-trace lifecycle: the serving layers open traces here
         #: and the core's spans land in whatever trace is active.
         self.tracer = tracer
-        # Answers are cached as their read-only matrix: immutable, so a
-        # hit shares the stored array instead of copying it.  The key is
-        # the dataset name and the frozen query object itself.
-        self._results: LRUCache[Tuple[str, Query], Tuple[str, np.ndarray]]
-        self._results = LRUCache(RESULT_CACHE_ENTRIES)
-        self._results_lock = threading.Lock()
-        self.stats.result_cache_provider = self.result_cache_size
-        # Per-dataset invalidation generation (guarded by _results_lock).
-        # An executing query snapshots it before touching the index; the
-        # post-execution cache put is dropped if an invalidation bumped it
-        # meanwhile, so a concurrent mutation can never be overwritten by
-        # the stale answer that raced it.
-        self._generations: Dict[str, int] = {}
+        #: Answers by ``(dataset, query)``, each its read-only matrix: a
+        #: hit shares the stored array instead of copying it.
+        self.results = ResultCache(stats)
+        self.stats.result_cache_provider = self.results.size
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
         # Deferred import: the serving package imports this module.
@@ -188,9 +177,10 @@ class ExecutionCore:
         #: The mutation twin of this core: routed inserts/deletes with
         #: replica write-fanout, sharing the same catalog and metrics
         #: sink (so sync and async writes cannot drift apart either).
-        #: It flushes this core's result cache after every committed or
-        #: aborted write.
-        self.writes = WritePath(catalog, self.stats, self.invalidate_dataset)
+        #: It hands every committed or aborted write to the result
+        #: cache's :meth:`~ResultCache.evict_where`.
+        self.writes = WritePath(catalog, self.stats,
+                                self.results.evict_where)
         #: Optional process transport (see :mod:`repro.engine.cluster`):
         #: when attached, the fan-out offers each per-shard query to
         #: the shard's worker process first and falls back to the local
@@ -208,7 +198,7 @@ class ExecutionCore:
         Delegates to the shared :class:`~repro.engine.writes.WritePath`,
         which applies every effect of the write — the shard's ``written``
         flag, statistics feedback, the engine's listener, result-cache
-        invalidation — at one site.
+        eviction — at one site.
         """
         if op == "insert":
             return self.writes.insert(dataset_name, point)
@@ -278,31 +268,14 @@ class ExecutionCore:
         Also bumps the dataset's generation so answers computed *before*
         this invalidation can no longer be cached after it.
         """
-        with self._results_lock:
-            self._generations[dataset_name] = \
-                self._generations.get(dataset_name, 0) + 1
-            return self._results.evict_where(
-                lambda key: key[0] == dataset_name)
+        return self.results.evict_where(dataset_name, None)
 
-    def result_generation(self, dataset_name: str) -> int:
-        """The dataset's current invalidation generation (snapshot before
-        executing a query, pass to the cache put)."""
-        with self._results_lock:
-            return self._generations.get(dataset_name, 0)
-
-    def result_cache_size(self) -> Tuple[int, int]:
-        """Resident ``(entries, bytes)``: what the cache's bound holds."""
-        with self._results_lock:
-            cached = self._results.values()
-        return len(cached), sum(matrix.nbytes for __, matrix in cached)
-
-    def _cache_put(self, dataset_name: str,
-                   cache_key: Tuple[str, Query],
-                   value: Tuple[str, np.ndarray], generation: int) -> None:
-        """Cache an answer unless the dataset was invalidated meanwhile."""
-        with self._results_lock:
-            if self._generations.get(dataset_name, 0) == generation:
-                self._results.put(cache_key, value)
+    def check_invariants(self) -> List[Tuple[CacheKey, CachedAnswer]]:
+        """Check the result cache's books (no I/O): its bytes are its
+        answers' and within both bounds, and every key names a
+        registered dataset.  Returns the resident entries, least
+        recently used first."""
+        return self.results.check_invariants(self.catalog.datasets())
 
     # ------------------------------------------------------------------
     # execution
@@ -320,7 +293,7 @@ class ExecutionCore:
         are then derived from those records alone.
         """
         plan, items = self.lower(dataset_name, query, plan)
-        generation = self.result_generation(dataset_name)
+        generation = self.results.generation(dataset_name)
         started = time.perf_counter()
         # The pool workers below do not inherit this thread's contextvars
         # (only asyncio.to_thread copies the context), so the fan-out
@@ -351,8 +324,8 @@ class ExecutionCore:
             })
         fanout_span.finish()
         self.stats.record(answer)
-        self._cache_put(dataset_name, cache_key,
-                        (plan.index_name, answer.points), generation)
+        self.results.put(cache_key, (plan.index_name, answer.points),
+                         generation)
         return answer
 
     def lower(self, dataset_name: str, query: Query, plan: ShardedPlan
@@ -519,8 +492,7 @@ class ExecutionCore:
             self, key: Tuple[str, Query],
             tenant: str = "") -> Optional[ExecutedQuery]:
         """Serve a cached answer (zero I/Os) if one is resident."""
-        with self._results_lock:
-            hit = self._results.get(key)
+        hit = self.results.get(key)
         if hit is None:
             return None
         index_name, matrix = hit

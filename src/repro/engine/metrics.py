@@ -11,48 +11,49 @@ every integer field is exact; percentiles are interpolated inside the
 fixed bucket ladder (the same bucket as the order statistic of that
 rank, so at most a factor 2.5 from it on the latency ladder).
 
-==========================  =======================  ==========================
-family (``engine_`` + ...)  labels                   ``summary()`` fields
-==========================  =======================  ==========================
-queries_total               dataset, index, tenant   num_queries,
-                                                     plan_distribution,
-                                                     tenants.*.queries
-ios_total                   (same)                   total_ios, mean_ios,
-                                                     tenants.*.total_ios
-records_reported_total      (same)                   total_reported
-store_cache_hits_total      (same)                   store_cache_hits,
-                                                     store_cache_hit_rate
-result_cache_hits_total     (same)                   result_cache_hits (also
-                                                     per tenant), its rate
-shards_queried_total        (same)                   shards_queried,
-                                                     shard_prune_rate
-shards_pruned_total         (same)                   shards_pruned,
-                                                     shard_prune_rate
-degraded_answers_total      (same), interval_source  tenants.*.degraded (and
-                                                     snapshot_delta's degraded)
-query_latency_seconds       dataset, index, tenant   latency_s,
-                                                     tenants.*.latency_s
-estimation_qerror           dataset                  estimation_qerror
-cost_model_ratio            dataset, index           (``/metrics`` only)
-index_steps_total           dataset, index, step     (``/metrics`` only)
-halfspace3d_queries_total   dataset, outcome         (``/metrics`` only)
-writes_total                dataset, op              writes.*.inserts, deletes,
-                                                     noop_deletes
-replica_writes_total        dataset                  writes.*.replica_writes
-write_ios_total             dataset                  writes.*.total_ios
-write_latency_seconds       dataset                  writes.*.latency_s
-http_requests_total         endpoint, status         http.*.requests, status
-http_latency_seconds        endpoint                 http.*.latency_s
-http_encode_seconds         endpoint                 http.*.encode_s
-http_response_bytes         endpoint                 http.*.response_bytes
-admission_decisions_total   decision                 admission
-queue_depth_max (gauge)                              max_queue_depth
-rebalances_total            dataset                  rebalances.count,
-                                                     by_dataset
-replica_ios_total           dataset, shard, replica  replica_load
-conformal_* (gauges)        dataset                  conformal (refreshed at
-                                                     each scrape)
-==========================  =======================  ==========================
+============================  =======================  ==========================
+family (``engine_`` + ...)    labels                   ``summary()`` fields
+============================  =======================  ==========================
+queries_total                 dataset, index, tenant   num_queries,
+                                                       plan_distribution,
+                                                       tenants.*.queries
+ios_total                     (same)                   total_ios, mean_ios,
+                                                       tenants.*.total_ios
+records_reported_total        (same)                   total_reported
+store_cache_hits_total        (same)                   store_cache_hits,
+                                                       store_cache_hit_rate
+result_cache_hits_total       (same)                   result_cache_hits (also
+                                                       per tenant), its rate
+shards_queried_total          (same)                   shards_queried,
+                                                       shard_prune_rate
+shards_pruned_total           (same)                   shards_pruned,
+                                                       shard_prune_rate
+degraded_answers_total        (same), interval_source  tenants.*.degraded (and
+                                                       snapshot_delta's degraded)
+query_latency_seconds         dataset, index, tenant   latency_s,
+                                                       tenants.*.latency_s
+estimation_qerror             dataset                  estimation_qerror
+cost_model_ratio              dataset, index           (``/metrics`` only)
+index_steps_total             dataset, index, step     (``/metrics`` only)
+halfspace3d_queries_total     dataset, outcome         (``/metrics`` only)
+result_cache_evictions_total  dataset, cause           result_cache.evictions
+writes_total                  dataset, op              writes.*.inserts, deletes,
+                                                       noop_deletes
+replica_writes_total          dataset                  writes.*.replica_writes
+write_ios_total               dataset                  writes.*.total_ios
+write_latency_seconds         dataset                  writes.*.latency_s
+http_requests_total           endpoint, status         http.*.requests, status
+http_latency_seconds          endpoint                 http.*.latency_s
+http_encode_seconds           endpoint                 http.*.encode_s
+http_response_bytes           endpoint                 http.*.response_bytes
+admission_decisions_total     decision                 admission
+queue_depth_max (gauge)                                max_queue_depth
+rebalances_total              dataset                  rebalances.count,
+                                                       by_dataset
+replica_ios_total             dataset, shard, replica  replica_load
+conformal_* (gauges)          dataset                  conformal (refreshed at
+                                                       each scrape)
+============================  =======================  ==========================
 
 ``to_table()`` groups the query families by ``index``; the only
 per-event structure kept is a fixed-size ring of the latest rebalance
@@ -71,6 +72,7 @@ from repro.engine.obs.registry import (Counter, Gauge, Histogram,
                                        HistogramView, MetricsRegistry,
                                        histogram_quantile, merge_histograms,
                                        view_to_json)
+from repro.engine.result_cache import RESULT_CACHE_BYTES, RESULT_CACHE_ENTRIES
 from repro.engine.stats.conformal import ConformalCalibrator
 from repro.experiments.harness import format_table
 
@@ -273,6 +275,11 @@ class EngineStats:
         self._m_result_hits = reg.counter(
             "engine_result_cache_hits_total",
             "Queries answered from the result cache", QUERY_LABELS)
+        self._m_result_evictions = reg.counter(
+            "engine_result_cache_evictions_total",
+            "Answers the result cache dropped, by cause: a write that can "
+            "change the answer, a flush of the dataset, or a bound",
+            ("dataset", "cause"))
         self._m_shards_queried = reg.counter(
             "engine_shards_queried_total",
             "Shard visits of fanned-out queries", QUERY_LABELS)
@@ -466,6 +473,12 @@ class EngineStats:
         self._m_http_latency.observe(latency_s, endpoint=endpoint)
         self._m_http_encode.observe(encode_s, endpoint=endpoint)
         self._m_http_bytes.observe(body_bytes, endpoint=endpoint)
+
+    def note_result_evictions(self, dataset: str, cause: str,
+                              count: int) -> None:
+        """Count answers the result cache dropped (cause ``write``,
+        ``flush`` or ``capacity``)."""
+        self._m_result_evictions.inc_at((dataset, cause), count)
 
     def note_rebalance(self, event: Dict[str, object]) -> None:
         """Record one shard re-split event."""
@@ -750,7 +763,11 @@ class EngineStats:
                 "entries": int(view.series(
                     self._m_result_cache_entries).get((), 0)),
                 "bytes": int(view.series(
-                    self._m_result_cache_bytes).get((), 0))},
+                    self._m_result_cache_bytes).get((), 0)),
+                "max_entries": RESULT_CACHE_ENTRIES,
+                "max_bytes": RESULT_CACHE_BYTES,
+                "evictions": dict.fromkeys(("write", "flush", "capacity"), 0)
+                | view.by(self._m_result_evictions, 1)},
             "replica_load": self._replica_load(view),
             "tenants": self._tenants(view),
             "http": self._http(view),

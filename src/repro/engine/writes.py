@@ -17,7 +17,7 @@ point)`` / ``delete(dataset, point)`` it
   replica rolls the applied ones back via the inverse operation;
 * **applies the committed write's effects**, once, still under the
   barrier (:meth:`WritePath._take_effect`) — the shard's ``written``
-  flag, statistics, the write listeners, and the result-cache flush
+  flag, statistics, the write listeners, and the result-cache eviction
   last;
 * **accounts** the write in :class:`~repro.engine.metrics.EngineStats`.
 
@@ -116,10 +116,13 @@ class WritePath:
         The :class:`EngineStats` sink for per-dataset write counters and
         latency percentiles.
     invalidate:
-        ``invalidate(dataset_name)``, the execution core's result-cache
-        flush: the last effect of a committed write, and the clean-up of
-        an aborted fan-out, whose rollback may have raced a concurrent
-        read against an already-mutated secondary.
+        ``invalidate(dataset_name, point)``, the result cache's
+        :meth:`~repro.engine.result_cache.ResultCache.evict_where`: it
+        drops the answers the point can change, or every answer of the
+        dataset when the point is None.  The last effect of a committed
+        write, and the clean-up of an aborted fan-out, whose rollback
+        may have raced a concurrent read against an already-mutated
+        secondary.
     """
 
     def __init__(self, catalog: Catalog, stats: EngineStats, invalidate):
@@ -133,7 +136,7 @@ class WritePath:
         to every committed engine-level mutation.
 
         Fired after the replica fan-out applied and the shard's flag and
-        statistics took the write, before the result cache is flushed,
+        statistics took the write, before the result cache evicts,
         still under the dataset's write barrier — so listeners observe
         mutations in apply order (the cluster coordinator's write log
         depends on that).  Aborted fan-outs (rolled back) do not fire.
@@ -193,9 +196,9 @@ class WritePath:
         with sharded.write_lock:
             generation = sharded.generation
             shard = sharded.shards[sharded.router.shard_of(record)]
-            applied, ios = self._apply_fanout(dataset_name, shard, op,
-                                              record)
-            self._take_effect(sharded, shard, op, record, applied)
+            applied, ios, rebuilt = self._apply_fanout(dataset_name, shard,
+                                                       op, record)
+            self._take_effect(sharded, shard, op, record, applied, rebuilt)
         return MutationResult(
             dataset=dataset_name, op=op, point=record, applied=applied,
             shard_id=shard.shard_id, replicas=shard.num_replicas,
@@ -203,16 +206,23 @@ class WritePath:
             generation=generation)
 
     def _take_effect(self, sharded: ShardedDataset, shard: Shard, op: str,
-                     record: Tuple[float, ...], applied: bool) -> None:
+                     record: Tuple[float, ...], applied: bool,
+                     rebuilt: bool) -> None:
         """Every effect of a committed write, in order (barrier held).
 
         The shard's ``written`` flag, then statistics, then the
-        listeners, then the result cache — flushed last, so an answer a
-        worker computed before the broadcast cannot be cached under the
-        new generation.  A no-op
-        delete changed nothing: only the listeners hear it (the write
-        log replays it as one).
+        listeners, then the result cache — last, so an answer a worker
+        computed before the broadcast cannot be cached under the new
+        generation.  The cache drops the answers that hold the point,
+        and the dataset's conjunctions (whose plan any write can move);
+        it drops the dataset's every answer when the write may have
+        changed answers without the point: the shard's first write
+        (its queries now route to the mutable index alone) and a write
+        that ``rebuilt`` the mutable tree (its rows are in a new order).
+        A no-op delete changed nothing: only the listeners hear it (the
+        write log replays it as one).
         """
+        first = not shard.written
         if applied:
             shard.written = True
             model = shard.planning_dataset().stats
@@ -223,11 +233,14 @@ class WritePath:
         for listener in self._write_listeners:
             listener(sharded.name, shard.shard_id, op, record, applied)
         if applied:
-            self._invalidate(sharded.name)
+            self._invalidate(sharded.name,
+                             None if first or rebuilt else record)
 
     def _apply_fanout(self, dataset_name: str, shard: Shard, op: str,
-                      record: Tuple[float, ...]) -> Tuple[bool, int]:
-        """Apply one mutation to every replica, or to none.
+                      record: Tuple[float, ...]) -> Tuple[bool, int, bool]:
+        """Apply one mutation to every replica, or to none; returns
+        ``(applied, ios, rebuilt)``, where ``rebuilt`` says the mutable
+        tree was rebuilt (the replicas rebuild in step).
 
         Secondaries first, primary last.  A failure part-way rolls the
         applied replicas back via the inverse operation, flushes the
@@ -244,7 +257,9 @@ class WritePath:
         fanout_span = tracing.current_span().child(
             "write.fanout", shard_id=shard.shard_id,
             replicas=len(order))
+        primary = shard.replicas[0]
         try:
+            rebuilds = Catalog.mutable_index_of(primary).rebuilds
             for child in order:
                 outcome, ios = apply_mutation(child, op, record)
                 total_ios += ios
@@ -261,7 +276,7 @@ class WritePath:
             rollback_span.finish()
             fanout_span.set("error", "aborted")
             fanout_span.finish()
-            self._invalidate(dataset_name)
+            self._invalidate(dataset_name, None)
             try:
                 exc.write_ios_observed = total_ios
             except AttributeError:  # exceptions with __slots__
@@ -271,7 +286,8 @@ class WritePath:
         # primary's (it ran last).
         fanout_span.set("ios", total_ios)
         fanout_span.finish()
-        return applied[-1][1], total_ios
+        return (applied[-1][1], total_ios,
+                Catalog.mutable_index_of(primary).rebuilds != rebuilds)
 
     def _rollback(self, applied, op: str, record: Tuple[float, ...],
                   cause: Exception) -> int:

@@ -11,8 +11,7 @@ effect of internal memory.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import (Callable, Generic, Hashable, List, Optional, Tuple,
-                    TypeVar)
+from typing import Generic, Hashable, List, Optional, Tuple, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -72,30 +71,14 @@ class LRUCache(Generic[K, V]):
         while len(self._entries) > capacity:
             self._entries.popitem(last=False)
 
-    def values(self) -> List[V]:
-        """The cached values, least recently used first (recency and
-        hit/miss statistics untouched)."""
-        return list(self._entries.values())
-
     def items(self) -> List[Tuple[K, V]]:
-        """The cached ``(key, value)`` pairs, in the order of
-        :meth:`values`."""
+        """The cached ``(key, value)`` pairs, least recently used first
+        (recency and hit/miss statistics untouched)."""
         return list(self._entries.items())
 
     def invalidate(self, key: K) -> None:
         """Drop an entry (used when a block is rewritten or freed)."""
         self._entries.pop(key, None)
-
-    def evict_where(self, predicate: Callable[[K], bool]) -> int:
-        """Drop every entry whose key satisfies ``predicate``; return count.
-
-        The executor's result cache uses this to flush a dataset's answers
-        when one of its dynamic indexes mutates.
-        """
-        doomed = [key for key in self._entries if predicate(key)]
-        for key in doomed:
-            del self._entries[key]
-        return len(doomed)
 
     def clear(self) -> None:
         """Drop every entry but keep hit/miss statistics."""

@@ -248,34 +248,49 @@ def test_histogram_stays_cumulative_when_scraped_mid_observe():
 
 @pytest.mark.parametrize("dimension", [2, 3])
 def test_result_cache_size_is_visible_and_bounded(dimension):
-    """300 distinct 4096-point answers leave at most the cache's 256
-    entries resident — as float64 matrices, so the bytes are bounded too
-    — and ``summary()`` and ``/metrics`` report the same gauge pair."""
+    """300 distinct 4096-point answers leave resident only what the
+    cache's 4 MiB byte bound holds — 64 answers in 2-D, 42 in 3-D, below
+    its 256-entry bound — the rest counted as capacity evictions, and
+    ``summary()`` and ``/metrics`` report the same gauge pair."""
     import numpy as np
     from repro import LinearConstraint, QueryEngine
+    from repro.engine.result_cache import (RESULT_CACHE_BYTES,
+                                           RESULT_CACHE_ENTRIES)
     points = np.random.default_rng(dimension).uniform(
         -1.0, 1.0, size=(4096, dimension))
+    answer_bytes = points.nbytes
+    kept = RESULT_CACHE_BYTES // answer_bytes
+    assert kept == {2: 64, 3: 42}[dimension] < RESULT_CACHE_ENTRIES
     engine = QueryEngine(block_size=64, seed=3)
     try:
         engine.register_dataset("d", points, kinds=["full_scan"])
-        assert engine.summary()["result_cache"] == {"entries": 0, "bytes": 0}
+        assert engine.summary()["result_cache"] == {
+            "entries": 0, "bytes": 0, "max_entries": 256,
+            "max_bytes": 4 * 2 ** 20,
+            "evictions": {"write": 0, "flush": 0, "capacity": 0}}
         for step in range(300):
             everything = LinearConstraint(
                 coeffs=(0.0,) * (dimension - 1), offset=10.0 + step)
             assert engine.query("d", everything).count == 4096
         resident = engine.summary()["result_cache"]
-        assert resident["entries"] == 256
-        assert 0 < resident["bytes"] <= 256 * 4096 * dimension * 8
+        assert resident["entries"] == kept
+        assert resident["bytes"] == kept * answer_bytes <= RESULT_CACHE_BYTES
+        assert resident["evictions"] == {"write": 0, "flush": 0,
+                                         "capacity": 300 - kept}
         engine.stats.refresh_model_metrics()
         scraped = dict(
             line.split(" ") for line
             in render_prometheus(engine.stats.registry).splitlines()
             if line.startswith("engine_result_cache_"))
-        assert float(scraped["engine_result_cache_entries"]) == 256
+        assert float(scraped["engine_result_cache_entries"]) == kept
         assert float(scraped["engine_result_cache_bytes"]) \
             == resident["bytes"]
+        assert float(scraped['engine_result_cache_evictions_total'
+                             '{dataset="d",cause="capacity"}']) == 300 - kept
         engine.executor.invalidate_dataset("d")
-        assert engine.summary()["result_cache"] == {"entries": 0, "bytes": 0}
+        flushed = engine.summary()["result_cache"]
+        assert (flushed["entries"], flushed["bytes"]) == (0, 0)
+        assert flushed["evictions"]["flush"] == kept
     finally:
         engine.close()
 

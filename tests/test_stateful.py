@@ -20,8 +20,13 @@ I/Os) — the mutable one over its shard's part
 of the oracle, a static one over its build points — and under
 ``explain(analyze=True)`` every shard an exactly priced kind
 (``conftest.EXACTLY_PRICED``) served was priced at exactly its cold
-I/Os.  The worker mode is the suite's (``REPRO_WORKERS``); the example
-budget is ``conftest.STATEFUL``.
+I/Os.  Half the queries re-ask one of the last few, so result-cache
+hits after writes are exercised; after every rule the engine's result
+cache passes its checker, and after every write or flush each resident
+answer is, index name and bytes, what a ``clear_cache=True`` query of
+its key returns.  The worker
+mode is the suite's (``REPRO_WORKERS``); the example budget is
+``conftest.STATEFUL``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from collections import deque
 
 import numpy as np
 import pytest
@@ -63,6 +69,8 @@ COEFFS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 #: Reopens per example: a reopen in process mode waits out its
 #: workers' shutdown.
 REOPENS = 2
+#: Constraints the query rule may re-ask.
+REASKED = 4
 EVERYTHING = {d: LinearConstraint(coeffs=(0.0,) * (d - 1), offset=1e9)
               for d in SUITES}
 
@@ -134,6 +142,10 @@ class EngineMachine(RuleBasedStateMachine):
         #: Writes applied since registration or the last re-split.
         self.writes = 0
         self.reopens = 0
+        #: The query rule's latest constraints.
+        self.asked = deque(maxlen=REASKED)
+        #: The result-cache generation the last comparison saw.
+        self.checked = None
 
     def open_engine(self, data_dir, points, workers=None):
         """An engine on ``data_dir`` with ``points`` registered as ``d``
@@ -201,6 +213,7 @@ class EngineMachine(RuleBasedStateMachine):
         self.engine = self.open_engine(self.data_dir, points)
         self.sharded = self.engine.catalog.sharded("d")
         self.writes = 0
+        self.checked = None         # the new engine counts from 0
         self.reopens += 1
         fresh_dir = tempfile.mkdtemp(prefix="stateful-fresh-")
         fresh = self.open_engine(fresh_dir, points, workers="inprocess")
@@ -256,6 +269,12 @@ class EngineMachine(RuleBasedStateMachine):
         constraint = self.constraints(data.draw(st.lists(
             st.sampled_from(COEFFS), min_size=self.dimension - 1,
             max_size=self.dimension - 1)), pick, shift)
+        # An odd pick re-asks a recent constraint instead (no draw of
+        # its own, so the machine draws the examples it drew before).
+        if pick % 2 and self.asked:
+            constraint = self.asked[(pick // 2) % len(self.asked)]
+        else:
+            self.asked.append(constraint)
         truth = self.oracle(constraint.below_many)
         assert multiset(self.engine.query("d", constraint).points) == truth
         report = self.engine.explain("d", constraint, analyze=True,
@@ -301,6 +320,16 @@ class EngineMachine(RuleBasedStateMachine):
                 store.check_invariants()
         if self.engine.cluster is not None:
             self.engine.cluster.check_invariants()
+        core = self.engine.executor.core
+        resident = core.check_invariants()
+        if core.results.generation("d") != self.checked:
+            # A write or flush since the last check: what it left must
+            # still be what a fresh query returns.
+            self.checked = core.results.generation("d")
+            for (name, query), (index_name, points) in resident:
+                fresh = self.engine.query(name, query, clear_cache=True)
+                assert (fresh.index_name, fresh.points.tobytes()) \
+                    == (index_name, points.tobytes()), query
         answer = self.engine.query("d", EVERYTHING[self.dimension])
         assert multiset(answer.points) == multiset(self.live)
 

@@ -633,15 +633,6 @@ class TestLRUCacheResize:
         with pytest.raises(ValueError):
             LRUCache(2).resize(-1)
 
-    def test_evict_where_drops_matching_keys_only(self):
-        cache = LRUCache(8)
-        for key in (("a", 1), ("a", 2), ("b", 1)):
-            cache.put(key, key)
-        dropped = cache.evict_where(lambda key: key[0] == "a")
-        assert dropped == 2
-        assert cache.get(("b", 1)) == ("b", 1)
-        assert cache.get(("a", 1)) is None
-
 
 class TestBlockStoreEdgeCases:
     def test_eviction_order_after_cache_resize(self):

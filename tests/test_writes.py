@@ -335,16 +335,45 @@ def test_result_cache_invalidates_once_per_logical_write(points2d):
     engine.query("sh", constraint)
     assert engine.query("sh", constraint).from_result_cache
     core = engine.executor.core
-    generation = core.result_generation("sh")
+    generation = core.results.generation("sh")
     inside = (0.0, -2.0)
     assert constraint.below(inside)
     engine.insert("sh", inside)
     # One logical write = one invalidation generation bump, not one per
     # replica — and the stale entry is gone.
-    assert core.result_generation("sh") == generation + 1
+    assert core.results.generation("sh") == generation + 1
     fresh = engine.query("sh", constraint)
     assert not fresh.from_result_cache
     assert tuple(inside) in {tuple(p) for p in fresh.points}
+    engine.close()
+
+
+def test_a_write_outside_a_cached_answer_keeps_it(points2d):
+    """The non-covering twin: once the shard was written, a write whose
+    point the query does not admit still bumps the generation once, and
+    the answer stays a hit equal to a fresh query."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=13)
+    engine.register_sharded_dataset("sh", points2d, num_shards=2,
+                                    replicas=2, sharding="range",
+                                    kinds=["dynamic", "full_scan"])
+    constraint = halfspace_queries_with_selectivity(points2d, 1, 0.2,
+                                                    seed=14)[0]
+    outside, above = (0.0, 5.0), (0.0, 6.0)
+    assert not constraint.below(outside) and not constraint.below(above)
+    engine.insert("sh", above)        # the shard's first write flushes
+    engine.query("sh", constraint)
+    assert engine.query("sh", constraint).from_result_cache
+    core = engine.executor.core
+    generation = core.results.generation("sh")
+    assert engine.insert("sh", outside).shard_id \
+        == engine.insert("sh", above).shard_id
+    assert core.results.generation("sh") == generation + 2
+    hit = engine.query("sh", constraint)
+    assert hit.from_result_cache
+    fresh = engine.query("sh", constraint, clear_cache=True)
+    assert (hit.index_name, hit.points.tobytes()) \
+        == (fresh.index_name, fresh.points.tobytes())
+    assert engine.summary()["result_cache"]["evictions"]["write"] == 0
     engine.close()
 
 
