@@ -108,8 +108,9 @@ def main() -> None:
         LinearConstraint(coeffs=(0.0, 0.0), offset=0.12),     # latency <= 0.12
     ).and_halfspace((1.0, 1.0, 0.0), 0.55)                    # cpu + mem <= 0.55
     polytope_answer = engine.query("servers", conjunction)
+    polytope = conjunction.to_polytope()
     assert sorted(tuple(p) for p in polytope_answer.points) == sorted(
-        tuple(p) for p in servers if conjunction.satisfied_by(p))
+        tuple(p) for p in servers if polytope.contains(p))
     print("\nConjunction: latency <= 0.12 AND cpu+mem <= 0.55")
     print("  -> served by %s: %d servers in %d I/Os"
           % (polytope_answer.index_name, polytope_answer.count,

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex
-from repro.geometry.boxes import Box, CellRelation
+from repro.geometry.boxes import CELL_RELATIONS, Box, CellRelation
 from repro.geometry.primitives import LinearConstraint
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -183,8 +183,7 @@ class KDBTreeIndex(ExternalIndex):
         if constraint.dimension != self._dimension:
             raise ValueError("constraint dimension %d does not match data "
                              "dimension %d" % (constraint.dimension, self._dimension))
-        scan = kernels.DeferredScan(self._dimension, constraint.below,
-                                    constraint.below_many)
+        scan = kernels.DeferredScan(self._dimension, constraint)
         if self._root is not None:
             self._visit(self._root, constraint, scan, filter_points=True)
         return scan.flush()
@@ -200,7 +199,8 @@ class KDBTreeIndex(ExternalIndex):
             self._visit(left_id, constraint, scan, False)
             self._visit(right_id, constraint, scan, False)
             return
-        relation = Box(lower, upper).classify_halfspace(constraint.hyperplane)
+        relation = CELL_RELATIONS[constraint.classify_boxes(
+            np.array([lower]), np.array([upper]))[0]]
         if relation is CellRelation.ABOVE:
             return
         if relation is CellRelation.BELOW:

@@ -151,27 +151,21 @@ class PagedDualIndex2D(ExternalIndex):
         """Report satisfying points layer by layer, stopping when one is empty."""
         if constraint.dimension != 2:
             raise ValueError("PagedDualIndex2D answers 2-D constraints only")
-        slope = constraint.coeffs[0]
-        offset = constraint.offset
         results: List[tuple] = []
         for layer in self._layers:
             size = len(layer)
             if size == 0:
                 continue
-            # Find the vertex minimising y - slope*x by probing one record at
-            # a time (each probe is a block read, as in a paged pointer
-            # structure); a golden-section style scan over the cyclic hull
-            # would also work, a linear probe of the layer is simpler and
-            # only makes this baseline *cheaper* per probe than the real
-            # structure, never more expensive.
-            best_value = None
+            # Probe every vertex, one record at a time (each probe is a
+            # block read, as in a paged pointer structure); a golden-section
+            # style scan over the cyclic hull would also work, a linear
+            # probe of the layer is simpler and only makes this baseline
+            # *cheaper* per probe than the real structure, never more
+            # expensive.
             reported_any = False
             for position in range(size):
                 point = layer[position]
-                value = point[1] - slope * point[0]
-                if best_value is None or value < best_value:
-                    best_value = value
-                if value <= offset + 1e-9:
+                if constraint.below(point):
                     results.append(point)
                     reported_any = True
             if not reported_any:

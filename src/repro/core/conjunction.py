@@ -13,15 +13,20 @@ against an index:
   constraint with (Section 5, Remark i);
 * any other index answers the conjunction's first constraint — the
   engine's planner puts the conjunct it priced, the most selective one,
-  first (:meth:`ConstraintConjunction.led_by`) — and the remaining
-  conditions are filtered from its output, which is correct for every
-  index and costs one halfspace query.
+  first (:meth:`ConstraintConjunction.led_by`) — and the polytope masks
+  its output, which is correct for every index and costs one halfspace
+  query.
+
+The polytope's facets are the constraints themselves
+(:meth:`ConstraintConjunction.to_polytope`), so every index — walk or
+mask — decides membership by each conjunct's ``below`` fold, and every
+kind reports the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -71,52 +76,17 @@ class ConstraintConjunction:
         """Ambient dimension of the conjunction."""
         return self.constraints[0].dimension
 
-    def satisfied_by(self, point: Sequence[float]) -> bool:
-        """True if ``point`` satisfies every conjunct."""
-        if not all(constraint.below(point) for constraint in self.constraints):
-            return False
-        return all(halfspace.contains(point) for halfspace in self.extra_halfspaces)
-
-    def satisfied_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`satisfied_by`: a boolean mask over the rows.
-
-        Conjuncts short-circuit per batch: each one only evaluates the
-        rows every earlier conjunct accepted (cumulative masking), the
-        batch analogue of the scalar ``all(...)`` early exit.
-        """
-        indices = np.arange(points.shape[0])
-        active = points
-        for constraint in self.constraints:
-            keep = constraint.below_many(active)
-            if not keep.all():
-                indices = indices[keep]
-                active = active[keep]
-                if indices.size == 0:
-                    break
-        if indices.size:
-            for halfspace in self.extra_halfspaces:
-                keep = halfspace.contains_many(active)
-                if not keep.all():
-                    indices = indices[keep]
-                    active = active[keep]
-                    if indices.size == 0:
-                        break
-        mask = np.zeros(points.shape[0], dtype=bool)
-        mask[indices] = True
-        return mask
-
     def to_polytope(self) -> Simplex:
-        """The conjunction as an intersection of halfspaces.
+        """The conjunction as an intersection of halfspaces: its
+        constraints themselves, then its raw halfspaces, as facets.
 
-        A constraint ``x_d <= a_0 + sum a_i x_i`` becomes the halfspace
-        ``-a_1 x_1 - ... - a_{d-1} x_{d-1} + x_d <= a_0``.
+        A conjunct is not rewritten as ``-a . x + x_d <= a_0``: that is a
+        second rounding of the same halfspace.  As a facet it tests a
+        point with ``below`` and a box with its box form, so a point is
+        in the conjunction's answer iff every conjunct's ``below`` admits
+        it (and every raw halfspace contains it).
         """
-        halfspaces: List[Halfspace] = []
-        for constraint in self.constraints:
-            normal = tuple(-c for c in constraint.coeffs) + (1.0,)
-            halfspaces.append(Halfspace(normal=normal, offset=constraint.offset))
-        halfspaces.extend(self.extra_halfspaces)
-        return Simplex(halfspaces=tuple(halfspaces))
+        return Simplex(halfspaces=self.constraints + self.extra_halfspaces)
 
 
 def query_conjunction(index: ExternalIndex,
@@ -124,15 +94,16 @@ def query_conjunction(index: ExternalIndex,
     """Report every point of ``index`` satisfying the conjunction.
 
     A cell tree or the dynamic index walks the polytope (Section 5,
-    Remark i); any other index answers the first constraint and the rest
-    mask its matrix.
+    Remark i); any other index answers the first constraint and the
+    polytope masks its matrix — the same facets' point folds either way.
     """
     if conjunction.dimension != index.dimension:
         raise ValueError("conjunction dimension %d does not match index "
                          "dimension %d" % (conjunction.dimension, index.dimension))
+    polytope = conjunction.to_polytope()
     if isinstance(index, (CellTreeIndex, DynamicPartitionTreeIndex)):
-        return index.query(conjunction.to_polytope())
+        return index.query(polytope)
     candidates = index.query(conjunction.constraints[0])
-    keep = conjunction.satisfied_many(candidates)
+    keep = polytope.contains_many(candidates)
     return kernels.answer_matrix((candidates.compress(keep, axis=0),),
                                  conjunction.dimension)

@@ -38,7 +38,7 @@ from repro.core.clustering import Cluster, clustering_union, greedy_clustering
 from repro.core.interface import ExternalIndex
 from repro.geometry.arrangement2d import LineArrays, compute_level
 from repro.geometry.duality import dual_point_of_hyperplane
-from repro.geometry.primitives import EPS, LinearConstraint
+from repro.geometry.primitives import LinearConstraint, below_bound
 from repro.io.btree import BTree
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -414,12 +414,12 @@ class HalfplaneIndex2D(ExternalIndex):
                       above_set: Optional[Set[float]] = None) -> Tuple[int, int]:
         """Read one cluster, report its below-lines, count above-lines."""
         cluster = layer.clusters[cluster_index]
-        # The cluster as one (n, 5) matrix; the height in two roundings,
-        # slope * x + intercept: product then sum.
+        # The cluster as one (n, 5) matrix [number, slope, intercept, x,
+        # y]; the membership fold over the dual columns: slope = -x, so
+        # (-query_x) * slope == a * x exactly, the constraint's ``below``.
         matrix = cluster.read_all_array()
-        heights = matrix[:, 1] * query_x
-        heights += matrix[:, 2]
-        is_below = heights <= query_y + EPS
+        is_below = matrix[:, 2] <= below_bound((-query_x,), (matrix[:, 1],),
+                                               query_y)
         below = int(np.count_nonzero(is_below))
         if below:
             reported.matrices.append(matrix.compress(is_below, axis=0))

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.halfspace3d import HalfspaceIndex3D
-from repro.core.partition_tree import CellTreeIndex, Partitioner, _Node
+from repro.core.partition_tree import (CellTreeIndex, Partitioner, Region,
+                                      _Node)
 from repro.geometry.primitives import LinearConstraint
 from repro.io.store import BlockStore
 
@@ -80,11 +81,16 @@ class HybridIndex3D(CellTreeIndex):
     # ------------------------------------------------------------------
     _steps = ("leaves_queried", "leaf_scans")
 
-    def _query_leaf(self, node: _Node, constraint: LinearConstraint,
+    def _query_leaf(self, node: _Node, region: Region,
                     scan: kernels.DeferredScan) -> None:
         """Ask the leaf's structure; count it, and whether it scanned
-        instead of reading one conflict list."""
-        scan.extend(node.leaf_index.query(constraint))
+        instead of reading one conflict list.  The structure answers a
+        constraint only: under a polytope the leaf's raw copy joins the
+        scan, filtered, as any cell tree's crossed leaf does."""
+        if not isinstance(region, LinearConstraint):
+            scan.add(node.points_array, filtered=True)
+            return
+        scan.extend(node.leaf_index.query(region))
         scan.steps["leaves_queried"] += 1
         if node.leaf_index.last_query["scanned"] is not None:
             scan.steps["leaf_scans"] += 1

@@ -10,10 +10,10 @@ evaluated as a masked numpy expression over the whole matrix.  The I/O
 counters are untouched — the kernels consume exactly the block reads
 a record-at-a-time loop would issue, in the same order.
 
-Parity is guaranteed, not approximate: the batch predicates
-(:meth:`LinearConstraint.below_many`, :meth:`Simplex.contains_many`)
-replay the per-point accumulation order coefficient by coefficient, so
-a point exactly on the boundary hyperplane resolves as
+Parity is guaranteed, not approximate: a scan filters with its query
+region's ``contains_many`` (:meth:`LinearConstraint.below_many`, or a
+polytope's over the same facets), the membership fold over the matrix's
+columns, so a point exactly on the boundary hyperplane resolves as
 :meth:`LinearConstraint.below` resolves it.  Any other block (mixed
 record types, ragged widths) arrives as its record list — the backend's
 write decided that, nothing here re-checks it — and is filtered record
@@ -240,9 +240,9 @@ class DeferredScan:
 
     :meth:`add` / :meth:`add_blocks` fetch their blocks immediately
     — the I/Os and their order are a record-at-a-time loop's — and
-    only queue the matrices; at the end they are stacked, ``keep_many``
-    is evaluated once (the per-call numpy overhead dominates one-block
-    scans), the rows queued unfiltered are forced to true and one
+    only queue the matrices; at the end they are stacked, the region's
+    row test is evaluated once (the per-call numpy overhead dominates
+    one-block scans), the rows queued unfiltered are forced to true and one
     masked matrix joins the answer.  Row order is visit order and the
     predicate is row-independent, so the mask is bit for bit the
     per-block one.  A non-columnar block ends the stack and is filtered
@@ -258,10 +258,10 @@ class DeferredScan:
     __slots__ = ("_dimension", "_keep_one", "_keep_many", "_chunks",
                  "_pending", "_kept", "crossed", "steps")
 
-    def __init__(self, dimension: int, keep_one, keep_many) -> None:
+    def __init__(self, dimension: int, region) -> None:
         self._dimension = dimension
-        self._keep_one = keep_one
-        self._keep_many = keep_many
+        self._keep_one = region.contains
+        self._keep_many = region.contains_many
         #: The answer so far, in order: matrices and record lists.
         self._chunks: List[Any] = []
         self._pending: List[np.ndarray] = []
@@ -345,7 +345,6 @@ def filter_constraint(array: DiskArray,
     One block read per block of ``array``, in order, and the records
     :meth:`LinearConstraint.below` keeps, in record order.
     """
-    scan = DeferredScan(constraint.dimension, constraint.below,
-                        constraint.below_many)
+    scan = DeferredScan(constraint.dimension, constraint)
     scan.add(array, filtered=True)
     return scan.flush()

@@ -56,7 +56,7 @@ from repro.geometry.point_location import (LOCATE_SLACK,
                                           ExternalPointLocator,
                                           barycentric_margin)
 from repro.geometry.polygons import polygon_area
-from repro.geometry.primitives import EPS, Plane3
+from repro.geometry.primitives import EPS, Plane3, below_bound
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
@@ -297,19 +297,13 @@ class LowestPlanesIndex:
         xmin, xmax, ymin, ymax = self._domain
         return xmin <= x <= xmax and ymin <= y <= ymax
 
-    def _heights_along(self, array: DiskArray, start: int, stop: int,
-                       x: float, y: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Numbers and heights above ``(x, y)`` of the planes stored as
-        records ``[start, stop)`` of ``array``, read as one run."""
+    def _planes_along(self, array: DiskArray, start: int,
+                      stop: int) -> np.ndarray:
+        """The planes stored as records ``[start, stop)`` of ``array``,
+        read as one run: an ``(n, 4)`` matrix ``[number, a, b, c]``."""
         if start == stop:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        # Three roundings per plane, a * x + b * y + c: products, their
-        # sum, plus c.
-        rows = array.read_range_array(start, stop)
-        heights = rows[:, 1] * x
-        heights += rows[:, 2] * y
-        heights += rows[:, 3]
-        return rows[:, 0].astype(np.intp), heights
+            return np.empty((0, 4))
+        return array.read_range_array(start, stop)
 
     def _list_blocks(self, start: int, stop: int) -> int:
         """Blocks the packed records ``[start, stop)`` touch."""
@@ -336,8 +330,8 @@ class LowestPlanesIndex:
             if lowest is not None:
                 return lowest
             account["fallbacks"] = int(account["attempts"] > 0)
-        numbers, heights = self._heights_along(
-            self._all_planes_array, 0, self._num_planes, x, y)
+        numbers, heights = _heights(self._planes_along(
+            self._all_planes_array, 0, self._num_planes), x, y)
         return _lowest(numbers, heights, k)
 
     def _try_lowest(self, x: float, y: float, k: int,
@@ -378,8 +372,8 @@ class LowestPlanesIndex:
                 budget -= self._list_blocks(start, stop)
                 if budget < 0:
                     return None
-                numbers, heights = self._heights_along(
-                    layer.conflict_store, start, stop, x, y)
+                numbers, heights = _heights(self._planes_along(
+                    layer.conflict_store, start, stop), x, y)
                 below = heights < (a * x + b * y + c) - EPS
                 if np.count_nonzero(below) >= k:
                     return _lowest(numbers[below], heights[below], k)
@@ -407,17 +401,21 @@ class LowestPlanesIndex:
             scanned = None
         if scanned is None:
             layer, start, stop = best
-            numbers, heights = self._heights_along(
-                layer.conflict_store, start, stop, x, y)
+            rows = self._planes_along(layer.conflict_store, start, stop)
         else:
-            numbers, heights = self._heights_along(
-                self._all_planes_array, 0, self._num_planes, x, y)
+            rows = self._planes_along(self._all_planes_array, 0,
+                                      self._num_planes)
         self.last_query = {
             "layer": best[0].sample_size if scanned is None else None,
             "probes": probes,
             "list_blocks": list_blocks if scanned is None else 0,
             "scanned": scanned}
-        return numbers[heights <= z + EPS].tolist()
+        # On or below: the membership fold over the plane columns.  For
+        # p's dual plane (a, b, c) = (-p_1, -p_2, p_3), (-x) * a == x * p_1
+        # exactly: the verdict is the constraint's ``below(p)``.
+        below = rows[:, 3] <= below_bound((-x, -y), (rows[:, 1], rows[:, 2]),
+                                          z)
+        return rows[below, 0].astype(np.intp).tolist()
 
     def _finest_clearing(self, x: float, y: float, z: float
                          ) -> Tuple[int, Optional[Tuple[_Layer, int, int]]]:
@@ -552,3 +550,11 @@ def _lowest(numbers: np.ndarray, heights: np.ndarray,
     """The ``k`` lowest ``(number, height)`` pairs, ties by number."""
     order = np.lexsort((numbers, heights))[:k]
     return list(zip(numbers[order].tolist(), heights[order].tolist()))
+
+
+def _heights(rows: np.ndarray, x: float,
+             y: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Numbers and heights above ``(x, y)`` of the planes ``rows``
+    (:meth:`LowestPlanesIndex._planes_along`): a * x + b * y + c."""
+    return rows[:, 0].astype(np.intp), rows[:, 1] * x + rows[:, 2] * y \
+        + rows[:, 3]

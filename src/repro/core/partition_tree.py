@@ -36,8 +36,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex
-from repro.geometry.boxes import (CELL_RELATIONS, CellRelation,
-                                  classify_boxes_halfspace)
+from repro.geometry.boxes import CELL_RELATIONS, CellRelation
 from repro.geometry.partitions import (PartitionNode, Partitioner,
                                        median_cut_hierarchy,
                                        partitioner_hierarchy)
@@ -163,6 +162,8 @@ def scan_child_ids(child_table: DiskArray) -> Iterator[List[int]]:
 
 #: What a cell tree walks: the region below one constraint's hyperplane,
 #: or a convex polytope (a conjunction walks as its ``to_polytope()``).
+#: Both answer the walk's two calls alike: ``classify_boxes`` (a table
+#: block's codes) and ``contains`` / ``contains_many`` (a row mask).
 Region = Union[LinearConstraint, Simplex]
 
 
@@ -175,15 +176,11 @@ def classify_cells(child_table: DiskArray, region: Region
     Lazy, one table block at a time — a caller that descends into the
     cells of one block before asking for the next reads blocks in the
     order a record-at-a-time loop does — and each block is classified
-    in one :func:`classify_boxes_halfspace` or
-    :meth:`Simplex.classify_boxes` call.
+    in one ``region.classify_boxes`` call.
     """
-    polytope = isinstance(region, Simplex)
     for matrix in child_table.scan_batches():
         split = (matrix.shape[1] + 1) // 2
-        lowers, uppers = matrix[:, 1:split], matrix[:, split:]
-        codes = region.classify_boxes(lowers, uppers) if polytope else \
-            classify_boxes_halfspace(lowers, uppers, region.hyperplane)
+        codes = region.classify_boxes(matrix[:, 1:split], matrix[:, split:])
         hit = np.flatnonzero(codes)
         yield list(zip(matrix[hit, 0].astype(np.intp).tolist(),
                        map(CELL_RELATIONS.__getitem__, codes[hit].tolist())))
@@ -499,7 +496,7 @@ class CellTreeIndex(ExternalIndex):
         from none: the walk behind Theorems 5.2, 6.1 and 6.3 replayed on
         the in-memory copy of the cell tables.
 
-        One :func:`classify_boxes_halfspace` call over every node's box;
+        One ``constraint.classify_boxes`` call over every node's box;
         a node is reached when its ancestors are all crossed (the root
         always is).  A reached node below the hyperplane costs its
         subtree's blocks, a crossed one its own, one above it nothing.  A
@@ -511,8 +508,7 @@ class CellTreeIndex(ExternalIndex):
         costs = self._costs
         if costs is None:
             return 0.0
-        codes = classify_boxes_halfspace(costs.lowers, costs.uppers,
-                                         constraint.hyperplane)
+        codes = constraint.classify_boxes(costs.lowers, costs.uppers)
         below = codes > 0                   # a corner on or below it
         crossed = codes == 2                # a corner on each side
         crossed[0] = True                   # every walk reads the root
@@ -560,10 +556,7 @@ class CellTreeIndex(ExternalIndex):
             raise ValueError("query dimension %d does not match data "
                              "dimension %d" % (region.dimension,
                                                self.dimension))
-        scan = kernels.DeferredScan(self.dimension, *(
-            (region.contains, region.contains_many)
-            if isinstance(region, Simplex) else
-            (region.below, region.below_many)))
+        scan = kernels.DeferredScan(self.dimension, region)
         scan.steps = dict.fromkeys(self._steps, 0)
         self.walk(region, scan)
         for array in arrays:
@@ -578,10 +571,9 @@ class CellTreeIndex(ExternalIndex):
         if self._root is not None:
             self._visit([(self._root, CellRelation.CROSSES)], region, scan)
 
-    #: A subclass's own answer to a leaf whose cell a constraint's
-    #: hyperplane crosses, ``_query_leaf(node, constraint, scan)``; None:
-    #: the leaf's blocks join the scan, filtered, like any other run of
-    #: blocks — as a crossed leaf's always do under a polytope.
+    #: A subclass's own answer to a leaf whose cell the region's boundary
+    #: crosses, ``_query_leaf(node, region, scan)``; None: the leaf's
+    #: blocks join the scan, filtered, like any other run of blocks.
     _query_leaf = None
 
     def _descend(self, node_id: int, region: Region,
@@ -608,8 +600,7 @@ class CellTreeIndex(ExternalIndex):
         for child_id, relation in cells:
             child = self._nodes[child_id]
             below = relation is CellRelation.BELOW
-            if child.is_leaf and (below or self._query_leaf is None
-                                  or isinstance(region, Simplex)):
+            if child.is_leaf and (below or self._query_leaf is None):
                 scan.crossed += not below
                 block_ids = child.points_array.block_ids
                 run_ids += block_ids

@@ -40,8 +40,8 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import (BinaryIO, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (BinaryIO, Callable, Dict, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -526,6 +526,14 @@ class Catalog:
             if backend == "file" and data_dir is not None else None
         #: The engine's tracer (set by the engine; None: nothing traced).
         self.tracer: Optional[Tracer] = None
+        self._build_listeners: List[Callable[[str], None]] = []
+
+    def add_build_listener(self, listener: Callable[[str], None]) -> None:
+        """Run ``listener(dataset_name)`` after every index build over a
+        dataset: a new kind can change which index answers a query, and
+        with it the answer's index name and row order (the engine
+        flushes the dataset's cached answers there)."""
+        self._build_listeners.append(listener)
 
     @contextlib.contextmanager
     def registering(self, name: str, operation: str) -> Iterator[None]:
@@ -897,6 +905,8 @@ class Catalog:
             if all(built["index_name"] != build["index_name"]
                    for built in sharded.suite_builds):
                 sharded.suite_builds.append(build)
+        for listener in self._build_listeners:
+            listener(dataset_name)
         return records
 
     @staticmethod

@@ -133,10 +133,12 @@ class QueryEngine:
                                       stats=self.stats, tracer=self.tracer)
         self._auto_rebalance = auto_rebalance
         self.rebalancer = RebalanceManager(self.catalog, self.stats)
-        # A re-split rebuilds per-shard stores and indexes: flush the old
-        # layout's cached answers.
+        # A re-split rebuilds per-shard stores and indexes, and a late
+        # build adds a kind the planner may pick: flush the dataset's
+        # cached answers.
         self.rebalancer.add_listener(
             lambda name, report: self.executor.invalidate_dataset(name))
+        self.catalog.add_build_listener(self.executor.invalidate_dataset)
         self.executor.core.writes.add_write_listener(self._after_write)
         mode = workers if workers is not None \
             else os.environ.get("REPRO_WORKERS", "inprocess")

@@ -7,17 +7,18 @@ name of the index that produced it, under the key ``(dataset, query)``
 — until one of three causes drops it:
 
 * ``write``: a committed insert or delete of a point a constraint
-  admits — its ``below``, run as one fold over the resident
-  constraints' coefficient matrix that is bit for bit the fold of
-  :meth:`~repro.geometry.primitives.LinearConstraint.below_many` — and
-  every conjunction of the dataset.  A conjunction is planned by the
-  conjunct the dataset's summed shard models rate most selective, so a
-  write anywhere can change the index an unwritten shard picks, and
-  with it the answer's index name, row order and, at ``EPS``, rows.
+  admits — its ``below``, run as one
+  :func:`~repro.geometry.primitives.below_bound` fold over the resident
+  constraints' coefficient table — and every conjunction of the dataset.
+  A conjunction is planned by the conjunct the dataset's summed shard
+  models rate most selective, so a write anywhere can change the index
+  an unwritten shard picks, and with it the answer's index name and row
+  order.
 * ``flush``: every answer of the dataset, when a write may change the
   routing or the row order of answers it is not in — a shard's first
   write, a write that rebuilt the mutable tree, a rolled-back fan-out —
-  and on a re-split or an explicit ``invalidate_dataset``.
+  and on a re-split, an index build over the dataset (a new kind can
+  be the planner's next pick) or an explicit ``invalidate_dataset``.
 * ``capacity``: least recently used first, while more than
   :data:`RESULT_CACHE_ENTRIES` answers or :data:`RESULT_CACHE_BYTES`
   bytes of answer matrices are resident.  An answer larger than the
@@ -37,7 +38,7 @@ from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Set,
 
 import numpy as np
 
-from repro.geometry.primitives import EPS, LinearConstraint
+from repro.geometry.primitives import LinearConstraint, below_bound
 
 if TYPE_CHECKING:       # the catalog and the metrics import much more
     from repro.engine.catalog import Query
@@ -90,17 +91,12 @@ class _Regions:
         """The keys a write of ``point`` evicts: the constraints whose
         answer holds it, and every conjunction.
 
-        The constraints' test is one fold over the table — coefficient
-        by coefficient, then the offset, then ``EPS``, as
-        ``below_many`` folds a point matrix — so each verdict is
-        ``below``'s bit for bit.
+        The constraints' test is the membership fold with the table's
+        columns as coefficients and the point's coordinates as columns,
+        so each verdict is ``below``'s bit for bit.
         """
-        total = np.zeros(RESULT_CACHE_ENTRIES, dtype=np.float64)
-        for column, coordinate in enumerate(point[:-1]):
-            total += self.table[:, column] * coordinate
-        total += self.table[:, -1]
-        total += EPS
-        slots = np.flatnonzero(point[-1] <= total)
+        slots = np.flatnonzero(point[-1] <= below_bound(
+            self.table.T[:-1], point[:-1], self.table[:, -1]))
         return [self.keys[slot] for slot in slots.tolist()] \
             + list(self.conjunctions)
 

@@ -67,7 +67,6 @@ from repro.engine.serving.admission import (
     AdmissionController,
     scaled_count_estimate,
 )
-from repro.engine.sharding import sample_hits
 from repro.engine.serving.queue import (
     PriorityRequestQueue,
     QueuedRequest,
@@ -718,10 +717,10 @@ class AsyncExecutor:
         """A zero-I/O approximate answer from the samples of the plan's
         shards — the rows their selectivity models estimate from.
 
-        The samples' points are real stored points, so the answer is a
-        *subset* of the truth (membership follows the same rule as the
-        planner's selectivity estimate, via
-        :func:`~repro.engine.sharding.sample_hits`) — marked ``degraded``
+        The samples' points are real stored points, kept by the
+        constraint's ``below_many`` (the rule every index and the
+        selectivity estimate decide membership by), so the answer is a
+        *subset* of the exact one — marked ``degraded``
         and kept out of the result cache so it can never masquerade as an
         exact answer.  The answer carries its ``sample_rate`` (the rows
         scanned over those shards' live points) plus the plan's expected
@@ -745,8 +744,8 @@ class AsyncExecutor:
             for item in items:
                 replica = item.shard.planning_dataset()
                 sample = replica.stats.sample.rows
-                hits.append(sample_hits(sample, dimension,
-                                        request.constraint))
+                hits.append(sample.compress(
+                    request.constraint.below_many(sample), axis=0))
                 size = max(int(replica.live_size), len(sample))
                 __, band = scaled_count_estimate(len(hits[-1]), len(sample),
                                                  size)

@@ -21,9 +21,10 @@ no build point reached) is an ordinary index suite over ``(0, d)``, and
 the first insert routed to it fills it.
 
 Pruning is exact, not heuristic: every shard records the bounding box of
-its points, and a shard participates only if the query halfspace intersects
-that box (the minimum of the constraint residual over a box is a closed
-form); a zero-point shard has no box and is pruned until a write lands.
+its points, and a shard participates only if some point of that box is
+below every conjunct of the query by the conjunct's own membership fold
+(its box form, ``classify_boxes_halfspace``, finds the box not ABOVE); a
+zero-point shard has no box and is pruned until a write lands.
 For range shards and steep leading-attribute constraints this
 reproduces classic partition pruning; for hash shards the boxes all span
 the data and nothing is pruned — which is exactly the trade-off the two
@@ -48,53 +49,12 @@ from typing import (
 
 import numpy as np
 
-from repro.geometry.primitives import LinearConstraint
+from repro.geometry.primitives import (LinearConstraint,
+                                       classify_boxes_halfspace)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (catalog imports us)
     from repro.engine.catalog import Catalog, Dataset, Query, ReplicaRecipe
     from repro.engine.metrics import EngineStats
-
-
-def sample_hits(sample: np.ndarray, dimension: int,
-                constraint: LinearConstraint) -> np.ndarray:
-    """The sample rows satisfying ``constraint`` (zero I/Os).
-
-    One vectorised residual computation; the single membership rule behind
-    both selectivity estimation and the admission controller's degraded
-    sample answers, so the two can never drift apart.
-    """
-    if constraint.dimension != dimension:
-        raise ValueError(
-            "constraint dimension %d does not match dataset dimension %d"
-            % (constraint.dimension, dimension))
-    residuals = (sample[:, -1]
-                 - sample[:, :-1] @ np.asarray(constraint.coeffs))
-    return sample[residuals <= constraint.offset]
-
-
-def constraint_feasible_over_box(constraint: LinearConstraint,
-                                 lows: Sequence[float],
-                                 highs: Sequence[float]) -> bool:
-    """True if some point of the axis-aligned box can satisfy the constraint.
-
-    The constraint is ``x_d - sum_i a_i x_i <= a_0``; the left side is
-    linear, so its minimum over the box is attained at a corner picked
-    per-coordinate: the low corner of ``x_d``, and for each ``x_i`` the
-    high corner when ``a_i > 0`` (it is subtracted) else the low corner.
-    If even that minimum exceeds ``a_0`` no point of the box qualifies.
-    """
-    if len(lows) != constraint.dimension:
-        raise ValueError("box dimension %d does not match constraint "
-                         "dimension %d" % (len(lows), constraint.dimension))
-    minimum = lows[-1]
-    for coeff, lo, hi in zip(constraint.coeffs, lows, highs):
-        minimum -= coeff * (hi if coeff > 0 else lo)
-    # Relative slack: with large coordinates/coefficients the corner
-    # products carry rounding error far above any absolute epsilon, and a
-    # boundary point (offsets come from residual quantiles) must never be
-    # pruned away.
-    slack = 1e-9 * max(1.0, abs(minimum), abs(constraint.offset))
-    return minimum <= constraint.offset + slack
 
 
 class ShardRouter(abc.ABC):
@@ -264,16 +224,6 @@ class Shard:
         """
         return self.replicas[0]
 
-    def may_contain(self, query: "Query") -> bool:
-        """True unless the bounding box proves the shard reports nothing:
-        some conjunct of the query alone excludes the box (a shard with
-        no box and no write holds nothing)."""
-        if self.written:
-            return True
-        return self.lows is not None and all(
-            constraint_feasible_over_box(constraint, self.lows, self.highs)
-            for constraint in query.constraints)
-
 
 @dataclass
 class ShardedDataset:
@@ -357,11 +307,30 @@ class ShardedDataset:
         return [shard.planning_dataset().live_size for shard in self.shards]
 
     def relevant_shards(self, query: "Query") -> List[Shard]:
-        """The shards a query must visit (box pruning unless disabled;
-        each conjunct can prune)."""
+        """The shards a query must visit: unless pruning is disabled,
+        every written shard, and every other shard whose bounding box no
+        conjunct of the query finds ABOVE its hyperplane (a shard with no
+        box and no write holds nothing).
+
+        The boxes are stacked and classified with one
+        :func:`~repro.geometry.primitives.classify_boxes_halfspace` call
+        per conjunct: the box form of ``below``'s fold, monotone in every
+        coordinate, so a shard holding a point some conjunct's ``below``
+        admits is never found ABOVE that conjunct.
+        """
         if not self.prune:
             return list(self.shards)
-        return [shard for shard in self.shards if shard.may_contain(query)]
+        keep = [shard.written for shard in self.shards]
+        boxed = [number for number, shard in enumerate(self.shards)
+                 if not shard.written and shard.lows is not None]
+        if boxed:
+            lows = np.array([self.shards[number].lows for number in boxed])
+            highs = np.array([self.shards[number].highs for number in boxed])
+            codes = zip(*(classify_boxes_halfspace(lows, highs, constraint)
+                          .tolist() for constraint in query.constraints))
+            for number, relations in zip(boxed, codes):
+                keep[number] = all(relations)       # 0: ABOVE, pruned
+        return [shard for shard, holds in zip(self.shards, keep) if holds]
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the layout is one that writes and

@@ -7,10 +7,12 @@ by its replicas, and a dataset's T is the sum of its shards' estimates,
 so planning is priced with shard-local statistics.
 
 The model evaluates the constraint on its :class:`Reservoir`, a uniform
-in-memory sample of the shard's live points, and scales the hit fraction
-by the live size.  It is unbiased on any data and costs O(sample)
-arithmetic and zero I/Os; its resolution floor is ``1/len(sample)``, so
-a selective query on a 512-point sample sees 0–2 hits.  The write path
+in-memory sample of the shard's live points, with the constraint's own
+``below_many`` (the membership rule every index answers by), and scales
+the hit fraction by the live size.  It is unbiased on any data and costs
+O(sample) arithmetic and zero I/Os; its resolution floor is
+``1/len(sample)``, so a selective query on a 512-point sample sees 0–2
+hits.  The write path
 feeds it every committed insert and delete (``observe_insert`` /
 ``observe_delete``), so the sample and the live size track the data.
 """
@@ -21,7 +23,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.sharding import sample_hits
 from repro.geometry.primitives import LinearConstraint
 
 
@@ -103,10 +104,14 @@ class SelectivityModel:
 
     def estimate_output(self, constraint: LinearConstraint) -> int:
         """Expected number of reported points (the paper's T)."""
+        if constraint.dimension != self._dimension:
+            raise ValueError(
+                "constraint dimension %d does not match dataset dimension %d"
+                % (constraint.dimension, self._dimension))
         rows = self.sample.rows
         if len(rows) == 0:
             return 0
-        hits = len(sample_hits(rows, self._dimension, constraint))
+        hits = int(np.count_nonzero(constraint.below_many(rows)))
         return int(round(hits / len(rows) * self._size))
 
     # ------------------------------------------------------------------

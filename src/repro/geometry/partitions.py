@@ -42,9 +42,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
-                                  classify_boxes_halfspace)
-from repro.geometry.primitives import Hyperplane
+from repro.geometry.boxes import CELL_RELATIONS, Box, CellRelation
+from repro.geometry.primitives import Hyperplane, classify_boxes_halfspace
 
 
 @dataclass

@@ -11,6 +11,12 @@ the duality transform of Section 2.1 expects:
 * :class:`Hyperplane` — ``x_d = coeffs . (x_1 .. x_{d-1}) + offset``.
 * :class:`LinearConstraint` — the query object of the public API; wraps a
   hyperplane together with the direction of the inequality.
+
+Membership has one rule, the fold :func:`below_bound`: every index kind,
+shard pruning, the selectivity estimate, the result cache and a
+conjunction decide "in the answer" with its point form
+(:meth:`LinearConstraint.below`) or its box form
+(:func:`classify_boxes_halfspace`).
 """
 
 from __future__ import annotations
@@ -25,6 +31,54 @@ import numpy as np
 #: boundary counts as on it, in every above/below, inside/outside test,
 #: scalar or vectorised.
 EPS = 1e-9
+
+
+def below_bound(coeffs: Sequence, columns: Sequence, offset):
+    """The membership fold ``coeffs[0] * columns[0] + ... + offset +
+    EPS``: a point ``p`` is in the answer of ``x_d <= a . x + offset`` iff
+    ``p[-1] <= below_bound(a, p, offset)``.
+
+    One term at a time, from the first (``0 + t`` is ``t`` but for a
+    zero's sign, which the offset, then ``EPS > 0``, erase), then the
+    offset, then ``EPS``.  Scalars and arrays fold alike: a point, a
+    matrix's columns, a box's extreme corners, or one point against a
+    table of constraints — one rounding, bit for bit, for every caller.
+    """
+    total = None
+    for coefficient, column in zip(coeffs, columns):
+        if total is None:
+            total = coefficient * column
+        else:
+            total += coefficient * column
+    if total is None:                       # d = 1: no coefficient
+        return offset + EPS
+    total += offset
+    total += EPS
+    return total
+
+
+def classify_boxes_halfspace(lowers: np.ndarray, uppers: np.ndarray,
+                             plane) -> np.ndarray:
+    """Relate n boxes (``(n, d)`` corner matrices) to the halfspace on
+    or below ``plane`` (a :class:`Hyperplane` or a constraint), as codes
+    indexing :data:`~repro.geometry.boxes.CELL_RELATIONS`.
+
+    Two :func:`below_bound` folds stand in for the 2^d corners: IEEE
+    multiply and add are monotone, so the fold is largest at the corner
+    taking ``upper_i`` where ``c_i >= 0`` else ``lower_i``, smallest at
+    the opposite one.  A box ABOVE holds no point ``below`` admits, a
+    box BELOW none it refuses.
+    """
+    tops, bottoms = [], []
+    for axis, coefficient in enumerate(plane.coeffs):
+        high, low = (uppers, lowers) if coefficient >= 0 else (lowers, uppers)
+        tops.append(high[:, axis])
+        bottoms.append(low[:, axis])
+    below_any = (lowers[:, -1] <= below_bound(
+        plane.coeffs, tops, plane.offset)).view(np.int8)
+    above_any = (~(uppers[:, -1] <= below_bound(
+        plane.coeffs, bottoms, plane.offset))).view(np.int8)
+    return below_any + (below_any & above_any)
 
 
 @dataclass(frozen=True)
@@ -99,9 +153,9 @@ class Hyperplane:
         """True if ``point`` lies on or below the hyperplane.
 
         This is the containment test of the paper's query: report all points
-        ``p`` with ``p_d <= a_0 + sum a_i p_i``.
+        ``p`` with ``p_d <= a_0 + sum a_i p_i`` (:func:`below_bound`).
         """
-        return point[-1] <= self.height_at(point) + EPS
+        return point[-1] <= below_bound(self.coeffs, point, self.offset)
 
     def height_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`height_at` over an ``(n, d)`` point matrix.
@@ -182,27 +236,29 @@ class LinearConstraint:
         return Hyperplane(self.coeffs, self.offset)
 
     def below(self, point: Sequence[float]) -> bool:
-        """True if ``point`` satisfies the constraint (lies on/below the plane)."""
-        return self.hyperplane.point_below(point)
+        """True if ``point`` satisfies the constraint (lies on/below the
+        plane): ``point[-1] <= below_bound(coeffs, point, offset)``."""
+        return point[-1] <= below_bound(self.coeffs, point, self.offset)
 
     def below_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`below`: a boolean mask over an ``(n, d)`` matrix.
 
-        Guaranteed to agree with per-point :meth:`below` on every row,
-        including points exactly on the boundary hyperplane: the fold
-        below replays the scalar ``sum(c * x for ...) + offset`` one
-        coefficient at a time (a BLAS dot product may round differently
-        and flip boundary points).  Inlined rather than delegated to
-        :meth:`Hyperplane.height_many` — this runs once per scanned
-        block, where constructing a throwaway Hyperplane and the extra
-        temporaries measurably slow the hot path.
+        The same :func:`below_bound` fold over the matrix's columns, so
+        every row resolves as per-point :meth:`below` resolves it, points
+        exactly on the boundary included (a BLAS dot product may round
+        differently and flip them).
         """
-        total = np.zeros(points.shape[0], dtype=np.float64)
-        for index, coefficient in enumerate(self.coeffs):
-            total += coefficient * points[:, index]
-        total += self.offset
-        total += EPS
-        return points[:, -1] <= total
+        return points[:, -1] <= below_bound(
+            self.coeffs, points.T[:-1], self.offset)
+
+    def classify_boxes(self, lowers: np.ndarray,
+                       uppers: np.ndarray) -> np.ndarray:
+        """:func:`classify_boxes_halfspace` of this constraint."""
+        return classify_boxes_halfspace(lowers, uppers, self)
+
+    #: A constraint is a region, as a polytope is: these name its tests.
+    contains = below
+    contains_many = below_many
 
     def __repr__(self) -> str:
         terms = " + ".join("%.4g*x%d" % (c, i + 1)

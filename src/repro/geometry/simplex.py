@@ -7,16 +7,19 @@ provides the simplex object used by that query path — every cell tree's
 one walk — including the cell-vs-simplex test the walk needs, a table
 block of boxes in one call (the box-at-a-time tests are the tests'
 oracle, ``tests/geometry_oracle.py``).
+A facet is a raw :class:`Halfspace` or a constraint, which tests points
+and boxes with its own membership fold: a conjunction's polytope holds a
+point iff every conjunct's ``below`` does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.geometry.primitives import EPS
+from repro.geometry.primitives import EPS, LinearConstraint
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,11 @@ class Halfspace:
 
     normal: Tuple[float, ...]
     offset: float
+
+    @property
+    def dimension(self) -> int:
+        """Ambient dimension (the normal's length)."""
+        return len(self.normal)
 
     def contains(self, point: Sequence[float]) -> bool:
         """True if ``point`` satisfies ``normal . x <= offset``."""
@@ -44,6 +52,23 @@ class Halfspace:
             values += coefficient * points[:, index]
         return values <= self.offset + EPS
 
+    def classify_boxes(self, lowers: np.ndarray,
+                       uppers: np.ndarray) -> np.ndarray:
+        """Relate n boxes (``(n, d)`` corner matrices) to the halfspace,
+        as :data:`~repro.geometry.boxes.CELL_RELATIONS` codes.  IEEE
+        multiply and add are monotone, so :meth:`contains`'s fold at the
+        corner taking ``lower_i`` where ``normal_i >= 0`` else ``upper_i``
+        is the box's least, at the opposite corner its greatest."""
+        least = np.zeros(lowers.shape[0])
+        most = np.zeros(lowers.shape[0])
+        for axis, coefficient in enumerate(self.normal):
+            rising = coefficient >= 0
+            least += coefficient * (lowers if rising else uppers)[:, axis]
+            most += coefficient * (uppers if rising else lowers)[:, axis]
+        bound = self.offset + EPS
+        outside = least > bound
+        return np.add(~outside, ~(outside | (most <= bound)), dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class Simplex:
@@ -54,7 +79,7 @@ class Simplex:
     simplices; we simply query with the polytope directly) work too.
     """
 
-    halfspaces: Tuple[Halfspace, ...]
+    halfspaces: Tuple[Union[LinearConstraint, Halfspace], ...]
 
     @classmethod
     def from_vertices_2d(cls, vertices: Sequence[Tuple[float, float]]) -> "Simplex":
@@ -79,8 +104,8 @@ class Simplex:
 
     @property
     def dimension(self) -> int:
-        """Ambient dimension (taken from the first halfspace)."""
-        return len(self.halfspaces[0].normal)
+        """Ambient dimension (taken from the first facet)."""
+        return self.halfspaces[0].dimension
 
     def contains(self, point: Sequence[float]) -> bool:
         """True if ``point`` satisfies every halfspace."""
@@ -109,30 +134,14 @@ class Simplex:
 
     def classify_boxes(self, lowers: np.ndarray,
                        uppers: np.ndarray) -> np.ndarray:
-        """Relate n boxes to the polytope at once, as
-        :data:`~repro.geometry.boxes.CELL_RELATIONS` codes: ABOVE when
-        some facet excludes the box, BELOW when every facet contains it
-        (every corner passes :meth:`contains`), else CROSSES.
-
-        ``lowers`` / ``uppers`` are ``(n, d)`` corner matrices.  Per
-        facet, two folds stand in for the 2^d corners (IEEE multiply and
-        add are monotone): the least ``normal . x`` over a box is at the
-        corner taking ``lower_i`` where ``normal_i >= 0`` else
-        ``upper_i``, the greatest at the opposite one.  Both replay the
-        per-corner accumulation one coefficient at a time, so a box
-        touching a facet resolves as a corner-by-corner test resolves it.
-        """
-        count = lowers.shape[0]
-        excluded = np.zeros(count, dtype=bool)
-        inside = np.ones(count, dtype=bool)
-        for halfspace in self.halfspaces:
-            least = np.zeros(count)
-            most = np.zeros(count)
-            for axis, coefficient in enumerate(halfspace.normal):
-                rising = coefficient >= 0
-                least += coefficient * (lowers if rising else uppers)[:, axis]
-                most += coefficient * (uppers if rising else lowers)[:, axis]
-            bound = halfspace.offset + EPS
-            excluded |= least > bound
-            inside &= most <= bound
+        """Relate n boxes (``(n, d)`` corner matrices) to the polytope,
+        as :data:`~repro.geometry.boxes.CELL_RELATIONS` codes: ABOVE when
+        some facet's own box form finds the box outside it, BELOW when
+        every facet's finds it inside, else CROSSES."""
+        excluded = np.zeros(lowers.shape[0], dtype=bool)
+        inside = np.ones(lowers.shape[0], dtype=bool)
+        for facet in self.halfspaces:
+            codes = facet.classify_boxes(lowers, uppers)
+            excluded |= codes == 0
+            inside &= codes == 1
         return np.add(~excluded, ~(excluded | inside), dtype=np.int8)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.geometry.primitives import below_bound
 from repro.io import backend as backend_module
 from repro.io.backend import _decode, _replay
 from repro.engine.executor import ExecutedQuery
@@ -102,6 +103,22 @@ def served_query(dataset, index_name, latency_s, ios, reported,
 def brute_force_halfspace(points, constraint):
     """Ground truth for halfspace queries (set of tuples)."""
     return {tuple(p) for p in points if constraint.below(p)}
+
+
+def edge_points(constraint, leading, steps):
+    """Points on ``constraint``'s ``EPS`` edge: each row of ``leading``
+    (an ``(n, d - 1)`` matrix) with, as last coordinate, the largest one
+    ``below`` admits over it (:func:`below_bound`), stepped ``steps[i]``
+    ulps up (refused) or down (admitted)."""
+    leading = np.asarray(leading, dtype=np.float64)
+    last = np.broadcast_to(below_bound(constraint.coeffs, leading.T,
+                                       constraint.offset),
+                           (len(leading),)).copy()
+    for row, step in enumerate(np.asarray(steps).tolist()):
+        for __ in range(abs(step)):
+            last[row] = np.nextafter(last[row], np.inf if step > 0
+                                     else -np.inf)
+    return np.column_stack((leading, last))
 
 
 def rows(answer):

@@ -10,23 +10,27 @@ scan the point locator replaces, and ``envelope_height`` /
 ``covered_area`` check an envelope's triangles.  The lifting identities
 are what the k-nearest-neighbour reduction rests on (Theorem 4.3).  ``filter_points`` is the
 in-memory ground truth every index answer is checked against, and the
-box-at-a-time polytope tests are what ``Simplex.classify_boxes`` folds
-into one call per table block (the scan oracle's ``classify_cells``).
+box-at-a-time tests — a box's 2^d ``corners`` and the corner loop
+``classify_halfspace`` for a constraint, the polytope tests for a
+:class:`Simplex` — are what ``classify_boxes_halfspace`` and
+``Simplex.classify_boxes`` fold into one call per table block (the scan
+oracle's ``classify_cells``).
 """
 
 import math
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.clustering import Cluster
 from repro.core.conjunction import ConstraintConjunction
-from repro.geometry.boxes import Box
+from repro.geometry.boxes import Box, CellRelation
 from repro.geometry.envelope3d import TriangulatedEnvelope
 from repro.geometry.lifting import lift_point
 from repro.geometry.partitions import PartitionCell
 from repro.geometry.polygons import Point2, polygon_area
 from repro.geometry.primitives import (EPS, Hyperplane, Line2,
                                        LinearConstraint, Plane3)
-from repro.geometry.simplex import Halfspace, Simplex
+from repro.geometry.simplex import Simplex
 
 
 def lower_envelope(lines: Sequence[Line2]) -> List[Tuple[int, float, float]]:
@@ -157,16 +161,12 @@ def relevant_cluster_index(clusters: Sequence[Cluster], x: float) -> int:
     return len(clusters) - 1
 
 
-#: The per-point test of each query shape.
-_KEEPS = {LinearConstraint: LinearConstraint.below,
-          Simplex: Simplex.contains,
-          ConstraintConjunction: ConstraintConjunction.satisfied_by}
-
-
 def filter_points(query, points) -> list:
-    """The points a constraint, polytope or conjunction keeps, in order."""
-    keep = _KEEPS[type(query)]
-    return [point for point in points if keep(query, point)]
+    """The points a constraint, polytope or conjunction keeps, in order
+    (a conjunction's are its polytope's)."""
+    if isinstance(query, ConstraintConjunction):
+        query = query.to_polytope()
+    return [point for point in points if query.contains(point)]
 
 
 def validate_against_scan(index, constraint: LinearConstraint,
@@ -178,21 +178,37 @@ def validate_against_scan(index, constraint: LinearConstraint,
     return expected == actual
 
 
-def excludes_box(halfspace: Halfspace, box: Box) -> bool:
-    """True if no point of ``box`` satisfies the halfspace (exact test).
+def corners(box: Box) -> list:
+    """All 2^d corner points of the box."""
+    return [tuple(choice) for choice in product(*zip(box.lower, box.upper))]
 
-    The minimum of ``normal . x`` over an axis-aligned box is attained
-    corner-wise, so the test picks the minimising corner directly.
-    """
-    minimum = 0.0
-    for coefficient, low, high in zip(halfspace.normal, box.lower, box.upper):
-        minimum += coefficient * (low if coefficient >= 0 else high)
-    return minimum > halfspace.offset + EPS
+
+def classify_halfspace(box: Box, hyperplane: Hyperplane) -> CellRelation:
+    """Relate the box to the halfspace on or below ``hyperplane``, corner
+    by corner: the constraint is linear, so its extrema over the box are
+    attained at corners, and checking the 2^d corners is exact."""
+    below_any = False
+    above_any = False
+    for corner in corners(box):
+        if hyperplane.point_below(corner):
+            below_any = True
+        else:
+            above_any = True
+        if below_any and above_any:
+            return CellRelation.CROSSES
+    return CellRelation.BELOW if below_any else CellRelation.ABOVE
+
+
+def excludes_box(facet, box: Box) -> bool:
+    """True if no point of ``box`` satisfies the facet (a
+    :class:`Halfspace` or a constraint; exact test): a linear facet's
+    extrema over a box are attained at corners, so no corner does."""
+    return not any(facet.contains(corner) for corner in corners(box))
 
 
 def contains_box(simplex: Simplex, box: Box) -> bool:
     """Exact test: every point of ``box`` lies inside the simplex."""
-    return all(simplex.contains(corner) for corner in box.corners())
+    return all(simplex.contains(corner) for corner in corners(box))
 
 
 def certainly_disjoint_from_box(simplex: Simplex, box: Box) -> bool:

@@ -10,8 +10,8 @@ same order, so answers, row order, reads and pool hits must agree.
 :func:`scalar_kernels` patches them in, for the ``with`` block, in place
 of the five batch readers (``partition_tree.classify_cells`` /
 ``scan_child_ids``, ``DeferredScan.add_blocks``,
-``HalfplaneIndex2D._scan_cluster``, ``LowestPlanesIndex._heights_along``)
-and of the conjunction mask ``ConstraintConjunction.satisfied_many``.
+``HalfplaneIndex2D._scan_cluster``, ``LowestPlanesIndex._planes_along``)
+and of the polytope mask ``Simplex.contains_many`` (a conjunction's).
 The record readers below (``scan``, ``read_all``, ``read_range``, ...)
 are the loops' block reads, one ``store.read`` per block.
 """
@@ -25,15 +25,15 @@ import numpy as np
 import pytest
 
 from repro.core import partition_tree
-from repro.core.conjunction import ConstraintConjunction
 from repro.core.halfplane2d import HalfplaneIndex2D
 from repro.core.kernels import DeferredScan
 from repro.core.lowest_planes import LowestPlanesIndex
 from repro.geometry.boxes import Box, CellRelation
-from repro.geometry.primitives import EPS
+from repro.geometry.primitives import below_bound
 from repro.geometry.simplex import Simplex
 
-from geometry_oracle import certainly_disjoint_from_box, contains_box
+from geometry_oracle import (certainly_disjoint_from_box, classify_halfspace,
+                             contains_box)
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +117,7 @@ def classify_cells(child_table, region
     polytope = isinstance(region, Simplex)
     for child_id, lower, upper in scan_cells(child_table):
         box = Box(lower, upper)
-        relation = box.classify_halfspace(region.hyperplane) \
+        relation = classify_halfspace(box, region.hyperplane) \
             if not polytope else CellRelation.ABOVE \
             if certainly_disjoint_from_box(region, box) else \
             CellRelation.BELOW if contains_box(region, box) else \
@@ -144,8 +144,7 @@ def scan_cluster(self, layer, cluster_index: int, query_x: float,
     records = []
     for record in scan(cluster):
         global_index, slope, intercept, __, __ = record
-        height = slope * query_x + intercept
-        if height <= query_y + EPS:
+        if intercept <= below_bound((-query_x,), (slope,), query_y):
             below += 1
             records.append(record)
         else:
@@ -157,22 +156,16 @@ def scan_cluster(self, layer, cluster_index: int, query_x: float,
     return below, above
 
 
-def heights_along(self, array, start: int, stop: int, x: float,
-                  y: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``LowestPlanesIndex._heights_along``, a record at a time."""
-    if start == stop:
-        return np.empty(0, dtype=np.intp), np.empty(0)
-    numbers, heights = [], []
-    for number, a, b, c in read_range(array, start, stop):
-        numbers.append(number)
-        heights.append(a * x + b * y + c)
-    return np.array(numbers, dtype=np.intp), np.array(heights)
+def planes_along(self, array, start: int, stop: int) -> np.ndarray:
+    """``LowestPlanesIndex._planes_along``, a record at a time."""
+    return np.array(read_range(array, start, stop),
+                    dtype=np.float64).reshape(-1, 4)
 
 
-def satisfied_rows(self, points: np.ndarray) -> np.ndarray:
-    """``ConstraintConjunction.satisfied_many`` as a row loop over
-    :meth:`ConstraintConjunction.satisfied_by`."""
-    return np.array([self.satisfied_by(point) for point in points.tolist()],
+def contained_rows(self, points: np.ndarray) -> np.ndarray:
+    """``Simplex.contains_many`` as a row loop over
+    :meth:`Simplex.contains`."""
+    return np.array([self.contains(point) for point in points.tolist()],
                     dtype=bool)
 
 
@@ -182,8 +175,8 @@ ORACLES = (
     (partition_tree, "scan_child_ids", scan_child_ids),
     (DeferredScan, "add_blocks", add_blocks),
     (HalfplaneIndex2D, "_scan_cluster", scan_cluster),
-    (LowestPlanesIndex, "_heights_along", heights_along),
-    (ConstraintConjunction, "satisfied_many", satisfied_rows),
+    (LowestPlanesIndex, "_planes_along", planes_along),
+    (Simplex, "contains_many", contained_rows),
 )
 
 

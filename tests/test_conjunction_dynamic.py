@@ -41,30 +41,36 @@ class TestConstraintConjunction:
                                      LinearConstraint((1.0, 2.0), 0.0))
 
     def test_satisfied_by_matches_manual_evaluation(self):
-        conjunction = self.build_conjunction()
-        assert conjunction.satisfied_by((0.0, 0.0))
-        assert not conjunction.satisfied_by((0.0, 0.45))    # violates 2nd constraint
-        assert not conjunction.satisfied_by((-0.8, -0.5))   # violates x >= -0.5
+        polytope = self.build_conjunction().to_polytope()
+        assert polytope.contains((0.0, 0.0))
+        assert not polytope.contains((0.0, 0.45))    # violates 2nd constraint
+        assert not polytope.contains((-0.8, -0.5))   # violates x >= -0.5
 
     def test_polytope_agrees_with_satisfied_by(self):
+        """The polytope holds a point iff every conjunct's ``below`` and
+        every raw halfspace's ``contains`` do: its facets are they."""
         conjunction = self.build_conjunction()
         polytope = conjunction.to_polytope()
+        assert polytope.halfspaces[:2] == conjunction.constraints
         rng = np.random.default_rng(1)
         for point in rng.uniform(-1, 1, size=(200, 2)):
-            assert polytope.contains(point) == conjunction.satisfied_by(point)
+            assert polytope.contains(point) == (
+                all(c.below(point) for c in conjunction.constraints)
+                and all(h.contains(point)
+                        for h in conjunction.extra_halfspaces))
 
     def test_query_on_partition_tree_matches_filter(self):
         points = uniform_points(1500, seed=2)
         tree = PartitionTreeIndex(points, block_size=32)
         conjunction = self.build_conjunction()
-        expected = {tuple(p) for p in points if conjunction.satisfied_by(p)}
+        expected = {tuple(p) for p in filter_points(conjunction, points)}
         assert {tuple(p) for p in query_conjunction(tree, conjunction)} == expected
 
     def test_query_on_non_tree_index_matches_filter(self):
         points = uniform_points(1200, seed=3)
         index = HalfplaneIndex2D(points, block_size=32, seed=4)
         conjunction = self.build_conjunction()
-        expected = {tuple(p) for p in points if conjunction.satisfied_by(p)}
+        expected = {tuple(p) for p in filter_points(conjunction, points)}
         assert {tuple(p) for p in query_conjunction(index, conjunction)} == expected
 
     def test_query_with_stats_counts_ios(self):
@@ -73,8 +79,8 @@ class TestConstraintConjunction:
         with tree.store.measured(clear_cache=True) as ios:
             answer = query_conjunction(tree, self.build_conjunction())
         assert ios.total > 0
-        assert len(answer) == len([p for p in points
-                                    if self.build_conjunction().satisfied_by(p)])
+        assert len(answer) == len(filter_points(self.build_conjunction(),
+                                                points))
 
     def test_dimension_mismatch_rejected(self):
         points = uniform_points(200, dimension=3, seed=6)

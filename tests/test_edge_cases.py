@@ -20,7 +20,8 @@ from repro.io.disk_array import DiskArray
 from repro.workloads import uniform_points
 
 from conftest import rows
-from geometry_oracle import certainly_disjoint_from_box, volume, widest_axis
+from geometry_oracle import (certainly_disjoint_from_box, corners, volume,
+                             widest_axis)
 from level_oracle import line_at, y_at
 
 
@@ -129,5 +130,5 @@ class TestBoxHelpers:
     def test_volume_and_corners_in_3d(self):
         box = Box((0.0, 0.0, 0.0), (1.0, 2.0, 3.0))
         assert volume(box) == pytest.approx(6.0)
-        assert len(box.corners()) == 8
+        assert len(corners(box)) == 8
         assert widest_axis(box) == 2

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry.boxes import (CELL_RELATIONS, Box, CellRelation,
-                                  classify_boxes_halfspace)
+from repro.geometry.boxes import CELL_RELATIONS, Box, CellRelation
 from repro.geometry.hamsandwich import (
     OrientedLine,
     ham_sandwich_cut,
@@ -17,13 +16,14 @@ from repro.geometry.partitions import (
     max_crossing_number,
     median_cut_partition,
 )
-from repro.geometry.primitives import EPS, Hyperplane
+from repro.geometry.primitives import (EPS, Hyperplane, LinearConstraint,
+                                       classify_boxes_halfspace)
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.workloads import uniform_points
 
 from geometry_oracle import (
-    certainly_disjoint_from_box, contains_box, distance_from_height,
-    excludes_box, extent, filter_points, is_balanced,
+    certainly_disjoint_from_box, classify_halfspace, contains_box, corners,
+    distance_from_height, excludes_box, extent, filter_points, is_balanced,
     lifted_height_is_shifted_squared_distance, volume, widest_axis)
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -57,16 +57,20 @@ class TestBox:
         assert not box.contains((1.5, 0.5))
 
     def test_corners_count(self):
-        assert len(Box((0, 0, 0), (1, 1, 1)).corners()) == 8
+        assert len(corners(Box((0, 0, 0), (1, 1, 1)))) == 8
 
     def test_classify_halfspace_three_cases(self):
         box = Box((0.0, 0.0), (1.0, 1.0))
         below = Hyperplane((0.0,), 5.0)      # y <= 5 contains the box
         above = Hyperplane((0.0,), -5.0)     # y <= -5 excludes it
         crossing = Hyperplane((0.0,), 0.5)
-        assert box.classify_halfspace(below) is CellRelation.BELOW
-        assert box.classify_halfspace(above) is CellRelation.ABOVE
-        assert box.classify_halfspace(crossing) is CellRelation.CROSSES
+        for plane, relation in ((below, CellRelation.BELOW),
+                                (above, CellRelation.ABOVE),
+                                (crossing, CellRelation.CROSSES)):
+            assert classify_halfspace(box, plane) is relation
+            code = classify_boxes_halfspace(np.array([box.lower]),
+                                            np.array([box.upper]), plane)[0]
+            assert CELL_RELATIONS[code] is relation
 
     def test_split(self):
         box = Box((0.0, 0.0), (2.0, 2.0))
@@ -122,12 +126,12 @@ def cells_and_hyperplane(draw):
 @st.composite
 def cells_and_polytope(draw):
     """The boxes of :func:`cells_and_hyperplane` and a polytope: that
-    hyperplane's halfspace and up to three facets more, each through a
-    corner of one of the boxes, or EPS or 3 EPS off it."""
+    hyperplane's constraint (a conjunct facet) and up to three raw
+    halfspaces more, each through a corner of one of the boxes, or EPS or
+    3 EPS off it."""
     lowers, uppers, hyperplane = draw(cells_and_hyperplane())
     dimension = len(lowers[0])
-    halfspaces = [Halfspace(tuple(-c for c in hyperplane.coeffs) + (1.0,),
-                            hyperplane.offset)]
+    halfspaces = [LinearConstraint(hyperplane.coeffs, hyperplane.offset)]
     coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
                             st.floats(-3.0, 3.0, allow_nan=False))
     for __ in range(draw(st.integers(0, 3))):
@@ -152,7 +156,7 @@ class TestClassifyBoxes:
         codes = classify_boxes_halfspace(np.array(lowers), np.array(uppers),
                                          hyperplane)
         assert [CELL_RELATIONS[code] for code in codes.tolist()] == \
-            [Box(lower, upper).classify_halfspace(hyperplane)
+            [classify_halfspace(Box(lower, upper), hyperplane)
              for lower, upper in zip(lowers, uppers)]
 
     @settings(max_examples=400, deadline=None)

@@ -227,6 +227,27 @@ def test_a_first_write_a_rebuild_and_a_resplit_flush():
     engine.close()
 
 
+@pytest.mark.parametrize("sharded", [False, True])
+def test_a_late_build_flushes_the_dataset(sharded):
+    """A kind built after registration can be the planner's next pick:
+    the answers cached before it are dropped, and the next query is the
+    answer a fresh one gives."""
+    engine = QueryEngine(block_size=16, seed=3)
+    engine.register_dataset("d", uniform_points(4096, seed=2),
+                            kinds=["full_scan"])
+    query = LinearConstraint((0.2,), -0.9)
+    assert engine.query("d", query).index_name == "full_scan"
+    assert engine.query("d", query).from_result_cache
+    build = engine.catalog.build_sharded_index if sharded \
+        else engine.catalog.build_index
+    build("d", "partition_tree")
+    assert evictions(engine, "flush") == 1
+    assert not engine.query("d", query).from_result_cache
+    same_as_fresh(engine, query)
+    assert engine.query("d", query).index_name == "partition_tree"
+    engine.close()
+
+
 def test_any_write_evicts_a_conjunction_whose_plan_it_can_move():
     """Two shards, one written: inserts into it outside a conjunction
     raise the estimate of one conjunct until it no longer leads, and the
@@ -240,7 +261,7 @@ def test_any_write_evicts_a_conjunction_whose_plan_it_can_move():
         LinearConstraint(coeffs=(3.0,), offset=0.2),
         LinearConstraint(coeffs=(-2.0,), offset=-0.5))
     outside = (-0.9, 0.0)                        # under the second only
-    assert not both.satisfied_by(outside)
+    assert not both.to_polytope().contains(outside)
     engine.insert("d", outside)                  # shard 0's first write
     planned = engine.explain("d", both).index_name
     assert planned == "dynamic"

@@ -23,9 +23,9 @@ from repro.engine.cluster import ShardWorker
 from repro.engine.sharding import (
     HashShardRouter,
     RangeShardRouter,
-    constraint_feasible_over_box,
     make_router,
 )
+from repro.geometry.primitives import classify_boxes_halfspace
 from repro.workloads import (
     halfspace_queries_with_selectivity,
     steep_leading_attribute_queries,
@@ -94,12 +94,20 @@ def test_make_router_rejects_unknown_scheme(points2d):
 # ----------------------------------------------------------------------
 def test_constraint_feasible_over_box_exact_corners():
     # y <= 2x - 1 against the unit square: feasible only where x is large.
+    # A shard's box is pruned when the constraint's box fold finds it
+    # ABOVE (code 0).
     constraint = LinearConstraint(coeffs=(2.0,), offset=-1.0)
-    assert constraint_feasible_over_box(constraint, (0.6, 0.0), (1.0, 1.0))
-    assert not constraint_feasible_over_box(constraint, (0.0, 0.6),
-                                            (0.4, 1.0))
+    codes = classify_boxes_halfspace(np.array([(0.6, 0.0), (0.0, 0.6)]),
+                                     np.array([(1.0, 1.0), (0.4, 1.0)]),
+                                     constraint)
+    assert codes[0] > 0
+    assert codes[1] == 0
+    # A query of another dimension is refused.
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
+    engine.register_sharded_dataset("d", uniform_points(64, seed=2),
+                                    num_shards=2)
     with pytest.raises(ValueError):
-        constraint_feasible_over_box(constraint, (0.0,), (1.0,))
+        engine.query("d", LinearConstraint(coeffs=(1.0, 2.0), offset=0.0))
 
 
 def test_pruning_never_loses_answers(sharded_engine, points2d):

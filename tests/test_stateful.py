@@ -5,16 +5,18 @@ drawn from index suite x {memory, file} backend x {range, hash} sharding x K in 
 shards x {1, 2} replicas, over degenerate point sets (duplicates,
 collinear and axis-parallel sets, points on a query hyperplane, N < B),
 then interleaves inserts (copies, grid points, points far outside the
-build range — which fill zero-point shards), deletes (present and
+build range — which fill zero-point shards — and points within 3 ulps
+of a recently asked constraint's ``EPS`` edge), deletes (present and
 absent), queries, conjunctions, re-splits, and closes that reopen an
 engine on the same ``data_dir`` over the live points (refused while the
 old one is live; after each, the stores and the directory hold what one
 fresh registration's do).  The oracle is the live
-multiset, kept as a list.  After every rule the dataset's
-``check_invariants()`` holds, as does every index's that has a checker
-(and, on files, every replica store's: its log replays to its backend's
-books), and its whole answer is the oracle's; a
-query is also answered by every index of every replica, by the batch
+multiset, kept as a list, and its membership rule is ``below_many``.
+After every rule the dataset's ``check_invariants()`` holds, as does
+every index's that has a checker (and, on files, every replica store's:
+its log replays to its backend's books), and its whole answer is the
+oracle's; a query or a conjunction is also answered by every index of
+every replica, by the batch
 kernels and by the record loops of ``scan_oracle`` (same answer, same
 I/Os) — the mutable one over its shard's part
 of the oracle, a static one over its build points — and under
@@ -42,7 +44,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
-from conftest import EXACTLY_PRICED, STATEFUL
+from conftest import EXACTLY_PRICED, STATEFUL, edge_points
 from scan_oracle import scalar_kernels
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
@@ -169,11 +171,17 @@ class EngineMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    @rule(data=st.data(), source=st.sampled_from(["copy", "fresh"]),
+    @rule(data=st.data(), source=st.sampled_from(["copy", "fresh", "edge"]),
           pick=st.integers(0, 2 ** 16))
     def insert(self, data, source, pick):
         point = self.live[pick % len(self.live)] \
             if source == "copy" and self.live else data.draw(self.fresh)
+        if source == "edge" and self.asked:
+            # Over a fresh point's leading coordinates, 0-3 ulps off the
+            # largest last coordinate a recent constraint admits.
+            constraint = self.asked[(pick // 7) % len(self.asked)]
+            point = tuple(edge_points(constraint, [point[:-1]],
+                                      [pick % 7 - 3])[0].tolist())
         result = self.engine.insert("d", point)
         assert result.applied and result.replicas == len(
             self.sharded.shards[result.shard_id].replicas)
@@ -239,10 +247,11 @@ class EngineMachine(RuleBasedStateMachine):
         live = np.asarray(self.live, dtype=float).reshape(-1, self.dimension)
         return multiset(live[mask_of(live)]) if len(live) else []
 
-    def check_every_index(self, constraint):
+    def check_every_index(self, query):
         """Every index of every replica, in both kernel modes, at one I/O
         count: the mutable one answers its shard's part of the oracle, a
-        static one its build points (the planner skips it once stale)."""
+        static one its build points (the planner skips it once stale) —
+        the rows every conjunct's ``below_many`` admits."""
         live = np.asarray(self.live, dtype=float).reshape(-1, self.dimension)
         routed = self.sharded.router.assign(live)
         for shard in self.sharded.shards:
@@ -251,13 +260,14 @@ class EngineMachine(RuleBasedStateMachine):
                 mutable = Catalog.mutable_index_name(replica)
                 for name in replica.indexes:
                     points = part if name == mutable else replica.points
-                    truth = multiset(points[constraint.below_many(points)])
+                    truth = multiset(points[np.logical_and.reduce(
+                        [c.below_many(points) for c in query.constraints])])
                     vector, vector_ios, __ = replica.run_query(
-                        name, constraint, clear_cache=True)
+                        name, query, clear_cache=True)
                     with scalar_kernels():
                         scalar, scalar_ios, __ = replica.run_query(
-                            name, constraint, clear_cache=True)
-                    where = (replica.name, name, constraint)
+                            name, query, clear_cache=True)
+                    where = (replica.name, name, query)
                     assert multiset(vector) == truth, where
                     assert multiset(scalar) == truth, where
                     assert (vector_ios.reads, vector_ios.cache_hits) == (
@@ -292,13 +302,18 @@ class EngineMachine(RuleBasedStateMachine):
     def conjunction(self, data, picks, shift):
         draw = st.lists(st.sampled_from(COEFFS), min_size=self.dimension - 1,
                         max_size=self.dimension - 1)
-        both = ConstraintConjunction.of(*(
-            self.constraints(data.draw(draw), pick, shift)
-            for pick in picks))
+        conjuncts = [self.constraints(data.draw(draw), pick, shift)
+                     for pick in picks]
+        # An odd first pick leads with a recent constraint instead, whose
+        # edge the insert rule may have put points on.
+        if picks[0] % 2 and self.asked:
+            conjuncts[0] = self.asked[(picks[0] // 2) % len(self.asked)]
+        both = ConstraintConjunction.of(*conjuncts)
         truth = self.oracle(lambda live: np.logical_and.reduce(
             [c.below_many(live) for c in both.constraints]))
         answer = self.engine.query("d", both, clear_cache=True)
         assert multiset(answer.points) == truth
+        self.check_every_index(both)
 
     # ------------------------------------------------------------------
     # after every rule

@@ -11,6 +11,7 @@ blocks, and every storage backend, asserting both properties.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,9 +133,13 @@ def test_conjunction_satisfied_many_matches_scalar(dimension):
         normal=(1.0,) + (0.0,) * (dimension - 1), offset=0.6)
     records = make_cloud(dimension, 90, 31, with_boundary=first)
     matrix = as_point_matrix(records)
-    mask = conjunction.satisfied_many(matrix)
-    scalar = np.array([conjunction.satisfied_by(record) for record in records])
+    polytope = conjunction.to_polytope()
+    mask = polytope.contains_many(matrix)
+    scalar = np.array([polytope.contains(record) for record in records])
     assert np.array_equal(mask, scalar)
+    assert np.array_equal(mask, first.below_many(matrix)
+                          & second.below_many(matrix) & (matrix[:, 0] <= 0.6
+                                                         + EPS))
 
 
 # ----------------------------------------------------------------------
@@ -436,8 +441,7 @@ def test_conjunction_fallback_filter_parity():
     with scalar_kernels():
         scalar = sorted(rows(query_conjunction(index, conjunction)))
     assert vector == scalar
-    expected = sorted(tuple(p) for p in points
-                      if conjunction.satisfied_by(tuple(p)))
+    expected = sorted(map(tuple, filter_points(conjunction, points.tolist())))
     assert vector == expected
 
 
@@ -459,8 +463,7 @@ def test_three_conjunct_answer_is_order_exact_across_paths(index_type):
     assert len(vector) > 8
     assert_same_ordered_answer(vector, scalar, index_type.__name__)
     assert sorted(rows(vector)) == sorted(
-        tuple(p) for p in points.tolist()
-        if conjunction.satisfied_by(tuple(p)))
+        map(tuple, filter_points(conjunction, points.tolist())))
 
 
 def test_dynamic_index_answer_is_order_exact_with_and_without_tombstones():
@@ -564,7 +567,8 @@ def test_deferred_scan_reads_at_visit_time_and_evaluates_once():
         evaluated.append(matrix.shape)
         return matrix[:, -1] <= 0.0
 
-    scan = kernels.DeferredScan(2, constraint.below, keep_many)
+    scan = kernels.DeferredScan(2, SimpleNamespace(contains=constraint.below,
+                                                   contains_many=keep_many))
     store.reset_stats()
     scan.add(crossed, filtered=True)
     scan.add(below, filtered=False)

@@ -200,7 +200,8 @@ def test_write_into_an_empty_shard_materializes_it_lazily():
     assert result.applied is False and result.replicas == 2
     shard = sharded.shards[shard_id]
     assert shard.planning_dataset().live_size == 0
-    assert not shard.written and not shard.may_contain(EVERYTHING)
+    assert not shard.written
+    assert shard not in sharded.relevant_shards(EVERYTHING)
     # The first insert lands on every replica like any other write.
     result = engine.insert("tiny", probe)
     assert result.applied is True
