@@ -64,8 +64,8 @@ def main() -> None:
     print("Registering tenants and bulk-building their index suites ...")
     # Every store in its own real file (temp files; engine.close() removes
     # them); servers: 2 range shards on cpu_load x 2 replicas, each
-    # building one partition tree: the dynamic index, which
-    # "partition_tree" names too.
+    # building one partition tree, which "dynamic" and "partition_tree"
+    # both name.
     engine = QueryEngine(block_size=block_size, seed=9, backend="file")
     for record in engine.register_sharded_dataset(
             "servers", servers, num_shards=2, replicas=2, sharding="range",

@@ -25,7 +25,6 @@ generators) live in :mod:`repro.io`, :mod:`repro.geometry` and
 
 from repro.core import (
     ConstraintConjunction,
-    DynamicPartitionTreeIndex,
     ExternalIndex,
     HalfplaneIndex2D,
     HalfspaceIndex3D,
@@ -53,7 +52,6 @@ __all__ = [
     "LowestPlanesIndex",
     "PartitionTreeIndex",
     "ShallowPartitionTreeIndex",
-    "DynamicPartitionTreeIndex",
     "ConstraintConjunction",
     "query_conjunction",
     "QueryEngine",

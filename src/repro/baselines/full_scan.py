@@ -58,9 +58,10 @@ class FullScanIndex(ExternalIndex):
 
     def estimated_query_ios(self, constraint: LinearConstraint,
                             expected_output: Optional[int] = None) -> float:
-        """Exact: a scan reads every data block regardless of the query."""
+        """Exact: a scan reads every data block regardless of the query
+        (none over no points)."""
         del constraint, expected_output
-        return float(max(1, self._store.blocks_for(max(1, self.size))))
+        return float(self._store.blocks_for(self.size))
 
     def query(self, constraint: LinearConstraint) -> np.ndarray:
         """Report satisfying points by scanning all ⌈N/B⌉ blocks."""

@@ -23,7 +23,6 @@ from repro.core.knn import KNNIndex
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.core.shallow_tree import ShallowPartitionTreeIndex
 from repro.core.hybrid3d import HybridIndex3D
-from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.conjunction import (
     ConstraintConjunction,
     query_conjunction,
@@ -39,7 +38,6 @@ __all__ = [
     "PartitionTreeIndex",
     "ShallowPartitionTreeIndex",
     "HybridIndex3D",
-    "DynamicPartitionTreeIndex",
     "ConstraintConjunction",
     "query_conjunction",
 ]

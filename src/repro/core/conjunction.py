@@ -9,8 +9,8 @@ against an index:
 
 * every cell tree (:class:`~repro.core.partition_tree.CellTreeIndex`:
   the partition, shallow and hybrid trees, the R-tree and the quad-tree)
-  and the dynamic index walk the polytope in the one descent they walk a
-  constraint with (Section 5, Remark i);
+  walks the polytope in the one descent it walks a constraint with
+  (Section 5, Remark i);
 * any other index answers the conjunction's first constraint — the
   engine's planner puts the conjunct it priced, the most selective one,
   first (:meth:`ConstraintConjunction.led_by`) — and the polytope masks
@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex
-from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import CellTreeIndex
 from repro.geometry.primitives import LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
@@ -93,15 +92,15 @@ def query_conjunction(index: ExternalIndex,
                       conjunction: ConstraintConjunction) -> np.ndarray:
     """Report every point of ``index`` satisfying the conjunction.
 
-    A cell tree or the dynamic index walks the polytope (Section 5,
-    Remark i); any other index answers the first constraint and the
-    polytope masks its matrix — the same facets' point folds either way.
+    A cell tree walks the polytope (Section 5, Remark i); any other
+    index answers the first constraint and the polytope masks its
+    matrix — the same facets' point folds either way.
     """
     if conjunction.dimension != index.dimension:
         raise ValueError("conjunction dimension %d does not match index "
                          "dimension %d" % (conjunction.dimension, index.dimension))
     polytope = conjunction.to_polytope()
-    if isinstance(index, (CellTreeIndex, DynamicPartitionTreeIndex)):
+    if isinstance(index, CellTreeIndex):
         return index.query(polytope)
     candidates = index.query(conjunction.constraints[0])
     keep = polytope.contains_many(candidates)

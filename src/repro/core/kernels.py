@@ -41,7 +41,6 @@ from typing import Any, Dict, List, Sequence
 
 import numpy as np
 
-from repro.geometry.primitives import LinearConstraint
 from repro.io.block import POINT_DTYPE, matrix_to_records
 from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
@@ -337,14 +336,14 @@ class DeferredScan:
         return answer_matrix(self._chunks, self._dimension)
 
 
-def filter_constraint(array: DiskArray,
-                      constraint: LinearConstraint) -> np.ndarray:
-    """All records of ``array`` satisfying ``constraint``, as an answer
-    matrix.
+def filter_constraint(array: DiskArray, region) -> np.ndarray:
+    """All records of ``array`` in ``region`` — a constraint, or a
+    polytope — as an answer matrix.
 
     One block read per block of ``array``, in order, and the records
-    :meth:`LinearConstraint.below` keeps, in record order.
+    the region's ``contains`` keeps (:meth:`LinearConstraint.below` for
+    a constraint), in record order.
     """
-    scan = DeferredScan(constraint.dimension, constraint)
+    scan = DeferredScan(region.dimension, region)
     scan.add(array, filtered=True)
     return scan.flush()

@@ -537,21 +537,14 @@ class CellTreeIndex(ExternalIndex):
     # ------------------------------------------------------------------
     # queries: a constraint or a polytope, one walk
     # ------------------------------------------------------------------
-    def query(self, region: Region) -> np.ndarray:
-        """Report every stored point satisfying the linear constraint, or
-        inside the convex polytope."""
-        return self.query_and_scan(region, ())
-
     #: The steps a subclass counts besides the crossed nodes, each
     #: ``scan.steps[name]``: its account's keys (zero when not taken).
     _steps: Tuple[str, ...] = ()
 
-    def query_and_scan(self, region: Region,
-                       arrays: Iterable[DiskArray]) -> np.ndarray:
-        """:meth:`query`, followed by the records of the unindexed
-        ``arrays`` (an insertion buffer) in ``region`` — read after the
-        tree's blocks, filtered in the same deferred scan.  The scan's
-        account becomes :attr:`last_query`."""
+    def query(self, region: Region) -> np.ndarray:
+        """Report every stored point satisfying the linear constraint, or
+        inside the convex polytope.  The scan's account becomes
+        :attr:`last_query`."""
         if region.dimension != self.dimension:
             raise ValueError("query dimension %d does not match data "
                              "dimension %d" % (region.dimension,
@@ -559,8 +552,6 @@ class CellTreeIndex(ExternalIndex):
         scan = kernels.DeferredScan(self.dimension, region)
         scan.steps = dict.fromkeys(self._steps, 0)
         self.walk(region, scan)
-        for array in arrays:
-            scan.add(array, filtered=True)
         answer = scan.flush()
         self.last_query = scan.account()
         return answer

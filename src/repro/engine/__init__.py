@@ -18,9 +18,10 @@ query.  This package is that layer:
   single-query front-end that owns the core;
 * :class:`~repro.engine.writes.WritePath` — the engine-level mutation
   path: inserts/deletes routed by shard attribute and fanned out to
-  every replica (rollback on veto), keeping replicas identical so reads
-  stay free to spread after writes — and the one place a committed
-  write's effects (flags, statistics, listeners, cache flush) apply;
+  every replica's write overlay (rollback on failure), keeping replicas
+  identical so reads stay free to spread after writes — and the one
+  place a committed write's effects (flags, statistics, listeners,
+  cache flush) apply;
 * :mod:`~repro.engine.serving` — the async serving subsystem: the
   :class:`~repro.engine.serving.AsyncExecutor` scheduler over a
   prioritized deadline queue, per-tenant token-bucket admission control
@@ -29,7 +30,7 @@ query.  This package is that layer:
   :class:`~repro.engine.sharding.ShardedDataset` (per-shard replicated
   stores and index suites with bounding-box pruning) and the
   :class:`~repro.engine.sharding.RebalanceManager` (skew-triggered
-  quantile re-splits after dynamic inserts);
+  quantile re-splits after inserts);
 * :mod:`~repro.engine.stats` — the selectivity model behind every
   ``expected_output`` estimate (a uniform sample scan, one per shard)
   and the conformal calibrator that bands it;

@@ -22,6 +22,9 @@ re-split or rebuilt in a worker process — comes out of
 :func:`build_replicas`.  Every shard is built with its dataset, a shard
 the router gave no points included: a zero-point shard is an ordinary
 index suite over ``(0, d)`` that the first insert routed to it fills.
+Every replica takes writes, whatever its suite: they land in its
+:class:`~repro.engine.overlay.WriteOverlay`, which every query applies
+to the answering index and a rebuild folds into a fresh suite.
 
 The catalog also attaches a *selectivity model* (see
 :mod:`repro.engine.stats`) to every shard, shared by its replicas: it
@@ -37,7 +40,6 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import os
-import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import (BinaryIO, Callable, Dict, Iterator, List, Optional,
@@ -53,7 +55,6 @@ from repro.baselines import (
     RTreeIndex,
 )
 from repro.core import (
-    DynamicPartitionTreeIndex,
     ExternalIndex,
     HalfplaneIndex2D,
     HalfspaceIndex3D,
@@ -64,6 +65,7 @@ from repro.core import (
 from repro.core.conjunction import ConstraintConjunction, query_conjunction
 from repro.core.partition_tree import SharedPartitions, sharing_partitions
 from repro.engine import tracing
+from repro.engine.overlay import WriteOverlay
 from repro.engine.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -84,11 +86,16 @@ Query = Union[LinearConstraint, ConstraintConjunction]
 
 @dataclass(frozen=True)
 class IndexKind:
-    """One buildable index family: constructor plus its dimension domain."""
+    """One buildable index family: constructor, dimension domain, and
+    whether its ``estimated_query_ios`` is exactly its cold I/Os (priced
+    from its structure alone, so no write moves the price until a
+    rebuild; the other kinds price from the expected output T, which
+    every write moves)."""
 
     name: str
     factory: type
-    dimensions: Optional[Tuple[int, ...]] = None  # None = any dimension >= 2
+    dimensions: Optional[Tuple[int, ...]]  # None = any dimension >= 2
+    exactly_priced: bool
 
     def supports(self, dimension: int) -> bool:
         """True if this kind can index points of the given dimension."""
@@ -99,17 +106,20 @@ class IndexKind:
 INDEX_KINDS: Dict[str, IndexKind] = {
     kind.name: kind
     for kind in (
-        IndexKind("halfplane2d", HalfplaneIndex2D, (2,)),
-        IndexKind("halfspace3d", HalfspaceIndex3D, (3,)),
-        IndexKind("hybrid3d", HybridIndex3D, (3,)),
-        IndexKind("partition_tree", PartitionTreeIndex, None),
-        IndexKind("shallow_tree", ShallowPartitionTreeIndex, None),
-        IndexKind("full_scan", FullScanIndex, None),
-        IndexKind("rtree", RTreeIndex, None),
-        IndexKind("kdb_tree", KDBTreeIndex, None),
-        IndexKind("quadtree", QuadTreeIndex, (2,)),
-        IndexKind("paged_cgl", PagedDualIndex2D, (2,)),
-        IndexKind("dynamic", DynamicPartitionTreeIndex, None),
+        IndexKind("halfplane2d", HalfplaneIndex2D, (2,), False),
+        IndexKind("halfspace3d", HalfspaceIndex3D, (3,), False),
+        IndexKind("hybrid3d", HybridIndex3D, (3,), False),
+        IndexKind("partition_tree", PartitionTreeIndex, None, True),
+        IndexKind("shallow_tree", ShallowPartitionTreeIndex, None, True),
+        IndexKind("full_scan", FullScanIndex, None, True),
+        IndexKind("rtree", RTreeIndex, None, True),
+        IndexKind("kdb_tree", KDBTreeIndex, None, False),
+        IndexKind("quadtree", QuadTreeIndex, (2,), True),
+        IndexKind("paged_cgl", PagedDualIndex2D, (2,), False),
+        # The partition tree under a second name: every kind takes writes
+        # through its replica's overlay, so "dynamic" is no structure of
+        # its own (one_tree_per_replica).
+        IndexKind("dynamic", PartitionTreeIndex, None, True),
     )
 }
 
@@ -154,7 +164,17 @@ class BuildRecord:
 
 @dataclass
 class Dataset:
-    """One replica of one shard: its store, indexes and statistics."""
+    """One replica of one shard: its store, indexes, statistics and
+    write overlay.
+
+    ``points`` are the replica's points when it was made (registration
+    or re-split: what the shard's write log starts from).  Every index of
+    the suite was built over its overlay's ``rows`` — those points, until
+    a rebuild — and the writes the replica took since live in its
+    :class:`~repro.engine.overlay.WriteOverlay`, which :meth:`run_query`
+    applies to whichever index answers and which :meth:`rebuild` folds
+    into a fresh suite.
+    """
 
     name: str
     points: np.ndarray
@@ -165,12 +185,17 @@ class Dataset:
     indexes: Dict[str, ExternalIndex] = field(default_factory=dict)
     build_records: Dict[str, BuildRecord] = field(default_factory=dict)
     #: Index names that resolve to another name's structure: a
-    #: ``partition_tree`` built as the dynamic index beside it (see
+    #: ``partition_tree`` built as the ``dynamic`` tree beside it (see
     #: :func:`one_tree_per_replica`).
     aliases: Dict[str, str] = field(default_factory=dict)
-    #: The thread inside :func:`~repro.engine.writes.apply_mutation` on
-    #: this replica (None: none) — the one writer the veto lets through.
-    writer: Optional[int] = field(default=None, repr=False, compare=False)
+    #: The seed of the randomised builds (the recipe's).
+    seed: Optional[int] = None
+    #: The builds the suite ran (``kind`` / ``index_name`` / ``params``),
+    #: one list per :func:`_build_on_shards` call: what a rebuild replays.
+    suite: List[Sequence[Dict[str, object]]] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.overlay = WriteOverlay(self.store, self.points)
 
     @property
     def dimension(self) -> int:
@@ -179,8 +204,16 @@ class Dataset:
 
     @property
     def size(self) -> int:
-        """Number of stored points at build time (the paper's N)."""
+        """Number of points the replica was made with."""
         return int(self.points.shape[0])
+
+    @property
+    def exactly_priced(self) -> bool:
+        """True when every index of the suite prices a query from its
+        structure alone (:attr:`IndexKind.exactly_priced`): then no
+        write but a rebuild moves a plan."""
+        return all(INDEX_KINDS[record.kind].exactly_priced
+                   for record in self.build_records.values())
 
     @property
     def live_size(self) -> int:
@@ -191,18 +224,6 @@ class Dataset:
         """Expected number of reported points (the paper's T), from the
         shard's selectivity model: pure arithmetic, no I/O."""
         return self.stats.estimate_output(constraint)
-
-    def refuse_direct_write(self) -> None:
-        """The veto the catalog wires onto every dynamic index it builds:
-        a write not made by :func:`~repro.engine.writes.apply_mutation`
-        raises before it lands (it would reach no sibling replica,
-        statistic, cache or worker)."""
-        if self.writer != threading.get_ident():
-            raise ValueError(
-                "index on %r is engine-owned; mutating it directly would "
-                "desynchronise it from its replicas, statistics and caches "
-                "— route the write through QueryEngine.insert/delete"
-                % self.name)
 
     def run_query(self, index_name: str, query: Query,
                   clear_cache: bool = False
@@ -220,18 +241,50 @@ class Dataset:
         through the structure it names.  A conjunction is the shard
         plan's :attr:`~repro.engine.planner.Plan.query`: an index outside
         the cell-tree walk answers its first conjunct, the one the plan
-        priced (:func:`~repro.core.conjunction.query_conjunction`).
+        priced (:func:`~repro.core.conjunction.query_conjunction`).  The
+        overlay makes the index's answer the live one
+        (:meth:`~repro.engine.overlay.WriteOverlay.answer`), its buffer
+        reads charged to the same window.
         """
-        index = self.indexes[self.aliases.get(index_name, index_name)]
         with self.store.measured(clear_cache) as ios:
+            # Resolved under the store lock, which a rebuild holds.
+            index = self.indexes[self.aliases.get(index_name, index_name)]
             if isinstance(query, ConstraintConjunction):
                 points = query_conjunction(index, query)
+                region = query.to_polytope()
             else:
-                points = index.query(query)
+                points, region = index.query(query), query
             # Read under the store lock: once it is released, the next
             # query on this replica may replace the index's account.
             detail = index.last_query
+            points = self.overlay.answer(points, region)
         return points, ios, detail
+
+    def rebuild(self) -> None:
+        """Fold the overlay into a fresh suite over the live points.
+
+        The store is emptied first — every block of the old suite and
+        overlay is freed, so a rebuilt replica holds what a fresh build
+        over its live points holds — then the recorded :attr:`suite`
+        replays, call by call, with the seed a fresh build has: the
+        parent's replicas and a worker replaying the same writes rebuild
+        alike.  The new suite is built aside and swapped in whole, so a
+        planner pricing the replica meanwhile reads one suite or the
+        other.  Runs inside the caller's measured window (the write that
+        set it off is charged), whose store lock keeps queries out.
+        """
+        live = self.overlay.live_points()
+        for block_id in list(self.store.backend.block_ids()):
+            self.store.free(block_id)
+        self.overlay.reset(live)
+        self.overlay.rebuilds += 1
+        fresh = Dataset(name=self.name, points=self.points, store=self.store,
+                        stats=self.stats, seed=self.seed)
+        fresh.overlay = self.overlay
+        for builds in self.suite:
+            _build_on_shards([(None, [fresh])], self.seed, builds)
+        self.indexes, self.build_records, self.aliases, self.suite = (
+            fresh.indexes, fresh.build_records, fresh.aliases, fresh.suite)
 
 
 @dataclass(frozen=True)
@@ -294,19 +347,15 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     if seed is not None and kind in ("halfplane2d", "halfspace3d",
                                      "hybrid3d"):
         params.setdefault("seed", seed)
+    rows = dataset.overlay.rows
     started = time.perf_counter()
-    index = index_kind.factory(dataset.points, store=dataset.store,
-                               **params)
+    index = index_kind.factory(rows, store=dataset.store, **params)
     elapsed = time.perf_counter() - started
-    # Every engine-owned dynamic index — registered, re-split, built late
-    # or rebuilt in a worker — takes writes through the write path alone.
-    if isinstance(index, DynamicPartitionTreeIndex):
-        index.add_pre_mutation_listener(dataset.refuse_direct_write)
     record = BuildRecord(
         dataset=dataset.name,
         index_name=index_name,
         kind=kind,
-        num_points=dataset.size,
+        num_points=len(rows),
         space_blocks=index.space_blocks,
         build_seconds=elapsed,
         build_ios=index.build_ios,
@@ -321,17 +370,14 @@ def one_tree_per_replica(builds: Sequence[Dict[str, object]]
                          ) -> Tuple[List[Dict[str, object]], Dict[str, str]]:
     """The builds of ``builds`` that run, in order, and the aliases.
 
-    Before its first write a dynamic index *is* the partition tree over
-    its points (paper §5, Remark iii): same nodes, same price, same
-    reads.  So a ``partition_tree`` build whose parameters equal a
-    ``dynamic`` build's tree parameters (all of them but
-    ``buffer_fraction``) is not built: its name becomes an alias of the
-    first such dynamic index, and each replica builds, stores and prices
-    one tree.  A list naming no ``dynamic`` runs as it is.
+    ``dynamic`` is the partition tree under a second name (writes are
+    the replica's overlay's, whatever the kind), so a ``partition_tree``
+    build whose parameters equal a ``dynamic`` build's is not built: its
+    name becomes an alias of the first such dynamic index, and each
+    replica builds, stores and prices one tree.  A list naming no
+    ``dynamic`` runs as it is.
     """
-    trees = [(build["index_name"],
-              {key: value for key, value in build["params"].items()
-               if key != "buffer_fraction"})
+    trees = [(build["index_name"], build["params"])
              for build in builds if build["kind"] == "dynamic"]
     runs: List[Dict[str, object]] = []
     aliases: Dict[str, str] = {}
@@ -385,6 +431,7 @@ def _build_on_shards(shards: Sequence[Tuple[Optional[int], List[Dataset]]],
                     built.append(record)
             for replica in replicas:
                 _alias(replica, aliases)
+                replica.suite.append(builds)
             scope.hierarchies.clear()
     return [record for built in records for record in built]
 
@@ -438,7 +485,7 @@ def build_replicas(names: Sequence[str], chunk: np.ndarray,
             path = os.path.join(recipe.data_dir,
                                 Catalog._block_file_name(name))
         replicas.append(Dataset(
-            name=name, points=chunk, stats=stats,
+            name=name, points=chunk, stats=stats, seed=recipe.seed,
             store=BlockStore(block_size=recipe.block_size,
                              cache_blocks=recipe.cache_blocks,
                              backend=make_backend(recipe.backend,
@@ -671,51 +718,6 @@ class Catalog:
         self._datasets[name] = sharded
         return sharded
 
-    @staticmethod
-    def mutable_index_name(dataset: Dataset) -> Optional[str]:
-        """The name of a (child) dataset's write target — its first
-        dynamic partition tree — or None.
-
-        The one answer to "which index is mutable": the write path
-        writes it, a re-split reads its live points, the planner routes
-        to it alone once its shard is ``written``, and a worker is sent
-        writes only when its suite holds it.
-        """
-        return next((name for name, index in dataset.indexes.items()
-                     if isinstance(index, DynamicPartitionTreeIndex)), None)
-
-    @staticmethod
-    def mutable_index_of(dataset: Dataset) -> ExternalIndex:
-        """The (child) dataset's mutable index — the write target.
-
-        A suite built without one cannot be upgraded in place (its
-        statically-built structures would silently go stale), so the
-        error says how to register the dataset writable instead.
-        """
-        name = Catalog.mutable_index_name(dataset)
-        if name is not None:
-            return dataset.indexes[name]
-        raise ValueError(
-            "dataset %r accepts no engine-level writes: its index suite "
-            "was built statically (no mutation-capable index).  Register "
-            "it with kinds including 'dynamic' (e.g. kinds=[\"dynamic\", "
-            "\"full_scan\"]) to route inserts and deletes through it."
-            % dataset.name)
-
-    @staticmethod
-    def live_points_of(dataset: Dataset) -> np.ndarray:
-        """A (child) dataset's current points, mutations included.
-
-        The mutable index's exact live set when the suite has one (the
-        build array no longer reflects the data after writes), else the
-        build array.  Read from memory: no I/O is charged.
-        """
-        name = Catalog.mutable_index_name(dataset)
-        if name is None:
-            return dataset.points
-        return np.asarray(dataset.indexes[name].live_points(),
-                          dtype=float).reshape(-1, dataset.dimension)
-
     def resplit_sharded_dataset(self, name: str) -> Dict[str, object]:
         """Re-split a range-sharded dataset at fresh quantiles.
 
@@ -748,7 +750,7 @@ class Catalog:
         # still being rebuilt.
         with sharded.write_lock, self.registering(name, "resplit"):
             old_sizes = sharded.shard_live_sizes()
-            chunks = [self.live_points_of(shard.planning_dataset())
+            chunks = [shard.planning_dataset().overlay.live_points()
                       for shard in sharded.shards]
             chunks = [chunk for chunk in chunks if len(chunk)]
             if not chunks:
@@ -880,7 +882,7 @@ class Catalog:
 
         Every kind is built on every replica of every shard, shard by
         shard (see :func:`_build_on_shards`) — but ``partition_tree``
-        beside ``dynamic``, which names the dynamic index's tree
+        beside ``dynamic``, which names the same tree
         (:func:`one_tree_per_replica`); the records are returned in
         shard order per kind built, and each kind is recorded as
         :meth:`build_sharded_index` records it.

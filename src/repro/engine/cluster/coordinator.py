@@ -25,9 +25,9 @@ points included).  It owns:
   pools alongside the parent's so I/O accounting matches in both modes.
 
 The log is the only way a write reaches a worker, and nothing reaches a
-parent replica around it: the catalog vetoes every write to an
-engine-owned dynamic index that does not come through the engine's write
-path, so a worker never serves from a copy the log does not describe.
+parent replica around it: a write lands in a replica's write overlay,
+which only the engine's write path writes, so a worker never serves
+from a copy the log does not describe.
 """
 
 from __future__ import annotations
@@ -331,24 +331,19 @@ class Coordinator:
         parent already applied the mutation to its own replicas (the
         unchanged fan-out), so worker write I/Os are *not* re-charged —
         the broadcast only keeps the worker copies current.  A worker
-        that cannot be reached is marked dead, and one spawned before
-        the shard's mutable index was built is skipped (``run_query``
-        never asks it for that index either); the log replays the write
+        that cannot be reached is marked dead; the log replays the write
         into its restart.
         """
         del applied  # logged either way: a no-op delete replays as one
         with self._lock:
             if not self._serves(dataset_name):
                 return
-            target = Catalog.mutable_index_name(self._catalog.sharded(
-                dataset_name).shards[shard_id].planning_dataset())
             seq = self.log.append(dataset_name, shard_id, op, record)
             payload = self._write_request(seq, op, record)
             for handle in list(self._workers.values()):
                 if (handle.dataset != dataset_name
                         or handle.shard_id != shard_id
-                        or not handle.alive
-                        or target not in handle.indexes):
+                        or not handle.alive):
                     continue
                 try:
                     handle.client.call(payload)
@@ -511,9 +506,8 @@ class Coordinator:
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless the write log is gap-free and every
-        live worker's high-water mark is at most its shard's last logged
-        seq — and equal to it once caught up, for a worker holding the
-        shard's mutable index (every broadcast reaches it).  The
+        live worker's high-water mark equals its shard's last logged seq
+        (every broadcast reaches every live worker of the shard).  The
         coordinator's own books are all it reads: no RPC."""
         self.log.check_invariants()
         with self._lock:
@@ -521,11 +515,7 @@ class Coordinator:
                 if not handle.alive:
                     continue
                 last = self.log.last_seq(handle.dataset, handle.shard_id)
-                target = Catalog.mutable_index_name(self._catalog.sharded(
-                    handle.dataset).shards[handle.shard_id]
-                    .planning_dataset())
-                if handle.last_seq > last or (
-                        target in handle.indexes and handle.last_seq != last):
+                if handle.last_seq != last:
                     raise AssertionError(
                         "live worker %s is at seq %d, its shard's log at %d"
                         % (handle.replica_name, handle.last_seq, last))

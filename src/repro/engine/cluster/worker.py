@@ -6,7 +6,9 @@ built it with, :func:`~repro.engine.catalog.build_replicas` — the
 dataset's :class:`~repro.engine.catalog.ReplicaRecipe` (block size,
 buffer-pool size, sample size, seed, replica count), the replica's
 build-time points and a replay of the dataset's recorded
-``suite_builds`` — then replays the write fan-out log it was handed.
+``suite_builds`` — then replays the write fan-out log it was handed
+into the replica's write overlay, rebuilding at the writes the parent's
+replicas rebuilt at.
 Because the store layout and index structure match the parent's replica
 bit for bit, the per-query I/O counters a worker reports are exactly
 what the in-process fan-out would have measured: that determinism, not

@@ -7,7 +7,7 @@ benchmarks drive::
     engine.register_dataset("screener", points)          # builds a suite
     engine.register_sharded_dataset("logs", big_points,  # K stores + fan-out
                                     num_shards=4, replicas=2,
-                                    kinds=["dynamic", "full_scan"])
+                                    kinds=["partition_tree", "full_scan"])
     result = engine.query("screener", constraint)        # planner-routed
     engine.insert("logs", point)                         # routed write,
     engine.delete("logs", point)                         # every replica
@@ -23,7 +23,7 @@ learned state: each index prices the constraint it is given, so a
 restarted engine routes exactly as the one it replaces.
 Each shard's expected output comes from a uniform sample of its points
 (see :mod:`repro.engine.stats`), and ``auto_rebalance=True`` re-splits
-range shards that dynamic inserts have unbalanced
+range shards that inserts have unbalanced
 (:meth:`QueryEngine.rebalance` does it on demand).
 Everything the facade does is available piecemeal through its
 :attr:`catalog`, :attr:`planner` and :attr:`executor` attributes.  A
@@ -243,7 +243,7 @@ class QueryEngine:
     def rebalance(self, dataset: str) -> RebalanceReport:
         """Re-split a range-sharded dataset at fresh quantiles now.
 
-        Collects every shard's live points (dynamic inserts included),
+        Collects every shard's live points (inserts included),
         recomputes the quantile boundaries, rebuilds the per-shard
         stores / index suites / statistics and flushes the dataset's
         cached results.  Pruning works again
@@ -269,12 +269,12 @@ class QueryEngine:
         through the dataset's router — using the *current* generation's
         quantile boundaries, so rebalances are transparent to writers —
         and the mutation is fanned out to **every** replica of the
-        target shard (all-or-nothing: a replica that vetoes rolls the
+        target shard (all-or-nothing: a replica that fails rolls the
         already-applied copies back), so reads keep spreading over the
         full replica set afterwards.  Statistics, skew counters, cache
         invalidation and the shard's ``written`` flag observe exactly one
-        logical mutation.  Requires a mutation-capable index in the suite
-        (``kinds`` including ``"dynamic"``).
+        logical mutation.  Every index suite takes writes: they land in
+        each replica's write overlay (:mod:`repro.engine.overlay`).
         """
         result = self.executor.core.run_write(dataset, "insert", point)
         self._maybe_rebalance(dataset)
@@ -285,7 +285,7 @@ class QueryEngine:
 
         Routed and replica-fanned-out exactly like :meth:`insert`; the
         returned result's ``applied`` is False when the point was not
-        present (a no-op, as with the dynamic index's ``delete``).
+        present (a no-op).
         """
         result = self.executor.core.run_write(dataset, "delete", point)
         self._maybe_rebalance(dataset)

@@ -30,7 +30,7 @@ carries the conjunction led by that conjunct (:attr:`Plan.query`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
@@ -169,21 +169,6 @@ class Planner:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    @staticmethod
-    def _routable_indexes(shard: Shard) -> Dict[str, object]:
-        """The candidate indexes of the shard's planning replica.
-
-        Once the shard is ``written`` (a write committed on its mutable
-        index), every other index no longer reflects the data — routing
-        to it would silently drop the update — so the mutable index
-        alone stays routable.
-        """
-        dataset = shard.planning_dataset()
-        if not shard.written:
-            return dataset.indexes
-        name = Catalog.mutable_index_name(dataset)
-        return {name: dataset.indexes[name]}
-
     def _plan_shard(self, shard: Shard, parent_name: str,
                     query: Query) -> Plan:
         """Plan over one shard's planning replica, priced by the query's
@@ -195,10 +180,12 @@ class Planner:
         constraint = query.constraints[0]
         expected_output = dataset.estimate_output(constraint)
         # Candidates in registration order; cost ties go to the name.
+        # Every candidate also reads the replica's insert buffer.
+        buffered = dataset.overlay.buffer_blocks
         estimates = tuple(
-            CandidateEstimate(
-                name, index.estimated_query_ios(constraint, expected_output))
-            for name, index in self._routable_indexes(shard).items())
+            CandidateEstimate(name, buffered + index.estimated_query_ios(
+                constraint, expected_output))
+            for name, index in dataset.indexes.items())
         winner = min(estimates,
                      key=lambda est: (est.model_ios, est.index_name))
         # Conformal residuals are calibrated per *dataset* (shard children

@@ -16,7 +16,8 @@ name of the index that produced it, under the key ``(dataset, query)``
   order.
 * ``flush``: every answer of the dataset, when a write may change the
   routing or the row order of answers it is not in — a shard's first
-  write, a write that rebuilt the mutable tree, a rolled-back fan-out —
+  write, a write that rebuilt a shard, a write to a shard whose suite
+  holds a kind priced from the expected output, a rolled-back fan-out —
   and on a re-split, an index build over the dataset (a new kind can
   be the planner's next pick) or an explicit ``invalidate_dataset``.
 * ``capacity``: least recently used first, while more than

@@ -231,17 +231,6 @@ class EngineApp:
                             "%s is %d but dataset %r is %d-dimensional"
                             % (what, wanted, serving.dataset,
                                entry.dimension))
-        if not serving.is_mutation:
-            return
-        # Surface "dataset is not writable" as a structured 400 up front
-        # instead of a failed-outcome 500 out of the scheduler.
-        catalog = self._engine.catalog
-        try:
-            for shard in entry.shards:
-                for replica in shard.replicas:
-                    catalog.mutable_index_of(replica)
-        except ValueError as exc:
-            raise HTTPError(400, "not_writable", str(exc))
 
     # ------------------------------------------------------------------
     # response payloads

@@ -181,15 +181,13 @@ class Shard:
     (:class:`~repro.engine.writes.WritePath`) marks the shard
     ``written``: a write can land outside the box, so it is no longer
     trusted for pruning (the shard always participates, keeping pruning
-    exact), and the planner routes to the mutable index alone.
+    exact).  Every index of the suite stays routable: each replica's
+    write overlay makes any index's answer the live one.
 
     The write path also fans every insert/delete out to **all**
     replicas, so the copies stay byte-identical and
     :meth:`replicas_for_query` keeps returning every replica after
-    writes — the least-loaded picker's choices stay open.  Any other
-    write to a replica's dynamic index, on a one-replica shard as on a
-    replicated one, is vetoed before it lands (see
-    :meth:`~repro.engine.catalog.Dataset.refuse_direct_write`).
+    writes — the least-loaded picker's choices stay open.
     """
 
     shard_id: int
@@ -340,7 +338,7 @@ class ShardedDataset:
         every shard holds the recipe's number of replicas, each with the
         recorded index suite (each name built, in order, or an alias of
         one built), sharing one selectivity model; replicas
-        hold equal live multisets, which their mutable indexes count;
+        hold equal live multisets, which their overlays count;
         every live point routes to the shard holding it and, unless the
         shard is written, lies inside its
         box — a shard with no box holds none; a shard's live points are
@@ -349,8 +347,6 @@ class ShardedDataset:
         multiset.  Live points are read from memory under the write
         barrier: no I/O is charged.
         """
-        from repro.engine.catalog import Catalog  # (catalog imports us)
-
         def check(holds: bool, message: str, *values) -> None:
             if not holds:
                 raise AssertionError("%s: %s" % (self.name,
@@ -372,7 +368,7 @@ class ShardedDataset:
                       shard.shard_id, shard.num_replicas,
                       self.recipe.replicas)
                 primary = shard.replicas[0]
-                live = Catalog.live_points_of(primary)
+                live = primary.overlay.live_points()
                 multiset = sorted(map(tuple, live.tolist()))
                 for replica in shard.replicas:
                     names = list(replica.indexes)
@@ -385,15 +381,13 @@ class ShardedDataset:
                           replica.aliases, suite)
                     check(replica.stats is primary.stats,
                           "replica %r has a model of its own", replica.name)
-                    check(sorted(map(tuple, Catalog.live_points_of(replica)
+                    check(sorted(map(tuple, replica.overlay.live_points()
                                      .tolist())) == multiset,
                           "replica %r holds other live points than its "
                           "primary", replica.name)
-                    mutable = Catalog.mutable_index_name(replica)
-                    check(mutable is None
-                          or replica.indexes[mutable].size == len(live),
-                          "replica %r's %r counts other than its %d live "
-                          "points", replica.name, mutable, len(live))
+                    check(replica.overlay.size == len(live),
+                          "replica %r's overlay counts other than its %d "
+                          "live points", replica.name, len(live))
                 check(len(router.assign(live)[shard.shard_id]) == len(live),
                       "shard %d holds points routed elsewhere",
                       shard.shard_id)
@@ -475,10 +469,10 @@ REBALANCE_MIN_MUTATIONS = 64
 class RebalanceManager:
     """Detects shard skew and re-splits range shards at fresh quantiles.
 
-    Range shards are split at *build-time* quantiles; inserts through a
-    shard's dynamic index land wherever the caller sends them, so the
-    split drifts: one shard bloats (its I/O share grows) and its bounding
-    box goes stale, which disables pruning for every later query.  The
+    Range shards are split at *build-time* quantiles; inserts land
+    wherever the caller sends them, so the split drifts: one shard bloats
+    (its I/O share grows) and its bounding box goes stale, which disables
+    pruning for every later query.  The
     manager watches the **size imbalance** — the largest shard's live
     size over the fair share ``N/K`` — fed by the engine's write path.
 

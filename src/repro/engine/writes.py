@@ -13,8 +13,8 @@ point)`` / ``delete(dataset, point)`` it
   window — so a write never sees a layout mid-swap, nor lands in shards
   whose live points were already collected;
 * **fans the mutation out to every replica** of the shard through
-  :func:`apply_mutation`, all or nothing: a veto or failure on a later
-  replica rolls the applied ones back via the inverse operation;
+  :func:`apply_mutation`, all or nothing: a failure on a later replica
+  rolls the applied ones back via the inverse operation;
 * **applies the committed write's effects**, once, still under the
   barrier (:meth:`WritePath._take_effect`) — the shard's ``written``
   flag, statistics, the write listeners, and the result-cache eviction
@@ -22,10 +22,9 @@ point)`` / ``delete(dataset, point)`` it
 * **accounts** the write in :class:`~repro.engine.metrics.EngineStats`.
 
 A ``register_dataset`` dataset takes this same path (one shard, one
-replica).  A suite built without a mutable index rejects writes with a
-clear error (:meth:`~repro.engine.catalog.Catalog.mutable_index_of`),
-and the catalog's veto refuses any write to an engine-owned dynamic
-index that does not come through :func:`apply_mutation`.
+replica), and so does every index suite: a write lands in each replica's
+:class:`~repro.engine.overlay.WriteOverlay`, never in an index, so no
+index can be written around this path.
 
 Each replica's application happens under that replica's store lock, the
 same lock the executors hold around queries, so concurrent reads observe
@@ -38,7 +37,6 @@ reads it protects.
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -57,30 +55,28 @@ WRITE_IOS_PER_REPLICA = 2.0
 
 def apply_mutation(dataset: Dataset, op: str,
                    record: Tuple[float, ...]) -> Tuple[bool, int]:
-    """Apply one insert/delete to one replica's mutable index.
+    """Apply one insert/delete to one replica's write overlay, and the
+    rebuild it makes due (:meth:`~repro.engine.catalog.Dataset.rebuild`).
 
-    The write-side unit of account and the one writer the catalog's veto
-    lets through, shared by the fan-out, its rollback and the
-    shard-worker process; it runs inside the replica's
+    The write-side unit of account, shared by the fan-out, its rollback
+    and the shard-worker process; it runs inside the replica's
     :meth:`~repro.io.store.BlockStore.measured` window.  Returns
     ``(applied, ios)`` — ``applied`` is False only for a delete that
     found nothing; ``ios`` counts pool hits as the transfers they stand
     for.
     """
-    index = Catalog.mutable_index_of(dataset)
+    overlay = dataset.overlay
     with dataset.store.measured() as delta:
-        dataset.writer = threading.get_ident()
-        try:
-            if op == "insert":
-                index.insert(record)
-                applied = True
-            elif op == "delete":
-                applied = bool(index.delete(record))
-            else:
-                raise ValueError("unknown mutation op %r (expected "
-                                 "'insert' or 'delete')" % (op,))
-        finally:
-            dataset.writer = None
+        if op == "insert":
+            overlay.insert(record)
+            applied = True
+        elif op == "delete":
+            applied = overlay.delete(record)
+        else:
+            raise ValueError("unknown mutation op %r (expected "
+                             "'insert' or 'delete')" % (op,))
+        if applied and overlay.due():
+            dataset.rebuild()
     return applied, delta.total + delta.cache_hits
 
 
@@ -154,7 +150,7 @@ class WritePath:
         """Delete one point (one copy) everywhere it is replicated.
 
         Returns a result with ``applied=False`` when the point was not
-        present — a no-op, mirroring the dynamic index's contract.
+        present — a no-op.
         """
         return self._mutate(dataset_name, point, "delete")
 
@@ -217,8 +213,11 @@ class WritePath:
         and the dataset's conjunctions (whose plan any write can move);
         it drops the dataset's every answer when the write may have
         changed answers without the point: the shard's first write
-        (its queries now route to the mutable index alone) and a write
-        that ``rebuilt`` the mutable tree (its rows are in a new order).
+        (pruning no longer trusts its box), a write that ``rebuilt`` the
+        shard's replicas (their rows are in a new order), and any write
+        to a shard whose suite holds a kind priced from the expected
+        output (:attr:`~repro.engine.catalog.Dataset.exactly_priced`),
+        which the write moves, and with it the plan.
         A no-op delete changed nothing: only the listeners hear it (the
         write log replays it as one).
         """
@@ -233,14 +232,15 @@ class WritePath:
         for listener in self._write_listeners:
             listener(sharded.name, shard.shard_id, op, record, applied)
         if applied:
-            self._invalidate(sharded.name,
-                             None if first or rebuilt else record)
+            keep = not (first or rebuilt) \
+                and shard.planning_dataset().exactly_priced
+            self._invalidate(sharded.name, record if keep else None)
 
     def _apply_fanout(self, dataset_name: str, shard: Shard, op: str,
                       record: Tuple[float, ...]) -> Tuple[bool, int, bool]:
         """Apply one mutation to every replica, or to none; returns
-        ``(applied, ios, rebuilt)``, where ``rebuilt`` says the mutable
-        tree was rebuilt (the replicas rebuild in step).
+        ``(applied, ios, rebuilt)``, where ``rebuilt`` says the write
+        set off a rebuild (the replicas rebuild in step).
 
         Secondaries first, primary last.  A failure part-way rolls the
         applied replicas back via the inverse operation, flushes the
@@ -259,7 +259,7 @@ class WritePath:
             replicas=len(order))
         primary = shard.replicas[0]
         try:
-            rebuilds = Catalog.mutable_index_of(primary).rebuilds
+            rebuilds = primary.overlay.rebuilds
             for child in order:
                 outcome, ios = apply_mutation(child, op, record)
                 total_ios += ios
@@ -287,7 +287,7 @@ class WritePath:
         fanout_span.set("ios", total_ios)
         fanout_span.finish()
         return (applied[-1][1], total_ios,
-                Catalog.mutable_index_of(primary).rebuilds != rebuilds)
+                primary.overlay.rebuilds != rebuilds)
 
     def _rollback(self, applied, op: str, record: Tuple[float, ...],
                   cause: Exception) -> int:

@@ -145,33 +145,6 @@ class Hyperplane:
         """Ambient dimension d (one more than the number of coefficients)."""
         return len(self.coeffs) + 1
 
-    def height_at(self, point: Sequence[float]) -> float:
-        """The hyperplane's x_d value above the first d-1 coordinates of ``point``."""
-        return sum(c * x for c, x in zip(self.coeffs, point)) + self.offset
-
-    def point_below(self, point: Sequence[float]) -> bool:
-        """True if ``point`` lies on or below the hyperplane.
-
-        This is the containment test of the paper's query: report all points
-        ``p`` with ``p_d <= a_0 + sum a_i p_i`` (:func:`below_bound`).
-        """
-        return point[-1] <= below_bound(self.coeffs, point, self.offset)
-
-    def height_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`height_at` over an ``(n, d)`` point matrix.
-
-        Accumulates one coefficient at a time, in coefficient order, so
-        every row reproduces the scalar left-to-right fold
-        ``sum(c * x for ...)`` bit for bit (a BLAS dot product may round
-        differently and flip points sitting exactly on the boundary).
-        """
-        heights = np.full(points.shape[0], self.offset, dtype=np.float64)
-        total = np.zeros(points.shape[0], dtype=np.float64)
-        for index, coefficient in enumerate(self.coeffs):
-            total += coefficient * points[:, index]
-        heights += total
-        return heights
-
     def __repr__(self) -> str:
         terms = " + ".join("%.4g*x%d" % (c, i + 1)
                            for i, c in enumerate(self.coeffs))

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, settings
 from repro.geometry.primitives import below_bound
 from repro.io import backend as backend_module
 from repro.io.backend import _decode, _replay
+from repro.engine.catalog import INDEX_KINDS
 from repro.engine.executor import ExecutedQuery
 from repro.io.store import BlockStore, IOStats
 
@@ -24,10 +25,11 @@ settings.register_profile(
 STATEFUL = settings.get_profile("stateful")
 
 #: The index kinds whose ``estimated_query_ios`` is exactly their cold
-#: I/Os: ``tests/test_cost_models.py`` holds each to it, and the stateful
-#: machine holds every shard a query's plan gives one of them.
-EXACTLY_PRICED = ("dynamic", "partition_tree", "quadtree", "rtree",
-                  "shallow_tree")
+#: I/Os (``IndexKind.exactly_priced``, their one source):
+#: ``tests/test_cost_models.py`` holds the cell trees to it, and the
+#: stateful machine holds every shard a query's plan gives one of them.
+EXACTLY_PRICED = tuple(name for name, kind in INDEX_KINDS.items()
+                       if kind.exactly_priced)
 
 
 def compact_at(ratio):

@@ -1,16 +1,17 @@
-"""The dynamic index as it kept its tree's points: a tuple list and a
-``Counter``, kept as the reference for the matrix-backed one.
+"""The write overlay as the dynamic index once kept its tree's points: a
+tuple list and a ``Counter``, kept as the reference for the matrix-backed
+:class:`~repro.engine.overlay.WriteOverlay`.
 
-``DynamicPartitionTreeIndex`` once shadowed every tree point with a
-Python tuple (``_tree_points``) and counted them (``_tree_counts``);
-``delete()`` asked the counter, and ``query()``, ``live_points()`` and
-rebuilds hid tombstoned copies by boxing every row.  Its contract is
-equality with what this returns — delete results, ``size``, the live
-multiset, ordered answers, ``IOStats`` and block ids
-(``tests/test_dynamic_matrix.py``) — so the membership, hiding order and
-rebuild order below are the specification; do not "fix" them here.
-Only the methods whose bookkeeping changed are replaced; the tree, the
-buffer and the tombstone blocks are the index's own.
+The overlay's bookkeeping began inside a dynamic partition tree, which
+once shadowed every tree point with a Python tuple (``_tree_points``)
+and counted them (``_tree_counts``); ``delete()`` asked the counter, and
+queries, ``live_points()`` and rebuilds hid tombstoned copies by boxing
+every row.  Its contract is equality with what this returns — delete
+results, ``size``, the live multiset, ordered answers, ``IOStats`` and
+block ids (``tests/test_dynamic_matrix.py``) — so the membership, hiding
+order and rebuild rule below are the specification; do not "fix" them
+here.  Only the methods whose bookkeeping changed are replaced; the
+buffer and tombstone blocks are the overlay's own.
 """
 
 from collections import Counter
@@ -19,15 +20,16 @@ from itertools import compress
 import numpy as np
 
 from repro.core import kernels
-from repro.core.dynamic import DynamicPartitionTreeIndex
+from repro.engine import overlay as overlay_module
+from repro.engine.overlay import WriteOverlay
 
 
-class OracleDynamicIndex(DynamicPartitionTreeIndex):
-    """The index with its per-point tuple list and counter."""
+class OracleOverlay(WriteOverlay):
+    """The overlay with its per-point tuple list and counter."""
 
-    def _build_tree(self, points):
-        super()._build_tree(points)
-        self._tree_points = list(map(tuple, self._tree_rows.tolist()))
+    def reset(self, rows):
+        super().reset(rows)
+        self._tree_points = list(map(tuple, rows.tolist()))
         self._tree_counts = Counter(self._tree_points)
 
     def _oracle_unhidden(self, records):
@@ -46,43 +48,27 @@ class OracleDynamicIndex(DynamicPartitionTreeIndex):
         return list(compress(self._tree_points,
                              self._oracle_unhidden(self._tree_points)))
 
-    def _rebuild(self):
-        live = self._live_tree_points()
-        live.extend(self._buffer_points)
-        self._buffer.clear()
-        self._buffer_points = []
-        self._tombstones = {}
-        self._num_tombstones = 0
-        self._tombstone_array.clear()
-        self._build_tree(np.array(live, dtype=float))
-        self._rebuilds += 1
-
-    def _maybe_rebuild(self):
+    def due(self):
         live_estimate = max(1, len(self._tree_points) - self._num_tombstones)
-        if len(self._buffer_points) > self._buffer_fraction * live_estimate:
-            self._rebuild()
-        elif self._num_tombstones * 2 > max(1, len(self._tree_points)):
-            self._rebuild()
+        return (len(self._buffer_points)
+                > overlay_module.BUFFER_FRACTION * live_estimate
+                or self._num_tombstones * 2 > max(1, len(self._tree_points)))
 
     def delete(self, point):
         record = tuple(float(c) for c in point)
         in_buffer = record in self._buffer_points
         in_tree = (self._tree_counts.get(record, 0)
                    > self._tombstones.get(record, 0))
-        if in_buffer or in_tree:
-            self._check_pre_mutation()
         if in_buffer:
             self._buffer_points.remove(record)
             self._buffer.clear()
             self._buffer.extend(self._buffer_points)
-            self._maybe_rebuild()
             return True
         if not in_tree:
             return False
         self._tombstones[record] = self._tombstones.get(record, 0) + 1
         self._num_tombstones += 1
         self._tombstone_array.append(record)
-        self._maybe_rebuild()
         return True
 
     @property
@@ -93,10 +79,12 @@ class OracleDynamicIndex(DynamicPartitionTreeIndex):
     def live_points(self):
         live = self._live_tree_points()
         live.extend(self._buffer_points)
-        return live
+        return np.array(live, dtype=float).reshape(-1, self._dimension)
 
-    def query(self, constraint):
-        answer = self._tree.query_and_scan(constraint, (self._buffer,))
+    def answer(self, found, region):
+        answer = kernels.answer_matrix(
+            (found, kernels.filter_constraint(self._buffer, region)),
+            self._dimension)
         if not self._tombstones:
             return answer
         keep = self._oracle_unhidden(map(tuple, answer.tolist()))

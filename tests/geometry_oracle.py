@@ -7,7 +7,10 @@ primal-point inverses check the duality transform's round trips;
 (Theorem 5.1); ``relevant_cluster_index`` is the linear scan the boundary
 B-tree of the planar structure replaces; ``locate_brute`` is the linear
 scan the point locator replaces, and ``envelope_height`` /
-``covered_area`` check an envelope's triangles.  The lifting identities
+``covered_area`` check an envelope's triangles.  A hyperplane's scalar
+height over a point (``height_at``), its inclusive below test
+(``point_below``) and the batch height (``height_many``) are the
+references the box and boundary tests place points with.  The lifting identities
 are what the k-nearest-neighbour reduction rests on (Theorem 4.3).  ``filter_points`` is the
 in-memory ground truth every index answer is checked against, and the
 box-at-a-time tests — a box's 2^d ``corners`` and the corner loop
@@ -21,6 +24,8 @@ import math
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.clustering import Cluster
 from repro.core.conjunction import ConstraintConjunction
 from repro.geometry.boxes import Box, CellRelation
@@ -29,7 +34,7 @@ from repro.geometry.lifting import lift_point
 from repro.geometry.partitions import PartitionCell
 from repro.geometry.polygons import Point2, polygon_area
 from repro.geometry.primitives import (EPS, Hyperplane, Line2,
-                                       LinearConstraint, Plane3)
+                                       LinearConstraint, Plane3, below_bound)
 from repro.geometry.simplex import Simplex
 
 
@@ -178,6 +183,38 @@ def validate_against_scan(index, constraint: LinearConstraint,
     return expected == actual
 
 
+def height_at(hyperplane: Hyperplane, point: Sequence[float]) -> float:
+    """The hyperplane's x_d value above the first d-1 coordinates of ``point``."""
+    return sum(c * x for c, x in zip(hyperplane.coeffs, point)) \
+        + hyperplane.offset
+
+
+def point_below(hyperplane: Hyperplane, point: Sequence[float]) -> bool:
+    """True if ``point`` lies on or below the hyperplane.
+
+    This is the containment test of the paper's query: report all points
+    ``p`` with ``p_d <= a_0 + sum a_i p_i`` (:func:`below_bound`).
+    """
+    return point[-1] <= below_bound(hyperplane.coeffs, point,
+                                    hyperplane.offset)
+
+
+def height_many(hyperplane: Hyperplane, points: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`height_at` over an ``(n, d)`` point matrix.
+
+    Accumulates one coefficient at a time, in coefficient order, so
+    every row reproduces the scalar left-to-right fold
+    ``sum(c * x for ...)`` bit for bit (a BLAS dot product may round
+    differently and flip points sitting exactly on the boundary).
+    """
+    heights = np.full(points.shape[0], hyperplane.offset, dtype=np.float64)
+    total = np.zeros(points.shape[0], dtype=np.float64)
+    for index, coefficient in enumerate(hyperplane.coeffs):
+        total += coefficient * points[:, index]
+    heights += total
+    return heights
+
+
 def corners(box: Box) -> list:
     """All 2^d corner points of the box."""
     return [tuple(choice) for choice in product(*zip(box.lower, box.upper))]
@@ -190,7 +227,7 @@ def classify_halfspace(box: Box, hyperplane: Hyperplane) -> CellRelation:
     below_any = False
     above_any = False
     for corner in corners(box):
-        if hyperplane.point_below(corner):
+        if point_below(hyperplane, corner):
             below_any = True
         else:
             above_any = True

@@ -751,23 +751,6 @@ def test_materialized_shard_gets_workers(points2d):
         engine.close()
 
 
-def test_direct_index_mutation_raises_and_the_workers_keep_serving(
-        points2d):
-    engine = make_engine(points2d, "process", replicas=1, num_shards=2)
-    try:
-        shard = engine.catalog.sharded("pts").shards[0]
-        index = shard.replicas[0].indexes["dynamic"]
-        with pytest.raises(ValueError, match="QueryEngine.insert"):
-            index.insert((-0.5, -0.5))   # behind the engine's back
-        served = engine.cluster.worker("pts", 0, 0).served
-        answer = engine.query("pts", EVERYTHING, clear_cache=True)
-        assert (-0.5, -0.5) not in {tuple(p) for p in answer.points}
-        assert answer.count == len(points2d)
-        assert engine.cluster.worker("pts", 0, 0).served == served + 1
-    finally:
-        engine.close()
-
-
 def test_client_raises_unavailable_for_unreachable_worker():
     from repro.engine.cluster import WorkerClient
     client = WorkerClient(("127.0.0.1", 1), timeout_s=0.5)

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import observable, replayed, rows
+from overlaid import OverlaidTree
 from scan_oracle import read_all, read_range, scalar_kernels, store_scan
 from repro.baselines.full_scan import FullScanIndex
-from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import PartitionTreeIndex
 from repro.engine.catalog import INDEX_KINDS
 from repro.geometry.primitives import LinearConstraint
@@ -236,7 +236,7 @@ def test_delete_finds_a_stored_point_however_it_is_spelt(backend, rng):
     everything = LinearConstraint(coeffs=(0.0,), offset=2.0)
     store = BlockStore(8, backend=backend)
     try:
-        index = DynamicPartitionTreeIndex(points, store=store)
+        index = OverlaidTree(points, store=store)
         target = tuple(points[13].tolist())
         spellings = [target,                                # floats
                      tuple(np.float64(c) for c in target),  # numpy scalars

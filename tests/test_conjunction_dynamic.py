@@ -1,6 +1,8 @@
-"""Tests for constraint conjunctions (polytope queries) and the dynamic tree."""
+"""Tests for constraint conjunctions (polytope queries) and the partition
+tree under its replica's write overlay."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,18 +10,20 @@ from hypothesis import event, given, settings, strategies as st
 
 from repro import (
     ConstraintConjunction,
-    DynamicPartitionTreeIndex,
     HalfplaneIndex2D,
     LinearConstraint,
     PartitionTreeIndex,
     query_conjunction,
 )
 from repro.baselines import FullScanIndex
+from repro.engine import overlay as overlay_module
+from repro.engine.overlay import WriteOverlay
 from repro.io.store import BlockStore
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
 from conftest import assert_answer, brute_force_halfspace, rows
 from geometry_oracle import filter_points
+from overlaid import OverlaidTree
 from scan_oracle import read_all, scalar_kernels
 
 
@@ -97,10 +101,10 @@ class TestConstraintConjunction:
 class TestDynamicPartitionTree:
     def test_requires_dimension_when_empty(self):
         with pytest.raises(ValueError):
-            DynamicPartitionTreeIndex([], block_size=32)
+            OverlaidTree([], block_size=32)
 
     def test_insert_then_query(self):
-        index = DynamicPartitionTreeIndex([], dimension=2, block_size=32)
+        index = OverlaidTree([], dimension=2, block_size=32)
         rng = np.random.default_rng(7)
         points = rng.uniform(-1, 1, size=(300, 2))
         for point in points:
@@ -113,7 +117,7 @@ class TestDynamicPartitionTree:
     def test_bulk_build_then_incremental_updates(self):
         rng = np.random.default_rng(8)
         initial = rng.uniform(-1, 1, size=(800, 2))
-        index = DynamicPartitionTreeIndex(initial, block_size=32)
+        index = OverlaidTree(initial, block_size=32)
         extra = rng.uniform(-1, 1, size=(200, 2))
         for point in extra:
             index.insert(point)
@@ -127,34 +131,34 @@ class TestDynamicPartitionTree:
         assert index.size == len(live)
 
     def test_delete_missing_point_returns_false(self):
-        index = DynamicPartitionTreeIndex(uniform_points(50, seed=9), block_size=32)
+        index = OverlaidTree(uniform_points(50, seed=9), block_size=32)
         assert not index.delete((123.0, 456.0))
 
     def test_rebuild_happens_after_many_inserts(self):
-        index = DynamicPartitionTreeIndex(uniform_points(200, seed=10),
-                                          block_size=32, buffer_fraction=0.1)
+        index = OverlaidTree(uniform_points(200, seed=10), block_size=32)
         rng = np.random.default_rng(11)
-        for point in rng.uniform(-1, 1, size=(100, 2)):
-            index.insert(point)
+        with mock.patch.object(overlay_module, "BUFFER_FRACTION", 0.1):
+            for point in rng.uniform(-1, 1, size=(100, 2)):
+                index.insert(point)
         assert index.rebuilds >= 1
         assert index.buffered <= 0.1 * index.size + 1
 
     def test_rebuild_happens_after_many_deletes(self):
         points = uniform_points(300, seed=12)
-        index = DynamicPartitionTreeIndex(points, block_size=32)
+        index = OverlaidTree(points, block_size=32)
         for point in points[:200]:
             index.delete(tuple(point))
         assert index.rebuilds >= 1
         assert index.size == 100
 
     def test_insert_dimension_checked(self):
-        index = DynamicPartitionTreeIndex(uniform_points(20, seed=13), block_size=32)
+        index = OverlaidTree(uniform_points(20, seed=13), block_size=32)
         with pytest.raises(ValueError):
             index.insert((1.0, 2.0, 3.0))
 
     def test_reinserting_deleted_point_resurrects_it(self):
         points = uniform_points(100, seed=14)
-        index = DynamicPartitionTreeIndex(points, block_size=32)
+        index = OverlaidTree(points, block_size=32)
         victim = tuple(points[0])
         index.delete(victim)
         index.insert(victim)
@@ -167,8 +171,7 @@ class TestDynamicPartitionTree:
         # while size decremented by only 1 — the three disagreed.
         base = uniform_points(40, seed=21)
         dup = tuple(base[0])
-        index = DynamicPartitionTreeIndex(np.vstack([base, [dup]]),
-                                          block_size=32)
+        index = OverlaidTree(np.vstack([base, [dup]]), block_size=32)
         everything = LinearConstraint((0.0,), 1e9)
 
         def copies():
@@ -196,7 +199,7 @@ class TestDynamicPartitionTree:
         # array, so disk state disagreed with the set and the array's
         # space never came back.
         points = uniform_points(60, seed=22)
-        index = DynamicPartitionTreeIndex(points, block_size=32)
+        index = OverlaidTree(points, block_size=32)
         victims = [tuple(p) for p in points[:3]]
         for victim in victims:
             assert index.delete(victim)
@@ -214,27 +217,26 @@ class TestDynamicPartitionTree:
 
     def test_buffer_path_delete_checks_rebuild_threshold(self):
         # Regression: a delete served from the insertion buffer skipped
-        # _maybe_rebuild(), so only tree-path deletes could trigger the
+        # the rebuild check, so only tree-path deletes could trigger the
         # tombstone-fraction rebuild — the two paths must stay aligned.
-        class Counting(DynamicPartitionTreeIndex):
-            def __init__(self, *args, **kwargs):
-                self.rebuild_checks = 0
-                super().__init__(*args, **kwargs)
+        class Counting(WriteOverlay):
+            rebuild_checks = 0
 
-            def _maybe_rebuild(self):
+            def due(self):
                 self.rebuild_checks += 1
-                super()._maybe_rebuild()
+                return super().due()
 
-        index = Counting(uniform_points(64, seed=23), block_size=32,
-                         buffer_fraction=1.0)
-        index.insert((5.0, 5.0))                 # lands in the buffer
-        checks = index.rebuild_checks
-        assert index.delete((5.0, 5.0))          # buffer-path delete
+        index = OverlaidTree(uniform_points(64, seed=23), block_size=32,
+                             overlay=Counting)
+        with mock.patch.object(overlay_module, "BUFFER_FRACTION", 1.0):
+            index.insert((5.0, 5.0))             # lands in the buffer
+            checks = index.rebuild_checks
+            assert index.delete((5.0, 5.0))      # buffer-path delete
         assert index.rebuild_checks == checks + 1
         # Public invariant across a delete-heavy mix: the tombstone
         # fraction can never sit past the rebuild threshold.
         points = uniform_points(80, seed=24)
-        index = DynamicPartitionTreeIndex(points, block_size=32)
+        index = OverlaidTree(points, block_size=32)
         for point in points[:60]:
             index.delete(tuple(point))
             tree_size = index.size - index.buffered + index.tombstoned
@@ -243,7 +245,7 @@ class TestDynamicPartitionTree:
     def test_agrees_with_static_tree_after_updates(self):
         rng = np.random.default_rng(15)
         base = rng.uniform(-1, 1, size=(500, 2))
-        index = DynamicPartitionTreeIndex(base, block_size=32)
+        index = OverlaidTree(base, block_size=32)
         additions = rng.uniform(-1, 1, size=(120, 2))
         for point in additions:
             index.insert(point)
@@ -302,7 +304,7 @@ def test_dynamic_index_is_its_multiset_under_generated_scripts(backend,
     dimension, pool, initial, steps = script
     store = BlockStore(4, cache_blocks=2, backend=backend)
     try:
-        index = DynamicPartitionTreeIndex(
+        index = OverlaidTree(
             np.asarray([pool[i] for i in initial]).reshape(-1, dimension),
             store=store, dimension=dimension, leaf_capacity=3)
         oracle = Counter(pool[i] for i in initial)
@@ -336,7 +338,7 @@ def test_a_script_crosses_both_rebuild_thresholds():
     """The buffer fills past its fraction, then half the tree is
     tombstoned: two rebuilds, answers exact after each."""
     pool = [(0.0, 0.0), (0.5, 0.5), (-0.5, 1.0)]
-    index = DynamicPartitionTreeIndex(np.asarray(pool * 4), block_size=4)
+    index = OverlaidTree(np.asarray(pool * 4), block_size=4)
     everything = LinearConstraint((0.0,), 9.0)
     for point in pool * 2:
         index.insert(point)

@@ -24,13 +24,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import QuadTreeIndex, RTreeIndex
-from repro.core import (DynamicPartitionTreeIndex, HalfplaneIndex2D,
+from repro.core import (HalfplaneIndex2D,
                         PartitionTreeIndex, ShallowPartitionTreeIndex)
 from repro.geometry.primitives import LinearConstraint
 from repro.io.backend import FileBackend
 from repro.io.store import BlockStore
 from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
+from overlaid import OverlaidTree
 from scan_oracle import scalar_kernels
 
 SHAPES = ["uniform", "duplicates", "collinear", "grid", "below_b", "empty"]
@@ -145,9 +146,7 @@ def test_dynamic_tree_prices_its_cold_query_exactly(mode, backend, drawn,
     rng = np.random.default_rng(seed)
     queries = constraints(rng, points, dimension)
     with opened_store(backend, block_size) as store, kernel_mode(mode):
-        index = DynamicPartitionTreeIndex(points, store=store,
-                                          dimension=dimension,
-                                          buffer_fraction=0.25)
+        index = OverlaidTree(points, store=store, dimension=dimension)
         live = [tuple(point) for point in points.tolist()]
         for op, pick in ops:
             if op == "delete" and live:

@@ -12,7 +12,7 @@ from repro.geometry.polygons import convex_hull, polygon_area
 from repro.geometry.primitives import (EPS, Hyperplane, Line2,
                                        LinearConstraint, Plane3)
 
-from geometry_oracle import (lines_strictly_above, polygon_contains,
+from geometry_oracle import (height_at, lines_strictly_above, polygon_contains,
                              primal_point_of_dual_hyperplane,
                              primal_point_of_dual_line,
                              primal_point_of_dual_plane)
@@ -101,12 +101,12 @@ class TestDualityGeneral:
     @settings(max_examples=100, deadline=None)
     def test_lemma_2_1_in_dimension_four(self, point, plane_coeffs):
         hyperplane = Hyperplane(tuple(plane_coeffs[:3]), plane_coeffs[3])
-        below = point[-1] < hyperplane.height_at(point) - EPS
+        below = point[-1] < height_at(hyperplane, point) - EPS
         dual_h = duality.dual_hyperplane_of_point(point)
         dual_p = duality.dual_point_of_hyperplane(hyperplane)
         # Lemma 2.1: the point is below the hyperplane iff the dual
         # hyperplane (of the point) passes below the dual point.
-        dual_hyperplane_below = dual_h.height_at(dual_p) < dual_p[-1] - 1e-9
+        dual_hyperplane_below = height_at(dual_h, dual_p) < dual_p[-1] - 1e-9
         assert below == dual_hyperplane_below
 
 

@@ -1,9 +1,9 @@
-"""The dynamic index keeps its tree's points as one matrix.
+"""The write overlay keeps its replica's build points as one matrix.
 
 Three judges: generated scripts against ``dynamic_oracle.py`` (the
 tuple-list-and-``Counter`` bookkeeping it replaced) must agree on every
 observable; ``check_invariants()`` must catch each broken relation; and
-the index must retain no more heap than the partition tree it wraps.
+a tree under an overlay must retain no more heap than the bare tree.
 """
 
 import gc
@@ -11,17 +11,19 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from repro import (DynamicPartitionTreeIndex, LinearConstraint,
-                   PartitionTreeIndex)
+from repro import LinearConstraint, PartitionTreeIndex
+from repro.engine import overlay as overlay_module
 from repro.io.store import BlockStore
 from repro.workloads import uniform_points
 
-from dynamic_oracle import OracleDynamicIndex
+from dynamic_oracle import OracleOverlay
+from overlaid import OverlaidTree
 
 #: Coordinates on a coarse grid with both zeros: duplicates are common,
 #: many points sit on a query's hyperplane, and -0.0 == 0.0 must be one
@@ -48,10 +50,11 @@ def scripts(draw):
 
 
 def layout(index):
-    """Every block id the index holds, structure by structure."""
+    """Every block id the replica holds, structure by structure."""
     tree = [node.points_array.block_ids if node.is_leaf
             else node.child_table.block_ids for node in index._tree._nodes]
-    return (tree, index._buffer.block_ids, index._tombstone_array.block_ids,
+    return (tree, index.overlay._buffer.block_ids,
+            index.overlay._tombstone_array.block_ids,
             sorted(index.store.backend.block_ids()))
 
 
@@ -68,12 +71,15 @@ def test_the_matrix_index_is_the_tuple_and_counter_oracle(backend, script,
                         dtype=float).reshape(-1, dimension)
     stores = [BlockStore(4, cache_blocks=2, backend=backend)
               for __ in range(2)]
+    patched = mock.patch.object(overlay_module, "BUFFER_FRACTION",
+                                buffer_fraction)
     try:
+        patched.start()
         index, oracle = (
-            kind(points, store=store, dimension=dimension,
-                 buffer_fraction=buffer_fraction, leaf_capacity=3)
-            for kind, store in zip((DynamicPartitionTreeIndex,
-                                    OracleDynamicIndex), stores))
+            OverlaidTree(points, store=store, dimension=dimension,
+                         overlay=kind, leaf_capacity=3)
+            for kind, store in zip((overlay_module.WriteOverlay,
+                                    OracleOverlay), stores))
         for action, argument in steps:
             if action == "insert":
                 index.insert(pool[argument])
@@ -98,6 +104,7 @@ def test_the_matrix_index_is_the_tuple_and_counter_oracle(backend, script,
             index.check_invariants()
         event("rebuilds: %d" % min(index.rebuilds, 2))
     finally:
+        patched.stop()
         for store in stores:
             store.close()
 
@@ -105,12 +112,12 @@ def test_the_matrix_index_is_the_tuple_and_counter_oracle(backend, script,
 def test_signed_zeros_are_one_value_to_membership():
     """-0.0 and 0.0 are one point to delete, as they were to the counter,
     while the stored rows keep the sign they were built with."""
-    index = DynamicPartitionTreeIndex([(-0.0, 1.0), (0.0, 1.0)], block_size=4)
+    index = OverlaidTree([(-0.0, 1.0), (0.0, 1.0)], block_size=4)
     assert index.delete((0.0, 1.0)) and index.delete((-0.0, 1.0))
     assert not index.delete((0.0, 1.0))
     assert index.size == 0 and index.live_points() == []
     index.check_invariants()
-    built = DynamicPartitionTreeIndex([(-0.0, 1.0)], block_size=4)
+    built = OverlaidTree([(-0.0, 1.0)], block_size=4)
     assert np.signbit(built.query(LinearConstraint((0.0,), 9.0))[0, 0])
 
 
@@ -118,9 +125,9 @@ def test_signed_zeros_are_one_value_to_membership():
 # the checker
 # ----------------------------------------------------------------------
 def mutated_index():
-    """A checked index with tree rows, tombstones and buffered points."""
+    """A checked replica with tree rows, tombstones and buffered points."""
     points = np.repeat(uniform_points(40, seed=3), 2, axis=0)
-    index = DynamicPartitionTreeIndex(points, block_size=4)
+    index = OverlaidTree(points, block_size=4)
     for point in points[:6:2]:
         assert index.delete(point)
     for point in uniform_points(3, seed=4):
@@ -135,44 +142,47 @@ def _miscount_a_leaf(index, points):
 
 
 def _swap_a_matrix_row(index, points):
-    rows = index._tree_rows.copy()
+    rows = index.overlay.rows.copy()
     rows[0] = (5.0, 5.0)
-    index._tree_rows = rows
+    index.overlay.rows = rows
 
 
 def _reorder_the_buffer(index, points):
-    buffered = index._buffer_points
+    buffered = index.overlay._buffer_points
     buffered[0], buffered[1] = buffered[1], buffered[0]
 
 
 def _forget_a_tombstone_block(index, points):
     record = tuple(points[0].tolist())
-    index._tombstones[record] += 1
-    index._num_tombstones += 1
+    index.overlay._tombstones[record] += 1
+    index.overlay._num_tombstones += 1
 
 
 def _miscount_the_tombstones(index, points):
-    index._num_tombstones += 1
+    index.overlay._num_tombstones += 1
 
 
 def _stale_tombstone_columns(index, points):
     index.query(LinearConstraint((0.0,), 9.0))      # fills the cache
-    index._dead_columns = [column + 1.0 for column in index._dead_columns]
+    overlay = index.overlay
+    overlay._dead_columns = [column + 1.0 for column in overlay._dead_columns]
 
 
 def _tombstone_an_absent_value(index, points):
-    index._tombstones[(7.0, 7.0)] = 1
-    index._num_tombstones += 1
-    index._tombstone_array.append((7.0, 7.0))
+    overlay = index.overlay
+    overlay._tombstones[(7.0, 7.0)] = 1
+    overlay._num_tombstones += 1
+    overlay._tombstone_array.append((7.0, 7.0))
 
 
 def _tombstone_a_buffered_value(index, points):
     record = tuple(points[10].tolist())     # two tree copies, both live
-    index._buffer_points.append(record)
-    index._buffer.append(record)
-    index._tombstones[record] = 1
-    index._num_tombstones += 1
-    index._tombstone_array.append(record)
+    overlay = index.overlay
+    overlay._buffer_points.append(record)
+    overlay._buffer.append(record)
+    overlay._tombstones[record] = 1
+    overlay._num_tombstones += 1
+    overlay._tombstone_array.append(record)
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -182,7 +192,7 @@ def _tombstone_a_buffered_value(index, points):
     (_forget_a_tombstone_block, "tombstone multiset"),
     (_miscount_the_tombstones, "4 tombstones counted"),
     (_stale_tombstone_columns, "cached tombstone columns are stale"),
-    (_tombstone_an_absent_value, "has 0 tree copies"),
+    (_tombstone_an_absent_value, "has 0 build copies"),
     (_tombstone_a_buffered_value, "is buffered"),
 ])
 def test_a_broken_dynamic_index_fails_the_invariants(corrupt, message):
@@ -210,13 +220,12 @@ def retained_bytes(build):
 
 
 def test_the_dynamic_index_retains_what_its_tree_retains():
-    """No per-point shadow: over 32 768 points the dynamic index holds
-    within 0.25 MB of a bare partition tree over the same points (a
-    tuple per point and their counter held ≈ 4.75 MB more)."""
+    """No per-point shadow: over 32 768 points a tree under its replica's
+    overlay holds within 0.25 MB of a bare partition tree over the same
+    points (a tuple per point and their counter held ≈ 4.75 MB more)."""
     points = uniform_points(32768, seed=1998)
     tree = retained_bytes(lambda: PartitionTreeIndex(points, block_size=64))
-    dynamic = retained_bytes(
-        lambda: DynamicPartitionTreeIndex(points, block_size=64))
+    dynamic = retained_bytes(lambda: OverlaidTree(points, block_size=64))
     assert dynamic - tree <= 0.25 * 2 ** 20, (dynamic, tree)
 
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import (assert_answer, brute_force_halfspace, rows,
                       served_query, wave_answers)
 from geometry_oracle import filter_points, validate_against_scan
+from overlaid import OverlaidTree
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
-from repro.core import DynamicPartitionTreeIndex
+from repro.engine import overlay as overlay_module
 from repro.engine.catalog import Catalog
 from repro.engine.metrics import EngineStats
 from repro.engine.catalog import INDEX_KINDS
@@ -192,14 +195,15 @@ def test_dynamic_insert_flushes_result_cache(points2d):
 
     after = engine.query("d", constraint)
     assert not after.from_result_cache
-    # The mutation marks every statically-built sibling stale, so the
-    # planner must route to the dynamic index and report the new point.
-    assert after.index_name == "dynamic"
+    # Every index answers the live points through the replica's write
+    # overlay, so the plan stays the planner's pick and reports the
+    # new point.
+    assert after.index_name == first.index_name
     assert tuple(new_point) in {tuple(p) for p in after.points}
     assert after.count == first.count + 1
 
 
-def test_mutated_dataset_stops_routing_to_static_indexes(points2d):
+def test_a_written_dataset_keeps_routing_to_every_index(points2d):
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_dataset("d", points2d,
                             kinds=["dynamic", "shallow_tree", "full_scan"])
@@ -210,9 +214,11 @@ def test_mutated_dataset_stops_routing_to_static_indexes(points2d):
     engine.insert("d", (0.0, -2.0))
     plan = engine.explain("d", constraint)
     assert [est.index_name for est in plan.shard_plans[0][1].estimates] \
-        == ["dynamic"]
-    answer = engine.query("d", constraint)
-    assert (0.0, -2.0) in {tuple(p) for p in answer.points}
+        == ["dynamic", "shallow_tree", "full_scan"]
+    replica = engine.catalog.dataset("d")
+    for name in replica.indexes:
+        answer = replica.run_query(name, constraint)[0]
+        assert (0.0, -2.0) in {tuple(p) for p in answer}
 
 
 def test_invalidate_dataset_is_scoped(points2d):
@@ -556,10 +562,10 @@ def test_every_index_kind_answers_nothing_as_zero_by_d(kind):
 
 def test_dynamic_with_every_point_tombstoned_answers_zero_by_d():
     points = uniform_points(100, dimension=3, seed=4)
-    index = DynamicPartitionTreeIndex(points, block_size=16,
-                                      buffer_fraction=1.0)
-    for point in points[:50].tolist():
-        assert index.delete(point)
+    index = OverlaidTree(points, block_size=16)
+    with mock.patch.object(overlay_module, "BUFFER_FRACTION", 1.0):
+        for point in points[:50].tolist():
+            assert index.delete(point)
     assert index.tombstoned == 50 and not index.rebuilds
     everything = LinearConstraint(coeffs=(0.0, 0.0), offset=100.0)
     answer = index.query(everything)

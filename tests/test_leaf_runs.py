@@ -14,22 +14,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import (DynamicPartitionTreeIndex, HybridIndex3D,
-                   PartitionTreeIndex, ShallowPartitionTreeIndex)
+from repro import HybridIndex3D, PartitionTreeIndex, ShallowPartitionTreeIndex
 from repro.baselines.quadtree import QuadTreeIndex
 from repro.baselines.rtree import RTreeIndex
 from repro.core.partition_tree import CellTreeIndex
 from repro.io.store import BlockStore
 
 from build_oracle import per_leaf_writer
+from overlaid import OverlaidTree
 
 BLOCK = 4
 
 
 def _dynamic(points, store):
-    """A dynamic index through inserts and a forced rebuild."""
-    index = DynamicPartitionTreeIndex(points, store=store,
-                                      block_size=BLOCK, leaf_capacity=3)
+    """A tree under its overlay through inserts and a forced rebuild."""
+    index = OverlaidTree(points, store=store, block_size=BLOCK,
+                         leaf_capacity=3)
     for point in points[:3]:
         index.insert(tuple(point * 0.5))
     index._rebuild()
@@ -70,10 +70,9 @@ def point_sets(draw, dimension):
 
 
 def _trees(index) -> List[CellTreeIndex]:
-    """The cell trees an index is made of: itself (or a dynamic index's
-    tree) and every shallow node's secondary tree."""
-    tree = index._tree if isinstance(index, DynamicPartitionTreeIndex) \
-        else index
+    """The cell trees an index is made of: itself (or an overlaid
+    tree's tree) and every shallow node's secondary tree."""
+    tree = index._tree if isinstance(index, OverlaidTree) else index
     found = [tree]
     for node in tree._nodes:
         if node.secondary is not None:
@@ -190,8 +189,7 @@ def test_a_build_makes_one_store_call_per_leaf_run_and_table(kind,
     monkeypatch.setattr(HybridIndex3D, "_leaf_structure", structure)
     store = BlockStore(BLOCK, cache_blocks=4)
     if kind == "dynamic":
-        index = DynamicPartitionTreeIndex(points, store=store,
-                                          block_size=BLOCK)
+        index = OverlaidTree(points, store=store, block_size=BLOCK)
     else:
         index = build(points, store)
     trees = _trees(index)

@@ -1,8 +1,8 @@
 """A suite naming ``dynamic`` and ``partition_tree`` builds one tree.
 
-Before its first write a dynamic index is the partition tree over its
-points (paper §5, Remark iii), so a replica whose suite names both kinds
-with the same tree parameters builds the dynamic index alone, and
+``dynamic`` is the partition tree under a second name (writes are the
+replica's write overlay's), so a replica whose suite names both kinds
+with the same tree parameters builds the dynamic tree alone, and
 ``partition_tree`` names it.  In every order of the suite, on both
 backends, after a re-split and in a shard worker's rebuild, every
 replica holds one tree, and through either name it answers what a
@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from repro import QueryEngine
-from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
-                        PartitionTreeIndex)
+from repro.core import ConstraintConjunction, PartitionTreeIndex
 from repro.engine.catalog import one_tree_per_replica
 from repro.engine.cluster.worker import ShardWorker
 from repro.io.store import BlockStore
@@ -47,8 +46,7 @@ def multiset(points):
 
 def trees_of(replica):
     return [index for index in replica.indexes.values()
-            if isinstance(index, (PartitionTreeIndex,
-                                  DynamicPartitionTreeIndex))]
+            if isinstance(index, PartitionTreeIndex)]
 
 
 def assert_one_tree(replica, kinds):
@@ -171,7 +169,7 @@ def test_after_a_write_both_names_answer_the_live_points():
 
 def test_a_build_on_its_own_builds_exactly_its_kind():
     """The resolution is a suite's: a ``partition_tree`` built by a call
-    of its own beside an existing dynamic index is a static tree."""
+    of its own beside an existing dynamic tree is a tree of its own."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=41)
     try:
         engine.register_dataset("d", POINTS, kinds=["dynamic"])
@@ -190,8 +188,8 @@ def build(kind, index_name=None, **params):
 
 
 @pytest.mark.parametrize("builds, runs, aliases", [
-    # The buffer is not a tree parameter.
-    ([build("partition_tree"), build("dynamic", buffer_fraction=0.5)],
+    # Equal tree parameters: one tree, whichever comes first.
+    ([build("partition_tree"), build("dynamic")],
      [1], {"partition_tree": "dynamic"}),
     # Other tree parameters: two trees.
     ([build("dynamic"), build("partition_tree", max_fanout=4)], [0, 1], {}),

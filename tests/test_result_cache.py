@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ConstraintConjunction, LinearConstraint, QueryEngine
-from repro.engine.catalog import Catalog
 from repro.engine.metrics import EngineStats
 from repro.engine.obs import render_prometheus
 from repro.engine.result_cache import (RESULT_CACHE_BYTES,
                                        RESULT_CACHE_ENTRIES, ResultCache)
 from repro.geometry.primitives import EPS
-from repro.workloads import uniform_points
+from repro.workloads import halfspace_queries_with_selectivity, uniform_points
 
 
 def evictions(engine, cause):
@@ -50,8 +49,8 @@ def holds(answer, point):
 
 @pytest.fixture
 def written():
-    """A one-shard dataset ``d`` whose shard was written once, so its
-    queries route to the mutable index and no later write is a first."""
+    """A one-shard dataset ``d`` whose shard was written once, so no
+    later write is a first."""
     engine = QueryEngine(block_size=16, seed=5)
     engine.register_dataset("d", uniform_points(512, seed=6),
                             kinds=["dynamic", "full_scan"])
@@ -201,6 +200,31 @@ def test_evictions_are_counted_by_cause(written):
         == {"write": 2, "flush": 0, "capacity": 0}
 
 
+def test_a_write_that_moves_an_estimate_leaves_no_stale_plan():
+    """``halfplane2d`` is priced from the expected output T, which a write
+    moves even when the written point is in no cached answer: 97 deletes
+    outside a 1 % constraint's region flip its plan from the partition
+    tree to ``halfplane2d``.  Such a write flushes the dataset, so every
+    resident answer is, index name and bytes, what a fresh query of it
+    returns after every write."""
+    points = uniform_points(1024, seed=4)
+    engine = QueryEngine(block_size=16, seed=3, sample_size=64)
+    engine.register_dataset("d", points)
+    assert not engine.catalog.dataset("d").exactly_priced
+    query = halfspace_queries_with_selectivity(points, 60, 0.01, seed=6)[23]
+    first = engine.explain("d", query).index_name
+    core = engine.executor.core
+    for point in points[~query.below_many(points)][:97]:
+        engine.query("d", query)
+        assert engine.delete("d", tuple(point)).applied
+        for (name, cached), (index_name, matrix) in core.check_invariants():
+            fresh = engine.query(name, cached, clear_cache=True)
+            assert (fresh.index_name, fresh.points.tobytes()) \
+                == (index_name, matrix.tobytes())
+    assert engine.explain("d", query).index_name != first
+    engine.close()
+
+
 def test_a_first_write_a_rebuild_and_a_resplit_flush():
     engine = QueryEngine(block_size=16, seed=7)
     engine.register_sharded_dataset("d", uniform_points(256, seed=8),
@@ -212,8 +236,8 @@ def test_a_first_write_a_rebuild_and_a_resplit_flush():
     assert evictions(engine, "flush") == 1
     assert not engine.query("d", low).from_result_cache
     sharded = engine.catalog.sharded("d")
-    tree = Catalog.mutable_index_of(sharded.shards[
-        sharded.router.shard_of((0.0, 9.0))].replicas[0])
+    tree = sharded.shards[
+        sharded.router.shard_of((0.0, 9.0))].replicas[0].overlay
     before = tree.rebuilds
     while tree.rebuilds == before:
         engine.query("d", low)
@@ -389,7 +413,7 @@ def test_a_write_evicts_exactly_the_answers_that_hold_its_point(
         "d", np.random.default_rng(dimension).uniform(-1, 1, (96, dimension)),
         kinds=["dynamic", "full_scan"])
     core = engine.executor.core
-    tree = Catalog.mutable_index_of(engine.catalog.dataset("d"))
+    tree = engine.catalog.dataset("d").overlay
     engine.insert("d", (0.0,) * dimension)       # the shard's first write
     asked = data.draw(st.lists(queries(dimension), min_size=1, max_size=6))
     inserted = []

@@ -589,15 +589,19 @@ def test_insert_into_empty_shard_over_http_materializes_it():
     engine.close()
 
 
-def test_writes_on_a_static_suite_get_a_structured_400():
+def test_writes_on_a_static_suite_are_served():
+    """Every suite takes writes (the replica's write overlay): an insert
+    into a ``halfplane2d``-only dataset is served and answered."""
     points = uniform_points(128, seed=17)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=17)
-    engine.register_dataset("frozen", points, kinds=["halfplane2d"])
+    engine.register_dataset("planar", points, kinds=["halfplane2d"])
     with engine.serve_http([ApiKey(key="k", tenant="t")]) as server:
         client = client_for(server, "k")
-        status, body = client.insert("frozen", [0.1, 0.2])
-        assert status == 400
-        assert body["error"]["code"] == "not_writable"
+        status, body = client.insert("planar", [0.1, -5.0])
+        assert status == 200
+        assert body["mutation"]["applied"] is True
+        status, body = client.query("planar", [0.0], -4.0)
+        assert body["answer"]["count"] == 1
     engine.close()
 
 

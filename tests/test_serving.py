@@ -413,7 +413,7 @@ def test_queue_policy_expiry_counts_once_and_never_parks(points2d):
 def test_deferred_request_replans_after_mutation(points2d):
     # A request parked by admission control must not execute the plan it
     # was costed with if the dataset mutated meanwhile: the fresh plan
-    # routes to the dynamic index and sees the inserted point.
+    # sees the inserted point.
     import threading as _threading
     import time as _time
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
@@ -426,7 +426,7 @@ def test_deferred_request_replans_after_mutation(points2d):
     e_drain = engine.explain("d", drain).estimated_ios
     e_deferred = engine.explain("d", deferred).estimated_ios
     # First request empties the bucket; the second defers for ~0.5s while
-    # a background insert lands (at ~50ms) into the dynamic index.
+    # a background insert lands (at ~50ms) in the dataset.
     budget = TenantBudget(ios_per_s=2.0 * e_deferred,
                           burst=e_drain + 1.0, policy="queue")
 
@@ -826,7 +826,7 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
     assert last_shard.written
     assert last_shard.replicas_for_query() == [0, 1]
     for replica in last_shard.replicas:
-        assert replica.indexes["dynamic"].size == last_shard.size + 1
+        assert replica.overlay.size == last_shard.size + 1
     # Satisfied by the outlier alone: y <= 5x - 40.  The build-time box
     # would prune the shard; the stale flag must defeat that.
     constraint = LinearConstraint(coeffs=(5.0,), offset=-40.0)
@@ -841,47 +841,8 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
     assert "sh/%d/1" % last_shard.shard_id in load
 
 
-def test_direct_mutation_of_a_replicated_shard_raises(points2d):
-    # Writing one replica's index directly would silently desynchronise
-    # the copies, so it must fail loudly (pre-mutation, nothing written);
-    # the supported route is the engine-level fan-out.  A one-replica
-    # shard refuses it alike: statistics and caches would miss it.
-    single = QueryEngine(block_size=BLOCK_SIZE, seed=5)
-    single.register_dataset("d", points2d, kinds=["dynamic"])
-    sole = single.catalog.dataset("d")
-    with pytest.raises(ValueError, match="QueryEngine.insert"):
-        sole.indexes["dynamic"].insert((0.5, 0.5))
-    assert not single.catalog.sharded("d").shards[0].written
-    assert sole.indexes["dynamic"].size == len(points2d)
-    single.close()
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
-    engine.register_sharded_dataset("sh", points2d, num_shards=2,
-                                    replicas=2, kinds=["dynamic"])
-    indexes = engine.catalog.indexes("sh")
-    with pytest.raises(ValueError, match="QueryEngine.insert"):
-        indexes["0/dynamic"].insert((0.5, 0.5))
-    with pytest.raises(ValueError, match="desynchronise"):
-        indexes["0@r1/dynamic"].insert((0.5, 0.5))
-    # The veto is pre-mutation: the rejected insert never landed, so the
-    # replicas stay byte-identical to the build and unflagged.
-    shard = engine.catalog.sharded("sh").shards[0]
-    inside_all = LinearConstraint(coeffs=(0.0,), offset=1e9)
-    assert not shard.written
-    for replica in shard.replicas:
-        assert (0.5, 0.5) not in {
-            tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
-    # The engine-level route is what works — it lands on every replica
-    # of whichever shard the point routes to, and flags that shard.
-    result = engine.insert("sh", (0.5, 0.5))
-    routed = engine.catalog.sharded("sh").shards[result.shard_id]
-    assert routed.written
-    for replica in routed.replicas:
-        assert (0.5, 0.5) in {
-            tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
-
-
 def test_fanout_rollback_when_one_replica_vetoes(points2d):
-    # A replica that vetoes mid-fanout must roll back the copies already
+    # A replica that fails mid-fanout must roll back the copies already
     # written: afterwards every replica is byte-identical to before, and
     # the statistics/skew hooks never saw the failed logical mutation.
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
@@ -892,10 +853,10 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
     target = shard.replicas[0]          # the primary is applied *last*
     boom = RuntimeError("replica out of space")
 
-    def veto():
+    def veto(point):
         raise boom
 
-    target.indexes["dynamic"].add_pre_mutation_listener(veto)
+    target.overlay.insert = veto        # the primary's overlay fails
     probe = (float(shard.lows[0]), 0.0)  # routes to shard 0
     stats_before = (target.stats.observed_inserts, sharded.live_size)
     mutations_before = engine.rebalancer.mutations("sh")
@@ -908,13 +869,13 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
     # The aborted attempt's real apply+rollback I/Os ride the exception
     # so async admission can charge them instead of refunding in full.
     assert getattr(info.value, "write_ios_observed", 0) > 0
-    # Every replica (the secondaries were written before the veto) was
+    # Every replica (the secondaries were written before the failure) was
     # rolled back via the inverse op: identical sizes, no probe point.
     inside_all = LinearConstraint(coeffs=(0.0,), offset=1e9)
     for replica in shard.replicas:
-        assert replica.indexes["dynamic"].size == shard.size
+        assert replica.overlay.size == shard.size
         assert probe not in {
-            tuple(p) for p in replica.indexes["dynamic"].query(inside_all)}
+            tuple(p) for p in replica.run_query("dynamic", inside_all)[0]}
     # The failed write took none of its once-per-write effects.
     assert (target.stats.observed_inserts, sharded.live_size) == stats_before
     assert engine.rebalancer.mutations("sh") == mutations_before
@@ -925,7 +886,7 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
     sharded.check_invariants()
     assert not engine.query("sh", everything).from_result_cache
     # The shard still accepts writes afterwards (lock released, no pin).
-    target.indexes["dynamic"]._pre_mutation_listeners.remove(veto)
+    del target.overlay.insert
     result = engine.insert("sh", probe)
     assert result.applied and result.replicas == 3
     sharded.check_invariants()
@@ -959,18 +920,19 @@ def test_stale_answer_is_not_cached_past_concurrent_invalidation(points2d):
 
 
 def test_delete_of_absent_point_is_noop_even_on_a_replicated_shard(points2d):
-    # The pre-mutation veto must not fire for a delete that would write
-    # nothing: the documented contract is "returns False if not present".
+    # A delete that would write nothing writes nothing: the documented
+    # contract is "returns False if not present".
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
     engine.register_sharded_dataset("sh", points2d, num_shards=2,
                                     replicas=2, kinds=["dynamic"])
-    indexes = engine.catalog.indexes("sh")
-    assert indexes["0/dynamic"].delete((123.0, 456.0)) is False
-    with pytest.raises(ValueError):                  # a real write still vetoed
-        indexes["0/dynamic"].insert((0.5, 0.5))
+    shard = engine.catalog.sharded("sh").shards[0]
+    for replica in shard.replicas:
+        assert replica.overlay.delete((123.0, 456.0)) is False
+        assert replica.overlay.size == shard.size
     # The engine-level route reports the no-op without raising too.
     result = engine.delete("sh", (123.0, 456.0))
     assert result.applied is False
+    assert not shard.written
 
 
 def test_async_serving_after_engine_insert_stays_fresh(points2d):

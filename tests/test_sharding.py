@@ -306,8 +306,8 @@ def test_unsharded_is_the_one_shard_case(points2d, workers, clear_cache):
         inserted = on_every_layout(
             lambda engine: mutation_fields(engine.insert("d", new_point)))
         assert set(inserted) == {(True, 0, 1, 1, 0)}
-        # After the insert only the dynamic index is routable: one
-        # per_shard entry, alike on every layout and as at the parent.
+        # After the insert: one per_shard entry, alike on every layout
+        # and as at the parent.
         reports = on_every_layout(
             lambda engine: engine.explain("d", constraints[0], analyze=True,
                                           clear_cache=clear_cache))
@@ -625,8 +625,8 @@ def _unbox_a_shard_with_points(engine):
 
 
 def _miscount_a_tombstone(engine):
-    engine.catalog.sharded("d").shards[0].replicas[1].indexes[
-        "dynamic"]._num_tombstones += 1
+    engine.catalog.sharded("d").shards[0].replicas[1] \
+        .overlay._num_tombstones += 1
 
 
 def _overfill_a_sample(engine):
@@ -684,7 +684,7 @@ def test_a_zero_point_shard_is_pruned_until_written_and_served_at_once():
     answer = engine.query("d", LinearConstraint(coeffs=(0.0,), offset=0.1),
                           clear_cache=True)
     assert (-0.5, 0.0) in rows(answer)
-    assert [rows(replica.indexes["dynamic"].query(everything))
+    assert [rows(replica.run_query("dynamic", everything)[0])
             for replica in zero.replicas] == [[(-0.5, 0.0)]] * 2
     sharded.check_invariants()
     engine.close()

@@ -19,7 +19,6 @@ import pytest
 
 from repro import QueryEngine
 from repro.baselines import QuadTreeIndex, RTreeIndex
-from repro.core.dynamic import DynamicPartitionTreeIndex
 from repro.core.partition_tree import (PartitionTreeIndex, _SCOPE,
                                        sharing_partitions)
 from repro.core.shallow_tree import ShallowPartitionTreeIndex
@@ -120,7 +119,7 @@ def test_a_replicated_registration_writes_each_tree_as_built_alone(tmp_path):
     the dynamic tree would)."""
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=3, backend="file",
                          data_dir=str(tmp_path))
-    kinds = (("rtree", RTreeIndex), ("dynamic", DynamicPartitionTreeIndex),
+    kinds = (("rtree", RTreeIndex), ("dynamic", PartitionTreeIndex),
              ("quadtree", QuadTreeIndex))
     try:
         engine.register_sharded_dataset(
@@ -154,8 +153,7 @@ def test_a_replicated_registration_writes_each_tree_as_built_alone(tmp_path):
                         store, range(first, first + index.space_blocks)) \
                         == stored_blocks(fresh, range(built.space_blocks))
                     first += index.space_blocks
-                    tree = index._tree if kind == "dynamic" else index
-                    tree.check_invariants()
+                    index.check_invariants()
                 assert first == store.num_blocks
     finally:
         engine.close()

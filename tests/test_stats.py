@@ -449,9 +449,9 @@ def test_auto_rebalance_triggers_on_serving_entry():
 
 
 def test_reinserting_tombstoned_point_does_not_duplicate():
-    from repro import DynamicPartitionTreeIndex
+    from overlaid import OverlaidTree
     points = uniform_points(64, seed=33)
-    index = DynamicPartitionTreeIndex(points, block_size=BLOCK_SIZE)
+    index = OverlaidTree(points, block_size=BLOCK_SIZE)
     victim = tuple(points[0])
     assert index.delete(victim)
     index.insert(victim)

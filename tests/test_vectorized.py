@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import FullScanIndex, KDBTreeIndex, RTreeIndex
-from repro.core import (ConstraintConjunction, DynamicPartitionTreeIndex,
-                        HalfplaneIndex2D, HalfspaceIndex3D, HybridIndex3D,
+from repro.core import (ConstraintConjunction, HalfplaneIndex2D,
+                        HalfspaceIndex3D, HybridIndex3D,
                         PartitionTreeIndex, ShallowPartitionTreeIndex,
                         query_conjunction)
 from repro.core import kernels, partition_tree
@@ -30,7 +30,8 @@ from repro.io.disk_array import DiskArray
 from repro.io.store import BlockStore
 
 from conftest import assert_answer, cache_info, rows
-from geometry_oracle import filter_points
+from geometry_oracle import filter_points, height_at, height_many
+from overlaid import OverlaidTree
 import scan_oracle
 from scan_oracle import read_all, scalar_kernels, scan
 
@@ -46,7 +47,7 @@ def make_cloud(dimension, count, seed, with_boundary=None):
             prefix = tuple(float(v) for v in row[:-1])
             # Place the last coordinate exactly at the scalar height, so
             # the point sits on the hyperplane to the last bit.
-            height = hyperplane.height_at(prefix + (0.0,))
+            height = height_at(hyperplane, prefix + (0.0,))
             records.append(prefix + (height,))
             records.append(prefix + (height + EPS,))      # still inside
             records.append(prefix + (height + 3 * EPS,))  # just outside
@@ -83,11 +84,11 @@ def test_hyperplane_height_many_bit_exact(dimension):
     hyperplane = constraint.hyperplane
     records = make_cloud(dimension, 48, 7 * dimension)
     matrix = as_point_matrix(records)
-    heights = hyperplane.height_many(matrix)
+    heights = height_many(hyperplane, matrix)
     for row, batch_height in zip(records, heights):
         # Bit-exact, not approximately equal: the batch kernel replays
         # the scalar accumulation order.
-        assert float(batch_height) == hyperplane.height_at(row)
+        assert float(batch_height) == height_at(hyperplane, row)
 
 
 def test_below_many_empty_matrix():
@@ -236,7 +237,7 @@ def index_cases(points, block_size=16, backend="memory"):
     yield KDBTreeIndex(points, store=store())
     yield RTreeIndex(points, store=store())
     yield ShallowPartitionTreeIndex(points, store=store())
-    dynamic = DynamicPartitionTreeIndex(points, store=store())
+    dynamic = OverlaidTree(points, store=store())
     for point in list(points)[3:40:6]:
         assert dynamic.delete(tuple(point))
     for point in list(points)[:5]:
@@ -354,7 +355,7 @@ FACET_CONJUNCTIONS = {
 }
 
 #: Every kind the cell-tree walk serves: ``(name, suite, dimension,
-#: writes)``; the aliased ``partition_tree`` is the dynamic index's.
+#: writes)``; the aliased ``partition_tree`` is the ``dynamic`` tree.
 WALK_KINDS = [
     ("partition_tree", ["partition_tree"], 2, False),
     ("shallow_tree", ["shallow_tree"], 2, False),
@@ -387,8 +388,8 @@ def facet_grid(dimension):
                               for __, suite, dimension, writes in WALK_KINDS])
 def test_every_cell_tree_walks_a_conjunction(name, suite, dimension, writes,
                                              backend, tmp_path):
-    """A conjunction walks every cell tree, and the dynamic index's tree
-    and buffer, as its polytope: on random points and on grid points
+    """A conjunction walks every cell tree, a written replica's through
+    its write overlay's buffer too, as its polytope: on random points and on grid points
     lying on a facet the answer is ``filter_points``', in both
     conjunct orders, and the scalar oracle reads the same blocks and
     answers the same rows in the same order."""
@@ -469,7 +470,7 @@ def test_three_conjunct_answer_is_order_exact_across_paths(index_type):
 def test_dynamic_index_answer_is_order_exact_with_and_without_tombstones():
     rng = np.random.default_rng(29)
     points = rng.uniform(-1.0, 1.0, size=(300, 2))
-    index = DynamicPartitionTreeIndex(points, block_size=16)
+    index = OverlaidTree(points, block_size=16)
     constraint = LinearConstraint(coeffs=(0.3,), offset=0.2)
 
     def both_paths():

@@ -12,7 +12,6 @@ from conftest import brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
 from repro.engine import ServingRequest, TenantBudget
-from repro.engine.catalog import Catalog
 from repro.engine.writes import WritePath
 from repro.workloads import (
     halfspace_queries_with_selectivity,
@@ -44,8 +43,8 @@ def invariants_after_every_write(monkeypatch):
 
 def _replica_answers(shard, constraint=EVERYTHING):
     """Each replica's own answer to a constraint (sorted tuples)."""
-    return [sorted(tuple(p) for p in replica.indexes["dynamic"]
-                   .query(constraint))
+    return [sorted(tuple(p) for p in replica.run_query(
+                "dynamic", constraint)[0])
             for replica in shard.replicas]
 
 
@@ -111,19 +110,6 @@ def test_non_finite_points_are_refused_at_registration(points2d, bad):
     engine.close()
 
 
-def test_static_suite_rejects_writes_with_clear_message(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=1)
-    engine.register_dataset("frozen", points2d,
-                            kinds=["partition_tree", "full_scan"])
-    with pytest.raises(ValueError, match="kinds including 'dynamic'"):
-        engine.insert("frozen", (0.0, 0.0))
-    engine.register_sharded_dataset("frozen_sh", points2d, num_shards=2,
-                                    kinds=["full_scan"])
-    with pytest.raises(ValueError, match="no engine-level writes"):
-        engine.delete("frozen_sh", (0.0, 0.0))
-    engine.close()
-
-
 # ----------------------------------------------------------------------
 # routing
 # ----------------------------------------------------------------------
@@ -138,7 +124,7 @@ def test_insert_routes_by_shard_attribute(points2d):
         assert result.shard_id == sharded.router.shard_of(point)
         child = sharded.shards[result.shard_id].replicas[0]
         assert tuple(point) in {
-            tuple(p) for p in child.indexes["dynamic"].query(EVERYTHING)}
+            tuple(p) for p in child.run_query("dynamic", EVERYTHING)[0]}
     engine.close()
 
 
@@ -608,41 +594,3 @@ def test_process_mode_write_skips_a_worker_spawned_without_the_index(
         engine.close()
 
 
-def _assert_refuses_direct_writes(sharded):
-    """Every replica's dynamic index vetoes a direct write before it
-    lands; a delete of an absent point stays a no-op."""
-    for shard in sharded.shards:
-        for replica in shard.replicas:
-            index = replica.indexes["dynamic"]
-            size = index.size
-            with pytest.raises(ValueError, match="QueryEngine.insert"):
-                index.insert((0.5, 0.5))
-            for present in map(tuple, Catalog.live_points_of(replica)[:1]):
-                with pytest.raises(ValueError, match="QueryEngine.insert"):
-                    index.delete(present)
-            assert index.delete((123.0, 456.0)) is False
-            assert index.size == size
-
-
-def test_direct_writes_raise_on_every_engine_owned_dynamic_index(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=25)
-    engine.register_dataset("d", points2d, kinds=["dynamic"])
-    _assert_refuses_direct_writes(engine.catalog.sharded("d"))  # registered
-    engine.register_sharded_dataset("sh", points2d, num_shards=2,
-                                    sharding="range", replicas=2,
-                                    kinds=["full_scan"])
-    engine.catalog.build_sharded_index("sh", "dynamic")
-    _assert_refuses_direct_writes(engine.catalog.sharded("sh"))  # late
-    engine.insert("sh", (0.5, 0.5))
-    engine.rebalance("sh")
-    _assert_refuses_direct_writes(engine.catalog.sharded("sh"))  # re-split
-    engine.register_sharded_dataset("tiny", uniform_points(3, seed=5),
-                                    num_shards=8, sharding="hash",
-                                    kinds=["dynamic"])
-    tiny = engine.catalog.sharded("tiny")
-    _assert_refuses_direct_writes(tiny)                   # zero-point
-    probe, shard_id = _probe_into_empty_shard(tiny)
-    engine.insert("tiny", probe)
-    assert tiny.shards[shard_id].planning_dataset().live_size == 1
-    _assert_refuses_direct_writes(tiny)                   # filled
-    engine.close()
