@@ -81,8 +81,8 @@ class HybridIndex3D(CellTreeIndex):
     # ------------------------------------------------------------------
     _steps = ("leaves_queried", "leaf_scans")
 
-    def _query_leaf(self, node: _Node, region: Region,
-                    scan: kernels.DeferredScan) -> None:
+    def _answer_delegated(self, node: _Node, region: Region,
+                          scan: kernels.DeferredScan) -> None:
         """Ask the leaf's structure; count it, and whether it scanned
         instead of reading one conflict list.  The structure answers a
         constraint only: under a polytope the leaf's raw copy joins the

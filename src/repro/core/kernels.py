@@ -23,10 +23,10 @@ answers, row order, reads and pool hits.
 :func:`matrix_rows` is the one function that boxes matrix rows into
 tuples, here and in the store.
 
-One scan serves one query (:class:`DeferredScan`): a tree walk reads
-each leaf when it visits it and the predicate runs once, over all the
-rows read, when the walk is over; ``filter_constraint`` is that scan
-over a single array.
+One scan serves one query (:class:`DeferredScan`): a tree walk hands it
+the leaf blocks it read, in its order, and the predicate runs once, over
+all the rows read, when the walk is over; ``filter_constraint`` is that
+scan over a single array.
 
 What a kernel selects stays a matrix: every index answers with one
 read-only C-contiguous ``(n, d)`` float64 matrix (:func:`answer_matrix`,
@@ -234,18 +234,21 @@ def matrix_json(matrix: np.ndarray) -> bytes:
 
 
 class DeferredScan:
-    """One query's leaf scan: blocks are read when visited, the
+    """One query's leaf scan: blocks arrive as they are read, the
     predicate runs once when the query ends.
 
-    :meth:`add` / :meth:`add_blocks` fetch their blocks immediately
-    — the I/Os and their order are a record-at-a-time loop's — and
-    only queue the matrices; at the end they are stacked, the region's
-    row test is evaluated once (the per-call numpy overhead dominates
-    one-block scans), the rows queued unfiltered are forced to true and one
-    masked matrix joins the answer.  Row order is visit order and the
-    predicate is row-independent, so the mask is bit for bit the
-    per-block one.  A non-columnar block ends the stack and is filtered
-    record by record in place.  :meth:`flush` returns the answer;
+    :meth:`add_read` takes blocks already read — a cell tree's walk
+    reads its query's tables and leaves in one run and hands over the
+    leaf blocks, each with its kept flag — and :meth:`add` /
+    :meth:`add_blocks` read theirs as one run first: the I/Os and their
+    order are a record-at-a-time loop's.  They only queue the matrices;
+    at the end they are stacked, the region's row test is evaluated once
+    (the per-call numpy overhead dominates one-block scans), the rows
+    queued unfiltered are forced to true and one masked matrix joins the
+    answer.  Row order is visit order and the predicate is
+    row-independent, so the mask is bit for bit the per-block one.  A
+    non-columnar block ends the stack and is filtered record by record
+    in place.  :meth:`flush` returns the answer;
     the records selected record by record become rows of it only there
     (:func:`answer_matrix`).
 
@@ -281,10 +284,14 @@ class DeferredScan:
 
     def add_blocks(self, store: BlockStore, block_ids: Sequence[int],
                    kept: Sequence[bool]) -> None:
-        """Read the blocks now, as one :meth:`BlockStore.read_run`; keep
-        all rows of block ``i`` when ``kept[i]``, else those that pass
-        the predicate."""
-        blocks = store.read_run(block_ids)
+        """Read the blocks now, as one :meth:`BlockStore.read_run`, and
+        :meth:`add_read` them."""
+        self.add_read(store.read_run(block_ids), kept)
+
+    def add_read(self, blocks: Sequence[Any], kept: Sequence[bool]) -> None:
+        """Blocks already read, in their stored forms: keep all rows of
+        block ``i`` when ``kept[i]``, else those that pass the
+        predicate."""
         if all(isinstance(block, np.ndarray) for block in blocks):
             self._pending += blocks
             self._kept += kept

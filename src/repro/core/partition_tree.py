@@ -28,15 +28,14 @@ import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple, Union)
+from itertools import chain, compress
+from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.interface import ExternalIndex
-from repro.geometry.boxes import CELL_RELATIONS, CellRelation
 from repro.geometry.partitions import (PartitionNode, Partitioner,
                                        median_cut_hierarchy,
                                        partitioner_hierarchy)
@@ -64,12 +63,6 @@ class _Node:
     crossing_threshold: int = 0
     leaf_index: Optional[ExternalIndex] = None
 
-    @property
-    def blocks(self) -> int:
-        """The blocks the node itself occupies: its table or its points."""
-        return (self.points_array if self.is_leaf
-                else self.child_table).num_blocks
-
 
 class _CellCosts(NamedTuple):
     """A cell tree's tables as its pricing reads them, in memory.
@@ -95,6 +88,24 @@ class _CellCosts(NamedTuple):
     own: np.ndarray
     #: Blocks of the node's whole subtree: what reporting it reads.
     subtree: np.ndarray
+
+
+class _ReadOrder(NamedTuple):
+    """Every block of a cell tree in the order a walk reads them:
+    pre-order, each table block followed by the subtrees of its records
+    (a leaf is its point blocks).  A walk reads a selection of it, in
+    this order; a subtree is one contiguous range of it.
+    """
+
+    #: The block id at each position.
+    blocks: np.ndarray
+    #: The pricing slot whose block sits at each position.
+    slot: np.ndarray
+    #: Per slot: a leaf (its blocks are points; else a table).
+    leaf: np.ndarray
+    #: Per slot: the first position of its subtree, and one past its last.
+    start: np.ndarray
+    end: np.ndarray
 
 
 # ----------------------------------------------------------------------
@@ -153,37 +164,12 @@ def encode_cells(child_ids: Sequence[int], corners: np.ndarray) -> np.ndarray:
     return np.column_stack((np.asarray(child_ids, dtype=float), corners))
 
 
-def scan_child_ids(child_table: DiskArray) -> Iterator[List[int]]:
-    """The child ids of the table's records (an unfiltered report looks
-    at no box), one list per block read."""
-    for matrix in child_table.scan_batches():
-        yield matrix[:, 0].astype(np.intp).tolist()
-
-
 #: What a cell tree walks: the region below one constraint's hyperplane,
 #: or a convex polytope (a conjunction walks as its ``to_polytope()``).
-#: Both answer the walk's two calls alike: ``classify_boxes`` (a table
-#: block's codes) and ``contains`` / ``contains_many`` (a row mask).
+#: Both answer the walk's two calls alike: ``classify_boxes`` (every
+#: node's code, in one call) and ``contains`` / ``contains_many`` (a row
+#: mask).
 Region = Union[LinearConstraint, Simplex]
-
-
-def classify_cells(child_table: DiskArray, region: Region
-                   ) -> Iterator[List[Tuple[int, CellRelation]]]:
-    """``(child_id, relation)`` for every cell of the table not ABOVE
-    ``region`` (none of its points in it), in record order, one list per
-    block read.
-
-    Lazy, one table block at a time — a caller that descends into the
-    cells of one block before asking for the next reads blocks in the
-    order a record-at-a-time loop does — and each block is classified
-    in one ``region.classify_boxes`` call.
-    """
-    for matrix in child_table.scan_batches():
-        split = (matrix.shape[1] + 1) // 2
-        codes = region.classify_boxes(matrix[:, 1:split], matrix[:, split:])
-        hit = np.flatnonzero(codes)
-        yield list(zip(matrix[hit, 0].astype(np.intp).tolist(),
-                       map(CELL_RELATIONS.__getitem__, codes[hit].tolist())))
 
 
 class CellTreeIndex(ExternalIndex):
@@ -194,14 +180,19 @@ class CellTreeIndex(ExternalIndex):
     One walk answers both query shapes, a constraint and a polytope
     (:data:`Region`): it visits a child only when the region's boundary
     *crosses* its cell, reports whole subtrees whose cells lie inside the
-    region and skips cells entirely outside it.  Leaves hand their blocks
-    to one :class:`kernels.DeferredScan` per query, in runs.  Subclasses
+    region and skips cells entirely outside it.  The walk is its price's
+    computation (:meth:`_reach`): every node's box, kept in memory beside
+    the stored tables (``_CellCosts``), is classified in one call, and
+    the blocks the descent reads are picked out of the tree's read order
+    (``_ReadOrder``) and read back through the pool in one run, their
+    leaf blocks going to one :class:`kernels.DeferredScan`.  Subclasses
     set their own parameters, then call :meth:`_build_tree`; they vary
     the hierarchy (:meth:`_hierarchy`), the node contents
-    (``_leaf_structure``, :meth:`_internal_node`) and what happens at a
-    crossed node (:meth:`_query_leaf`, :meth:`_cells`), and price that
-    variation alike (``_delegated``): :meth:`estimated_query_ios` replays
-    a constraint's descent on an in-memory copy of the tables.
+    (``_leaf_structure``, :meth:`_internal_node`) and which crossed
+    nodes another index answers (``_delegated``, answered by
+    :meth:`_answer_delegated` at its place in the read order), and
+    pricing follows: :meth:`estimated_query_ios` is the same walk with
+    no block read.
     """
 
     def _build_tree(self, points: Sequence[Sequence[float]],
@@ -225,12 +216,13 @@ class CellTreeIndex(ExternalIndex):
         self._nodes: List[_Node] = []
         self._root = None
         self._costs: Optional[_CellCosts] = None
+        self._order: Optional[_ReadOrder] = None
         with self._building():
             if len(points):
                 hierarchy = self._hierarchy(points)
                 ids = [0] * len(hierarchy)
                 self._root, = self._build(hierarchy, [0], ids)
-                self._costs = self._cell_costs(hierarchy, ids)
+                self._costs, self._order = self._cell_costs(hierarchy, ids)
 
     # ------------------------------------------------------------------
     # construction
@@ -317,36 +309,74 @@ class CellTreeIndex(ExternalIndex):
             yield run
 
     def _cell_costs(self, hierarchy: Sequence[PartitionNode],
-                    ids: List[int]) -> _CellCosts:
-        """The in-memory copy of the written tables that pricing reads."""
+                    ids: List[int]) -> Tuple[_CellCosts, _ReadOrder]:
+        """The in-memory copy of the written tables that a walk and its
+        price read, and the tree's read order."""
         d = self.dimension
         parent = np.zeros(len(hierarchy), dtype=np.intp)
         boxes = np.zeros((len(hierarchy), 2 * d))
         internal = [(number, node.children, node.corners)
                     for number, node in enumerate(hierarchy)
                     if node.corners is not None]
+        numbers, children, corners = zip(*internal) if internal \
+            else ((), (), ())
+        numbers = np.array(numbers, dtype=np.intp)
+        lengths = np.array(list(map(len, children)), dtype=np.intp)
+        slots = np.fromiter(chain.from_iterable(children), dtype=np.intp)
         if internal:
-            numbers, children, corners = zip(*internal)
-            slots = np.fromiter(chain.from_iterable(children), dtype=np.intp)
-            parent[slots] = np.repeat(numbers, list(map(len, children)))
+            parent[slots] = np.repeat(numbers, lengths)
             boxes[slots] = np.concatenate(corners)
-        own = np.array([self._nodes[node_id].blocks for node_id in ids],
-                       dtype=float)
+        nodes = [self._nodes[node_id] for node_id in ids]
+        arrays = [node.points_array if node.is_leaf else node.child_table
+                  for node in nodes]
+        blocks = np.array([array.num_blocks for array in arrays],
+                          dtype=np.intp)
         # Each node's blocks count toward every ancestor's subtree, one
         # level up at a time (``deep``: the nodes with an ancestor so far up).
-        subtree = own.copy()
+        size = blocks.copy()
         ancestors, above = [], parent
         deep = np.arange(len(hierarchy)) != 0
         while deep.any():
-            np.add.at(subtree, above[deep], own[deep])
+            np.add.at(size, above[deep], blocks[deep])
             ancestors.append(above)
             deep &= above != 0
             above = parent[above]
-        return _CellCosts(
+        costs = _CellCosts(
             lowers=np.asfortranarray(boxes[:, :d]),
             uppers=np.asfortranarray(boxes[:, d:]), parent=parent,
-            ancestors=tuple(ancestors[:-1]), node=np.array(ids), own=own,
-            subtree=subtree)
+            ancestors=tuple(ancestors[:-1]), node=np.array(ids),
+            own=blocks.astype(float), subtree=size.astype(float))
+        # A child's subtree starts after its parent's table blocks up to
+        # its record's, and after its earlier siblings' subtrees; the
+        # offsets from the parent's start add up along the ancestors.
+        leaf = np.array([node.is_leaf for node in nodes], dtype=bool)
+        heads = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        rank = np.arange(len(slots)) - heads
+        earlier = np.cumsum(size[slots]) - size[slots]
+        offset = np.zeros(len(hierarchy), dtype=np.intp)
+        offset[slots] = rank // self.block_size + 1 + earlier - earlier[heads]
+        start = offset + sum(offset[level] for level in ancestors)
+        # Table block j of a node sits just before its record j * B's
+        # subtree; a leaf's blocks are its subtree.
+        tables = slots[rank % self.block_size == 0]
+        leaves = np.flatnonzero(leaf)
+        within = np.arange(blocks[leaves].sum()) - np.repeat(
+            np.cumsum(blocks[leaves]) - blocks[leaves], blocks[leaves])
+        positions = np.concatenate((start[tables] - 1, np.repeat(
+            start[leaves], blocks[leaves]) + within))
+        owners = np.concatenate((np.repeat(numbers, blocks[numbers]),
+                                 np.repeat(leaves, blocks[leaves])))
+        sequence = np.empty(len(positions), dtype=np.int64)
+        # One node's id list at a time: holding a copy per node at once
+        # made the rest of a file-backed registration measurably slower.
+        sequence[positions] = np.fromiter(chain.from_iterable(
+            arrays[number].block_ids for number in chain(
+                numbers.tolist(), leaves.tolist())),
+            dtype=np.int64, count=len(positions))
+        slot = np.empty(len(positions), dtype=np.intp)
+        slot[positions] = owners
+        return costs, _ReadOrder(blocks=sequence, slot=slot, leaf=leaf,
+                                 start=start, end=start + size)
 
     #: A subclass's own structure over a leaf's points,
     #: ``_leaf_structure(points) -> index``, written before the leaf's
@@ -409,15 +439,26 @@ class CellTreeIndex(ExternalIndex):
         1 to :meth:`_leaf_limit` points and an internal node has at least
         ``_min_cells`` cells; node ids are post-order (so a child's id is
         below its parent's); every table is one ``(fanout, 1 + 2d)``
-        float64 matrix of :func:`encode_cells` rows.  A shallow tree's
-        secondary trees are checked as well.  The blocks are read from
-        the backend directly, so no I/O is charged and the buffer pool is
-        untouched.
+        float64 matrix of :func:`encode_cells` rows.  What a walk reads
+        instead of the tables is theirs: each child's box in
+        ``_CellCosts`` is its table row bit for bit, and ``_ReadOrder``
+        is the pre-order the tables spell, each node's subtree the range
+        it names.  A shallow tree's secondary trees are checked as well.
+        The blocks are read from the backend directly, so no I/O is
+        charged and the buffer pool is untouched.
         """
         backend = self._store.backend
         d = self.dimension
+        B = self.block_size
         post_order: List[int] = []
         leaves: List[np.ndarray] = [np.empty((0, d))]
+        #: The blocks in the pre-order the stored tables spell, with the
+        #: slot each belongs to.
+        spelt: List[int] = []
+        owners: List[int] = []
+        costs, order = self._costs, self._order
+        slot_of = {} if costs is None else dict(zip(costs.node.tolist(),
+                                                     range(len(costs.node))))
 
         def check(holds: bool, message: str, *values) -> None:
             if not holds:
@@ -436,7 +477,18 @@ class CellTreeIndex(ExternalIndex):
                     ) -> Tuple[int, np.ndarray, np.ndarray]:
             """The size and bounding corners of the points under a node."""
             node = self._nodes[node_id]
+            slot, first = slot_of[node_id], len(spelt)
+
+            def placed() -> None:
+                check(order.start[slot] == first
+                      and order.end[slot] == len(spelt), "the read order "
+                      "places node %d at [%d, %d), its tables at [%d, %d)",
+                      node_id, order.start[slot], order.end[slot], first,
+                      len(spelt))
+
             if node.is_leaf:
+                spelt.extend(node.points_array.block_ids)
+                owners.extend([slot] * node.points_array.num_blocks)
                 rows = stored(node.points_array, d)
                 limit = self._leaf_limit(depth)
                 check(0 < len(rows) == node.size <= limit,
@@ -444,19 +496,29 @@ class CellTreeIndex(ExternalIndex):
                       node_id, len(rows), node.size, limit)
                 post_order.append(node_id)
                 leaves.append(rows)
+                placed()
                 return node.size, rows.min(axis=0), rows.max(axis=0)
             table = stored(node.child_table, 1 + 2 * d)
             check(len(table) >= self._min_cells, "node %d has %d cells",
                   node_id, len(table))
             total, lowest, highest = 0, [], []
-            for child_id, lower, upper in zip(table[:, 0].tolist(),
-                                              table[:, 1:1 + d],
-                                              table[:, 1 + d:]):
+            table_ids = node.child_table.block_ids
+            for record, (child_id, lower, upper) in enumerate(zip(
+                    table[:, 0].tolist(), table[:, 1:1 + d],
+                    table[:, 1 + d:])):
                 check(child_id == int(child_id) and 0 <= child_id < node_id,
                       "node %d lists child %r", node_id, child_id)
+                if record % B == 0:
+                    spelt.append(table_ids[record // B])
+                    owners.append(slot)
                 size, low, high = subtree(int(child_id), depth + 1)
                 check(bool(np.all(lower <= low) and np.all(high <= upper)),
                       "the box of node %d does not hold its subtree",
+                      int(child_id))
+                child = slot_of[int(child_id)]
+                check(lower.tobytes() == costs.lowers[child].tobytes()
+                      and upper.tobytes() == costs.uppers[child].tobytes(),
+                      "the box of node %d in memory is not its table row",
                       int(child_id))
                 total += size
                 lowest.append(low)
@@ -469,6 +531,7 @@ class CellTreeIndex(ExternalIndex):
                       "tree of node %d holds %d points", node_id,
                       node.secondary.size)
             post_order.append(node_id)
+            placed()
             return node.size, np.min(lowest, axis=0), np.max(highest, axis=0)
 
         if self._root is None:
@@ -481,40 +544,51 @@ class CellTreeIndex(ExternalIndex):
               self.size)
         check(post_order == list(range(len(self._nodes))),
               "node ids are not the post-order")
+        check(order.blocks.tolist() == spelt and order.slot.tolist() == owners
+              and order.leaf.tolist() == [self._nodes[node_id].is_leaf
+                                          for node_id in costs.node.tolist()],
+              "the read order is not the pre-order the tables spell")
         return np.concatenate(leaves)
 
     # ------------------------------------------------------------------
-    # pricing
+    # queries: a constraint or a polytope, one walk, and its price
     # ------------------------------------------------------------------
     #: A subclass's crossed nodes that another index answers,
     #: ``_delegated(crossed) -> mask`` over the pricing slots; None: none.
+    #: A walk reads a delegated node's table (none of a delegated leaf's
+    #: points), then calls ``_answer_delegated(node, region, scan)``.
     _delegated = None
+    _answer_delegated = None
 
-    def estimated_query_ios(self, constraint: LinearConstraint,
-                            expected_output: Optional[int] = None) -> float:
-        """Exactly the blocks :meth:`query` reads on a cold pool, read
-        from none: the walk behind Theorems 5.2, 6.1 and 6.3 replayed on
-        the in-memory copy of the cell tables.
+    #: Whether a crossed node reads its whole table before its first
+    #: child's blocks (the shallow tree counts its crossed cells first);
+    #: else each table block is followed by the subtrees of its records.
+    _whole_tables = False
 
-        One ``constraint.classify_boxes`` call over every node's box;
-        a node is reached when its ancestors are all crossed (the root
-        always is).  A reached node below the hyperplane costs its
-        subtree's blocks, a crossed one its own, one above it nothing.  A
-        crossed node that another index answers — a shallow tree's
-        secondary tree, a hybrid leaf's structure — adds that index's
-        estimate for its share of ``expected_output``, and its cells are
-        not reached.
+    #: The steps a subclass counts besides the crossed nodes, each
+    #: ``scan.steps[name]``: its account's keys (zero when not taken).
+    _steps: Tuple[str, ...] = ()
+
+    def _reach(self, region: Region
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The descent of ``region`` on the in-memory tables, as masks
+        over the pricing slots: the nodes its boundary crosses, those of
+        them another index answers, and the nodes it reaches.
+
+        One ``region.classify_boxes`` call over every node's box; a node
+        is reached when its ancestors are all crossed and none of them
+        delegated (the root always is).  A reached node inside the
+        region is reported whole, a crossed one reads its own blocks, one
+        outside it nothing.
         """
         costs = self._costs
-        if costs is None:
-            return 0.0
-        codes = constraint.classify_boxes(costs.lowers, costs.uppers)
+        codes = region.classify_boxes(costs.lowers, costs.uppers)
         below = codes > 0                   # a corner on or below it
         crossed = codes == 2                # a corner on each side
         crossed[0] = True                   # every walk reads the root
-        delegated = None if self._delegated is None \
-            else self._delegated(crossed)
-        opened = crossed if delegated is None else crossed & ~delegated
+        delegated = np.zeros_like(crossed) if self._delegated is None \
+            else self._delegated(crossed) & crossed
+        opened = crossed & ~delegated
         reached = below
         if opened[0]:
             for ancestor in costs.ancestors:
@@ -522,24 +596,34 @@ class CellTreeIndex(ExternalIndex):
         else:                               # another index takes it all
             reached = np.zeros_like(below)
         reached[0] = True
+        return crossed, delegated, reached
+
+    def estimated_query_ios(self, constraint: LinearConstraint,
+                            expected_output: Optional[int] = None) -> float:
+        """Exactly the blocks :meth:`query` reads on a cold pool, read
+        from none: the walk behind Theorems 5.2, 6.1 and 6.3
+        (:meth:`_reach`) with no block read.
+
+        A reached node inside the region costs its subtree's blocks, a
+        crossed one its own.  A reached node that another index answers
+        — a shallow tree's secondary tree, a hybrid leaf's structure —
+        adds that index's estimate for its share of ``expected_output``.
+        """
+        costs = self._costs
+        if costs is None:
+            return 0.0
+        crossed, delegated, reached = self._reach(constraint)
         cost = float(np.dot(np.where(crossed, costs.own, costs.subtree),
                             reached))
-        if delegated is not None:
-            if expected_output is None:
-                expected_output = min(self.size, self.block_size)
-            for node_id in costs.node[delegated & reached].tolist():
-                node = self._nodes[node_id]
-                answer = node.leaf_index if node.is_leaf else node.secondary
-                cost += answer.estimated_query_ios(
-                    constraint, node.size * expected_output / self.size)
+        handed = costs.node[delegated & reached].tolist()
+        if handed and expected_output is None:
+            expected_output = min(self.size, self.block_size)
+        for node_id in handed:
+            node = self._nodes[node_id]
+            answer = node.leaf_index if node.is_leaf else node.secondary
+            cost += answer.estimated_query_ios(
+                constraint, node.size * expected_output / self.size)
         return cost
-
-    # ------------------------------------------------------------------
-    # queries: a constraint or a polytope, one walk
-    # ------------------------------------------------------------------
-    #: The steps a subclass counts besides the crossed nodes, each
-    #: ``scan.steps[name]``: its account's keys (zero when not taken).
-    _steps: Tuple[str, ...] = ()
 
     def query(self, region: Region) -> np.ndarray:
         """Report every stored point satisfying the linear constraint, or
@@ -558,72 +642,51 @@ class CellTreeIndex(ExternalIndex):
 
     def walk(self, region: Region, scan: kernels.DeferredScan) -> None:
         """Feed ``scan`` the blocks a query of ``region`` reads, and count
-        the nodes it crosses there."""
-        if self._root is not None:
-            self._visit([(self._root, CellRelation.CROSSES)], region, scan)
+        the nodes it crosses there.
 
-    #: A subclass's own answer to a leaf whose cell the region's boundary
-    #: crosses, ``_query_leaf(node, region, scan)``; None: the leaf's
-    #: blocks join the scan, filtered, like any other run of blocks.
-    _query_leaf = None
-
-    def _descend(self, node_id: int, region: Region,
-                 scan: kernels.DeferredScan) -> None:
-        """A crossed node :meth:`_visit` does not scan itself."""
-        node = self._nodes[node_id]
-        scan.crossed += 1
-        if node.is_leaf:
-            self._query_leaf(node, region, scan)
+        The blocks are the ones :meth:`estimated_query_ios` prices, in
+        the read order: each reached, crossed node's own (its table, or
+        its points, filtered) and every block of a reported subtree
+        (kept) — one run through the pool.  A delegated node ends a run,
+        and its index answers at its place in the order.
+        """
+        costs, order = self._costs, self._order
+        if costs is None:
             return
-        for cells in self._cells(node, region, scan):
-            self._visit(cells, region, scan)
-
-    def _visit(self, cells: Iterable[Tuple[int, CellRelation]],
-               region: Optional[Region],
-               scan: kernels.DeferredScan) -> None:
-        """Visit the children of one table block (or the root alone),
-        none of them ABOVE, in record order.  Consecutive leaves that
-        only need scanning go to ``scan`` as one run — one pool call for
-        their blocks — which any other child (its subtree is read before
-        the next leaf) ends."""
-        run_ids: List[int] = []
-        run_kept: List[bool] = []
-        for child_id, relation in cells:
-            child = self._nodes[child_id]
-            below = relation is CellRelation.BELOW
-            if child.is_leaf and (below or self._query_leaf is None):
-                scan.crossed += not below
-                block_ids = child.points_array.block_ids
-                run_ids += block_ids
-                run_kept += [below] * len(block_ids)
-                continue
-            if run_ids:
-                scan.add_blocks(self._store, run_ids, run_kept)
-                run_ids, run_kept = [], []
-            if below:
-                self._report_subtree(child_id, scan)
-            else:
-                self._descend(child_id, region, scan)
-        if run_ids:
-            scan.add_blocks(self._store, run_ids, run_kept)
-
-    def _cells(self, node: _Node, region: Region,
-               scan: kernels.DeferredScan
-               ) -> Iterable[List[Tuple[int, CellRelation]]]:
-        """The cells of a crossed internal node still to be visited, one
-        list per table block."""
-        del scan
-        return classify_cells(node.child_table, region)
-
-    def _report_subtree(self, node_id: int, scan: kernels.DeferredScan) -> None:
-        """Every point stored under ``node_id``, unfiltered."""
-        node = self._nodes[node_id]
-        if node.is_leaf:
-            scan.add(node.points_array, filtered=False)
-            return
-        for child_ids in scan_child_ids(node.child_table):
-            self._visit(zip(child_ids, repeat(CellRelation.BELOW)), None,
-                        scan)
+        crossed, delegated, reached = self._reach(region)
+        entered = reached & crossed
+        scan.crossed += int(np.count_nonzero(entered))
+        # Every node of a reported subtree: a reached node inside the
+        # region, and everything below it.
+        covered = reached & ~crossed
+        for ancestor in costs.ancestors:
+            covered |= covered[ancestor]
+        read = covered | entered & ~(delegated & order.leaf)
+        picked = np.flatnonzero(read[order.slot])
+        slots = order.slot[picked]
+        key = picked
+        if self._whole_tables:
+            tables = entered[slots] & ~order.leaf[slots]
+            key = np.where(tables, order.start[slots], picked)
+            ranked = np.lexsort((picked, key))
+            picked, slots, key = picked[ranked], slots[ranked], key[ranked]
+        handed = np.flatnonzero(delegated & reached)
+        ends = order.end[handed]
+        ranked = np.argsort(ends)
+        cuts = np.searchsorted(key, ends[ranked]).tolist() + [len(picked)]
+        handed = costs.node[handed[ranked]].tolist() + [None]
+        blocks = order.blocks[picked].tolist()
+        points = order.leaf[slots].tolist()
+        kept = covered[slots].tolist()
+        done = 0
+        for cut, node_id in zip(cuts, handed):
+            leaves = points[done:cut]
+            scan.add_read(list(compress(self._store.read_run(
+                blocks[done:cut]), leaves)), list(compress(kept[done:cut],
+                                                            leaves)))
+            if node_id is not None:
+                self._answer_delegated(self._nodes[node_id], region, scan)
+            done = cut
 
 
 class PartitionTreeIndex(CellTreeIndex):

@@ -16,14 +16,13 @@ recursion only ever continues through few crossed cells.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.partition_tree import (CellTreeIndex, PartitionTreeIndex,
                                        Partitioner, Region, _Node)
-from repro.geometry.boxes import CellRelation
 from repro.io.store import BlockStore
 
 
@@ -81,19 +80,14 @@ class ShallowPartitionTreeIndex(CellTreeIndex):
     # queries
     # ------------------------------------------------------------------
     _steps = ("secondary_walks",)
+    #: A crossed node's whole table is classified before any child is
+    #: visited: its crossed cells decide whether it is shallow.
+    _whole_tables = True
 
-    def _cells(self, node: _Node, region: Region,
-               scan: kernels.DeferredScan
-               ) -> Iterable[List[Tuple[int, CellRelation]]]:
-        # The whole table is classified before any child is visited.
-        cells = list(super()._cells(node, region, scan))
-        crossed = sum(relation is CellRelation.CROSSES
-                      for block in cells for __, relation in block)
-        if crossed > node.crossing_threshold:
-            # The query is not shallow for this subset: answer it with the
-            # node's secondary (ordinary) partition tree, whose walk
-            # counts its crossed nodes into the same account.
-            scan.steps["secondary_walks"] += 1
-            node.secondary.walk(region, scan)
-            return ()
-        return cells
+    def _answer_delegated(self, node: _Node, region: Region,
+                          scan: kernels.DeferredScan) -> None:
+        """The query is not shallow for this node's subset: answer it
+        with the node's secondary (ordinary) partition tree, whose walk
+        counts its crossed nodes into the same account."""
+        scan.steps["secondary_walks"] += 1
+        node.secondary.walk(region, scan)

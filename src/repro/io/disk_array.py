@@ -141,8 +141,7 @@ class DiskArray:
         or cache hit per block, a point block as its contiguous
         read-only ``(n, d)`` matrix (any other block as its read-only
         record list).  Lazy — block ``i + 1`` is read when the caller
-        asks for it — which is what a table walk's read order rests on;
-        a caller that wants every block anyway uses
+        asks for it; a caller that wants every block anyway uses
         :meth:`BlockStore.read_run`.
         """
         return map(self._store.read_payload, self._block_ids)

@@ -6,6 +6,8 @@ from *all* lines.  The banded walk's contract is field-by-field equality
 with what this returns (``tests/test_level_walk.py``), so every tolerance,
 tie order and clamp below is the specification — do not "fix" them here.
 ``line_at`` and ``y_at`` read a level at an abscissa; only tests need them.
+:func:`check_level` is the structural judge: what any k-level is, whichever
+walk made it.
 """
 
 import math
@@ -44,6 +46,70 @@ def oracle_compute_level(lines, k):
     return Level(k=k, lines=LineArrays(slopes, intercepts),
                  initial_line=initial_line, vertices=vertices,
                  work=count * (len(vertices) + 1))
+
+
+def check_level(lines, k, level):
+    """Raise AssertionError unless ``level`` is the ``k``-level of
+    ``lines`` as an x-monotone chain (levels count from 0: the level the
+    paper numbers k + 1).
+
+    * the vertices' abscissae strictly increase;
+    * each vertex lies on the two lines its record names, the first of
+      them the line of the edge before it;
+    * exactly k lines lie strictly below the midpoint of each edge (the
+      unbounded ones at one unit past their vertex) — when several lines
+      pass through it, at most k do, and k is below the count on or below
+      it — within the walk's tolerance;
+    * the complexity is the number of direction changes: a vertex joins
+      lines of different slopes, except where three or more lines meet
+      (a degenerate crossing the walk reports even when the level keeps
+      its line, or moves to a coincident one).
+    """
+    lines = LineArrays.of(lines)
+    slopes, intercepts = lines.slopes, lines.intercepts
+    vertices = level.vertices
+    assert level.k == k, "the level says k=%d, not %d" % (level.k, k)
+    xs = np.array([vertex.x for vertex in vertices], dtype=float)
+    assert np.all(np.diff(xs) > 0), "the vertices are not x-monotone"
+    current, kept = level.initial_line, 0
+    for position, vertex in enumerate(vertices):
+        assert vertex.line_before == current, \
+            "vertex %d leaves line %d, the chain is on %d" % (
+                position, vertex.line_before, current)
+        tolerance = _VERTEX_EPS * max(1.0, abs(vertex.x), abs(vertex.y))
+        for line in (vertex.line_before, vertex.line_after):
+            height = slopes[line] * vertex.x + intercepts[line]
+            assert abs(height - vertex.y) <= tolerance, \
+                "vertex %d is off line %d" % (position, line)
+        if slopes[vertex.line_before] == slopes[vertex.line_after]:
+            heights = slopes * vertex.x + intercepts
+            assert np.count_nonzero(abs(heights - vertex.y) <= tolerance) \
+                >= 3, "vertex %d keeps the level's slope at a crossing of " \
+                "two lines" % position
+            kept += 1
+        current = vertex.line_after
+    edges = [level.initial_line] + [vertex.line_after for vertex in vertices]
+    if len(xs):
+        middles = np.concatenate(([xs[0] - 1.0], (xs[:-1] + xs[1:]) / 2,
+                                  [xs[-1] + 1.0]))
+    else:
+        middles = np.zeros(1)
+    on = slopes[edges] * middles + intercepts[edges]
+    for start in range(0, len(middles), 256):
+        x, y = middles[start:start + 256], on[start:start + 256]
+        heights = np.outer(x, slopes) + intercepts
+        reach = _VERTEX_EPS * np.maximum(1.0, np.maximum(abs(x), abs(y)))
+        below = np.count_nonzero(heights < (y - reach)[:, None], axis=1)
+        through = np.count_nonzero(abs(heights - y[:, None])
+                                   <= reach[:, None], axis=1)
+        wrong = np.flatnonzero((below > k) | (below + through <= k))
+        assert not len(wrong), "edge %d has %d lines below it and %d "\
+            "through it, not level %d" % (start + wrong[0], below[wrong[0]],
+                                          through[wrong[0]], k)
+    turns = sum(slopes[vertex.line_before] != slopes[vertex.line_after]
+                for vertex in vertices)
+    assert level.complexity == turns + kept == len(vertices), \
+        "%d vertices, %d direction changes" % (level.complexity, turns)
 
 
 def line_at(level, x):

@@ -8,18 +8,22 @@ time, the per-point predicate on each.  They read the same blocks in the
 same order, so answers, row order, reads and pool hits must agree.
 
 :func:`scalar_kernels` patches them in, for the ``with`` block, in place
-of the five batch readers (``partition_tree.classify_cells`` /
-``scan_child_ids``, ``DeferredScan.add_blocks``,
+of the batch readers (``CellTreeIndex.walk``, ``DeferredScan.add_blocks``,
 ``HalfplaneIndex2D._scan_cluster``, ``LowestPlanesIndex._planes_along``)
 and of the polytope mask ``Simplex.contains_many`` (a conjunction's).
 The record readers below (``scan``, ``read_all``, ``read_range``, ...)
 are the loops' block reads, one ``store.read`` per block.
+
+:func:`walk` is the cell trees' descent as it was before it became its
+price's computation: recursive, one table record at a time, each cell
+classified as it is read.  The one-call walk must read the same blocks
+in the same order, count the same steps and answer the same rows.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 import pytest
@@ -103,17 +107,12 @@ def scan_cells(child_table) -> Iterator[Tuple[int, Tuple[float, ...],
         yield int(record[0]), record[1:split], record[split:]
 
 
-def scan_child_ids(child_table) -> Iterator[List[int]]:
-    """``partition_tree.scan_child_ids``, a record at a time."""
-    for child_id, __, __ in scan_cells(child_table):
-        yield [child_id]
-
-
 def classify_cells(child_table, region
-                   ) -> Iterator[List[Tuple[int, CellRelation]]]:
-    """``partition_tree.classify_cells``, a cell at a time: the corner
-    tests of :meth:`Box.classify_halfspace` for a constraint, the
-    box-at-a-time polytope tests for a :class:`Simplex`."""
+                   ) -> Iterator[Tuple[int, CellRelation]]:
+    """``(child_id, relation)`` for every cell of the table not ABOVE
+    ``region``, in record order, a cell at a time: the corner tests of
+    :meth:`Box.classify_halfspace` for a constraint, the box-at-a-time
+    polytope tests for a :class:`Simplex`."""
     polytope = isinstance(region, Simplex)
     for child_id, lower, upper in scan_cells(child_table):
         box = Box(lower, upper)
@@ -123,7 +122,53 @@ def classify_cells(child_table, region
             CellRelation.BELOW if contains_box(region, box) else \
             CellRelation.CROSSES
         if relation is not CellRelation.ABOVE:
-            yield [(child_id, relation)]
+            yield child_id, relation
+
+
+def walk(self, region, scan) -> None:
+    """``CellTreeIndex.walk`` as a recursion over the stored tables, a
+    record at a time: a leaf's blocks join the scan when its record is
+    read, a crossed node is descended into before the next record."""
+    if self._root is not None:
+        _visit(self, [(self._root, CellRelation.CROSSES)], region, scan)
+
+
+def _visit(tree, cells: Iterable[Tuple[int, CellRelation]], region,
+           scan) -> None:
+    """Visit the cells (none ABOVE) in order."""
+    for child_id, relation in cells:
+        child = tree._nodes[child_id]
+        below = relation is CellRelation.BELOW
+        if child.is_leaf and (below or child.leaf_index is None):
+            scan.crossed += not below
+            block_ids = child.points_array.block_ids
+            scan.add_blocks(tree._store, block_ids, [below] * len(block_ids))
+        elif below:
+            _visit(tree, ((grandchild, CellRelation.BELOW) for grandchild,
+                          __, __ in scan_cells(child.child_table)), None,
+                   scan)
+        else:
+            _descend(tree, child, region, scan)
+
+
+def _descend(tree, node, region, scan) -> None:
+    """A crossed node: a leaf with a structure of its own is that
+    structure's; a shallow tree's node reads its whole table and hands
+    the query to its secondary tree when it crosses more cells than it
+    tolerates."""
+    scan.crossed += 1
+    if node.is_leaf:
+        tree._answer_delegated(node, region, scan)
+        return
+    cells = classify_cells(node.child_table, region)
+    if node.secondary is not None:
+        cells = list(cells)
+        crossed = sum(relation is CellRelation.CROSSES
+                      for __, relation in cells)
+        if crossed > node.crossing_threshold:
+            tree._answer_delegated(node, region, scan)
+            return
+    _visit(tree, cells, region, scan)
 
 
 def add_blocks(self, store, block_ids, kept) -> None:
@@ -171,8 +216,7 @@ def contained_rows(self, points: np.ndarray) -> np.ndarray:
 
 #: What :func:`scalar_kernels` swaps in: (owner, attribute, oracle).
 ORACLES = (
-    (partition_tree, "classify_cells", classify_cells),
-    (partition_tree, "scan_child_ids", scan_child_ids),
+    (partition_tree.CellTreeIndex, "walk", walk),
     (DeferredScan, "add_blocks", add_blocks),
     (HalfplaneIndex2D, "_scan_cluster", scan_cluster),
     (LowestPlanesIndex, "_planes_along", planes_along),

@@ -29,7 +29,7 @@ from repro.geometry.primitives import Line2, LinearConstraint
 from repro.workloads import uniform_points
 
 from conftest import rows
-from level_oracle import line_at, oracle_compute_level
+from level_oracle import check_level, line_at, oracle_compute_level
 
 
 def dual_lines(points):
@@ -37,7 +37,21 @@ def dual_lines(points):
     return LineArrays(-points[:, 0], points[:, 1])
 
 
-def assert_same_level(level, expected):
+def level_fault(lines, k, level):
+    """What :func:`check_level` refuses in ``level``; None when nothing."""
+    try:
+        check_level(lines, k, level)
+    except AssertionError as fault:
+        return str(fault)
+    return None
+
+
+def assert_same_level(level, expected, lines=None):
+    """Field-by-field equality; given the lines, each level is first held
+    to :func:`check_level`, so a disagreement names its culprit."""
+    if lines is not None:
+        check_level(lines, expected.k, level)
+        check_level(lines, expected.k, expected)
     assert level.k == expected.k
     assert level.initial_line == expected.initial_line
     for position, (vertex, wanted) in enumerate(
@@ -107,7 +121,16 @@ class TestBandedWalkMatchesFullWalk:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(arrangement2d, "_BAND", band)
             level = compute_level(lines, k)
-        assert_same_level(level, oracle_compute_level(lines, k))
+        expected = oracle_compute_level(lines, k)
+        # A walk the checker refuses where the other passes is the
+        # culprit.  Both are refused alike on some near-parallel and
+        # near-coincident families, whose crossings lie inside the walks'
+        # shared tolerances (the full walk is the specification there).
+        faults = (level_fault(lines, k, level),
+                  level_fault(lines, k, expected))
+        assert faults[0] == faults[1], \
+            "banded walk: %s; full walk: %s" % faults
+        assert_same_level(level, expected)
         assert level.walkers == 1 or len(lines) > 2 * band
 
     @pytest.mark.parametrize("count, k", [(700, 40), (1500, 0), (3000, 90),
@@ -115,7 +138,7 @@ class TestBandedWalkMatchesFullWalk:
     def test_uniform_lines_at_the_real_band_size(self, count, k):
         lines = dual_lines(uniform_points(count, seed=count + k))
         assert_same_level(compute_level(lines, k),
-                          oracle_compute_level(lines, k))
+                          oracle_compute_level(lines, k), lines)
 
     def test_left_out_line_at_the_band_edge_is_counted_once(self, monkeypatch):
         """The line whose gap *is* the band's reach belongs to the band.
@@ -130,13 +153,31 @@ class TestBandedWalkMatchesFullWalk:
         lines = dual_lines(points)
         monkeypatch.setattr(arrangement2d, "_BAND", 3)
         assert_same_level(compute_level(lines, 5),
-                          oracle_compute_level(lines, 5))
+                          oracle_compute_level(lines, 5), lines)
 
     def test_accepts_line_objects_and_arrays_alike(self):
         points = uniform_points(900, seed=5)
         as_objects = [Line2(float(-a), float(b)) for a, b in points]
         assert_same_level(compute_level(as_objects, 30),
-                          compute_level(dual_lines(points), 30))
+                          compute_level(dual_lines(points), 30), as_objects)
+
+    @pytest.mark.parametrize("corrupt", ["dropped", "duplicated", "k"])
+    def test_the_level_checker_bites(self, corrupt):
+        """A level with a vertex dropped or repeated, or checked at k
+        one off, is refused."""
+        lines = dual_lines(uniform_points(300, seed=7))
+        level = compute_level(lines, 40)
+        check_level(lines, 40, level)
+        middle = len(level.vertices) // 2
+        k = 40
+        if corrupt == "dropped":
+            del level.vertices[middle]
+        elif corrupt == "duplicated":
+            level.vertices.insert(middle, level.vertices[middle])
+        else:
+            k = level.k = 41
+        with pytest.raises(AssertionError):
+            check_level(lines, k, level)
 
 
 class TestIndexBuiltOnTheBandedWalk:

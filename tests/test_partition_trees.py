@@ -144,6 +144,25 @@ class TestPartitionTree:
         with pytest.raises(AssertionError, match="does not hold"):
             tree.check_invariants()
 
+    @pytest.mark.parametrize("corrupt", ["box", "order"])
+    def test_what_the_walk_reads_in_memory_is_held_to_the_disk(self,
+                                                               corrupt):
+        """The walk reads boxes and the read order from memory: one box
+        nudged by an ulp, or two blocks of the order swapped, and the
+        stored tables refuse them."""
+        tree = checked(PartitionTreeIndex(uniform_points(300, seed=25),
+                                          block_size=8))
+        if corrupt == "box":
+            lowers = tree._costs.lowers
+            lowers[5, 0] = np.nextafter(lowers[5, 0], -np.inf)
+            match = "in memory is not its table row"
+        else:
+            blocks = tree._order.blocks
+            blocks[[3, 4]] = blocks[[4, 3]]
+            match = "read order"
+        with pytest.raises(AssertionError, match=match):
+            tree.check_invariants()
+
     def test_nodes_visited_smaller_than_node_count(self, tree_2d):
         points, tree = tree_2d
         constraint = halfspace_queries_with_selectivity(points, 1, 0.05, seed=11)[0]

@@ -21,7 +21,8 @@ from repro.core import (ConstraintConjunction, HalfplaneIndex2D,
                         HalfspaceIndex3D, HybridIndex3D,
                         PartitionTreeIndex, ShallowPartitionTreeIndex,
                         query_conjunction)
-from repro.core import kernels, partition_tree
+from repro.core import kernels
+from repro.geometry.boxes import CELL_RELATIONS
 from repro.geometry.primitives import EPS, Hyperplane, LinearConstraint
 from repro.geometry.simplex import Halfspace, Simplex
 from repro.io.block import as_point_matrix, matrix_to_records
@@ -508,34 +509,42 @@ def test_vector_results_are_json_serializable():
 @pytest.mark.parametrize("dimension", [2, 3, 4])
 def test_classify_cells_is_the_cell_loop_on_boxes_touching_the_region(
         dimension):
-    """A cell table whose box corners lie on a constraint's hyperplane or
-    on a polytope's facet, exactly or EPS to either side: classified a
-    block at a time, it yields the oracle's cell loop's relations, in
-    its order, at its reads."""
+    """A tree whose box corners lie on a constraint's hyperplane or on a
+    polytope's facet, exactly or EPS to either side: its in-memory boxes,
+    classified in one call, give every table the oracle's cell loop's
+    relations over the stored records, in record order."""
     rng = np.random.default_rng(dimension)
     edge = 0.25 + EPS                       # what a fold compares with
     values = np.array([-0.5, 0.0, 0.25, edge, 0.25 + 3 * EPS, 0.5])
-    corners = np.sort(rng.choice(values, size=(400, 2, dimension)), axis=1)
     flat = LinearConstraint((0.0,) * (dimension - 1), 0.25)
     regions = [flat, constraint_for(dimension, 41),
                ConstraintConjunction.of(flat).and_halfspace(
                    (1.0,) + (0.0,) * (dimension - 1), 0.25).to_polytope(),
                ConstraintConjunction.of(flat, constraint_for(dimension, 43))
                .to_polytope()]
-    store = BlockStore(block_size=16, cache_blocks=0)
-    table = DiskArray.from_matrix(store, partition_tree.encode_cells(
-        range(len(corners)), corners.reshape(len(corners), -1)))
+    store = BlockStore(block_size=4, cache_blocks=0)
+    tree = PartitionTreeIndex(rng.choice(values, size=(400, dimension)),
+                              store=store)
+    costs, order = tree._costs, tree._order
+    internal = [slot for slot, node_id in enumerate(costs.node.tolist())
+                if not tree._nodes[node_id].is_leaf]
+    assert len(internal) > 4
     for region in regions:
-        store.reset_stats()
-        batch = [cell for block in partition_tree.classify_cells(table, region)
-                 for cell in block]
-        reads = store.stats.reads
-        store.reset_stats()
-        loop = [cell for block in scan_oracle.classify_cells(table, region)
-                for cell in block]
-        assert batch == loop, region
-        assert reads == store.stats.reads == table.num_blocks
-        assert 0 < len(loop) < len(corners)
+        codes = region.classify_boxes(costs.lowers, costs.uppers)
+        touched = 0
+        for slot in internal:
+            children = np.flatnonzero(costs.parent == slot)
+            children = children[children != 0]
+            children = children[np.argsort(order.start[children])]
+            batch = [(int(costs.node[child]), CELL_RELATIONS[codes[child]])
+                     for child in children.tolist() if codes[child]]
+            table = tree._nodes[costs.node[slot]].child_table
+            store.reset_stats()
+            loop = list(scan_oracle.classify_cells(table, region))
+            assert batch == loop, region
+            assert store.stats.reads == table.num_blocks
+            touched += len(loop)
+        assert 0 < touched < len(costs.node) - 1
     store.close()
 
 
@@ -639,9 +648,9 @@ def logged_reads(store, monkeypatch):
 
 
 def test_leaf_runs_read_the_blocks_the_walk_reads_in_its_order(monkeypatch):
-    """Consecutive leaf children go to the pool as one run; a run ends
-    at an internal child and at a table-block boundary, so the order of
-    block accesses is the record-at-a-time walk's."""
+    """A query's blocks, tables and leaves alike, go to the pool as one
+    run, in the order of block accesses of the record-at-a-time walk,
+    whose tables here span several blocks."""
     constraint = constraint_for(2, 5)
     points = np.asarray(make_cloud(2, 900, 5, with_boundary=constraint))
     store = BlockStore(block_size=16, cache_blocks=2)
@@ -661,7 +670,7 @@ def test_leaf_runs_read_the_blocks_the_walk_reads_in_its_order(monkeypatch):
         scalar = wide.query(constraint)
     assert not runs and log == vector_log
     scalar_info = cache_info(store)
-    assert max(map(len, vector_runs)) > 2
+    assert len(vector_runs) == 1 and len(vector_runs[0]) > 2
     assert (vector_info["hits"], vector_info["misses"]) \
         == (scalar_info["hits"], scalar_info["misses"])
     assert_same_ordered_answer(vector, scalar, "wide tree")
@@ -673,17 +682,21 @@ def test_hybrid_batches_below_leaves_and_queries_crossed_ones(monkeypatch):
     index = HybridIndex3D(points, store=store, leaf_exponent=1.2, seed=3)
     leaf_blocks = {block_id for node in index._nodes if node.is_leaf
                    for block_id in node.points_array.block_ids}
+    tree_blocks = leaf_blocks.union(*(
+        node.child_table.block_ids for node in index._nodes
+        if not node.is_leaf))
     constraint = LinearConstraint(coeffs=(0.3, -0.2), offset=0.1)
     log, runs = logged_reads(store, monkeypatch)
     vector = index.query(constraint)
     vector_log = list(log)
     assert index.last_query["leaves_queried"] > 0
-    # A run holds the raw copies of BELOW leaves or one conflict list of a
-    # crossed leaf's own structure, never both.
-    assert max(len(run) for run in runs if leaf_blocks.issuperset(run)) > 1
-    assert all(leaf_blocks.issuperset(run) or leaf_blocks.isdisjoint(run)
+    # A run holds the tree's own blocks -- tables and the raw copies of
+    # BELOW leaves -- or one conflict list of a crossed leaf's own
+    # structure, never both.
+    assert max(len(leaf_blocks.intersection(run)) for run in runs) > 1
+    assert all(tree_blocks.issuperset(run) or tree_blocks.isdisjoint(run)
                for run in runs)
-    assert not leaf_blocks.issuperset(vector_log)
+    assert not tree_blocks.issuperset(vector_log)
     del log[:], runs[:]
     with scalar_kernels():
         scalar = index.query(constraint)
