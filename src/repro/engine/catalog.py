@@ -217,13 +217,13 @@ class Dataset:
 
     @property
     def live_size(self) -> int:
-        """Current point count, observed mutations included."""
-        return self.stats.size
+        """Current point count, writes included: the overlay's."""
+        return self.overlay.size
 
     def estimate_output(self, constraint: LinearConstraint) -> int:
         """Expected number of reported points (the paper's T), from the
         shard's selectivity model: pure arithmetic, no I/O."""
-        return self.stats.estimate_output(constraint)
+        return self.stats.estimate_output(constraint, self.live_size)
 
     def run_query(self, index_name: str, query: Query,
                   clear_cache: bool = False
@@ -320,8 +320,7 @@ def fit_stats(recipe: ReplicaRecipe, array: np.ndarray) -> SelectivityModel:
         rng = np.random.default_rng(recipe.seed)
         rows = array[rng.choice(len(array), size=recipe.sample_size,
                                 replace=False)]
-    return SelectivityModel(Reservoir(rows, recipe.sample_size, recipe.seed),
-                            dimension=array.shape[1], size=len(array))
+    return SelectivityModel(Reservoir(rows, recipe.sample_size, recipe.seed))
 
 
 def _check_index_free(dataset: Dataset, index_name: str) -> None:

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.engine.catalog import ReplicaRecipe, build_replicas
 from repro.engine.cluster import protocol
-from repro.engine.writes import apply_mutation
+from repro.engine.writes import rebuild_if_due, write_overlay
 
 
 class ShardWorker:
@@ -168,7 +168,9 @@ class ShardWorker:
             if seq <= self._counts["last_seq"]:
                 return False, 0, True
             self._counts["last_seq"] = seq
-        applied, ios = apply_mutation(self.dataset, op, record)
+        applied, ios = write_overlay(self.dataset, op, record)
+        if applied:
+            ios += rebuild_if_due(self.dataset)
         with self._lock:
             self._counts["writes"] += 1
         return applied, ios, False

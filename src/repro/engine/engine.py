@@ -124,9 +124,9 @@ class QueryEngine:
                                backend=backend, data_dir=data_dir)
         self.stats = EngineStats(
             conformal=ConformalCalibrator(coverage=conformal_coverage),
-            model_provider=self._live_models,
+            stats_provider=self._shard_stats,
             build_provider=self._build_records)
-        self.planner = Planner(self.catalog, conformal=self.stats.conformal)
+        self.planner = Planner(self.catalog)
         self.tracer = Tracer(enabled=tracing)
         self.catalog.tracer = self.tracer
         self.executor = BatchExecutor(self.catalog, self.planner,
@@ -205,18 +205,21 @@ class QueryEngine:
                 self.cluster.start_dataset(name)
         return records
 
-    def _live_models(self) -> Dict[str, object]:
-        """Live selectivity models by dataset name (the metrics provider).
+    def _shard_stats(self) -> Dict[str, Dict[str, int]]:
+        """Each shard's live size (its primary's overlay count) and
+        sample size, by planning replica name (the metrics provider).
 
         Evaluated at summary/scrape time rather than captured once:
-        shard-child models are rebuilt on re-splits, so stored references
-        would go stale.  Reports each shard's model under its planning
-        replica's name (e.g. ``logs#2``; a ``register_dataset`` replica
-        keeps its dataset's name).
+        re-splits rebuild the shards, so stored references would go
+        stale.  A shard reports under its planning replica's name (e.g.
+        ``logs#2``; a ``register_dataset`` replica keeps its dataset's
+        name).
         """
-        return {shard.planning_dataset().name: shard.planning_dataset().stats
+        return {replica.name: {"live_size": replica.live_size,
+                               "sample_size": len(replica.stats.sample.rows)}
                 for name in self.catalog.datasets()
-                for shard in self.catalog.sharded(name).shards}
+                for replica in (shard.planning_dataset() for shard
+                                in self.catalog.sharded(name).shards)}
 
     def _build_records(self) -> List[BuildRecord]:
         """Every index build on every replica (the metrics provider)."""

@@ -240,10 +240,11 @@ class EngineStats:
     #: intervals degraded answers serve once the window is warm.
     conformal: ConformalCalibrator = field(
         default_factory=ConformalCalibrator, repr=False)
-    #: Optional callable returning the live ``{name: SelectivityModel}``
-    #: map (the engine registers one); feeds ``summary()["stats"]``.
-    model_provider: Optional[Callable[[], Dict[str, object]]] = field(
-        default=None, repr=False)
+    #: Optional callable returning each shard's ``{"live_size",
+    #: "sample_size"}`` by planning replica name (the engine registers
+    #: one); feeds ``summary()["stats"]``.
+    stats_provider: Optional[Callable[[], Dict[str, Dict[str, int]]]] = \
+        field(default=None, repr=False)
     #: Optional callable returning the result cache's resident
     #: ``(entries, bytes)`` (the execution core registers its own);
     #: feeds ``summary()["result_cache"]`` and the gauge pair.
@@ -682,14 +683,6 @@ class EngineStats:
     # ------------------------------------------------------------------
     # model state
     # ------------------------------------------------------------------
-    def model_summary(self) -> Dict[str, Dict[str, object]]:
-        """Each shard model's ``describe()`` payload, under its planning
-        replica's name (one entry per model the provider reports)."""
-        if self.model_provider is None:
-            return {}
-        return {name: dict(model.describe())
-                for name, model in sorted(self.model_provider().items())}
-
     def refresh_model_metrics(self) -> None:
         """Update the conformal, result-cache, index-build and worker
         gauges.
@@ -750,7 +743,8 @@ class EngineStats:
             "latency_s": self._latency(view, (0.5, 0.9, 0.99)),
             "plan_distribution": view.by(self._m_queries, _INDEX),
             "estimation_qerror": self._estimation(view),
-            "stats": self.model_summary(),
+            "stats": dict(sorted(self.stats_provider().items()))
+            if self.stats_provider is not None else {},
             "conformal": self.conformal.describe(),
             "writes": self._writes(view),
             "rebalances": {"count": view.total(self._m_rebalances),

@@ -30,13 +30,12 @@ carries the conjunction led by that conjunct (:attr:`Plan.query`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Tuple
 
 import repro.engine.tracing as tracing
 from repro.core.conjunction import ConstraintConjunction
 from repro.engine.catalog import Catalog, Query
-from repro.engine.sharding import Shard, ShardedDataset
-from repro.engine.stats.conformal import ConformalCalibrator
+from repro.engine.sharding import Shard
 
 
 class CandidateEstimate(NamedTuple):
@@ -58,10 +57,6 @@ class Plan:
     #: What the shard runs: the query, a conjunction led by the conjunct
     #: the plan priced (``query.constraints[0]``).
     query: Query
-    #: Conformal interval around ``expected_output`` (None while the
-    #: dataset's calibration window is cold — estimates are then points
-    #: with no certified uncertainty).
-    output_interval: Optional[Tuple[int, int]] = None
 
     @property
     def estimated_ios(self) -> float:
@@ -76,10 +71,8 @@ class Plan:
         """One line per candidate, winner first (for logs and examples)."""
         ordered = sorted(self.estimates,
                          key=lambda est: (est.model_ios, est.index_name))
-        band = "" if self.output_interval is None \
-            else " in [%d, %d]" % self.output_interval
-        lines = ["plan for dataset %r (expected T=%d%s):"
-                 % (self.dataset, self.expected_output, band)]
+        lines = ["plan for dataset %r (expected T=%d):"
+                 % (self.dataset, self.expected_output)]
         for rank, estimate in enumerate(ordered):
             marker = "->" if rank == 0 else "  "
             lines.append("  %s %-16s %8.1f model I/Os"
@@ -103,9 +96,6 @@ class ShardedPlan:
     #: The sharded dataset's re-split generation this plan was made
     #: against; the executor re-plans when a rebalance has bumped it.
     generation: int = 0
-    #: Element-wise sum of the relevant shards' conformal intervals
-    #: (None until every relevant shard's dataset window is warm).
-    output_interval: Optional[Tuple[int, int]] = None
 
     @property
     def estimated_ios(self) -> float:
@@ -134,12 +124,9 @@ class ShardedPlan:
 
     def explain(self) -> str:
         """Fan-out summary plus each relevant shard's plan."""
-        band = "" if self.output_interval is None \
-            else " in [%d, %d]" % self.output_interval
-        lines = ["plan for dataset %r (expected T=%d%s): "
+        lines = ["plan for dataset %r (expected T=%d): "
                  "%d/%d shards relevant, %d pruned, %.1f predicted I/Os"
-                 % (self.dataset, self.expected_output, band,
-                    self.shards_queried,
+                 % (self.dataset, self.expected_output, self.shards_queried,
                     self.num_shards, self.shards_pruned, self.estimated_ios)]
         for shard_id, plan in self.shard_plans:
             lines.append("  shard %d -> %s (%.1f predicted I/Os)"
@@ -154,23 +141,18 @@ class Planner:
     ----------
     catalog:
         The catalog holding datasets and their candidate indexes.
-    conformal:
-        Optional :class:`ConformalCalibrator` (the engine passes its
-        stats') — when set, every plan carries a conformal
-        ``output_interval`` around ``expected_output`` once the
-        dataset's calibration window is warm.
+
+    A plan only prices: the band around its expected output is the
+    degraded answer's to make, which alone carries one.
     """
 
-    def __init__(self, catalog: Catalog,
-                 conformal: Optional[ConformalCalibrator] = None):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._conformal = conformal
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def _plan_shard(self, shard: Shard, parent_name: str,
-                    query: Query) -> Plan:
+    def _plan_shard(self, shard: Shard, query: Query) -> Plan:
         """Plan over one shard's planning replica, priced by the query's
         first conjunct."""
         dataset = shard.planning_dataset()
@@ -188,16 +170,10 @@ class Planner:
             for name, index in dataset.indexes.items())
         winner = min(estimates,
                      key=lambda est: (est.model_ios, est.index_name))
-        # Conformal residuals are calibrated per *dataset* (shard children
-        # feed their parent's window through note_estimation), so shard
-        # plans are banded by the parent's key.
-        interval = None if self._conformal is None else \
-            self._conformal.interval(parent_name, expected_output,
-                                     population=dataset.live_size)
         return Plan(dataset=dataset.name,
                     index_name=winner.index_name,
                     expected_output=expected_output, estimates=estimates,
-                    query=query, output_interval=interval)
+                    query=query)
 
     def plan(self, dataset_name: str, query: Query) -> ShardedPlan:
         """Choose the cheapest index on each relevant shard for a
@@ -212,34 +188,23 @@ class Planner:
             if isinstance(query, ConstraintConjunction):
                 query = query.led_by(min(query.constraints,
                                          key=sharded.estimate_output))
-            plan = self._plan_shards(sharded, query, relevant)
+            shard_plans = tuple((shard.shard_id,
+                                 self._plan_shard(shard, query))
+                                for shard in relevant)
+            # The fan-out's expected output is the sum of the
+            # *shard-local* estimates (a dataset has no model but its
+            # shards') — on skewed data the per-shard models see their
+            # shard's distribution.
+            plan = ShardedPlan(dataset=sharded.name,
+                               expected_output=sum(
+                                   plan.expected_output
+                                   for __, plan in shard_plans),
+                               shard_plans=shard_plans,
+                               num_shards=sharded.num_shards,
+                               generation=sharded.generation)
             if span.enabled:
                 self._annotate_plan_span(span, plan)
             return plan
-
-    def _plan_shards(self, sharded: ShardedDataset, query: Query,
-                     relevant: "list[Shard]") -> ShardedPlan:
-        shard_plans = tuple(
-            (shard.shard_id, self._plan_shard(shard, sharded.name, query))
-            for shard in relevant)
-        # The fan-out's expected output is the sum of the *shard-local*
-        # estimates (a dataset has no model but its shards') — on skewed
-        # data the per-shard models see their shard's distribution.
-        # Its interval is the element-wise sum of the shard intervals
-        # (every relevant shard banded, or no band at all).
-        intervals = [plan.output_interval for __, plan in shard_plans]
-        interval = None
-        if intervals and all(pair is not None for pair in intervals):
-            interval = (sum(low for low, __ in intervals),
-                        sum(high for __, high in intervals))
-        return ShardedPlan(dataset=sharded.name,
-                           expected_output=sum(
-                               plan.expected_output
-                               for __, plan in shard_plans),
-                           shard_plans=shard_plans,
-                           num_shards=sharded.num_shards,
-                           generation=sharded.generation,
-                           output_interval=interval)
 
     @staticmethod
     def _annotate_plan_span(span, plan: ShardedPlan) -> None:
@@ -253,5 +218,3 @@ class Planner:
             "shards_pruned": plan.shards_pruned,
             "generation": plan.generation,
         })
-        if plan.output_interval is not None:
-            span.set("output_interval", list(plan.output_interval))

@@ -727,20 +727,24 @@ class AsyncExecutor:
         output with an interval, so callers can turn the subset into a
         qualified count instead of mistaking it for the whole truth.
 
-        The interval is the plan's conformal band once the dataset's
-        calibration window is warm — calibrated on the residuals of the
-        same shard models whose estimates it wraps — and the sum of the
-        shards' normal approximations (:func:`scaled_count_estimate`)
-        only before then; ``interval_source`` says which
-        (``"conformal"`` / ``"normal_fallback"``) on every degraded
-        answer.
+        The interval is the sum of the shards' conformal bands around
+        their plans' expected outputs once the dataset's calibration
+        window is warm — calibrated on the residuals of the same shard
+        models whose estimates it wraps — and the sum of the shards'
+        normal approximations (:func:`scaled_count_estimate`) only
+        before then; ``interval_source`` says which (``"conformal"`` /
+        ``"normal_fallback"``) on every degraded answer.  This is the
+        one site a band is made: a plan carries its point estimate
+        alone.
         """
         with tracing.span("serving.degraded_sample",
                           dataset=request.dataset) as sample_span:
             plan, items = self._core.lower(request.dataset,
                                            request.constraint, plan)
             dimension = self._core.catalog.sharded(request.dataset).dimension
+            conformal = self._core.stats.conformal
             hits, sample_size, population, low, high = [], 0, 0, 0, 0
+            bands = []
             for item in items:
                 replica = item.shard.planning_dataset()
                 sample = replica.stats.sample.rows
@@ -752,14 +756,20 @@ class AsyncExecutor:
                 sample_size += len(sample)
                 population += size
                 low, high = low + band[0], high + band[1]
+                # Residuals are calibrated per *dataset* (its shards feed
+                # one window through note_estimation), so every shard is
+                # banded by the dataset's key.
+                bands.append(conformal.interval(
+                    request.dataset, item.plan.expected_output,
+                    population=replica.live_size))
             count = sum(map(len, hits))
             source = "normal_fallback"
-            if plan.output_interval is not None:
+            if bands and None not in bands:
                 # The sample hits are real stored points, so the true
                 # count can never sit below them — the conformal band is
                 # clipped to the same invariant the fallback obeys.
-                low = max(plan.output_interval[0], count)
-                high = max(plan.output_interval[1], low)
+                low = max(sum(band[0] for band in bands), count)
+                high = max(sum(band[1] for band in bands), low)
                 source = "conformal"
             estimate = min(max(plan.expected_output, low), high)
             if sample_span.enabled:

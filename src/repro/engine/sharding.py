@@ -338,14 +338,15 @@ class ShardedDataset:
         every shard holds the recipe's number of replicas, each with the
         recorded index suite (each name built, in order, or an alias of
         one built), sharing one selectivity model; replicas
-        hold equal live multisets, which their overlays count;
+        hold equal live multisets, which their overlays count, and as
+        many rebuilds and stored blocks as their primary (a write
+        rebuilds every replica or none);
         every live point routes to the shard holding it and, unless the
         shard is written, lies inside its
-        box — a shard with no box holds none; a shard's live points are
-        what its model counts; no model's sample exceeds the recipe's
-        ``sample_size``, and a sample below it is exactly its live
-        multiset.  Live points are read from memory under the write
-        barrier: no I/O is charged.
+        box — a shard with no box holds none; no model's sample exceeds
+        the recipe's ``sample_size``, and a sample below it is exactly
+        its live multiset.  Live points are read from memory under the
+        write barrier: no I/O is charged.
         """
         def check(holds: bool, message: str, *values) -> None:
             if not holds:
@@ -388,6 +389,13 @@ class ShardedDataset:
                     check(replica.overlay.size == len(live),
                           "replica %r's overlay counts other than its %d "
                           "live points", replica.name, len(live))
+                    check(replica.overlay.rebuilds == primary.overlay.rebuilds
+                          and replica.store.num_blocks
+                          == primary.store.num_blocks,
+                          "replica %r has %d rebuilds and %d blocks, its "
+                          "primary %d and %d", replica.name,
+                          replica.overlay.rebuilds, replica.store.num_blocks,
+                          primary.overlay.rebuilds, primary.store.num_blocks)
                 check(len(router.assign(live)[shard.shard_id]) == len(live),
                       "shard %d holds points routed elsewhere",
                       shard.shard_id)
@@ -401,9 +409,6 @@ class ShardedDataset:
                                          & (live <= shard.highs))),
                           "shard %d holds points outside its unwritten box",
                           shard.shard_id)
-                check(len(live) == primary.live_size,
-                      "shard %d holds %d live points, its model counts %d",
-                      shard.shard_id, len(live), primary.live_size)
                 rows = primary.stats.sample.rows
                 check(len(rows) <= capacity, "shard %d's sample holds %d "
                       "rows, its recipe at most %d", shard.shard_id,

@@ -12,14 +12,16 @@ in-memory sample of the shard's live points, with the constraint's own
 the hit fraction by the live size.  It is unbiased on any data and costs
 O(sample) arithmetic and zero I/Os; its resolution floor is
 ``1/len(sample)``, so a selective query on a 512-point sample sees 0–2
-hits.  The write path
-feeds it every committed insert and delete (``observe_insert`` /
-``observe_delete``), so the sample and the live size track the data.
+hits.  The live size is not the model's: each replica's write overlay
+counts its points exactly, and the caller passes that count in.  The
+write path feeds the model every committed insert and delete
+(``observe_insert`` / ``observe_delete``), so the sample tracks the
+data.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -80,73 +82,37 @@ class SelectivityModel:
     """Estimates how many of a shard's points satisfy a constraint.
 
     The estimate is the hit fraction on the model's :class:`Reservoir`
-    times the *live* size (build size plus observed inserts minus
-    deletes); the model feeds its sample every observed write.
+    times the live size its caller passes (the replica overlay's count,
+    :attr:`~repro.engine.catalog.Dataset.live_size`); the model feeds
+    its sample every observed write.
     """
 
-    def __init__(self, sample: Reservoir, dimension: int, size: int):
-        self._dimension = int(dimension)
-        self._size = int(size)
-        self._observed_inserts = 0
-        self._observed_deletes = 0
+    def __init__(self, sample: Reservoir):
         #: The model's sample (what the degraded-answer path scans too).
         self.sample = sample
 
-    @property
-    def dimension(self) -> int:
-        """Ambient dimension of the modelled points."""
-        return self._dimension
-
-    @property
-    def size(self) -> int:
-        """Live number of modelled points (tracks observed mutations)."""
-        return self._size
-
-    def estimate_output(self, constraint: LinearConstraint) -> int:
-        """Expected number of reported points (the paper's T)."""
-        if constraint.dimension != self._dimension:
+    def estimate_output(self, constraint: LinearConstraint,
+                        live_size: int) -> int:
+        """Expected number of reported points (the paper's T) among
+        ``live_size`` live ones."""
+        rows = self.sample.rows
+        if constraint.dimension != rows.shape[1]:
             raise ValueError(
                 "constraint dimension %d does not match dataset dimension %d"
-                % (constraint.dimension, self._dimension))
-        rows = self.sample.rows
+                % (constraint.dimension, rows.shape[1]))
         if len(rows) == 0:
             return 0
         hits = int(np.count_nonzero(constraint.below_many(rows)))
-        return int(round(hits / len(rows) * self._size))
+        return int(round(hits / len(rows) * live_size))
 
     # ------------------------------------------------------------------
     # mutation feedback (fed by the engine's write path)
     # ------------------------------------------------------------------
-    def observe_insert(self, point: Sequence[float]) -> None:
-        """Fold one inserted point into the live size and the sample."""
-        self._size += 1
-        self._observed_inserts += 1
-        self.sample.insert(np.asarray(point, dtype=float), self._size)
+    def observe_insert(self, point: Sequence[float], live_size: int) -> None:
+        """Fold one inserted point into the sample (``live_size``, the
+        count after the write, counts it already)."""
+        self.sample.insert(np.asarray(point, dtype=float), live_size)
 
     def observe_delete(self, point: Sequence[float]) -> None:
-        """Fold one deleted point out of the live size and the sample."""
-        self._size = max(0, self._size - 1)
-        self._observed_deletes += 1
+        """Fold one deleted point out of the sample."""
         self.sample.evict(np.asarray(point, dtype=float))
-
-    @property
-    def observed_inserts(self) -> int:
-        """Inserts this model has observed (one per *logical* mutation).
-
-        The write path feeds a committed write to the shard's model
-        once, so a write fanned out to N replicas must land here exactly once —
-        the counter is how tests (and dashboards) verify that.
-        """
-        return self._observed_inserts
-
-    @property
-    def observed_deletes(self) -> int:
-        """Deletes this model has observed (one per logical mutation)."""
-        return self._observed_deletes
-
-    def describe(self) -> Dict[str, object]:
-        """JSON-friendly model summary (benchmarks persist these)."""
-        return {"size": self._size,
-                "observed_inserts": self._observed_inserts,
-                "observed_deletes": self._observed_deletes,
-                "sample_size": int(len(self.sample.rows))}

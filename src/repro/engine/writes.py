@@ -13,8 +13,9 @@ point)`` / ``delete(dataset, point)`` it
   window — so a write never sees a layout mid-swap, nor lands in shards
   whose live points were already collected;
 * **fans the mutation out to every replica** of the shard through
-  :func:`apply_mutation`, all or nothing: a failure on a later replica
-  rolls the applied ones back via the inverse operation;
+  :func:`write_overlay`, all or nothing: a failure on a later replica
+  rolls the applied ones back via the inverse operation, and a rebuild
+  the write made due runs only after every replica took it;
 * **applies the committed write's effects**, once, still under the
   barrier (:meth:`WritePath._take_effect`) — the shard's ``written``
   flag, statistics, the write listeners, and the result-cache eviction
@@ -53,13 +54,13 @@ from repro.engine.sharding import Shard, ShardedDataset
 WRITE_IOS_PER_REPLICA = 2.0
 
 
-def apply_mutation(dataset: Dataset, op: str,
-                   record: Tuple[float, ...]) -> Tuple[bool, int]:
-    """Apply one insert/delete to one replica's write overlay, and the
-    rebuild it makes due (:meth:`~repro.engine.catalog.Dataset.rebuild`).
+def write_overlay(dataset: Dataset, op: str,
+                  record: Tuple[float, ...]) -> Tuple[bool, int]:
+    """Apply one insert/delete to one replica's write overlay.
 
-    The write-side unit of account, shared by the fan-out, its rollback
-    and the shard-worker process; it runs inside the replica's
+    The write-side unit of account, shared by the fan-out, its
+    rollback and the shard-worker process (each follows an applied
+    write with :func:`rebuild_if_due`); it runs inside the replica's
     :meth:`~repro.io.store.BlockStore.measured` window.  Returns
     ``(applied, ios)`` — ``applied`` is False only for a delete that
     found nothing; ``ios`` counts pool hits as the transfers they stand
@@ -75,9 +76,17 @@ def apply_mutation(dataset: Dataset, op: str,
         else:
             raise ValueError("unknown mutation op %r (expected "
                              "'insert' or 'delete')" % (op,))
-        if applied and overlay.due():
-            dataset.rebuild()
     return applied, delta.total + delta.cache_hits
+
+
+def rebuild_if_due(dataset: Dataset) -> int:
+    """Run the rebuild a write made due on one replica
+    (:meth:`~repro.engine.catalog.Dataset.rebuild`); returns its I/Os."""
+    if not dataset.overlay.due():
+        return 0
+    with dataset.store.measured() as delta:
+        dataset.rebuild()
+    return delta.total + delta.cache_hits
 
 
 @dataclass(frozen=True)
@@ -224,11 +233,11 @@ class WritePath:
         first = not shard.written
         if applied:
             shard.written = True
-            model = shard.planning_dataset().stats
+            primary = shard.planning_dataset()
             if op == "insert":
-                model.observe_insert(record)
+                primary.stats.observe_insert(record, primary.live_size)
             else:
-                model.observe_delete(record)
+                primary.stats.observe_delete(record)
         for listener in self._write_listeners:
             listener(sharded.name, shard.shard_id, op, record, applied)
         if applied:
@@ -242,7 +251,12 @@ class WritePath:
         ``(applied, ios, rebuilt)``, where ``rebuilt`` says the write
         set off a rebuild (the replicas rebuild in step).
 
-        Secondaries first, primary last.  A failure part-way rolls the
+        Secondaries first, primary last, each into its overlay; the
+        rebuilds the write made due run only once every replica took it,
+        so a fan-out that aborts while writing the overlays leaves no
+        replica rebuilt and the copies stay equal block for block (a
+        rebuild that fails rolls the overlays back too, but the replicas
+        it already rebuilt stay rebuilt).  A failure part-way rolls the
         applied replicas back via the inverse operation, flushes the
         dataset's result cache (a concurrent read may have cached an
         answer off an already-mutated secondary), and re-raises the
@@ -261,11 +275,19 @@ class WritePath:
         try:
             rebuilds = primary.overlay.rebuilds
             for child in order:
-                outcome, ios = apply_mutation(child, op, record)
+                outcome, ios = write_overlay(child, op, record)
                 total_ios += ios
                 applied.append((child, outcome))
                 fanout_span.child("write.replica", replica=child.name,
                                   ios=ios, applied=outcome).finish()
+            if outcome:
+                for child in order:
+                    ios = rebuild_if_due(child)
+                    total_ios += ios
+                    if ios:
+                        fanout_span.child("write.rebuild",
+                                          replica=child.name,
+                                          ios=ios).finish()
         except Exception as exc:
             rollback_span = fanout_span.child(
                 "write.rollback", replicas_applied=len(applied),
@@ -291,7 +313,8 @@ class WritePath:
 
     def _rollback(self, applied, op: str, record: Tuple[float, ...],
                   cause: Exception) -> int:
-        """Undo partially-applied replicas with the inverse operation.
+        """Undo partially-applied replicas with the inverse operation,
+        in their overlays (a rebuild already run is not undone).
 
         Returns the block transfers the rollback itself charged (the
         aborted write's admission settlement includes them).
@@ -302,7 +325,7 @@ class WritePath:
             if not outcome:
                 continue          # a no-op delete needs no inverse
             try:
-                total_ios += apply_mutation(child, inverse, record)[1]
+                total_ios += write_overlay(child, inverse, record)[1]
             except Exception as rollback_exc:
                 raise RuntimeError(
                     "write-fanout rollback failed on replica %r (while "

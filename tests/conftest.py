@@ -143,6 +143,17 @@ def assert_answer(answer, dimension):
     assert answer.flags.c_contiguous and not answer.flags.writeable
 
 
+def assert_sample_is_live(shard):
+    """The exactly-once witness of a shard's write feed: its sample is
+    below capacity, where it *is* the shard's live multiset, so a write
+    fed to the model twice would hold a second copy of its row."""
+    primary = shard.replicas[0]
+    rows = primary.stats.sample.rows
+    assert len(rows) < primary.stats.sample.capacity
+    assert sorted(map(tuple, rows.tolist())) == sorted(
+        map(tuple, primary.overlay.live_points().tolist()))
+
+
 def assert_replica_layout(sharded):
     """Invariants every replica build site must leave on a ShardedDataset.
 

@@ -1,6 +1,6 @@
 """A partition tree under a replica's write overlay, driven as the engine
-drives one: writes through ``writes.apply_mutation`` (the overlay, then
-the rebuild it makes due), queries through the tree, then
+drives one: writes through ``writes.write_overlay``, then
+``writes.rebuild_if_due``, queries through the tree, then
 ``WriteOverlay.answer``.
 
 ``OverlaidTree`` gives tests the surface a dynamic partition tree had —
@@ -19,7 +19,7 @@ from repro.core.interface import QueryResult
 from repro.engine.catalog import (Dataset, ReplicaRecipe, _build_on_shards,
                                   fit_stats)
 from repro.engine.overlay import WriteOverlay
-from repro.engine.writes import apply_mutation
+from repro.engine.writes import rebuild_if_due, write_overlay
 from repro.io.store import BlockStore
 
 
@@ -92,10 +92,16 @@ class OverlaidTree:
         return self._tree.build_ios
 
     def insert(self, point):
-        apply_mutation(self.dataset, "insert", tuple(point))
+        self._write("insert", point)
 
     def delete(self, point):
-        return apply_mutation(self.dataset, "delete", tuple(point))[0]
+        return self._write("delete", point)
+
+    def _write(self, op, point):
+        applied = write_overlay(self.dataset, op, tuple(point))[0]
+        if applied:
+            rebuild_if_due(self.dataset)
+        return applied
 
     def _rebuild(self):
         """Fold the overlay into a fresh tree now."""

@@ -75,7 +75,7 @@ def test_catalog_selectivity_estimate_tracks_truth(points2d):
     for target in (0.05, 0.5, 0.95):
         constraint = halfspace_queries_with_selectivity(
             points2d, 1, target, seed=int(target * 100))[0]
-        estimate = dataset.stats.estimate_output(constraint)
+        estimate = dataset.estimate_output(constraint)
         assert abs(estimate / len(points2d) - target) < 0.1
 
 

@@ -156,7 +156,7 @@ def test_the_estimate_counts_below_many_rows():
                                    scale=1e8)
     engine = QueryEngine(block_size=16, seed=13, sample_size=len(points))
     engine.register_dataset("d", points, kinds=["full_scan"])
-    model = engine.catalog.dataset("d").stats
+    dataset = engine.catalog.dataset("d")
     for query in queries:
-        assert model.estimate_output(query) == int(
+        assert dataset.estimate_output(query) == int(
             np.count_nonzero(query.below_many(points)))

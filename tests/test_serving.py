@@ -14,10 +14,12 @@ import threading
 
 import pytest
 
-from conftest import brute_force_halfspace, wave_answers
+from conftest import (assert_sample_is_live, brute_force_halfspace,
+                      wave_answers)
 
 from repro import LinearConstraint, QueryEngine
 from repro.engine import ServingRequest, TenantBudget
+from repro.engine import overlay as overlay_module
 from repro.engine.catalog import Catalog
 from repro.engine.obs.registry import view_to_json
 from repro.engine.obs import render_prometheus
@@ -841,11 +843,14 @@ def test_engine_insert_fans_out_and_defeats_stale_box(points2d):
     assert "sh/%d/1" % last_shard.shard_id in load
 
 
-def test_fanout_rollback_when_one_replica_vetoes(points2d):
+def test_fanout_rollback_when_one_replica_vetoes(points2d, monkeypatch):
     # A replica that fails mid-fanout must roll back the copies already
     # written: afterwards every replica is byte-identical to before, and
     # the statistics/skew hooks never saw the failed logical mutation.
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5)
+    # The sample holds every point of a shard (below capacity), so a
+    # stray feed of the aborted write would show as an extra row.
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=5,
+                         sample_size=len(points2d))
     engine.register_sharded_dataset("sh", points2d, num_shards=2,
                                     replicas=3, kinds=["dynamic"])
     sharded = engine.catalog.sharded("sh")
@@ -858,7 +863,7 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
 
     target.overlay.insert = veto        # the primary's overlay fails
     probe = (float(shard.lows[0]), 0.0)  # routes to shard 0
-    stats_before = (target.stats.observed_inserts, sharded.live_size)
+    stats_before = (target.stats.sample.rows.tolist(), sharded.live_size)
     mutations_before = engine.rebalancer.mutations("sh")
     # Prime the result cache so the rollback's invalidation is visible.
     everything = LinearConstraint(coeffs=(0.0,), offset=1e9)
@@ -877,7 +882,9 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
         assert probe not in {
             tuple(p) for p in replica.run_query("dynamic", inside_all)[0]}
     # The failed write took none of its once-per-write effects.
-    assert (target.stats.observed_inserts, sharded.live_size) == stats_before
+    assert (target.stats.sample.rows.tolist(), sharded.live_size) \
+        == stats_before
+    assert_sample_is_live(shard)
     assert engine.rebalancer.mutations("sh") == mutations_before
     # The shard was not flagged written (the flag waits for the
     # commit), and the rollback flushed the result cache (a concurrent
@@ -889,6 +896,34 @@ def test_fanout_rollback_when_one_replica_vetoes(points2d):
     del target.overlay.insert
     result = engine.insert("sh", probe)
     assert result.applied and result.replicas == 3
+    sharded.check_invariants()
+    engine.close()
+
+    # A write that makes a rebuild due: the secondary takes it before
+    # the primary fails, and no replica rebuilds for the aborted write,
+    # so the copies stay equal block for block and read alike.
+    monkeypatch.setattr(overlay_module, "BUFFER_FRACTION", 0.0)
+    engine = QueryEngine(block_size=16, seed=5)
+    engine.register_sharded_dataset("due", uniform_points(256, seed=6),
+                                    num_shards=1, replicas=2)
+    sharded = engine.catalog.sharded("due")
+    shard = sharded.shards[0]
+    shard.replicas[0].overlay.insert = veto
+    with pytest.raises(RuntimeError, match="replica out of space"):
+        engine.insert("due", (0.25, 0.25))
+    assert [replica.overlay.rebuilds for replica in shard.replicas] == [0, 0]
+    sharded.check_invariants()
+    constraint = LinearConstraint(coeffs=(0.5,), offset=0.0)
+    for name in shard.replicas[0].indexes:
+        (first, ios, __), (second, again, __) = (
+            replica.run_query(name, constraint, clear_cache=True)
+            for replica in shard.replicas)
+        assert ios.total == again.total
+        assert first.tobytes() == second.tobytes()
+    # Once the primary takes writes again, both replicas rebuild.
+    del shard.replicas[0].overlay.insert
+    engine.insert("due", (0.25, 0.25))
+    assert [replica.overlay.rebuilds for replica in shard.replicas] == [1, 1]
     sharded.check_invariants()
 
 

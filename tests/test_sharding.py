@@ -584,7 +584,7 @@ def test_worker_rebuild_matches_the_parent_replica(backend, tmp_path):
                 assert rebuilt.store.cache_blocks == 6
                 assert np.array_equal(rebuilt.stats.sample.rows,
                                       replica.stats.sample.rows)
-                assert rebuilt.stats.size == replica.stats.size
+                assert rebuilt.live_size == replica.live_size
                 assert list(rebuilt.indexes) == list(replica.indexes)
                 for name, record in replica.build_records.items():
                     twin = rebuilt.build_records[name]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import brute_force_halfspace
+from conftest import assert_sample_is_live, brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
 from repro.engine import ServingRequest, TenantBudget
@@ -47,18 +47,19 @@ def full(rows, seed=None):
 def test_uniform_model_matches_sample_scan():
     points = uniform_points(2000, seed=4)
     sample = points[:500].copy()
-    model = SelectivityModel(full(sample), dimension=2, size=len(points))
+    model = SelectivityModel(full(sample))
     constraint = LinearConstraint(coeffs=(0.25,), offset=0.1)
     expected = sum(constraint.below(p) for p in sample) / len(sample)
-    assert model.estimate_output(constraint) == int(round(expected * 2000))
+    assert model.estimate_output(constraint, len(points)) \
+        == int(round(expected * 2000))
 
 
 def test_models_check_constraint_dimension():
     points = uniform_points(100, seed=5)
     bad = LinearConstraint(coeffs=(0.1, 0.2), offset=0.0)  # 3-D constraint
-    model = SelectivityModel(full(points[:50]), dimension=2, size=100)
+    model = SelectivityModel(full(points[:50]))
     with pytest.raises(ValueError):
-        model.estimate_output(bad)
+        model.estimate_output(bad, 100)
 
 
 def test_the_sample_prices_the_diagonal_at_its_recorded_qerror():
@@ -81,10 +82,9 @@ def test_the_sample_prices_the_diagonal_at_its_recorded_qerror():
     for seed in (2010, 2011, 2012):
         rows = np.random.default_rng(seed).choice(len(points), 256,
                                                   replace=False)
-        model = SelectivityModel(full(points[rows], seed), dimension=2,
-                                 size=len(points))
+        model = SelectivityModel(full(points[rows], seed))
         errors.append(float(np.mean(
-            [q_error(model.estimate_output(constraint), actual)
+            [q_error(model.estimate_output(constraint, len(points)), actual)
              for constraint, actual in scoring])))
     assert np.round(errors, 2).tolist() == [1.28, 1.4, 3.99], errors
 
@@ -98,30 +98,33 @@ def test_observe_delete_evicts_dead_points_from_sample():
                              rng.uniform(-1, 1, 200)])
     points = np.concatenate([left, right])
     sample = points.copy()  # full-coverage sample
-    model = SelectivityModel(full(sample, 27), dimension=2,
-                             size=len(points))
+    model = SelectivityModel(full(sample, 27))
     left_half = LinearConstraint.from_inequality((1.0, 1e-9), -0.5)
-    assert model.estimate_output(left_half) == 200
+    assert model.estimate_output(left_half, len(points)) == 200
     for point in left:
         model.observe_delete(point)
-    assert model.size == 200
+    # The sample stays full: the dead rows became copies of live ones.
+    assert len(model.sample.rows) == len(points)
     # The dead region's sample rows were evicted: its estimated
     # selectivity collapses instead of staying at ~50%.
-    assert model.estimate_output(left_half) < 0.05 * model.size
+    assert model.estimate_output(left_half, len(right)) < 0.05 * len(right)
 
 
 def test_model_tracks_live_size_under_mutation_feedback():
+    # The live size a model scales by is its replica's overlay count.
     points = uniform_points(400, seed=11)
-    model = SelectivityModel(full(points[:100], 11), dimension=2,
-                             size=len(points))
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=11, sample_size=100)
+    engine.register_dataset("d", points, kinds=["full_scan"])
+    dataset = engine.catalog.dataset("d")
     everything = LinearConstraint(coeffs=(0.0,), offset=10.0)
-    assert model.estimate_output(everything) == 400
+    assert dataset.estimate_output(everything) == 400
     for __ in range(100):
-        model.observe_insert((0.5, 0.5))
-    assert model.size == 500
-    assert model.estimate_output(everything) == 500
-    model.observe_delete((0.5, 0.5))
-    assert model.size == 499
+        engine.insert("d", (0.5, 0.5))
+    assert dataset.live_size == 500
+    assert dataset.estimate_output(everything) == 500
+    engine.delete("d", (0.5, 0.5))
+    assert dataset.live_size == 499
+    engine.close()
 
 
 def test_a_short_sample_fills_to_its_capacity_as_the_dataset_grows():
@@ -132,11 +135,11 @@ def test_a_short_sample_fills_to_its_capacity_as_the_dataset_grows():
                             kinds=["dynamic"])
     for point in uniform_points(2000, seed=22):
         engine.insert("d", point)
-    model = engine.catalog.dataset("d").stats
-    assert len(model.sample.rows) == 512
+    dataset = engine.catalog.dataset("d")
+    assert len(dataset.stats.sample.rows) == 512
     low = LinearConstraint(coeffs=(0.0,), offset=-0.9)
     truth = engine.query("d", low).count
-    assert truth / 2 <= model.estimate_output(low) <= 2 * truth
+    assert truth / 2 <= dataset.estimate_output(low) <= 2 * truth
     engine.catalog.sharded("d").check_invariants()
     engine.close()
 
@@ -154,11 +157,11 @@ def test_a_zero_point_shard_samples_every_insert_up_to_capacity(inserts):
     grown = uniform_points(inserts, low=-1.0, high=0.4, seed=24)
     for point in grown:
         assert engine.insert("d", point).shard_id == 0
-    model = shard.planning_dataset().stats
-    assert len(model.sample.rows) == min(inserts, 512)
+    replica = shard.planning_dataset()
+    assert len(replica.stats.sample.rows) == min(inserts, 512)
     if inserts <= 512:   # the sample is the shard itself: exact estimates
         low = LinearConstraint(coeffs=(0.5,), offset=0.0)
-        assert model.estimate_output(low) \
+        assert replica.estimate_output(low) \
             == int(low.below_many(grown).sum())
     engine.catalog.sharded("d").check_invariants()
     engine.close()
@@ -178,14 +181,14 @@ def test_engine_builds_configured_model_per_dataset_and_shard():
     assert sharded.live_size == len(points)
     for shard in sharded.shards:
         for replica in shard.replicas:
-            assert replica.stats.describe() == {
-                "size": len(replica.points), "observed_inserts": 0,
-                "observed_deletes": 0, "sample_size": 32}
-    # summary()["stats"] is each shard model's describe(), under its
-    # planning replica's name.
+            assert (replica.live_size, len(replica.stats.sample.rows)) \
+                == (len(replica.points), 32)
+    # summary()["stats"] is each shard's live size (its primary's
+    # overlay) and sample size, under its planning replica's name.
     assert engine.summary()["stats"] == {
-        shard.planning_dataset().name: shard.planning_dataset().stats
-        .describe()
+        shard.planning_dataset().name: {
+            "live_size": len(shard.planning_dataset().points),
+            "sample_size": 32}
         for name in ("plain", "sh")
         for shard in engine.catalog.sharded(name).shards}
     engine.close()
@@ -233,17 +236,16 @@ def test_insert_hooks_update_dataset_model_and_counters():
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=17)
     engine.register_dataset("d", points, kinds=["dynamic", "full_scan"])
     dataset = engine.catalog.dataset("d")
-    before = dataset.stats.size
+    before = dataset.live_size
     engine.insert("d", (2.0, 2.0))
     engine.insert("d", (2.1, 2.1))
-    assert dataset.stats.size == before + 2
     assert dataset.live_size == before + 2
     assert engine.rebalancer.mutations("d") == 2
     # The model's estimate now reflects the inserted points.
     everything = LinearConstraint(coeffs=(0.0,), offset=100.0)
     assert dataset.estimate_output(everything) == before + 2
     engine.delete("d", (2.0, 2.0))
-    assert dataset.stats.size == before + 1
+    assert dataset.live_size == before + 1
     engine.close()
 
 
@@ -316,7 +318,7 @@ def test_rebalance_handles_replicated_shards():
     # fan-out (direct single-replica inserts are vetoed), the re-split
     # rebuilds every replica, and reads stay exact and unpinned.
     points = uniform_points(1024, seed=18)
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=18)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=18, sample_size=1024)
     engine.register_sharded_dataset(
         "sh", points, num_shards=4, sharding="range", replicas=2,
         kinds=["partition_tree", "full_scan", "dynamic"])
@@ -330,8 +332,8 @@ def test_rebalance_handles_replicated_shards():
         assert engine.insert("sh", point).shard_id == 3
     assert sharded.shards[3].written
     # Each insert reached one model: its shard's, once for both replicas.
-    assert sum(shard.planning_dataset().stats.observed_inserts
-               for shard in sharded.shards) == len(extra)
+    for shard in sharded.shards:
+        assert_sample_is_live(shard)
     engine.rebalance("sh")
     for shard in sharded.shards:
         assert not shard.written
@@ -346,23 +348,24 @@ def test_rebalance_handles_replicated_shards():
 
 
 def test_rebalance_rebuilds_models_and_rewires_insert_hooks():
-    engine, points, extra, queries = _skewed_insert_scenario()
+    engine, points, extra, queries = _skewed_insert_scenario(
+        sample_size=1024)
     sharded = engine.catalog.sharded("sh")
-    assert sharded.shards[3].planning_dataset().stats.observed_inserts \
-        == len(extra)
+    assert_sample_is_live(sharded.shards[3])
     engine.rebalance("sh")
     # Every shard has a fresh model over its re-split points.
     for shard in sharded.shards:
-        model = shard.planning_dataset().stats
-        assert model.observed_inserts == 0
-        assert model.size == len(shard.planning_dataset().points)
+        assert_sample_is_live(shard)
+        assert shard.planning_dataset().live_size \
+            == len(shard.planning_dataset().points)
     assert engine.rebalancer.mutations("sh") == 0
     # An insert into a *new* shard still updates its rebuilt model and
     # the skew counter.
     child = sharded.shards[0].planning_dataset()
-    size_before = child.stats.size
+    size_before = child.live_size
     engine.insert("sh", (-5.0, -5.0))
-    assert child.stats.size == size_before + 1
+    assert child.live_size == size_before + 1
+    assert_sample_is_live(sharded.shards[0])
     assert engine.rebalancer.mutations("sh") == 1
     assert sharded.live_size == len(points) + len(extra) + 1
     engine.close()
@@ -692,21 +695,44 @@ def test_conformal_window_keeps_its_sorted_mirror_under_ties_and_eviction():
     assert calibrator.size("a") == 16
 
 
+def _estimate(engine, name, constraint):
+    """The degraded answer the SSE path sends first, and its plan."""
+    return (engine.serving_executor().estimate(ServingRequest(
+        tenant="t", dataset=name, constraint=constraint)),
+        engine.explain(name, constraint))
+
+
+def _summed_bands(engine, name, plan, hits):
+    """Every relevant shard's conformal band around its plan's expected
+    output, summed and clipped to the sample hits: what a degraded
+    answer's conformal ``count_interval`` must be."""
+    shards = engine.catalog.sharded(name).shards
+    bands = [engine.stats.conformal.interval(
+        name, shard_plan.expected_output,
+        population=shards[shard_id].planning_dataset().live_size)
+        for shard_id, shard_plan in plan.shard_plans]
+    low = max(sum(band[0] for band in bands), hits)
+    return low, max(sum(band[1] for band in bands), low)
+
+
 def test_plans_carry_conformal_output_interval_once_warm():
     points = uniform_points(1024, seed=42)
     engine = QueryEngine(block_size=BLOCK_SIZE, seed=42)
     engine.register_dataset("d", points)
     constraints = halfspace_queries_with_selectivity(
         np.asarray(points), 40, 0.15, seed=43)
-    cold = engine.explain("d", constraints[0])
-    assert cold.output_interval is None          # nothing calibrated yet
+    cold, __ = _estimate(engine, "d", constraints[0])
+    assert cold.interval_source == "normal_fallback"  # nothing calibrated
     # DEFAULT_MIN_CALIBRATION (32) pairs and a few more.
     for constraint in constraints[:36]:
         engine.query("d", constraint, clear_cache=True)
-    warm = engine.explain("d", constraints[-1])
-    low, high = warm.output_interval
-    assert low <= warm.expected_output <= high
-    assert "in [" in warm.explain()
+    warm, plan = _estimate(engine, "d", constraints[-1])
+    assert warm.interval_source == "conformal"
+    low, high = warm.count_interval
+    assert (low, high) == _summed_bands(engine, "d", plan, warm.count)
+    assert low <= warm.estimated_count <= high
+    # A plan prices: its text carries T and no band.
+    assert "in [" not in plan.explain()
     engine.close()
 
 
@@ -719,14 +745,11 @@ def test_sharded_plan_interval_sums_shard_bands():
         np.asarray(points), 40, 0.2, seed=45)
     for constraint in constraints[:36]:
         engine.query("sh", constraint, clear_cache=True)
-    plan = engine.explain("sh", constraints[-1])
-    assert isinstance(plan, ShardedPlan)
-    if plan.output_interval is not None:
-        lows = sum(p.output_interval[0] for __, p in plan.shard_plans
-                   if p.output_interval)
-        highs = sum(p.output_interval[1] for __, p in plan.shard_plans
-                    if p.output_interval)
-        assert plan.output_interval == (lows, highs)
+    answer, plan = _estimate(engine, "sh", constraints[-1])
+    assert isinstance(plan, ShardedPlan) and plan.shards_queried == 2
+    assert answer.interval_source == "conformal"
+    assert answer.count_interval \
+        == _summed_bands(engine, "sh", plan, answer.count)
     engine.close()
 
 
@@ -920,7 +943,7 @@ def test_worker_spec_carries_its_recipe_and_no_conformal_config():
         [{"kind": "full_scan", "index_name": "full_scan", "params": {}}],
         [])
     assert len(worker.dataset.stats.sample.rows) == 128
-    assert worker.dataset.stats.size == len(points)
+    assert worker.dataset.live_size == len(points)
     stats = worker.handle({"op": "ping"})
     assert stats["replica"] == "sh#0"
     # The parent computes every estimate and interval; a worker's

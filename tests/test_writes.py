@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import brute_force_halfspace
+from conftest import assert_sample_is_live, brute_force_halfspace
 
 from repro import LinearConstraint, QueryEngine
 from repro.engine import ServingRequest, TenantBudget
@@ -222,9 +222,11 @@ def test_materialized_shard_feeds_stats_exactly_once():
     # Each logical insert is observed once, by its shard's model and no
     # other (a double observation would skew selectivity).
     shard_model = sharded.shards[shard_id].replicas[0].stats
-    assert shard_model.observed_inserts == expected
-    assert sum(shard.replicas[0].stats.observed_inserts
-               for shard in sharded.shards) == expected
+    assert len(shard_model.sample.rows) == expected
+    assert sum(len(shard.replicas[0].stats.sample.rows)
+               for shard in sharded.shards) == len(points) + expected
+    for shard in sharded.shards:
+        assert_sample_is_live(shard)
     engine.close()
 
 
@@ -264,7 +266,7 @@ def test_insert_keeps_all_replicas_serving_and_identical(points2d):
 
 
 def test_stats_and_counters_observe_one_logical_mutation_per_fanout(points2d):
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=10)
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=10, sample_size=1024)
     engine.register_sharded_dataset("sh", points2d, num_shards=2,
                                     replicas=3, sharding="range",
                                     kinds=["dynamic", "full_scan"])
@@ -281,13 +283,17 @@ def test_stats_and_counters_observe_one_logical_mutation_per_fanout(points2d):
     assert sharded.live_size == size_before + len(extra)
     for shard in sharded.shards:
         model = shard.replicas[0].stats
-        assert model.observed_inserts == per_shard[shard.shard_id]
+        assert len(model.sample.rows) \
+            == len(shard.replicas[0].points) + per_shard[shard.shard_id]
+        assert_sample_is_live(shard)
         for replica in shard.replicas:        # replicas share one model
             assert replica.stats is model
     assert engine.rebalancer.mutations("sh") == len(extra)
     engine.delete("sh", extra[0])
-    assert sum(shard.replicas[0].stats.observed_deletes
-               for shard in sharded.shards) == 1
+    assert sum(len(shard.replicas[0].stats.sample.rows)
+               for shard in sharded.shards) == size_before + len(extra) - 1
+    for shard in sharded.shards:
+        assert_sample_is_live(shard)
     assert engine.rebalancer.mutations("sh") == len(extra) + 1
     engine.close()
 
