@@ -171,6 +171,10 @@ def encode_cells(child_ids: Sequence[int], corners: np.ndarray) -> np.ndarray:
 #: mask).
 Region = Union[LinearConstraint, Simplex]
 
+#: A descent as :meth:`CellTreeIndex._reach` computes it: the masks of
+#: the crossed, delegated and reached nodes over the pricing slots.
+_Reach = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
 
 class CellTreeIndex(ExternalIndex):
     """What every box tree shares — the partition trees of Sections 5
@@ -217,6 +221,9 @@ class CellTreeIndex(ExternalIndex):
         self._root = None
         self._costs: Optional[_CellCosts] = None
         self._order: Optional[_ReadOrder] = None
+        #: The reach :meth:`estimated_query_ios` computed last, as
+        #: ``(region, costs, masks)`` (see :meth:`walk`); None: none yet.
+        self._priced: Optional[Tuple[Region, _CellCosts, _Reach]] = None
         with self._building():
             if len(points):
                 hierarchy = self._hierarchy(points)
@@ -443,9 +450,12 @@ class CellTreeIndex(ExternalIndex):
         instead of the tables is theirs: each child's box in
         ``_CellCosts`` is its table row bit for bit, and ``_ReadOrder``
         is the pre-order the tables spell, each node's subtree the range
-        it names.  A shallow tree's secondary trees are checked as well.
-        The blocks are read from the backend directly, so no I/O is
-        charged and the buffer pool is untouched.
+        it names.  The reach a walk may take from the last price is its
+        region's: read-only masks, over the current ``_CellCosts``, equal
+        bit for bit to a fresh :meth:`_reach`.  A shallow tree's
+        secondary trees are checked as well.  The blocks are read from
+        the backend directly, so no I/O is charged and the buffer pool
+        is untouched.
         """
         backend = self._store.backend
         d = self.dimension
@@ -548,6 +558,16 @@ class CellTreeIndex(ExternalIndex):
               and order.leaf.tolist() == [self._nodes[node_id].is_leaf
                                           for node_id in costs.node.tolist()],
               "the read order is not the pre-order the tables spell")
+        if self._priced is not None:
+            region, priced_over, masks = self._priced
+            check(priced_over is costs, "the remembered reach of %r was "
+                  "priced over other tables", region)
+            check(not any(mask.flags.writeable for mask in masks),
+                  "the remembered reach of %r is writeable", region)
+            check(all(mask.dtype == fresh.dtype and mask.shape == fresh.shape
+                      and mask.tobytes() == fresh.tobytes()
+                      for mask, fresh in zip(masks, self._reach(region))),
+                  "the remembered reach of %r is not its region's", region)
         return np.concatenate(leaves)
 
     # ------------------------------------------------------------------
@@ -569,8 +589,7 @@ class CellTreeIndex(ExternalIndex):
     #: ``scan.steps[name]``: its account's keys (zero when not taken).
     _steps: Tuple[str, ...] = ()
 
-    def _reach(self, region: Region
-               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _reach(self, region: Region) -> _Reach:
         """The descent of ``region`` on the in-memory tables, as masks
         over the pricing slots: the nodes its boundary crosses, those of
         them another index answers, and the nodes it reaches.
@@ -612,7 +631,10 @@ class CellTreeIndex(ExternalIndex):
         costs = self._costs
         if costs is None:
             return 0.0
-        crossed, delegated, reached = self._reach(constraint)
+        masks = crossed, delegated, reached = self._reach(constraint)
+        for mask in masks:
+            mask.setflags(write=False)
+        self._priced = (constraint, costs, masks)
         cost = float(np.dot(np.where(crossed, costs.own, costs.subtree),
                             reached))
         handed = costs.node[delegated & reached].tolist()
@@ -649,11 +671,25 @@ class CellTreeIndex(ExternalIndex):
         its points, filtered) and every block of a reported subtree
         (kept) — one run through the pool.  A delegated node ends a run,
         and its index answers at its place in the order.
+
+        The walk of the constraint its index has just priced, over the
+        same tables, reads the price's masks and classifies nothing: the
+        planner prices a query's lead constraint on its planning replica,
+        and a constraint query walks that very object there.  Any other
+        walk — a conjunction's polytope, another replica, a worker
+        process, a rebuilt index — misses and classifies.  The record is
+        one tuple, read once: a thread pricing meanwhile can only make
+        the walk miss.
         """
         costs, order = self._costs, self._order
         if costs is None:
             return
-        crossed, delegated, reached = self._reach(region)
+        priced = self._priced
+        if priced is not None and priced[0] is region \
+                and priced[1] is costs:
+            crossed, delegated, reached = priced[2]
+        else:
+            crossed, delegated, reached = self._reach(region)
         entered = reached & crossed
         scan.crossed += int(np.count_nonzero(entered))
         # Every node of a reported subtree: a reached node inside the

@@ -365,19 +365,25 @@ def _build_index(dataset: Dataset, seed: Optional[int], kind: str,
     return record
 
 
-def one_tree_per_replica(builds: Sequence[Dict[str, object]]
+def one_tree_per_replica(builds: Sequence[Dict[str, object]],
+                         held: Dict[str, BuildRecord]
                          ) -> Tuple[List[Dict[str, object]], Dict[str, str]]:
-    """The builds of ``builds`` that run, in order, and the aliases.
+    """The builds of ``builds`` that run, in order, and the aliases, on
+    a replica already holding the indexes ``held`` (its build records).
 
     ``dynamic`` is the partition tree under a second name (writes are
     the replica's overlay's, whatever the kind), so a ``partition_tree``
-    build whose parameters equal a ``dynamic`` build's is not built: its
-    name becomes an alias of the first such dynamic index, and each
-    replica builds, stores and prices one tree.  A list naming no
-    ``dynamic`` runs as it is.
+    build whose parameters equal a ``dynamic`` build's — one held, or
+    one of ``builds`` — is not built: its name becomes an alias of the
+    first such dynamic index, and each replica builds, stores and prices
+    one tree.  So a suite resolves alike built call by call (the parent,
+    :meth:`Dataset.rebuild`) or from its flat list (a worker, a
+    re-split).  With no ``dynamic`` index, ``builds`` run as they are.
     """
-    trees = [(build["index_name"], build["params"])
-             for build in builds if build["kind"] == "dynamic"]
+    trees = [(name, record.params) for name, record in held.items()
+             if record.kind == "dynamic"]
+    trees += [(build["index_name"], build["params"])
+              for build in builds if build["kind"] == "dynamic"]
     runs: List[Dict[str, object]] = []
     aliases: Dict[str, str] = {}
     for build in builds:
@@ -409,8 +415,10 @@ def _build_on_shards(shards: Sequence[Tuple[Optional[int], List[Dataset]]],
     become aliases.  The builds run in one build scope: a shard's chunk is
     cut into its median cuts once, and the cuts are dropped before the
     next shard's chunk is cut.  Returns the records build by build, each
-    in shard order."""
-    runs, aliases = one_tree_per_replica(builds)
+    in shard order.  Every replica holds the same suite, so the first
+    one's resolves the call for all."""
+    runs, aliases = one_tree_per_replica(builds,
+                                         shards[0][1][0].build_records)
     records: List[List[BuildRecord]] = [[] for __ in runs]
     with sharing_partitions() as scope:
         for shard_id, replicas in shards:
@@ -852,14 +860,18 @@ class Catalog:
         """Bulk-build one index over a ``register_dataset`` dataset.
 
         The index shares the dataset's store; the returned record captures
-        the build's wall-clock time, write I/Os and space.  For sharded
-        datasets use :meth:`build_sharded_index` (one build per shard).
+        the build's wall-clock time, write I/Os and space — the named
+        tree's, when the build is an alias (:func:`one_tree_per_replica`).
+        For sharded datasets use :meth:`build_sharded_index` (one build
+        per shard).
         """
         if self.is_sharded(dataset_name):
             raise ValueError("dataset %r is sharded; use "
                              "build_sharded_index()" % dataset_name)
-        return self.build_sharded_index(dataset_name, kind, index_name,
-                                        **params)[0]
+        self.build_sharded_index(dataset_name, kind, index_name, **params)
+        replica = self.dataset(dataset_name)
+        name = index_name or kind
+        return replica.build_records[replica.aliases.get(name, name)]
 
     def build_sharded_index(self, dataset_name: str, kind: str,
                             index_name: Optional[str] = None,

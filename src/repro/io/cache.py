@@ -28,34 +28,40 @@ class LRUCache(Generic[K, V]):
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0, got %r" % capacity)
         self.capacity = capacity
-        self._entries: "OrderedDict[K, V]" = OrderedDict()
+        #: The resident entries, least recently used first.  A reader
+        #: that keeps to :meth:`get` / :meth:`put`'s rules may work on it
+        #: directly (:meth:`~repro.io.store.BlockStore.read_run` does, a
+        #: run at a time): a hit moves its key to the end and counts in
+        #: :attr:`hits`, a miss counts in :attr:`misses`, and an insert
+        #: past ``capacity`` drops the first entry.
+        self.entries: "OrderedDict[K, V]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __contains__(self, key: K) -> bool:
-        return key in self._entries
+        return key in self.entries
 
     def get(self, key: K) -> Optional[V]:
         """Return the cached value and mark it most recently used, or None."""
-        if self.capacity == 0 or key not in self._entries:
+        if self.capacity == 0 or key not in self.entries:
             self.misses += 1
             return None
         self.hits += 1
-        self._entries.move_to_end(key)
-        return self._entries[key]
+        self.entries.move_to_end(key)
+        return self.entries[key]
 
     def put(self, key: K, value: V) -> None:
         """Insert or refresh an entry, evicting the LRU entry if needed."""
         if self.capacity == 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        self.entries[key] = value
+        while len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
 
     def resize(self, capacity: int) -> None:
         """Change the capacity, evicting LRU entries if it shrank.
@@ -68,21 +74,21 @@ class LRUCache(Generic[K, V]):
         if capacity < 0:
             raise ValueError("cache capacity must be >= 0, got %r" % capacity)
         self.capacity = capacity
-        while len(self._entries) > capacity:
-            self._entries.popitem(last=False)
+        while len(self.entries) > capacity:
+            self.entries.popitem(last=False)
 
     def items(self) -> List[Tuple[K, V]]:
         """The cached ``(key, value)`` pairs, least recently used first
         (recency and hit/miss statistics untouched)."""
-        return list(self._entries.items())
+        return list(self.entries.items())
 
     def invalidate(self, key: K) -> None:
         """Drop an entry (used when a block is rewritten or freed)."""
-        self._entries.pop(key, None)
+        self.entries.pop(key, None)
 
     def clear(self) -> None:
         """Drop every entry but keep hit/miss statistics."""
-        self._entries.clear()
+        self.entries.clear()
 
     def reset_stats(self) -> None:
         """Zero the hit/miss counters."""
@@ -97,4 +103,4 @@ class LRUCache(Generic[K, V]):
 
     def __repr__(self) -> str:
         return "LRUCache(capacity=%d, size=%d, hit_rate=%.2f)" % (
-            self.capacity, len(self._entries), self.hit_rate)
+            self.capacity, len(self.entries), self.hit_rate)

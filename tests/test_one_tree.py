@@ -167,17 +167,45 @@ def test_after_a_write_both_names_answer_the_live_points():
         engine.close()
 
 
-def test_a_build_on_its_own_builds_exactly_its_kind():
-    """The resolution is a suite's: a ``partition_tree`` built by a call
-    of its own beside an existing dynamic tree is a tree of its own."""
-    engine = QueryEngine(block_size=BLOCK_SIZE, seed=41)
+def test_a_late_partition_tree_build_names_the_held_dynamic_tree():
+    """The resolution is the replica's whole suite's: a ``partition_tree``
+    built by a call of its own beside a held dynamic tree names it, so
+    the parent's replica, its ``Dataset.rebuild``, a worker built from
+    the flat suite and a re-split all hold one tree on the same blocks
+    (1 024 points, B = 32, seed 3, one shard: two trees, 98 blocks
+    against 65, before aliases were resolved over held builds)."""
+    kinds = ["dynamic", "full_scan", "partition_tree"]
+    engine = QueryEngine(block_size=32, seed=3)
     try:
-        engine.register_dataset("d", POINTS, kinds=["dynamic"])
-        engine.catalog.build_index("d", "partition_tree")
-        replica = engine.catalog.dataset("d")
-        assert list(replica.indexes) == ["dynamic", "partition_tree"]
-        assert type(replica.indexes["partition_tree"]) is PartitionTreeIndex
-        assert replica.aliases == {}
+        engine.register_sharded_dataset("d", uniform_points(1024, seed=3),
+                                        num_shards=1,
+                                        kinds=["dynamic", "full_scan"])
+        records = engine.catalog.build_sharded_index("d", "partition_tree")
+        assert records == []
+        sharded = engine.catalog.sharded("d")
+        sharded.check_invariants()
+        [replica] = sharded.shards[0].replicas
+        assert_one_tree(replica, kinds)
+        blocks = replica.store.num_blocks
+        worker = ShardWorker(replica.name, replica.points, sharded.recipe,
+                             sharded.suite_builds, []).dataset
+        assert_one_tree(worker, kinds)
+        assert worker.store.num_blocks == blocks
+        replica.rebuild()
+        assert_one_tree(replica, kinds)
+        assert replica.store.num_blocks == blocks
+        engine.rebalance("d")
+        [resplit] = engine.catalog.sharded("d").shards[0].replicas
+        assert_one_tree(resplit, kinds)
+        assert resplit.store.num_blocks == blocks
+        engine.catalog.sharded("d").check_invariants()
+        # An unsharded name's build returns the record of the tree it
+        # names.
+        engine.register_dataset("u", POINTS, kinds=["dynamic"])
+        record = engine.catalog.build_index("u", "partition_tree")
+        assert record is engine.catalog.dataset("u").build_records["dynamic"]
+        assert_one_tree(engine.catalog.dataset("u"),
+                        ["dynamic", "partition_tree"])
     finally:
         engine.close()
 
@@ -202,6 +230,26 @@ def build(kind, index_name=None, **params):
     ([build("partition_tree"), build("full_scan")], [0, 1], {}),
 ])
 def test_the_resolution(builds, runs, aliases):
-    ran, named = one_tree_per_replica(builds)
+    ran, named = one_tree_per_replica(builds, {})
     assert ran == [builds[position] for position in runs]
     assert named == aliases
+
+
+def test_the_resolution_reads_the_held_dynamic_trees():
+    """A held dynamic tree names a later static one of its parameters,
+    before any dynamic build of the call; a held static tree names
+    nothing."""
+    engine = QueryEngine(block_size=BLOCK_SIZE, seed=41)
+    try:
+        engine.register_dataset("d", POINTS[:200],
+                                kinds=["partition_tree", "dynamic"])
+        engine.catalog.build_index("d", "dynamic", "d4", leaf_capacity=4)
+        held = engine.catalog.dataset("d").build_records
+        builds = [build("dynamic", "again"), build("partition_tree", "p"),
+                  build("partition_tree", "p4", leaf_capacity=4),
+                  build("partition_tree", "p8", leaf_capacity=8)]
+        ran, named = one_tree_per_replica(builds, held)
+        assert ran == [builds[0], builds[3]]
+        assert named == {"p": "dynamic", "p4": "d4"}
+    finally:
+        engine.close()

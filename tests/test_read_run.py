@@ -4,14 +4,16 @@ The run read is *defined* as that loop — same blocks back, same
 :class:`IOStats`, pool hits, misses and recency order, same bytes moved,
 the same ``KeyError`` after the same charges.  Twin stores are driven
 through the same generated steps, one reading runs and one looping, and
-compared after every step; ``check_invariants()`` runs on both.
+compared after every step; ``check_invariants()`` runs on both.  Runs
+reach a cell tree's length (up to 64 distinct ids, some past the last
+block), on a cleared pool as well as a warm one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cache_info, observable
 from repro.io.store import BlockStore
@@ -28,9 +30,17 @@ other_blocks = st.lists(st.tuples(st.integers(-9, 9), st.text(max_size=2)),
 blocks = st.one_of(point_blocks, other_blocks)
 #: Ids of blocks ever allocated, freed ones included, and two never made.
 block_ids = st.integers(0, INITIAL_BLOCKS + 5)
+#: Point blocks allocated after the drawn ones, so that a run of distinct
+#: ids is as long as a cell tree's walk (some 60 blocks on
+#: ``embedded_suite``).
+RUN_BLOCKS = 64
+long_runs = st.lists(st.integers(0, INITIAL_BLOCKS + RUN_BLOCKS + 1),
+                     min_size=5, max_size=RUN_BLOCKS, unique=True)
 steps = st.lists(st.one_of(
     st.tuples(st.just("run"), st.lists(block_ids, max_size=12)),
     st.tuples(st.just("run"), st.lists(block_ids, max_size=12, unique=True)),
+    st.tuples(st.just("run"), long_runs),
+    st.just(("clear",)),
     st.tuples(st.just("read"), block_ids),
     st.tuples(st.just("write"), block_ids, blocks),
     st.tuples(st.just("allocate"), blocks),
@@ -59,6 +69,8 @@ def apply(store: BlockStore, step, read_run):
             return store.allocate(step[1])
         if step[0] == "free":
             return store.free(step[1])
+        if step[0] == "clear":
+            return store.clear_cache()
         return store.resize_cache(step[1])
     except KeyError:
         return KeyError
@@ -82,6 +94,13 @@ def same_blocks(left, right) -> bool:
        initial=st.lists(blocks, min_size=INITIAL_BLOCKS,
                         max_size=INITIAL_BLOCKS),
        script=steps)
+# A cold distinct run of 64 blocks through a 4-block pool, then a cold
+# one that meets a block never made after 30 charges.
+@example(capacity=4, initial=[[(0.5, 0.5)]] * INITIAL_BLOCKS,
+         script=[("clear",), ("run", list(range(INITIAL_BLOCKS,
+                                                INITIAL_BLOCKS + RUN_BLOCKS))),
+                 ("clear",), ("run", list(range(30, 60)) + [
+                     INITIAL_BLOCKS + RUN_BLOCKS + 1, 40])])
 def test_read_run_is_the_read_payload_loop(backend, capacity, initial, script):
     run_store, loop_store = (
         BlockStore(BLOCK_SIZE, cache_blocks=capacity, backend=backend)
@@ -90,6 +109,8 @@ def test_read_run_is_the_read_payload_loop(backend, capacity, initial, script):
         for store in (run_store, loop_store):
             for records in initial:
                 store.allocate(records)
+            for number in range(RUN_BLOCKS):
+                store.allocate([(float(number), 0.5)])
         for step in script:
             ran = apply(run_store, step, BlockStore.read_run)
             looped_result = apply(loop_store, step, looped)

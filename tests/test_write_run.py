@@ -19,7 +19,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import cache_info, compact_at, observable
 from repro.core.partition_tree import PartitionTreeIndex
@@ -83,6 +83,11 @@ def log_bytes(store: BlockStore) -> bytes:
        initial=st.lists(blocks, min_size=INITIAL_BLOCKS,
                         max_size=INITIAL_BLOCKS),
        script=steps)
+# A run read, through no pool, of a block still in the open write run:
+# its first miss hands the run over.
+@example(capacity=0, initial=[[(0.5, 0.5)]] * INITIAL_BLOCKS,
+         script=[("open",), ("allocate", [(1.0, 2.0)]),
+                 ("run", [0, INITIAL_BLOCKS, INITIAL_BLOCKS])])
 def test_a_write_run_is_one_write_per_block(backend, capacity, initial,
                                             script):
     with tempfile.TemporaryDirectory() as directory, compact_at(1.0):
